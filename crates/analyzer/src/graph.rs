@@ -19,8 +19,7 @@
 //!   released on every path before the channel call no longer fires, a
 //!   guard dropped on only one `match` arm still does (the branch-merge
 //!   soundness fix), and a send hidden inside a callee is caught through
-//!   the call graph. The pre-CFG linear scan survives as
-//!   [`Db::lock_pass_legacy`] behind `--legacy-flow`.
+//!   the call graph.
 //! * **`guard-across-suspend`** — any lock guard live at a suspension
 //!   point (`.await`, `block_timeout`, park/yield) on some CFG path,
 //!   interprocedurally via may-suspend summaries.
@@ -387,18 +386,9 @@ pub struct GraphAnalysis {
     pub graphs: Graphs,
 }
 
-/// Run the graph-level analyses over all extracted file facts with the
-/// default (CFG dataflow) engine.
+/// Run the graph-level analyses over all extracted file facts.
 pub fn analyze_graph(files: &[&FileFacts]) -> GraphAnalysis {
-    analyze_graph_with(files, false)
-}
-
-/// Run the graph-level analyses. With `legacy_flow`, guard liveness uses
-/// the pre-CFG linear scan and the three path-sensitive rules
-/// (`guard-across-suspend`, `double-lock-path`, `lost-wakeup`) are
-/// skipped — the `--legacy-flow` engine-diffing mode.
-pub fn analyze_graph_with(files: &[&FileFacts], legacy_flow: bool) -> GraphAnalysis {
-    analyze_graph_incremental(files, legacy_flow, None)
+    analyze_graph_incremental(files, None)
 }
 
 /// The per-function results the expensive CFG passes produce — the unit
@@ -462,7 +452,6 @@ impl GraphCacheCtx {
 /// reaches.
 pub fn analyze_graph_incremental(
     files: &[&FileFacts],
-    legacy_flow: bool,
     mut cache: Option<&mut GraphCacheCtx>,
 ) -> GraphAnalysis {
     let db = Db::build(files);
@@ -471,70 +460,67 @@ pub fn analyze_graph_incremental(
     let trans_chan = db.transitive_channel_ops(&adj);
     let reachable = db.pump_reachable(&adj);
     let mut violations = Vec::new();
-    let (lock_nodes, lock_edges) = if legacy_flow {
-        db.lock_pass_legacy(&trans_locks, &trans_chan, &mut violations)
+    let trans_suspend = db.transitive_suspends(&adj);
+    let mut nodes: BTreeSet<String> = BTreeSet::new();
+    for f in &db.fns {
+        for step in &f.steps {
+            if let Step::Acquire { lock, .. } = step {
+                nodes.insert(lock.clone());
+            }
+        }
+    }
+    let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
+    let mut lost_acc: Vec<Violation> = Vec::new();
+    let obs = if cache.is_some() {
+        db.observables(&trans_locks, &trans_chan, &trans_suspend)
     } else {
-        let trans_suspend = db.transitive_suspends(&adj);
-        let mut nodes: BTreeSet<String> = BTreeSet::new();
-        for f in &db.fns {
-            for step in &f.steps {
-                if let Step::Acquire { lock, .. } = step {
-                    nodes.insert(lock.clone());
-                }
-            }
-        }
-        let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-        let mut lost_acc: Vec<Violation> = Vec::new();
-        let obs = if cache.is_some() {
-            db.observables(&trans_locks, &trans_chan, &trans_suspend)
-        } else {
-            Vec::new()
-        };
-        for (i, adj_i) in adj.iter().enumerate() {
-            let entry = reachable.get(&i).map(|(e, _)| e.clone());
-            let key = cache
-                .as_ref()
-                .map(|c| db.digest_fn(i, &c.fps, &obs, adj_i, entry.as_deref()));
-            let mut replayed: Option<FnGraphResult> = None;
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), &key) {
-                if let Some(r) = c.old.remove(k) {
-                    c.hits += 1;
-                    replayed = Some(r);
-                } else {
-                    c.misses += 1;
-                }
-            }
-            let result = match replayed {
-                Some(r) => r,
-                None => {
-                    let (v, e) = db.lock_pass_one(i, &trans_locks, &trans_chan, &trans_suspend);
-                    let lost = match &entry {
-                        Some(en) if db.fns[i].steps.iter().any(is_register_step) => {
-                            db.lost_wakeup_one(i, en)
-                        }
-                        _ => Vec::new(),
-                    };
-                    FnGraphResult {
-                        violations: v,
-                        edges: e,
-                        lost,
-                    }
-                }
-            };
-            violations.extend(result.violations.iter().cloned());
-            lost_acc.extend(result.lost.iter().cloned());
-            for e in &result.edges {
-                edges
-                    .entry((e.from.clone(), e.to.clone()))
-                    .or_insert_with(|| e.clone());
-            }
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                c.fresh.insert(k, result);
-            }
-        }
-        violations.extend(lost_acc);
-        (nodes.into_iter().collect(), edges.into_values().collect())
+        Vec::new()
     };
+    for (i, adj_i) in adj.iter().enumerate() {
+        let entry = reachable.get(&i).map(|(e, _)| e.clone());
+        let key = cache
+            .as_ref()
+            .map(|c| db.digest_fn(i, &c.fps, &obs, adj_i, entry.as_deref()));
+        let mut replayed: Option<FnGraphResult> = None;
+        if let (Some(c), Some(k)) = (cache.as_deref_mut(), &key) {
+            if let Some(r) = c.old.remove(k) {
+                c.hits += 1;
+                replayed = Some(r);
+            } else {
+                c.misses += 1;
+            }
+        }
+        let result = match replayed {
+            Some(r) => r,
+            None => {
+                let (v, e) = db.lock_pass_one(i, &trans_locks, &trans_chan, &trans_suspend);
+                let lost = match &entry {
+                    Some(en) if db.fns[i].steps.iter().any(is_register_step) => {
+                        db.lost_wakeup_one(i, en)
+                    }
+                    _ => Vec::new(),
+                };
+                FnGraphResult {
+                    violations: v,
+                    edges: e,
+                    lost,
+                }
+            }
+        };
+        violations.extend(result.violations.iter().cloned());
+        lost_acc.extend(result.lost.iter().cloned());
+        for e in &result.edges {
+            edges
+                .entry((e.from.clone(), e.to.clone()))
+                .or_insert_with(|| e.clone());
+        }
+        if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
+            c.fresh.insert(k, result);
+        }
+    }
+    violations.extend(lost_acc);
+    let lock_nodes: Vec<String> = nodes.into_iter().collect();
+    let lock_edges: Vec<LockEdge> = edges.into_values().collect();
     let lock_cycles = cycle_pass(&lock_nodes, &lock_edges, &mut violations);
     let channels = db.channel_pass(&mut violations);
     db.blocking_pass(&reachable, &mut violations);
@@ -885,118 +871,6 @@ impl<'a> Db<'a> {
             }
         }
         chan
-    }
-
-    /// The pre-CFG linear scan (`--legacy-flow`): walk every function's
-    /// step stream with a live-guard list. Unsound at branch merges — a
-    /// `drop()` on one `match` arm clears the guard for the code after
-    /// the merge on *every* path — which is exactly what the CFG-based
-    /// [`Db::lock_pass`] fixes. Kept for one release to diff engines.
-    fn lock_pass_legacy(
-        &self,
-        trans_locks: &[BTreeSet<String>],
-        trans_chan: &[bool],
-        out: &mut Vec<Violation>,
-    ) -> (Vec<String>, Vec<LockEdge>) {
-        let mut nodes: BTreeSet<String> = BTreeSet::new();
-        let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            // (binding, lock, bound line)
-            let mut live: Vec<(String, String, u32)> = Vec::new();
-            for step in &f.steps {
-                match step {
-                    Step::Acquire {
-                        lock,
-                        binding,
-                        line,
-                        ..
-                    } => {
-                        nodes.insert(lock.clone());
-                        for (_, held, _) in &live {
-                            edges
-                                .entry((held.clone(), lock.clone()))
-                                .or_insert_with(|| LockEdge {
-                                    from: held.clone(),
-                                    to: lock.clone(),
-                                    file: f.file.clone(),
-                                    line: *line,
-                                    via: None,
-                                });
-                        }
-                        live.push((binding.clone(), lock.clone(), *line));
-                    }
-                    Step::Release { binding } => {
-                        live.retain(|(b, _, _)| b != binding);
-                    }
-                    Step::Send {
-                        method, line, col, ..
-                    }
-                    | Step::Recv {
-                        method, line, col, ..
-                    } => {
-                        if let Some((binding, lock, gline)) = live.last() {
-                            out.push(Violation {
-                                rule: NO_LOCK_ACROSS_SEND,
-                                file: f.file.clone(),
-                                line: *line,
-                                col: *col,
-                                message: format!(
-                                    "`.{method}()` while lock guard `{}` (bound line {gline}) \
-                                     is live — a blocked channel with a held lock deadlocks \
-                                     the site pump; drop the guard first",
-                                    guard_label(binding, lock)
-                                ),
-                            });
-                        }
-                    }
-                    Step::Call { target, line, col } => {
-                        if live.is_empty() {
-                            continue;
-                        }
-                        for callee in self.resolve(i, target) {
-                            // Interprocedural lock-order edges; same-name
-                            // edges are dropped because the name heuristic
-                            // cannot distinguish two `lock` fields of
-                            // different objects from a genuine re-entry.
-                            for inner in &trans_locks[callee] {
-                                for (_, held, _) in &live {
-                                    if held != inner {
-                                        edges.entry((held.clone(), inner.clone())).or_insert_with(
-                                            || LockEdge {
-                                                from: held.clone(),
-                                                to: inner.clone(),
-                                                file: f.file.clone(),
-                                                line: *line,
-                                                via: Some(self.quals[callee].clone()),
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                            if trans_chan[callee] {
-                                let (binding, lock, gline) =
-                                    live.last().expect("live checked non-empty");
-                                out.push(Violation {
-                                    rule: NO_LOCK_ACROSS_SEND,
-                                    file: f.file.clone(),
-                                    line: *line,
-                                    col: *col,
-                                    message: format!(
-                                        "call to `{}` performs channel operations while lock \
-                                         guard `{}` (bound line {gline}) is live — drop the \
-                                         guard before calling",
-                                        self.quals[callee],
-                                        guard_label(binding, lock)
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    Step::Blocking { .. } | Step::Suspend { .. } => {}
-                }
-            }
-        }
-        (nodes.into_iter().collect(), edges.into_values().collect())
     }
 
     /// Fixpoint: does the function hit a non-channel suspension point

@@ -42,7 +42,7 @@ pub mod report;
 pub mod rules;
 
 use report::{CacheStats, Report};
-use rules::{AnalyzeOptions, FileArtifacts, SourceFile};
+use rules::{FileArtifacts, SourceFile};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,12 +56,10 @@ const SKIP_DIRS: [&str; 7] = [
     "vendor", "target", ".git", "tests", "benches", "fixtures", "results",
 ];
 
-/// Options for a workspace run — engine flags plus the incremental and
-/// parallel knobs the CLI exposes.
+/// Options for a workspace run — the incremental and parallel knobs the
+/// CLI exposes.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Engine options (`--legacy-flow`).
-    pub analyze: AnalyzeOptions,
     /// Fact-database directory (`--cache-dir`); `None` runs cold.
     pub cache_dir: Option<PathBuf>,
     /// Front-end worker threads (`--jobs`); 0 means one per core.
@@ -276,7 +274,7 @@ pub fn run_workspace_with(root: &Path, opts: RunOptions) -> io::Result<Report> {
     };
 
     lap("frontend", trace);
-    let analysis = rules::aggregate(&artifacts, readme.as_deref(), opts.analyze, gctx.as_mut());
+    let analysis = rules::aggregate(&artifacts, readme.as_deref(), gctx.as_mut());
     lap("aggregate", trace);
     if let Some(g) = &gctx {
         if let Some(s) = stats.as_mut() {
@@ -318,16 +316,7 @@ pub fn run_workspace_with(root: &Path, opts: RunOptions) -> io::Result<Report> {
 
 /// Lint an in-memory set of sources — the entry point fixture tests use.
 pub fn run_sources(sources: &[SourceFile], readme: Option<&str>) -> Report {
-    run_sources_with(sources, readme, AnalyzeOptions::default())
-}
-
-/// [`run_sources`] with explicit engine options.
-pub fn run_sources_with(
-    sources: &[SourceFile],
-    readme: Option<&str>,
-    opts: AnalyzeOptions,
-) -> Report {
-    let analysis = rules::analyze_with(sources, readme, opts);
+    let analysis = rules::analyze(sources, readme);
     Report {
         files_scanned: sources.len(),
         violations: analysis.violations,

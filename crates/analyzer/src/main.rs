@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p mdbs-analyzer -- --workspace [--json PATH] [--sarif PATH]
-//!     [--format human|json|sarif] [--emit-graphs DIR] [--legacy-flow] [--quiet]
+//!     [--format human|json|sarif] [--emit-graphs DIR] [--quiet]
 //!     [--cache-dir DIR | --no-cache] [--jobs N] [--baseline REPORT.json]
 //!     [--fail-on error|warning|note]
 //! cargo run -p mdbs-analyzer -- FILE.rs [FILE.rs ...]
@@ -15,8 +15,8 @@
 //! report count toward the gate.
 
 use mdbs_analyzer::report::baseline_from_json;
-use mdbs_analyzer::rules::{parse_level, AnalyzeOptions, Level, SourceFile};
-use mdbs_analyzer::{find_workspace_root, run_sources_with, run_workspace_with, RunOptions};
+use mdbs_analyzer::rules::{parse_level, Level, SourceFile};
+use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace_with, RunOptions};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -39,14 +39,12 @@ fn main() -> ExitCode {
     let mut no_cache = false;
     let mut jobs = 0usize;
     let mut fail_on = Level::Note;
-    let mut opts = AnalyzeOptions::default();
     let mut files: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--quiet" | "-q" => quiet = true,
-            "--legacy-flow" => opts.legacy_flow = true,
             "--no-cache" => no_cache = true,
             "--print-schema-hash" => {
                 println!("{:016x}", mdbs_analyzer::cache::schema_hash());
@@ -118,8 +116,7 @@ fn main() -> ExitCode {
                 println!(
                     "mdbs-lint: static analysis for the mdbs workspace\n\n\
                      USAGE:\n  mdbs-lint --workspace [--json PATH] [--sarif PATH] \
-                     [--format human|json|sarif]\n      [--emit-graphs DIR] [--legacy-flow] \
-                     [--quiet]\n      [--cache-dir DIR | --no-cache] [--jobs N] \
+                     [--format human|json|sarif]\n      [--emit-graphs DIR] [--quiet]\n      [--cache-dir DIR | --no-cache] [--jobs N] \
                      [--baseline REPORT.json]\n      [--fail-on error|warning|note]\n  \
                      mdbs-lint FILE.rs [FILE.rs ...]\n\n\
                      Scans workspace sources for the eleven invariants documented in the\n\
@@ -137,9 +134,7 @@ fn main() -> ExitCode {
                      --print-schema-hash prints the analyzer schema hash (the cache\n\
                      version key) and exits.\n\
                      --emit-graphs writes lock_order.dot, channel_topology.dot and a\n\
-                     cfg_<fn>.dot per pump entry point into DIR (created if missing).\n\
-                     --legacy-flow runs the pre-CFG linear guard scan (no path-sensitive\n\
-                     rules, no stale-allow detection) to diff engines.\n\n\
+                     cfg_<fn>.dot per pump entry point into DIR (created if missing).\n\n\
                      Exit codes: 0 gate passed, 1 findings at/above --fail-on (only new\n\
                      ones under --baseline), 2 usage or I/O error."
                 );
@@ -168,11 +163,7 @@ fn main() -> ExitCode {
             eprintln!("mdbs-lint: no workspace root above {}", cwd.display());
             return ExitCode::from(2);
         };
-        let run = RunOptions {
-            analyze: opts,
-            cache_dir,
-            jobs,
-        };
+        let run = RunOptions { cache_dir, jobs };
         match run_workspace_with(&root, run) {
             Ok(r) => r,
             Err(e) => {
@@ -201,7 +192,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        run_sources_with(&sources, None, opts)
+        run_sources(&sources, None)
     };
 
     if let Some(path) = &baseline_path {

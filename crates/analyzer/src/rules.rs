@@ -21,9 +21,7 @@
 //! The first five are per-file (token-level); the rest run on per-function
 //! CFGs ([`crate::cfg`]) with a worklist dataflow solver
 //! ([`crate::dataflow`]) plus the interprocedural call graph built by
-//! [`crate::parser`] → [`crate::facts`] → [`crate::graph`]. The pre-CFG
-//! linear guard scan survives behind [`AnalyzeOptions::legacy_flow`]
-//! (`--legacy-flow`) to diff engines; it skips the last three rules.
+//! [`crate::parser`] → [`crate::facts`] → [`crate::graph`].
 //!
 //! Escape hatch: `// mdbs-lint: allow(<rule>) — <justification>` on the
 //! same line or the line above suppresses one rule there; a directive
@@ -212,29 +210,12 @@ pub struct Analysis {
     pub graphs: Graphs,
 }
 
-/// Engine options threaded from the CLI.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnalyzeOptions {
-    /// Use the pre-CFG linear guard scan for `no-lock-across-send` /
-    /// lock-order edges and skip the three path-sensitive rules — the
-    /// `--legacy-flow` engine-diffing mode. Stale-allow detection is
-    /// also skipped (hit counts are only meaningful for the engine the
-    /// directives target).
-    pub legacy_flow: bool,
-}
-
-/// Analyze a set of sources plus the README (for `metric-docs-sync`)
-/// with the default (CFG dataflow) engine.
+/// Analyze a set of sources plus the README (for `metric-docs-sync`):
+/// run the pure per-file front end on every source, then [`aggregate`].
+/// The serial, cache-free entry point fixture tests use.
 pub fn analyze(files: &[SourceFile], readme: Option<&str>) -> Analysis {
-    analyze_with(files, readme, AnalyzeOptions::default())
-}
-
-/// Analyze a set of sources plus the README: run the pure per-file
-/// front end on every source, then [`aggregate`]. The serial,
-/// cache-free entry point fixture tests use.
-pub fn analyze_with(files: &[SourceFile], readme: Option<&str>, opts: AnalyzeOptions) -> Analysis {
     let artifacts: Vec<FileArtifacts> = files.iter().map(frontend).collect();
-    aggregate(&artifacts, readme, opts, None)
+    aggregate(&artifacts, readme, None)
 }
 
 /// An allow directive's effect, stripped of its hit counter: the rule it
@@ -343,7 +324,6 @@ pub fn frontend(file: &SourceFile) -> FileArtifacts {
 pub fn aggregate(
     files: &[FileArtifacts],
     readme: Option<&str>,
-    opts: AnalyzeOptions,
     graph_cache: Option<&mut crate::graph::GraphCacheCtx>,
 ) -> Analysis {
     let mut violations = Vec::new();
@@ -368,7 +348,7 @@ pub fn aggregate(
         metrics.check_against_readme(text, &mut violations);
     }
     let fact_refs: Vec<&crate::facts::FileFacts> = files.iter().map(|a| &a.facts).collect();
-    let graph = crate::graph::analyze_graph_incremental(&fact_refs, opts.legacy_flow, graph_cache);
+    let graph = crate::graph::analyze_graph_incremental(&fact_refs, graph_cache);
     for v in graph.violations {
         let suppressed = files
             .iter()
@@ -378,23 +358,21 @@ pub fn aggregate(
             violations.push(v);
         }
     }
-    if !opts.legacy_flow {
-        for (art, a) in files.iter().zip(&allows) {
-            for e in &a.entries {
-                if e.hits.get() == 0 {
-                    violations.push(Violation {
-                        rule: STALE_ALLOW,
-                        file: art.path.clone(),
-                        line: e.first,
-                        col: 1,
-                        message: format!(
-                            "mdbs-lint allow({}) suppresses nothing — the code it covered no \
-                             longer trips the rule; delete the directive so future violations \
-                             surface",
-                            e.rule
-                        ),
-                    });
-                }
+    for (art, a) in files.iter().zip(&allows) {
+        for e in &a.entries {
+            if e.hits.get() == 0 {
+                violations.push(Violation {
+                    rule: STALE_ALLOW,
+                    file: art.path.clone(),
+                    line: e.first,
+                    col: 1,
+                    message: format!(
+                        "mdbs-lint allow({}) suppresses nothing — the code it covered no \
+                         longer trips the rule; delete the directive so future violations \
+                         surface",
+                        e.rule
+                    ),
+                });
             }
         }
     }

@@ -2,8 +2,8 @@
 //! triggering and one non-triggering snippet, the combined JSON report is
 //! pinned to a golden file, and the workspace itself must lint clean.
 
-use mdbs_analyzer::rules::{self, AnalyzeOptions, SourceFile};
-use mdbs_analyzer::{find_workspace_root, run_sources, run_sources_with, run_workspace};
+use mdbs_analyzer::rules::{self, SourceFile};
+use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace};
 use std::path::Path;
 
 /// A fixture README providing the Observability table the
@@ -343,24 +343,14 @@ fn blocking_in_pump_good_is_quiet() {
 }
 
 /// The pinned branch-merge regression: the guard is dropped in only one
-/// `match` arm, so the other arm still holds it at the send. The legacy
-/// linear scan clears the guard on the first `drop` it sees and misses
-/// the bug; the CFG engine's may-merge keeps it live.
+/// `match` arm, so the other arm still holds it at the send. A linear
+/// scan that clears the guard on the first `drop` it sees misses the bug;
+/// the CFG engine's may-merge keeps it live.
 #[test]
-fn branch_merge_bad_fires_under_cfg_engine_only() {
+fn branch_merge_bad_fires() {
     let src = include_str!("fixtures/branch_merge_bad.rs");
     let fired = rules_fired("crates/sim/src/fixture.rs", src);
     assert_eq!(fired, [rules::NO_LOCK_ACROSS_SEND]);
-    let legacy = run_sources_with(
-        &[fixture("crates/sim/src/fixture.rs", src)],
-        None,
-        AnalyzeOptions { legacy_flow: true },
-    );
-    assert!(
-        legacy.is_clean(),
-        "legacy scan unexpectedly caught the branch-merge case:\n{}",
-        legacy.render_human()
-    );
 }
 
 #[test]
@@ -505,26 +495,6 @@ pub fn publish(state: &std::sync::Mutex<u64>, tx: &std::sync::mpsc::Sender<u64>)
 ";
     let fired = rules_fired("crates/sim/src/fixture.rs", src);
     assert!(fired.is_empty(), "unexpected: {fired:?}");
-}
-
-#[test]
-fn stale_allow_is_skipped_under_legacy_flow() {
-    // Hit counts only describe the default engine, so the legacy scan
-    // must not judge directives by them.
-    let src = "\
-pub fn publish(state: &std::sync::Mutex<u64>, tx: &std::sync::mpsc::Sender<u64>) {
-    let guard = state.lock().unwrap();
-    drop(guard);
-    // mdbs-lint: allow(no-lock-across-send) — stale: the guard is already dropped.
-    tx.send(1).ok();
-}
-";
-    let report = run_sources_with(
-        &[fixture("crates/sim/src/fixture.rs", src)],
-        None,
-        AnalyzeOptions { legacy_flow: true },
-    );
-    assert!(report.is_clean(), "{}", report.render_human());
 }
 
 #[test]

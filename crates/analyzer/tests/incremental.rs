@@ -88,7 +88,6 @@ fn warm(root: &Path, cache_dir: &Path) -> Report {
         RunOptions {
             cache_dir: Some(cache_dir.to_path_buf()),
             jobs: 1,
-            ..RunOptions::default()
         },
     )
     .unwrap()

@@ -66,7 +66,6 @@ fn warm_vs_cold(root: &Path, cache_dir: &Path) -> (String, String) {
         RunOptions {
             cache_dir: Some(cache_dir.to_path_buf()),
             jobs: 1,
-            ..RunOptions::default()
         },
     )
     .unwrap();

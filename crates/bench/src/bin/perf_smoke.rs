@@ -5,22 +5,24 @@
 //!
 //! Since v4 every cell is a *distribution*, not one noisy number: the
 //! cell is measured `--samples` times (per-tier defaults: 5 for `small`
-//! and `medium`, 1 for `large` — the large tier's dense-memo Scheme 2
-//! cell alone costs ~30 s, and it exists as a recorded datum, not a
-//! gate input) and the report carries every sample plus
-//! min/median/max. The legacy `wall_ms` column remains (it is the
-//! median) so eyeball diffs against BENCH_PR1…PR6 still work.
+//! and `medium`, 1 for `large`, which is a recorded datum, not a gate
+//! input) and the report carries every sample plus min/median/max. The
+//! legacy `wall_ms` column remains (it is the median) so eyeball diffs
+//! against BENCH_PR1…PR6 still work.
 //!
 //! ```text
 //! perf_smoke [--out PATH] [--samples N] [--db PATH] [--commit LABEL]
 //! ```
 //!
-//! `--out PATH` (or the `BENCH_OUT` env var) picks the snapshot path;
-//! the built-in fallback is only for bare local runs. `--samples N`
-//! forces N repetitions for *every* tier. With `--db` the run is also
-//! appended to the bench results database under `--commit` (default:
-//! `MDBS_COMMIT`, then `local`) as gate-eligible history — that is what
-//! `bench_gate` later compares against; see `crates/bench/src/gate.rs`.
+//! `--out PATH` (or the `BENCH_OUT` env var) picks the snapshot path; the
+//! default is `perf-smoke.json` (gitignored). The committed
+//! `BENCH_PR*.json` files are historical snapshots that `bench_gate
+//! --ingest` files under their PR label — never write a run over one.
+//! `--samples N` forces N repetitions for *every* tier. With `--db` the
+//! run is also appended to the bench results database under `--commit`
+//! (default: `MDBS_COMMIT`, then `local`) as gate-eligible history — that
+//! is what `bench_gate` later compares against; see
+//! `crates/bench/src/gate.rs`.
 //!
 //! Replay cells measure pure scheduler cost: throughput is transactions
 //! per *wall* second and the response percentiles are `null` (replay has
@@ -36,11 +38,10 @@
 //! time and deterministic — only their wall-clock varies across samples.
 //!
 //! The `kernel` column names the scheme-state implementation: `btree`
-//! (reference), `dense` (slot-interned bitset kernels, the default), or
-//! `dense-memo` (pre-incremental full-rescan Scheme 2 oracle). All
-//! kernels charge byte-identical `steps_cond`/`steps_act` — `step_gate`
-//! enforces that — so within a (scheme, mode, tier) pair only wall-clock
-//! may differ. Kernel/tier inclusion rules live in
+//! (reference) or `dense` (slot-interned bitset kernels, the default).
+//! Both kernels charge byte-identical `steps_cond`/`steps_act` —
+//! `step_gate` enforces that — so within a (scheme, mode, tier) pair only
+//! wall-clock may differ. Kernel/tier inclusion rules live in
 //! [`mdbs_bench::smoke::kernel_included`].
 //!
 //! [`ShardedGtm2`]: mdbs_core::sharded::ShardedGtm2
@@ -88,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         out: out
             .or_else(|| std::env::var("BENCH_OUT").ok())
-            .unwrap_or_else(|| "BENCH_PR10.json".to_string()),
+            .unwrap_or_else(|| "perf-smoke.json".to_string()),
         samples,
         db,
         commit: commit

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Defaults: `Scheme2 dense large 1`. SCHEME is `Scheme0..Scheme3`,
-//! KERNEL is a [`KernelKind`] name (`btree`, `dense`, `dense-memo`),
+//! KERNEL is a [`KernelKind`] name (`btree`, `dense`),
 //! SIZE is a perf_smoke replay tier (`small`, `medium`, `large`).
 
 use mdbs_core::replay::{replay_kernel, Script};
@@ -43,11 +43,11 @@ fn main() -> std::process::ExitCode {
         eprintln!("profile_replay: unknown scheme `{scheme_name}` (try Scheme0..Scheme3)");
         return std::process::ExitCode::from(2);
     };
-    let Some(kernel) = [KernelKind::BTree, KernelKind::Dense, KernelKind::DenseMemo]
+    let Some(kernel) = [KernelKind::BTree, KernelKind::Dense]
         .into_iter()
         .find(|k| k.name() == kernel_name)
     else {
-        eprintln!("profile_replay: unknown kernel `{kernel_name}` (try btree/dense/dense-memo)");
+        eprintln!("profile_replay: unknown kernel `{kernel_name}` (try btree/dense)");
         return std::process::ExitCode::from(2);
     };
     let Some(&(_, n, m, dav)) = SIZES.iter().find(|(s, ..)| *s == size_name) else {

@@ -6,10 +6,9 @@
 //! a single counted step**. This gate pins that invariant in CI.
 //!
 //! It replays the fixed perf_smoke workloads (`small` and `medium`, seed
-//! 42) through every conservative scheme under **every** kernel — btree,
-//! dense (incremental), and dense-memo (full-rescan oracle) — and diffs
-//! `steps_cond`/`steps_act` against the checked-in `STEP_GOLDEN.json` at
-//! the repo root. Any drift — a kernel rewrite that forgot a charge, a
+//! 42) through every conservative scheme under **both** kernels — the
+//! btree oracle and dense — and diffs `steps_cond`/`steps_act` against
+//! the checked-in `STEP_GOLDEN.json` at the repo root. Any drift — a kernel rewrite that forgot a charge, a
 //! wake-path change that re-tests a different set — fails the build with
 //! a per-cell diff.
 //!
@@ -53,7 +52,7 @@ fn compute() -> StepGolden {
     for scheme in SchemeKind::CONSERVATIVE {
         for (size, n, m, dav) in GATE_SIZES {
             let script = Script::random(n, m, dav, 42);
-            for kernel in [KernelKind::BTree, KernelKind::Dense, KernelKind::DenseMemo] {
+            for kernel in [KernelKind::BTree, KernelKind::Dense] {
                 let outcome = replay_kernel(scheme, kernel, &script);
                 assert_eq!(
                     outcome.completed, n,

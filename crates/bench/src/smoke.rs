@@ -131,14 +131,11 @@ pub fn calibration_ms(reps: usize) -> f64 {
 }
 
 /// Which replay cells each kernel contributes: btree stops before
-/// `large`, dense runs everything, and dense-memo runs only Scheme 2
-/// (where it actually differs from dense) at every tier, keeping the
-/// incremental-vs-full-rescan comparison recorded.
-pub fn kernel_included(scheme: SchemeKind, kernel: KernelKind, tier: &str) -> bool {
+/// `large`, dense runs everything.
+pub fn kernel_included(kernel: KernelKind, tier: &str) -> bool {
     match kernel {
         KernelKind::BTree => tier != "large",
         KernelKind::Dense => true,
-        KernelKind::DenseMemo => scheme == SchemeKind::Scheme2,
     }
 }
 
@@ -183,9 +180,9 @@ impl ReplaySpec {
 pub fn replay_matrix(tiers: &[&str]) -> Vec<ReplaySpec> {
     let mut out = Vec::new();
     for scheme in SchemeKind::CONSERVATIVE {
-        for kernel in [KernelKind::BTree, KernelKind::Dense, KernelKind::DenseMemo] {
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
             for tier in REPLAY_TIERS {
-                if !tiers.contains(&tier.name) || !kernel_included(scheme, kernel, tier.name) {
+                if !tiers.contains(&tier.name) || !kernel_included(kernel, tier.name) {
                     continue;
                 }
                 for sharded in [false, true] {

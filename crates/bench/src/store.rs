@@ -66,7 +66,7 @@ pub struct CellKey {
     pub mode: String,
     /// Workload tier label (`small` / `medium` / `large`).
     pub tier: String,
-    /// Kernel name (`btree` / `dense` / `dense-memo`).
+    /// Kernel name (`btree` / `dense`; `dense-memo` in pre-PR-12 history).
     pub kernel: String,
     /// Pump shard count (1 for single-engine replay and DES; one per
     /// site for `replay-sharded`).

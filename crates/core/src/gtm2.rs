@@ -21,14 +21,22 @@
 //! The engine also maintains the [`SerSLog`] — the order in which
 //! `ser_k(G_i)` operations were acted — from which the serializability of
 //! `ser(S)` is checked (Theorems 3, 5, 8 empirically).
+//!
+//! This module is the **only** implementation of the loop. It is written
+//! over a *slot* (one slice of QUEUE and WAIT) and a *core* (the scheme and
+//! the totally-ordered counters): [`Gtm2`] owns one of each outright, and
+//! [`ShardedGtm2`](crate::sharded::ShardedGtm2) runs the same functions
+//! over one slot per shard behind its locks — see the slot-logic section
+//! below the `Gtm2` type.
 
 use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet};
 use crate::ser_s::SerSLog;
+use mdbs_common::ids::GlobalTxnId;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Counters for experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,26 +86,9 @@ pub struct Gtm2Stats {
 /// );
 /// ```
 pub struct Gtm2 {
-    scheme: Box<dyn Gtm2Scheme + Send>,
-    queue: VecDeque<QueueOp>,
-    wait: WaitSet,
-    steps: StepCounter,
-    stats: Gtm2Stats,
-    ser_log: SerSLog,
-    active: u64,
-    /// Validate scheme invariants after every act (used by tests).
-    validate: bool,
-    /// Wake candidates examined per act (log₂ histogram).
-    wake_scan: Histogram,
-    /// Reusable buffer for the cascading wake worklist (no per-act
-    /// allocation).
-    wake_buf: VecDeque<WaitKey>,
-    /// Structured event sink; `None` = tracing disabled (one branch, no
-    /// formatting or allocation on the hot path).
-    sink: Option<Box<dyn TraceSink + Send>>,
-    /// Producer clock stamped onto sink events (set by the embedding
-    /// runtime; stays 0 where there is no clock).
-    clock: u64,
+    /// The whole of QUEUE and WAIT: a single, unshared slot.
+    slot: ShardCore,
+    core: GlobalCore,
 }
 
 impl Gtm2 {
@@ -105,56 +96,212 @@ impl Gtm2 {
     /// variable attaches a [`StderrSink`] for parity with the old debug
     /// tracing; use [`Gtm2::set_sink`] for structured collection.
     pub fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
-        let sink: Option<Box<dyn TraceSink + Send>> = if std::env::var_os("MDBS_TRACE").is_some() {
-            Some(Box::new(StderrSink))
-        } else {
-            None
-        };
         Gtm2 {
-            scheme,
-            queue: VecDeque::new(),
-            wait: WaitSet::new(),
-            steps: StepCounter::new(),
-            stats: Gtm2Stats::default(),
-            ser_log: SerSLog::new(),
-            active: 0,
-            validate: cfg!(debug_assertions),
-            wake_scan: Histogram::new(),
-            wake_buf: VecDeque::new(),
-            sink,
-            clock: 0,
+            slot: ShardCore::new(),
+            core: GlobalCore::new(scheme),
         }
     }
 
     /// Enable/disable per-act scheme invariant validation.
     pub fn set_validate(&mut self, on: bool) {
-        self.validate = on;
+        self.core.validate = on;
     }
 
     /// Attach (or with `None`, detach) a structured event sink. Can be
     /// toggled mid-run; scheduling behavior is unaffected either way.
     pub fn set_sink(&mut self, sink: Option<Box<dyn TraceSink + Send>>) {
-        self.sink = sink;
+        self.core.sink = sink;
     }
 
     /// Detach and return the current sink.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
-        self.sink.take()
+        self.core.sink.take()
     }
 
     /// Set the clock value stamped onto subsequent sink events.
     pub fn set_now(&mut self, at: u64) {
-        self.clock = at;
+        self.core.clock = at;
     }
 
     /// Wake candidates examined per act.
     pub fn wake_scan_histogram(&self) -> &Histogram {
-        &self.wake_scan
+        &self.slot.wake_scan
     }
 
     /// Export counters, gauges and histograms into `registry` under the
     /// `gtm2.` prefix.
     pub fn export_metrics(&self, registry: &mut Registry) {
+        self.core.export_metrics(&self.slot.wake_scan, registry);
+    }
+
+    /// The scheme's display name.
+    pub fn scheme_name(&self) -> &'static str {
+        self.core.scheme.name()
+    }
+
+    /// Accumulated abstract step counts.
+    pub fn steps(&self) -> StepCounter {
+        self.core.steps
+    }
+
+    /// Engine counters.
+    pub fn stats(&self) -> Gtm2Stats {
+        self.core.stats
+    }
+
+    /// The recorded `ser(S)` log.
+    pub fn ser_log(&self) -> &SerSLog {
+        &self.core.ser_log
+    }
+
+    /// Number of operations currently waiting.
+    pub fn wait_len(&self) -> usize {
+        self.slot.wait.len()
+    }
+
+    /// Number of operations queued but not yet examined.
+    pub fn queue_len(&self) -> usize {
+        self.slot.inbox.len()
+    }
+
+    /// Insert an operation at the end of QUEUE.
+    pub fn enqueue(&mut self, op: QueueOp) {
+        enqueue_into(&mut self.slot, &mut self.core, op);
+    }
+
+    /// Run the Basic_Scheme loop until QUEUE is empty. Returns the effects
+    /// produced, in order.
+    pub fn pump(&mut self) -> Vec<SchemeEffect> {
+        let mut out = PumpOut::default();
+        while step_slot(SlotCtx::SINGLE, &mut self.slot, &mut self.core, &mut out) {}
+        out.effects
+    }
+}
+
+impl std::fmt::Debug for Gtm2 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gtm2")
+            .field("scheme", &self.core.scheme.name())
+            .field("queue", &self.slot.inbox.len())
+            .field("wait", &self.slot.wait.len())
+            .finish()
+    }
+}
+
+// ----------------------------------------------------------------------
+// The Basic_Scheme slot logic — the one implementation of Figure 3.
+//
+// A *slot* is one partition of QUEUE and WAIT (`ShardCore`); the scheme
+// and every counter whose updates must be totally ordered live in one
+// `GlobalCore`. `Gtm2` owns exactly one of each and runs the loop with
+// `SlotCtx::SINGLE`; `ShardedGtm2` owns one slot per shard behind locks and
+// adds routing and handoff delivery around the same functions. With one
+// slot `handoff_targets` is empty and the pre-init gate is off, so the
+// sharding branches below cost the single engine a compare each.
+// ----------------------------------------------------------------------
+
+/// One slot's mutable state: its slice of QUEUE and WAIT.
+pub(crate) struct ShardCore {
+    /// Arrival-stamped operations routed to this slot (`QUEUE ∩ slot`).
+    pub(crate) inbox: VecDeque<(u64, QueueOp)>,
+    /// Acted operations handed off from other slots, pending re-test.
+    pub(crate) handoff: VecDeque<QueueOp>,
+    /// This slot's partition of the WAIT set.
+    pub(crate) wait: WaitSet,
+    /// `ser` operations that raced ahead of their `init` (possible only
+    /// with more than one slot): parked here until the `init`'s act is
+    /// handed off from slot 0.
+    pre_init: BTreeMap<GlobalTxnId, Vec<(u64, QueueOp)>>,
+    /// Wake candidates examined per act in this slot (log₂ histogram).
+    pub(crate) wake_scan: Histogram,
+    /// Reusable buffer for the cascading wake worklist (no per-act
+    /// allocation).
+    wake_buf: VecDeque<WaitKey>,
+    /// Peak size of this slot's WAIT partition.
+    pub(crate) wait_peak: u64,
+    /// Handoff messages actually delivered into this slot.
+    pub(crate) handoffs_in: u64,
+}
+
+impl ShardCore {
+    pub(crate) fn new() -> Self {
+        ShardCore {
+            inbox: VecDeque::new(),
+            handoff: VecDeque::new(),
+            wait: WaitSet::new(),
+            pre_init: BTreeMap::new(),
+            wake_scan: Histogram::new(),
+            wake_buf: VecDeque::new(),
+            wait_peak: 0,
+            handoffs_in: 0,
+        }
+    }
+
+    /// True if a handoff delivered here could possibly do anything.
+    pub(crate) fn has_waiters(&self) -> bool {
+        !self.wait.is_empty() || !self.pre_init.is_empty()
+    }
+
+    /// Operations queued (inbox + handoffs + pre-init parkings) but not
+    /// yet examined.
+    pub(crate) fn backlog(&self) -> usize {
+        let parked: usize = self.pre_init.values().map(Vec::len).sum();
+        self.inbox.len() + self.handoff.len() + parked
+    }
+}
+
+/// Global (unsharded) state: the scheme and every counter whose updates
+/// must be totally ordered.
+pub(crate) struct GlobalCore {
+    pub(crate) scheme: Box<dyn Gtm2Scheme + Send>,
+    pub(crate) steps: StepCounter,
+    pub(crate) stats: Gtm2Stats,
+    pub(crate) ser_log: SerSLog,
+    /// Transactions whose `init` has been acted, maintained only with
+    /// more than one slot (the pre-init gate's lookup). Never pruned
+    /// within a run: a late `ser` must not re-trip the gate after `fin`.
+    inited: BTreeSet<GlobalTxnId>,
+    /// Currently active transactions (`init`ed, not `fin`ished).
+    active: u64,
+    /// Exact current WAIT population across all slots (every WAIT
+    /// mutation happens with this core held, so the count is race-free).
+    pub(crate) wait_live: u64,
+    /// Validate scheme invariants after every act (used by tests).
+    pub(crate) validate: bool,
+    /// Structured event sink; `None` = tracing disabled (one branch, no
+    /// formatting or allocation on the hot path).
+    pub(crate) sink: Option<Box<dyn TraceSink + Send>>,
+    /// Producer clock stamped onto sink events (set by the embedding
+    /// runtime; stays 0 where there is no clock).
+    clock: u64,
+}
+
+impl GlobalCore {
+    /// A fresh core around `scheme`. The `MDBS_TRACE` environment variable
+    /// attaches a [`StderrSink`].
+    pub(crate) fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
+        let sink: Option<Box<dyn TraceSink + Send>> = if std::env::var_os("MDBS_TRACE").is_some() {
+            Some(Box::new(StderrSink))
+        } else {
+            None
+        };
+        GlobalCore {
+            scheme,
+            steps: StepCounter::new(),
+            stats: Gtm2Stats::default(),
+            ser_log: SerSLog::new(),
+            inited: BTreeSet::new(),
+            active: 0,
+            wait_live: 0,
+            validate: cfg!(debug_assertions),
+            sink,
+            clock: 0,
+        }
+    }
+
+    /// Export the engine's counters, gauges and the (merged) wake-scan
+    /// histogram under the `gtm2.` prefix, then the scheme's own metrics.
+    pub(crate) fn export_metrics(&self, wake_scan: &Histogram, registry: &mut Registry) {
         let s = &self.stats;
         registry.inc("gtm2.enqueued", s.enqueued);
         registry.inc("gtm2.processed", s.processed);
@@ -172,186 +319,289 @@ impl Gtm2 {
         registry.inc("gtm2.steps.wait_scan", self.steps.wait_scan);
         registry.max_gauge("gtm2.peak_wait", s.peak_wait as i64);
         registry.max_gauge("gtm2.peak_active", s.peak_active as i64);
-        registry.merge_histogram("gtm2.wake_scan", &self.wake_scan);
+        registry.merge_histogram("gtm2.wake_scan", wake_scan);
         self.scheme.export_metrics(registry);
     }
+}
 
-    /// The scheme's display name.
-    pub fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
+/// Effects plus the acted operations (with their handoff targets)
+/// produced while one slot was being pumped.
+#[derive(Default)]
+pub(crate) struct PumpOut {
+    pub(crate) effects: Vec<SchemeEffect>,
+    /// `(acted op, slots to hand it off to)`; always empty with one slot.
+    pub(crate) handoffs: Vec<(QueueOp, Vec<usize>)>,
+}
+
+/// Where a slot sits among its peers.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotCtx {
+    /// Index of the slot being pumped.
+    pub(crate) shard: usize,
+    /// Number of slots operations are spread over (site `k` lives in slot
+    /// `k mod nshards`, siteless operations in slot 0).
+    pub(crate) nshards: usize,
+}
+
+impl SlotCtx {
+    /// The single engine's only slot.
+    const SINGLE: SlotCtx = SlotCtx {
+        shard: 0,
+        nshards: 1,
+    };
+}
+
+/// Record and count an arriving operation, stamping it with its arrival
+/// number (the count of operations enqueued before it, engine-wide).
+pub(crate) fn enqueue_into(core: &mut ShardCore, global: &mut GlobalCore, op: QueueOp) {
+    if let Some(sink) = &mut global.sink {
+        sink.record(global.clock, SchedEvent::enqueue(&op));
     }
+    core.inbox.push_back((global.stats.enqueued, op));
+    global.stats.enqueued += 1;
+}
 
-    /// Accumulated abstract step counts.
-    pub fn steps(&self) -> StepCounter {
-        self.steps
+/// One turn of Figure 3's outer loop in one slot: a pending handoff if
+/// there is one (they re-test existing waiters), else the operation at the
+/// front of the slot's QUEUE slice. Returns whether there was anything to
+/// do.
+pub(crate) fn step_slot(
+    ctx: SlotCtx,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+) -> bool {
+    if let Some(acted) = core.handoff.pop_front() {
+        process_handoff(ctx, acted, core, global, out);
+    } else if let Some((seq, op)) = core.inbox.pop_front() {
+        process_op(ctx, seq, op, core, global, out);
+    } else {
+        return false;
     }
+    true
+}
 
-    /// Engine counters.
-    pub fn stats(&self) -> Gtm2Stats {
-        self.stats
+/// `if cond(o_j) then act(o_j); re-examine WAIT else WAIT := WAIT ∪ {o_j}`.
+fn process_op(
+    ctx: SlotCtx,
+    seq: u64,
+    op: QueueOp,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+) {
+    // Pre-init gate: with several slots a `ser` can reach its site's slot
+    // before slot 0 has acted the `init`. Park it; the `init`'s handoff
+    // releases it. (With one slot a genuinely init-less `ser` is instead
+    // flagged by the scheme as SerWithoutInit; for well-formed input —
+    // GTM1 always announces before serializing — the gate never observably
+    // differs.)
+    if ctx.nshards > 1 && op.kind() == QueueOpKind::Ser && !global.inited.contains(&op.txn()) {
+        core.pre_init.entry(op.txn()).or_default().push((seq, op));
+        return;
     }
-
-    /// The recorded `ser(S)` log.
-    pub fn ser_log(&self) -> &SerSLog {
-        &self.ser_log
+    let eligible = global.scheme.cond(&op, &mut global.steps);
+    if let Some(sink) = &mut global.sink {
+        sink.record(global.clock, SchedEvent::cond(&op, eligible));
     }
-
-    /// Number of operations currently waiting.
-    pub fn wait_len(&self) -> usize {
-        self.wait.len()
-    }
-
-    /// Number of operations queued but not yet examined.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Insert an operation at the end of QUEUE.
-    pub fn enqueue(&mut self, op: QueueOp) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(self.clock, SchedEvent::enqueue(&op));
-        }
-        self.stats.enqueued += 1;
-        self.queue.push_back(op);
-    }
-
-    /// Run the Basic_Scheme loop until QUEUE is empty. Returns the effects
-    /// produced, in order.
-    pub fn pump(&mut self) -> Vec<SchemeEffect> {
-        let mut effects = Vec::new();
-        while let Some(op) = self.queue.pop_front() {
-            let eligible = self.scheme.cond(&op, &mut self.steps);
-            if let Some(sink) = &mut self.sink {
-                sink.record(self.clock, SchedEvent::cond(&op, eligible));
-            }
-            if eligible {
-                self.do_act(op, &mut effects);
-            } else {
-                if let Some(sink) = &mut self.sink {
-                    sink.record(self.clock, SchedEvent::wait(&op));
-                }
-                self.stats.waited += 1;
-                // mdbs-lint: allow(no-panic-in-scheduler) — kind_index maps the four QueueOp kinds to 0..=3, within the fixed-size array.
-                self.stats.waited_kind[kind_index(op.kind())] += 1;
-                self.wait.insert(op);
-                self.stats.peak_wait = self.stats.peak_wait.max(self.wait.len() as u64);
-            }
-        }
-        effects
-    }
-
-    /// `act(op)` followed by the cascading WAIT re-examination.
-    ///
-    /// Figure 3's inner loop is `while ∃ o_l ∈ WAIT with cond(o_l): act(o_l)`
-    /// — each eligible waiter is acted **immediately**, with `cond`
-    /// evaluated against the *current* data structures. Batching the
-    /// eligibility checks would let two mutually exclusive operations
-    /// (e.g. two ser ops at one site whose conds both looked true before
-    /// either acted) slip through together.
-    fn do_act(&mut self, op: QueueOp, effects: &mut Vec<SchemeEffect>) {
-        let act_now = |this: &mut Self,
-                       acted: &QueueOp,
-                       woken: bool,
-                       effects: &mut Vec<SchemeEffect>,
-                       candidates: &mut VecDeque<WaitKey>| {
-            if let Some(sink) = &mut this.sink {
-                let ev = if woken {
-                    SchedEvent::wake(acted)
-                } else {
-                    SchedEvent::act(acted)
-                };
-                sink.record(this.clock, ev);
-            }
-            this.note_processed(acted);
-            let fx = this.scheme.act(acted, &mut this.steps);
-            if this.validate {
-                this.scheme.debug_validate();
-            }
-            for effect in &fx {
-                match effect {
-                    SchemeEffect::SubmitSer { txn, site } => this.ser_log.record(*txn, *site),
-                    SchemeEffect::AbortGlobal { txn } => {
-                        this.stats.scheme_aborts += 1;
-                        if let Some(sink) = &mut this.sink {
-                            sink.record(this.clock, SchedEvent::Abort { txn: *txn });
-                        }
-                    }
-                    SchemeEffect::ForwardAck { .. } => {}
-                    SchemeEffect::ProtocolViolation { .. } => {
-                        this.stats.protocol_violations += 1;
-                    }
-                }
-            }
-            effects.extend(fx.iter().copied());
-            let wake = this
-                .scheme
-                .wake_candidates(acted, &this.wait, &mut this.steps);
-            let appended = this.wait.resolve_into(&wake, candidates);
-            this.wake_scan.observe(appended as u64);
-        };
-        // Reuse the engine-owned worklist (taken so the closure can borrow
-        // `self` mutably alongside it).
-        let mut candidates = std::mem::take(&mut self.wake_buf);
+    if eligible {
+        let mut candidates = std::mem::take(&mut core.wake_buf);
         candidates.clear();
-        act_now(self, &op, false, effects, &mut candidates);
-        while let Some(key) = candidates.pop_front() {
-            // The op may have been woken (or re-examined) already.
-            let Some(waiting) = self.wait.remove(&key) else {
-                continue;
-            };
-            let eligible = self.scheme.cond(&waiting, &mut self.steps);
-            if let Some(sink) = &mut self.sink {
-                sink.record(self.clock, SchedEvent::cond(&waiting, eligible));
-            }
-            if eligible {
-                // Act immediately; its own wake candidates join the queue.
-                act_now(self, &waiting, true, effects, &mut candidates);
-            } else {
-                self.wait.insert(waiting);
+        act_one(ctx, &op, false, core, global, out, &mut candidates);
+        cascade(ctx, candidates, core, global, out);
+    } else {
+        if let Some(sink) = &mut global.sink {
+            sink.record(global.clock, SchedEvent::wait(&op));
+        }
+        global.stats.waited += 1;
+        match op.kind() {
+            QueueOpKind::Init => global.stats.waited_kind[0] += 1,
+            QueueOpKind::Ser => global.stats.waited_kind[1] += 1,
+            QueueOpKind::Ack => global.stats.waited_kind[2] += 1,
+            QueueOpKind::Fin => global.stats.waited_kind[3] += 1,
+        }
+        core.wait.insert(op);
+        global.wait_live += 1;
+        global.stats.peak_wait = global.stats.peak_wait.max(global.wait_live);
+        core.wait_peak = core.wait_peak.max(core.wait.len() as u64);
+    }
+}
+
+/// Re-test this slot's waiters against an operation acted elsewhere.
+fn process_handoff(
+    ctx: SlotCtx,
+    acted: QueueOp,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+) {
+    // An init acted at slot 0 releases any ser ops parked behind it here.
+    if acted.kind() == QueueOpKind::Init {
+        if let Some(mut parked) = core.pre_init.remove(&acted.txn()) {
+            parked.sort_unstable_by_key(|&(seq, _)| seq);
+            for (seq, op) in parked {
+                process_op(ctx, seq, op, core, global, out);
             }
         }
-        self.wake_buf = candidates;
     }
+    let mut candidates = std::mem::take(&mut core.wake_buf);
+    candidates.clear();
+    local_candidates(&acted, core, global, &mut candidates);
+    cascade(ctx, candidates, core, global, out);
+}
 
-    fn note_processed(&mut self, op: &QueueOp) {
-        self.stats.processed += 1;
-        match op.kind() {
-            QueueOpKind::Init => {
-                self.stats.inits += 1;
-                self.active += 1;
-                self.stats.peak_active = self.stats.peak_active.max(self.active);
-            }
-            QueueOpKind::Fin => {
-                self.stats.fins += 1;
-                // An unmatched fin must not underflow the active count
-                // (and thereby skew peak_active for the rest of the run).
-                match self.active.checked_sub(1) {
-                    Some(a) => self.active = a,
-                    None => self.stats.protocol_violations += 1,
+/// `act(op)`: bookkeeping, scheme act, effect recording, handoff-target
+/// computation, and this slot's wake candidates.
+fn act_one(
+    ctx: SlotCtx,
+    acted: &QueueOp,
+    woken: bool,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+    candidates: &mut VecDeque<WaitKey>,
+) {
+    if let Some(sink) = &mut global.sink {
+        let ev = if woken {
+            SchedEvent::wake(acted)
+        } else {
+            SchedEvent::act(acted)
+        };
+        sink.record(global.clock, ev);
+    }
+    note_processed(acted, global);
+    let fx = global.scheme.act(acted, &mut global.steps);
+    if global.validate {
+        global.scheme.debug_validate();
+    }
+    for effect in &fx {
+        match effect {
+            SchemeEffect::SubmitSer { txn, site } => global.ser_log.record(*txn, *site),
+            SchemeEffect::AbortGlobal { txn } => {
+                global.stats.scheme_aborts += 1;
+                if let Some(sink) = &mut global.sink {
+                    sink.record(global.clock, SchedEvent::Abort { txn: *txn });
                 }
             }
-            QueueOpKind::Ser | QueueOpKind::Ack => {}
+            SchemeEffect::ForwardAck { .. } => {}
+            SchemeEffect::ProtocolViolation { .. } => {
+                global.stats.protocol_violations += 1;
+            }
         }
     }
-}
-
-/// Dense index of a queue-op kind for the `waited_kind` counters.
-fn kind_index(kind: QueueOpKind) -> usize {
-    match kind {
-        QueueOpKind::Init => 0,
-        QueueOpKind::Ser => 1,
-        QueueOpKind::Ack => 2,
-        QueueOpKind::Fin => 3,
+    out.effects.extend(fx.iter().copied());
+    if ctx.nshards > 1 {
+        if acted.kind() == QueueOpKind::Init {
+            global.inited.insert(acted.txn());
+        }
+        let targets = handoff_targets(ctx, acted, global.scheme.as_ref());
+        if !targets.is_empty() {
+            out.handoffs.push((acted.clone(), targets));
+        }
     }
+    local_candidates(acted, core, global, candidates);
 }
 
-impl std::fmt::Debug for Gtm2 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gtm2")
-            .field("scheme", &self.scheme.name())
-            .field("queue", &self.queue.len())
-            .field("wait", &self.wait.len())
-            .finish()
+/// This slot's wake candidates for an acted operation, appended to
+/// `candidates` (resolved against this slot's WAIT partition without
+/// allocating).
+fn local_candidates(
+    acted: &QueueOp,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    candidates: &mut VecDeque<WaitKey>,
+) {
+    let wake = global
+        .scheme
+        .wake_candidates(acted, &core.wait, &mut global.steps);
+    let appended = core.wait.resolve_into(&wake, candidates);
+    core.wake_scan.observe(appended as u64);
+}
+
+/// Figure 3's inner loop, `while ∃ o_l ∈ WAIT with cond(o_l): act(o_l)`,
+/// over this slot's WAIT partition. Each eligible waiter is acted
+/// **immediately**, with `cond` evaluated against the *current* data
+/// structures, and its own candidates join the worklist: batching the
+/// eligibility checks would let two mutually exclusive operations (e.g.
+/// two ser ops at one site whose conds both looked true before either
+/// acted) slip through together. Takes ownership of the seeded worklist
+/// (the slot's reusable buffer) and parks it back on the slot when drained.
+fn cascade(
+    ctx: SlotCtx,
+    mut candidates: VecDeque<WaitKey>,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+) {
+    while let Some(key) = candidates.pop_front() {
+        // The op may have been woken (or re-examined) already — this is
+        // also what makes stale/duplicate handoff hints harmless.
+        let Some(waiting) = core.wait.remove(&key) else {
+            continue;
+        };
+        global.wait_live = global.wait_live.saturating_sub(1);
+        let eligible = global.scheme.cond(&waiting, &mut global.steps);
+        if let Some(sink) = &mut global.sink {
+            sink.record(global.clock, SchedEvent::cond(&waiting, eligible));
+        }
+        if eligible {
+            act_one(ctx, &waiting, true, core, global, out, &mut candidates);
+        } else {
+            core.wait.insert(waiting);
+            global.wait_live += 1;
+        }
+    }
+    core.wake_buf = candidates;
+}
+
+/// Which slots (other than the acting one) must re-test their waiters
+/// after `acted` was acted, per the scheme's `wake_scope` bound plus the
+/// pre-init gate (an `init` must reach the slots of its announced sites to
+/// release parked sers). Only called with more than one slot.
+fn handoff_targets(ctx: SlotCtx, acted: &QueueOp, scheme: &dyn Gtm2Scheme) -> Vec<usize> {
+    let mut targets = BTreeSet::new();
+    let scope = scheme.wake_scope(acted.kind());
+    if scope.elsewhere {
+        targets.extend(0..ctx.nshards);
+    } else {
+        if scope.acted_site {
+            if let Some(site) = acted.site() {
+                targets.insert(site.index() % ctx.nshards);
+            }
+        }
+        if scope.siteless {
+            // Siteless (init/fin) waiters always live in slot 0.
+            targets.insert(0);
+        }
+    }
+    if let QueueOp::Init { sites, .. } = acted {
+        for site in sites {
+            targets.insert(site.index() % ctx.nshards);
+        }
+    }
+    targets.remove(&ctx.shard);
+    targets.into_iter().collect()
+}
+
+/// Stats bookkeeping for a processed operation.
+fn note_processed(op: &QueueOp, global: &mut GlobalCore) {
+    global.stats.processed += 1;
+    match op.kind() {
+        QueueOpKind::Init => {
+            global.stats.inits += 1;
+            global.active += 1;
+            global.stats.peak_active = global.stats.peak_active.max(global.active);
+        }
+        QueueOpKind::Fin => {
+            global.stats.fins += 1;
+            // An unmatched fin must not underflow the active count
+            // (and thereby skew peak_active for the rest of the run).
+            match global.active.checked_sub(1) {
+                Some(a) => global.active = a,
+                None => global.stats.protocol_violations += 1,
+            }
+        }
+        QueueOpKind::Ser | QueueOpKind::Ack => {}
     }
 }
 

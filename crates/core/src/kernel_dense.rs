@@ -36,9 +36,7 @@ use crate::scheme::{
     Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
 };
 use crate::tsgd::Dep;
-use crate::tsgd_dense::{
-    eliminate_cycles_dense, eliminate_cycles_dense_with, DenseTsgd, EliminateScratch,
-};
+use crate::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::ops::{QueueOp, QueueOpKind};
@@ -602,26 +600,12 @@ pub struct Scheme2Dense {
     scratch: Vec<GlobalTxnId>,
     /// Reusable scan state for the cursor-amortized `Eliminate_Cycles`.
     elim: EliminateScratch,
-    /// True = drive `Eliminate_Cycles` through the full-rescan variant
-    /// (the `dense-memo` oracle kernel) instead of the cursor-amortized
-    /// one. Same Δ, same step charges, different machine cost.
-    memo: bool,
 }
 
 impl Scheme2Dense {
     /// Fresh state on the cursor-amortized `Eliminate_Cycles` path.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh state on the full-rescan `Eliminate_Cycles` path — the second
-    /// oracle ([`crate::scheme::KernelKind::DenseMemo`]) pinning the
-    /// cursor-amortized kernel during this transition.
-    pub fn new_memo() -> Self {
-        Scheme2Dense {
-            memo: true,
-            ..Self::default()
-        }
     }
 
     /// Read access to the dense TSGD (experiments, diagnostics).
@@ -712,11 +696,7 @@ impl Gtm2Scheme for Scheme2Dense {
                         });
                     }
                 }
-                let delta = if self.memo {
-                    eliminate_cycles_dense(&self.tsgd, *txn, steps)
-                } else {
-                    eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim)
-                };
+                let delta = eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
                 for d in delta {
                     self.tsgd.add_dep(d);
                 }

@@ -18,6 +18,7 @@
 
 use crate::gtm2::{Gtm2, Gtm2Stats};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use crate::ser_s::SerSLog;
 use crate::sharded::ShardedGtm2;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
@@ -290,19 +291,23 @@ pub fn replay_sharded_kernel(
     run_script(&mut engine, script)
 }
 
-/// Minimal engine surface the replay harness needs — lets one loop drive
-/// both [`Gtm2`] and [`ShardedGtm2`].
+/// What differs between the engines the replay loop can drive.
 trait ReplayEngine {
     fn enqueue_op(&mut self, op: QueueOp);
     fn pump_ops(&mut self) -> Vec<SchemeEffect>;
-    fn engine_stats(&self) -> Gtm2Stats;
-    fn engine_steps(&self) -> StepCounter;
-    fn waiting(&self) -> usize;
-    fn queued(&self) -> usize;
-    fn display_name(&self) -> &'static str;
-    fn ser_events(&self) -> Vec<(GlobalTxnId, SiteId)>;
-    fn ser_ok_excluding(&self, aborted: &[GlobalTxnId]) -> bool;
-    fn wake_totals(&self) -> (u64, u64);
+    /// End-of-run snapshot of the engine's observers.
+    fn end_state(&self) -> Observed;
+}
+
+struct Observed {
+    name: &'static str,
+    stats: Gtm2Stats,
+    steps: StepCounter,
+    waiting: usize,
+    queued: usize,
+    ser_log: SerSLog,
+    /// Wake-scan histogram `(count, sum)`.
+    wake_scan: (u64, u64),
 }
 
 impl ReplayEngine for Gtm2 {
@@ -312,63 +317,37 @@ impl ReplayEngine for Gtm2 {
     fn pump_ops(&mut self) -> Vec<SchemeEffect> {
         self.pump()
     }
-    fn engine_stats(&self) -> Gtm2Stats {
-        self.stats()
-    }
-    fn engine_steps(&self) -> StepCounter {
-        self.steps()
-    }
-    fn waiting(&self) -> usize {
-        self.wait_len()
-    }
-    fn queued(&self) -> usize {
-        self.queue_len()
-    }
-    fn display_name(&self) -> &'static str {
-        self.scheme_name()
-    }
-    fn ser_events(&self) -> Vec<(GlobalTxnId, SiteId)> {
-        self.ser_log().events().to_vec()
-    }
-    fn ser_ok_excluding(&self, aborted: &[GlobalTxnId]) -> bool {
-        self.ser_log().check_excluding(aborted).is_ok()
-    }
-    fn wake_totals(&self) -> (u64, u64) {
+    fn end_state(&self) -> Observed {
         let h = self.wake_scan_histogram();
-        (h.count(), h.sum())
+        Observed {
+            name: self.scheme_name(),
+            stats: self.stats(),
+            steps: self.steps(),
+            waiting: self.wait_len(),
+            queued: self.queue_len(),
+            ser_log: self.ser_log().clone(),
+            wake_scan: (h.count(), h.sum()),
+        }
     }
 }
 
 impl ReplayEngine for ShardedGtm2 {
     fn enqueue_op(&mut self, op: QueueOp) {
-        self.enqueue_mut(op);
+        self.enqueue(op);
     }
     fn pump_ops(&mut self) -> Vec<SchemeEffect> {
         self.pump_all()
     }
-    fn engine_stats(&self) -> Gtm2Stats {
-        self.stats()
-    }
-    fn engine_steps(&self) -> StepCounter {
-        self.steps()
-    }
-    fn waiting(&self) -> usize {
-        self.wait_len()
-    }
-    fn queued(&self) -> usize {
-        self.queue_len()
-    }
-    fn display_name(&self) -> &'static str {
-        self.scheme_name()
-    }
-    fn ser_events(&self) -> Vec<(GlobalTxnId, SiteId)> {
-        self.ser_log_snapshot().events().to_vec()
-    }
-    fn ser_ok_excluding(&self, aborted: &[GlobalTxnId]) -> bool {
-        self.ser_log_snapshot().check_excluding(aborted).is_ok()
-    }
-    fn wake_totals(&self) -> (u64, u64) {
-        self.wake_scan_totals()
+    fn end_state(&self) -> Observed {
+        Observed {
+            name: self.scheme_name(),
+            stats: self.stats(),
+            steps: self.steps(),
+            waiting: self.wait_len(),
+            queued: self.queue_len(),
+            ser_log: self.ser_log_snapshot(),
+            wake_scan: self.wake_scan_totals(),
+        }
     }
 }
 
@@ -396,33 +375,22 @@ fn run_script<E: ReplayEngine>(engine: &mut E, script: &Script) -> ReplayOutcome
         }
         drain(engine, &mut ctl);
     }
-    let stats = engine.engine_stats();
-    assert_eq!(
-        engine.waiting(),
-        0,
-        "{}: script left waiters",
-        engine.display_name()
-    );
-    assert_eq!(
-        engine.queued(),
-        0,
-        "{}: queue not drained",
-        engine.display_name()
-    );
+    let seen = engine.end_state();
+    assert_eq!(seen.waiting, 0, "{}: script left waiters", seen.name);
+    assert_eq!(seen.queued, 0, "{}: queue not drained", seen.name);
     let aborted: Vec<GlobalTxnId> = ctl.aborted.into_iter().collect();
-    let (wake_scan_count, wake_scan_sum) = engine.wake_totals();
     ReplayOutcome {
-        stats,
-        steps: engine.engine_steps(),
-        completed: stats.fins as usize - aborted.len(),
+        stats: seen.stats,
+        steps: seen.steps,
+        completed: seen.stats.fins as usize - aborted.len(),
         // Serializability is judged on the committed projection: baselines
         // execute events of transactions they later abort.
-        ser_serializable: engine.ser_ok_excluding(&aborted),
-        ser_events: engine.ser_events(),
+        ser_serializable: seen.ser_log.check_excluding(&aborted).is_ok(),
+        ser_events: seen.ser_log.events().to_vec(),
         aborted,
         protocol_violations: ctl.protocol_violations,
-        wake_scan_count,
-        wake_scan_sum,
+        wake_scan_count: seen.wake_scan.0,
+        wake_scan_sum: seen.wake_scan.1,
     }
 }
 

@@ -486,19 +486,14 @@ pub enum KernelKind {
     /// incremental path: cursor-amortized `Eliminate_Cycles` plus batched
     /// online maintenance of the dependency order.
     Dense,
-    /// Dense kernels with Scheme 2 on the full-rescan `Eliminate_Cycles`
-    /// (PR 5 behaviour) — the second oracle pinning the incremental path.
-    /// Identical to [`KernelKind::Dense`] for every other scheme.
-    DenseMemo,
 }
 
 impl KernelKind {
-    /// Display name ("btree" / "dense" / "dense-memo").
+    /// Display name ("btree" / "dense").
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::BTree => "btree",
             KernelKind::Dense => "dense",
-            KernelKind::DenseMemo => "dense-memo",
         }
     }
 }
@@ -568,7 +563,7 @@ impl SchemeKind {
     /// every kind under [`KernelKind::BTree`]) gets the reference
     /// realization.
     pub fn build_kernel(self, kernel: KernelKind) -> Box<dyn Gtm2Scheme + Send> {
-        if matches!(kernel, KernelKind::Dense | KernelKind::DenseMemo) {
+        if kernel == KernelKind::Dense {
             match self {
                 SchemeKind::Scheme0 => {
                     return Box::new(crate::kernel_dense::Scheme0Dense::new());
@@ -577,11 +572,7 @@ impl SchemeKind {
                     return Box::new(crate::kernel_dense::Scheme1Dense::new());
                 }
                 SchemeKind::Scheme2 => {
-                    return Box::new(if kernel == KernelKind::DenseMemo {
-                        crate::kernel_dense::Scheme2Dense::new_memo()
-                    } else {
-                        crate::kernel_dense::Scheme2Dense::new()
-                    });
+                    return Box::new(crate::kernel_dense::Scheme2Dense::new());
                 }
                 SchemeKind::Scheme3 => {
                     return Box::new(crate::kernel_dense::Scheme3Dense::new());

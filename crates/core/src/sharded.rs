@@ -1,5 +1,11 @@
 //! `ShardedGtm2` — the Basic_Scheme loop with a site-partitioned WAIT set.
 //!
+//! The loop itself (`cond` → `act` → cascading WAIT re-test, stats, sink
+//! events, metric export) is [`crate::gtm2`]'s slot logic, shared with the
+//! single engine. This module holds only what sharding adds to it:
+//! routing, the two-level [`OrderedMutex`] locking, handoff delivery
+//! between shards, and the per-shard observers.
+//!
 //! Theorem 2 reduces global serializability to the serializability of
 //! `ser(S)`, whose conflict relation is *per site*: two `ser_k(G_i)`
 //! events conflict only when they occur at the same site. This engine
@@ -28,8 +34,8 @@
 //! eligible. The acting thread consults the scheme's
 //! [`wake_scope`](crate::scheme::Gtm2Scheme::wake_scope) bound to compute
 //! the target shards, appends `o` to each target's handoff queue, and
-//! pumps those shards itself (work conservation: a cross-shard wake never
-//! waits for the target's next poll tick). Receiving shards re-run
+//! reports those shards as hints: the caller pumps them itself or wakes
+//! the tasks that own them. Receiving shards re-run
 //! `wake_candidates`/`cond` against *current* global state, so handoffs
 //! are idempotent re-test hints: a stale or duplicate handoff finds the
 //! waiter already gone (its key is removed from WAIT before the re-test)
@@ -44,14 +50,12 @@
 //! pump path never blocks; the acquisition order is visible in the
 //! `lock_order.dot` artifact emitted by mdbs-lint.
 
-use crate::gtm2::Gtm2Stats;
-use crate::scheme::{Gtm2Scheme, KernelKind, SchemeEffect, SchemeKind, WaitKey, WaitSet};
+use crate::gtm2::{enqueue_into, step_slot, GlobalCore, Gtm2Stats, PumpOut, ShardCore, SlotCtx};
+use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
 use crate::ser_s::SerSLog;
-use mdbs_common::ids::GlobalTxnId;
-use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
-use mdbs_common::ops::{QueueOp, QueueOpKind};
+use mdbs_common::instrument::{Histogram, Registry, TraceSink};
+use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -90,9 +94,10 @@ impl<T> OrderedMutex<T> {
         }
     }
 
-    /// Acquire from coordinator-facing entry points. Same implementation
-    /// as [`spin`](OrderedMutex::spin); the distinct name marks the call
-    /// sites that define the engine's lock-acquisition order for review.
+    /// Acquire from [`enqueue`](ShardedGtm2::enqueue) and the observers.
+    /// Same implementation as [`spin`](OrderedMutex::spin); the distinct
+    /// name marks the call sites that define the engine's
+    /// lock-acquisition order for review (mdbs-lint tracks `lock` calls).
     fn lock(&self) -> MutexGuard<'_, T> {
         self.spin()
     }
@@ -142,54 +147,6 @@ impl<T> OrderedMutex<T> {
     }
 }
 
-/// Per-shard mutable state: this shard's slice of QUEUE and WAIT.
-struct ShardCore {
-    /// Arrival-stamped operations routed to this shard (`QUEUE ∩ shard`).
-    inbox: VecDeque<(u64, QueueOp)>,
-    /// Acted operations handed off from other shards, pending re-test.
-    handoff: VecDeque<QueueOp>,
-    /// This shard's partition of the WAIT set.
-    wait: WaitSet,
-    /// `ser` operations that raced ahead of their `init` (possible only
-    /// under partitioned routing): parked here until the `init`'s act is
-    /// handed off from shard 0.
-    pre_init: BTreeMap<GlobalTxnId, Vec<(u64, QueueOp)>>,
-    /// Wake candidates examined per act in this shard (log₂ histogram).
-    wake_scan: Histogram,
-    /// Reusable buffer for the cascading wake worklist (no per-act
-    /// allocation).
-    wake_buf: VecDeque<WaitKey>,
-    /// Peak size of this shard's WAIT partition.
-    wait_peak: u64,
-    /// Handoff messages actually delivered into this shard.
-    handoffs_in: u64,
-}
-
-impl ShardCore {
-    fn new() -> Self {
-        ShardCore {
-            inbox: VecDeque::new(),
-            handoff: VecDeque::new(),
-            wait: WaitSet::new(),
-            pre_init: BTreeMap::new(),
-            wake_scan: Histogram::new(),
-            wake_buf: VecDeque::new(),
-            wait_peak: 0,
-            handoffs_in: 0,
-        }
-    }
-
-    /// True if a handoff delivered here could possibly do anything.
-    fn has_waiters(&self) -> bool {
-        !self.wait.is_empty() || !self.pre_init.is_empty()
-    }
-
-    fn backlog(&self) -> usize {
-        let parked: usize = self.pre_init.values().map(Vec::len).sum();
-        self.inbox.len() + self.handoff.len() + parked
-    }
-}
-
 /// One shard cell. The field is named `shard` so the lock appears as
 /// `shard` in the mdbs-lint lock-order graph.
 struct ShardCell {
@@ -204,9 +161,9 @@ struct ShardCell {
 }
 
 impl ShardCell {
-    fn new(core: ShardCore) -> Self {
+    fn new() -> Self {
         ShardCell {
-            shard: OrderedMutex::new(core),
+            shard: OrderedMutex::new(ShardCore::new()),
             wake_scan_count: AtomicU64::new(0),
             wake_scan_sum: AtomicU64::new(0),
         }
@@ -222,56 +179,15 @@ impl ShardCell {
     }
 }
 
-/// Global (unsharded) state: the scheme and every counter whose updates
-/// must be totally ordered.
-struct GlobalCore {
-    scheme: Box<dyn Gtm2Scheme + Send>,
-    steps: StepCounter,
-    stats: Gtm2Stats,
-    ser_log: SerSLog,
-    /// Transactions whose `init` has been acted. Never pruned within a
-    /// run: a late `ser` must not re-trip the pre-init gate after `fin`.
-    inited: BTreeSet<GlobalTxnId>,
-    /// Currently active transactions (`init`ed, not `fin`ished).
-    active: u64,
-    /// Exact current WAIT population across all shards (every WAIT
-    /// mutation happens under this lock, so the count is race-free).
-    wait_live: u64,
-    /// Validate scheme invariants after every act (used by tests).
-    validate: bool,
-    /// Structured event sink; `None` = tracing disabled.
-    sink: Option<Box<dyn TraceSink + Send>>,
-    /// Clock stamped onto sink events (stays 0: no simulated clock here).
-    clock: u64,
-}
-
-/// Effects plus the acted operations (with their handoff targets)
-/// produced while one shard's slot was being drained.
-#[derive(Default)]
-struct PumpOut {
-    effects: Vec<SchemeEffect>,
-    /// `(acted op, shards to hand it off to)`.
-    handoffs: Vec<(QueueOp, Vec<usize>)>,
-}
-
-/// Routing facts a slot needs while holding its locks.
-#[derive(Clone, Copy)]
-struct SlotCtx {
-    /// Index of the shard being pumped.
-    shard: usize,
-    /// Total shard count.
-    nshards: usize,
-    /// Whether ops are actually spread over shards (Schemes 0/1).
-    partitioned: bool,
-}
-
 /// The GTM2 scheduler with QUEUE and WAIT partitioned by site.
 ///
-/// Shared-reference methods ([`submit`](ShardedGtm2::submit) /
-/// [`pump_shard`](ShardedGtm2::pump_shard)) are safe to call from many
-/// threads; the `_mut` pair ([`enqueue_mut`](ShardedGtm2::enqueue_mut) /
-/// [`pump_all`](ShardedGtm2::pump_all)) gives deterministic single-owner
-/// replay with zero locking cost.
+/// The Basic_Scheme loop itself is [`crate::gtm2`]'s; this type adds what
+/// partitioning needs around it: routing, the shard and global locks,
+/// handoff delivery, and the per-shard observers.
+/// [`enqueue`](ShardedGtm2::enqueue) and
+/// [`pump_shard`](ShardedGtm2::pump_shard) are safe to call from many
+/// threads; [`pump_all`](ShardedGtm2::pump_all) is the deterministic
+/// single-owner pump used by replay.
 ///
 /// ```
 /// use mdbs_core::sharded::ShardedGtm2;
@@ -280,8 +196,8 @@ struct SlotCtx {
 /// use mdbs_common::ops::QueueOp;
 ///
 /// let mut gtm2 = ShardedGtm2::new(SchemeKind::Scheme0, 2);
-/// gtm2.enqueue_mut(QueueOp::Init { txn: GlobalTxnId(1), sites: vec![SiteId(0)] });
-/// gtm2.enqueue_mut(QueueOp::Ser { txn: GlobalTxnId(1), site: SiteId(0) });
+/// gtm2.enqueue(QueueOp::Init { txn: GlobalTxnId(1), sites: vec![SiteId(0)] });
+/// gtm2.enqueue(QueueOp::Ser { txn: GlobalTxnId(1), site: SiteId(0) });
 /// let effects = gtm2.pump_all();
 /// assert_eq!(
 ///     effects,
@@ -290,10 +206,12 @@ struct SlotCtx {
 /// ```
 pub struct ShardedGtm2 {
     kind: SchemeKind,
-    partitioned: bool,
+    /// How many shards operations are actually spread over: the shard
+    /// count for the schemes that partition by site (0 and 1), else 1
+    /// (everything funnels through shard 0 and the rest stay empty).
+    spread: usize,
     cells: Vec<ShardCell>,
     global: OrderedMutex<GlobalCore>,
-    next_seq: AtomicU64,
 }
 
 impl ShardedGtm2 {
@@ -310,42 +228,23 @@ impl ShardedGtm2 {
     /// only machine cost differs.
     pub fn new_with_kernel(kind: SchemeKind, kernel: KernelKind, nshards: usize) -> Self {
         let nshards = nshards.max(1);
-        let sink: Option<Box<dyn TraceSink + Send>> = if std::env::var_os("MDBS_TRACE").is_some() {
-            Some(Box::new(StderrSink))
-        } else {
-            None
-        };
         // Only schemes whose cond/wake structure is per-site may spread
         // operations over shards; everything else runs in shard 0 and is
         // identical to the single engine by construction.
-        let partitioned = match kind {
-            SchemeKind::Scheme0 | SchemeKind::Scheme1 => nshards > 1,
+        let spread = match kind {
+            SchemeKind::Scheme0 | SchemeKind::Scheme1 => nshards,
             SchemeKind::Scheme2
             | SchemeKind::Scheme2Minimal
             | SchemeKind::SiteGraph
             | SchemeKind::Scheme3
             | SchemeKind::AbortingTo
-            | SchemeKind::OptimisticTicket => false,
+            | SchemeKind::OptimisticTicket => 1,
         };
         ShardedGtm2 {
             kind,
-            partitioned,
-            cells: (0..nshards)
-                .map(|_| ShardCell::new(ShardCore::new()))
-                .collect(),
-            global: OrderedMutex::new(GlobalCore {
-                scheme: kind.build_kernel(kernel),
-                steps: StepCounter::new(),
-                stats: Gtm2Stats::default(),
-                ser_log: SerSLog::new(),
-                inited: BTreeSet::new(),
-                active: 0,
-                wait_live: 0,
-                validate: cfg!(debug_assertions),
-                sink,
-                clock: 0,
-            }),
-            next_seq: AtomicU64::new(0),
+            spread,
+            cells: (0..nshards).map(|_| ShardCell::new()).collect(),
+            global: OrderedMutex::new(GlobalCore::new(kind.build_kernel(kernel))),
         }
     }
 
@@ -356,11 +255,8 @@ impl ShardedGtm2 {
 
     /// The shard that examines (and, if it waits, holds) `op`.
     fn route(&self, op: &QueueOp) -> usize {
-        if !self.partitioned {
-            return 0;
-        }
         match op.site() {
-            Some(site) => site.index() % self.cells.len(),
+            Some(site) => site.index() % self.spread,
             None => 0,
         }
     }
@@ -380,88 +276,40 @@ impl ShardedGtm2 {
         self.kind.name()
     }
 
-    // ------------------------------------------------------------------
-    // Thread-shared API (site workers + coordinator).
-    // ------------------------------------------------------------------
-
-    /// Insert an operation into its shard's slice of QUEUE from a pump
-    /// thread. Returns the shard index, to be passed to
-    /// [`pump_shard`](ShardedGtm2::pump_shard).
-    pub fn submit(&self, op: QueueOp) -> usize {
-        let j = self.route(&op);
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(cell) = self.cells.get(j) {
-            let mut core = cell.shard.spin();
-            let mut global = self.global.spin();
-            enqueue_into(&mut core, &mut global, seq, op);
-        }
-        j
-    }
-
-    /// Insert an operation from the coordinating thread. Behaviorally
-    /// identical to [`submit`](ShardedGtm2::submit); this entry point uses
-    /// the ordered `lock` acquisitions, making it the canonical statement
-    /// of the `shard → global` lock order in the mdbs-lint graph.
+    /// Insert an operation into its shard's slice of QUEUE, from the
+    /// coordinator or a pump thread. Returns the shard index, to be passed
+    /// to [`pump_shard`](ShardedGtm2::pump_shard). The ordered `lock`
+    /// acquisitions make this the canonical statement of the
+    /// `shard → global` lock order in the mdbs-lint graph.
+    // mdbs-lint: allow(blocking-in-pump, scope=item) — site workers enqueue their acks here, and `OrderedMutex::lock` is the bounded spin-then-park acquire justified at `OrderedMutex::spin`, not a std lock; it is spelled `lock` so the lock-order graph records the edge.
     pub fn enqueue(&self, op: QueueOp) -> usize {
         let j = self.route(&op);
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if let Some(cell) = self.cells.get(j) {
             let mut core = cell.shard.lock();
             let mut global = self.global.lock();
-            enqueue_into(&mut core, &mut global, seq, op);
+            enqueue_into(&mut core, &mut global, op);
         }
         j
     }
 
-    /// Run the Basic_Scheme loop over shard `start`'s slice of QUEUE and
-    /// any pending handoffs, following cross-shard handoffs to their
-    /// target shards until no reachable work remains. Returns the effects
-    /// produced, in order.
-    pub fn pump_shard(&self, start: usize) -> Vec<SchemeEffect> {
-        let mut effects = Vec::new();
-        let mut worklist: VecDeque<usize> = VecDeque::new();
-        worklist.push_back(start);
-        while let Some(j) = worklist.pop_front() {
-            let Some(cell) = self.cells.get(j) else {
-                continue;
-            };
-            let mut out = PumpOut::default();
-            {
-                let mut core = cell.shard.spin();
-                if core.handoff.is_empty() && core.inbox.is_empty() {
-                    continue;
-                }
-                let mut global = self.global.spin();
-                let ctx = SlotCtx {
-                    shard: j,
-                    nshards: self.cells.len(),
-                    partitioned: self.partitioned,
-                };
-                drain_slot(ctx, &mut core, &mut global, &mut out);
-                cell.publish_wake_scan(&core);
-            }
-            effects.append(&mut out.effects);
-            for target in self.deliver(j, &out) {
-                if !worklist.contains(&target) {
-                    worklist.push_back(target);
-                }
-            }
-        }
-        effects
+    /// Run the Basic_Scheme loop over shard `j`'s pending handoffs and its
+    /// slice of QUEUE, then deliver any cross-shard handoffs it produced
+    /// without following them into the target shards' locks. Returns the
+    /// effects plus the shards that received a handoff — **waker hints**:
+    /// each hinted shard needs a `pump_shard` of its own, from this thread
+    /// or (in a task runtime where every shard has an owning pump task)
+    /// from the owner once woken. Handoffs are idempotent re-test hints,
+    /// so a hint raced by the owner's own pump is harmless.
+    pub fn pump_shard(&self, j: usize) -> (Vec<SchemeEffect>, Vec<usize>) {
+        self.pump_steps(j, usize::MAX)
     }
 
-    /// Pump only shard `start`, delivering any cross-shard handoffs it
-    /// produces without following them into the target shards' locks.
-    /// Returns the effects plus the shards that received a handoff —
-    /// **waker hints** for a task runtime where every shard has an owning
-    /// pump task: instead of this thread contending the target shard, the
-    /// caller wakes the owner, which re-tests against current global
-    /// state on its next poll (handoffs are idempotent re-test hints, so
-    /// a hint raced by the owner's own pump is harmless).
-    pub fn pump_shard_hinted(&self, start: usize) -> (Vec<SchemeEffect>, Vec<usize>) {
+    /// [`pump_shard`](ShardedGtm2::pump_shard) bounded to `max_steps`
+    /// turns of the loop.
+    fn pump_steps(&self, j: usize, max_steps: usize) -> (Vec<SchemeEffect>, Vec<usize>) {
         let mut out = PumpOut::default();
         {
-            let Some(cell) = self.cells.get(start) else {
+            let Some(cell) = self.cells.get(j) else {
                 return (Vec::new(), Vec::new());
             };
             let mut core = cell.shard.spin();
@@ -470,14 +318,17 @@ impl ShardedGtm2 {
             }
             let mut global = self.global.spin();
             let ctx = SlotCtx {
-                shard: start,
-                nshards: self.cells.len(),
-                partitioned: self.partitioned,
+                shard: j,
+                nshards: self.spread,
             };
-            drain_slot(ctx, &mut core, &mut global, &mut out);
+            for _ in 0..max_steps {
+                if !step_slot(ctx, &mut core, &mut global, &mut out) {
+                    break;
+                }
+            }
             cell.publish_wake_scan(&core);
         }
-        let hints = self.deliver(start, &out);
+        let hints = self.deliver(j, &out);
         (out.effects, hints)
     }
 
@@ -509,32 +360,29 @@ impl ShardedGtm2 {
         touched
     }
 
-    // ------------------------------------------------------------------
-    // Deterministic single-owner API (replay, tests).
-    // ------------------------------------------------------------------
-
-    /// Insert an operation at the end of its shard's QUEUE slice
-    /// (lock-free: requires exclusive ownership).
-    pub fn enqueue_mut(&mut self, op: QueueOp) {
-        let j = self.route(&op);
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let ShardedGtm2 { cells, global, .. } = self;
-        if let Some(cell) = cells.get_mut(j) {
-            enqueue_into(cell.shard.get_mut(), global.get_mut(), seq, op);
-        }
-    }
-
-    /// Deterministically run all shards dry: pending handoffs first, then
-    /// always the globally oldest queued operation (which reproduces the
-    /// single engine's FIFO examination order). Returns the effects in
-    /// order.
+    /// Deterministically run all shards dry from a single owner: pending
+    /// handoffs first (to a fixpoint, sweeping shards in index order),
+    /// then always the globally oldest queued operation, one at a time —
+    /// which reproduces the single engine's FIFO examination order.
+    /// Returns the effects in order.
     pub fn pump_all(&mut self) -> Vec<SchemeEffect> {
         let mut effects = Vec::new();
         loop {
-            if self.drain_handoffs_mut(&mut effects) {
+            let mut handed_off = false;
+            for j in 0..self.cells.len() {
+                while self
+                    .cells
+                    .get_mut(j)
+                    .is_some_and(|c| !c.shard.get_mut().handoff.is_empty())
+                {
+                    effects.extend(self.pump_steps(j, 1).0);
+                    handed_off = true;
+                }
+            }
+            if handed_off {
                 continue;
             }
-            let next = self
+            let oldest = self
                 .cells
                 .iter_mut()
                 .enumerate()
@@ -543,94 +391,12 @@ impl ShardedGtm2 {
                     front.map(|&(seq, _)| (seq, j))
                 })
                 .min();
-            let Some((_, j)) = next else {
+            let Some((_, j)) = oldest else {
                 break;
             };
-            let out = self.step_slot_mut(j, SlotStep::Inbox);
-            effects.extend(out.effects.iter().copied());
-            self.deliver_mut(j, &out);
+            effects.extend(self.pump_steps(j, 1).0);
         }
         effects
-    }
-
-    /// Process one unit of work in shard `j` without locking.
-    fn step_slot_mut(&mut self, j: usize, what: SlotStep) -> PumpOut {
-        let ctx = SlotCtx {
-            shard: j,
-            nshards: self.cells.len(),
-            partitioned: self.partitioned,
-        };
-        let mut out = PumpOut::default();
-        let ShardedGtm2 { cells, global, .. } = self;
-        if let Some(cell) = cells.get_mut(j) {
-            let core = cell.shard.get_mut();
-            let global = global.get_mut();
-            match what {
-                SlotStep::Inbox => {
-                    if let Some((seq, op)) = core.inbox.pop_front() {
-                        process_op(ctx, seq, op, core, global, &mut out);
-                    }
-                }
-                SlotStep::Handoff => {
-                    if let Some(acted) = core.handoff.pop_front() {
-                        process_handoff(ctx, acted, core, global, &mut out);
-                    }
-                }
-            }
-            cell.wake_scan_sum
-                .store(core.wake_scan.sum(), Ordering::Release);
-            cell.wake_scan_count
-                .store(core.wake_scan.count(), Ordering::Release);
-        }
-        out
-    }
-
-    /// Lock-free twin of [`deliver`](ShardedGtm2::deliver).
-    fn deliver_mut(&mut self, source: usize, out: &PumpOut) {
-        for (op, targets) in &out.handoffs {
-            for &t in targets {
-                if t == source {
-                    continue;
-                }
-                if let Some(cell) = self.cells.get_mut(t) {
-                    let core = cell.shard.get_mut();
-                    if !core.has_waiters() {
-                        continue;
-                    }
-                    core.handoff.push_back(op.clone());
-                    core.handoffs_in += 1;
-                }
-            }
-        }
-    }
-
-    /// Process every pending handoff to a fixpoint. Returns whether any
-    /// work was done.
-    fn drain_handoffs_mut(&mut self, effects: &mut Vec<SchemeEffect>) -> bool {
-        let mut any = false;
-        loop {
-            let mut progressed = false;
-            for j in 0..self.cells.len() {
-                loop {
-                    let pending = match self.cells.get_mut(j) {
-                        Some(cell) => !cell.shard.get_mut().handoff.is_empty(),
-                        None => false,
-                    };
-                    if !pending {
-                        break;
-                    }
-                    let out = self.step_slot_mut(j, SlotStep::Handoff);
-                    effects.extend(out.effects.iter().copied());
-                    self.deliver_mut(j, &out);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-            any = true;
-        }
-        any
     }
 
     // ------------------------------------------------------------------
@@ -706,7 +472,8 @@ impl ShardedGtm2 {
     /// `gtm2.` prefix — the same names as
     /// [`Gtm2::export_metrics`](crate::gtm2::Gtm2::export_metrics), plus
     /// the per-shard series (`gtm2.shard<j>.wake_scan`,
-    /// `gtm2.shard_wait_peak`) and `gtm2.cross_shard_handoff`.
+    /// `gtm2.shard_wait_peak`), `gtm2.cross_shard_handoff` and the lock
+    /// contention counters.
     pub fn export_metrics(&self, registry: &mut Registry) {
         let mut merged = Histogram::new();
         let mut handoffs = 0u64;
@@ -717,37 +484,12 @@ impl ShardedGtm2 {
             merged.merge(&core.wake_scan);
             handoffs += core.handoffs_in;
         }
-        let global = self.global.lock();
-        let s = &global.stats;
-        registry.inc("gtm2.enqueued", s.enqueued);
-        registry.inc("gtm2.processed", s.processed);
-        registry.inc("gtm2.waited", s.waited);
-        registry.inc("gtm2.waited.init", s.waited_kind[0]);
-        registry.inc("gtm2.waited.ser", s.waited_kind[1]);
-        registry.inc("gtm2.waited.ack", s.waited_kind[2]);
-        registry.inc("gtm2.waited.fin", s.waited_kind[3]);
-        registry.inc("gtm2.scheme_aborts", s.scheme_aborts);
-        registry.inc("gtm2.inits", s.inits);
-        registry.inc("gtm2.fins", s.fins);
-        registry.inc("gtm2.protocol_violations", s.protocol_violations);
-        registry.inc("gtm2.steps.cond", global.steps.cond);
-        registry.inc("gtm2.steps.act", global.steps.act);
-        registry.inc("gtm2.steps.wait_scan", global.steps.wait_scan);
         registry.inc("gtm2.cross_shard_handoff", handoffs);
         let (lock_contended, lock_parks) = self.lock_contention();
         registry.inc("gtm2.shard_lock_contended", lock_contended);
         registry.inc("gtm2.shard_lock_parks", lock_parks);
-        registry.max_gauge("gtm2.peak_wait", s.peak_wait as i64);
-        registry.max_gauge("gtm2.peak_active", s.peak_active as i64);
-        registry.merge_histogram("gtm2.wake_scan", &merged);
-        global.scheme.export_metrics(registry);
+        self.global.lock().export_metrics(&merged, registry);
     }
-}
-
-/// Which end of a shard's work to take in a deterministic step.
-enum SlotStep {
-    Inbox,
-    Handoff,
 }
 
 impl std::fmt::Debug for ShardedGtm2 {
@@ -755,275 +497,8 @@ impl std::fmt::Debug for ShardedGtm2 {
         f.debug_struct("ShardedGtm2")
             .field("scheme", &self.kind.name())
             .field("shards", &self.cells.len())
-            .field("partitioned", &self.partitioned)
+            .field("partitioned", &(self.spread > 1))
             .finish()
-    }
-}
-
-// ----------------------------------------------------------------------
-// The Basic_Scheme slot logic, shared by the locked and lock-free paths.
-// The free functions operate on a shard core + the global core and mirror
-// `Gtm2::pump`/`Gtm2::do_act` exactly (same stats, steps, sink events and
-// effect bookkeeping), with one addition: acted operations also collect
-// their cross-shard handoff targets.
-// ----------------------------------------------------------------------
-
-/// Record and count an arriving operation (`Gtm2::enqueue` equivalent).
-fn enqueue_into(core: &mut ShardCore, global: &mut GlobalCore, seq: u64, op: QueueOp) {
-    if let Some(sink) = &mut global.sink {
-        sink.record(global.clock, SchedEvent::enqueue(&op));
-    }
-    global.stats.enqueued += 1;
-    core.inbox.push_back((seq, op));
-}
-
-/// Drain everything currently actionable in one shard: handoffs first
-/// (they re-test existing waiters), then the shard's inbox in FIFO order.
-fn drain_slot(ctx: SlotCtx, core: &mut ShardCore, global: &mut GlobalCore, out: &mut PumpOut) {
-    loop {
-        if let Some(acted) = core.handoff.pop_front() {
-            process_handoff(ctx, acted, core, global, out);
-        } else if let Some((seq, op)) = core.inbox.pop_front() {
-            process_op(ctx, seq, op, core, global, out);
-        } else {
-            break;
-        }
-    }
-}
-
-/// Examine one operation from the front of this shard's QUEUE slice
-/// (the body of `Gtm2::pump`'s loop).
-fn process_op(
-    ctx: SlotCtx,
-    seq: u64,
-    op: QueueOp,
-    core: &mut ShardCore,
-    global: &mut GlobalCore,
-    out: &mut PumpOut,
-) {
-    // Pre-init gate: under partitioned routing a `ser` can reach its site
-    // shard before shard 0 has acted the `init`. Park it; the `init`'s
-    // handoff releases it. (The single engine would instead flag a
-    // genuinely init-less `ser` as SerWithoutInit; for well-formed input —
-    // GTM1 always announces before serializing — the gate never observably
-    // differs.)
-    if ctx.partitioned && op.kind() == QueueOpKind::Ser && !global.inited.contains(&op.txn()) {
-        core.pre_init.entry(op.txn()).or_default().push((seq, op));
-        return;
-    }
-    let eligible = global.scheme.cond(&op, &mut global.steps);
-    if let Some(sink) = &mut global.sink {
-        sink.record(global.clock, SchedEvent::cond(&op, eligible));
-    }
-    if eligible {
-        let mut candidates = std::mem::take(&mut core.wake_buf);
-        candidates.clear();
-        act_one(ctx, &op, false, core, global, out, &mut candidates);
-        cascade(ctx, candidates, core, global, out);
-    } else {
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::wait(&op));
-        }
-        global.stats.waited += 1;
-        bump_waited_kind(&mut global.stats, op.kind());
-        core.wait.insert(op);
-        global.wait_live += 1;
-        global.stats.peak_wait = global.stats.peak_wait.max(global.wait_live);
-        core.wait_peak = core.wait_peak.max(core.wait.len() as u64);
-    }
-}
-
-/// Re-test this shard's waiters against an operation acted elsewhere.
-fn process_handoff(
-    ctx: SlotCtx,
-    acted: QueueOp,
-    core: &mut ShardCore,
-    global: &mut GlobalCore,
-    out: &mut PumpOut,
-) {
-    // An init acted at shard 0 releases any ser ops parked behind it here.
-    if acted.kind() == QueueOpKind::Init {
-        if let Some(mut parked) = core.pre_init.remove(&acted.txn()) {
-            parked.sort_unstable_by_key(|&(seq, _)| seq);
-            for (seq, op) in parked {
-                process_op(ctx, seq, op, core, global, out);
-            }
-        }
-    }
-    let mut candidates = std::mem::take(&mut core.wake_buf);
-    candidates.clear();
-    local_candidates(&acted, core, global, &mut candidates);
-    cascade(ctx, candidates, core, global, out);
-}
-
-/// `act(op)` (the `act_now` closure of `Gtm2::do_act`): bookkeeping,
-/// scheme act, effect recording, handoff-target computation, and this
-/// shard's wake candidates.
-fn act_one(
-    ctx: SlotCtx,
-    acted: &QueueOp,
-    woken: bool,
-    core: &mut ShardCore,
-    global: &mut GlobalCore,
-    out: &mut PumpOut,
-    candidates: &mut VecDeque<WaitKey>,
-) {
-    if let Some(sink) = &mut global.sink {
-        let ev = if woken {
-            SchedEvent::wake(acted)
-        } else {
-            SchedEvent::act(acted)
-        };
-        sink.record(global.clock, ev);
-    }
-    note_processed(acted, global);
-    let fx = global.scheme.act(acted, &mut global.steps);
-    if global.validate {
-        global.scheme.debug_validate();
-    }
-    for effect in &fx {
-        match effect {
-            SchemeEffect::SubmitSer { txn, site } => global.ser_log.record(*txn, *site),
-            SchemeEffect::AbortGlobal { txn } => {
-                global.stats.scheme_aborts += 1;
-                if let Some(sink) = &mut global.sink {
-                    sink.record(global.clock, SchedEvent::Abort { txn: *txn });
-                }
-            }
-            SchemeEffect::ForwardAck { .. } => {}
-            SchemeEffect::ProtocolViolation { .. } => {
-                global.stats.protocol_violations += 1;
-            }
-        }
-    }
-    out.effects.extend(fx.iter().copied());
-    if acted.kind() == QueueOpKind::Init {
-        global.inited.insert(acted.txn());
-    }
-    let targets = handoff_targets(ctx, acted, global.scheme.as_ref());
-    if !targets.is_empty() {
-        out.handoffs.push((acted.clone(), targets));
-    }
-    local_candidates(acted, core, global, candidates);
-}
-
-/// This shard's wake candidates for an acted operation, appended to
-/// `candidates` (resolved against this shard's WAIT partition without
-/// allocating).
-fn local_candidates(
-    acted: &QueueOp,
-    core: &mut ShardCore,
-    global: &mut GlobalCore,
-    candidates: &mut VecDeque<WaitKey>,
-) {
-    let wake = global
-        .scheme
-        .wake_candidates(acted, &core.wait, &mut global.steps);
-    let appended = core.wait.resolve_into(&wake, candidates);
-    core.wake_scan.observe(appended as u64);
-}
-
-/// Figure 3's inner loop over this shard's WAIT partition: act each
-/// eligible waiter immediately, feeding its own candidates back in. Takes
-/// ownership of the seeded worklist (the shard's reusable buffer) and
-/// parks it back on the core when drained.
-fn cascade(
-    ctx: SlotCtx,
-    mut candidates: VecDeque<WaitKey>,
-    core: &mut ShardCore,
-    global: &mut GlobalCore,
-    out: &mut PumpOut,
-) {
-    while let Some(key) = candidates.pop_front() {
-        // The op may have been woken (or re-examined) already — this is
-        // also what makes stale/duplicate handoff hints harmless.
-        let Some(waiting) = core.wait.remove(&key) else {
-            continue;
-        };
-        global.wait_live = global.wait_live.saturating_sub(1);
-        let eligible = global.scheme.cond(&waiting, &mut global.steps);
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::cond(&waiting, eligible));
-        }
-        if eligible {
-            act_one(ctx, &waiting, true, core, global, out, &mut candidates);
-        } else {
-            core.wait.insert(waiting);
-            global.wait_live += 1;
-        }
-    }
-    core.wake_buf = candidates;
-}
-
-/// Which shards (other than the acting one) must re-test their waiters
-/// after `acted` was acted, per the scheme's `wake_scope` bound plus the
-/// engine-level pre-init gate (an `init` must reach the shards of its
-/// announced sites to release parked sers).
-fn handoff_targets(ctx: SlotCtx, acted: &QueueOp, scheme: &dyn Gtm2Scheme) -> Vec<usize> {
-    if ctx.nshards <= 1 {
-        return Vec::new();
-    }
-    let mut targets = BTreeSet::new();
-    let scope = scheme.wake_scope(acted.kind());
-    if scope.elsewhere {
-        for j in 0..ctx.nshards {
-            targets.insert(j);
-        }
-    } else {
-        if scope.acted_site {
-            if let Some(site) = acted.site() {
-                targets.insert(if ctx.partitioned {
-                    site.index() % ctx.nshards
-                } else {
-                    0
-                });
-            }
-        }
-        if scope.siteless {
-            // Siteless (init/fin) waiters always live in shard 0.
-            targets.insert(0);
-        }
-    }
-    if ctx.partitioned {
-        if let QueueOp::Init { sites, .. } = acted {
-            for site in sites {
-                targets.insert(site.index() % ctx.nshards);
-            }
-        }
-    }
-    targets.remove(&ctx.shard);
-    targets.into_iter().collect()
-}
-
-/// Stats bookkeeping for a processed operation (`Gtm2::note_processed`).
-fn note_processed(op: &QueueOp, global: &mut GlobalCore) {
-    global.stats.processed += 1;
-    match op.kind() {
-        QueueOpKind::Init => {
-            global.stats.inits += 1;
-            global.active += 1;
-            global.stats.peak_active = global.stats.peak_active.max(global.active);
-        }
-        QueueOpKind::Fin => {
-            global.stats.fins += 1;
-            // An unmatched fin must not underflow the active count.
-            match global.active.checked_sub(1) {
-                Some(a) => global.active = a,
-                None => global.stats.protocol_violations += 1,
-            }
-        }
-        QueueOpKind::Ser | QueueOpKind::Ack => {}
-    }
-}
-
-/// Count a newly waiting operation by kind, without indexing by a
-/// computed value.
-fn bump_waited_kind(stats: &mut Gtm2Stats, kind: QueueOpKind) {
-    match kind {
-        QueueOpKind::Init => stats.waited_kind[0] += 1,
-        QueueOpKind::Ser => stats.waited_kind[1] += 1,
-        QueueOpKind::Ack => stats.waited_kind[2] += 1,
-        QueueOpKind::Fin => stats.waited_kind[3] += 1,
     }
 }
 
@@ -1031,7 +506,8 @@ fn bump_waited_kind(stats: &mut Gtm2Stats, kind: QueueOpKind) {
 mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
-    use mdbs_common::ids::SiteId;
+    use mdbs_common::ids::{GlobalTxnId, SiteId};
+    use std::collections::VecDeque;
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)
@@ -1061,22 +537,31 @@ mod tests {
         QueueOp::Fin { txn: g(txn) }
     }
 
+    /// Pump shard `start`, then every shard a pump hints at, until no
+    /// hints remain — what a thread following its own handoffs does.
+    fn pump_following(engine: &ShardedGtm2, start: usize) -> Vec<SchemeEffect> {
+        let mut effects = Vec::new();
+        let mut worklist = VecDeque::from([start]);
+        while let Some(j) = worklist.pop_front() {
+            let (fx, hints) = engine.pump_shard(j);
+            effects.extend(fx);
+            worklist.extend(hints);
+        }
+        effects
+    }
+
     /// Full lifecycle of `txns` single-site transactions at `site`,
     /// submitted through the shared-reference API.
     fn run_site_lifecycles(engine: &ShardedGtm2, site: u32, txns: &[u64]) {
         for &t in txns {
-            let j = engine.submit(init(t, &[site]));
-            engine.pump_shard(j);
+            pump_following(engine, engine.enqueue(init(t, &[site])));
         }
         for &t in txns {
-            let j = engine.submit(ser(t, site));
-            engine.pump_shard(j);
+            pump_following(engine, engine.enqueue(ser(t, site)));
         }
         for &t in txns {
-            let j = engine.submit(ack(t, site));
-            engine.pump_shard(j);
-            let j = engine.submit(fin(t));
-            engine.pump_shard(j);
+            pump_following(engine, engine.enqueue(ack(t, site)));
+            pump_following(engine, engine.enqueue(fin(t)));
         }
     }
 
@@ -1087,25 +572,25 @@ mod tests {
         // the wake must cross shards, exactly once.
         let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(1, &[1]), init(2, &[1])] {
-            let j = engine.submit(op);
+            let j = engine.enqueue(op);
             assert_eq!(j, 0, "inits route to shard 0");
-            engine.pump_shard(j);
+            pump_following(&engine, j);
         }
         for op in [ser(1, 1), ack(1, 1)] {
-            let j = engine.submit(op);
+            let j = engine.enqueue(op);
             assert_eq!(j, 1, "site-1 ops route to shard 1");
-            engine.pump_shard(j);
+            pump_following(&engine, j);
         }
-        let j = engine.submit(fin(1));
-        engine.pump_shard(j);
-        let j = engine.submit(ser(2, 1));
-        engine.pump_shard(j);
-        let j = engine.submit(fin(2));
-        engine.pump_shard(j);
+        let j = engine.enqueue(fin(1));
+        pump_following(&engine, j);
+        let j = engine.enqueue(ser(2, 1));
+        pump_following(&engine, j);
+        let j = engine.enqueue(fin(2));
+        pump_following(&engine, j);
         assert_eq!(engine.wait_len(), 1, "fin(2) must wait for ack(2,1)");
 
-        let j = engine.submit(ack(2, 1));
-        let effects = engine.pump_shard(j);
+        let j = engine.enqueue(ack(2, 1));
+        let effects = pump_following(&engine, j);
         assert!(
             effects.contains(&SchemeEffect::ForwardAck {
                 txn: g(2),
@@ -1146,16 +631,16 @@ mod tests {
         // waiting ser through the local cascade, not the handoff queue.
         let engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
         for op in [init(1, &[1]), init(2, &[1])] {
-            let j = engine.submit(op);
-            engine.pump_shard(j);
+            let j = engine.enqueue(op);
+            pump_following(&engine, j);
         }
-        let j = engine.submit(ser(1, 1));
-        engine.pump_shard(j);
-        let j = engine.submit(ser(2, 1));
-        engine.pump_shard(j);
+        let j = engine.enqueue(ser(1, 1));
+        pump_following(&engine, j);
+        let j = engine.enqueue(ser(2, 1));
+        pump_following(&engine, j);
         assert_eq!(engine.wait_len(), 1, "ser(2,1) waits behind ser(1,1)");
-        let j = engine.submit(ack(1, 1));
-        let effects = engine.pump_shard(j);
+        let j = engine.enqueue(ack(1, 1));
+        let effects = pump_following(&engine, j);
         let woken = effects
             .iter()
             .filter(|fx| {
@@ -1182,32 +667,32 @@ mod tests {
         // double-act a fin.
         let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(2, &[1]), init(3, &[1])] {
-            let j = engine.submit(op);
-            engine.pump_shard(j);
+            let j = engine.enqueue(op);
+            pump_following(&engine, j);
         }
         for op in [ser(2, 1), ack(2, 1), ser(3, 1), ack(3, 1)] {
-            let j = engine.submit(op);
-            engine.pump_shard(j);
+            let j = engine.enqueue(op);
+            pump_following(&engine, j);
         }
         // Delete queue at site 1 is now [G2, G3]; fins act immediately in
         // order. Re-run the shape with the fins *waiting* instead:
         let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(2, &[1]), init(3, &[1])] {
-            engine.pump_shard(engine.submit(op));
+            pump_following(&engine, engine.enqueue(op));
         }
         for op in [ser(2, 1), ser(3, 1)] {
-            engine.pump_shard(engine.submit(op));
+            pump_following(&engine, engine.enqueue(op));
         }
         // ser(3,1) waits behind ser(2,1)'s outstanding slot; fins wait too.
         for op in [fin(2), fin(3)] {
-            engine.pump_shard(engine.submit(op));
+            pump_following(&engine, engine.enqueue(op));
         }
         assert!(engine.wait_len() >= 2);
         // Both acks into shard 1's inbox, then one pump: their two
         // handoffs land in shard 0 together.
-        engine.submit(ack(2, 1));
-        engine.submit(ack(3, 1));
-        engine.pump_shard(1);
+        engine.enqueue(ack(2, 1));
+        engine.enqueue(ack(3, 1));
+        pump_following(&engine, 1);
         let stats = engine.stats();
         assert_eq!(stats.fins, 2, "fins acted exactly once each");
         assert_eq!(stats.processed, 8, "2 init + 2 ser + 2 ack + 2 fin");
@@ -1221,12 +706,12 @@ mod tests {
         // A ser that reaches its site shard before the init is parked,
         // then released exactly once by the init's handoff.
         let engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
-        engine.submit(ser(1, 1)); // shard 1, but G1 not inited yet
-        engine.pump_shard(1);
+        engine.enqueue(ser(1, 1)); // shard 1, but G1 not inited yet
+        pump_following(&engine, 1);
         assert_eq!(engine.queue_len(), 1, "ser parked behind missing init");
         assert_eq!(engine.stats().protocol_violations, 0);
-        let j = engine.submit(init(1, &[1]));
-        let effects = engine.pump_shard(j);
+        let j = engine.enqueue(init(1, &[1]));
+        let effects = pump_following(&engine, j);
         assert_eq!(
             effects,
             vec![SchemeEffect::SubmitSer {
@@ -1266,7 +751,7 @@ mod tests {
                 for op in ops {
                     single.enqueue(op.clone());
                     fx_single.extend(single.pump());
-                    sharded.enqueue_mut(op);
+                    sharded.enqueue(op);
                     fx_sharded.extend(sharded.pump_all());
                 }
                 assert_eq!(fx_single, fx_sharded, "{kind:?} @ {shards} shards");
@@ -1286,9 +771,9 @@ mod tests {
     fn unpartitioned_schemes_funnel_through_shard_zero() {
         let engine = ShardedGtm2::new(SchemeKind::Scheme3, 4);
         for op in [init(1, &[2]), ser(1, 2), ack(1, 2), fin(1)] {
-            let j = engine.submit(op);
+            let j = engine.enqueue(op);
             assert_eq!(j, 0, "Scheme 3 must route everything to shard 0");
-            engine.pump_shard(j);
+            pump_following(&engine, j);
         }
         assert_eq!(engine.stats().fins, 1);
         assert_eq!(engine.cross_shard_handoffs(), 0);

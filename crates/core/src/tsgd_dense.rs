@@ -9,7 +9,7 @@
 //! - adjacency is kept as **id-sorted** vectors of `(id, slot)` pairs, so
 //!   every traversal visits neighbours in exactly the order the reference
 //!   `BTreeMap` kernels do — step counts that depend on traversal order
-//!   (notably [`eliminate_cycles_dense`]) stay byte-identical;
+//!   (notably [`eliminate_cycles_dense_with`]) stay byte-identical;
 //! - dependencies into a transaction are per-site [`DenseBitSet`]s of
 //!   *before* slots, so Scheme 2's `cond(ser)` predecessor count is a
 //!   popcount and `cond(fin)`'s "no incoming dependency" test is an O(1)
@@ -29,10 +29,10 @@
 //!   `remove_txn` repairs only the group it touches instead of
 //!   invalidating everything.
 //!
-//! Abstract step accounting is unchanged: [`eliminate_cycles_dense`] and
-//! the cursor-amortized [`eliminate_cycles_dense_with`] charge `steps`
-//! tick-for-tick like [`crate::tsgd::eliminate_cycles`] (Figure 4); the
-//! incremental machinery lives on *uncounted* machine-cost paths only.
+//! Abstract step accounting is unchanged: the cursor-amortized
+//! [`eliminate_cycles_dense_with`] charges `steps` tick-for-tick like
+//! [`crate::tsgd::eliminate_cycles`] (Figure 4); the incremental machinery
+//! lives on *uncounted* machine-cost paths only.
 
 use crate::tsgd::Dep;
 use mdbs_common::dense::{DenseBitSet, DenseInterner};
@@ -1081,93 +1081,6 @@ impl DenseTsgd {
     }
 }
 
-/// Figure 4 (`Eliminate_Cycles`) over the dense storage — returns the same
-/// `Δ` and charges `steps` **tick-for-tick identically** to
-/// [`crate::tsgd::eliminate_cycles`]: adjacency vectors are id-sorted, so
-/// the traversal examines candidate edges in the reference order.
-///
-/// This is the full-rescan variant, kept as the second oracle (the
-/// `dense-memo` kernel) for [`eliminate_cycles_dense_with`], which computes
-/// the same answer with revisit scans amortized to O(1).
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and adjacency rows are grown at insert_txn; prop_tsgd + kernel_equivalence pin the invariant against the reference Tsgd.
-pub fn eliminate_cycles_dense(
-    tsgd: &DenseTsgd,
-    gi: GlobalTxnId,
-    steps: &mut StepCounter,
-) -> BTreeSet<Dep> {
-    let mut delta: BTreeSet<Dep> = BTreeSet::new();
-    let Some(gslot) = tsgd.txn_slot(gi) else {
-        // Reference behaviour for an absent gi: one outer tick, empty Δ.
-        steps.tick(StepKind::Act);
-        return delta;
-    };
-    let mut used: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut s_par: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    let mut t_par: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    // Δ only ever contains deps with after = gi, so membership is a pair.
-    let mut delta_pairs: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut v = gslot;
-
-    loop {
-        steps.tick(StepKind::Act);
-        let arrived_via = s_par.get(&v).and_then(|l| l.first().copied());
-        let mut chosen: Option<(u32, u32)> = None;
-        'search: for &(_, us) in tsgd.sites_row(v) {
-            if arrived_via == Some(us) {
-                continue;
-            }
-            for &(_, ws) in tsgd.txns_col(us) {
-                steps.tick(StepKind::Act);
-                if ws == v {
-                    continue;
-                }
-                if ws != gslot && used.contains(&(us, ws)) {
-                    continue;
-                }
-                if tsgd.has_dep_slots(us, v, ws) || (ws == gslot && delta_pairs.contains(&(us, v)))
-                {
-                    continue;
-                }
-                chosen = Some((us, ws));
-                break 'search;
-            }
-        }
-        match chosen {
-            Some((us, ws)) => {
-                used.insert((us, ws));
-                if ws == gslot {
-                    delta_pairs.insert((us, v));
-                    // mdbs-lint: allow(no-panic-in-scheduler) — slots on the current traversal path are live by construction.
-                    let site = tsgd.site_at_slot(us).expect("live site slot");
-                    // mdbs-lint: allow(no-panic-in-scheduler) — v is a live node on the traversal path.
-                    let before = tsgd.txn_at_slot(v).expect("live txn slot");
-                    delta.insert(Dep {
-                        site,
-                        before,
-                        after: gi,
-                    });
-                } else {
-                    s_par.entry(ws).or_default().insert(0, us);
-                    t_par.entry(ws).or_default().insert(0, v);
-                    v = ws;
-                }
-            }
-            None => {
-                if v == gslot {
-                    break;
-                }
-                // mdbs-lint: allow(no-panic-in-scheduler) — the backtracking search records s_par/t_par together before descending, so a visited node always has both.
-                let tp = t_par.get_mut(&v).expect("visited node has parents");
-                let temp = tp.remove(0);
-                // mdbs-lint: allow(no-panic-in-scheduler) — s_par and t_par are updated in lockstep above.
-                s_par.get_mut(&v).expect("parents in sync").remove(0);
-                v = temp;
-            }
-        }
-    }
-    delta
-}
-
 /// Per-visit scan position for one `(node, arrival-site)` state of the
 /// Figure 4 traversal: the next candidate to examine and the abstract ticks
 /// already charged for the (permanently skipped) prefix before it.
@@ -1248,8 +1161,10 @@ fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bo
     e.0 == epoch && e.1.contains(bit)
 }
 
-/// Cursor-amortized Figure 4: same Δ and **identical step charges** as
-/// [`eliminate_cycles_dense`] / [`crate::tsgd::eliminate_cycles`], but the
+/// Cursor-amortized Figure 4 (`Eliminate_Cycles`) over the dense storage:
+/// same Δ and **identical step charges** as the reference
+/// [`crate::tsgd::eliminate_cycles`] — adjacency vectors are id-sorted, so
+/// the traversal examines candidate edges in the reference order — but the
 /// *machine* cost of a revisit is O(1) instead of a rescan.
 ///
 /// Within one call every skip condition of the candidate scan is monotone —
@@ -1528,7 +1443,12 @@ mod tests {
         let mut steps_ref = StepCounter::new();
         let mut steps_dense = StepCounter::new();
         let delta_ref = eliminate_cycles(&reference, g(5), &mut steps_ref);
-        let delta_dense = eliminate_cycles_dense(&dense, g(5), &mut steps_dense);
+        let delta_dense = eliminate_cycles_dense_with(
+            &dense,
+            g(5),
+            &mut steps_dense,
+            &mut EliminateScratch::new(),
+        );
         assert_eq!(delta_ref, delta_dense);
         assert_eq!(steps_ref, steps_dense);
         assert!(!reference.has_cycle_involving(g(5), &delta_ref));
@@ -1539,7 +1459,8 @@ mod tests {
     fn eliminate_cycles_missing_txn_is_one_tick() {
         let dense = DenseTsgd::new();
         let mut steps = StepCounter::new();
-        assert!(eliminate_cycles_dense(&dense, g(9), &mut steps).is_empty());
+        let mut scratch = EliminateScratch::new();
+        assert!(eliminate_cycles_dense_with(&dense, g(9), &mut steps, &mut scratch).is_empty());
         assert_eq!(steps.act, 1);
     }
 

@@ -12,7 +12,7 @@
 //! - slot recycling: replaying a script *twice through one engine* reuses
 //!   every transaction id after its `fin`, so freed slots are re-interned
 //!   and must carry no stale state;
-//! - `eliminate_cycles_dense` computes exactly the reference Δ with
+//! - `eliminate_cycles_dense_with` computes exactly the reference Δ with
 //!   exactly the reference step charges (Figure 4 parity);
 //! - the polynomial closed-walk check never misses a cycle the exponential
 //!   oracle finds (it may over-approximate, never under-approximate).
@@ -24,9 +24,7 @@ use mdbs_core::gtm2::Gtm2;
 use mdbs_core::replay::{replay_kernel, replay_sharded_kernel, Script, ScriptEvent};
 use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
 use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
-use mdbs_core::tsgd_dense::{
-    eliminate_cycles_dense, eliminate_cycles_dense_with, DenseTsgd, EliminateScratch,
-};
+use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -241,13 +239,8 @@ proptest! {
         let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
         prop_assert_eq!(ref_deps, dense.deps_set(), "construction mismatch");
         let mut steps_ref = StepCounter::new();
-        let mut steps_dense = StepCounter::new();
         let delta_ref = eliminate_cycles(&reference, fresh, &mut steps_ref);
-        let delta_dense = eliminate_cycles_dense(&dense, fresh, &mut steps_dense);
-        prop_assert_eq!(&delta_ref, &delta_dense, "Δ diverged");
-        prop_assert_eq!(steps_ref, steps_dense, "EC step charges diverged");
-        // The cursor-amortized production variant must agree too, both on a
-        // fresh scratch and on one that already served a different target.
+        // Both on a fresh scratch and on one that already served a call.
         let mut scratch = EliminateScratch::new();
         for _round in 0..2 {
             let mut steps_cursor = StepCounter::new();
@@ -285,9 +278,8 @@ proptest! {
     }
 
     /// Adversarial kernel matrix: cycle-heavy, fin-deletion-heavy scripts
-    /// must leave the incremental-dense, memo-dense, and BTree Scheme 2
-    /// kernels byte-identical, through both the single engine and the
-    /// sharded pump.
+    /// must leave the dense and BTree Scheme 2 kernels byte-identical,
+    /// through both the single engine and the sharded pump.
     #[test]
     fn adversarial_scripts_keep_kernel_matrix_equal(
         script in arb_adversarial_script(),
@@ -296,32 +288,31 @@ proptest! {
         let kind = SchemeKind::Scheme2;
         let reference = replay_kernel(kind, KernelKind::BTree, &script);
         let sharded_ref = replay_sharded_kernel(kind, KernelKind::BTree, nshards, &script);
-        for kernel in [KernelKind::Dense, KernelKind::DenseMemo] {
-            let dense = replay_kernel(kind, kernel, &script);
-            prop_assert_eq!(
-                reference.steps, dense.steps,
-                "{}: step counters diverged", kernel.name()
-            );
-            prop_assert_eq!(
-                reference.stats, dense.stats,
-                "{}: engine stats diverged", kernel.name()
-            );
-            prop_assert_eq!(
-                &reference.ser_events, &dense.ser_events,
-                "{}: ser(S) diverged", kernel.name()
-            );
-            prop_assert_eq!(dense.protocol_violations, 0, "{}", kernel.name());
-            prop_assert!(dense.ser_serializable, "{}", kernel.name());
-            let sharded = replay_sharded_kernel(kind, kernel, nshards, &script);
-            prop_assert_eq!(
-                sharded_ref.steps, sharded.steps,
-                "{} @ {} shards: steps diverged", kernel.name(), nshards
-            );
-            prop_assert_eq!(
-                &sharded_ref.ser_events, &sharded.ser_events,
-                "{} @ {} shards: ser(S) diverged", kernel.name(), nshards
-            );
-        }
+        let kernel = KernelKind::Dense;
+        let dense = replay_kernel(kind, kernel, &script);
+        prop_assert_eq!(
+            reference.steps, dense.steps,
+            "{}: step counters diverged", kernel.name()
+        );
+        prop_assert_eq!(
+            reference.stats, dense.stats,
+            "{}: engine stats diverged", kernel.name()
+        );
+        prop_assert_eq!(
+            &reference.ser_events, &dense.ser_events,
+            "{}: ser(S) diverged", kernel.name()
+        );
+        prop_assert_eq!(dense.protocol_violations, 0, "{}", kernel.name());
+        prop_assert!(dense.ser_serializable, "{}", kernel.name());
+        let sharded = replay_sharded_kernel(kind, kernel, nshards, &script);
+        prop_assert_eq!(
+            sharded_ref.steps, sharded.steps,
+            "{} @ {} shards: steps diverged", kernel.name(), nshards
+        );
+        prop_assert_eq!(
+            &sharded_ref.ser_events, &sharded.ser_events,
+            "{} @ {} shards: ser(S) diverged", kernel.name(), nshards
+        );
     }
 
     /// Adversarial add/remove-dep interleaving straight against the TSGD

@@ -21,7 +21,7 @@
 //! its own shard and pumps it in place (an ack never crosses the
 //! coordinator channel). Cross-shard handoffs are **waker hints**: the
 //! pumping worker never chases another shard's lock — it wakes the task
-//! owning the target shard ([`ShardedGtm2::pump_shard_hinted`]), which
+//! owning the target shard ([`ShardedGtm2::pump_shard`]), which
 //! re-tests on its next poll. The shard count comes from
 //! [`ThreadedMdbs::set_shards`], the `MDBS_SHARDS` environment variable,
 //! or defaults to one shard per site.
@@ -181,7 +181,7 @@ impl SiteWorker {
     /// effects, then wake the tasks owning any shards the pump handed
     /// work to.
     fn pump(&mut self, shard: usize) {
-        let (effects, hints) = self.gtm2.pump_shard_hinted(shard);
+        let (effects, hints) = self.gtm2.pump_shard(shard);
         self.forward_effects(effects);
         if let Some(wakers) = self.shard_wakers.get() {
             for j in hints {
@@ -364,7 +364,7 @@ impl SiteWorker {
     /// and pump it in place; whatever the pump produces (submits for any
     /// site, forwarded acks) goes to the coordinator as GTM1 events.
     fn send_ack(&mut self, txn: GlobalTxnId) {
-        let shard = self.gtm2.submit(QueueOp::Ack {
+        let shard = self.gtm2.enqueue(QueueOp::Ack {
             txn,
             site: self.site,
         });
@@ -547,7 +547,7 @@ impl ThreadedMdbs {
                     match fx {
                         Gtm1Effect::EnqueueGtm2(op) => {
                             let shard = gtm2.enqueue(op);
-                            let (effects, hints) = gtm2.pump_shard_hinted(shard);
+                            let (effects, hints) = gtm2.pump_shard(shard);
                             for fx in effects {
                                 pending_events.push_back(gtm2_effect_event(fx));
                             }
