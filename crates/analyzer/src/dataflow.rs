@@ -290,11 +290,9 @@ mod tests {
             &BitSet::empty(2),
             &mut |b, st| match b {
                 0 => st.set(0),
-                1 => {
-                    if st.get(0) {
-                        st.set(1);
-                        st.clear(0);
-                    }
+                1 if st.get(0) => {
+                    st.set(1);
+                    st.clear(0);
                 }
                 _ => {}
             },

@@ -686,7 +686,7 @@ mod tests {
         assert!(!warn_only.fails(Level::Error));
         let err = bare(1, vec![vio(crate::rules::NO_PANIC, "a.rs", 1, "p")]);
         assert!(err.fails(Level::Error));
-        assert!(bare(0, vec![]).fails(Level::Note) == false);
+        assert!(!bare(0, vec![]).fails(Level::Note));
     }
 
     #[test]

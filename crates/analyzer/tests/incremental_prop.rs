@@ -74,10 +74,7 @@ fn warm_vs_cold(root: &Path, cache_dir: &Path) -> (String, String) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 16,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn warm_report_is_byte_identical_to_cold_oracle(

@@ -1,7 +1,7 @@
 //! One-cell replay runner for profiling: replays a single
-//! (scheme, kernel, size) cell of the perf_smoke matrix in a loop so a
-//! sampling profiler (`gprofng collect app`, `perf record`) sees only the
-//! scheduler under test, not the whole smoke matrix.
+//! (scheme, kernel, size) cell in a loop so a sampling profiler
+//! (`gprofng collect app`, `perf record`) sees only the scheduler under
+//! test.
 //!
 //! ```text
 //! profile_replay [SCHEME] [KERNEL] [SIZE] [REPS]
@@ -9,13 +9,14 @@
 //!
 //! Defaults: `Scheme2 dense large 1`. SCHEME is `Scheme0..Scheme3`,
 //! KERNEL is a [`KernelKind`] name (`btree`, `dense`),
-//! SIZE is a perf_smoke replay tier (`small`, `medium`, `large`).
+//! SIZE is `small` or `medium` (`step_gate`'s scripts) or `large` (the
+//! benchmark's `sched_burst` script).
 
 use mdbs_core::replay::{replay_kernel, Script};
 use mdbs_core::scheme::{KernelKind, SchemeKind};
 use std::time::Instant;
 
-/// Mirror of perf_smoke's replay tiers (label, txns, sites, avg sites).
+/// Mirror of `step_gate`'s sizes, plus `large` (label, txns, sites, avg sites).
 const SIZES: [(&str, usize, usize, f64); 3] = [
     ("small", 50, 4, 2.0),
     ("medium", 150, 6, 2.5),

@@ -5,9 +5,9 @@
 //! of the dense kernels is that they change machine cost **without moving
 //! a single counted step**. This gate pins that invariant in CI.
 //!
-//! It replays the fixed perf_smoke workloads (`small` and `medium`, seed
-//! 42) through every conservative scheme under **both** kernels — the
-//! btree oracle and dense — and diffs `steps_cond`/`steps_act` against
+//! It replays two fixed scripts (`small` and `medium`, seed 42) through
+//! every conservative scheme under **both** kernels — the btree oracle
+//! and dense — and diffs `steps_cond`/`steps_act` against
 //! the checked-in `STEP_GOLDEN.json` at the repo root. Any drift — a kernel rewrite that forgot a charge, a
 //! wake-path change that re-tests a different set — fails the build with
 //! a per-cell diff.
@@ -27,9 +27,8 @@ use mdbs_core::replay::{replay_kernel, Script};
 use mdbs_core::scheme::{KernelKind, SchemeKind};
 use serde::{Deserialize, Serialize};
 
-/// (size label, txns, sites, avg sites per txn) — must stay in lockstep
-/// with perf_smoke's small/medium tiers so the golden file doubles as the
-/// step column of the bench report.
+/// (size label, txns, sites, avg sites per txn) — the cells of
+/// `STEP_GOLDEN.json`.
 const GATE_SIZES: [(&str, usize, usize, f64); 2] = [("small", 50, 4, 2.0), ("medium", 150, 6, 2.5)];
 
 #[derive(Serialize, Deserialize, PartialEq, Eq, Clone, Debug)]

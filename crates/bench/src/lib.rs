@@ -9,22 +9,16 @@
 //! here makes one of those claims measurable; `EXPERIMENTS.md` records the
 //! expected shape next to the measured numbers.
 //!
-//! Beyond the experiment tables, this crate owns the *perf enforcement
-//! trail*: [`store`] (the on-disk bench results database), [`ingest`]
-//! (migration of historical `BENCH_PR*.json` snapshot schemas into it),
-//! [`smoke`] (the shared perf-smoke cell matrix and samplers), [`gate`]
-//! (the Mann–Whitney statistical regression gate `bench_gate` runs in
-//! CI), and [`report`] (markdown/HTML trend artifacts).
+//! `step_gate` pins the deterministic `cond`/`act` step counts — the
+//! paper's actual cost model — against `STEP_GOLDEN.json`. Nothing here
+//! judges wall-clock (the Criterion benches are exploratory): the
+//! standalone `benchmark/` package is the one harness whose wall times
+//! are recorded and compared.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod gate;
-pub mod ingest;
-pub mod report;
-pub mod smoke;
-pub mod store;
 pub mod tables;
 
 pub use tables::Table;

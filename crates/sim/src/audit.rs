@@ -8,8 +8,8 @@ use mdbs_schedule::global::{check_global, GlobalSerializability};
 
 /// Audit a set of local DBMSs for global serializability of everything
 /// they executed.
-pub fn audit_sites(sites: &[LocalDbms]) -> GlobalSerializability {
-    check_global(sites.iter().map(|db| (db.site(), db.history())))
+pub fn audit_sites<'a>(sites: impl IntoIterator<Item = &'a LocalDbms>) -> GlobalSerializability {
+    check_global(sites.into_iter().map(|db| (db.site(), db.history())))
 }
 
 #[cfg(test)]

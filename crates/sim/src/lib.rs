@@ -22,6 +22,7 @@ pub mod event;
 pub mod local_load;
 pub mod metrics;
 pub mod runtime;
+mod server;
 pub mod system;
 pub mod threaded;
 pub mod trace;

@@ -22,6 +22,7 @@ use crate::audit::audit_sites;
 use crate::event::{EventQueue, SimTime};
 use crate::local_load::LocalDriver;
 use crate::metrics::Metrics;
+use crate::server::{Reply, Server};
 use crate::trace::{Trace, TraceRecord};
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
@@ -253,28 +254,6 @@ impl RunReport {
     }
 }
 
-/// What a server does when the engine finishes the current step.
-#[derive(Clone, Copy, Debug)]
-enum Continuation {
-    /// Reply `ServerDone` to GTM1.
-    ReplyDone,
-    /// Write `item = read + delta`, then reply.
-    AddWrite {
-        item: mdbs_common::ids::DataItemId,
-        delta: Value,
-    },
-    /// Write the incremented ticket, then ack.
-    TicketWrite,
-    /// Ack the serialization event to GTM2.
-    AckAfter,
-}
-
-/// A server-side in-flight command whose current engine step blocked.
-#[derive(Clone, Copy, Debug)]
-struct ServerTask {
-    cont: Continuation,
-}
-
 /// Simulation events.
 #[derive(Clone, Debug)]
 enum SimEvent {
@@ -318,8 +297,9 @@ pub struct MdbsSystem {
     queue: EventQueue<SimEvent>,
     gtm1: Gtm1,
     gtm2: Gtm2,
-    sites: Vec<LocalDbms>,
-    server_tasks: BTreeMap<(SiteId, GlobalTxnId), ServerTask>,
+    servers: Vec<Server>,
+    /// The servers' reply buffer, empty between deliveries.
+    replies: Vec<Reply>,
     blocked_epoch: BTreeMap<(SiteId, TxnId), u64>,
     epoch_ctr: u64,
     drivers: Vec<LocalDriver>,
@@ -374,8 +354,8 @@ impl MdbsSystem {
         MdbsSystem {
             gtm1,
             gtm2: Gtm2::new(cfg.scheme.build()),
-            sites,
-            server_tasks: BTreeMap::new(),
+            servers: sites.into_iter().map(Server::new).collect(),
+            replies: Vec::new(),
             blocked_epoch: BTreeMap::new(),
             epoch_ctr: 0,
             drivers: Vec::new(),
@@ -447,19 +427,17 @@ impl MdbsSystem {
         RunReport {
             metrics: self.metrics.clone(),
             registry: self.export_metrics(),
-            audit: audit_sites(&self.sites),
+            audit: audit_sites(self.dbs()),
             gtm1: self.gtm1.stats(),
             gtm2: self.gtm2.stats(),
             gtm2_steps: self.gtm2.steps(),
             ser_s_ok: self.gtm2.ser_log().check().is_ok(),
             site_stats: self
-                .sites
-                .iter()
+                .dbs()
                 .map(|db| (db.site(), db.protocol_kind(), db.stats()))
                 .collect(),
             storage_totals: self
-                .sites
-                .iter()
+                .dbs()
                 .map(|db| {
                     // Exclude the ticket item: its counter is concurrency
                     // control plumbing, not application data.
@@ -473,10 +451,14 @@ impl MdbsSystem {
         }
     }
 
+    fn dbs(&self) -> impl Iterator<Item = &LocalDbms> {
+        self.servers.iter().map(|s| &s.db)
+    }
+
     /// Read access to a site's engine after a run (examples inspect final
     /// storage and histories).
     pub fn site(&self, site: SiteId) -> &LocalDbms {
-        &self.sites[site.index()]
+        &self.servers[site.index()].db
     }
 
     /// Snapshot every component's counters into one metrics [`Registry`]:
@@ -485,7 +467,7 @@ impl MdbsSystem {
         let mut registry = Registry::default();
         self.gtm1.export_metrics(&mut registry);
         self.gtm2.export_metrics(&mut registry);
-        for db in &self.sites {
+        for db in self.dbs() {
             db.export_metrics(&mut registry);
         }
         self.metrics.export_metrics(&mut registry);
@@ -551,7 +533,7 @@ impl MdbsSystem {
         self.down_until.insert(site, until);
         // Volatile state lost: every active, non-prepared transaction dies;
         // completions carry the failures to their owners.
-        self.sites[site.index()].crash();
+        self.servers[site.index()].db.crash();
         self.drain_site(site);
     }
 
@@ -564,7 +546,8 @@ impl MdbsSystem {
                     self.redeliver_at_recovery(site, SimEvent::DeliverServerCmd { txn, site, cmd });
                     return;
                 }
-                self.server_execute(txn, site, cmd)
+                self.servers[site.index()].execute(txn, cmd, &mut self.replies);
+                self.deliver(site);
             }
             SimEvent::DeliverAck { txn, site } => {
                 self.gtm2.set_now(self.queue.now());
@@ -699,210 +682,40 @@ impl MdbsSystem {
         }
     }
 
-    fn reply_gtm1(&mut self, event: Gtm1Event) {
-        let delay = self.cfg.latency.proc + self.cfg.latency.net;
-        self.queue
-            .schedule_in(delay, SimEvent::DeliverGtm1 { event });
-    }
-
-    fn send_ack(&mut self, txn: GlobalTxnId, site: SiteId) {
-        let delay = self.cfg.latency.proc + self.cfg.latency.net;
-        self.queue
-            .schedule_in(delay, SimEvent::DeliverAck { txn, site });
-    }
-
     // ------------------------------------------------------------------
-    // Server execution
+    // Server replies, completion routing and timeouts
     // ------------------------------------------------------------------
 
-    fn server_execute(&mut self, txn: GlobalTxnId, site: SiteId, cmd: ServerCommand) {
-        match cmd {
-            ServerCommand::Begin => {
-                let result = self.sites[site.index()].begin(txn.into());
-                match result {
-                    Ok(()) => self.reply_gtm1(Gtm1Event::ServerDone { txn, site }),
-                    Err(e) => {
-                        let reason = abort_reason(&e);
-                        self.reply_gtm1(Gtm1Event::ServerFailed { txn, site, reason });
-                    }
-                }
-            }
-            ServerCommand::Read(item) => {
-                self.engine_step(txn, site, EngineOp::Read(item), Continuation::ReplyDone);
-            }
-            ServerCommand::Write(item, value) => {
-                self.engine_step(
-                    txn,
-                    site,
-                    EngineOp::Write(item, value),
-                    Continuation::ReplyDone,
-                );
-            }
-            ServerCommand::Add(item, delta) => {
-                self.engine_step(
-                    txn,
-                    site,
-                    EngineOp::Read(item),
-                    Continuation::AddWrite { item, delta },
-                );
-            }
-            ServerCommand::Commit => {
-                self.engine_step(txn, site, EngineOp::Commit, Continuation::ReplyDone);
-            }
-            ServerCommand::Prepare => match self.sites[site.index()].submit_prepare(txn.into()) {
-                Ok(()) => self.reply_gtm1(Gtm1Event::ServerDone { txn, site }),
-                Err(e) => {
-                    let reason = abort_reason(&e);
-                    self.reply_gtm1(Gtm1Event::ServerFailed { txn, site, reason });
-                }
-            },
-            ServerCommand::AbortSubtxn => {
-                // Global decision: may abort even a prepared subtransaction.
-                let _ = self.sites[site.index()].resolve_abort(txn.into());
-                self.drain_site(site);
-            }
-            ServerCommand::SerEvent { event, vacuous } => {
-                if vacuous {
-                    self.send_ack(txn, site);
-                    return;
-                }
-                match event {
-                    SerializationEvent::Begin => match self.sites[site.index()].begin(txn.into()) {
-                        Ok(()) => self.send_ack(txn, site),
-                        Err(e) => {
-                            let reason = abort_reason(&e);
-                            self.reply_gtm1(Gtm1Event::SerEventFailed { txn, site, reason });
-                            self.send_ack(txn, site);
-                        }
-                    },
-                    SerializationEvent::Commit => {
-                        self.engine_step(txn, site, EngineOp::Commit, Continuation::AckAfter);
-                    }
-                    SerializationEvent::Prepare => {
-                        match self.sites[site.index()].submit_prepare(txn.into()) {
-                            Ok(()) => self.send_ack(txn, site),
-                            Err(e) => {
-                                let reason = abort_reason(&e);
-                                self.reply_gtm1(Gtm1Event::SerEventFailed { txn, site, reason });
-                                self.send_ack(txn, site);
-                            }
-                        }
-                    }
-                    SerializationEvent::TicketWrite => {
-                        self.engine_step(
-                            txn,
-                            site,
-                            EngineOp::Read(mdbs_common::ids::DataItemId::TICKET),
-                            Continuation::TicketWrite,
-                        );
-                    }
-                }
-            }
-        }
-        self.drain_site(site);
-    }
-
-    /// Run one engine operation for a global transaction; park a
-    /// [`ServerTask`] if it blocks.
-    fn engine_step(&mut self, txn: GlobalTxnId, site: SiteId, op: EngineOp, cont: Continuation) {
-        let db = &mut self.sites[site.index()];
-        let result = match op {
-            EngineOp::Read(item) => db.submit_read(txn.into(), item),
-            EngineOp::Write(item, value) => db.submit_write(txn.into(), item, value),
-            EngineOp::Commit => db.submit_commit(txn.into()),
-        };
-        match result {
-            Ok(SubmitResult::Done(outcome)) => self.continue_task(txn, site, cont, outcome),
-            Ok(SubmitResult::Blocked) => {
-                self.server_tasks.insert((site, txn), ServerTask { cont });
-                self.arm_timeout(site, txn.into());
-            }
-            Err(e) => self.task_failed(txn, site, cont, &e),
-        }
-    }
-
-    /// A step finished: run the continuation.
-    fn continue_task(
-        &mut self,
-        txn: GlobalTxnId,
-        site: SiteId,
-        cont: Continuation,
-        outcome: OpOutcome,
-    ) {
-        match cont {
-            Continuation::ReplyDone => self.reply_gtm1(Gtm1Event::ServerDone { txn, site }),
-            Continuation::AddWrite { item, delta } => {
-                let OpOutcome::Read(v) = outcome else {
-                    panic!("Add continuation expects a read outcome")
-                };
-                self.engine_step(
-                    txn,
-                    site,
-                    EngineOp::Write(item, v + delta),
-                    Continuation::ReplyDone,
-                );
-            }
-            Continuation::TicketWrite => {
-                let OpOutcome::Read(v) = outcome else {
-                    panic!("ticket continuation expects a read outcome")
-                };
-                self.engine_step(
-                    txn,
-                    site,
-                    EngineOp::Write(mdbs_common::ids::DataItemId::TICKET, v + 1),
-                    Continuation::AckAfter,
-                );
-            }
-            Continuation::AckAfter => self.send_ack(txn, site),
-        }
-    }
-
-    /// A step failed (the local DBMS aborted the subtransaction).
-    fn task_failed(&mut self, txn: GlobalTxnId, site: SiteId, cont: Continuation, e: &MdbsError) {
-        let reason = abort_reason(e);
-        match cont {
-            Continuation::ReplyDone | Continuation::AddWrite { .. } => {
-                self.reply_gtm1(Gtm1Event::ServerFailed { txn, site, reason });
-            }
-            Continuation::AckAfter | Continuation::TicketWrite => {
-                // The serialization event still acknowledges (vacuously) so
-                // GTM2's queues drain; GTM1 learns of the failure
-                // separately.
-                self.reply_gtm1(Gtm1Event::SerEventFailed { txn, site, reason });
-                self.send_ack(txn, site);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Completion routing and timeouts
-    // ------------------------------------------------------------------
-
+    /// Route whatever the site's engine completed since the last drain.
     fn drain_site(&mut self, site: SiteId) {
-        loop {
-            let completions = self.sites[site.index()].take_completions();
-            if completions.is_empty() {
-                return;
-            }
-            for comp in completions {
-                self.blocked_epoch.remove(&(site, comp.txn));
-                match comp.txn {
-                    TxnId::Global(g) => {
-                        let Some(task) = self.server_tasks.remove(&(site, g)) else {
-                            // Completion for an op the server no longer
-                            // tracks (e.g. aborted via request_abort after
-                            // its task already failed) — ignore.
-                            continue;
-                        };
-                        match comp.outcome {
-                            Ok(outcome) => self.continue_task(g, site, task.cont, outcome),
-                            Err(e) => self.task_failed(g, site, task.cont, &e),
-                        }
-                    }
-                    TxnId::Local(l) => self.local_completion(site, l, comp.outcome),
+        self.servers[site.index()].drain(&mut self.replies);
+        self.deliver(site);
+    }
+
+    /// Put a server's replies on the wire (one processing step plus one
+    /// network hop back to the GTM) and keep the timeout epochs current.
+    fn deliver(&mut self, site: SiteId) {
+        let delay = self.cfg.latency.proc + self.cfg.latency.net;
+        let mut replies = std::mem::take(&mut self.replies);
+        for reply in replies.drain(..) {
+            match reply {
+                Reply::Gtm1(event) => self
+                    .queue
+                    .schedule_in(delay, SimEvent::DeliverGtm1 { event }),
+                Reply::Ack(txn) => self
+                    .queue
+                    .schedule_in(delay, SimEvent::DeliverAck { txn, site }),
+                Reply::Blocked(txn) => self.arm_timeout(site, txn.into()),
+                Reply::Unblocked(txn) => {
+                    self.blocked_epoch.remove(&(site, txn.into()));
+                }
+                Reply::LocalCompletion(txn, outcome) => {
+                    self.blocked_epoch.remove(&(site, txn.into()));
+                    self.local_completion(site, txn, outcome);
                 }
             }
         }
+        self.replies = replies;
     }
 
     fn arm_timeout(&mut self, site: SiteId, txn: TxnId) {
@@ -924,7 +737,7 @@ impl MdbsSystem {
         self.record(TraceRecord::Timeout { site });
         // Abort the stalled transaction; the resulting completion routes
         // the failure to its owner (server task or local driver).
-        let _ = self.sites[site.index()].request_abort(txn);
+        let _ = self.servers[site.index()].db.request_abort(txn);
         self.drain_site(site);
     }
 
@@ -950,7 +763,7 @@ impl MdbsSystem {
             d.cursor = 0;
             d.waiting = false;
         }
-        match self.sites[site.index()].begin(txn.into()) {
+        match self.servers[site.index()].db.begin(txn.into()) {
             Ok(()) => {
                 self.queue.schedule_in(
                     self.cfg.latency.local_gap,
@@ -979,29 +792,19 @@ impl MdbsSystem {
         } else {
             Some(d.program.ops[d.cursor])
         };
-        let db = &mut self.sites[site.index()];
+        let db = &mut self.servers[site.index()].db;
         let result = match op {
             None => db.submit_commit(txn.into()),
             Some(LocalOp::Read(item)) => db.submit_read(txn.into(), item),
             Some(LocalOp::Write(item, v)) => db.submit_write(txn.into(), item, v),
         };
         match result {
-            Ok(SubmitResult::Done(OpOutcome::Committed)) => {
-                self.metrics.local_commits += 1;
-                self.drivers[idx].done = true;
-            }
-            Ok(SubmitResult::Done(_)) => {
-                self.drivers[idx].cursor += 1;
-                self.queue.schedule_in(
-                    self.cfg.latency.local_gap,
-                    SimEvent::LocalNext { idx, attempt },
-                );
-            }
+            Ok(SubmitResult::Done(outcome)) => self.local_outcome(idx, Ok(outcome)),
             Ok(SubmitResult::Blocked) => {
                 self.drivers[idx].waiting = true;
                 self.arm_timeout(site, txn.into());
             }
-            Err(_) => self.local_retry(idx),
+            Err(e) => self.local_outcome(idx, Err(e)),
         }
         self.drain_site(site);
     }
@@ -1020,6 +823,12 @@ impl MdbsSystem {
             return;
         };
         self.drivers[idx].waiting = false;
+        self.local_outcome(idx, outcome);
+    }
+
+    /// Driver `idx`'s current operation came back, inline or as a
+    /// completion.
+    fn local_outcome(&mut self, idx: usize, outcome: Result<OpOutcome, MdbsError>) {
         let attempt = self.drivers[idx].attempts;
         match outcome {
             Ok(OpOutcome::Committed) => {
@@ -1049,22 +858,5 @@ impl MdbsSystem {
             + self.rng.gen_range(0..=self.cfg.latency.retry_backoff);
         self.queue
             .schedule_in(backoff, SimEvent::StartLocal { idx });
-    }
-}
-
-/// Engine-facing operation of one server step.
-#[derive(Clone, Copy, Debug)]
-enum EngineOp {
-    Read(mdbs_common::ids::DataItemId),
-    Write(mdbs_common::ids::DataItemId, Value),
-    Commit,
-}
-
-/// Extract an abort reason from an engine error (anything else is treated
-/// as a generic abort — it still means the subtransaction cannot proceed).
-fn abort_reason(e: &MdbsError) -> AbortReason {
-    match e {
-        MdbsError::Aborted { reason, .. } => *reason,
-        _ => AbortReason::UserRequested,
     }
 }

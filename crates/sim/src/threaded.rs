@@ -30,8 +30,8 @@
 //! load); aborted global transactions are not retried — their outcome is
 //! reported as-is.
 
+use crate::server::{Reply, Server};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_common::instrument::{Registry, SharedSink, TracedEvent};
 use mdbs_common::ops::QueueOp;
@@ -40,7 +40,7 @@ use mdbs_core::gtm1::{Gtm1, Gtm1Effect, Gtm1Event, ServerCommand};
 use mdbs_core::scheme::{SchemeEffect, SchemeKind};
 use mdbs_core::sharded::ShardedGtm2;
 use mdbs_core::txn::GlobalTransaction;
-use mdbs_localdb::engine::{EngineStats, LocalDbms, OpOutcome, SubmitResult};
+use mdbs_localdb::engine::{EngineStats, LocalDbms};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
@@ -107,18 +107,11 @@ impl ThreadedRunReport {
     }
 }
 
-/// Continuation state for a blocked engine step inside a site thread.
-#[derive(Clone, Copy, Debug)]
-enum Cont {
-    ReplyDone,
-    AddWrite { item: DataItemId, delta: Value },
-    TicketWrite,
-    AckAfter,
-}
-
 struct SiteWorker {
     site: SiteId,
-    db: LocalDbms,
+    server: Server,
+    /// The server's reply buffer, empty between deliveries.
+    replies: Vec<Reply>,
     rx: Receiver<ToSite>,
     tx: Sender<FromSite>,
     /// The shared GTM2 engine; this worker pumps its own site's shard on
@@ -133,7 +126,8 @@ struct SiteWorker {
     /// hints from this worker's pumps go through these instead of this
     /// worker following the handoff into a foreign shard's lock.
     shard_wakers: Arc<OnceLock<Vec<TaskHandle>>>,
-    pending: BTreeMap<GlobalTxnId, (Cont, Instant)>,
+    /// When each command currently blocked inside the engine blocked.
+    blocked_since: BTreeMap<GlobalTxnId, Instant>,
     block_timeout: Duration,
     /// Sends that failed because the coordinator already hung up. The
     /// count travels back in [`FromSite::Final`] and surfaces as the
@@ -160,8 +154,8 @@ impl SiteWorker {
         loop {
             match self.rx.try_recv() {
                 Ok(ToSite::Command { txn, cmd }) => {
-                    self.execute(txn, cmd);
-                    self.drain();
+                    self.server.execute(txn, cmd, &mut self.replies);
+                    self.deliver();
                 }
                 Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
                     self.finish();
@@ -194,12 +188,11 @@ impl SiteWorker {
 
     /// Ship the final site state to the coordinator at shutdown.
     fn finish(&mut self) {
-        let committed_values: Vec<(DataItemId, Value)> = self.db.storage().iter().collect();
         let msg = FromSite::Final {
             site: self.site,
-            history: self.db.history().clone(),
-            committed_values,
-            stats: self.db.stats(),
+            history: self.server.db.history().clone(),
+            committed_values: self.server.db.storage().iter().collect(),
+            stats: self.server.db.stats(),
             send_dropped: self.send_dropped,
         };
         self.send_counted(msg);
@@ -208,156 +201,38 @@ impl SiteWorker {
     fn expire_blocked(&mut self) {
         let now = Instant::now();
         let expired: Vec<GlobalTxnId> = self
-            .pending
+            .blocked_since
             .iter()
-            .filter(|(_, (_, since))| now.duration_since(*since) > self.block_timeout)
+            .filter(|(_, since)| now.duration_since(**since) > self.block_timeout)
             .map(|(&t, _)| t)
             .collect();
         for txn in expired {
-            let _ = self.db.request_abort(txn.into());
+            let _ = self.server.db.request_abort(txn.into());
         }
-        self.drain();
+        self.server.drain(&mut self.replies);
+        self.deliver();
     }
 
-    fn execute(&mut self, txn: GlobalTxnId, cmd: ServerCommand) {
-        match cmd {
-            ServerCommand::Begin => match self.db.begin(txn.into()) {
-                Ok(()) => self.reply_done(txn),
-                Err(e) => self.reply_failed(txn, &e, false),
-            },
-            ServerCommand::Read(item) => self.step(txn, Step::Read(item), Cont::ReplyDone),
-            ServerCommand::Write(item, v) => self.step(txn, Step::Write(item, v), Cont::ReplyDone),
-            ServerCommand::Add(item, delta) => {
-                self.step(txn, Step::Read(item), Cont::AddWrite { item, delta })
-            }
-            ServerCommand::Commit => self.step(txn, Step::Commit, Cont::ReplyDone),
-            ServerCommand::Prepare => match self.db.submit_prepare(txn.into()) {
-                Ok(()) => self.reply_done(txn),
-                Err(e) => self.reply_failed(txn, &e, false),
-            },
-            ServerCommand::AbortSubtxn => {
-                let _ = self.db.resolve_abort(txn.into());
-            }
-            ServerCommand::SerEvent { event, vacuous } => {
-                if vacuous {
-                    self.send_ack(txn);
-                    return;
+    /// Send the server's replies on their way: GTM1 events over the
+    /// channel, acks into this worker's GTM2 shard, blocked steps onto the
+    /// expiry clock.
+    fn deliver(&mut self) {
+        let mut replies = std::mem::take(&mut self.replies);
+        for reply in replies.drain(..) {
+            match reply {
+                Reply::Gtm1(event) => self.send_counted(FromSite::Gtm1(event)),
+                Reply::Ack(txn) => self.send_ack(txn),
+                Reply::Blocked(txn) => {
+                    self.blocked_since.insert(txn, Instant::now());
                 }
-                match event {
-                    SerializationEvent::Begin => match self.db.begin(txn.into()) {
-                        Ok(()) => self.send_ack(txn),
-                        Err(e) => {
-                            self.reply_failed(txn, &e, true);
-                            self.send_ack(txn);
-                        }
-                    },
-                    SerializationEvent::Commit => self.step(txn, Step::Commit, Cont::AckAfter),
-                    SerializationEvent::Prepare => match self.db.submit_prepare(txn.into()) {
-                        Ok(()) => self.send_ack(txn),
-                        Err(e) => {
-                            self.reply_failed(txn, &e, true);
-                            self.send_ack(txn);
-                        }
-                    },
-                    SerializationEvent::TicketWrite => {
-                        self.step(txn, Step::Read(DataItemId::TICKET), Cont::TicketWrite)
-                    }
+                Reply::Unblocked(txn) => {
+                    self.blocked_since.remove(&txn);
                 }
+                // This runtime runs no local transactions.
+                Reply::LocalCompletion(..) => {}
             }
         }
-    }
-
-    fn step(&mut self, txn: GlobalTxnId, s: Step, cont: Cont) {
-        let result = match s {
-            Step::Read(item) => self.db.submit_read(txn.into(), item),
-            Step::Write(item, v) => self.db.submit_write(txn.into(), item, v),
-            Step::Commit => self.db.submit_commit(txn.into()),
-        };
-        match result {
-            Ok(SubmitResult::Done(outcome)) => self.continue_with(txn, cont, outcome),
-            Ok(SubmitResult::Blocked) => {
-                self.pending.insert(txn, (cont, Instant::now()));
-            }
-            Err(e) => self.step_failed(txn, cont, &e),
-        }
-    }
-
-    fn continue_with(&mut self, txn: GlobalTxnId, cont: Cont, outcome: OpOutcome) {
-        match cont {
-            Cont::ReplyDone => self.reply_done(txn),
-            Cont::AddWrite { item, delta } => {
-                let OpOutcome::Read(v) = outcome else {
-                    unreachable!("Add continuation expects a read")
-                };
-                self.step(txn, Step::Write(item, v + delta), Cont::ReplyDone);
-            }
-            Cont::TicketWrite => {
-                let OpOutcome::Read(v) = outcome else {
-                    unreachable!("ticket continuation expects a read")
-                };
-                self.step(txn, Step::Write(DataItemId::TICKET, v + 1), Cont::AckAfter);
-            }
-            Cont::AckAfter => self.send_ack(txn),
-        }
-    }
-
-    fn step_failed(&mut self, txn: GlobalTxnId, cont: Cont, e: &MdbsError) {
-        match cont {
-            Cont::ReplyDone | Cont::AddWrite { .. } => self.reply_failed(txn, e, false),
-            Cont::AckAfter | Cont::TicketWrite => {
-                self.reply_failed(txn, e, true);
-                self.send_ack(txn);
-            }
-        }
-    }
-
-    fn drain(&mut self) {
-        loop {
-            let completions = self.db.take_completions();
-            if completions.is_empty() {
-                return;
-            }
-            for comp in completions {
-                let Some(g) = comp.txn.as_global() else {
-                    continue;
-                };
-                let Some((cont, _)) = self.pending.remove(&g) else {
-                    continue;
-                };
-                match comp.outcome {
-                    Ok(outcome) => self.continue_with(g, cont, outcome),
-                    Err(e) => self.step_failed(g, cont, &e),
-                }
-            }
-        }
-    }
-
-    fn reply_done(&mut self, txn: GlobalTxnId) {
-        self.send_counted(FromSite::Gtm1(Gtm1Event::ServerDone {
-            txn,
-            site: self.site,
-        }));
-    }
-
-    fn reply_failed(&mut self, txn: GlobalTxnId, e: &MdbsError, ser: bool) {
-        let reason = match e {
-            MdbsError::Aborted { reason, .. } => *reason,
-            _ => AbortReason::UserRequested,
-        };
-        let event = if ser {
-            Gtm1Event::SerEventFailed {
-                txn,
-                site: self.site,
-                reason,
-            }
-        } else {
-            Gtm1Event::ServerFailed {
-                txn,
-                site: self.site,
-                reason,
-            }
-        };
-        self.send_counted(FromSite::Gtm1(event));
+        self.replies = replies;
     }
 
     /// Feed `ack(ser_site(txn))` straight into this worker's GTM2 shard
@@ -390,12 +265,6 @@ fn gtm2_effect_event(fx: SchemeEffect) -> Gtm1Event {
             unreachable!("gtm2 protocol violation: {kind} ({txn}, {site:?})")
         }
     }
-}
-
-enum Step {
-    Read(DataItemId),
-    Write(DataItemId, Value),
-    Commit,
 }
 
 /// The threaded MDBS runtime.
@@ -502,13 +371,14 @@ impl ThreadedMdbs {
             site_txs.push(tx);
             let mut worker = SiteWorker {
                 site: SiteId(i as u32),
-                db: LocalDbms::new(SiteId(i as u32), protocol),
+                server: Server::new(LocalDbms::new(SiteId(i as u32), protocol)),
+                replies: Vec::new(),
                 rx,
                 tx: to_coord.clone(),
                 gtm2: Arc::clone(&gtm2),
                 owned_shards: (0..nshards).filter(|j| j % nsites == i).collect(),
                 shard_wakers: Arc::clone(&shard_wakers),
-                pending: BTreeMap::new(),
+                blocked_since: BTreeMap::new(),
                 block_timeout: self.block_timeout,
                 send_dropped: 0,
             };

@@ -39,16 +39,14 @@ fn main() {
             scheme,
             6,
         );
-        let start = std::time::Instant::now();
         let report = runtime.run(programs.clone());
         println!(
-            "{:<9}  commits={:>3} aborts={:>3}  serializable={}  ser(S)={}  wall={:?}",
+            "{:<9}  commits={:>3} aborts={:>3}  serializable={}  ser(S)={}",
             scheme.name(),
             report.commits,
             report.aborts,
             report.is_serializable(),
             report.ser_s_ok,
-            start.elapsed(),
         );
         assert!(report.is_serializable());
     }
