@@ -386,74 +386,11 @@ pub struct GraphAnalysis {
     pub graphs: Graphs,
 }
 
-/// Run the graph-level analyses over all extracted file facts.
+/// Run the graph-level analyses over all extracted file facts: the
+/// global prep (call graph, transitive summaries, pump-reachability),
+/// then the per-function CFG passes in file order, then the whole-graph
+/// passes.
 pub fn analyze_graph(files: &[&FileFacts]) -> GraphAnalysis {
-    analyze_graph_incremental(files, None)
-}
-
-/// The per-function results the expensive CFG passes produce — the unit
-/// of caching for the dirty-region re-solve. Replayable verbatim when
-/// the function's dependency digest is unchanged.
-#[derive(Clone, Debug, Default)]
-pub struct FnGraphResult {
-    /// Lock-pass violations (`no-lock-across-send`,
-    /// `guard-across-suspend`, `double-lock-path`).
-    pub violations: Vec<Violation>,
-    /// Lock-order edges in first-attempt order, deduplicated per
-    /// function; the driver keeps the globally-first edge per
-    /// `(from, to)` pair, matching the full-run semantics.
-    pub edges: Vec<LockEdge>,
-    /// Lost-wakeup violations (empty when not pump-reachable).
-    pub lost: Vec<Violation>,
-}
-
-/// Cross-run state for the dirty-region re-solve: the previous run's
-/// per-function results, the fresh ones being assembled, the per-file
-/// content fingerprints feeding the dependency digests, and hit/miss
-/// counters for the report.
-pub struct GraphCacheCtx {
-    /// Previous run's results, keyed by dependency digest.
-    pub old: crate::cache::GraphCacheMap,
-    /// This run's results (persisted afterwards; entries for deleted
-    /// functions are pruned by construction).
-    pub fresh: crate::cache::GraphCacheMap,
-    /// Workspace-relative path -> content fingerprint.
-    pub fps: BTreeMap<String, u64>,
-    /// Functions whose stored result was replayed.
-    pub hits: usize,
-    /// Functions recomputed from scratch.
-    pub misses: usize,
-}
-
-impl GraphCacheCtx {
-    /// Fresh context seeded with a prior run's graph results.
-    pub fn new(old: crate::cache::GraphCacheMap, fps: BTreeMap<String, u64>) -> Self {
-        GraphCacheCtx {
-            old,
-            fresh: crate::cache::GraphCacheMap::new(),
-            fps,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-/// Run the graph-level analyses with an optional per-function result
-/// cache. The global prep (call graph, transitive summaries,
-/// pump-reachability) is recomputed every run — it is cheap and global
-/// by nature; the expensive per-function CFG passes (`lock_pass`,
-/// `lost-wakeup`) replay cached results for every function whose
-/// dependency digest is unchanged. The digest covers exactly what those
-/// passes read: the function's own body (via its file's content
-/// fingerprint + ordinal), and each resolved callee's observable
-/// summary (qual, transitive locks/channel/suspend, same-type flag,
-/// acquire list) — so an edit dirties precisely the functions whose
-/// *observed* facts changed, i.e. the call-graph region the edit
-/// reaches.
-pub fn analyze_graph_incremental(
-    files: &[&FileFacts],
-    mut cache: Option<&mut GraphCacheCtx>,
-) -> GraphAnalysis {
     let db = Db::build(files);
     let adj = db.call_edges();
     let trans_locks = db.transitive_locks(&adj);
@@ -470,55 +407,23 @@ pub fn analyze_graph_incremental(
         }
     }
     let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-    let mut lost_acc: Vec<Violation> = Vec::new();
-    let obs = if cache.is_some() {
-        db.observables(&trans_locks, &trans_chan, &trans_suspend)
-    } else {
-        Vec::new()
-    };
-    for (i, adj_i) in adj.iter().enumerate() {
-        let entry = reachable.get(&i).map(|(e, _)| e.clone());
-        let key = cache
-            .as_ref()
-            .map(|c| db.digest_fn(i, &c.fps, &obs, adj_i, entry.as_deref()));
-        let mut replayed: Option<FnGraphResult> = None;
-        if let (Some(c), Some(k)) = (cache.as_deref_mut(), &key) {
-            if let Some(r) = c.old.remove(k) {
-                c.hits += 1;
-                replayed = Some(r);
-            } else {
-                c.misses += 1;
+    let mut lost: Vec<Violation> = Vec::new();
+    for (i, f) in db.fns.iter().enumerate() {
+        db.lock_pass_one(
+            i,
+            &trans_locks,
+            &trans_chan,
+            &trans_suspend,
+            &mut violations,
+            &mut edges,
+        );
+        if let Some((entry, _)) = reachable.get(&i) {
+            if f.steps.iter().any(is_register_step) {
+                db.lost_wakeup_one(i, entry, &mut lost);
             }
-        }
-        let result = match replayed {
-            Some(r) => r,
-            None => {
-                let (v, e) = db.lock_pass_one(i, &trans_locks, &trans_chan, &trans_suspend);
-                let lost = match &entry {
-                    Some(en) if db.fns[i].steps.iter().any(is_register_step) => {
-                        db.lost_wakeup_one(i, en)
-                    }
-                    _ => Vec::new(),
-                };
-                FnGraphResult {
-                    violations: v,
-                    edges: e,
-                    lost,
-                }
-            }
-        };
-        violations.extend(result.violations.iter().cloned());
-        lost_acc.extend(result.lost.iter().cloned());
-        for e in &result.edges {
-            edges
-                .entry((e.from.clone(), e.to.clone()))
-                .or_insert_with(|| e.clone());
-        }
-        if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-            c.fresh.insert(k, result);
         }
     }
-    violations.extend(lost_acc);
+    violations.extend(lost);
     let lock_nodes: Vec<String> = nodes.into_iter().collect();
     let lock_edges: Vec<LockEdge> = edges.into_values().collect();
     let lock_cycles = cycle_pass(&lock_nodes, &lock_edges, &mut violations);
@@ -546,10 +451,6 @@ struct Db<'a> {
     fns: Vec<&'a FnFact>,
     quals: Vec<String>,
     rank: Vec<u32>,
-    /// Ordinal of each function within its defining file — part of the
-    /// cache key digest, so two same-qual functions in one file never
-    /// share an entry.
-    ord_in_file: Vec<u32>,
     by_name: BTreeMap<&'a str, Vec<usize>>,
     structs: BTreeMap<&'a str, &'a StructFact>,
 }
@@ -557,13 +458,9 @@ struct Db<'a> {
 impl<'a> Db<'a> {
     fn build(files: &[&'a FileFacts]) -> Self {
         let mut fns = Vec::new();
-        let mut ord_in_file = Vec::new();
         let mut structs: BTreeMap<&str, &StructFact> = BTreeMap::new();
         for file in files {
-            for (ord, f) in file.fns.iter().enumerate() {
-                fns.push(f);
-                ord_in_file.push(ord as u32);
-            }
+            fns.extend(file.fns.iter());
             for s in &file.structs {
                 structs.entry(s.name.as_str()).or_insert(s);
             }
@@ -578,118 +475,9 @@ impl<'a> Db<'a> {
             fns,
             quals,
             rank,
-            ord_in_file,
             by_name,
             structs,
         }
-    }
-
-    /// The dependency digest deciding whether a cached per-function
-    /// result is replayable. It folds in everything
-    /// [`Db::lock_pass_one`] / [`Db::lost_wakeup_one`] can observe:
-    ///
-    /// * the function's own body — via its file's content fingerprint
-    ///   plus its ordinal in the file (distinguishing same-qual twins);
-    /// * its pump-reachability entry point (message text + whether the
-    ///   lost-wakeup pass runs at all);
-    /// * for every `Call` step, each resolved callee's observables:
-    ///   qual (violation messages embed it), transitive lock set,
-    ///   channel-op and may-suspend summaries, the same-self-type flag
-    ///   (depth-1 re-entry), and its direct acquire list.
-    ///
-    /// A change anywhere in a callee that alters any of these flips the
-    /// digest of every (transitive) caller that can observe it — the
-    /// dirty region is exactly the affected call-graph cone, while
-    /// callers whose observed summaries are unchanged keep their hits.
-    #[allow(clippy::too_many_arguments)]
-    /// One hash per function summarizing everything a *caller's*
-    /// analysis can observe about it: qualified name, transitive
-    /// lock/channel/suspend summaries, `self` type and own acquire
-    /// sites. Computed once per run so [`Db::digest_fn`] folds a single
-    /// u64 per resolved callee instead of re-hashing lock sets.
-    fn observables(
-        &self,
-        trans_locks: &[BTreeSet<String>],
-        trans_chan: &[bool],
-        trans_suspend: &[bool],
-    ) -> Vec<u64> {
-        (0..self.fns.len())
-            .map(|j| {
-                let mut h = crate::cache::Fnv::new();
-                h.str(&self.quals[j]);
-                let locks = &trans_locks[j];
-                h.u32(locks.len() as u32);
-                for l in locks {
-                    h.str(l);
-                }
-                h.bool(trans_chan[j]);
-                h.bool(trans_suspend[j]);
-                match self.fns[j].self_type.as_deref() {
-                    Some(t) => {
-                        h.u8(1);
-                        h.str(t);
-                    }
-                    None => h.u8(0),
-                }
-                for step in &self.fns[j].steps {
-                    if let Step::Acquire { lock, .. } = step {
-                        h.str(lock);
-                    }
-                }
-                h.u8(0xFE); // acquire-list terminator
-                h.finish()
-            })
-            .collect()
-    }
-
-    /// Dependency digest of function `i`: covers its own body (file
-    /// fingerprint + ordinal), its entry-point classification, its own
-    /// `self` type and every resolved callee's observable summary —
-    /// exactly the inputs `lock_pass_one`/`lost_wakeup_one` read, so an
-    /// equal digest guarantees a byte-identical result. (Hashing both
-    /// sides' `self` types is a sound over-approximation of the
-    /// same-self-type comparison the pass performs; hashing the
-    /// *deduplicated* adjacency rather than per-site resolution is too —
-    /// a callee's per-site contribution is its observable summary, which
-    /// is identical at every site, and the sites themselves are covered
-    /// by the file fingerprint.)
-    fn digest_fn(
-        &self,
-        i: usize,
-        fps: &BTreeMap<String, u64>,
-        obs: &[u64],
-        adj_i: &[CallEdge],
-        entry: Option<&str>,
-    ) -> u64 {
-        let f = self.fns[i];
-        let mut h = crate::cache::Fnv::new();
-        h.u64(fps.get(&f.file).copied().unwrap_or(0));
-        // The defining *path* too, not just the content fingerprint:
-        // violations embed it, and two identical-content files share a
-        // fingerprint. With path + ordinal + qual folded in, the digest
-        // identifies the function, so it serves as the whole cache key.
-        h.str(&f.file);
-        h.u32(self.ord_in_file[i]);
-        h.str(&self.quals[i]);
-        match entry {
-            Some(e) => {
-                h.u8(1);
-                h.str(e);
-            }
-            None => h.u8(0),
-        }
-        match f.self_type.as_deref() {
-            Some(t) => {
-                h.u8(1);
-                h.str(t);
-            }
-            None => h.u8(0),
-        }
-        h.u32(adj_i.len() as u32);
-        for e in adj_i {
-            h.u64(obs[e.callee]);
-        }
-        h.finish()
     }
 
     /// Functions named `name` implemented on / for the type or trait
@@ -906,142 +694,199 @@ impl<'a> Db<'a> {
     /// re-walk every block from its fixpoint in-state to emit lock-order
     /// edges and the `no-lock-across-send` / `guard-across-suspend` /
     /// `double-lock-path` violations. May-join means a guard dropped on
-    /// only one branch is still live after the merge. Pure in the
-    /// function's own facts plus its resolved callees' summaries —
-    /// exactly what [`Db::digest_fn`] fingerprints — so the result is
-    /// replayable from the graph cache.
+    /// only one branch is still live after the merge. The first edge seen
+    /// per `(from, to)` pair — in function order, then walk order — is
+    /// the one `edges` keeps.
     fn lock_pass_one(
         &self,
         i: usize,
         trans_locks: &[BTreeSet<String>],
         trans_chan: &[bool],
         trans_suspend: &[bool],
-    ) -> (Vec<Violation>, Vec<LockEdge>) {
-        let mut out: Vec<Violation> = Vec::new();
-        // First-attempt order with per-pair dedup: the driver's global
-        // `or_insert` merge then reproduces the full-run "first edge
-        // wins" semantics across functions.
-        let mut edges: Vec<LockEdge> = Vec::new();
-        let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-        let add_edge =
-            |edges: &mut Vec<LockEdge>, seen: &mut BTreeSet<(String, String)>, e: LockEdge| {
-                if seen.insert((e.from.clone(), e.to.clone())) {
-                    edges.push(e);
-                }
-            };
-        {
-            let f = self.fns[i];
-            // One dataflow fact per acquire site in this function.
-            let acquires: Vec<usize> = f
-                .steps
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s, Step::Acquire { .. }))
-                .map(|(idx, _)| idx)
-                .collect();
-            if acquires.is_empty() {
-                return (out, edges);
+        out: &mut Vec<Violation>,
+        edges: &mut BTreeMap<(String, String), LockEdge>,
+    ) {
+        let f = self.fns[i];
+        // One dataflow fact per acquire site in this function.
+        let acquires: Vec<usize> = f
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(s, Step::Acquire { .. }))
+            .map(|(idx, _)| idx)
+            .collect();
+        if acquires.is_empty() {
+            return;
+        }
+        let nfacts = acquires.len();
+        let acq_fields = |si: usize| -> (&str, &str, u32) {
+            match &f.steps[si] {
+                Step::Acquire {
+                    lock,
+                    binding,
+                    line,
+                    ..
+                } => (lock.as_str(), binding.as_str(), *line),
+                _ => unreachable!("acquires holds Acquire indices only"),
             }
-            let nfacts = acquires.len();
-            let acq_fields = |si: usize| -> (&str, &str, u32) {
-                match &f.steps[si] {
+        };
+        let apply = |state: &mut BitSet, step_idx: usize| match &f.steps[step_idx] {
+            Step::Acquire { .. } => {
+                let bit = acquires
+                    .iter()
+                    .position(|&si| si == step_idx)
+                    .expect("every Acquire step is an acquire site");
+                state.set(bit);
+            }
+            Step::Release { binding } => {
+                for (bit, &si) in acquires.iter().enumerate() {
+                    if acq_fields(si).1 == binding {
+                        state.clear(bit);
+                    }
+                }
+            }
+            _ => {}
+        };
+        let cfg = Cfg::build(f);
+        let ins = solve(
+            cfg.blocks.len(),
+            &cfg.succs,
+            cfg.entry,
+            nfacts,
+            Merge::May,
+            &BitSet::empty(nfacts),
+            &mut |b, state| {
+                for &step_idx in &cfg.blocks[b] {
+                    apply(state, step_idx);
+                }
+            },
+        );
+        // Innermost live guard: the latest acquire site still live.
+        let innermost =
+            |state: &BitSet| -> Option<usize> { state.iter_ones().map(|bit| acquires[bit]).max() };
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            let mut state = ins[b].clone();
+            for &step_idx in block {
+                match &f.steps[step_idx] {
                     Step::Acquire {
-                        lock,
-                        binding,
-                        line,
-                        ..
-                    } => (lock.as_str(), binding.as_str(), *line),
-                    _ => unreachable!("acquires holds Acquire indices only"),
-                }
-            };
-            let apply = |state: &mut BitSet, step_idx: usize| match &f.steps[step_idx] {
-                Step::Acquire { .. } => {
-                    let bit = acquires
-                        .iter()
-                        .position(|&si| si == step_idx)
-                        .expect("every Acquire step is an acquire site");
-                    state.set(bit);
-                }
-                Step::Release { binding } => {
-                    for (bit, &si) in acquires.iter().enumerate() {
-                        if acq_fields(si).1 == binding {
-                            state.clear(bit);
+                        lock, line, col, ..
+                    } => {
+                        if let Some(held_bit) = state
+                            .iter_ones()
+                            .find(|&bit| acq_fields(acquires[bit]).0 == lock)
+                        {
+                            let (_, hbind, hline) = acq_fields(acquires[held_bit]);
+                            out.push(Violation {
+                                rule: DOUBLE_LOCK_PATH,
+                                file: f.file.clone(),
+                                line: *line,
+                                col: *col,
+                                message: format!(
+                                    "lock `{lock}` re-acquired while guard `{}` (bound line \
+                                     {hline}) still holds it on some path — self-deadlock \
+                                     on a non-reentrant mutex",
+                                    guard_label(hbind, lock)
+                                ),
+                            });
                         }
-                    }
-                }
-                _ => {}
-            };
-            let cfg = Cfg::build(f);
-            let ins = solve(
-                cfg.blocks.len(),
-                &cfg.succs,
-                cfg.entry,
-                nfacts,
-                Merge::May,
-                &BitSet::empty(nfacts),
-                &mut |b, state| {
-                    for &step_idx in &cfg.blocks[b] {
-                        apply(state, step_idx);
-                    }
-                },
-            );
-            // Innermost live guard: the latest acquire site still live.
-            let innermost = |state: &BitSet| -> Option<usize> {
-                state.iter_ones().map(|bit| acquires[bit]).max()
-            };
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                let mut state = ins[b].clone();
-                for &step_idx in block {
-                    match &f.steps[step_idx] {
-                        Step::Acquire {
-                            lock, line, col, ..
-                        } => {
-                            if let Some(held_bit) = state
-                                .iter_ones()
-                                .find(|&bit| acq_fields(acquires[bit]).0 == lock)
-                            {
-                                let (_, hbind, hline) = acq_fields(acquires[held_bit]);
-                                out.push(Violation {
-                                    rule: DOUBLE_LOCK_PATH,
+                        for bit in state.iter_ones() {
+                            let held = acq_fields(acquires[bit]).0;
+                            // Same-lock re-acquisition is double-lock-path's
+                            // finding; a self-edge here would re-report it
+                            // as a one-node lock-order cycle.
+                            if held == lock {
+                                continue;
+                            }
+                            add_edge(
+                                edges,
+                                LockEdge {
+                                    from: held.to_string(),
+                                    to: lock.clone(),
                                     file: f.file.clone(),
                                     line: *line,
-                                    col: *col,
-                                    message: format!(
-                                        "lock `{lock}` re-acquired while guard `{}` (bound line \
-                                         {hline}) still holds it on some path — self-deadlock \
-                                         on a non-reentrant mutex",
-                                        guard_label(hbind, lock)
-                                    ),
-                                });
-                            }
-                            for bit in state.iter_ones() {
-                                let held = acq_fields(acquires[bit]).0;
-                                // Same-lock re-acquisition is double-lock-path's
-                                // finding; a self-edge here would re-report it
-                                // as a one-node lock-order cycle.
-                                if held == lock {
-                                    continue;
+                                    via: None,
+                                },
+                            );
+                        }
+                    }
+                    Step::Send {
+                        method, line, col, ..
+                    }
+                    | Step::Recv {
+                        method, line, col, ..
+                    } => {
+                        if let Some(si) = innermost(&state) {
+                            let (lock, binding, gline) = acq_fields(si);
+                            out.push(Violation {
+                                rule: NO_LOCK_ACROSS_SEND,
+                                file: f.file.clone(),
+                                line: *line,
+                                col: *col,
+                                message: format!(
+                                    "`.{method}()` while lock guard `{}` (bound line {gline}) \
+                                     is live — a blocked channel with a held lock deadlocks \
+                                     the site pump; drop the guard first",
+                                    guard_label(binding, lock)
+                                ),
+                            });
+                        }
+                    }
+                    step @ (Step::Suspend { .. } | Step::Blocking { .. }) => {
+                        // Channel suspensions (recv_timeout) are
+                        // no-lock-across-send's Recv case, not ours.
+                        if !is_suspension(step) {
+                            // Non-park Blocking: blocking-in-pump's.
+                        } else if let Some(si) = innermost(&state) {
+                            let (lock, binding, gline) = acq_fields(si);
+                            let (what, line, col) = match step {
+                                Step::Suspend { what, line, col } => (what, *line, *col),
+                                Step::Blocking { what, line, col } => (what, *line, *col),
+                                _ => unreachable!(),
+                            };
+                            out.push(Violation {
+                                rule: GUARD_ACROSS_SUSPEND,
+                                file: f.file.clone(),
+                                line,
+                                col,
+                                message: format!(
+                                    "suspension point `{what}` while lock guard `{}` (bound \
+                                     line {gline}) is live on some path — a suspended task \
+                                     holding a lock starves every task that needs it; drop \
+                                     the guard before suspending",
+                                    guard_label(binding, lock)
+                                ),
+                            });
+                        }
+                    }
+                    Step::Call { target, line, col } => {
+                        if !state.any() {
+                            continue;
+                        }
+                        for callee in self.resolve(i, target) {
+                            // Interprocedural lock-order edges;
+                            // same-name edges are dropped because the
+                            // name heuristic cannot distinguish two
+                            // `lock` fields of different objects from
+                            // a genuine re-entry.
+                            for inner in &trans_locks[callee] {
+                                for bit in state.iter_ones() {
+                                    let held = acq_fields(acquires[bit]).0;
+                                    if held != inner {
+                                        add_edge(
+                                            edges,
+                                            LockEdge {
+                                                from: held.to_string(),
+                                                to: inner.clone(),
+                                                file: f.file.clone(),
+                                                line: *line,
+                                                via: Some(self.quals[callee].clone()),
+                                            },
+                                        );
+                                    }
                                 }
-                                add_edge(
-                                    &mut edges,
-                                    &mut seen,
-                                    LockEdge {
-                                        from: held.to_string(),
-                                        to: lock.clone(),
-                                        file: f.file.clone(),
-                                        line: *line,
-                                        via: None,
-                                    },
-                                );
                             }
-                        }
-                        Step::Send {
-                            method, line, col, ..
-                        }
-                        | Step::Recv {
-                            method, line, col, ..
-                        } => {
-                            if let Some(si) = innermost(&state) {
+                            if trans_chan[callee] {
+                                let si = innermost(&state).expect("state non-empty");
                                 let (lock, binding, gline) = acq_fields(si);
                                 out.push(Violation {
                                     rule: NO_LOCK_ACROSS_SEND,
@@ -1049,159 +894,85 @@ impl<'a> Db<'a> {
                                     line: *line,
                                     col: *col,
                                     message: format!(
-                                        "`.{method}()` while lock guard `{}` (bound line {gline}) \
-                                         is live — a blocked channel with a held lock deadlocks \
-                                         the site pump; drop the guard first",
+                                        "call to `{}` performs channel operations while lock \
+                                         guard `{}` (bound line {gline}) is live — drop the \
+                                         guard before calling",
+                                        self.quals[callee],
                                         guard_label(binding, lock)
                                     ),
                                 });
-                            }
-                        }
-                        step @ (Step::Suspend { .. } | Step::Blocking { .. }) => {
-                            // Channel suspensions (recv_timeout) are
-                            // no-lock-across-send's Recv case, not ours.
-                            if !is_suspension(step) {
-                                // Non-park Blocking: blocking-in-pump's.
-                            } else if let Some(si) = innermost(&state) {
+                            } else if trans_suspend[callee] && confidently_typed(target) {
+                                // May-suspend summaries only travel
+                                // through calls whose target is typed
+                                // (or a rank-filtered free fn) — a
+                                // complex-receiver name fallback that
+                                // happens to share a name with a
+                                // spinning method is not evidence the
+                                // guard crosses a suspension.
+                                let si = innermost(&state).expect("state non-empty");
                                 let (lock, binding, gline) = acq_fields(si);
-                                let (what, line, col) = match step {
-                                    Step::Suspend { what, line, col } => (what, *line, *col),
-                                    Step::Blocking { what, line, col } => (what, *line, *col),
-                                    _ => unreachable!(),
-                                };
                                 out.push(Violation {
                                     rule: GUARD_ACROSS_SUSPEND,
                                     file: f.file.clone(),
-                                    line,
-                                    col,
+                                    line: *line,
+                                    col: *col,
                                     message: format!(
-                                        "suspension point `{what}` while lock guard `{}` (bound \
-                                         line {gline}) is live on some path — a suspended task \
-                                         holding a lock starves every task that needs it; drop \
-                                         the guard before suspending",
+                                        "call to `{}` may suspend while lock guard `{}` \
+                                         (bound line {gline}) is live — drop the guard \
+                                         before calling",
+                                        self.quals[callee],
                                         guard_label(binding, lock)
                                     ),
                                 });
                             }
-                        }
-                        Step::Call { target, line, col } => {
-                            if !state.any() {
+                            // Depth-1 interprocedural re-entry: a
+                            // method on the *same type* directly
+                            // re-acquiring a lock we hold. Typed
+                            // receivers only — name fallback is too
+                            // weak to claim same-object re-entry.
+                            let same_object = matches!(
+                                target,
+                                CallTarget::Method {
+                                    base: Base::SelfOnly | Base::SelfField(_),
+                                    ..
+                                }
+                            ) && self.fns[callee].self_type
+                                == self.fns[i].self_type;
+                            if !same_object {
                                 continue;
                             }
-                            for callee in self.resolve(i, target) {
-                                // Interprocedural lock-order edges;
-                                // same-name edges are dropped because the
-                                // name heuristic cannot distinguish two
-                                // `lock` fields of different objects from
-                                // a genuine re-entry.
-                                for inner in &trans_locks[callee] {
-                                    for bit in state.iter_ones() {
-                                        let held = acq_fields(acquires[bit]).0;
-                                        if held != inner {
-                                            add_edge(
-                                                &mut edges,
-                                                &mut seen,
-                                                LockEdge {
-                                                    from: held.to_string(),
-                                                    to: inner.clone(),
-                                                    file: f.file.clone(),
-                                                    line: *line,
-                                                    via: Some(self.quals[callee].clone()),
-                                                },
-                                            );
-                                        }
-                                    }
-                                }
-                                if trans_chan[callee] {
-                                    let si = innermost(&state).expect("state non-empty");
-                                    let (lock, binding, gline) = acq_fields(si);
-                                    out.push(Violation {
-                                        rule: NO_LOCK_ACROSS_SEND,
-                                        file: f.file.clone(),
-                                        line: *line,
-                                        col: *col,
-                                        message: format!(
-                                            "call to `{}` performs channel operations while lock \
-                                             guard `{}` (bound line {gline}) is live — drop the \
-                                             guard before calling",
-                                            self.quals[callee],
-                                            guard_label(binding, lock)
-                                        ),
-                                    });
-                                } else if trans_suspend[callee] && confidently_typed(target) {
-                                    // May-suspend summaries only travel
-                                    // through calls whose target is typed
-                                    // (or a rank-filtered free fn) — a
-                                    // complex-receiver name fallback that
-                                    // happens to share a name with a
-                                    // spinning method is not evidence the
-                                    // guard crosses a suspension.
-                                    let si = innermost(&state).expect("state non-empty");
-                                    let (lock, binding, gline) = acq_fields(si);
-                                    out.push(Violation {
-                                        rule: GUARD_ACROSS_SUSPEND,
-                                        file: f.file.clone(),
-                                        line: *line,
-                                        col: *col,
-                                        message: format!(
-                                            "call to `{}` may suspend while lock guard `{}` \
-                                             (bound line {gline}) is live — drop the guard \
-                                             before calling",
-                                            self.quals[callee],
-                                            guard_label(binding, lock)
-                                        ),
-                                    });
-                                }
-                                // Depth-1 interprocedural re-entry: a
-                                // method on the *same type* directly
-                                // re-acquiring a lock we hold. Typed
-                                // receivers only — name fallback is too
-                                // weak to claim same-object re-entry.
-                                let same_object = matches!(
-                                    target,
-                                    CallTarget::Method {
-                                        base: Base::SelfOnly | Base::SelfField(_),
-                                        ..
-                                    }
-                                ) && self.fns[callee].self_type
-                                    == self.fns[i].self_type;
-                                if !same_object {
+                            for cstep in &self.fns[callee].steps {
+                                let Step::Acquire { lock: clock, .. } = cstep else {
                                     continue;
-                                }
-                                for cstep in &self.fns[callee].steps {
-                                    let Step::Acquire { lock: clock, .. } = cstep else {
-                                        continue;
-                                    };
-                                    if let Some(bit) = state
-                                        .iter_ones()
-                                        .find(|&bit| acq_fields(acquires[bit]).0 == clock)
-                                    {
-                                        let (_, hbind, hline) = acq_fields(acquires[bit]);
-                                        out.push(Violation {
-                                            rule: DOUBLE_LOCK_PATH,
-                                            file: f.file.clone(),
-                                            line: *line,
-                                            col: *col,
-                                            message: format!(
-                                                "call to `{}` re-acquires lock `{clock}` while \
-                                                 guard `{}` (bound line {hline}) still holds it \
-                                                 — self-deadlock on a non-reentrant mutex",
-                                                self.quals[callee],
-                                                guard_label(hbind, clock)
-                                            ),
-                                        });
-                                        break;
-                                    }
+                                };
+                                if let Some(bit) = state
+                                    .iter_ones()
+                                    .find(|&bit| acq_fields(acquires[bit]).0 == clock)
+                                {
+                                    let (_, hbind, hline) = acq_fields(acquires[bit]);
+                                    out.push(Violation {
+                                        rule: DOUBLE_LOCK_PATH,
+                                        file: f.file.clone(),
+                                        line: *line,
+                                        col: *col,
+                                        message: format!(
+                                            "call to `{}` re-acquires lock `{clock}` while \
+                                             guard `{}` (bound line {hline}) still holds it \
+                                             — self-deadlock on a non-reentrant mutex",
+                                            self.quals[callee],
+                                            guard_label(hbind, clock)
+                                        ),
+                                    });
+                                    break;
                                 }
                             }
                         }
-                        Step::Release { .. } => {}
                     }
-                    apply(&mut state, step_idx);
+                    Step::Release { .. } => {}
                 }
+                apply(&mut state, step_idx);
             }
         }
-        (out, edges)
     }
 
     /// Build the channel topology and flag channels with senders but no
@@ -1428,10 +1199,9 @@ impl<'a> Db<'a> {
     /// driver calls this only for functions reachable from
     /// [`PUMP_ENTRY_POINTS`] (`entry` is the reaching entry point) that
     /// register a waker; only suspension points inside loops flag.
-    fn lost_wakeup_one(&self, i: usize, entry: &str) -> Vec<Violation> {
+    fn lost_wakeup_one(&self, i: usize, entry: &str, out: &mut Vec<Violation>) {
         const C: usize = 0; // a state check has happened
         const S: usize = 1; // that check is stale (register came after)
-        let mut out = Vec::new();
         let f = self.fns[i];
         let cfg = Cfg::build(f);
         let apply = |state: &mut BitSet, step: &Step| {
@@ -1477,7 +1247,6 @@ impl<'a> Db<'a> {
                 apply(&mut state, step);
             }
         }
-        out
     }
 
     /// Per-function CFG exports for the pump entry points.
@@ -1557,6 +1326,11 @@ fn suspension_site(step: &Step) -> (String, u32, u32) {
         } => (format!(".{method}()"), *line, *col),
         _ => (String::new(), 1, 1),
     }
+}
+
+/// Record a lock-order edge unless its `(from, to)` pair already has one.
+fn add_edge(edges: &mut BTreeMap<(String, String), LockEdge>, e: LockEdge) {
+    edges.entry((e.from.clone(), e.to.clone())).or_insert(e);
 }
 
 /// Display name for a guard in diagnostics: statement temporaries get

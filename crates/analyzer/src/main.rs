@@ -3,20 +3,16 @@
 //! ```text
 //! cargo run -p mdbs-analyzer -- --workspace [--json PATH] [--sarif PATH]
 //!     [--format human|json|sarif] [--emit-graphs DIR] [--quiet]
-//!     [--cache-dir DIR | --no-cache] [--jobs N] [--baseline REPORT.json]
 //!     [--fail-on error|warning|note]
 //! cargo run -p mdbs-analyzer -- FILE.rs [FILE.rs ...]
 //! ```
 //!
 //! Exit codes: 0 gate passed, 1 gate failed, 2 usage or I/O error.
 //! The gate fails on any finding at or above the `--fail-on` threshold
-//! (default `note`, i.e. every finding — the historical behavior); with
-//! `--baseline`, only findings classified *new* against the baseline
-//! report count toward the gate.
+//! (default `note`, i.e. every finding).
 
-use mdbs_analyzer::report::baseline_from_json;
-use mdbs_analyzer::rules::{parse_level, Level, SourceFile};
-use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace_with, RunOptions};
+use mdbs_analyzer::rules::{all_rules, parse_level, Level, SourceFile};
+use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -34,10 +30,6 @@ fn main() -> ExitCode {
     let mut json_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
     let mut graphs_dir: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut jobs = 0usize;
     let mut fail_on = Level::Note;
     let mut files: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -45,11 +37,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--quiet" | "-q" => quiet = true,
-            "--no-cache" => no_cache = true,
-            "--print-schema-hash" => {
-                println!("{:016x}", mdbs_analyzer::cache::schema_hash());
-                return ExitCode::SUCCESS;
-            }
             "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
                 Some("json") => format = Format::Json,
@@ -67,27 +54,6 @@ fn main() -> ExitCode {
                 Some(level) => fail_on = level,
                 None => {
                     eprintln!("mdbs-lint: --fail-on needs a value (error|warning|note)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" | "-j" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("mdbs-lint: --jobs needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache-dir" => match args.next() {
-                Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("mdbs-lint: --cache-dir needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("mdbs-lint: --baseline needs a report.json path");
                     return ExitCode::from(2);
                 }
             },
@@ -116,27 +82,20 @@ fn main() -> ExitCode {
                 println!(
                     "mdbs-lint: static analysis for the mdbs workspace\n\n\
                      USAGE:\n  mdbs-lint --workspace [--json PATH] [--sarif PATH] \
-                     [--format human|json|sarif]\n      [--emit-graphs DIR] [--quiet]\n      [--cache-dir DIR | --no-cache] [--jobs N] \
-                     [--baseline REPORT.json]\n      [--fail-on error|warning|note]\n  \
+                     [--format human|json|sarif]\n      [--emit-graphs DIR] [--quiet] \
+                     [--fail-on error|warning|note]\n  \
                      mdbs-lint FILE.rs [FILE.rs ...]\n\n\
-                     Scans workspace sources for the eleven invariants documented in the\n\
+                     Scans workspace sources for the {} rules documented in the\n\
                      README's \"Static analysis\" section.\n\
                      --format selects the stdout rendering; --json/--sarif additionally\n\
                      write the JSON report / SARIF 2.1.0 log to files.\n\
-                     --cache-dir persists a fingerprint-keyed fact database so unchanged\n\
-                     files skip the front-end and unchanged functions skip the\n\
-                     interprocedural re-solve; --no-cache overrides it for an oracle run.\n\
-                     --jobs N sets front-end worker threads (default: one per core).\n\
-                     --baseline diffs findings against a prior --json report: only *new*\n\
-                     findings gate, pre-existing ones are annotated, fixed ones listed.\n\
                      --fail-on sets the severity threshold for exit code 1 (default\n\
                      note = any finding).\n\
-                     --print-schema-hash prints the analyzer schema hash (the cache\n\
-                     version key) and exits.\n\
                      --emit-graphs writes lock_order.dot, channel_topology.dot and a\n\
                      cfg_<fn>.dot per pump entry point into DIR (created if missing).\n\n\
-                     Exit codes: 0 gate passed, 1 findings at/above --fail-on (only new\n\
-                     ones under --baseline), 2 usage or I/O error."
+                     Exit codes: 0 gate passed, 1 findings at/above --fail-on, 2 usage or\n\
+                     I/O error.",
+                    all_rules().len()
                 );
                 return ExitCode::SUCCESS;
             }
@@ -147,11 +106,8 @@ fn main() -> ExitCode {
             _ => files.push(PathBuf::from(arg)),
         }
     }
-    if no_cache {
-        cache_dir = None;
-    }
 
-    let mut report = if workspace {
+    let report = if workspace {
         let cwd = match std::env::current_dir() {
             Ok(d) => d,
             Err(e) => {
@@ -163,8 +119,7 @@ fn main() -> ExitCode {
             eprintln!("mdbs-lint: no workspace root above {}", cwd.display());
             return ExitCode::from(2);
         };
-        let run = RunOptions { cache_dir, jobs };
-        match run_workspace_with(&root, run) {
+        match run_workspace(&root) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("mdbs-lint: {e}");
@@ -175,10 +130,6 @@ fn main() -> ExitCode {
         eprintln!("mdbs-lint: pass --workspace or explicit files (try --help)");
         return ExitCode::from(2);
     } else {
-        if cache_dir.is_some() {
-            eprintln!("mdbs-lint: --cache-dir requires --workspace");
-            return ExitCode::from(2);
-        }
         let mut sources = Vec::new();
         for f in &files {
             match std::fs::read_to_string(f) {
@@ -194,24 +145,6 @@ fn main() -> ExitCode {
         }
         run_sources(&sources, None)
     };
-
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("mdbs-lint: reading baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let findings = match baseline_from_json(&text) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("mdbs-lint: baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        report.apply_baseline(&path.to_string_lossy().replace('\\', "/"), findings);
-    }
 
     if let Some(path) = &json_path {
         if let Err(e) = std::fs::write(path, report.to_json()) {

@@ -104,13 +104,6 @@ pub fn all_rules() -> Vec<&'static str> {
         .collect()
 }
 
-/// Map a rule name back to its canonical `&'static str` — the inverse
-/// the fact-database decoder needs to rebuild [`Violation`]s (whose
-/// `rule` field is a static string compared by pointer-free equality).
-pub fn rule_by_name(name: &str) -> Option<&'static str> {
-    all_rules().into_iter().find(|r| *r == name)
-}
-
 /// Diagnostic severity. `stale-allow` is hygiene (the code is clean, a
 /// directive outlived its reason); everything else is a hard invariant.
 /// Ordering is by severity, so `--fail-on` thresholds compare directly.
@@ -211,11 +204,11 @@ pub struct Analysis {
 }
 
 /// Analyze a set of sources plus the README (for `metric-docs-sync`):
-/// run the pure per-file front end on every source, then [`aggregate`].
-/// The serial, cache-free entry point fixture tests use.
+/// run the pure per-file front end on every source, in order, then
+/// [`aggregate`]. The one pipeline behind both library entry points.
 pub fn analyze(files: &[SourceFile], readme: Option<&str>) -> Analysis {
     let artifacts: Vec<FileArtifacts> = files.iter().map(frontend).collect();
-    aggregate(&artifacts, readme, None)
+    aggregate(&artifacts, readme)
 }
 
 /// An allow directive's effect, stripped of its hit counter: the rule it
@@ -234,7 +227,7 @@ pub struct AllowSpan {
 
 /// One literal metric registration site. Cross-file uniqueness and the
 /// README check replay these at aggregation in file order, so per-file
-/// results stay position-independent (and cacheable).
+/// results stay position-independent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricReg {
     /// Metric name literal.
@@ -248,15 +241,11 @@ pub struct MetricReg {
 }
 
 /// Everything the per-file front end produces for one source file — a
-/// pure function of `(path, contents)`, which is what makes it
-/// content-addressable in the on-disk fact database
-/// ([`crate::cache`]).
+/// pure function of `(path, contents)`.
 #[derive(Clone, Debug)]
 pub struct FileArtifacts {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
-    /// FNV-1a fingerprint of the file contents.
-    pub fingerprint: u64,
     /// Per-file violations *before* allow filtering (includes
     /// `bad-allow` and `parse-error`, which filtering never removes).
     pub raw: Vec<Violation>,
@@ -270,10 +259,8 @@ pub struct FileArtifacts {
 
 /// The pure per-file front end: lex → strip test items → allow
 /// directives → token rules → token-tree parse → fact extraction.
-/// Depends on nothing but the one file, so its output is cached under
-/// the file's content fingerprint and computed on a worker pool.
+/// Depends on nothing but the one file.
 pub fn frontend(file: &SourceFile) -> FileArtifacts {
-    let fingerprint = crate::cache::fingerprint(&file.source);
     let lexed = lex(&file.source);
     let tokens = strip_test_items(&lexed.tokens);
     let mut raw = Vec::new();
@@ -307,7 +294,6 @@ pub fn frontend(file: &SourceFile) -> FileArtifacts {
 
     FileArtifacts {
         path: file.path.clone(),
-        fingerprint,
         raw,
         allows,
         metrics,
@@ -317,15 +303,9 @@ pub fn frontend(file: &SourceFile) -> FileArtifacts {
 
 /// The aggregation stage: allow filtering (with fresh hit counters),
 /// cross-file metric replay + README check, the interprocedural graph
-/// pass (optionally through a per-function result cache), graph-rule
-/// suppression and stale-allow detection. Deterministic in the
-/// artifacts' order and content only — never in where they came from
-/// (fresh front-end run, worker thread, or the on-disk fact database).
-pub fn aggregate(
-    files: &[FileArtifacts],
-    readme: Option<&str>,
-    graph_cache: Option<&mut crate::graph::GraphCacheCtx>,
-) -> Analysis {
+/// pass, graph-rule suppression and stale-allow detection. Deterministic
+/// in the artifacts' order and content only.
+pub fn aggregate(files: &[FileArtifacts], readme: Option<&str>) -> Analysis {
     let mut violations = Vec::new();
     let allows: Vec<AllowDirectives> = files
         .iter()
@@ -348,7 +328,7 @@ pub fn aggregate(
         metrics.check_against_readme(text, &mut violations);
     }
     let fact_refs: Vec<&crate::facts::FileFacts> = files.iter().map(|a| &a.facts).collect();
-    let graph = crate::graph::analyze_graph_incremental(&fact_refs, graph_cache);
+    let graph = crate::graph::analyze_graph(&fact_refs);
     for v in graph.violations {
         let suppressed = files
             .iter()
@@ -922,7 +902,7 @@ impl MetricTable {
     /// Replay one file's registration sites into the cross-file table.
     /// Files replay in workspace order, so "first registration wins"
     /// and kind-conflict attribution are identical to a single-pass
-    /// scan — regardless of which artifacts came from the cache.
+    /// scan.
     fn replay(&mut self, path: &str, regs: &[MetricReg]) {
         for r in regs {
             match self.registered.get(&r.name) {

@@ -4,6 +4,7 @@
 
 use mdbs_analyzer::rules::{self, SourceFile};
 use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace};
+use serde_json::Value;
 use std::path::Path;
 
 /// A fixture README providing the Observability table the
@@ -781,18 +782,24 @@ fn rule_docs_sync() {
 
     // SARIF: the driver catalog declares the same ids at the same indices.
     let sarif = run_sources(&[], None).to_sarif();
-    let log = mdbs_analyzer::jsonv::parse(&sarif).expect("SARIF parses");
-    let catalog: Vec<&str> = log
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .and_then(|r| r.first())
+    let log = serde_json::from_str_value(&sarif).expect("SARIF parses");
+    let Some(Value::Arr(runs)) = log.get("runs") else {
+        panic!("runs array");
+    };
+    let Some(Value::Arr(rules)) = runs
+        .first()
         .and_then(|r| r.get("tool"))
         .and_then(|t| t.get("driver"))
         .and_then(|d| d.get("rules"))
-        .and_then(|r| r.as_arr())
-        .expect("driver rules array")
+    else {
+        panic!("driver rules array");
+    };
+    let catalog: Vec<&str> = rules
         .iter()
-        .map(|r| r.get("id").and_then(|i| i.as_str()).expect("rule id"))
+        .map(|r| match r.get("id") {
+            Some(Value::Str(id)) => id.as_str(),
+            other => panic!("rule id, got {other:?}"),
+        })
         .collect();
     assert_eq!(
         catalog, registered,

@@ -2,7 +2,6 @@
 //!
 //! The experiment harness: every table in `EXPERIMENTS.md` is regenerated
 //! by `cargo run -p mdbs-bench --bin experiments --release [exp-id ...]`.
-//! Criterion wall-time benches live in `benches/`.
 //!
 //! The paper (SIGMOD 1992) has no measured evaluation — its "results" are
 //! Theorems 1–9 and the qualitative claims of Sections 3–7. Each experiment
@@ -11,9 +10,8 @@
 //!
 //! `step_gate` pins the deterministic `cond`/`act` step counts — the
 //! paper's actual cost model — against `STEP_GOLDEN.json`. Nothing here
-//! judges wall-clock (the Criterion benches are exploratory): the
-//! standalone `benchmark/` package is the one harness whose wall times
-//! are recorded and compared.
+//! judges wall-clock: the standalone `benchmark/` package is the one
+//! harness whose wall times are recorded and compared.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
