@@ -62,10 +62,14 @@ fn main() -> std::process::ExitCode {
         let wall = start.elapsed();
         assert_eq!(outcome.completed, n, "replay must complete every txn");
         eprintln!(
-            "rep {rep}: {scheme_name}/{kernel_name}/{size_name} {n} txns in {:.2} ms (cond={} act={})",
+            "rep {rep}: {scheme_name}/{kernel_name}/{size_name} {n} txns in {:.2} ms \
+             (cond={} act={} waited={} wake_scan_sum={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
+            outcome.stats.waited,
+            outcome.wake_scan_sum,
+            outcome.protocol_violations,
         );
     }
     std::process::ExitCode::SUCCESS

@@ -16,7 +16,10 @@
 //! surrounding system calls [`Gtm2::enqueue`] as GTM1 and the servers
 //! produce operations. The inner "while exists" search is driven by the
 //! scheme's [`wake_candidates`](crate::scheme::Gtm2Scheme::wake_candidates)
-//! hints so each scheme pays exactly its own rescan cost.
+//! hints so each scheme pays exactly its own rescan cost. A waiter is
+//! re-tested where it sits and leaves WAIT only when eligible; re-tests a
+//! scheme proves must fail (Scheme 1's waiting fins after an `ack`) are
+//! charged their steps without being run.
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which
 //! `ser_k(G_i)` operations were acted — from which the serializability of
@@ -29,12 +32,12 @@
 //! over one slot per shard behind its locks — see the slot-logic section
 //! below the `Gtm2` type.
 
-use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
 use crate::ser_s::SerSLog;
 use mdbs_common::ids::GlobalTxnId;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
-use mdbs_common::step::StepCounter;
+use mdbs_common::step::{StepCounter, StepKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -266,6 +269,9 @@ pub(crate) struct GlobalCore {
     /// Exact current WAIT population across all slots (every WAIT
     /// mutation happens with this core held, so the count is race-free).
     pub(crate) wait_live: u64,
+    /// Waiting-`fin` re-tests charged in closed form instead of being run
+    /// (see [`WakeCandidates::SerAtFinsCharged`]).
+    wake_elided: u64,
     /// Validate scheme invariants after every act (used by tests).
     pub(crate) validate: bool,
     /// Structured event sink; `None` = tracing disabled (one branch, no
@@ -293,6 +299,7 @@ impl GlobalCore {
             inited: BTreeSet::new(),
             active: 0,
             wait_live: 0,
+            wake_elided: 0,
             validate: cfg!(debug_assertions),
             sink,
             clock: 0,
@@ -320,6 +327,7 @@ impl GlobalCore {
         registry.max_gauge("gtm2.peak_wait", s.peak_wait as i64);
         registry.max_gauge("gtm2.peak_active", s.peak_active as i64);
         registry.merge_histogram("gtm2.wake_scan", wake_scan);
+        registry.inc("gtm2.wake_elided", self.wake_elided);
         self.scheme.export_metrics(registry);
     }
 }
@@ -400,6 +408,7 @@ fn process_op(
         core.pre_init.entry(op.txn()).or_default().push((seq, op));
         return;
     }
+    let cond_before = global.steps.cond;
     let eligible = global.scheme.cond(&op, &mut global.steps);
     if let Some(sink) = &mut global.sink {
         sink.record(global.clock, SchedEvent::cond(&op, eligible));
@@ -409,22 +418,29 @@ fn process_op(
         candidates.clear();
         act_one(ctx, &op, false, core, global, out, &mut candidates);
         cascade(ctx, candidates, core, global, out);
-    } else {
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::wait(&op));
-        }
-        global.stats.waited += 1;
-        match op.kind() {
-            QueueOpKind::Init => global.stats.waited_kind[0] += 1,
-            QueueOpKind::Ser => global.stats.waited_kind[1] += 1,
-            QueueOpKind::Ack => global.stats.waited_kind[2] += 1,
-            QueueOpKind::Fin => global.stats.waited_kind[3] += 1,
-        }
-        core.wait.insert(op);
-        global.wait_live += 1;
-        global.stats.peak_wait = global.stats.peak_wait.max(global.wait_live);
-        core.wait_peak = core.wait_peak.max(core.wait.len() as u64);
+        return;
     }
+    let kind = op.kind();
+    let wait_event = SchedEvent::wait(&op);
+    if !core.wait.insert(op, global.steps.cond - cond_before) {
+        // The same operation is already waiting: it was sent twice. The
+        // first copy stays and nothing new waits.
+        global.stats.protocol_violations += 1;
+        return;
+    }
+    if let Some(sink) = &mut global.sink {
+        sink.record(global.clock, wait_event);
+    }
+    global.stats.waited += 1;
+    match kind {
+        QueueOpKind::Init => global.stats.waited_kind[0] += 1,
+        QueueOpKind::Ser => global.stats.waited_kind[1] += 1,
+        QueueOpKind::Ack => global.stats.waited_kind[2] += 1,
+        QueueOpKind::Fin => global.stats.waited_kind[3] += 1,
+    }
+    global.wait_live += 1;
+    global.stats.peak_wait = global.stats.peak_wait.max(global.wait_live);
+    core.wait_peak = core.wait_peak.max(core.wait.len() as u64);
 }
 
 /// Re-test this slot's waiters against an operation acted elsewhere.
@@ -504,7 +520,10 @@ fn act_one(
 
 /// This slot's wake candidates for an acted operation, appended to
 /// `candidates` (resolved against this slot's WAIT partition without
-/// allocating).
+/// allocating). Where the scheme asks for the waiting fins to be charged
+/// in closed form, this is where they are: counted into the wake-scan
+/// histogram as scanned, their recorded `Cond` steps added, none of them
+/// put on the worklist.
 fn local_candidates(
     acted: &QueueOp,
     core: &mut ShardCore,
@@ -514,13 +533,22 @@ fn local_candidates(
     let wake = global
         .scheme
         .wake_candidates(acted, &core.wait, &mut global.steps);
-    let appended = core.wait.resolve_into(&wake, candidates);
-    core.wake_scan.observe(appended as u64);
+    let mut scanned = core.wait.resolve_into(&wake, candidates) as u64;
+    if let WakeCandidates::SerAtFinsCharged(_) = wake {
+        let fins = core.wait.fin_count() as u64;
+        global.steps.bump(StepKind::Cond, core.wait.fin_cond_cost());
+        global.wake_elided += fins;
+        scanned += fins;
+    }
+    core.wake_scan.observe(scanned);
 }
 
 /// Figure 3's inner loop, `while ∃ o_l ∈ WAIT with cond(o_l): act(o_l)`,
-/// over this slot's WAIT partition. Each eligible waiter is acted
-/// **immediately**, with `cond` evaluated against the *current* data
+/// over this slot's WAIT partition. Each candidate is re-tested **in
+/// place** ([`WaitSet::take_if`]) — `cond` on the operation borrowed from
+/// WAIT — and leaves WAIT only if it is eligible, so a failing re-test
+/// costs its `cond` and one lookup, nothing else. An eligible waiter is
+/// acted **immediately**, with `cond` evaluated against the *current* data
 /// structures, and its own candidates join the worklist: batching the
 /// eligibility checks would let two mutually exclusive operations (e.g.
 /// two ser ops at one site whose conds both looked true before either
@@ -534,22 +562,20 @@ fn cascade(
     out: &mut PumpOut,
 ) {
     while let Some(key) = candidates.pop_front() {
-        // The op may have been woken (or re-examined) already — this is
-        // also what makes stale/duplicate handoff hints harmless.
-        let Some(waiting) = core.wait.remove(&key) else {
+        // `None`: still not eligible — or woken already, which is also
+        // what makes stale/duplicate handoff hints harmless.
+        let woken = core.wait.take_if(&key, |waiting| {
+            let eligible = global.scheme.cond(waiting, &mut global.steps);
+            if let Some(sink) = &mut global.sink {
+                sink.record(global.clock, SchedEvent::cond(waiting, eligible));
+            }
+            eligible
+        });
+        let Some(woken) = woken else {
             continue;
         };
         global.wait_live = global.wait_live.saturating_sub(1);
-        let eligible = global.scheme.cond(&waiting, &mut global.steps);
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::cond(&waiting, eligible));
-        }
-        if eligible {
-            act_one(ctx, &waiting, true, core, global, out, &mut candidates);
-        } else {
-            core.wait.insert(waiting);
-            global.wait_live += 1;
-        }
+        act_one(ctx, &woken, true, core, global, out, &mut candidates);
     }
     core.wake_buf = candidates;
 }

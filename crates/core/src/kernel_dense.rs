@@ -26,6 +26,11 @@
 //!   lies on a TSG cycle iff `s_k` is connected to another site of `Ĝ_i`
 //!   in the pre-`init` graph. Inits union incrementally; only `fin`s (edge
 //!   deletions) force a rebuild, counted by `gtm2.bridge_recompute`.
+//! - Scheme 1's `ack` has the engine charge the waiting fins' re-tests in
+//!   closed form ([`WakeCandidates::SerAtFinsCharged`]) instead of running
+//!   them: an append to a delete queue cannot enable another
+//!   transaction's fin. Counted by `gtm2.wake_elided`; the reference
+//!   kernel runs the re-tests, which is what proves the charge equal.
 //! - Scheme 2's acyclicity validator uses the cached polynomial walk
 //!   check of [`DenseTsgd`] (hits counted by `tsgd.reach_cache_hit`).
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
@@ -528,14 +533,29 @@ impl Gtm2Scheme for Scheme1Dense {
     ) -> WakeCandidates {
         steps.tick(StepKind::WaitScan);
         match acted {
-            QueueOp::Ack { site, .. } => {
+            QueueOp::Ack { txn, site } => {
                 steps.bump(
                     StepKind::WaitScan,
                     (wait.ser_count_at(*site) + wait.fin_count()) as u64,
                 );
-                WakeCandidates::SerAtThenFins(*site)
+                // The ack appended `txn` to one delete queue. An append
+                // changes a queue's front only if the queue was empty, and
+                // then the front becomes `txn` — so a waiting fin of any
+                // *other* transaction, which failed because some front is
+                // not its own, fails again, charging the `1 + |Ĝ|` it
+                // charged before. Those re-tests are charged, not run. The
+                // one fin the ack can enable is `txn`'s own, which on
+                // protocol arrives after all of `txn`'s acks; if it is
+                // waiting already, every fin is re-tested literally.
+                if wait.contains(&(QueueOpKind::Fin, *txn, None)) {
+                    WakeCandidates::SerAtThenFins(*site)
+                } else {
+                    WakeCandidates::SerAtFinsCharged(*site)
+                }
             }
             QueueOp::Fin { .. } => {
+                // A pop can bring any queued transaction to a front, and
+                // each woken fin pops again: re-tested literally.
                 steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
                 WakeCandidates::Fins
             }

@@ -50,8 +50,11 @@
 //!   appended transaction's own fin cannot be waiting yet. So the
 //!   per-ack fin re-tests all fail, and their step charges aggregate to
 //!   `Cond += fin_live + Σ|Ĝ|` / `WaitScan += fin_live` per ack — O(1)
-//!   with maintained sums, eliminating the single engine's dominant
-//!   wake-storm cost while charging identical step totals.
+//!   with maintained sums, charging identical step totals. (The single
+//!   engine charges the same aggregate, from
+//!   [`WaitSet::fin_cond_cost`](crate::scheme::WaitSet::fin_cond_cost),
+//!   and falls back to literal re-tests when the acked transaction's
+//!   fin *is* waiting.)
 //! - **Cycle marking via site-pair counts.** A TSG edge `(Ĝ, s_k)` lies
 //!   on a cycle iff `s_k` connects to another site of `Ĝ` in TSG − Ĝ;
 //!   site-to-site connectivity is the transitive closure of "some other

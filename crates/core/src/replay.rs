@@ -276,8 +276,7 @@ pub fn replay_with(mut engine: Gtm2, script: &Script) -> ReplayOutcome {
 /// per-site routing and cross-shard handoff paths (for the partitioned
 /// schemes — the others funnel through shard 0 regardless).
 pub fn replay_sharded(kind: SchemeKind, nshards: usize, script: &Script) -> ReplayOutcome {
-    let mut engine = ShardedGtm2::new(kind, nshards);
-    run_script(&mut engine, script)
+    replay_sharded_with(ShardedGtm2::new(kind, nshards), script)
 }
 
 /// [`replay_sharded`] with an explicit kernel choice.
@@ -287,7 +286,12 @@ pub fn replay_sharded_kernel(
     nshards: usize,
     script: &Script,
 ) -> ReplayOutcome {
-    let mut engine = ShardedGtm2::new_with_kernel(kind, kernel, nshards);
+    replay_sharded_with(ShardedGtm2::new_with_kernel(kind, kernel, nshards), script)
+}
+
+/// [`replay_with`] for the sharded engine: replay through a pre-built
+/// engine (lets callers toggle validation).
+pub fn replay_sharded_with(mut engine: ShardedGtm2, script: &Script) -> ReplayOutcome {
     run_script(&mut engine, script)
 }
 

@@ -19,7 +19,8 @@ use mdbs_common::instrument::Registry;
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Unique identity of a queue operation (for the WAIT set). `site` is
 /// `None` for `Init`/`Fin`.
@@ -33,23 +34,36 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 /// The WAIT set: waiting operations keyed by identity, with deterministic
 /// iteration order.
 ///
-/// Beyond the key-ordered map, the set maintains per-site/per-txn counters
-/// so schemes can charge their wake-scan steps (`|ser waiters at s_k|`,
-/// `|fin waiters|`, …) in O(log n) instead of allocating the key vector
-/// they are about to count — see [`WaitSet::resolve_into`] for the
-/// allocation-free companion that materializes candidates into a reused
-/// buffer.
+/// Beyond the key-ordered map the set keeps what a wake pass needs without
+/// walking WAIT: the waiting `ser`s ordered by site (so
+/// [`WakeCandidates::SerAt`] resolves in O(candidates)), the `fin`/`init`
+/// populations, and the `Cond` steps the waiting `fin`s were charged when
+/// they failed — the closed-form charge behind
+/// [`WakeCandidates::SerAtFinsCharged`]. Schemes read the counts to charge
+/// their wake-scan steps; the engine expands candidates into a reused
+/// buffer with [`WaitSet::resolve_into`].
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
-    ops: BTreeMap<WaitKey, QueueOp>,
-    /// Waiting `Ser` count per site.
-    ser_at: BTreeMap<SiteId, usize>,
-    /// Waiting `Ser` count per transaction.
-    ser_of: BTreeMap<GlobalTxnId, usize>,
+    ops: BTreeMap<WaitKey, Waiter>,
+    /// Waiting `Ser`s as `(site, txn)`: one flat ordered set, so a site's
+    /// waiters are a contiguous range in transaction order — the order the
+    /// key-ordered map yields them in — and no per-site container is
+    /// created or dropped as sites fill and empty.
+    ser_by_site: BTreeSet<(SiteId, GlobalTxnId)>,
     /// Waiting `Fin` count.
     fins: usize,
+    /// Sum of [`Waiter::cond_cost`] over the waiting `Fin`s.
+    fin_cond: u64,
     /// Waiting `Init` count.
     inits: usize,
+}
+
+/// One entry of the WAIT set.
+#[derive(Clone, Debug)]
+struct Waiter {
+    op: QueueOp,
+    /// `Cond` steps the failing `cond` that put the operation here charged.
+    cond_cost: u64,
 }
 
 impl WaitSet {
@@ -58,43 +72,61 @@ impl WaitSet {
         Self::default()
     }
 
-    fn count(&mut self, key: &WaitKey, delta: isize) {
-        match key.0 {
-            QueueOpKind::Ser => {
-                if let Some(site) = key.2 {
-                    let c = self.ser_at.entry(site).or_default();
-                    *c = c.wrapping_add_signed(delta);
-                    if *c == 0 {
-                        self.ser_at.remove(&site);
-                    }
-                }
-                let c = self.ser_of.entry(key.1).or_default();
-                *c = c.wrapping_add_signed(delta);
-                if *c == 0 {
-                    self.ser_of.remove(&key.1);
-                }
-            }
-            QueueOpKind::Fin => self.fins = self.fins.wrapping_add_signed(delta),
-            QueueOpKind::Init => self.inits = self.inits.wrapping_add_signed(delta),
-            QueueOpKind::Ack => {}
-        }
-    }
-
-    /// Insert a waiting operation.
-    pub fn insert(&mut self, op: QueueOp) {
+    /// Insert a waiting operation whose failing `cond` charged `cond_cost`
+    /// `Cond` steps. Returns whether the key was new; a duplicate leaves
+    /// the set (and the operation already waiting) untouched.
+    pub fn insert(&mut self, op: QueueOp, cond_cost: u64) -> bool {
         let key = wait_key(&op);
-        if self.ops.insert(key, op).is_none() {
-            self.count(&key, 1);
+        let Entry::Vacant(slot) = self.ops.entry(key) else {
+            return false;
+        };
+        slot.insert(Waiter { op, cond_cost });
+        match key {
+            (QueueOpKind::Ser, txn, Some(site)) => {
+                self.ser_by_site.insert((site, txn));
+            }
+            (QueueOpKind::Fin, ..) => {
+                self.fins += 1;
+                self.fin_cond += cond_cost;
+            }
+            (QueueOpKind::Init, ..) => self.inits += 1,
+            _ => {}
         }
+        true
     }
 
-    /// Remove by key, returning the operation.
-    pub fn remove(&mut self, key: &WaitKey) -> Option<QueueOp> {
-        let removed = self.ops.remove(key);
-        if removed.is_some() {
-            self.count(key, -1);
+    /// Whether an operation is waiting under `key`.
+    pub fn contains(&self, key: &WaitKey) -> bool {
+        self.ops.contains_key(key)
+    }
+
+    /// Re-test the operation waiting under `key` in place: `eligible` is
+    /// shown the operation where it sits, and only if it says yes does the
+    /// operation leave WAIT (and get returned). One lookup either way.
+    pub fn take_if(
+        &mut self,
+        key: &WaitKey,
+        eligible: impl FnOnce(&QueueOp) -> bool,
+    ) -> Option<QueueOp> {
+        let Entry::Occupied(slot) = self.ops.entry(*key) else {
+            return None;
+        };
+        if !eligible(&slot.get().op) {
+            return None;
         }
-        removed
+        let taken = slot.remove();
+        match *key {
+            (QueueOpKind::Ser, txn, Some(site)) => {
+                self.ser_by_site.remove(&(site, txn));
+            }
+            (QueueOpKind::Fin, ..) => {
+                self.fins -= 1;
+                self.fin_cond -= taken.cond_cost;
+            }
+            (QueueOpKind::Init, ..) => self.inits -= 1,
+            _ => {}
+        }
+        Some(taken.op)
     }
 
     /// Number of waiting operations.
@@ -107,66 +139,34 @@ impl WaitSet {
         self.ops.is_empty()
     }
 
-    /// Iterate the waiting operations in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &QueueOp> {
-        self.ops.values()
-    }
-
-    /// All keys in order.
-    pub fn keys(&self) -> Vec<WaitKey> {
-        self.ops.keys().copied().collect()
-    }
-
-    /// Keys of waiting `Ser` operations at `site`.
-    pub fn ser_keys_at(&self, site: SiteId) -> Vec<WaitKey> {
-        self.ops
-            .keys()
-            .copied()
-            .filter(|(kind, _, s)| *kind == QueueOpKind::Ser && *s == Some(site))
-            .collect()
-    }
-
-    /// Keys of waiting `Fin` operations.
-    pub fn fin_keys(&self) -> Vec<WaitKey> {
-        self.ops
-            .keys()
-            .copied()
-            .filter(|(kind, ..)| *kind == QueueOpKind::Fin)
-            .collect()
-    }
-
-    /// Keys of waiting `Init` operations.
-    pub fn init_keys(&self) -> Vec<WaitKey> {
-        self.ops
-            .keys()
-            .copied()
-            .filter(|(kind, ..)| *kind == QueueOpKind::Init)
-            .collect()
-    }
-
-    /// Keys of waiting `Ser` operations of one transaction.
-    pub fn ser_keys_of(&self, txn: GlobalTxnId) -> Vec<WaitKey> {
-        self.ops
-            .keys()
-            .copied()
-            .filter(|(kind, t, _)| *kind == QueueOpKind::Ser && *t == txn)
-            .collect()
-    }
-
     /// Key of a specific waiting `Ser` operation if present.
     pub fn ser_key(&self, txn: GlobalTxnId, site: SiteId) -> Option<WaitKey> {
         let key = (QueueOpKind::Ser, txn, Some(site));
-        self.ops.contains_key(&key).then_some(key)
+        self.contains(&key).then_some(key)
     }
 
-    /// Number of waiting `Ser` operations at `site` (O(log n), maintained).
+    /// The waiting `Ser`s at `site`, as transactions in ascending order.
+    fn sers_at(&self, site: SiteId) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        self.ser_by_site
+            .range((site, GlobalTxnId(0))..=(site, GlobalTxnId(u64::MAX)))
+            .map(|&(_, txn)| txn)
+    }
+
+    /// The keys of one transaction's waiting `Ser`s, in key order.
+    fn sers_of(&self, txn: GlobalTxnId) -> impl Iterator<Item = WaitKey> + '_ {
+        let lo = (QueueOpKind::Ser, txn, None);
+        let hi = (QueueOpKind::Ser, txn, Some(SiteId(u32::MAX)));
+        self.ops.range(lo..=hi).map(|(k, _)| *k)
+    }
+
+    /// Number of waiting `Ser` operations at `site` (O(that number)).
     pub fn ser_count_at(&self, site: SiteId) -> usize {
-        self.ser_at.get(&site).copied().unwrap_or(0)
+        self.sers_at(site).count()
     }
 
-    /// Number of waiting `Ser` operations of `txn` (O(log n), maintained).
+    /// Number of waiting `Ser` operations of `txn` (at most its site count).
     pub fn ser_count_of(&self, txn: GlobalTxnId) -> usize {
-        self.ser_of.get(&txn).copied().unwrap_or(0)
+        self.sers_of(txn).count()
     }
 
     /// Number of waiting `Fin` operations (O(1), maintained).
@@ -174,55 +174,49 @@ impl WaitSet {
         self.fins
     }
 
+    /// `Cond` steps the waiting `Fin`s were charged when each failed its
+    /// `cond` and joined WAIT, summed (O(1), maintained).
+    pub fn fin_cond_cost(&self) -> u64 {
+        self.fin_cond
+    }
+
     /// Number of waiting `Init` operations (O(1), maintained).
     pub fn init_count(&self) -> usize {
         self.inits
     }
 
-    fn kind_range(
-        &self,
-        kind: QueueOpKind,
-    ) -> std::collections::btree_map::Range<'_, WaitKey, QueueOp> {
+    fn kind_keys(&self, kind: QueueOpKind) -> impl Iterator<Item = WaitKey> + '_ {
         let lo = (kind, GlobalTxnId(0), None);
         let hi = (kind, GlobalTxnId(u64::MAX), Some(SiteId(u32::MAX)));
-        self.ops.range(lo..=hi)
+        self.ops.range(lo..=hi).map(|(k, _)| *k)
     }
 
-    /// Materialize `cands` into `out` without allocating: the symbolic
-    /// variants ([`WakeCandidates::SerAt`], …) are resolved against the
-    /// current WAIT set via range scans over the key-ordered map, producing
-    /// exactly the keys (in exactly the order) the eager
-    /// [`keys`](Self::keys)/[`ser_keys_at`](Self::ser_keys_at)-style
-    /// helpers would have collected. Returns the number of keys appended.
+    /// Append the keys `cands` asks to have re-tested to `out`, in key
+    /// order within each symbolic part, without allocating. Returns the
+    /// number of keys appended — which for
+    /// [`WakeCandidates::SerAtFinsCharged`] leaves out the fins, because
+    /// those are charged and not re-tested.
     pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<WaitKey>) -> usize {
         let before = out.len();
+        let ser_at = |site: SiteId| {
+            self.sers_at(site)
+                .map(move |txn| (QueueOpKind::Ser, txn, Some(site)))
+        };
         match cands {
             WakeCandidates::None => {}
             WakeCandidates::All => out.extend(self.ops.keys().copied()),
             WakeCandidates::Keys(keys) => out.extend(keys.iter().copied()),
             WakeCandidates::One(key) => out.push_back(*key),
-            WakeCandidates::SerAt(site) => out.extend(
-                self.kind_range(QueueOpKind::Ser)
-                    .filter(|((_, _, s), _)| *s == Some(*site))
-                    .map(|(k, _)| *k),
-            ),
-            WakeCandidates::Fins => out.extend(self.kind_range(QueueOpKind::Fin).map(|(k, _)| *k)),
+            WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
+                out.extend(ser_at(*site))
+            }
+            WakeCandidates::Fins => out.extend(self.kind_keys(QueueOpKind::Fin)),
             WakeCandidates::SerAtThenFins(site) => {
-                out.extend(
-                    self.kind_range(QueueOpKind::Ser)
-                        .filter(|((_, _, s), _)| *s == Some(*site))
-                        .map(|(k, _)| *k),
-                );
-                out.extend(self.kind_range(QueueOpKind::Fin).map(|(k, _)| *k));
+                out.extend(ser_at(*site));
+                out.extend(self.kind_keys(QueueOpKind::Fin));
             }
-            WakeCandidates::Inits => {
-                out.extend(self.kind_range(QueueOpKind::Init).map(|(k, _)| *k))
-            }
-            WakeCandidates::SerOf(txn) => {
-                let lo = (QueueOpKind::Ser, *txn, None);
-                let hi = (QueueOpKind::Ser, *txn, Some(SiteId(u32::MAX)));
-                out.extend(self.ops.range(lo..=hi).map(|(k, _)| *k));
-            }
+            WakeCandidates::Inits => out.extend(self.kind_keys(QueueOpKind::Init)),
+            WakeCandidates::SerOf(txn) => out.extend(self.sers_of(*txn)),
         }
         out.len() - before
     }
@@ -252,6 +246,16 @@ pub enum WakeCandidates {
     /// Every waiting `Ser` at the site, then every waiting `Fin` (the
     /// order Scheme 1's ack path re-tests in).
     SerAtThenFins(SiteId),
+    /// [`SerAtThenFins`](Self::SerAtThenFins) with the fin half in closed
+    /// form: every waiting `Ser` at the site is re-tested; every waiting
+    /// `Fin` is counted as scanned and charged the `Cond` steps recorded
+    /// when it joined WAIT ([`WaitSet::fin_cond_cost`]), but not re-tested.
+    /// A scheme may return this only after an act for which it can prove
+    /// that every waiting `fin` still fails its `cond`, and that a `fin`'s
+    /// `cond` charges the same steps each time it is evaluated while the
+    /// `fin` waits — then the literal re-tests would charge exactly this
+    /// and wake nobody.
+    SerAtFinsCharged(SiteId),
     /// Every waiting `Init`.
     Inits,
     /// Every waiting `Ser` of one transaction.
@@ -611,88 +615,121 @@ impl std::fmt::Display for SchemeKind {
 mod tests {
     use super::*;
 
+    /// The oracle `resolve_into` is checked against: the waiting keys, in
+    /// key order, that satisfy `pred` — a filtered walk of all of WAIT.
+    fn keys_where(w: &WaitSet, pred: impl Fn(&WaitKey) -> bool) -> Vec<WaitKey> {
+        w.ops.keys().copied().filter(|k| pred(k)).collect()
+    }
+
+    fn ser(txn: u64, site: u32) -> QueueOp {
+        QueueOp::Ser {
+            txn: GlobalTxnId(txn),
+            site: SiteId(site),
+        }
+    }
+
+    fn fin(txn: u64) -> QueueOp {
+        QueueOp::Fin {
+            txn: GlobalTxnId(txn),
+        }
+    }
+
+    fn resolved(w: &WaitSet, cands: &WakeCandidates) -> Vec<WaitKey> {
+        let mut buf = VecDeque::new();
+        let n = w.resolve_into(cands, &mut buf);
+        assert_eq!(n, buf.len());
+        Vec::from(buf)
+    }
+
     #[test]
     fn wait_set_basics() {
         let mut w = WaitSet::new();
-        let op = QueueOp::Ser {
-            txn: GlobalTxnId(1),
-            site: SiteId(2),
-        };
-        w.insert(op.clone());
+        let op = ser(1, 2);
+        assert!(w.insert(op.clone(), 1));
         assert_eq!(w.len(), 1);
-        assert_eq!(w.ser_keys_at(SiteId(2)).len(), 1);
-        assert_eq!(w.ser_keys_at(SiteId(3)).len(), 0);
+        assert_eq!(w.ser_count_at(SiteId(2)), 1);
+        assert_eq!(w.ser_count_at(SiteId(3)), 0);
         assert!(w.ser_key(GlobalTxnId(1), SiteId(2)).is_some());
         let key = wait_key(&op);
-        assert_eq!(w.remove(&key), Some(op));
+        assert!(w.contains(&key));
+        assert_eq!(w.take_if(&key, |_| false), None);
+        assert_eq!(w.len(), 1, "a failing re-test leaves the waiter in place");
+        assert_eq!(w.take_if(&key, |_| true), Some(op));
         assert!(w.is_empty());
+        assert!(!w.contains(&key));
     }
 
     #[test]
-    fn fin_keys_filtered() {
+    fn counters_and_resolve_match_filtered_walk() {
         let mut w = WaitSet::new();
-        w.insert(QueueOp::Fin {
-            txn: GlobalTxnId(1),
-        });
-        w.insert(QueueOp::Ser {
-            txn: GlobalTxnId(2),
-            site: SiteId(0),
-        });
-        assert_eq!(w.fin_keys().len(), 1);
-    }
-
-    #[test]
-    fn counters_and_resolve_match_eager_helpers() {
-        let mut w = WaitSet::new();
-        w.insert(QueueOp::Ser {
-            txn: GlobalTxnId(1),
-            site: SiteId(0),
-        });
-        w.insert(QueueOp::Ser {
-            txn: GlobalTxnId(2),
-            site: SiteId(0),
-        });
-        w.insert(QueueOp::Ser {
-            txn: GlobalTxnId(2),
-            site: SiteId(1),
-        });
-        w.insert(QueueOp::Fin {
-            txn: GlobalTxnId(3),
-        });
-        w.insert(QueueOp::Init {
-            txn: GlobalTxnId(4),
-            sites: vec![SiteId(0)],
-        });
-        assert_eq!(w.ser_count_at(SiteId(0)), w.ser_keys_at(SiteId(0)).len());
+        // Inserted out of key order; site 1 sits between two site-0 sers.
+        for op in [ser(2, 1), ser(2, 0), ser(1, 0), ser(7, 0), ser(3, 2)] {
+            assert!(w.insert(op, 1));
+        }
+        assert!(w.insert(fin(3), 3));
+        assert!(w.insert(fin(9), 4));
+        assert!(w.insert(
+            QueueOp::Init {
+                txn: GlobalTxnId(4),
+                sites: vec![SiteId(0)],
+            },
+            1
+        ));
+        fn ser_at(w: &WaitSet, site: u32) -> Vec<WaitKey> {
+            keys_where(w, |k| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(site)))
+        }
+        let fins = keys_where(&w, |k| k.0 == QueueOpKind::Fin);
+        assert_eq!(w.ser_count_at(SiteId(0)), 3);
         assert_eq!(w.ser_count_of(GlobalTxnId(2)), 2);
-        assert_eq!(w.fin_count(), 1);
+        assert_eq!(w.fin_count(), 2);
+        assert_eq!(w.fin_cond_cost(), 7);
         assert_eq!(w.init_count(), 1);
 
-        let mut buf = VecDeque::new();
-        let n = w.resolve_into(&WakeCandidates::SerAtThenFins(SiteId(0)), &mut buf);
-        let mut expect = w.ser_keys_at(SiteId(0));
-        expect.extend(w.fin_keys());
-        assert_eq!(n, expect.len());
-        assert_eq!(Vec::from(buf.clone()), expect);
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerAt(SiteId(0))),
+            ser_at(&w, 0)
+        );
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerAt(SiteId(1))),
+            ser_at(&w, 1)
+        );
+        assert_eq!(resolved(&w, &WakeCandidates::SerAt(SiteId(5))), vec![]);
+        assert_eq!(resolved(&w, &WakeCandidates::Fins), fins);
+        let mut both = ser_at(&w, 0);
+        both.extend(fins);
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerAtThenFins(SiteId(0))),
+            both
+        );
+        // The closed form re-tests the sers only.
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerAtFinsCharged(SiteId(0))),
+            ser_at(&w, 0)
+        );
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerOf(GlobalTxnId(2))),
+            keys_where(&w, |k| k.0 == QueueOpKind::Ser && k.1 == GlobalTxnId(2))
+        );
+        assert_eq!(
+            resolved(&w, &WakeCandidates::Inits),
+            keys_where(&w, |k| k.0 == QueueOpKind::Init)
+        );
+        assert_eq!(resolved(&w, &WakeCandidates::All), keys_where(&w, |_| true));
 
-        buf.clear();
-        w.resolve_into(&WakeCandidates::SerOf(GlobalTxnId(2)), &mut buf);
-        assert_eq!(Vec::from(buf.clone()), w.ser_keys_of(GlobalTxnId(2)));
-
-        buf.clear();
-        w.resolve_into(&WakeCandidates::Inits, &mut buf);
-        assert_eq!(Vec::from(buf.clone()), w.init_keys());
-
-        // Replacing an op must not double-count; removal must decrement.
-        w.insert(QueueOp::Ser {
-            txn: GlobalTxnId(1),
-            site: SiteId(0),
-        });
+        // A duplicate is refused and counts nothing twice; removal undoes
+        // exactly what the insert did.
+        assert!(!w.insert(ser(1, 0), 1));
+        assert!(!w.insert(fin(3), 50));
+        assert_eq!(w.ser_count_at(SiteId(0)), 3);
+        assert_eq!((w.fin_count(), w.fin_cond_cost()), (2, 7));
+        w.take_if(&wait_key(&ser(1, 0)), |_| true);
         assert_eq!(w.ser_count_at(SiteId(0)), 2);
-        w.remove(&(QueueOpKind::Ser, GlobalTxnId(1), Some(SiteId(0))));
-        assert_eq!(w.ser_count_at(SiteId(0)), 1);
-        w.remove(&(QueueOpKind::Fin, GlobalTxnId(3), None));
-        assert_eq!(w.fin_count(), 0);
+        assert_eq!(
+            resolved(&w, &WakeCandidates::SerAt(SiteId(0))),
+            ser_at(&w, 0)
+        );
+        w.take_if(&wait_key(&fin(3)), |_| true);
+        assert_eq!((w.fin_count(), w.fin_cond_cost()), (1, 4));
     }
 
     #[test]

@@ -221,7 +221,11 @@ impl Gtm2Scheme for Scheme1 {
                 // The site lost its outstanding op and its insert-queue
                 // front may have changed: waiting ser ops there are
                 // candidates. The ack also appended to the delete queue,
-                // which can enable a fin whose other sites were ready.
+                // which can enable a fin whose other sites were ready —
+                // only the acked transaction's own, in fact. The dense
+                // kernel charges the other fins without re-testing them;
+                // this kernel re-tests them all, and so is the oracle the
+                // equivalence tests hold that charge against.
                 steps.bump(
                     StepKind::WaitScan,
                     (wait.ser_count_at(*site) + wait.fin_count()) as u64,

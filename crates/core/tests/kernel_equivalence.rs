@@ -21,8 +21,11 @@ use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::replay::{replay_kernel, replay_sharded_kernel, Script, ScriptEvent};
+use mdbs_core::replay::{
+    replay_kernel, replay_sharded_kernel, replay_sharded_with, replay_with, Script, ScriptEvent,
+};
 use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_core::sharded::ShardedGtm2;
 use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
 use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_schedule::DiGraph;
@@ -136,6 +139,63 @@ fn build_pair(shape: &[u8], dep_picks: &[bool], fresh_mask: u8) -> (Tsgd, DenseT
     reference.insert_txn(fresh, &fresh_sites);
     dense.insert_txn(fresh, &fresh_sites);
     (reference, dense, fresh)
+}
+
+/// Equivalence at the size where the wake storm lives: the benchmark's
+/// `sched_burst` shape (nearly every transaction active at once, hundreds
+/// of fins waiting per ack), where the dense Scheme 1 kernel's closed-form
+/// fin charge and the engine's in-place re-tests do nearly all their work.
+/// The proptests below stop at a dozen transactions. Full outcome equality
+/// against the BTree oracle, on the single engine and at 10 shards.
+#[test]
+fn burst_scale_outcomes_match_reference() {
+    // An unoptimized build needs minutes for the BTree side of the full
+    // 1000 transactions; 300 still keeps ~10² fins waiting per ack.
+    let n = if cfg!(debug_assertions) { 300 } else { 1000 };
+    let script = Script::random(n, 10, 2.5, 11);
+    // Per-act invariant validation (on by default in debug builds) is cubic
+    // in the live transactions; the proptests cover it at small sizes.
+    let single = |kind: SchemeKind, kernel| {
+        let mut engine = Gtm2::new(kind.build_kernel(kernel));
+        engine.set_validate(false);
+        replay_with(engine, &script)
+    };
+    let sharded = |kind, kernel| {
+        let mut engine = ShardedGtm2::new_with_kernel(kind, kernel, 10);
+        engine.set_validate(false);
+        replay_sharded_with(engine, &script)
+    };
+    for kind in [SchemeKind::Scheme1, SchemeKind::Scheme3] {
+        let runs = [
+            (
+                "single",
+                single(kind, KernelKind::BTree),
+                single(kind, KernelKind::Dense),
+            ),
+            (
+                "10 shards",
+                sharded(kind, KernelKind::BTree),
+                sharded(kind, KernelKind::Dense),
+            ),
+        ];
+        for (engine, reference, dense) in runs {
+            assert_eq!(reference.steps, dense.steps, "{kind} {engine}: steps");
+            assert_eq!(reference.stats, dense.stats, "{kind} {engine}: stats");
+            assert_eq!(
+                reference.ser_events, dense.ser_events,
+                "{kind} {engine}: ser(S)"
+            );
+            assert_eq!(
+                (reference.wake_scan_count, reference.wake_scan_sum),
+                (dense.wake_scan_count, dense.wake_scan_sum),
+                "{kind} {engine}: wake-scan histogram"
+            );
+            assert_eq!(reference.aborted, dense.aborted, "{kind} {engine}");
+            assert_eq!(dense.completed, n, "{kind} {engine}");
+            assert_eq!(dense.protocol_violations, 0, "{kind} {engine}");
+            assert!(dense.ser_serializable, "{kind} {engine}");
+        }
+    }
 }
 
 proptest! {

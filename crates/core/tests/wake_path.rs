@@ -1,0 +1,218 @@
+//! The wake path's edge cases, on both engines.
+//!
+//! Figure 3's inner loop re-tests waiters in place, and Scheme 1's dense
+//! kernel charges the `fin` re-tests after an `ack` in closed form (the
+//! BTree kernel runs them, and so is the oracle for the charge). These
+//! tests pin what random valid scripts never reach:
+//!
+//! - an operation enqueued twice is a counted protocol violation, not a
+//!   second waiter;
+//! - a `fin` that arrives *before* its transaction's last `ack` — the one
+//!   order in which an `ack` can enable a waiting `fin` — is still woken
+//!   by that `ack`;
+//! - an `ack` of some other transaction, arriving while fins wait, charges
+//!   in closed form exactly what the literal re-tests charge.
+
+use mdbs_common::ids::{GlobalTxnId, SiteId};
+use mdbs_common::instrument::Registry;
+use mdbs_common::ops::QueueOp;
+use mdbs_common::step::StepCounter;
+use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
+use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_core::sharded::ShardedGtm2;
+
+fn init(txn: u64, sites: &[u32]) -> QueueOp {
+    QueueOp::Init {
+        txn: GlobalTxnId(txn),
+        sites: sites.iter().map(|&s| SiteId(s)).collect(),
+    }
+}
+fn ser(txn: u64, site: u32) -> QueueOp {
+    QueueOp::Ser {
+        txn: GlobalTxnId(txn),
+        site: SiteId(site),
+    }
+}
+fn ack(txn: u64, site: u32) -> QueueOp {
+    QueueOp::Ack {
+        txn: GlobalTxnId(txn),
+        site: SiteId(site),
+    }
+}
+fn fin(txn: u64) -> QueueOp {
+    QueueOp::Fin {
+        txn: GlobalTxnId(txn),
+    }
+}
+
+/// Either engine, behind the calls these tests make.
+enum Engine {
+    Single(Box<Gtm2>),
+    Sharded(Box<ShardedGtm2>),
+}
+
+/// Everything two runs of one operation sequence are compared on.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    effects: Vec<SchemeEffect>,
+    stats: Gtm2Stats,
+    steps: StepCounter,
+    waiting: usize,
+}
+
+impl Engine {
+    /// The single engine at `shards == 1`, else the sharded one.
+    fn new(kind: SchemeKind, kernel: KernelKind, shards: usize) -> Engine {
+        if shards == 1 {
+            Engine::Single(Box::new(Gtm2::new(kind.build_kernel(kernel))))
+        } else {
+            Engine::Sharded(Box::new(ShardedGtm2::new_with_kernel(kind, kernel, shards)))
+        }
+    }
+
+    /// Enqueue `ops` and pump the engine dry.
+    fn feed(&mut self, ops: &[QueueOp]) -> Vec<SchemeEffect> {
+        match self {
+            Engine::Single(e) => {
+                ops.iter().for_each(|op| e.enqueue(op.clone()));
+                e.pump()
+            }
+            Engine::Sharded(e) => {
+                for op in ops {
+                    e.enqueue(op.clone());
+                }
+                e.pump_all()
+            }
+        }
+    }
+
+    fn observed(&self, effects: Vec<SchemeEffect>) -> Observed {
+        let (stats, steps, waiting) = match self {
+            Engine::Single(e) => (e.stats(), e.steps(), e.wait_len()),
+            Engine::Sharded(e) => (e.stats(), e.steps(), e.wait_len()),
+        };
+        Observed {
+            effects,
+            stats,
+            steps,
+            waiting,
+        }
+    }
+
+    fn wake_elided(&self) -> u64 {
+        let mut registry = Registry::new();
+        match self {
+            Engine::Single(e) => e.export_metrics(&mut registry),
+            Engine::Sharded(e) => e.export_metrics(&mut registry),
+        }
+        registry.counter("gtm2.wake_elided")
+    }
+}
+
+/// Feed `rounds` one after another, pumping dry after each.
+fn run(kind: SchemeKind, kernel: KernelKind, shards: usize, rounds: &[&[QueueOp]]) -> Engine {
+    let mut engine = Engine::new(kind, kernel, shards);
+    for round in rounds {
+        engine.feed(round);
+    }
+    engine
+}
+
+#[test]
+fn duplicate_op_is_a_violation_not_a_second_waiter() {
+    for shards in [1, 2] {
+        let mut e = Engine::new(SchemeKind::Scheme0, KernelKind::Dense, shards);
+        // G2's ser waits behind G1 at s0 — and is then sent again.
+        let fx = e.feed(&[init(1, &[0]), init(2, &[0]), ser(2, 0), ser(2, 0)]);
+        let seen = e.observed(fx);
+        assert!(seen.effects.is_empty(), "{shards} shards");
+        assert_eq!(seen.waiting, 1, "{shards} shards: one op waits");
+        assert_eq!(seen.stats.waited, 1, "{shards} shards");
+        assert_eq!(seen.stats.waited_kind, [0, 1, 0, 0], "{shards} shards");
+        assert_eq!(seen.stats.peak_wait, 1, "{shards} shards");
+        assert_eq!(seen.stats.protocol_violations, 1, "{shards} shards");
+        // G1 runs and acks; the one waiting copy wakes and WAIT is empty.
+        e.feed(&[ser(1, 0)]);
+        let fx = e.feed(&[ack(1, 0)]);
+        let seen = e.observed(fx);
+        assert!(
+            seen.effects.contains(&SchemeEffect::SubmitSer {
+                txn: GlobalTxnId(2),
+                site: SiteId(0)
+            }),
+            "{shards} shards: {:?}",
+            seen.effects
+        );
+        assert_eq!(seen.waiting, 0, "{shards} shards: WAIT drains to zero");
+        assert_eq!(seen.stats.peak_wait, 1, "{shards} shards");
+    }
+}
+
+/// `fin_1` is enqueued after `G1`'s first ack but before its last: it is
+/// waiting when the ack that makes `G1` the front of s1's delete queue
+/// arrives, and only that ack can wake it. `fin_2` waits behind it at s0
+/// so the fin → fins cascade runs too.
+#[test]
+fn fin_enqueued_before_its_last_ack_is_woken_by_that_ack() {
+    let rounds: [&[QueueOp]; 5] = [
+        &[init(1, &[0, 1]), init(2, &[0]), ser(1, 0), ser(1, 1)],
+        &[ack(1, 0), ser(2, 0)],
+        &[ack(2, 0), fin(2)], // fin_2 waits: s0's delete front is G1
+        &[fin(1)],            // early: s1 has no delete-queue entry yet
+        &[ack(1, 1)],         // wakes fin_1, whose pops wake fin_2
+    ];
+    for shards in [1, 2] {
+        let mut seen = Vec::new();
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds[..4]);
+            assert_eq!(
+                e.observed(Vec::new()).waiting,
+                2,
+                "{kernel} @ {shards}: both fins wait before the last ack"
+            );
+            let fx = e.feed(rounds[4]);
+            let after = e.observed(fx);
+            assert_eq!(after.waiting, 0, "{kernel} @ {shards}: ack woke the fins");
+            assert_eq!(after.stats.fins, 2, "{kernel} @ {shards}");
+            assert_eq!(after.stats.protocol_violations, 0, "{kernel} @ {shards}");
+            seen.push(after);
+        }
+        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+    }
+}
+
+/// An ack of a transaction whose fin is *not* waiting, while another fin
+/// is: the dense kernel charges that fin's re-test without running it, the
+/// BTree kernel runs it, and the step counters must agree.
+#[test]
+fn unrelated_ack_charges_waiting_fins_like_the_literal_retest() {
+    let rounds: [&[QueueOp]; 5] = [
+        &[init(1, &[0]), init(2, &[0, 1]), init(3, &[1]), ser(1, 0)],
+        &[ack(1, 0), ser(2, 0)],
+        &[ack(2, 0), ser(2, 1)],
+        &[ack(2, 1), fin(2)], // waits: s0's delete front is G1
+        &[ser(3, 1)],
+    ];
+    for shards in [1, 2] {
+        let mut btree = run(SchemeKind::Scheme1, KernelKind::BTree, shards, &rounds);
+        let mut dense = run(SchemeKind::Scheme1, KernelKind::Dense, shards, &rounds);
+        let elided_before = dense.wake_elided();
+        // G3's ack appends to s1's delete queue behind G2: fin_2 still
+        // fails, and is charged 1 + |Ĝ_2| = 3 Cond steps either way.
+        let cond_before = dense.observed(Vec::new()).steps.cond;
+        let b = btree.feed(&[ack(3, 1)]);
+        let d = dense.feed(&[ack(3, 1)]);
+        let (b, d) = (btree.observed(b), dense.observed(d));
+        assert_eq!(b, d, "{shards} shards: BTree vs Dense");
+        assert_eq!(d.waiting, 1, "{shards} shards: fin_2 still waits");
+        assert_eq!(d.steps.cond - cond_before, 1 + 3, "{shards} shards");
+        assert_eq!(dense.wake_elided() - elided_before, 1, "{shards} shards");
+        assert_eq!(btree.wake_elided(), 0, "{shards} shards");
+        // And the run still finishes identically on both kernels.
+        let tail = [fin(1), fin(3)];
+        let (b, d) = (btree.feed(&tail), dense.feed(&tail));
+        let (b, d) = (btree.observed(b), dense.observed(d));
+        assert_eq!(b, d, "{shards} shards: BTree vs Dense at the end");
+        assert_eq!((d.waiting, d.stats.fins), (0, 3), "{shards} shards");
+    }
+}
