@@ -26,13 +26,11 @@
 //! - [`rng`] — deterministic seeded randomness used across workload
 //!   generation and simulation so every experiment is reproducible from a
 //!   `u64` seed.
-//! - [`config`] — small shared parameter structs (`MdbsParams`).
 //! - [`error`] — the workspace error type.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config;
 pub mod dense;
 pub mod error;
 pub mod ids;
@@ -42,7 +40,6 @@ pub mod pool;
 pub mod rng;
 pub mod step;
 
-pub use config::MdbsParams;
 pub use dense::{DenseBitSet, DenseInterner};
 pub use error::{MdbsError, Result};
 pub use ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId, TxnId};

@@ -5,7 +5,6 @@
 use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId, TxnId};
 use mdbs_common::ops::{DataOp, QueueOp};
 use mdbs_common::step::StepCounter;
-use mdbs_common::MdbsParams;
 use proptest::prelude::*;
 
 fn roundtrip<
@@ -56,8 +55,7 @@ fn ops_roundtrip() {
 }
 
 #[test]
-fn params_and_steps_roundtrip() {
-    roundtrip(&MdbsParams::small());
+fn steps_roundtrip() {
     roundtrip(&StepCounter {
         cond: 1,
         act: 2,

@@ -31,8 +31,8 @@
 //!   them: an append to a delete queue cannot enable another
 //!   transaction's fin. Counted by `gtm2.wake_elided`; the reference
 //!   kernel runs the re-tests, which is what proves the charge equal.
-//! - Scheme 2's acyclicity validator uses the cached polynomial walk
-//!   check of [`DenseTsgd`] (hits counted by `tsgd.reach_cache_hit`).
+//! - Scheme 2 runs the cursor-amortized `Eliminate_Cycles` over
+//!   [`DenseTsgd`]'s column-position dependency mirror.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -628,11 +628,6 @@ impl Scheme2Dense {
         Self::default()
     }
 
-    /// Read access to the dense TSGD (experiments, diagnostics).
-    pub fn tsgd(&self) -> &DenseTsgd {
-        &self.tsgd
-    }
-
     fn ensure_rows(&mut self) {
         let cap = self.tsgd.txn_capacity();
         if self.executed.len() < cap {
@@ -833,40 +828,23 @@ impl Gtm2Scheme for Scheme2Dense {
 
     fn debug_validate(&self) {
         // Theorem 5's induction, via the exponential oracle (guarded by
-        // size, like the reference). The cached polynomial walk runs
-        // alongside: if it clears a transaction, the oracle must agree —
-        // the walk may over-approximate but never under-approximate.
+        // size, like the reference).
         if self.tsgd.live_txn_count() <= 10 {
             let none = BTreeSet::new();
-            let txns: Vec<GlobalTxnId> = self.tsgd.txns().collect();
-            for t in txns {
-                let walk = self.tsgd.has_cycle_involving_cached(t);
-                let oracle = self.tsgd.has_cycle_involving_oracle(t, &none);
-                assert!(!oracle, "TSGD must remain acyclic (cycle through {t})");
+            for t in self.tsgd.txns() {
                 assert!(
-                    walk || !oracle,
-                    "polynomial walk missed a cycle through {t}"
+                    !self.tsgd.has_cycle_involving_oracle(t, &none),
+                    "TSGD must remain acyclic (cycle through {t})"
                 );
             }
         }
-        // The incrementally maintained dependency order must stay a valid
-        // topological order with every SCC group a singleton: a dependency
-        // cycle would imply a TSGD closed walk Eliminate_Cycles missed.
+        // At any size: a dependency cycle would imply a TSGD cycle that
+        // Eliminate_Cycles missed.
         assert!(
-            self.tsgd.dep_groups().is_empty(),
+            self.tsgd.deps_acyclic(),
             "dependency digraph grew a cycle on a valid run"
         );
-        assert!(
-            self.tsgd.dep_order_consistent(),
-            "incremental dependency order desynced from the dependency set"
-        );
         assert_eq!(self.tsgd.desync_count(), 0, "checked decrement failed");
-    }
-
-    fn export_metrics(&self, registry: &mut Registry) {
-        registry.inc("tsgd.reach_cache_hit", self.tsgd.reach_cache_hits());
-        registry.inc("tsgd.delta_edges", self.tsgd.delta_edges());
-        registry.inc("tsgd.topo_shift", self.tsgd.topo_shift());
     }
 }
 
@@ -1138,7 +1116,7 @@ impl Gtm2Scheme for Scheme3Dense {
                 }
                 // The reference never prunes `set_k` at fin; on valid runs
                 // the bits are already gone (every announced event ran).
-                // Sweep defensively so a recycled slot cannot inherit one.
+                // Clear them anyway so a recycled slot cannot inherit one.
                 for set in self.sets.iter_mut() {
                     set.remove(ts);
                 }
@@ -1352,6 +1330,27 @@ mod tests {
         assert_eq!(e.wait_len(), 0);
         assert_eq!(e.stats().fins, 2);
         assert!(e.ser_log().check().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "dependency digraph grew a cycle")]
+    fn scheme2_dense_validate_rejects_dependency_cycle() {
+        let mut scheme = Scheme2Dense::new();
+        // Eleven live transactions put the TSGD past the exponential
+        // oracle's size guard, so the dependency check must be what fires.
+        for i in 3..=11 {
+            scheme.tsgd.insert_txn(g(i), &[s(i as u32)]);
+        }
+        scheme.tsgd.insert_txn(g(1), &[s(0), s(1)]);
+        scheme.tsgd.insert_txn(g(2), &[s(0), s(1)]);
+        for (site, before, after) in [(0, 1, 2), (1, 2, 1)] {
+            scheme.tsgd.add_dep(Dep {
+                site: s(site),
+                before: g(before),
+                after: g(after),
+            });
+        }
+        scheme.debug_validate();
     }
 
     #[test]

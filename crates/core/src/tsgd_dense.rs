@@ -14,94 +14,27 @@
 //!   *before* slots, so Scheme 2's `cond(ser)` predecessor count is a
 //!   popcount and `cond(fin)`'s "no incoming dependency" test is an O(1)
 //!   counter read instead of a scan of the whole dependency set;
-//! - cycle *validation* uses a polynomial closed-walk reachability check
-//!   (sound over-approximation of the paper's cycle definition) with a
-//!   **witness-based memo** that survives mutations incrementally, falling
-//!   back to the exponential DFS oracle — a direct port of
-//!   [`crate::tsgd::Tsgd::has_cycle_involving`] — only to confirm a
-//!   positive;
-//! - the dependency digraph's acyclicity (the Theorem 5 invariant) is
-//!   maintained *incrementally*: new dependencies are batched as Δ-edge
-//!   records and drained into a Pearce–Kelly online topological order
-//!   ([`mdbs_schedule::OnlineTopo`]) that reorders only the key window
-//!   between the edge's endpoints; a detected cycle collapses its region
-//!   into an SCC group through [`mdbs_schedule::UnionFind`], and
-//!   `remove_txn` repairs only the group it touches instead of
-//!   invalidating everything.
+//! - `Eliminate_Cycles` keeps a per-`(node, arrival-site)` `ScanCursor` and
+//!   reads each column's blocked set from a **column-position** mirror of
+//!   the dependencies (`deps_out`), so a revisit costs O(1) and a column
+//!   scan is a word-parallel find-first-clear.
 //!
-//! Abstract step accounting is unchanged: the cursor-amortized
-//! [`eliminate_cycles_dense_with`] charges `steps` tick-for-tick like
-//! [`crate::tsgd::eliminate_cycles`] (Figure 4); the incremental machinery
-//! lives on *uncounted* machine-cost paths only.
+//! Nothing here answers a scheduling question that the reference does not:
+//! `cond` reads `preds_at` / `incoming_deps` / `dep_count`, `act` calls
+//! `insert_txn` / `add_dep` / `remove_txn` and [`eliminate_cycles_dense_with`],
+//! which charges `steps` tick-for-tick like [`crate::tsgd::eliminate_cycles`]
+//! (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
+//! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
+//! [`crate::tsgd::Tsgd::has_cycle_involving`], exponential) and
+//! [`DenseTsgd::deps_acyclic`] (Kahn over the dependency rows) are
+//! validation grade and run only from `debug_validate` and tests.
 
 use crate::tsgd::Dep;
 use mdbs_common::dense::{DenseBitSet, DenseInterner};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
-use mdbs_schedule::{DiGraph, OnlineTopo, TopoResult, UnionFind};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One memoized closed-walk answer.
-///
-/// The memo is *witness-based* rather than version-keyed: a `Cycle` entry
-/// records the exact transitions `(site, from, to)` of the closed walk it
-/// found, so a later mutation invalidates it only if it blocks one of those
-/// transitions. Each mutation class is monotone in one direction:
-///
-/// - `insert_txn` adds walk transitions, so it can only *create* cycles —
-///   `NoCycle` entries are dropped, `Cycle` witnesses stay valid;
-/// - `add_dep` blocks one transition, so it can only *destroy* cycles —
-///   `NoCycle` entries stay valid, `Cycle` witnesses using that transition
-///   are dropped;
-/// - `remove_txn` deletes transitions through the removed node and the
-///   dependencies touching it (which only blocked transitions through that
-///   same node), so entries not mentioning the node stay valid either way.
-#[derive(Clone, Debug)]
-enum WalkMemo {
-    NoCycle,
-    /// Witness transitions `(site slot, from txn slot, to txn slot)`.
-    Cycle(Vec<(u32, u32, u32)>),
-}
-
-/// Closed-walk memo keyed by txn slot. See [`WalkMemo`] for invalidation.
-#[derive(Clone, Debug, Default)]
-struct WalkCache {
-    map: BTreeMap<u32, WalkMemo>,
-}
-
-/// Δ-edge batch size: pending dependency edges are drained into the online
-/// topological order once this many accumulate (or on any explicit query),
-/// keeping the release-mode hot path to a `Vec::push`.
-const TOPO_DRAIN_BATCH: usize = 1024;
-
-/// Incrementally maintained topological order of the dependency digraph
-/// with SCC collapse.
-///
-/// Nodes are *component representatives*: initially every live txn slot,
-/// collapsed through `scc` when a dependency cycle is detected (only
-/// possible on protocol-violating inputs or direct TSGD manipulation — on
-/// valid Scheme 2 runs every dependency cycle implies a TSGD closed walk
-/// that `Eliminate_Cycles` already broke, so every group stays a
-/// singleton). New dependencies are batched in `pending` and revalidated
-/// against the live dependency set when drained, which makes stale records
-/// (deleted deps, recycled slots) harmless: a record that revalidates *is*
-/// a current dependency, whatever ids its slots mean today.
-#[derive(Clone, Debug, Default)]
-struct DepTopo {
-    order: OnlineTopo,
-    scc: UnionFind,
-    /// Txn slot → index into `groups`, `u32::MAX` when a singleton.
-    group_id: Vec<u32>,
-    /// Multi-member SCC member lists (emptied in place when retired).
-    groups: Vec<Vec<u32>>,
-    /// Batched Δ-edges as `(site, before, after)` slot triples.
-    pending: Vec<(u32, u32, u32)>,
-    /// Total Δ-edge records batched (the `tsgd.delta_edges` metric).
-    delta_edges: u64,
-    /// Total nodes re-keyed by order repairs (the `tsgd.topo_shift` metric).
-    topo_shift: u64,
-}
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// The TSGD over dense slots. See the module docs for the storage scheme.
 #[derive(Clone, Debug, Default)]
@@ -124,9 +57,6 @@ pub struct DenseTsgd {
     /// After-txn slot → number of incoming dependencies (O(1) `cond(fin)`).
     incoming: Vec<u32>,
     dep_count: usize,
-    walk: RefCell<WalkCache>,
-    topo: RefCell<DepTopo>,
-    reach_hits: Cell<u64>,
     /// Checked-decrement failures in [`DenseTsgd::remove_txn`] — a desynced
     /// dependency bitset is counted here (and surfaced by the kernel as a
     /// protocol violation) instead of panicking in the scheduler.
@@ -153,27 +83,7 @@ impl DenseTsgd {
     /// Insert transaction `txn` with edges to `sites` (idempotent-merging,
     /// like the reference). Returns the transaction's slot.
     pub fn insert_txn(&mut self, txn: GlobalTxnId, sites: &[SiteId]) -> u32 {
-        // A new node only adds walk transitions: cycles can appear, not
-        // vanish, so `Cycle` witnesses stay valid and `NoCycle` memos drop.
-        self.walk
-            .borrow_mut()
-            .map
-            .retain(|_, m| matches!(m, WalkMemo::Cycle(_)));
         let ts = self.txns.intern(txn);
-        {
-            let mut topo = self.topo.borrow_mut();
-            let cap = self.txns.capacity();
-            topo.scc.grow(cap);
-            if topo.group_id.len() < cap {
-                topo.group_id.resize(cap, u32::MAX);
-            }
-            // A slot already collapsed into a group keeps its representative
-            // in the order; anything else (fresh or recycled) enters at the
-            // end, which is consistent because it has no dependencies yet.
-            if topo.group_id[ts as usize] == u32::MAX {
-                topo.order.insert(ts);
-            }
-        }
         self.ensure_txn_rows(ts);
         for &site in sites {
             let ss = self.sites.intern(site);
@@ -223,17 +133,6 @@ impl DenseTsgd {
         let Some(ts) = self.txns.slot_of(&txn) else {
             return;
         };
-        // Entries for other txns survive: removing `txn` deletes its walk
-        // transitions (cycles can only vanish, validating `NoCycle`) and the
-        // dependencies touching it (which only blocked transitions through
-        // `txn` itself, so surviving `Cycle` witnesses stay dep-free).
-        self.walk.borrow_mut().map.retain(|&slot, m| {
-            slot != ts
-                && match m {
-                    WalkMemo::NoCycle => true,
-                    WalkMemo::Cycle(w) => w.iter().all(|&(_, from, to)| from != ts && to != ts),
-                }
-        });
         // Outgoing dependencies: clear our bit in each target's inbound set.
         // Decrements are checked — a desynced bitset is counted, not a
         // scheduler panic (the debug assert pins the invariant in tests).
@@ -327,7 +226,6 @@ impl DenseTsgd {
         rows.clear();
         self.txn_sites[ts as usize] = rows;
         self.txns.release(&txn);
-        self.topo_remove_txn(ts);
     }
 
     /// Add a dependency. Debug-asserts both edges exist (like the
@@ -369,22 +267,6 @@ impl DenseTsgd {
                     bits.insert(apos as u32);
                     orow.insert(p, (ss, bits));
                 }
-            }
-            // The new dependency blocks exactly one walk transition: only
-            // `Cycle` witnesses that used it are invalidated (`NoCycle`
-            // memos stay valid — blocking can't create a cycle).
-            self.walk.borrow_mut().map.retain(|_, m| match m {
-                WalkMemo::NoCycle => true,
-                WalkMemo::Cycle(w) => !w.contains(&(ss, bs, asl)),
-            });
-            let backlog = {
-                let mut topo = self.topo.borrow_mut();
-                topo.pending.push((ss, bs, asl));
-                topo.delta_edges += 1;
-                topo.pending.len()
-            };
-            if backlog >= TOPO_DRAIN_BATCH {
-                self.ensure_topo_current();
             }
         }
     }
@@ -582,27 +464,6 @@ impl DenseTsgd {
         out
     }
 
-    /// Times the reachability memo answered a cycle query without a walk.
-    #[inline]
-    pub fn reach_cache_hits(&self) -> u64 {
-        self.reach_hits.get()
-    }
-
-    /// Total Δ-edge records batched into the online topological order (the
-    /// `tsgd.delta_edges` metric).
-    #[inline]
-    pub fn delta_edges(&self) -> u64 {
-        self.topo.borrow().delta_edges
-    }
-
-    /// Total nodes re-keyed by incremental order repairs (the
-    /// `tsgd.topo_shift` metric). Drains the pending batch first so the
-    /// reported figure covers every recorded edge.
-    pub fn topo_shift(&self) -> u64 {
-        self.ensure_topo_current();
-        self.topo.borrow().topo_shift
-    }
-
     /// Checked-decrement failures observed so far (see
     /// [`DenseTsgd::remove_txn`]).
     #[inline]
@@ -617,245 +478,30 @@ impl DenseTsgd {
         self.desync.replace(0)
     }
 
-    /// Multi-member SCC groups of the dependency digraph, as id lists
-    /// (drains the pending Δ-edge batch first). Empty on every valid
-    /// Scheme 2 run: a dependency cycle implies a TSGD closed walk that
-    /// `Eliminate_Cycles` would have broken.
-    pub fn dep_groups(&self) -> Vec<Vec<GlobalTxnId>> {
-        self.ensure_topo_current();
-        let topo = self.topo.borrow();
-        let mut out = Vec::new();
-        for g in &topo.groups {
-            if g.len() > 1 {
-                let mut ids: Vec<GlobalTxnId> =
-                    g.iter().filter_map(|&m| self.txns.key_of(m)).collect();
-                ids.sort_unstable();
-                out.push(ids);
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// True iff the maintained order is a valid topological order of the
-    /// dependency digraph's condensation: every live dependency either
-    /// stays inside one SCC group or points key-forward between two
-    /// representatives. Drains the pending batch first. Test/validation
-    /// grade.
-    pub fn dep_order_consistent(&self) -> bool {
-        self.ensure_topo_current();
-        let topo = self.topo.borrow();
-        for (_, slot) in self.txns.iter_sorted() {
-            for (ss, afters) in &self.deps_out[slot as usize] {
-                let col = &self.site_txns[*ss as usize];
-                for apos in afters.iter() {
-                    let Some(&(_, after)) = col.get(apos as usize) else {
-                        return false;
-                    };
-                    let (ru, rv) = (topo.scc.root(slot), topo.scc.root(after));
-                    if ru == rv {
-                        continue;
-                    }
-                    let (Some(ku), Some(kv)) = (topo.order.key_of(ru), topo.order.key_of(rv))
-                    else {
-                        return false;
-                    };
-                    if ku >= kv {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Drain the batched Δ-edges into the online topological order. Each
-    /// record is revalidated against the live dependency set before being
-    /// applied, which makes records stale by deletion or slot recycling
-    /// harmless: a triple that revalidates *is* a current dependency.
-    pub fn ensure_topo_current(&self) {
-        if self.topo.borrow().pending.is_empty() {
-            return;
-        }
-        let mut guard = self.topo.borrow_mut();
-        let topo = &mut *guard;
-        let pending = std::mem::take(&mut topo.pending);
-        for (ss, bs, asl) in pending {
-            if !self.has_dep_slots(ss, bs, asl) {
-                continue;
-            }
-            self.apply_topo_edge(topo, bs, asl);
-        }
-    }
-
-    /// Apply one validated dependency edge to the order: Pearce–Kelly
-    /// bounded-region repair on the representative digraph, with cycle
-    /// regions collapsed into SCC groups.
-    fn apply_topo_edge(&self, topo: &mut DepTopo, bs: u32, asl: u32) {
-        let u = topo.scc.root(bs);
-        let v = topo.scc.root(asl);
-        if u == v {
-            return;
-        }
-        let result = {
-            let DepTopo {
-                order,
-                scc,
-                group_id,
-                groups,
-                ..
-            } = &mut *topo;
-            let (scc, group_id, groups) = (&*scc, &*group_id, &*groups);
-            order.add_edge(
-                u,
-                v,
-                |n, buf| {
-                    buf.clear();
-                    let gid = group_id[n as usize];
-                    if gid == u32::MAX {
-                        self.for_each_after(n, |a| {
-                            let r = scc.root(a);
-                            if r != n {
-                                buf.push(r);
-                            }
-                        });
-                    } else {
-                        for &m in &groups[gid as usize] {
-                            self.for_each_after(m, |a| {
-                                let r = scc.root(a);
-                                if r != n {
-                                    buf.push(r);
-                                }
-                            });
-                        }
-                    }
-                },
-                |n, buf| {
-                    buf.clear();
-                    let gid = group_id[n as usize];
-                    if gid == u32::MAX {
-                        for (_, befs) in &self.deps_in[n as usize] {
-                            for b in befs.iter() {
-                                let r = scc.root(b);
-                                if r != n {
-                                    buf.push(r);
-                                }
-                            }
-                        }
-                    } else {
-                        for &m in &groups[gid as usize] {
-                            for (_, befs) in &self.deps_in[m as usize] {
-                                for b in befs.iter() {
-                                    let r = scc.root(b);
-                                    if r != n {
-                                        buf.push(r);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                },
-            )
-        };
-        match result {
-            TopoResult::Ordered { shifted } => topo.topo_shift += shifted as u64,
-            TopoResult::Cycle { region } => {
-                Self::merge_reps(&mut topo.scc, &mut topo.group_id, &mut topo.groups, &region);
-                self.rebuild_topo_order(topo);
-            }
-        }
-    }
-
-    /// Collapse the given representatives (and any groups they head) into
-    /// one SCC group. Caller repairs the order afterwards.
-    fn merge_reps(
-        scc: &mut UnionFind,
-        group_id: &mut [u32],
-        groups: &mut Vec<Vec<u32>>,
-        reps: &[u32],
-    ) {
-        let mut members: Vec<u32> = Vec::new();
-        for &r in reps {
-            let gid = group_id[r as usize];
-            if gid == u32::MAX {
-                members.push(r);
-            } else {
-                members.append(&mut groups[gid as usize]);
-            }
-        }
-        members.sort_unstable();
-        members.dedup();
-        if members.len() <= 1 {
-            for &m in &members {
-                group_id[m as usize] = u32::MAX;
-            }
-            return;
-        }
-        for i in 1..members.len() {
-            scc.union(members[0], members[i]);
-        }
-        let gid = groups.len() as u32;
-        for &m in &members {
-            group_id[m as usize] = gid;
-        }
-        groups.push(members);
-    }
-
-    /// Full-rebuild fallback: recompute the representative digraph from the
-    /// live dependency set, collapse any remaining multi-node SCCs, and
-    /// renumber the order along the condensation. Only reached when a
-    /// dependency cycle was found — never on a valid Scheme 2 run.
-    fn rebuild_topo_order(&self, topo: &mut DepTopo) {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        for (_, slot) in self.txns.iter_sorted() {
-            g.add_node(topo.scc.root(slot));
-        }
-        for (_, slot) in self.txns.iter_sorted() {
-            let ru = topo.scc.root(slot);
-            let scc = &topo.scc;
-            self.for_each_after(slot, |a| {
-                let ra = scc.root(a);
-                if ru != ra {
-                    g.add_edge(ru, ra);
+    /// True iff the dependency digraph (transactions as nodes, one arc per
+    /// dependency) is acyclic: Kahn's algorithm over the `incoming` counts
+    /// and the `deps_out` mirror, O(transactions + dependencies).
+    /// Test/validation grade — no `cond`/`act` asks, because a dependency
+    /// cycle implies a TSGD cycle that `Eliminate_Cycles` already broke.
+    pub fn deps_acyclic(&self) -> bool {
+        let mut indegree = self.incoming.clone();
+        let mut ready: Vec<u32> = self
+            .txns
+            .iter_sorted()
+            .map(|(_, slot)| slot)
+            .filter(|&slot| indegree[slot as usize] == 0)
+            .collect();
+        let mut ordered = 0;
+        while let Some(before) = ready.pop() {
+            ordered += 1;
+            self.for_each_after(before, |after| {
+                indegree[after as usize] -= 1;
+                if indegree[after as usize] == 0 {
+                    ready.push(after);
                 }
             });
         }
-        // `sccs()` is Tarjan in reverse topological order of the
-        // condensation; collapsing multi-node components here folds in any
-        // cycles closed by edges batched after the one that tripped us.
-        let comps = g.sccs();
-        let mut order_list: Vec<u32> = Vec::with_capacity(comps.len());
-        for comp in comps.iter().rev() {
-            if comp.len() > 1 {
-                Self::merge_reps(&mut topo.scc, &mut topo.group_id, &mut topo.groups, comp);
-            }
-            order_list.push(topo.scc.root(comp[0]));
-        }
-        topo.order.renumber(&order_list);
-        topo.topo_shift += order_list.len() as u64;
-    }
-
-    /// Order upkeep for a removed transaction. A singleton leaves in O(1)
-    /// (deletions never invalidate a topological order); a group member
-    /// dissolves its group — re-rooting the union-find members back to
-    /// singletons — and the survivors are re-formed by a rebuild, since the
-    /// SCC may have split into several components.
-    fn topo_remove_txn(&self, ts: u32) {
-        let mut guard = self.topo.borrow_mut();
-        let topo = &mut *guard;
-        let gid = topo.group_id.get(ts as usize).copied().unwrap_or(u32::MAX);
-        if gid == u32::MAX {
-            topo.order.remove(ts);
-            return;
-        }
-        let rep = topo.scc.root(ts);
-        topo.order.remove(rep);
-        let members = std::mem::take(&mut topo.groups[gid as usize]);
-        for &m in &members {
-            topo.group_id[m as usize] = u32::MAX;
-        }
-        topo.scc.reroot(&members);
-        self.rebuild_topo_order(topo);
+        ordered == self.txns.live()
     }
 
     fn extra_slots(&self, extra: &BTreeSet<Dep>) -> BTreeSet<(u32, u32, u32)> {
@@ -869,145 +515,6 @@ impl DenseTsgd {
                 ))
             })
             .collect()
-    }
-
-    /// Polynomial closed-walk check: true iff a dependency-free alternating
-    /// walk leaves `start`, never re-uses its arrival site on the next hop,
-    /// and returns to `start`. Every cycle in the paper's sense induces such
-    /// a walk (all its nodes are distinct), so `oracle ⟹ walk` — the walk
-    /// may additionally accept non-simple closed walks, which callers filter
-    /// with [`DenseTsgd::has_cycle_involving_oracle`].
-    ///
-    /// State space is (txn slot, arrival-site slot): O(n·m) states, each
-    /// expanded once — polynomial, unlike the oracle's exponential DFS.
-    pub fn closed_walk_involving(&self, start: GlobalTxnId, extra: &BTreeSet<Dep>) -> bool {
-        let Some(start_slot) = self.txns.slot_of(&start) else {
-            return false;
-        };
-        let extra = self.extra_slots(extra);
-        self.closed_walk_from(start_slot, &extra)
-    }
-
-    fn closed_walk_from(&self, start: u32, extra: &BTreeSet<(u32, u32, u32)>) -> bool {
-        let blocked = |site: u32, before: u32, after: u32| {
-            self.has_dep_slots(site, before, after) || extra.contains(&(site, before, after))
-        };
-        // visited[txn slot] = set of arrival-site slots already expanded.
-        let mut visited: Vec<DenseBitSet> = vec![DenseBitSet::new(); self.txns.capacity()];
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        for &(_, us) in self.sites_row(start) {
-            for &(_, ws) in self.txns_col(us) {
-                if ws == start || blocked(us, start, ws) {
-                    continue;
-                }
-                if visited[ws as usize].insert(us) {
-                    stack.push((ws, us));
-                }
-            }
-        }
-        while let Some((v, arrived)) = stack.pop() {
-            for &(_, us) in self.sites_row(v) {
-                if us == arrived {
-                    continue;
-                }
-                for &(_, ws) in self.txns_col(us) {
-                    if ws == v || blocked(us, v, ws) {
-                        continue;
-                    }
-                    if ws == start {
-                        return true;
-                    }
-                    if visited[ws as usize].insert(us) {
-                        stack.push((ws, us));
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Memoized closed-walk query against the *current* dependency set.
-    /// Entries are invalidated per-witness by the mutation that breaks them
-    /// (see [`WalkMemo`]) instead of wholesale on every structure change;
-    /// hits are counted for the `tsgd.reach_cache_hit` metric.
-    pub fn has_cycle_involving_cached(&self, txn: GlobalTxnId) -> bool {
-        let Some(ts) = self.txns.slot_of(&txn) else {
-            return false;
-        };
-        {
-            let cache = self.walk.borrow();
-            if let Some(memo) = cache.map.get(&ts) {
-                self.reach_hits.set(self.reach_hits.get() + 1);
-                return matches!(memo, WalkMemo::Cycle(_));
-            }
-        }
-        let witness = self.closed_walk_witness(ts);
-        let found = witness.is_some();
-        self.walk.borrow_mut().map.insert(
-            ts,
-            match witness {
-                Some(w) => WalkMemo::Cycle(w),
-                None => WalkMemo::NoCycle,
-            },
-        );
-        found
-    }
-
-    /// [`DenseTsgd::closed_walk_from`] with parent tracking: returns the
-    /// transitions `(site, from, to)` of a dependency-free closed walk
-    /// through `start`, if one exists — the invalidation witness stored by
-    /// [`DenseTsgd::has_cycle_involving_cached`].
-    fn closed_walk_witness(&self, start: u32) -> Option<Vec<(u32, u32, u32)>> {
-        let blocked = |site: u32, before: u32, after: u32| self.has_dep_slots(site, before, after);
-        let mut visited: Vec<DenseBitSet> = vec![DenseBitSet::new(); self.txns.capacity()];
-        let mut parent: BTreeMap<(u32, u32), (u32, u32)> = BTreeMap::new();
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        for &(_, us) in self.sites_row(start) {
-            for &(_, ws) in self.txns_col(us) {
-                if ws == start || blocked(us, start, ws) {
-                    continue;
-                }
-                if visited[ws as usize].insert(us) {
-                    stack.push((ws, us));
-                }
-            }
-        }
-        while let Some((v, arrived)) = stack.pop() {
-            for &(_, us) in self.sites_row(v) {
-                if us == arrived {
-                    continue;
-                }
-                for &(_, ws) in self.txns_col(us) {
-                    if ws == v || blocked(us, v, ws) {
-                        continue;
-                    }
-                    if ws == start {
-                        let mut trail = vec![(us, v, start)];
-                        let mut cur = (v, arrived);
-                        loop {
-                            let (txn, a) = cur;
-                            match parent.get(&cur) {
-                                Some(&prev) => {
-                                    trail.push((a, prev.0, txn));
-                                    cur = prev;
-                                }
-                                None => {
-                                    trail.push((a, start, txn));
-                                    break;
-                                }
-                            }
-                        }
-                        trail.reverse();
-                        return Some(trail);
-                    }
-                    if visited[ws as usize].insert(us) {
-                        parent.insert((ws, us), (v, arrived));
-                        stack.push((ws, us));
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Exponential DFS oracle — a direct port of
@@ -1382,7 +889,6 @@ mod tests {
         let t = two_txn_cycle();
         assert!(t.has_cycle_involving_oracle(g(1), &BTreeSet::new()));
         assert!(t.has_cycle_involving_oracle(g(2), &BTreeSet::new()));
-        assert!(t.closed_walk_involving(g(1), &BTreeSet::new()));
         assert!(t.has_any_cycle_oracle());
     }
 
@@ -1392,8 +898,7 @@ mod tests {
         t.add_dep(dep(0, 1, 2));
         t.add_dep(dep(1, 1, 2));
         assert!(!t.has_any_cycle_oracle());
-        assert!(!t.closed_walk_involving(g(1), &BTreeSet::new()));
-        assert!(!t.closed_walk_involving(g(2), &BTreeSet::new()));
+        assert!(t.deps_acyclic());
         assert_eq!(t.dep_count(), 2);
         assert_eq!(t.incoming_deps(g(2)), 2);
         assert_eq!(t.preds_at(g(2), s(0)).map(|b| b.len()), Some(1));
@@ -1405,17 +910,10 @@ mod tests {
         t.add_dep(dep(0, 1, 2));
         t.add_dep(dep(1, 2, 1));
         assert!(t.has_any_cycle_oracle());
-        assert!(t.closed_walk_involving(g(1), &BTreeSet::new()));
-    }
-
-    #[test]
-    fn walk_is_implied_by_oracle_on_ring() {
-        let mut t = DenseTsgd::new();
-        t.insert_txn(g(1), &[s(0), s(1)]);
-        t.insert_txn(g(2), &[s(1), s(2)]);
-        t.insert_txn(g(3), &[s(2), s(0)]);
-        assert!(t.has_cycle_involving_oracle(g(2), &BTreeSet::new()));
-        assert!(t.closed_walk_involving(g(2), &BTreeSet::new()));
+        assert!(!t.deps_acyclic());
+        // Removing a member removes its dependencies: acyclic again.
+        t.remove_txn(g(2));
+        assert!(t.deps_acyclic());
     }
 
     #[test]
@@ -1494,40 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn reach_cache_hits_count() {
-        let t = two_txn_cycle();
-        assert!(t.has_cycle_involving_cached(g(1)));
-        assert_eq!(t.reach_cache_hits(), 0);
-        assert!(t.has_cycle_involving_cached(g(1)));
-        assert_eq!(t.reach_cache_hits(), 1);
-    }
-
-    #[test]
-    fn cache_invalidates_on_mutation() {
-        let mut t = two_txn_cycle();
-        assert!(t.has_cycle_involving_cached(g(1)));
-        t.add_dep(dep(0, 1, 2));
-        t.add_dep(dep(1, 1, 2));
-        assert!(!t.has_cycle_involving_cached(g(1)), "fresh walk after bump");
-    }
-
-    #[test]
-    fn cycle_witness_survives_unrelated_mutation() {
-        let mut t = two_txn_cycle();
-        assert!(t.has_cycle_involving_cached(g(1)));
-        // A new txn only adds walk transitions: the Cycle witness for G1 is
-        // untouched and the next query is a hit, not a recomputation.
-        t.insert_txn(g(3), &[s(7)]);
-        let hits = t.reach_cache_hits();
-        assert!(t.has_cycle_involving_cached(g(1)));
-        assert_eq!(t.reach_cache_hits(), hits + 1, "witness kept across insert");
-        // Removing the unrelated txn keeps it too.
-        t.remove_txn(g(3));
-        assert!(t.has_cycle_involving_cached(g(1)));
-        assert_eq!(t.reach_cache_hits(), hits + 2, "witness kept across remove");
-    }
-
-    #[test]
     fn cursor_eliminate_matches_rescan_and_reference() {
         let mut reference = Tsgd::new();
         let mut dense = DenseTsgd::new();
@@ -1566,47 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_deps_keep_topo_consistent_without_shifts() {
-        let mut t = DenseTsgd::new();
-        t.insert_txn(g(1), &[s(0), s(1)]);
-        t.insert_txn(g(2), &[s(0), s(1)]);
-        t.insert_txn(g(3), &[s(1)]);
-        t.add_dep(dep(0, 1, 2));
-        t.add_dep(dep(1, 1, 2));
-        t.add_dep(dep(1, 2, 3));
-        assert_eq!(t.delta_edges(), 3);
-        assert!(t.dep_order_consistent());
-        assert!(t.dep_groups().is_empty());
-        // Insertion-ordered dependencies point key-forward: no repairs.
-        assert_eq!(t.topo_shift(), 0);
-        assert_eq!(t.take_desync(), 0);
-    }
-
-    #[test]
-    fn opposite_deps_collapse_into_group_and_split_on_removal() {
-        let mut t = two_txn_cycle();
-        t.add_dep(dep(0, 1, 2));
-        t.add_dep(dep(1, 2, 1));
-        assert_eq!(
-            t.dep_groups(),
-            vec![vec![g(1), g(2)]],
-            "dep cycle collapsed"
-        );
-        assert!(t.dep_order_consistent());
-        // Removing a member dissolves the group; the survivor is a
-        // singleton again and the order stays valid.
-        t.remove_txn(g(2));
-        assert!(t.dep_groups().is_empty());
-        assert!(t.dep_order_consistent());
-        assert_eq!(t.take_desync(), 0);
-        // The freed slot re-forms cleanly.
-        t.insert_txn(g(9), &[s(0), s(1)]);
-        t.add_dep(dep(0, 1, 9));
-        assert!(t.dep_groups().is_empty());
-        assert!(t.dep_order_consistent());
-    }
-
-    #[test]
     fn recycled_site_slot_carries_no_stale_deps() {
         let mut t = DenseTsgd::new();
         // Site 10 is used only by G1/G4 and carries a dependency; removing
@@ -1630,55 +1053,7 @@ mod tests {
         t.add_dep(dep(0, 2, 3));
         assert!(t.has_dep(s(0), g(2), g(3)));
         assert!(!t.has_dep(s(99), g(2), g(3)), "no aliasing into site 99");
-        assert!(t.dep_order_consistent());
+        assert!(t.deps_acyclic());
         assert_eq!(t.take_desync(), 0);
-    }
-
-    #[test]
-    fn pending_batch_revalidates_stale_records() {
-        let mut t = DenseTsgd::new();
-        t.insert_txn(g(1), &[s(0)]);
-        t.insert_txn(g(2), &[s(0)]);
-        t.add_dep(dep(0, 1, 2));
-        // The record is batched; removing G1 deletes the dependency before
-        // any drain, so the drain must drop the stale triple.
-        t.remove_txn(g(1));
-        t.ensure_topo_current();
-        assert!(t.dep_order_consistent());
-        assert!(t.dep_groups().is_empty());
-        assert_eq!(t.delta_edges(), 1, "the record was still counted");
-    }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use mdbs_common::ids::{GlobalTxnId, SiteId};
-    fn g(n: u64) -> GlobalTxnId {
-        GlobalTxnId(n)
-    }
-    fn s(n: u32) -> SiteId {
-        SiteId(n)
-    }
-    fn dep(site: u32, before: u64, after: u64) -> Dep {
-        Dep {
-            site: s(site),
-            before: g(before),
-            after: g(after),
-        }
-    }
-
-    #[test]
-    fn pending_batch_visible_edges_keep_order_consistent() {
-        let mut t = DenseTsgd::new();
-        // Insertion order fixes topo keys ascending: z, x, v, u.
-        t.insert_txn(g(1), &[s(0)]); // z
-        t.insert_txn(g(2), &[s(0)]); // x
-        t.insert_txn(g(3), &[s(0)]); // v
-        t.insert_txn(g(4), &[s(0)]); // u
-        t.add_dep(dep(0, 2, 4)); // x -> u (forward)
-        t.add_dep(dep(0, 4, 3)); // u -> v (backward)
-        t.add_dep(dep(0, 3, 1)); // v -> z (backward, pending when u->v drains)
-        assert!(t.dep_order_consistent(), "order broken by batched drain");
     }
 }

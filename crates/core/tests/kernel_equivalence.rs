@@ -14,8 +14,8 @@
 //!   and must carry no stale state;
 //! - `eliminate_cycles_dense_with` computes exactly the reference Δ with
 //!   exactly the reference step charges (Figure 4 parity);
-//! - the polynomial closed-walk check never misses a cycle the exponential
-//!   oracle finds (it may over-approximate, never under-approximate).
+//! - `DenseTsgd::deps_acyclic` agrees with `DiGraph::has_cycle` on the
+//!   reference dependency digraph, cycles included.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
@@ -139,6 +139,18 @@ fn build_pair(shape: &[u8], dep_picks: &[bool], fresh_mask: u8) -> (Tsgd, DenseT
     reference.insert_txn(fresh, &fresh_sites);
     dense.insert_txn(fresh, &fresh_sites);
     (reference, dense, fresh)
+}
+
+/// The reference dependency digraph: one arc `before → after` per dependency.
+fn dep_digraph(reference: &Tsgd) -> DiGraph<GlobalTxnId> {
+    let mut g = DiGraph::new();
+    for t in reference.txns() {
+        g.add_node(t);
+    }
+    for d in reference.deps() {
+        g.add_edge(d.before, d.after);
+    }
+    g
 }
 
 /// Equivalence at the size where the wake storm lives: the benchmark's
@@ -311,32 +323,6 @@ proptest! {
         }
     }
 
-    /// Soundness of the polynomial cycle check: whenever the exponential
-    /// oracle finds a cycle through `start`, the closed-walk
-    /// over-approximation must flag it too.
-    #[test]
-    fn oracle_cycle_implies_poly_walk(
-        shape in prop::collection::vec(0u8..16, 1..6),
-        dep_picks in prop::collection::vec(any::<bool>(), 0..24),
-        fresh_mask in 0u8..16,
-    ) {
-        let (_, dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
-        let extra = std::collections::BTreeSet::new();
-        let txns: Vec<GlobalTxnId> = dense.txns().collect();
-        for t in txns.into_iter().chain([fresh]) {
-            if dense.has_cycle_involving_oracle(t, &extra) {
-                prop_assert!(
-                    dense.closed_walk_involving(t, &extra),
-                    "polynomial walk missed an oracle cycle through {t}"
-                );
-                prop_assert!(
-                    dense.has_cycle_involving_cached(t),
-                    "cached walk missed an oracle cycle through {t}"
-                );
-            }
-        }
-    }
-
     /// Adversarial kernel matrix: cycle-heavy, fin-deletion-heavy scripts
     /// must leave the dense and BTree Scheme 2 kernels byte-identical,
     /// through both the single engine and the sharded pump.
@@ -379,9 +365,8 @@ proptest! {
     /// structures: inserts, deliberate dependency cycles (both directions of
     /// shared-site pairs), fin-style removals that release and recycle site
     /// slots, and Eliminate_Cycles rounds whose Δ is folded back in. After
-    /// every removal and at the end, the incremental topo order must stay
-    /// consistent and the collapsed SCC groups must equal the groups an
-    /// offline Tarjan pass finds on the reference dependency digraph.
+    /// every removal and at the end, `deps_acyclic` must give the verdict
+    /// `DiGraph::has_cycle` gives on the reference dependency digraph.
     #[test]
     fn adversarial_dep_interleaving_matches_reference(
         ops in prop::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u8>()), 1..80),
@@ -436,9 +421,9 @@ proptest! {
                     let txn = live.remove(a as usize % live.len());
                     reference.remove_txn(txn);
                     dense.remove_txn(txn);
-                    prop_assert!(
-                        dense.dep_order_consistent(),
-                        "topo order inconsistent after removing {txn}"
+                    prop_assert_eq!(
+                        dense.deps_acyclic(), !dep_digraph(&reference).has_cycle(),
+                        "acyclicity verdict diverged after removing {}", txn
                     );
                 }
                 _ => {
@@ -464,27 +449,9 @@ proptest! {
         }
         let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
         prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
-        prop_assert!(dense.dep_order_consistent(), "final topo order inconsistent");
-        let mut g: DiGraph<GlobalTxnId> = DiGraph::new();
-        for t in reference.txns() {
-            g.add_node(t);
-        }
-        for d in reference.deps() {
-            g.add_edge(d.before, d.after);
-        }
-        let mut expected: Vec<Vec<GlobalTxnId>> = g
-            .sccs()
-            .into_iter()
-            .filter(|comp| comp.len() > 1)
-            .map(|mut comp| {
-                comp.sort();
-                comp
-            })
-            .collect();
-        expected.sort();
         prop_assert_eq!(
-            dense.dep_groups(), expected,
-            "collapsed SCC groups diverged from the offline oracle"
+            dense.deps_acyclic(), !dep_digraph(&reference).has_cycle(),
+            "final acyclicity verdict diverged"
         );
     }
 }

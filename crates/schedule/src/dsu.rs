@@ -6,34 +6,13 @@
 //! pure connectivity query over sites, which union-find answers in
 //! near-constant amortised time. Edge *insertions* (inits) are incremental
 //! unions; only *deletions* (fins) force a rebuild.
-//!
-//! The dense Scheme 2 kernel additionally uses it to collapse strongly
-//! connected components of the dependency digraph (incremental cycle
-//! maintenance in `mdbs-core::tsgd_dense`). That path needs two extra
-//! capabilities plain union-find lacks:
-//!
-//! - [`UnionFind::checkpoint`]/[`UnionFind::rollback`] — speculative
-//!   unions that can be undone. Implemented as an explicit undo log of
-//!   every `parent`/`size` write (including path-halving writes inside
-//!   [`UnionFind::find`], which a naive "un-union" scheme would miss).
-//! - [`UnionFind::reroot`] — reset a *complete* group's members back to
-//!   singletons so the group can be re-formed after an SCC splits on edge
-//!   deletion, without touching any other component.
 
-/// Union-find with path halving, union by size, and an optional undo log.
+/// Union-find with path halving and union by size.
 #[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    /// Undo records `(index, old_parent, old_size)`; only appended while a
-    /// checkpoint is outstanding.
-    log: Vec<(u32, u32, u32)>,
-    logging: bool,
 }
-
-/// Opaque log position returned by [`UnionFind::checkpoint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UfMark(usize);
 
 impl UnionFind {
     /// A structure over `n` initially-singleton elements.
@@ -41,8 +20,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            log: Vec::new(),
-            logging: false,
         }
     }
 
@@ -64,25 +41,12 @@ impl UnionFind {
         }
     }
 
-    /// Reset every element to a singleton (keeps capacity, clears any
-    /// outstanding undo log).
+    /// Reset every element to a singleton (keeps capacity).
     pub fn reset(&mut self) {
         for (i, p) in self.parent.iter_mut().enumerate() {
             *p = i as u32;
         }
         self.size.iter_mut().for_each(|s| *s = 1);
-        self.log.clear();
-        self.logging = false;
-    }
-
-    #[inline]
-    fn write(&mut self, i: u32, parent: u32, size: u32) {
-        if self.logging {
-            self.log
-                .push((i, self.parent[i as usize], self.size[i as usize]));
-        }
-        self.parent[i as usize] = parent;
-        self.size[i as usize] = size;
     }
 
     /// Representative of `x`'s component (path halving).
@@ -90,22 +54,8 @@ impl UnionFind {
         let mut x = x;
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
-            if self.parent[x as usize] != grand {
-                let sz = self.size[x as usize];
-                self.write(x, grand, sz);
-            }
+            self.parent[x as usize] = grand;
             x = grand;
-        }
-        x
-    }
-
-    /// Representative of `x`'s component without path compression — usable
-    /// through a shared reference (needed where a closure walks components
-    /// while another field of the owner is mutably borrowed).
-    pub fn root(&self, x: u32) -> u32 {
-        let mut x = x;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
         }
         x
     }
@@ -122,59 +72,14 @@ impl UnionFind {
         } else {
             (rb, ra)
         };
-        let small_size = self.size[small as usize];
-        self.write(small, big, small_size);
-        let big_size = self.size[big as usize];
-        self.write(big, big, big_size + small_size);
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
         true
     }
 
     /// True iff `a` and `b` are in the same component.
     pub fn connected(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Start (or extend) an undo scope: every subsequent `parent`/`size`
-    /// write — unions *and* path-halving compressions — is logged until
-    /// [`rollback`](Self::rollback) or [`commit`](Self::commit) consumes
-    /// the returned mark.
-    pub fn checkpoint(&mut self) -> UfMark {
-        self.logging = true;
-        UfMark(self.log.len())
-    }
-
-    /// Undo every write made since `mark` (most-recent first). Marks must
-    /// be consumed LIFO; rolling back to an outer mark discards inner ones.
-    pub fn rollback(&mut self, mark: UfMark) {
-        while self.log.len() > mark.0 {
-            let (i, p, s) = self.log.pop().expect("guarded by len");
-            self.parent[i as usize] = p;
-            self.size[i as usize] = s;
-        }
-        if mark.0 == 0 {
-            self.logging = false;
-        }
-    }
-
-    /// Keep every write made since `mark` and drop the undo records.
-    pub fn commit(&mut self, mark: UfMark) {
-        self.log.truncate(mark.0);
-        if mark.0 == 0 {
-            self.logging = false;
-        }
-    }
-
-    /// Reset `members` to singletons so their groups can be re-formed
-    /// (e.g. after an SCC split on edge deletion).
-    ///
-    /// Precondition: `members` must cover *complete* components — no
-    /// element outside the slice may have a parent chain through any listed
-    /// element, otherwise that chain would dangle. The caller (the SCC
-    /// group bookkeeping) tracks full member lists precisely so this holds.
-    pub fn reroot(&mut self, members: &[u32]) {
-        for &m in members {
-            self.write(m, m, 1);
-        }
     }
 }
 
@@ -206,91 +111,5 @@ mod tests {
         assert!(!uf.connected(0, 1));
         assert!(!uf.connected(0, 3));
         assert!(!uf.is_empty());
-    }
-
-    #[test]
-    fn root_matches_find_without_compression() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(3, 4);
-        let before = uf.clone();
-        for x in 0..6 {
-            assert_eq!(uf.root(x), before.clone().find(x), "element {x}");
-        }
-        // `root` through a shared reference must not mutate.
-        let parents_before: Vec<u32> = (0..6).map(|x| uf.root(x)).collect();
-        let parents_after: Vec<u32> = (0..6).map(|x| uf.root(x)).collect();
-        assert_eq!(parents_before, parents_after);
-    }
-
-    #[test]
-    fn rollback_restores_exact_state() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        // Force a long chain so later finds path-halve (the writes the log
-        // must also capture).
-        uf.union(1, 2);
-        let snapshot = uf.clone();
-        let mark = uf.checkpoint();
-        uf.union(4, 5);
-        uf.union(5, 0);
-        assert!(uf.connected(4, 3));
-        // Path-halving queries mutate parents under the checkpoint too.
-        for x in 0..8 {
-            uf.find(x);
-        }
-        uf.rollback(mark);
-        assert!(!uf.connected(4, 3));
-        assert!(!uf.connected(4, 5));
-        for x in 0..8 {
-            assert_eq!(
-                uf.root(x),
-                snapshot.root(x),
-                "component of {x} after rollback"
-            );
-        }
-    }
-
-    #[test]
-    fn nested_checkpoints_rollback_lifo() {
-        let mut uf = UnionFind::new(6);
-        let outer = uf.checkpoint();
-        uf.union(0, 1);
-        let inner = uf.checkpoint();
-        uf.union(2, 3);
-        uf.rollback(inner);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(2, 3));
-        uf.rollback(outer);
-        assert!(!uf.connected(0, 1));
-    }
-
-    #[test]
-    fn commit_keeps_changes() {
-        let mut uf = UnionFind::new(4);
-        let mark = uf.checkpoint();
-        uf.union(0, 1);
-        uf.commit(mark);
-        assert!(uf.connected(0, 1));
-        // After commit at mark 0 the log is inactive: a rollback to a stale
-        // mark is a no-op rather than corruption.
-        uf.rollback(mark);
-        assert!(uf.connected(0, 1));
-    }
-
-    #[test]
-    fn reroot_splits_group_back_to_singletons() {
-        let mut uf = UnionFind::new(5);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(3, 4);
-        uf.reroot(&[0, 1, 2]);
-        for x in [0, 1, 2] {
-            assert_eq!(uf.find(x), x, "{x} is a singleton again");
-        }
-        assert!(uf.connected(3, 4), "untouched group survives reroot");
-        assert!(uf.union(0, 2), "re-forming a rerooted group works");
     }
 }

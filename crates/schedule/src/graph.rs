@@ -10,14 +10,6 @@
 //! and go as transactions start and finish) over raw speed: adjacency is a
 //! `BTreeMap<N, BTreeSet<N>>`, giving deterministic iteration order — which
 //! matters for reproducible experiments — and `O(log v)` updates.
-//!
-//! [`OnlineTopo`] is the exception to the clarity-over-speed rule: a
-//! Pearce–Kelly online topological order over dense `u32` nodes, used by
-//! the dense Scheme 2 kernel's incremental dependency-digraph maintenance.
-//! Edge insertions repair only the bounded key window between the
-//! endpoints; a cycle is detected exactly when the bounded forward and
-//! backward searches meet, and the meeting region (the new SCC) is handed
-//! back to the caller for collapse.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -324,326 +316,6 @@ impl<N: Ord + Copy> DiGraph<N> {
     }
 }
 
-/// Outcome of [`OnlineTopo::add_edge`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TopoResult {
-    /// The order is consistent with the new edge; `shifted` nodes were
-    /// re-keyed to make it so (0 when the edge already pointed forward).
-    Ordered {
-        /// Number of nodes whose order key changed.
-        shifted: usize,
-    },
-    /// The edge closes a cycle: `region` is the full node set of the new
-    /// strongly connected component (every node on a path `v ->* u` for
-    /// the inserted edge `u -> v`, including `u` and `v`). The order is
-    /// left untouched; the caller collapses the region and repairs the
-    /// window (e.g. via [`OnlineTopo::assign_window`]).
-    Cycle {
-        /// Nodes of the new SCC, sorted ascending.
-        region: Vec<u32>,
-    },
-}
-
-/// Spacing between freshly assigned order keys — the gap lets small node
-/// sets be re-keyed between two neighbours without a global renumber.
-const TOPO_GAP: u64 = 1 << 20;
-
-/// Pearce–Kelly online topological order over dense `u32` node ids.
-///
-/// Nodes carry sparse `u64` order keys; an edge `a -> b` is *consistent*
-/// iff `key(a) < key(b)`. [`add_edge`](Self::add_edge) maintains
-/// consistency incrementally: when a new edge points backward, only the
-/// nodes inside the key window between its endpoints are searched
-/// (forward from the head, backward from the tail) and re-keyed — the
-/// bounded-region repair — and a cycle exists iff the two searches meet.
-///
-/// Adjacency is *not* stored here: the caller owns it (the dense TSGD
-/// already keeps dependency adjacency in slot-indexed rows) and passes
-/// neighbour closures per call, so the structure adds no per-edge memory.
-/// Node deletions never invalidate the order (removing nodes/edges cannot
-/// create a backward edge), so [`remove`](Self::remove) is O(1).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineTopo {
-    /// Node → order key; `u64::MAX` marks an absent node.
-    key: Vec<u64>,
-    /// Next fresh key (gap-spaced).
-    next_key: u64,
-    /// Number of present nodes.
-    present: usize,
-    /// Scratch: 1 = seen by forward search, 2 = backward, 3 = both.
-    mark: Vec<u8>,
-    /// Scratch: nodes with a non-zero mark (for cheap clearing).
-    marked: Vec<u32>,
-}
-
-impl OnlineTopo {
-    /// Empty order.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Extend the node-id universe to at least `n` ids (all absent).
-    pub fn grow(&mut self, n: usize) {
-        if self.key.len() < n {
-            self.key.resize(n, u64::MAX);
-            self.mark.resize(n, 0);
-        }
-    }
-
-    /// True iff `node` is present.
-    #[inline]
-    pub fn contains(&self, node: u32) -> bool {
-        self.key.get(node as usize).is_some_and(|&k| k != u64::MAX)
-    }
-
-    /// Order key of `node`, if present.
-    #[inline]
-    pub fn key_of(&self, node: u32) -> Option<u64> {
-        self.key
-            .get(node as usize)
-            .copied()
-            .filter(|&k| k != u64::MAX)
-    }
-
-    /// Number of present nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.present
-    }
-
-    /// True iff no node is present.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.present == 0
-    }
-
-    /// Insert `node` at the end of the order (idempotent: a present node
-    /// keeps its key).
-    pub fn insert(&mut self, node: u32) {
-        self.grow(node as usize + 1);
-        if self.key[node as usize] == u64::MAX {
-            self.next_key += TOPO_GAP;
-            self.key[node as usize] = self.next_key;
-            self.present += 1;
-        }
-    }
-
-    /// Remove `node` (idempotent). Deletions keep the order valid for the
-    /// surviving nodes, so this is O(1) — the incremental win over
-    /// rebuild-on-delete.
-    pub fn remove(&mut self, node: u32) {
-        if let Some(k) = self.key.get_mut(node as usize) {
-            if *k != u64::MAX {
-                *k = u64::MAX;
-                self.present -= 1;
-            }
-        }
-    }
-
-    /// Present nodes whose keys lie in `[lo, hi]`, sorted by key.
-    pub fn window_nodes(&self, lo: u64, hi: u64) -> Vec<u32> {
-        let mut out: Vec<u32> = (0..self.key.len() as u32)
-            .filter(|&n| {
-                let k = self.key[n as usize];
-                k != u64::MAX && lo <= k && k <= hi
-            })
-            .collect();
-        out.sort_by_key(|&n| self.key[n as usize]);
-        out
-    }
-
-    /// All present nodes, sorted by key.
-    pub fn nodes_by_key(&self) -> Vec<u32> {
-        self.window_nodes(0, u64::MAX - 1)
-    }
-
-    /// Record the new edge `u -> v`, repairing the order if it points
-    /// backward. `succ`/`pred` enumerate current out-/in-neighbours of a
-    /// node into the supplied buffer (cleared by the callee before use);
-    /// they are only consulted for nodes inside the affected key window.
-    pub fn add_edge(
-        &mut self,
-        u: u32,
-        v: u32,
-        mut succ: impl FnMut(u32, &mut Vec<u32>),
-        mut pred: impl FnMut(u32, &mut Vec<u32>),
-    ) -> TopoResult {
-        if u == v {
-            return TopoResult::Cycle { region: vec![u] };
-        }
-        debug_assert!(self.contains(u) && self.contains(v), "absent endpoint");
-        let (Some(ku), Some(kv)) = (self.key_of(u), self.key_of(v)) else {
-            return TopoResult::Ordered { shifted: 0 };
-        };
-        if ku < kv {
-            return TopoResult::Ordered { shifted: 0 };
-        }
-        let (lb, ub) = (kv, ku);
-        // Both searches are clamped to the window [lb, ub] on BOTH sides.
-        // When every visible edge already respects the order, the lower
-        // bound on the forward search (and the upper bound on the backward
-        // one) never excludes anything: keys strictly increase along old
-        // edges from v and strictly decrease walking them backward from u.
-        // But callers may batch edges — publishing them to the adjacency
-        // the closures read before draining them into this order — and an
-        // out-of-window node reached through such a not-yet-applied edge
-        // must not join the reassignment set: its key would enter the
-        // window multiset and shift ordered nodes past neighbours the
-        // search never examined.
-        let mut fwd: Vec<u32> = Vec::new();
-        let mut stack = vec![v];
-        let mut nbrs: Vec<u32> = Vec::new();
-        self.set_mark(v, 1);
-        fwd.push(v);
-        let mut cycle = false;
-        while let Some(x) = stack.pop() {
-            succ(x, &mut nbrs);
-            for &w in &nbrs {
-                if w == u {
-                    cycle = true;
-                }
-                let Some(kw) = self.key_of(w) else { continue };
-                if kw < lb || kw > ub || self.mark[w as usize] & 1 != 0 {
-                    continue;
-                }
-                self.set_mark(w, 1);
-                fwd.push(w);
-                stack.push(w);
-            }
-        }
-        let mut bwd: Vec<u32> = Vec::new();
-        stack.push(u);
-        self.set_mark(u, 2);
-        bwd.push(u);
-        while let Some(x) = stack.pop() {
-            pred(x, &mut nbrs);
-            for &w in &nbrs {
-                let Some(kw) = self.key_of(w) else { continue };
-                if kw < lb || kw > ub || self.mark[w as usize] & 2 != 0 {
-                    continue;
-                }
-                self.set_mark(w, 2);
-                bwd.push(w);
-                stack.push(w);
-            }
-        }
-        if cycle {
-            // New SCC = {x : v ->* x ->* u} = forward ∩ backward, plus the
-            // endpoints (u is marked 2 by the backward seed and may lack
-            // the forward mark only when the sole path is the new edge).
-            let mut region: Vec<u32> = self
-                .marked
-                .iter()
-                .copied()
-                .filter(|&x| self.mark[x as usize] == 3 || x == u || x == v)
-                .collect();
-            region.sort_unstable();
-            region.dedup();
-            self.clear_marks();
-            return TopoResult::Cycle { region };
-        }
-        // Reorder: the window key multiset is reassigned with all backward
-        // nodes (relative order preserved) before all forward nodes. The
-        // searches are transitively closed inside the window, so every
-        // constraint crossing the two sets is repaired and none with the
-        // outside is disturbed (backward nodes only move down, forward
-        // nodes only move up).
-        fwd.sort_by_key(|&n| self.key[n as usize]);
-        bwd.sort_by_key(|&n| self.key[n as usize]);
-        let mut keys: Vec<u64> = fwd
-            .iter()
-            .chain(bwd.iter())
-            .map(|&n| self.key[n as usize])
-            .collect();
-        keys.sort_unstable();
-        let mut shifted = 0usize;
-        for (slot, &n) in keys.iter().zip(bwd.iter().chain(fwd.iter())) {
-            if self.key[n as usize] != *slot {
-                self.key[n as usize] = *slot;
-                shifted += 1;
-            }
-        }
-        self.clear_marks();
-        TopoResult::Ordered { shifted }
-    }
-
-    /// Reassign the key multiset currently held by `order` to those same
-    /// nodes in the given sequence (used to repair a window after an SCC
-    /// collapse or split). Every listed node must be present; the caller
-    /// guarantees `order` is topologically consistent for the window.
-    /// Returns the number of nodes whose key changed.
-    pub fn assign_window(&mut self, order: &[u32]) -> usize {
-        let mut keys: Vec<u64> = order.iter().map(|&n| self.key[n as usize]).collect();
-        keys.sort_unstable();
-        let mut shifted = 0usize;
-        for (&n, &k) in order.iter().zip(keys.iter()) {
-            if self.key[n as usize] != k {
-                self.key[n as usize] = k;
-                shifted += 1;
-            }
-        }
-        shifted
-    }
-
-    /// Replace the present node `old` by `nodes` (which may include `old`)
-    /// at consecutive keys starting from `old`'s key — the split-repair
-    /// path when a collapsed group separates into several components.
-    /// Fails (returns `false`, structure untouched) when another present
-    /// node occupies the needed key range; the caller then falls back to
-    /// [`renumber`](Self::renumber).
-    pub fn replace_node(&mut self, old: u32, nodes: &[u32]) -> bool {
-        let Some(base) = self.key_of(old) else {
-            return false;
-        };
-        let need = nodes.len() as u64;
-        let clash = (0..self.key.len() as u32).any(|n| {
-            let k = self.key[n as usize];
-            n != old && k != u64::MAX && k > base && k < base + need
-        });
-        if clash {
-            return false;
-        }
-        self.remove(old);
-        for (i, &n) in nodes.iter().enumerate() {
-            self.grow(n as usize + 1);
-            if self.key[n as usize] == u64::MAX {
-                self.present += 1;
-            }
-            self.key[n as usize] = base + i as u64;
-        }
-        true
-    }
-
-    /// Re-key every node in `order` gap-spaced from the start, dropping all
-    /// other nodes — the full-rebuild fallback. `order` must be a valid
-    /// topological order of the caller's graph.
-    pub fn renumber(&mut self, order: &[u32]) {
-        for k in self.key.iter_mut() {
-            *k = u64::MAX;
-        }
-        self.present = 0;
-        self.next_key = 0;
-        for &n in order {
-            self.insert(n);
-        }
-    }
-
-    #[inline]
-    fn set_mark(&mut self, node: u32, bit: u8) {
-        if self.mark[node as usize] == 0 {
-            self.marked.push(node);
-        }
-        self.mark[node as usize] |= bit;
-    }
-
-    fn clear_marks(&mut self) {
-        for &n in &self.marked {
-            self.mark[n as usize] = 0;
-        }
-        self.marked.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,147 +458,5 @@ mod tests {
         g.add_edge(1, 0);
         let nodes: Vec<u32> = g.nodes().collect();
         assert_eq!(nodes, vec![0, 1, 2, 3]);
-    }
-
-    /// Mirror adjacency for OnlineTopo tests: edges live in a DiGraph and
-    /// the closures read it, exactly how the dense TSGD drives the order.
-    fn topo_add(topo: &mut OnlineTopo, g: &mut DiGraph<u32>, a: u32, b: u32) -> TopoResult {
-        let out = topo.add_edge(
-            a,
-            b,
-            |n, buf| {
-                buf.clear();
-                buf.extend(g.successors(n));
-            },
-            |n, buf| {
-                buf.clear();
-                buf.extend(g.predecessors(n));
-            },
-        );
-        if !matches!(out, TopoResult::Cycle { .. }) {
-            g.add_edge(a, b);
-        }
-        out
-    }
-
-    fn assert_consistent(topo: &OnlineTopo, g: &DiGraph<u32>) {
-        for (a, b) in g.edges() {
-            assert!(
-                topo.key_of(a).unwrap() < topo.key_of(b).unwrap(),
-                "edge {a}->{b} violates order"
-            );
-        }
-    }
-
-    #[test]
-    fn online_topo_forward_edges_are_free() {
-        let mut topo = OnlineTopo::new();
-        let mut g = DiGraph::new();
-        for n in 0..5 {
-            topo.insert(n);
-            g.add_node(n);
-        }
-        for w in [(0, 1), (1, 2), (2, 3), (0, 4)] {
-            assert_eq!(
-                topo_add(&mut topo, &mut g, w.0, w.1),
-                TopoResult::Ordered { shifted: 0 },
-                "insertion-ordered edge {w:?} needs no repair"
-            );
-        }
-        assert_consistent(&topo, &g);
-    }
-
-    #[test]
-    fn online_topo_backward_edge_repairs_window_only() {
-        let mut topo = OnlineTopo::new();
-        let mut g = DiGraph::new();
-        for n in 0..6 {
-            topo.insert(n);
-            g.add_node(n);
-        }
-        topo_add(&mut topo, &mut g, 1, 2);
-        topo_add(&mut topo, &mut g, 2, 3);
-        let key5 = topo.key_of(5).unwrap();
-        // 4 -> 1 points backward: the affected region is {4} ∪ {1,2,3}.
-        match topo_add(&mut topo, &mut g, 4, 1) {
-            TopoResult::Ordered { shifted } => assert!(shifted >= 2, "region re-keyed"),
-            other => panic!("expected repair, got {other:?}"),
-        }
-        assert_consistent(&topo, &g);
-        assert_eq!(
-            topo.key_of(5).unwrap(),
-            key5,
-            "node outside window untouched"
-        );
-    }
-
-    #[test]
-    fn online_topo_detects_cycle_region() {
-        let mut topo = OnlineTopo::new();
-        let mut g = DiGraph::new();
-        for n in 0..5 {
-            topo.insert(n);
-            g.add_node(n);
-        }
-        topo_add(&mut topo, &mut g, 0, 1);
-        topo_add(&mut topo, &mut g, 1, 2);
-        topo_add(&mut topo, &mut g, 2, 3);
-        match topo_add(&mut topo, &mut g, 3, 1) {
-            TopoResult::Cycle { region } => assert_eq!(region, vec![1, 2, 3]),
-            other => panic!("expected cycle, got {other:?}"),
-        }
-        // The order is untouched on cycle detection: still valid.
-        assert_consistent(&topo, &g);
-    }
-
-    #[test]
-    fn online_topo_random_edges_stay_consistent() {
-        // Deterministic pseudo-random edge stream over 40 nodes; every
-        // accepted edge must keep the key order a valid topo order.
-        let mut topo = OnlineTopo::new();
-        let mut g = DiGraph::new();
-        for n in 0..40 {
-            topo.insert(n);
-            g.add_node(n);
-        }
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut cycles = 0;
-        for _ in 0..400 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = ((state >> 20) % 40) as u32;
-            let b = ((state >> 40) % 40) as u32;
-            if a == b || g.has_edge(a, b) {
-                continue;
-            }
-            if let TopoResult::Cycle { region } = topo_add(&mut topo, &mut g, a, b) {
-                cycles += 1;
-                // Cross-check against ground truth: a path b ->* a exists.
-                assert!(g.has_path(b, a), "cycle claim must be real");
-                assert!(region.contains(&a) && region.contains(&b));
-            }
-            assert_consistent(&topo, &g);
-        }
-        assert!(cycles > 0, "stream should hit at least one cycle");
-    }
-
-    #[test]
-    fn online_topo_remove_and_replace() {
-        let mut topo = OnlineTopo::new();
-        for n in 0..4 {
-            topo.insert(n);
-        }
-        assert_eq!(topo.len(), 4);
-        topo.remove(2);
-        assert_eq!(topo.len(), 3);
-        assert!(!topo.contains(2));
-        // Split-repair: node 1 becomes nodes {1, 2} at consecutive keys.
-        assert!(topo.replace_node(1, &[1, 2]));
-        assert!(topo.key_of(1).unwrap() < topo.key_of(2).unwrap());
-        assert!(topo.key_of(2).unwrap() < topo.key_of(3).unwrap());
-        // Fallback path: renumber from scratch in a given order.
-        topo.renumber(&[3, 2, 1, 0]);
-        assert_eq!(topo.nodes_by_key(), vec![3, 2, 1, 0]);
     }
 }

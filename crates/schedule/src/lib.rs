@@ -35,9 +35,9 @@ pub mod oracle;
 pub mod ugraph;
 
 pub use csr::{is_conflict_serializable, serialization_graph, CsrReport};
-pub use dsu::{UfMark, UnionFind};
+pub use dsu::UnionFind;
 pub use global::{GlobalSerializability, GlobalSerializationGraph};
-pub use graph::{DiGraph, OnlineTopo, TopoResult};
+pub use graph::DiGraph;
 pub use history::History;
 pub use oracle::is_serializable_by_enumeration;
 pub use ugraph::UnGraph;

@@ -313,8 +313,9 @@ impl ThreadedMdbs {
     }
 
     /// Override the number of GTM2 pump shards. Defaults (in order) to
-    /// this override, the `MDBS_SHARDS` environment variable, then one
-    /// shard per site.
+    /// this override, the `MDBS_SHARDS` environment variable (a run panics
+    /// if it is set to anything but an integer ≥ 1), then one shard per
+    /// site.
     pub fn set_shards(&mut self, n: usize) {
         self.shards = Some(n.max(1));
     }
@@ -323,12 +324,10 @@ impl ThreadedMdbs {
         if let Some(n) = self.shards {
             return n;
         }
-        if let Ok(raw) = std::env::var("MDBS_SHARDS") {
-            if let Ok(n) = raw.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
+        if let Some(raw) = std::env::var_os("MDBS_SHARDS") {
+            let raw = raw.to_string_lossy();
+            return parse_shards(&raw)
+                .unwrap_or_else(|| panic!("MDBS_SHARDS must be an integer >= 1, got {raw:?}"));
         }
         self.protocols.len().max(1)
     }
@@ -534,6 +533,11 @@ impl ThreadedMdbs {
     }
 }
 
+/// A usable `MDBS_SHARDS` value: an integer ≥ 1.
+fn parse_shards(raw: &str) -> Option<usize> {
+    raw.parse().ok().filter(|&n| n >= 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,6 +558,15 @@ mod tests {
             seed,
         };
         Workload::generate(&spec).globals
+    }
+
+    #[test]
+    fn only_integers_from_one_up_are_shard_counts() {
+        assert_eq!(parse_shards("1"), Some(1));
+        assert_eq!(parse_shards("4"), Some(4));
+        for unusable in ["0", "four", ""] {
+            assert_eq!(parse_shards(unusable), None, "{unusable:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Workload specification and generation for the MDBS experiments: global
 //! transaction programs spanning several sites, background local
 //! transactions (the source of the *indirect conflicts* the GTM cannot
-//! see), access-skew distributions, scenario presets, and parameter sweeps.
+//! see), access-skew distributions, and scenario presets.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -12,9 +12,7 @@ pub mod distributions;
 pub mod generator;
 pub mod scenarios;
 pub mod spec;
-pub mod sweep;
 
 pub use distributions::AccessDistribution;
 pub use generator::Workload;
 pub use spec::{LocalOp, LocalTxnProgram, WorkloadSpec};
-pub use sweep::Sweep;

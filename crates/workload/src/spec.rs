@@ -51,25 +51,6 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Derive a spec from the paper's shape parameters ([`mdbs_common::MdbsParams`]:
-    /// `m`, `n`, `d_av`): `n` concurrently active transactions are
-    /// approximated by generating `4·n` transactions run at
-    /// multiprogramming level `n`.
-    pub fn from_params(params: &mdbs_common::MdbsParams) -> Self {
-        WorkloadSpec {
-            sites: params.sites,
-            global_txns: params.max_active_global * 4,
-            avg_sites_per_txn: params.avg_sites_per_txn,
-            ops_per_subtxn: 2,
-            read_ratio: 0.5,
-            items_per_site: params.items_per_site as u64,
-            distribution: AccessDistribution::Uniform,
-            local_txns_per_site: 4,
-            ops_per_local_txn: 2,
-            seed: params.seed,
-        }
-    }
-
     /// A small, uniform default spec.
     pub fn small() -> Self {
         WorkloadSpec {
@@ -114,19 +95,6 @@ mod tests {
     #[test]
     fn small_is_valid() {
         assert_eq!(WorkloadSpec::small().validate(), Ok(()));
-    }
-
-    #[test]
-    fn from_params_round_trips_shape() {
-        let p = mdbs_common::MdbsParams::small()
-            .with_sites(6)
-            .with_avg_sites(2.5)
-            .with_seed(9);
-        let spec = WorkloadSpec::from_params(&p);
-        assert_eq!(spec.sites, 6);
-        assert_eq!(spec.avg_sites_per_txn, 2.5);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub use mdbs_workload as workload;
 /// Convenient glob-import surface for applications.
 pub mod prelude {
     pub use mdbs_common::{
-        DataItemId, DataOp, GlobalTxnId, LocalTxnId, MdbsError, MdbsParams, QueueOp, SiteId,
-        StepCounter, TxnId,
+        DataItemId, DataOp, GlobalTxnId, LocalTxnId, MdbsError, QueueOp, SiteId, StepCounter, TxnId,
     };
     pub use mdbs_core::{SchemeKind, SerializationFnKind};
     pub use mdbs_localdb::LocalProtocolKind;
