@@ -12,7 +12,7 @@
 //! empirical verification of Theorems 3, 5 and 8 for each scheme.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_schedule::DiGraph;
+use mdbs_schedule::{lex_topo_order, DiGraph};
 use std::collections::BTreeMap;
 
 /// The recorded `ser(S)`: per-site sequences of serialization events in
@@ -72,24 +72,47 @@ impl SerSLog {
     /// neighbours of an excluded event stay connected (removing a node
     /// from an already-built chain would break transitivity).
     pub fn graph_excluding(&self, aborted: &[GlobalTxnId]) -> DiGraph<GlobalTxnId> {
+        let (nodes, edges) = self.chains_excluding(aborted);
         let mut g = DiGraph::new();
-        for (txn, _) in &self.total {
-            if !aborted.contains(txn) {
-                g.add_node(*txn);
-            }
+        for txn in nodes {
+            g.add_node(txn);
         }
+        for (a, b) in edges {
+            g.add_edge(a, b);
+        }
+        g
+    }
+
+    /// The surviving transactions (one entry per event) and the
+    /// consecutive-event edges of every site, `aborted` dropped first.
+    fn chains_excluding(
+        &self,
+        aborted: &[GlobalTxnId],
+    ) -> (Vec<GlobalTxnId>, Vec<(GlobalTxnId, GlobalTxnId)>) {
+        // Non-conservative baselines abort a large share of what they run:
+        // membership is asked once per event, so sort once and bisect.
+        let mut aborted = aborted.to_vec();
+        aborted.sort_unstable();
+        let survives = |txn: &GlobalTxnId| aborted.binary_search(txn).is_err();
+        let nodes = self
+            .total
+            .iter()
+            .map(|(txn, _)| *txn)
+            .filter(survives)
+            .collect();
+        let mut edges = Vec::new();
         for order in self.per_site.values() {
             let mut prev: Option<GlobalTxnId> = None;
-            for &b in order.iter().filter(|t| !aborted.contains(t)) {
+            for &b in order.iter().filter(|t| survives(t)) {
                 if let Some(a) = prev {
                     if a != b {
-                        g.add_edge(a, b);
+                        edges.push((a, b));
                     }
                 }
                 prev = Some(b);
             }
         }
-        g
+        (nodes, edges)
     }
 
     /// Check serializability of the recorded `ser(S)`. Returns the witness
@@ -104,14 +127,20 @@ impl SerSLog {
     /// execute events of transactions they later abort, so their
     /// correctness claim is over this projection (exactly like the
     /// committed projection of a history).
+    ///
+    /// The verdict and the witness come from one dense topological sort of
+    /// the chains; the [`DiGraph`] is built only to extract a cycle.
     pub fn check_excluding(
         &self,
         aborted: &[GlobalTxnId],
     ) -> Result<Vec<GlobalTxnId>, Vec<GlobalTxnId>> {
-        let g = self.graph_excluding(aborted);
-        g.topo_sort()
-            // mdbs-lint: allow(no-panic-in-scheduler) — a failed topo_sort means the graph is cyclic, so find_cycle always succeeds.
-            .ok_or_else(|| g.find_cycle().expect("cyclic graph has a cycle"))
+        let (nodes, edges) = self.chains_excluding(aborted);
+        lex_topo_order(nodes, edges).ok_or_else(|| {
+            self.graph_excluding(aborted)
+                .find_cycle()
+                // mdbs-lint: allow(no-panic-in-scheduler) — no topological order means the graph is cyclic, so find_cycle always succeeds.
+                .expect("cyclic graph has a cycle")
+        })
     }
 }
 
@@ -124,6 +153,15 @@ mod tests {
     }
     fn s(i: u32) -> SiteId {
         SiteId(i)
+    }
+
+    /// `Err(cycle)` must walk real edges of the graph it was found in.
+    fn assert_is_cycle_of(graph: &DiGraph<GlobalTxnId>, cycle: &[GlobalTxnId]) {
+        assert!(!cycle.is_empty());
+        for (i, &a) in cycle.iter().enumerate() {
+            let b = cycle[(i + 1) % cycle.len()];
+            assert!(graph.has_edge(a, b), "{a} -> {b} is not an edge");
+        }
     }
 
     #[test]
@@ -147,6 +185,7 @@ mod tests {
         log.record(g(1), s(1));
         let cycle = log.check().expect_err("must cycle");
         assert_eq!(cycle.len(), 2);
+        assert_is_cycle_of(&log.graph(), &cycle);
     }
 
     #[test]
@@ -167,17 +206,19 @@ mod tests {
         assert_eq!(log.graph().edge_count(), 0);
     }
 
-    /// The chain-edge graph must give the same acyclicity verdict as the
-    /// full all-pairs conflict graph it is the transitive reduction of —
-    /// including under exclusion, where events must be filtered *before*
-    /// chaining.
+    /// The chain-edge graph must give the same verdict *and the same
+    /// witness order* as the full all-pairs conflict graph it is the
+    /// transitive reduction of — including under exclusion, where events
+    /// must be filtered *before* chaining — and a reported cycle must be a
+    /// cycle of `graph_excluding`.
     #[test]
-    fn chain_graph_verdict_matches_all_pairs() {
+    fn chain_graph_check_matches_all_pairs() {
         let mut state = 0x5e75u64;
         let mut next = move || {
             state = state.wrapping_add(1);
             mdbs_common::rng::splitmix64(state)
         };
+        let mut cycles = 0;
         for case in 0..200u64 {
             let mut log = SerSLog::new();
             let txns = 2 + (next() % 8);
@@ -185,7 +226,12 @@ mod tests {
             for _ in 0..(txns * 2) {
                 log.record(g(1 + next() % txns), s((next() % u64::from(sites)) as u32));
             }
-            let aborted: Vec<GlobalTxnId> = (1..=txns).filter(|_| next() % 4 == 0).map(g).collect();
+            // Unsorted, so the check's own sort is exercised.
+            let aborted: Vec<GlobalTxnId> = (1..=txns)
+                .rev()
+                .filter(|_| next() % 4 == 0)
+                .map(g)
+                .collect();
             // Brute-force all-pairs graph over the committed projection.
             let mut full = DiGraph::new();
             for (txn, _) in log.events() {
@@ -203,12 +249,16 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                log.check_excluding(&aborted).is_ok(),
-                full.topo_sort().is_some(),
-                "case {case}: chain and all-pairs verdicts diverge"
-            );
+            match log.check_excluding(&aborted) {
+                Ok(order) => assert_eq!(Some(order), full.topo_sort(), "case {case}"),
+                Err(cycle) => {
+                    assert!(full.topo_sort().is_none(), "case {case}: spurious cycle");
+                    assert_is_cycle_of(&log.graph_excluding(&aborted), &cycle);
+                    cycles += 1;
+                }
+            }
         }
+        assert!((20..180).contains(&cycles), "{cycles} of 200 cases cyclic");
     }
 
     #[test]

@@ -26,13 +26,14 @@
 //! (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
 //! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
 //! [`crate::tsgd::Tsgd::has_cycle_involving`], exponential) and
-//! [`DenseTsgd::deps_acyclic`] (Kahn over the dependency rows) are
+//! [`DenseTsgd::deps_acyclic`] (a topological sort of the dependency rows) are
 //! validation grade and run only from `debug_validate` and tests.
 
 use crate::tsgd::Dep;
 use mdbs_common::dense::{DenseBitSet, DenseInterner};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
+use mdbs_schedule::lex_topo_order;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
@@ -479,29 +480,17 @@ impl DenseTsgd {
     }
 
     /// True iff the dependency digraph (transactions as nodes, one arc per
-    /// dependency) is acyclic: Kahn's algorithm over the `incoming` counts
-    /// and the `deps_out` mirror, O(transactions + dependencies).
-    /// Test/validation grade — no `cond`/`act` asks, because a dependency
-    /// cycle implies a TSGD cycle that `Eliminate_Cycles` already broke.
+    /// dependency) is acyclic, by the workspace's one topological sort over
+    /// the `deps_out` mirror. Test/validation grade — no `cond`/`act` asks,
+    /// because a dependency cycle implies a TSGD cycle that
+    /// `Eliminate_Cycles` already broke.
     pub fn deps_acyclic(&self) -> bool {
-        let mut indegree = self.incoming.clone();
-        let mut ready: Vec<u32> = self
-            .txns
-            .iter_sorted()
-            .map(|(_, slot)| slot)
-            .filter(|&slot| indegree[slot as usize] == 0)
-            .collect();
-        let mut ordered = 0;
-        while let Some(before) = ready.pop() {
-            ordered += 1;
-            self.for_each_after(before, |after| {
-                indegree[after as usize] -= 1;
-                if indegree[after as usize] == 0 {
-                    ready.push(after);
-                }
-            });
+        let slots: Vec<u32> = self.txns.iter_sorted().map(|(_, slot)| slot).collect();
+        let mut arcs = Vec::new();
+        for &before in &slots {
+            self.for_each_after(before, |after| arcs.push((before, after)));
         }
-        ordered == self.txns.live()
+        lex_topo_order(slots, arcs).is_some()
     }
 
     fn extra_slots(&self, extra: &BTreeSet<Dep>) -> BTreeSet<(u32, u32, u32)> {

@@ -14,7 +14,7 @@
 //!   and must carry no stale state;
 //! - `eliminate_cycles_dense_with` computes exactly the reference Δ with
 //!   exactly the reference step charges (Figure 4 parity);
-//! - `DenseTsgd::deps_acyclic` agrees with `DiGraph::has_cycle` on the
+//! - `DenseTsgd::deps_acyclic` agrees with `DiGraph::find_cycle` on the
 //!   reference dependency digraph, cycles included.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
@@ -366,7 +366,8 @@ proptest! {
     /// shared-site pairs), fin-style removals that release and recycle site
     /// slots, and Eliminate_Cycles rounds whose Δ is folded back in. After
     /// every removal and at the end, `deps_acyclic` must give the verdict
-    /// `DiGraph::has_cycle` gives on the reference dependency digraph.
+    /// `DiGraph::find_cycle` (a DFS — `deps_acyclic` and `has_cycle` share
+    /// one topological sort) gives on the reference dependency digraph.
     #[test]
     fn adversarial_dep_interleaving_matches_reference(
         ops in prop::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u8>()), 1..80),
@@ -422,7 +423,7 @@ proptest! {
                     reference.remove_txn(txn);
                     dense.remove_txn(txn);
                     prop_assert_eq!(
-                        dense.deps_acyclic(), !dep_digraph(&reference).has_cycle(),
+                        dense.deps_acyclic(), dep_digraph(&reference).find_cycle().is_none(),
                         "acyclicity verdict diverged after removing {}", txn
                     );
                 }
@@ -450,7 +451,7 @@ proptest! {
         let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
         prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
         prop_assert_eq!(
-            dense.deps_acyclic(), !dep_digraph(&reference).has_cycle(),
+            dense.deps_acyclic(), dep_digraph(&reference).find_cycle().is_none(),
             "final acyclicity verdict diverged"
         );
     }

@@ -5,28 +5,101 @@
 //! `T_i -> T_j` iff some operation of `T_i` precedes and conflicts with an
 //! operation of `T_j` — is acyclic. This is the paper's notion of
 //! serializability (its footnote 2 restricts attention to CSR).
+//!
+//! Acyclicity, reachability and the witness order depend only on the
+//! graph's transitive closure, so [`serialization_graph`] does not list
+//! the conflict relation pair by pair. One sweep keeps, per data item, the
+//! last writer and the readers since it, and emits a *reduction* of the
+//! relation with the same closure in `O(ops)` edges (the dependency chain
+//! DGCC builds per record). The literal all-pairs relation is
+//! [`crate::oracle::all_pairs_serialization_graph`], the ground truth the
+//! sweep is tested against.
 
 use crate::graph::DiGraph;
 use crate::history::History;
-use mdbs_common::ids::TxnId;
+use mdbs_common::ids::{DataItemId, TxnId};
+use mdbs_common::ops::DataOpKind;
+use std::collections::HashMap;
 
-/// Build the serialization graph of the committed projection of `h`.
+/// Accesses to one item by committed transactions, as far as later
+/// conflicts can still see them.
+#[derive(Default)]
+struct ItemChain {
+    last_writer: Option<TxnId>,
+    /// Readers since `last_writer`; a transaction re-reading in a row is
+    /// listed once.
+    readers: Vec<TxnId>,
+}
+
+/// Sweep `h` once: append its committed transactions to `nodes` (sorted,
+/// distinct) and a reduction of its conflict relation to `edges`.
+///
+/// Per item, with writes `w_1 w_2 ..` in history order: each read gets an
+/// edge from the last writer before it; each write gets an edge from every
+/// reader since the previous write, or — only if nobody read in between —
+/// from that previous write. Every conflicting pair the all-pairs relation
+/// lists is then joined by a path: `w_k -> w_(k+1)` directly or through any
+/// reader between them (which follows `w_k` and precedes `w_(k+1)`, or is
+/// one of the two), and a conflict that spans several writes rides that
+/// chain. Same-transaction pairs never make an edge. At most two edges per
+/// read and one per write.
+///
+/// The item map is only ever looked up, never iterated, so `edges` comes
+/// out in history order.
+pub(crate) fn sweep_conflicts(
+    h: &History,
+    nodes: &mut Vec<TxnId>,
+    edges: &mut Vec<(TxnId, TxnId)>,
+) {
+    let committed = h.committed_txns();
+    let mut items: HashMap<DataItemId, ItemChain> = HashMap::new();
+    for op in h.ops() {
+        let (Some(item), true) = (op.item, op.kind.is_access()) else {
+            continue;
+        };
+        if committed.binary_search(&op.txn).is_err() {
+            continue;
+        }
+        let chain = items.entry(item).or_default();
+        let mut edge_from = |from: TxnId| {
+            if from != op.txn {
+                edges.push((from, op.txn));
+            }
+        };
+        if op.kind == DataOpKind::Write {
+            if let (Some(w), true) = (chain.last_writer, chain.readers.is_empty()) {
+                edge_from(w);
+            }
+            chain.readers.drain(..).for_each(edge_from);
+            chain.last_writer = Some(op.txn);
+        } else {
+            if let Some(w) = chain.last_writer {
+                edge_from(w);
+            }
+            if chain.readers.last() != Some(&op.txn) {
+                chain.readers.push(op.txn);
+            }
+        }
+    }
+    nodes.extend(committed);
+}
+
+/// Build the serialization graph of the committed projection of `h`, in
+/// reduced form: an edge `T_i -> T_j` only if some operation of `T_i`
+/// precedes and conflicts with one of `T_j`, and a path `T_i ->* T_j`
+/// whenever one does (see the module docs).
 ///
 /// Every committed transaction appears as a node even if it conflicts with
 /// nothing (so topological orders enumerate all transactions).
 pub fn serialization_graph(h: &History) -> DiGraph<TxnId> {
-    let committed = h.committed_projection();
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    sweep_conflicts(h, &mut nodes, &mut edges);
     let mut g = DiGraph::new();
-    for t in committed.txns() {
+    for t in nodes {
         g.add_node(t);
     }
-    let ops = committed.ops();
-    for (i, a) in ops.iter().enumerate() {
-        for b in &ops[i + 1..] {
-            if a.conflicts_with(b) {
-                g.add_edge(a.txn, b.txn);
-            }
-        }
+    for (a, b) in edges {
+        g.add_edge(a, b);
     }
     g
 }

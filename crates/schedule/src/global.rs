@@ -11,12 +11,17 @@
 //! transaction, simply unioning the per-site serialization graphs yields
 //! exactly this quotient graph.
 //!
-//! This module is the *auditor* used by experiments EXP-GS / EXP-IND: it
-//! answers "was this run of the whole MDBS globally serializable?" and, if
-//! not, produces a witness cycle naming the sites involved.
+//! This module is the *auditor* every simulator and threaded run ends
+//! with (and experiments EXP-GS / EXP-IND read): it answers "was this run
+//! of the whole MDBS globally serializable?" and, if not, produces a
+//! witness cycle naming the sites involved. The answer a correct run gets
+//! — [`check_global`] returning a witness order — costs one linear sweep
+//! per site and one dense topological sort; the
+//! [`GlobalSerializationGraph`] with its per-edge site lists is only built
+//! to explain a violation.
 
-use crate::csr::serialization_graph;
-use crate::graph::DiGraph;
+use crate::csr::{serialization_graph, sweep_conflicts};
+use crate::graph::{lex_topo_order, DiGraph};
 use crate::history::History;
 use mdbs_common::ids::{SiteId, TxnId};
 use std::collections::BTreeMap;
@@ -26,7 +31,10 @@ use std::collections::BTreeMap;
 pub struct GlobalSerializationGraph {
     /// Quotient graph: one node per global transaction or local transaction.
     pub graph: DiGraph<TxnId>,
-    /// For every edge, the sites inducing it (for diagnostics).
+    /// For every edge of `graph`, the sites whose sweep emitted it (for
+    /// diagnostics). The graph is a reduction of the conflict relation, so
+    /// a site that orders two transactions only through a third is listed
+    /// on those two edges, not on a direct one.
     pub edge_sites: BTreeMap<(TxnId, TxnId), Vec<SiteId>>,
 }
 
@@ -98,21 +106,61 @@ impl GlobalSerializability {
     }
 }
 
-/// Convenience: check a set of local histories directly.
+/// Check a set of local histories for global serializability.
+///
+/// All sites' conflict sweeps go into one node list and one edge list —
+/// the quotient graph, since a global transaction has one id everywhere —
+/// and [`lex_topo_order`] decides. Its order depends only on the union's
+/// transitive closure, so it is the order
+/// [`GlobalSerializationGraph::check`] reports; that graph is built only
+/// when there is a cycle to name.
 pub fn check_global<'a>(
     locals: impl IntoIterator<Item = (SiteId, &'a History)>,
 ) -> GlobalSerializability {
-    GlobalSerializationGraph::build(locals).check()
+    let locals: Vec<(SiteId, &History)> = locals.into_iter().collect();
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    for (_, h) in &locals {
+        sweep_conflicts(h, &mut nodes, &mut edges);
+    }
+    match lex_topo_order(nodes, edges) {
+        Some(order) => GlobalSerializability::Serializable { order },
+        None => GlobalSerializationGraph::build(locals).check(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::all_pairs_serialization_graph;
     use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId};
     use mdbs_common::ops::DataOp;
 
     fn x(i: u64) -> DataItemId {
         DataItemId(i)
+    }
+
+    /// The failing path names real witnesses: every step of `cycle` is a
+    /// conflict of the all-pairs oracle at some site, and `sites` is
+    /// non-empty and names only sites that induce one of those steps.
+    fn assert_real_witness(locals: &[(SiteId, &History)], verdict: &GlobalSerializability) {
+        let GlobalSerializability::NotSerializable { cycle, sites } = verdict else {
+            panic!("must not be serializable");
+        };
+        let mut inducing = Vec::new();
+        for (i, &a) in cycle.iter().enumerate() {
+            let b = cycle[(i + 1) % cycle.len()];
+            let at: Vec<SiteId> = locals
+                .iter()
+                .filter(|(_, h)| all_pairs_serialization_graph(h).has_edge(a, b))
+                .map(|&(site, _)| site)
+                .collect();
+            assert!(!at.is_empty(), "{a:?} -> {b:?} conflicts at no site");
+            inducing.extend(at);
+        }
+        assert!(!sites.is_empty());
+        for site in sites {
+            assert!(inducing.contains(site), "{site:?} induces no cycle edge");
+        }
     }
 
     /// The paper's motivating scenario: each local schedule serializable,
@@ -137,7 +185,9 @@ mod tests {
         ]);
         assert!(crate::csr::is_conflict_serializable(&s0));
         assert!(crate::csr::is_conflict_serializable(&s1));
-        let verdict = check_global([(SiteId(0), &s0), (SiteId(1), &s1)]);
+        let locals = [(SiteId(0), &s0), (SiteId(1), &s1)];
+        let verdict = check_global(locals);
+        assert_real_witness(&locals, &verdict);
         match verdict {
             GlobalSerializability::NotSerializable { cycle, sites } => {
                 assert_eq!(cycle.len(), 2);
@@ -194,8 +244,17 @@ mod tests {
             DataOp::write(GlobalTxnId(1), x(7)),
             DataOp::commit(GlobalTxnId(1)),
         ]);
-        let verdict = check_global([(SiteId(0), &s0), (SiteId(1), &s1)]);
+        let locals = [(SiteId(0), &s0), (SiteId(1), &s1)];
+        let verdict = check_global(locals);
         assert!(!verdict.is_serializable());
+        assert_real_witness(&locals, &verdict);
+        // G1 -> L -> G2 is site 0's doing, G2 -> G1 site 1's.
+        let GlobalSerializability::NotSerializable { cycle, sites } = verdict else {
+            unreachable!();
+        };
+        assert_eq!(cycle.len(), 3);
+        assert!(cycle.contains(&l));
+        assert_eq!(sites.len(), 2);
     }
 
     #[test]

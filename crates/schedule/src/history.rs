@@ -75,15 +75,17 @@ impl History {
         set.into_iter().collect()
     }
 
-    /// Transactions that committed in this history.
+    /// Transactions that committed in this history, ascending.
     pub fn committed_txns(&self) -> Vec<TxnId> {
-        let set: BTreeSet<TxnId> = self
+        let mut txns: Vec<TxnId> = self
             .ops
             .iter()
             .filter(|o| o.kind == DataOpKind::Commit)
             .map(|o| o.txn)
             .collect();
-        set.into_iter().collect()
+        txns.sort_unstable();
+        txns.dedup();
+        txns
     }
 
     /// Transactions that aborted in this history.

@@ -2,8 +2,8 @@
 //!
 //! Schedule theory for the MDBS reproduction: histories (operation logs),
 //! conflict relations, serialization graphs, conflict-serializability (CSR)
-//! testing, and a brute-force serializability oracle used to validate the
-//! polynomial checker in property tests.
+//! testing, and brute-force serializability oracles used to validate the
+//! linear checker in property and exhaustive small-scope tests.
 //!
 //! Terminology follows the paper and Papadimitriou's *The Theory of Database
 //! Concurrency Control*:
@@ -13,11 +13,19 @@
 //!   `S_k`).
 //! - Two operations **conflict** iff they belong to different transactions,
 //!   access the same item, and at least one is a write.
-//! - The **serialization graph** ([`csr::serialization_graph`]) has one node
-//!   per committed transaction and an edge `T_i -> T_j` whenever some
-//!   operation of `T_i` precedes and conflicts with an operation of `T_j`.
+//! - The **serialization graph** has one node per committed transaction and
+//!   an edge `T_i -> T_j` whenever some operation of `T_i` precedes and
+//!   conflicts with an operation of `T_j`.
 //! - A history is **CSR** iff its serialization graph is acyclic
 //!   (Serializability Theorem).
+//! - Acyclicity, reachability and the smallest witness serial order are
+//!   properties of the graph's *transitive closure*, so what
+//!   [`csr::serialization_graph`] builds is a reduction with the same
+//!   closure: one linear sweep per history (per item, the last writer and
+//!   the readers since it), `O(ops)` edges. The pair-by-pair relation is
+//!   [`oracle::all_pairs_serialization_graph`], kept as the ground truth
+//!   for tests, and every topological order in the workspace comes from
+//!   one routine, [`graph::lex_topo_order`].
 //! - The **global schedule** is the union of local schedules; the paper's
 //!   Theorem 1 concern is the *quotient* graph where all subtransactions of
 //!   one global transaction collapse into a single node
@@ -37,7 +45,7 @@ pub mod ugraph;
 pub use csr::{is_conflict_serializable, serialization_graph, CsrReport};
 pub use dsu::UnionFind;
 pub use global::{GlobalSerializability, GlobalSerializationGraph};
-pub use graph::DiGraph;
+pub use graph::{lex_topo_order, DiGraph};
 pub use history::History;
-pub use oracle::is_serializable_by_enumeration;
+pub use oracle::{all_pairs_serialization_graph, is_serializable_by_enumeration};
 pub use ugraph::UnGraph;

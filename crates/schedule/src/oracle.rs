@@ -1,11 +1,36 @@
-//! Brute-force serializability oracle.
+//! Brute-force serializability oracles.
 //!
-//! Checks conflict-equivalence against *every* serial order of the committed
-//! transactions — exponential, but an independent ground truth for property
-//! tests of the polynomial graph-based checker in [`crate::csr`].
+//! Two independent ground truths for property tests of the linear checker
+//! in [`crate::csr`], neither on any run path:
+//! [`is_serializable_by_enumeration`] checks conflict-equivalence against
+//! *every* serial order of the committed transactions (exponential), and
+//! [`all_pairs_serialization_graph`] is the serialization graph written
+//! exactly as the Serializability Theorem defines it (quadratic).
 
+use crate::graph::DiGraph;
 use crate::history::History;
 use mdbs_common::ids::TxnId;
+
+/// The serialization graph of the committed projection of `h` with an edge
+/// for *every* conflicting pair of operations, found by comparing all
+/// pairs. [`crate::csr::serialization_graph`] must have a subset of these
+/// edges and the same transitive closure.
+pub fn all_pairs_serialization_graph(h: &History) -> DiGraph<TxnId> {
+    let committed = h.committed_projection();
+    let mut g = DiGraph::new();
+    for t in committed.txns() {
+        g.add_node(t);
+    }
+    let ops = committed.ops();
+    for (i, a) in ops.iter().enumerate() {
+        for b in &ops[i + 1..] {
+            if a.conflicts_with(b) {
+                g.add_edge(a.txn, b.txn);
+            }
+        }
+    }
+    g
+}
 
 /// True iff the committed projection of `h` is conflict-equivalent to some
 /// serial history, decided by enumerating all permutations of the committed

@@ -313,6 +313,7 @@ fn mpl_one_serial_execution_baseline() {
 fn serialization_event_overrides() {
     use mdbs_common::ids::SiteId;
     use mdbs_localdb::serfn::SerializationEvent;
+    use mdbs_schedule::{all_pairs_serialization_graph, GlobalSerializability};
     // Valid override: tickets at TO sites.
     let cfg = SystemConfig::builder()
         .site(LocalProtocolKind::TimestampOrdering)
@@ -342,8 +343,36 @@ fn serialization_event_overrides() {
         let mut s = spec(2, 14, 3, 2000 + seed);
         s.items_per_site = 10;
         s.read_ratio = 0.4;
-        let r = MdbsSystem::new(cfg).run(Workload::generate(&s));
-        if !r.is_serializable() {
+        let mut system = MdbsSystem::new(cfg);
+        let r = system.run(Workload::generate(&s));
+        if let GlobalSerializability::NotSerializable { cycle, sites } = &r.audit {
+            // The audit's failing path names real witnesses: each step of
+            // the cycle is a conflict (by the all-pairs oracle) at some
+            // site, and only such sites are blamed.
+            let oracles = [SiteId(0), SiteId(1)].map(|site| {
+                let history = system.site(site).history();
+                (site, all_pairs_serialization_graph(history))
+            });
+            let mut inducing = Vec::new();
+            for (i, &a) in cycle.iter().enumerate() {
+                let b = cycle[(i + 1) % cycle.len()];
+                let before = inducing.len();
+                inducing.extend(
+                    oracles
+                        .iter()
+                        .filter(|(_, conflicts)| conflicts.has_edge(a, b))
+                        .map(|&(site, _)| site),
+                );
+                assert!(
+                    inducing.len() > before,
+                    "{a:?} -> {b:?} conflicts at no site"
+                );
+            }
+            assert!(!sites.is_empty());
+            assert!(
+                sites.iter().all(|site| inducing.contains(site)),
+                "{sites:?}"
+            );
             violated = true;
             break;
         }
