@@ -104,7 +104,6 @@ impl PoolShared {
 /// Acquire a mutex, continuing through poisoning (a panicked worker must
 /// not wedge the rest of the pool).
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // mdbs-lint: allow(blocking-in-pump) — every pool mutex guards a micro critical section (push/pop one index, clone one Arc) and is never held across task work, a send, or another lock; a pump-path wake through here is bounded by construction.
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

@@ -28,8 +28,8 @@
 //! This module is the **only** implementation of the loop. It is written
 //! over a *slot* (one slice of QUEUE and WAIT) and a *core* (the scheme and
 //! the totally-ordered counters): [`Gtm2`] owns one of each outright, and
-//! [`ShardedGtm2`](crate::sharded::ShardedGtm2) runs the same functions
-//! over one slot per shard behind its locks — see the slot-logic section
+//! [`ShardedGtm2`](crate::sharded::ShardedGtm2), a replay-only model, runs
+//! the same functions over one slot per shard — see the slot-logic section
 //! below the `Gtm2` type.
 
 use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
@@ -197,8 +197,8 @@ impl std::fmt::Debug for Gtm2 {
 // A *slot* is one partition of QUEUE and WAIT (`ShardCore`); the scheme
 // and every counter whose updates must be totally ordered live in one
 // `GlobalCore`. `Gtm2` owns exactly one of each and runs the loop with
-// `SlotCtx::SINGLE`; `ShardedGtm2` owns one slot per shard behind locks and
-// adds routing and handoff delivery around the same functions. With one
+// `SlotCtx::SINGLE`; `ShardedGtm2` owns one slot per shard and adds
+// routing and handoff delivery around the same functions. With one
 // slot `handoff_targets` is empty and the pre-init gate is off, so the
 // sharding branches below cost the single engine a compare each.
 // ----------------------------------------------------------------------
@@ -266,8 +266,7 @@ pub(crate) struct GlobalCore {
     inited: BTreeSet<GlobalTxnId>,
     /// Currently active transactions (`init`ed, not `fin`ished).
     active: u64,
-    /// Exact current WAIT population across all slots (every WAIT
-    /// mutation happens with this core held, so the count is race-free).
+    /// Exact current WAIT population across all slots.
     pub(crate) wait_live: u64,
     /// Waiting-`fin` re-tests charged in closed form instead of being run
     /// (see [`WakeCandidates::SerAtFinsCharged`]).

@@ -1,20 +1,23 @@
-//! `ShardedGtm2` — the Basic_Scheme loop with a site-partitioned WAIT set.
+//! `ShardedGtm2` — the Basic_Scheme loop with a site-partitioned WAIT set,
+//! as a deterministic single-owner **replay model**.
 //!
 //! The loop itself (`cond` → `act` → cascading WAIT re-test, stats, sink
 //! events, metric export) is [`crate::gtm2`]'s slot logic, shared with the
-//! single engine. This module holds only what sharding adds to it:
-//! routing, the two-level [`OrderedMutex`] locking, handoff delivery
-//! between shards, and the per-shard observers.
+//! single engine. This module holds only what partitioning adds to it:
+//! routing, handoff delivery between shards, and the per-shard observers.
+//! Nothing here is shared between threads: the live runtime runs one plain
+//! [`Gtm2`](crate::gtm2::Gtm2) on its coordinator, and this engine is
+//! driven by replay ([`replay_sharded`](crate::replay::replay_sharded))
+//! and the equivalence tests, which ask what partitioning the WAIT set
+//! costs and prove it admits exactly the single engine's outcomes.
 //!
 //! Theorem 2 reduces global serializability to the serializability of
 //! `ser(S)`, whose conflict relation is *per site*: two `ser_k(G_i)`
 //! events conflict only when they occur at the same site. This engine
 //! exploits that structure. QUEUE and WAIT are partitioned into shards
-//! (site `k` owns shard `k mod nshards`), each pumped independently —
-//! by its own [`SiteWorker`](../../mdbs_sim/threaded/index.html) thread in
-//! the threaded runtime — while the scheme state itself, the one structure
-//! whose updates must stay totally ordered, lives in a single global core
-//! behind its own lock.
+//! (site `k` owns shard `k mod nshards`), each pumped on its own, while
+//! the scheme state itself, the one structure whose updates must stay
+//! totally ordered, lives in a single global core.
 //!
 //! ## Routing
 //!
@@ -31,163 +34,29 @@
 //! ## Cross-shard handoff
 //!
 //! After `act(o)` in shard `j`, waiters in *other* shards may have become
-//! eligible. The acting thread consults the scheme's
+//! eligible. The pump consults the scheme's
 //! [`wake_scope`](crate::scheme::Gtm2Scheme::wake_scope) bound to compute
-//! the target shards, appends `o` to each target's handoff queue, and
-//! reports those shards as hints: the caller pumps them itself or wakes
-//! the tasks that own them. Receiving shards re-run
-//! `wake_candidates`/`cond` against *current* global state, so handoffs
-//! are idempotent re-test hints: a stale or duplicate handoff finds the
-//! waiter already gone (its key is removed from WAIT before the re-test)
-//! and wakes nothing — this is what makes the wake exactly-once.
-//!
-//! ## Lock order
-//!
-//! The discipline is strict `shard → global`: a shard lock may be held
-//! when the global lock is taken, never the reverse, and never two shard
-//! locks together (handoffs are delivered after the source shard's guard
-//! is dropped). Both locks are bounded spins ([`OrderedMutex`]), so the
-//! pump path never blocks; the acquisition order is visible in the
-//! `lock_order.dot` artifact emitted by mdbs-lint.
+//! the target shards and appends `o` to each target's handoff queue.
+//! Receiving shards re-run `wake_candidates`/`cond` against *current*
+//! global state, so handoffs are idempotent re-test hints: a stale or
+//! duplicate handoff finds the waiter already gone (its key is removed
+//! from WAIT before the re-test) and wakes nothing — this is what makes
+//! the wake exactly-once.
 
 use crate::gtm2::{enqueue_into, step_slot, GlobalCore, Gtm2Stats, PumpOut, ShardCore, SlotCtx};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
 use crate::ser_s::SerSLog;
-use mdbs_common::instrument::{Histogram, Registry, TraceSink};
+use mdbs_common::instrument::{Histogram, Registry};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
-
-/// A mutex with an adaptive spin-then-park acquire path for the pump and
-/// a declared place in the engine's lock order (`shard` before `global`,
-/// see module docs).
-///
-/// Critical sections are short and bounded (no I/O, no channel
-/// operations, no nested shard locks), so the common contended case
-/// resolves within a few dozen spin iterations; past that bound the
-/// acquirer parks on the OS mutex instead of burning a core (the old
-/// `try_lock` + `yield_now` loop busy-waited unboundedly, which starves
-/// the holder on oversubscribed pools). Contended acquires and parks are
-/// counted and exported as `gtm2.shard_lock_contended` /
-/// `gtm2.shard_lock_parks`.
-struct OrderedMutex<T> {
-    raw: Mutex<T>,
-    /// Acquires that found the lock held at least once.
-    contended: AtomicU64,
-    /// Acquires that exhausted the spin budget and parked on `raw`.
-    parks: AtomicU64,
-}
-
-/// Spin budget before parking: each iteration issues a `spin_loop` hint
-/// with exponentially growing repeat counts (1, 2, 4, ... capped), which
-/// is the usual adaptive shape — cheap for near-instant handoffs, quickly
-/// backing off when the holder is descheduled.
-const SPIN_LIMIT: u32 = 6;
-
-impl<T> OrderedMutex<T> {
-    fn new(value: T) -> Self {
-        OrderedMutex {
-            raw: Mutex::new(value),
-            contended: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-        }
-    }
-
-    /// Acquire from [`enqueue`](ShardedGtm2::enqueue) and the observers.
-    /// Same implementation as [`spin`](OrderedMutex::spin); the distinct
-    /// name marks the call sites that define the engine's
-    /// lock-acquisition order for review (mdbs-lint tracks `lock` calls).
-    fn lock(&self) -> MutexGuard<'_, T> {
-        self.spin()
-    }
-
-    /// Acquire by adaptive spin, then park (the pump path).
-    fn spin(&self) -> MutexGuard<'_, T> {
-        for round in 0..=SPIN_LIMIT {
-            match self.raw.try_lock() {
-                Ok(guard) => return guard,
-                // A panicked holder cannot leave the scheduler state
-                // half-updated in a way we can repair; keep going with
-                // whatever is there, as Gtm2's embedders do.
-                Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    if round == 0 {
-                        self.contended.fetch_add(1, Ordering::Relaxed);
-                    }
-                    for _ in 0..(1u32 << round.min(SPIN_LIMIT)) {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        }
-        self.parks.fetch_add(1, Ordering::Relaxed);
-        // mdbs-lint: allow(blocking-in-pump) — the designed backoff: 2^7 bounded spins above always run first, and shard locks never nest (deliver() drops the source guard), so this park is deadlock-free and brief by construction.
-        match self.raw.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// `(contended acquires, parks)` recorded on this mutex so far.
-    fn contention(&self) -> (u64, u64) {
-        (
-            self.contended.load(Ordering::Relaxed),
-            self.parks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Exclusive access without locking (deterministic single-threaded
-    /// callers).
-    fn get_mut(&mut self) -> &mut T {
-        match self.raw.get_mut() {
-            Ok(value) => value,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// One shard cell. The field is named `shard` so the lock appears as
-/// `shard` in the mdbs-lint lock-order graph.
-struct ShardCell {
-    shard: OrderedMutex<ShardCore>,
-    /// Lock-free mirrors of this shard's `wake_scan` histogram totals,
-    /// refreshed (under the shard lock, so writes never race) at the end
-    /// of every drained slot. Concurrent pumps of *other* shards can't
-    /// lose or tear these updates, so aggregation across shards is
-    /// coherent mid-run without taking every shard lock.
-    wake_scan_count: AtomicU64,
-    wake_scan_sum: AtomicU64,
-}
-
-impl ShardCell {
-    fn new() -> Self {
-        ShardCell {
-            shard: OrderedMutex::new(ShardCore::new()),
-            wake_scan_count: AtomicU64::new(0),
-            wake_scan_sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Refresh the atomic mirrors from the locked core (caller holds the
-    /// shard guard, making this the only writer).
-    fn publish_wake_scan(&self, core: &ShardCore) {
-        self.wake_scan_sum
-            .store(core.wake_scan.sum(), Ordering::Release);
-        self.wake_scan_count
-            .store(core.wake_scan.count(), Ordering::Release);
-    }
-}
 
 /// The GTM2 scheduler with QUEUE and WAIT partitioned by site.
 ///
 /// The Basic_Scheme loop itself is [`crate::gtm2`]'s; this type adds what
-/// partitioning needs around it: routing, the shard and global locks,
-/// handoff delivery, and the per-shard observers.
-/// [`enqueue`](ShardedGtm2::enqueue) and
-/// [`pump_shard`](ShardedGtm2::pump_shard) are safe to call from many
-/// threads; [`pump_all`](ShardedGtm2::pump_all) is the deterministic
-/// single-owner pump used by replay.
+/// partitioning needs around it: routing, handoff delivery, and the
+/// per-shard observers. It has one owner: every method that changes the
+/// engine takes `&mut self`, and [`pump_all`](ShardedGtm2::pump_all) is
+/// the deterministic pump replay drives it with.
 ///
 /// ```
 /// use mdbs_core::sharded::ShardedGtm2;
@@ -210,8 +79,8 @@ pub struct ShardedGtm2 {
     /// count for the schemes that partition by site (0 and 1), else 1
     /// (everything funnels through shard 0 and the rest stay empty).
     spread: usize,
-    cells: Vec<ShardCell>,
-    global: OrderedMutex<GlobalCore>,
+    cells: Vec<ShardCore>,
+    global: GlobalCore,
 }
 
 impl ShardedGtm2 {
@@ -243,14 +112,9 @@ impl ShardedGtm2 {
         ShardedGtm2 {
             kind,
             spread,
-            cells: (0..nshards).map(|_| ShardCell::new()).collect(),
-            global: OrderedMutex::new(GlobalCore::new(kind.build_kernel(kernel))),
+            cells: (0..nshards).map(|_| ShardCore::new()).collect(),
+            global: GlobalCore::new(kind.build_kernel(kernel)),
         }
-    }
-
-    /// Number of pump shards.
-    pub fn shard_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// The shard that examines (and, if it waits, holds) `op`.
@@ -263,12 +127,7 @@ impl ShardedGtm2 {
 
     /// Enable/disable per-act scheme invariant validation.
     pub fn set_validate(&mut self, on: bool) {
-        self.global.get_mut().validate = on;
-    }
-
-    /// Attach (or with `None`, detach) a structured event sink.
-    pub fn set_sink(&mut self, sink: Option<Box<dyn TraceSink + Send>>) {
-        self.global.get_mut().sink = sink;
+        self.global.validate = on;
     }
 
     /// The scheme's display name.
@@ -276,106 +135,61 @@ impl ShardedGtm2 {
         self.kind.name()
     }
 
-    /// Insert an operation into its shard's slice of QUEUE, from the
-    /// coordinator or a pump thread. Returns the shard index, to be passed
-    /// to [`pump_shard`](ShardedGtm2::pump_shard). The ordered `lock`
-    /// acquisitions make this the canonical statement of the
-    /// `shard → global` lock order in the mdbs-lint graph.
-    // mdbs-lint: allow(blocking-in-pump, scope=item) — site workers enqueue their acks here, and `OrderedMutex::lock` is the bounded spin-then-park acquire justified at `OrderedMutex::spin`, not a std lock; it is spelled `lock` so the lock-order graph records the edge.
-    pub fn enqueue(&self, op: QueueOp) -> usize {
+    /// Insert an operation into its shard's slice of QUEUE. Returns the
+    /// shard index.
+    pub fn enqueue(&mut self, op: QueueOp) -> usize {
         let j = self.route(&op);
-        if let Some(cell) = self.cells.get(j) {
-            let mut core = cell.shard.lock();
-            let mut global = self.global.lock();
-            enqueue_into(&mut core, &mut global, op);
+        if let Some(core) = self.cells.get_mut(j) {
+            enqueue_into(core, &mut self.global, op);
         }
         j
     }
 
-    /// Run the Basic_Scheme loop over shard `j`'s pending handoffs and its
-    /// slice of QUEUE, then deliver any cross-shard handoffs it produced
-    /// without following them into the target shards' locks. Returns the
-    /// effects plus the shards that received a handoff — **waker hints**:
-    /// each hinted shard needs a `pump_shard` of its own, from this thread
-    /// or (in a task runtime where every shard has an owning pump task)
-    /// from the owner once woken. Handoffs are idempotent re-test hints,
-    /// so a hint raced by the owner's own pump is harmless.
-    pub fn pump_shard(&self, j: usize) -> (Vec<SchemeEffect>, Vec<usize>) {
-        self.pump_steps(j, usize::MAX)
-    }
-
-    /// [`pump_shard`](ShardedGtm2::pump_shard) bounded to `max_steps`
-    /// turns of the loop.
-    fn pump_steps(&self, j: usize, max_steps: usize) -> (Vec<SchemeEffect>, Vec<usize>) {
+    /// Run up to `max_steps` turns of the Basic_Scheme loop over shard
+    /// `j`'s pending handoffs and its slice of QUEUE, then deliver the
+    /// cross-shard handoffs it produced: each target shard with waiters
+    /// gets the acted operation on its handoff queue and needs a pump of
+    /// its own (a target with no waiters is skipped and not counted).
+    /// Handoffs are idempotent re-test hints, so pumping a shard whose
+    /// waiter has meanwhile left is harmless. Returns the effects.
+    fn pump_shard(&mut self, j: usize, max_steps: usize) -> Vec<SchemeEffect> {
         let mut out = PumpOut::default();
-        {
-            let Some(cell) = self.cells.get(j) else {
-                return (Vec::new(), Vec::new());
-            };
-            let mut core = cell.shard.spin();
-            if core.handoff.is_empty() && core.inbox.is_empty() {
-                return (Vec::new(), Vec::new());
+        let Some(core) = self.cells.get_mut(j) else {
+            return Vec::new();
+        };
+        let ctx = SlotCtx {
+            shard: j,
+            nshards: self.spread,
+        };
+        for _ in 0..max_steps {
+            if !step_slot(ctx, core, &mut self.global, &mut out) {
+                break;
             }
-            let mut global = self.global.spin();
-            let ctx = SlotCtx {
-                shard: j,
-                nshards: self.spread,
-            };
-            for _ in 0..max_steps {
-                if !step_slot(ctx, &mut core, &mut global, &mut out) {
-                    break;
-                }
-            }
-            cell.publish_wake_scan(&core);
         }
-        let hints = self.deliver(j, &out);
-        (out.effects, hints)
-    }
-
-    /// Deliver `out`'s handoffs (source shard's guards must already be
-    /// dropped — shard locks never nest). Returns the shards that received
-    /// at least one message; deliveries to shards with no waiters are
-    /// skipped and not counted.
-    fn deliver(&self, source: usize, out: &PumpOut) -> Vec<usize> {
-        let mut touched = Vec::new();
-        for (op, targets) in &out.handoffs {
-            for &t in targets {
-                if t == source {
-                    continue;
-                }
-                let Some(cell) = self.cells.get(t) else {
-                    continue;
-                };
-                let mut core = cell.shard.spin();
-                if !core.has_waiters() {
-                    continue;
-                }
-                core.handoff.push_back(op.clone());
-                core.handoffs_in += 1;
-                if !touched.contains(&t) {
-                    touched.push(t);
+        // `handoff_targets` never names the acting shard itself.
+        for (op, targets) in out.handoffs {
+            for t in targets {
+                if let Some(core) = self.cells.get_mut(t).filter(|c| c.has_waiters()) {
+                    core.handoff.push_back(op.clone());
+                    core.handoffs_in += 1;
                 }
             }
         }
-        touched
+        out.effects
     }
 
-    /// Deterministically run all shards dry from a single owner: pending
-    /// handoffs first (to a fixpoint, sweeping shards in index order),
-    /// then always the globally oldest queued operation, one at a time —
-    /// which reproduces the single engine's FIFO examination order.
-    /// Returns the effects in order.
+    /// Deterministically run all shards dry: pending handoffs first (to a
+    /// fixpoint, sweeping shards in index order), then always the globally
+    /// oldest queued operation, one at a time — which reproduces the
+    /// single engine's FIFO examination order. Returns the effects in
+    /// order.
     pub fn pump_all(&mut self) -> Vec<SchemeEffect> {
         let mut effects = Vec::new();
         loop {
             let mut handed_off = false;
             for j in 0..self.cells.len() {
-                while self
-                    .cells
-                    .get_mut(j)
-                    .is_some_and(|c| !c.shard.get_mut().handoff.is_empty())
-                {
-                    effects.extend(self.pump_steps(j, 1).0);
+                while self.cells.get(j).is_some_and(|c| !c.handoff.is_empty()) {
+                    effects.extend(self.pump_shard(j, 1));
                     handed_off = true;
                 }
             }
@@ -384,17 +198,14 @@ impl ShardedGtm2 {
             }
             let oldest = self
                 .cells
-                .iter_mut()
+                .iter()
                 .enumerate()
-                .filter_map(|(j, cell)| {
-                    let front = cell.shard.get_mut().inbox.front();
-                    front.map(|&(seq, _)| (seq, j))
-                })
+                .filter_map(|(j, core)| core.inbox.front().map(|&(seq, _)| (seq, j)))
                 .min();
             let Some((_, j)) = oldest else {
                 break;
             };
-            effects.extend(self.pump_steps(j, 1).0);
+            effects.extend(self.pump_shard(j, 1));
         }
         effects
     }
@@ -405,90 +216,56 @@ impl ShardedGtm2 {
 
     /// Accumulated abstract step counts.
     pub fn steps(&self) -> StepCounter {
-        self.global.lock().steps
+        self.global.steps
     }
 
     /// Engine counters.
     pub fn stats(&self) -> Gtm2Stats {
-        self.global.lock().stats
+        self.global.stats
     }
 
     /// Clone of the recorded `ser(S)` log.
     pub fn ser_log_snapshot(&self) -> SerSLog {
-        self.global.lock().ser_log.clone()
+        self.global.ser_log.clone()
     }
 
     /// Number of operations currently waiting, across all shards.
     pub fn wait_len(&self) -> usize {
-        self.global.lock().wait_live as usize
+        self.global.wait_live as usize
     }
 
     /// Operations queued (inboxes + handoffs + pre-init parkings) but not
     /// yet examined, across all shards.
     pub fn queue_len(&self) -> usize {
-        let mut total = 0;
-        for cell in &self.cells {
-            total += cell.shard.spin().backlog();
-        }
-        total
+        self.cells.iter().map(ShardCore::backlog).sum()
     }
 
     /// Total handoff messages delivered across shards so far.
     pub fn cross_shard_handoffs(&self) -> u64 {
-        let mut total = 0;
-        for cell in &self.cells {
-            total += cell.shard.spin().handoffs_in;
-        }
-        total
+        self.cells.iter().map(|core| core.handoffs_in).sum()
     }
 
     /// Merged wake-scan histogram totals across shards: `(count, sum)`.
-    /// Reads the per-shard atomic mirrors, so it is safe (and lock-free)
-    /// to call while other threads pump shards — no sampled shard's
-    /// totals can be lost or torn, each is a drain-boundary snapshot.
     pub fn wake_scan_totals(&self) -> (u64, u64) {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for cell in &self.cells {
-            count += cell.wake_scan_count.load(Ordering::Acquire);
-            sum += cell.wake_scan_sum.load(Ordering::Acquire);
-        }
-        (count, sum)
-    }
-
-    /// Shard-lock contention counters summed over every shard plus the
-    /// global core: `(contended acquires, parks)`.
-    pub fn lock_contention(&self) -> (u64, u64) {
-        let (mut contended, mut parks) = self.global.contention();
-        for cell in &self.cells {
-            let (c, p) = cell.shard.contention();
-            contended += c;
-            parks += p;
-        }
-        (contended, parks)
+        self.cells.iter().fold((0, 0), |(count, sum), core| {
+            (count + core.wake_scan.count(), sum + core.wake_scan.sum())
+        })
     }
 
     /// Export counters, gauges and histograms into `registry` under the
     /// `gtm2.` prefix — the same names as
     /// [`Gtm2::export_metrics`](crate::gtm2::Gtm2::export_metrics), plus
     /// the per-shard series (`gtm2.shard<j>.wake_scan`,
-    /// `gtm2.shard_wait_peak`), `gtm2.cross_shard_handoff` and the lock
-    /// contention counters.
+    /// `gtm2.shard_wait_peak`) and `gtm2.cross_shard_handoff`.
     pub fn export_metrics(&self, registry: &mut Registry) {
         let mut merged = Histogram::new();
-        let mut handoffs = 0u64;
-        for (j, cell) in self.cells.iter().enumerate() {
-            let core = cell.shard.spin();
+        for (j, core) in self.cells.iter().enumerate() {
             registry.merge_histogram(&format!("gtm2.shard{j}.wake_scan"), &core.wake_scan);
             registry.max_gauge("gtm2.shard_wait_peak", core.wait_peak as i64);
             merged.merge(&core.wake_scan);
-            handoffs += core.handoffs_in;
         }
-        registry.inc("gtm2.cross_shard_handoff", handoffs);
-        let (lock_contended, lock_parks) = self.lock_contention();
-        registry.inc("gtm2.shard_lock_contended", lock_contended);
-        registry.inc("gtm2.shard_lock_parks", lock_parks);
-        self.global.lock().export_metrics(&merged, registry);
+        registry.inc("gtm2.cross_shard_handoff", self.cross_shard_handoffs());
+        self.global.export_metrics(&merged, registry);
     }
 }
 
@@ -507,7 +284,6 @@ mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
     use mdbs_common::ids::{GlobalTxnId, SiteId};
-    use std::collections::VecDeque;
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)
@@ -537,31 +313,33 @@ mod tests {
         QueueOp::Fin { txn: g(txn) }
     }
 
-    /// Pump shard `start`, then every shard a pump hints at, until no
-    /// hints remain — what a thread following its own handoffs does.
-    fn pump_following(engine: &ShardedGtm2, start: usize) -> Vec<SchemeEffect> {
-        let mut effects = Vec::new();
-        let mut worklist = VecDeque::from([start]);
-        while let Some(j) = worklist.pop_front() {
-            let (fx, hints) = engine.pump_shard(j);
-            effects.extend(fx);
-            worklist.extend(hints);
+    /// Pump shard `start`, then every shard holding a handoff, until none
+    /// is left.
+    fn pump_following(engine: &mut ShardedGtm2, start: usize) -> Vec<SchemeEffect> {
+        let mut effects = engine.pump_shard(start, usize::MAX);
+        while let Some(j) = engine.cells.iter().position(|c| !c.handoff.is_empty()) {
+            effects.extend(engine.pump_shard(j, usize::MAX));
         }
         effects
     }
 
-    /// Full lifecycle of `txns` single-site transactions at `site`,
-    /// submitted through the shared-reference API.
-    fn run_site_lifecycles(engine: &ShardedGtm2, site: u32, txns: &[u64]) {
+    /// Enqueue `op` and pump its shard, following the handoffs.
+    fn feed(engine: &mut ShardedGtm2, op: QueueOp) -> Vec<SchemeEffect> {
+        let j = engine.enqueue(op);
+        pump_following(engine, j)
+    }
+
+    /// Full lifecycle of `txns` single-site transactions at `site`.
+    fn run_site_lifecycles(engine: &mut ShardedGtm2, site: u32, txns: &[u64]) {
         for &t in txns {
-            pump_following(engine, engine.enqueue(init(t, &[site])));
+            feed(engine, init(t, &[site]));
         }
         for &t in txns {
-            pump_following(engine, engine.enqueue(ser(t, site)));
+            feed(engine, ser(t, site));
         }
         for &t in txns {
-            pump_following(engine, engine.enqueue(ack(t, site)));
-            pump_following(engine, engine.enqueue(fin(t)));
+            feed(engine, ack(t, site));
+            feed(engine, fin(t));
         }
     }
 
@@ -570,27 +348,27 @@ mod tests {
         // Scheme 1, 2 shards: site 1 lives in shard 1, fins in shard 0.
         // fin(2) waits in shard 0 until ack(2, 1) is acted in shard 1 —
         // the wake must cross shards, exactly once.
-        let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(1, &[1]), init(2, &[1])] {
             let j = engine.enqueue(op);
             assert_eq!(j, 0, "inits route to shard 0");
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         for op in [ser(1, 1), ack(1, 1)] {
             let j = engine.enqueue(op);
             assert_eq!(j, 1, "site-1 ops route to shard 1");
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         let j = engine.enqueue(fin(1));
-        pump_following(&engine, j);
+        pump_following(&mut engine, j);
         let j = engine.enqueue(ser(2, 1));
-        pump_following(&engine, j);
+        pump_following(&mut engine, j);
         let j = engine.enqueue(fin(2));
-        pump_following(&engine, j);
+        pump_following(&mut engine, j);
         assert_eq!(engine.wait_len(), 1, "fin(2) must wait for ack(2,1)");
 
         let j = engine.enqueue(ack(2, 1));
-        let effects = pump_following(&engine, j);
+        let effects = pump_following(&mut engine, j);
         assert!(
             effects.contains(&SchemeEffect::ForwardAck {
                 txn: g(2),
@@ -613,8 +391,8 @@ mod tests {
     fn handoff_to_empty_shard_is_skipped() {
         // All traffic at site 0 (shard 0); shard 1 never has waiters, so
         // nothing may be delivered to it.
-        let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
-        run_site_lifecycles(&engine, 0, &[1, 2]);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
+        run_site_lifecycles(&mut engine, 0, &[1, 2]);
         assert_eq!(engine.stats().fins, 2);
         assert_eq!(engine.wait_len(), 0);
         assert_eq!(engine.queue_len(), 0);
@@ -629,18 +407,18 @@ mod tests {
     fn self_handoff_stays_local() {
         // Scheme 0, 2 shards, contention at one site: the ack wakes the
         // waiting ser through the local cascade, not the handoff queue.
-        let engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
         for op in [init(1, &[1]), init(2, &[1])] {
             let j = engine.enqueue(op);
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         let j = engine.enqueue(ser(1, 1));
-        pump_following(&engine, j);
+        pump_following(&mut engine, j);
         let j = engine.enqueue(ser(2, 1));
-        pump_following(&engine, j);
+        pump_following(&mut engine, j);
         assert_eq!(engine.wait_len(), 1, "ser(2,1) waits behind ser(1,1)");
         let j = engine.enqueue(ack(1, 1));
-        let effects = pump_following(&engine, j);
+        let effects = pump_following(&mut engine, j);
         let woken = effects
             .iter()
             .filter(|fx| {
@@ -665,34 +443,34 @@ mod tests {
         // (the second fin's cond is true once the first acts); the second
         // handoff then finds no candidates — it must do nothing, not
         // double-act a fin.
-        let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(2, &[1]), init(3, &[1])] {
             let j = engine.enqueue(op);
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         for op in [ser(2, 1), ack(2, 1), ser(3, 1), ack(3, 1)] {
             let j = engine.enqueue(op);
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         // Delete queue at site 1 is now [G2, G3]; fins act immediately in
         // order. Re-run the shape with the fins *waiting* instead:
-        let engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme1, 2);
         for op in [init(2, &[1]), init(3, &[1])] {
-            pump_following(&engine, engine.enqueue(op));
+            feed(&mut engine, op);
         }
         for op in [ser(2, 1), ser(3, 1)] {
-            pump_following(&engine, engine.enqueue(op));
+            feed(&mut engine, op);
         }
         // ser(3,1) waits behind ser(2,1)'s outstanding slot; fins wait too.
         for op in [fin(2), fin(3)] {
-            pump_following(&engine, engine.enqueue(op));
+            feed(&mut engine, op);
         }
         assert!(engine.wait_len() >= 2);
         // Both acks into shard 1's inbox, then one pump: their two
         // handoffs land in shard 0 together.
         engine.enqueue(ack(2, 1));
         engine.enqueue(ack(3, 1));
-        pump_following(&engine, 1);
+        pump_following(&mut engine, 1);
         let stats = engine.stats();
         assert_eq!(stats.fins, 2, "fins acted exactly once each");
         assert_eq!(stats.processed, 8, "2 init + 2 ser + 2 ack + 2 fin");
@@ -705,13 +483,13 @@ mod tests {
     fn pre_init_gate_parks_and_releases() {
         // A ser that reaches its site shard before the init is parked,
         // then released exactly once by the init's handoff.
-        let engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme0, 2);
         engine.enqueue(ser(1, 1)); // shard 1, but G1 not inited yet
-        pump_following(&engine, 1);
+        pump_following(&mut engine, 1);
         assert_eq!(engine.queue_len(), 1, "ser parked behind missing init");
         assert_eq!(engine.stats().protocol_violations, 0);
         let j = engine.enqueue(init(1, &[1]));
-        let effects = pump_following(&engine, j);
+        let effects = pump_following(&mut engine, j);
         assert_eq!(
             effects,
             vec![SchemeEffect::SubmitSer {
@@ -769,11 +547,11 @@ mod tests {
 
     #[test]
     fn unpartitioned_schemes_funnel_through_shard_zero() {
-        let engine = ShardedGtm2::new(SchemeKind::Scheme3, 4);
+        let mut engine = ShardedGtm2::new(SchemeKind::Scheme3, 4);
         for op in [init(1, &[2]), ser(1, 2), ack(1, 2), fin(1)] {
             let j = engine.enqueue(op);
             assert_eq!(j, 0, "Scheme 3 must route everything to shard 0");
-            pump_following(&engine, j);
+            pump_following(&mut engine, j);
         }
         assert_eq!(engine.stats().fins, 1);
         assert_eq!(engine.cross_shard_handoffs(), 0);

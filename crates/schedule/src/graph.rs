@@ -3,8 +3,8 @@
 //! Serialization graphs, waits-for graphs (2PL deadlock detection), local
 //! SGT conflict graphs and the global quotient graph all need the same
 //! operations: insert/remove nodes and edges, cycle detection, topological
-//! sort, path queries, and strongly connected components. [`DiGraph`] keeps
-//! them in one generic, well-tested place.
+//! sort and path queries. [`DiGraph`] keeps them in one generic,
+//! well-tested place.
 //!
 //! [`DiGraph`] is built for incremental mutation (nodes come and go as
 //! transactions start and finish): adjacency is a
@@ -282,94 +282,6 @@ impl<N: Ord + Copy> DiGraph<N> {
         }
         None
     }
-
-    /// Strongly connected components (Tarjan), in deterministic order.
-    /// Components are returned in reverse topological order of the
-    /// condensation.
-    pub fn sccs(&self) -> Vec<Vec<N>> {
-        struct State<N: Ord + Copy> {
-            index: BTreeMap<N, usize>,
-            low: BTreeMap<N, usize>,
-            on_stack: BTreeSet<N>,
-            stack: Vec<N>,
-            next: usize,
-            out: Vec<Vec<N>>,
-        }
-        let mut st = State {
-            index: BTreeMap::new(),
-            low: BTreeMap::new(),
-            on_stack: BTreeSet::new(),
-            stack: Vec::new(),
-            next: 0,
-            out: Vec::new(),
-        };
-
-        // Iterative Tarjan to avoid recursion-depth limits on big graphs.
-        enum Frame<N> {
-            Enter(N),
-            /// Fold child `w`'s lowlink into `v` (runs after `Enter(w)`).
-            Child(N, N),
-            /// All of `v`'s children processed: maybe extract its SCC.
-            Exit(N),
-        }
-        for &root in self.succ.keys() {
-            if st.index.contains_key(&root) {
-                continue;
-            }
-            let mut work = vec![Frame::Enter(root)];
-            while let Some(frame) = work.pop() {
-                match frame {
-                    Frame::Enter(v) => {
-                        if st.index.contains_key(&v) {
-                            continue;
-                        }
-                        st.index.insert(v, st.next);
-                        st.low.insert(v, st.next);
-                        st.next += 1;
-                        st.stack.push(v);
-                        st.on_stack.insert(v);
-                        // Root extraction runs after all children.
-                        work.push(Frame::Exit(v));
-                        // For each child w: Enter(w) must complete before
-                        // Child(v, w) folds w's lowlink into v, so push
-                        // Child first, Enter second (stack order).
-                        for w in self.successors(v).collect::<Vec<_>>() {
-                            work.push(Frame::Child(v, w));
-                            work.push(Frame::Enter(w));
-                        }
-                    }
-                    Frame::Child(v, w) => {
-                        if st.on_stack.contains(&w) {
-                            // Tree edge whose subtree completed, or back/cross
-                            // edge within the current SCC search: fold w's
-                            // lowlink. Nodes in already-extracted SCCs are off
-                            // the stack and correctly contribute nothing.
-                            // (A self-loop v->v folds v into itself: no-op.)
-                            let lw = st.low[&w].min(st.index[&w]);
-                            if lw < st.low[&v] {
-                                st.low.insert(v, lw);
-                            }
-                        }
-                    }
-                    Frame::Exit(v) => {
-                        if st.low[&v] == st.index[&v] {
-                            let mut comp = Vec::new();
-                            while let Some(x) = st.stack.pop() {
-                                st.on_stack.remove(&x);
-                                comp.push(x);
-                                if x == v {
-                                    break;
-                                }
-                            }
-                            comp.sort_unstable();
-                            st.out.push(comp);
-                        }
-                    }
-                }
-            }
-        }
-        st.out
-    }
 }
 
 #[cfg(test)]
@@ -557,30 +469,6 @@ mod tests {
         assert!(g.has_path(2, 2));
         assert!(!g.has_path(2, 3));
         assert!(!g.has_path(1, 99));
-    }
-
-    #[test]
-    fn sccs_partition_nodes() {
-        let mut g = DiGraph::new();
-        g.add_edge(1, 2);
-        g.add_edge(2, 1); // SCC {1,2}
-        g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        g.add_edge(4, 3); // SCC {3,4}
-        g.add_node(5); // singleton
-        let mut sccs = g.sccs();
-        sccs.sort();
-        assert_eq!(sccs, vec![vec![1, 2], vec![3, 4], vec![5]]);
-    }
-
-    #[test]
-    fn sccs_on_large_chain_does_not_overflow_stack() {
-        let mut g = DiGraph::new();
-        for i in 0..20_000u32 {
-            g.add_edge(i, i + 1);
-        }
-        assert_eq!(g.sccs().len(), 20_001);
-        assert!(!g.has_cycle());
     }
 
     #[test]

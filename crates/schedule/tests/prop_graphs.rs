@@ -95,37 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn sccs_partition_and_classify(edges in arb_directed_edges()) {
-        let mut g = DiGraph::new();
-        for &(a, b) in &edges {
-            g.add_edge(a, b);
-        }
-        let sccs = g.sccs();
-        // Partition.
-        let mut seen = BTreeSet::new();
-        for comp in &sccs {
-            for &n in comp {
-                prop_assert!(seen.insert(n), "node {} in two SCCs", n);
-            }
-        }
-        prop_assert_eq!(seen.len(), g.node_count());
-        // Each member of a multi-node SCC reaches every other member.
-        for comp in &sccs {
-            if comp.len() > 1 {
-                for &a in comp {
-                    for &b in comp {
-                        prop_assert!(g.has_path(a, b), "{} !->* {} in SCC", a, b);
-                    }
-                }
-            }
-        }
-        // Cyclic graph iff some SCC is non-trivial or a self-loop exists.
-        let self_loop = g.edges().any(|(a, b)| a == b);
-        let nontrivial = sccs.iter().any(|c| c.len() > 1);
-        prop_assert_eq!(g.has_cycle(), nontrivial || self_loop);
-    }
-
-    #[test]
     fn remove_node_preserves_consistency(edges in arb_directed_edges(), victim in 0u8..10) {
         let mut g = DiGraph::new();
         for &(a, b) in &edges {

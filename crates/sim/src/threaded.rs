@@ -11,20 +11,18 @@
 //!
 //! Site workers are non-blocking state machines on [`mdbs_common::pool`]:
 //! each poll drains its command mailbox with `try_recv`, expires blocked
-//! operations, sweeps its own GTM2 shard, and returns `Pending`. The
-//! coordinator wakes a site's task after every send, and ticks all tasks
-//! every 2 ms so expiry keeps running while traffic is quiet. OS threads
-//! are capped at `min(sites, available_parallelism)` — many sites
-//! multiplex onto few workers instead of oversubscribing the machine.
+//! operations, and returns `Pending`. The coordinator wakes a site's task
+//! after every send, and ticks all tasks every 2 ms so expiry keeps
+//! running while traffic is quiet. OS threads are capped at
+//! `min(sites, available_parallelism)` — many sites multiplex onto few
+//! workers instead of oversubscribing the machine.
 //!
-//! GTM2 runs as a [`ShardedGtm2`]: each site worker feeds its `ack`s into
-//! its own shard and pumps it in place (an ack never crosses the
-//! coordinator channel). Cross-shard handoffs are **waker hints**: the
-//! pumping worker never chases another shard's lock — it wakes the task
-//! owning the target shard ([`ShardedGtm2::pump_shard`]), which
-//! re-tests on its next poll. The shard count comes from
-//! [`ThreadedMdbs::set_shards`], the `MDBS_SHARDS` environment variable,
-//! or defaults to one shard per site.
+//! GTM2 is the paper's single sequential process (Figures 2–3): the
+//! coordinator owns one plain [`Gtm2`] — no lock, nothing shared — and is
+//! the only thread that runs the scheduler. Servers put their `ack`s into
+//! its QUEUE the way the paper's do, as a message on the channel every
+//! other site reply already travels: one thread decides the order, the
+//! site workers only execute.
 //!
 //! Scope: global transactions only (the simulator covers background local
 //! load); aborted global transactions are not retried — their outcome is
@@ -37,8 +35,8 @@ use mdbs_common::instrument::{Registry, SharedSink, TracedEvent};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::pool::{Poll, Pool, TaskHandle};
 use mdbs_core::gtm1::{Gtm1, Gtm1Effect, Gtm1Event, ServerCommand};
-use mdbs_core::scheme::{SchemeEffect, SchemeKind};
-use mdbs_core::sharded::ShardedGtm2;
+use mdbs_core::gtm2::Gtm2;
+use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::engine::{EngineStats, LocalDbms};
 use mdbs_localdb::protocol::LocalProtocolKind;
@@ -48,7 +46,6 @@ use mdbs_schedule::global::{check_global, GlobalSerializability};
 use mdbs_schedule::History;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Message from coordinator to a site thread.
@@ -60,11 +57,14 @@ enum ToSite {
     Shutdown,
 }
 
-/// Message from a site thread back to the coordinator. GTM2 `ack`s no
-/// longer travel here — each worker feeds them straight into its own
-/// shard of the sharded engine.
+/// Message from a site thread back to the coordinator.
 enum FromSite {
     Gtm1(Gtm1Event),
+    /// `ack(ser_site(txn))`, for GTM2's QUEUE.
+    Ack {
+        txn: GlobalTxnId,
+        site: SiteId,
+    },
     /// Final state at shutdown.
     Final {
         site: SiteId,
@@ -114,18 +114,6 @@ struct SiteWorker {
     replies: Vec<Reply>,
     rx: Receiver<ToSite>,
     tx: Sender<FromSite>,
-    /// The shared GTM2 engine; this worker pumps its own site's shard on
-    /// the ack fast path and sweeps `owned_shards` on every poll.
-    gtm2: Arc<ShardedGtm2>,
-    /// Shards this task owns for sweeping and handoff wakes (shard `j`
-    /// is owned by site task `j mod nsites`, so every shard has exactly
-    /// one owner even when shard and site counts differ).
-    owned_shards: Vec<usize>,
-    /// One waker per GTM2 shard (the owning site task), populated after
-    /// all tasks are spawned and before any is woken. Cross-shard handoff
-    /// hints from this worker's pumps go through these instead of this
-    /// worker following the handoff into a foreign shard's lock.
-    shard_wakers: Arc<OnceLock<Vec<TaskHandle>>>,
     /// When each command currently blocked inside the engine blocked.
     blocked_since: BTreeMap<GlobalTxnId, Instant>,
     block_timeout: Duration,
@@ -146,10 +134,8 @@ impl SiteWorker {
     }
 
     /// One poll of the site task: drain the command mailbox, expire
-    /// blocked operations, sweep this worker's GTM2 shard (clearing any
-    /// handoff hints other shards parked in it), and suspend. Never
-    /// blocks — the coordinator wakes this task after every send and on
-    /// its 2 ms expiry tick.
+    /// blocked operations, and suspend. Never blocks — the coordinator
+    /// wakes this task after every send and on its 2 ms expiry tick.
     fn run(&mut self) -> Poll {
         loop {
             match self.rx.try_recv() {
@@ -165,25 +151,7 @@ impl SiteWorker {
             }
         }
         self.expire_blocked();
-        for j in self.owned_shards.clone() {
-            self.pump(j);
-        }
         Poll::Pending
-    }
-
-    /// Pump one GTM2 shard without following handoffs: forward the
-    /// effects, then wake the tasks owning any shards the pump handed
-    /// work to.
-    fn pump(&mut self, shard: usize) {
-        let (effects, hints) = self.gtm2.pump_shard(shard);
-        self.forward_effects(effects);
-        if let Some(wakers) = self.shard_wakers.get() {
-            for j in hints {
-                if let Some(w) = wakers.get(j) {
-                    w.wake();
-                }
-            }
-        }
     }
 
     /// Ship the final site state to the coordinator at shutdown.
@@ -213,9 +181,8 @@ impl SiteWorker {
         self.deliver();
     }
 
-    /// Send the server's replies on their way: GTM1 events over the
-    /// channel, acks into this worker's GTM2 shard, blocked steps onto the
-    /// expiry clock.
+    /// Send the server's replies on their way: GTM1 events and acks over
+    /// the channel, blocked steps onto the expiry clock.
     fn deliver(&mut self) {
         let mut replies = std::mem::take(&mut self.replies);
         for reply in replies.drain(..) {
@@ -235,22 +202,21 @@ impl SiteWorker {
         self.replies = replies;
     }
 
-    /// Feed `ack(ser_site(txn))` straight into this worker's GTM2 shard
-    /// and pump it in place; whatever the pump produces (submits for any
-    /// site, forwarded acks) goes to the coordinator as GTM1 events.
+    /// Put `ack(ser_site(txn))` into GTM2's QUEUE, which the coordinator
+    /// holds.
     fn send_ack(&mut self, txn: GlobalTxnId) {
-        let shard = self.gtm2.enqueue(QueueOp::Ack {
+        self.send_counted(FromSite::Ack {
             txn,
             site: self.site,
         });
-        self.pump(shard);
     }
+}
 
-    fn forward_effects(&mut self, effects: Vec<SchemeEffect>) {
-        for fx in effects {
-            self.send_counted(FromSite::Gtm1(gtm2_effect_event(fx)));
-        }
-    }
+/// Insert `op` into GTM2's QUEUE and run the loop dry; whatever it
+/// schedules (submits for any site, forwarded acks) goes on to GTM1.
+fn schedule(gtm2: &mut Gtm2, op: QueueOp, pending_events: &mut VecDeque<Gtm1Event>) {
+    gtm2.enqueue(op);
+    pending_events.extend(gtm2.pump().into_iter().map(gtm2_effect_event));
 }
 
 /// Convert a GTM2 effect into the GTM1 event that carries it onward.
@@ -290,7 +256,6 @@ pub struct ThreadedMdbs {
     mpl: usize,
     block_timeout: Duration,
     trace: bool,
-    shards: Option<usize>,
 }
 
 impl ThreadedMdbs {
@@ -302,7 +267,6 @@ impl ThreadedMdbs {
             mpl,
             block_timeout: Duration::from_millis(200),
             trace: false,
-            shards: None,
         }
     }
 
@@ -310,26 +274,6 @@ impl ThreadedMdbs {
     /// in [`ThreadedRunReport::events`].
     pub fn enable_trace(&mut self) {
         self.trace = true;
-    }
-
-    /// Override the number of GTM2 pump shards. Defaults (in order) to
-    /// this override, the `MDBS_SHARDS` environment variable (a run panics
-    /// if it is set to anything but an integer ≥ 1), then one shard per
-    /// site.
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = Some(n.max(1));
-    }
-
-    fn shard_count(&self) -> usize {
-        if let Some(n) = self.shards {
-            return n;
-        }
-        if let Some(raw) = std::env::var_os("MDBS_SHARDS") {
-            let raw = raw.to_string_lossy();
-            return parse_shards(&raw)
-                .unwrap_or_else(|| panic!("MDBS_SHARDS must be an integer >= 1, got {raw:?}"));
-        }
-        self.protocols.len().max(1)
     }
 
     /// Run the programs to completion on live threads and audit.
@@ -341,17 +285,15 @@ impl ThreadedMdbs {
             .map(|(i, &p)| (SiteId(i as u32), SerializationEvent::for_protocol(p)))
             .collect();
         let mut gtm1 = Gtm1::new(site_events);
-        let nshards = self.shard_count();
-        let mut sharded = ShardedGtm2::new(self.scheme, nshards);
+        let mut gtm2 = Gtm2::new(self.scheme.build_kernel(KernelKind::Dense));
         let sched_sink = if self.trace {
             let sink = SharedSink::new();
             gtm1.set_sink(Some(Box::new(sink.clone())));
-            sharded.set_sink(Some(Box::new(sink.clone())));
+            gtm2.set_sink(Some(Box::new(sink.clone())));
             Some(sink)
         } else {
             None
         };
-        let gtm2 = Arc::new(sharded);
 
         let (to_coord, from_sites) = bounded::<FromSite>(1024);
         let nsites = self.protocols.len().max(1);
@@ -362,7 +304,6 @@ impl ThreadedMdbs {
             .unwrap_or(1)
             .min(nsites);
         let pool = Pool::new(pool_workers);
-        let shard_wakers: Arc<OnceLock<Vec<TaskHandle>>> = Arc::new(OnceLock::new());
         let mut site_txs: Vec<Sender<ToSite>> = Vec::new();
         let mut handles: Vec<TaskHandle> = Vec::new();
         for (i, &protocol) in self.protocols.iter().enumerate() {
@@ -374,9 +315,6 @@ impl ThreadedMdbs {
                 replies: Vec::new(),
                 rx,
                 tx: to_coord.clone(),
-                gtm2: Arc::clone(&gtm2),
-                owned_shards: (0..nshards).filter(|j| j % nsites == i).collect(),
-                shard_wakers: Arc::clone(&shard_wakers),
                 blocked_since: BTreeMap::new(),
                 block_timeout: self.block_timeout,
                 send_dropped: 0,
@@ -384,21 +322,21 @@ impl ThreadedMdbs {
             handles.push(pool.spawn(move || worker.run()));
         }
         drop(to_coord);
-        // Publish the shard → owning-task map before any task runs, then
-        // start them all (spawn does not schedule; the first wake does).
-        let _ = shard_wakers.set(
-            (0..nshards)
-                .map(|j| handles[j % nsites].clone())
-                .collect::<Vec<_>>(),
-        );
+        // Start them all (spawn does not schedule; the first wake does).
         for h in &handles {
             h.wake();
         }
 
-        let total = programs.len();
-        let mut queue: VecDeque<GlobalTransaction> = programs.into();
+        // A program naming a site this runtime was not configured with is
+        // refused at admission: it aborts without ever reaching GTM1.
+        let submitted = programs.len();
+        let mut queue: VecDeque<GlobalTransaction> = programs
+            .into_iter()
+            .filter(|gt| gt.steps.iter().all(|s| s.site.index() < site_txs.len()))
+            .collect();
+        let total = queue.len();
         let mut commits = 0u64;
-        let mut aborts = 0u64;
+        let mut aborts = (submitted - total) as u64;
         let mut done = 0usize;
         let mut send_dropped = 0u64;
 
@@ -415,18 +353,7 @@ impl ThreadedMdbs {
                 for fx in gtm1.handle(ev) {
                     match fx {
                         Gtm1Effect::EnqueueGtm2(op) => {
-                            let shard = gtm2.enqueue(op);
-                            let (effects, hints) = gtm2.pump_shard(shard);
-                            for fx in effects {
-                                pending_events.push_back(gtm2_effect_event(fx));
-                            }
-                            if let Some(wakers) = shard_wakers.get() {
-                                for j in hints {
-                                    if let Some(w) = wakers.get(j) {
-                                        w.wake();
-                                    }
-                                }
-                            }
+                            schedule(&mut gtm2, op, &mut pending_events);
                         }
                         Gtm1Effect::Server { txn, site, cmd } => {
                             // A dead site thread is tolerated (timeouts
@@ -461,6 +388,10 @@ impl ThreadedMdbs {
             match from_sites.recv_timeout(Duration::from_millis(2)) {
                 Ok(FromSite::Gtm1(event)) => {
                     pending_events.push_back(event);
+                    last_progress = Instant::now();
+                }
+                Ok(FromSite::Ack { txn, site }) => {
+                    schedule(&mut gtm2, QueueOp::Ack { txn, site }, &mut pending_events);
                     last_progress = Instant::now();
                 }
                 Ok(FromSite::Final { .. }) => {}
@@ -525,17 +456,12 @@ impl ThreadedMdbs {
             commits,
             aborts,
             audit: check_global(histories.iter().map(|(&s, h)| (s, h))),
-            ser_s_ok: gtm2.ser_log_snapshot().check().is_ok(),
+            ser_s_ok: gtm2.ser_log().check().is_ok(),
             storage_totals: totals.into_values().collect(),
             registry,
             events: sched_sink.map(|s| s.drain()).unwrap_or_default(),
         }
     }
-}
-
-/// A usable `MDBS_SHARDS` value: an integer ≥ 1.
-fn parse_shards(raw: &str) -> Option<usize> {
-    raw.parse().ok().filter(|&n| n >= 1)
 }
 
 #[cfg(test)]
@@ -560,12 +486,87 @@ mod tests {
         Workload::generate(&spec).globals
     }
 
+    /// Reproducer: this used to panic indexing `site_txs` with a site the
+    /// runtime has no worker for.
     #[test]
-    fn only_integers_from_one_up_are_shard_counts() {
-        assert_eq!(parse_shards("1"), Some(1));
-        assert_eq!(parse_shards("4"), Some(4));
-        for unusable in ["0", "four", ""] {
-            assert_eq!(parse_shards(unusable), None, "{unusable:?}");
+    fn program_naming_an_unconfigured_site_is_refused() {
+        let rt = ThreadedMdbs::new(
+            vec![LocalProtocolKind::TwoPhaseLocking; 2],
+            SchemeKind::Scheme0,
+            4,
+        );
+        let programs = programs(3, 12, 5);
+        let foreign = programs
+            .iter()
+            .filter(|gt| gt.sites().contains(&SiteId(2)))
+            .count() as u64;
+        assert!(0 < foreign && foreign < 12, "{foreign} of 12 name site 2");
+        let report = rt.run(programs);
+        assert_eq!(report.commits + report.aborts, 12);
+        assert!(report.aborts >= foreign, "{report:?}");
+        assert_eq!(report.registry.counter("gtm1.submitted"), 12 - foreign);
+        assert!(report.is_serializable(), "{:?}", report.audit);
+        assert!(report.ser_s_ok);
+    }
+
+    /// `enable_trace` hands back GTM2's events in the order the coordinator
+    /// recorded them: complete, and causally ordered per transaction.
+    #[test]
+    fn trace_is_complete_and_causally_ordered() {
+        use mdbs_common::instrument::SchedEvent;
+        use mdbs_common::ops::QueueOpKind::{Ack, Fin, Init, Ser};
+        for scheme in [
+            SchemeKind::Scheme0,
+            SchemeKind::Scheme1,
+            SchemeKind::Scheme2,
+            SchemeKind::Scheme3,
+        ] {
+            let mut rt = ThreadedMdbs::new(vec![LocalProtocolKind::TwoPhaseLocking; 3], scheme, 4);
+            rt.enable_trace();
+            let report = rt.run(programs(3, 12, 5));
+            assert!(!report.events.is_empty(), "{scheme}");
+            // Where each operation entered QUEUE and where it was acted
+            // (from QUEUE or woken from WAIT), by position in the record.
+            let mut enqueued = BTreeMap::new();
+            let mut acted = BTreeMap::new();
+            for (at, traced) in report.events.iter().enumerate() {
+                let (seen, kind, txn, site) = match traced.event {
+                    SchedEvent::Enqueue { kind, txn, site } => (&mut enqueued, kind, txn, site),
+                    SchedEvent::Act { kind, txn, site } | SchedEvent::Wake { kind, txn, site } => {
+                        (&mut acted, kind, txn, site)
+                    }
+                    _ => continue,
+                };
+                let again = seen.insert((txn, kind, site), at);
+                assert_eq!(again, None, "{scheme}: {:?} twice", traced.event);
+            }
+            let processed = report.registry.counter("gtm2.processed");
+            assert_eq!(acted.len() as u64, processed, "{scheme}");
+            assert_eq!(
+                processed,
+                report.registry.counter("gtm2.enqueued"),
+                "{scheme}"
+            );
+            for (&(txn, kind, site), &at) in &acted {
+                let acted_at = |kind, site| {
+                    *acted
+                        .get(&(txn, kind, site))
+                        .unwrap_or_else(|| panic!("{scheme}: {txn} has no acted {kind:?} {site:?}"))
+                };
+                assert!(
+                    enqueued[&(txn, kind, site)] < at,
+                    "{scheme}: {txn} {kind:?}"
+                );
+                match kind {
+                    Init | Fin => {}
+                    Ser => assert!(acted_at(Init, None) < at, "{scheme}: {txn} ser before init"),
+                    Ack => assert!(acted_at(Ser, site) < at, "{scheme}: {txn} ack before ser"),
+                }
+                assert!(
+                    at <= acted_at(Fin, None),
+                    "{scheme}: {txn} {kind:?} after fin"
+                );
+            }
         }
     }
 

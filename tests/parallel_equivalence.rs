@@ -148,11 +148,11 @@ fn parallel_total_order_is_stable_under_racing() {
 }
 
 /// The threaded runtime on the pool-task site workers: every protocol
-/// message accounted for (`send_dropped == 0`), audit green, with the
-/// shard count decoupled from the site count in both directions.
+/// message accounted for (`send_dropped == 0`), audit green, with 3 and 4
+/// sites multiplexed onto the pool's `min(sites, nproc)` workers.
 #[test]
 fn threaded_pool_runtime_drops_nothing() {
-    for &(sites, shards) in &[(3usize, 4usize), (4, 2)] {
+    for sites in [3usize, 4] {
         let spec = WorkloadSpec {
             sites,
             global_txns: 12,
@@ -165,12 +165,11 @@ fn threaded_pool_runtime_drops_nothing() {
             ops_per_local_txn: 0,
             seed: 31,
         };
-        let mut rt = ThreadedMdbs::new(
+        let rt = ThreadedMdbs::new(
             vec![LocalProtocolKind::TwoPhaseLocking; sites],
             SchemeKind::Scheme1,
             4,
         );
-        rt.set_shards(shards);
         let report = rt.run(Workload::generate(&spec).globals);
         assert_eq!(report.commits + report.aborts, 12);
         assert!(report.is_serializable(), "{:?}", report.audit);
@@ -178,7 +177,7 @@ fn threaded_pool_runtime_drops_nothing() {
         assert_eq!(
             report.registry.counter("threaded.send_dropped"),
             0,
-            "sites={sites} shards={shards}: dropped sends"
+            "sites={sites}: dropped sends"
         );
     }
 }

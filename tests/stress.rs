@@ -193,13 +193,12 @@ fn retry_exhaustion_reports_failures() {
     );
 }
 
-/// Sharded threaded runs: the live-thread scheduler pumping per-site GTM2
-/// shards must stay serializable and lose no messages at every shard
-/// count from a single funnel to one shard per site. Kept small enough to
-/// run in the default (non-ignored) suite; the soak variants above cover
-/// scale.
+/// Live threaded runs: the coordinator scheduling for four pool-task site
+/// workers must stay serializable and lose no messages. Kept small enough
+/// to run in the default (non-ignored) suite; the soak variants above
+/// cover scale.
 #[test]
-fn threaded_sharded_pump_sweep() {
+fn threaded_runtime_sweep() {
     use mdbs::sim::threaded::ThreadedMdbs;
 
     let spec = WorkloadSpec {
@@ -215,27 +214,23 @@ fn threaded_sharded_pump_sweep() {
         seed: 0,
     };
     for scheme in [SchemeKind::Scheme1, SchemeKind::Scheme3] {
-        for shards in [1usize, 2, 4] {
-            for seed in [11u64, 12, 13] {
-                let programs = Workload::generate(&WorkloadSpec {
-                    seed,
-                    ..spec.clone()
-                })
-                .globals;
-                let mut rt =
-                    ThreadedMdbs::new(vec![LocalProtocolKind::TwoPhaseLocking; 4], scheme, 6);
-                rt.set_shards(shards);
-                let report = rt.run(programs);
-                let label = format!("{scheme} shards={shards} seed={seed}");
-                assert_eq!(report.commits + report.aborts, 16, "{label}");
-                assert!(report.is_serializable(), "{label}: {:?}", report.audit);
-                assert!(report.ser_s_ok, "{label}");
-                assert_eq!(
-                    report.registry.counter("threaded.send_dropped"),
-                    0,
-                    "{label}: dropped sends"
-                );
-            }
+        for seed in [11u64, 12, 13] {
+            let programs = Workload::generate(&WorkloadSpec {
+                seed,
+                ..spec.clone()
+            })
+            .globals;
+            let rt = ThreadedMdbs::new(vec![LocalProtocolKind::TwoPhaseLocking; 4], scheme, 6);
+            let report = rt.run(programs);
+            let label = format!("{scheme} seed={seed}");
+            assert_eq!(report.commits + report.aborts, 16, "{label}");
+            assert!(report.is_serializable(), "{label}: {:?}", report.audit);
+            assert!(report.ser_s_ok, "{label}");
+            assert_eq!(
+                report.registry.counter("threaded.send_dropped"),
+                0,
+                "{label}: dropped sends"
+            );
         }
     }
 }
