@@ -1,19 +1,13 @@
 //! Stage 2 of the graph analyzer: per-function fact extraction.
 //!
 //! Walks the token trees from [`crate::parser`] and produces, for every
-//! `fn` item, an ordered list of [`Step`]s: lock acquisitions (with their
-//! binding and release points — `drop(guard)` or scope end), channel
-//! `send`/`recv` endpoints, other blocking calls (`join`, condvar `wait`,
-//! `thread::sleep`), suspension points (`.await`, `block_timeout`,
-//! `yield_now`), and call expressions. Alongside the linear `steps` it
-//! emits a bracketed [`FlowEvent`] stream recording the control
-//! structure (`if`/`match` arms, loops with back edges, `return`/`?`/
-//! `break`/`continue`) that [`crate::cfg`] lowers into a per-function
-//! control-flow graph. It also records channel creation sites
-//! (`let (tx, rx) = bounded(..)`), simple aliases (`let a = b;`,
-//! `container.push(tx)`, struct-literal fields) and struct field types —
-//! everything [`crate::graph`] needs to assemble the call graph, the
-//! lock-order graph and the channel topology.
+//! `fn` item, a source-ordered list of [`Step`]s: `.lock()` calls,
+//! channel `send`/`recv` endpoints, other blocking calls (`join`, condvar
+//! `wait`, `thread::sleep`, `park`) and call expressions. It also records
+//! channel creation sites (`let (tx, rx) = bounded(..)`), simple aliases
+//! (`let a = b;`, `container.push(tx)`, struct-literal fields) and struct
+//! field types — everything [`crate::graph`] needs to assemble the call
+//! graph and the channel topology.
 //!
 //! The model is deliberately approximate (names, not types), but sound
 //! in the direction a lint wants: unknown receivers degrade to
@@ -61,18 +55,8 @@ impl CallTarget {
 /// One event inside a function body, in source order.
 #[derive(Clone, Debug)]
 pub enum Step {
-    /// A `.lock(..)` call. `binding` is the guard's `let` binding when the
-    /// guard outlives the statement; temporaries get a synthetic `#tN`
-    /// binding released at statement end.
-    Acquire {
-        lock: String,
-        binding: String,
-        line: u32,
-        col: u32,
-    },
-    /// The guard named `binding` dies (explicit `drop`, statement end for
-    /// temporaries, or scope end).
-    Release { binding: String },
+    /// A `.lock(..)` call on the receiver named `lock`.
+    Acquire { lock: String, line: u32, col: u32 },
     /// `.send(..)` / `.try_send(..)`.
     Send {
         base: Base,
@@ -97,59 +81,6 @@ pub enum Step {
         line: u32,
         col: u32,
     },
-    /// A point where the task yields to its executor: `.await`,
-    /// `.block_timeout(..)`, `thread::yield_now()`. (`recv_timeout` and
-    /// `park` keep their [`Step::Recv`]/[`Step::Blocking`] identity;
-    /// [`is_suspension`] classifies all of them uniformly.)
-    Suspend { what: String, line: u32, col: u32 },
-}
-
-/// True for steps after which the task may yield to the scheduler — the
-/// suspension points the reactor-oriented rules reason about: `.await`,
-/// `block_timeout`, `yield_now`, `recv_timeout`, `park`.
-pub fn is_suspension(step: &Step) -> bool {
-    match step {
-        Step::Suspend { .. } => true,
-        Step::Recv { method, .. } => method == "recv_timeout",
-        Step::Blocking { what, .. } => what.contains("park"),
-        _ => false,
-    }
-}
-
-/// One entry in a function's bracketed control-flow event stream — the
-/// input [`crate::cfg`] lowers into a per-function CFG. `Step(i)` events
-/// mirror `steps[i]` in order; the structural events bracket branches
-/// (`if`/`match`), loops, and early exits (`return`, `?`, `break`,
-/// `continue`). The stream is always properly nested because it is
-/// emitted structurally while walking the token tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowEvent {
-    /// `steps[i]` executes here.
-    Step(usize),
-    /// An `if`/`match` opens; its arms follow.
-    BranchOpen,
-    /// One arm's events start.
-    ArmOpen,
-    /// One arm's events end.
-    ArmClose,
-    /// The branch closes. `has_fallthrough` is true for `if` without
-    /// `else`: an implicit empty arm flows straight to the merge.
-    BranchClose { has_fallthrough: bool },
-    /// A loop header opens. `conditional` loops (`while`, `for`) may exit
-    /// from the header; `loop` exits only via `break`.
-    LoopOpen { conditional: bool },
-    /// The header (condition) ends; the loop body begins.
-    LoopBody,
-    /// The loop closes (back edge from body end to header).
-    LoopClose,
-    /// `return`, after its value expression's events.
-    Return,
-    /// `?` — exits early on the error path, continues on the ok path.
-    Try,
-    /// `break` out of the innermost loop.
-    Break,
-    /// `continue` to the innermost loop header.
-    Continue,
 }
 
 /// `let (tx, rx) = bounded(..) / channel(..) / unbounded(..)`.
@@ -189,15 +120,8 @@ pub struct FnFact {
     pub trait_name: Option<String>,
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based position of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// Ordered body events.
     pub steps: Vec<Step>,
-    /// Bracketed control-flow stream mirroring `steps` (every step index
-    /// appears exactly once, in order) — the CFG lowering input.
-    pub events: Vec<FlowEvent>,
     /// Channels created here.
     pub creates: Vec<ChannelCreate>,
     /// `alias -> source` local aliases (`let a = b;`, `c.push(b)`).
@@ -301,7 +225,6 @@ fn scan_fn(
     let Some(name) = trees.get(at + 1).and_then(|t| t.ident()) else {
         return at + 1;
     };
-    let (line, col) = trees[at].pos();
     // Parameters: the first `(` group after the name (generics stay flat).
     let mut j = at + 2;
     while j < trees.len() && !trees[j].is_group('(') {
@@ -329,19 +252,12 @@ fn scan_fn(
         self_type: self_type.map(str::to_string),
         trait_name: trait_name.map(str::to_string),
         file: path.to_string(),
-        line,
-        col,
         steps: Vec::new(),
-        events: Vec::new(),
         creates: Vec::new(),
         local_aliases: Vec::new(),
         field_aliases: Vec::new(),
     };
-    let mut ctx = FnCtx {
-        fact: &mut fact,
-        tmp: 0,
-    };
-    walk_block(&mut ctx, &body.trees);
+    walk_block(&mut fact, &body.trees);
     out.fns.push(fact);
     k + 1
 }
@@ -535,31 +451,9 @@ fn split_on_comma(trees: &[Tree]) -> Vec<&[Tree]> {
 // Function-body walking
 // ---------------------------------------------------------------------------
 
-struct FnCtx<'a> {
-    fact: &'a mut FnFact,
-    tmp: usize,
-}
-
-impl FnCtx<'_> {
-    /// Every step goes through here so the flow-event stream mirrors
-    /// `steps` one-for-one.
-    fn push_step(&mut self, step: Step) {
-        self.fact
-            .events
-            .push(FlowEvent::Step(self.fact.steps.len()));
-        self.fact.steps.push(step);
-    }
-
-    fn event(&mut self, e: FlowEvent) {
-        self.fact.events.push(e);
-    }
-}
-
-/// Walk a `{}` block: split into statements, give `let` statements guard
-/// treatment, and release statement-temporary and scope-bound guards at
-/// the right points.
-fn walk_block(ctx: &mut FnCtx, trees: &[Tree]) {
-    let mut scope_guards: Vec<String> = Vec::new();
+/// Walk a `{}` block statement by statement, so `let` shapes (channel
+/// creation, aliases) are seen whole.
+fn walk_block(fact: &mut FnFact, trees: &[Tree]) {
     let mut i = 0;
     while i < trees.len() {
         // Statement: up to a top-level `;`, or up to (but not including)
@@ -581,19 +475,7 @@ fn walk_block(ctx: &mut FnCtx, trees: &[Tree]) {
         }
         let stmt = &trees[i..end];
         if !stmt.is_empty() {
-            let before = ctx.fact.steps.len();
-            handle_stmt(ctx, stmt, &mut scope_guards);
-            // A guard released during this statement — explicit `drop`,
-            // inner-scope end, temporary death — is no longer live here;
-            // without this purge the scope close would release it twice.
-            let released: Vec<String> = ctx.fact.steps[before..]
-                .iter()
-                .filter_map(|s| match s {
-                    Step::Release { binding } => Some(binding.clone()),
-                    _ => None,
-                })
-                .collect();
-            scope_guards.retain(|g| !released.contains(g));
+            handle_stmt(fact, stmt);
         }
         i = if end < trees.len() && trees[end].is_punct(";") {
             end + 1
@@ -601,18 +483,11 @@ fn walk_block(ctx: &mut FnCtx, trees: &[Tree]) {
             end.max(i + 1)
         };
     }
-    for b in scope_guards.into_iter().rev() {
-        ctx.push_step(Step::Release { binding: b });
-    }
 }
 
-/// One statement: detect `let` shapes (guard bindings, channel creation,
-/// aliases), then walk the whole statement for events, then release any
-/// statement-temporary guards.
-fn handle_stmt(ctx: &mut FnCtx, stmt: &[Tree], scope_guards: &mut Vec<String>) {
-    let before = ctx.fact.steps.len();
-    let mut guard_binding: Option<(usize, String)> = None; // (lock ident index, binding)
-
+/// One statement: detect `let` shapes (channel creation, aliases), then
+/// walk the whole statement for steps.
+fn handle_stmt(fact: &mut FnFact, stmt: &[Tree]) {
     if stmt[0].is_ident("let") {
         let mut p = 1;
         if stmt.get(p).is_some_and(|t| t.is_ident("mut")) {
@@ -626,7 +501,7 @@ fn handle_stmt(ctx: &mut FnCtx, stmt: &[Tree], scope_guards: &mut Vec<String>) {
                 let init = &stmt[eq + 1..];
                 if names.len() == 2 && init_creates_channel(init) {
                     let (line, _) = stmt[0].pos();
-                    ctx.fact.creates.push(ChannelCreate {
+                    fact.creates.push(ChannelCreate {
                         tx: names[0].to_string(),
                         rx: names[1].to_string(),
                         line,
@@ -634,48 +509,14 @@ fn handle_stmt(ctx: &mut FnCtx, stmt: &[Tree], scope_guards: &mut Vec<String>) {
                 }
             }
         } else if let (Some(binding), Some(eq)) = (stmt.get(p).and_then(|t| t.ident()), eq) {
-            let init = &stmt[eq + 1..];
             // Plain alias: `let a = b;` / `let a = b.clone();`.
-            if let Some(src) = alias_source(init) {
-                ctx.fact
-                    .local_aliases
+            if let Some(src) = alias_source(&stmt[eq + 1..]) {
+                fact.local_aliases
                     .push((binding.to_string(), src.to_string()));
             }
-            // Guard binding: the last top-level `.lock(` whose trailing
-            // trees are all guard-preserving adaptors.
-            if binding != "_" {
-                if let Some(idx) = top_level_lock(init) {
-                    if adaptors_only(&init[idx + 2..]) {
-                        guard_binding = Some((eq + 1 + idx, binding.to_string()));
-                    }
-                }
-            }
         }
     }
-
-    walk_exprs(
-        ctx,
-        stmt,
-        guard_binding.as_ref().map(|(i, b)| (*i, b.as_str())),
-    );
-
-    // Temporaries: any acquire in this statement that didn't become the
-    // let-bound guard dies at the `;`.
-    let mut temp_releases = Vec::new();
-    for s in &mut ctx.fact.steps[before..] {
-        if let Step::Acquire { binding, .. } = s {
-            if binding.is_empty() {
-                ctx.tmp += 1;
-                *binding = format!("#t{}", ctx.tmp);
-                temp_releases.push(binding.clone());
-            } else if !binding.starts_with("#t") {
-                scope_guards.push(binding.clone());
-            }
-        }
-    }
-    for b in temp_releases.into_iter().rev() {
-        ctx.push_step(Step::Release { binding: b });
-    }
+    walk_exprs(fact, stmt);
 }
 
 /// True iff the init expression calls `bounded` / `unbounded` / `channel`.
@@ -708,93 +549,14 @@ fn alias_source(init: &[Tree]) -> Option<&str> {
     ok.then_some(first)
 }
 
-/// Index of the last top-level `lock` method-call ident in `init`.
-fn top_level_lock(init: &[Tree]) -> Option<usize> {
-    let mut found = None;
-    for (i, t) in init.iter().enumerate() {
-        if t.is_ident("lock")
-            && i > 0
-            && init[i - 1].is_punct(".")
-            && init.get(i + 1).is_some_and(|n| n.is_group('('))
-        {
-            found = Some(i);
-        }
-    }
-    found
-}
-
-/// True iff every tree is a guard-preserving adaptor (`.unwrap()`,
-/// `.expect("..")`, `.await`, `?`) — skipping the lock call's own args.
-fn adaptors_only(rest: &[Tree]) -> bool {
-    rest.iter().all(|t| match t {
-        Tree::Leaf(tok) => match tok.kind {
-            TokKind::Punct => matches!(tok.text.as_str(), "." | "?"),
-            TokKind::Ident => matches!(tok.text.as_str(), "unwrap" | "expect" | "await"),
-            TokKind::Literal => true,
-            TokKind::Lifetime => false,
-        },
-        Tree::Group(g) => g.delim == '(',
-    })
-}
-
-/// Walk one statement's trees, emitting events. `guard_at` marks the
-/// top-level `lock` ident that binds the statement's `let` guard.
-/// Control-flow keywords (`if`, `match`, loops, `return`, `break`,
-/// `continue`) are intercepted to emit the bracketed [`FlowEvent`]
-/// structure alongside the steps.
-fn walk_exprs(ctx: &mut FnCtx, trees: &[Tree], guard_at: Option<(usize, &str)>) {
+/// Walk one statement's trees in source order, emitting steps. Control
+/// flow is not modelled: a step inside a branch or loop is a step.
+fn walk_exprs(fact: &mut FnFact, trees: &[Tree]) {
     let mut i = 0;
     while i < trees.len() {
         match &trees[i] {
             Tree::Leaf(tok) if tok.kind == TokKind::Ident => {
-                let name = tok.text.clone();
-                match name.as_str() {
-                    "if" => {
-                        i = handle_if(ctx, trees, i);
-                        continue;
-                    }
-                    "match" => {
-                        i = handle_match(ctx, trees, i);
-                        continue;
-                    }
-                    "while" => {
-                        i = handle_while(ctx, trees, i);
-                        continue;
-                    }
-                    "for" => {
-                        i = handle_for(ctx, trees, i);
-                        continue;
-                    }
-                    "loop" => {
-                        i = handle_loop(ctx, trees, i);
-                        continue;
-                    }
-                    "return" => {
-                        // Value expression first, then the exit edge.
-                        walk_exprs(ctx, &trees[i + 1..], None);
-                        ctx.event(FlowEvent::Return);
-                        return;
-                    }
-                    "break" => {
-                        walk_exprs(ctx, &trees[i + 1..], None); // break value
-                        ctx.event(FlowEvent::Break);
-                        return;
-                    }
-                    "continue" => {
-                        ctx.event(FlowEvent::Continue);
-                        return;
-                    }
-                    "await" if i > 0 && trees[i - 1].is_punct(".") => {
-                        ctx.push_step(Step::Suspend {
-                            what: ".await".to_string(),
-                            line: tok.line,
-                            col: tok.col,
-                        });
-                        i += 1;
-                        continue;
-                    }
-                    _ => {}
-                }
+                let name = tok.text.as_str();
                 // Macro invocation: `name!(...)` — walk the args, but the
                 // macro itself is not a call.
                 if trees.get(i + 1).is_some_and(|t| t.is_punct("!")) {
@@ -802,12 +564,11 @@ fn walk_exprs(ctx: &mut FnCtx, trees: &[Tree], guard_at: Option<(usize, &str)>) 
                     continue;
                 }
                 let called = trees.get(i + 1).is_some_and(|t| t.is_group('('));
-                if called && !is_keyword(&name) {
-                    let is_method = i > 0 && trees[i - 1].is_punct(".");
-                    if is_method {
-                        handle_method_call(ctx, trees, i, &name, tok.line, tok.col, guard_at);
+                if called && !is_keyword(name) {
+                    if i > 0 && trees[i - 1].is_punct(".") {
+                        handle_method_call(fact, trees, i, name, tok.line, tok.col);
                     } else {
-                        handle_plain_call(ctx, trees, i, &name, tok.line, tok.col);
+                        handle_plain_call(fact, trees, i, name, tok.line, tok.col);
                     }
                 }
                 // Struct literal: `Upper { field: src, .. }`.
@@ -816,261 +577,72 @@ fn walk_exprs(ctx: &mut FnCtx, trees: &[Tree], guard_at: Option<(usize, &str)>) 
                     && !called
                 {
                     if let Some(g) = trees[i + 1].group() {
-                        harvest_field_aliases(ctx, &name, g);
+                        harvest_field_aliases(fact, name, g);
                     }
                 }
-                i += 1;
             }
-            Tree::Leaf(tok) if tok.is_punct("?") => {
-                ctx.event(FlowEvent::Try);
-                i += 1;
-            }
-            Tree::Group(g) => {
-                if g.delim == '{' {
-                    walk_block(ctx, &g.trees);
-                } else {
-                    // Args of the enclosing call/index: same statement, so
-                    // guard_at does not apply inside.
-                    walk_exprs(ctx, &g.trees, None);
-                }
-                i += 1;
-            }
-            _ => i += 1,
+            Tree::Group(g) if g.delim == '{' => walk_block(fact, &g.trees),
+            Tree::Group(g) => walk_exprs(fact, &g.trees),
+            Tree::Leaf(_) => {}
         }
+        i += 1;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Control-flow constructs
-// ---------------------------------------------------------------------------
-
-/// Index of the first top-level `{` group at or after `from` (the body of
-/// an `if`/`match`/`while`/`for` — struct literals are not legal in those
-/// head positions without parentheses, so the first brace is the body).
-fn body_brace(trees: &[Tree], from: usize) -> usize {
-    let mut j = from;
-    while j < trees.len() && !trees[j].is_group('{') {
-        j += 1;
-    }
-    j
-}
-
-/// `if cond { A } [else if .. | else { B }]` starting at the `if` ident.
-/// Returns the index just past the construct. `else if` chains nest: the
-/// second condition's steps land inside the else arm, which is exactly
-/// when they evaluate.
-fn handle_if(ctx: &mut FnCtx, trees: &[Tree], at: usize) -> usize {
-    let j = body_brace(trees, at + 1);
-    walk_exprs(ctx, &trees[at + 1..j], None); // condition
-    let Some(body) = trees.get(j).and_then(|t| t.group()) else {
-        return j; // malformed (`if` in a pattern guard) — condition walked
-    };
-    ctx.event(FlowEvent::BranchOpen);
-    ctx.event(FlowEvent::ArmOpen);
-    walk_block(ctx, &body.trees);
-    ctx.event(FlowEvent::ArmClose);
-    let mut end = j + 1;
-    let mut has_fallthrough = true;
-    if trees.get(end).is_some_and(|t| t.is_ident("else")) {
-        has_fallthrough = false;
-        ctx.event(FlowEvent::ArmOpen);
-        if trees.get(end + 1).is_some_and(|t| t.is_ident("if")) {
-            end = handle_if(ctx, trees, end + 1);
-        } else if let Some(g) = trees.get(end + 1).and_then(|t| t.group()) {
-            walk_block(ctx, &g.trees);
-            end += 2;
-        } else {
-            end += 1;
-        }
-        ctx.event(FlowEvent::ArmClose);
-    }
-    ctx.event(FlowEvent::BranchClose { has_fallthrough });
-    end
-}
-
-/// `match scrut { pat [if guard] => body, ... }` starting at `match`.
-fn handle_match(ctx: &mut FnCtx, trees: &[Tree], at: usize) -> usize {
-    let j = body_brace(trees, at + 1);
-    walk_exprs(ctx, &trees[at + 1..j], None); // scrutinee
-    let Some(body) = trees.get(j).and_then(|t| t.group()) else {
-        return j;
-    };
-    ctx.event(FlowEvent::BranchOpen);
-    walk_match_arms(ctx, &body.trees);
-    ctx.event(FlowEvent::BranchClose {
-        has_fallthrough: false,
-    });
-    j + 1
-}
-
-/// The comma-separated arms inside a match body. Patterns (and guards)
-/// are walked inside their arm — struct patterns feed the same
-/// field-alias harvest as struct literals, and guard calls evaluate only
-/// on that arm's path.
-fn walk_match_arms(ctx: &mut FnCtx, trees: &[Tree]) {
-    let mut i = 0;
-    loop {
-        // Find the arm's `=>` (delimiters inside patterns are groups, so
-        // a top-level scan cannot see a nested arrow).
-        let mut arrow = None;
-        let mut k = i;
-        while k + 1 < trees.len() {
-            if trees[k].is_punct("=") && trees[k + 1].is_punct(">") {
-                arrow = Some(k);
-                break;
-            }
-            k += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        ctx.event(FlowEvent::ArmOpen);
-        walk_exprs(ctx, &trees[i..arrow], None); // pattern + guard
-        let mut b = arrow + 2;
-        if let Some(g) = trees
-            .get(b)
-            .and_then(|t| t.group())
-            .filter(|g| g.delim == '{')
-        {
-            walk_block(ctx, &g.trees);
-            b += 1;
-            if trees.get(b).is_some_and(|t| t.is_punct(",")) {
-                b += 1;
-            }
-        } else {
-            // Expression body up to the top-level comma.
-            let mut e = b;
-            while e < trees.len() && !trees[e].is_punct(",") {
-                e += 1;
-            }
-            walk_exprs(ctx, &trees[b..e], None);
-            b = (e + 1).min(trees.len());
-        }
-        ctx.event(FlowEvent::ArmClose);
-        i = b;
-    }
-}
-
-/// `while cond { .. }` / `while let pat = expr { .. }`: the condition
-/// re-evaluates every iteration, so its steps live in the loop header.
-fn handle_while(ctx: &mut FnCtx, trees: &[Tree], at: usize) -> usize {
-    let j = body_brace(trees, at + 1);
-    ctx.event(FlowEvent::LoopOpen { conditional: true });
-    walk_exprs(ctx, &trees[at + 1..j], None); // condition (header)
-    ctx.event(FlowEvent::LoopBody);
-    if let Some(body) = trees.get(j).and_then(|t| t.group()) {
-        walk_block(ctx, &body.trees);
-    }
-    ctx.event(FlowEvent::LoopClose);
-    j + 1
-}
-
-/// `for pat in iter { .. }`: the iterator expression evaluates once,
-/// before the loop.
-fn handle_for(ctx: &mut FnCtx, trees: &[Tree], at: usize) -> usize {
-    let j = body_brace(trees, at + 1);
-    if let Some(p) = trees[at + 1..j].iter().position(|t| t.is_ident("in")) {
-        walk_exprs(ctx, &trees[at + 2 + p..j], None); // iterator, once
-    }
-    ctx.event(FlowEvent::LoopOpen { conditional: true });
-    ctx.event(FlowEvent::LoopBody);
-    if let Some(body) = trees.get(j).and_then(|t| t.group()) {
-        walk_block(ctx, &body.trees);
-    }
-    ctx.event(FlowEvent::LoopClose);
-    j + 1
-}
-
-/// `loop { .. }`: exits only via `break`.
-fn handle_loop(ctx: &mut FnCtx, trees: &[Tree], at: usize) -> usize {
-    let j = at + 1;
-    ctx.event(FlowEvent::LoopOpen { conditional: false });
-    ctx.event(FlowEvent::LoopBody);
-    if let Some(body) = trees.get(j).and_then(|t| t.group()) {
-        walk_block(ctx, &body.trees);
-    }
-    ctx.event(FlowEvent::LoopClose);
-    j + 1
 }
 
 const BOUNDED_RECV: [&str; 2] = ["try_recv", "recv_timeout"];
 
 fn handle_method_call(
-    ctx: &mut FnCtx,
+    fact: &mut FnFact,
     trees: &[Tree],
     i: usize,
     name: &str,
     line: u32,
     col: u32,
-    guard_at: Option<(usize, &str)>,
 ) {
     let base = receiver_base(trees, i);
     match name {
-        "lock" => {
-            let lock_name = lock_name_of(&base, trees, i);
-            let binding = match guard_at {
-                Some((gi, b)) if gi == i => b.to_string(),
-                _ => String::new(), // synthetic #tN assigned at statement end
-            };
-            ctx.push_step(Step::Acquire {
-                lock: lock_name,
-                binding,
-                line,
-                col,
-            });
-        }
-        "send" | "try_send" => ctx.push_step(Step::Send {
+        "lock" => fact.steps.push(Step::Acquire {
+            lock: lock_name_of(&base, trees, i),
+            line,
+            col,
+        }),
+        "send" | "try_send" => fact.steps.push(Step::Send {
             base,
             method: name.to_string(),
             line,
             col,
         }),
-        "recv" | "try_recv" | "recv_timeout" => ctx.push_step(Step::Recv {
+        "recv" | "try_recv" | "recv_timeout" => fact.steps.push(Step::Recv {
             base,
             method: name.to_string(),
             bounded: BOUNDED_RECV.contains(&name),
             line,
             col,
         }),
-        "join" | "wait" => {
-            ctx.push_step(Step::Blocking {
-                what: format!(".{name}()"),
-                line,
-                col,
-            });
-        }
-        "block_timeout" => {
-            ctx.push_step(Step::Suspend {
-                what: format!(".{name}()"),
-                line,
-                col,
-            });
-        }
-        "push" => {
-            // `container.push(endpoint)` — alias the container to the
-            // endpoint so `container[i].send(..)` resolves.
-            if let (Base::Local(container) | Base::SelfField(container), Some(arg)) =
-                (&base, trees.get(i + 1).and_then(|t| t.group()))
-            {
-                let idents: Vec<&str> = arg.trees.iter().filter_map(|t| t.ident()).collect();
-                if idents.len() == 1 && arg.trees.len() == 1 {
-                    ctx.fact
-                        .local_aliases
-                        .push((container.clone(), idents[0].to_string()));
-                }
-            }
-            ctx.push_step(Step::Call {
-                target: CallTarget::Method {
-                    name: name.to_string(),
-                    base,
-                },
-                line,
-                col,
-            });
-        }
+        "join" | "wait" => fact.steps.push(Step::Blocking {
+            what: format!(".{name}()"),
+            line,
+            col,
+        }),
         _ => {
             if name.chars().next().is_some_and(char::is_uppercase) {
                 return; // enum-variant / tuple-struct pattern or literal
             }
-            ctx.push_step(Step::Call {
+            if name == "push" {
+                // `container.push(endpoint)` — alias the container to the
+                // endpoint so `container[i].send(..)` resolves.
+                if let (Base::Local(container) | Base::SelfField(container), Some(arg)) =
+                    (&base, trees.get(i + 1).and_then(|t| t.group()))
+                {
+                    if let [only] = arg.trees.as_slice() {
+                        if let Some(endpoint) = only.ident() {
+                            fact.local_aliases
+                                .push((container.clone(), endpoint.to_string()));
+                        }
+                    }
+                }
+            }
+            fact.steps.push(Step::Call {
                 target: CallTarget::Method {
                     name: name.to_string(),
                     base,
@@ -1082,7 +654,18 @@ fn handle_method_call(
     }
 }
 
-fn handle_plain_call(ctx: &mut FnCtx, trees: &[Tree], i: usize, name: &str, line: u32, col: u32) {
+fn handle_plain_call(fact: &mut FnFact, trees: &[Tree], i: usize, name: &str, line: u32, col: u32) {
+    if matches!(name, "sleep" | "park") {
+        fact.steps.push(Step::Blocking {
+            what: format!("{name}()"),
+            line,
+            col,
+        });
+        return;
+    }
+    if name.chars().next().is_some_and(char::is_uppercase) {
+        return; // tuple-struct or enum-variant constructor
+    }
     // Qualified path? `Type::name(` — two `:` puncts then an ident.
     let qualifier = if i >= 3
         && trees[i - 1].is_punct(":")
@@ -1095,43 +678,16 @@ fn handle_plain_call(ctx: &mut FnCtx, trees: &[Tree], i: usize, name: &str, line
     } else {
         None
     };
-    match name {
-        "drop" => {
-            if let Some(arg) = trees.get(i + 1).and_then(|t| t.group()) {
-                let idents: Vec<&str> = arg.trees.iter().filter_map(|t| t.ident()).collect();
-                if idents.len() == 1 && arg.trees.len() == 1 {
-                    ctx.push_step(Step::Release {
-                        binding: idents[0].to_string(),
-                    });
-                }
-            }
-        }
-        "sleep" | "park" => ctx.push_step(Step::Blocking {
-            what: format!("{name}()"),
-            line,
-            col,
-        }),
-        "yield_now" => ctx.push_step(Step::Suspend {
-            what: format!("{name}()"),
-            line,
-            col,
-        }),
-        _ => {
-            if name.chars().next().is_some_and(char::is_uppercase) {
-                return; // tuple-struct or enum-variant constructor
-            }
-            let target = match qualifier {
-                Some(ty) => CallTarget::Qualified {
-                    ty,
-                    name: name.to_string(),
-                },
-                None => CallTarget::Bare {
-                    name: name.to_string(),
-                },
-            };
-            ctx.push_step(Step::Call { target, line, col });
-        }
-    }
+    let target = match qualifier {
+        Some(ty) => CallTarget::Qualified {
+            ty,
+            name: name.to_string(),
+        },
+        None => CallTarget::Bare {
+            name: name.to_string(),
+        },
+    };
+    fact.steps.push(Step::Call { target, line, col });
 }
 
 /// Classify the receiver chain ending at the `.` before `trees[i]`.
@@ -1212,12 +768,12 @@ fn lock_name_of(base: &Base, trees: &[Tree], i: usize) -> String {
 
 /// Record `Struct { field: source }` aliases (shorthand fields alias
 /// themselves).
-fn harvest_field_aliases(ctx: &mut FnCtx, struct_name: &str, body: &Group) {
+fn harvest_field_aliases(fact: &mut FnFact, struct_name: &str, body: &Group) {
     for part in split_on_comma(&body.trees) {
         match part {
             [f] => {
                 if let Some(field) = f.ident() {
-                    ctx.fact.field_aliases.push(FieldAlias {
+                    fact.field_aliases.push(FieldAlias {
                         struct_name: struct_name.to_string(),
                         field: field.to_string(),
                         source: field.to_string(),
@@ -1232,7 +788,7 @@ fn harvest_field_aliases(ctx: &mut FnCtx, struct_name: &str, body: &Group) {
                 if is_keyword(src) {
                     continue;
                 }
-                ctx.fact.field_aliases.push(FieldAlias {
+                fact.field_aliases.push(FieldAlias {
                     struct_name: struct_name.to_string(),
                     field: field.to_string(),
                     source: src.to_string(),
@@ -1271,41 +827,37 @@ mod tests {
     }
 
     #[test]
-    fn guard_lifecycle_let_drop_scope() {
+    fn steps_keep_source_order_through_control_flow() {
         let f = facts(
-            "fn g(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+            "fn g(m: &Mutex<u32>, rx: &Receiver<u32>) {\n\
                let guard = m.lock().unwrap();\n\
-               drop(guard);\n\
-               { let g2 = m.lock().unwrap(); }\n\
-               m.lock().unwrap().checked_add(1);\n\
+               if c { helper(); } else { thread::sleep(d); }\n\
+               for x in rx.try_recv() { match x { A => m.lock().unwrap().touch(), B => {} } }\n\
              }",
         );
-        let steps = &f.fns[0].steps;
-        let names: Vec<String> = steps
+        let names: Vec<String> = f.fns[0]
+            .steps
             .iter()
             .map(|s| match s {
-                Step::Acquire { binding, .. } => format!("acq:{binding}"),
-                Step::Release { binding } => format!("rel:{binding}"),
+                Step::Acquire { lock, .. } => format!("acq:{lock}"),
                 Step::Call { target, .. } => format!("call:{}", target.name()),
-                _ => "other".to_string(),
+                Step::Blocking { what, .. } => format!("block:{what}"),
+                Step::Recv { method, .. } => format!("recv:{method}"),
+                Step::Send { method, .. } => format!("send:{method}"),
             })
             .collect();
-        // guard let-bound, explicitly dropped; g2 scope-released exactly
-        // once; third is a temporary released at statement end. `.unwrap()`
-        // shows up as an (unresolvable, stoplisted) call.
+        // `.unwrap()` shows up as an (unresolvable, stoplisted) call.
         assert_eq!(
             names,
             [
-                "acq:guard",
+                "acq:m",
                 "call:unwrap",
-                "rel:guard",
-                "acq:g2",
+                "call:helper",
+                "block:sleep()",
+                "recv:try_recv",
+                "acq:m",
                 "call:unwrap",
-                "rel:g2",
-                "acq:#t1",
-                "call:unwrap",
-                "call:checked_add",
-                "rel:#t1"
+                "call:touch"
             ]
         );
     }
@@ -1379,160 +931,5 @@ mod tests {
         assert_eq!(s.name, "S");
         assert!(s.fields[0].1.contains(&"Scheme".to_string()));
         assert!(s.fields[1].1.contains(&"VecDeque".to_string()));
-    }
-
-    /// Compact shape string for an event stream: `s` step, `<`/`>` branch
-    /// (`≥` when the branch has fallthrough), `[`/`]` arm, `w(`/`l(`
-    /// conditional/unconditional loop open, `|` loop body, `)` loop
-    /// close, `R` return, `?` try, `^` break, `@` continue.
-    fn shape(events: &[FlowEvent]) -> String {
-        let mut s = String::new();
-        for e in events {
-            s.push_str(match e {
-                FlowEvent::Step(_) => "s",
-                FlowEvent::BranchOpen => "<",
-                FlowEvent::ArmOpen => "[",
-                FlowEvent::ArmClose => "]",
-                FlowEvent::BranchClose {
-                    has_fallthrough: true,
-                } => "≥",
-                FlowEvent::BranchClose {
-                    has_fallthrough: false,
-                } => ">",
-                FlowEvent::LoopOpen { conditional: true } => "w(",
-                FlowEvent::LoopOpen { conditional: false } => "l(",
-                FlowEvent::LoopBody => "|",
-                FlowEvent::LoopClose => ")",
-                FlowEvent::Return => "R",
-                FlowEvent::Try => "?",
-                FlowEvent::Break => "^",
-                FlowEvent::Continue => "@",
-            });
-        }
-        s
-    }
-
-    #[test]
-    fn events_mirror_steps_exactly_once_in_order() {
-        let f = facts(
-            "fn g(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
-               let guard = m.lock().unwrap();\n\
-               if c { drop(guard); } else { tx.send(1).ok(); }\n\
-               for x in xs { tx.send(x).ok(); }\n\
-             }",
-        );
-        let fact = &f.fns[0];
-        let step_ids: Vec<usize> = fact
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FlowEvent::Step(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<usize> = (0..fact.steps.len()).collect();
-        assert_eq!(step_ids, expect, "{:?}", fact.events);
-    }
-
-    #[test]
-    fn if_else_and_match_bracket_arms() {
-        let f = facts(
-            "fn g(c: bool, tx: &Sender<u32>) {\n\
-               if c { tx.send(1).ok(); } else { tx.send(2).ok(); }\n\
-               if c { tx.send(3).ok(); }\n\
-               match v { A => tx.send(4).ok(), B => {} };\n\
-             }",
-        );
-        // send + .ok() are two steps per non-empty arm.
-        assert_eq!(shape(&f.fns[0].events), "<[ss][ss]><[ss]≥<[ss][]>");
-    }
-
-    #[test]
-    fn loops_break_continue_and_return() {
-        let f = facts(
-            "fn g(rx: &Receiver<u32>) {\n\
-               loop {\n\
-                 match rx.try_recv() { Ok(v) => continue, Err(_) => break }\n\
-               }\n\
-               while rx.try_recv().is_ok() { rx.recv_timeout(d); }\n\
-               return;\n\
-             }",
-        );
-        assert_eq!(
-            shape(&f.fns[0].events),
-            "l(|s<[@][^]>)w(ss|s)R",
-            "{:?}",
-            f.fns[0].events
-        );
-    }
-
-    #[test]
-    fn else_if_nests_inside_else_arm() {
-        let f = facts(
-            "fn g(tx: &Sender<u32>) {\n\
-               if a { tx.send(1).ok(); } else if b { tx.send(2).ok(); } else { tx.send(3).ok(); }\n\
-             }",
-        );
-        assert_eq!(shape(&f.fns[0].events), "<[ss][<[ss][ss]>]>");
-    }
-
-    #[test]
-    fn suspension_steps_and_classifier() {
-        let f = facts(
-            "async fn g(m: &Mutex<u32>, tx: &Sender<u32>, rx: &Receiver<u32>) {\n\
-               let g = m.lock().await;\n\
-               tx.send(1).await;\n\
-               self.pool.block_timeout(d);\n\
-               std::thread::yield_now();\n\
-               rx.recv_timeout(d);\n\
-               std::thread::park();\n\
-               rx.recv();\n\
-             }",
-        );
-        let steps = &f.fns[0].steps;
-        let suspends: Vec<&str> = steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Suspend { what, .. } => Some(what.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            suspends,
-            [".await", ".await", ".block_timeout()", "yield_now()"]
-        );
-        let n_susp = steps.iter().filter(|s| is_suspension(s)).count();
-        // 4 Suspend steps + recv_timeout + park; plain recv() is blocking
-        // but not a cooperative suspension point.
-        assert_eq!(n_susp, 6, "{steps:?}");
-        assert!(steps.iter().any(
-            |s| matches!(s, Step::Recv { method, .. } if method == "recv" && !is_suspension(s))
-        ));
-    }
-
-    #[test]
-    fn try_emits_flow_event() {
-        let f = facts("fn g(m: &Mutex<u32>) -> Result<(), E> { let g = m.lock()?; Ok(()) }");
-        assert!(f.fns[0].events.contains(&FlowEvent::Try));
-    }
-
-    #[test]
-    fn drop_inside_nested_stmt_is_seen() {
-        // The lexical PR 2 rule missed drops nested inside a later `let`
-        // statement; the tree walker must not.
-        let f = facts(
-            "fn g(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
-               let guard = m.lock().unwrap();\n\
-               let value = { let v = *guard; drop(guard); v };\n\
-               tx.send(value).ok();\n\
-             }",
-        );
-        let steps = &f.fns[0].steps;
-        let release_at = steps
-            .iter()
-            .position(|s| matches!(s, Step::Release { binding } if binding == "guard"));
-        let send_at = steps.iter().position(|s| matches!(s, Step::Send { .. }));
-        assert!(release_at.is_some() && send_at.is_some());
-        assert!(release_at < send_at, "{steps:?}");
     }
 }

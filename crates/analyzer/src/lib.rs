@@ -15,12 +15,12 @@
 //! registrations and the interprocedural graph pass over the artifacts
 //! → [`report::Report`].
 //!
-//! See [`rules`] for the rule catalog (eleven workspace invariants plus
-//! three meta-rules — fourteen rule ids, [`rules::all_rules`]),
+//! See [`rules`] for the rule catalog (six workspace invariants plus
+//! three meta-rules — nine rule ids, [`rules::all_rules`]),
 //! [`report`] for the JSON and SARIF schemas,
-//! [`parser`]/[`facts`]/[`cfg`]/[`dataflow`]/[`graph`] for the analysis
-//! stages, and the repository README's "Static analysis" section for the
-//! allow-comment escape hatch.
+//! [`parser`]/[`facts`]/[`graph`] for the analysis stages, and the
+//! repository README's "Static analysis" section for the allow-comment
+//! escape hatch.
 //!
 //! Run it as a tool:
 //!
@@ -30,8 +30,6 @@
 //!
 //! [`SchemeEffect::ProtocolViolation`]: ../mdbs_core/scheme/enum.SchemeEffect.html
 
-pub mod cfg;
-pub mod dataflow;
 pub mod facts;
 pub mod graph;
 pub mod lexer;
@@ -96,9 +94,9 @@ fn declares_workspace_members(manifest: &str) -> bool {
 /// Sorting the *string* form (not `PathBuf`, whose ordering is
 /// component-wise over platform `OsStr`) pins one global file order on
 /// every filesystem and OS. That order is load-bearing: metric
-/// first-registration wins, graph node numbering and lock-edge
-/// first-sight dedup all follow it, so JSON/SARIF/DOT goldens stay
-/// stable across machines.
+/// first-registration wins and call-graph node numbering (hence the
+/// reported call paths) follow it, so JSON/SARIF/DOT goldens stay stable
+/// across machines.
 pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     walk(root, root, &mut out)?;

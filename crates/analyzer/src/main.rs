@@ -91,8 +91,8 @@ fn main() -> ExitCode {
                      write the JSON report / SARIF 2.1.0 log to files.\n\
                      --fail-on sets the severity threshold for exit code 1 (default\n\
                      note = any finding).\n\
-                     --emit-graphs writes lock_order.dot, channel_topology.dot and a\n\
-                     cfg_<fn>.dot per pump entry point into DIR (created if missing).\n\n\
+                     --emit-graphs writes channel_topology.dot into DIR (created if\n\
+                     missing).\n\n\
                      Exit codes: 0 gate passed, 1 findings at/above --fail-on, 2 usage or\n\
                      I/O error.",
                     all_rules().len()
@@ -163,23 +163,10 @@ fn main() -> ExitCode {
             eprintln!("mdbs-lint: creating {}: {e}", dir.display());
             return ExitCode::from(2);
         }
-        let lock = dir.join("lock_order.dot");
         let chan = dir.join("channel_topology.dot");
-        if let Err(e) = std::fs::write(&lock, report.graphs.lock_dot()) {
-            eprintln!("mdbs-lint: writing {}: {e}", lock.display());
-            return ExitCode::from(2);
-        }
         if let Err(e) = std::fs::write(&chan, report.graphs.channel_dot(None)) {
             eprintln!("mdbs-lint: writing {}: {e}", chan.display());
             return ExitCode::from(2);
-        }
-        for c in &report.graphs.cfgs {
-            let name = format!("cfg_{}.dot", c.func.replace("::", "_"));
-            let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, &c.dot) {
-                eprintln!("mdbs-lint: writing {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
         }
     }
     match format {

@@ -10,12 +10,9 @@
 //!   "total_violations": 2,
 //!   "by_rule": { "no-panic-in-scheduler": 2 },
 //!   "graphs": {
-//!     "lock_order": { "nodes": [...], "edges": [...], "cycles": [...] },
 //!     "channel_topology": { "channels": [
 //!       { "tx": "...", "rx": "...", "file": "...", "line": 1,
-//!         "created_in": "...", "senders": [...], "receivers": [...] } ] },
-//!     "cfgs": [ { "fn": "Gtm2::pump", "file": "...", "line": 1,
-//!                 "blocks": 9, "edges": 11 } ]
+//!         "created_in": "...", "senders": [...], "receivers": [...] } ] }
 //!   },
 //!   "violations": [
 //!     { "rule": "no-panic-in-scheduler", "file": "crates/core/src/gtm1.rs",
@@ -45,7 +42,7 @@ pub struct Report {
     pub files_scanned: usize,
     /// All violations, sorted by file/line/col/rule.
     pub violations: Vec<Violation>,
-    /// Lock-order and channel-topology graphs from the interprocedural pass.
+    /// The channel-topology graph from the interprocedural pass.
     pub graphs: Graphs,
 }
 
@@ -279,9 +276,7 @@ mod tests {
         assert!(j.contains("\"total_violations\": 0"));
         assert!(j.contains("\"by_rule\": {}"));
         assert!(j.contains("\"graphs\": {"));
-        assert!(j.contains("\"lock_order\""));
         assert!(j.contains("\"channels\""));
-        assert!(j.contains("\"cfgs\""));
         assert!(j.contains("\"violations\": []"));
         assert!(r.is_clean());
     }

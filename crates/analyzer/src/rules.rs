@@ -1,27 +1,21 @@
 //! The `mdbs-lint` rule engine.
 //!
-//! Eleven workspace invariants, each motivated by the paper's conservatism
+//! Six workspace invariants, each motivated by the paper's conservatism
 //! argument (Section 3: aborting a global transaction is prohibitively
 //! expensive, so the scheduler must not fail where it can refuse):
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `no-panic-in-scheduler` | `crates/core/src`, `crates/localdb/src` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/indexing in protocol paths |
-//! | `no-lock-across-send` | workspace | no channel operation — direct or inside a callee — while a lock guard may be live on any CFG path (`drop(guard)`/scope exit release it; a drop on one branch only does not) |
-//! | `no-silent-send-drop` | workspace | `let _ = ...send(...)` is forbidden — count the drop instead |
+//! | `no-silent-send-drop` | workspace | a send result discarded unseen (`let _ = ...send(...)`, `_ = ...send(...)`, `...send(...).ok();`) is forbidden — count the drop instead |
 //! | `metric-docs-sync` | workspace + README.md | every literal metric name registered on the instrument `Registry` is unique per kind and documented |
 //! | `exhaustive-scheme-match` | `crates/core/src` | no `_ =>` arm in a `match` whose patterns name `SchemeEffect`/`QueueOp` |
-//! | `lock-order-cycle` | workspace | the global lock-acquisition-order graph is acyclic |
 //! | `channel-topology` | workspace | every channel someone sends into has a draining receiver |
 //! | `blocking-in-pump` | workspace | no blocking call (`recv`, `join`, `wait`, `sleep`, `lock`) reachable from `Gtm2::pump` or the site-server loop |
-//! | `guard-across-suspend` | workspace | no lock guard live across a suspension point (`.await`, `block_timeout`, park/yield) on any path, directly or through a may-suspend callee |
-//! | `double-lock-path` | workspace | no re-acquisition of a held lock on any CFG path (including via a directly-called method on the same type) |
-//! | `lost-wakeup` | pump-reachable fns | inside loops, state must not be checked before the waker is registered on any path into a suspension point |
 //!
-//! The first five are per-file (token-level); the rest run on per-function
-//! CFGs ([`crate::cfg`]) with a worklist dataflow solver
-//! ([`crate::dataflow`]) plus the interprocedural call graph built by
-//! [`crate::parser`] → [`crate::facts`] → [`crate::graph`].
+//! The first four are per-file (token-level); the last two run on the
+//! interprocedural call graph built by [`crate::parser`] →
+//! [`crate::facts`] → [`crate::graph`].
 //!
 //! Escape hatch: `// mdbs-lint: allow(<rule>) — <justification>` on the
 //! same line or the line above suppresses one rule there; a directive
@@ -49,26 +43,16 @@ use std::collections::BTreeMap;
 
 /// Rule: panics forbidden in scheduler/protocol paths.
 pub const NO_PANIC: &str = "no-panic-in-scheduler";
-/// Rule: no lock guard live across a channel send/recv.
-pub const NO_LOCK_ACROSS_SEND: &str = "no-lock-across-send";
-/// Rule: no `let _ = ...send(...)`.
+/// Rule: no send result discarded unseen.
 pub const NO_SILENT_SEND_DROP: &str = "no-silent-send-drop";
 /// Rule: Registry metric names unique and documented in README.md.
 pub const METRIC_DOCS_SYNC: &str = "metric-docs-sync";
 /// Rule: no wildcard arms over `SchemeEffect`/`QueueOp` in crates/core.
 pub const EXHAUSTIVE_SCHEME_MATCH: &str = "exhaustive-scheme-match";
-/// Rule: the global lock-acquisition-order graph must be acyclic.
-pub const LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
 /// Rule: every channel someone sends into must have a draining receiver.
 pub const CHANNEL_TOPOLOGY: &str = "channel-topology";
 /// Rule: no blocking call reachable from the scheduler pump loops.
 pub const BLOCKING_IN_PUMP: &str = "blocking-in-pump";
-/// Rule: no lock guard live across a suspension point on any path.
-pub const GUARD_ACROSS_SUSPEND: &str = "guard-across-suspend";
-/// Rule: no re-acquisition of a held lock along any CFG path.
-pub const DOUBLE_LOCK_PATH: &str = "double-lock-path";
-/// Rule: no state check before waker registration in pump loops.
-pub const LOST_WAKEUP: &str = "lost-wakeup";
 /// Meta-rule: malformed or unjustified allow directives.
 pub const BAD_ALLOW: &str = "bad-allow";
 /// Meta-rule: a well-formed allow directive that suppressed nothing in
@@ -80,18 +64,13 @@ pub const PARSE_ERROR: &str = "parse-error";
 
 /// All suppressible rules (BAD_ALLOW, STALE_ALLOW and PARSE_ERROR cannot
 /// be allowed away).
-pub const RULES: [&str; 11] = [
+pub const RULES: [&str; 6] = [
     NO_PANIC,
-    NO_LOCK_ACROSS_SEND,
     NO_SILENT_SEND_DROP,
     METRIC_DOCS_SYNC,
     EXHAUSTIVE_SCHEME_MATCH,
-    LOCK_ORDER_CYCLE,
     CHANNEL_TOPOLOGY,
     BLOCKING_IN_PUMP,
-    GUARD_ACROSS_SUSPEND,
-    DOUBLE_LOCK_PATH,
-    LOST_WAKEUP,
 ];
 
 /// Every rule id the analyzer can emit: the suppressible set plus the
@@ -150,16 +129,11 @@ pub fn parse_level(s: &str) -> Option<Level> {
 pub fn rule_description(rule: &str) -> &'static str {
     match rule {
         NO_PANIC => "No panicking construct in scheduler/protocol paths.",
-        NO_LOCK_ACROSS_SEND => "No channel operation while a lock guard may be live on any path.",
         NO_SILENT_SEND_DROP => "No silently discarded send result.",
         METRIC_DOCS_SYNC => "Registered metric names are unique per kind and README-documented.",
         EXHAUSTIVE_SCHEME_MATCH => "No wildcard arm in matches over protocol enums.",
-        LOCK_ORDER_CYCLE => "The global lock-acquisition-order graph is acyclic.",
         CHANNEL_TOPOLOGY => "Every channel someone sends into has a draining receiver.",
         BLOCKING_IN_PUMP => "No blocking call reachable from the scheduler pump loops.",
-        GUARD_ACROSS_SUSPEND => "No lock guard live across a suspension point on any path.",
-        DOUBLE_LOCK_PATH => "No re-acquisition of a held lock along any CFG path.",
-        LOST_WAKEUP => "No state check before waker registration on a path into a suspension.",
         BAD_ALLOW => "Allow directives must be well-formed and justified.",
         STALE_ALLOW => "Allow directives must suppress at least one finding.",
         PARSE_ERROR => "Files must parse to a balanced token tree.",
@@ -199,7 +173,7 @@ pub struct Analysis {
     /// All surviving (non-suppressed) violations, sorted by file, line,
     /// column, rule.
     pub violations: Vec<Violation>,
-    /// Lock-order and channel-topology graphs.
+    /// The channel-topology graph.
     pub graphs: Graphs,
 }
 
@@ -737,105 +711,136 @@ fn rule_no_panic(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: no-lock-across-send — now flow-sensitive and interprocedural,
-// implemented on the fact representation in `crate::graph::analyze_graph`.
+// Rule 2: no-silent-send-drop
 // ---------------------------------------------------------------------------
 
-/// Scan a `let` statement from the `let` at `start`. Returns
-/// `(index after ';', binding name, binding is a live lock guard)` or
-/// None when this isn't a plain statement (no terminating `;`).
-fn scan_let_statement(tokens: &[Token], start: usize) -> Option<(usize, Option<String>, bool)> {
-    // Binding: `let [mut] <ident>` — anything fancier (tuple/struct
-    // patterns) is never a lock guard in this codebase.
-    let mut j = start + 1;
-    if tokens.get(j).is_some_and(|t| t.is_ident("mut")) {
-        j += 1;
-    }
-    let binding = tokens
-        .get(j)
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.clone());
+/// Index just past the `;` that ends the statement starting at `start`,
+/// or None when the enclosing block closes first (a tail expression, not
+/// a statement).
+fn statement_end(tokens: &[Token], start: usize) -> Option<usize> {
     let mut paren = 0i32;
     let mut bracket = 0i32;
     let mut brace = 0i32;
-    let mut lock_close: Option<usize> = None;
-    let mut k = start + 1;
-    let end = loop {
-        let t = tokens.get(k)?;
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "[" => bracket += 1,
-                "]" => bracket -= 1,
-                "{" => brace += 1,
-                "}" => {
-                    brace -= 1;
-                    if brace < 0 {
-                        // Ran off the enclosing block without a `;` —
-                        // not a statement after all.
-                        return None;
-                    }
-                }
-                ";" if paren == 0 && bracket == 0 && brace == 0 => break k,
-                _ => {}
-            }
-        } else if t.is_ident("lock")
-            && k > 0
-            && tokens[k - 1].is_punct(".")
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct("("))
-        {
-            lock_close = matching(tokens, k + 1, "(", ")");
+    for (k, t) in tokens.iter().enumerate().skip(start) {
+        if t.kind != TokKind::Punct {
+            continue;
         }
-        k += 1;
-    };
-    // The binding is a guard only when nothing but guard-preserving
-    // adaptors follow the last `.lock(...)` call: `.unwrap()`,
-    // `.expect("...")`, `.await`, `?`. A trailing projection like
-    // `.len()` means the temporary guard died at the `;`.
-    let is_guard = match lock_close {
-        None => false,
-        Some(close) => tokens[close + 1..end].iter().all(|t| match t.kind {
-            TokKind::Punct => matches!(t.text.as_str(), "." | "(" | ")" | "?"),
-            TokKind::Ident => matches!(t.text.as_str(), "unwrap" | "expect" | "await"),
-            TokKind::Literal => true,
-            TokKind::Lifetime => false,
-        }),
-    };
-    Some((end + 1, binding, is_guard))
+        match t.text.as_str() {
+            "(" => paren += 1,
+            ")" => paren -= 1,
+            "[" => bracket += 1,
+            "]" => bracket -= 1,
+            "{" => brace += 1,
+            "}" => {
+                brace -= 1;
+                if brace < 0 {
+                    return None;
+                }
+            }
+            ";" if paren == 0 && bracket == 0 && brace == 0 => return Some(k + 1),
+            _ => {}
+        }
+    }
+    None
 }
 
-// ---------------------------------------------------------------------------
-// Rule 3: no-silent-send-drop
-// ---------------------------------------------------------------------------
+/// True iff `tokens[k]` is the method name of a `.send(` / `.try_send(`
+/// call.
+fn is_send_call(tokens: &[Token], k: usize) -> bool {
+    (tokens[k].is_ident("send") || tokens[k].is_ident("try_send"))
+        && k > 0
+        && tokens[k - 1].is_punct(".")
+        && tokens.get(k + 1).is_some_and(|n| n.is_punct("("))
+}
 
-fn rule_silent_send_drop(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0;
-    while i + 2 < tokens.len() {
-        if tokens[i].is_ident("let") && tokens[i + 1].is_ident("_") && tokens[i + 2].is_punct("=") {
-            if let Some((end, _, _)) = scan_let_statement(tokens, i) {
-                let stmt = &tokens[i..end];
-                let has_send = (0..stmt.len()).any(|k| {
-                    stmt[k].kind == TokKind::Ident
-                        && (stmt[k].text == "send" || stmt[k].text == "try_send")
-                        && k > 0
-                        && stmt[k - 1].is_punct(".")
-                        && stmt.get(k + 1).is_some_and(|n| n.is_punct("("))
-                });
-                if has_send {
-                    out.push(Violation {
-                        rule: NO_SILENT_SEND_DROP,
-                        file: path.to_string(),
-                        line: tokens[i].line,
-                        col: tokens[i].col,
-                        message: "`let _ = ...send(...)` silently drops a protocol message — \
-                                  route it through a counting helper (e.g. one that increments \
-                                  `threaded.send_dropped`)"
-                            .to_string(),
-                    });
+/// True iff a statement can start at `i`: the previous token closes a
+/// statement or opens/closes a block.
+fn at_statement_start(tokens: &[Token], i: usize) -> bool {
+    i == 0 || matches!(tokens[i - 1].text.as_str(), ";" | "{" | "}")
+}
+
+/// Walk back over the receiver chain of the method call whose name is
+/// `tokens[k]` (`a.b[i].c()?.name`); returns the chain's first token
+/// index iff the chain is a whole statement's beginning — nothing binds,
+/// returns or passes on the call's value (a keyword such as `return` or
+/// `let`, an `=` or an enclosing `(` ends the walk with None).
+fn receiver_statement_start(tokens: &[Token], k: usize) -> Option<usize> {
+    let mut j = k;
+    while !at_statement_start(tokens, j) {
+        let prev = &tokens[j - 1];
+        match prev.kind {
+            TokKind::Ident if !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()) => j -= 1,
+            TokKind::Punct => match prev.text.as_str() {
+                "." | "?" | ":" | "&" | "*" => j -= 1,
+                close @ (")" | "]") => {
+                    let open = if close == ")" { "(" } else { "[" };
+                    let mut depth = 0usize;
+                    j = (0..j).rev().find(|&m| {
+                        if tokens[m].is_punct(close) {
+                            depth += 1;
+                        } else if tokens[m].is_punct(open) {
+                            depth -= 1;
+                        }
+                        depth == 0
+                    })?;
                 }
-                i = end;
-                continue;
+                _ => return None,
+            },
+            _ => return None,
+        }
+    }
+    Some(j)
+}
+
+/// Three spellings of one mistake, each compiling warning-free:
+/// `let _ = ...send(...);`, `_ = ...send(...);` and `...send(...).ok();`
+/// as a statement of its own.
+fn rule_silent_send_drop(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
+    let mut flag = |at: &Token| {
+        out.push(Violation {
+            rule: NO_SILENT_SEND_DROP,
+            file: path.to_string(),
+            line: at.line,
+            col: at.col,
+            message: "`let _ = ...send(...)` silently drops a protocol message — \
+                      route it through a counting helper (e.g. one that increments \
+                      `threaded.send_dropped`)"
+                .to_string(),
+        });
+    };
+    let mut i = 0;
+    while i < tokens.len() {
+        // `let _ = ...;` anywhere, `_ = ...;` in statement position (a
+        // match arm's `_ =>` also follows a `{`).
+        let eq = if tokens[i].is_ident("let") && tokens.get(i + 1).is_some_and(|t| t.is_ident("_"))
+        {
+            i + 2
+        } else if tokens[i].is_ident("_") && at_statement_start(tokens, i) {
+            i + 1
+        } else {
+            tokens.len()
+        };
+        let discards = tokens.get(eq).is_some_and(|t| t.is_punct("="))
+            && !tokens.get(eq + 1).is_some_and(|t| t.is_punct(">"));
+        if let Some(end) = discards.then(|| statement_end(tokens, i)).flatten() {
+            if (i..end).any(|k| is_send_call(tokens, k)) {
+                flag(&tokens[i]);
+            }
+            i = end;
+            continue;
+        }
+        // `recv.send(...).ok();` with nothing in front of the receiver.
+        if is_send_call(tokens, i) {
+            if let Some(close) = matching(tokens, i + 1, "(", ")") {
+                let tail = tokens.get(close + 1..close + 6).unwrap_or(&[]);
+                let ends_ok = matches!(tail, [dot, ok, open, shut, semi]
+                    if dot.is_punct(".") && ok.is_ident("ok") && open.is_punct("(")
+                        && shut.is_punct(")") && semi.is_punct(";"));
+                if ends_ok {
+                    if let Some(start) = receiver_statement_start(tokens, i) {
+                        flag(&tokens[start]);
+                    }
+                }
             }
         }
         i += 1;
@@ -843,7 +848,7 @@ fn rule_silent_send_drop(path: &str, tokens: &[Token], out: &mut Vec<Violation>)
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: metric-docs-sync
+// Rule 3: metric-docs-sync
 // ---------------------------------------------------------------------------
 
 /// Registry registration methods and the metric kind they imply.
@@ -1018,7 +1023,7 @@ impl MetricTable {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: exhaustive-scheme-match
+// Rule 4: exhaustive-scheme-match
 // ---------------------------------------------------------------------------
 
 const PROTOCOL_ENUMS: [&str; 2] = ["SchemeEffect", "QueueOp"];

@@ -4,7 +4,7 @@
 pub fn noop() {
     // mdbs-lint: allow(no-panics-in-scheduler) — typo in the rule name.
     let _x = 1;
-    // mdbs-lint: allow(no-lock-across-send)
+    // mdbs-lint: allow(no-silent-send-drop)
     let _y = 2;
 }
 

@@ -1,17 +1,19 @@
 //! What a `--workspace` run observably does on disk, against throwaway
 //! workspaces under the test target's scratch directory: which manifest
 //! counts as the root, which files are scanned and in what order, and
-//! that a run is a pure function of the tree.
+//! that a run is a pure function of the tree. And, against the real
+//! tree, the mutation check: every rule the analyzer keeps catches a
+//! seeded one-line regression of code that exists.
 
-use mdbs_analyzer::{collect_files, find_workspace_root, run_workspace};
+use mdbs_analyzer::rules::{self, SourceFile};
+use mdbs_analyzer::{collect_files, find_workspace_root, run_sources, run_workspace};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// A send under a live guard: fires `no-lock-across-send`.
+/// A discarded send result: fires `no-silent-send-drop`.
 const VIOLATION: &str = "\
-pub fn publish(state: &std::sync::Mutex<u64>, tx: &std::sync::mpsc::Sender<u64>) {
-    let guard = state.lock().unwrap();
-    tx.send(*guard).ok();
+pub fn publish(tx: &std::sync::mpsc::Sender<u64>) {
+    let _ = tx.send(1);
 }
 ";
 
@@ -100,4 +102,147 @@ fn memberless_nested_workspace_is_not_the_root() {
     }
 
     let _ = fs::remove_dir_all(&root);
+}
+
+/// One seeded regression: in `file`, the first `find` after the first
+/// `after` becomes `replace`, and exactly `rule` must fire, in `file`.
+struct Mutation {
+    rule: &'static str,
+    file: &'static str,
+    after: &'static str,
+    find: &'static str,
+    replace: &'static str,
+}
+
+const GTM2: &str = "crates/core/src/gtm2.rs";
+const KERNEL_DENSE: &str = "crates/core/src/kernel_dense.rs";
+const THREADED: &str = "crates/sim/src/threaded.rs";
+
+const MUTATIONS: [Mutation; 7] = [
+    // A sleep in the GTM2 pump.
+    Mutation {
+        rule: rules::BLOCKING_IN_PUMP,
+        file: GTM2,
+        after: "impl Gtm2 {",
+        find: "    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n",
+        replace: "    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n        \
+                  std::thread::sleep(std::time::Duration::from_millis(1));\n",
+    },
+    // An unwrap in the GTM2 pump.
+    Mutation {
+        rule: rules::NO_PANIC,
+        file: GTM2,
+        after: "    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n",
+        find: "        out.effects\n",
+        replace: "        Some(out.effects).unwrap()\n",
+    },
+    // A wildcard arm in Scheme 2's `cond`.
+    Mutation {
+        rule: rules::EXHAUSTIVE_SCHEME_MATCH,
+        file: KERNEL_DENSE,
+        after: "impl Gtm2Scheme for Scheme2Dense {",
+        find: "            QueueOp::Init { .. } | QueueOp::Ack { .. } => true,\n",
+        replace: "            _ => true,\n",
+    },
+    // A channel the live runtime sends into and nobody drains.
+    Mutation {
+        rule: rules::CHANNEL_TOPOLOGY,
+        file: THREADED,
+        after: "    pub fn run(&self, programs: Vec<GlobalTransaction>) -> ThreadedRunReport {\n",
+        find: "        let (to_coord, from_sites) = bounded::<FromSite>(1024);\n",
+        replace: "        let (to_coord, from_sites) = bounded::<FromSite>(1024);\n        \
+                  let (orphan_tx, _orphan_rx) = bounded::<u8>(1);\n        \
+                  if orphan_tx.send(0).is_err() {\n            return Default::default();\n        }\n",
+    },
+    // The shutdown send, its failure no longer counted.
+    Mutation {
+        rule: rules::NO_SILENT_SEND_DROP,
+        file: THREADED,
+        after: "        // Shut down sites and collect histories.\n",
+        find: "            if tx.send(ToSite::Shutdown).is_err() {\n                \
+               send_dropped += 1;\n            }\n",
+        replace: "            tx.send(ToSite::Shutdown).ok();\n",
+    },
+    // The site worker's counting helper, no longer counting.
+    Mutation {
+        rule: rules::NO_SILENT_SEND_DROP,
+        file: THREADED,
+        after: "    fn send_counted(&mut self, msg: FromSite) {\n",
+        find: "        if self.tx.send(msg).is_err() {\n            \
+               self.send_dropped += 1;\n        }\n",
+        replace: "        _ = self.tx.send(msg);\n",
+    },
+    // A metric the README does not document.
+    Mutation {
+        rule: rules::METRIC_DOCS_SYNC,
+        file: THREADED,
+        after: "        pool.export_metrics(&mut registry);\n",
+        find: "        registry.inc(\"threaded.send_dropped\", send_dropped);\n",
+        replace: "        registry.inc(\"threaded.send_dropped\", send_dropped);\n        \
+                  registry.inc(\"threaded.never_documented\", 1);\n",
+    },
+];
+
+/// ROADMAP item 9's decision procedure, kept as a test: a rule stays in
+/// the analyzer only while a one-line edit of the real tree trips it.
+/// The clean tree reports nothing; each edit makes exactly its rule
+/// fire, in the edited file. An edit whose anchor text has drifted away
+/// fails the test rather than passing vacuously.
+#[test]
+fn every_surviving_rule_catches_a_seeded_mutation_of_the_real_tree() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above the analyzer crate");
+    let sources: Vec<SourceFile> = collect_files(&root)
+        .unwrap()
+        .into_iter()
+        .map(|path| SourceFile {
+            source: fs::read_to_string(root.join(&path)).unwrap(),
+            path,
+        })
+        .collect();
+    let readme = fs::read_to_string(root.join("README.md")).unwrap();
+    let clean = run_sources(&sources, Some(&readme));
+    assert!(clean.is_clean(), "{}", clean.render_human());
+
+    for m in &MUTATIONS {
+        let mut mutated = sources.clone();
+        let target = mutated
+            .iter_mut()
+            .find(|f| f.path == m.file)
+            .unwrap_or_else(|| panic!("{} is no longer in the workspace", m.file));
+        let scope = target
+            .source
+            .find(m.after)
+            .unwrap_or_else(|| panic!("{}: anchor {:?} not found", m.file, m.after));
+        let at = scope
+            + target.source[scope..]
+                .find(m.find)
+                .unwrap_or_else(|| panic!("{}: text {:?} not found", m.file, m.find));
+        target
+            .source
+            .replace_range(at..at + m.find.len(), m.replace);
+
+        let report = run_sources(&mutated, Some(&readme));
+        let fired: Vec<(&str, &str)> = report
+            .violations
+            .iter()
+            .map(|v| (v.rule, v.file.as_str()))
+            .collect();
+        assert!(
+            !fired.is_empty() && fired.iter().all(|&f| f == (m.rule, m.file)),
+            "seeding {:?} into {} should trip exactly {}:\n{}",
+            m.replace,
+            m.file,
+            m.rule,
+            report.render_human()
+        );
+    }
+
+    // All six suppressible rules are covered, so none survives untested.
+    for rule in rules::RULES {
+        assert!(
+            MUTATIONS.iter().any(|m| m.rule == rule),
+            "no mutation for {rule}"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! and site workers are tasks with run-queues, and the cross-shard
 //! handoff hints become wakes instead of poll ticks.
 //!
-//! ## Wake protocol (the lost-wakeup race, solved by state machine)
+//! ## Wake protocol (the lost wakeup race, solved by state machine)
 //!
 //! Each task carries one atomic state: `Idle → Queued → Running →
 //! {Idle, Done}`, with a fourth state `Dirty` for the race this module
@@ -193,11 +193,6 @@ impl Pool {
             workers,
             next_home: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.shared.queues.len()
     }
 
     /// Add a task (initially idle — call [`TaskHandle::wake`] to start
@@ -400,26 +395,9 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Push a batch of messages and wake the consumer once.
-    pub fn send_all(&self, msgs: impl IntoIterator<Item = T>) {
-        {
-            let mut q = lock_unpoisoned(&self.queue);
-            q.extend(msgs);
-        }
-        if let Some(t) = lock_unpoisoned(&self.target).as_ref() {
-            t.wake();
-        }
-    }
-
     /// Take the oldest message, if any.
     pub fn pop(&self) -> Option<T> {
         lock_unpoisoned(&self.queue).pop_front()
-    }
-
-    /// Drain everything currently queued into `buf`.
-    pub fn drain_into(&self, buf: &mut VecDeque<T>) {
-        let mut q = lock_unpoisoned(&self.queue);
-        buf.extend(q.drain(..));
     }
 }
 
@@ -462,9 +440,9 @@ mod tests {
         assert_eq!(total.load(Ordering::SeqCst), 36);
     }
 
-    /// The deterministic regression for the lost-wakeup race the lint
-    /// rule models: a wake delivered while the task's worker is mid-park
-    /// (or mid-transition to parked) must still run the task.
+    /// The deterministic regression for the lost wakeup race: a wake
+    /// delivered while the task's worker is mid-park (or mid-transition
+    /// to parked) must still run the task.
     #[test]
     fn wake_delivered_to_parked_worker_is_not_lost() {
         let pool = Pool::new(1);

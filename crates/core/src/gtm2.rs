@@ -116,11 +116,6 @@ impl Gtm2 {
         self.core.sink = sink;
     }
 
-    /// Detach and return the current sink.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
-        self.core.sink.take()
-    }
-
     /// Set the clock value stamped onto subsequent sink events.
     pub fn set_now(&mut self, at: u64) {
         self.core.clock = at;
