@@ -9,10 +9,10 @@
 //!    honest: for every direct serialization-graph edge `a -> b`, the
 //!    serialization event of `a` precedes that of `b` in the local schedule.
 
-use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId, TxnId};
-use mdbs_common::ops::{DataOp, DataOpKind};
+use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId, TxnId};
+use mdbs_common::ops::DataOpKind;
 use mdbs_common::rng::splitmix64;
-use mdbs_localdb::engine::{LocalDbms, OpOutcome, SubmitResult};
+use mdbs_localdb::engine::{Completion, LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_schedule::{serialization_graph, History};
@@ -47,8 +47,19 @@ fn write_value(txn: TxnId, item: DataItemId) -> i64 {
 
 /// Run `clients` against a fresh site with `kind`, interleaving by `seed`.
 /// Returns the engine after all clients finished.
-fn run_workload(kind: LocalProtocolKind, mut clients: Vec<Client>, seed: u64) -> LocalDbms {
+fn run_workload(kind: LocalProtocolKind, clients: Vec<Client>, seed: u64) -> LocalDbms {
+    run_workload_recording(kind, clients, seed).0
+}
+
+/// [`run_workload`], also returning every completion the engine emitted,
+/// in emission order.
+fn run_workload_recording(
+    kind: LocalProtocolKind,
+    mut clients: Vec<Client>,
+    seed: u64,
+) -> (LocalDbms, Vec<Completion>) {
     let mut db = LocalDbms::new(SiteId(0), kind);
+    let mut completions = Vec::new();
     for c in &clients {
         db.begin(c.txn).expect("begin");
     }
@@ -67,6 +78,7 @@ fn run_workload(kind: LocalProtocolKind, mut clients: Vec<Client>, seed: u64) ->
                 Ok(_) => c.cursor += 1,
                 Err(_) => c.done = true, // aborted while waiting
             }
+            completions.push(comp);
         }
         let ready: Vec<usize> = clients
             .iter()
@@ -98,8 +110,8 @@ fn run_workload(kind: LocalProtocolKind, mut clients: Vec<Client>, seed: u64) ->
         assert!(stuck_guard < 100_000, "runaway workload");
     }
     // Final drain (completions raced with the last finish).
-    let _ = db.take_completions();
-    db
+    completions.extend(db.take_completions());
+    (db, completions)
 }
 
 /// Build clients from proptest raw material. Each transaction accesses each
@@ -290,7 +302,7 @@ proptest! {
         // Relabel odd clients as local transactions.
         for (i, c) in clients.iter_mut().enumerate() {
             if i % 2 == 1 {
-                c.txn = TxnId::Local(mdbs_common::ids::LocalTxnId {
+                c.txn = TxnId::Local(LocalTxnId {
                     site: SiteId(0),
                     seq: i as u64,
                 });
@@ -322,5 +334,94 @@ fn read_only_workload_commits_all_under_2pl() {
     assert_eq!(db.stats().aborts, 0);
 }
 
-#[allow(unused)]
-fn silence_unused(op: DataOp) {}
+/// FNV-1a over the `Debug` rendering of `value`, folded into `h`.
+fn fnv1a(h: &mut u64, value: &dyn std::fmt::Debug) {
+    for b in format!("{value:?}").bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Eight transactions (odd ones local, so victim selection sees both
+/// classes) of four accesses each over three hot items. Items repeat
+/// within a script, so read-then-write lock upgrades occur.
+fn hot_item_clients(kind: LocalProtocolKind, seed: u64) -> Vec<Client> {
+    let mut z = seed;
+    (0..8u64)
+        .map(|i| {
+            let txn = if i % 2 == 1 {
+                TxnId::Local(LocalTxnId {
+                    site: SiteId(0),
+                    seq: i,
+                })
+            } else {
+                TxnId::Global(GlobalTxnId(i + 1))
+            };
+            let mut script = Vec::new();
+            if kind.needs_ticket() && txn.is_global() {
+                script.push(ScriptOp::Read(DataItemId::TICKET));
+                script.push(ScriptOp::Write(DataItemId::TICKET));
+            }
+            for _ in 0..4 {
+                z = splitmix64(z);
+                let item = DataItemId(1 + (z >> 8) % 3);
+                script.push(if z & 1 == 0 {
+                    ScriptOp::Write(item)
+                } else {
+                    ScriptOp::Read(item)
+                });
+            }
+            script.push(ScriptOp::Commit);
+            Client {
+                txn,
+                script,
+                cursor: 0,
+                waiting: false,
+                done: false,
+            }
+        })
+        .collect()
+}
+
+/// Golden decision digests: per protocol, over a fixed seed list of
+/// hot-item workloads, the recorded history (every executed operation and
+/// abort, in order), the completion sequence (every wake and every abort
+/// of a blocked transaction, in order) and the engine counters (deadlock
+/// victims among them). A change to `crates/localdb` that is meant to keep
+/// every grant, block, abort, wake and victim must leave these constants
+/// alone.
+#[test]
+fn golden_decision_digests_hot_items() {
+    const GOLDEN: [u64; 6] = [
+        18_135_070_356_257_100_594,
+        14_382_966_902_467_057_528,
+        255_275_399_169_123_650,
+        12_794_326_017_773_748_849,
+        8_440_447_967_588_679_571,
+        8_898_889_386_928_816_110,
+    ];
+    let mut digests = [0u64; 6];
+    let mut victims = [0u64; 6];
+    for ((digest, victims), kind) in digests
+        .iter_mut()
+        .zip(&mut victims)
+        .zip(LocalProtocolKind::ALL)
+    {
+        *digest = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..32u64 {
+            let (db, completions) =
+                run_workload_recording(kind, hot_item_clients(kind, seed), seed ^ 0xd1ce);
+            assert!(mdbs_schedule::is_conflict_serializable(db.history()));
+            fnv1a(digest, db.history());
+            fnv1a(digest, &completions);
+            fnv1a(digest, &db.stats());
+            *victims += db.stats().deadlock_victims;
+        }
+    }
+    // ALL[0] is 2PL and ALL[4] is SGT: the two waits-for detectors.
+    assert!(
+        victims[0] > 0 && victims[4] > 0,
+        "a detector never resolved a deadlock: {victims:?}"
+    );
+    assert_eq!(digests, GOLDEN, "local protocol decisions changed");
+}

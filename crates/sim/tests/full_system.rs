@@ -382,3 +382,73 @@ fn serialization_event_overrides() {
         "an invalid serialization function must break Theorem 1's premise"
     );
 }
+
+/// FNV-1a over the `Debug` rendering of `value`, folded into `h`.
+fn fnv1a(h: &mut u64, value: &dyn std::fmt::Debug) {
+    for b in format!("{value:?}").bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Golden decision digest: heterogeneous sites, hot items, local
+/// transactions — the `des_contended` shape at test size. Every grant,
+/// block, abort, wake and deadlock victim of the four local protocols
+/// shows up in a site history, the event count or the engine counters, so
+/// a change to `crates/localdb` that is meant to keep every decision must
+/// leave these constants alone.
+#[test]
+fn golden_decision_digest_hot_heterogeneous_sites() {
+    const GOLDEN: [u64; 4] = [
+        13_456_166_051_020_773_589,
+        13_456_166_051_020_773_589,
+        15_865_838_994_775_190_009,
+        4_143_170_071_851_687_417,
+    ];
+    let mix = [
+        LocalProtocolKind::TwoPhaseLocking,
+        LocalProtocolKind::TimestampOrdering,
+        LocalProtocolKind::SerializationGraphTesting,
+        LocalProtocolKind::Optimistic,
+    ];
+    let spec = WorkloadSpec {
+        sites: 4,
+        global_txns: 150,
+        avg_sites_per_txn: 2.0,
+        ops_per_subtxn: 2,
+        read_ratio: 0.5,
+        items_per_site: 64,
+        distribution: AccessDistribution::Hotspot {
+            hot_frac: 0.05,
+            hot_prob: 0.8,
+        },
+        local_txns_per_site: 40,
+        ops_per_local_txn: 3,
+        seed: 7,
+    };
+    let mut digests = [0u64; 4];
+    // Deadlock victims at the 2PL site and at the SGT site.
+    let mut victims = [0u64; 2];
+    for (digest, scheme) in digests.iter_mut().zip(SchemeKind::CONSERVATIVE) {
+        let mut builder = SystemConfig::builder().scheme(scheme).seed(7).mpl(16);
+        for p in mix {
+            builder = builder.site(p);
+        }
+        let mut system = MdbsSystem::new(builder.build());
+        let r = system.run(Workload::generate(&spec));
+        assert!(r.is_serializable(), "{scheme}: {:?}", r.audit);
+        *digest = 0xcbf2_9ce4_8422_2325;
+        for (site, _, _) in &r.site_stats {
+            fnv1a(digest, system.site(*site).history());
+        }
+        victims[0] += r.site_stats[0].2.deadlock_victims;
+        victims[1] += r.site_stats[2].2.deadlock_victims;
+        fnv1a(digest, &r.metrics.events);
+        fnv1a(digest, &r.site_stats);
+    }
+    assert!(
+        victims.iter().all(|&v| v > 0),
+        "the workload must reach both deadlock detectors: {victims:?}"
+    );
+    assert_eq!(digests, GOLDEN, "local protocol decisions changed");
+}
