@@ -22,12 +22,21 @@ pub type DetRng = ChaCha8Rng;
 /// FNV-1a hash of the label, which is cheap and avoids correlated streams
 /// for adjacent seeds.
 pub fn derive_rng(seed: u64, label: &str) -> DetRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in label.as_bytes() {
+    let h = fnv1a(FNV_OFFSET_BASIS, label.as_bytes());
+    DetRng::seed_from_u64(splitmix64(seed ^ h))
+}
+
+/// The 64-bit FNV-1a offset basis: the `h` to start a hash from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a hash `h`. Public because golden
+/// tests digest recorded histories with it.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    DetRng::seed_from_u64(splitmix64(seed ^ h))
+    h
 }
 
 /// SplitMix64 finalizer. Public because tests and generators use it to

@@ -598,7 +598,7 @@ impl std::fmt::Debug for LocalDbms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdbs_common::ids::GlobalTxnId;
+    use mdbs_common::ids::{GlobalTxnId, LocalTxnId};
     use mdbs_schedule::is_conflict_serializable;
 
     fn t(i: u64) -> TxnId {
@@ -934,5 +934,108 @@ mod tests {
         ));
         d.submit_commit(t(2)).unwrap();
         assert!(is_conflict_serializable(d.history()));
+    }
+
+    fn l(i: u64) -> TxnId {
+        TxnId::Local(LocalTxnId {
+            site: SiteId(0),
+            seq: i,
+        })
+    }
+
+    fn deadlock_abort(txn: TxnId) -> Completion {
+        Completion {
+            txn,
+            outcome: Err(MdbsError::Aborted {
+                txn,
+                reason: AbortReason::Deadlock,
+            }),
+        }
+    }
+
+    /// A victim's abort wakes two waiters; the first retry takes the item
+    /// and the requester's own retry blocks behind it, inside
+    /// `process_wakes` (`resolve_deadlocks(_, true)` nested in the
+    /// requester's own `resolve_deadlocks(_, false)`). The requester must
+    /// come out with exactly one outcome.
+    #[test]
+    fn sgt_requester_retry_blocks_again_inside_victim_abort() {
+        let mut d = db(LocalProtocolKind::SerializationGraphTesting);
+        for txn in [t(1), t(2), l(9)] {
+            d.begin(txn).unwrap();
+        }
+        d.submit_write(l(9), x(1), 1).unwrap();
+        d.submit_write(t(2), x(2), 2).unwrap();
+        assert_eq!(
+            d.submit_write(t(1), x(1), 3).unwrap(),
+            SubmitResult::Blocked
+        );
+        assert_eq!(d.submit_read(l(9), x(2)).unwrap(), SubmitResult::Blocked);
+        // t2 -> l9 -> t2: the local transaction is the victim. Its abort
+        // wakes t1 and t2; t1 writes x1 first, so t2 blocks again.
+        assert_eq!(
+            d.submit_write(t(2), x(1), 4).unwrap(),
+            SubmitResult::Blocked
+        );
+        assert_eq!(d.stats().deadlock_victims, 1);
+        assert!(d.is_blocked(t(2)));
+        assert_eq!(
+            d.take_completions(),
+            vec![
+                deadlock_abort(l(9)),
+                Completion {
+                    txn: t(1),
+                    outcome: Ok(OpOutcome::Write),
+                },
+            ]
+        );
+        d.submit_commit(t(1)).unwrap();
+        assert_eq!(
+            d.take_completions(),
+            vec![Completion {
+                txn: t(2),
+                outcome: Ok(OpOutcome::Write),
+            }]
+        );
+        d.submit_commit(t(2)).unwrap();
+        assert_eq!(d.stats().deadlock_victims, 1);
+        assert!(is_conflict_serializable(d.history()));
+    }
+
+    /// The requester closes two cycles at once (it waits for two shared
+    /// holders, each of which waits for it). Breaking the first leaves the
+    /// requester blocked on the second, so `resolve_deadlocks` must find
+    /// it on its next pass; the requester gets exactly one outcome.
+    #[test]
+    fn twopl_requester_on_two_cycles_breaks_both() {
+        let mut d = db(LocalProtocolKind::TwoPhaseLocking);
+        for txn in [t(3), l(1), l(2)] {
+            d.begin(txn).unwrap();
+        }
+        d.submit_write(t(3), x(3), 1).unwrap();
+        d.submit_write(t(3), x(4), 1).unwrap();
+        d.submit_read(l(1), x(1)).unwrap();
+        d.submit_read(l(2), x(1)).unwrap();
+        assert_eq!(d.submit_read(l(1), x(3)).unwrap(), SubmitResult::Blocked);
+        assert_eq!(d.submit_read(l(2), x(4)).unwrap(), SubmitResult::Blocked);
+        // t3 -> l1 -> t3 and t3 -> l2 -> t3.
+        assert_eq!(
+            d.submit_write(t(3), x(1), 2).unwrap(),
+            SubmitResult::Blocked
+        );
+        assert_eq!(d.stats().deadlock_victims, 2);
+        let comps = d.take_completions();
+        assert_eq!(comps.len(), 3);
+        assert!(comps.contains(&deadlock_abort(l(1))));
+        assert!(comps.contains(&deadlock_abort(l(2))));
+        assert_eq!(
+            comps[2],
+            Completion {
+                txn: t(3),
+                outcome: Ok(OpOutcome::Write),
+            }
+        );
+        d.submit_commit(t(3)).unwrap();
+        assert!(d.take_completions().is_empty());
     }
 }

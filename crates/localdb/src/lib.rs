@@ -5,11 +5,13 @@
 //! pluggable concurrency control protocol. The paper's central difficulty is
 //! *heterogeneity* — each pre-existing local DBMS may follow a different
 //! protocol and exposes no concurrency control information — so this crate
-//! provides four protocols with genuinely different serialization behavior:
+//! provides six protocols with genuinely different serialization behavior:
 //!
 //! - [`twopl`] — strict two-phase locking with a waits-for deadlock
 //!   detector (serialization order = lock-point order; the commit operation
 //!   is a valid serialization event).
+//! - [`twopl_variants`] — strict 2PL with deadlock *prevention* instead,
+//!   wait-die and wound-wait (same serialization event as [`twopl`]).
 //! - [`to`] — strict timestamp ordering (timestamps assigned at `begin`;
 //!   the begin operation is the serialization event).
 //! - [`sgt`] — serialization-graph testing (no natural serialization

@@ -4,6 +4,12 @@
 //! sole shared holder are granted immediately; otherwise the upgrade waits
 //! at the *front* of the queue so it cannot starve behind later arrivals —
 //! upgrade-upgrade conflicts surface as deadlocks for the detector.
+//!
+//! A transaction has at most one queued request at a time (the engine's
+//! one-outstanding-operation contract, see [`crate::protocol::CcProtocol`]);
+//! the table indexes it, so releasing a transaction and walking the
+//! waits-for relation from it cost its own holdings and waits, not a scan
+//! of the table.
 
 use mdbs_common::ids::{DataItemId, TxnId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -57,6 +63,31 @@ impl ItemLock {
             self.holders.values().all(|&h| h.compatible(req.mode))
         }
     }
+
+    /// Transactions the request `req`, at queue position `qi`, waits for:
+    /// every incompatible holder and every incompatible request ahead of it.
+    fn blockers<'a>(
+        &'a self,
+        qi: usize,
+        req: &'a WaitingRequest,
+    ) -> impl Iterator<Item = TxnId> + 'a {
+        let holders = self
+            .holders
+            .iter()
+            // An upgrade waits for all *other* holders; a fresh request
+            // for the incompatible ones.
+            .filter(move |&(&holder, &hmode)| {
+                holder != req.txn && (req.upgrade || !hmode.compatible(req.mode))
+            })
+            .map(|(&holder, _)| holder);
+        let ahead = self
+            .queue
+            .iter()
+            .take(qi)
+            .filter(move |ahead| ahead.txn != req.txn && !ahead.mode.compatible(req.mode))
+            .map(|ahead| ahead.txn);
+        holders.chain(ahead)
+    }
 }
 
 /// A newly granted lock produced by a release or cancellation.
@@ -76,6 +107,8 @@ pub struct LockManager {
     items: BTreeMap<DataItemId, ItemLock>,
     /// Items each transaction holds locks on (for O(holdings) release).
     held: BTreeMap<TxnId, BTreeSet<DataItemId>>,
+    /// The item each waiting transaction has its queued request on.
+    waiting: BTreeMap<TxnId, DataItemId>,
 }
 
 impl LockManager {
@@ -102,6 +135,7 @@ impl LockManager {
                     return Acquire::Granted;
                 }
                 lock.queue.push_front(req);
+                self.index_waiter(txn, item);
                 return Acquire::Queued;
             }
             None => {}
@@ -119,47 +153,33 @@ impl LockManager {
             Acquire::Granted
         } else {
             lock.queue.push_back(req);
+            self.index_waiter(txn, item);
             Acquire::Queued
         }
+    }
+
+    fn index_waiter(&mut self, txn: TxnId, item: DataItemId) {
+        let prev = self.waiting.insert(txn, item);
+        debug_assert!(prev.is_none(), "{txn} already has a queued request");
     }
 
     /// Release all locks of `txn` and drop any queued request it still has;
     /// returns newly granted requests in grant order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<Granted> {
         let mut granted = Vec::new();
-        let items: Vec<DataItemId> = self.held.remove(&txn).into_iter().flatten().collect();
-        // Also scan for queued requests of txn on items it holds nothing on.
-        let queued_items: Vec<DataItemId> = self
-            .items
-            .iter()
-            .filter(|(_, l)| l.queue.iter().any(|r| r.txn == txn))
-            .map(|(&i, _)| i)
-            .collect();
-        for item in items.into_iter().chain(queued_items) {
+        let mut items: Vec<DataItemId> = self.held.remove(&txn).into_iter().flatten().collect();
+        // Its queued request sits on a held item (an upgrade) or on one
+        // more item, released last.
+        if let Some(item) = self.waiting.remove(&txn) {
+            if !items.contains(&item) {
+                items.push(item);
+            }
+        }
+        for item in items {
             if let Some(lock) = self.items.get_mut(&item) {
                 lock.holders.remove(&txn);
                 lock.queue.retain(|r| r.txn != txn);
             }
-            self.drain_queue(item, &mut granted);
-            self.gc(item);
-        }
-        granted
-    }
-
-    /// Remove a *queued* (waiting) request of `txn` on every item, e.g.
-    /// because the engine aborts it; returns requests granted as a result.
-    pub fn cancel_waiter(&mut self, txn: TxnId) -> Vec<Granted> {
-        let mut granted = Vec::new();
-        let affected: Vec<DataItemId> = self
-            .items
-            .iter()
-            .filter(|(_, l)| l.queue.iter().any(|r| r.txn == txn))
-            .map(|(&i, _)| i)
-            .collect();
-        for item in affected {
-            // mdbs-lint: allow(no-panic-in-scheduler) — `affected` keys were collected from `items` just above; nothing is removed in between.
-            let lock = self.items.get_mut(&item).expect("item present");
-            lock.queue.retain(|r| r.txn != txn);
             self.drain_queue(item, &mut granted);
             self.gc(item);
         }
@@ -180,6 +200,7 @@ impl LockManager {
                 return;
             }
             lock.queue.pop_front();
+            self.waiting.remove(&front.txn);
             lock.holders.insert(front.txn, front.mode);
             self.held.entry(front.txn).or_default().insert(item);
             granted.push(Granted {
@@ -233,31 +254,35 @@ impl LockManager {
         let mut edges = Vec::new();
         for lock in self.items.values() {
             for (qi, req) in lock.queue.iter().enumerate() {
-                for (&holder, &hmode) in &lock.holders {
-                    if holder == req.txn {
-                        continue; // upgrade waits only for *other* holders
-                    }
-                    let incompatible = if req.upgrade {
-                        true // upgrader waits for all other holders
-                    } else {
-                        !hmode.compatible(req.mode)
-                    };
-                    if incompatible {
-                        edges.push((req.txn, holder));
-                    }
-                }
-                for ahead in lock.queue.iter().take(qi) {
-                    if ahead.txn != req.txn
-                        && !(ahead.mode.compatible(req.mode)
-                            && ahead.mode == LockMode::Shared
-                            && req.mode == LockMode::Shared)
-                    {
-                        edges.push((req.txn, ahead.txn));
-                    }
-                }
+                edges.extend(lock.blockers(qi, req).map(|b| (req.txn, b)));
             }
         }
         edges
+    }
+
+    /// True iff `txn` reaches itself along waits-for edges, i.e. its queued
+    /// request lies on a deadlock cycle. Walks only the requests reachable
+    /// from `txn`: each hop is a lookup of the item a transaction waits on.
+    pub fn waits_for_itself(&self, txn: TxnId) -> bool {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![txn];
+        while let Some(t) = stack.pop() {
+            let Some(lock) = self.waiting.get(&t).and_then(|item| self.items.get(item)) else {
+                continue; // not waiting: no out-edges
+            };
+            let Some((qi, req)) = lock.queue.iter().enumerate().find(|(_, r)| r.txn == t) else {
+                continue;
+            };
+            for b in lock.blockers(qi, req) {
+                if b == txn {
+                    return true;
+                }
+                if seen.insert(b) {
+                    stack.push(b);
+                }
+            }
+        }
+        false
     }
 
     /// Number of items with any lock state (diagnostics).
@@ -377,13 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_waiter_unblocks_queue() {
+    fn releasing_a_waiter_unblocks_queue() {
         let mut lm = LockManager::new();
         lm.acquire(t(1), x(1), LockMode::Exclusive);
         lm.acquire(t(2), x(1), LockMode::Exclusive);
         lm.acquire(t(3), x(1), LockMode::Shared);
-        // Cancel t2's wait; t3 still blocked behind t1's X lock.
-        assert!(lm.cancel_waiter(t(2)).is_empty());
+        // Drop t2's wait; t3 still blocked behind t1's X lock.
+        assert!(lm.release_all(t(2)).is_empty());
         let granted = lm.release_all(t(1));
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].txn, t(3));

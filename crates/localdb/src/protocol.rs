@@ -92,7 +92,11 @@ pub trait CcProtocol {
     /// aborts the transaction and calls `on_end(txn, false)`.
     fn on_end(&mut self, txn: TxnId, committed: bool) -> Vec<TxnId>;
 
-    /// After a `Block` decision for `requester`, check for deadlock.
+    /// After a `Block` decision for `requester`, check for deadlock. The
+    /// engine calls this after every `Block` and aborts the named victims
+    /// until the answer is `None`, so an implementation may take the
+    /// waits-for graph to have been acyclic before `requester` blocked (see
+    /// [`crate::deadlock`]).
     /// Default: protocols whose waits are intrinsically acyclic report none.
     fn check_deadlock(&mut self, requester: TxnId) -> DeadlockOutcome {
         let _ = requester;

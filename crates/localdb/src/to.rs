@@ -29,10 +29,18 @@ struct ItemState {
     waiters: BTreeSet<TxnId>,
 }
 
+#[derive(Clone, Copy, Debug)]
+struct TxnState {
+    /// Timestamp: the begin sequence number.
+    ts: u64,
+    /// The item whose waiter set holds the transaction, while blocked.
+    waiting_on: Option<DataItemId>,
+}
+
 /// Strict TO protocol state.
 #[derive(Debug, Default)]
 pub struct TimestampOrdering {
-    ts: BTreeMap<TxnId, u64>,
+    txns: BTreeMap<TxnId, TxnState>,
     items: BTreeMap<DataItemId, ItemState>,
     /// Items each active transaction has dirty writes on (for release).
     writes: BTreeMap<TxnId, BTreeSet<DataItemId>>,
@@ -45,8 +53,24 @@ impl TimestampOrdering {
     }
 
     fn timestamp(&self, txn: TxnId) -> u64 {
+        self.txns
+            .get(&txn)
+            // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before any other protocol call.
+            .expect("on_begin precedes operations")
+            .ts
+    }
+
+    /// Queue `txn` behind the dirty writers of `item`.
+    fn block_on(&mut self, txn: TxnId, item: DataItemId) -> Decision {
+        self.items
+            .get_mut(&item)
+            // mdbs-lint: allow(no-panic-in-scheduler) — is_dirty_for only returns true for an existing entry.
+            .expect("entry")
+            .waiters
+            .insert(txn);
         // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before any other protocol call.
-        *self.ts.get(&txn).expect("on_begin precedes operations")
+        self.txns.get_mut(&txn).expect("live txn").waiting_on = Some(item);
+        Decision::Block
     }
 
     /// True iff some *other* transaction holds an uncommitted write.
@@ -67,7 +91,13 @@ impl CcProtocol for TimestampOrdering {
     }
 
     fn on_begin(&mut self, txn: TxnId, seq: u64) {
-        self.ts.insert(txn, seq);
+        self.txns.insert(
+            txn,
+            TxnState {
+                ts: seq,
+                waiting_on: None,
+            },
+        );
     }
 
     fn on_read(&mut self, txn: TxnId, item: DataItemId) -> Decision {
@@ -80,13 +110,7 @@ impl CcProtocol for TimestampOrdering {
             // All dirty writers have wts <= ts and differ from txn, hence
             // are strictly older: wait for them (younger waits for older —
             // acyclic).
-            self.items
-                .get_mut(&item)
-                // mdbs-lint: allow(no-panic-in-scheduler) — is_dirty_for only returns true for an existing entry.
-                .expect("entry")
-                .waiters
-                .insert(txn);
-            return Decision::Block;
+            return self.block_on(txn, item);
         }
         // mdbs-lint: allow(no-panic-in-scheduler) — the entry was created by or_default earlier in on_read.
         let state = self.items.get_mut(&item).expect("entry");
@@ -101,13 +125,7 @@ impl CcProtocol for TimestampOrdering {
             return Decision::Abort(AbortReason::TimestampOrder);
         }
         if self.is_dirty_for(item, txn) {
-            self.items
-                .get_mut(&item)
-                // mdbs-lint: allow(no-panic-in-scheduler) — is_dirty_for only returns true for an existing entry.
-                .expect("entry")
-                .waiters
-                .insert(txn);
-            return Decision::Block;
+            return self.block_on(txn, item);
         }
         // mdbs-lint: allow(no-panic-in-scheduler) — the entry was created by or_default at the top of on_write.
         let state = self.items.get_mut(&item).expect("entry");
@@ -122,7 +140,7 @@ impl CcProtocol for TimestampOrdering {
     }
 
     fn on_end(&mut self, txn: TxnId, _committed: bool) -> Vec<TxnId> {
-        self.ts.remove(&txn);
+        let ended = self.txns.remove(&txn);
         let mut woken: Vec<(u64, TxnId)> = Vec::new();
         let written = self.writes.remove(&txn).unwrap_or_default();
         for item in written {
@@ -133,15 +151,18 @@ impl CcProtocol for TimestampOrdering {
                 // Wake all waiters; they retry their decision. Oldest first
                 // so the retry order matches timestamp order.
                 for w in std::mem::take(&mut state.waiters) {
-                    if let Some(&wts) = self.ts.get(&w) {
-                        woken.push((wts, w));
+                    if let Some(waiter) = self.txns.get_mut(&w) {
+                        waiter.waiting_on = None;
+                        woken.push((waiter.ts, w));
                     }
                 }
             }
         }
-        // A transaction may also be waiting itself; drop its queue entries.
-        for state in self.items.values_mut() {
-            state.waiters.remove(&txn);
+        // The transaction may be waiting itself; drop its queue entry.
+        if let Some(item) = ended.and_then(|t| t.waiting_on) {
+            if let Some(state) = self.items.get_mut(&item) {
+                state.waiters.remove(&txn);
+            }
         }
         woken.sort_unstable();
         woken.dedup();

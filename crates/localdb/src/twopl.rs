@@ -3,14 +3,15 @@
 //! Reads take shared locks, writes exclusive locks; all locks are held
 //! until termination (strictness ⇒ no dirty reads, no cascading aborts).
 //! Blocked requests wait in FIFO queues; deadlocks are detected on each
-//! block by a waits-for cycle search ([`crate::deadlock`]).
+//! block by a waits-for walk from the requester, and a cycle it finds is
+//! broken by [`crate::deadlock`]'s victim selection.
 //!
 //! **Serialization function** (paper, Section 2.2): any operation between a
 //! transaction's last lock acquisition and its first lock release is a
 //! serialization event; under *strict* 2PL, the commit operation qualifies,
 //! so this site reports [`SerializationEvent::Commit`](crate::serfn::SerializationEvent).
 
-use crate::deadlock::select_victims;
+use crate::deadlock::first_victim;
 use crate::locks::{Acquire, LockManager, LockMode};
 use crate::protocol::{CcProtocol, DeadlockOutcome, Decision, WriteStyle};
 use mdbs_common::ids::{DataItemId, TxnId};
@@ -34,6 +35,13 @@ impl TwoPhaseLocking {
             Acquire::Granted => Decision::Grant,
             Acquire::Queued => Decision::Block,
         }
+    }
+
+    /// The first victim over the waits-for graph of the whole lock table
+    /// (scanned item by item, without the per-transaction index the walk
+    /// uses).
+    pub(crate) fn scan_for_victim(&self) -> DeadlockOutcome {
+        first_victim(&self.locks.waits_for_edges(), &self.age)
     }
 }
 
@@ -72,12 +80,13 @@ impl CcProtocol for TwoPhaseLocking {
             .collect()
     }
 
-    fn check_deadlock(&mut self, _requester: TxnId) -> DeadlockOutcome {
-        let edges = self.locks.waits_for_edges();
-        match select_victims(&edges, &self.age).first() {
-            Some(&victim) => DeadlockOutcome::Victim(victim),
-            None => DeadlockOutcome::None,
+    fn check_deadlock(&mut self, requester: TxnId) -> DeadlockOutcome {
+        // Any cycle passes through the requester (see `crate::deadlock`),
+        // so the table is scanned only once its own walk has found one.
+        if !self.locks.waits_for_itself(requester) {
+            return DeadlockOutcome::None;
         }
+        self.scan_for_victim()
     }
 }
 

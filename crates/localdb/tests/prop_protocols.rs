@@ -11,7 +11,7 @@
 
 use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId, TxnId};
 use mdbs_common::ops::DataOpKind;
-use mdbs_common::rng::splitmix64;
+use mdbs_common::rng::{fnv1a, splitmix64, FNV_OFFSET_BASIS};
 use mdbs_localdb::engine::{Completion, LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_localdb::serfn::SerializationEvent;
@@ -334,12 +334,9 @@ fn read_only_workload_commits_all_under_2pl() {
     assert_eq!(db.stats().aborts, 0);
 }
 
-/// FNV-1a over the `Debug` rendering of `value`, folded into `h`.
-fn fnv1a(h: &mut u64, value: &dyn std::fmt::Debug) {
-    for b in format!("{value:?}").bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// Fold the `Debug` rendering of `value` into the FNV-1a digest `h`.
+fn digest_of(h: &mut u64, value: &dyn std::fmt::Debug) {
+    *h = fnv1a(*h, format!("{value:?}").as_bytes());
 }
 
 /// Eight transactions (odd ones local, so victim selection sees both
@@ -407,14 +404,14 @@ fn golden_decision_digests_hot_items() {
         .zip(&mut victims)
         .zip(LocalProtocolKind::ALL)
     {
-        *digest = 0xcbf2_9ce4_8422_2325;
+        *digest = FNV_OFFSET_BASIS;
         for seed in 0..32u64 {
             let (db, completions) =
                 run_workload_recording(kind, hot_item_clients(kind, seed), seed ^ 0xd1ce);
             assert!(mdbs_schedule::is_conflict_serializable(db.history()));
-            fnv1a(digest, db.history());
-            fnv1a(digest, &completions);
-            fnv1a(digest, &db.stats());
+            digest_of(digest, db.history());
+            digest_of(digest, &completions);
+            digest_of(digest, &db.stats());
             *victims += db.stats().deadlock_victims;
         }
     }

@@ -3,6 +3,7 @@
 //! serializable execution (EXP-GS), with local background load creating
 //! the paper's indirect conflicts.
 
+use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_sim::system::{MdbsSystem, SystemConfig};
@@ -383,12 +384,9 @@ fn serialization_event_overrides() {
     );
 }
 
-/// FNV-1a over the `Debug` rendering of `value`, folded into `h`.
-fn fnv1a(h: &mut u64, value: &dyn std::fmt::Debug) {
-    for b in format!("{value:?}").bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// Fold the `Debug` rendering of `value` into the FNV-1a digest `h`.
+fn digest_of(h: &mut u64, value: &dyn std::fmt::Debug) {
+    *h = fnv1a(*h, format!("{value:?}").as_bytes());
 }
 
 /// Golden decision digest: heterogeneous sites, hot items, local
@@ -437,14 +435,14 @@ fn golden_decision_digest_hot_heterogeneous_sites() {
         let mut system = MdbsSystem::new(builder.build());
         let r = system.run(Workload::generate(&spec));
         assert!(r.is_serializable(), "{scheme}: {:?}", r.audit);
-        *digest = 0xcbf2_9ce4_8422_2325;
+        *digest = FNV_OFFSET_BASIS;
         for (site, _, _) in &r.site_stats {
-            fnv1a(digest, system.site(*site).history());
+            digest_of(digest, system.site(*site).history());
         }
         victims[0] += r.site_stats[0].2.deadlock_victims;
         victims[1] += r.site_stats[2].2.deadlock_victims;
-        fnv1a(digest, &r.metrics.events);
-        fnv1a(digest, &r.site_stats);
+        digest_of(digest, &r.metrics.events);
+        digest_of(digest, &r.site_stats);
     }
     assert!(
         victims.iter().all(|&v| v > 0),
