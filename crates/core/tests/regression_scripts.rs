@@ -8,9 +8,10 @@
 //! that regressed them.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
+use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
-use mdbs_core::scheme::{FullRescan, SchemeKind};
+use mdbs_core::replay::{replay, replay_kernel, replay_with, Script, ScriptEvent};
+use mdbs_core::scheme::{FullRescan, KernelKind, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
     ScriptEvent::Init(GlobalTxnId(txn), sites.iter().map(|&s| SiteId(s)).collect())
@@ -141,4 +142,79 @@ fn overlap_chain_3txn_schemes_safe() {
 #[test]
 fn overlap_chain_3txn_wake_hints_complete() {
     assert_hints_complete(&shrink_case_overlap_chain_3txn());
+}
+
+/// The replay cell the benchmark's `sched_burst` workload is shaped like
+/// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
+/// pinned for the dense kernels: step charges, waits, wake-scan work and a
+/// digest of `ser(S)`. `step_gate` stops at 150 transactions and the
+/// benchmark reads wall-clock only, so nothing else holds this cell's
+/// decisions still. Ignored by default: a debug build validates every act
+/// and takes minutes; the release soak step runs it in well under a second.
+#[test]
+#[ignore = "soak: run with --release -- --ignored"]
+fn burst_cell_dense_decisions_golden() {
+    // (scheme, cond, act, wait_scan, waited, wake_scan_sum, ser(S) digest)
+    const GOLDEN: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
+        (
+            SchemeKind::Scheme0,
+            9_512,
+            8_590,
+            7_060,
+            2_452,
+            2_452,
+            0xc61b_1dc0_acbe_b606,
+        ),
+        (
+            SchemeKind::Scheme1,
+            2_438_898,
+            1_775_305,
+            911_890,
+            3_200,
+            904_830,
+            0xe149_6e48_683a_5ad6,
+        ),
+        (
+            SchemeKind::Scheme2,
+            26_037_917_870,
+            549_594_065,
+            490_897,
+            3_200,
+            483_837,
+            0xcb16_f344_4940_bf7e,
+        ),
+        (
+            SchemeKind::Scheme3,
+            14_279_785,
+            214_384_707,
+            479_256,
+            2_229,
+            472_196,
+            0xf71b_84be_052b_dc66,
+        ),
+    ];
+    let script = Script::random(1000, 10, 2.5, 42);
+    for (kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest) in GOLDEN {
+        let out = replay_kernel(kind, KernelKind::Dense, &script);
+        let digest = out
+            .ser_events
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |h, (txn, site)| {
+                fnv1a(fnv1a(h, &txn.0.to_le_bytes()), &site.0.to_le_bytes())
+            });
+        assert_eq!(
+            (
+                out.steps.cond,
+                out.steps.act,
+                out.steps.wait_scan,
+                out.stats.waited,
+                out.wake_scan_sum,
+                digest
+            ),
+            (cond, act, wait_scan, waited, wake_scan_sum, ser_digest),
+            "{kind}: burst-cell decisions changed"
+        );
+        assert_eq!(out.completed, 1000, "{kind}: incomplete");
+        assert_eq!(out.protocol_violations, 0, "{kind}");
+    }
 }
