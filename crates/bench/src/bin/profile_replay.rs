@@ -10,7 +10,10 @@
 //! Defaults: `Scheme2 dense large 1`. SCHEME is `Scheme0..Scheme3`,
 //! KERNEL is a [`KernelKind`] name (`btree`, `dense`),
 //! SIZE is `small` or `medium` (`step_gate`'s scripts) or `large` (the
-//! benchmark's `sched_burst` script).
+//! shape of the benchmark's `sched_burst` script — 1000 transactions, 10
+//! sites, d_av 2.5 — but always seed 42, where the benchmark draws a fresh
+//! script per round from its own seed; `regression_scripts.rs` pins this
+//! cell's decisions). REPS is a positive integer.
 
 use mdbs_core::replay::{replay_kernel, Script};
 use mdbs_core::scheme::{KernelKind, SchemeKind};
@@ -28,11 +31,14 @@ fn main() -> std::process::ExitCode {
     let scheme_name = args.first().map(String::as_str).unwrap_or("Scheme2");
     let kernel_name = args.get(1).map(String::as_str).unwrap_or("dense");
     let size_name = args.get(2).map(String::as_str).unwrap_or("large");
-    let reps: usize = args
-        .get(3)
-        .map(|r| r.parse().unwrap_or(1))
-        .unwrap_or(1)
-        .max(1);
+    let reps_arg = args.get(3).map(String::as_str).unwrap_or("1");
+    let reps = match reps_arg.parse::<usize>() {
+        Ok(reps) if reps > 0 => reps,
+        _ => {
+            eprintln!("profile_replay: REPS must be a positive integer, got `{reps_arg}`");
+            return std::process::ExitCode::from(2);
+        }
+    };
     let Some(scheme) = [
         SchemeKind::Scheme0,
         SchemeKind::Scheme1,

@@ -31,8 +31,9 @@
 //!   them: an append to a delete queue cannot enable another
 //!   transaction's fin. Counted by `gtm2.wake_elided`; the reference
 //!   kernel runs the re-tests, which is what proves the charge equal.
-//! - Scheme 2 runs the cursor-amortized `Eliminate_Cycles` over
-//!   [`DenseTsgd`]'s column-position dependency mirror.
+//! - Scheme 2 runs `Eliminate_Cycles` over [`DenseTsgd`]'s stored column
+//!   positions and column-position dependency mirror, and adds Δ and its
+//!   `act` dependency fans in slot space.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -40,7 +41,6 @@
 use crate::scheme::{
     Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
 };
-use crate::tsgd::Dep;
 use crate::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
@@ -616,14 +616,15 @@ pub struct Scheme2Dense {
     acked: Vec<DenseBitSet>,
     fb_executed: BTreeSet<(GlobalTxnId, SiteId)>,
     fb_acked: BTreeSet<(GlobalTxnId, SiteId)>,
-    /// Scratch for two-phase collect-then-mutate loops.
-    scratch: Vec<GlobalTxnId>,
-    /// Reusable scan state for the cursor-amortized `Eliminate_Cycles`.
+    /// Scratch for two-phase collect-then-mutate loops: `(txn slot, column
+    /// position)` of the column members a dependency fan picked.
+    scratch: Vec<(u32, u32)>,
+    /// Reusable traversal state (and the Δ) of `Eliminate_Cycles`.
     elim: EliminateScratch,
 }
 
 impl Scheme2Dense {
-    /// Fresh state on the cursor-amortized `Eliminate_Cycles` path.
+    /// Fresh state.
     pub fn new() -> Self {
         Self::default()
     }
@@ -634,6 +635,14 @@ impl Scheme2Dense {
             self.executed.resize_with(cap, DenseBitSet::new);
             self.acked.resize_with(cap, DenseBitSet::new);
         }
+    }
+
+    /// Has `act(ser)` run for column member `(j, js)` at `site` (slot `ss`)?
+    fn ran_at(&self, (j, js): (GlobalTxnId, u32), site: SiteId, ss: u32) -> bool {
+        self.executed
+            .get(js as usize)
+            .is_some_and(|e| e.contains(ss))
+            || (!self.fb_executed.is_empty() && self.fb_executed.contains(&(j, site)))
     }
 }
 
@@ -676,7 +685,7 @@ impl Gtm2Scheme for Scheme2Dense {
     fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
         match op {
             QueueOp::Init { txn, sites } => {
-                self.tsgd.insert_txn(*txn, sites);
+                let ts = self.tsgd.insert_txn(*txn, sites);
                 self.ensure_rows();
                 steps.bump(StepKind::Act, sites.len() as u64);
                 for &site in sites {
@@ -684,42 +693,32 @@ impl Gtm2Scheme for Scheme2Dense {
                         steps.bump(StepKind::Act, 1);
                         continue;
                     };
-                    {
-                        let Self {
-                            tsgd,
-                            executed,
-                            fb_executed,
-                            scratch,
-                            ..
-                        } = &mut *self;
-                        scratch.clear();
-                        for &(j, js) in tsgd.txns_col(ss) {
-                            let ran = executed[js as usize].contains(ss)
-                                || (!fb_executed.is_empty() && fb_executed.contains(&(j, site)));
-                            if j != *txn && ran {
-                                scratch.push(j);
-                            }
+                    // Everyone already executed at `site` precedes `txn`
+                    // there; `txn`'s own position is found on the way.
+                    let mut own = None;
+                    self.scratch.clear();
+                    for (pos, &(j, js)) in self.tsgd.txns_col(ss).iter().enumerate() {
+                        if j == *txn {
+                            own = Some(pos as u32);
+                        } else if self.ran_at((j, js), site, ss) {
+                            self.scratch.push((js, pos as u32));
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
-                    for idx in 0..self.scratch.len() {
-                        let j = self.scratch[idx];
-                        self.tsgd.add_dep(Dep {
-                            site,
-                            before: j,
-                            after: *txn,
-                        });
+                    if let Some(own) = own {
+                        for &(js, _) in &self.scratch {
+                            self.tsgd.add_dep_slots(ss, js, ts, own);
+                        }
                     }
                 }
-                let delta = eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
-                for d in delta {
-                    self.tsgd.add_dep(d);
-                }
+                eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
+                self.tsgd.add_delta(&self.elim);
                 Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
-                match (self.tsgd.txn_slot(*txn), self.tsgd.site_slot(*site)) {
+                let slots = (self.tsgd.txn_slot(*txn), self.tsgd.site_slot(*site));
+                match slots {
                     (Some(ts), Some(ss)) if self.tsgd.has_edge(*txn, *site) => {
                         self.executed[ts as usize].insert(ss);
                     }
@@ -727,32 +726,19 @@ impl Gtm2Scheme for Scheme2Dense {
                         self.fb_executed.insert((*txn, *site));
                     }
                 }
-                if let Some(ss) = self.tsgd.site_slot(*site) {
-                    {
-                        let Self {
-                            tsgd,
-                            executed,
-                            fb_executed,
-                            scratch,
-                            ..
-                        } = &mut *self;
-                        scratch.clear();
-                        for &(j, js) in tsgd.txns_col(ss) {
-                            let ran = executed[js as usize].contains(ss)
-                                || (!fb_executed.is_empty() && fb_executed.contains(&(j, *site)));
-                            if j != *txn && !ran {
-                                scratch.push(j);
-                            }
+                if let (ts, Some(ss)) = slots {
+                    // `txn` precedes everyone not yet executed at `site`.
+                    self.scratch.clear();
+                    for (pos, &(j, js)) in self.tsgd.txns_col(ss).iter().enumerate() {
+                        if j != *txn && !self.ran_at((j, js), *site, ss) {
+                            self.scratch.push((js, pos as u32));
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
-                    for idx in 0..self.scratch.len() {
-                        let j = self.scratch[idx];
-                        self.tsgd.add_dep(Dep {
-                            site: *site,
-                            before: *txn,
-                            after: j,
-                        });
+                    if let Some(ts) = ts {
+                        for &(js, pos) in &self.scratch {
+                            self.tsgd.add_dep_slots(ss, ts, js, pos);
+                        }
                     }
                 } else {
                     steps.bump(StepKind::Act, 1);
@@ -845,6 +831,10 @@ impl Gtm2Scheme for Scheme2Dense {
             "dependency digraph grew a cycle on a valid run"
         );
         assert_eq!(self.tsgd.desync_count(), 0, "checked decrement failed");
+        assert!(
+            self.tsgd.positions_consistent(),
+            "a stored column position went stale"
+        );
     }
 }
 
@@ -1177,6 +1167,7 @@ mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
     use crate::scheme::{KernelKind, SchemeKind};
+    use crate::tsgd::Dep;
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)

@@ -486,9 +486,9 @@ impl Gtm2Scheme for FullRescan {
 pub enum KernelKind {
     /// Reference kernels: id-keyed ordered maps/sets. Kept as the oracle.
     BTree,
-    /// Interned-slot + bitset kernels (the default). Scheme 2 runs the
-    /// incremental path: cursor-amortized `Eliminate_Cycles` plus batched
-    /// online maintenance of the dependency order.
+    /// Interned-slot + bitset kernels (the default). Scheme 2 runs
+    /// `Eliminate_Cycles` with its scan cursors in the DFS frames, over
+    /// stored column positions.
     Dense,
 }
 

@@ -20,12 +20,12 @@
 //!
 //! This module is the reference (BTree) realization and the step-accounting
 //! oracle. The production path is [`crate::kernel_dense::Scheme2Dense`],
-//! which charges identical abstract steps but amortizes the *machine* cost:
-//! cursor-amortized `Eliminate_Cycles` rescans
-//! ([`crate::tsgd_dense::eliminate_cycles_dense_with`]) and incremental
-//! maintenance of the dependency digraph's topological order (batched
-//! Δ-edges, Pearce–Kelly region repair, SCC collapse) in
-//! [`crate::tsgd_dense::DenseTsgd`].
+//! which charges identical abstract steps but cuts the *machine* cost:
+//! [`crate::tsgd_dense::eliminate_cycles_dense_with`] keeps each node's scan
+//! cursor in its DFS frame (a `(arrival site, node)` state is entered at
+//! most once per call), reads column positions that
+//! [`crate::tsgd_dense::DenseTsgd`] stores instead of searching for them,
+//! and hands Δ and the `act` dependency fans over in slot space.
 
 use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
 use crate::tsgd::{eliminate_cycles, Dep, Tsgd};

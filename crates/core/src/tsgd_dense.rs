@@ -14,10 +14,21 @@
 //!   *before* slots, so Scheme 2's `cond(ser)` predecessor count is a
 //!   popcount and `cond(fin)`'s "no incoming dependency" test is an O(1)
 //!   counter read instead of a scan of the whole dependency set;
-//! - `Eliminate_Cycles` keeps a per-`(node, arrival-site)` `ScanCursor` and
-//!   reads each column's blocked set from a **column-position** mirror of
-//!   the dependencies (`deps_out`), so a revisit costs O(1) and a column
-//!   scan is a word-parallel find-first-clear.
+//! - every transaction's row records its **position** in each of its
+//!   columns, and the dependencies have a column-position mirror
+//!   (`deps_out`), so `Eliminate_Cycles` reads a column's blocked set and
+//!   the positions it must skip instead of searching for them, and a column
+//!   scan is a word-parallel find-first-clear;
+//! - `Eliminate_Cycles` keeps its scan cursor in the traversal path's frame,
+//!   so coming back to a node costs O(1), and leaves Δ in slot space.
+//!
+//! The frame can hold the cursor because of one invariant of Figure 4: it
+//! descends to a node `w ≠ G_i` only by choosing a candidate `(u, w)`, and
+//! choosing puts `(u, w)` into `used`, which every later scan skips. So a
+//! `(arrival site u, node w)` state is **entered at most once per call**,
+//! the node being scanned is always the newest entry of the path, and
+//! `head(s_par(v))` is the top frame's arrival site — the reference's
+//! `s_par`/`t_par` maps are the path itself.
 //!
 //! Nothing here answers a scheduling question that the reference does not:
 //! `cond` reads `preds_at` / `incoming_deps` / `dep_count`, `act` calls
@@ -42,8 +53,10 @@ use std::collections::BTreeSet;
 pub struct DenseTsgd {
     txns: DenseInterner<GlobalTxnId>,
     sites: DenseInterner<SiteId>,
-    /// Txn slot → edges as `(site id, site slot)`, sorted by site id.
-    txn_sites: Vec<Vec<(SiteId, u32)>>,
+    /// Txn slot → edges as `(site id, site slot, column position)`, sorted
+    /// by site id. The position is the transaction's index in that site's
+    /// `site_txns` column, kept right by [`DenseTsgd::repair_column`].
+    txn_sites: Vec<Vec<(SiteId, u32, u32)>>,
     /// Site slot → edges as `(txn id, txn slot)`, sorted by txn id.
     site_txns: Vec<Vec<(GlobalTxnId, u32)>>,
     /// After-txn slot → `(site slot, before-txn slots)`, sorted by site slot.
@@ -53,7 +66,7 @@ pub struct DenseTsgd {
     /// id-ordered `site_txns` column — the exact order `Eliminate_Cycles`
     /// scans — so one column's blocked set ORs word-wise into the scan's
     /// skip mask. Column insertions/removals repair every member's bitset
-    /// with an O(words) hole shift (see `DenseBitSet::shift_up_from`).
+    /// with an O(words) hole shift ([`DenseTsgd::repair_column`]).
     deps_out: Vec<Vec<(u32, DenseBitSet)>>,
     /// After-txn slot → number of incoming dependencies (O(1) `cond(fin)`).
     incoming: Vec<u32>,
@@ -93,39 +106,54 @@ impl DenseTsgd {
             }
             let row = &mut self.txn_sites[ts as usize];
             if let Err(pos) = row.binary_search_by_key(&site, |e| e.0) {
-                row.insert(pos, (site, ss));
-                let inserted_at = {
-                    let col = &mut self.site_txns[ss as usize];
-                    match col.binary_search_by_key(&txn, |e| e.0) {
-                        Err(cpos) => {
-                            col.insert(cpos, (txn, ts));
-                            (cpos + 1 < col.len()).then_some(cpos)
-                        }
-                        Ok(_) => None,
-                    }
-                };
-                // The column gained an entry at `cpos`: open a hole in
-                // every member's position-space dependency bitset. The new
-                // member has no dependencies at this site yet.
-                if let Some(cpos) = inserted_at {
-                    let Self {
-                        site_txns,
-                        deps_out,
-                        ..
-                    } = &mut *self;
-                    for &(_, js) in &site_txns[ss as usize] {
-                        if js == ts {
-                            continue;
-                        }
-                        let orow = &mut deps_out[js as usize];
-                        if let Ok(p) = orow.binary_search_by_key(&ss, |e| e.0) {
-                            orow[p].1.shift_up_from(cpos as u32);
-                        }
-                    }
+                let col = &mut self.site_txns[ss as usize];
+                let cpos = col.partition_point(|e| e.0 < txn);
+                col.insert(cpos, (txn, ts));
+                row.insert(pos, (site, ss, cpos as u32));
+                // Mid-column insert: the members above moved up one. The
+                // new member has no dependencies at this site yet.
+                if cpos + 1 < col.len() {
+                    self.repair_column(site, ss, cpos, true);
                 }
             }
         }
         ts
+    }
+
+    /// The column of site slot `ss` just gained (`opened`) or lost an entry
+    /// at position `at`: re-record the position of every member from `at`
+    /// on in its own row, and open/close the hole in every member's
+    /// position-space dependency bitset.
+    fn repair_column(&mut self, site: SiteId, ss: u32, at: usize, opened: bool) {
+        let Self {
+            txn_sites,
+            site_txns,
+            deps_out,
+            ..
+        } = self;
+        for (p, &(_, js)) in site_txns[ss as usize].iter().enumerate() {
+            if p >= at {
+                let row = &mut txn_sites[js as usize];
+                if let Ok(i) = row.binary_search_by_key(&site, |e| e.0) {
+                    row[i].2 = p as u32;
+                }
+            }
+            let orow = &mut deps_out[js as usize];
+            if let Ok(i) = orow.binary_search_by_key(&ss, |e| e.0) {
+                if opened {
+                    orow[i].1.shift_up_from(at as u32);
+                } else {
+                    orow[i].1.shift_down_from(at as u32);
+                }
+            }
+        }
+    }
+
+    /// Column position of the transaction in slot `ts` at site slot `ss`,
+    /// read from its row (`None` if it has no edge there).
+    #[inline]
+    fn pos_at(&self, ts: u32, ss: u32) -> Option<u32> {
+        self.sites_row(ts).iter().find(|e| e.1 == ss).map(|e| e.2)
     }
 
     /// Remove a transaction, its edges, and all dependencies touching it;
@@ -170,13 +198,11 @@ impl DenseTsgd {
         // source's mirror entry.
         let mut inrows = std::mem::take(&mut self.deps_in[ts as usize]);
         for (ss, befs) in &inrows {
-            let tpos = self.site_txns[*ss as usize]
-                .binary_search_by_key(&txn, |e| e.0)
-                .ok();
+            let tpos = self.pos_at(ts, *ss);
             for b in befs.iter() {
                 let row = &mut self.deps_out[b as usize];
                 if let (Some(tpos), Ok(pos)) = (tpos, row.binary_search_by_key(ss, |e| e.0)) {
-                    if row[pos].1.remove(tpos as u32) && row[pos].1.is_empty() {
+                    if row[pos].1.remove(tpos) && row[pos].1.is_empty() {
                         row.remove(pos);
                     }
                 }
@@ -196,29 +222,12 @@ impl DenseTsgd {
         // dependency touching `txn` is gone, so no member bitset holds the
         // vacated position and the hole can be shifted closed.
         let mut rows = std::mem::take(&mut self.txn_sites[ts as usize]);
-        for &(site, ss) in &rows {
-            let removed_at = {
-                let col = &mut self.site_txns[ss as usize];
-                match col.binary_search_by_key(&txn, |e| e.0) {
-                    Ok(pos) => {
-                        col.remove(pos);
-                        (pos < col.len()).then_some(pos)
-                    }
-                    Err(_) => None,
-                }
-            };
-            if let Some(pos) = removed_at {
-                let Self {
-                    site_txns,
-                    deps_out,
-                    ..
-                } = &mut *self;
-                for &(_, js) in &site_txns[ss as usize] {
-                    let orow = &mut deps_out[js as usize];
-                    if let Ok(p) = orow.binary_search_by_key(&ss, |e| e.0) {
-                        orow[p].1.shift_down_from(pos as u32);
-                    }
-                }
+        for &(site, ss, pos) in &rows {
+            let col = &mut self.site_txns[ss as usize];
+            debug_assert_eq!(col.get(pos as usize), Some(&(txn, ts)), "stale position");
+            col.remove(pos as usize);
+            if (pos as usize) < col.len() {
+                self.repair_column(site, ss, pos as usize, false);
             }
             if self.site_txns[ss as usize].is_empty() {
                 self.sites.release(&site);
@@ -242,34 +251,54 @@ impl DenseTsgd {
         ) else {
             return;
         };
-        // The mirror stores the after-txn's *column position*; both debug
-        // asserts above passed, so the column contains it.
-        let Ok(apos) = self.site_txns[ss as usize].binary_search_by_key(&dep.after, |e| e.0) else {
-            return;
-        };
-        let row = &mut self.deps_in[asl as usize];
-        let pos = match row.binary_search_by_key(&ss, |e| e.0) {
-            Ok(p) => p,
-            Err(p) => {
-                row.insert(p, (ss, DenseBitSet::new()));
-                p
-            }
-        };
-        if row[pos].1.insert(bs) {
-            self.incoming[asl as usize] += 1;
-            self.dep_count += 1;
-            let orow = &mut self.deps_out[bs as usize];
-            match orow.binary_search_by_key(&ss, |e| e.0) {
-                Ok(p) => {
-                    orow[p].1.insert(apos as u32);
-                }
-                Err(p) => {
-                    let mut bits = DenseBitSet::new();
-                    bits.insert(apos as u32);
-                    orow.insert(p, (ss, bits));
-                }
-            }
+        // The mirror stores the after-txn's *column position*, which its
+        // row records.
+        if let Some(apos) = self.pos_at(asl, ss) {
+            self.add_dep_slots(ss, bs, asl, apos);
         }
+    }
+
+    /// [`DenseTsgd::add_dep`] for callers already in slot space: the
+    /// dependency `before → after` at site slot `ss`, where `apos` is
+    /// `after`'s position in that site's column (enumerating the column
+    /// yields it).
+    pub(crate) fn add_dep_slots(&mut self, ss: u32, before: u32, after: u32, apos: u32) {
+        debug_assert_eq!(self.pos_at(after, ss), Some(apos), "stale position");
+        debug_assert!(self.pos_at(before, ss).is_some(), "dep on missing edge");
+        if Self::bits_at(&mut self.deps_in[after as usize], ss).insert(before) {
+            self.incoming[after as usize] += 1;
+            self.dep_count += 1;
+            Self::bits_at(&mut self.deps_out[before as usize], ss).insert(apos);
+        }
+    }
+
+    /// The bitset of site slot `ss` in a dependency row, added if absent.
+    fn bits_at(row: &mut Vec<(u32, DenseBitSet)>, ss: u32) -> &mut DenseBitSet {
+        let p = row.binary_search_by_key(&ss, |e| e.0).unwrap_or_else(|p| {
+            row.insert(p, (ss, DenseBitSet::new()));
+            p
+        });
+        &mut row[p].1
+    }
+
+    /// Fold in the Δ the last [`eliminate_cycles_dense_with`] call left in
+    /// `scratch` (the TSGD must not have changed since that call).
+    pub fn add_delta(&mut self, scratch: &EliminateScratch) {
+        for &(ss, before, gpos) in &scratch.delta {
+            self.add_dep_slots(ss, before, scratch.gslot, gpos);
+        }
+    }
+
+    /// That Δ as paper-level [`Dep`]s (test/inspection only).
+    pub fn delta_set(&self, scratch: &EliminateScratch) -> BTreeSet<Dep> {
+        let resolve = |&(ss, before, _): &(u32, u32, u32)| {
+            Some(Dep {
+                site: self.sites.key_of(ss)?,
+                before: self.txns.key_of(before)?,
+                after: self.txns.key_of(scratch.gslot)?,
+            })
+        };
+        scratch.delta.iter().filter_map(resolve).collect()
     }
 
     /// True iff the dependency is present.
@@ -354,9 +383,10 @@ impl DenseTsgd {
         self.sites.key_of(slot)
     }
 
-    /// Edges of the transaction in `slot`, sorted by site id.
+    /// Edges of the transaction in `slot` as `(site id, site slot, column
+    /// position)`, sorted by site id.
     #[inline]
-    pub fn sites_row(&self, slot: u32) -> &[(SiteId, u32)] {
+    pub fn sites_row(&self, slot: u32) -> &[(SiteId, u32, u32)] {
         self.txn_sites
             .get(slot as usize)
             .map_or(&[][..], |v| v.as_slice())
@@ -465,6 +495,26 @@ impl DenseTsgd {
         out
     }
 
+    /// True iff every stored column position is right: each row entry
+    /// `(site, ss, pos)` of a live transaction finds that transaction at
+    /// `pos` in column `ss`, and rows and columns hold the same edges.
+    /// Test/validation grade.
+    pub fn positions_consistent(&self) -> bool {
+        let mut edges = 0;
+        for (txn, ts) in self.txns.iter_sorted() {
+            for &(site, ss, pos) in self.sites_row(ts) {
+                edges += 1;
+                if self.sites.key_of(ss) != Some(site)
+                    || self.txns_col(ss).get(pos as usize) != Some(&(txn, ts))
+                {
+                    return false;
+                }
+            }
+        }
+        let in_columns = |(_, ss)| self.txns_col(ss).len();
+        edges == self.sites.iter_sorted().map(in_columns).sum::<usize>()
+    }
+
     /// Checked-decrement failures observed so far (see
     /// [`DenseTsgd::remove_txn`]).
     #[inline]
@@ -535,7 +585,7 @@ impl DenseTsgd {
         seen_sites: &mut BTreeSet<u32>,
         depth: usize,
     ) -> bool {
-        for &(_, site) in self.sites_row(at) {
+        for &(_, site, _) in self.sites_row(at) {
             if seen_sites.contains(&site) {
                 continue;
             }
@@ -577,20 +627,26 @@ impl DenseTsgd {
     }
 }
 
-/// Per-visit scan position for one `(node, arrival-site)` state of the
-/// Figure 4 traversal: the next candidate to examine and the abstract ticks
-/// already charged for the (permanently skipped) prefix before it.
+/// "No column position" / "no arrival site" sentinel.
+const NONE: u32 = u32::MAX;
+
+/// One entry of the Figure 4 traversal path: the node, the site it was
+/// reached through (`NONE` for `G_i`, the root), and its scan cursor — the
+/// next candidate to examine and the abstract ticks already charged for the
+/// (permanently skipped) prefix before it.
 #[derive(Clone, Copy, Debug, Default)]
-struct ScanCursor {
+struct Frame {
+    v: u32,
+    arrived: u32,
     site_idx: u32,
     txn_idx: u32,
     charged: u64,
 }
 
 /// Reusable scratch for [`eliminate_cycles_dense_with`]: the traversal's
-/// `used`/Δ sets, parent stacks, and scan cursors, all slot-indexed and
-/// epoch-stamped so a new call costs O(1) to "clear" and the hot loop
-/// allocates nothing after warm-up.
+/// `used`/Δ sets (slot-indexed and epoch-stamped, so a new call costs O(1)
+/// to "clear"), its path, and the Δ it found. The hot loop allocates
+/// nothing after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct EliminateScratch {
     epoch: u64,
@@ -600,12 +656,16 @@ pub struct EliminateScratch {
     used: Vec<(u64, DenseBitSet)>,
     /// Site slot → `before` slots with a Δ-dependency into `gi`.
     delta_sites: Vec<(u64, DenseBitSet)>,
-    /// Txn slot → arrival-site stack (reference `s_par`, back = newest).
-    s_par: Vec<(u64, Vec<u32>)>,
-    /// Txn slot → parent-txn stack (reference `t_par`, back = newest).
-    t_par: Vec<(u64, Vec<u32>)>,
-    /// Txn slot → cursors keyed by arrival site (`u32::MAX` = none).
-    cursors: Vec<(u64, Vec<(u32, ScanCursor)>)>,
+    /// Site slot → `gi`'s column position there (`NONE` where `gi` has no
+    /// edge): set from `gi`'s row when a call starts, reset when it ends.
+    gpos: Vec<u32>,
+    /// The traversal path, root first; the node being scanned is the top.
+    path: Vec<Frame>,
+    /// `gi`'s slot in the last call, and the Δ that call found as `(site
+    /// slot, before slot, gi's column position)` — unique by construction,
+    /// since `delta_sites` blocks a repeat.
+    gslot: u32,
+    delta: Vec<(u32, u32, u32)>,
 }
 
 impl EliminateScratch {
@@ -614,16 +674,12 @@ impl EliminateScratch {
         Self::default()
     }
 
-    fn begin(&mut self, txn_cap: usize, site_cap: usize) {
+    fn begin(&mut self, site_cap: usize) {
         self.epoch += 1;
         if self.used.len() < site_cap {
             self.used.resize_with(site_cap, Default::default);
             self.delta_sites.resize_with(site_cap, Default::default);
-        }
-        if self.s_par.len() < txn_cap {
-            self.s_par.resize_with(txn_cap, Default::default);
-            self.t_par.resize_with(txn_cap, Default::default);
-            self.cursors.resize_with(txn_cap, Default::default);
+            self.gpos.resize(site_cap, NONE);
         }
     }
 }
@@ -641,86 +697,66 @@ fn stamp_bitset(vec: &mut [(u64, DenseBitSet)], idx: u32, epoch: u64) -> &mut De
 
 // mdbs-lint: allow(no-panic-in-scheduler, scope=item) — callers index with slots below the capacities EliminateScratch::begin sized the rows to.
 #[inline]
-fn stamp_list(vec: &mut [(u64, Vec<u32>)], idx: u32, epoch: u64) -> &mut Vec<u32> {
-    let e = &mut vec[idx as usize];
-    if e.0 != epoch {
-        e.0 = epoch;
-        e.1.clear();
-    }
-    &mut e.1
-}
-
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — callers index with slots below the capacities EliminateScratch::begin sized the rows to.
-#[inline]
 fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bool {
     let e = &vec[idx as usize];
     e.0 == epoch && e.1.contains(bit)
 }
 
-/// Cursor-amortized Figure 4 (`Eliminate_Cycles`) over the dense storage:
-/// same Δ and **identical step charges** as the reference
+/// Figure 4 (`Eliminate_Cycles`) over the dense storage: same Δ and
+/// **identical step charges** as the reference
 /// [`crate::tsgd::eliminate_cycles`] — adjacency vectors are id-sorted, so
-/// the traversal examines candidate edges in the reference order — but the
-/// *machine* cost of a revisit is O(1) instead of a rescan.
+/// the traversal examines candidate edges in the reference order — but a
+/// revisit costs O(1) machine work instead of a rescan. Δ is left in
+/// `scratch` in slot space: [`DenseTsgd::add_delta`] folds it in,
+/// [`DenseTsgd::delta_set`] resolves it to [`Dep`]s.
 ///
 /// Within one call every skip condition of the candidate scan is monotone —
 /// `ws == v` is fixed, `used` and the Δ set only grow, and the dependency
 /// set cannot change through the shared borrow — and a chosen candidate
 /// becomes skippable immediately after its choice (it enters `used`, or the
-/// Δ set when `ws = gi`). So when the walk re-enters a `(node,
-/// arrival-site)` state, the reference scan would re-examine a prefix of
-/// permanently skipped candidates, charging one tick each and skipping the
-/// arrival-site column without ticks: a per-state [`ScanCursor`] replays
-/// that prefix as a single `bump(charged)` and resumes the scan at the
-/// first never-examined candidate. Totals stay bit-for-bit equal while the
-/// machine work collapses to the number of *distinct* candidate
-/// examinations.
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and scratch rows are sized from the TSGD capacities in begin(); kernel_equivalence pins parity against the reference Tsgd.
+/// Δ set when `ws = gi`). So when the walk comes back to a frame, the
+/// reference scan would re-examine a prefix of permanently skipped
+/// candidates, charging one tick each and skipping the arrival-site column
+/// without ticks: the frame replays that prefix as a single `bump(charged)`
+/// and resumes the scan at the first never-examined candidate. The frame
+/// *is* the state's only cursor, by the once-per-state invariant in the
+/// module docs. Totals stay bit-for-bit equal while the machine work
+/// collapses to the number of *distinct* candidate examinations.
+// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner, scratch rows are sized from the TSGD capacities in begin(), and the path holds the root frame until the loop breaks; kernel_equivalence pins parity against the reference Tsgd.
 pub fn eliminate_cycles_dense_with(
     tsgd: &DenseTsgd,
     gi: GlobalTxnId,
     steps: &mut StepCounter,
     scratch: &mut EliminateScratch,
-) -> BTreeSet<Dep> {
-    let mut delta: BTreeSet<Dep> = BTreeSet::new();
+) {
+    scratch.delta.clear();
     let Some(gslot) = tsgd.txn_slot(gi) else {
         // Reference behaviour for an absent gi: one outer tick, empty Δ.
         steps.tick(StepKind::Act);
-        return delta;
+        return;
     };
-    scratch.begin(tsgd.txn_capacity(), tsgd.site_capacity());
+    scratch.begin(tsgd.site_capacity());
     let epoch = scratch.epoch;
-    let mut v = gslot;
+    scratch.gslot = gslot;
+    for &(_, ss, pos) in tsgd.sites_row(gslot) {
+        scratch.gpos[ss as usize] = pos;
+    }
+    scratch.path.clear();
+    scratch.path.push(Frame {
+        v: gslot,
+        arrived: NONE,
+        ..Frame::default()
+    });
 
     loop {
         steps.tick(StepKind::Act);
-        // Most recent arrival site of `v` (`u32::MAX` when none) — the
-        // reference's `s_par.get(&v).first()`.
-        let arrived = match scratch.s_par.get(v as usize) {
-            Some((e, list)) if *e == epoch => list.last().copied().unwrap_or(u32::MAX),
-            _ => u32::MAX,
-        };
-        let cur_idx;
-        let mut cur;
-        {
-            let ent = &mut scratch.cursors[v as usize];
-            if ent.0 != epoch {
-                ent.0 = epoch;
-                ent.1.clear();
-            }
-            cur_idx = match ent.1.iter().position(|c| c.0 == arrived) {
-                Some(i) => i,
-                None => {
-                    ent.1.push((arrived, ScanCursor::default()));
-                    ent.1.len() - 1
-                }
-            };
-            cur = ent.1[cur_idx].1;
-        }
+        let top = scratch.path.len() - 1;
+        let cur = scratch.path[top];
+        // `arrived` is the reference's `head(s_par(v))`.
+        let (v, arrived) = (cur.v, cur.arrived);
         // Replay the permanently-skipped prefix in O(1).
         steps.bump(StepKind::Act, cur.charged);
         let row = tsgd.sites_row(v);
-        let v_id = tsgd.txn_at_slot(v).expect("live txn slot");
         let mut si = cur.site_idx as usize;
         let mut ti = cur.txn_idx as usize;
         let mut chosen: Option<(u32, u32, u32)> = None;
@@ -733,7 +769,7 @@ pub fn eliminate_cycles_dense_with(
         // column scan is a word-parallel find-first-clear over the OR of
         // the skip masks, with ticks recovered from position arithmetic.
         'search: while si < row.len() {
-            let us = row[si].1;
+            let (_, us, posv) = row[si];
             if us == arrived {
                 si += 1;
                 ti = 0;
@@ -751,13 +787,11 @@ pub fn eliminate_cycles_dense_with(
                 (e, b) if *e == epoch => b.as_words(),
                 _ => &[][..],
             };
-            // `v` is always a member of its own site's column; a failed
-            // lookup leaves the bit unset, matching the reference (which
-            // would then simply never see `ws == v`).
-            let posv = col
-                .binary_search_by_key(&v_id, |e| e.0)
-                .unwrap_or(usize::MAX);
-            let gpos = col.binary_search_by_key(&gi, |e| e.0).ok();
+            // `v`'s own position comes from its row; `gi`'s from the
+            // per-call table (a site `gi` is not at has none).
+            let posv = posv as usize;
+            let gpos = scratch.gpos[us as usize];
+            let gpos = (gpos != NONE).then_some(gpos as usize);
             let delta_blocked = gpos.is_some() && stamped_bit(&scratch.delta_sites, us, v, epoch);
             let first_w = ti / 64;
             let last_w = (col_len - 1) / 64;
@@ -806,45 +840,34 @@ pub fn eliminate_cycles_dense_with(
             }
         }
         steps.bump(StepKind::Act, seen);
-        cur.charged += seen;
-        cur.site_idx = si as u32;
-        cur.txn_idx = ti as u32;
-        scratch.cursors[v as usize].1[cur_idx].1 = cur;
+        let cur = &mut scratch.path[top];
+        (cur.site_idx, cur.txn_idx, cur.charged) = (si as u32, ti as u32, cur.charged + seen);
         match chosen {
             Some((us, q, ws)) => {
-                stamp_bitset(&mut scratch.used, us, epoch).insert(q);
+                let fresh = stamp_bitset(&mut scratch.used, us, epoch).insert(q);
                 if ws == gslot {
+                    // Cycle found: pin `v` before `gi` at `us`; `q` is
+                    // `gi`'s position in that column.
                     stamp_bitset(&mut scratch.delta_sites, us, epoch).insert(v);
-                    // mdbs-lint: allow(no-panic-in-scheduler) — slots on the current traversal path are live by construction.
-                    let site = tsgd.site_at_slot(us).expect("live site slot");
-                    // mdbs-lint: allow(no-panic-in-scheduler) — v is a live node on the traversal path.
-                    let before = tsgd.txn_at_slot(v).expect("live txn slot");
-                    delta.insert(Dep {
-                        site,
-                        before,
-                        after: gi,
-                    });
+                    scratch.delta.push((us, v, q));
                 } else {
-                    stamp_list(&mut scratch.s_par, ws, epoch).push(us);
-                    stamp_list(&mut scratch.t_par, ws, epoch).push(v);
-                    v = ws;
+                    debug_assert!(fresh, "state (site {us}, node {ws}) entered twice");
+                    scratch.path.push(Frame {
+                        v: ws,
+                        arrived: us,
+                        ..Frame::default()
+                    });
                 }
             }
+            None if top == 0 => break,
             None => {
-                if v == gslot {
-                    break;
-                }
-                let temp = stamp_list(&mut scratch.t_par, v, epoch)
-                    .pop()
-                    .expect("visited node has parents");
-                stamp_list(&mut scratch.s_par, v, epoch)
-                    .pop()
-                    .expect("parents in sync");
-                v = temp;
+                scratch.path.pop();
             }
         }
     }
-    delta
+    for &(_, ss, _) in tsgd.sites_row(gslot) {
+        scratch.gpos[ss as usize] = NONE;
+    }
 }
 
 #[cfg(test)]
@@ -930,12 +953,9 @@ mod tests {
         let mut steps_ref = StepCounter::new();
         let mut steps_dense = StepCounter::new();
         let delta_ref = eliminate_cycles(&reference, g(5), &mut steps_ref);
-        let delta_dense = eliminate_cycles_dense_with(
-            &dense,
-            g(5),
-            &mut steps_dense,
-            &mut EliminateScratch::new(),
-        );
+        let mut scratch = EliminateScratch::new();
+        eliminate_cycles_dense_with(&dense, g(5), &mut steps_dense, &mut scratch);
+        let delta_dense = dense.delta_set(&scratch);
         assert_eq!(delta_ref, delta_dense);
         assert_eq!(steps_ref, steps_dense);
         assert!(!reference.has_cycle_involving(g(5), &delta_ref));
@@ -947,7 +967,8 @@ mod tests {
         let dense = DenseTsgd::new();
         let mut steps = StepCounter::new();
         let mut scratch = EliminateScratch::new();
-        assert!(eliminate_cycles_dense_with(&dense, g(9), &mut steps, &mut scratch).is_empty());
+        eliminate_cycles_dense_with(&dense, g(9), &mut steps, &mut scratch);
+        assert!(dense.delta_set(&scratch).is_empty());
         assert_eq!(steps.act, 1);
     }
 
@@ -1007,14 +1028,16 @@ mod tests {
             let mut steps_ref = StepCounter::new();
             let mut steps_cur = StepCounter::new();
             let delta_ref = eliminate_cycles(&reference, g(target), &mut steps_ref);
-            let delta_cur =
-                eliminate_cycles_dense_with(&dense, g(target), &mut steps_cur, &mut scratch);
+            eliminate_cycles_dense_with(&dense, g(target), &mut steps_cur, &mut scratch);
+            let delta_cur = dense.delta_set(&scratch);
             assert_eq!(delta_ref, delta_cur, "Δ diverged for G{target}");
             assert_eq!(steps_ref, steps_cur, "steps diverged for G{target}");
         }
-        // Absent-txn path: one outer tick, like the reference.
+        // Absent-txn path: one outer tick, like the reference, and the
+        // previous call's Δ is gone.
         let mut steps = StepCounter::new();
-        assert!(eliminate_cycles_dense_with(&dense, g(9), &mut steps, &mut scratch).is_empty());
+        eliminate_cycles_dense_with(&dense, g(9), &mut steps, &mut scratch);
+        assert!(dense.delta_set(&scratch).is_empty());
         assert_eq!(steps.act, 1);
     }
 

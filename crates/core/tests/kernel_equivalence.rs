@@ -19,6 +19,7 @@
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
+use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::replay::{
@@ -30,6 +31,7 @@ use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
 use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
 
 /// Strategy: a valid random script described by (n, m, dav, seed).
@@ -316,8 +318,8 @@ proptest! {
         let mut scratch = EliminateScratch::new();
         for _round in 0..2 {
             let mut steps_cursor = StepCounter::new();
-            let delta_cursor =
-                eliminate_cycles_dense_with(&dense, fresh, &mut steps_cursor, &mut scratch);
+            eliminate_cycles_dense_with(&dense, fresh, &mut steps_cursor, &mut scratch);
+            let delta_cursor = dense.delta_set(&scratch);
             prop_assert_eq!(&delta_ref, &delta_cursor, "cursor Δ diverged");
             prop_assert_eq!(steps_ref, steps_cursor, "cursor EC step charges diverged");
         }
@@ -364,26 +366,34 @@ proptest! {
     /// Adversarial add/remove-dep interleaving straight against the TSGD
     /// structures: inserts, deliberate dependency cycles (both directions of
     /// shared-site pairs), fin-style removals that release and recycle site
-    /// slots, and Eliminate_Cycles rounds whose Δ is folded back in. After
-    /// every removal and at the end, `deps_acyclic` must give the verdict
+    /// slots, and Eliminate_Cycles rounds whose Δ is folded back in (in slot
+    /// space on the dense side). New ids come from a shuffled pool, so
+    /// inserts land mid-column and removals close holes below live members:
+    /// after every op each stored column position must index its own
+    /// transaction and the dependency sets must be equal. After every
+    /// removal and at the end, `deps_acyclic` must give the verdict
     /// `DiGraph::find_cycle` (a DFS — `deps_acyclic` and `has_cycle` share
     /// one topological sort) gives on the reference dependency digraph.
     #[test]
     fn adversarial_dep_interleaving_matches_reference(
         ops in prop::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u8>()), 1..80),
+        shuffle_seed in any::<u64>(),
     ) {
         let mut reference = Tsgd::new();
         let mut dense = DenseTsgd::new();
         let mut scratch = EliminateScratch::new();
         let mut live: Vec<GlobalTxnId> = Vec::new();
-        let mut next_id = 1u64;
+        let mut pool: Vec<u64> = (1..=80).collect();
+        pool.shuffle(&mut derive_rng(shuffle_seed, "id-pool"));
         for (op, a, b, c) in ops {
             match op {
                 0 => {
-                    let txn = GlobalTxnId(next_id);
-                    next_id += 1;
+                    let Some(id) = pool.pop() else {
+                        continue;
+                    };
+                    let txn = GlobalTxnId(id);
                     let sites: Vec<SiteId> = (0..4u32)
-                        .filter(|bit| (a | 1 << (next_id % 4)) & (1 << bit) != 0)
+                        .filter(|bit| (a | 1 << (id % 4)) & (1 << bit) != 0)
                         .map(SiteId)
                         .collect();
                     reference.insert_txn(txn, &sites);
@@ -435,21 +445,21 @@ proptest! {
                     let mut steps_ref = StepCounter::new();
                     let mut steps_cursor = StepCounter::new();
                     let delta_ref = eliminate_cycles(&reference, target, &mut steps_ref);
-                    let delta_cursor = eliminate_cycles_dense_with(
-                        &dense, target, &mut steps_cursor, &mut scratch,
-                    );
+                    eliminate_cycles_dense_with(&dense, target, &mut steps_cursor, &mut scratch);
+                    let delta_cursor = dense.delta_set(&scratch);
                     prop_assert_eq!(&delta_ref, &delta_cursor, "Δ diverged at {}", target);
                     prop_assert_eq!(steps_ref, steps_cursor, "EC steps diverged at {}", target);
                     for dep in delta_ref {
                         reference.add_dep(dep);
-                        dense.add_dep(dep);
                     }
+                    dense.add_delta(&scratch);
                 }
             }
             prop_assert_eq!(dense.desync_count(), 0);
+            prop_assert!(dense.positions_consistent(), "a stored column position went stale");
+            let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
+            prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
         }
-        let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
-        prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
         prop_assert_eq!(
             dense.deps_acyclic(), dep_digraph(&reference).find_cycle().is_none(),
             "final acyclicity verdict diverged"
