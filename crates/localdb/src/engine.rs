@@ -220,6 +220,12 @@ impl LocalDbms {
         &self.history
     }
 
+    /// Give up the recorded local schedule, leaving an empty one: for a
+    /// site that is shutting down and hands its history to an auditor.
+    pub fn take_history(&mut self) -> History {
+        std::mem::take(&mut self.history)
+    }
+
     /// Current storage contents.
     pub fn storage(&self) -> &Storage {
         &self.storage

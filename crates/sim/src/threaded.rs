@@ -13,9 +13,16 @@
 //! each poll drains its command mailbox with `try_recv`, expires blocked
 //! operations, and returns `Pending`. The coordinator wakes a site's task
 //! after every send, and ticks all tasks every 2 ms so expiry keeps
-//! running while traffic is quiet. OS threads are capped at
-//! `min(sites, available_parallelism)` — many sites multiplex onto few
+//! running while traffic is quiet. The coordinator is a busy thread and
+//! counts as a core: the pool gets `min(sites, cores − 1)` workers (at
+//! least one, `site_pool_workers`) — many sites multiplex onto few
 //! workers instead of oversubscribing the machine.
+//!
+//! Neither side sleeps between messages. The journey of a transaction is
+//! a dozen coordinator ↔ site hops microseconds apart, so a coordinator
+//! that finds its channel empty polls it for `SPIN_POLLS` rounds before
+//! it blocks in `recv_timeout`, as an idle pool worker polls its deques
+//! before it parks (`mdbs_common::pool`, "Spin before park").
 //!
 //! GTM2 is the paper's single sequential process (Figures 2–3): the
 //! coordinator owns one plain [`Gtm2`] — no lock, nothing shared — and is
@@ -47,6 +54,23 @@ use mdbs_schedule::History;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
+
+/// How many times the coordinator re-polls an empty reply channel before
+/// it blocks in `recv_timeout`. The pool's rule and the pool's number
+/// (`mdbs_common::pool`, "Spin before park"; the sweep in DESIGN §10 moved
+/// both together): spin about as long as a park/unpark pair costs, ≈ 10 µs
+/// on the reference VM — a `try_recv` of an empty channel is ≈ 30 ns —
+/// against a futex wait here plus a futex wake in whichever site task
+/// sends next. Not used on a single-core machine, where the spin would
+/// only delay the site task the reply has to come from.
+const SPIN_POLLS: u32 = 200;
+
+/// Pool workers for `sites` site tasks on a machine with `cores` cores:
+/// one per site, but leave a core to the coordinator thread, and never
+/// fewer than one.
+fn site_pool_workers(sites: usize, cores: usize) -> usize {
+    sites.min(cores.saturating_sub(1)).max(1)
+}
 
 /// Message from coordinator to a site thread.
 enum ToSite {
@@ -158,7 +182,7 @@ impl SiteWorker {
     fn finish(&mut self) {
         let msg = FromSite::Final {
             site: self.site,
-            history: self.server.db.history().clone(),
+            history: self.server.db.take_history(),
             committed_values: self.server.db.storage().iter().collect(),
             stats: self.server.db.stats(),
             send_dropped: self.send_dropped,
@@ -167,6 +191,11 @@ impl SiteWorker {
     }
 
     fn expire_blocked(&mut self) {
+        // Nothing blocked means nothing to expire and — `execute` drains
+        // what it causes — no completion waiting in the engine either.
+        if self.blocked_since.is_empty() {
+            return;
+        }
         let now = Instant::now();
         let expired: Vec<GlobalTxnId> = self
             .blocked_since
@@ -296,14 +325,11 @@ impl ThreadedMdbs {
         };
 
         let (to_coord, from_sites) = bounded::<FromSite>(1024);
-        let nsites = self.protocols.len().max(1);
         // Task-per-site on a bounded worker pool: many sites multiplex
-        // onto at most `available_parallelism` OS threads.
-        let pool_workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(nsites);
-        let pool = Pool::new(pool_workers);
+        // onto the cores the coordinator leaves free.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = Pool::new(site_pool_workers(self.protocols.len(), cores));
+        let spin_polls = if cores > 1 { SPIN_POLLS } else { 0 };
         let mut site_txs: Vec<Sender<ToSite>> = Vec::new();
         let mut handles: Vec<TaskHandle> = Vec::new();
         for (i, &protocol) in self.protocols.iter().enumerate() {
@@ -346,7 +372,10 @@ impl ThreadedMdbs {
             pending_events.push_back(Gtm1Event::Submit(queue.pop_front().expect("nonempty")));
         }
 
-        let mut last_progress = Instant::now();
+        // Wedge check: messages arrived so far, and how many had arrived —
+        // and when — the last time a 2 ms tick saw that count move.
+        let mut arrived = 0u64;
+        let mut last_progress = (arrived, Instant::now());
         while done < total {
             // Process whatever GTM work is pending.
             while let Some(ev) = pending_events.pop_front() {
@@ -383,24 +412,40 @@ impl ThreadedMdbs {
             if done >= total {
                 break;
             }
-            // Wait for site replies, ticking all site tasks every 2 ms so
-            // block-timeout expiry keeps running while traffic is quiet.
-            match from_sites.recv_timeout(Duration::from_millis(2)) {
+            // Wait for site replies: poll briefly, then block, ticking all
+            // site tasks every 2 ms so block-timeout expiry keeps running
+            // while traffic is quiet.
+            let reply = 'poll: {
+                for _ in 0..spin_polls {
+                    match from_sites.try_recv() {
+                        Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                        Ok(msg) => break 'poll Ok(msg),
+                        Err(TryRecvError::Disconnected) => {
+                            break 'poll Err(RecvTimeoutError::Disconnected)
+                        }
+                    }
+                }
+                from_sites.recv_timeout(Duration::from_millis(2))
+            };
+            match reply {
                 Ok(FromSite::Gtm1(event)) => {
                     pending_events.push_back(event);
-                    last_progress = Instant::now();
+                    arrived += 1;
                 }
                 Ok(FromSite::Ack { txn, site }) => {
                     schedule(&mut gtm2, QueueOp::Ack { txn, site }, &mut pending_events);
-                    last_progress = Instant::now();
+                    arrived += 1;
                 }
                 Ok(FromSite::Final { .. }) => {}
                 Err(RecvTimeoutError::Timeout) => {
                     for h in &handles {
                         h.wake();
                     }
+                    if last_progress.0 != arrived {
+                        last_progress = (arrived, Instant::now());
+                    }
                     assert!(
-                        last_progress.elapsed() < Duration::from_secs(10),
+                        last_progress.1.elapsed() < Duration::from_secs(10),
                         "threaded MDBS wedged: {done}/{total} complete"
                     );
                 }
@@ -484,6 +529,16 @@ mod tests {
             seed,
         };
         Workload::generate(&spec).globals
+    }
+
+    /// The coordinator counts as a core, and a pool is never empty.
+    #[test]
+    fn pool_leaves_a_core_to_the_coordinator() {
+        assert_eq!(site_pool_workers(4, 2), 1);
+        assert_eq!(site_pool_workers(4, 1), 1);
+        assert_eq!(site_pool_workers(4, 8), 4);
+        assert_eq!(site_pool_workers(1, 8), 1);
+        assert_eq!(site_pool_workers(0, 2), 1);
     }
 
     /// Reproducer: this used to panic indexing `site_txs` with a site the
