@@ -31,9 +31,11 @@
 //!   them: an append to a delete queue cannot enable another
 //!   transaction's fin. Counted by `gtm2.wake_elided`; the reference
 //!   kernel runs the re-tests, which is what proves the charge equal.
-//! - Scheme 2 runs `Eliminate_Cycles` over [`DenseTsgd`]'s stored column
-//!   positions and column-position dependency mirror, and adds Δ and its
-//!   `act` dependency fans in slot space.
+//! - Scheme 2 keeps one record per TSG edge ([`DenseTsgd`]): its column
+//!   position, both halves of its dependencies, and whether it has run and
+//!   been acked. `Eliminate_Cycles` reads a column's blocked set and the
+//!   position to skip off the edge it stands on, and Δ and the `act`
+//!   dependency fans are added in slot space.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -598,27 +600,24 @@ impl Gtm2Scheme for Scheme1Dense {
 // ---------------------------------------------------------------------------
 
 /// Scheme 2 on the slot-indexed [`DenseTsgd`]: `cond(ser)` reads the
-/// per-`(txn, site)` predecessor bitset (no dependency-list scan), and
-/// `executed`/`acked` are bitsets over site slots.
+/// predecessor bitset of one TSG edge (no dependency-list scan), and
+/// whether `act(ser)` ran and whether the ack came are two flags on that
+/// edge (`ran`, `acked`).
 ///
 /// The `fb_*` fallbacks hold `(txn, site)` pairs recorded when no TSG edge
-/// pins the slots (protocol-violating inputs only — an `ack`/`ser` for a
-/// transaction or site the TSGD does not know). The reference remembers
-/// such pairs by id forever; storing them as bits would dangle once the
-/// slot recycles, so they live in a plain set (never touched on valid
-/// runs).
+/// exists to carry the flag (protocol-violating inputs only — an
+/// `ack`/`ser` for a transaction or site the TSGD does not know). The
+/// reference remembers such pairs by id forever; an edge vanishes at `fin`
+/// and its slots recycle, so they live in a plain set (never touched on
+/// valid runs).
 #[derive(Clone, Debug, Default)]
 pub struct Scheme2Dense {
     tsgd: DenseTsgd,
-    /// Txn slot → site slots whose `act(ser)` has run.
-    executed: Vec<DenseBitSet>,
-    /// Txn slot → site slots whose ack has been processed.
-    acked: Vec<DenseBitSet>,
     fb_executed: BTreeSet<(GlobalTxnId, SiteId)>,
     fb_acked: BTreeSet<(GlobalTxnId, SiteId)>,
-    /// Scratch for two-phase collect-then-mutate loops: `(txn slot, column
-    /// position)` of the column members a dependency fan picked.
-    scratch: Vec<(u32, u32)>,
+    /// Scratch for two-phase collect-then-mutate loops: the txn slots of
+    /// the column members a dependency fan picked.
+    scratch: Vec<u32>,
     /// Reusable traversal state (and the Δ) of `Eliminate_Cycles`.
     elim: EliminateScratch,
 }
@@ -629,24 +628,23 @@ impl Scheme2Dense {
         Self::default()
     }
 
-    fn ensure_rows(&mut self) {
-        let cap = self.tsgd.txn_capacity();
-        if self.executed.len() < cap {
-            self.executed.resize_with(cap, DenseBitSet::new);
-            self.acked.resize_with(cap, DenseBitSet::new);
-        }
+    /// Has `act(ser)` run for column member `(j, js)` at `site`?
+    fn ran_at(&self, (j, js): (GlobalTxnId, u32), site: SiteId) -> bool {
+        self.tsgd.edge(js, site).is_some_and(|e| e.ran)
+            || (!self.fb_executed.is_empty() && self.fb_executed.contains(&(j, site)))
     }
 
-    /// Has `act(ser)` run for column member `(j, js)` at `site` (slot `ss`)?
-    fn ran_at(&self, (j, js): (GlobalTxnId, u32), site: SiteId, ss: u32) -> bool {
-        self.executed
-            .get(js as usize)
-            .is_some_and(|e| e.contains(ss))
-            || (!self.fb_executed.is_empty() && self.fb_executed.contains(&(j, site)))
+    /// Has the ack of the transaction in slot `ts` at `site` been processed?
+    fn acked_at(&self, ts: u32, site: SiteId) -> bool {
+        self.tsgd.edge(ts, site).is_some_and(|e| e.acked)
+            || (!self.fb_acked.is_empty()
+                && self
+                    .tsgd
+                    .txn_at_slot(ts)
+                    .is_some_and(|j| self.fb_acked.contains(&(j, site))))
     }
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
 impl Gtm2Scheme for Scheme2Dense {
     fn name(&self) -> &'static str {
         "Scheme 2"
@@ -655,25 +653,16 @@ impl Gtm2Scheme for Scheme2Dense {
     fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
         steps.tick(StepKind::Cond);
         match op {
-            QueueOp::Ser { txn, site } => {
-                match (self.tsgd.preds_at(*txn, *site), self.tsgd.site_slot(*site)) {
-                    (Some(preds), Some(ss)) => {
-                        steps.bump(StepKind::Cond, preds.len() as u64 + 1);
-                        preds.iter().all(|p| {
-                            self.acked[p as usize].contains(ss)
-                                || (!self.fb_acked.is_empty()
-                                    && self
-                                        .tsgd
-                                        .txn_at_slot(p)
-                                        .is_some_and(|j| self.fb_acked.contains(&(j, *site))))
-                        })
-                    }
-                    _ => {
-                        steps.bump(StepKind::Cond, 1);
-                        true
-                    }
+            QueueOp::Ser { txn, site } => match self.tsgd.preds_at(*txn, *site) {
+                Some(preds) => {
+                    steps.bump(StepKind::Cond, preds.len() as u64 + 1);
+                    preds.iter().all(|p| self.acked_at(p, *site))
                 }
-            }
+                None => {
+                    steps.bump(StepKind::Cond, 1);
+                    true
+                }
+            },
             QueueOp::Fin { txn } => {
                 steps.bump(StepKind::Cond, self.tsgd.dep_count() as u64);
                 self.tsgd.incoming_deps(*txn) == 0
@@ -686,7 +675,6 @@ impl Gtm2Scheme for Scheme2Dense {
         match op {
             QueueOp::Init { txn, sites } => {
                 let ts = self.tsgd.insert_txn(*txn, sites);
-                self.ensure_rows();
                 steps.bump(StepKind::Act, sites.len() as u64);
                 for &site in sites {
                     let Some(ss) = self.tsgd.site_slot(site) else {
@@ -694,21 +682,16 @@ impl Gtm2Scheme for Scheme2Dense {
                         continue;
                     };
                     // Everyone already executed at `site` precedes `txn`
-                    // there; `txn`'s own position is found on the way.
-                    let mut own = None;
+                    // there.
                     self.scratch.clear();
-                    for (pos, &(j, js)) in self.tsgd.txns_col(ss).iter().enumerate() {
-                        if j == *txn {
-                            own = Some(pos as u32);
-                        } else if self.ran_at((j, js), site, ss) {
-                            self.scratch.push((js, pos as u32));
+                    for &(j, js) in self.tsgd.txns_col(ss) {
+                        if j != *txn && self.ran_at((j, js), site) {
+                            self.scratch.push(js);
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
-                    if let Some(own) = own {
-                        for &(js, _) in &self.scratch {
-                            self.tsgd.add_dep_slots(ss, js, ts, own);
-                        }
+                    for &js in &self.scratch {
+                        self.tsgd.add_dep_slots(site, js, ts);
                     }
                 }
                 eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
@@ -717,27 +700,25 @@ impl Gtm2Scheme for Scheme2Dense {
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
-                let slots = (self.tsgd.txn_slot(*txn), self.tsgd.site_slot(*site));
-                match slots {
-                    (Some(ts), Some(ss)) if self.tsgd.has_edge(*txn, *site) => {
-                        self.executed[ts as usize].insert(ss);
-                    }
-                    _ => {
+                let ts = self.tsgd.txn_slot(*txn);
+                match ts.and_then(|ts| self.tsgd.edge_mut(ts, *site)) {
+                    Some(edge) => edge.ran = true,
+                    None => {
                         self.fb_executed.insert((*txn, *site));
                     }
                 }
-                if let (ts, Some(ss)) = slots {
+                if let Some(ss) = self.tsgd.site_slot(*site) {
                     // `txn` precedes everyone not yet executed at `site`.
                     self.scratch.clear();
-                    for (pos, &(j, js)) in self.tsgd.txns_col(ss).iter().enumerate() {
-                        if j != *txn && !self.ran_at((j, js), *site, ss) {
-                            self.scratch.push((js, pos as u32));
+                    for &(j, js) in self.tsgd.txns_col(ss) {
+                        if j != *txn && !self.ran_at((j, js), *site) {
+                            self.scratch.push(js);
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
                     if let Some(ts) = ts {
-                        for &(js, pos) in &self.scratch {
-                            self.tsgd.add_dep_slots(ss, ts, js, pos);
+                        for &js in &self.scratch {
+                            self.tsgd.add_dep_slots(*site, ts, js);
                         }
                     }
                 } else {
@@ -750,11 +731,10 @@ impl Gtm2Scheme for Scheme2Dense {
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
-                match (self.tsgd.txn_slot(*txn), self.tsgd.site_slot(*site)) {
-                    (Some(ts), Some(ss)) if self.tsgd.has_edge(*txn, *site) => {
-                        self.acked[ts as usize].insert(ss);
-                    }
-                    _ => {
+                let ts = self.tsgd.txn_slot(*txn);
+                match ts.and_then(|ts| self.tsgd.edge_mut(ts, *site)) {
+                    Some(edge) => edge.acked = true,
+                    None => {
                         self.fb_acked.insert((*txn, *site));
                     }
                 }
@@ -764,14 +744,12 @@ impl Gtm2Scheme for Scheme2Dense {
                 }]
             }
             QueueOp::Fin { txn } => {
-                let ts = self.tsgd.txn_slot(*txn);
-                let announced = ts.map_or(0, |t| self.tsgd.sites_row(t).len());
+                let announced = self
+                    .tsgd
+                    .txn_slot(*txn)
+                    .map_or(0, |ts| self.tsgd.row(ts).len());
                 steps.bump(StepKind::Act, announced as u64 + 1);
                 self.tsgd.remove_txn(*txn);
-                if let Some(t) = ts {
-                    self.executed[t as usize].clear();
-                    self.acked[t as usize].clear();
-                }
                 if !self.fb_executed.is_empty() {
                     self.fb_executed.retain(|(t, _)| t != txn);
                 }
@@ -832,8 +810,8 @@ impl Gtm2Scheme for Scheme2Dense {
         );
         assert_eq!(self.tsgd.desync_count(), 0, "checked decrement failed");
         assert!(
-            self.tsgd.positions_consistent(),
-            "a stored column position went stale"
+            self.tsgd.edges_consistent(),
+            "an edge record went stale or lost a dependency's other half"
         );
     }
 }

@@ -205,7 +205,6 @@ impl WaitSet {
         match cands {
             WakeCandidates::None => {}
             WakeCandidates::All => out.extend(self.ops.keys().copied()),
-            WakeCandidates::Keys(keys) => out.extend(keys.iter().copied()),
             WakeCandidates::One(key) => out.push_back(*key),
             WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
                 out.extend(ser_at(*site))
@@ -227,16 +226,13 @@ impl WaitSet {
 /// The symbolic variants (`One`, `SerAt`, `Fins`, …) describe a candidate
 /// set *by predicate* instead of materializing it: the engine expands them
 /// against the WAIT set via [`WaitSet::resolve_into`] into a reused buffer,
-/// so a scheme's `wake_candidates` never allocates on the hot path. `Keys`
-/// remains for schemes with genuinely irregular candidate sets.
+/// so a scheme's `wake_candidates` never allocates on the hot path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WakeCandidates {
     /// Nothing can have changed.
     None,
     /// Re-evaluate every waiting operation (cost: the whole WAIT set).
     All,
-    /// Re-evaluate exactly these.
-    Keys(Vec<WaitKey>),
     /// Re-evaluate exactly this key.
     One(WaitKey),
     /// Every waiting `Ser` at the site.
@@ -486,9 +482,10 @@ impl Gtm2Scheme for FullRescan {
 pub enum KernelKind {
     /// Reference kernels: id-keyed ordered maps/sets. Kept as the oracle.
     BTree,
-    /// Interned-slot + bitset kernels (the default). Scheme 2 runs
-    /// `Eliminate_Cycles` with its scan cursors in the DFS frames, over
-    /// stored column positions.
+    /// Interned-slot + bitset kernels (the default). Scheme 2 keeps one
+    /// record per TSG edge (column position, both halves of its
+    /// dependencies, `ran` / `acked` flags) and runs `Eliminate_Cycles`
+    /// with its scan cursors in the DFS frames.
     Dense,
 }
 

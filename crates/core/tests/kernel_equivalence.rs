@@ -456,7 +456,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(dense.desync_count(), 0);
-            prop_assert!(dense.positions_consistent(), "a stored column position went stale");
+            prop_assert!(dense.edges_consistent(), "an edge record went stale or lost a dependency's other half");
             let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
             prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
         }
