@@ -4,24 +4,88 @@
 //! site identifiers. The reference kernels realise those sets as
 //! `BTreeMap`/`BTreeSet` keyed by the full ids, which makes every `cond`
 //! evaluation a pointer chase and every `act` propagation an allocation.
-//! This module provides the two primitives the dense kernels
-//! (`mdbs-core::kernel_dense`) are built from:
+//! This module provides the primitives the dense kernels
+//! (`mdbs-core::kernel_dense`) and GTM2's WAIT set are built from:
 //!
-//! - [`DenseInterner`] — maps *live* ids to compact `u32` slots, recycling
-//!   slots through a free list when an id is released (at `fin`). Slot
-//!   count therefore tracks the number of *concurrently live* ids, not the
-//!   number ever seen, so bitsets over slots stay small no matter how long
-//!   the run is.
+//! - [`IdHasher`] / [`IdHashMap`] — a fixed multiply-rotate hash over
+//!   internal ids, so an id lookup is one hash probe instead of a B-tree
+//!   descent, and every run lays its tables out the same way.
+//! - [`DenseInterner`] — maps *live* ids to compact `u32` slots through an
+//!   [`IdHashMap`], recycling slots through a free list when an id is
+//!   released (at `fin`). Slot count therefore tracks the number of
+//!   *concurrently live* ids, not the number ever seen, so bitsets over
+//!   slots stay small no matter how long the run is.
 //! - [`DenseBitSet`] — a hand-rolled bitset over `u64` words with a
 //!   maintained cardinality, so `|S|` is O(1), `S ∩ T = ∅` is a word-wise
 //!   AND, and `S ∪= T` is a word-wise OR. The workspace is
 //!   zero-dependency, so this is written by hand rather than pulled in.
 //!
-//! Neither structure counts paper steps: abstract cost accounting stays in
+//! None of these counts paper steps: abstract cost accounting stays in
 //! the schemes (`StepCounter` ticks are placed where the paper's cost model
 //! puts them); these types only change the *machine* cost of each step.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// FxHash-style multiply-rotate hasher for internal ids.
+///
+/// It has no per-process seed, so a map of this type lays out the same way
+/// on every run. It is for internal ids only: it does not resist hash
+/// flooding, so never key it by input an adversary chooses. A map of this
+/// type is never iterated where the order could reach a decision or an
+/// output — callers that need an order sort what they collect.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    /// FxHash's 64-bit multiplier (odd, so a multiply is a bijection).
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+// Each integer write folds in one word, the value zero-extended: what
+// `write` folds for its little-endian bytes, so the integer overrides only
+// skip the byte round-trip.
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `HashMap` keyed by internal ids through [`IdHasher`]: deterministic
+/// layout, one probe per lookup. Construct with `IdHashMap::default()`.
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Interner mapping live keys to compact `u32` slots with free-list
 /// recycling.
@@ -29,27 +93,28 @@ use std::collections::BTreeMap;
 /// Slots are handed out LIFO from the free list so a workload with `k`
 /// concurrently live ids touches only the first ~`k` slots forever.
 #[derive(Clone, Debug)]
-pub struct DenseInterner<K: Ord + Copy> {
+pub struct DenseInterner<K: Ord + Copy + Hash> {
     /// Slot → key for live slots.
     slots: Vec<Option<K>>,
-    /// Key → slot for live keys (sorted by key, so iteration is id-ordered).
-    index: BTreeMap<K, u32>,
+    /// Key → slot for live keys (hashed, so unordered: see
+    /// [`DenseInterner::iter_sorted`]).
+    index: IdHashMap<K, u32>,
     /// Recycled slots, reused LIFO.
     free: Vec<u32>,
 }
 
-impl<K: Ord + Copy> Default for DenseInterner<K> {
+impl<K: Ord + Copy + Hash> Default for DenseInterner<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Copy> DenseInterner<K> {
+impl<K: Ord + Copy + Hash> DenseInterner<K> {
     /// Empty interner.
     pub fn new() -> Self {
         DenseInterner {
             slots: Vec::new(),
-            index: BTreeMap::new(),
+            index: IdHashMap::default(),
             free: Vec::new(),
         }
     }
@@ -118,20 +183,42 @@ impl<K: Ord + Copy> DenseInterner<K> {
         self.index.contains_key(key)
     }
 
-    /// Live `(key, slot)` pairs in **key order** — the same order the
-    /// reference `BTreeMap` kernels iterate in, which matters wherever
-    /// counted steps depend on traversal order.
+    /// Live `(key, slot)` pairs in **key order** — the order the reference
+    /// `BTreeMap` kernels iterate in. Collects and sorts (O(live · log
+    /// live) plus an allocation), so it is for validation and oracle paths
+    /// only (`DenseTsgd::{txns, deps_set, edges_consistent, deps_acyclic}`),
+    /// never a `cond`/`act`.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (K, u32)> + '_ {
-        self.index.iter().map(|(k, s)| (*k, *s))
+        let mut live: Vec<(K, u32)> = self.index.iter().map(|(k, s)| (*k, *s)).collect();
+        live.sort_unstable_by_key(|&(k, _)| k);
+        live.into_iter()
     }
 }
 
 /// Growable bitset over `u64` words with maintained cardinality.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality is set equality: trailing words that are absent count as zero,
+/// so a set that grew and then emptied equals [`DenseBitSet::new`].
+#[derive(Clone, Debug, Default)]
 pub struct DenseBitSet {
     words: Vec<u64>,
     len: usize,
 }
+
+impl PartialEq for DenseBitSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.len == other.len
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for DenseBitSet {}
 
 impl DenseBitSet {
     /// Empty set.
@@ -309,6 +396,7 @@ impl DenseBitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn interner_recycles_slots_lifo() {
@@ -326,6 +414,90 @@ mod tests {
         assert_eq!(it.release(&99), None);
         let sorted: Vec<_> = it.iter_sorted().collect();
         assert_eq!(sorted, vec![(10, 0), (30, 2), (40, 1)], "key order");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any `intern` / `release` churn, the sorted view is
+        /// strictly increasing and agrees with `slot_of` / `key_of`.
+        #[test]
+        fn interner_churn_keeps_sorted_view_and_slots_in_step(
+            ops in prop::collection::vec((any::<bool>(), 0u64..48), 0..300)
+        ) {
+            let mut it: DenseInterner<u64> = DenseInterner::new();
+            for (intern, key) in ops {
+                if intern {
+                    let slot = it.intern(key);
+                    prop_assert_eq!(it.key_of(slot), Some(key));
+                } else {
+                    let had = it.slot_of(&key);
+                    prop_assert_eq!(it.release(&key), had);
+                    prop_assert!(!it.contains(&key));
+                }
+                let sorted: Vec<_> = it.iter_sorted().collect();
+                prop_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0), "not strictly increasing");
+                prop_assert_eq!(sorted.len(), it.live());
+                for &(key, slot) in &sorted {
+                    prop_assert_eq!(it.slot_of(&key), Some(slot));
+                    prop_assert_eq!(it.key_of(slot), Some(key));
+                }
+                let occupied = (0..it.capacity() as u32)
+                    .filter(|&s| it.key_of(s).is_some())
+                    .count();
+                prop_assert_eq!(occupied, it.live(), "a live slot is not listed once");
+            }
+        }
+    }
+
+    #[test]
+    fn id_hasher_is_unseeded() {
+        use std::hash::BuildHasher;
+        let hash = |x: u64| BuildHasherDefault::<IdHasher>::default().hash_one(x);
+        assert_eq!(hash(1), IdHasher::K, "no seed: 1 hashes to the multiplier");
+        assert_ne!(hash(1), hash(2));
+        // The integer overrides fold what the byte path folds.
+        let bytes = |b: &[u8]| {
+            let mut h = IdHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        let mut h = IdHasher::default();
+        h.write_u32(0x0102_0304);
+        assert_eq!(h.finish(), bytes(&0x0102_0304u32.to_le_bytes()));
+    }
+
+    #[test]
+    fn bitset_equality_is_set_equality() {
+        let mut emptied = DenseBitSet::new();
+        emptied.insert(100);
+        emptied.remove(100);
+        assert_eq!(emptied.as_words(), &[0, 0]);
+        assert_eq!(emptied, DenseBitSet::new());
+        assert_eq!(DenseBitSet::new(), emptied);
+
+        let mut short = DenseBitSet::new();
+        short.insert(5);
+        let mut long = DenseBitSet::new();
+        long.insert(5);
+        long.insert(130);
+        assert_ne!(short, long);
+        long.remove(130);
+        assert_eq!(short, long);
+        assert_eq!(long, short);
+
+        // A shift up that carries into a new top word, then back down,
+        // leaves a trailing zero word behind.
+        let mut shifted = DenseBitSet::new();
+        shifted.insert(63);
+        shifted.shift_up_from(0);
+        shifted.shift_down_from(0);
+        assert_eq!(shifted.as_words().len(), 2);
+        let mut plain = DenseBitSet::new();
+        plain.insert(63);
+        assert_eq!(shifted, plain);
+        plain.insert(1);
+        assert_ne!(shifted, plain);
     }
 
     #[test]

@@ -183,7 +183,9 @@ impl fmt::Display for DataItemId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::IdHasher;
     use std::collections::HashSet;
+    use std::hash::BuildHasherDefault;
 
     #[test]
     fn txn_id_projections() {
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn ids_hash_distinctly() {
-        let mut set = HashSet::new();
+        let mut set: HashSet<TxnId, BuildHasherDefault<IdHasher>> = HashSet::default();
         set.insert(TxnId::from(GlobalTxnId(1)));
         set.insert(TxnId::from(LocalTxnId {
             site: SiteId(0),

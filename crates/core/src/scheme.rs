@@ -14,13 +14,14 @@
 //! `O(1)` wait rescans; a naive scheme may return
 //! [`WakeCandidates::All`].
 
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Unique identity of a queue operation (for the WAIT set). `site` is
 /// `None` for `Init`/`Fin`.
@@ -31,27 +32,30 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
     (op.kind(), op.txn(), op.site())
 }
 
-/// The WAIT set: waiting operations keyed by identity, with deterministic
-/// iteration order.
+/// The WAIT set: waiting operations in a hash map keyed by identity, so a
+/// re-test ([`WaitSet::take_if`]) is one hash probe; every enumeration is
+/// in key order.
 ///
-/// Beyond the key-ordered map the set keeps what a wake pass needs without
-/// walking WAIT: the waiting `ser`s ordered by site (so
-/// [`WakeCandidates::SerAt`] resolves in O(candidates)), the `fin`/`init`
-/// populations, and the `Cond` steps the waiting `fin`s were charged when
+/// Beside the map the set keeps what a wake pass needs without walking
+/// WAIT: the waiting `ser`s ordered by site (so [`WakeCandidates::SerAt`]
+/// resolves in O(candidates)), the waiting `fin`s in transaction order, the
+/// `init` count, and the `Cond` steps the waiting `fin`s were charged when
 /// they failed — the closed-form charge behind
 /// [`WakeCandidates::SerAtFinsCharged`]. Schemes read the counts to charge
 /// their wake-scan steps; the engine expands candidates into a reused
 /// buffer with [`WaitSet::resolve_into`].
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
-    ops: BTreeMap<WaitKey, Waiter>,
+    /// Every waiter, by key. Never iterated in map order.
+    ops: IdHashMap<WaitKey, Waiter>,
     /// Waiting `Ser`s as `(site, txn)`: one flat ordered set, so a site's
-    /// waiters are a contiguous range in transaction order — the order the
-    /// key-ordered map yields them in — and no per-site container is
-    /// created or dropped as sites fill and empty.
+    /// waiters are a contiguous range in transaction order — their key
+    /// order — and no per-site container is created or dropped as sites
+    /// fill and empty.
     ser_by_site: BTreeSet<(SiteId, GlobalTxnId)>,
-    /// Waiting `Fin` count.
-    fins: usize,
+    /// Waiting `Fin`s, in key order. Touched when a fin starts or stops
+    /// waiting, never by a re-test.
+    fins: BTreeSet<GlobalTxnId>,
     /// Sum of [`Waiter::cond_cost`] over the waiting `Fin`s.
     fin_cond: u64,
     /// Waiting `Init` count.
@@ -85,8 +89,8 @@ impl WaitSet {
             (QueueOpKind::Ser, txn, Some(site)) => {
                 self.ser_by_site.insert((site, txn));
             }
-            (QueueOpKind::Fin, ..) => {
-                self.fins += 1;
+            (QueueOpKind::Fin, txn, _) => {
+                self.fins.insert(txn);
                 self.fin_cond += cond_cost;
             }
             (QueueOpKind::Init, ..) => self.inits += 1,
@@ -102,25 +106,23 @@ impl WaitSet {
 
     /// Re-test the operation waiting under `key` in place: `eligible` is
     /// shown the operation where it sits, and only if it says yes does the
-    /// operation leave WAIT (and get returned). One lookup either way.
+    /// operation leave WAIT (and get returned). A failing re-test costs one
+    /// hash probe; a wake adds the removal.
     pub fn take_if(
         &mut self,
         key: &WaitKey,
         eligible: impl FnOnce(&QueueOp) -> bool,
     ) -> Option<QueueOp> {
-        let Entry::Occupied(slot) = self.ops.entry(*key) else {
-            return None;
-        };
-        if !eligible(&slot.get().op) {
+        if !eligible(&self.ops.get(key)?.op) {
             return None;
         }
-        let taken = slot.remove();
+        let taken = self.ops.remove(key)?;
         match *key {
             (QueueOpKind::Ser, txn, Some(site)) => {
                 self.ser_by_site.remove(&(site, txn));
             }
-            (QueueOpKind::Fin, ..) => {
-                self.fins -= 1;
+            (QueueOpKind::Fin, txn, _) => {
+                self.fins.remove(&txn);
                 self.fin_cond -= taken.cond_cost;
             }
             (QueueOpKind::Init, ..) => self.inits -= 1,
@@ -152,26 +154,20 @@ impl WaitSet {
             .map(|&(_, txn)| txn)
     }
 
-    /// The keys of one transaction's waiting `Ser`s, in key order.
-    fn sers_of(&self, txn: GlobalTxnId) -> impl Iterator<Item = WaitKey> + '_ {
-        let lo = (QueueOpKind::Ser, txn, None);
-        let hi = (QueueOpKind::Ser, txn, Some(SiteId(u32::MAX)));
-        self.ops.range(lo..=hi).map(|(k, _)| *k)
-    }
-
     /// Number of waiting `Ser` operations at `site` (O(that number)).
     pub fn ser_count_at(&self, site: SiteId) -> usize {
         self.sers_at(site).count()
     }
 
-    /// Number of waiting `Ser` operations of `txn` (at most its site count).
+    /// Number of waiting `Ser` operations of `txn` (O(|WAIT|): only the
+    /// naive site-graph baseline asks).
     pub fn ser_count_of(&self, txn: GlobalTxnId) -> usize {
-        self.sers_of(txn).count()
+        self.ops.keys().filter(|k| is_ser_of(k, txn)).count()
     }
 
     /// Number of waiting `Fin` operations (O(1), maintained).
     pub fn fin_count(&self) -> usize {
-        self.fins
+        self.fins.len()
     }
 
     /// `Cond` steps the waiting `Fin`s were charged when each failed its
@@ -185,10 +181,20 @@ impl WaitSet {
         self.inits
     }
 
-    fn kind_keys(&self, kind: QueueOpKind) -> impl Iterator<Item = WaitKey> + '_ {
-        let lo = (kind, GlobalTxnId(0), None);
-        let hi = (kind, GlobalTxnId(u64::MAX), Some(SiteId(u32::MAX)));
-        self.ops.range(lo..=hi).map(|(k, _)| *k)
+    /// The waiting `Fin`s' keys, in key order.
+    fn fin_keys(&self) -> impl Iterator<Item = WaitKey> + '_ {
+        self.fins.iter().map(|&txn| (QueueOpKind::Fin, txn, None))
+    }
+
+    /// Append the waiting keys that satisfy `pred` to `out`, then sort the
+    /// appended range in place — the map has no order of its own. O(|WAIT|),
+    /// for the candidate sets no benchmarked scheme asks for.
+    fn extend_sorted(&self, out: &mut VecDeque<WaitKey>, pred: impl Fn(&WaitKey) -> bool) {
+        let start = out.len();
+        out.extend(self.ops.keys().filter(|k| pred(k)));
+        if let Some(appended) = out.make_contiguous().get_mut(start..) {
+            appended.sort_unstable();
+        }
     }
 
     /// Append the keys `cands` asks to have re-tested to `out`, in key
@@ -204,21 +210,26 @@ impl WaitSet {
         };
         match cands {
             WakeCandidates::None => {}
-            WakeCandidates::All => out.extend(self.ops.keys().copied()),
+            WakeCandidates::All => self.extend_sorted(out, |_| true),
             WakeCandidates::One(key) => out.push_back(*key),
             WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
                 out.extend(ser_at(*site))
             }
-            WakeCandidates::Fins => out.extend(self.kind_keys(QueueOpKind::Fin)),
+            WakeCandidates::Fins => out.extend(self.fin_keys()),
             WakeCandidates::SerAtThenFins(site) => {
                 out.extend(ser_at(*site));
-                out.extend(self.kind_keys(QueueOpKind::Fin));
+                out.extend(self.fin_keys());
             }
-            WakeCandidates::Inits => out.extend(self.kind_keys(QueueOpKind::Init)),
-            WakeCandidates::SerOf(txn) => out.extend(self.sers_of(*txn)),
+            WakeCandidates::Inits => self.extend_sorted(out, |k| k.0 == QueueOpKind::Init),
+            WakeCandidates::SerOf(txn) => self.extend_sorted(out, |k| is_ser_of(k, *txn)),
         }
         out.len() - before
     }
+}
+
+/// True iff `key` is a `Ser` of `txn`.
+fn is_ser_of(key: &WaitKey, txn: GlobalTxnId) -> bool {
+    key.0 == QueueOpKind::Ser && key.1 == txn
 }
 
 /// Which waiting operations may have become eligible after an `act`.
@@ -611,11 +622,16 @@ impl std::fmt::Display for SchemeKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The oracle `resolve_into` is checked against: the waiting keys, in
-    /// key order, that satisfy `pred` — a filtered walk of all of WAIT.
+    /// key order, that satisfy `pred` — a filtered walk of all of WAIT,
+    /// sorted here so that it does not depend on the map's own order.
     fn keys_where(w: &WaitSet, pred: impl Fn(&WaitKey) -> bool) -> Vec<WaitKey> {
-        w.ops.keys().copied().filter(|k| pred(k)).collect()
+        let mut keys: Vec<WaitKey> = w.ops.keys().copied().filter(|k| pred(k)).collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn ser(txn: u64, site: u32) -> QueueOp {
@@ -727,6 +743,131 @@ mod tests {
         );
         w.take_if(&wait_key(&fin(3)), |_| true);
         assert_eq!((w.fin_count(), w.fin_cond_cost()), (1, 4));
+    }
+
+    /// The `init` / `ser` / `fin` a WAIT key names (an `init` announces
+    /// one site).
+    fn op_of(key: WaitKey) -> QueueOp {
+        match key {
+            (QueueOpKind::Init, txn, _) => QueueOp::Init {
+                txn,
+                sites: vec![SiteId(0)],
+            },
+            (QueueOpKind::Ser, txn, Some(site)) => ser(txn.0, site.0),
+            (_, txn, _) => fin(txn.0),
+        }
+    }
+
+    /// Every candidate set the churn test resolves, with the model's
+    /// answer: its keys in key order (the fins' closed form re-tests none).
+    fn model_candidates(
+        model: &BTreeMap<WaitKey, u64>,
+        probe: WaitKey,
+    ) -> Vec<(WakeCandidates, Vec<WaitKey>)> {
+        let keys = |pred: &dyn Fn(&WaitKey) -> bool| -> Vec<WaitKey> {
+            model.keys().copied().filter(|k| pred(k)).collect()
+        };
+        let ser_at = |s: u32| keys(&|k| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s)));
+        let fins = keys(&|k| k.0 == QueueOpKind::Fin);
+        let mut all = vec![
+            (WakeCandidates::None, vec![]),
+            (WakeCandidates::All, keys(&|_| true)),
+            (WakeCandidates::One(probe), vec![probe]),
+            (WakeCandidates::Fins, fins.clone()),
+            (WakeCandidates::Inits, keys(&|k| k.0 == QueueOpKind::Init)),
+        ];
+        for s in 0..5 {
+            let site = SiteId(s);
+            let mut then_fins = ser_at(s);
+            then_fins.extend(fins.iter().copied());
+            all.push((WakeCandidates::SerAt(site), ser_at(s)));
+            all.push((WakeCandidates::SerAtFinsCharged(site), ser_at(s)));
+            all.push((WakeCandidates::SerAtThenFins(site), then_fins));
+        }
+        for t in 0..9 {
+            let txn = GlobalTxnId(t);
+            all.push((WakeCandidates::SerOf(txn), keys(&|k| is_ser_of(k, txn))));
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random insert / duplicate insert / `take_if(true|false)` churn
+        /// over {init, ser, fin} × 8 txns × 4 sites, checked after every
+        /// operation against a `BTreeMap` model: every candidate set
+        /// resolves to the model's keys in key order — appended behind a
+        /// wrapped, non-empty worklist that it must leave alone — and every
+        /// count equals the model's recount.
+        #[test]
+        fn wait_set_churn_matches_ordered_model(
+            steps in prop::collection::vec((0u8..4, 0u8..3, 0u64..8, 0u32..4, 0u64..10), 0..120)
+        ) {
+            let mut w = WaitSet::new();
+            let mut model: BTreeMap<WaitKey, u64> = BTreeMap::new();
+            for (action, kind, txn, site, cost) in steps {
+                let mut key = match kind {
+                    0 => (QueueOpKind::Init, GlobalTxnId(txn), None),
+                    1 => (QueueOpKind::Ser, GlobalTxnId(txn), Some(SiteId(site))),
+                    _ => (QueueOpKind::Fin, GlobalTxnId(txn), None),
+                };
+                match action {
+                    0 => {
+                        let new = !model.contains_key(&key);
+                        if new {
+                            model.insert(key, cost);
+                        }
+                        prop_assert_eq!(w.insert(op_of(key), cost), new);
+                    }
+                    1 => {
+                        // Re-insert a key that is waiting, at another cost.
+                        if let Some(&k) = model.keys().nth((txn * 4 + u64::from(site)) as usize % model.len().max(1)) {
+                            key = k;
+                            prop_assert!(!w.insert(op_of(key), cost + 100));
+                        }
+                    }
+                    2 => {
+                        let want = model.remove(&key).map(|_| op_of(key));
+                        prop_assert_eq!(w.take_if(&key, |op| wait_key(op) == key), want);
+                    }
+                    _ => {
+                        prop_assert_eq!(w.take_if(&key, |_| false), None);
+                    }
+                }
+                prop_assert_eq!(w.len(), model.len());
+                prop_assert_eq!(w.contains(&key), model.contains_key(&key));
+                let fins = model.iter().filter(|(k, _)| k.0 == QueueOpKind::Fin);
+                prop_assert_eq!(w.fin_count(), fins.clone().count());
+                prop_assert_eq!(w.fin_cond_cost(), fins.map(|(_, c)| c).sum::<u64>());
+                prop_assert_eq!(
+                    w.init_count(),
+                    model.keys().filter(|k| k.0 == QueueOpKind::Init).count()
+                );
+                for s in 0..5 {
+                    let at = |k: &&WaitKey| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s));
+                    prop_assert_eq!(w.ser_count_at(SiteId(s)), model.keys().filter(at).count());
+                }
+                for t in 0..9 {
+                    let of = |k: &&WaitKey| is_ser_of(k, GlobalTxnId(t));
+                    prop_assert_eq!(w.ser_count_of(GlobalTxnId(t)), model.keys().filter(of).count());
+                }
+                let prefix = [wait_key(&fin(99)), wait_key(&ser(98, 7))];
+                for (cands, want) in model_candidates(&model, key) {
+                    // A wrapped worklist: its head is not at index 0.
+                    let mut out = VecDeque::with_capacity(4);
+                    out.extend([prefix[0], prefix[0], prefix[0]]);
+                    out.pop_front();
+                    out.pop_front();
+                    out.push_back(prefix[1]);
+                    let n = w.resolve_into(&cands, &mut out);
+                    prop_assert_eq!(n, want.len(), "{:?}", cands);
+                    let got: Vec<WaitKey> = out.iter().copied().collect();
+                    prop_assert_eq!(&got[..2], &prefix[..], "{:?}", cands);
+                    prop_assert_eq!(&got[2..], &want[..], "{:?}", cands);
+                }
+            }
+        }
     }
 
     #[test]

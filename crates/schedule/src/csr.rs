@@ -17,9 +17,9 @@
 
 use crate::graph::DiGraph;
 use crate::history::History;
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{DataItemId, TxnId};
 use mdbs_common::ops::DataOpKind;
-use std::collections::HashMap;
 
 /// Accesses to one item by committed transactions, as far as later
 /// conflicts can still see them.
@@ -52,7 +52,7 @@ pub(crate) fn sweep_conflicts(
     edges: &mut Vec<(TxnId, TxnId)>,
 ) {
     let committed = h.committed_txns();
-    let mut items: HashMap<DataItemId, ItemChain> = HashMap::new();
+    let mut items: IdHashMap<DataItemId, ItemChain> = IdHashMap::default();
     for op in h.ops() {
         let (Some(item), true) = (op.item, op.kind.is_access()) else {
             continue;
