@@ -10,9 +10,12 @@
 //!   (bracketed by `init_i`/`fin_i`);
 //! - every other operation directly to the site's server.
 //!
-//! GTM1 is a pure state machine: the simulator feeds it [`Gtm1Event`]s and
-//! executes the returned [`Gtm1Effect`]s (queueing to GTM2, commanding
-//! servers, reporting completions). If any subtransaction is aborted
+//! GTM1 is a pure state machine: the
+//! [`Coordinator`](crate::coordinator::Coordinator) feeds it
+//! [`Gtm1Event`]s and carries out the returned [`Gtm1Effect`]s (queueing to
+//! GTM2, commanding servers, reporting completions). A reply the
+//! transaction is not waiting for is refused and counted as a protocol
+//! violation. If any subtransaction is aborted
 //! locally, GTM1 aborts the global transaction everywhere and completes the
 //! remaining serialization events **vacuously** — the queue positions are
 //! honored so the conservative scheme's bookkeeping drains, but no local
@@ -341,27 +344,20 @@ impl Gtm1 {
                 self.issue_next(txn, &mut effects);
             }
             Gtm1Event::ServerDone { txn, site } => {
-                // Events for unknown transactions (a server replying after
-                // the global decision, or a buggy server inventing work)
-                // are refused and counted, never panicked on.
-                let Some(ctl) = self.txns.get_mut(&txn) else {
-                    self.stats.protocol_violations += 1;
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Server(site)) else {
                     return effects;
                 };
-                debug_assert_eq!(ctl.awaiting, Awaiting::Server(site));
                 ctl.awaiting = Awaiting::Nothing;
                 ctl.cursor += 1;
                 self.issue_next(txn, &mut effects);
             }
             Gtm1Event::ServerFailed { txn, site, reason } => {
-                self.mark_zombie(txn, site, reason, &mut effects);
-                let Some(ctl) = self.txns.get_mut(&txn) else {
-                    self.stats.protocol_violations += 1;
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Server(site)) else {
                     return effects;
                 };
-                debug_assert_eq!(ctl.awaiting, Awaiting::Server(site));
                 ctl.awaiting = Awaiting::Nothing;
                 ctl.cursor += 1;
+                self.mark_zombie(txn, site, reason, &mut effects);
                 self.issue_next(txn, &mut effects);
             }
             Gtm1Event::Gtm2SubmitSer { txn, site } => {
@@ -369,11 +365,9 @@ impl Gtm1 {
                     self.stats.protocol_violations += 1;
                     return effects;
                 };
-                let Some(ctl) = self.txns.get_mut(&txn) else {
-                    self.stats.protocol_violations += 1;
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SerAck(site)) else {
                     return effects;
                 };
-                debug_assert_eq!(ctl.awaiting, Awaiting::SerAck(site));
                 let vacuous = ctl.zombie.is_some();
                 if !vacuous && event == SerializationEvent::Begin {
                     ctl.live_sites.insert(site);
@@ -394,11 +388,9 @@ impl Gtm1 {
                     self.stats.protocol_violations += 1;
                     return effects;
                 };
-                let Some(ctl) = self.txns.get_mut(&txn) else {
-                    self.stats.protocol_violations += 1;
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SerAck(site)) else {
                     return effects;
                 };
-                debug_assert_eq!(ctl.awaiting, Awaiting::SerAck(site));
                 // A successful commit-event terminates the subtransaction
                 // (a prepare event does not — the second phase commits).
                 if ctl.zombie.is_none() && event == SerializationEvent::Commit {
@@ -410,6 +402,21 @@ impl Gtm1 {
             }
         }
         effects
+    }
+
+    /// The transaction's control block, if it is waiting for exactly this
+    /// reply. Anything else — an unknown transaction (a server replying
+    /// after the global decision, a buggy server inventing work) or a
+    /// reply to an operation it has not issued — is refused and counted,
+    /// never panicked on, and leaves the plan where it was.
+    fn awaiting_ctl(&mut self, txn: GlobalTxnId, awaiting: Awaiting) -> Option<&mut TxnCtl> {
+        match self.txns.get_mut(&txn) {
+            Some(ctl) if ctl.awaiting == awaiting => Some(ctl),
+            _ => {
+                self.stats.protocol_violations += 1;
+                None
+            }
+        }
     }
 
     /// Abort the global transaction: abort live subtransactions everywhere
@@ -674,6 +681,34 @@ mod tests {
         );
         assert_eq!(g.stats().committed, 1);
         assert_eq!(g.active_txns(), 0);
+    }
+
+    /// An `ack` for a `ser` GTM1 has not issued is refused: it is counted,
+    /// issues nothing, and the outstanding command still completes.
+    #[test]
+    fn reply_the_transaction_is_not_waiting_for_is_refused() {
+        let mut g = Gtm1::new(events(&[
+            LocalProtocolKind::TwoPhaseLocking,
+            LocalProtocolKind::TimestampOrdering,
+        ]));
+        g.handle(Gtm1Event::Submit(txn_two_sites())); // Begin at s0 outstanding
+        let (txn, s0, s1) = (GlobalTxnId(1), SiteId(0), SiteId(1));
+        for early in [
+            Gtm1Event::Gtm2Ack { txn, site: s1 },
+            Gtm1Event::Gtm2SubmitSer { txn, site: s1 },
+            Gtm1Event::ServerDone { txn, site: s1 },
+        ] {
+            assert!(g.handle(early).is_empty());
+        }
+        assert_eq!(g.stats().protocol_violations, 3);
+        let fx = g.handle(Gtm1Event::ServerDone { txn, site: s0 });
+        let read = Gtm1Effect::Server {
+            txn,
+            site: s0,
+            cmd: ServerCommand::Read(DataItemId(1)),
+        };
+        assert_eq!(fx, [read]);
+        assert_eq!(g.stats().protocol_violations, 3);
     }
 
     /// A ticket site: begin is direct, followed by the ticket ser op.

@@ -427,15 +427,8 @@ impl Gtm2Scheme for Scheme1Dense {
                 }]
             }
             QueueOp::Ack { txn, site } => {
-                debug_assert_eq!(
-                    self.sites
-                        .slot_of(site)
-                        .and_then(|ss| self.outstanding[ss as usize]),
-                    Some(*txn)
-                );
-                if let Some(ss) = self.sites.slot_of(site) {
-                    self.outstanding[ss as usize] = None;
-                }
+                // A malformed ack is refused and leaves the site's
+                // outstanding `ser` in place, as in the reference kernel.
                 let Some(ss) = self
                     .sites
                     .slot_of(site)
@@ -448,7 +441,8 @@ impl Gtm2Scheme for Scheme1Dense {
                     }];
                 };
                 let q = &mut self.insert_queues[ss as usize];
-                let Some(pos) = q.iter().position(|t| t == txn) else {
+                let pos = q.iter().position(|t| t == txn);
+                let Some(pos) = pos.filter(|_| self.outstanding[ss as usize] == Some(*txn)) else {
                     return vec![SchemeEffect::ProtocolViolation {
                         txn: *txn,
                         site: Some(*site),
@@ -457,6 +451,7 @@ impl Gtm2Scheme for Scheme1Dense {
                 };
                 steps.bump(StepKind::Act, pos as u64 + 1);
                 q.remove(pos);
+                self.outstanding[ss as usize] = None;
                 if let Some(ts) = self.txns.slot_of(txn) {
                     self.marked[ts as usize].remove(ss);
                 }

@@ -16,6 +16,9 @@
 //!   QUEUE of operations, a WAIT set, and a pluggable scheme providing
 //!   `cond`/`act`.
 //!
+//! [`coordinator`] wires the two together as Figure 2's single GTM step;
+//! the simulator and the live runtime both drive it.
+//!
 //! Four conservative schemes are provided, exactly as in the paper:
 //!
 //! | scheme | section | structure | complexity |
@@ -34,6 +37,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod baselines;
+pub mod coordinator;
 pub mod gtm1;
 pub mod gtm2;
 pub mod kernel_dense;
@@ -51,6 +55,7 @@ pub mod tsgd;
 pub mod tsgd_dense;
 pub mod txn;
 
+pub use coordinator::{Arrival, Coordinator, Outbound};
 pub use gtm1::{Gtm1, Gtm1Effect, Gtm1Event};
 pub use gtm2::{Gtm2, Gtm2Stats};
 pub use parallel::{replay_parallel, replay_parallel_kernel};

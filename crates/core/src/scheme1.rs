@@ -150,12 +150,11 @@ impl Gtm2Scheme for Scheme1 {
                 }]
             }
             QueueOp::Ack { txn, site } => {
-                debug_assert_eq!(self.outstanding.get(site), Some(txn));
-                self.outstanding.remove(site);
                 // Delete from the insert queue (note: not necessarily the
                 // front — unmarked operations overtake marked ones). A
                 // malformed ack is refused, not panicked on: acks come
                 // from site servers, outside the scheduler's trust base.
+                // Refusing leaves the site's outstanding `ser` in place.
                 let Some(q) = self.insert_queues.get_mut(site) else {
                     return vec![SchemeEffect::ProtocolViolation {
                         txn: *txn,
@@ -163,7 +162,8 @@ impl Gtm2Scheme for Scheme1 {
                         kind: ProtocolViolationKind::UnknownSite,
                     }];
                 };
-                let Some(pos) = q.iter().position(|t| t == txn) else {
+                let pos = q.iter().position(|t| t == txn);
+                let Some(pos) = pos.filter(|_| self.outstanding.get(site) == Some(txn)) else {
                     return vec![SchemeEffect::ProtocolViolation {
                         txn: *txn,
                         site: Some(*site),
@@ -172,6 +172,7 @@ impl Gtm2Scheme for Scheme1 {
                 };
                 steps.bump(StepKind::Act, pos as u64 + 1);
                 q.remove(pos);
+                self.outstanding.remove(site);
                 self.marked.remove(&(*txn, *site));
                 self.delete_queues.entry(*site).or_default().push_back(*txn);
                 vec![SchemeEffect::ForwardAck {

@@ -56,10 +56,15 @@ impl Storage {
         self.items.is_empty()
     }
 
-    /// Sum of all materialized values — used by invariant-checking examples
-    /// (e.g. conservation of money across accounts).
-    pub fn total(&self) -> i128 {
-        self.items.values().map(|&v| i128::from(v)).sum()
+    /// Sum of all application values — used by invariant checks such as
+    /// conservation of money across accounts. The ticket item is left
+    /// out: its counter is concurrency-control plumbing, not data.
+    pub fn data_total(&self) -> i128 {
+        self.items
+            .iter()
+            .filter(|(&item, _)| item != DataItemId::TICKET)
+            .map(|(_, &v)| i128::from(v))
+            .sum()
     }
 
     /// Iterate `(item, value)` pairs in item order.
@@ -94,7 +99,8 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.read(DataItemId(2)), 100);
         assert_eq!(s.read(DataItemId(3)), 0);
-        assert_eq!(s.total(), 300);
+        // Item 0 is the ticket: its 100 is not data.
+        assert_eq!(s.data_total(), 200);
     }
 
     #[test]

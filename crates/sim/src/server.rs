@@ -6,10 +6,15 @@
 //! or transport: every outcome is pushed, in order, into a caller-supplied
 //! buffer of [`Reply`]s, and the caller — the DES with simulated latencies
 //! and `BlockTimeout` epochs, the threaded runtime with channels and
-//! `Instant`s — decides how each one travels.
+//! `Instant`s — decides how each one travels. A reply for the GTM is an
+//! [`Arrival`] from the server onward: it crosses either transport
+//! unchanged and is handed as-is to [`Coordinator::handle`].
+//!
+//! [`Coordinator::handle`]: mdbs_core::coordinator::Coordinator::handle
 
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, TxnId};
+use mdbs_core::coordinator::Arrival;
 use mdbs_core::gtm1::{Gtm1Event, ServerCommand};
 use mdbs_localdb::engine::{LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::serfn::SerializationEvent;
@@ -19,10 +24,9 @@ use std::collections::BTreeMap;
 /// What the server asks its runtime to do, in the order it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Reply {
-    /// Deliver this event to GTM1.
-    Gtm1(Gtm1Event),
-    /// Deliver `ack(ser_site(txn))` for this site to GTM2.
-    Ack(GlobalTxnId),
+    /// Deliver this message to the GTM: a GTM1 event, or
+    /// `ack(ser_site(txn))` for GTM2.
+    Gtm(Arrival),
     /// The command's current step blocked inside the engine: arm a timer.
     Blocked(GlobalTxnId),
     /// A blocked step resolved: disarm the timer (what became of the
@@ -31,6 +35,12 @@ pub(crate) enum Reply {
     /// A *local* transaction's blocked operation resolved; its driver is
     /// the runtime's business.
     LocalCompletion(LocalTxnId, Result<OpOutcome, MdbsError>),
+}
+
+impl Reply {
+    fn gtm1(event: Gtm1Event) -> Self {
+        Reply::Gtm(Arrival::Gtm1(event))
+    }
 }
 
 /// What to do when the engine finishes a command's current step.
@@ -62,6 +72,12 @@ impl Server {
         Server { db, pending }
     }
 
+    /// `ack(ser_site(txn))` for this site, addressed to GTM2.
+    fn ack(&self, txn: GlobalTxnId) -> Reply {
+        let site = self.db.site();
+        Reply::Gtm(Arrival::Ack { txn, site })
+    }
+
     /// Execute one GTM1 command for `txn` and route every completion it
     /// caused.
     pub(crate) fn execute(&mut self, txn: GlobalTxnId, cmd: ServerCommand, out: &mut Vec<Reply>) {
@@ -87,7 +103,7 @@ impl Server {
             }
             // An aborted transaction draining its queue positions: the
             // engine is not touched.
-            ServerCommand::SerEvent { vacuous: true, .. } => return out.push(Reply::Ack(txn)),
+            ServerCommand::SerEvent { vacuous: true, .. } => return out.push(self.ack(txn)),
             ServerCommand::SerEvent { event, .. } => match event {
                 SerializationEvent::Begin => (unit(self.db.begin(t)), AckAfter),
                 SerializationEvent::Commit => (self.db.submit_commit(t), AckAfter),
@@ -158,9 +174,9 @@ impl Server {
         let site = self.db.site();
         let (item, value, next) = match (cont, outcome) {
             (Continuation::ReplyDone, _) => {
-                return out.push(Reply::Gtm1(Gtm1Event::ServerDone { txn, site }));
+                return out.push(Reply::gtm1(Gtm1Event::ServerDone { txn, site }));
             }
-            (Continuation::AckAfter, _) => return out.push(Reply::Ack(txn)),
+            (Continuation::AckAfter, _) => return out.push(self.ack(txn)),
             (Continuation::AddWrite { item, delta }, OpOutcome::Read(v)) => {
                 (item, v + delta, Continuation::ReplyDone)
             }
@@ -183,13 +199,13 @@ impl Server {
         };
         match cont {
             Continuation::ReplyDone | Continuation::AddWrite { .. } => {
-                out.push(Reply::Gtm1(Gtm1Event::ServerFailed { txn, site, reason }));
+                out.push(Reply::gtm1(Gtm1Event::ServerFailed { txn, site, reason }));
             }
             // The serialization event still acknowledges (vacuously) so
             // GTM2's queues drain; GTM1 learns of the failure separately.
             Continuation::AckAfter | Continuation::TicketWrite => {
-                out.push(Reply::Gtm1(Gtm1Event::SerEventFailed { txn, site, reason }));
-                out.push(Reply::Ack(txn));
+                out.push(Reply::gtm1(Gtm1Event::SerEventFailed { txn, site, reason }));
+                out.push(self.ack(txn));
             }
         }
     }
@@ -228,8 +244,12 @@ mod tests {
         out
     }
 
+    fn ack(txn: GlobalTxnId) -> Reply {
+        Reply::Gtm(Arrival::Ack { txn, site: SITE })
+    }
+
     fn done(txn: GlobalTxnId) -> Reply {
-        Reply::Gtm1(Gtm1Event::ServerDone { txn, site: SITE })
+        Reply::gtm1(Gtm1Event::ServerDone { txn, site: SITE })
     }
 
     #[test]
@@ -237,8 +257,8 @@ mod tests {
         use SerializationEvent as E;
         let ser = |event, vacuous| C::SerEvent { event, vacuous };
         let (txn, site, reason) = (G, SITE, AbortReason::UserRequested);
-        let cmd_failed = Reply::Gtm1(Gtm1Event::ServerFailed { txn, site, reason });
-        let ser_failed = Reply::Gtm1(Gtm1Event::SerEventFailed { txn, site, reason });
+        let cmd_failed = Reply::gtm1(Gtm1Event::ServerFailed { txn, site, reason });
+        let ser_failed = Reply::gtm1(Gtm1Event::SerEventFailed { txn, site, reason });
         let table = [
             (C::Begin, Never),
             (C::Read(X), Writer(X)),
@@ -259,9 +279,7 @@ mod tests {
             let (ok, failed) = match cmd {
                 C::AbortSubtxn => (vec![], vec![]),
                 // GTM2's queue must still drain: the ack follows the failure.
-                C::SerEvent { .. } => {
-                    (vec![Reply::Ack(G)], vec![ser_failed.clone(), Reply::Ack(G)])
-                }
+                C::SerEvent { .. } => (vec![ack(G)], vec![ser_failed.clone(), ack(G)]),
                 _ => (vec![done(G)], vec![cmd_failed.clone()]),
             };
             for fate in ["inline", "completed", "aborted"] {
@@ -320,7 +338,7 @@ mod tests {
         let s = &mut Server::new(LocalDbms::new(SITE, TwoPhaseLocking));
         // Any engine error fails the command, abort or not (G never began).
         let (txn, site, reason) = (G, SITE, AbortReason::UserRequested);
-        let failed = Reply::Gtm1(Gtm1Event::ServerFailed { txn, site, reason });
+        let failed = Reply::gtm1(Gtm1Event::ServerFailed { txn, site, reason });
         assert_eq!(run(s, G, C::Read(X)), [failed]);
         // G blocks behind H without the server's knowledge: when H's commit
         // completes G's read, nothing is routed for it.

@@ -1,10 +1,13 @@
-//! The full MDBS assembled: GTM1 + GTM2 + servers + heterogeneous local
+//! The full MDBS assembled: the GTM + servers + heterogeneous local
 //! DBMSs, driven by a deterministic discrete-event loop.
 //!
 //! ## Model
 //!
 //! - The GTM (GTM1 and GTM2) is centrally located; their interaction is
-//!   immediate. Messages between the GTM and site servers take
+//!   immediate. It is one [`Coordinator`], the same one the live runtime
+//!   drives: the simulator hands it each [`Arrival`] at the arrival's
+//!   simulated time and puts what comes out on the wire. Messages between
+//!   the GTM and site servers take
 //!   [`LatencyConfig::net`] microseconds; each local operation costs
 //!   [`LatencyConfig::proc`].
 //! - Servers execute GTM1's commands against their site's
@@ -29,9 +32,10 @@ use mdbs_common::ids::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
 use mdbs_common::instrument::{Registry, SharedSink};
 use mdbs_common::rng::{derive_rng, DetRng};
 use mdbs_common::step::StepCounter;
-use mdbs_core::gtm1::{Gtm1, Gtm1Effect, Gtm1Event, ServerCommand};
+use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
+use mdbs_core::gtm1::{Gtm1, Gtm1Event, ServerCommand};
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
-use mdbs_core::scheme::{SchemeEffect, SchemeKind};
+use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::engine::{EngineStats, LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::protocol::LocalProtocolKind;
@@ -42,7 +46,7 @@ use mdbs_workload::generator::Workload;
 use mdbs_workload::spec::LocalOp;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Message and processing delays (simulated microseconds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -265,10 +269,8 @@ enum SimEvent {
         site: SiteId,
         cmd: ServerCommand,
     },
-    /// A site's ack for a serialization event arrives at GTM2.
-    DeliverAck { txn: GlobalTxnId, site: SiteId },
-    /// A site-originated GTM1 event arrives at the GTM.
-    DeliverGtm1 { event: Gtm1Event },
+    /// A server's reply arrives at the GTM.
+    DeliverGtm { arrival: Arrival },
     /// Start (or retry) local driver `idx`.
     StartLocal { idx: usize },
     /// Local driver `idx` issues its next operation.
@@ -295,8 +297,9 @@ struct ProgState {
 pub struct MdbsSystem {
     cfg: SystemConfig,
     queue: EventQueue<SimEvent>,
-    gtm1: Gtm1,
-    gtm2: Gtm2,
+    gtm: Coordinator,
+    /// The coordinator's output buffer, empty between GTM rounds.
+    outbound: Vec<Outbound>,
     servers: Vec<Server>,
     /// The servers' reply buffer, empty between deliveries.
     replies: Vec<Reply>,
@@ -315,15 +318,22 @@ pub struct MdbsSystem {
     /// Sites currently down, with the time they come back.
     down_until: BTreeMap<SiteId, SimTime>,
     trace: Option<Trace>,
-    /// Our handle on the sink attached to GTM1/GTM2 while tracing: the
-    /// GTMs record structured scheduling events into it and we drain them
+    /// Our handle on the sink attached to the GTM while tracing: GTM1 and
+    /// GTM2 record structured scheduling events into it and we drain them
     /// into `trace` after each GTM round.
     sched_sink: Option<SharedSink>,
 }
 
 impl MdbsSystem {
-    /// Build a system from a configuration.
+    /// Build a system from a configuration. Panics on a non-conservative
+    /// scheme: the baselines abort global transactions, which the MDBS
+    /// does not model.
     pub fn new(cfg: SystemConfig) -> Self {
+        assert!(
+            cfg.scheme.is_conservative(),
+            "{} is not conservative: the MDBS runs Schemes 0-3 only; run baselines with mdbs_core::replay",
+            cfg.scheme
+        );
         let sites: Vec<LocalDbms> = cfg
             .protocols
             .iter()
@@ -352,8 +362,8 @@ impl MdbsSystem {
             Gtm1::new(site_events)
         };
         MdbsSystem {
-            gtm1,
-            gtm2: Gtm2::new(cfg.scheme.build()),
+            gtm: Coordinator::new(gtm1, Gtm2::new(cfg.scheme.build())),
+            outbound: Vec::new(),
             servers: sites.into_iter().map(Server::new).collect(),
             replies: Vec::new(),
             blocked_epoch: BTreeMap::new(),
@@ -416,38 +426,28 @@ impl MdbsSystem {
             .filter(|(_, p)| !p.done)
             .map(|(i, _)| i)
             .collect();
+        let gtm2 = self.gtm.gtm2();
         assert!(
             unfinished.is_empty(),
             "simulation wedged: programs {unfinished:?} unfinished (scheme {}, gtm2 wait={} queue={})",
-            self.gtm2.scheme_name(),
-            self.gtm2.wait_len(),
-            self.gtm2.queue_len(),
+            gtm2.scheme_name(),
+            gtm2.wait_len(),
+            gtm2.queue_len(),
         );
 
         RunReport {
             metrics: self.metrics.clone(),
             registry: self.export_metrics(),
             audit: audit_sites(self.dbs()),
-            gtm1: self.gtm1.stats(),
-            gtm2: self.gtm2.stats(),
-            gtm2_steps: self.gtm2.steps(),
-            ser_s_ok: self.gtm2.ser_log().check().is_ok(),
+            gtm1: self.gtm.gtm1().stats(),
+            gtm2: gtm2.stats(),
+            gtm2_steps: gtm2.steps(),
+            ser_s_ok: gtm2.ser_log().check().is_ok(),
             site_stats: self
                 .dbs()
                 .map(|db| (db.site(), db.protocol_kind(), db.stats()))
                 .collect(),
-            storage_totals: self
-                .dbs()
-                .map(|db| {
-                    // Exclude the ticket item: its counter is concurrency
-                    // control plumbing, not application data.
-                    db.storage()
-                        .iter()
-                        .filter(|(item, _)| *item != mdbs_common::ids::DataItemId::TICKET)
-                        .map(|(_, v)| i128::from(v))
-                        .sum()
-                })
-                .collect(),
+            storage_totals: self.dbs().map(|db| db.storage().data_total()).collect(),
         }
     }
 
@@ -465,8 +465,7 @@ impl MdbsSystem {
     /// `gtm1.*`, `gtm2.*`, `site.*` and `sim.*`.
     pub fn export_metrics(&self) -> Registry {
         let mut registry = Registry::default();
-        self.gtm1.export_metrics(&mut registry);
-        self.gtm2.export_metrics(&mut registry);
+        self.gtm.export_metrics(&mut registry);
         for db in self.dbs() {
             db.export_metrics(&mut registry);
         }
@@ -483,8 +482,7 @@ impl MdbsSystem {
     pub fn enable_trace(&mut self) {
         self.trace = Some(Trace::new());
         let sink = SharedSink::new();
-        self.gtm1.set_sink(Some(Box::new(sink.clone())));
-        self.gtm2.set_sink(Some(Box::new(sink.clone())));
+        self.gtm.set_sink(Some(sink.clone()));
         self.sched_sink = Some(sink);
     }
 
@@ -492,8 +490,7 @@ impl MdbsSystem {
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.drain_sched_events();
         self.sched_sink = None;
-        self.gtm1.set_sink(None);
-        self.gtm2.set_sink(None);
+        self.gtm.set_sink(None);
         self.trace.take()
     }
 
@@ -549,13 +546,7 @@ impl MdbsSystem {
                 self.servers[site.index()].execute(txn, cmd, &mut self.replies);
                 self.deliver(site);
             }
-            SimEvent::DeliverAck { txn, site } => {
-                self.gtm2.set_now(self.queue.now());
-                self.gtm2
-                    .enqueue(mdbs_common::ops::QueueOp::Ack { txn, site });
-                self.gtm_round(VecDeque::new());
-            }
-            SimEvent::DeliverGtm1 { event } => self.gtm_round(VecDeque::from([event])),
+            SimEvent::DeliverGtm { arrival } => self.gtm_round(arrival),
             SimEvent::StartLocal { idx } => self.start_local(idx),
             SimEvent::LocalNext { idx, attempt } => self.local_next(idx, attempt),
             SimEvent::BlockTimeout { site, txn, epoch } => self.block_timeout(site, txn, epoch),
@@ -585,7 +576,7 @@ impl MdbsSystem {
             id,
             steps: self.programs[idx].steps.clone(),
         };
-        self.gtm_round(VecDeque::from([Gtm1Event::Submit(program)]));
+        self.gtm_round(Arrival::Gtm1(Gtm1Event::Submit(program)));
     }
 
     fn handle_completed(&mut self, txn: GlobalTxnId, aborted: Option<AbortReason>) {
@@ -631,55 +622,27 @@ impl MdbsSystem {
     // GTM processing (GTM1 <-> GTM2, both co-located: immediate)
     // ------------------------------------------------------------------
 
-    fn gtm_round(&mut self, mut pending: VecDeque<Gtm1Event>) {
-        let now = self.queue.now();
-        self.gtm1.set_now(now);
-        self.gtm2.set_now(now);
-        loop {
-            while let Some(ev) = pending.pop_front() {
-                for fx in self.gtm1.handle(ev) {
-                    match fx {
-                        Gtm1Effect::EnqueueGtm2(op) => self.gtm2.enqueue(op),
-                        Gtm1Effect::Server { txn, site, cmd } => {
-                            self.queue.schedule_in(
-                                self.cfg.latency.net,
-                                SimEvent::DeliverServerCmd { txn, site, cmd },
-                            );
-                        }
-                        Gtm1Effect::Completed { txn, aborted } => {
-                            self.record(TraceRecord::Completed {
-                                txn,
-                                committed: aborted.is_none(),
-                            });
-                            self.handle_completed(txn, aborted);
-                        }
-                    }
+    /// Hand one arrival to the GTM and put what it sends on the wire.
+    fn gtm_round(&mut self, arrival: Arrival) {
+        let mut out = std::mem::take(&mut self.outbound);
+        self.gtm.handle(self.queue.now(), arrival, &mut out);
+        for msg in out.drain(..) {
+            match msg {
+                Outbound::Server { txn, site, cmd } => self.queue.schedule_in(
+                    self.cfg.latency.net,
+                    SimEvent::DeliverServerCmd { txn, site, cmd },
+                ),
+                Outbound::Completed { txn, aborted } => {
+                    self.record(TraceRecord::Completed {
+                        txn,
+                        committed: aborted.is_none(),
+                    });
+                    self.handle_completed(txn, aborted);
                 }
-            }
-            for fx in self.gtm2.pump() {
-                match fx {
-                    SchemeEffect::SubmitSer { txn, site } => {
-                        self.record(TraceRecord::SerScheduled { txn, site });
-                        pending.push_back(Gtm1Event::Gtm2SubmitSer { txn, site });
-                    }
-                    SchemeEffect::ForwardAck { txn, site } => {
-                        pending.push_back(Gtm1Event::Gtm2Ack { txn, site });
-                    }
-                    SchemeEffect::AbortGlobal { .. } => {
-                        unreachable!("conservative schemes never abort; baselines run in replay")
-                    }
-                    SchemeEffect::ProtocolViolation { txn, site, kind } => {
-                        // The DES generates acks/fins itself; reaching this
-                        // means a simulator (not workload) bug.
-                        unreachable!("gtm2 protocol violation: {kind} ({txn}, {site:?})")
-                    }
-                }
-            }
-            if pending.is_empty() {
-                self.drain_sched_events();
-                return;
             }
         }
+        self.outbound = out;
+        self.drain_sched_events();
     }
 
     // ------------------------------------------------------------------
@@ -699,12 +662,9 @@ impl MdbsSystem {
         let mut replies = std::mem::take(&mut self.replies);
         for reply in replies.drain(..) {
             match reply {
-                Reply::Gtm1(event) => self
+                Reply::Gtm(arrival) => self
                     .queue
-                    .schedule_in(delay, SimEvent::DeliverGtm1 { event }),
-                Reply::Ack(txn) => self
-                    .queue
-                    .schedule_in(delay, SimEvent::DeliverAck { txn, site }),
+                    .schedule_in(delay, SimEvent::DeliverGtm { arrival }),
                 Reply::Blocked(txn) => self.arm_timeout(site, txn.into()),
                 Reply::Unblocked(txn) => {
                     self.blocked_epoch.remove(&(site, txn.into()));

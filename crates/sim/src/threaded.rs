@@ -25,11 +25,12 @@
 //! before it parks (`mdbs_common::pool`, "Spin before park").
 //!
 //! GTM2 is the paper's single sequential process (Figures 2–3): the
-//! coordinator owns one plain [`Gtm2`] — no lock, nothing shared — and is
-//! the only thread that runs the scheduler. Servers put their `ack`s into
-//! its QUEUE the way the paper's do, as a message on the channel every
-//! other site reply already travels: one thread decides the order, the
-//! site workers only execute.
+//! coordinator thread owns the one [`Coordinator`] — GTM1 and a plain
+//! [`Gtm2`], no lock, nothing shared — and is the only thread that runs
+//! the scheduler. It is the same `Coordinator` the simulator drives.
+//! Servers send their `ack`s the way the paper's do, as an [`Arrival`] on
+//! the channel every other site reply already travels: one thread decides
+//! the order, the site workers only execute.
 //!
 //! Scope: global transactions only (the simulator covers background local
 //! load); aborted global transactions are not retried — their outcome is
@@ -37,18 +38,17 @@
 
 use crate::server::{Reply, Server};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
+use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::{Registry, SharedSink, TracedEvent};
-use mdbs_common::ops::QueueOp;
 use mdbs_common::pool::{Poll, Pool, TaskHandle};
-use mdbs_core::gtm1::{Gtm1, Gtm1Effect, Gtm1Event, ServerCommand};
+use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
+use mdbs_core::gtm1::{Gtm1, Gtm1Event, ServerCommand};
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_core::scheme::{KernelKind, SchemeKind};
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::engine::{EngineStats, LocalDbms};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_localdb::serfn::SerializationEvent;
-use mdbs_localdb::storage::Value;
 use mdbs_schedule::global::{check_global, GlobalSerializability};
 use mdbs_schedule::History;
 use std::collections::BTreeMap;
@@ -83,17 +83,14 @@ enum ToSite {
 
 /// Message from a site thread back to the coordinator.
 enum FromSite {
-    Gtm1(Gtm1Event),
-    /// `ack(ser_site(txn))`, for GTM2's QUEUE.
-    Ack {
-        txn: GlobalTxnId,
-        site: SiteId,
-    },
+    /// A server reply for the coordinator.
+    Gtm(Arrival),
     /// Final state at shutdown.
     Final {
         site: SiteId,
         history: History,
-        committed_values: Vec<(DataItemId, Value)>,
+        /// Sum of the committed data values (ticket excluded).
+        data_total: i128,
         stats: EngineStats,
         /// Messages this worker failed to deliver (coordinator gone).
         send_dropped: u64,
@@ -183,7 +180,7 @@ impl SiteWorker {
         let msg = FromSite::Final {
             site: self.site,
             history: self.server.db.take_history(),
-            committed_values: self.server.db.storage().iter().collect(),
+            data_total: self.server.db.storage().data_total(),
             stats: self.server.db.stats(),
             send_dropped: self.send_dropped,
         };
@@ -210,14 +207,13 @@ impl SiteWorker {
         self.deliver();
     }
 
-    /// Send the server's replies on their way: GTM1 events and acks over
+    /// Send the server's replies on their way: messages for the GTM over
     /// the channel, blocked steps onto the expiry clock.
     fn deliver(&mut self) {
         let mut replies = std::mem::take(&mut self.replies);
         for reply in replies.drain(..) {
             match reply {
-                Reply::Gtm1(event) => self.send_counted(FromSite::Gtm1(event)),
-                Reply::Ack(txn) => self.send_ack(txn),
+                Reply::Gtm(arrival) => self.send_counted(FromSite::Gtm(arrival)),
                 Reply::Blocked(txn) => {
                     self.blocked_since.insert(txn, Instant::now());
                 }
@@ -229,36 +225,6 @@ impl SiteWorker {
             }
         }
         self.replies = replies;
-    }
-
-    /// Put `ack(ser_site(txn))` into GTM2's QUEUE, which the coordinator
-    /// holds.
-    fn send_ack(&mut self, txn: GlobalTxnId) {
-        self.send_counted(FromSite::Ack {
-            txn,
-            site: self.site,
-        });
-    }
-}
-
-/// Insert `op` into GTM2's QUEUE and run the loop dry; whatever it
-/// schedules (submits for any site, forwarded acks) goes on to GTM1.
-fn schedule(gtm2: &mut Gtm2, op: QueueOp, pending_events: &mut VecDeque<Gtm1Event>) {
-    gtm2.enqueue(op);
-    pending_events.extend(gtm2.pump().into_iter().map(gtm2_effect_event));
-}
-
-/// Convert a GTM2 effect into the GTM1 event that carries it onward.
-fn gtm2_effect_event(fx: SchemeEffect) -> Gtm1Event {
-    match fx {
-        SchemeEffect::SubmitSer { txn, site } => Gtm1Event::Gtm2SubmitSer { txn, site },
-        SchemeEffect::ForwardAck { txn, site } => Gtm1Event::Gtm2Ack { txn, site },
-        SchemeEffect::AbortGlobal { .. } => {
-            unreachable!("conservative schemes only")
-        }
-        SchemeEffect::ProtocolViolation { txn, site, kind } => {
-            unreachable!("gtm2 protocol violation: {kind} ({txn}, {site:?})")
-        }
     }
 }
 
@@ -288,8 +254,13 @@ pub struct ThreadedMdbs {
 }
 
 impl ThreadedMdbs {
-    /// Configure a runtime.
+    /// Configure a runtime. Panics on a non-conservative scheme: the
+    /// baselines abort global transactions, which the MDBS does not model.
     pub fn new(protocols: Vec<LocalProtocolKind>, scheme: SchemeKind, mpl: usize) -> Self {
+        assert!(
+            scheme.is_conservative(),
+            "{scheme} is not conservative: the MDBS runs Schemes 0-3 only; run baselines with mdbs_core::replay"
+        );
         ThreadedMdbs {
             protocols,
             scheme,
@@ -313,16 +284,14 @@ impl ThreadedMdbs {
             .enumerate()
             .map(|(i, &p)| (SiteId(i as u32), SerializationEvent::for_protocol(p)))
             .collect();
-        let mut gtm1 = Gtm1::new(site_events);
-        let mut gtm2 = Gtm2::new(self.scheme.build_kernel(KernelKind::Dense));
-        let sched_sink = if self.trace {
-            let sink = SharedSink::new();
-            gtm1.set_sink(Some(Box::new(sink.clone())));
-            gtm2.set_sink(Some(Box::new(sink.clone())));
-            Some(sink)
-        } else {
-            None
-        };
+        let mut gtm = Coordinator::new(
+            Gtm1::new(site_events),
+            Gtm2::new(self.scheme.build_kernel(KernelKind::Dense)),
+        );
+        let sched_sink = self.trace.then(SharedSink::new);
+        if sched_sink.is_some() {
+            gtm.set_sink(sched_sink.clone());
+        }
 
         let (to_coord, from_sites) = bounded::<FromSite>(1024);
         // Task-per-site on a bounded worker pool: many sites multiplex
@@ -367,24 +336,24 @@ impl ThreadedMdbs {
         let mut send_dropped = 0u64;
 
         // Closed-loop admission up to mpl.
-        let mut pending_events: VecDeque<Gtm1Event> = VecDeque::new();
-        for _ in 0..self.mpl.min(queue.len()) {
-            pending_events.push_back(Gtm1Event::Submit(queue.pop_front().expect("nonempty")));
-        }
+        let submit = |gt| Arrival::Gtm1(Gtm1Event::Submit(gt));
+        let mut arrivals: VecDeque<Arrival> = queue
+            .drain(..self.mpl.min(queue.len()))
+            .map(submit)
+            .collect();
+        let mut out: Vec<Outbound> = Vec::new();
 
         // Wedge check: messages arrived so far, and how many had arrived —
         // and when — the last time a 2 ms tick saw that count move.
         let mut arrived = 0u64;
         let mut last_progress = (arrived, Instant::now());
         while done < total {
-            // Process whatever GTM work is pending.
-            while let Some(ev) = pending_events.pop_front() {
-                for fx in gtm1.handle(ev) {
-                    match fx {
-                        Gtm1Effect::EnqueueGtm2(op) => {
-                            schedule(&mut gtm2, op, &mut pending_events);
-                        }
-                        Gtm1Effect::Server { txn, site, cmd } => {
+            // Hand every arrival to the GTM, one at a time.
+            while let Some(arrival) = arrivals.pop_front() {
+                gtm.handle(0, arrival, &mut out);
+                for msg in out.drain(..) {
+                    match msg {
+                        Outbound::Server { txn, site, cmd } => {
                             // A dead site thread is tolerated (timeouts
                             // abort its transactions) but never silent.
                             if site_txs[site.index()]
@@ -396,15 +365,13 @@ impl ThreadedMdbs {
                                 h.wake();
                             }
                         }
-                        Gtm1Effect::Completed { aborted, .. } => {
+                        Outbound::Completed { aborted, .. } => {
                             done += 1;
                             match aborted {
                                 None => commits += 1,
                                 Some(_) => aborts += 1,
                             }
-                            if let Some(next) = queue.pop_front() {
-                                pending_events.push_back(Gtm1Event::Submit(next));
-                            }
+                            arrivals.extend(queue.pop_front().map(submit));
                         }
                     }
                 }
@@ -428,12 +395,8 @@ impl ThreadedMdbs {
                 from_sites.recv_timeout(Duration::from_millis(2))
             };
             match reply {
-                Ok(FromSite::Gtm1(event)) => {
-                    pending_events.push_back(event);
-                    arrived += 1;
-                }
-                Ok(FromSite::Ack { txn, site }) => {
-                    schedule(&mut gtm2, QueueOp::Ack { txn, site }, &mut pending_events);
+                Ok(FromSite::Gtm(arrival)) => {
+                    arrivals.push_back(arrival);
                     arrived += 1;
                 }
                 Ok(FromSite::Final { .. }) => {}
@@ -470,17 +433,12 @@ impl ThreadedMdbs {
                 Ok(FromSite::Final {
                     site,
                     history,
-                    committed_values,
+                    data_total,
                     stats,
                     send_dropped: site_dropped,
                 }) => {
                     send_dropped += site_dropped;
-                    let total = committed_values
-                        .iter()
-                        .filter(|(item, _)| *item != DataItemId::TICKET)
-                        .map(|(_, v)| i128::from(*v))
-                        .sum();
-                    totals.insert(site, total);
+                    totals.insert(site, data_total);
                     histories.insert(site, history);
                     stats.export_metrics(site, &mut registry);
                 }
@@ -492,8 +450,7 @@ impl ThreadedMdbs {
             pool.wait_idle(Duration::from_secs(10)),
             "site tasks did not reach Done"
         );
-        gtm1.export_metrics(&mut registry);
-        gtm2.export_metrics(&mut registry);
+        gtm.export_metrics(&mut registry);
         pool.export_metrics(&mut registry);
         registry.inc("threaded.send_dropped", send_dropped);
 
@@ -501,7 +458,7 @@ impl ThreadedMdbs {
             commits,
             aborts,
             audit: check_global(histories.iter().map(|(&s, h)| (s, h))),
-            ser_s_ok: gtm2.ser_log().check().is_ok(),
+            ser_s_ok: gtm.gtm2().ser_log().check().is_ok(),
             storage_totals: totals.into_values().collect(),
             registry,
             events: sched_sink.map(|s| s.drain()).unwrap_or_default(),
@@ -539,6 +496,15 @@ mod tests {
         assert_eq!(site_pool_workers(4, 8), 4);
         assert_eq!(site_pool_workers(1, 8), 1);
         assert_eq!(site_pool_workers(0, 2), 1);
+    }
+
+    /// A baseline scheme would abort global transactions mid-run; it is
+    /// refused up front instead.
+    #[test]
+    #[should_panic(expected = "Aborting-TO is not conservative")]
+    fn non_conservative_scheme_is_refused() {
+        let sites = vec![LocalProtocolKind::TwoPhaseLocking; 3];
+        ThreadedMdbs::new(sites, SchemeKind::AbortingTo, 8);
     }
 
     /// Reproducer: this used to panic indexing `site_txs` with a site the

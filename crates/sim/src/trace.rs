@@ -24,13 +24,6 @@ pub enum TraceRecord {
         /// Attempt number (1 = first try).
         attempt: u32,
     },
-    /// GTM2 scheduled a serialization event for execution.
-    SerScheduled {
-        /// Transaction.
-        txn: GlobalTxnId,
-        /// Site of the event.
-        site: SiteId,
-    },
     /// A global transaction finished.
     Completed {
         /// Transaction.
@@ -166,9 +159,10 @@ mod tests {
         let mut t = Trace::new();
         t.push(
             5,
-            TraceRecord::SerScheduled {
+            TraceRecord::Submitted {
                 txn: GlobalTxnId(3),
-                site: SiteId(0),
+                program: 0,
+                attempt: 1,
             },
         );
         let lines = t.to_json_lines();

@@ -222,6 +222,18 @@ fn contention_still_terminates_and_serializes() {
     }
 }
 
+/// A baseline scheme would abort global transactions mid-run; the
+/// simulator refuses it up front instead.
+#[test]
+#[should_panic(expected = "Optimistic-Ticket is not conservative")]
+fn non_conservative_scheme_is_refused() {
+    let cfg = SystemConfig::builder()
+        .sites(3, LocalProtocolKind::TwoPhaseLocking)
+        .scheme(SchemeKind::OptimisticTicket)
+        .build();
+    MdbsSystem::new(cfg);
+}
+
 #[test]
 fn trace_records_run_lifecycle() {
     let cfg = SystemConfig::builder()
@@ -236,6 +248,8 @@ fn trace_records_run_lifecycle() {
     let report = system.run(Workload::generate(&spec(2, 8, 2, 21)));
     assert!(report.is_serializable());
     let trace = system.take_trace().expect("tracing enabled");
+    use mdbs_common::instrument::SchedEvent;
+    use mdbs_common::ops::QueueOpKind::Ser;
     use mdbs_sim::trace::TraceRecord;
     let submitted = trace
         .filter(|r| matches!(r, TraceRecord::Submitted { .. }))
@@ -243,8 +257,16 @@ fn trace_records_run_lifecycle() {
     let completed = trace
         .filter(|r| matches!(r, TraceRecord::Completed { .. }))
         .count();
+    // GTM2 acts each ser once, from QUEUE or woken from WAIT.
     let scheduled = trace
-        .filter(|r| matches!(r, TraceRecord::SerScheduled { .. }))
+        .filter(|r| {
+            matches!(
+                r,
+                TraceRecord::Sched {
+                    event: SchedEvent::Act { kind: Ser, .. } | SchedEvent::Wake { kind: Ser, .. }
+                }
+            )
+        })
         .count();
     assert!(submitted >= 8, "every program submitted at least once");
     assert_eq!(submitted, completed, "every attempt completes");
