@@ -1,7 +1,12 @@
 //! One-cell replay runner for profiling: replays a single
-//! (scheme, kernel, size) cell in a loop so a sampling profiler
-//! (`gprofng collect app`, `perf record`) sees only the scheduler under
-//! test.
+//! (scheme, kernel, size) cell in a loop so a profiler sees only the
+//! scheduler under test.
+//!
+//! On a 2-vCPU VM `gprofng collect app -p hi` records only about 20
+//! samples per second of run, too few to split a 200 ms cell. The Scheme 2
+//! split quoted in ROADMAP item 6 came instead from `Instant` timers
+//! around `cond`, `act` and `Eliminate_Cycles`, added to a throwaway copy
+//! of the tree and never committed; their overhead is in the numbers.
 //!
 //! ```text
 //! profile_replay [SCHEME] [KERNEL] [SIZE] [REPS]

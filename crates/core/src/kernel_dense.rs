@@ -594,17 +594,19 @@ impl Gtm2Scheme for Scheme1Dense {
 // Scheme 2
 // ---------------------------------------------------------------------------
 
-/// Scheme 2 on the slot-indexed [`DenseTsgd`]: `cond(ser)` reads the
-/// predecessor bitset of one TSG edge (no dependency-list scan), and
-/// whether `act(ser)` ran and whether the ack came are two flags on that
-/// edge (`ran`, `acked`).
+/// Scheme 2 on the slot-indexed [`DenseTsgd`]: whether `act(ser)` ran and
+/// whether the ack came are two flags on the TSG edge (`ran`, `acked`),
+/// and each edge counts its dependency predecessors still unacked, so
+/// `cond(ser)` is one counter read (no dependency-list scan, no walk of
+/// the predecessors).
 ///
 /// The `fb_*` fallbacks hold `(txn, site)` pairs recorded when no TSG edge
 /// exists to carry the flag (protocol-violating inputs only — an
 /// `ack`/`ser` for a transaction or site the TSGD does not know). The
-/// reference remembers such pairs by id forever; an edge vanishes at `fin`
-/// and its slots recycle, so they live in a plain set (never touched on
-/// valid runs).
+/// reference remembers such pairs by id until the transaction's `fin`; an
+/// edge vanishes at `fin` and its slots recycle, so they live in a plain
+/// set (never touched on valid runs), and an `init` that creates the edge
+/// of an early `ack` marks it acked.
 #[derive(Clone, Debug, Default)]
 pub struct Scheme2Dense {
     tsgd: DenseTsgd,
@@ -628,16 +630,6 @@ impl Scheme2Dense {
         self.tsgd.edge(js, site).is_some_and(|e| e.ran)
             || (!self.fb_executed.is_empty() && self.fb_executed.contains(&(j, site)))
     }
-
-    /// Has the ack of the transaction in slot `ts` at `site` been processed?
-    fn acked_at(&self, ts: u32, site: SiteId) -> bool {
-        self.tsgd.edge(ts, site).is_some_and(|e| e.acked)
-            || (!self.fb_acked.is_empty()
-                && self
-                    .tsgd
-                    .txn_at_slot(ts)
-                    .is_some_and(|j| self.fb_acked.contains(&(j, site))))
-    }
 }
 
 impl Gtm2Scheme for Scheme2Dense {
@@ -648,10 +640,14 @@ impl Gtm2Scheme for Scheme2Dense {
     fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
         steps.tick(StepKind::Cond);
         match op {
-            QueueOp::Ser { txn, site } => match self.tsgd.preds_at(*txn, *site) {
-                Some(preds) => {
-                    steps.bump(StepKind::Cond, preds.len() as u64 + 1);
-                    preds.iter().all(|p| self.acked_at(p, *site))
+            QueueOp::Ser { txn, site } => match self
+                .tsgd
+                .txn_slot(*txn)
+                .and_then(|ts| self.tsgd.edge(ts, *site))
+            {
+                Some(edge) => {
+                    steps.bump(StepKind::Cond, edge.pred_count() as u64 + 1);
+                    edge.preds_acked()
                 }
                 None => {
                     steps.bump(StepKind::Cond, 1);
@@ -671,6 +667,15 @@ impl Gtm2Scheme for Scheme2Dense {
             QueueOp::Init { txn, sites } => {
                 let ts = self.tsgd.insert_txn(*txn, sites);
                 steps.bump(StepKind::Act, sites.len() as u64);
+                // An ack that came before its edge (a protocol violation)
+                // lands on the edge now.
+                if !self.fb_acked.is_empty() {
+                    for &site in sites {
+                        if self.fb_acked.contains(&(*txn, site)) {
+                            self.tsgd.mark_acked(ts, site);
+                        }
+                    }
+                }
                 for &site in sites {
                     let Some(ss) = self.tsgd.site_slot(site) else {
                         steps.bump(StepKind::Act, 1);
@@ -727,11 +732,8 @@ impl Gtm2Scheme for Scheme2Dense {
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ts = self.tsgd.txn_slot(*txn);
-                match ts.and_then(|ts| self.tsgd.edge_mut(ts, *site)) {
-                    Some(edge) => edge.acked = true,
-                    None => {
-                        self.fb_acked.insert((*txn, *site));
-                    }
+                if !ts.is_some_and(|ts| self.tsgd.mark_acked(ts, *site)) {
+                    self.fb_acked.insert((*txn, *site));
                 }
                 vec![SchemeEffect::ForwardAck {
                     txn: *txn,

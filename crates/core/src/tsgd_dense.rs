@@ -17,12 +17,14 @@
 //!   `Ĝ_i`'s row: its position in `s_k`'s column, the *before* slots of the
 //!   dependencies into it, and the *after* column positions of the
 //!   dependencies out of it. Each dependency is stored on both its edges;
-//! - so Scheme 2's `cond(ser)` predecessor count is a popcount of one
-//!   edge's before set, `cond(fin)`'s "no incoming dependency" test is an
-//!   O(1) counter read, and an `Eliminate_Cycles` column scan reads its
-//!   blocked set (the edge's after set, in the column's own position space)
-//!   and the position it must skip off the edge it stands on — a
-//!   word-parallel find-first-clear with no search;
+//! - so Scheme 2's `cond(ser)` is a read of one edge's count of unacked
+//!   predecessors (kept by `add_dep_slots`, `mark_acked` and
+//!   `remove_txn`, so a failed WAIT re-test walks nothing), `cond(fin)`'s
+//!   "no incoming dependency" test is an O(1) counter read, and an
+//!   `Eliminate_Cycles` column scan reads its blocked set (the edge's after
+//!   set, in the column's own position space) and the position it must
+//!   skip off the edge it stands on — a word-parallel find-first-clear
+//!   with no search;
 //! - `Eliminate_Cycles` keeps its scan cursor in the traversal path's frame,
 //!   so coming back to a node costs O(1), and leaves Δ in slot space.
 //!
@@ -35,8 +37,8 @@
 //! `s_par`/`t_par` maps are the path itself.
 //!
 //! Nothing here answers a scheduling question that the reference does not:
-//! `cond` reads `preds_at` / `incoming_deps` / `dep_count`, `act` calls
-//! `insert_txn` / `add_dep` / `remove_txn` and [`eliminate_cycles_dense_with`],
+//! `cond` reads an edge's unacked count / `incoming_deps` / `dep_count`,
+//! `act` calls `insert_txn` / `add_dep` / `mark_acked` / `remove_txn` and [`eliminate_cycles_dense_with`],
 //! which charges `steps` tick-for-tick like [`crate::tsgd::eliminate_cycles`]
 //! (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
 //! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
@@ -56,9 +58,10 @@ use std::collections::BTreeSet;
 
 /// One TSG edge `(Ĝ_i, s_k)`, kept in `Ĝ_i`'s row: where it sits in
 /// `s_k`'s column, both halves of every dependency at `s_k` it is part of,
-/// and Scheme 2's progress on it. Only the progress flags are writable
-/// outside this module: the rest must agree with the columns and with the
-/// other edge of each dependency ([`DenseTsgd::edges_consistent`]).
+/// and Scheme 2's progress on it. Only `ran` is writable outside this
+/// module (`acked` through [`DenseTsgd::mark_acked`]): the rest must agree
+/// with the columns and with the other edge of each dependency
+/// ([`DenseTsgd::edges_consistent`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Edge {
     site: SiteId,
@@ -77,7 +80,25 @@ pub(crate) struct Edge {
     /// Scheme 2: `act(ser)` has run on this edge.
     pub(crate) ran: bool,
     /// Scheme 2: its ack has been processed.
-    pub(crate) acked: bool,
+    acked: bool,
+    /// How many `before` members' own edges at `site` are not yet acked —
+    /// Scheme 2's `cond(ser)` holds iff this is 0.
+    unacked_before: u32,
+}
+
+impl Edge {
+    /// Scheme 2's `cond(ser)` on this edge: every dependency predecessor
+    /// at the site has been acked.
+    #[inline]
+    pub(crate) fn preds_acked(&self) -> bool {
+        self.unacked_before == 0
+    }
+
+    /// Number of dependencies into this edge.
+    #[inline]
+    pub(crate) fn pred_count(&self) -> usize {
+        self.before.len()
+    }
 }
 
 /// The TSGD over dense slots. See the module docs for the storage scheme.
@@ -133,6 +154,7 @@ impl DenseTsgd {
                         after: DenseBitSet::new(),
                         ran: false,
                         acked: false,
+                        unacked_before: 0,
                     },
                 );
                 // Mid-column insert: the members above moved up one. The
@@ -183,10 +205,41 @@ impl DenseTsgd {
         Self::edge_in(self.edges.get_mut(ts as usize)?, site)
     }
 
-    /// Count a failed checked decrement in [`DenseTsgd::remove_txn`]; the
-    /// debug assert pins the invariant in tests.
+    /// Record the ack of edge `(transaction in slot ts, site)`: the first
+    /// time, every dependency out of the edge loses one unacked
+    /// predecessor. Returns `false` if no such edge exists.
+    pub(crate) fn mark_acked(&mut self, ts: u32, site: SiteId) -> bool {
+        let (Some(i), Some(txn)) = (self.edge_index(ts, site), self.txns.key_of(ts)) else {
+            return false;
+        };
+        let e = &mut self.edges[ts as usize][i];
+        if std::mem::replace(&mut e.acked, true) {
+            return true;
+        }
+        let after = std::mem::take(&mut e.after);
+        let ss = e.ss as usize;
+        for apos in after.iter() {
+            let a = self.site_txns[ss].get(apos as usize).map(|&(_, a)| a);
+            self.release_waiter(a, site, txn);
+        }
+        self.edges[ts as usize][i].after = after;
+        true
+    }
+
+    /// One predecessor of the after-edge `(a, site)` was acked or removed:
+    /// a checked decrement of its unacked count.
+    fn release_waiter(&mut self, a: Option<u32>, site: SiteId, txn: GlobalTxnId) {
+        match a.and_then(|a| self.edge_mut(a, site)) {
+            Some(ae) if ae.unacked_before > 0 => ae.unacked_before -= 1,
+            _ => self.desynced(txn),
+        }
+    }
+
+    /// Count a failed checked decrement in [`DenseTsgd::remove_txn`] or
+    /// [`DenseTsgd::mark_acked`]; the debug assert pins the invariant in
+    /// tests.
     fn desynced(&self, txn: GlobalTxnId) {
-        debug_assert!(false, "dependency accounting desynced removing {txn}");
+        debug_assert!(false, "dependency accounting desynced at {txn}");
         self.desync.set(self.desync.get() + 1);
     }
 
@@ -196,8 +249,9 @@ impl DenseTsgd {
         let Some(ts) = self.txns.slot_of(&txn) else {
             return;
         };
-        // Each dependency is on two edges: clear its other half. Decrements
-        // are checked — a desynced edge is counted, not a scheduler panic.
+        // Each dependency is on two edges: clear its other half, and an
+        // unacked edge stops holding up its after-edges. Decrements are
+        // checked — a desynced edge is counted, not a scheduler panic.
         let mut row = std::mem::take(&mut self.edges[ts as usize]);
         for e in &row {
             for apos in e.after.iter() {
@@ -214,6 +268,9 @@ impl DenseTsgd {
                     } else {
                         self.incoming[a as usize] -= 1;
                         self.dep_count -= 1;
+                    }
+                    if !e.acked {
+                        self.release_waiter(Some(a), e.site, txn);
                     }
                 }
             }
@@ -262,15 +319,18 @@ impl DenseTsgd {
     }
 
     /// [`DenseTsgd::add_dep`] for callers already in slot space: the
-    /// dependency `before → after` at `site`, stored on both edges.
+    /// dependency `before → after` at `site`, stored on both edges (an
+    /// unacked `before` edge holds `after`'s up).
     pub(crate) fn add_dep_slots(&mut self, site: SiteId, before: u32, after: u32) {
         let (Some(bi), Some(ai)) = (self.edge_index(before, site), self.edge_index(after, site))
         else {
             debug_assert!(false, "dep on missing edge");
             return;
         };
+        let unacked = u32::from(!self.edges[before as usize][bi].acked);
         let a = &mut self.edges[after as usize][ai];
         if a.before.insert(before) {
+            a.unacked_before += unacked;
             let apos = a.pos;
             self.incoming[after as usize] += 1;
             self.dep_count += 1;
@@ -365,6 +425,7 @@ impl DenseTsgd {
     /// Before-slots of dependencies `(·, site) → (site, txn)` — empty if
     /// there are none, `None` if the edge does not exist. Cardinality is the
     /// reference `dep_preds(txn, site).len()`.
+    #[cfg(test)]
     pub fn preds_at(&self, txn: GlobalTxnId, site: SiteId) -> Option<&DenseBitSet> {
         self.edge(self.txns.slot_of(&txn)?, site).map(|e| &e.before)
     }
@@ -391,8 +452,10 @@ impl DenseTsgd {
     /// rows and columns hold the same edges; every dependency is on both its
     /// edges (a `before` bit has the matching `after` position on the
     /// before-transaction's edge at the same site, and an `after` position
-    /// the matching `before` bit); `incoming[t]` counts the `before` bits on
-    /// `t`'s edges; and `dep_count` is the sum of `incoming`.
+    /// the matching `before` bit); each edge's `unacked_before` counts the
+    /// `before` members whose edge is not acked; `incoming[t]` counts the
+    /// `before` bits on `t`'s edges; and `dep_count` is the sum of
+    /// `incoming`.
     /// Test/validation grade.
     pub fn edges_consistent(&self) -> bool {
         let mut edges = 0;
@@ -404,9 +467,12 @@ impl DenseTsgd {
                 let col = self.txns_col(e.ss);
                 let placed = self.sites.key_of(e.ss) == Some(e.site)
                     && col.get(e.pos as usize) == Some(&(txn, ts));
+                let mut unacked = 0;
                 let befores_mirrored = e.before.iter().all(|b| {
-                    self.edge(b, e.site)
-                        .is_some_and(|be| be.after.contains(e.pos))
+                    self.edge(b, e.site).is_some_and(|be| {
+                        unacked += u32::from(!be.acked);
+                        be.after.contains(e.pos)
+                    })
                 });
                 let afters_mirrored = e.after.iter().all(|p| {
                     col.get(p as usize).is_some_and(|&(_, a)| {
@@ -414,7 +480,7 @@ impl DenseTsgd {
                             .is_some_and(|ae| ae.before.contains(ts))
                     })
                 });
-                if !(placed && befores_mirrored && afters_mirrored) {
+                if !(placed && befores_mirrored && afters_mirrored && e.unacked_before == unacked) {
                     return false;
                 }
             }
@@ -909,6 +975,63 @@ mod tests {
         assert!(t.preds_at(g(7), s(0)).is_some_and(DenseBitSet::is_empty));
         // G7 and G2 now share two undetermined sites: a fresh cycle.
         assert!(t.has_cycle_involving_oracle(g(7), &BTreeSet::new()));
+    }
+
+    /// `(txn, site)`'s count of unacked dependency predecessors.
+    fn unacked(t: &DenseTsgd, txn: u64, site: u32) -> u32 {
+        let ts = t.txn_slot(g(txn)).unwrap();
+        t.edge(ts, s(site)).unwrap().unacked_before
+    }
+
+    #[test]
+    fn unacked_count_follows_acks_deps_and_removals() {
+        let mut t = DenseTsgd::new();
+        for i in 1..=3 {
+            t.insert_txn(g(i), &[s(0)]);
+        }
+        let slot = |t: &DenseTsgd, i| t.txn_slot(g(i)).unwrap();
+        // A dependency from an already-acked edge holds nothing up.
+        assert!(t.mark_acked(slot(&t, 1), s(0)));
+        t.add_dep(dep(0, 1, 3));
+        assert_eq!(unacked(&t, 3, 0), 0);
+        // One from an unacked edge does, until that edge is acked — once,
+        // however often the ack repeats.
+        t.add_dep(dep(0, 2, 3));
+        assert_eq!(unacked(&t, 3, 0), 1);
+        assert!(!t.edge(slot(&t, 3), s(0)).unwrap().preds_acked());
+        assert!(t.mark_acked(slot(&t, 2), s(0)));
+        assert!(t.mark_acked(slot(&t, 2), s(0)));
+        assert_eq!(unacked(&t, 3, 0), 0);
+        assert!(t.edges_consistent());
+        // No edge, no ack.
+        assert!(!t.mark_acked(slot(&t, 3), s(9)));
+        assert!(!t.mark_acked(77, s(0)));
+        assert_eq!(t.take_desync(), 0);
+    }
+
+    #[test]
+    fn removing_an_unacked_predecessor_releases_the_waiter() {
+        let mut t = two_txn_cycle();
+        t.add_dep(dep(0, 1, 2));
+        t.add_dep(dep(1, 1, 2));
+        assert_eq!((unacked(&t, 2, 0), unacked(&t, 2, 1)), (1, 1));
+        t.remove_txn(g(1));
+        assert_eq!((unacked(&t, 2, 0), unacked(&t, 2, 1)), (0, 0));
+        assert!(t.edges_consistent());
+        assert_eq!(t.take_desync(), 0);
+    }
+
+    #[test]
+    fn recycled_slot_starts_with_no_unacked_preds() {
+        let mut t = DenseTsgd::new();
+        t.insert_txn(g(1), &[s(0)]);
+        t.insert_txn(g(2), &[s(0)]);
+        t.add_dep(dep(0, 1, 2));
+        let old_slot = t.txn_slot(g(2)).unwrap();
+        t.remove_txn(g(2));
+        assert_eq!(t.insert_txn(g(5), &[s(0)]), old_slot);
+        assert_eq!(unacked(&t, 5, 0), 0);
+        assert!(t.edges_consistent());
     }
 
     #[test]

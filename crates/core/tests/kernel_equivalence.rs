@@ -1,6 +1,7 @@
 //! Kernel-equivalence property suite: the dense slot/bitset kernels
 //! (`kernel_dense`, `tsgd_dense`) are observationally identical to the
-//! reference BTree kernels on every valid input.
+//! reference BTree kernels on every valid input, and Scheme 2's on the
+//! malformed `ack`s of [`malformed_acks_keep_scheme2_kernels_equal`].
 //!
 //! "Identical" is strict: same effect sequence, same per-site `ser(S)`
 //! orders, same engine stats, and — the load-bearing invariant for the
@@ -209,6 +210,156 @@ fn burst_scale_outcomes_match_reference() {
             assert_eq!(dense.protocol_violations, 0, "{kind} {engine}");
             assert!(dense.ser_serializable, "{kind} {engine}");
         }
+    }
+}
+
+/// Scheme 2 under malformed `ack`s (protocol violations): a duplicated
+/// `ack`, an `ack` before its `init`, an `ack` at a site the transaction
+/// never announced (announced later by a second `init`), and an `ack` for
+/// a transaction that never exists. The dense kernel keeps acks on TSG
+/// edges and counts each edge's unacked predecessors; the reference keeps
+/// a set of acked pairs. Each script runs op by op through both kernels
+/// directly — after every op, `cond(ser)` for every `(txn, site)` must give
+/// the same verdict at the same step charge — and through a validating
+/// engine per kernel, whose effects, stats (`protocol_violations`
+/// included), steps and `ser(S)` must agree.
+#[test]
+fn malformed_acks_keep_scheme2_kernels_equal() {
+    let init = |t, sites: &[u32]| QueueOp::Init {
+        txn: GlobalTxnId(t),
+        sites: sites.iter().map(|&k| SiteId(k)).collect(),
+    };
+    let ser = |t, k| QueueOp::Ser {
+        txn: GlobalTxnId(t),
+        site: SiteId(k),
+    };
+    let ack = |t, k| QueueOp::Ack {
+        txn: GlobalTxnId(t),
+        site: SiteId(k),
+    };
+    let fin = |t| QueueOp::Fin {
+        txn: GlobalTxnId(t),
+    };
+    let scripts = [
+        (
+            "duplicated ack",
+            vec![
+                init(1, &[0, 1]),
+                init(2, &[0, 1]),
+                ser(1, 0),
+                ack(1, 0),
+                ack(1, 0),
+                ser(2, 0),
+                ser(1, 1),
+                ser(2, 1),
+                ack(2, 0),
+                ack(2, 0),
+                ack(1, 1),
+                ack(2, 1),
+                fin(1),
+                fin(2),
+            ],
+        ),
+        (
+            "ack before init",
+            vec![
+                ack(1, 0),
+                init(1, &[0, 1]),
+                init(2, &[0, 1]),
+                ser(1, 0),
+                ser(2, 0),
+                ser(1, 1),
+                ack(2, 0),
+                ack(1, 1),
+                ser(2, 1),
+                ack(1, 0),
+                ack(2, 1),
+                fin(1),
+                fin(2),
+            ],
+        ),
+        (
+            "ack at an unannounced site",
+            vec![
+                init(1, &[0]),
+                init(2, &[0, 1]),
+                ack(1, 1),
+                ser(2, 1),
+                init(1, &[1]),
+                ser(1, 1),
+                init(3, &[1]),
+                ser(3, 1),
+                ack(2, 1),
+                ser(1, 0),
+                ack(1, 0),
+                ser(2, 0),
+                ack(2, 0),
+                ack(3, 1),
+                fin(1),
+                fin(2),
+                fin(3),
+            ],
+        ),
+        (
+            "ack for an unknown transaction",
+            vec![
+                init(1, &[0]),
+                ack(9, 0),
+                ser(1, 0),
+                init(2, &[0]),
+                ser(2, 0),
+                ack(9, 0),
+                ack(1, 0),
+                ack(2, 0),
+                fin(9),
+                fin(1),
+                fin(2),
+            ],
+        ),
+    ];
+    let probes: Vec<QueueOp> = (1..=3)
+        .chain([9])
+        .flat_map(|t| (0..3).map(move |k| ser(t, k)))
+        .collect();
+    for (case, script) in scripts {
+        let kind = SchemeKind::Scheme2;
+        let mut reference = kind.build_kernel(KernelKind::BTree);
+        let mut dense = kind.build_kernel(KernelKind::Dense);
+        let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
+            let mut engine = Gtm2::new(kind.build_kernel(kernel));
+            engine.set_validate(true);
+            engine
+        });
+        for (i, op) in script.iter().enumerate() {
+            let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
+            let fx_ref = reference.act(op, &mut steps_ref);
+            let fx_dense = dense.act(op, &mut steps_dense);
+            assert_eq!(fx_ref, fx_dense, "{case}, op {i} {op:?}: act effects");
+            for probe in &probes {
+                let verdict_ref = reference.cond(probe, &mut steps_ref);
+                let verdict_dense = dense.cond(probe, &mut steps_dense);
+                assert_eq!(
+                    verdict_ref, verdict_dense,
+                    "{case}, after op {i} {op:?}: cond({probe:?})"
+                );
+            }
+            assert_eq!(steps_ref, steps_dense, "{case}, op {i} {op:?}: steps");
+            let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
+                engine.enqueue(op.clone());
+                engine.pump()
+            });
+            assert_eq!(fx_ref, fx_dense, "{case}, op {i} {op:?}: engine effects");
+            let [ref_engine, dense_engine] = &engines;
+            assert_eq!(ref_engine.stats(), dense_engine.stats(), "{case}, op {i}");
+            assert_eq!(ref_engine.steps(), dense_engine.steps(), "{case}, op {i}");
+        }
+        let [ref_engine, dense_engine] = &engines;
+        assert_eq!(
+            ref_engine.ser_log().events(),
+            dense_engine.ser_log().events(),
+            "{case}: ser(S)"
+        );
+        assert_eq!(ref_engine.wait_len(), dense_engine.wait_len(), "{case}");
     }
 }
 
