@@ -4,9 +4,13 @@
 //!
 //! On a 2-vCPU VM `gprofng collect app -p hi` records only about 20
 //! samples per second of run, too few to split a 200 ms cell. The Scheme 2
-//! split quoted in ROADMAP item 6 came instead from `Instant` timers
+//! time splits quoted in ROADMAP item 6 came instead from `Instant` timers
 //! around `cond`, `act` and `Eliminate_Cycles`, added to a throwaway copy
 //! of the tree and never committed; their overhead is in the numbers.
+//! Counts need no such copy: each rep line prints the step charges and the
+//! engine's `gtm2.elim_states` / `gtm2.elim_scans_elided` (Scheme 2's
+//! `Eliminate_Cycles` states entered and column scans elided; 0 for the
+//! other schemes and under `btree`), so a time split divides by them.
 //!
 //! ```text
 //! profile_replay [SCHEME] [KERNEL] [SIZE] [REPS]
@@ -20,7 +24,9 @@
 //! script per round from its own seed; `regression_scripts.rs` pins this
 //! cell's decisions). REPS is a positive integer.
 
-use mdbs_core::replay::{replay_kernel, Script};
+use mdbs_common::instrument::Registry;
+use mdbs_core::gtm2::Gtm2;
+use mdbs_core::replay::{replay_with, Script};
 use mdbs_core::scheme::{KernelKind, SchemeKind};
 use std::time::Instant;
 
@@ -68,16 +74,22 @@ fn main() -> std::process::ExitCode {
     };
     let script = Script::random(n, m, dav, 42);
     for rep in 0..reps {
+        let mut engine = Gtm2::new(scheme.build_kernel(kernel));
         let start = Instant::now();
-        let outcome = replay_kernel(scheme, kernel, &script);
+        let outcome = replay_with(&mut engine, &script);
         let wall = start.elapsed();
         assert_eq!(outcome.completed, n, "replay must complete every txn");
+        let mut metrics = Registry::new();
+        engine.export_metrics(&mut metrics);
         eprintln!(
             "rep {rep}: {scheme_name}/{kernel_name}/{size_name} {n} txns in {:.2} ms \
-             (cond={} act={} waited={} wake_scan_sum={} protocol_violations={})",
+             (cond={} act={} elim_states={} elim_scans_elided={} waited={} wake_scan_sum={} \
+             protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
+            metrics.counter("gtm2.elim_states"),
+            metrics.counter("gtm2.elim_scans_elided"),
             outcome.stats.waited,
             outcome.wake_scan_sum,
             outcome.protocol_violations,

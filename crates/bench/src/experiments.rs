@@ -905,8 +905,8 @@ pub fn exp_wait() -> Vec<Table> {
         let mut same = true;
         for seed in 0..seeds {
             let script = Script::random(n, m, dav, 9500 + seed);
-            let a = replay_with(Gtm2::new(kind.build()), &script);
-            let b = replay_with(Gtm2::new(Box::new(FullRescan(kind.build()))), &script);
+            let a = replay_with(&mut Gtm2::new(kind.build()), &script);
+            let b = replay_with(&mut Gtm2::new(Box::new(FullRescan(kind.build()))), &script);
             hinted += a.steps.wait_scan as f64 / n as f64;
             full += b.steps.wait_scan as f64 / n as f64;
             same &= a.stats.waited == b.stats.waited;

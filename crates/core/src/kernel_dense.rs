@@ -787,6 +787,11 @@ impl Gtm2Scheme for Scheme2Dense {
         }
     }
 
+    fn export_metrics(&self, registry: &mut Registry) {
+        registry.inc("gtm2.elim_states", self.elim.states());
+        registry.inc("gtm2.elim_scans_elided", self.elim.scans_elided());
+    }
+
     fn debug_validate(&self) {
         // Theorem 5's induction, via the exponential oracle (guarded by
         // size, like the reference).

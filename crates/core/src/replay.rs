@@ -256,19 +256,20 @@ pub struct ReplayOutcome {
 /// fins. Panics if the scheme wedges (operations left waiting at the end —
 /// that would be a scheme bug, since the script is valid and complete).
 pub fn replay(kind: SchemeKind, script: &Script) -> ReplayOutcome {
-    replay_with(Gtm2::new(kind.build()), script)
+    replay_with(&mut Gtm2::new(kind.build()), script)
 }
 
 /// [`replay`] with an explicit kernel choice — used by the bench harness
 /// and the `step_gate` tool to compare the reference BTree kernels against
 /// the dense slot/bitset ones on identical inputs.
 pub fn replay_kernel(kind: SchemeKind, kernel: KernelKind, script: &Script) -> ReplayOutcome {
-    replay_with(Gtm2::new(kind.build_kernel(kernel)), script)
+    replay_with(&mut Gtm2::new(kind.build_kernel(kernel)), script)
 }
 
-/// Replay through a pre-built engine (lets callers toggle validation).
-pub fn replay_with(mut engine: Gtm2, script: &Script) -> ReplayOutcome {
-    run_script(&mut engine, script)
+/// Replay through a caller-built engine (lets callers toggle validation,
+/// and read the engine's metrics afterwards).
+pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
+    run_script(engine, script)
 }
 
 /// Replay through the sharded engine's deterministic pump. `nshards = 1`

@@ -23,7 +23,8 @@
 //! which charges identical abstract steps but cuts the *machine* cost:
 //! [`crate::tsgd_dense::eliminate_cycles_dense_with`] keeps each node's scan
 //! cursor in its DFS frame (a `(arrival site, node)` state is entered at
-//! most once per call), reads column positions that
+//! most once per call), charges a column the node already emptied without
+//! rescanning it, reads column positions that
 //! [`crate::tsgd_dense::DenseTsgd`] stores instead of searching for them,
 //! and hands Δ and the `act` dependency fans over in slot space.
 

@@ -23,22 +23,30 @@
 //!   "no incoming dependency" test is an O(1) counter read, and an
 //!   `Eliminate_Cycles` column scan reads its blocked set (the edge's after
 //!   set, in the column's own position space) and the position it must
-//!   skip off the edge it stands on — a word-parallel find-first-clear
+//!   skip off the edge it stands on — a word-parallel find-first over the
+//!   column's words of one flat per-call bitmap of states not yet entered,
 //!   with no search;
-//! - `Eliminate_Cycles` keeps its scan cursor in the traversal path's frame,
-//!   so coming back to a node costs O(1), and leaves Δ in slot space.
+//! - `Eliminate_Cycles` pays about one column scan per DFS state: the
+//!   state's cursor lives in its frame, a column another state of the same
+//!   node already scanned to the end is charged without a scan, Δ choices
+//!   and leaf children are settled without leaving the scanning frame, and
+//!   Δ is left in slot space with both edges' row indices, so
+//!   [`DenseTsgd::add_delta`] searches nothing.
 //!
 //! The frame can hold the cursor because of one invariant of Figure 4: it
 //! descends to a node `w ≠ G_i` only by choosing a candidate `(u, w)`, and
 //! choosing puts `(u, w)` into `used`, which every later scan skips. So a
 //! `(arrival site u, node w)` state is **entered at most once per call**,
-//! the node being scanned is always the newest entry of the path, and
-//! `head(s_par(v))` is the top frame's arrival site — the reference's
-//! `s_par`/`t_par` maps are the path itself.
+//! the node being scanned is always the newest state on the path, and
+//! `head(s_par(v))` is its arrival site — the reference's `s_par`/`t_par`
+//! maps are the path itself. The emptied-column charge rests on a second
+//! one: whether node `v` skips a column position does not depend on the
+//! state `v` was entered through, and once true stays true for the call
+//! (see [`eliminate_cycles_dense_with`]).
 //!
 //! Nothing here answers a scheduling question that the reference does not:
 //! `cond` reads an edge's unacked count / `incoming_deps` / `dep_count`,
-//! `act` calls `insert_txn` / `add_dep` / `mark_acked` / `remove_txn` and [`eliminate_cycles_dense_with`],
+//! `act` calls `insert_txn` / `add_dep_slots` / `mark_acked` / `remove_txn` and [`eliminate_cycles_dense_with`],
 //! which charges `steps` tick-for-tick like [`crate::tsgd::eliminate_cycles`]
 //! (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
 //! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
@@ -226,8 +234,8 @@ impl DenseTsgd {
         true
     }
 
-    /// One predecessor of the after-edge `(a, site)` was acked or removed:
-    /// a checked decrement of its unacked count.
+    /// One predecessor of the after-edge `(a, site)` was acked: a checked
+    /// decrement of its unacked count.
     fn release_waiter(&mut self, a: Option<u32>, site: SiteId, txn: GlobalTxnId) {
         match a.and_then(|a| self.edge_mut(a, site)) {
             Some(ae) if ae.unacked_before > 0 => ae.unacked_before -= 1,
@@ -261,17 +269,24 @@ impl DenseTsgd {
                     self.desynced(txn);
                     continue;
                 };
-                let after = self.edge_mut(a, e.site);
-                if after.is_some_and(|ae| ae.before.remove(ts)) {
-                    if self.incoming[a as usize] == 0 || self.dep_count == 0 {
-                        self.desynced(txn);
-                    } else {
-                        self.incoming[a as usize] -= 1;
-                        self.dep_count -= 1;
-                    }
-                    if !e.acked {
-                        self.release_waiter(Some(a), e.site, txn);
-                    }
+                let Some(ae) = self.edge_mut(a, e.site).filter(|ae| ae.before.contains(ts)) else {
+                    continue;
+                };
+                ae.before.remove(ts);
+                // The after-edge found here also takes the unacked
+                // decrement: one search per dependency.
+                let released = e.acked || ae.unacked_before > 0;
+                if !e.acked && released {
+                    ae.unacked_before -= 1;
+                }
+                if !released {
+                    self.desynced(txn);
+                }
+                if self.incoming[a as usize] == 0 || self.dep_count == 0 {
+                    self.desynced(txn);
+                } else {
+                    self.incoming[a as usize] -= 1;
+                    self.dep_count -= 1;
                 }
             }
             for b in e.before.iter() {
@@ -327,8 +342,26 @@ impl DenseTsgd {
             debug_assert!(false, "dep on missing edge");
             return;
         };
-        let unacked = u32::from(!self.edges[before as usize][bi].acked);
-        let a = &mut self.edges[after as usize][ai];
+        self.add_dep_at(site, (before, bi), (after, ai));
+    }
+
+    /// [`DenseTsgd::add_dep_slots`] with both edges already found: each is
+    /// `(txn slot, index in its row)`.
+    fn add_dep_at(&mut self, site: SiteId, (before, bi): (u32, usize), (after, ai): (u32, usize)) {
+        let unacked = match self.row(before).get(bi) {
+            Some(b) if b.site == site => u32::from(!b.acked),
+            _ => {
+                debug_assert!(false, "dep on missing edge");
+                return;
+            }
+        };
+        let Some(a) = self.edges[after as usize]
+            .get_mut(ai)
+            .filter(|a| a.site == site)
+        else {
+            debug_assert!(false, "dep on missing edge");
+            return;
+        };
         if a.before.insert(before) {
             a.unacked_before += unacked;
             let apos = a.pos;
@@ -344,19 +377,21 @@ impl DenseTsgd {
     }
 
     /// Fold in the Δ the last [`eliminate_cycles_dense_with`] call left in
-    /// `scratch` (the TSGD must not have changed since that call).
+    /// `scratch` (the TSGD must not have changed since that call): each
+    /// entry carries both edges' row indices, so nothing is searched.
     pub fn add_delta(&mut self, scratch: &EliminateScratch) {
-        for &(site, before) in &scratch.delta {
-            self.add_dep_slots(site, before, scratch.gslot);
+        for d in &scratch.delta {
+            let (bi, ai) = (d.before_idx as usize, d.gi_idx as usize);
+            self.add_dep_at(d.site, (d.before, bi), (scratch.gslot, ai));
         }
     }
 
     /// That Δ as paper-level [`Dep`]s (test/inspection only).
     pub fn delta_set(&self, scratch: &EliminateScratch) -> BTreeSet<Dep> {
-        let resolve = |&(site, before): &(SiteId, u32)| {
+        let resolve = |d: &DeltaDep| {
             Some(Dep {
-                site,
-                before: self.txns.key_of(before)?,
+                site: d.site,
+                before: self.txns.key_of(d.before)?,
                 after: self.txns.key_of(scratch.gslot)?,
             })
         };
@@ -615,11 +650,12 @@ impl DenseTsgd {
 /// "No column position" / "no arrival site" sentinel.
 const NONE: u32 = u32::MAX;
 
-/// One entry of the Figure 4 traversal path: the node, the site it was
+/// One Figure 4 state on the traversal path: the node, the site it was
 /// reached through (`NONE` for `G_i`, the root), and its scan cursor — the
-/// next candidate to examine and the abstract ticks already charged for the
-/// (permanently skipped) prefix before it.
-#[derive(Clone, Copy, Debug, Default)]
+/// row index and column position of the next candidate to examine, and the
+/// abstract ticks already charged for the (permanently skipped) prefix
+/// before it.
+#[derive(Clone, Copy, Debug)]
 struct Frame {
     v: u32,
     arrived: u32,
@@ -628,44 +664,261 @@ struct Frame {
     charged: u64,
 }
 
-/// Reusable scratch for [`eliminate_cycles_dense_with`]: the traversal's
-/// `used`/Δ sets (slot-indexed and epoch-stamped, so a new call costs O(1)
-/// to "clear"), its path, and the Δ it found. The hot loop allocates
-/// nothing after warm-up.
+impl Frame {
+    /// State `(arrived, v)`, just entered: cursor at the start of `v`'s row.
+    fn entered(v: u32, arrived: u32) -> Self {
+        Frame {
+            v,
+            arrived,
+            site_idx: 0,
+            txn_idx: 0,
+            charged: 0,
+        }
+    }
+}
+
+/// A candidate `(u, w)` a scan chose: `u`'s site slot, `w`'s position in
+/// `u`'s column and `w`'s slot.
+#[derive(Clone, Copy, Debug)]
+struct Cand {
+    us: u32,
+    q: u32,
+    ws: u32,
+}
+
+/// One Δ dependency `(before, site) → (site, G_i)`, with both edges'
+/// indices in their rows — the call stood on the before-edge and resolved
+/// `G_i`'s row when it started, so [`DenseTsgd::add_delta`] searches
+/// nothing.
+#[derive(Clone, Copy, Debug)]
+struct DeltaDep {
+    site: SiteId,
+    before: u32,
+    before_idx: u32,
+    gi_idx: u32,
+}
+
+/// Reusable scratch for [`eliminate_cycles_dense_with`]: the states not yet
+/// entered, the Δ set and the per-node emptied-column marks of one call
+/// (laid out or epoch-stamped when the call starts), the traversal path,
+/// the Δ the last call found, and two lifetime counters. The hot loop
+/// allocates nothing after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct EliminateScratch {
     epoch: u64,
-    /// Site slot → *column positions* of successors already used (`used`
-    /// set of Figure 4). Position space is stable for the whole call: the
-    /// TSGD is borrowed shared, so no column mutates underneath.
-    used: Vec<(u64, DenseBitSet)>,
-    /// Site slot → `before` slots with a Δ-dependency into `gi`.
+    /// Site slot → the first word of its column in `open`.
+    base: Vec<u32>,
+    /// The states not yet entered (the complement of Figure 4's `used`),
+    /// one bit per column position, the columns laid end to end from
+    /// `base`: bit `p` of site `u`'s words is set until state
+    /// `(u, column[p])` is entered. `G_i`'s bits are never cleared — the
+    /// reference never consults `used` for `G_i` — and bits past a column's
+    /// end are clear. Position space is stable for the whole call: the TSGD
+    /// is borrowed shared, so no column mutates underneath.
+    open: Vec<u64>,
+    /// Site slot → `G_i`'s (column position, row index) there, `NONE` where
+    /// it has no edge: set from its row when a call starts, reset when it
+    /// ends.
+    gi_at: Vec<(u32, u32)>,
+    /// Site slot → `before` slots with a Δ-dependency into `G_i`.
     delta_sites: Vec<(u64, DenseBitSet)>,
-    /// Site slot → `gi`'s column position there (`NONE` where `gi` has no
-    /// edge): set from `gi`'s row when a call starts, reset when it ends.
-    gpos: Vec<u32>,
-    /// The traversal path, root first; the node being scanned is the top.
+    /// Txn slot → the row indices (below 64) of the columns one of the
+    /// node's states has scanned to the end in this call, stamped with the
+    /// call's epoch. A later state of the node charges such a column
+    /// without scanning it.
+    emptied: Vec<(u64, u64)>,
+    /// The ancestors of the state being scanned, root first.
     path: Vec<Frame>,
-    /// `gi`'s slot in the last call, and the Δ that call found as `(site,
-    /// before slot)` pairs — unique by construction, since `delta_sites`
+    /// `G_i`'s slot in the last call, and the Δ that call found, in the
+    /// reference's order — unique by construction, since `delta_sites`
     /// blocks a repeat.
     gslot: u32,
-    delta: Vec<(SiteId, u32)>,
+    delta: Vec<DeltaDep>,
+    /// States entered below the root, over every call.
+    states: u64,
+    /// Column scans charged in closed form, over every call.
+    scans_elided: u64,
 }
 
+// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slots and site slots are below the capacities begin() sized the tables to, `open` holds every column's words from its `base`, and scans index a column below its length.
 impl EliminateScratch {
-    /// Fresh scratch (grows lazily to the TSGD's site slot capacity).
+    /// Fresh scratch (grows lazily to the TSGD's slot capacities).
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn begin(&mut self, site_cap: usize) {
+    /// Figure 4 states entered by choosing a candidate (the root `G_i` is
+    /// not counted), over every call made with this scratch.
+    pub fn states(&self) -> u64 {
+        self.states
+    }
+
+    /// Column scans charged in closed form, because an earlier state of
+    /// the same node had already scanned the column to its end, over every
+    /// call made with this scratch.
+    pub fn scans_elided(&self) -> u64 {
+        self.scans_elided
+    }
+
+    /// Start a call for `G_i` in slot `gslot`: open every state, stamp a
+    /// new epoch and record `G_i`'s edges.
+    fn begin(&mut self, tsgd: &DenseTsgd, gslot: u32) {
         self.epoch += 1;
-        if self.used.len() < site_cap {
-            self.used.resize_with(site_cap, Default::default);
+        let site_cap = tsgd.sites.capacity();
+        if self.gi_at.len() < site_cap {
+            self.base.resize(site_cap, 0);
+            self.gi_at.resize(site_cap, (NONE, NONE));
             self.delta_sites.resize_with(site_cap, Default::default);
-            self.gpos.resize(site_cap, NONE);
         }
+        if self.emptied.len() < tsgd.txns.capacity() {
+            self.emptied.resize(tsgd.txns.capacity(), (0, 0));
+        }
+        self.open.clear();
+        for (ss, base) in self.base.iter_mut().enumerate().take(site_cap) {
+            *base = self.open.len() as u32;
+            let len = tsgd.txns_col(ss as u32).len();
+            self.open.extend(std::iter::repeat_n(!0u64, len / 64));
+            if !len.is_multiple_of(64) {
+                self.open.push((1u64 << (len % 64)) - 1);
+            }
+        }
+        for (i, e) in tsgd.row(gslot).iter().enumerate() {
+            self.gi_at[e.ss as usize] = (e.pos, i as u32);
+        }
+        self.gslot = gslot;
+        self.path.clear();
+    }
+
+    /// End the call: forget `G_i`'s edges.
+    fn end(&mut self, tsgd: &DenseTsgd) {
+        for e in tsgd.row(self.gslot) {
+            self.gi_at[e.ss as usize] = (NONE, NONE);
+        }
+    }
+
+    /// Enter state `(u, w)` of a chosen candidate.
+    fn enter(&mut self, c: Cand) {
+        self.states += 1;
+        let word = &mut self.open[self.base[c.us as usize] as usize + c.q as usize / 64];
+        let bit = 1u64 << (c.q % 64);
+        debug_assert!(
+            *word & bit != 0,
+            "state (site {}, node {}) entered twice",
+            c.us,
+            c.ws
+        );
+        *word &= !bit;
+    }
+
+    /// The first position at or after `from` (< `col_len`) in the column of
+    /// `edge` — node `v`'s edge — that `v`'s scan would choose: an open
+    /// state, not in `edge`'s after set, not `v` itself, and not `G_i` once
+    /// `v` took it as Δ there. A word-parallel find-first over the column's
+    /// words from `from`'s.
+    #[inline]
+    fn first_candidate(&self, edge: &Edge, v: u32, from: usize, col_len: usize) -> Option<usize> {
+        let us = edge.ss as usize;
+        let open = &self.open[self.base[us] as usize..];
+        let after = edge.after.as_words();
+        let posv = edge.pos as usize;
+        // `v` itself is never a candidate; neither is `G_i` once `v` took
+        // it as Δ here (otherwise this repeats `posv`, a no-op).
+        let gpos = match self.gi_at[us].0 as usize {
+            g if g >= from
+                && g != NONE as usize
+                && stamped_bit(&self.delta_sites, edge.ss, v, self.epoch) =>
+            {
+                g
+            }
+            _ => posv,
+        };
+        let cand = |w: usize| {
+            let c = open[w] & !after.get(w).copied().unwrap_or(0);
+            c & !(u64::from(posv / 64 == w) << (posv % 64))
+                & !(u64::from(gpos / 64 == w) << (gpos % 64))
+        };
+        let (first, last) = (from / 64, (col_len - 1) / 64);
+        let head = cand(first) & (!0u64 << (from % 64));
+        if head != 0 {
+            return Some(first * 64 + head.trailing_zeros() as usize);
+        }
+        for w in first + 1..=last {
+            let c = cand(w);
+            if c != 0 {
+                return Some(w * 64 + c.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// Run state `f` from its cursor until it chooses a candidate that
+    /// enters a state, or runs out (`None`). A Δ choice is settled here:
+    /// the reference's next trip (one tick plus the replayed prefix) is
+    /// added to `ticks` and the scan goes on. A column that an earlier
+    /// state of the same node scanned to the end is charged without a
+    /// scan; a column this scan finishes is marked so. Inlined into the
+    /// one loop that calls it three times: the walk is all control flow.
+    #[inline(always)]
+    fn scan(&mut self, tsgd: &DenseTsgd, f: &mut Frame, ticks: &mut u64) -> Option<Cand> {
+        let row = tsgd.row(f.v);
+        let marks = self.emptied[f.v as usize];
+        let mut emptied = if marks.0 == self.epoch { marks.1 } else { 0 };
+        let (mut si, mut ti, mut charged) = (f.site_idx as usize, f.txn_idx as usize, f.charged);
+        let mut chosen = None;
+        'row: while let Some(edge) = row.get(si) {
+            // `arrived` is the reference's `head(s_par(v))`: not scanned.
+            if edge.ss != f.arrived {
+                let col = tsgd.txns_col(edge.ss);
+                // Rows longer than 64 edges leave their tail unmarked.
+                let bit = 1u64.checked_shl(si as u32).unwrap_or(0);
+                if emptied & bit != 0 {
+                    if ti < col.len() {
+                        debug_assert!(
+                            self.first_candidate(edge, f.v, ti, col.len()).is_none(),
+                            "elided scan of node {} at site slot {} has a candidate",
+                            f.v,
+                            edge.ss
+                        );
+                        self.scans_elided += 1;
+                        charged += (col.len() - ti) as u64;
+                    }
+                } else {
+                    while ti < col.len() {
+                        let Some(q) = self.first_candidate(edge, f.v, ti, col.len()) else {
+                            charged += (col.len() - ti) as u64;
+                            break;
+                        };
+                        charged += (q - ti) as u64 + 1;
+                        ti = q + 1;
+                        let ws = col[q].1;
+                        if ws != self.gslot {
+                            chosen = Some(Cand {
+                                us: edge.ss,
+                                q: q as u32,
+                                ws,
+                            });
+                            break 'row;
+                        }
+                        // Cycle found: pin `v` before `G_i` at the site.
+                        stamp_bitset(&mut self.delta_sites, edge.ss, self.epoch).insert(f.v);
+                        self.delta.push(DeltaDep {
+                            site: edge.site,
+                            before: f.v,
+                            before_idx: si as u32,
+                            gi_idx: self.gi_at[edge.ss as usize].1,
+                        });
+                        *ticks += 1 + charged;
+                    }
+                    emptied |= bit;
+                }
+            }
+            si += 1;
+            ti = 0;
+        }
+        *ticks += charged - f.charged;
+        (f.site_idx, f.txn_idx, f.charged) = (si as u32, ti as u32, charged);
+        self.emptied[f.v as usize] = (self.epoch, emptied);
+        chosen
     }
 }
 
@@ -687,27 +940,38 @@ fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bo
     e.0 == epoch && e.1.contains(bit)
 }
 
-/// Figure 4 (`Eliminate_Cycles`) over the dense storage: same Δ and
-/// **identical step charges** as the reference
+/// Figure 4 (`Eliminate_Cycles`) over the dense storage: the same Δ, in the
+/// same order, and **identical step charges** as the reference
 /// [`crate::tsgd::eliminate_cycles`] — adjacency vectors are id-sorted, so
-/// the traversal examines candidate edges in the reference order — but a
-/// revisit costs O(1) machine work instead of a rescan. Δ is left in
-/// `scratch` in slot space: [`DenseTsgd::add_delta`] folds it in,
-/// [`DenseTsgd::delta_set`] resolves it to [`Dep`]s.
+/// the traversal examines candidates in the reference order — at a machine
+/// cost of about one column scan per state. Δ is left in `scratch` in slot
+/// space: [`DenseTsgd::add_delta`] folds it in, [`DenseTsgd::delta_set`]
+/// resolves it to [`Dep`]s.
 ///
-/// Within one call every skip condition of the candidate scan is monotone —
-/// `ws == v` is fixed, `used` and the Δ set only grow, and the dependency
-/// set cannot change through the shared borrow — and a chosen candidate
-/// becomes skippable immediately after its choice (it enters `used`, or the
-/// Δ set when `ws = gi`). So when the walk comes back to a frame, the
-/// reference scan would re-examine a prefix of permanently skipped
-/// candidates, charging one tick each and skipping the arrival-site column
-/// without ticks: the frame replays that prefix as a single `bump(charged)`
-/// and resumes the scan at the first never-examined candidate. The frame
-/// *is* the state's only cursor, by the once-per-state invariant in the
-/// module docs. Totals stay bit-for-bit equal while the machine work
-/// collapses to the number of *distinct* candidate examinations.
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner, scratch rows are sized from the TSGD capacities in begin(), and the path holds the root frame until the loop breaks; kernel_equivalence pins parity against the reference Tsgd.
+/// Within one call whether node `v` skips the candidate at a column
+/// position never depends on the state `v` was entered through, and once
+/// true stays true: `w == v` is fixed, `v`'s after set cannot change
+/// through the shared borrow, the set of not-yet-entered states only
+/// shrinks, and `G_i`'s position is blocked for `v` for good once `v` took
+/// it as Δ. A chosen candidate is skipped from then on (its state was
+/// entered, or it became Δ). Three consequences make the walk cheap:
+///
+/// - **The cursor lives in the frame.** Coming back to a state, the
+///   reference re-examines a prefix of skipped candidates, one tick each:
+///   the frame charges that prefix as one number and resumes where it
+///   stopped. A state is entered at most once per call (module docs), so
+///   the frame is its only cursor.
+/// - **A column the node emptied is charged, not scanned.** When any state
+///   of `v` has scanned a column to its end, every position in it is
+///   skipped for `v` for the rest of the call, so a later state of `v`
+///   charges `col_len − ti` for it without a scan (counted by
+///   [`EliminateScratch::scans_elided`]; debug builds re-run the scan and
+///   assert that it finds nothing).
+/// - **Δ choices and leaf children are settled in the scanning frame.** A
+///   Δ choice ends the reference's trip and starts the next at the same
+///   cursor, so its `1 + charged` ticks are added and the scan goes on. A
+///   child whose first scan enters nothing is charged and dropped at once,
+///   with no push, pop or resume of the path.
 pub fn eliminate_cycles_dense_with(
     tsgd: &DenseTsgd,
     gi: GlobalTxnId,
@@ -720,140 +984,36 @@ pub fn eliminate_cycles_dense_with(
         steps.tick(StepKind::Act);
         return;
     };
-    scratch.begin(tsgd.sites.capacity());
-    let epoch = scratch.epoch;
-    scratch.gslot = gslot;
-    for e in tsgd.row(gslot) {
-        scratch.gpos[e.ss as usize] = e.pos;
-    }
-    scratch.path.clear();
-    scratch.path.push(Frame {
-        v: gslot,
-        arrived: NONE,
-        ..Frame::default()
-    });
-
+    scratch.begin(tsgd, gslot);
+    // Every trip of the reference loop costs one tick plus the candidates
+    // it examines; they are summed here and charged in one `bump`.
+    let mut cur = Frame::entered(gslot, NONE);
+    let mut ticks = 1;
+    let mut next = scratch.scan(tsgd, &mut cur, &mut ticks);
     loop {
-        steps.tick(StepKind::Act);
-        let top = scratch.path.len() - 1;
-        let cur = scratch.path[top];
-        // `arrived` is the reference's `head(s_par(v))`.
-        let (v, arrived) = (cur.v, cur.arrived);
-        // Replay the permanently-skipped prefix in O(1).
-        steps.bump(StepKind::Act, cur.charged);
-        let row = tsgd.row(v);
-        let mut si = cur.site_idx as usize;
-        let mut ti = cur.txn_idx as usize;
-        let mut chosen: Option<(&Edge, u32, u32)> = None;
-        // Ticks for this scan segment, bumped in one O(1) call at the end
-        // (arithmetically identical to the reference's per-candidate tick).
-        let mut seen = 0u64;
-        // Each skip condition of the per-candidate scan is a bit in the
-        // column's position space — `used` and the blocked set are stored
-        // that way, `ws == v` and the Δ test pin one position each — so a
-        // column scan is a word-parallel find-first-clear over the OR of
-        // the skip masks, with ticks recovered from position arithmetic.
-        'search: while si < row.len() {
-            let edge = &row[si];
-            let us = edge.ss;
-            if us == arrived {
-                si += 1;
-                ti = 0;
+        if let Some(c) = next {
+            scratch.enter(c);
+            // The child's first trip. A child that enters nothing is a
+            // leaf: it is popped right here, not pushed.
+            let mut child = Frame::entered(c.ws, c.us);
+            ticks += 1;
+            next = scratch.scan(tsgd, &mut child, &mut ticks);
+            if next.is_some() {
+                scratch.path.push(std::mem::replace(&mut cur, child));
                 continue;
             }
-            let col = tsgd.txns_col(us);
-            let col_len = col.len();
-            if ti >= col_len {
-                si += 1;
-                ti = 0;
-                continue;
-            }
-            let blocked = edge.after.as_words();
-            let used = match &scratch.used[us as usize] {
-                (e, b) if *e == epoch => b.as_words(),
-                _ => &[][..],
-            };
-            // `v`'s own position comes from its edge; `gi`'s from the
-            // per-call table (a site `gi` is not at has none).
-            let posv = edge.pos as usize;
-            let gpos = scratch.gpos[us as usize];
-            let gpos = (gpos != NONE).then_some(gpos as usize);
-            let delta_blocked = gpos.is_some() && stamped_bit(&scratch.delta_sites, us, v, epoch);
-            let first_w = ti / 64;
-            let last_w = (col_len - 1) / 64;
-            let mut found = None;
-            let mut w = first_w;
-            while w <= last_w {
-                let used_w = used.get(w).copied().unwrap_or(0);
-                let blocked_w = blocked.get(w).copied().unwrap_or(0);
-                // `used` never skips the gi candidate; the Δ test only
-                // applies to it; `blocked` applies to everyone.
-                let mut skip = match gpos {
-                    Some(g) if g / 64 == w => {
-                        let gbit = 1u64 << (g % 64);
-                        (used_w & !gbit) | blocked_w | if delta_blocked { gbit } else { 0 }
-                    }
-                    _ => used_w | blocked_w,
-                };
-                if posv / 64 == w {
-                    skip |= 1u64 << (posv % 64);
-                }
-                let mut cand = !skip;
-                if w == first_w {
-                    cand &= !0u64 << (ti % 64);
-                }
-                if w == last_w && !col_len.is_multiple_of(64) {
-                    cand &= (1u64 << (col_len % 64)) - 1;
-                }
-                if cand != 0 {
-                    found = Some(w * 64 + cand.trailing_zeros() as usize);
-                    break;
-                }
-                w += 1;
-            }
-            match found {
-                Some(q) => {
-                    seen += (q - ti) as u64 + 1;
-                    ti = q + 1;
-                    chosen = Some((edge, q as u32, col[q].1));
-                    break 'search;
-                }
-                None => {
-                    seen += (col_len - ti) as u64;
-                    si += 1;
-                    ti = 0;
-                }
-            }
+        } else if let Some(parent) = scratch.path.pop() {
+            cur = parent;
+        } else {
+            break;
         }
-        steps.bump(StepKind::Act, seen);
-        let cur = &mut scratch.path[top];
-        (cur.site_idx, cur.txn_idx, cur.charged) = (si as u32, ti as u32, cur.charged + seen);
-        match chosen {
-            Some((edge, q, ws)) => {
-                let us = edge.ss;
-                let fresh = stamp_bitset(&mut scratch.used, us, epoch).insert(q);
-                if ws == gslot {
-                    // Cycle found: pin `v` before `gi` at the site.
-                    stamp_bitset(&mut scratch.delta_sites, us, epoch).insert(v);
-                    scratch.delta.push((edge.site, v));
-                } else {
-                    debug_assert!(fresh, "state (site {us}, node {ws}) entered twice");
-                    scratch.path.push(Frame {
-                        v: ws,
-                        arrived: us,
-                        ..Frame::default()
-                    });
-                }
-            }
-            None if top == 0 => break,
-            None => {
-                scratch.path.pop();
-            }
-        }
+        // Back at `cur`: its next trip replays the prefix it already
+        // charged, then resumes at the cursor.
+        ticks += 1 + cur.charged;
+        next = scratch.scan(tsgd, &mut cur, &mut ticks);
     }
-    for e in tsgd.row(gslot) {
-        scratch.gpos[e.ss as usize] = NONE;
-    }
+    steps.bump(StepKind::Act, ticks);
+    scratch.end(tsgd);
 }
 
 #[cfg(test)]

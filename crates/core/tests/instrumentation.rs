@@ -221,12 +221,12 @@ fn sinks_do_not_change_scheduling() {
         for seed in 0..8u64 {
             let script = Script::random(24, 5, 2.5, seed);
 
-            let plain = replay_with(Gtm2::new(kind.build()), &script);
+            let plain = replay_with(&mut Gtm2::new(kind.build()), &script);
 
             let sink = SharedSink::new();
             let mut observed_engine = Gtm2::new(kind.build());
             observed_engine.set_sink(Some(Box::new(sink.clone())));
-            let observed = replay_with(observed_engine, &script);
+            let observed = replay_with(&mut observed_engine, &script);
 
             assert_eq!(
                 plain.stats, observed.stats,

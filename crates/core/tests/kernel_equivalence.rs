@@ -1,7 +1,7 @@
 //! Kernel-equivalence property suite: the dense slot/bitset kernels
 //! (`kernel_dense`, `tsgd_dense`) are observationally identical to the
-//! reference BTree kernels on every valid input, and Scheme 2's on the
-//! malformed `ack`s of [`malformed_acks_keep_scheme2_kernels_equal`].
+//! reference BTree kernels on every valid input, and on the malformed
+//! `ack`s of [`malformed_acks_keep_kernels_equal`].
 //!
 //! "Identical" is strict: same effect sequence, same per-site `ser(S)`
 //! orders, same engine stats, and — the load-bearing invariant for the
@@ -19,6 +19,7 @@
 //!   reference dependency digraph, cycles included.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
+use mdbs_common::instrument::Registry;
 use mdbs_common::ops::QueueOp;
 use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
@@ -173,7 +174,7 @@ fn burst_scale_outcomes_match_reference() {
     let single = |kind: SchemeKind, kernel| {
         let mut engine = Gtm2::new(kind.build_kernel(kernel));
         engine.set_validate(false);
-        replay_with(engine, &script)
+        replay_with(&mut engine, &script)
     };
     let sharded = |kind, kernel| {
         let mut engine = ShardedGtm2::new_with_kernel(kind, kernel, 10);
@@ -213,18 +214,24 @@ fn burst_scale_outcomes_match_reference() {
     }
 }
 
-/// Scheme 2 under malformed `ack`s (protocol violations): a duplicated
-/// `ack`, an `ack` before its `init`, an `ack` at a site the transaction
-/// never announced (announced later by a second `init`), and an `ack` for
-/// a transaction that never exists. The dense kernel keeps acks on TSG
-/// edges and counts each edge's unacked predecessors; the reference keeps
-/// a set of acked pairs. Each script runs op by op through both kernels
-/// directly — after every op, `cond(ser)` for every `(txn, site)` must give
-/// the same verdict at the same step charge — and through a validating
-/// engine per kernel, whose effects, stats (`protocol_violations`
-/// included), steps and `ser(S)` must agree.
+/// Every conservative scheme under malformed `ack`s (protocol violations):
+/// a duplicated `ack`, an `ack` before its `init`, an `ack` at a site the
+/// transaction never announced (announced later by a second `init`), and an
+/// `ack` for a transaction that never exists. Each script runs op by op
+/// through both kernels directly — after every op, `cond(ser)` for every
+/// `(txn, site)` must give the same verdict at the same step charge — and
+/// through a validating engine per kernel, whose effects, stats
+/// (`protocol_violations` included), steps and `ser(S)` must agree.
+///
+/// Driven directly, Scheme 2's kernels act every op: their `act` is defined
+/// on any input (the dense one keeps acks on TSG edges and counts each
+/// edge's unacked predecessors, the reference keeps a set of acked pairs).
+/// The other kernels' `act` assumes its `cond` held — Scheme 1's `fin` pops
+/// the delete-queue front it tested — so they act an op only when both
+/// kernels' `cond` holds, as Figure 3 would; the engines run every script
+/// in full either way.
 #[test]
-fn malformed_acks_keep_scheme2_kernels_equal() {
+fn malformed_acks_keep_kernels_equal() {
     let init = |t, sites: &[u32]| QueueOp::Init {
         txn: GlobalTxnId(t),
         sites: sites.iter().map(|&k| SiteId(k)).collect(),
@@ -321,46 +328,127 @@ fn malformed_acks_keep_scheme2_kernels_equal() {
         .chain([9])
         .flat_map(|t| (0..3).map(move |k| ser(t, k)))
         .collect();
-    for (case, script) in scripts {
-        let kind = SchemeKind::Scheme2;
-        let mut reference = kind.build_kernel(KernelKind::BTree);
-        let mut dense = kind.build_kernel(KernelKind::Dense);
-        let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
-            let mut engine = Gtm2::new(kind.build_kernel(kernel));
-            engine.set_validate(true);
-            engine
-        });
-        for (i, op) in script.iter().enumerate() {
-            let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
-            let fx_ref = reference.act(op, &mut steps_ref);
-            let fx_dense = dense.act(op, &mut steps_dense);
-            assert_eq!(fx_ref, fx_dense, "{case}, op {i} {op:?}: act effects");
-            for probe in &probes {
-                let verdict_ref = reference.cond(probe, &mut steps_ref);
-                let verdict_dense = dense.cond(probe, &mut steps_dense);
+    for kind in SchemeKind::CONSERVATIVE {
+        for (case, script) in &scripts {
+            let mut reference = kind.build_kernel(KernelKind::BTree);
+            let mut dense = kind.build_kernel(KernelKind::Dense);
+            let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
+                let mut engine = Gtm2::new(kind.build_kernel(kernel));
+                engine.set_validate(true);
+                engine
+            });
+            for (i, op) in script.iter().enumerate() {
+                let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
+                let ready_ref = reference.cond(op, &mut steps_ref);
+                let ready_dense = dense.cond(op, &mut steps_dense);
+                assert_eq!(ready_ref, ready_dense, "{kind} {case}, op {i} {op:?}: cond");
+                if kind == SchemeKind::Scheme2 || ready_ref {
+                    let fx_ref = reference.act(op, &mut steps_ref);
+                    let fx_dense = dense.act(op, &mut steps_dense);
+                    assert_eq!(
+                        fx_ref, fx_dense,
+                        "{kind} {case}, op {i} {op:?}: act effects"
+                    );
+                }
+                for probe in &probes {
+                    let verdict_ref = reference.cond(probe, &mut steps_ref);
+                    let verdict_dense = dense.cond(probe, &mut steps_dense);
+                    assert_eq!(
+                        verdict_ref, verdict_dense,
+                        "{kind} {case}, after op {i} {op:?}: cond({probe:?})"
+                    );
+                }
                 assert_eq!(
-                    verdict_ref, verdict_dense,
-                    "{case}, after op {i} {op:?}: cond({probe:?})"
+                    steps_ref, steps_dense,
+                    "{kind} {case}, op {i} {op:?}: steps"
+                );
+                let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
+                    engine.enqueue(op.clone());
+                    engine.pump()
+                });
+                assert_eq!(
+                    fx_ref, fx_dense,
+                    "{kind} {case}, op {i} {op:?}: engine effects"
+                );
+                let [ref_engine, dense_engine] = &engines;
+                assert_eq!(
+                    ref_engine.stats(),
+                    dense_engine.stats(),
+                    "{kind} {case}, op {i}"
+                );
+                assert_eq!(
+                    ref_engine.steps(),
+                    dense_engine.steps(),
+                    "{kind} {case}, op {i}"
                 );
             }
-            assert_eq!(steps_ref, steps_dense, "{case}, op {i} {op:?}: steps");
-            let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
-                engine.enqueue(op.clone());
-                engine.pump()
-            });
-            assert_eq!(fx_ref, fx_dense, "{case}, op {i} {op:?}: engine effects");
             let [ref_engine, dense_engine] = &engines;
-            assert_eq!(ref_engine.stats(), dense_engine.stats(), "{case}, op {i}");
-            assert_eq!(ref_engine.steps(), dense_engine.steps(), "{case}, op {i}");
+            assert_eq!(
+                ref_engine.ser_log().events(),
+                dense_engine.ser_log().events(),
+                "{kind} {case}: ser(S)"
+            );
+            assert_eq!(
+                ref_engine.wait_len(),
+                dense_engine.wait_len(),
+                "{kind} {case}"
+            );
         }
-        let [ref_engine, dense_engine] = &engines;
-        assert_eq!(
-            ref_engine.ser_log().events(),
-            dense_engine.ser_log().events(),
-            "{case}: ser(S)"
-        );
-        assert_eq!(ref_engine.wait_len(), dense_engine.wait_len(), "{case}");
     }
+}
+
+/// `Eliminate_Cycles` enters a degree-3 transaction through two sites, and
+/// the second state charges the column the first emptied without scanning
+/// it. `G9`'s init walks `G9 →s0 G1`: that state takes `G1 → G9` at s1 as
+/// Δ and scans s2's column `[G1, G2]` to its end (through the leaf state
+/// `(s2, G2)`). Back at the root, `G9 →s1 G1` takes s0's Δ and finds s2
+/// already emptied. The dense kernel counts the elision (and debug builds
+/// re-run the scan); the BTree kernel exports no such counter. Both charge
+/// the same steps.
+#[test]
+fn eliminate_cycles_elides_a_column_the_node_emptied() {
+    let ops = [
+        QueueOp::Init {
+            txn: GlobalTxnId(1),
+            sites: vec![SiteId(0), SiteId(1), SiteId(2)],
+        },
+        QueueOp::Init {
+            txn: GlobalTxnId(2),
+            sites: vec![SiteId(2)],
+        },
+        QueueOp::Init {
+            txn: GlobalTxnId(9),
+            sites: vec![SiteId(0), SiteId(1)],
+        },
+    ];
+    let elim = |engine: &Gtm2| {
+        let mut metrics = Registry::new();
+        engine.export_metrics(&mut metrics);
+        (
+            metrics.counter("gtm2.elim_states"),
+            metrics.counter("gtm2.elim_scans_elided"),
+        )
+    };
+    let [mut btree, mut dense] = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
+        let mut engine = Gtm2::new(SchemeKind::Scheme2.build_kernel(kernel));
+        engine.set_validate(true);
+        engine
+    });
+    let mut before = (0, 0);
+    for (i, op) in ops.iter().enumerate() {
+        btree.enqueue(op.clone());
+        dense.enqueue(op.clone());
+        assert_eq!(btree.pump(), dense.pump(), "op {i}");
+        assert_eq!(btree.steps(), dense.steps(), "op {i}");
+        let now = elim(&dense);
+        // Only the last init walks through G1 twice.
+        let elided = now.1 - before.1;
+        assert_eq!(elided > 0, i == 2, "op {i}: {elided} elided scans");
+        before = now;
+    }
+    // G2's init enters (s2, G1); G9's enters (s0, G1), (s2, G2), (s1, G1).
+    assert_eq!(before, (4, 1), "dense: states entered, scans elided");
+    assert_eq!(elim(&btree), (0, 0), "btree");
 }
 
 proptest! {

@@ -94,11 +94,11 @@ proptest! {
         for kind in SchemeKind::CONSERVATIVE {
             let mut hinted_engine = Gtm2::new(kind.build());
             hinted_engine.set_validate(true);
-            let hinted = replay_with(hinted_engine, &script);
+            let hinted = replay_with(&mut hinted_engine, &script);
 
             let mut full_engine = Gtm2::new(Box::new(FullRescan(kind.build())));
             full_engine.set_validate(true);
-            let full = replay_with(full_engine, &script);
+            let full = replay_with(&mut full_engine, &script);
 
             prop_assert_eq!(
                 hinted.stats.processed, full.stats.processed,
@@ -132,9 +132,7 @@ proptest! {
         for kind in SchemeKind::CONSERVATIVE {
             let mut engine = Gtm2::new(kind.build());
             engine.set_validate(true);
-            // replay_with consumes the engine; recompute event count from
-            // the script instead.
-            let out = replay_with(engine, &script);
+            let out = replay_with(&mut engine, &script);
             let expected: usize = script
                 .events
                 .iter()

@@ -8,9 +8,10 @@
 //! that regressed them.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
+use mdbs_common::instrument::Registry;
 use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::replay::{replay, replay_kernel, replay_with, Script, ScriptEvent};
+use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
 use mdbs_core::scheme::{FullRescan, KernelKind, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
@@ -105,11 +106,11 @@ fn assert_hints_complete(script: &Script) {
     for kind in SchemeKind::CONSERVATIVE {
         let mut hinted_engine = Gtm2::new(kind.build());
         hinted_engine.set_validate(true);
-        let hinted = replay_with(hinted_engine, script);
+        let hinted = replay_with(&mut hinted_engine, script);
 
         let mut full_engine = Gtm2::new(Box::new(FullRescan(kind.build())));
         full_engine.set_validate(true);
-        let full = replay_with(full_engine, script);
+        let full = replay_with(&mut full_engine, script);
 
         assert_eq!(
             hinted.stats.processed, full.stats.processed,
@@ -146,8 +147,9 @@ fn overlap_chain_3txn_wake_hints_complete() {
 
 /// The replay cell the benchmark's `sched_burst` workload is shaped like
 /// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
-/// pinned for the dense kernels: step charges, waits, wake-scan work and a
-/// digest of `ser(S)`. `step_gate` stops at 150 transactions and the
+/// pinned for the dense kernels: step charges, waits, wake-scan work, a
+/// digest of `ser(S)`, and the states Scheme 2's `Eliminate_Cycles` entered
+/// and the column scans it elided. `step_gate` stops at 150 transactions and the
 /// benchmark reads wall-clock only, so nothing else holds this cell's
 /// decisions still. Ignored by default: a debug build validates every act
 /// and takes minutes; the release soak step runs it in well under a second.
@@ -193,9 +195,27 @@ fn burst_cell_dense_decisions_golden() {
             0xf71b_84be_052b_dc66,
         ),
     ];
+    // Scheme 2's `Eliminate_Cycles` work on the cell: states entered below
+    // the root, and column scans charged without running them. Machine
+    // work, not decisions — but a walk that stops eliding, or enters a
+    // state twice, moves them.
+    const SCHEME2_ELIM: (u64, u64) = (1_247_446, 775_997);
     let script = Script::random(1000, 10, 2.5, 42);
     for (kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest) in GOLDEN {
-        let out = replay_kernel(kind, KernelKind::Dense, &script);
+        let mut engine = Gtm2::new(kind.build_kernel(KernelKind::Dense));
+        let out = replay_with(&mut engine, &script);
+        let mut metrics = Registry::new();
+        engine.export_metrics(&mut metrics);
+        let elim = (
+            metrics.counter("gtm2.elim_states"),
+            metrics.counter("gtm2.elim_scans_elided"),
+        );
+        let expected = if kind == SchemeKind::Scheme2 {
+            SCHEME2_ELIM
+        } else {
+            (0, 0)
+        };
+        assert_eq!(elim, expected, "{kind}: Eliminate_Cycles work changed");
         let digest = out
             .ser_events
             .iter()
