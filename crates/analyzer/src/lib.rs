@@ -4,9 +4,11 @@
 //! *conservative* because aborting a global transaction is prohibitively
 //! expensive — translates into code discipline: the GTM2 pump, the
 //! scheme `cond`/`act` implementations and the site servers must never
-//! panic or silently drop protocol messages. PR 1 converted panics into
-//! [`SchemeEffect::ProtocolViolation`] effects; this crate is the gate
-//! that keeps it that way.
+//! panic or silently drop protocol messages. Panics became
+//! [`SchemeEffect::ProtocolViolation`] effects; clippy lints denied in
+//! `mdbs-core` and `mdbs-localdb` keep it that way, and this crate checks
+//! what needs project knowledge: dropped sends, the README's metric
+//! table, the channel topology and blocking calls reachable from a pump.
 //!
 //! One pipeline: collect files → read each → the pure per-file
 //! front-end ([`rules::frontend`]: lex → token trees → facts), file by
@@ -15,8 +17,8 @@
 //! registrations and the interprocedural graph pass over the artifacts
 //! → [`report::Report`].
 //!
-//! See [`rules`] for the rule catalog (six workspace invariants plus
-//! three meta-rules — nine rule ids, [`rules::all_rules`]),
+//! See [`rules`] for the rule catalog (four workspace invariants plus
+//! three meta-rules — seven rule ids, [`rules::all_rules`]),
 //! [`report`] for the JSON and SARIF schemas,
 //! [`parser`]/[`facts`]/[`graph`] for the analysis stages, and the
 //! repository README's "Static analysis" section for the allow-comment

@@ -2,61 +2,27 @@
 //!
 //! ```text
 //! cargo run -p mdbs-analyzer -- --workspace [--json PATH] [--sarif PATH]
-//!     [--format human|json|sarif] [--emit-graphs DIR] [--quiet]
-//!     [--fail-on error|warning|note]
+//!     [--emit-graphs DIR]
 //! cargo run -p mdbs-analyzer -- FILE.rs [FILE.rs ...]
 //! ```
 //!
-//! Exit codes: 0 gate passed, 1 gate failed, 2 usage or I/O error.
-//! The gate fails on any finding at or above the `--fail-on` threshold
-//! (default `note`, i.e. every finding).
+//! Exit codes: 0 no finding, 1 any finding, 2 usage or I/O error.
 
-use mdbs_analyzer::rules::{all_rules, parse_level, Level, SourceFile};
+use mdbs_analyzer::rules::{all_rules, SourceFile};
 use mdbs_analyzer::{find_workspace_root, run_sources, run_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
     let mut workspace = false;
-    let mut quiet = false;
-    let mut format = Format::Human;
     let mut json_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
     let mut graphs_dir: Option<PathBuf> = None;
-    let mut fail_on = Level::Note;
     let mut files: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--quiet" | "-q" => quiet = true,
-            "--format" => match args.next().as_deref() {
-                Some("human") => format = Format::Human,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    eprintln!("mdbs-lint: unknown format `{other}` (human|json|sarif)");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("mdbs-lint: --format needs a value (human|json|sarif)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-on" => match args.next().as_deref().and_then(parse_level) {
-                Some(level) => fail_on = level,
-                None => {
-                    eprintln!("mdbs-lint: --fail-on needs a value (error|warning|note)");
-                    return ExitCode::from(2);
-                }
-            },
             "--json" => match args.next() {
                 Some(p) => json_path = Some(PathBuf::from(p)),
                 None => {
@@ -82,19 +48,14 @@ fn main() -> ExitCode {
                 println!(
                     "mdbs-lint: static analysis for the mdbs workspace\n\n\
                      USAGE:\n  mdbs-lint --workspace [--json PATH] [--sarif PATH] \
-                     [--format human|json|sarif]\n      [--emit-graphs DIR] [--quiet] \
-                     [--fail-on error|warning|note]\n  \
+                     [--emit-graphs DIR]\n  \
                      mdbs-lint FILE.rs [FILE.rs ...]\n\n\
                      Scans workspace sources for the {} rules documented in the\n\
-                     README's \"Static analysis\" section.\n\
-                     --format selects the stdout rendering; --json/--sarif additionally\n\
-                     write the JSON report / SARIF 2.1.0 log to files.\n\
-                     --fail-on sets the severity threshold for exit code 1 (default\n\
-                     note = any finding).\n\
-                     --emit-graphs writes channel_topology.dot into DIR (created if\n\
-                     missing).\n\n\
-                     Exit codes: 0 gate passed, 1 findings at/above --fail-on, 2 usage or\n\
-                     I/O error.",
+                     README's \"Static analysis\" section and prints the findings.\n\
+                     --json/--sarif also write the JSON report / SARIF 2.1.0 log to\n\
+                     files. --emit-graphs writes channel_topology.dot into DIR\n\
+                     (created if missing).\n\n\
+                     Exit codes: 0 no finding, 1 any finding, 2 usage or I/O error.",
                     all_rules().len()
                 );
                 return ExitCode::SUCCESS;
@@ -169,18 +130,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    match format {
-        Format::Human => {
-            if !quiet {
-                print!("{}", report.render_human());
-            }
-        }
-        Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => print!("{}", report.to_sarif()),
-    }
-    if report.fails(fail_on) {
-        ExitCode::FAILURE
-    } else {
+    print!("{}", report.render_human());
+    if report.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

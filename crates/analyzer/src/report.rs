@@ -8,14 +8,14 @@
 //!   "version": "0.1.0",
 //!   "files_scanned": 61,
 //!   "total_violations": 2,
-//!   "by_rule": { "no-panic-in-scheduler": 2 },
+//!   "by_rule": { "no-silent-send-drop": 2 },
 //!   "graphs": {
 //!     "channel_topology": { "channels": [
 //!       { "tx": "...", "rx": "...", "file": "...", "line": 1,
 //!         "created_in": "...", "senders": [...], "receivers": [...] } ] }
 //!   },
 //!   "violations": [
-//!     { "rule": "no-panic-in-scheduler", "file": "crates/core/src/gtm1.rs",
+//!     { "rule": "no-silent-send-drop", "file": "crates/sim/src/threaded.rs",
 //!       "line": 337, "col": 40, "level": "error", "message": "..." }
 //!   ]
 //! }
@@ -28,7 +28,7 @@
 //! it can never be the crate that drags a vendored tree into the build.
 
 use crate::graph::Graphs;
-use crate::rules::{level_name, rule_description, rule_level, Level, Violation};
+use crate::rules::{rule_description, rule_level, Violation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -59,14 +59,6 @@ impl Report {
             *counts.entry(v.rule).or_insert(0) += 1;
         }
         counts
-    }
-
-    /// Whether this run should fail the build at `threshold` severity:
-    /// any finding at or above the threshold fails.
-    pub fn fails(&self, threshold: Level) -> bool {
-        self.violations
-            .iter()
-            .any(|v| rule_level(v.rule) >= threshold)
     }
 
     /// Serialize to the stable JSON schema.
@@ -105,7 +97,7 @@ impl Report {
                 json_str(&v.file),
                 v.line,
                 v.col,
-                json_str(level_name(rule_level(v.rule))),
+                json_str(rule_level(v.rule)),
                 json_str(&v.message)
             );
         }
@@ -144,7 +136,7 @@ impl Report {
                  \"defaultConfiguration\": {{ \"level\": {} }} }}",
                 json_str(rule),
                 json_str(rule_description(rule)),
-                json_str(level_name(rule_level(rule)))
+                json_str(rule_level(rule))
             );
         }
         s.push_str("\n          ]\n        }\n      },\n");
@@ -168,7 +160,7 @@ impl Report {
                  ]\n        }}",
                 json_str(v.rule),
                 rule_index,
-                json_str(level_name(rule_level(v.rule))),
+                json_str(rule_level(v.rule)),
                 json_str(&v.message),
                 json_str(&v.file),
                 v.line.max(1),
@@ -189,7 +181,7 @@ impl Report {
             let _ = writeln!(
                 s,
                 "{}[{}]: {}\n  --> {}:{}:{}",
-                level_name(rule_level(v.rule)),
+                rule_level(v.rule),
                 v.rule,
                 v.message,
                 v.file,
@@ -286,8 +278,18 @@ mod tests {
         let r = bare(
             1,
             vec![
-                vio(crate::rules::NO_PANIC, "crates/core/src/gtm1.rs", 7, "m"),
-                vio(crate::rules::STALE_ALLOW, "crates/core/src/gtm1.rs", 9, "s"),
+                vio(
+                    crate::rules::NO_SILENT_SEND_DROP,
+                    "crates/sim/src/threaded.rs",
+                    7,
+                    "m",
+                ),
+                vio(
+                    crate::rules::STALE_ALLOW,
+                    "crates/sim/src/threaded.rs",
+                    9,
+                    "s",
+                ),
             ],
         );
         let j = r.to_json();
@@ -303,8 +305,8 @@ mod tests {
         let r = bare(
             1,
             vec![Violation {
-                rule: crate::rules::NO_PANIC,
-                file: "crates/core/src/gtm1.rs".to_string(),
+                rule: crate::rules::NO_SILENT_SEND_DROP,
+                file: "crates/sim/src/threaded.rs".to_string(),
                 line: 7,
                 col: 3,
                 message: "a \"quoted\" message".to_string(),
@@ -314,7 +316,7 @@ mod tests {
         assert!(s.contains("\"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\""));
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("\"name\": \"mdbs-lint\""));
-        assert!(s.contains("\"ruleId\": \"no-panic-in-scheduler\""));
+        assert!(s.contains("\"ruleId\": \"no-silent-send-drop\""));
         assert!(s.contains("\"ruleIndex\": 0"));
         assert!(s.contains("\"startLine\": 7"));
         assert!(s.contains("a \\\"quoted\\\" message"));
@@ -323,16 +325,5 @@ mod tests {
             assert!(s.contains(&format!("\"id\": \"{rule}\"")), "{rule}");
         }
         assert!(s.contains("\"id\": \"stale-allow\""));
-    }
-
-    #[test]
-    fn fails_respects_threshold() {
-        let warn_only = bare(1, vec![vio(crate::rules::STALE_ALLOW, "a.rs", 1, "stale")]);
-        assert!(warn_only.fails(Level::Note));
-        assert!(warn_only.fails(Level::Warning));
-        assert!(!warn_only.fails(Level::Error));
-        let err = bare(1, vec![vio(crate::rules::NO_PANIC, "a.rs", 1, "p")]);
-        assert!(err.fails(Level::Error));
-        assert!(!bare(0, vec![]).fails(Level::Note));
     }
 }

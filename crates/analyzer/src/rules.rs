@@ -1,37 +1,32 @@
 //! The `mdbs-lint` rule engine.
 //!
-//! Six workspace invariants, each motivated by the paper's conservatism
-//! argument (Section 3: aborting a global transaction is prohibitively
-//! expensive, so the scheduler must not fail where it can refuse):
+//! Four workspace invariants that need project knowledge (the README, the
+//! call graph), each motivated by the paper's conservatism argument
+//! (Section 3: aborting a global transaction is prohibitively expensive,
+//! so the scheduler must not fail where it can refuse):
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `no-panic-in-scheduler` | `crates/core/src`, `crates/localdb/src` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/indexing in protocol paths |
 //! | `no-silent-send-drop` | workspace | a send result discarded unseen (`let _ = ...send(...)`, `_ = ...send(...)`, `...send(...).ok();`) is forbidden — count the drop instead |
 //! | `metric-docs-sync` | workspace + README.md | every literal metric name registered on the instrument `Registry` is unique per kind and documented |
-//! | `exhaustive-scheme-match` | `crates/core/src` | no `_ =>` arm in a `match` whose patterns name `SchemeEffect`/`QueueOp` |
 //! | `channel-topology` | workspace | every channel someone sends into has a draining receiver |
 //! | `blocking-in-pump` | workspace | no blocking call (`recv`, `join`, `wait`, `sleep`, `lock`) reachable from `Gtm2::pump` or the site-server loop |
 //!
-//! The first four are per-file (token-level); the last two run on the
+//! The first two are per-file (token-level); the last two run on the
 //! interprocedural call graph built by [`crate::parser`] →
-//! [`crate::facts`] → [`crate::graph`].
+//! [`crate::facts`] → [`crate::graph`]. Panicking constructs and
+//! wildcard arms in the scheduler crates are clippy lints that
+//! `mdbs-core` / `mdbs-localdb` deny, not rules of this engine.
 //!
 //! Escape hatch: `// mdbs-lint: allow(<rule>) — <justification>` on the
 //! same line or the line above suppresses one rule there; a directive
-//! without a justification is itself reported (rule `bad-allow`).
-//! `// mdbs-lint: allow(<rule>, scope=item) — <justification>` widens
-//! the suppression to the whole item (fn/impl/struct) that starts after
-//! the directive — for code whose *shape* trips a rule pervasively under
-//! one shared invariant (e.g. the slot-indexed dense kernels), where a
-//! per-line directive on every site would bury the real signal. The
-//! justification must state the invariant; an item-scoped allow with no
-//! following item is reported as `bad-allow`. A well-formed allow that
-//! suppresses *zero* findings in the default-engine run is reported as
-//! `stale-allow` (the `#[expect]` semantics): dead directives hide real
-//! regressions behind the suppression they no longer need. Delimiter-
-//! unbalanced files get a non-suppressible `parse-error` diagnostic
-//! instead of a panic.
+//! without a justification, or with anything besides the rule id inside
+//! the parentheses, is itself reported (rule `bad-allow`). A well-formed
+//! allow that suppresses *zero* findings is reported as `stale-allow`
+//! (the `#[expect]` semantics): dead directives hide real regressions
+//! behind the suppression they no longer need. Delimiter-unbalanced
+//! files get a non-suppressible `parse-error` diagnostic instead of a
+//! panic.
 //!
 //! Test code (`#[test]` / `#[cfg(test)]` items, files under `tests/`)
 //! is exempt from every rule.
@@ -41,14 +36,10 @@ use crate::lexer::{lex, Comment, TokKind, Token};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-/// Rule: panics forbidden in scheduler/protocol paths.
-pub const NO_PANIC: &str = "no-panic-in-scheduler";
 /// Rule: no send result discarded unseen.
 pub const NO_SILENT_SEND_DROP: &str = "no-silent-send-drop";
 /// Rule: Registry metric names unique and documented in README.md.
 pub const METRIC_DOCS_SYNC: &str = "metric-docs-sync";
-/// Rule: no wildcard arms over `SchemeEffect`/`QueueOp` in crates/core.
-pub const EXHAUSTIVE_SCHEME_MATCH: &str = "exhaustive-scheme-match";
 /// Rule: every channel someone sends into must have a draining receiver.
 pub const CHANNEL_TOPOLOGY: &str = "channel-topology";
 /// Rule: no blocking call reachable from the scheduler pump loops.
@@ -64,11 +55,9 @@ pub const PARSE_ERROR: &str = "parse-error";
 
 /// All suppressible rules (BAD_ALLOW, STALE_ALLOW and PARSE_ERROR cannot
 /// be allowed away).
-pub const RULES: [&str; 6] = [
-    NO_PANIC,
+pub const RULES: [&str; 4] = [
     NO_SILENT_SEND_DROP,
     METRIC_DOCS_SYNC,
-    EXHAUSTIVE_SCHEME_MATCH,
     CHANNEL_TOPOLOGY,
     BLOCKING_IN_PUMP,
 ];
@@ -83,55 +72,22 @@ pub fn all_rules() -> Vec<&'static str> {
         .collect()
 }
 
-/// Diagnostic severity. `stale-allow` is hygiene (the code is clean, a
-/// directive outlived its reason); everything else is a hard invariant.
-/// Ordering is by severity, so `--fail-on` thresholds compare directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Informational.
-    Note,
-    /// Hygiene problem; the invariant itself still holds.
-    Warning,
-    /// Invariant violation.
-    Error,
-}
-
-/// The severity of one rule's findings.
-pub fn rule_level(rule: &str) -> Level {
+/// A rule's severity, emitted per finding in JSON/SARIF: `warning` for
+/// `stale-allow` (hygiene — the code is clean, a directive outlived its
+/// reason), `error` for every hard invariant. The gate fails on either.
+pub fn rule_level(rule: &str) -> &'static str {
     if rule == STALE_ALLOW {
-        Level::Warning
+        "warning"
     } else {
-        Level::Error
-    }
-}
-
-/// Lowercase level name, as emitted in JSON/SARIF and parsed by
-/// `--fail-on`.
-pub fn level_name(level: Level) -> &'static str {
-    match level {
-        Level::Note => "note",
-        Level::Warning => "warning",
-        Level::Error => "error",
-    }
-}
-
-/// Parse a `--fail-on` threshold.
-pub fn parse_level(s: &str) -> Option<Level> {
-    match s {
-        "note" => Some(Level::Note),
-        "warning" => Some(Level::Warning),
-        "error" => Some(Level::Error),
-        _ => None,
+        "error"
     }
 }
 
 /// One-line rule description, emitted into the SARIF `rules` array.
 pub fn rule_description(rule: &str) -> &'static str {
     match rule {
-        NO_PANIC => "No panicking construct in scheduler/protocol paths.",
         NO_SILENT_SEND_DROP => "No silently discarded send result.",
         METRIC_DOCS_SYNC => "Registered metric names are unique per kind and README-documented.",
-        EXHAUSTIVE_SCHEME_MATCH => "No wildcard arm in matches over protocol enums.",
         CHANNEL_TOPOLOGY => "Every channel someone sends into has a draining receiver.",
         BLOCKING_IN_PUMP => "No blocking call reachable from the scheduler pump loops.",
         BAD_ALLOW => "Allow directives must be well-formed and justified.",
@@ -185,18 +141,16 @@ pub fn analyze(files: &[SourceFile], readme: Option<&str>) -> Analysis {
     aggregate(&artifacts, readme)
 }
 
-/// An allow directive's effect, stripped of its hit counter: the rule it
-/// suppresses and the (inclusive) line span it covers. Pure front-end
-/// output — hit counting happens at aggregation, where the final set of
-/// violations exists.
+/// A well-formed, justified allow directive, stripped of its hit
+/// counter: the rule it suppresses and its line (it covers that line and
+/// the next). Pure front-end output — hit counting happens at
+/// aggregation, where the final set of violations exists.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllowSpan {
+pub struct AllowDirective {
     /// Suppressed rule id.
     pub rule: String,
-    /// Directive line (first covered line).
-    pub first: u32,
-    /// Last covered line.
-    pub last: u32,
+    /// Directive line.
+    pub line: u32,
 }
 
 /// One literal metric registration site. Cross-file uniqueness and the
@@ -223,8 +177,8 @@ pub struct FileArtifacts {
     /// Per-file violations *before* allow filtering (includes
     /// `bad-allow` and `parse-error`, which filtering never removes).
     pub raw: Vec<Violation>,
-    /// Allow-directive spans, in directive order.
-    pub allows: Vec<AllowSpan>,
+    /// Allow directives, in directive order.
+    pub allows: Vec<AllowDirective>,
     /// Literal metric registration sites, in token order.
     pub metrics: Vec<MetricReg>,
     /// Extracted function/struct facts for the interprocedural pass.
@@ -238,16 +192,9 @@ pub fn frontend(file: &SourceFile) -> FileArtifacts {
     let lexed = lex(&file.source);
     let tokens = strip_test_items(&lexed.tokens);
     let mut raw = Vec::new();
-    let allows = parse_allow_spans(&file.path, &lexed.comments, &tokens, &mut raw);
-
-    if in_scheduler_scope(&file.path) {
-        rule_no_panic(&file.path, &tokens, &mut raw);
-    }
+    let allows = parse_allow_directives(&file.path, &lexed.comments, &mut raw);
     rule_silent_send_drop(&file.path, &tokens, &mut raw);
     let metrics = collect_metric_regs(&tokens);
-    if file.path.starts_with("crates/core/src/") {
-        rule_exhaustive_match(&file.path, &tokens, &mut raw);
-    }
 
     // Token-tree parse + fact extraction for the graph pass. Delimiter
     // imbalance degrades to a diagnostic, never a panic.
@@ -281,10 +228,7 @@ pub fn frontend(file: &SourceFile) -> FileArtifacts {
 /// in the artifacts' order and content only.
 pub fn aggregate(files: &[FileArtifacts], readme: Option<&str>) -> Analysis {
     let mut violations = Vec::new();
-    let allows: Vec<AllowDirectives> = files
-        .iter()
-        .map(|a| AllowDirectives::from_spans(&a.allows))
-        .collect();
+    let allows: Vec<AllowTable> = files.iter().map(|a| AllowTable::new(&a.allows)).collect();
     for (art, allow) in files.iter().zip(&allows) {
         for v in &art.raw {
             // The meta-rules bypass suppression: a bad directive or a
@@ -318,7 +262,7 @@ pub fn aggregate(files: &[FileArtifacts], readme: Option<&str>) -> Analysis {
                 violations.push(Violation {
                     rule: STALE_ALLOW,
                     file: art.path.clone(),
-                    line: e.first,
+                    line: e.line,
                     col: 1,
                     message: format!(
                         "mdbs-lint allow({}) suppresses nothing — the code it covered no \
@@ -338,55 +282,45 @@ pub fn aggregate(files: &[FileArtifacts], readme: Option<&str>) -> Analysis {
     }
 }
 
-/// `no-panic-in-scheduler` applies to the protocol paths only.
-fn in_scheduler_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path.starts_with("crates/localdb/src/")
-}
-
 // ---------------------------------------------------------------------------
 // Allow directives
 // ---------------------------------------------------------------------------
 
-/// One well-formed, justified allow directive with a suppression-hit
-/// counter (interior mutability: `suppresses` is called through shared
-/// references during filtering, but stale-allow needs the tally).
+/// One allow directive with a suppression-hit counter (interior
+/// mutability: `suppresses` is called through shared references during
+/// filtering, but stale-allow needs the tally).
 struct AllowEntry {
     rule: String,
-    /// Directive line. A line-scoped directive covers `first..=first+1`;
-    /// an item-scoped one covers the whole item that starts after it.
-    first: u32,
-    last: u32,
+    line: u32,
     hits: Cell<u32>,
 }
 
-struct AllowDirectives {
+struct AllowTable {
     entries: Vec<AllowEntry>,
 }
 
-impl AllowDirectives {
-    /// Rehydrate a directive table (hit counters at zero) from the
-    /// front end's pure spans.
-    fn from_spans(spans: &[AllowSpan]) -> Self {
-        AllowDirectives {
-            entries: spans
+impl AllowTable {
+    /// A directive table (hit counters at zero) from the front end's
+    /// directives.
+    fn new(allows: &[AllowDirective]) -> Self {
+        AllowTable {
+            entries: allows
                 .iter()
-                .map(|s| AllowEntry {
-                    rule: s.rule.clone(),
-                    first: s.first,
-                    last: s.last,
+                .map(|a| AllowEntry {
+                    rule: a.rule.clone(),
+                    line: a.line,
                     hits: Cell::new(0),
                 })
                 .collect(),
         }
     }
 
-    /// A line-scoped directive on line N covers violations on lines N
-    /// and N+1; an item-scoped one covers its whole recorded span. Every
+    /// A directive on line N covers violations on lines N and N+1. Every
     /// match bumps the entry's hit counter for stale-allow detection.
     fn suppresses(&self, rule: &str, line: u32) -> bool {
         let mut hit = false;
         for e in &self.entries {
-            if e.rule == rule && e.first <= line && line <= e.last {
+            if e.rule == rule && (e.line..=e.line + 1).contains(&line) {
                 e.hits.set(e.hits.get() + 1);
                 hit = true;
             }
@@ -396,136 +330,91 @@ impl AllowDirectives {
 }
 
 /// Parse allow directives out of a file's comments: well-formed,
-/// justified ones become [`AllowSpan`]s; malformed ones push `bad-allow`
-/// into `out`.
-fn parse_allow_spans(
+/// justified ones are returned; malformed ones push `bad-allow` into
+/// `out`.
+fn parse_allow_directives(
     path: &str,
     comments: &[Comment],
-    tokens: &[Token],
     out: &mut Vec<Violation>,
-) -> Vec<AllowSpan> {
-    let mut entries = Vec::new();
-    {
-        for c in comments {
-            let Some(pos) = c.text.find("mdbs-lint:") else {
-                continue;
-            };
-            let rest = c.text[pos + "mdbs-lint:".len()..].trim_start();
-            let Some(inner) = rest.strip_prefix("allow(") else {
-                out.push(Violation {
-                    rule: BAD_ALLOW,
-                    file: path.to_string(),
-                    line: c.line,
-                    col: 1,
-                    message: format!(
-                        "malformed mdbs-lint directive (expected `mdbs-lint: allow(<rule>) — \
-                         <justification>`): `{}`",
-                        c.text.trim()
-                    ),
-                });
-                continue;
-            };
-            let Some(close) = inner.find(')') else {
-                out.push(Violation {
-                    rule: BAD_ALLOW,
-                    file: path.to_string(),
-                    line: c.line,
-                    col: 1,
-                    message: "unterminated mdbs-lint allow directive".to_string(),
-                });
-                continue;
-            };
-            let spec = inner[..close].trim();
-            let (rule, scope_arg) = match spec.split_once(',') {
-                Some((r, arg)) => (r.trim(), Some(arg.trim())),
-                None => (spec, None),
-            };
-            // Prose that *describes* the syntax (`allow(<rule>)`,
-            // `allow(...)`) is not a directive: only rule-shaped names
-            // are interpreted, so typos still get flagged below.
-            if !rule
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c == '-' || c == '_')
-                || rule.is_empty()
-            {
-                continue;
-            }
-            let item_scoped = match scope_arg {
-                None => false,
-                Some("scope=item") => true,
-                Some(other) => {
-                    out.push(Violation {
-                        rule: BAD_ALLOW,
-                        file: path.to_string(),
-                        line: c.line,
-                        col: 1,
-                        message: format!(
-                            "unknown mdbs-lint allow argument `{other}` (supported: scope=item)"
-                        ),
-                    });
-                    continue;
-                }
-            };
-            let justification = inner[close + 1..]
-                .trim_start_matches(|ch: char| {
-                    ch.is_whitespace() || ch == '—' || ch == '–' || ch == '-' || ch == ':'
-                })
-                .trim();
-            if !RULES.contains(&rule) {
-                out.push(Violation {
-                    rule: BAD_ALLOW,
-                    file: path.to_string(),
-                    line: c.line,
-                    col: 1,
-                    message: format!("mdbs-lint allow names unknown rule `{rule}`"),
-                });
-            } else if justification.is_empty() {
-                out.push(Violation {
-                    rule: BAD_ALLOW,
-                    file: path.to_string(),
-                    line: c.line,
-                    col: 1,
-                    message: format!(
-                        "mdbs-lint allow({rule}) has no justification — write \
-                         `mdbs-lint: allow({rule}) — <why this cannot fire>`"
-                    ),
-                });
-            } else if item_scoped {
-                // The directive covers the next item: from the first
-                // token strictly below the comment through the item's
-                // closing `}` or `;`.
-                let Some(start) = tokens.iter().position(|t| t.line > c.line) else {
-                    out.push(Violation {
-                        rule: BAD_ALLOW,
-                        file: path.to_string(),
-                        line: c.line,
-                        col: 1,
-                        message: format!(
-                            "mdbs-lint allow({rule}, scope=item) has no following item to cover"
-                        ),
-                    });
-                    continue;
-                };
-                let end = skip_item(tokens, start);
-                let last_line = tokens[start..end]
-                    .last()
-                    .map_or(c.line + 1, |t| t.line)
-                    .max(c.line + 1);
-                entries.push(AllowSpan {
-                    rule: rule.to_string(),
-                    first: c.line,
-                    last: last_line,
-                });
-            } else {
-                entries.push(AllowSpan {
-                    rule: rule.to_string(),
-                    first: c.line,
-                    last: c.line + 1,
-                });
-            }
+) -> Vec<AllowDirective> {
+    let mut bad = |line: u32, message: String| {
+        out.push(Violation {
+            rule: BAD_ALLOW,
+            file: path.to_string(),
+            line,
+            col: 1,
+            message,
+        });
+    };
+    let mut allows = Vec::new();
+    for c in comments {
+        let Some(pos) = c.text.find("mdbs-lint:") else {
+            continue;
+        };
+        let rest = c.text[pos + "mdbs-lint:".len()..].trim_start();
+        let Some(inner) = rest.strip_prefix("allow(") else {
+            bad(
+                c.line,
+                format!(
+                    "malformed mdbs-lint directive (expected `mdbs-lint: allow(<rule>) — \
+                     <justification>`): `{}`",
+                    c.text.trim()
+                ),
+            );
+            continue;
+        };
+        let Some(close) = inner.find(')') else {
+            bad(c.line, "unterminated mdbs-lint allow directive".to_string());
+            continue;
+        };
+        let spec = inner[..close].trim();
+        let (rule, arg) = match spec.split_once(',') {
+            Some((r, arg)) => (r.trim(), Some(arg.trim())),
+            None => (spec, None),
+        };
+        // Prose that *describes* the syntax (`allow(<rule>)`,
+        // `allow(...)`) is not a directive: only rule-shaped names
+        // are interpreted, so typos still get flagged below.
+        if !rule
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c == '-' || c == '_')
+            || rule.is_empty()
+        {
+            continue;
+        }
+        if let Some(other) = arg {
+            bad(
+                c.line,
+                format!("unknown mdbs-lint allow argument `{other}` (allow takes one rule id)"),
+            );
+            continue;
+        }
+        let justification = inner[close + 1..]
+            .trim_start_matches(|ch: char| {
+                ch.is_whitespace() || ch == '—' || ch == '–' || ch == '-' || ch == ':'
+            })
+            .trim();
+        if !RULES.contains(&rule) {
+            bad(
+                c.line,
+                format!("mdbs-lint allow names unknown rule `{rule}`"),
+            );
+        } else if justification.is_empty() {
+            bad(
+                c.line,
+                format!(
+                    "mdbs-lint allow({rule}) has no justification — write \
+                     `mdbs-lint: allow({rule}) — <why this cannot fire>`"
+                ),
+            );
+        } else {
+            allows.push(AllowDirective {
+                rule: rule.to_string(),
+                line: c.line,
+            });
         }
     }
-    entries
+    allows
 }
 
 // ---------------------------------------------------------------------------
@@ -620,99 +509,15 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: no-panic-in-scheduler
+// Rule 1: no-silent-send-drop
 // ---------------------------------------------------------------------------
 
-/// Identifiers that may legitimately precede `[` without forming an index
-/// expression (`return [a, b]`, `match [x] {...}`).
-const NON_INDEX_KEYWORDS: [&str; 22] = [
+/// Keywords that end a receiver chain: a call after `return`, `let`,
+/// `match`, ... passes its value on instead of discarding it.
+const KEYWORDS: [&str; 22] = [
     "in", "return", "break", "if", "else", "match", "loop", "while", "move", "mut", "ref", "as",
     "where", "unsafe", "dyn", "impl", "for", "let", "const", "static", "use", "type",
 ];
-
-fn rule_no_panic(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (i, t) in tokens.iter().enumerate() {
-        match t.kind {
-            TokKind::Ident if t.text == "unwrap" || t.text == "expect" => {
-                let method_call = i > 0
-                    && tokens[i - 1].is_punct(".")
-                    && tokens.get(i + 1).is_some_and(|n| n.is_punct("("));
-                if method_call {
-                    out.push(Violation {
-                        rule: NO_PANIC,
-                        file: path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`.{}()` can panic the scheduler — route the failure through \
-                             `SchemeEffect::ProtocolViolation` or a `Result`",
-                            t.text
-                        ),
-                    });
-                }
-            }
-            TokKind::Ident
-                if matches!(
-                    t.text.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) && tokens.get(i + 1).is_some_and(|n| n.is_punct("!")) =>
-            {
-                out.push(Violation {
-                    rule: NO_PANIC,
-                    file: path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`{}!` aborts the scheduler — protocol paths must degrade to \
-                         `ProtocolViolation` effects instead",
-                        t.text
-                    ),
-                });
-            }
-            TokKind::Punct if t.text == "[" => {
-                let prev_is_place = i > 0
-                    && match tokens[i - 1].kind {
-                        TokKind::Ident => {
-                            !NON_INDEX_KEYWORDS.contains(&tokens[i - 1].text.as_str())
-                        }
-                        TokKind::Punct => tokens[i - 1].text == ")" || tokens[i - 1].text == "]",
-                        _ => false,
-                    };
-                if prev_is_place {
-                    // `x[0]` with a literal constant index is a deliberate
-                    // fixed-layout access (e.g. `waited_kind[1]`), not a
-                    // data-dependent panic path.
-                    if let Some(close) = matching(tokens, i, "[", "]") {
-                        let inner = &tokens[i + 1..close];
-                        let literal_only = inner.len() == 1
-                            && inner[0].kind == TokKind::Literal
-                            && inner[0].text.starts_with(|c: char| c.is_ascii_digit());
-                        // `x[..]` (full-range slice) cannot go out of
-                        // bounds; any bounded range still can.
-                        let full_range =
-                            inner.len() == 2 && inner[0].is_punct(".") && inner[1].is_punct(".");
-                        if !literal_only && !full_range && !inner.is_empty() {
-                            out.push(Violation {
-                                rule: NO_PANIC,
-                                file: path.to_string(),
-                                line: t.line,
-                                col: t.col,
-                                message: "index expression can panic on out-of-bounds — use \
-                                          `.get()` and handle the miss"
-                                    .to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: no-silent-send-drop
-// ---------------------------------------------------------------------------
 
 /// Index just past the `;` that ends the statement starting at `start`,
 /// or None when the enclosing block closes first (a tail expression, not
@@ -769,7 +574,7 @@ fn receiver_statement_start(tokens: &[Token], k: usize) -> Option<usize> {
     while !at_statement_start(tokens, j) {
         let prev = &tokens[j - 1];
         match prev.kind {
-            TokKind::Ident if !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()) => j -= 1,
+            TokKind::Ident if !KEYWORDS.contains(&prev.text.as_str()) => j -= 1,
             TokKind::Punct => match prev.text.as_str() {
                 "." | "?" | ":" | "&" | "*" => j -= 1,
                 close @ (")" | "]") => {
@@ -848,7 +653,7 @@ fn rule_silent_send_drop(path: &str, tokens: &[Token], out: &mut Vec<Violation>)
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: metric-docs-sync
+// Rule 2: metric-docs-sync
 // ---------------------------------------------------------------------------
 
 /// Registry registration methods and the metric kind they imply.
@@ -1021,155 +826,3 @@ impl MetricTable {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Rule 4: exhaustive-scheme-match
-// ---------------------------------------------------------------------------
-
-const PROTOCOL_ENUMS: [&str; 2] = ["SchemeEffect", "QueueOp"];
-
-fn rule_exhaustive_match(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident("match") {
-            continue;
-        }
-        // The match body is the first `{` after the scrutinee at paren/
-        // bracket depth zero (struct literals are not legal in scrutinee
-        // position without parentheses).
-        let mut paren = 0i32;
-        let mut bracket = 0i32;
-        let mut body_open = None;
-        for (j, u) in tokens.iter().enumerate().skip(i + 1) {
-            if u.kind != TokKind::Punct {
-                continue;
-            }
-            match u.text.as_str() {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "[" => bracket += 1,
-                "]" => bracket -= 1,
-                "{" if paren == 0 && bracket == 0 => {
-                    body_open = Some(j);
-                    break;
-                }
-                ";" if paren == 0 && bracket == 0 => break, // not a match expr
-                _ => {}
-            }
-        }
-        let Some(open) = body_open else { continue };
-        let Some(close) = matching(tokens, open, "{", "}") else {
-            continue;
-        };
-        check_match_arms(path, &tokens[open + 1..close], out);
-    }
-}
-
-/// Inspect the arms of one match body (tokens strictly inside the braces).
-fn check_match_arms(path: &str, body: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0;
-    let mut names_protocol_enum = false;
-    let mut wildcard_arm: Option<&Token> = None;
-    while i < body.len() {
-        // Pattern: up to `=>` at depth zero.
-        let start = i;
-        let mut paren = 0i32;
-        let mut bracket = 0i32;
-        let mut brace = 0i32;
-        let mut arrow = None;
-        while i < body.len() {
-            let t = &body[i];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    "[" => bracket += 1,
-                    "]" => bracket -= 1,
-                    "{" => brace += 1,
-                    "}" => brace -= 1,
-                    "=" if paren == 0
-                        && bracket == 0
-                        && brace == 0
-                        && body.get(i + 1).is_some_and(|n| {
-                            n.is_punct(">") && n.line == t.line && n.col == t.col + 1
-                        }) =>
-                    {
-                        arrow = Some(i);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let pattern = &body[start..arrow];
-        for (k, p) in pattern.iter().enumerate() {
-            if p.kind == TokKind::Ident
-                && PROTOCOL_ENUMS.contains(&p.text.as_str())
-                && pattern.get(k + 1).is_some_and(|n| n.is_punct(":"))
-            {
-                names_protocol_enum = true;
-            }
-        }
-        if let Some(first) = pattern.first() {
-            let bare = first.is_ident("_")
-                && (pattern.len() == 1 || pattern.get(1).is_some_and(|t| t.is_ident("if")));
-            if bare {
-                wildcard_arm = wildcard_arm.or(Some(first));
-            }
-        }
-        // Arm body: a block, or an expression up to `,` at depth zero.
-        i = arrow + 2;
-        if body.get(i).is_some_and(|t| t.is_punct("{")) {
-            match matching(body, i, "{", "}") {
-                Some(j) => i = j + 1,
-                None => break,
-            }
-            if body.get(i).is_some_and(|t| t.is_punct(",")) {
-                i += 1;
-            }
-        } else {
-            let mut paren = 0i32;
-            let mut bracket = 0i32;
-            let mut brace = 0i32;
-            while i < body.len() {
-                let t = &body[i];
-                if t.kind == TokKind::Punct {
-                    match t.text.as_str() {
-                        "(" => paren += 1,
-                        ")" => paren -= 1,
-                        "[" => bracket += 1,
-                        "]" => bracket -= 1,
-                        "{" => brace += 1,
-                        "}" => brace -= 1,
-                        "," if paren == 0 && bracket == 0 && brace == 0 => {
-                            i += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-    if names_protocol_enum {
-        if let Some(w) = wildcard_arm {
-            out.push(Violation {
-                rule: EXHAUSTIVE_SCHEME_MATCH,
-                file: path.to_string(),
-                line: w.line,
-                col: w.col,
-                message: "wildcard `_` arm in a match over SchemeEffect/QueueOp — name every \
-                          variant so new protocol operations fail the build, not the protocol"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// Note: `pattern.get(k + 1).is_some_and(|n| n.is_punct(\":\"))` checks only
-// the first `:` of `::`; the lexer emits `::` as two adjacent `:` puncts,
-// and a struct-field `name: pat` inside a pattern never has an uppercase
-// protocol-enum ident directly before the colon, so the single-colon check
-// is sufficient and cheap.

@@ -66,7 +66,10 @@ pub struct Scheme0Dense {
     queues: Vec<VecDeque<GlobalTxnId>>,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Scheme0Dense {
     /// Fresh state.
     pub fn new() -> Self {
@@ -80,7 +83,10 @@ impl Scheme0Dense {
     }
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Gtm2Scheme for Scheme0Dense {
     fn name(&self) -> &'static str {
         "Scheme 0"
@@ -248,7 +254,10 @@ pub struct Scheme1Dense {
     scratch_roots: Vec<(u32, u32)>,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Scheme1Dense {
     /// Fresh state.
     pub fn new() -> Self {
@@ -316,7 +325,10 @@ impl Scheme1Dense {
     }
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Gtm2Scheme for Scheme1Dense {
     fn name(&self) -> &'static str {
         "Scheme 1"
@@ -863,7 +875,10 @@ pub struct Scheme3Dense {
     scratch_targets: Vec<u32>,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Scheme3Dense {
     /// Fresh state.
     pub fn new() -> Self {
@@ -910,7 +925,10 @@ impl Scheme3Dense {
     }
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
 impl Gtm2Scheme for Scheme3Dense {
     fn name(&self) -> &'static str {
         "Scheme 3"

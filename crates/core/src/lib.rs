@@ -35,6 +35,24 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Section 3: aborting a global transaction is prohibitively expensive, so
+// the scheduler refuses input it cannot handle rather than fail on it — no
+// panicking construct outside tests, and every match over an enum names its
+// variants, so a new protocol operation fails the build, not the protocol.
+// A site that cannot fire carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod baselines;
 pub mod coordinator;

@@ -99,12 +99,20 @@ pub fn replay_parallel_kernel(
     match kind {
         SchemeKind::Scheme0 => scheme0_parallel(script, workers),
         SchemeKind::Scheme1 => scheme1_parallel(script, workers),
-        other => funnel(other, kernel, workers, script),
+        other @ (SchemeKind::Scheme2
+        | SchemeKind::Scheme2Minimal
+        | SchemeKind::SiteGraph
+        | SchemeKind::Scheme3
+        | SchemeKind::AbortingTo
+        | SchemeKind::OptimisticTicket) => funnel(other, kernel, workers, script),
     }
 }
 
 /// Run a non-partitioned scheme as a single pool task.
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — the funnel task writes its slot exactly once before the pool drains; a poisoned or empty slot means the replay already panicked and the harness must surface it
+#[expect(
+    clippy::expect_used,
+    reason = "the funnel task writes its slot exactly once before the pool drains; a poisoned or empty slot means the replay already panicked and the harness must surface it"
+)]
 fn funnel(kind: SchemeKind, kernel: KernelKind, workers: usize, script: &Script) -> ReplayOutcome {
     let pool = Pool::new(workers);
     let slot: Arc<Mutex<Option<ReplayOutcome>>> = Arc::new(Mutex::new(None));
@@ -265,7 +273,11 @@ enum S0Ev {
     Ser { t: usize, idx: u64 },
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count"
+)]
 fn scheme0_parallel(script: &Script, workers: usize) -> ReplayOutcome {
     let (txns, by_id) = index_txns(script);
     let mut streams: BTreeMap<SiteId, Vec<S0Ev>> = BTreeMap::new();
@@ -340,7 +352,11 @@ struct S0Site {
     p: Partial,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count"
+)]
 impl S0Site {
     /// The whole stream is statically known, so one run suffices.
     fn run(&mut self) -> Poll {
@@ -490,7 +506,11 @@ enum S1Emit {
     End,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count"
+)]
 fn scheme1_parallel(script: &Script, workers: usize) -> ReplayOutcome {
     let (txns, by_id) = index_txns(script);
     let mut dom_stream: Vec<DomEv> = Vec::new();
@@ -598,7 +618,11 @@ struct S1Site {
     p: Partial,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count"
+)]
 impl S1Site {
     fn run(&mut self) -> Poll {
         while self.pos < self.stream.len() {
@@ -736,7 +760,11 @@ struct S1Domain {
     p: Partial,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "txn indices are dense script positions produced by `index_txns` from the same validated script every lookup derives from; a miss is an engine bug that must fail the differential harness loudly, not degrade into a wrong-but-quiet charge count"
+)]
 impl S1Domain {
     fn new(
         stream: Vec<DomEv>,

@@ -123,7 +123,10 @@ impl Script {
         std::mem::swap(&mut pending, &mut remaining);
         while !remaining.is_empty() {
             let idx = rng.gen_range(0..remaining.len());
-            // mdbs-lint: allow(no-panic-in-scheduler) — idx was just sampled from 0..remaining.len().
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx was just sampled from 0..remaining.len()."
+            )]
             let (txn, sites) = &mut remaining[idx];
             if inited.insert(*txn) {
                 events.push(ScriptEvent::Init(*txn, sites.clone()));
@@ -177,14 +180,23 @@ impl Script {
             if ready.is_empty() {
                 break;
             }
-            // mdbs-lint: allow(no-panic-in-scheduler) — index sampled from 0..ready.len(), which is non-empty here.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "index sampled from 0..ready.len(), which is non-empty here."
+            )]
             let site = ready[rng.gen_range(0..ready.len())];
             let cursor = cursors.entry(site).or_insert(0);
-            // mdbs-lint: allow(no-panic-in-scheduler) — `ready` only lists sites whose cursor is still within the queue.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`ready` only lists sites whose cursor is still within the queue."
+            )]
             let txn = site_queues[&site][*cursor];
             *cursor += 1;
             if inited.insert(txn) {
-                // mdbs-lint: allow(no-panic-in-scheduler) — site_sets holds every txn that appears in a queue.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "site_sets holds every txn that appears in a queue."
+                )]
                 events.push(ScriptEvent::Init(txn, site_sets[&txn].clone()));
             }
             events.push(ScriptEvent::Ser(txn, site));

@@ -65,7 +65,7 @@ impl SiteGraphScheme {
         for path in paths {
             steps.bump(StepKind::Cond, path.len() as u64);
             for pair in path.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
+                let &[a, b] = pair else { continue };
                 // Joining already-connected sites (including via a parallel
                 // edge) closes a cycle.
                 if graph.contains_node(a) && graph.contains_node(b) && graph.connected(a, b) {

@@ -130,6 +130,10 @@ impl SerSLog {
     ///
     /// The verdict and the witness come from one dense topological sort of
     /// the chains; the [`DiGraph`] is built only to extract a cycle.
+    #[expect(
+        clippy::expect_used,
+        reason = "no topological order means the graph is cyclic, so find_cycle always succeeds."
+    )]
     pub fn check_excluding(
         &self,
         aborted: &[GlobalTxnId],
@@ -138,7 +142,6 @@ impl SerSLog {
         lex_topo_order(nodes, edges).ok_or_else(|| {
             self.graph_excluding(aborted)
                 .find_cycle()
-                // mdbs-lint: allow(no-panic-in-scheduler) — no topological order means the graph is cyclic, so find_cycle always succeeds.
                 .expect("cyclic graph has a cycle")
         })
     }

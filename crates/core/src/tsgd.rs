@@ -305,10 +305,16 @@ pub fn eliminate_cycles(tsgd: &Tsgd, gi: GlobalTxnId, steps: &mut StepCounter) -
                 if v == gi {
                     break;
                 }
-                // mdbs-lint: allow(no-panic-in-scheduler) — the backtracking search records s_par/t_par together before descending, so a visited node always has both.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the backtracking search records s_par/t_par together before descending, so a visited node always has both."
+                )]
                 let tp = t_par.get_mut(&v).expect("visited node has parents");
                 let temp = tp.remove(0);
-                // mdbs-lint: allow(no-panic-in-scheduler) — s_par and t_par are updated in lockstep above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "s_par and t_par are updated in lockstep above."
+                )]
                 s_par.get_mut(&v).expect("parents in sync").remove(0);
                 v = temp;
             }

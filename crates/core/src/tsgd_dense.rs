@@ -127,7 +127,10 @@ pub struct DenseTsgd {
     desync: Cell<u64>,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and adjacency rows are grown at insert_txn; prop_tsgd + kernel_equivalence pin the invariant against the reference Tsgd.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slot indices come from the interner and adjacency rows are grown at insert_txn; prop_tsgd + kernel_equivalence pin the invariant against the reference Tsgd."
+)]
 impl DenseTsgd {
     /// Empty TSGD.
     pub fn new() -> Self {
@@ -740,7 +743,10 @@ pub struct EliminateScratch {
     scans_elided: u64,
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slots and site slots are below the capacities begin() sized the tables to, `open` holds every column's words from its `base`, and scans index a column below its length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slots and site slots are below the capacities begin() sized the tables to, `open` holds every column's words from its `base`, and scans index a column below its length."
+)]
 impl EliminateScratch {
     /// Fresh scratch (grows lazily to the TSGD's slot capacities).
     pub fn new() -> Self {
@@ -922,7 +928,10 @@ impl EliminateScratch {
     }
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — callers index with slots below the capacities EliminateScratch::begin sized the rows to.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers index with slots below the capacities EliminateScratch::begin sized the rows to."
+)]
 #[inline]
 fn stamp_bitset(vec: &mut [(u64, DenseBitSet)], idx: u32, epoch: u64) -> &mut DenseBitSet {
     let e = &mut vec[idx as usize];
@@ -933,7 +942,10 @@ fn stamp_bitset(vec: &mut [(u64, DenseBitSet)], idx: u32, epoch: u64) -> &mut De
     &mut e.1
 }
 
-// mdbs-lint: allow(no-panic-in-scheduler, scope=item) — callers index with slots below the capacities EliminateScratch::begin sized the rows to.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers index with slots below the capacities EliminateScratch::begin sized the rows to."
+)]
 #[inline]
 fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bool {
     let e = &vec[idx as usize];

@@ -61,13 +61,16 @@ pub fn first_victim(edges: &[(TxnId, TxnId)], age: &BTreeMap<TxnId, u64>) -> Dea
 
 /// Choose the victim from one cycle: prefer local transactions; among the
 /// preferred class, pick the youngest (largest begin sequence).
+#[expect(
+    clippy::expect_used,
+    reason = "`pool` is either the cycle (non-empty by construction) or its non-empty local subset."
+)]
 fn pick_victim(cycle: &[TxnId], age: &BTreeMap<TxnId, u64>) -> TxnId {
     let locals: Vec<TxnId> = cycle.iter().copied().filter(|t| !t.is_global()).collect();
     let pool: &[TxnId] = if locals.is_empty() { cycle } else { &locals };
     *pool
         .iter()
         .max_by_key(|t| age.get(t).copied().unwrap_or(0))
-        // mdbs-lint: allow(no-panic-in-scheduler) — `pool` is either the cycle (non-empty by construction) or its non-empty local subset.
         .expect("cycle is non-empty")
 }
 

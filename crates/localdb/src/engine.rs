@@ -313,6 +313,10 @@ impl LocalDbms {
     /// commit. Never blocks. On a no-vote the transaction is aborted (with
     /// the protocol's reason) and `Err(Aborted)` returned; after a yes-vote
     /// the subsequent `submit_commit` is guaranteed to succeed.
+    #[expect(
+        clippy::expect_used,
+        reason = "check_live above guarantees the entry exists."
+    )]
     pub fn submit_prepare(&mut self, txn: TxnId) -> Result<()> {
         self.check_live(txn)?;
         if self.is_blocked(txn) {
@@ -322,7 +326,6 @@ impl LocalDbms {
         }
         match self.protocol.on_prepare(txn) {
             Decision::Grant => {
-                // mdbs-lint: allow(no-panic-in-scheduler) — check_live above guarantees the entry exists.
                 self.txns.get_mut(&txn).expect("live").prepared = true;
                 Ok(())
             }
@@ -441,7 +444,10 @@ impl LocalDbms {
     fn execute(&mut self, txn: TxnId, op: PendingOp) -> OpOutcome {
         match op {
             PendingOp::Read(item) => {
-                // mdbs-lint: allow(no-panic-in-scheduler) — execute() is only reached for transactions the protocol just granted, which are live.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "execute() is only reached for transactions the protocol just granted, which are live."
+                )]
                 let state = self.txns.get(&txn).expect("live txn");
                 let value = match state.buffer.get(&item) {
                     Some(&v) => v,
@@ -454,13 +460,19 @@ impl LocalDbms {
                 match self.protocol.write_style() {
                     WriteStyle::Immediate => {
                         let prev = self.storage.write(item, value);
-                        // mdbs-lint: allow(no-panic-in-scheduler) — granted op implies a live transaction.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "granted op implies a live transaction."
+                        )]
                         let state = self.txns.get_mut(&txn).expect("live txn");
                         state.undo.push((item, prev));
                         self.history.push(DataOp::write(txn, item));
                     }
                     WriteStyle::Deferred => {
-                        // mdbs-lint: allow(no-panic-in-scheduler) — granted op implies a live transaction.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "granted op implies a live transaction."
+                        )]
                         let state = self.txns.get_mut(&txn).expect("live txn");
                         state.buffer.insert(item, value);
                         // Recorded in the history at commit, when applied.
@@ -469,7 +481,10 @@ impl LocalDbms {
                 OpOutcome::Write
             }
             PendingOp::Commit => {
-                // mdbs-lint: allow(no-panic-in-scheduler) — granted commit implies a live transaction.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "granted commit implies a live transaction."
+                )]
                 let state = self.txns.remove(&txn).expect("live txn");
                 // Apply deferred writes atomically (serial write phase).
                 for (item, value) in state.buffer {
@@ -487,7 +502,10 @@ impl LocalDbms {
     }
 
     fn set_blocked(&mut self, txn: TxnId, op: PendingOp) {
-        // mdbs-lint: allow(no-panic-in-scheduler) — callers block a transaction they just looked up via check_live/decide.
+        #[expect(
+            clippy::expect_used,
+            reason = "callers block a transaction they just looked up via check_live/decide."
+        )]
         let state = self.txns.get_mut(&txn).expect("live txn");
         state.status = TxnStatus::Blocked(op);
     }
@@ -496,7 +514,10 @@ impl LocalDbms {
     /// resources and wake others. If it had a blocked operation and
     /// `notify`, a failure [`Completion`] is emitted.
     fn abort_txn(&mut self, txn: TxnId, reason: AbortReason, notify: bool) {
-        // mdbs-lint: allow(no-panic-in-scheduler) — every abort path checks liveness before calling abort_txn.
+        #[expect(
+            clippy::expect_used,
+            reason = "every abort path checks liveness before calling abort_txn."
+        )]
         let state = self.txns.remove(&txn).expect("abort of live txn");
         if let TxnStatus::Blocked(_) = state.status {
             if notify {

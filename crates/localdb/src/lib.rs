@@ -29,6 +29,21 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// A local protocol call that panics takes the whole site down (Section 3:
+// the scheduler refuses what it cannot handle). A site that cannot fire
+// carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod deadlock;
 pub mod engine;

@@ -66,10 +66,13 @@ impl Optimistic {
         Self::default()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine contract guarantees on_begin before any other protocol call."
+    )]
     fn info(&mut self, txn: TxnId) -> &mut TxnInfo {
         self.txns
             .get_mut(&txn)
-            // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before any other protocol call.
             .expect("on_begin precedes operations")
     }
 
@@ -125,7 +128,10 @@ impl CcProtocol for Optimistic {
     }
 
     fn on_commit(&mut self, txn: TxnId) -> Decision {
-        // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before on_commit.
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine contract guarantees on_begin before on_commit."
+        )]
         let info = self.txns.get(&txn).expect("on_begin precedes commit");
         if let Some(my_tn) = info.prepared_tn {
             // Already validated at prepare; keep the apply order equal to
@@ -156,7 +162,10 @@ impl CcProtocol for Optimistic {
     }
 
     fn on_prepare(&mut self, txn: TxnId) -> Decision {
-        // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before on_prepare.
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine contract guarantees on_begin before on_prepare."
+        )]
         let info = self.txns.get(&txn).expect("on_begin precedes prepare");
         for (_, ws) in self.committed.range((info.start_tn + 1)..) {
             if ws.intersection(&info.read_set).next().is_some() {
@@ -168,7 +177,10 @@ impl CcProtocol for Optimistic {
         // withdraws it in on_end.
         self.tn += 1;
         let tn = self.tn;
-        // mdbs-lint: allow(no-panic-in-scheduler) — same entry was read a few lines above; nothing removed it.
+        #[expect(
+            clippy::expect_used,
+            reason = "same entry was read a few lines above; nothing removed it."
+        )]
         let info = self.txns.get_mut(&txn).expect("live");
         info.prepared_tn = Some(tn);
         if !info.write_set.is_empty() {

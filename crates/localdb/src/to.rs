@@ -52,23 +52,32 @@ impl TimestampOrdering {
         Self::default()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine contract guarantees on_begin before any other protocol call."
+    )]
     fn timestamp(&self, txn: TxnId) -> u64 {
         self.txns
             .get(&txn)
-            // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before any other protocol call.
             .expect("on_begin precedes operations")
             .ts
     }
 
     /// Queue `txn` behind the dirty writers of `item`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine contract guarantees on_begin before any other protocol call."
+    )]
     fn block_on(&mut self, txn: TxnId, item: DataItemId) -> Decision {
+        #[expect(
+            clippy::expect_used,
+            reason = "is_dirty_for only returns true for an existing entry."
+        )]
         self.items
             .get_mut(&item)
-            // mdbs-lint: allow(no-panic-in-scheduler) — is_dirty_for only returns true for an existing entry.
             .expect("entry")
             .waiters
             .insert(txn);
-        // mdbs-lint: allow(no-panic-in-scheduler) — the engine contract guarantees on_begin before any other protocol call.
         self.txns.get_mut(&txn).expect("live txn").waiting_on = Some(item);
         Decision::Block
     }
@@ -112,7 +121,10 @@ impl CcProtocol for TimestampOrdering {
             // acyclic).
             return self.block_on(txn, item);
         }
-        // mdbs-lint: allow(no-panic-in-scheduler) — the entry was created by or_default earlier in on_read.
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry was created by or_default earlier in on_read."
+        )]
         let state = self.items.get_mut(&item).expect("entry");
         state.rts = state.rts.max(ts);
         Decision::Grant
@@ -127,7 +139,10 @@ impl CcProtocol for TimestampOrdering {
         if self.is_dirty_for(item, txn) {
             return self.block_on(txn, item);
         }
-        // mdbs-lint: allow(no-panic-in-scheduler) — the entry was created by or_default at the top of on_write.
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry was created by or_default at the top of on_write."
+        )]
         let state = self.items.get_mut(&item).expect("entry");
         state.wts = state.wts.max(ts);
         state.dirty.insert(txn);
@@ -144,7 +159,10 @@ impl CcProtocol for TimestampOrdering {
         let mut woken: Vec<(u64, TxnId)> = Vec::new();
         let written = self.writes.remove(&txn).unwrap_or_default();
         for item in written {
-            // mdbs-lint: allow(no-panic-in-scheduler) — every item in `writes` got an `items` entry when the write was granted.
+            #[expect(
+                clippy::expect_used,
+                reason = "every item in `writes` got an `items` entry when the write was granted."
+            )]
             let state = self.items.get_mut(&item).expect("written item exists");
             state.dirty.remove(&txn);
             if state.dirty.is_empty() {
