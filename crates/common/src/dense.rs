@@ -15,10 +15,13 @@
 //!   released (at `fin`). Slot count therefore tracks the number of
 //!   *concurrently live* ids, not the number ever seen, so bitsets over
 //!   slots stay small no matter how long the run is.
-//! - [`DenseBitSet`] — a hand-rolled bitset over `u64` words with a
-//!   maintained cardinality, so `|S|` is O(1), `S ∩ T = ∅` is a word-wise
-//!   AND, and `S ∪= T` is a word-wise OR. The workspace is
-//!   zero-dependency, so this is written by hand rather than pulled in.
+//! - [`DenseBitSet`] — a hand-rolled bitset over `u64` words for sets
+//!   that gain and lose single members: `insert` / `remove` maintain the
+//!   cardinality, so `|S|` is O(1) and membership is a bit probe. Sets
+//!   that are OR'd wholesale (Scheme 3's `ser_bef`) are rows of a bit
+//!   matrix in the kernel instead, popcounted only where their size is
+//!   read. The workspace is zero-dependency, so this is written by hand
+//!   rather than pulled in.
 //!
 //! None of these counts paper steps: abstract cost accounting stays in
 //! the schemes (`StepCounter` ticks are placed where the paper's cost model
@@ -370,27 +373,6 @@ impl DenseBitSet {
             }
         }
     }
-
-    /// `self ∪= other` — word-wise OR, cardinality updated from the
-    /// newly-set bits.
-    pub fn union_with(&mut self, other: &DenseBitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, &ow) in self.words.iter_mut().zip(other.words.iter()) {
-            let added = ow & !*w;
-            self.len += added.count_ones() as usize;
-            *w |= ow;
-        }
-    }
-
-    /// True iff `self ∩ other ≠ ∅` — word-wise AND with early exit.
-    pub fn intersects(&self, other: &DenseBitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
-    }
 }
 
 #[cfg(test)]
@@ -518,25 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_union_and_intersects() {
-        let mut a = DenseBitSet::new();
-        let mut b = DenseBitSet::new();
-        for bit in [1, 65, 129] {
-            a.insert(bit);
-        }
-        for bit in [65, 200] {
-            b.insert(bit);
-        }
-        assert!(a.intersects(&b));
-        a.union_with(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 65, 129, 200]);
-        let empty = DenseBitSet::new();
-        assert!(!empty.intersects(&a));
-        assert!(!a.intersects(&empty));
-    }
-
-    #[test]
     fn bitset_shifts_open_and_close_holes() {
         let mut s = DenseBitSet::new();
         for bit in [0, 5, 63, 64, 130] {
@@ -562,16 +525,5 @@ mod tests {
         assert_eq!(top.iter().collect::<Vec<_>>(), vec![64]);
         top.shift_down_from(10);
         assert_eq!(top.iter().collect::<Vec<_>>(), vec![63]);
-    }
-
-    #[test]
-    fn bitset_union_grows_words() {
-        let mut a = DenseBitSet::new();
-        a.insert(0);
-        let mut b = DenseBitSet::new();
-        b.insert(500);
-        a.union_with(&b);
-        assert!(a.contains(0) && a.contains(500));
-        assert_eq!(a.len(), 2);
     }
 }

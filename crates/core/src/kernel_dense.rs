@@ -5,8 +5,8 @@
 //! (and, for Scheme 2, [`crate::tsgd_dense::DenseTsgd`]): live transaction
 //! and site ids are interned into compact `u32` slots (recycled at `fin`),
 //! and every set the paper's pseudocode manipulates becomes a bitset over
-//! slots — intersection tests are word-wise ANDs, `ser_bef` propagation is
-//! a word-wise OR, and the per-op hot path performs no allocation.
+//! slots — intersection tests are word-wise ANDs, and the per-op hot path
+//! performs no allocation.
 //!
 //! **The paper-step accounting is bit-for-bit identical to the reference
 //! kernels** (`scheme0`–`scheme3`): every `tick`/`bump` here mirrors one in
@@ -36,6 +36,13 @@
 //!   been acked. `Eliminate_Cycles` reads a column's blocked set and the
 //!   position to skip off the edge it stands on, and Δ and the `act`
 //!   dependency fans are added in slot space.
+//! - Scheme 3's `ser_bef` sets are the rows of one row-major bit matrix
+//!   over transaction slots, all of one stride, which doubles (re-laying
+//!   the rows) when a slot outgrows it. Propagation is a plain word-wise
+//!   OR: no row keeps a count, because the workspace builds for baseline
+//!   x86-64, which has no POPCNT, and a maintained count would pay a
+//!   software popcount per OR'd word. A row is popcounted only where a
+//!   step charge reads its size.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -834,25 +841,124 @@ impl Gtm2Scheme for Scheme2Dense {
 // Scheme 3
 // ---------------------------------------------------------------------------
 
-/// Scheme 3 on dense slots: `ser_bef` sets and the per-site `set_k` are
-/// bitsets over transaction slots, so `cond(ser)`'s emptiness test is a
-/// word-wise AND and `act(ser)`'s transitive propagation is a word-wise OR
+/// Row-major bit matrix over transaction slots: row `t` is the words
+/// `t·stride .. (t+1)·stride`, and every row has the same `stride`.
+#[derive(Clone, Debug, Default)]
+struct BitMatrix {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every row index is a slot below the row count reserve() laid out, and every word index is below the stride that holds the slot; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
+)]
+impl BitMatrix {
+    /// Lay out `rows` rows, each wide enough for bit `slot`. When the
+    /// slot does not fit, the stride doubles and the existing rows are
+    /// re-laid at the new width; new rows are all zero.
+    fn reserve(&mut self, rows: usize, slot: u32) {
+        let old = self.stride;
+        if slot as usize >= 64 * old {
+            let mut stride = old.max(1);
+            while slot as usize >= 64 * stride {
+                stride *= 2;
+            }
+            let mut words = vec![0; rows.max(self.rows()) * stride];
+            if old > 0 {
+                for (new, row) in words
+                    .chunks_exact_mut(stride)
+                    .zip(self.words.chunks_exact(old))
+                {
+                    new[..old].copy_from_slice(row);
+                }
+            }
+            self.words = words;
+            self.stride = stride;
+        } else if rows > self.rows() {
+            self.words.resize(rows * old, 0);
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.words.len() / self.stride.max(1)
+    }
+
+    fn row(&self, t: u32) -> &[u64] {
+        let start = t as usize * self.stride;
+        &self.words[start..start + self.stride]
+    }
+
+    fn row_mut(&mut self, t: u32) -> &mut [u64] {
+        let start = t as usize * self.stride;
+        &mut self.words[start..start + self.stride]
+    }
+
+    /// Clear bit `bit` in every row.
+    fn clear_column(&mut self, bit: u32) {
+        let mask = !(1u64 << (bit % 64));
+        self.words
+            .iter_mut()
+            .skip(bit as usize / 64)
+            .step_by(self.stride.max(1))
+            .for_each(|w| *w &= mask);
+    }
+}
+
+fn row_contains(row: &[u64], bit: u32) -> bool {
+    row.get(bit as usize / 64)
+        .is_some_and(|w| w & (1 << (bit % 64)) != 0)
+}
+
+fn row_popcount(row: &[u64]) -> usize {
+    row.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// `a ∩ b ≠ ∅`, four words per test so the ANDs vectorize; a missing
+/// word counts as zero.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both slices are cut at the shorter length."
+)]
+fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (a4, a_rest) = a[..n].as_chunks::<4>();
+    let (b4, b_rest) = b[..n].as_chunks::<4>();
+    a4.iter()
+        .zip(b4)
+        .any(|(x, y)| (x[0] & y[0]) | (x[1] & y[1]) | (x[2] & y[2]) | (x[3] & y[3]) != 0)
+        || a_rest.iter().zip(b_rest).any(|(x, y)| x & y != 0)
+}
+
+/// Scheme 3 on dense slots: `set_k` is a bitset over transaction slots,
+/// and every `ser_bef` set is one row of a row-major bit matrix, so
+/// `cond(ser)`'s emptiness test is a word-wise AND and
+/// `act(ser)`'s transitive propagation is a plain word-wise OR of Set1
 /// into each target row.
 ///
+/// Row `t` belongs to transaction slot `t`; all rows share one stride.
+/// When a slot at or past `64·stride` is interned, the stride doubles and
+/// the rows are re-laid. Slots recycle LIFO, so the row count stays near
+/// the peak number of live transactions. A row is `live` iff the
+/// reference map has the entry (the transaction was inited and has not
+/// finned); a row that is not live is all zero. No row keeps its size:
+/// the workspace builds for baseline x86-64, which has no POPCNT, so a
+/// maintained count would pay a software popcount on every OR'd word.
+/// A row is popcounted only where a step charge reads its size
+/// (`cond(ser)` and `act(init)`), and Set1 once per `act(ser)`.
+///
 /// Transaction slots recycle at `fin`; site slots are permanent (the
-/// reference keeps `sets`/`last` entries for ever). Freed `ser_bef` rows
-/// are pooled and reused, so steady-state `init`s allocate nothing.
+/// reference keeps `sets`/`last` entries for ever).
 #[derive(Clone, Debug, Default)]
 pub struct Scheme3Dense {
     txns: DenseInterner<GlobalTxnId>,
     sites: DenseInterner<SiteId>,
-    /// Txn slot → `ser_bef(Ĝ_i)` as a bitset over txn slots (`Some` iff
-    /// the reference map has the entry, i.e. the txn was inited).
-    ser_bef: Vec<Option<DenseBitSet>>,
-    /// Number of `Some` rows — the reference's `ser_bef.len()`.
+    /// Txn slot → `ser_bef(Ĝ_i)` as a row of bits over txn slots.
+    ser_bef: BitMatrix,
+    /// Txn slot → does the reference map have a `ser_bef` entry?
+    live: Vec<bool>,
+    /// Number of live rows — the reference's `ser_bef.len()`.
     ser_bef_len: usize,
-    /// Cleared rows awaiting reuse.
-    pool: Vec<DenseBitSet>,
     /// Site slot → `last_k` (stored by id, like the reference — the id may
     /// outlive the transaction's slot on violating runs).
     last: Vec<Option<GlobalTxnId>>,
@@ -869,10 +975,9 @@ pub struct Scheme3Dense {
     fb_acked: BTreeSet<(GlobalTxnId, SiteId)>,
     /// Txn slot → announced site list.
     sites_map: Vec<Option<Vec<SiteId>>>,
-    /// Scratch for `act(ser)`'s Set1 (reused across calls).
-    scratch_set1: DenseBitSet,
-    /// Scratch for `act(ser)`'s target list (reused across calls).
-    scratch_targets: Vec<u32>,
+    /// One matrix row of scratch: `act(init)`'s new row and `act(ser)`'s
+    /// Set1 (reused across calls).
+    scratch_row: Vec<u64>,
 }
 
 #[expect(
@@ -891,19 +996,22 @@ impl Scheme3Dense {
         let Some(ts) = self.txns.slot_of(&txn) else {
             return BTreeSet::new();
         };
-        let Some(bef) = self.ser_bef[ts as usize].as_ref() else {
-            return BTreeSet::new();
-        };
-        bef.iter().filter_map(|b| self.txns.key_of(b)).collect()
+        let bef = self.ser_bef.row(ts);
+        (0..self.live.len() as u32)
+            .filter(|&b| row_contains(bef, b))
+            .filter_map(|b| self.txns.key_of(b))
+            .collect()
     }
 
     fn ensure_txn_rows(&mut self, ts: u32) {
         let n = ts as usize + 1;
-        if self.ser_bef.len() < n {
-            self.ser_bef.resize_with(n, || None);
+        if self.live.len() < n {
+            self.live.resize(n, false);
             self.acked.resize_with(n, DenseBitSet::new);
             self.sites_map.resize_with(n, || None);
         }
+        self.ser_bef.reserve(n, ts);
+        self.scratch_row.resize(self.ser_bef.stride, 0);
     }
 
     fn ensure_site_rows(&mut self, ss: u32) {
@@ -946,19 +1054,18 @@ impl Gtm2Scheme for Scheme3Dense {
                         }
                     }
                 }
-                let bef = self
-                    .txns
-                    .slot_of(txn)
-                    .and_then(|ts| self.ser_bef[ts as usize].as_ref());
                 let set = self
                     .sites
                     .slot_of(site)
                     .filter(|&ss| self.site_has_set[ss as usize])
                     .map(|ss| &self.sets[ss as usize]);
-                match (bef, set) {
-                    (Some(bef), Some(set)) => {
-                        steps.bump(StepKind::Cond, bef.len().min(set.len()) as u64);
-                        !bef.intersects(set)
+                // A row that is not live is all zero: it charges nothing
+                // and meets nothing, as the reference's missing entry.
+                match (self.txns.slot_of(txn), set) {
+                    (Some(ts), Some(set)) => {
+                        let bef = self.ser_bef.row(ts);
+                        steps.bump(StepKind::Cond, row_popcount(bef).min(set.len()) as u64);
+                        !rows_intersect(bef, set.as_words())
                     }
                     _ => true,
                 }
@@ -966,8 +1073,7 @@ impl Gtm2Scheme for Scheme3Dense {
             QueueOp::Fin { txn } => self
                 .txns
                 .slot_of(txn)
-                .and_then(|ts| self.ser_bef[ts as usize].as_ref())
-                .is_none_or(DenseBitSet::is_empty),
+                .is_none_or(|ts| self.ser_bef.row(ts).iter().all(|&w| w == 0)),
             QueueOp::Init { .. } | QueueOp::Ack { .. } => true,
         }
     }
@@ -977,8 +1083,7 @@ impl Gtm2Scheme for Scheme3Dense {
             QueueOp::Init { txn, sites } => {
                 let ts = self.txns.intern(*txn);
                 self.ensure_txn_rows(ts);
-                let mut bef = self.pool.pop().unwrap_or_default();
-                debug_assert!(bef.is_empty(), "pooled rows are returned cleared");
+                self.scratch_row.fill(0);
                 for &site in sites {
                     steps.tick(StepKind::Act);
                     let ss = self.sites.intern(site);
@@ -987,11 +1092,12 @@ impl Gtm2Scheme for Scheme3Dense {
                     self.sets[ss as usize].insert(ts);
                     if let Some(l) = self.last[ss as usize] {
                         if let Some(lt) = self.txns.slot_of(&l) {
-                            if let Some(lb) = self.ser_bef[lt as usize].as_ref() {
-                                steps.bump(StepKind::Act, lb.len() as u64);
-                                bef.union_with(lb);
+                            let lb = self.ser_bef.row(lt);
+                            steps.bump(StepKind::Act, row_popcount(lb) as u64);
+                            for (w, &b) in self.scratch_row.iter_mut().zip(lb) {
+                                *w |= b;
                             }
-                            bef.insert(lt);
+                            self.scratch_row[lt as usize / 64] |= 1 << (lt % 64);
                         }
                         // A `last` id with no live slot can only arise on a
                         // protocol-violating run (its fin already
@@ -999,13 +1105,11 @@ impl Gtm2Scheme for Scheme3Dense {
                         // dead id, which a recycling kernel cannot.
                     }
                 }
-                if let Some(mut old) = self.ser_bef[ts as usize].take() {
-                    old.clear();
-                    self.pool.push(old);
-                } else {
+                if !self.live[ts as usize] {
+                    self.live[ts as usize] = true;
                     self.ser_bef_len += 1;
                 }
-                self.ser_bef[ts as usize] = Some(bef);
+                self.ser_bef.row_mut(ts).copy_from_slice(&self.scratch_row);
                 self.sites_map[ts as usize] = Some(sites.clone());
                 Vec::new()
             }
@@ -1026,37 +1130,37 @@ impl Gtm2Scheme for Scheme3Dense {
                 self.ensure_txn_rows(ts);
                 self.sets[ss as usize].remove(ts);
                 self.last[ss as usize] = Some(*txn);
-                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the reused scratch.
-                let mut set1 = std::mem::take(&mut self.scratch_set1);
-                set1.clear();
-                if let Some(bef) = self.ser_bef[ts as usize].as_ref() {
-                    set1.union_with(bef);
-                }
-                set1.insert(ts);
-                let mut targets = std::mem::take(&mut self.scratch_targets);
-                targets.clear();
-                {
-                    let set_k = &self.sets[ss as usize];
-                    for (jslot, row) in self.ser_bef.iter().enumerate() {
-                        if let Some(bef_j) = row {
-                            if jslot as u32 != ts
-                                && (set_k.contains(jslot as u32) || bef_j.intersects(set_k))
-                            {
-                                targets.push(jslot as u32);
-                            }
-                        }
-                    }
-                }
+                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the scratch row.
+                let set1 = &mut self.scratch_row;
+                set1.copy_from_slice(self.ser_bef.row(ts));
+                set1[ts as usize / 64] |= 1 << (ts % 64);
+                let set1_len = row_popcount(set1) as u64;
                 steps.bump(StepKind::Act, self.ser_bef_len as u64);
-                for &j in &targets {
-                    if let Some(bef_j) = self.ser_bef[j as usize].as_mut() {
-                        steps.bump(StepKind::Act, set1.len() as u64);
-                        bef_j.union_with(&set1);
-                        debug_assert!(!bef_j.contains(j), "slot {j} serialized before itself");
+                // Targets: everything still pending at the site, plus every
+                // transaction already ordered after something pending here
+                // (Set2). A target's test reads only its own row, so each
+                // is OR'd as soon as it is found.
+                let set_k = &self.sets[ss as usize];
+                let stride = self.ser_bef.stride;
+                for (j, (bef_j, &live)) in self
+                    .ser_bef
+                    .words
+                    .chunks_exact_mut(stride)
+                    .zip(&self.live)
+                    .enumerate()
+                {
+                    let j = j as u32;
+                    if live
+                        && j != ts
+                        && (set_k.contains(j) || rows_intersect(bef_j, set_k.as_words()))
+                    {
+                        steps.bump(StepKind::Act, set1_len);
+                        for (w, &b) in bef_j.iter_mut().zip(set1.iter()) {
+                            *w |= b;
+                        }
+                        debug_assert!(!row_contains(bef_j, j), "slot {j} serialized before itself");
                     }
                 }
-                self.scratch_set1 = set1;
-                self.scratch_targets = targets;
                 vec![SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
@@ -1075,21 +1179,16 @@ impl Gtm2Scheme for Scheme3Dense {
                 }]
             }
             QueueOp::Fin { txn } => {
-                let ts_opt = self.txns.slot_of(txn);
                 // Ĝ_i leaves: drop it from every ser_bef row (one counted
                 // step per live entry, known or not — like the reference).
-                for bef in self.ser_bef.iter_mut().flatten() {
-                    steps.tick(StepKind::Act);
-                    if let Some(ts) = ts_opt {
-                        bef.remove(ts);
-                    }
-                }
-                let Some(ts) = ts_opt else {
+                steps.bump(StepKind::Act, self.ser_bef_len as u64);
+                let Some(ts) = self.txns.slot_of(txn) else {
                     return Vec::new();
                 };
-                if let Some(mut own) = self.ser_bef[ts as usize].take() {
-                    own.clear();
-                    self.pool.push(own);
+                self.ser_bef.clear_column(ts);
+                self.ser_bef.row_mut(ts).fill(0);
+                if self.live[ts as usize] {
+                    self.live[ts as usize] = false;
                     self.ser_bef_len -= 1;
                 }
                 let announced = self.sites_map[ts as usize].take().unwrap_or_default();
@@ -1143,18 +1242,34 @@ impl Gtm2Scheme for Scheme3Dense {
     }
 
     fn debug_validate(&self) {
-        for (t, row) in self.ser_bef.iter().enumerate() {
-            let Some(bef) = row else { continue };
-            assert!(!bef.contains(t as u32), "slot {t} serialized before itself");
-            for b in bef.iter() {
-                if let Some(bb) = self.ser_bef[b as usize].as_ref() {
-                    for x in bb.iter() {
-                        assert!(
-                            bef.contains(x),
-                            "transitivity broken: {x} < {b} < {t} (slots)"
-                        );
-                    }
-                }
+        assert_eq!(
+            self.live.iter().filter(|&&l| l).count(),
+            self.ser_bef_len,
+            "ser_bef_len is not the live row count"
+        );
+        for (t, &live) in self.live.iter().enumerate() {
+            let t = t as u32;
+            let bef = self.ser_bef.row(t);
+            if !live {
+                assert!(bef.iter().all(|&w| w == 0), "slot {t}: dead row not zero");
+                continue;
+            }
+            assert!(!row_contains(bef, t), "slot {t} serialized before itself");
+            for b in (0..self.live.len() as u32).filter(|&b| row_contains(bef, b)) {
+                assert!(
+                    self.txns.key_of(b).is_some(),
+                    "slot {t}: released slot {b} still in ser_bef"
+                );
+                let closed = self
+                    .ser_bef
+                    .row(b)
+                    .iter()
+                    .zip(bef)
+                    .all(|(x, y)| x & !y == 0);
+                assert!(
+                    closed,
+                    "transitivity broken: ser_bef({b}) ⊄ ser_bef({t}) (slots)"
+                );
             }
         }
     }
