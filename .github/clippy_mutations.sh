@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# The clippy lints that mdbs-core and mdbs-localdb deny (see their lib.rs)
-# must catch a seeded one-line regression of code that exists, the way
-# crates/analyzer/tests/workspace.rs checks mdbs-lint's own rules.
+# The clippy lints the workspace relies on must each catch a seeded
+# one-line regression of code that exists: the panic and wildcard-arm
+# lints that mdbs-core and mdbs-localdb deny (see their lib.rs), and the
+# root clippy.toml's disallowed-methods ban on blocking calls and on an
+# uncounted channel send.
 #
 # Usage: .github/clippy_mutations.sh TREE
 #
 # TREE is a disposable copy of the repository (a `git worktree` or a
 # `git clone`): each edit is applied there, checked, then reverted with
 # `git checkout`. The clean copy must pass
-# `cargo clippy -p <crate> --lib -- -D warnings`; each edit must make it
+# `cargo clippy -p <crate> --lib -- -D warnings` for mdbs-common,
+# mdbs-core, mdbs-localdb and mdbs-sim; each edit must make its crate
 # fail and name the expected lint. An edit whose anchor text has drifted
 # fails the script rather than passing vacuously.
 set -euo pipefail
@@ -53,7 +56,7 @@ mutate() { # CRATE LINT FILE AFTER FIND REPLACE
     git -C "$tree" checkout --quiet -- "$file"
 }
 
-for crate in mdbs-core mdbs-localdb; do
+for crate in mdbs-common mdbs-core mdbs-localdb mdbs-sim; do
     if ! clippy "$crate"; then
         grep '"rendered"' "$log" | head -20 >&2 || true
         echo "FAIL: clean $crate does not pass clippy -D warnings" >&2
@@ -86,4 +89,23 @@ mutate mdbs-localdb unwrap_used crates/localdb/src/to.rs \
     'self.writes.remove(&txn).unwrap_or_default()' \
     'self.writes.remove(&txn).unwrap()'
 
-echo "clippy mutation check: 4 of 4 seeded edits caught"
+# A sleep as the GTM2 pump's first statement.
+mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
+    'impl Gtm2 {' \
+    $'    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n' \
+    $'    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n        std::thread::sleep(std::time::Duration::from_millis(1));\n'
+
+# A blocking receive in the site task's poll (the vendored crossbeam path
+# resolves in mdbs-sim).
+mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
+    $'    fn run(&mut self) -> Poll {\n' \
+    'match self.rx.try_recv() {' \
+    'match self.rx.recv().map_err(|_| TryRecvError::Disconnected) {'
+
+# The shutdown send, past CountedSender: its failure would go uncounted.
+mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
+    $'        // Shut down sites and collect histories.\n' \
+    $'            tx.send(ToSite::Shutdown);\n' \
+    $'            tx.inner.send(ToSite::Shutdown).ok();\n'
+
+echo "clippy mutation check: 7 of 7 seeded edits caught"

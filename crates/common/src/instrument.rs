@@ -459,6 +459,10 @@ impl SharedSink {
     }
 
     /// Number of events currently stored.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "read by the owner after the run; the producer holds the lock for one push only"
+    )]
     pub fn len(&self) -> usize {
         self.events.lock().expect("sink lock").len()
     }
@@ -469,15 +473,23 @@ impl SharedSink {
     }
 
     /// Take all stored events, leaving the storage empty.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "drained by the owner after the run; the producer holds the lock for one push only"
+    )]
     pub fn drain(&self) -> Vec<TracedEvent> {
         std::mem::take(&mut *self.events.lock().expect("sink lock"))
     }
 }
 
 impl TraceSink for SharedSink {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pump records here: an uncontended trace-buffer mutex, held only for one \
+                  push, with no other lock or channel operation live across it"
+    )]
     fn record(&mut self, at: u64, event: SchedEvent) {
         self.events
-            // mdbs-lint: allow(blocking-in-pump) — uncontended trace-buffer mutex held only for one push; no other lock or channel op can be live across it.
             .lock()
             .expect("sink lock")
             .push(TracedEvent { at, event });

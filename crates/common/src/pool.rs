@@ -39,6 +39,11 @@
 //! produce the work, so there the budget is 0 and a worker parks at once.
 //! Steals, parks, wakes and tasks found while spinning are counted and
 //! exported as `pool.steal` / `pool.park` / `pool.wake` / `pool.spin_hit`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the executor itself: idle workers park on its condvar and dropping the pool joins \
+              them; the tasks it runs only poll"
+)]
 
 use crate::instrument::Registry;
 use std::collections::VecDeque;

@@ -8,6 +8,10 @@
 //!
 //! Used by the `heterogeneous_sites` example and the concurrency smoke
 //! tests.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a blocking facade by design: client threads park here, never a scheduler"
+)]
 
 use mdbs_common::error::{MdbsError, Result};
 use mdbs_common::ids::{DataItemId, SiteId, TxnId};

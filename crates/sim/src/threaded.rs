@@ -94,7 +94,37 @@ enum FromSite {
         stats: EngineStats,
         /// Messages this worker failed to deliver (coordinator gone).
         send_dropped: u64,
+        /// Blocked commands this worker aborted on its wall clock.
+        block_timeouts: u64,
     },
+}
+
+/// A channel sender that cannot lose a message silently: a send whose
+/// receiver has hung up is counted, and the counts surface as the
+/// `threaded.send_dropped` counter. The runtime's only caller of the
+/// channel's `send` — the root `clippy.toml` bans it everywhere else.
+struct CountedSender<T> {
+    inner: Sender<T>,
+    /// Sends that failed because the receiver was gone.
+    dropped: u64,
+}
+
+impl<T> CountedSender<T> {
+    fn new(inner: Sender<T>) -> Self {
+        CountedSender { inner, dropped: 0 }
+    }
+
+    /// Send `msg`, counting it if the receiver is gone. Nothing is
+    /// returned, so no caller can drop a failure on the floor.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one counted send: a failure lands in `dropped`"
+    )]
+    fn send(&mut self, msg: T) {
+        if self.inner.send(msg).is_err() {
+            self.dropped += 1;
+        }
+    }
 }
 
 /// Outcome of a threaded run.
@@ -134,23 +164,34 @@ struct SiteWorker {
     /// The server's reply buffer, empty between deliveries.
     replies: Vec<Reply>,
     rx: Receiver<ToSite>,
-    tx: Sender<FromSite>,
+    /// To the coordinator. Its drop count travels back in
+    /// [`FromSite::Final`].
+    tx: CountedSender<FromSite>,
     /// When each command currently blocked inside the engine blocked.
     blocked_since: BTreeMap<GlobalTxnId, Instant>,
     block_timeout: Duration,
-    /// Sends that failed because the coordinator already hung up. The
-    /// count travels back in [`FromSite::Final`] and surfaces as the
-    /// `threaded.send_dropped` counter — a protocol message is never
-    /// dropped without being accounted for.
-    send_dropped: u64,
+    /// Blocked commands aborted because they outwaited `block_timeout`
+    /// (the `threaded.block_timeouts` counter).
+    block_timeouts: u64,
 }
 
 impl SiteWorker {
-    /// Deliver a message to the coordinator, counting failures instead of
-    /// ignoring them.
-    fn send_counted(&mut self, msg: FromSite) {
-        if self.tx.send(msg).is_err() {
-            self.send_dropped += 1;
+    fn new(
+        site: SiteId,
+        protocol: LocalProtocolKind,
+        rx: Receiver<ToSite>,
+        tx: Sender<FromSite>,
+        block_timeout: Duration,
+    ) -> Self {
+        SiteWorker {
+            site,
+            server: Server::new(LocalDbms::new(site, protocol)),
+            replies: Vec::new(),
+            rx,
+            tx: CountedSender::new(tx),
+            blocked_since: BTreeMap::new(),
+            block_timeout,
+            block_timeouts: 0,
         }
     }
 
@@ -182,9 +223,10 @@ impl SiteWorker {
             history: self.server.db.take_history(),
             data_total: self.server.db.storage().data_total(),
             stats: self.server.db.stats(),
-            send_dropped: self.send_dropped,
+            send_dropped: self.tx.dropped,
+            block_timeouts: self.block_timeouts,
         };
-        self.send_counted(msg);
+        self.tx.send(msg);
     }
 
     fn expire_blocked(&mut self) {
@@ -201,7 +243,11 @@ impl SiteWorker {
             .map(|(&t, _)| t)
             .collect();
         for txn in expired {
-            let _ = self.server.db.request_abort(txn.into());
+            // The engine refuses to abort a prepared subtransaction; only
+            // an accepted abort is a timeout.
+            if self.server.db.request_abort(txn.into()).is_ok() {
+                self.block_timeouts += 1;
+            }
         }
         self.server.drain(&mut self.replies);
         self.deliver();
@@ -213,7 +259,7 @@ impl SiteWorker {
         let mut replies = std::mem::take(&mut self.replies);
         for reply in replies.drain(..) {
             match reply {
-                Reply::Gtm(arrival) => self.send_counted(FromSite::Gtm(arrival)),
+                Reply::Gtm(arrival) => self.tx.send(FromSite::Gtm(arrival)),
                 Reply::Blocked(txn) => {
                     self.blocked_since.insert(txn, Instant::now());
                 }
@@ -299,21 +345,14 @@ impl ThreadedMdbs {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let pool = Pool::new(site_pool_workers(self.protocols.len(), cores));
         let spin_polls = if cores > 1 { SPIN_POLLS } else { 0 };
-        let mut site_txs: Vec<Sender<ToSite>> = Vec::new();
+        let mut site_txs: Vec<CountedSender<ToSite>> = Vec::new();
         let mut handles: Vec<TaskHandle> = Vec::new();
         for (i, &protocol) in self.protocols.iter().enumerate() {
             let (tx, rx) = bounded::<ToSite>(1024);
-            site_txs.push(tx);
-            let mut worker = SiteWorker {
-                site: SiteId(i as u32),
-                server: Server::new(LocalDbms::new(SiteId(i as u32), protocol)),
-                replies: Vec::new(),
-                rx,
-                tx: to_coord.clone(),
-                blocked_since: BTreeMap::new(),
-                block_timeout: self.block_timeout,
-                send_dropped: 0,
-            };
+            site_txs.push(CountedSender::new(tx));
+            let site = SiteId(i as u32);
+            let mut worker =
+                SiteWorker::new(site, protocol, rx, to_coord.clone(), self.block_timeout);
             handles.push(pool.spawn(move || worker.run()));
         }
         drop(to_coord);
@@ -333,7 +372,6 @@ impl ThreadedMdbs {
         let mut commits = 0u64;
         let mut aborts = (submitted - total) as u64;
         let mut done = 0usize;
-        let mut send_dropped = 0u64;
 
         // Closed-loop admission up to mpl.
         let submit = |gt| Arrival::Gtm1(Gtm1Event::Submit(gt));
@@ -355,13 +393,10 @@ impl ThreadedMdbs {
                     match msg {
                         Outbound::Server { txn, site, cmd } => {
                             // A dead site thread is tolerated (timeouts
-                            // abort its transactions) but never silent.
-                            if site_txs[site.index()]
-                                .send(ToSite::Command { txn, cmd })
-                                .is_err()
-                            {
-                                send_dropped += 1;
-                            } else if let Some(h) = handles.get(site.index()) {
+                            // abort its transactions) but never silent;
+                            // waking its finished task is a no-op.
+                            site_txs[site.index()].send(ToSite::Command { txn, cmd });
+                            if let Some(h) = handles.get(site.index()) {
                                 h.wake();
                             }
                         }
@@ -382,6 +417,11 @@ impl ThreadedMdbs {
             // Wait for site replies: poll briefly, then block, ticking all
             // site tasks every 2 ms so block-timeout expiry keeps running
             // while traffic is quiet.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the coordinator between pumps, with GTM2 idle: it blocks 2 ms at most, \
+                          then ticks the site tasks"
+            )]
             let reply = 'poll: {
                 for _ in 0..spin_polls {
                     match from_sites.try_recv() {
@@ -419,25 +459,32 @@ impl ThreadedMdbs {
         }
 
         // Shut down sites and collect histories.
-        for (tx, h) in site_txs.iter().zip(&handles) {
-            if tx.send(ToSite::Shutdown).is_err() {
-                send_dropped += 1;
-            }
+        for (tx, h) in site_txs.iter_mut().zip(&handles) {
+            tx.send(ToSite::Shutdown);
             h.wake();
         }
+        let mut send_dropped: u64 = site_txs.iter().map(|tx| tx.dropped).sum();
+        let mut block_timeouts = 0u64;
         let mut histories: BTreeMap<SiteId, History> = BTreeMap::new();
         let mut totals: BTreeMap<SiteId, i128> = BTreeMap::new();
         let mut registry = Registry::default();
         while histories.len() < self.protocols.len() {
-            match from_sites.recv_timeout(Duration::from_secs(10)) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown, after the last transaction completed: the pump is done"
+            )]
+            let reply = from_sites.recv_timeout(Duration::from_secs(10));
+            match reply {
                 Ok(FromSite::Final {
                     site,
                     history,
                     data_total,
                     stats,
                     send_dropped: site_dropped,
+                    block_timeouts: site_timeouts,
                 }) => {
                     send_dropped += site_dropped;
+                    block_timeouts += site_timeouts;
                     totals.insert(site, data_total);
                     histories.insert(site, history);
                     stats.export_metrics(site, &mut registry);
@@ -453,6 +500,7 @@ impl ThreadedMdbs {
         gtm.export_metrics(&mut registry);
         pool.export_metrics(&mut registry);
         registry.inc("threaded.send_dropped", send_dropped);
+        registry.inc("threaded.block_timeouts", block_timeouts);
 
         ThreadedRunReport {
             commits,
@@ -486,6 +534,52 @@ mod tests {
             seed,
         };
         Workload::generate(&spec).globals
+    }
+
+    /// On a clean run every message reaches its peer: both channels are
+    /// drained until shutdown.
+    fn assert_nothing_dropped(report: &ThreadedRunReport) {
+        assert_eq!(
+            report.registry.counter("threaded.send_dropped"),
+            0,
+            "{report:?}"
+        );
+    }
+
+    /// A command blocked past a zero timeout is aborted and counted once,
+    /// and its failure reaches the coordinator.
+    #[test]
+    fn expired_block_is_counted() {
+        use mdbs_common::ids::DataItemId;
+        let (to_site, rx) = bounded::<ToSite>(8);
+        let (tx, from_site) = bounded::<FromSite>(8);
+        let mut to_site = CountedSender::new(to_site);
+        let protocol = LocalProtocolKind::TwoPhaseLocking;
+        let mut worker = SiteWorker::new(SiteId(0), protocol, rx, tx, Duration::ZERO);
+        let (holder, waiter, x) = (GlobalTxnId(1), GlobalTxnId(2), DataItemId(7));
+        for (txn, cmd) in [
+            (holder, ServerCommand::Begin),
+            (holder, ServerCommand::Write(x, 1)),
+            (waiter, ServerCommand::Begin),
+            (waiter, ServerCommand::Write(x, 2)),
+        ] {
+            to_site.send(ToSite::Command { txn, cmd });
+        }
+        // Each poll runs the mailbox, then expires what has blocked for
+        // longer than zero: the second write, once the clock has moved.
+        assert_eq!(worker.run(), Poll::Pending);
+        while !worker.blocked_since.is_empty() {
+            assert_eq!(worker.run(), Poll::Pending);
+        }
+        assert_eq!(worker.block_timeouts, 1);
+        let failed = std::iter::from_fn(|| from_site.try_recv().ok()).any(|msg| {
+            matches!(
+                msg,
+                FromSite::Gtm(Arrival::Gtm1(Gtm1Event::ServerFailed { txn, .. })) if txn == waiter
+            )
+        });
+        assert!(failed, "the timed-out write fails at the coordinator");
+        assert_eq!(to_site.dropped + worker.tx.dropped, 0);
     }
 
     /// The coordinator counts as a core, and a pool is never empty.
@@ -528,6 +622,7 @@ mod tests {
         assert_eq!(report.registry.counter("gtm1.submitted"), 12 - foreign);
         assert!(report.is_serializable(), "{:?}", report.audit);
         assert!(report.ser_s_ok);
+        assert_nothing_dropped(&report);
     }
 
     /// `enable_trace` hands back GTM2's events in the order the coordinator
@@ -545,6 +640,7 @@ mod tests {
             let mut rt = ThreadedMdbs::new(vec![LocalProtocolKind::TwoPhaseLocking; 3], scheme, 4);
             rt.enable_trace();
             let report = rt.run(programs(3, 12, 5));
+            assert_nothing_dropped(&report);
             assert!(!report.events.is_empty(), "{scheme}");
             // Where each operation entered QUEUE and where it was acted
             // (from QUEUE or woken from WAIT), by position in the record.
@@ -602,6 +698,7 @@ mod tests {
         assert_eq!(report.commits + report.aborts, 12);
         assert!(report.is_serializable(), "{:?}", report.audit);
         assert!(report.ser_s_ok);
+        assert_nothing_dropped(&report);
     }
 
     #[test]
@@ -618,6 +715,7 @@ mod tests {
         let report = rt.run(programs(3, 10, 9));
         assert_eq!(report.commits + report.aborts, 10);
         assert!(report.is_serializable(), "{:?}", report.audit);
+        assert_nothing_dropped(&report);
     }
 
     #[test]
@@ -633,5 +731,6 @@ mod tests {
         let report = rt.run(programs(2, 8, 13));
         assert_eq!(report.commits + report.aborts, 8);
         assert!(report.is_serializable(), "{:?}", report.audit);
+        assert_nothing_dropped(&report);
     }
 }

@@ -17,6 +17,10 @@ use mdbs::schedule::is_conflict_serializable;
 use mdbs::sim::runtime::ConcurrentSite;
 use std::thread;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example's main thread joins its clients; no scheduler runs here"
+)]
 fn hammer(site: ConcurrentSite, site_id: SiteId, clients: u64, ops: u64) -> (u64, u64) {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
