@@ -10,7 +10,11 @@
 //! Counts need no such copy: each rep line prints the step charges and the
 //! engine's `gtm2.elim_states` / `gtm2.elim_scans_elided` (Scheme 2's
 //! `Eliminate_Cycles` states entered and column scans elided; 0 for the
-//! other schemes and under `btree`), so a time split divides by them.
+//! other schemes and under `btree`), so a time split divides by them. It
+//! also prints `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT
+//! entries the wake passes scanned, those charged in closed form instead
+//! of re-tested (Scheme 1 under `dense`; 0 elsewhere), so
+//! `wake_scan_sum − wake_elided` bounds the re-tests that ran.
 //!
 //! ```text
 //! profile_replay [SCHEME] [KERNEL] [SIZE] [REPS]
@@ -84,7 +88,7 @@ fn main() -> std::process::ExitCode {
         eprintln!(
             "rep {rep}: {scheme_name}/{kernel_name}/{size_name} {n} txns in {:.2} ms \
              (cond={} act={} elim_states={} elim_scans_elided={} waited={} wake_scan_sum={} \
-             protocol_violations={})",
+             wake_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
@@ -92,6 +96,7 @@ fn main() -> std::process::ExitCode {
             metrics.counter("gtm2.elim_scans_elided"),
             outcome.stats.waited,
             outcome.wake_scan_sum,
+            metrics.counter("gtm2.wake_elided"),
             outcome.protocol_violations,
         );
     }

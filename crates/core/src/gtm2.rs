@@ -17,9 +17,16 @@
 //! produce operations. The inner "while exists" search is driven by the
 //! scheme's [`wake_candidates`](crate::scheme::Gtm2Scheme::wake_candidates)
 //! hints so each scheme pays exactly its own rescan cost. A waiter is
-//! re-tested where it sits and leaves WAIT only when eligible; re-tests a
-//! scheme proves must fail (Scheme 1's waiting fins after an `ack`) are
-//! charged their steps without being run.
+//! re-tested where it sits and leaves WAIT only when eligible. Re-tests a
+//! scheme proves must fail are charged their steps without being run
+//! (`gtm2.wake_elided` counts them); Scheme 1's dense kernel asks for three:
+//!
+//! - after an `ack`, the waiting fins ([`WakeCandidates::SerAtFinsCharged`]);
+//! - after a `fin`, every waiting fin but the delete-queue fronts
+//!   ([`WakeCandidates::FinPass`], run by `fin_pass`);
+//! - after a woken `ser_k`, the worklist's leading sers at site `k`, which
+//!   now has an outstanding `ser`
+//!   ([`ser_blocked_at`](crate::scheme::Gtm2Scheme::ser_blocked_at)).
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which
 //! `ser_k(G_i)` operations were acted — from which the serializability of
@@ -32,7 +39,7 @@
 //! the same functions over one slot per shard — see the slot-logic section
 //! below the `Gtm2` type.
 
-use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
+use crate::scheme::{Gtm2Scheme, Pending, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
 use crate::ser_s::SerSLog;
 use mdbs_common::ids::GlobalTxnId;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
@@ -214,7 +221,9 @@ pub(crate) struct ShardCore {
     pub(crate) wake_scan: Histogram,
     /// Reusable buffer for the cascading wake worklist (no per-act
     /// allocation).
-    wake_buf: VecDeque<WaitKey>,
+    wake_buf: VecDeque<Pending>,
+    /// Reusable buffer for a fin pass's ready fins.
+    ready_buf: Vec<GlobalTxnId>,
     /// Peak size of this slot's WAIT partition.
     pub(crate) wait_peak: u64,
     /// Handoff messages actually delivered into this slot.
@@ -230,6 +239,7 @@ impl ShardCore {
             pre_init: BTreeMap::new(),
             wake_scan: Histogram::new(),
             wake_buf: VecDeque::new(),
+            ready_buf: Vec::new(),
             wait_peak: 0,
             handoffs_in: 0,
         }
@@ -263,8 +273,10 @@ pub(crate) struct GlobalCore {
     active: u64,
     /// Exact current WAIT population across all slots.
     pub(crate) wait_live: u64,
-    /// Waiting-`fin` re-tests charged in closed form instead of being run
-    /// (see [`WakeCandidates::SerAtFinsCharged`]).
+    /// Re-tests charged in closed form instead of being run: the waiting
+    /// fins of [`WakeCandidates::SerAtFinsCharged`], the fins a
+    /// [`WakeCandidates::FinPass`] does not re-test, and the sers cut off
+    /// by [`Gtm2Scheme::ser_blocked_at`].
     wake_elided: u64,
     /// Validate scheme invariants after every act (used by tests).
     pub(crate) validate: bool,
@@ -469,7 +481,7 @@ fn act_one(
     core: &mut ShardCore,
     global: &mut GlobalCore,
     out: &mut PumpOut,
-    candidates: &mut VecDeque<WaitKey>,
+    candidates: &mut VecDeque<Pending>,
 ) {
     if let Some(sink) = &mut global.sink {
         let ev = if woken {
@@ -514,24 +526,29 @@ fn act_one(
 
 /// This slot's wake candidates for an acted operation, appended to
 /// `candidates` (resolved against this slot's WAIT partition without
-/// allocating). Where the scheme asks for the waiting fins to be charged
-/// in closed form, this is where they are: counted into the wake-scan
-/// histogram as scanned, their recorded `Cond` steps added, none of them
-/// put on the worklist.
+/// allocating). Every waiting fin a closed form covers is counted into the
+/// wake-scan histogram as scanned, as its literal re-test would be. Where
+/// the scheme asks for the waiting fins to be charged outright
+/// ([`WakeCandidates::SerAtFinsCharged`]), this is where they are: their
+/// recorded `Cond` steps added, none of them put on the worklist. A
+/// [`WakeCandidates::FinPass`] is charged when the worklist reaches it.
 fn local_candidates(
     acted: &QueueOp,
     core: &mut ShardCore,
     global: &mut GlobalCore,
-    candidates: &mut VecDeque<WaitKey>,
+    candidates: &mut VecDeque<Pending>,
 ) {
     let wake = global
         .scheme
         .wake_candidates(acted, &core.wait, &mut global.steps);
     let mut scanned = core.wait.resolve_into(&wake, candidates) as u64;
+    let fins = core.wait.fin_count() as u64;
     if let WakeCandidates::SerAtFinsCharged(_) = wake {
-        let fins = core.wait.fin_count() as u64;
+        debug_check_fin_charges(&core.wait, global.scheme.as_ref(), |_| false);
         global.steps.bump(StepKind::Cond, core.wait.fin_cond_cost());
         global.wake_elided += fins;
+        scanned += fins;
+    } else if wake == WakeCandidates::FinPass {
         scanned += fins;
     }
     core.wake_scan.observe(scanned);
@@ -546,32 +563,168 @@ fn local_candidates(
 /// structures, and its own candidates join the worklist: batching the
 /// eligibility checks would let two mutually exclusive operations (e.g.
 /// two ser ops at one site whose conds both looked true before either
-/// acted) slip through together. Takes ownership of the seeded worklist
-/// (the slot's reusable buffer) and parks it back on the slot when drained.
+/// acted) slip through together. No operation joins WAIT during a cascade,
+/// so WAIT only shrinks — the fact both closed forms below rest on. Takes
+/// ownership of the seeded worklist (the slot's reusable buffer) and parks
+/// it back on the slot when drained.
 fn cascade(
     ctx: SlotCtx,
-    mut candidates: VecDeque<WaitKey>,
+    mut worklist: VecDeque<Pending>,
     core: &mut ShardCore,
     global: &mut GlobalCore,
     out: &mut PumpOut,
 ) {
-    while let Some(key) = candidates.pop_front() {
-        // `None`: still not eligible — or woken already, which is also
-        // what makes stale/duplicate handoff hints harmless.
-        let woken = core.wait.take_if(&key, |waiting| {
-            let eligible = global.scheme.cond(waiting, &mut global.steps);
-            if let Some(sink) = &mut global.sink {
-                sink.record(global.clock, SchedEvent::cond(waiting, eligible));
-            }
-            eligible
-        });
-        let Some(woken) = woken else {
-            continue;
-        };
-        global.wait_live = global.wait_live.saturating_sub(1);
-        act_one(ctx, &woken, true, core, global, out, &mut candidates);
+    while let Some(next) = worklist.pop_front() {
+        match next {
+            Pending::Key(key) => retest(ctx, &key, core, global, out, &mut worklist),
+            Pending::FinPass => fin_pass(ctx, core, global, out, &mut worklist),
+        }
     }
-    core.wake_buf = candidates;
+    core.wake_buf = worklist;
+}
+
+/// Re-test the operation waiting under `key` and act it if it is eligible.
+/// A woken `ser` at a site the scheme reports blocked
+/// ([`Gtm2Scheme::ser_blocked_at`]) cuts off the worklist's leading sers at
+/// that site: each would fail at the reported charge, so each is charged
+/// that, counted as elided, and dropped.
+fn retest(
+    ctx: SlotCtx,
+    key: &WaitKey,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+    worklist: &mut VecDeque<Pending>,
+) {
+    // `None`: still not eligible — or woken already, which is also what
+    // makes stale/duplicate handoff hints harmless.
+    let woken = core.wait.take_if(key, |waiting| {
+        let eligible = global.scheme.cond(waiting, &mut global.steps);
+        if let Some(sink) = &mut global.sink {
+            sink.record(global.clock, SchedEvent::cond(waiting, eligible));
+        }
+        eligible
+    });
+    let Some(woken) = woken else {
+        return;
+    };
+    global.wait_live = global.wait_live.saturating_sub(1);
+    act_one(ctx, &woken, true, core, global, out, worklist);
+    let QueueOp::Ser { site, .. } = woken else {
+        return;
+    };
+    let Some(charge) = global.scheme.ser_blocked_at(site) else {
+        return;
+    };
+    while let Some(&Pending::Key(next)) = worklist.front() {
+        if next.0 != QueueOpKind::Ser || next.2 != Some(site) {
+            break;
+        }
+        worklist.pop_front();
+        if let Some(blocked) = core.wait.get(&next) {
+            debug_assert_eq!(
+                retest_charge(global.scheme.as_ref(), blocked),
+                (false, charge),
+                "{blocked:?}: a cut-off ser must fail at the blocked charge"
+            );
+            global.steps.bump(StepKind::Cond, charge);
+            global.wake_elided += 1;
+        }
+    }
+}
+
+/// One pass over this slot's waiting fins in closed form
+/// ([`WakeCandidates::FinPass`]): the charges and wakes of the literal
+/// pass, which re-tests every fin waiting when it starts once, in key
+/// order, for the re-tests of the scheme's ready fins only.
+///
+/// - *The charge is one sum.* WAIT only shrinks during a cascade, and a
+///   fin leaves it only through its own re-test, so the literal pass
+///   re-tests each fin waiting when it starts exactly once, at the `Cond`
+///   charge recorded when the fin joined WAIT: [`WaitSet::fin_cond_cost`],
+///   taken when the pass starts.
+/// - *Only a ready fin can pass.* The pass re-tests the lowest waiting
+///   fin [`Gtm2Scheme::ready_fins`] names above a cursor; every waiting fin
+///   between the cursor and it fails, as its literal re-test would.
+/// - *The ready set is re-read after each wake.* The wake's act can make a
+///   later fin ready, and the literal pass reaches that fin in this same
+///   pass; one it makes ready at or below the cursor is re-tested by the
+///   pass the wake queued.
+///
+/// The re-tests run on a scratch counter; every waiting fin not re-tested
+/// counts into `gtm2.wake_elided` and emits no `Cond` event.
+fn fin_pass(
+    ctx: SlotCtx,
+    core: &mut ShardCore,
+    global: &mut GlobalCore,
+    out: &mut PumpOut,
+    worklist: &mut VecDeque<Pending>,
+) {
+    let mut ready = std::mem::take(&mut core.ready_buf);
+    let waiting = core.wait.fin_count() as u64;
+    global.steps.bump(StepKind::Cond, core.wait.fin_cond_cost());
+    let mut retested = 0;
+    let mut cursor = None;
+    'pass: loop {
+        ready.clear();
+        global.scheme.ready_fins(&mut ready);
+        ready.sort_unstable();
+        debug_check_fin_charges(&core.wait, global.scheme.as_ref(), |txn| {
+            ready.binary_search(&txn).is_ok()
+        });
+        for &txn in &ready {
+            if Some(txn) <= cursor {
+                continue;
+            }
+            cursor = Some(txn);
+            let woken = core.wait.take_if(&(QueueOpKind::Fin, txn, None), |fin| {
+                retested += 1;
+                let eligible = global.scheme.cond(fin, &mut StepCounter::new());
+                if let Some(sink) = &mut global.sink {
+                    sink.record(global.clock, SchedEvent::cond(fin, eligible));
+                }
+                eligible
+            });
+            if let Some(woken) = woken {
+                global.wait_live = global.wait_live.saturating_sub(1);
+                act_one(ctx, &woken, true, core, global, out, worklist);
+                continue 'pass;
+            }
+        }
+        break;
+    }
+    global.wake_elided += waiting - retested;
+    core.ready_buf = ready;
+}
+
+/// `cond(op)` on a scratch counter: the verdict and the `Cond` steps a
+/// re-test would charge.
+fn retest_charge(scheme: &dyn Gtm2Scheme, op: &QueueOp) -> (bool, u64) {
+    let mut fresh = StepCounter::new();
+    let eligible = scheme.cond(op, &mut fresh);
+    (eligible, fresh.cond)
+}
+
+/// Debug builds: the precondition of a closed-form fin charge. Every
+/// waiting fin's `cond`, evaluated now, charges exactly the `Cond` steps
+/// WAIT recorded when the fin joined it, and a fin whose `cond` holds is
+/// one `may_pass` admits. Release builds skip the walk.
+fn debug_check_fin_charges(
+    wait: &WaitSet,
+    scheme: &dyn Gtm2Scheme,
+    may_pass: impl Fn(GlobalTxnId) -> bool,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for (fin, recorded) in wait.fin_waiters() {
+        let (eligible, charge) = retest_charge(scheme, fin);
+        debug_assert_eq!(charge, recorded, "{fin:?}: recorded fin charge is stale");
+        debug_assert!(
+            !eligible || may_pass(fin.txn()),
+            "{fin:?} can pass but the closed form does not re-test it"
+        );
+    }
 }
 
 /// Which slots (other than the acting one) must re-test their waiters

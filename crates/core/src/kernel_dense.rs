@@ -26,11 +26,24 @@
 //!   lies on a TSG cycle iff `s_k` is connected to another site of `Ĝ_i`
 //!   in the pre-`init` graph. Inits union incrementally; only `fin`s (edge
 //!   deletions) force a rebuild, counted by `gtm2.bridge_recompute`.
-//! - Scheme 1's `ack` has the engine charge the waiting fins' re-tests in
-//!   closed form ([`WakeCandidates::SerAtFinsCharged`]) instead of running
-//!   them: an append to a delete queue cannot enable another
-//!   transaction's fin. Counted by `gtm2.wake_elided`; the reference
-//!   kernel runs the re-tests, which is what proves the charge equal.
+//! - Scheme 1 has the engine charge in closed form the re-tests it can
+//!   prove fail, instead of running them; each is counted by
+//!   `gtm2.wake_elided`, and the reference kernel runs them all, which is
+//!   what proves the charges equal:
+//!   - after an `ack`, the waiting fins
+//!     ([`WakeCandidates::SerAtFinsCharged`]): an append to a delete queue
+//!     cannot enable another transaction's fin;
+//!   - after a `fin`, every waiting fin but the delete-queue fronts
+//!     ([`WakeCandidates::FinPass`] with `ready_fins`): a fin passes only
+//!     if its transaction heads every delete queue at its sites;
+//!   - after a woken `ser_k`, the other sers at `s_k` still on the
+//!     worklist (`ser_blocked_at`): `s_k` now has an outstanding `ser`.
+//!
+//!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits, which is what
+//!   lets the engine sum the charges WAIT recorded. A duplicate `init` of a
+//!   transaction whose fin waits rewrites `Ĝ_i` and breaks that: it is the
+//!   one protocol-violating input where the dense charge can differ from
+//!   the reference (see `act(init)`).
 //! - Scheme 2 keeps one record per TSG edge ([`DenseTsgd`]): its column
 //!   position, both halves of its dependencies, and whether it has run and
 //!   been acked. `Eliminate_Cycles` reads a column's blocked set and the
@@ -398,6 +411,15 @@ impl Gtm2Scheme for Scheme1Dense {
                     }
                     self.insert_queues[ss as usize].push_back(*txn);
                 }
+                // A duplicate `init` (a protocol violation) overwrites Ĝ_i,
+                // as in the reference. If `fin_i` is waiting, its `cond`
+                // now charges `1 + |new Ĝ_i|` while WAIT still holds the
+                // old figure, and with an empty new Ĝ_i it passes without
+                // `G_i` heading any delete queue. The reference re-tests it
+                // literally; the closed-form fin charges here read WAIT's
+                // figure and re-test only delete-queue fronts, so this is
+                // the one input where the dense charge can differ from the
+                // reference (debug builds assert that it does not arise).
                 self.sites_map[ts as usize] = Some(sites.clone());
                 // Same V + E charge as the reference's bridge DFS — the
                 // union-find shortcut is a machine-cost optimization, not
@@ -571,12 +593,29 @@ impl Gtm2Scheme for Scheme1Dense {
             }
             QueueOp::Fin { .. } => {
                 // A pop can bring any queued transaction to a front, and
-                // each woken fin pops again: re-tested literally.
+                // each woken fin pops again. Only a front can pass, so the
+                // engine re-tests the fronts (`ready_fins`) and charges
+                // every other waiting fin the `1 + |Ĝ|` it charged before.
                 steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
-                WakeCandidates::Fins
+                WakeCandidates::FinPass
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
         }
+    }
+
+    fn ready_fins(&self, out: &mut Vec<GlobalTxnId>) {
+        // `cond(fin_i)` holds only if G_i heads the delete queue of each
+        // of its sites, so in particular of one.
+        out.extend(self.delete_queues.iter().filter_map(|q| q.front().copied()));
+    }
+
+    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+        // `cond(ser)` ticks once and fails while the site has an
+        // outstanding `ser`.
+        self.sites
+            .slot_of(&site)
+            .filter(|&ss| self.outstanding[ss as usize].is_some())
+            .map(|_| 1)
     }
 
     fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {

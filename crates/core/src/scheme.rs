@@ -38,12 +38,13 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 ///
 /// Beside the map the set keeps what a wake pass needs without walking
 /// WAIT: the waiting `ser`s ordered by site (so [`WakeCandidates::SerAt`]
-/// resolves in O(candidates)), the waiting `fin`s in transaction order, the
-/// `init` count, and the `Cond` steps the waiting `fin`s were charged when
-/// they failed — the closed-form charge behind
-/// [`WakeCandidates::SerAtFinsCharged`]. Schemes read the counts to charge
-/// their wake-scan steps; the engine expands candidates into a reused
-/// buffer with [`WaitSet::resolve_into`].
+/// resolves in O(candidates)) and counted per site, the waiting `fin`s in
+/// transaction order, the `init` count, and the `Cond` steps the waiting
+/// `fin`s were charged when they failed — the closed-form charge behind
+/// [`WakeCandidates::SerAtFinsCharged`] and [`WakeCandidates::FinPass`].
+/// Schemes read the counts to charge their wake-scan steps; the engine
+/// expands candidates into a reused worklist with
+/// [`WaitSet::resolve_into`].
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
     /// Every waiter, by key. Never iterated in map order.
@@ -53,6 +54,9 @@ pub struct WaitSet {
     /// order — and no per-site container is created or dropped as sites
     /// fill and empty.
     ser_by_site: BTreeSet<(SiteId, GlobalTxnId)>,
+    /// Site → number of its waiting `Ser`s (the size of its range in
+    /// `ser_by_site`). A site keeps its entry at 0.
+    ser_counts: IdHashMap<SiteId, usize>,
     /// Waiting `Fin`s, in key order. Touched when a fin starts or stops
     /// waiting, never by a re-test.
     fins: BTreeSet<GlobalTxnId>,
@@ -88,6 +92,7 @@ impl WaitSet {
         match key {
             (QueueOpKind::Ser, txn, Some(site)) => {
                 self.ser_by_site.insert((site, txn));
+                *self.ser_counts.entry(site).or_default() += 1;
             }
             (QueueOpKind::Fin, txn, _) => {
                 self.fins.insert(txn);
@@ -102,6 +107,11 @@ impl WaitSet {
     /// Whether an operation is waiting under `key`.
     pub fn contains(&self, key: &WaitKey) -> bool {
         self.ops.contains_key(key)
+    }
+
+    /// The operation waiting under `key`, if any.
+    pub(crate) fn get(&self, key: &WaitKey) -> Option<&QueueOp> {
+        self.ops.get(key).map(|waiter| &waiter.op)
     }
 
     /// Re-test the operation waiting under `key` in place: `eligible` is
@@ -120,6 +130,9 @@ impl WaitSet {
         match *key {
             (QueueOpKind::Ser, txn, Some(site)) => {
                 self.ser_by_site.remove(&(site, txn));
+                if let Some(count) = self.ser_counts.get_mut(&site) {
+                    *count -= 1;
+                }
             }
             (QueueOpKind::Fin, txn, _) => {
                 self.fins.remove(&txn);
@@ -154,9 +167,9 @@ impl WaitSet {
             .map(|&(_, txn)| txn)
     }
 
-    /// Number of waiting `Ser` operations at `site` (O(that number)).
+    /// Number of waiting `Ser` operations at `site` (O(1), maintained).
     pub fn ser_count_at(&self, site: SiteId) -> usize {
-        self.sers_at(site).count()
+        self.ser_counts.get(&site).copied().unwrap_or(0)
     }
 
     /// Number of waiting `Ser` operations of `txn` (O(|WAIT|): only the
@@ -186,39 +199,59 @@ impl WaitSet {
         self.fins.iter().map(|&txn| (QueueOpKind::Fin, txn, None))
     }
 
+    /// The waiting `Fin`s in key order, each with the `Cond` steps its
+    /// failing `cond` charged when it joined WAIT.
+    pub(crate) fn fin_waiters(&self) -> impl Iterator<Item = (&QueueOp, u64)> + '_ {
+        self.fin_keys()
+            .filter_map(|key| self.ops.get(&key))
+            .map(|waiter| (&waiter.op, waiter.cond_cost))
+    }
+
     /// Append the waiting keys that satisfy `pred` to `out`, then sort the
     /// appended range in place — the map has no order of its own. O(|WAIT|),
     /// for the candidate sets no benchmarked scheme asks for.
-    fn extend_sorted(&self, out: &mut VecDeque<WaitKey>, pred: impl Fn(&WaitKey) -> bool) {
+    fn extend_sorted(&self, out: &mut VecDeque<Pending>, pred: impl Fn(&WaitKey) -> bool) {
         let start = out.len();
-        out.extend(self.ops.keys().filter(|k| pred(k)));
+        out.extend(
+            self.ops
+                .keys()
+                .filter(|k| pred(k))
+                .map(|&k| Pending::Key(k)),
+        );
         if let Some(appended) = out.make_contiguous().get_mut(start..) {
             appended.sort_unstable();
         }
     }
 
-    /// Append the keys `cands` asks to have re-tested to `out`, in key
-    /// order within each symbolic part, without allocating. Returns the
-    /// number of keys appended — which for
-    /// [`WakeCandidates::SerAtFinsCharged`] leaves out the fins, because
-    /// those are charged and not re-tested.
-    pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<WaitKey>) -> usize {
+    /// Append what `cands` asks to have re-tested to the worklist `out`:
+    /// keys in key order within each symbolic part, and for
+    /// [`WakeCandidates::FinPass`] one [`Pending::FinPass`] entry, without
+    /// allocating. Returns the number of keys appended — which leaves out
+    /// the fins of [`WakeCandidates::SerAtFinsCharged`] and
+    /// [`WakeCandidates::FinPass`], because those are charged in closed
+    /// form.
+    pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<Pending>) -> usize {
         let before = out.len();
         let ser_at = |site: SiteId| {
             self.sers_at(site)
-                .map(move |txn| (QueueOpKind::Ser, txn, Some(site)))
+                .map(move |txn| Pending::Key((QueueOpKind::Ser, txn, Some(site))))
         };
+        let fins = || self.fin_keys().map(Pending::Key);
         match cands {
             WakeCandidates::None => {}
             WakeCandidates::All => self.extend_sorted(out, |_| true),
-            WakeCandidates::One(key) => out.push_back(*key),
+            WakeCandidates::One(key) => out.push_back(Pending::Key(*key)),
             WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
                 out.extend(ser_at(*site))
             }
-            WakeCandidates::Fins => out.extend(self.fin_keys()),
+            WakeCandidates::Fins => out.extend(fins()),
+            WakeCandidates::FinPass => {
+                out.push_back(Pending::FinPass);
+                return 0;
+            }
             WakeCandidates::SerAtThenFins(site) => {
                 out.extend(ser_at(*site));
-                out.extend(self.fin_keys());
+                out.extend(fins());
             }
             WakeCandidates::Inits => self.extend_sorted(out, |k| k.0 == QueueOpKind::Init),
             WakeCandidates::SerOf(txn) => self.extend_sorted(out, |k| is_ser_of(k, *txn)),
@@ -263,10 +296,29 @@ pub enum WakeCandidates {
     /// `fin` waits — then the literal re-tests would charge exactly this
     /// and wake nobody.
     SerAtFinsCharged(SiteId),
+    /// [`Fins`](Self::Fins) in closed form: one pass over the waiting
+    /// `Fin`s that charges every fin waiting when it starts the `Cond`
+    /// steps recorded when it joined WAIT ([`WaitSet::fin_cond_cost`]),
+    /// and re-tests only the ones [`Gtm2Scheme::ready_fins`] names, in key
+    /// order, re-reading them after each wake. The engine counts every
+    /// waiting fin as scanned. A scheme may return this only if a `fin`'s
+    /// `cond` charges the same steps each time it is evaluated while the
+    /// `fin` waits.
+    FinPass,
     /// Every waiting `Init`.
     Inits,
     /// Every waiting `Ser` of one transaction.
     SerOf(GlobalTxnId),
+}
+
+/// One entry of the engine's wake worklist (Figure 3's inner loop).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Pending {
+    /// Re-test the operation waiting under this key, if it still waits.
+    Key(WaitKey),
+    /// Run one closed-form pass over the waiting fins
+    /// ([`WakeCandidates::FinPass`]).
+    FinPass,
 }
 
 /// Conservative bound on *where* the keys returned by
@@ -422,6 +474,26 @@ pub trait Gtm2Scheme {
         let _ = acted;
         steps.bump(mdbs_common::step::StepKind::WaitScan, wait.len() as u64);
         WakeCandidates::All
+    }
+
+    /// The transactions whose waiting `fin` may pass its `cond` now, into
+    /// `out` (cleared by the caller): a superset is fine, in any order,
+    /// with repeats. Asked only during a [`WakeCandidates::FinPass`], which
+    /// re-tests just these fins and charges every other one in closed
+    /// form, so a scheme that never returns `FinPass` keeps the default,
+    /// which names none.
+    fn ready_fins(&self, out: &mut Vec<GlobalTxnId>) {
+        let _ = out;
+    }
+
+    /// `Some(c)` if every waiting `ser` at `site` must fail its `cond` now,
+    /// each charging `c` `Cond` steps. After a woken `ser` at the site
+    /// acts, the engine charges the worklist's leading `ser`s at the site
+    /// `c` each instead of re-testing them. The default, `None`, keeps
+    /// every re-test literal.
+    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+        let _ = site;
+        None
     }
 
     /// Bound on where [`wake_candidates`](Self::wake_candidates) keys can
@@ -647,11 +719,23 @@ mod tests {
         }
     }
 
+    /// The keys of a worklist, without its fin passes.
+    fn keys_of<'a>(worklist: impl IntoIterator<Item = &'a Pending>) -> Vec<WaitKey> {
+        worklist
+            .into_iter()
+            .filter_map(|entry| match entry {
+                Pending::Key(key) => Some(*key),
+                Pending::FinPass => None,
+            })
+            .collect()
+    }
+
     fn resolved(w: &WaitSet, cands: &WakeCandidates) -> Vec<WaitKey> {
         let mut buf = VecDeque::new();
         let n = w.resolve_into(cands, &mut buf);
-        assert_eq!(n, buf.len());
-        Vec::from(buf)
+        let keys = keys_of(&buf);
+        assert_eq!(n, keys.len());
+        keys
     }
 
     #[test]
@@ -714,11 +798,23 @@ mod tests {
             resolved(&w, &WakeCandidates::SerAtThenFins(SiteId(0))),
             both
         );
-        // The closed form re-tests the sers only.
+        // The closed forms re-test the sers only, and a fin pass is one
+        // worklist entry.
         assert_eq!(
             resolved(&w, &WakeCandidates::SerAtFinsCharged(SiteId(0))),
             ser_at(&w, 0)
         );
+        let mut pass = VecDeque::new();
+        assert_eq!(w.resolve_into(&WakeCandidates::FinPass, &mut pass), 0);
+        assert_eq!(Vec::from(pass), vec![Pending::FinPass]);
+        assert_eq!(
+            w.fin_waiters()
+                .map(|(op, cost)| (wait_key(op), cost))
+                .collect::<Vec<_>>(),
+            vec![(wait_key(&fin(3)), 3), (wait_key(&fin(9)), 4)]
+        );
+        assert_eq!(w.get(&wait_key(&fin(9))), Some(&fin(9)));
+        assert_eq!(w.get(&wait_key(&fin(8))), None);
         assert_eq!(
             resolved(&w, &WakeCandidates::SerOf(GlobalTxnId(2))),
             keys_where(&w, |k| k.0 == QueueOpKind::Ser && k.1 == GlobalTxnId(2))
@@ -759,21 +855,28 @@ mod tests {
     }
 
     /// Every candidate set the churn test resolves, with the model's
-    /// answer: its keys in key order (the fins' closed form re-tests none).
+    /// answer: its keys in key order (the fins' closed forms re-test none;
+    /// a fin pass is one entry).
     fn model_candidates(
         model: &BTreeMap<WaitKey, u64>,
         probe: WaitKey,
-    ) -> Vec<(WakeCandidates, Vec<WaitKey>)> {
-        let keys = |pred: &dyn Fn(&WaitKey) -> bool| -> Vec<WaitKey> {
-            model.keys().copied().filter(|k| pred(k)).collect()
+    ) -> Vec<(WakeCandidates, Vec<Pending>)> {
+        let keys = |pred: &dyn Fn(&WaitKey) -> bool| -> Vec<Pending> {
+            model
+                .keys()
+                .copied()
+                .filter(|k| pred(k))
+                .map(Pending::Key)
+                .collect()
         };
         let ser_at = |s: u32| keys(&|k| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s)));
         let fins = keys(&|k| k.0 == QueueOpKind::Fin);
         let mut all = vec![
             (WakeCandidates::None, vec![]),
             (WakeCandidates::All, keys(&|_| true)),
-            (WakeCandidates::One(probe), vec![probe]),
+            (WakeCandidates::One(probe), vec![Pending::Key(probe)]),
             (WakeCandidates::Fins, fins.clone()),
+            (WakeCandidates::FinPass, vec![Pending::FinPass]),
             (WakeCandidates::Inits, keys(&|k| k.0 == QueueOpKind::Init)),
         ];
         for s in 0..5 {
@@ -847,12 +950,13 @@ mod tests {
                 for s in 0..5 {
                     let at = |k: &&WaitKey| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s));
                     prop_assert_eq!(w.ser_count_at(SiteId(s)), model.keys().filter(at).count());
+                    prop_assert_eq!(w.ser_count_at(SiteId(s)), w.sers_at(SiteId(s)).count());
                 }
                 for t in 0..9 {
                     let of = |k: &&WaitKey| is_ser_of(k, GlobalTxnId(t));
                     prop_assert_eq!(w.ser_count_of(GlobalTxnId(t)), model.keys().filter(of).count());
                 }
-                let prefix = [wait_key(&fin(99)), wait_key(&ser(98, 7))];
+                let prefix = [Pending::Key(wait_key(&fin(99))), Pending::Key(wait_key(&ser(98, 7)))];
                 for (cands, want) in model_candidates(&model, key) {
                     // A wrapped worklist: its head is not at index 0.
                     let mut out = VecDeque::with_capacity(4);
@@ -861,8 +965,8 @@ mod tests {
                     out.pop_front();
                     out.push_back(prefix[1]);
                     let n = w.resolve_into(&cands, &mut out);
-                    prop_assert_eq!(n, want.len(), "{:?}", cands);
-                    let got: Vec<WaitKey> = out.iter().copied().collect();
+                    prop_assert_eq!(n, keys_of(&want).len(), "{:?}", cands);
+                    let got: Vec<Pending> = out.iter().copied().collect();
                     prop_assert_eq!(&got[..2], &prefix[..], "{:?}", cands);
                     prop_assert_eq!(&got[2..], &want[..], "{:?}", cands);
                 }

@@ -235,6 +235,9 @@ impl Gtm2Scheme for Scheme1 {
             }
             QueueOp::Fin { .. } => {
                 // Delete-queue fronts changed: other fins are candidates.
+                // The dense kernel re-tests only the fronts and charges the
+                // rest; this kernel re-tests them all, and so is the oracle
+                // for that charge too.
                 steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
                 WakeCandidates::Fins
             }

@@ -148,8 +148,9 @@ fn overlap_chain_3txn_wake_hints_complete() {
 /// The replay cell the benchmark's `sched_burst` workload is shaped like
 /// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
 /// pinned for the dense kernels: step charges, waits, wake-scan work, a
-/// digest of `ser(S)`, and the states Scheme 2's `Eliminate_Cycles` entered
-/// and the column scans it elided. `step_gate` stops at 150 transactions and the
+/// digest of `ser(S)`, the states Scheme 2's `Eliminate_Cycles` entered
+/// and the column scans it elided, and the wake re-tests Scheme 1 charged
+/// in closed form. `step_gate` stops at 150 transactions and the
 /// benchmark reads wall-clock only, so nothing else holds this cell's
 /// decisions still. Ignored by default: a debug build validates every act
 /// and takes minutes; the release soak step runs it in well under a second.
@@ -200,6 +201,10 @@ fn burst_cell_dense_decisions_golden() {
     // work, not decisions — but a walk that stops eliding, or enters a
     // state twice, moves them.
     const SCHEME2_ELIM: (u64, u64) = (1_247_446, 775_997);
+    // Scheme 1's wake re-tests charged without running them (fins after an
+    // `ack` or a `fin`, sers behind a woken `ser`). Machine work too: an
+    // elision that silently stops keeps every step above and moves this.
+    const SCHEME1_WAKE_ELIDED: u64 = 755_831;
     let script = Script::random(1000, 10, 2.5, 42);
     for (kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest) in GOLDEN {
         let mut engine = Gtm2::new(kind.build_kernel(KernelKind::Dense));
@@ -216,6 +221,16 @@ fn burst_cell_dense_decisions_golden() {
             (0, 0)
         };
         assert_eq!(elim, expected, "{kind}: Eliminate_Cycles work changed");
+        let elided = if kind == SchemeKind::Scheme1 {
+            SCHEME1_WAKE_ELIDED
+        } else {
+            0
+        };
+        assert_eq!(
+            metrics.counter("gtm2.wake_elided"),
+            elided,
+            "{kind}: closed-form wake re-tests changed"
+        );
         let digest = out
             .ser_events
             .iter()

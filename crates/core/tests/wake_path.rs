@@ -1,9 +1,11 @@
 //! The wake path's edge cases, on both engines.
 //!
 //! Figure 3's inner loop re-tests waiters in place, and Scheme 1's dense
-//! kernel charges the `fin` re-tests after an `ack` in closed form (the
-//! BTree kernel runs them, and so is the oracle for the charge). These
-//! tests pin what random valid scripts never reach:
+//! kernel has re-tests that must fail charged in closed form: the `fin`s
+//! after an `ack`, all but the delete-queue fronts after a `fin`, and the
+//! `ser`s behind a woken `ser` at its site. The BTree kernel runs them all,
+//! and so is the oracle for the charge. These tests pin what random valid
+//! scripts never reach, or reach without saying so:
 //!
 //! - an operation enqueued twice is a counted protocol violation, not a
 //!   second waiter;
@@ -11,10 +13,14 @@
 //!   order in which an `ack` can enable a waiting `fin` — is still woken
 //!   by that `ack`;
 //! - an `ack` of some other transaction, arriving while fins wait, charges
-//!   in closed form exactly what the literal re-tests charge.
+//!   in closed form exactly what the literal re-tests charge;
+//! - a fin pass wakes a front its own wakes exposed above its cursor in the
+//!   same pass, and one below it in the next;
+//! - a woken `ser` cuts off only the sers behind it at its site, after the
+//!   ones before it were re-tested.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::Registry;
+use mdbs_common::instrument::{Registry, SchedEvent, SharedSink};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
@@ -214,5 +220,143 @@ fn unrelated_ack_charges_waiting_fins_like_the_literal_retest() {
         let (b, d) = (btree.observed(b), dense.observed(d));
         assert_eq!(b, d, "{shards} shards: BTree vs Dense at the end");
         assert_eq!((d.waiting, d.stats.fins), (0, 3), "{shards} shards");
+    }
+}
+
+/// Delete queues s0 = [G1, G5, G2] and s1 = [G5, G8], with `fin_5`
+/// (sites s0, s1), `fin_2` (s0) and `fin_8` (s1) waiting. `fin_1` pops s0,
+/// and the pass it queues wakes `fin_5`, whose pops expose G2 at s0 and G8
+/// at s1. `fin_8` lies above the pass's cursor (G5) and wakes in the same
+/// pass; `fin_2` lies below it and wakes in the pass `fin_5`'s act queued.
+/// Literally the first pass re-tests 2, 5, 8 and the second 2; the dense
+/// kernel re-tests only 5, 8 and then 2, and charges `fin_2`'s first
+/// re-test in closed form.
+#[test]
+fn fin_pass_wakes_a_later_front_now_and_an_earlier_one_next_pass() {
+    let rounds: [&[QueueOp]; 5] = [
+        &[
+            init(1, &[0]),
+            init(5, &[0, 1]),
+            init(2, &[0]),
+            init(8, &[1]),
+            ser(1, 0),
+        ],
+        &[ack(1, 0), ser(5, 0), ser(5, 1)],
+        &[ack(5, 0), ack(5, 1), ser(2, 0), ser(8, 1)],
+        &[ack(2, 0), ack(8, 1)],
+        &[fin(5), fin(2), fin(8)],
+    ];
+    for shards in [1, 2] {
+        let mut seen = Vec::new();
+        let mut elided = Vec::new();
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds);
+            let before = e.observed(Vec::new());
+            assert_eq!(before.waiting, 3, "{kernel} @ {shards}: three fins wait");
+            let elided_before = e.wake_elided();
+            let fx = e.feed(&[fin(1)]);
+            let after = e.observed(fx);
+            assert_eq!(after.waiting, 0, "{kernel} @ {shards}: every fin woke");
+            assert_eq!(after.stats.fins, 4, "{kernel} @ {shards}");
+            // `fin_1` (1 + 1); first pass: fins 2, 5, 8 (2 + 3 + 2);
+            // second: fin 2 (2).
+            assert_eq!(
+                after.steps.cond - before.steps.cond,
+                2 + 2 + 3 + 2 + 2,
+                "{kernel} @ {shards}"
+            );
+            elided.push(e.wake_elided() - elided_before);
+            seen.push(after);
+        }
+        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+        assert_eq!(
+            elided,
+            [0, 1],
+            "{shards} shards: wake_elided, BTree and Dense"
+        );
+    }
+    // The order of the wakes, on the single engine.
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut engine = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+        for round in rounds {
+            round.iter().for_each(|op| engine.enqueue(op.clone()));
+            engine.pump();
+        }
+        let sink = SharedSink::new();
+        engine.set_sink(Some(Box::new(sink.clone())));
+        engine.enqueue(fin(1));
+        engine.pump();
+        let woken: Vec<u64> = sink
+            .drain()
+            .into_iter()
+            .filter_map(|traced| match traced.event {
+                SchedEvent::Wake { txn, .. } => Some(txn.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(woken, [5, 8, 2], "{kernel}: wake order");
+    }
+}
+
+/// At s0, G3's `ser` is outstanding while four sers wait: G2's is marked
+/// (G1 and G2 share s0 and s1) behind G1, which heads s0's insert queue,
+/// and G4's, G5's and G6's are unmarked. `ack_3` re-tests G2 (fails: not
+/// the front), wakes G4, and G4's outstanding `ser` then fails G5 and G6 at
+/// one `Cond` step each — re-tested by the BTree kernel, charged by the
+/// dense one.
+#[test]
+fn woken_ser_cuts_off_only_the_sers_behind_it() {
+    let rounds: [&[QueueOp]; 2] = [
+        &[
+            init(1, &[0, 1]),
+            init(2, &[0, 1]),
+            init(3, &[0]),
+            init(4, &[0]),
+            init(5, &[0]),
+            init(6, &[0]),
+            ser(3, 0),
+        ],
+        &[ser(2, 0), ser(4, 0), ser(5, 0), ser(6, 0)],
+    ];
+    for shards in [1, 2] {
+        let mut seen = Vec::new();
+        let mut elided = Vec::new();
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds);
+            let before = e.observed(Vec::new());
+            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four sers wait");
+            let elided_before = e.wake_elided();
+            let fx = e.feed(&[ack(3, 0)]);
+            let after = e.observed(fx);
+            assert_eq!(
+                after.effects,
+                [
+                    SchemeEffect::ForwardAck {
+                        txn: GlobalTxnId(3),
+                        site: SiteId(0)
+                    },
+                    SchemeEffect::SubmitSer {
+                        txn: GlobalTxnId(4),
+                        site: SiteId(0)
+                    },
+                ],
+                "{kernel} @ {shards}"
+            );
+            assert_eq!(after.waiting, 3, "{kernel} @ {shards}: G2, G5, G6 wait");
+            // One step for the ack's `cond`, one for each ser re-test.
+            assert_eq!(
+                after.steps.cond - before.steps.cond,
+                1 + 4,
+                "{kernel} @ {shards}"
+            );
+            elided.push(e.wake_elided() - elided_before);
+            seen.push(after);
+        }
+        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+        assert_eq!(
+            elided,
+            [0, 2],
+            "{shards} shards: wake_elided, BTree and Dense"
+        );
     }
 }
