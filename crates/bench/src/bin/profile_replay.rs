@@ -13,7 +13,7 @@
 //! other schemes and under `btree`), so a time split divides by them. It
 //! also prints `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT
 //! entries the wake passes scanned, those charged in closed form instead
-//! of re-tested (Scheme 1 under `dense`; 0 elsewhere), so
+//! of re-tested (Schemes 1 and 3 under `dense`; 0 elsewhere), so
 //! `wake_scan_sum − wake_elided` bounds the re-tests that ran.
 //!
 //! ```text

@@ -19,13 +19,17 @@
 //! hints so each scheme pays exactly its own rescan cost. A waiter is
 //! re-tested where it sits and leaves WAIT only when eligible. Re-tests a
 //! scheme proves must fail are charged their steps without being run
-//! (`gtm2.wake_elided` counts them); Scheme 1's dense kernel asks for three:
+//! (`gtm2.wake_elided` counts them); Scheme 1's dense kernel asks for three,
+//! Scheme 3's for the last two:
 //!
 //! - after an `ack`, the waiting fins ([`WakeCandidates::SerAtFinsCharged`]);
-//! - after a `fin`, every waiting fin but the delete-queue fronts
-//!   ([`WakeCandidates::FinPass`], run by `fin_pass`);
+//! - after a `fin`, every waiting fin but the ones the scheme names ready
+//!   ([`WakeCandidates::FinPass`], run by `fin_pass`): Scheme 1's
+//!   delete-queue fronts, Scheme 3's transactions whose `ser_bef` row a
+//!   `fin` emptied;
 //! - after a woken `ser_k`, the worklist's leading sers at site `k`, which
-//!   now has an outstanding `ser`
+//!   now has an outstanding `ser` (Scheme 1) or an unacked `last_k`
+//!   (Scheme 3)
 //!   ([`ser_blocked_at`](crate::scheme::Gtm2Scheme::ser_blocked_at)).
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which

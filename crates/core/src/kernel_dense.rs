@@ -56,6 +56,18 @@
 //!   x86-64, which has no POPCNT, and a maintained count would pay a
 //!   software popcount per OR'd word. A row is popcounted only where a
 //!   step charge reads its size.
+//! - Scheme 3 has the engine charge two of Scheme 1's closed forms, on
+//!   proofs of its own:
+//!   - after a `fin`, every waiting fin but those whose row an `act(fin)`
+//!     emptied ([`WakeCandidates::FinPass`] with `ready_fins`): `cond(fin_i)`
+//!     charges one step and holds iff `ser_bef(Ĝ_i)` is empty, and only
+//!     `act(fin)`'s column clear takes bits out of a row;
+//!   - after a woken `ser_k`, the other sers at `s_k` still on the worklist
+//!     (`ser_blocked_at`): `last_k` is now unacked, so each fails at its
+//!     second step.
+//!
+//!   A duplicate `init` that leaves a live row empty records it too, so the
+//!   dense charge matches the reference's on that input as well.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -932,16 +944,6 @@ impl BitMatrix {
         let start = t as usize * self.stride;
         &mut self.words[start..start + self.stride]
     }
-
-    /// Clear bit `bit` in every row.
-    fn clear_column(&mut self, bit: u32) {
-        let mask = !(1u64 << (bit % 64));
-        self.words
-            .iter_mut()
-            .skip(bit as usize / 64)
-            .step_by(self.stride.max(1))
-            .for_each(|w| *w &= mask);
-    }
 }
 
 fn row_contains(row: &[u64], bit: u32) -> bool {
@@ -986,6 +988,11 @@ fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
 /// A row is popcounted only where a step charge reads its size
 /// (`cond(ser)` and `act(init)`), and Set1 once per `act(ser)`.
 ///
+/// `cond(fin_i)` holds iff row `i` is all zero, so a `fin` that failed can
+/// pass only once its row empties, and only `act(fin)` takes bits out of a
+/// live row (a duplicate `init` can too, by rewriting it). Those rows are
+/// tracked in `emptied`, and a fin wake re-tests only their fins.
+///
 /// Transaction slots recycle at `fin`; site slots are permanent (the
 /// reference keeps `sets`/`last` entries for ever).
 #[derive(Clone, Debug, Default)]
@@ -996,6 +1003,9 @@ pub struct Scheme3Dense {
     ser_bef: BitMatrix,
     /// Txn slot → does the reference map have a `ser_bef` entry?
     live: Vec<bool>,
+    /// Live txn slots whose row an `act(fin)` or a duplicate `init` left
+    /// all zero, and which no `act(ser)` has OR'd into since.
+    emptied: DenseBitSet,
     /// Number of live rows — the reference's `ser_bef.len()`.
     ser_bef_len: usize,
     /// Site slot → `last_k` (stored by id, like the reference — the id may
@@ -1144,7 +1154,16 @@ impl Gtm2Scheme for Scheme3Dense {
                         // dead id, which a recycling kernel cannot.
                     }
                 }
-                if !self.live[ts as usize] {
+                if self.live[ts as usize] {
+                    // A duplicate `init` (a protocol violation) rewrites a
+                    // live row, which may be a waiting fin's: one it leaves
+                    // empty can pass.
+                    if self.scratch_row.iter().all(|&w| w == 0) {
+                        self.emptied.insert(ts);
+                    } else {
+                        self.emptied.remove(ts);
+                    }
+                } else {
                     self.live[ts as usize] = true;
                     self.ser_bef_len += 1;
                 }
@@ -1197,6 +1216,7 @@ impl Gtm2Scheme for Scheme3Dense {
                         for (w, &b) in bef_j.iter_mut().zip(set1.iter()) {
                             *w |= b;
                         }
+                        self.emptied.remove(j);
                         debug_assert!(!row_contains(bef_j, j), "slot {j} serialized before itself");
                     }
                 }
@@ -1219,13 +1239,28 @@ impl Gtm2Scheme for Scheme3Dense {
             }
             QueueOp::Fin { txn } => {
                 // Ĝ_i leaves: drop it from every ser_bef row (one counted
-                // step per live entry, known or not — like the reference).
+                // step per live entry, known or not — like the reference),
+                // noting each row that leaves empty.
                 steps.bump(StepKind::Act, self.ser_bef_len as u64);
                 let Some(ts) = self.txns.slot_of(txn) else {
                     return Vec::new();
                 };
-                self.ser_bef.clear_column(ts);
+                let (word, bit) = (ts as usize / 64, 1u64 << (ts % 64));
+                for (j, row) in self
+                    .ser_bef
+                    .words
+                    .chunks_exact_mut(self.ser_bef.stride)
+                    .enumerate()
+                {
+                    if row[word] & bit != 0 {
+                        row[word] &= !bit;
+                        if row.iter().all(|&w| w == 0) {
+                            self.emptied.insert(j as u32);
+                        }
+                    }
+                }
                 self.ser_bef.row_mut(ts).fill(0);
+                self.emptied.remove(ts);
                 if self.live[ts as usize] {
                     self.live[ts as usize] = false;
                     self.ser_bef_len -= 1;
@@ -1273,11 +1308,27 @@ impl Gtm2Scheme for Scheme3Dense {
                 WakeCandidates::SerAt(*site)
             }
             QueueOp::Fin { .. } => {
+                // `cond(fin)` charges one step, pass or fail, so the engine
+                // re-tests the fins of the rows a fin emptied (`ready_fins`)
+                // and charges every other waiting fin that step.
                 steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
-                WakeCandidates::Fins
+                WakeCandidates::FinPass
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
         }
+    }
+
+    fn ready_fins(&self, out: &mut Vec<GlobalTxnId>) {
+        // A waiting fin's row was not empty when it failed.
+        out.extend(self.emptied.iter().filter_map(|t| self.txns.key_of(t)));
+    }
+
+    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+        // `cond(ser)` ticks once, ticks again to read `last_k`, and fails
+        // while `last_k`'s event is unacked, before any `ser_bef` work.
+        let ss = self.sites.slot_of(&site)?;
+        let l = self.last[ss as usize]?;
+        (!self.acked_pair(l, site)).then_some(2)
     }
 
     fn debug_validate(&self) {
@@ -1286,6 +1337,16 @@ impl Gtm2Scheme for Scheme3Dense {
             self.ser_bef_len,
             "ser_bef_len is not the live row count"
         );
+        for t in self.emptied.iter() {
+            assert!(
+                self.live.get(t as usize) == Some(&true),
+                "slot {t}: emptied but not live"
+            );
+            assert!(
+                self.ser_bef.row(t).iter().all(|&w| w == 0),
+                "slot {t}: emptied row not zero"
+            );
+        }
         for (t, &live) in self.live.iter().enumerate() {
             let t = t as u32;
             let bef = self.ser_bef.row(t);

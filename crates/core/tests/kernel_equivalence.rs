@@ -1,7 +1,8 @@
 //! Kernel-equivalence property suite: the dense slot/bitset kernels
 //! (`kernel_dense`, `tsgd_dense`) are observationally identical to the
-//! reference BTree kernels on every valid input, and on the malformed
-//! `ack`s of [`malformed_acks_keep_kernels_equal`].
+//! reference BTree kernels on every valid input, on the malformed `ack`s
+//! of [`malformed_acks_keep_kernels_equal`], and on Scheme 3's duplicate
+//! `init` of [`duplicate_init_emptying_a_waiting_fins_row_keeps_scheme3_kernels_equal`].
 //!
 //! "Identical" is strict: same effect sequence, same per-site `ser(S)`
 //! orders, same engine stats, and — the load-bearing invariant for the
@@ -39,6 +40,30 @@ use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
+
+fn init(txn: u64, sites: &[u32]) -> QueueOp {
+    QueueOp::Init {
+        txn: GlobalTxnId(txn),
+        sites: sites.iter().map(|&k| SiteId(k)).collect(),
+    }
+}
+fn ser(txn: u64, site: u32) -> QueueOp {
+    QueueOp::Ser {
+        txn: GlobalTxnId(txn),
+        site: SiteId(site),
+    }
+}
+fn ack(txn: u64, site: u32) -> QueueOp {
+    QueueOp::Ack {
+        txn: GlobalTxnId(txn),
+        site: SiteId(site),
+    }
+}
+fn fin(txn: u64) -> QueueOp {
+    QueueOp::Fin {
+        txn: GlobalTxnId(txn),
+    }
+}
 
 /// Strategy: a valid random script described by (n, m, dav, seed).
 fn arb_script() -> impl Strategy<Value = Script> {
@@ -420,21 +445,6 @@ fn scheme3_matrix_growth_matches_reference() {
 /// in full either way.
 #[test]
 fn malformed_acks_keep_kernels_equal() {
-    let init = |t, sites: &[u32]| QueueOp::Init {
-        txn: GlobalTxnId(t),
-        sites: sites.iter().map(|&k| SiteId(k)).collect(),
-    };
-    let ser = |t, k| QueueOp::Ser {
-        txn: GlobalTxnId(t),
-        site: SiteId(k),
-    };
-    let ack = |t, k| QueueOp::Ack {
-        txn: GlobalTxnId(t),
-        site: SiteId(k),
-    };
-    let fin = |t| QueueOp::Fin {
-        txn: GlobalTxnId(t),
-    };
     let scripts = [
         (
             "duplicated ack",
@@ -512,77 +522,117 @@ fn malformed_acks_keep_kernels_equal() {
             ],
         ),
     ];
+    for kind in SchemeKind::CONSERVATIVE {
+        for (case, script) in &scripts {
+            assert_kernels_agree_on(kind, case, script);
+        }
+    }
+}
+
+/// Scheme 3 under a duplicate `init` of a transaction whose `fin` waits:
+/// G2's `fin` waits on G1 in its `ser_bef`, and G2 is then announced again
+/// at a site with no `last_k`, which rewrites its row empty. The next `fin`
+/// (G3's, unrelated) must wake G2's on both kernels, at the same charges:
+/// the dense kernel's fin wake re-tests only rows a `fin` emptied, so the
+/// duplicate `init` has to record the row it emptied too. (Scheme 1's dense
+/// kernel documents this input as the one where its charge may differ.)
+#[test]
+fn duplicate_init_emptying_a_waiting_fins_row_keeps_scheme3_kernels_equal() {
+    let script = [
+        init(1, &[0]),
+        ser(1, 0),
+        ack(1, 0),
+        init(2, &[0]),
+        ser(2, 0),
+        ack(2, 0),
+        fin(2),
+        init(2, &[1]),
+        init(3, &[2]),
+        ser(3, 2),
+        ack(3, 2),
+        fin(3),
+        fin(1),
+    ];
+    let engines = assert_kernels_agree_on(SchemeKind::Scheme3, "duplicate init", &script);
+    for engine in &engines {
+        assert_eq!(engine.stats().fins, 3, "{engine:?}: every fin ran");
+        assert_eq!(engine.wait_len(), 0, "{engine:?}");
+    }
+}
+
+/// Run `script` op by op through both kernels of `kind` directly and
+/// through a validating engine per kernel, asserting after every op what
+/// [`malformed_acks_keep_kernels_equal`] describes. Returns the engines,
+/// BTree first.
+fn assert_kernels_agree_on(kind: SchemeKind, case: &str, script: &[QueueOp]) -> [Gtm2; 2] {
     let probes: Vec<QueueOp> = (1..=3)
         .chain([9])
         .flat_map(|t| (0..3).map(move |k| ser(t, k)))
         .collect();
-    for kind in SchemeKind::CONSERVATIVE {
-        for (case, script) in &scripts {
-            let mut reference = kind.build_kernel(KernelKind::BTree);
-            let mut dense = kind.build_kernel(KernelKind::Dense);
-            let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
-                let mut engine = Gtm2::new(kind.build_kernel(kernel));
-                engine.set_validate(true);
-                engine
-            });
-            for (i, op) in script.iter().enumerate() {
-                let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
-                let ready_ref = reference.cond(op, &mut steps_ref);
-                let ready_dense = dense.cond(op, &mut steps_dense);
-                assert_eq!(ready_ref, ready_dense, "{kind} {case}, op {i} {op:?}: cond");
-                if kind == SchemeKind::Scheme2 || ready_ref {
-                    let fx_ref = reference.act(op, &mut steps_ref);
-                    let fx_dense = dense.act(op, &mut steps_dense);
-                    assert_eq!(
-                        fx_ref, fx_dense,
-                        "{kind} {case}, op {i} {op:?}: act effects"
-                    );
-                }
-                for probe in &probes {
-                    let verdict_ref = reference.cond(probe, &mut steps_ref);
-                    let verdict_dense = dense.cond(probe, &mut steps_dense);
-                    assert_eq!(
-                        verdict_ref, verdict_dense,
-                        "{kind} {case}, after op {i} {op:?}: cond({probe:?})"
-                    );
-                }
-                assert_eq!(
-                    steps_ref, steps_dense,
-                    "{kind} {case}, op {i} {op:?}: steps"
-                );
-                let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
-                    engine.enqueue(op.clone());
-                    engine.pump()
-                });
-                assert_eq!(
-                    fx_ref, fx_dense,
-                    "{kind} {case}, op {i} {op:?}: engine effects"
-                );
-                let [ref_engine, dense_engine] = &engines;
-                assert_eq!(
-                    ref_engine.stats(),
-                    dense_engine.stats(),
-                    "{kind} {case}, op {i}"
-                );
-                assert_eq!(
-                    ref_engine.steps(),
-                    dense_engine.steps(),
-                    "{kind} {case}, op {i}"
-                );
-            }
-            let [ref_engine, dense_engine] = &engines;
+    let mut reference = kind.build_kernel(KernelKind::BTree);
+    let mut dense = kind.build_kernel(KernelKind::Dense);
+    let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
+        let mut engine = Gtm2::new(kind.build_kernel(kernel));
+        engine.set_validate(true);
+        engine
+    });
+    for (i, op) in script.iter().enumerate() {
+        let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
+        let ready_ref = reference.cond(op, &mut steps_ref);
+        let ready_dense = dense.cond(op, &mut steps_dense);
+        assert_eq!(ready_ref, ready_dense, "{kind} {case}, op {i} {op:?}: cond");
+        if kind == SchemeKind::Scheme2 || ready_ref {
+            let fx_ref = reference.act(op, &mut steps_ref);
+            let fx_dense = dense.act(op, &mut steps_dense);
             assert_eq!(
-                ref_engine.ser_log().events(),
-                dense_engine.ser_log().events(),
-                "{kind} {case}: ser(S)"
-            );
-            assert_eq!(
-                ref_engine.wait_len(),
-                dense_engine.wait_len(),
-                "{kind} {case}"
+                fx_ref, fx_dense,
+                "{kind} {case}, op {i} {op:?}: act effects"
             );
         }
+        for probe in &probes {
+            let verdict_ref = reference.cond(probe, &mut steps_ref);
+            let verdict_dense = dense.cond(probe, &mut steps_dense);
+            assert_eq!(
+                verdict_ref, verdict_dense,
+                "{kind} {case}, after op {i} {op:?}: cond({probe:?})"
+            );
+        }
+        assert_eq!(
+            steps_ref, steps_dense,
+            "{kind} {case}, op {i} {op:?}: steps"
+        );
+        let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
+            engine.enqueue(op.clone());
+            engine.pump()
+        });
+        assert_eq!(
+            fx_ref, fx_dense,
+            "{kind} {case}, op {i} {op:?}: engine effects"
+        );
+        let [ref_engine, dense_engine] = &engines;
+        assert_eq!(
+            ref_engine.stats(),
+            dense_engine.stats(),
+            "{kind} {case}, op {i}"
+        );
+        assert_eq!(
+            ref_engine.steps(),
+            dense_engine.steps(),
+            "{kind} {case}, op {i}"
+        );
     }
+    let [ref_engine, dense_engine] = &engines;
+    assert_eq!(
+        ref_engine.ser_log().events(),
+        dense_engine.ser_log().events(),
+        "{kind} {case}: ser(S)"
+    );
+    assert_eq!(
+        ref_engine.wait_len(),
+        dense_engine.wait_len(),
+        "{kind} {case}"
+    );
+    engines
 }
 
 /// `Eliminate_Cycles` enters a degree-3 transaction through two sites, and

@@ -149,8 +149,8 @@ fn overlap_chain_3txn_wake_hints_complete() {
 /// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
 /// pinned for the dense kernels: step charges, waits, wake-scan work, a
 /// digest of `ser(S)`, the states Scheme 2's `Eliminate_Cycles` entered
-/// and the column scans it elided, and the wake re-tests Scheme 1 charged
-/// in closed form. `step_gate` stops at 150 transactions and the
+/// and the column scans it elided, and the wake re-tests Schemes 1 and 3
+/// charged in closed form. `step_gate` stops at 150 transactions and the
 /// benchmark reads wall-clock only, so nothing else holds this cell's
 /// decisions still. Ignored by default: a debug build validates every act
 /// and takes minutes; the release soak step runs it in well under a second.
@@ -201,12 +201,16 @@ fn burst_cell_dense_decisions_golden() {
     // work, not decisions — but a walk that stops eliding, or enters a
     // state twice, moves them.
     const SCHEME2_ELIM: (u64, u64) = (1_247_446, 775_997);
-    // Scheme 1's wake re-tests charged without running them (fins after an
-    // `ack` or a `fin`, sers behind a woken `ser`). Machine work too: an
-    // elision that silently stops keeps every step above and moves this.
-    const SCHEME1_WAKE_ELIDED: u64 = 755_831;
+    // The wake re-tests each scheme charged without running them, in
+    // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
+    // behind a woken `ser`, Scheme 3's fins after a `fin` and sers behind a
+    // woken `ser`. Machine work too: an elision that silently stops keeps
+    // every step above and moves these.
+    const WAKE_ELIDED: [u64; 4] = [0, 755_831, 0, 365_242];
     let script = Script::random(1000, 10, 2.5, 42);
-    for (kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest) in GOLDEN {
+    for ((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided) in
+        GOLDEN.into_iter().zip(WAKE_ELIDED)
+    {
         let mut engine = Gtm2::new(kind.build_kernel(KernelKind::Dense));
         let out = replay_with(&mut engine, &script);
         let mut metrics = Registry::new();
@@ -221,11 +225,6 @@ fn burst_cell_dense_decisions_golden() {
             (0, 0)
         };
         assert_eq!(elim, expected, "{kind}: Eliminate_Cycles work changed");
-        let elided = if kind == SchemeKind::Scheme1 {
-            SCHEME1_WAKE_ELIDED
-        } else {
-            0
-        };
         assert_eq!(
             metrics.counter("gtm2.wake_elided"),
             elided,

@@ -1,11 +1,13 @@
 //! The wake path's edge cases, on both engines.
 //!
-//! Figure 3's inner loop re-tests waiters in place, and Scheme 1's dense
-//! kernel has re-tests that must fail charged in closed form: the `fin`s
-//! after an `ack`, all but the delete-queue fronts after a `fin`, and the
-//! `ser`s behind a woken `ser` at its site. The BTree kernel runs them all,
-//! and so is the oracle for the charge. These tests pin what random valid
-//! scripts never reach, or reach without saying so:
+//! Figure 3's inner loop re-tests waiters in place, and the dense kernels
+//! of Schemes 1 and 3 have re-tests that must fail charged in closed form:
+//! Scheme 1's `fin`s after an `ack`, all but the delete-queue fronts after
+//! a `fin`, and the `ser`s behind a woken `ser` at its site; Scheme 3's
+//! `fin`s after a `fin` but those whose `ser_bef` row a `fin` emptied, and
+//! the `ser`s behind a woken `ser` at its site. The BTree kernels run them
+//! all, and so are the oracle for the charge. These tests pin what random
+//! valid scripts never reach, or reach without saying so:
 //!
 //! - an operation enqueued twice is a counted protocol violation, not a
 //!   second waiter;
@@ -17,7 +19,9 @@
 //! - a fin pass wakes a front its own wakes exposed above its cursor in the
 //!   same pass, and one below it in the next;
 //! - a woken `ser` cuts off only the sers behind it at its site, after the
-//!   ones before it were re-tested.
+//!   ones before it were re-tested;
+//! - the same two passes for Scheme 3, where a fin whose row stays
+//!   non-empty is charged every pass and never re-tested.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::{Registry, SchedEvent, SharedSink};
@@ -347,6 +351,156 @@ fn woken_ser_cuts_off_only_the_sers_behind_it() {
             assert_eq!(
                 after.steps.cond - before.steps.cond,
                 1 + 4,
+                "{kernel} @ {shards}"
+            );
+            elided.push(e.wake_elided() - elided_before);
+            seen.push(after);
+        }
+        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+        assert_eq!(
+            elided,
+            [0, 2],
+            "{shards} shards: wake_elided, BTree and Dense"
+        );
+    }
+}
+
+/// Scheme 3: `fin_5` (row {G1}), `fin_2` and `fin_8` (rows {G1, G5}) and
+/// `fin_9` (row {G7}, G7 still live) wait. `fin_1` empties `fin_5`'s row
+/// only, and the pass it queues wakes `fin_5`, whose act empties the rows
+/// of `fin_2` and `fin_8`. `fin_8` lies above the pass's cursor (G5) and
+/// wakes in the same pass; `fin_2` lies at or below it and wakes in the
+/// pass `fin_5`'s act queued. `fin_9`'s row never empties: every pass
+/// charges its one `Cond` step, and the dense kernel never runs it.
+#[test]
+fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
+    let rounds: [&[QueueOp]; 7] = [
+        &[init(1, &[0]), ser(1, 0)],
+        &[ack(1, 0), init(5, &[0, 1]), init(7, &[2]), ser(7, 2)],
+        &[ser(5, 0), ser(5, 1), ack(7, 2), init(9, &[2])],
+        &[
+            ack(5, 0),
+            ack(5, 1),
+            init(2, &[0]),
+            init(8, &[1]),
+            ser(9, 2),
+        ],
+        &[ser(2, 0), ser(8, 1), ack(9, 2)],
+        &[ack(2, 0), ack(8, 1)],
+        &[fin(5), fin(2), fin(8), fin(9)],
+    ];
+    for shards in [1, 2] {
+        let mut seen = Vec::new();
+        let mut elided = Vec::new();
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = run(SchemeKind::Scheme3, kernel, shards, &rounds);
+            let before = e.observed(Vec::new());
+            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four fins wait");
+            let elided_before = e.wake_elided();
+            let fx = e.feed(&[fin(1)]);
+            let after = e.observed(fx);
+            assert_eq!(after.waiting, 1, "{kernel} @ {shards}: fin_9 still waits");
+            assert_eq!(after.stats.fins, 4, "{kernel} @ {shards}");
+            // `fin_1`, then four passes: fins 2, 5, 8, 9; then 2, 9; then 9
+            // twice. One step each.
+            assert_eq!(
+                after.steps.cond - before.steps.cond,
+                1 + 4 + 2 + 1 + 1,
+                "{kernel} @ {shards}"
+            );
+            elided.push(e.wake_elided() - elided_before);
+            seen.push(after);
+        }
+        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+        // The dense passes re-test 5, 8; 2; nothing; nothing.
+        assert_eq!(
+            elided,
+            [0, 2 + 1 + 1 + 1],
+            "{shards} shards: wake_elided, BTree and Dense"
+        );
+    }
+    // The order of the wakes, and which fins were re-tested, on the single
+    // engine.
+    for (kernel, fin_9_retests) in [(KernelKind::BTree, 4), (KernelKind::Dense, 0)] {
+        let mut engine = Gtm2::new(SchemeKind::Scheme3.build_kernel(kernel));
+        for round in rounds {
+            round.iter().for_each(|op| engine.enqueue(op.clone()));
+            engine.pump();
+        }
+        let sink = SharedSink::new();
+        engine.set_sink(Some(Box::new(sink.clone())));
+        engine.enqueue(fin(1));
+        engine.pump();
+        let events = sink.drain();
+        let woken: Vec<u64> = events
+            .iter()
+            .filter_map(|traced| match traced.event {
+                SchedEvent::Wake { txn, .. } => Some(txn.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(woken, [5, 8, 2], "{kernel}: wake order");
+        let retests = events
+            .iter()
+            .filter(|traced| {
+                matches!(traced.event, SchedEvent::Cond { txn, .. } if txn == GlobalTxnId(9))
+            })
+            .count();
+        assert_eq!(retests, fin_9_retests, "{kernel}: re-tests of fin_9");
+    }
+}
+
+/// Scheme 3 at s0: G3's `ser` ran and is unacked while four sers wait.
+/// G2's has G1 in its `ser_bef` (G1 ran at s1 while G2 was pending there)
+/// and G1 is still pending at s0; G4's, G5's and G6's only wait for G3's
+/// ack. `ack_3` re-tests G2 (fails on `ser_bef ∩ set_0`), wakes G4, and
+/// G4's unacked event then fails G5 and G6 at two `Cond` steps each —
+/// re-tested by the BTree kernel, charged by the dense one.
+#[test]
+fn scheme3_woken_ser_cuts_off_the_sers_behind_it() {
+    let rounds: [&[QueueOp]; 2] = [
+        &[
+            init(1, &[0, 1]),
+            init(2, &[0, 1]),
+            init(3, &[0]),
+            init(4, &[0]),
+            init(5, &[0]),
+            init(6, &[0]),
+            ser(1, 1),
+            ser(3, 0),
+        ],
+        &[ser(2, 0), ser(4, 0), ser(5, 0), ser(6, 0)],
+    ];
+    for shards in [1, 2] {
+        let mut seen = Vec::new();
+        let mut elided = Vec::new();
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = run(SchemeKind::Scheme3, kernel, shards, &rounds);
+            let before = e.observed(Vec::new());
+            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four sers wait");
+            let elided_before = e.wake_elided();
+            let fx = e.feed(&[ack(3, 0)]);
+            let after = e.observed(fx);
+            assert_eq!(
+                after.effects,
+                [
+                    SchemeEffect::ForwardAck {
+                        txn: GlobalTxnId(3),
+                        site: SiteId(0)
+                    },
+                    SchemeEffect::SubmitSer {
+                        txn: GlobalTxnId(4),
+                        site: SiteId(0)
+                    },
+                ],
+                "{kernel} @ {shards}"
+            );
+            assert_eq!(after.waiting, 3, "{kernel} @ {shards}: G2, G5, G6 wait");
+            // The ack's `cond`; G2: 2 + min(|{G1, G3}|, |set_0|); G4:
+            // 2 + min(|{G3}|, |set_0|); G5 and G6: 2 each.
+            assert_eq!(
+                after.steps.cond - before.steps.cond,
+                1 + 4 + 3 + 2 + 2,
                 "{kernel} @ {shards}"
             );
             elided.push(e.wake_elided() - elided_before);
