@@ -20,7 +20,7 @@
 //! [`MemorySink`] collects events in a `Vec` for tests and offline
 //! analysis; [`SharedSink`] is a cloneable handle over the same storage
 //! for producers that are moved away (the threaded runtime, the DES
-//! system); [`StderrSink`] reproduces the old `MDBS_TRACE` behavior.
+//! system).
 
 use crate::ids::{GlobalTxnId, SiteId};
 use crate::ops::{QueueOp, QueueOpKind};
@@ -493,17 +493,6 @@ impl TraceSink for SharedSink {
             .lock()
             .expect("sink lock")
             .push(TracedEvent { at, event });
-    }
-}
-
-/// Sink printing every event to stderr — the successor of the old
-/// latched `MDBS_TRACE` eprintln, now attachable/detachable per engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn record(&mut self, at: u64, event: SchedEvent) {
-        eprintln!("[trace t={at}] {event:?}");
     }
 }
 

@@ -46,7 +46,7 @@
 use crate::scheme::{Gtm2Scheme, Pending, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
 use crate::ser_s::SerSLog;
 use mdbs_common::ids::GlobalTxnId;
-use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
+use mdbs_common::instrument::{Histogram, Registry, SchedEvent, TraceSink};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
 use serde::{Deserialize, Serialize};
@@ -106,9 +106,8 @@ pub struct Gtm2 {
 }
 
 impl Gtm2 {
-    /// Create an engine around a scheme. The `MDBS_TRACE` environment
-    /// variable attaches a [`StderrSink`] for parity with the old debug
-    /// tracing; use [`Gtm2::set_sink`] for structured collection.
+    /// Create an engine around a scheme, with no trace sink; use
+    /// [`Gtm2::set_sink`] to collect structured events.
     pub fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
         Gtm2 {
             slot: ShardCore::new(),
@@ -293,14 +292,8 @@ pub(crate) struct GlobalCore {
 }
 
 impl GlobalCore {
-    /// A fresh core around `scheme`. The `MDBS_TRACE` environment variable
-    /// attaches a [`StderrSink`].
+    /// A fresh core around `scheme`, with no trace sink.
     pub(crate) fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
-        let sink: Option<Box<dyn TraceSink + Send>> = if std::env::var_os("MDBS_TRACE").is_some() {
-            Some(Box::new(StderrSink))
-        } else {
-            None
-        };
         GlobalCore {
             scheme,
             steps: StepCounter::new(),
@@ -311,7 +304,7 @@ impl GlobalCore {
             wait_live: 0,
             wake_elided: 0,
             validate: cfg!(debug_assertions),
-            sink,
+            sink: None,
             clock: 0,
         }
     }

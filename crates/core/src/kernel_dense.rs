@@ -1,15 +1,17 @@
-//! Dense-id kernels for Schemes 0–3.
+//! Dense-id kernels for Schemes 1–3.
 //!
-//! These are drop-in re-implementations of the four conservative schemes
+//! These are drop-in re-implementations of Schemes 1, 2 and 3
 //! on top of [`mdbs_common::DenseInterner`] + [`mdbs_common::DenseBitSet`]
 //! (and, for Scheme 2, [`crate::tsgd_dense::DenseTsgd`]): live transaction
 //! and site ids are interned into compact `u32` slots (recycled at `fin`),
 //! and every set the paper's pseudocode manipulates becomes a bitset over
 //! slots — intersection tests are word-wise ANDs, and the per-op hot path
-//! performs no allocation.
+//! performs no allocation. Scheme 0 has no dense kernel: its per-site FIFO
+//! queues have no set algebra to speed up, so [`crate::scheme0::Scheme0`]
+//! runs under both kernel kinds.
 //!
 //! **The paper-step accounting is bit-for-bit identical to the reference
-//! kernels** (`scheme0`–`scheme3`): every `tick`/`bump` here mirrors one in
+//! kernels** (`scheme1`–`scheme3`): every `tick`/`bump` here mirrors one in
 //! the reference, with the same operand values on every input. That is a
 //! hard invariant — the abstract complexity measurements (Theorems 4, 6, 9)
 //! must not depend on which kernel ran — and is enforced by the
@@ -83,160 +85,6 @@ use mdbs_common::step::{StepCounter, StepKind};
 use mdbs_common::{DenseBitSet, DenseInterner};
 use mdbs_schedule::UnionFind;
 use std::collections::{BTreeSet, VecDeque};
-
-// ---------------------------------------------------------------------------
-// Scheme 0
-// ---------------------------------------------------------------------------
-
-/// Scheme 0 on dense site slots: one FIFO queue per site slot.
-///
-/// Site slots are never recycled (the reference's per-site queues persist
-/// for the whole run), so slot existence mirrors queue existence exactly.
-#[derive(Clone, Debug, Default)]
-pub struct Scheme0Dense {
-    sites: DenseInterner<SiteId>,
-    queues: Vec<VecDeque<GlobalTxnId>>,
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
-)]
-impl Scheme0Dense {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn front(&self, site: SiteId) -> Option<GlobalTxnId> {
-        self.sites
-            .slot_of(&site)
-            .and_then(|ss| self.queues[ss as usize].front().copied())
-    }
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
-)]
-impl Gtm2Scheme for Scheme0Dense {
-    fn name(&self) -> &'static str {
-        "Scheme 0"
-    }
-
-    fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
-        steps.tick(StepKind::Cond);
-        match op {
-            QueueOp::Ser { txn, site } => self.front(*site) == Some(*txn),
-            QueueOp::Init { .. } | QueueOp::Ack { .. } | QueueOp::Fin { .. } => true,
-        }
-    }
-
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
-        match op {
-            QueueOp::Init { txn, sites } => {
-                for &site in sites {
-                    steps.tick(StepKind::Act);
-                    let ss = self.sites.intern(site) as usize;
-                    if self.queues.len() <= ss {
-                        self.queues.resize_with(ss + 1, VecDeque::new);
-                    }
-                    self.queues[ss].push_back(*txn);
-                }
-                Vec::new()
-            }
-            QueueOp::Ser { txn, site } => {
-                steps.tick(StepKind::Act);
-                vec![SchemeEffect::SubmitSer {
-                    txn: *txn,
-                    site: *site,
-                }]
-            }
-            QueueOp::Ack { txn, site } => {
-                steps.tick(StepKind::Act);
-                let Some(ss) = self.sites.slot_of(site) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::UnknownSite,
-                    }];
-                };
-                let q = &mut self.queues[ss as usize];
-                match q.front() {
-                    Some(front) if front == txn => {
-                        q.pop_front();
-                        vec![SchemeEffect::ForwardAck {
-                            txn: *txn,
-                            site: *site,
-                        }]
-                    }
-                    _ => match q.iter().position(|t| t == txn) {
-                        Some(pos) => {
-                            q.remove(pos);
-                            vec![
-                                SchemeEffect::ProtocolViolation {
-                                    txn: *txn,
-                                    site: Some(*site),
-                                    kind: ProtocolViolationKind::AckOutOfOrder,
-                                },
-                                SchemeEffect::ForwardAck {
-                                    txn: *txn,
-                                    site: *site,
-                                },
-                            ]
-                        }
-                        None => vec![SchemeEffect::ProtocolViolation {
-                            txn: *txn,
-                            site: Some(*site),
-                            kind: ProtocolViolationKind::AckNotQueued,
-                        }],
-                    },
-                }
-            }
-            QueueOp::Fin { .. } => {
-                steps.tick(StepKind::Act);
-                Vec::new()
-            }
-        }
-    }
-
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
-        match acted {
-            QueueOp::Ack { site, .. } => match self.front(*site) {
-                Some(front_txn) => match wait.ser_key(front_txn, *site) {
-                    Some(key) => WakeCandidates::One(key),
-                    None => WakeCandidates::None,
-                },
-                None => WakeCandidates::None,
-            },
-            QueueOp::Init { .. } | QueueOp::Ser { .. } | QueueOp::Fin { .. } => {
-                WakeCandidates::None
-            }
-        }
-    }
-
-    fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {
-        match kind {
-            QueueOpKind::Ack => WakeScope::ACTED_SITE,
-            QueueOpKind::Init | QueueOpKind::Ser | QueueOpKind::Fin => WakeScope::NOTHING,
-        }
-    }
-
-    fn debug_validate(&self) {
-        for (ss, q) in self.queues.iter().enumerate() {
-            let mut seen = BTreeSet::new();
-            for t in q {
-                assert!(seen.insert(*t), "{t} enqueued twice at site slot {ss}");
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Scheme 1
@@ -1408,30 +1256,6 @@ mod tests {
     }
     fn fin(i: u64) -> QueueOp {
         QueueOp::Fin { txn: g(i) }
-    }
-
-    #[test]
-    fn scheme0_dense_serializes_in_init_order() {
-        let mut e = Gtm2::new(Box::new(Scheme0Dense::new()));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(2, 0));
-        let fx = e.pump();
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(2),
-                site: s(0)
-            }]
-        );
-        e.enqueue(ack(2, 0));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(1),
-            site: s(0)
-        }));
-        assert!(e.ser_log().check().is_ok());
     }
 
     #[test]

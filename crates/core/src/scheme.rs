@@ -553,14 +553,15 @@ impl Gtm2Scheme for FullRescan {
 
 /// Which data-structure realization of a scheme to instantiate.
 ///
-/// Both kernels implement the *same* scheme — identical `cond`/`act`
-/// decisions and bit-for-bit identical paper-step accounting (property
-/// tested in `tests/kernel_equivalence.rs`). They differ only in machine
-/// cost: the `BTree` kernels realize the paper's sets as id-keyed
-/// `BTreeMap`/`BTreeSet`; the `Dense` kernels intern live ids into compact
-/// slots ([`mdbs_common::DenseInterner`]) and run the set algebra on
-/// bitsets ([`mdbs_common::DenseBitSet`]), making the per-op hot path
-/// allocation-free.
+/// Schemes 1–3 have two kernels each. Both implement the *same* scheme —
+/// identical `cond`/`act` decisions and bit-for-bit identical paper-step
+/// accounting (property tested in `tests/kernel_equivalence.rs`). They
+/// differ only in machine cost: the `BTree` kernels realize the paper's
+/// sets as id-keyed `BTreeMap`/`BTreeSet`; the `Dense` kernels intern live
+/// ids into compact slots ([`mdbs_common::DenseInterner`]) and run the set
+/// algebra on bitsets ([`mdbs_common::DenseBitSet`]), making the per-op hot
+/// path allocation-free. Scheme 0 has one kernel, which both kinds build
+/// (see [`crate::kernel_dense`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum KernelKind {
     /// Reference kernels: id-keyed ordered maps/sets. Kept as the oracle.
@@ -642,16 +643,12 @@ impl SchemeKind {
         self.build_kernel(KernelKind::Dense)
     }
 
-    /// Instantiate the scheme on a specific kernel. Only the four
-    /// conservative schemes have dense kernels; every other kind (and
-    /// every kind under [`KernelKind::BTree`]) gets the reference
-    /// realization.
+    /// Instantiate the scheme on a specific kernel. Only Schemes 1–3 have
+    /// dense kernels; every other kind (and every kind under
+    /// [`KernelKind::BTree`]) gets the reference realization.
     pub fn build_kernel(self, kernel: KernelKind) -> Box<dyn Gtm2Scheme + Send> {
         if kernel == KernelKind::Dense {
             match self {
-                SchemeKind::Scheme0 => {
-                    return Box::new(crate::kernel_dense::Scheme0Dense::new());
-                }
                 SchemeKind::Scheme1 => {
                     return Box::new(crate::kernel_dense::Scheme1Dense::new());
                 }
@@ -661,7 +658,8 @@ impl SchemeKind {
                 SchemeKind::Scheme3 => {
                     return Box::new(crate::kernel_dense::Scheme3Dense::new());
                 }
-                SchemeKind::Scheme2Minimal
+                SchemeKind::Scheme0
+                | SchemeKind::Scheme2Minimal
                 | SchemeKind::SiteGraph
                 | SchemeKind::AbortingTo
                 | SchemeKind::OptimisticTicket => {}

@@ -19,15 +19,19 @@
 use crate::scheme::{
     Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
 };
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// Scheme 0 state: one FIFO queue per site.
+/// Scheme 0 state: one FIFO queue per site. Both
+/// [`KernelKind`](crate::scheme::KernelKind)s build it.
 #[derive(Clone, Debug, Default)]
 pub struct Scheme0 {
-    queues: BTreeMap<SiteId, VecDeque<GlobalTxnId>>,
+    /// Site → its queue. Only `debug_validate` iterates it, and that check
+    /// does not depend on order.
+    queues: IdHashMap<SiteId, VecDeque<GlobalTxnId>>,
 }
 
 impl Scheme0 {

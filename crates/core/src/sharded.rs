@@ -85,8 +85,7 @@ pub struct ShardedGtm2 {
 
 impl ShardedGtm2 {
     /// Create an engine for `kind` with `nshards` pump shards (clamped to
-    /// at least 1). As with [`Gtm2::new`](crate::gtm2::Gtm2::new), the
-    /// `MDBS_TRACE` environment variable attaches a stderr trace sink.
+    /// at least 1).
     pub fn new(kind: SchemeKind, nshards: usize) -> Self {
         Self::new_with_kernel(kind, KernelKind::Dense, nshards)
     }

@@ -113,15 +113,6 @@ impl Tsgd {
         self.deps.insert(dep);
     }
 
-    /// True iff the dependency is present.
-    pub fn has_dep(&self, site: SiteId, before: GlobalTxnId, after: GlobalTxnId) -> bool {
-        self.deps.contains(&Dep {
-            site,
-            before,
-            after,
-        })
-    }
-
     /// True iff edge `(txn, site)` exists.
     pub fn has_edge(&self, txn: GlobalTxnId, site: SiteId) -> bool {
         self.txn_sites.get(&txn).is_some_and(|s| s.contains(&site))

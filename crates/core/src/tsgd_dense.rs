@@ -413,12 +413,6 @@ impl DenseTsgd {
         self.sites.slot_of(&site)
     }
 
-    /// Transaction occupying `slot`.
-    #[inline]
-    pub fn txn_at_slot(&self, slot: u32) -> Option<GlobalTxnId> {
-        self.txns.key_of(slot)
-    }
-
     /// Edges of the transaction in `slot`, sorted by site id.
     #[inline]
     pub(crate) fn row(&self, slot: u32) -> &[Edge] {

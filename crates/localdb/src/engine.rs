@@ -708,6 +708,26 @@ mod tests {
     }
 
     #[test]
+    fn abort_unblocks_waiters() {
+        let mut d = db(LocalProtocolKind::TwoPhaseLocking);
+        d.begin(t(1)).unwrap();
+        d.begin(t(2)).unwrap();
+        d.submit_write(t(1), x(7), 1).unwrap();
+        assert_eq!(d.submit_read(t(2), x(7)).unwrap(), SubmitResult::Blocked);
+        assert!(d.take_completions().is_empty());
+        d.request_abort(t(1)).unwrap();
+        // The reader gets the pre-image the abort restored.
+        assert_eq!(
+            d.take_completions(),
+            vec![Completion {
+                txn: t(2),
+                outcome: Ok(OpOutcome::Read(0)),
+            }]
+        );
+        assert!(!d.is_blocked(t(2)));
+    }
+
+    #[test]
     fn deadlock_broken_and_survivor_completes() {
         let mut d = db(LocalProtocolKind::TwoPhaseLocking);
         d.begin(t(1)).unwrap();

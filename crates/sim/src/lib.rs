@@ -10,9 +10,8 @@
 //! The simulator is the test bench for experiments EXP-GS, EXP-IND,
 //! EXP-AMRT and EXP-E2E (see `EXPERIMENTS.md` at the workspace root).
 //!
-//! A small threaded runtime ([`runtime`]) additionally exposes a local DBMS
-//! behind a thread-safe blocking facade, demonstrating the engines under
-//! real OS-thread concurrency.
+//! The threaded runtime ([`threaded`]) runs the same coordinator and site
+//! engines on real OS threads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,7 +20,6 @@ pub mod audit;
 pub mod event;
 pub mod local_load;
 pub mod metrics;
-pub mod runtime;
 mod server;
 pub mod system;
 pub mod threaded;
