@@ -21,7 +21,7 @@
 //! locally committed subtransactions would need global atomic commitment,
 //! which the paper leaves to future work.
 
-use crate::scheme::{Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
@@ -69,13 +69,11 @@ impl Gtm2Scheme for AbortingTo {
                 if self.aborted.contains(txn) {
                     return Vec::new(); // remaining events of a victim are vacuous
                 }
-                let Some(&ts) = self.ts.get(txn) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::SerWithoutInit,
-                    }];
-                };
+                // `init_i` came first (see `Gtm2::enqueue`) and gave a live
+                // transaction its timestamp.
+                let ts = self.ts.get(txn).copied();
+                debug_assert!(ts.is_some(), "ser of {txn} before its init");
+                let ts = ts.unwrap_or(self.next_ts);
                 match self.max_ts.get(site) {
                     Some(&max) if ts < max => {
                         // Event arrives too late: abort the transaction.

@@ -8,6 +8,12 @@
 //! [`Coordinator::handle`]. What the GTM sends back — commands for site
 //! servers and finished transactions — comes out as [`Outbound`]
 //! messages, in the order GTM1 produced them.
+//!
+//! `handle` is the GTM's one door for malformed input, and GTM1's
+//! per-transaction state machine keeps it: a bad `Submit`, a reply or
+//! `ack` no transaction waits for, and GTM2's own events arriving from
+//! outside are refused there and counted in `gtm1.protocol_violations`.
+//! So GTM2 and its kernels see only Figure 2's order.
 
 use crate::gtm1::{Gtm1, Gtm1Effect, Gtm1Event, ServerCommand};
 use crate::gtm2::Gtm2;
@@ -79,15 +85,27 @@ impl Coordinator {
     /// the `ser` submissions and `ack`s it releases go back to GTM1.
     /// Outbound messages are appended to `out`.
     ///
-    /// Malformed input is refused and counted, never panicked on: GTM1
-    /// counts what it refuses, and GTM2 counts its own protocol
-    /// violations and scheme aborts, so those effects route nothing.
+    /// Malformed input is refused at the door and counted, never panicked
+    /// on: an `ack` reaches GTM2 only if GTM1 waits for exactly that ack,
+    /// GTM2's own events are refused when they arrive from outside, and
+    /// GTM1 refuses the rest. Every scheme's `cond(ack)` holds, so an
+    /// admitted ack is acted and forwarded within this call, and a second
+    /// copy finds GTM1 no longer waiting. GTM2's effects that route nothing
+    /// (scheme aborts and violations, which GTM2 counts) are dropped here.
     pub fn handle(&mut self, at: u64, arrival: Arrival, out: &mut Vec<Outbound>) {
         self.gtm1.set_now(at);
         self.gtm2.set_now(at);
         match arrival {
-            Arrival::Gtm1(event) => self.pending.push_back(event),
-            Arrival::Ack { txn, site } => self.gtm2.enqueue(QueueOp::Ack { txn, site }),
+            Arrival::Gtm1(event) => {
+                if self.gtm1.admits_external(&event) {
+                    self.pending.push_back(event);
+                }
+            }
+            Arrival::Ack { txn, site } => {
+                if self.gtm1.admits_ack(txn, site) {
+                    self.gtm2.enqueue(QueueOp::Ack { txn, site });
+                }
+            }
         }
         loop {
             while let Some(event) = self.pending.pop_front() {
@@ -175,11 +193,9 @@ mod tests {
             let mut out = Vec::new();
             c.handle(0, Arrival::Ack { txn: G, site: S0 }, &mut out);
             assert!(out.is_empty(), "{scheme}: {out:?}");
-            // Schemes 0 and 1 keep per-site ser queues and refuse the ack
-            // themselves; Schemes 2 and 3 forward it and GTM1 refuses it.
-            let counted_by_gtm2 = matches!(scheme, SchemeKind::Scheme0 | SchemeKind::Scheme1);
-            let expected = if counted_by_gtm2 { (0, 1) } else { (1, 0) };
-            assert_eq!(violations(&c), expected, "{scheme}");
+            // GTM1 refuses it at the door; GTM2 never sees it.
+            assert_eq!(violations(&c), (1, 0), "{scheme}");
+            assert_eq!(c.gtm2().stats().enqueued, 0, "{scheme}");
         }
     }
 

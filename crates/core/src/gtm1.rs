@@ -13,15 +13,27 @@
 //! GTM1 is a pure state machine: the
 //! [`Coordinator`](crate::coordinator::Coordinator) feeds it
 //! [`Gtm1Event`]s and carries out the returned [`Gtm1Effect`]s (queueing to
-//! GTM2, commanding servers, reporting completions). A reply the
-//! transaction is not waiting for is refused and counted as a protocol
-//! violation. If any subtransaction is aborted
+//! GTM2, commanding servers, reporting completions).
+//!
+//! GTM1 is also the GTM's one door for malformed input, so GTM2 only ever
+//! sees Figure 2's order (see [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue)).
+//! It refuses, counts as a protocol violation and otherwise ignores:
+//!
+//! - a `Submit` of an id it admitted before, of a program that fails
+//!   [`GlobalTransaction::validate`], or naming a site it was not
+//!   configured with;
+//! - a reply the transaction is not waiting for, including a site's `ack`
+//!   for a `ser` GTM2 has not submitted or whose ack already came;
+//! - GTM2's own events arriving from outside the GTM.
+//!
+//! If any subtransaction is aborted
 //! locally, GTM1 aborts the global transaction everywhere and completes the
 //! remaining serialization events **vacuously** — the queue positions are
 //! honored so the conservative scheme's bookkeeping drains, but no local
 //! work runs. (Global atomic commitment is out of scope, as in the paper.)
 
 use crate::txn::{GlobalTransaction, Step, StepKind};
+use mdbs_common::dense::IdHasher;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_common::instrument::{Registry, SchedEvent, TraceSink};
@@ -29,7 +41,8 @@ use mdbs_common::ops::QueueOp;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// Commands GTM1 issues to a site's server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,10 +160,13 @@ pub struct Gtm1Stats {
     pub direct_ops: u64,
     /// Serialization events routed through GTM2.
     pub ser_ops: u64,
-    /// Events that referenced an unknown transaction or site. A correct
-    /// surrounding system never produces these; GTM1 refuses the event
-    /// and counts it rather than panicking (the scheduler must outlive
-    /// any single misbehaving server).
+    /// Malformed input refused at the door: a `Submit` of an id admitted
+    /// before, of a badly shaped program or naming an unconfigured site; a
+    /// reply or site `ack` the transaction is not waiting for; a GTM2
+    /// event arriving from outside the GTM. A correct surrounding system
+    /// never produces these; GTM1 refuses the event and counts it rather
+    /// than panicking (the scheduler must outlive any single misbehaving
+    /// server).
     pub protocol_violations: u64,
 }
 
@@ -171,8 +187,11 @@ enum Awaiting {
     Nothing,
     /// A direct server command is outstanding.
     Server(SiteId),
-    /// A `ser` op is with GTM2 (submitted, not yet acked back).
-    SerAck(SiteId),
+    /// The `ser` op at the site is in GTM2's QUEUE or WAIT.
+    Gtm2(SiteId),
+    /// GTM2 submitted the `ser` op at the site (its `SubmitSer`); its
+    /// `ack` has not come back.
+    SiteAck(SiteId),
 }
 
 #[derive(Debug)]
@@ -189,6 +208,9 @@ struct TxnCtl {
 pub struct Gtm1 {
     site_events: BTreeMap<SiteId, SerializationEvent>,
     txns: BTreeMap<GlobalTxnId, TxnCtl>,
+    /// Every id this GTM1 has admitted, live or completed: an id is
+    /// admitted once.
+    admitted: HashSet<GlobalTxnId, BuildHasherDefault<IdHasher>>,
     stats: Gtm1Stats,
     /// Run two-phase commit: every subtransaction votes (prepare) before
     /// any subtransaction commits, making global commitment atomic — the
@@ -217,6 +239,7 @@ impl Gtm1 {
         Gtm1 {
             site_events,
             txns: BTreeMap::new(),
+            admitted: HashSet::default(),
             stats: Gtm1Stats::default(),
             two_pc: false,
             sink: None,
@@ -230,6 +253,7 @@ impl Gtm1 {
         Gtm1 {
             site_events,
             txns: BTreeMap::new(),
+            admitted: HashSet::default(),
             stats: Gtm1Stats::default(),
             two_pc: true,
             sink: None,
@@ -284,19 +308,22 @@ impl Gtm1 {
     /// - `Begin` at a begin-event site becomes the `ser` op itself;
     /// - `Begin` at a ticket site is followed by the ticket `ser` op;
     /// - `Commit` at a commit-event site becomes the `ser` op.
-    fn compile(&self, gt: &GlobalTransaction) -> Vec<PlanStep> {
+    ///
+    /// `None` if the program names a site GTM1 was not configured with:
+    /// that site would be announced to GTM2 and never get its `ser`.
+    fn compile(&self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
         let mut plan = Vec::with_capacity(gt.steps.len() + 2 * gt.degree());
         for step in &gt.steps {
-            let event = self.site_events.get(&step.site).copied();
+            let event = *self.site_events.get(&step.site)?;
             match (step.kind, event) {
-                (StepKind::Begin, Some(SerializationEvent::Begin)) => {
+                (StepKind::Begin, SerializationEvent::Begin) => {
                     plan.push(PlanStep::Ser(step.site));
                 }
-                (StepKind::Begin, Some(SerializationEvent::TicketWrite)) => {
+                (StepKind::Begin, SerializationEvent::TicketWrite) => {
                     plan.push(PlanStep::Direct(*step));
                     plan.push(PlanStep::Ser(step.site));
                 }
-                (StepKind::Commit, Some(SerializationEvent::Commit)) => {
+                (StepKind::Commit, SerializationEvent::Commit) => {
                     if self.two_pc {
                         // Vote is the serialization event; the actual commit
                         // becomes the unconditional second phase.
@@ -318,7 +345,41 @@ impl Gtm1 {
                 plan.push(PlanStep::FinalCommit(site));
             }
         }
-        plan
+        Some(plan)
+    }
+
+    /// The plan of a program GTM1 may admit: its id was never admitted
+    /// before, its shape passes [`GlobalTransaction::validate`], and every
+    /// site it names is configured. Records the id as admitted.
+    fn admit(&mut self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
+        gt.validate().ok()?;
+        let plan = self.compile(gt)?;
+        self.admitted.insert(gt.id).then_some(plan)
+    }
+
+    /// Whether an event from outside the GTM (a driver or a site server)
+    /// may reach GTM1. GTM2's own events come only from GTM2's effects, so
+    /// an outside `Gtm2SubmitSer` or `Gtm2Ack` is refused and counted.
+    pub(crate) fn admits_external(&mut self, event: &Gtm1Event) -> bool {
+        match event {
+            Gtm1Event::Gtm2SubmitSer { .. } | Gtm1Event::Gtm2Ack { .. } => {
+                self.stats.protocol_violations += 1;
+                false
+            }
+            Gtm1Event::Submit(_)
+            | Gtm1Event::ServerDone { .. }
+            | Gtm1Event::ServerFailed { .. }
+            | Gtm1Event::SerEventFailed { .. } => true,
+        }
+    }
+
+    /// Whether a site's `ack(ser_site(txn))` may reach GTM2: GTM1 waits
+    /// for exactly that ack, because GTM2 submitted the `ser` and its ack
+    /// has not come. Anything else (a duplicate, an ack before its `ser`
+    /// was submitted, at a site the transaction never announced, or for an
+    /// id never submitted) is refused and counted.
+    pub(crate) fn admits_ack(&mut self, txn: GlobalTxnId, site: SiteId) -> bool {
+        self.awaiting_ctl(txn, Awaiting::SiteAck(site)).is_some()
     }
 
     /// Handle an event, producing effects.
@@ -327,7 +388,10 @@ impl Gtm1 {
         match event {
             Gtm1Event::Submit(gt) => {
                 let txn = gt.id;
-                let plan = self.compile(&gt);
+                let Some(plan) = self.admit(&gt) else {
+                    self.stats.protocol_violations += 1;
+                    return effects;
+                };
                 let sites = gt.sites();
                 self.stats.submitted += 1;
                 effects.push(Gtm1Effect::EnqueueGtm2(QueueOp::Init { txn, sites }));
@@ -365,9 +429,10 @@ impl Gtm1 {
                     self.stats.protocol_violations += 1;
                     return effects;
                 };
-                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SerAck(site)) else {
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Gtm2(site)) else {
                     return effects;
                 };
+                ctl.awaiting = Awaiting::SiteAck(site);
                 let vacuous = ctl.zombie.is_some();
                 if !vacuous && event == SerializationEvent::Begin {
                     ctl.live_sites.insert(site);
@@ -388,7 +453,7 @@ impl Gtm1 {
                     self.stats.protocol_violations += 1;
                     return effects;
                 };
-                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SerAck(site)) else {
+                let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SiteAck(site)) else {
                     return effects;
                 };
                 // A successful commit-event terminates the subtransaction
@@ -499,7 +564,7 @@ impl Gtm1 {
                     return;
                 }
                 PlanStep::Ser(site) => {
-                    ctl.awaiting = Awaiting::SerAck(site);
+                    ctl.awaiting = Awaiting::Gtm2(site);
                     self.stats.ser_ops += 1;
                     effects.push(Gtm1Effect::EnqueueGtm2(QueueOp::Ser { txn, site }));
                     return;

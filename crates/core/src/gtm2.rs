@@ -77,8 +77,10 @@ pub struct Gtm2Stats {
     pub peak_wait: u64,
     /// Peak number of concurrently active transactions (`n` observed).
     pub peak_active: u64,
-    /// Malformed operations detected (unmatched fins, out-of-order acks —
-    /// surfaced by schemes as [`SchemeEffect::ProtocolViolation`]).
+    /// Broken internal invariants a scheme reported as
+    /// [`SchemeEffect::ProtocolViolation`]: today only Scheme 2's dense
+    /// kernel, when its dependency accounting desyncs. Malformed input is
+    /// refused before GTM2 (see [`Gtm2::enqueue`]), so this stays 0.
     pub protocol_violations: u64,
 }
 
@@ -173,6 +175,22 @@ impl Gtm2 {
     }
 
     /// Insert an operation at the end of QUEUE.
+    ///
+    /// Every caller keeps Figure 2's order, and GTM2 and its kernels
+    /// assume it (debug builds assert parts of it):
+    ///
+    /// - an `init_i` names no live transaction;
+    /// - a `ser_k(G_i)` follows `init_i`, names a site `init_i` announced,
+    ///   and is sent once;
+    /// - an `ack(ser_k(G_i))` follows the `SubmitSer` of its `ser`, and is
+    ///   sent once;
+    /// - a `fin_i` follows `init_i`, and is sent once. It may come before
+    ///   the transaction's acks (a baseline's aborted victim does).
+    ///
+    /// The callers are GTM1 behind the
+    /// [`Coordinator`](crate::coordinator::Coordinator)'s door, the replay
+    /// harness ([`crate::replay`]) and the benchmark's inline drain.
+    /// Malformed input from outside is refused at the door, never here.
     pub fn enqueue(&mut self, op: QueueOp) {
         enqueue_into(&mut self.slot, &mut self.core, op);
     }
@@ -403,10 +421,8 @@ fn process_op(
 ) {
     // Pre-init gate: with several slots a `ser` can reach its site's slot
     // before slot 0 has acted the `init`. Park it; the `init`'s handoff
-    // releases it. (With one slot a genuinely init-less `ser` is instead
-    // flagged by the scheme as SerWithoutInit; for well-formed input —
-    // GTM1 always announces before serializing — the gate never observably
-    // differs.)
+    // releases it. (With one slot the `init` was acted first: every caller
+    // announces a transaction before serializing it.)
     if ctx.nshards > 1 && op.kind() == QueueOpKind::Ser && !global.inited.contains(&op.txn()) {
         core.pre_init.entry(op.txn()).or_default().push((seq, op));
         return;
@@ -425,12 +441,8 @@ fn process_op(
     }
     let kind = op.kind();
     let wait_event = SchedEvent::wait(&op);
-    if !core.wait.insert(op, global.steps.cond - cond_before) {
-        // The same operation is already waiting: it was sent twice. The
-        // first copy stays and nothing new waits.
-        global.stats.protocol_violations += 1;
-        return;
-    }
+    let inserted = core.wait.insert(op, global.steps.cond - cond_before);
+    debug_assert!(inserted, "an operation was enqueued twice");
     if let Some(sink) = &mut global.sink {
         sink.record(global.clock, wait_event);
     }
@@ -764,12 +776,7 @@ fn note_processed(op: &QueueOp, global: &mut GlobalCore) {
         }
         QueueOpKind::Fin => {
             global.stats.fins += 1;
-            // An unmatched fin must not underflow the active count
-            // (and thereby skew peak_active for the rest of the run).
-            match global.active.checked_sub(1) {
-                Some(a) => global.active = a,
-                None => global.stats.protocol_violations += 1,
-            }
+            global.active -= 1;
         }
         QueueOpKind::Ser | QueueOpKind::Ack => {}
     }

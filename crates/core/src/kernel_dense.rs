@@ -16,10 +16,10 @@
 //! hard invariant — the abstract complexity measurements (Theorems 4, 6, 9)
 //! must not depend on which kernel ran — and is enforced by the
 //! `kernel_equivalence` property suite and the `step_gate` CI gate. The
-//! kernels may diverge from the reference only on *protocol-violating*
-//! inputs (where the reference's id-keyed maps remember dead ids that a
-//! slot-recycling kernel cannot represent); valid GTM2 scripts never reach
-//! those paths, and each is commented at the site.
+//! kernels are equivalent to the reference on every stream GTM2 can
+//! receive: every caller keeps Figure 2's order (see
+//! [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue)), and GTM1 refuses
+//! malformed input before it reaches GTM2.
 //!
 //! Machine-cost improvements with no counted-step footprint:
 //!
@@ -41,11 +41,8 @@
 //!   - after a woken `ser_k`, the other sers at `s_k` still on the
 //!     worklist (`ser_blocked_at`): `s_k` now has an outstanding `ser`.
 //!
-//!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits, which is what
-//!   lets the engine sum the charges WAIT recorded. A duplicate `init` of a
-//!   transaction whose fin waits rewrites `Ĝ_i` and breaks that: it is the
-//!   one protocol-violating input where the dense charge can differ from
-//!   the reference (see `act(init)`).
+//!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits (`init_i` comes
+//!   once), which is what lets the engine sum the charges WAIT recorded.
 //! - Scheme 2 keeps one record per TSG edge ([`DenseTsgd`]): its column
 //!   position, both halves of its dependencies, and whether it has run and
 //!   been acked. `Eliminate_Cycles` reads a column's blocked set and the
@@ -67,9 +64,6 @@
 //!   - after a woken `ser_k`, the other sers at `s_k` still on the worklist
 //!     (`ser_blocked_at`): `last_k` is now unacked, so each fails at its
 //!     second step.
-//!
-//!   A duplicate `init` that leaves a live row empty records it too, so the
-//!   dense charge matches the reference's on that input as well.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
@@ -116,8 +110,6 @@ pub struct Scheme1Dense {
     /// Site slot → has an insert queue (some `init` announced the site);
     /// doubles as "site node exists in the TSG".
     iq_exists: Vec<bool>,
-    /// Site slot → has a delete queue (some `ack` ran at the site).
-    dq_exists: Vec<bool>,
     /// Txn slot → marked site slots.
     marked: Vec<DenseBitSet>,
     /// Site slot → submitted-but-unacked transaction.
@@ -165,7 +157,6 @@ impl Scheme1Dense {
             self.insert_queues.resize_with(n, VecDeque::new);
             self.delete_queues.resize_with(n, VecDeque::new);
             self.iq_exists.resize(n, false);
-            self.dq_exists.resize(n, false);
             self.outstanding.resize(n, None);
         }
     }
@@ -177,7 +168,6 @@ impl Scheme1Dense {
     fn delete_front(&self, site: SiteId) -> Option<GlobalTxnId> {
         self.sites
             .slot_of(&site)
-            .filter(|&ss| self.dq_exists[ss as usize])
             .and_then(|ss| self.delete_queues[ss as usize].front().copied())
     }
 
@@ -271,15 +261,7 @@ impl Gtm2Scheme for Scheme1Dense {
                     }
                     self.insert_queues[ss as usize].push_back(*txn);
                 }
-                // A duplicate `init` (a protocol violation) overwrites Ĝ_i,
-                // as in the reference. If `fin_i` is waiting, its `cond`
-                // now charges `1 + |new Ĝ_i|` while WAIT still holds the
-                // old figure, and with an empty new Ĝ_i it passes without
-                // `G_i` heading any delete queue. The reference re-tests it
-                // literally; the closed-form fin charges here read WAIT's
-                // figure and re-test only delete-queue fronts, so this is
-                // the one input where the dense charge can differ from the
-                // reference (debug builds assert that it does not arise).
+                debug_assert!(self.sites_map[ts as usize].is_none(), "{txn} inited twice");
                 self.sites_map[ts as usize] = Some(sites.clone());
                 // Same V + E charge as the reference's bridge DFS — the
                 // union-find shortcut is a machine-cost optimization, not
@@ -328,35 +310,26 @@ impl Gtm2Scheme for Scheme1Dense {
                 }]
             }
             QueueOp::Ack { txn, site } => {
-                // A malformed ack is refused and leaves the site's
-                // outstanding `ser` in place, as in the reference kernel.
-                let Some(ss) = self
-                    .sites
-                    .slot_of(site)
-                    .filter(|&ss| self.iq_exists[ss as usize])
-                else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::UnknownSite,
-                    }];
-                };
+                // The ack follows its `ser`'s submission (see
+                // `Gtm2::enqueue`): `init` interned the site and `txn`, and
+                // `txn` is the site's outstanding transaction.
+                let ss = self.sites.intern(*site);
+                self.ensure_site_rows(ss);
+                debug_assert_eq!(
+                    self.outstanding[ss as usize],
+                    Some(*txn),
+                    "ack of {txn} at {site}"
+                );
                 let q = &mut self.insert_queues[ss as usize];
                 let pos = q.iter().position(|t| t == txn);
-                let Some(pos) = pos.filter(|_| self.outstanding[ss as usize] == Some(*txn)) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::AckNotQueued,
-                    }];
-                };
-                steps.bump(StepKind::Act, pos as u64 + 1);
-                q.remove(pos);
+                if let Some(pos) = pos {
+                    q.remove(pos);
+                }
+                steps.bump(StepKind::Act, pos.unwrap_or_default() as u64 + 1);
                 self.outstanding[ss as usize] = None;
                 if let Some(ts) = self.txns.slot_of(txn) {
                     self.marked[ts as usize].remove(ss);
                 }
-                self.dq_exists[ss as usize] = true;
                 self.delete_queues[ss as usize].push_back(*txn);
                 vec![SchemeEffect::ForwardAck {
                     txn: *txn,
@@ -364,34 +337,15 @@ impl Gtm2Scheme for Scheme1Dense {
                 }]
             }
             QueueOp::Fin { txn } => {
+                // `cond(fin)` held: `txn` heads the delete queue of every
+                // site `init` announced, and every such site has a slot.
                 let Some(ts) = self.txns.slot_of(txn) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: None,
-                        kind: ProtocolViolationKind::UnmatchedFin,
-                    }];
+                    return Vec::new();
                 };
-                let Some(announced) = self.sites_map[ts as usize].take() else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: None,
-                        kind: ProtocolViolationKind::UnmatchedFin,
-                    }];
-                };
-                let mut effects = Vec::new();
                 let mut removed_any = false;
-                for &site in &announced {
+                for site in self.sites_map[ts as usize].take().unwrap_or_default() {
                     steps.tick(StepKind::Act);
-                    let Some(ss) = self
-                        .sites
-                        .slot_of(&site)
-                        .filter(|&ss| self.dq_exists[ss as usize])
-                    else {
-                        effects.push(SchemeEffect::ProtocolViolation {
-                            txn: *txn,
-                            site: Some(site),
-                            kind: ProtocolViolationKind::UnknownSite,
-                        });
+                    let Some(ss) = self.sites.slot_of(&site) else {
                         continue;
                     };
                     let front = self.delete_queues[ss as usize].pop_front();
@@ -400,14 +354,6 @@ impl Gtm2Scheme for Scheme1Dense {
                         self.edge_count -= 1;
                         removed_any = true;
                     }
-                }
-                // Mirror of the reference's `remove_node`: strip edges a
-                // skipped (unknown-site) iteration left behind.
-                let leftover = self.edges[ts as usize].len();
-                if leftover > 0 {
-                    self.edge_count -= leftover;
-                    self.edges[ts as usize].clear();
-                    removed_any = true;
                 }
                 if self.has_node[ts as usize] {
                     self.has_node[ts as usize] = false;
@@ -418,7 +364,7 @@ impl Gtm2Scheme for Scheme1Dense {
                     self.dsu_dirty = true;
                 }
                 self.txns.release(txn);
-                effects
+                Vec::new()
             }
         }
     }
@@ -516,20 +462,11 @@ impl Gtm2Scheme for Scheme1Dense {
 /// whether the ack came are two flags on the TSG edge (`ran`, `acked`),
 /// and each edge counts its dependency predecessors still unacked, so
 /// `cond(ser)` is one counter read (no dependency-list scan, no walk of
-/// the predecessors).
-///
-/// The `fb_*` fallbacks hold `(txn, site)` pairs recorded when no TSG edge
-/// exists to carry the flag (protocol-violating inputs only — an
-/// `ack`/`ser` for a transaction or site the TSGD does not know). The
-/// reference remembers such pairs by id until the transaction's `fin`; an
-/// edge vanishes at `fin` and its slots recycle, so they live in a plain
-/// set (never touched on valid runs), and an `init` that creates the edge
-/// of an early `ack` marks it acked.
+/// the predecessors). Every `ser` and `ack` names an edge its `init`
+/// created (see [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue)).
 #[derive(Clone, Debug, Default)]
 pub struct Scheme2Dense {
     tsgd: DenseTsgd,
-    fb_executed: BTreeSet<(GlobalTxnId, SiteId)>,
-    fb_acked: BTreeSet<(GlobalTxnId, SiteId)>,
     /// Scratch for two-phase collect-then-mutate loops: the txn slots of
     /// the column members a dependency fan picked.
     scratch: Vec<u32>,
@@ -543,10 +480,9 @@ impl Scheme2Dense {
         Self::default()
     }
 
-    /// Has `act(ser)` run for column member `(j, js)` at `site`?
-    fn ran_at(&self, (j, js): (GlobalTxnId, u32), site: SiteId) -> bool {
+    /// Has `act(ser)` run for the column member in slot `js` at `site`?
+    fn ran_at(&self, js: u32, site: SiteId) -> bool {
         self.tsgd.edge(js, site).is_some_and(|e| e.ran)
-            || (!self.fb_executed.is_empty() && self.fb_executed.contains(&(j, site)))
     }
 }
 
@@ -585,15 +521,6 @@ impl Gtm2Scheme for Scheme2Dense {
             QueueOp::Init { txn, sites } => {
                 let ts = self.tsgd.insert_txn(*txn, sites);
                 steps.bump(StepKind::Act, sites.len() as u64);
-                // An ack that came before its edge (a protocol violation)
-                // lands on the edge now.
-                if !self.fb_acked.is_empty() {
-                    for &site in sites {
-                        if self.fb_acked.contains(&(*txn, site)) {
-                            self.tsgd.mark_acked(ts, site);
-                        }
-                    }
-                }
                 for &site in sites {
                     let Some(ss) = self.tsgd.site_slot(site) else {
                         steps.bump(StepKind::Act, 1);
@@ -603,7 +530,7 @@ impl Gtm2Scheme for Scheme2Dense {
                     // there.
                     self.scratch.clear();
                     for &(j, js) in self.tsgd.txns_col(ss) {
-                        if j != *txn && self.ran_at((j, js), site) {
+                        if j != *txn && self.ran_at(js, site) {
                             self.scratch.push(js);
                         }
                     }
@@ -619,17 +546,16 @@ impl Gtm2Scheme for Scheme2Dense {
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ts = self.tsgd.txn_slot(*txn);
-                match ts.and_then(|ts| self.tsgd.edge_mut(ts, *site)) {
-                    Some(edge) => edge.ran = true,
-                    None => {
-                        self.fb_executed.insert((*txn, *site));
-                    }
+                let edge = ts.and_then(|ts| self.tsgd.edge_mut(ts, *site));
+                debug_assert!(edge.is_some(), "ser of {txn} at {site} has no TSG edge");
+                if let Some(edge) = edge {
+                    edge.ran = true;
                 }
                 if let Some(ss) = self.tsgd.site_slot(*site) {
                     // `txn` precedes everyone not yet executed at `site`.
                     self.scratch.clear();
                     for &(j, js) in self.tsgd.txns_col(ss) {
-                        if j != *txn && !self.ran_at((j, js), *site) {
+                        if j != *txn && !self.ran_at(js, *site) {
                             self.scratch.push(js);
                         }
                     }
@@ -650,9 +576,8 @@ impl Gtm2Scheme for Scheme2Dense {
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ts = self.tsgd.txn_slot(*txn);
-                if !ts.is_some_and(|ts| self.tsgd.mark_acked(ts, *site)) {
-                    self.fb_acked.insert((*txn, *site));
-                }
+                let acked = ts.is_some_and(|ts| self.tsgd.mark_acked(ts, *site));
+                debug_assert!(acked, "ack of {txn} at {site} has no TSG edge");
                 vec![SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
@@ -665,12 +590,6 @@ impl Gtm2Scheme for Scheme2Dense {
                     .map_or(0, |ts| self.tsgd.row(ts).len());
                 steps.bump(StepKind::Act, announced as u64 + 1);
                 self.tsgd.remove_txn(*txn);
-                if !self.fb_executed.is_empty() {
-                    self.fb_executed.retain(|(t, _)| t != txn);
-                }
-                if !self.fb_acked.is_empty() {
-                    self.fb_acked.retain(|(t, _)| t != txn);
-                }
                 // A checked decrement failed inside remove_txn: surface it
                 // as a counted violation instead of a scheduler panic.
                 if self.tsgd.take_desync() > 0 {
@@ -838,8 +757,8 @@ fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
 ///
 /// `cond(fin_i)` holds iff row `i` is all zero, so a `fin` that failed can
 /// pass only once its row empties, and only `act(fin)` takes bits out of a
-/// live row (a duplicate `init` can too, by rewriting it). Those rows are
-/// tracked in `emptied`, and a fin wake re-tests only their fins.
+/// live row. Those rows are tracked in `emptied`, and a fin wake re-tests
+/// only their fins.
 ///
 /// Transaction slots recycle at `fin`; site slots are permanent (the
 /// reference keeps `sets`/`last` entries for ever).
@@ -851,25 +770,18 @@ pub struct Scheme3Dense {
     ser_bef: BitMatrix,
     /// Txn slot → does the reference map have a `ser_bef` entry?
     live: Vec<bool>,
-    /// Live txn slots whose row an `act(fin)` or a duplicate `init` left
-    /// all zero, and which no `act(ser)` has OR'd into since.
+    /// Live txn slots whose row an `act(fin)` left all zero, and which no
+    /// `act(ser)` has OR'd into since.
     emptied: DenseBitSet,
     /// Number of live rows — the reference's `ser_bef.len()`.
     ser_bef_len: usize,
-    /// Site slot → `last_k` (stored by id, like the reference — the id may
-    /// outlive the transaction's slot on violating runs).
+    /// Site slot → `last_k` (stored by id, like the reference; `act(fin)`
+    /// clears it before the transaction's slot recycles).
     last: Vec<Option<GlobalTxnId>>,
     /// Site slot → `set_k` as a bitset over txn slots.
     sets: Vec<DenseBitSet>,
-    /// Site slot → does the reference `sets` map have this entry (some
-    /// `init` announced the site)?
-    site_has_set: Vec<bool>,
     /// Txn slot → acked site slots.
     acked: Vec<DenseBitSet>,
-    /// Acked pairs that must outlive the transaction's slot (acks at
-    /// never-announced sites — violating runs only; the reference keeps
-    /// them by id forever).
-    fb_acked: BTreeSet<(GlobalTxnId, SiteId)>,
     /// Txn slot → announced site list.
     sites_map: Vec<Option<Vec<SiteId>>>,
     /// One matrix row of scratch: `act(init)`'s new row and `act(ser)`'s
@@ -916,17 +828,14 @@ impl Scheme3Dense {
         if self.last.len() < n {
             self.last.resize(n, None);
             self.sets.resize_with(n, DenseBitSet::new);
-            self.site_has_set.resize(n, false);
         }
     }
 
     fn acked_pair(&self, l: GlobalTxnId, site: SiteId) -> bool {
-        if let (Some(lt), Some(ss)) = (self.txns.slot_of(&l), self.sites.slot_of(&site)) {
-            if self.acked[lt as usize].contains(ss) {
-                return true;
-            }
+        match (self.txns.slot_of(&l), self.sites.slot_of(&site)) {
+            (Some(lt), Some(ss)) => self.acked[lt as usize].contains(ss),
+            _ => false,
         }
-        !self.fb_acked.is_empty() && self.fb_acked.contains(&(l, site))
     }
 }
 
@@ -951,11 +860,7 @@ impl Gtm2Scheme for Scheme3Dense {
                         }
                     }
                 }
-                let set = self
-                    .sites
-                    .slot_of(site)
-                    .filter(|&ss| self.site_has_set[ss as usize])
-                    .map(|ss| &self.sets[ss as usize]);
+                let set = self.sites.slot_of(site).map(|ss| &self.sets[ss as usize]);
                 // A row that is not live is all zero: it charges nothing
                 // and meets nothing, as the reference's missing entry.
                 match (self.txns.slot_of(txn), set) {
@@ -985,7 +890,6 @@ impl Gtm2Scheme for Scheme3Dense {
                     steps.tick(StepKind::Act);
                     let ss = self.sites.intern(site);
                     self.ensure_site_rows(ss);
-                    self.site_has_set[ss as usize] = true;
                     self.sets[ss as usize].insert(ts);
                     if let Some(l) = self.last[ss as usize] {
                         if let Some(lt) = self.txns.slot_of(&l) {
@@ -996,45 +900,24 @@ impl Gtm2Scheme for Scheme3Dense {
                             }
                             self.scratch_row[lt as usize / 64] |= 1 << (lt % 64);
                         }
-                        // A `last` id with no live slot can only arise on a
-                        // protocol-violating run (its fin already
-                        // processed); the reference would remember the
-                        // dead id, which a recycling kernel cannot.
                     }
                 }
-                if self.live[ts as usize] {
-                    // A duplicate `init` (a protocol violation) rewrites a
-                    // live row, which may be a waiting fin's: one it leaves
-                    // empty can pass.
-                    if self.scratch_row.iter().all(|&w| w == 0) {
-                        self.emptied.insert(ts);
-                    } else {
-                        self.emptied.remove(ts);
-                    }
-                } else {
-                    self.live[ts as usize] = true;
-                    self.ser_bef_len += 1;
-                }
+                debug_assert!(!self.live[ts as usize], "{txn} inited twice");
+                self.live[ts as usize] = true;
+                self.ser_bef_len += 1;
                 self.ser_bef.row_mut(ts).copy_from_slice(&self.scratch_row);
                 self.sites_map[ts as usize] = Some(sites.clone());
                 Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
-                let Some(ss) = self
-                    .sites
-                    .slot_of(site)
-                    .filter(|&ss| self.site_has_set[ss as usize])
-                else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::SerWithoutInit,
-                    }];
-                };
+                let ss = self.sites.intern(*site);
+                self.ensure_site_rows(ss);
                 let ts = self.txns.intern(*txn);
                 self.ensure_txn_rows(ts);
-                self.sets[ss as usize].remove(ts);
+                // `init_i` announced the site (see `Gtm2::enqueue`).
+                let pending = self.sets[ss as usize].remove(ts);
+                debug_assert!(pending, "ser of {txn} at {site} not announced by its init");
                 self.last[ss as usize] = Some(*txn);
                 // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the scratch row.
                 let set1 = &mut self.scratch_row;
@@ -1075,11 +958,10 @@ impl Gtm2Scheme for Scheme3Dense {
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
-                let ts = self.txns.intern(*txn);
-                self.ensure_txn_rows(ts);
-                let ss = self.sites.intern(*site);
-                self.ensure_site_rows(ss);
-                self.acked[ts as usize].insert(ss);
+                // The ack follows its `ser`, so both have slots.
+                if let (Some(ts), Some(ss)) = (self.txns.slot_of(txn), self.sites.slot_of(site)) {
+                    self.acked[ts as usize].insert(ss);
+                }
                 vec![SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
@@ -1129,14 +1011,10 @@ impl Gtm2Scheme for Scheme3Dense {
                 for set in self.sets.iter_mut() {
                     set.remove(ts);
                 }
-                // Acked pairs at never-announced sites outlive the slot in
-                // the reference; park them under the id before recycling.
-                for ss in self.acked[ts as usize].iter() {
-                    if let Some(site) = self.sites.key_of(ss) {
-                        self.fb_acked.insert((*txn, site));
-                    }
-                }
-                self.acked[ts as usize].clear();
+                debug_assert!(
+                    self.acked[ts as usize].is_empty(),
+                    "{txn} acked at an unannounced site"
+                );
                 self.txns.release(txn);
                 Vec::new()
             }

@@ -249,10 +249,10 @@ pub struct ReplayOutcome {
     pub ser_serializable: bool,
     /// Transactions that completed (fin processed).
     pub completed: usize,
-    /// Protocol violations reported by the scheme during the replay.
-    /// Scripts are validated and acks are generated by the harness, so a
-    /// non-zero count indicates a scheme bug; the count is surfaced (not
-    /// panicked on) so callers can assert on it.
+    /// The engine's `protocol_violations`: broken internal invariants the
+    /// scheme reported. Scripts are validated and acks are generated by
+    /// the harness, so a non-zero count indicates a scheme bug; the count
+    /// is surfaced (not panicked on) so callers can assert on it.
     pub protocol_violations: u64,
     /// The acted `ser(S)` events in act order, as `(txn, site)` — lets
     /// differential tests compare per-site serialization orders between
@@ -405,7 +405,7 @@ fn run_script<E: ReplayEngine>(engine: &mut E, script: &Script) -> ReplayOutcome
         ser_serializable: seen.ser_log.check_excluding(&aborted).is_ok(),
         ser_events: seen.ser_log.events().to_vec(),
         aborted,
-        protocol_violations: ctl.protocol_violations,
+        protocol_violations: seen.stats.protocol_violations,
         wake_scan_count: seen.wake_scan.0,
         wake_scan_sum: seen.wake_scan.1,
     }
@@ -417,7 +417,6 @@ struct DrainCtl {
     acks_needed: BTreeMap<GlobalTxnId, usize>,
     aborted: BTreeSet<GlobalTxnId>,
     fin_sent: BTreeSet<GlobalTxnId>,
-    protocol_violations: u64,
 }
 
 /// Pump and respond to effects (acks, fins) until quiescent.
@@ -454,13 +453,8 @@ fn drain<E: ReplayEngine>(engine: &mut E, ctl: &mut DrainCtl) {
                         engine.enqueue_op(QueueOp::Fin { txn });
                     }
                 }
-                SchemeEffect::ProtocolViolation { .. } => {
-                    // Scripts are validated and acks are generated by this
-                    // harness, so a violation here is a scheme bug. Count
-                    // it (surfaced via ReplayOutcome) instead of bringing
-                    // the replay down.
-                    ctl.protocol_violations += 1;
-                }
+                // Counted by the engine, surfaced via ReplayOutcome.
+                SchemeEffect::ProtocolViolation { .. } => {}
             }
         }
     }

@@ -16,9 +16,7 @@
 //! and after `act(ack(ser_k(G_i)))` only the *new front* of `s_k`'s queue
 //! can have become eligible — a single wake candidate.
 
-use crate::scheme::{
-    Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
-};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates, WakeScope};
 use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
@@ -76,51 +74,18 @@ impl Gtm2Scheme for Scheme0 {
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
-                // Acks are produced by site servers; a malformed one must
-                // not panic the scheduler or silently corrupt the queue.
-                let Some(q) = self.queues.get_mut(site) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::UnknownSite,
-                    }];
-                };
-                match q.front() {
-                    Some(front) if front == txn => {
-                        q.pop_front();
-                        vec![SchemeEffect::ForwardAck {
-                            txn: *txn,
-                            site: *site,
-                        }]
-                    }
-                    _ => {
-                        // Out of order: remove exactly this transaction if
-                        // queued (keeping everyone else's positions) and
-                        // still forward — the local DBMS genuinely acked,
-                        // and GTM1 is waiting on it.
-                        match q.iter().position(|t| t == txn) {
-                            Some(pos) => {
-                                q.remove(pos);
-                                vec![
-                                    SchemeEffect::ProtocolViolation {
-                                        txn: *txn,
-                                        site: Some(*site),
-                                        kind: ProtocolViolationKind::AckOutOfOrder,
-                                    },
-                                    SchemeEffect::ForwardAck {
-                                        txn: *txn,
-                                        site: *site,
-                                    },
-                                ]
-                            }
-                            None => vec![SchemeEffect::ProtocolViolation {
-                                txn: *txn,
-                                site: Some(*site),
-                                kind: ProtocolViolationKind::AckNotQueued,
-                            }],
-                        }
-                    }
-                }
+                // Only the front's `ser` at a site can have been submitted,
+                // and its ack comes once (see `Gtm2::enqueue`).
+                let front = self.queues.get_mut(site).and_then(VecDeque::pop_front);
+                debug_assert_eq!(
+                    front,
+                    Some(*txn),
+                    "ack of {txn} at {site} is not the front's"
+                );
+                vec![SchemeEffect::ForwardAck {
+                    txn: *txn,
+                    site: *site,
+                }]
             }
             QueueOp::Fin { .. } => {
                 steps.tick(StepKind::Act);

@@ -15,9 +15,7 @@
 //! cycle iff it is not a bridge — which is what gives Theorem 4's
 //! `O(m + n + n·d_av)` bound (one DFS per `init`, not one per edge).
 
-use crate::scheme::{
-    Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
-};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates, WakeScope};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
@@ -151,27 +149,20 @@ impl Gtm2Scheme for Scheme1 {
             }
             QueueOp::Ack { txn, site } => {
                 // Delete from the insert queue (note: not necessarily the
-                // front — unmarked operations overtake marked ones). A
-                // malformed ack is refused, not panicked on: acks come
-                // from site servers, outside the scheduler's trust base.
-                // Refusing leaves the site's outstanding `ser` in place.
-                let Some(q) = self.insert_queues.get_mut(site) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::UnknownSite,
-                    }];
-                };
-                let pos = q.iter().position(|t| t == txn);
-                let Some(pos) = pos.filter(|_| self.outstanding.get(site) == Some(txn)) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::AckNotQueued,
-                    }];
-                };
-                steps.bump(StepKind::Act, pos as u64 + 1);
-                q.remove(pos);
+                // front — unmarked operations overtake marked ones). The
+                // ack follows its `ser`'s submission (see `Gtm2::enqueue`),
+                // so `txn` is the site's outstanding transaction.
+                debug_assert_eq!(
+                    self.outstanding.get(site),
+                    Some(txn),
+                    "ack of {txn} at {site}"
+                );
+                let pos = self.insert_queues.get_mut(site).and_then(|q| {
+                    let pos = q.iter().position(|t| t == txn)?;
+                    q.remove(pos);
+                    Some(pos)
+                });
+                steps.bump(StepKind::Act, pos.unwrap_or_default() as u64 + 1);
                 self.outstanding.remove(site);
                 self.marked.remove(&(*txn, *site));
                 self.delete_queues.entry(*site).or_default().push_back(*txn);
@@ -181,31 +172,20 @@ impl Gtm2Scheme for Scheme1 {
                 }]
             }
             QueueOp::Fin { txn } => {
-                let Some(sites) = self.sites.remove(txn) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: None,
-                        kind: ProtocolViolationKind::UnmatchedFin,
-                    }];
-                };
-                let mut effects = Vec::new();
-                for &site in &sites {
+                // `cond(fin)` held: `txn` heads the delete queue of every
+                // site `init` announced.
+                for site in self.sites.remove(txn).unwrap_or_default() {
                     steps.tick(StepKind::Act);
-                    let Some(q) = self.delete_queues.get_mut(&site) else {
-                        effects.push(SchemeEffect::ProtocolViolation {
-                            txn: *txn,
-                            site: Some(site),
-                            kind: ProtocolViolationKind::UnknownSite,
-                        });
-                        continue;
-                    };
-                    let front = q.pop_front();
+                    let front = self
+                        .delete_queues
+                        .get_mut(&site)
+                        .and_then(VecDeque::pop_front);
                     debug_assert_eq!(front, Some(*txn), "cond(fin) guaranteed front");
                     self.tsg
                         .remove_edge(TsgNode::Txn(*txn), TsgNode::Site(site));
                 }
                 self.tsg.remove_node(TsgNode::Txn(*txn));
-                effects
+                Vec::new()
             }
         }
     }

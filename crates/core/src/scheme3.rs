@@ -23,7 +23,7 @@
 //! order. Complexity `O(n²·d_av)` (Theorem 9), dominated by the
 //! `ser_bef` propagation at `act(ser)`.
 
-use crate::scheme::{Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
@@ -119,14 +119,9 @@ impl Gtm2Scheme for Scheme3 {
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
-                let Some(set) = self.sets.get_mut(site) else {
-                    return vec![SchemeEffect::ProtocolViolation {
-                        txn: *txn,
-                        site: Some(*site),
-                        kind: ProtocolViolationKind::SerWithoutInit,
-                    }];
-                };
-                set.remove(txn);
+                // `init_i` announced the site (see `Gtm2::enqueue`).
+                let pending = self.sets.get_mut(site).is_some_and(|set| set.remove(txn));
+                debug_assert!(pending, "ser of {txn} at {site} not announced by its init");
                 self.last.insert(*site, *txn);
                 // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}. Ĝ_i's own row is taken out
                 // of the map for the duration (it is never a target — no

@@ -324,8 +324,8 @@ impl DenseTsgd {
     }
 
     /// Add a dependency. Debug-asserts both edges exist (like the
-    /// reference); silently skips if one does not, which can only happen on
-    /// protocol-violating inputs.
+    /// reference); silently skips if one does not, which only input
+    /// outside Figure 2's order could cause, and GTM2 never receives it.
     pub fn add_dep(&mut self, dep: Dep) {
         match (
             self.txns.slot_of(&dep.before),

@@ -51,10 +51,20 @@ pub struct GlobalTransaction {
 }
 
 impl GlobalTransaction {
-    /// Create a transaction, validating the program shape: per site exactly
-    /// one `Begin` (first step at that site) and one `Commit` (last step at
-    /// that site), with accesses in between.
+    /// Create a transaction, validating the program shape (see
+    /// [`GlobalTransaction::validate`]).
     pub fn new(id: GlobalTxnId, steps: Vec<Step>) -> Result<Self, String> {
+        let gt = GlobalTransaction { id, steps };
+        gt.validate()?;
+        Ok(gt)
+    }
+
+    /// Check the program shape: per site exactly one `Begin` (first step at
+    /// that site) and one `Commit` (last step at that site), with accesses
+    /// in between. The fields are public, so a program built as a struct
+    /// literal skips [`GlobalTransaction::new`]; GTM1 checks again at
+    /// admission.
+    pub fn validate(&self) -> Result<(), String> {
         use std::collections::BTreeMap;
         #[derive(PartialEq)]
         enum Phase {
@@ -62,11 +72,12 @@ impl GlobalTransaction {
             Active,
             Done,
         }
+        let id = self.id;
         let mut phases: BTreeMap<SiteId, Phase> = BTreeMap::new();
-        if steps.is_empty() {
+        if self.steps.is_empty() {
             return Err(format!("{id}: empty program"));
         }
-        for step in &steps {
+        for step in &self.steps {
             let p = phases.entry(step.site).or_insert(Phase::Fresh);
             match step.kind {
                 StepKind::Begin => {
@@ -96,7 +107,7 @@ impl GlobalTransaction {
                 return Err(format!("{id}: subtransaction at {site} never commits"));
             }
         }
-        Ok(GlobalTransaction { id, steps })
+        Ok(())
     }
 
     /// Builder: start a program.

@@ -1,13 +1,13 @@
-//! Instrumentation-layer integration tests: structured protocol-violation
-//! effects, the GTM2 active-count clamp, sink toggling mid-run, and the
-//! guarantee that attaching a sink never changes scheduling behavior.
+//! Instrumentation-layer integration tests: sink toggling mid-run, sink
+//! timestamps, and the guarantee that attaching a sink never changes
+//! scheduling behavior.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SchedEvent, SharedSink};
+use mdbs_common::instrument::{SchedEvent, SharedSink};
 use mdbs_common::ops::QueueOp;
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::replay::{replay_with, Script};
-use mdbs_core::scheme::{ProtocolViolationKind, SchemeEffect, SchemeKind};
+use mdbs_core::scheme::SchemeKind;
 use mdbs_core::scheme0::Scheme0;
 
 fn g(i: u64) -> GlobalTxnId {
@@ -19,124 +19,6 @@ fn s(i: u32) -> SiteId {
 
 fn scheme0() -> Gtm2 {
     Gtm2::new(Box::new(Scheme0::new()))
-}
-
-// ---------------------------------------------------------------------
-// Scheme 0 ack hardening: malformed acks surface as structured
-// ProtocolViolation effects instead of panicking the scheduler.
-// ---------------------------------------------------------------------
-
-#[test]
-fn scheme0_ack_for_unknown_site_is_violation() {
-    let mut e = scheme0();
-    e.enqueue(QueueOp::Ack {
-        txn: g(1),
-        site: s(7),
-    });
-    let fx = e.pump();
-    assert_eq!(
-        fx,
-        vec![SchemeEffect::ProtocolViolation {
-            txn: g(1),
-            site: Some(s(7)),
-            kind: ProtocolViolationKind::UnknownSite,
-        }]
-    );
-    assert_eq!(e.stats().protocol_violations, 1);
-}
-
-#[test]
-fn scheme0_out_of_order_ack_still_forwards() {
-    let mut e = scheme0();
-    e.enqueue(QueueOp::Init {
-        txn: g(1),
-        sites: vec![s(0)],
-    });
-    e.enqueue(QueueOp::Init {
-        txn: g(2),
-        sites: vec![s(0)],
-    });
-    e.pump();
-    // G2 is queued behind G1 but its ack arrives first (a server bug):
-    // the scheduler notes the violation, removes exactly G2, and still
-    // forwards the ack because the local DBMS genuinely executed it.
-    e.enqueue(QueueOp::Ack {
-        txn: g(2),
-        site: s(0),
-    });
-    let fx = e.pump();
-    assert!(fx.contains(&SchemeEffect::ProtocolViolation {
-        txn: g(2),
-        site: Some(s(0)),
-        kind: ProtocolViolationKind::AckOutOfOrder,
-    }));
-    assert!(fx.contains(&SchemeEffect::ForwardAck {
-        txn: g(2),
-        site: s(0),
-    }));
-    assert_eq!(e.stats().protocol_violations, 1);
-    // G1 keeps its queue position: its ser op is still eligible.
-    e.enqueue(QueueOp::Ser {
-        txn: g(1),
-        site: s(0),
-    });
-    let fx = e.pump();
-    assert!(fx.contains(&SchemeEffect::SubmitSer {
-        txn: g(1),
-        site: s(0),
-    }));
-}
-
-#[test]
-fn scheme0_ack_never_queued_is_violation_without_forward() {
-    let mut e = scheme0();
-    e.enqueue(QueueOp::Init {
-        txn: g(1),
-        sites: vec![s(0)],
-    });
-    e.pump();
-    e.enqueue(QueueOp::Ack {
-        txn: g(9),
-        site: s(0),
-    });
-    let fx = e.pump();
-    assert_eq!(
-        fx,
-        vec![SchemeEffect::ProtocolViolation {
-            txn: g(9),
-            site: Some(s(0)),
-            kind: ProtocolViolationKind::AckNotQueued,
-        }]
-    );
-}
-
-// ---------------------------------------------------------------------
-// GTM2 active-count clamp: a fin without a matching init must not
-// underflow; it is counted as a protocol violation instead.
-// ---------------------------------------------------------------------
-
-#[test]
-fn gtm2_fin_without_init_clamps_active_count() {
-    let mut e = scheme0();
-    e.enqueue(QueueOp::Fin { txn: g(1) });
-    e.pump();
-    let stats = e.stats();
-    assert_eq!(stats.protocol_violations, 1);
-    // A normal init/fin cycle afterwards still balances.
-    e.enqueue(QueueOp::Init {
-        txn: g(2),
-        sites: vec![s(0)],
-    });
-    e.enqueue(QueueOp::Fin { txn: g(2) });
-    e.pump();
-    let stats = e.stats();
-    assert_eq!(stats.protocol_violations, 1);
-    assert_eq!(stats.fins, 2);
-
-    let mut registry = Registry::default();
-    e.export_metrics(&mut registry);
-    assert_eq!(registry.counter("gtm2.protocol_violations"), 1);
-    assert_eq!(registry.counter("gtm2.fins"), 2);
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! Kernel-equivalence property suite: the dense slot/bitset kernels
 //! (`kernel_dense`, `tsgd_dense`) are observationally identical to the
-//! reference BTree kernels on every valid input, on the malformed `ack`s
-//! of [`malformed_acks_keep_kernels_equal`], and on Scheme 3's duplicate
-//! `init` of [`duplicate_init_emptying_a_waiting_fins_row_keeps_scheme3_kernels_equal`].
+//! reference BTree kernels on every stream GTM2 can receive — every
+//! caller keeps Figure 2's order, and malformed input is refused at
+//! GTM1's door before it reaches GTM2 (`crates/core/tests/door.rs`).
 //!
 //! "Identical" is strict: same effect sequence, same per-site `ser(S)`
 //! orders, same engine stats, and — the load-bearing invariant for the
@@ -40,30 +40,6 @@ use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
-
-fn init(txn: u64, sites: &[u32]) -> QueueOp {
-    QueueOp::Init {
-        txn: GlobalTxnId(txn),
-        sites: sites.iter().map(|&k| SiteId(k)).collect(),
-    }
-}
-fn ser(txn: u64, site: u32) -> QueueOp {
-    QueueOp::Ser {
-        txn: GlobalTxnId(txn),
-        site: SiteId(site),
-    }
-}
-fn ack(txn: u64, site: u32) -> QueueOp {
-    QueueOp::Ack {
-        txn: GlobalTxnId(txn),
-        site: SiteId(site),
-    }
-}
-fn fin(txn: u64) -> QueueOp {
-    QueueOp::Fin {
-        txn: GlobalTxnId(txn),
-    }
-}
 
 /// Strategy: a valid random script described by (n, m, dav, seed).
 fn arb_script() -> impl Strategy<Value = Script> {
@@ -425,214 +401,6 @@ fn scheme3_matrix_growth_matches_reference() {
         "largest ser_bef {}",
         pair.peak_ser_bef
     );
-}
-
-/// Every conservative scheme under malformed `ack`s (protocol violations):
-/// a duplicated `ack`, an `ack` before its `init`, an `ack` at a site the
-/// transaction never announced (announced later by a second `init`), and an
-/// `ack` for a transaction that never exists. Each script runs op by op
-/// through both kernels directly — after every op, `cond(ser)` for every
-/// `(txn, site)` must give the same verdict at the same step charge — and
-/// through a validating engine per kernel, whose effects, stats
-/// (`protocol_violations` included), steps and `ser(S)` must agree.
-///
-/// Driven directly, Scheme 2's kernels act every op: their `act` is defined
-/// on any input (the dense one keeps acks on TSG edges and counts each
-/// edge's unacked predecessors, the reference keeps a set of acked pairs).
-/// The other kernels' `act` assumes its `cond` held — Scheme 1's `fin` pops
-/// the delete-queue front it tested — so they act an op only when both
-/// kernels' `cond` holds, as Figure 3 would; the engines run every script
-/// in full either way.
-#[test]
-fn malformed_acks_keep_kernels_equal() {
-    let scripts = [
-        (
-            "duplicated ack",
-            vec![
-                init(1, &[0, 1]),
-                init(2, &[0, 1]),
-                ser(1, 0),
-                ack(1, 0),
-                ack(1, 0),
-                ser(2, 0),
-                ser(1, 1),
-                ser(2, 1),
-                ack(2, 0),
-                ack(2, 0),
-                ack(1, 1),
-                ack(2, 1),
-                fin(1),
-                fin(2),
-            ],
-        ),
-        (
-            "ack before init",
-            vec![
-                ack(1, 0),
-                init(1, &[0, 1]),
-                init(2, &[0, 1]),
-                ser(1, 0),
-                ser(2, 0),
-                ser(1, 1),
-                ack(2, 0),
-                ack(1, 1),
-                ser(2, 1),
-                ack(1, 0),
-                ack(2, 1),
-                fin(1),
-                fin(2),
-            ],
-        ),
-        (
-            "ack at an unannounced site",
-            vec![
-                init(1, &[0]),
-                init(2, &[0, 1]),
-                ack(1, 1),
-                ser(2, 1),
-                init(1, &[1]),
-                ser(1, 1),
-                init(3, &[1]),
-                ser(3, 1),
-                ack(2, 1),
-                ser(1, 0),
-                ack(1, 0),
-                ser(2, 0),
-                ack(2, 0),
-                ack(3, 1),
-                fin(1),
-                fin(2),
-                fin(3),
-            ],
-        ),
-        (
-            "ack for an unknown transaction",
-            vec![
-                init(1, &[0]),
-                ack(9, 0),
-                ser(1, 0),
-                init(2, &[0]),
-                ser(2, 0),
-                ack(9, 0),
-                ack(1, 0),
-                ack(2, 0),
-                fin(9),
-                fin(1),
-                fin(2),
-            ],
-        ),
-    ];
-    for kind in SchemeKind::CONSERVATIVE {
-        for (case, script) in &scripts {
-            assert_kernels_agree_on(kind, case, script);
-        }
-    }
-}
-
-/// Scheme 3 under a duplicate `init` of a transaction whose `fin` waits:
-/// G2's `fin` waits on G1 in its `ser_bef`, and G2 is then announced again
-/// at a site with no `last_k`, which rewrites its row empty. The next `fin`
-/// (G3's, unrelated) must wake G2's on both kernels, at the same charges:
-/// the dense kernel's fin wake re-tests only rows a `fin` emptied, so the
-/// duplicate `init` has to record the row it emptied too. (Scheme 1's dense
-/// kernel documents this input as the one where its charge may differ.)
-#[test]
-fn duplicate_init_emptying_a_waiting_fins_row_keeps_scheme3_kernels_equal() {
-    let script = [
-        init(1, &[0]),
-        ser(1, 0),
-        ack(1, 0),
-        init(2, &[0]),
-        ser(2, 0),
-        ack(2, 0),
-        fin(2),
-        init(2, &[1]),
-        init(3, &[2]),
-        ser(3, 2),
-        ack(3, 2),
-        fin(3),
-        fin(1),
-    ];
-    let engines = assert_kernels_agree_on(SchemeKind::Scheme3, "duplicate init", &script);
-    for engine in &engines {
-        assert_eq!(engine.stats().fins, 3, "{engine:?}: every fin ran");
-        assert_eq!(engine.wait_len(), 0, "{engine:?}");
-    }
-}
-
-/// Run `script` op by op through both kernels of `kind` directly and
-/// through a validating engine per kernel, asserting after every op what
-/// [`malformed_acks_keep_kernels_equal`] describes. Returns the engines,
-/// BTree first.
-fn assert_kernels_agree_on(kind: SchemeKind, case: &str, script: &[QueueOp]) -> [Gtm2; 2] {
-    let probes: Vec<QueueOp> = (1..=3)
-        .chain([9])
-        .flat_map(|t| (0..3).map(move |k| ser(t, k)))
-        .collect();
-    let mut reference = kind.build_kernel(KernelKind::BTree);
-    let mut dense = kind.build_kernel(KernelKind::Dense);
-    let mut engines = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
-        let mut engine = Gtm2::new(kind.build_kernel(kernel));
-        engine.set_validate(true);
-        engine
-    });
-    for (i, op) in script.iter().enumerate() {
-        let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
-        let ready_ref = reference.cond(op, &mut steps_ref);
-        let ready_dense = dense.cond(op, &mut steps_dense);
-        assert_eq!(ready_ref, ready_dense, "{kind} {case}, op {i} {op:?}: cond");
-        if kind == SchemeKind::Scheme2 || ready_ref {
-            let fx_ref = reference.act(op, &mut steps_ref);
-            let fx_dense = dense.act(op, &mut steps_dense);
-            assert_eq!(
-                fx_ref, fx_dense,
-                "{kind} {case}, op {i} {op:?}: act effects"
-            );
-        }
-        for probe in &probes {
-            let verdict_ref = reference.cond(probe, &mut steps_ref);
-            let verdict_dense = dense.cond(probe, &mut steps_dense);
-            assert_eq!(
-                verdict_ref, verdict_dense,
-                "{kind} {case}, after op {i} {op:?}: cond({probe:?})"
-            );
-        }
-        assert_eq!(
-            steps_ref, steps_dense,
-            "{kind} {case}, op {i} {op:?}: steps"
-        );
-        let [fx_ref, fx_dense] = engines.each_mut().map(|engine| {
-            engine.enqueue(op.clone());
-            engine.pump()
-        });
-        assert_eq!(
-            fx_ref, fx_dense,
-            "{kind} {case}, op {i} {op:?}: engine effects"
-        );
-        let [ref_engine, dense_engine] = &engines;
-        assert_eq!(
-            ref_engine.stats(),
-            dense_engine.stats(),
-            "{kind} {case}, op {i}"
-        );
-        assert_eq!(
-            ref_engine.steps(),
-            dense_engine.steps(),
-            "{kind} {case}, op {i}"
-        );
-    }
-    let [ref_engine, dense_engine] = &engines;
-    assert_eq!(
-        ref_engine.ser_log().events(),
-        dense_engine.ser_log().events(),
-        "{kind} {case}: ser(S)"
-    );
-    assert_eq!(
-        ref_engine.wait_len(),
-        dense_engine.wait_len(),
-        "{kind} {case}"
-    );
-    engines
 }
 
 /// `Eliminate_Cycles` enters a degree-3 transaction through two sites, and

@@ -9,8 +9,6 @@
 //! all, and so are the oracle for the charge. These tests pin what random
 //! valid scripts never reach, or reach without saying so:
 //!
-//! - an operation enqueued twice is a counted protocol violation, not a
-//!   second waiter;
 //! - a `fin` that arrives *before* its transaction's last `ack` — the one
 //!   order in which an `ack` can enable a waiting `fin` — is still woken
 //!   by that `ack`;
@@ -126,36 +124,6 @@ fn run(kind: SchemeKind, kernel: KernelKind, shards: usize, rounds: &[&[QueueOp]
         engine.feed(round);
     }
     engine
-}
-
-#[test]
-fn duplicate_op_is_a_violation_not_a_second_waiter() {
-    for shards in [1, 2] {
-        let mut e = Engine::new(SchemeKind::Scheme0, KernelKind::Dense, shards);
-        // G2's ser waits behind G1 at s0 — and is then sent again.
-        let fx = e.feed(&[init(1, &[0]), init(2, &[0]), ser(2, 0), ser(2, 0)]);
-        let seen = e.observed(fx);
-        assert!(seen.effects.is_empty(), "{shards} shards");
-        assert_eq!(seen.waiting, 1, "{shards} shards: one op waits");
-        assert_eq!(seen.stats.waited, 1, "{shards} shards");
-        assert_eq!(seen.stats.waited_kind, [0, 1, 0, 0], "{shards} shards");
-        assert_eq!(seen.stats.peak_wait, 1, "{shards} shards");
-        assert_eq!(seen.stats.protocol_violations, 1, "{shards} shards");
-        // G1 runs and acks; the one waiting copy wakes and WAIT is empty.
-        e.feed(&[ser(1, 0)]);
-        let fx = e.feed(&[ack(1, 0)]);
-        let seen = e.observed(fx);
-        assert!(
-            seen.effects.contains(&SchemeEffect::SubmitSer {
-                txn: GlobalTxnId(2),
-                site: SiteId(0)
-            }),
-            "{shards} shards: {:?}",
-            seen.effects
-        );
-        assert_eq!(seen.waiting, 0, "{shards} shards: WAIT drains to zero");
-        assert_eq!(seen.stats.peak_wait, 1, "{shards} shards");
-    }
 }
 
 /// `fin_1` is enqueued after `G1`'s first ack but before its last: it is
