@@ -104,7 +104,7 @@ mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
 
 # The shutdown send, past CountedSender: its failure would go uncounted.
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
-    $'        // Shut down sites and collect histories.\n' \
+    $'        // Shut down sites and collect their servers.\n' \
     $'            tx.send(ToSite::Shutdown);\n' \
     $'            tx.inner.send(ToSite::Shutdown).ok();\n'
 

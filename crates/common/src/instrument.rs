@@ -399,7 +399,8 @@ impl SchedEvent {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TracedEvent {
     /// Producer clock at the time of the event (simulated microseconds in
-    /// the DES; 0 where the producer has no clock).
+    /// the DES, wall microseconds since the run started on the live
+    /// transport; 0 where the producer has no clock).
     pub at: u64,
     /// The occurrence.
     pub event: SchedEvent,

@@ -236,26 +236,22 @@ impl std::fmt::Debug for Gtm1 {
 impl Gtm1 {
     /// Create GTM1 for sites with the given serialization events.
     pub fn new(site_events: BTreeMap<SiteId, SerializationEvent>) -> Self {
-        Gtm1 {
-            site_events,
-            txns: BTreeMap::new(),
-            admitted: HashSet::default(),
-            stats: Gtm1Stats::default(),
-            two_pc: false,
-            sink: None,
-            clock: 0,
-        }
+        Self::with_mode(site_events, false)
     }
 
     /// Create GTM1 in two-phase-commit mode: commit-event sites serialize
     /// at the prepare and all commits run unconditionally afterwards.
     pub fn new_two_phase(site_events: BTreeMap<SiteId, SerializationEvent>) -> Self {
+        Self::with_mode(site_events, true)
+    }
+
+    fn with_mode(site_events: BTreeMap<SiteId, SerializationEvent>, two_pc: bool) -> Self {
         Gtm1 {
             site_events,
             txns: BTreeMap::new(),
             admitted: HashSet::default(),
             stats: Gtm1Stats::default(),
-            two_pc: true,
+            two_pc,
             sink: None,
             clock: 0,
         }
@@ -324,13 +320,9 @@ impl Gtm1 {
                     plan.push(PlanStep::Ser(step.site));
                 }
                 (StepKind::Commit, SerializationEvent::Commit) => {
-                    if self.two_pc {
-                        // Vote is the serialization event; the actual commit
-                        // becomes the unconditional second phase.
-                        plan.push(PlanStep::Ser(step.site));
-                    } else {
-                        plan.push(PlanStep::Ser(step.site));
-                    }
+                    // Under 2PC the vote is the serialization event and the
+                    // actual commit becomes the unconditional second phase.
+                    plan.push(PlanStep::Ser(step.site));
                 }
                 (StepKind::Commit, _) if self.two_pc => {
                     // Begin/ticket-event site: vote first, commit in phase 2.

@@ -1,6 +1,7 @@
 //! Discrete-event core: simulated clock and event queue.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// Simulated time in microseconds.
@@ -54,7 +55,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulated time (the timestamp of the last popped event).
+    /// Current time: the timestamp of the last popped event, or the last
+    /// clock [`EventQueue::pop_due`] was given.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -81,6 +83,18 @@ impl<E> EventQueue<E> {
         let entry = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
+    }
+
+    /// Pop the next event due by `now` on a clock that runs on its own
+    /// (the live runtime's wall clock): the queue's clock first advances
+    /// to `now`, never back. `Err` carries when the next event falls due,
+    /// `None` if none pends.
+    pub fn pop_due(&mut self, now: SimTime) -> Result<E, Option<SimTime>> {
+        self.now = self.now.max(now);
+        match self.heap.peek_mut() {
+            Some(entry) if entry.time <= self.now => Ok(PeekMut::pop(entry).event),
+            next => Err(next.map(|entry| entry.time)),
+        }
     }
 
     /// Number of pending events.
@@ -138,6 +152,21 @@ mod tests {
         q.pop();
         q.schedule_at(10, "late");
         assert_eq!(q.pop(), Some((100, "late")));
+    }
+
+    #[test]
+    fn pop_due_follows_an_outside_clock() {
+        let mut q = EventQueue::new();
+        q.schedule_at(100, "x");
+        assert_eq!(q.pop_due(40), Err(Some(100)));
+        assert_eq!(q.now(), 40);
+        q.schedule_in(10, "y");
+        assert_eq!(q.pop_due(30), Err(Some(50)));
+        assert_eq!(q.now(), 40, "the clock never runs back");
+        assert_eq!(q.pop_due(120), Ok("y"));
+        assert_eq!(q.pop_due(120), Ok("x"));
+        assert_eq!(q.now(), 120);
+        assert_eq!(q.pop_due(130), Err(None));
     }
 
     #[test]

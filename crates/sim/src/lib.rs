@@ -10,15 +10,14 @@
 //! The simulator is the test bench for experiments EXP-GS, EXP-IND,
 //! EXP-AMRT and EXP-E2E (see `EXPERIMENTS.md` at the workspace root).
 //!
-//! The threaded runtime ([`threaded`]) runs the same coordinator and site
-//! engines on real OS threads.
+//! [`MdbsSystem`] is the one driver; it runs over the seeded event queue
+//! or, with [`MdbsSystem::run_live`], live threads ([`threaded`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod audit;
 pub mod event;
-pub mod local_load;
 pub mod metrics;
 mod server;
 pub mod system;

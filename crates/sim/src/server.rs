@@ -2,13 +2,15 @@
 //! against one site's [`LocalDbms`], resuming multi-step commands (`Add`
 //! read-modify-writes, ticket takes) when a blocked step completes.
 //!
-//! Both runtimes run this one state machine. It knows nothing about time
-//! or transport: every outcome is pushed, in order, into a caller-supplied
-//! buffer of [`Reply`]s, and the caller — the DES with simulated latencies
-//! and `BlockTimeout` epochs, the threaded runtime with channels and
-//! `Instant`s — decides how each one travels. A reply for the GTM is an
-//! [`Arrival`] from the server onward: it crosses either transport
-//! unchanged and is handed as-is to [`Coordinator::handle`].
+//! Everything the driver asks of a site is one [`SiteMsg`] to
+//! [`Server::run`]: a GTM1 command, a local transaction's step, an expiry
+//! abort, a crash. The server knows nothing about time or transport: every
+//! outcome is pushed, in order, into a caller-supplied buffer of
+//! [`Reply`]s, and the driver handles each one with the same code on
+//! either transport — run in place by the DES, or carried over a channel
+//! from a site task by the live runtime. A reply for the GTM is an
+//! [`Arrival`] from the server onward: it is handed as-is to
+//! [`Coordinator::handle`].
 //!
 //! [`Coordinator::handle`]: mdbs_core::coordinator::Coordinator::handle
 
@@ -19,21 +21,43 @@ use mdbs_core::gtm1::{Gtm1Event, ServerCommand};
 use mdbs_localdb::engine::{LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
+use mdbs_workload::spec::LocalOp;
 use std::collections::BTreeMap;
 
-/// What the server asks its runtime to do, in the order it happened.
+/// One message from the driver to a site's server.
+pub(crate) enum SiteMsg {
+    /// A GTM1 command for a global transaction.
+    Command(GlobalTxnId, ServerCommand),
+    /// A local transaction's next step, from its driver.
+    Local { txn: LocalTxnId, step: LocalStep },
+    /// A blocked operation outwaited the block timeout: abort its
+    /// transaction if the operation is still blocked.
+    Expire(TxnId),
+    /// The site crashes: volatile state is lost.
+    Crash,
+}
+
+/// A local transaction's step, in program order.
+pub(crate) enum LocalStep {
+    Begin,
+    Op(LocalOp),
+    Commit,
+}
+
+/// What the server asks its driver to do, in the order it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Reply {
     /// Deliver this message to the GTM: a GTM1 event, or
     /// `ack(ser_site(txn))` for GTM2.
     Gtm(Arrival),
-    /// The command's current step blocked inside the engine: arm a timer.
-    Blocked(GlobalTxnId),
-    /// A blocked step resolved: disarm the timer (what became of the
-    /// command follows as further replies).
-    Unblocked(GlobalTxnId),
-    /// A *local* transaction's blocked operation resolved; its driver is
-    /// the runtime's business.
+    /// The transaction's current step blocked inside the engine: arm a
+    /// timer.
+    Blocked(TxnId),
+    /// A blocked step resolved: disarm the timer (what became of it
+    /// follows as further replies).
+    Unblocked(TxnId),
+    /// A local transaction's step finished, inline or after it blocked;
+    /// its driver decides what comes next.
     LocalCompletion(LocalTxnId, Result<OpOutcome, MdbsError>),
 }
 
@@ -41,6 +65,12 @@ impl Reply {
     fn gtm1(event: Gtm1Event) -> Self {
         Reply::Gtm(Arrival::Gtm1(event))
     }
+}
+
+/// `begin` and `prepare` never block and carry no value: their result as
+/// a step's, with a placeholder outcome whose value nothing reads.
+fn unit(r: Result<(), MdbsError>) -> Result<SubmitResult, MdbsError> {
+    r.map(|()| SubmitResult::Done(OpOutcome::Write))
 }
 
 /// What to do when the engine finishes a command's current step.
@@ -59,9 +89,7 @@ enum Continuation {
 /// One site's server: the engine plus the continuations of commands whose
 /// current step is blocked inside it.
 pub(crate) struct Server {
-    /// The engine, open to the runtime for what is not a GTM1 command:
-    /// local transactions, a timeout's `request_abort`, crashes. Follow any
-    /// call that can wake or kill a transaction with [`Server::drain`].
+    /// The engine; the driver reads it once a run is over.
     pub(crate) db: LocalDbms,
     pending: BTreeMap<GlobalTxnId, Continuation>,
 }
@@ -78,14 +106,45 @@ impl Server {
         Reply::Gtm(Arrival::Ack { txn, site })
     }
 
+    /// Run one message and route every completion it caused. A local
+    /// step's own outcome goes out before the completions it caused.
+    pub(crate) fn run(&mut self, msg: SiteMsg, out: &mut Vec<Reply>) {
+        match msg {
+            SiteMsg::Command(txn, cmd) => return self.execute(txn, cmd, out),
+            SiteMsg::Local { txn, step } => {
+                let t = txn.into();
+                let result = match step {
+                    LocalStep::Begin => unit(self.db.begin(t)),
+                    LocalStep::Op(LocalOp::Read(item)) => self.db.submit_read(t, item),
+                    LocalStep::Op(LocalOp::Write(item, v)) => self.db.submit_write(t, item, v),
+                    LocalStep::Commit => self.db.submit_commit(t),
+                };
+                out.push(match result {
+                    Ok(SubmitResult::Blocked) => Reply::Blocked(t),
+                    Ok(SubmitResult::Done(outcome)) => Reply::LocalCompletion(txn, Ok(outcome)),
+                    Err(e) => Reply::LocalCompletion(txn, Err(e)),
+                });
+            }
+            // Only a step still blocked expires (and the engine refuses
+            // to abort a prepared subtransaction).
+            SiteMsg::Expire(txn) if self.db.is_blocked(txn) => {
+                let _ = self.db.request_abort(txn);
+            }
+            SiteMsg::Expire(_) => {}
+            // Every active, non-prepared transaction dies; completions
+            // carry the failures to their owners.
+            SiteMsg::Crash => {
+                self.db.crash();
+            }
+        }
+        self.drain(out);
+    }
+
     /// Execute one GTM1 command for `txn` and route every completion it
     /// caused.
-    pub(crate) fn execute(&mut self, txn: GlobalTxnId, cmd: ServerCommand, out: &mut Vec<Reply>) {
+    fn execute(&mut self, txn: GlobalTxnId, cmd: ServerCommand, out: &mut Vec<Reply>) {
         use Continuation::{AckAfter, ReplyDone};
         let t: TxnId = txn.into();
-        // `begin` and `prepare` never block and carry no value; the two
-        // continuations they run under ignore the placeholder outcome.
-        let unit = |r: Result<(), MdbsError>| r.map(|()| SubmitResult::Done(OpOutcome::Write));
         let (result, cont) = match cmd {
             ServerCommand::Begin => (unit(self.db.begin(t)), ReplyDone),
             ServerCommand::Read(item) => (self.db.submit_read(t, item), ReplyDone),
@@ -120,7 +179,7 @@ impl Server {
 
     /// Route every completion the engine has queued — resuming the global
     /// commands they unblock, which can queue more — until it is quiet.
-    pub(crate) fn drain(&mut self, out: &mut Vec<Reply>) {
+    fn drain(&mut self, out: &mut Vec<Reply>) {
         loop {
             let completions = self.db.take_completions();
             if completions.is_empty() {
@@ -128,7 +187,10 @@ impl Server {
             }
             for comp in completions {
                 match comp.txn {
-                    TxnId::Local(l) => out.push(Reply::LocalCompletion(l, comp.outcome)),
+                    TxnId::Local(l) => {
+                        out.push(Reply::Unblocked(comp.txn));
+                        out.push(Reply::LocalCompletion(l, comp.outcome));
+                    }
                     TxnId::Global(g) => {
                         // A completion for a command the server no longer
                         // tracks (its submit already failed inline) is
@@ -136,7 +198,7 @@ impl Server {
                         let Some(cont) = self.pending.remove(&g) else {
                             continue;
                         };
-                        out.push(Reply::Unblocked(g));
+                        out.push(Reply::Unblocked(comp.txn));
                         self.settle(g, comp.outcome.map(SubmitResult::Done), cont, out);
                     }
                 }
@@ -157,7 +219,7 @@ impl Server {
             Ok(SubmitResult::Done(outcome)) => self.resume(txn, cont, outcome, out),
             Ok(SubmitResult::Blocked) => {
                 self.pending.insert(txn, cont);
-                out.push(Reply::Blocked(txn));
+                out.push(Reply::Blocked(txn.into()));
             }
             Err(e) => self.fail(txn, cont, e, out),
         }
@@ -240,7 +302,7 @@ mod tests {
 
     fn run(server: &mut Server, txn: GlobalTxnId, cmd: ServerCommand) -> Vec<Reply> {
         let mut out = Vec::new();
-        server.execute(txn, cmd, &mut out);
+        server.run(SiteMsg::Command(txn, cmd), &mut out);
         out
     }
 
@@ -307,12 +369,12 @@ mod tests {
                 if fate == "inline" {
                     assert_eq!(first, ok, "{cmd:?} inline");
                 } else {
-                    assert_eq!(first, [Reply::Blocked(G)], "{cmd:?} {fate}");
+                    assert_eq!(first, [Reply::Blocked(G.into())], "{cmd:?} {fate}");
                     let (released, mut expected, tail) = match fate {
                         "completed" => (run(s, H, C::Commit), vec![done(H)], &ok),
                         _ => (run(s, G, C::AbortSubtxn), vec![], &failed),
                     };
-                    expected.push(Reply::Unblocked(G));
+                    expected.push(Reply::Unblocked(G.into()));
                     expected.extend(tail.iter().cloned());
                     assert_eq!(released, expected, "{cmd:?} {fate}");
                 }
@@ -331,6 +393,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A local step's own outcome goes out before the completions it
+    /// caused; an expiry aborts only a step still blocked.
+    #[test]
+    fn local_steps_reply_in_order_and_expire_only_when_blocked() {
+        let s = &mut Server::new(LocalDbms::new(SITE, TwoPhaseLocking));
+        let send = |s: &mut Server, msg| {
+            let mut out = Vec::new();
+            s.run(msg, &mut out);
+            out
+        };
+        let local = |txn, step| SiteMsg::Local { txn, step };
+        let (l1, l2) = (
+            LocalTxnId { site: SITE, seq: 1 },
+            LocalTxnId { site: SITE, seq: 2 },
+        );
+        let ok = |o| Reply::LocalCompletion(l1, Ok(o));
+        assert_eq!(send(s, local(l1, LocalStep::Begin)), [ok(OpOutcome::Write)]);
+        let write = LocalStep::Op(LocalOp::Write(X, 3));
+        assert_eq!(send(s, local(l1, write)), [ok(OpOutcome::Write)]);
+        run(s, G, C::Begin);
+        assert_eq!(run(s, G, C::Read(X)), [Reply::Blocked(G.into())]);
+        assert_eq!(send(s, SiteMsg::Expire(l1.into())), [], "l1 is not blocked");
+        let released = [
+            ok(OpOutcome::Committed),
+            Reply::Unblocked(G.into()),
+            done(G),
+        ];
+        assert_eq!(send(s, local(l1, LocalStep::Commit)), released);
+        // The other way round: l2 blocks behind G's write, and expires.
+        send(s, local(l2, LocalStep::Begin));
+        run(s, G, C::Write(X, 4));
+        let read = LocalStep::Op(LocalOp::Read(X));
+        assert_eq!(send(s, local(l2, read)), [Reply::Blocked(l2.into())]);
+        let expired = send(s, SiteMsg::Expire(l2.into()));
+        assert!(
+            matches!(expired.as_slice(), [Reply::Unblocked(u), Reply::LocalCompletion(t, Err(_))]
+                if *u == l2.into() && *t == l2),
+            "{expired:?}"
+        );
     }
 
     #[test]

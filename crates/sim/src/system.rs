@@ -1,18 +1,16 @@
-//! The full MDBS assembled: the GTM + servers + heterogeneous local
-//! DBMSs, driven by a deterministic discrete-event loop.
-//!
-//! ## Model
+//! The full MDBS assembled — the GTM, the site servers and their
+//! heterogeneous local DBMSs — and the one driver of every run. Admission,
+//! retries, local drivers, block expiry, crashes, tracing, the audit and
+//! the [`RunReport`] are written once, here; a transport only carries each
+//! site message to a `Server` and brings its replies back: the seeded
+//! event queue ([`MdbsSystem::run`]) or live threads
+//! ([`MdbsSystem::run_live`], see [`crate::threaded`]).
 //!
 //! - The GTM (GTM1 and GTM2) is centrally located; their interaction is
-//!   immediate. It is one [`Coordinator`], the same one the live runtime
-//!   drives: the simulator hands it each [`Arrival`] at the arrival's
-//!   simulated time and puts what comes out on the wire. Messages between
-//!   the GTM and site servers take
-//!   [`LatencyConfig::net`] microseconds; each local operation costs
-//!   [`LatencyConfig::proc`].
-//! - Servers execute GTM1's commands against their site's
-//!   [`LocalDbms`]. Multi-step commands (`Add` read-modify-writes, ticket
-//!   takes) run step-by-step, resuming when a blocked step completes.
+//!   immediate. It is one [`Coordinator`]: the driver hands it each
+//!   [`Arrival`] at the arrival's time and puts what comes out on the wire.
+//!   Messages between the GTM and site servers take [`LatencyConfig::net`]
+//!   microseconds; each local operation costs [`LatencyConfig::proc`].
 //! - A blocked operation that exceeds [`LatencyConfig::block_timeout`] is
 //!   aborted — the standard practical resolution for cross-layer global
 //!   deadlocks (a transaction stalled on a local lock whose holder is
@@ -23,10 +21,11 @@
 
 use crate::audit::audit_sites;
 use crate::event::{EventQueue, SimTime};
-use crate::local_load::LocalDriver;
 use crate::metrics::Metrics;
-use crate::server::{Reply, Server};
+use crate::server::{LocalStep, Reply, Server, SiteMsg};
+use crate::threaded::Live;
 use crate::trace::{Trace, TraceRecord};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
 use mdbs_common::instrument::{Registry, SharedSink};
@@ -37,18 +36,19 @@ use mdbs_core::gtm1::{Gtm1, Gtm1Event, ServerCommand};
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
-use mdbs_localdb::engine::{EngineStats, LocalDbms, OpOutcome, SubmitResult};
+use mdbs_localdb::engine::{EngineStats, LocalDbms, OpOutcome};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::{Storage, Value};
 use mdbs_schedule::global::GlobalSerializability;
 use mdbs_workload::generator::Workload;
-use mdbs_workload::spec::LocalOp;
+use mdbs_workload::spec::LocalTxnProgram;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Message and processing delays (simulated microseconds).
+/// Message and processing delays, in microseconds: simulated in the DES,
+/// and added to the physical hops on the live transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyConfig {
     /// One-way GTM ↔ site message delay.
@@ -226,7 +226,7 @@ impl SystemConfigBuilder {
     }
 }
 
-/// Outcome of a full simulation run.
+/// Outcome of a run, on either transport.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Run counters and timings.
@@ -258,8 +258,7 @@ impl RunReport {
     }
 }
 
-/// Simulation events.
-#[derive(Clone, Debug)]
+/// The driver's events, on either transport.
 enum SimEvent {
     /// Admit (or retry) logical global program `idx`.
     SubmitGlobal { idx: usize },
@@ -271,9 +270,7 @@ enum SimEvent {
     },
     /// A server's reply arrives at the GTM.
     DeliverGtm { arrival: Arrival },
-    /// Start (or retry) local driver `idx`.
-    StartLocal { idx: usize },
-    /// Local driver `idx` issues its next operation.
+    /// Local driver `idx` issues its next step (a new attempt: `begin`).
     LocalNext { idx: usize, attempt: u32 },
     /// Check a blocked operation for timeout.
     BlockTimeout {
@@ -293,26 +290,64 @@ struct ProgState {
     done: bool,
 }
 
-/// The assembled multidatabase simulator.
+/// Progress of one background local transaction program. Local
+/// transactions enter through the local DBMS, unseen by the GTM: they are
+/// Section 1's indirect conflicts.
+struct LocalDriver {
+    program: LocalTxnProgram,
+    /// The next step: 0 is `begin`, `1..=len` the operations, then
+    /// `commit`.
+    cursor: usize,
+    /// The current attempt's transaction.
+    txn: Option<LocalTxnId>,
+    attempts: u32,
+    /// Committed, or given up.
+    done: bool,
+}
+
+impl LocalDriver {
+    fn step(&self) -> LocalStep {
+        match self.cursor {
+            0 => LocalStep::Begin,
+            c => self
+                .program
+                .ops
+                .get(c - 1)
+                .map_or(LocalStep::Commit, |&op| LocalStep::Op(op)),
+        }
+    }
+}
+
+/// The assembled multidatabase and the one driver of every run, over the
+/// seeded event queue ([`MdbsSystem::run`]) or live threads
+/// ([`MdbsSystem::run_live`]).
 pub struct MdbsSystem {
     cfg: SystemConfig,
     queue: EventQueue<SimEvent>,
     gtm: Coordinator,
     /// The coordinator's output buffer, empty between GTM rounds.
     outbound: Vec<Outbound>,
+    /// The site servers. During a live run they are in the site tasks.
     servers: Vec<Server>,
     /// The servers' reply buffer, empty between deliveries.
     replies: Vec<Reply>,
+    /// The live transport, while a live run is on.
+    live: Option<Live>,
+    /// What the live transport exported when it shut down.
+    transport_metrics: Registry,
     blocked_epoch: BTreeMap<(SiteId, TxnId), u64>,
     epoch_ctr: u64,
     drivers: Vec<LocalDriver>,
+    /// The driver each local transaction id was issued to.
+    local_owner: IdHashMap<LocalTxnId, usize>,
     local_seq: Vec<u64>,
     programs: Vec<GlobalTransaction>,
     prog_state: Vec<ProgState>,
     id2prog: BTreeMap<GlobalTxnId, usize>,
     next_txn_id: u64,
     next_program: usize,
-    inflight: usize,
+    /// Programs and local drivers not yet done.
+    open: usize,
     metrics: Metrics,
     rng: DetRng,
     /// Sites currently down, with the time they come back.
@@ -324,16 +359,21 @@ pub struct MdbsSystem {
     sched_sink: Option<SharedSink>,
 }
 
+/// Panics on a non-conservative scheme: the baselines abort global
+/// transactions, which the MDBS does not model.
+pub(crate) fn assert_conservative(scheme: SchemeKind) {
+    assert!(
+        scheme.is_conservative(),
+        "{scheme} is not conservative: the MDBS runs Schemes 0-3 only; run baselines with mdbs_core::replay"
+    );
+}
+
 impl MdbsSystem {
     /// Build a system from a configuration. Panics on a non-conservative
     /// scheme: the baselines abort global transactions, which the MDBS
     /// does not model.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(
-            cfg.scheme.is_conservative(),
-            "{} is not conservative: the MDBS runs Schemes 0-3 only; run baselines with mdbs_core::replay",
-            cfg.scheme
-        );
+        assert_conservative(cfg.scheme);
         let sites: Vec<LocalDbms> = cfg
             .protocols
             .iter()
@@ -366,16 +406,19 @@ impl MdbsSystem {
             outbound: Vec::new(),
             servers: sites.into_iter().map(Server::new).collect(),
             replies: Vec::new(),
+            live: None,
+            transport_metrics: Registry::default(),
             blocked_epoch: BTreeMap::new(),
             epoch_ctr: 0,
             drivers: Vec::new(),
+            local_owner: IdHashMap::default(),
             local_seq: vec![0; cfg.protocols.len()],
             programs: Vec::new(),
             prog_state: Vec::new(),
             id2prog: BTreeMap::new(),
             next_txn_id: 1,
             next_program: 0,
-            inflight: 0,
+            open: 0,
             metrics: Metrics::default(),
             queue: EventQueue::new(),
             rng,
@@ -386,16 +429,45 @@ impl MdbsSystem {
         }
     }
 
-    /// Run a workload to completion and report.
+    /// Run a workload to completion in simulated time and report.
     pub fn run(&mut self, workload: Workload) -> RunReport {
-        self.programs = workload.globals;
+        self.load(workload.globals, workload.locals);
+        while let Some((_, event)) = self.queue.pop() {
+            self.step(event);
+        }
+        self.metrics.makespan = self.queue.now();
+        self.report()
+    }
+
+    /// Run a workload to completion on live threads and report. Each
+    /// site's server runs in a pool task; time is wall microseconds since
+    /// the run started, and the [`LatencyConfig`] delays are added to the
+    /// physical hops. The run ends when every program and local driver is
+    /// done.
+    pub fn run_live(&mut self, workload: Workload) -> RunReport {
+        self.load(workload.globals, workload.locals);
+        self.run_loaded_live()
+    }
+
+    /// Queue a run's first events: local drivers, crashes, admissions.
+    pub(crate) fn load(&mut self, globals: Vec<GlobalTransaction>, locals: Vec<LocalTxnProgram>) {
+        self.programs = globals;
         self.prog_state = vec![ProgState::default(); self.programs.len()];
-        self.drivers = workload.locals.into_iter().map(LocalDriver::new).collect();
+        let driver = |program| LocalDriver {
+            program,
+            cursor: 0,
+            txn: None,
+            attempts: 0,
+            done: false,
+        };
+        self.drivers = locals.into_iter().map(driver).collect();
+        self.open = self.programs.len() + self.drivers.len();
 
         // Stagger local driver starts across the early run.
         for i in 0..self.drivers.len() {
             let at = self.rng.gen_range(0..=self.cfg.latency.arrival_gap * 4);
-            self.queue.schedule_at(at, SimEvent::StartLocal { idx: i });
+            let event = SimEvent::LocalNext { idx: i, attempt: 0 };
+            self.queue.schedule_at(at, event);
         }
         // Scheduled site failures.
         for &(at, site, down_for) in &self.cfg.crashes.clone() {
@@ -409,15 +481,57 @@ impl MdbsSystem {
             self.queue.schedule_at(at, SimEvent::SubmitGlobal { idx });
         }
         self.next_program = initial;
+    }
 
-        let max_events: u64 = 50_000_000;
-        while let Some((_, event)) = self.queue.pop() {
-            self.metrics.events += 1;
-            assert!(self.metrics.events < max_events, "runaway simulation");
-            self.dispatch(event);
+    /// Run what [`MdbsSystem::load`] queued on the live transport. Each
+    /// pass reads the wall clock once: the timers due by then run, then
+    /// the site replies the last wait brought, then what they made due.
+    /// The run ends when nothing is open — or when the sites fall quiet
+    /// with no timer pending, which the wedge check in the report names.
+    pub(crate) fn run_loaded_live(&mut self) -> RunReport {
+        self.live = Some(Live::start(std::mem::take(&mut self.servers)));
+        let mut arrived = Vec::new();
+        while let Some(now) = self.live.as_ref().map(Live::now) {
+            self.run_due(now);
+            for (site, reply) in arrived.drain(..) {
+                self.on_reply(site, reply);
+            }
+            let next = self.run_due(now);
+            if self.open == 0 {
+                break;
+            }
+            let Some(live) = &self.live else { break };
+            if !live.recv(next, &mut arrived) && next.is_none() {
+                break;
+            }
         }
-        self.metrics.makespan = self.queue.now();
+        if let Some(live) = self.live.take() {
+            self.metrics.makespan = live.now();
+            self.servers = live.finish(&mut self.transport_metrics);
+        }
+        self.report()
+    }
 
+    /// Dispatch every event due by `now`; `None`, or when the next one
+    /// falls due.
+    fn run_due(&mut self, now: SimTime) -> Option<SimTime> {
+        loop {
+            match self.queue.pop_due(now) {
+                Ok(event) => self.step(event),
+                Err(next) => return next,
+            }
+        }
+    }
+
+    /// Dispatch one event.
+    fn step(&mut self, event: SimEvent) {
+        self.metrics.events += 1;
+        assert!(self.metrics.events < 50_000_000, "runaway simulation");
+        self.dispatch(event);
+    }
+
+    /// The report of a finished run, on either transport.
+    fn report(&self) -> RunReport {
         // Sanity: everything must have finished.
         let unfinished: Vec<usize> = self
             .prog_state
@@ -462,7 +576,8 @@ impl MdbsSystem {
     }
 
     /// Snapshot every component's counters into one metrics [`Registry`]:
-    /// `gtm1.*`, `gtm2.*`, `site.*` and `sim.*`.
+    /// `gtm1.*`, `gtm2.*`, `site.*` and `sim.*`, and after a live run
+    /// `pool.*` and `threaded.*`.
     pub fn export_metrics(&self) -> Registry {
         let mut registry = Registry::default();
         self.gtm.export_metrics(&mut registry);
@@ -470,6 +585,7 @@ impl MdbsSystem {
             db.export_metrics(&mut registry);
         }
         self.metrics.export_metrics(&mut registry);
+        registry.merge(&self.transport_metrics);
         registry
     }
 
@@ -528,10 +644,7 @@ impl MdbsSystem {
         let until = self.queue.now() + down_for;
         self.record(TraceRecord::Crash { site, until });
         self.down_until.insert(site, until);
-        // Volatile state lost: every active, non-prepared transaction dies;
-        // completions carry the failures to their owners.
-        self.servers[site.index()].db.crash();
-        self.drain_site(site);
+        self.send(site, SiteMsg::Crash);
     }
 
     fn dispatch(&mut self, event: SimEvent) {
@@ -543,14 +656,23 @@ impl MdbsSystem {
                     self.redeliver_at_recovery(site, SimEvent::DeliverServerCmd { txn, site, cmd });
                     return;
                 }
-                self.servers[site.index()].execute(txn, cmd, &mut self.replies);
-                self.deliver(site);
+                self.send(site, SiteMsg::Command(txn, cmd));
             }
             SimEvent::DeliverGtm { arrival } => self.gtm_round(arrival),
-            SimEvent::StartLocal { idx } => self.start_local(idx),
             SimEvent::LocalNext { idx, attempt } => self.local_next(idx, attempt),
             SimEvent::BlockTimeout { site, txn, epoch } => self.block_timeout(site, txn, epoch),
             SimEvent::CrashSite { site, down_for } => self.crash_site(site, down_for),
+        }
+    }
+
+    /// Schedule a message `delay` microseconds from now. The live
+    /// transport dispatches a zero-delay one at once: the physical hop was
+    /// its delay.
+    fn after(&mut self, delay: SimTime, event: SimEvent) {
+        if delay == 0 && self.live.is_some() {
+            self.step(event);
+        } else {
+            self.queue.schedule_in(delay, event);
         }
     }
 
@@ -559,13 +681,23 @@ impl MdbsSystem {
     // ------------------------------------------------------------------
 
     fn submit_global(&mut self, idx: usize) {
+        // A program naming a site this system was not configured with
+        // fails here, without reaching GTM1.
+        let sites = self.cfg.protocols.len();
+        if self.programs[idx]
+            .steps
+            .iter()
+            .any(|s| s.site.index() >= sites)
+        {
+            self.metrics.global_failures += 1;
+            return self.finish_program(idx);
+        }
         let id = GlobalTxnId(self.next_txn_id);
         self.next_txn_id += 1;
         let state = &mut self.prog_state[idx];
         state.attempts += 1;
         state.first_submit.get_or_insert(self.queue.now());
         self.id2prog.insert(id, idx);
-        self.inflight += 1;
         let attempt = self.prog_state[idx].attempts;
         self.record(TraceRecord::Submitted {
             txn: id,
@@ -581,7 +713,6 @@ impl MdbsSystem {
 
     fn handle_completed(&mut self, txn: GlobalTxnId, aborted: Option<AbortReason>) {
         let idx = self.id2prog.remove(&txn).expect("completion for known txn");
-        self.inflight -= 1;
         match aborted {
             None => {
                 self.metrics.global_commits += 1;
@@ -589,8 +720,7 @@ impl MdbsSystem {
                 self.metrics
                     .global_response
                     .record(self.queue.now() - first);
-                self.prog_state[idx].done = true;
-                self.admit_next();
+                self.finish_program(idx);
             }
             Some(_) => {
                 self.metrics.global_aborts += 1;
@@ -602,15 +732,17 @@ impl MdbsSystem {
                         .schedule_in(backoff, SimEvent::SubmitGlobal { idx });
                 } else {
                     self.metrics.global_failures += 1;
-                    self.prog_state[idx].done = true;
-                    self.admit_next();
+                    self.finish_program(idx);
                 }
             }
         }
     }
 
-    fn admit_next(&mut self) {
-        if self.next_program < self.programs.len() && self.inflight < self.cfg.mpl {
+    /// Program `idx` committed or gave up: admit the next one.
+    fn finish_program(&mut self, idx: usize) {
+        self.prog_state[idx].done = true;
+        self.open -= 1;
+        if self.next_program < self.programs.len() && self.id2prog.len() < self.cfg.mpl {
             let idx = self.next_program;
             self.next_program += 1;
             self.queue
@@ -628,7 +760,7 @@ impl MdbsSystem {
         self.gtm.handle(self.queue.now(), arrival, &mut out);
         for msg in out.drain(..) {
             match msg {
-                Outbound::Server { txn, site, cmd } => self.queue.schedule_in(
+                Outbound::Server { txn, site, cmd } => self.after(
                     self.cfg.latency.net,
                     SimEvent::DeliverServerCmd { txn, site, cmd },
                 ),
@@ -646,36 +778,40 @@ impl MdbsSystem {
     }
 
     // ------------------------------------------------------------------
-    // Server replies, completion routing and timeouts
+    // Site messages, server replies and timeouts
     // ------------------------------------------------------------------
 
-    /// Route whatever the site's engine completed since the last drain.
-    fn drain_site(&mut self, site: SiteId) {
-        self.servers[site.index()].drain(&mut self.replies);
-        self.deliver(site);
-    }
-
-    /// Put a server's replies on the wire (one processing step plus one
-    /// network hop back to the GTM) and keep the timeout epochs current.
-    fn deliver(&mut self, site: SiteId) {
-        let delay = self.cfg.latency.proc + self.cfg.latency.net;
+    /// Send one message to `site`'s server. The DES runs it here and
+    /// handles the replies in the order the server pushed them; the live
+    /// transport carries it to the site's task, and the replies come back
+    /// through the run loop.
+    fn send(&mut self, site: SiteId, msg: SiteMsg) {
+        if let Some(live) = &mut self.live {
+            return live.send(site, msg);
+        }
+        self.servers[site.index()].run(msg, &mut self.replies);
         let mut replies = std::mem::take(&mut self.replies);
         for reply in replies.drain(..) {
-            match reply {
-                Reply::Gtm(arrival) => self
-                    .queue
-                    .schedule_in(delay, SimEvent::DeliverGtm { arrival }),
-                Reply::Blocked(txn) => self.arm_timeout(site, txn.into()),
-                Reply::Unblocked(txn) => {
-                    self.blocked_epoch.remove(&(site, txn.into()));
-                }
-                Reply::LocalCompletion(txn, outcome) => {
-                    self.blocked_epoch.remove(&(site, txn.into()));
-                    self.local_completion(site, txn, outcome);
-                }
-            }
+            self.on_reply(site, reply);
         }
         self.replies = replies;
+    }
+
+    /// Handle one reply from `site`'s server: a message for the GTM goes
+    /// on the wire (one processing step plus one network hop back), and
+    /// the timeout epochs follow what blocked and what resolved.
+    fn on_reply(&mut self, site: SiteId, reply: Reply) {
+        match reply {
+            Reply::Gtm(arrival) => {
+                let delay = self.cfg.latency.proc + self.cfg.latency.net;
+                self.after(delay, SimEvent::DeliverGtm { arrival });
+            }
+            Reply::Blocked(txn) => self.arm_timeout(site, txn),
+            Reply::Unblocked(txn) => {
+                self.blocked_epoch.remove(&(site, txn));
+            }
+            Reply::LocalCompletion(txn, outcome) => self.local_completion(txn, outcome),
+        }
     }
 
     fn arm_timeout(&mut self, site: SiteId, txn: TxnId) {
@@ -697,47 +833,18 @@ impl MdbsSystem {
         self.record(TraceRecord::Timeout { site });
         // Abort the stalled transaction; the resulting completion routes
         // the failure to its owner (server task or local driver).
-        let _ = self.servers[site.index()].db.request_abort(txn);
-        self.drain_site(site);
+        self.send(site, SiteMsg::Expire(txn));
     }
 
     // ------------------------------------------------------------------
     // Local transaction drivers
     // ------------------------------------------------------------------
 
-    fn start_local(&mut self, idx: usize) {
-        let site = self.drivers[idx].program.site;
-        if self.site_is_down(site) {
-            self.redeliver_at_recovery(site, SimEvent::StartLocal { idx });
-            return;
-        }
-        self.local_seq[site.index()] += 1;
-        let txn = LocalTxnId {
-            site,
-            seq: self.local_seq[site.index()],
-        };
-        let attempt = self.drivers[idx].attempts;
-        {
-            let d = &mut self.drivers[idx];
-            d.txn = Some(txn);
-            d.cursor = 0;
-            d.waiting = false;
-        }
-        match self.servers[site.index()].db.begin(txn.into()) {
-            Ok(()) => {
-                self.queue.schedule_in(
-                    self.cfg.latency.local_gap,
-                    SimEvent::LocalNext { idx, attempt },
-                );
-            }
-            Err(_) => self.local_retry(idx),
-        }
-        self.drain_site(site);
-    }
-
+    /// Driver `idx` issues the step at its cursor; with no transaction
+    /// yet, that is a new attempt's `begin`.
     fn local_next(&mut self, idx: usize, attempt: u32) {
         let d = &self.drivers[idx];
-        if d.done || d.attempts != attempt || d.waiting {
+        if d.done || d.attempts != attempt {
             return; // stale event from a previous attempt
         }
         let site = d.program.site;
@@ -745,55 +852,34 @@ impl MdbsSystem {
             self.redeliver_at_recovery(site, SimEvent::LocalNext { idx, attempt });
             return;
         }
-        let Some(txn) = d.txn else { return };
-        let site = d.program.site;
-        let op = if d.at_commit() {
-            None
-        } else {
-            Some(d.program.ops[d.cursor])
-        };
-        let db = &mut self.servers[site.index()].db;
-        let result = match op {
-            None => db.submit_commit(txn.into()),
-            Some(LocalOp::Read(item)) => db.submit_read(txn.into(), item),
-            Some(LocalOp::Write(item, v)) => db.submit_write(txn.into(), item, v),
-        };
-        match result {
-            Ok(SubmitResult::Done(outcome)) => self.local_outcome(idx, Ok(outcome)),
-            Ok(SubmitResult::Blocked) => {
-                self.drivers[idx].waiting = true;
-                self.arm_timeout(site, txn.into());
+        let txn = match d.txn {
+            Some(txn) => txn,
+            None => {
+                self.local_seq[site.index()] += 1;
+                let seq = self.local_seq[site.index()];
+                let txn = LocalTxnId { site, seq };
+                self.local_owner.insert(txn, idx);
+                self.drivers[idx].txn = Some(txn);
+                txn
             }
-            Err(e) => self.local_outcome(idx, Err(e)),
-        }
-        self.drain_site(site);
+        };
+        let step = self.drivers[idx].step();
+        self.send(site, SiteMsg::Local { txn, step });
     }
 
-    fn local_completion(
-        &mut self,
-        site: SiteId,
-        txn: LocalTxnId,
-        outcome: Result<OpOutcome, MdbsError>,
-    ) {
-        let Some(idx) = self
-            .drivers
-            .iter()
-            .position(|d| d.program.site == site && d.txn == Some(txn) && !d.done)
-        else {
+    /// A local driver's step came back, inline or after it blocked.
+    fn local_completion(&mut self, txn: LocalTxnId, outcome: Result<OpOutcome, MdbsError>) {
+        let Some(&idx) = self.local_owner.get(&txn) else {
             return;
         };
-        self.drivers[idx].waiting = false;
-        self.local_outcome(idx, outcome);
-    }
-
-    /// Driver `idx`'s current operation came back, inline or as a
-    /// completion.
-    fn local_outcome(&mut self, idx: usize, outcome: Result<OpOutcome, MdbsError>) {
+        if self.drivers[idx].done || self.drivers[idx].txn != Some(txn) {
+            return; // an earlier attempt's
+        }
         let attempt = self.drivers[idx].attempts;
         match outcome {
             Ok(OpOutcome::Committed) => {
                 self.metrics.local_commits += 1;
-                self.drivers[idx].done = true;
+                self.finish_local(idx);
             }
             Ok(_) => {
                 self.drivers[idx].cursor += 1;
@@ -810,13 +896,49 @@ impl MdbsSystem {
         self.metrics.local_aborts += 1;
         let d = &mut self.drivers[idx];
         if d.attempts >= 20 {
-            d.done = true; // give up; keep the run terminating
-            return;
+            return self.finish_local(idx); // give up; keep the run terminating
         }
-        d.reset_for_retry();
-        let backoff = self.cfg.latency.retry_backoff * u64::from(d.attempts)
+        (d.cursor, d.txn) = (0, None);
+        d.attempts += 1;
+        let attempt = d.attempts;
+        let backoff = self.cfg.latency.retry_backoff * u64::from(attempt)
             + self.rng.gen_range(0..=self.cfg.latency.retry_backoff);
         self.queue
-            .schedule_in(backoff, SimEvent::StartLocal { idx });
+            .schedule_in(backoff, SimEvent::LocalNext { idx, attempt });
+    }
+
+    fn finish_local(&mut self, idx: usize) {
+        self.drivers[idx].done = true;
+        self.open -= 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdbs_common::ids::DataItemId;
+    use mdbs_workload::spec::LocalOp;
+
+    #[test]
+    fn local_driver_steps_through_its_program() {
+        let program = LocalTxnProgram {
+            site: SiteId(0),
+            ops: vec![
+                LocalOp::Read(DataItemId(1)),
+                LocalOp::Write(DataItemId(2), 5),
+            ],
+        };
+        let mut d = LocalDriver {
+            program,
+            cursor: 0,
+            txn: None,
+            attempts: 0,
+            done: false,
+        };
+        assert!(matches!(d.step(), LocalStep::Begin));
+        d.cursor = 2;
+        assert!(matches!(d.step(), LocalStep::Op(LocalOp::Write(..))));
+        d.cursor = 3;
+        assert!(matches!(d.step(), LocalStep::Commit));
     }
 }

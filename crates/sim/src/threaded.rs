@@ -1,58 +1,45 @@
-//! A live, multi-threaded MDBS: the same GTM1/GTM2 state machines and
-//! local DBMS engines as the simulator, with one **work-stealing pool
-//! task** per site (not one OS thread) and the coordinator on the calling
-//! thread, talking over crossbeam channels.
+//! The live transport: [`MdbsSystem::run_live`] runs the one driver on
+//! the calling thread and each site's `Server` in one **work-stealing
+//! pool task** (not one OS thread), talking over crossbeam channels.
 //!
-//! Where the discrete-event simulator gives determinism (experiments), the
-//! threaded runtime gives *real concurrency* — messages genuinely race,
-//! blocked operations park inside site engines, and timeouts run on wall
-//! clocks. Every run is still audited for global serializability at the
-//! end, so the paper's guarantees are exercised under true parallelism.
+//! Where the seeded event queue gives determinism (experiments), the live
+//! transport gives *real concurrency*: messages genuinely race, blocked
+//! operations park inside site engines, and the driver's timers
+//! (admissions, retries, local think time, block timeouts, crashes) fire
+//! on the wall clock. Every run is still audited at the end.
 //!
-//! Site workers are non-blocking state machines on [`mdbs_common::pool`]:
-//! each poll drains its command mailbox with `try_recv`, expires blocked
-//! operations, and returns `Pending`. The coordinator wakes a site's task
-//! after every send, and ticks all tasks every 2 ms so expiry keeps
-//! running while traffic is quiet. The coordinator is a busy thread and
-//! counts as a core: the pool gets `min(sites, cores − 1)` workers (at
-//! least one, `site_pool_workers`) — many sites multiplex onto few
-//! workers instead of oversubscribing the machine.
+//! The transport only carries messages: the coordinator sends a site's
+//! task one `SiteMsg` and wakes it; the task runs it and forwards every
+//! `Reply`, which the driver handles with the code the DES runs. Site
+//! tasks are non-blocking state machines on [`mdbs_common::pool`]. The
+//! coordinator is a busy thread and counts as a core: the pool gets
+//! `min(sites, cores − 1)` workers (at least one, `site_pool_workers`).
 //!
-//! Neither side sleeps between messages. The journey of a transaction is
-//! a dozen coordinator ↔ site hops microseconds apart, so a coordinator
-//! that finds its channel empty polls it for `SPIN_POLLS` rounds before
-//! it blocks in `recv_timeout`, as an idle pool worker polls its deques
-//! before it parks (`mdbs_common::pool`, "Spin before park").
+//! Neither side sleeps between messages. A transaction's journey is a
+//! dozen coordinator ↔ site hops microseconds apart, so a coordinator that
+//! finds its channel empty polls it for `SPIN_POLLS` rounds before it
+//! blocks in `recv_timeout` until the next timer is due, as an idle pool
+//! worker polls its deques before it parks (`mdbs_common::pool`, "Spin
+//! before park").
 //!
-//! GTM2 is the paper's single sequential process (Figures 2–3): the
-//! coordinator thread owns the one [`Coordinator`] — GTM1 and a plain
-//! [`Gtm2`], no lock, nothing shared — and is the only thread that runs
-//! the scheduler. It is the same `Coordinator` the simulator drives.
-//! Servers send their `ack`s the way the paper's do, as an [`Arrival`] on
-//! the channel every other site reply already travels: one thread decides
-//! the order, the site workers only execute.
+//! GTM2 is the paper's single sequential process (Figures 2–3): only the
+//! coordinator thread runs the GTM, and servers send their `ack`s on the
+//! channel every other reply travels.
 //!
-//! Scope: global transactions only (the simulator covers background local
-//! load); aborted global transactions are not retried — their outcome is
-//! reported as-is.
+//! [`ThreadedMdbs`] is the one configuration the benchmark runs.
 
-use crate::server::{Reply, Server};
+use crate::event::SimTime;
+use crate::server::{Reply, Server, SiteMsg};
+use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig};
+use crate::trace::TraceRecord;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SharedSink, TracedEvent};
+use mdbs_common::ids::SiteId;
+use mdbs_common::instrument::{Registry, TracedEvent};
 use mdbs_common::pool::{Poll, Pool, TaskHandle};
-use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
-use mdbs_core::gtm1::{Gtm1, Gtm1Event, ServerCommand};
-use mdbs_core::gtm2::Gtm2;
-use mdbs_core::scheme::{KernelKind, SchemeKind};
+use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
-use mdbs_localdb::engine::{EngineStats, LocalDbms};
 use mdbs_localdb::protocol::LocalProtocolKind;
-use mdbs_localdb::serfn::SerializationEvent;
-use mdbs_schedule::global::{check_global, GlobalSerializability};
-use mdbs_schedule::History;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use mdbs_schedule::global::GlobalSerializability;
 use std::time::{Duration, Instant};
 
 /// How many times the coordinator re-polls an empty reply channel before
@@ -65,6 +52,10 @@ use std::time::{Duration, Instant};
 /// only delay the site task the reply has to come from.
 const SPIN_POLLS: u32 = 200;
 
+/// How long the coordinator waits for a site reply when no timer is
+/// pending before it gives the run up as wedged.
+const QUIET_LIMIT: Duration = Duration::from_secs(10);
+
 /// Pool workers for `sites` site tasks on a machine with `cores` cores:
 /// one per site, but leave a core to the coordinator thread, and never
 /// fewer than one.
@@ -72,31 +63,19 @@ fn site_pool_workers(sites: usize, cores: usize) -> usize {
     sites.min(cores.saturating_sub(1)).max(1)
 }
 
-/// Message from coordinator to a site thread.
+/// Message from the coordinator to a site task.
 enum ToSite {
-    Command {
-        txn: GlobalTxnId,
-        cmd: ServerCommand,
-    },
+    Run(SiteMsg),
     Shutdown,
 }
 
-/// Message from a site thread back to the coordinator.
+/// Message from a site task back to the coordinator.
 enum FromSite {
-    /// A server reply for the coordinator.
-    Gtm(Arrival),
-    /// Final state at shutdown.
-    Final {
-        site: SiteId,
-        history: History,
-        /// Sum of the committed data values (ticket excluded).
-        data_total: i128,
-        stats: EngineStats,
-        /// Messages this worker failed to deliver (coordinator gone).
-        send_dropped: u64,
-        /// Blocked commands this worker aborted on its wall clock.
-        block_timeouts: u64,
-    },
+    /// One of the server's replies, in the order it pushed them.
+    Reply(SiteId, Reply),
+    /// At shutdown: the server (boxed, as a channel slot is as large as
+    /// its largest message) and the sends this task dropped.
+    Final(Box<Server>, u64),
 }
 
 /// A channel sender that cannot lose a message silently: a send whose
@@ -127,27 +106,199 @@ impl<T> CountedSender<T> {
     }
 }
 
-/// Outcome of a threaded run.
+struct SiteWorker {
+    /// Taken at shutdown, to travel back in [`FromSite::Final`].
+    server: Option<Server>,
+    /// The server's reply buffer, empty between messages.
+    replies: Vec<Reply>,
+    rx: Receiver<ToSite>,
+    /// To the coordinator. Its drop count travels back in
+    /// [`FromSite::Final`].
+    tx: CountedSender<FromSite>,
+}
+
+impl SiteWorker {
+    /// One poll of the site task: run the mailbox and suspend. Never
+    /// blocks — the coordinator wakes this task after every send.
+    fn run(&mut self) -> Poll {
+        let Some(server) = &mut self.server else {
+            return Poll::Done;
+        };
+        loop {
+            match self.rx.try_recv() {
+                Ok(ToSite::Run(msg)) => {
+                    server.run(msg, &mut self.replies);
+                    for reply in self.replies.drain(..) {
+                        self.tx.send(FromSite::Reply(server.db.site(), reply));
+                    }
+                }
+                Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    if let Some(server) = self.server.take() {
+                        let dropped = self.tx.dropped;
+                        self.tx.send(FromSite::Final(Box::new(server), dropped));
+                    }
+                    return Poll::Done;
+                }
+                Err(TryRecvError::Empty) => return Poll::Pending,
+            }
+        }
+    }
+}
+
+/// The live transport of one run: the site tasks, their channels and the
+/// wall clock.
+pub(crate) struct Live {
+    start: Instant,
+    pool: Pool,
+    spin_polls: u32,
+    /// Each site's mailbox and task.
+    sites: Vec<(CountedSender<ToSite>, TaskHandle)>,
+    from_sites: Receiver<FromSite>,
+}
+
+impl Live {
+    /// Move each server into a pool task of its own and start them; the
+    /// clock starts now.
+    pub(crate) fn start(servers: Vec<Server>) -> Live {
+        let (to_coord, from_sites) = bounded::<FromSite>(1024);
+        // Task-per-site on a bounded worker pool: many sites multiplex
+        // onto the cores the coordinator leaves free.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = Pool::new(site_pool_workers(servers.len(), cores));
+        let mut sites = Vec::new();
+        for server in servers {
+            let (tx, rx) = bounded::<ToSite>(1024);
+            let mut worker = SiteWorker {
+                server: Some(server),
+                replies: Vec::new(),
+                rx,
+                tx: CountedSender::new(to_coord.clone()),
+            };
+            let task = pool.spawn(move || worker.run());
+            // Spawn does not schedule; the first wake does.
+            task.wake();
+            sites.push((CountedSender::new(tx), task));
+        }
+        Live {
+            start: Instant::now(),
+            pool,
+            spin_polls: if cores > 1 { SPIN_POLLS } else { 0 },
+            sites,
+            from_sites,
+        }
+    }
+
+    /// Wall microseconds since the run started.
+    pub(crate) fn now(&self) -> SimTime {
+        self.start.elapsed().as_micros() as SimTime
+    }
+
+    /// Carry one message to `site`'s server.
+    pub(crate) fn send(&mut self, site: SiteId, msg: SiteMsg) {
+        // A dead site task is never silent (the send is counted); waking
+        // its finished task is a no-op.
+        let (tx, task) = &mut self.sites[site.index()];
+        tx.send(ToSite::Run(msg));
+        task.wake();
+    }
+
+    /// Wait for site replies until wall time `deadline` — with none, for
+    /// [`QUIET_LIMIT`]: poll briefly, then block. Once one arrives, all the
+    /// channel holds goes into `arrived` (empty on entry); false if the
+    /// wait ran out.
+    pub(crate) fn recv(
+        &self,
+        deadline: Option<SimTime>,
+        arrived: &mut Vec<(SiteId, Reply)>,
+    ) -> bool {
+        let mut polls = 0;
+        loop {
+            let msg = match self.from_sites.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(TryRecvError::Empty) if !arrived.is_empty() => return true,
+                Err(TryRecvError::Empty) if polls < self.spin_polls => {
+                    polls += 1;
+                    std::hint::spin_loop();
+                    continue;
+                }
+                Err(TryRecvError::Empty) => {
+                    let wait = deadline.map_or(QUIET_LIMIT, |at| {
+                        Duration::from_micros(at.saturating_sub(self.now()))
+                    });
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the coordinator between pumps, with GTM2 idle: it blocks until \
+                                  the next timer is due at most"
+                    )]
+                    let msg = self.from_sites.recv_timeout(wait);
+                    match msg {
+                        Err(RecvTimeoutError::Timeout) => return false,
+                        msg => msg.ok(),
+                    }
+                }
+                Err(TryRecvError::Disconnected) => None,
+            };
+            let Some(FromSite::Reply(site, reply)) = msg else {
+                panic!("threaded MDBS wedged: site tasks gone before shutdown")
+            };
+            arrived.push((site, reply));
+        }
+    }
+
+    /// End the run: shut the site tasks down and take their servers back,
+    /// in site order; the pool's counters and `threaded.send_dropped` go
+    /// into `registry`.
+    pub(crate) fn finish(mut self, registry: &mut Registry) -> Vec<Server> {
+        // Shut down sites and collect their servers.
+        for (tx, task) in &mut self.sites {
+            tx.send(ToSite::Shutdown);
+            task.wake();
+        }
+        let mut send_dropped: u64 = self.sites.iter().map(|(tx, _)| tx.dropped).sum();
+        let mut servers = Vec::with_capacity(self.sites.len());
+        while servers.len() < self.sites.len() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown, after the last transaction completed: the pump is done"
+            )]
+            let msg = self.from_sites.recv_timeout(QUIET_LIMIT);
+            match msg {
+                Ok(FromSite::Final(server, dropped)) => {
+                    send_dropped += dropped;
+                    servers.push(*server);
+                }
+                Ok(FromSite::Reply(..)) => {} // stragglers from finished work
+                Err(_) => panic!("site threads did not shut down"),
+            }
+        }
+        assert!(
+            self.pool.wait_idle(QUIET_LIMIT),
+            "site tasks did not reach Done"
+        );
+        self.pool.export_metrics(registry);
+        registry.inc("threaded.send_dropped", send_dropped);
+        servers.sort_by_key(|server| server.db.site());
+        servers
+    }
+}
+
+/// Outcome of a [`ThreadedMdbs`] run.
 #[derive(Debug)]
 pub struct ThreadedRunReport {
     /// Transactions that committed everywhere.
     pub commits: u64,
-    /// Transactions that aborted (no retry in the threaded runtime).
+    /// Transactions that aborted (they are not retried).
     pub aborts: u64,
     /// Global-serializability verdict over the collected histories.
     pub audit: GlobalSerializability,
     /// Whether `ser(S)` as recorded by GTM2 was serializable.
     pub ser_s_ok: bool,
-    /// Per-site sum of committed item values (ticket excluded) — lets
-    /// callers check conservation invariants after a live run.
-    pub storage_totals: Vec<i128>,
-    /// Metrics snapshot: GTM1, GTM2 and per-site engine counters exported
-    /// into one registry.
+    /// Metrics snapshot: the run's [`MdbsSystem::export_metrics`].
     pub registry: Registry,
     /// Structured scheduling events recorded by the GTM sinks while
-    /// tracing was enabled (empty otherwise). Timestamps are 0 — the
-    /// threaded runtime has no simulated clock; ordering is the record
-    /// order at the coordinator.
+    /// tracing was enabled (empty otherwise), in the order the coordinator
+    /// recorded them, stamped with wall microseconds since the run
+    /// started.
     pub events: Vec<TracedEvent>,
 }
 
@@ -158,123 +309,11 @@ impl ThreadedRunReport {
     }
 }
 
-struct SiteWorker {
-    site: SiteId,
-    server: Server,
-    /// The server's reply buffer, empty between deliveries.
-    replies: Vec<Reply>,
-    rx: Receiver<ToSite>,
-    /// To the coordinator. Its drop count travels back in
-    /// [`FromSite::Final`].
-    tx: CountedSender<FromSite>,
-    /// When each command currently blocked inside the engine blocked.
-    blocked_since: BTreeMap<GlobalTxnId, Instant>,
-    block_timeout: Duration,
-    /// Blocked commands aborted because they outwaited `block_timeout`
-    /// (the `threaded.block_timeouts` counter).
-    block_timeouts: u64,
-}
-
-impl SiteWorker {
-    fn new(
-        site: SiteId,
-        protocol: LocalProtocolKind,
-        rx: Receiver<ToSite>,
-        tx: Sender<FromSite>,
-        block_timeout: Duration,
-    ) -> Self {
-        SiteWorker {
-            site,
-            server: Server::new(LocalDbms::new(site, protocol)),
-            replies: Vec::new(),
-            rx,
-            tx: CountedSender::new(tx),
-            blocked_since: BTreeMap::new(),
-            block_timeout,
-            block_timeouts: 0,
-        }
-    }
-
-    /// One poll of the site task: drain the command mailbox, expire
-    /// blocked operations, and suspend. Never blocks — the coordinator
-    /// wakes this task after every send and on its 2 ms expiry tick.
-    fn run(&mut self) -> Poll {
-        loop {
-            match self.rx.try_recv() {
-                Ok(ToSite::Command { txn, cmd }) => {
-                    self.server.execute(txn, cmd, &mut self.replies);
-                    self.deliver();
-                }
-                Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    self.finish();
-                    return Poll::Done;
-                }
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        self.expire_blocked();
-        Poll::Pending
-    }
-
-    /// Ship the final site state to the coordinator at shutdown.
-    fn finish(&mut self) {
-        let msg = FromSite::Final {
-            site: self.site,
-            history: self.server.db.take_history(),
-            data_total: self.server.db.storage().data_total(),
-            stats: self.server.db.stats(),
-            send_dropped: self.tx.dropped,
-            block_timeouts: self.block_timeouts,
-        };
-        self.tx.send(msg);
-    }
-
-    fn expire_blocked(&mut self) {
-        // Nothing blocked means nothing to expire and — `execute` drains
-        // what it causes — no completion waiting in the engine either.
-        if self.blocked_since.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let expired: Vec<GlobalTxnId> = self
-            .blocked_since
-            .iter()
-            .filter(|(_, since)| now.duration_since(**since) > self.block_timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for txn in expired {
-            // The engine refuses to abort a prepared subtransaction; only
-            // an accepted abort is a timeout.
-            if self.server.db.request_abort(txn.into()).is_ok() {
-                self.block_timeouts += 1;
-            }
-        }
-        self.server.drain(&mut self.replies);
-        self.deliver();
-    }
-
-    /// Send the server's replies on their way: messages for the GTM over
-    /// the channel, blocked steps onto the expiry clock.
-    fn deliver(&mut self) {
-        let mut replies = std::mem::take(&mut self.replies);
-        for reply in replies.drain(..) {
-            match reply {
-                Reply::Gtm(arrival) => self.tx.send(FromSite::Gtm(arrival)),
-                Reply::Blocked(txn) => {
-                    self.blocked_since.insert(txn, Instant::now());
-                }
-                Reply::Unblocked(txn) => {
-                    self.blocked_since.remove(&txn);
-                }
-                // This runtime runs no local transactions.
-                Reply::LocalCompletion(..) => {}
-            }
-        }
-        self.replies = replies;
-    }
-}
-
-/// The threaded MDBS runtime.
+/// The live MDBS in the one configuration the benchmark runs: global
+/// programs only, closed-loop at `mpl`, no retries (an aborted
+/// transaction's outcome is reported as-is), no added delays, and a
+/// 200 ms block timeout. [`MdbsSystem::run_live`] runs any
+/// [`SystemConfig`].
 ///
 /// ```
 /// use mdbs_sim::threaded::ThreadedMdbs;
@@ -292,10 +331,7 @@ impl SiteWorker {
 /// assert!(report.is_serializable());
 /// ```
 pub struct ThreadedMdbs {
-    protocols: Vec<LocalProtocolKind>,
-    scheme: SchemeKind,
-    mpl: usize,
-    block_timeout: Duration,
+    cfg: SystemConfig,
     trace: bool,
 }
 
@@ -303,17 +339,24 @@ impl ThreadedMdbs {
     /// Configure a runtime. Panics on a non-conservative scheme: the
     /// baselines abort global transactions, which the MDBS does not model.
     pub fn new(protocols: Vec<LocalProtocolKind>, scheme: SchemeKind, mpl: usize) -> Self {
-        assert!(
-            scheme.is_conservative(),
-            "{scheme} is not conservative: the MDBS runs Schemes 0-3 only; run baselines with mdbs_core::replay"
-        );
-        ThreadedMdbs {
-            protocols,
-            scheme,
-            mpl,
-            block_timeout: Duration::from_millis(200),
-            trace: false,
-        }
+        assert_conservative(scheme);
+        let latency = LatencyConfig {
+            net: 0,
+            proc: 0,
+            arrival_gap: 0,
+            block_timeout: 200_000,
+            ..LatencyConfig::default()
+        };
+        let builder = SystemConfig::builder()
+            .scheme(scheme)
+            .latency(latency)
+            .mpl(mpl)
+            .max_retries(0);
+        let cfg = protocols
+            .into_iter()
+            .fold(builder, |b, p| b.site(p))
+            .build();
+        ThreadedMdbs { cfg, trace: false }
     }
 
     /// Record structured GTM scheduling events during runs; they come back
@@ -324,192 +367,31 @@ impl ThreadedMdbs {
 
     /// Run the programs to completion on live threads and audit.
     pub fn run(&self, programs: Vec<GlobalTransaction>) -> ThreadedRunReport {
-        let site_events: BTreeMap<SiteId, SerializationEvent> = self
-            .protocols
+        let mut system = MdbsSystem::new(self.cfg.clone());
+        if self.trace {
+            system.enable_trace();
+        }
+        system.load(programs, Vec::new());
+        let report = system.run_loaded_live();
+        let trace = system.take_trace().unwrap_or_default();
+        let events = trace
+            .entries()
             .iter()
-            .enumerate()
-            .map(|(i, &p)| (SiteId(i as u32), SerializationEvent::for_protocol(p)))
+            .filter_map(|entry| match entry.record {
+                TraceRecord::Sched { event } => Some(TracedEvent {
+                    at: entry.at,
+                    event,
+                }),
+                _ => None,
+            })
             .collect();
-        let mut gtm = Coordinator::new(
-            Gtm1::new(site_events),
-            Gtm2::new(self.scheme.build_kernel(KernelKind::Dense)),
-        );
-        let sched_sink = self.trace.then(SharedSink::new);
-        if sched_sink.is_some() {
-            gtm.set_sink(sched_sink.clone());
-        }
-
-        let (to_coord, from_sites) = bounded::<FromSite>(1024);
-        // Task-per-site on a bounded worker pool: many sites multiplex
-        // onto the cores the coordinator leaves free.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let pool = Pool::new(site_pool_workers(self.protocols.len(), cores));
-        let spin_polls = if cores > 1 { SPIN_POLLS } else { 0 };
-        let mut site_txs: Vec<CountedSender<ToSite>> = Vec::new();
-        let mut handles: Vec<TaskHandle> = Vec::new();
-        for (i, &protocol) in self.protocols.iter().enumerate() {
-            let (tx, rx) = bounded::<ToSite>(1024);
-            site_txs.push(CountedSender::new(tx));
-            let site = SiteId(i as u32);
-            let mut worker =
-                SiteWorker::new(site, protocol, rx, to_coord.clone(), self.block_timeout);
-            handles.push(pool.spawn(move || worker.run()));
-        }
-        drop(to_coord);
-        // Start them all (spawn does not schedule; the first wake does).
-        for h in &handles {
-            h.wake();
-        }
-
-        // A program naming a site this runtime was not configured with is
-        // refused at admission: it aborts without ever reaching GTM1.
-        let submitted = programs.len();
-        let mut queue: VecDeque<GlobalTransaction> = programs
-            .into_iter()
-            .filter(|gt| gt.steps.iter().all(|s| s.site.index() < site_txs.len()))
-            .collect();
-        let total = queue.len();
-        let mut commits = 0u64;
-        let mut aborts = (submitted - total) as u64;
-        let mut done = 0usize;
-
-        // Closed-loop admission up to mpl.
-        let submit = |gt| Arrival::Gtm1(Gtm1Event::Submit(gt));
-        let mut arrivals: VecDeque<Arrival> = queue
-            .drain(..self.mpl.min(queue.len()))
-            .map(submit)
-            .collect();
-        let mut out: Vec<Outbound> = Vec::new();
-
-        // Wedge check: messages arrived so far, and how many had arrived —
-        // and when — the last time a 2 ms tick saw that count move.
-        let mut arrived = 0u64;
-        let mut last_progress = (arrived, Instant::now());
-        while done < total {
-            // Hand every arrival to the GTM, one at a time.
-            while let Some(arrival) = arrivals.pop_front() {
-                gtm.handle(0, arrival, &mut out);
-                for msg in out.drain(..) {
-                    match msg {
-                        Outbound::Server { txn, site, cmd } => {
-                            // A dead site thread is tolerated (timeouts
-                            // abort its transactions) but never silent;
-                            // waking its finished task is a no-op.
-                            site_txs[site.index()].send(ToSite::Command { txn, cmd });
-                            if let Some(h) = handles.get(site.index()) {
-                                h.wake();
-                            }
-                        }
-                        Outbound::Completed { aborted, .. } => {
-                            done += 1;
-                            match aborted {
-                                None => commits += 1,
-                                Some(_) => aborts += 1,
-                            }
-                            arrivals.extend(queue.pop_front().map(submit));
-                        }
-                    }
-                }
-            }
-            if done >= total {
-                break;
-            }
-            // Wait for site replies: poll briefly, then block, ticking all
-            // site tasks every 2 ms so block-timeout expiry keeps running
-            // while traffic is quiet.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the coordinator between pumps, with GTM2 idle: it blocks 2 ms at most, \
-                          then ticks the site tasks"
-            )]
-            let reply = 'poll: {
-                for _ in 0..spin_polls {
-                    match from_sites.try_recv() {
-                        Err(TryRecvError::Empty) => std::hint::spin_loop(),
-                        Ok(msg) => break 'poll Ok(msg),
-                        Err(TryRecvError::Disconnected) => {
-                            break 'poll Err(RecvTimeoutError::Disconnected)
-                        }
-                    }
-                }
-                from_sites.recv_timeout(Duration::from_millis(2))
-            };
-            match reply {
-                Ok(FromSite::Gtm(arrival)) => {
-                    arrivals.push_back(arrival);
-                    arrived += 1;
-                }
-                Ok(FromSite::Final { .. }) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    for h in &handles {
-                        h.wake();
-                    }
-                    if last_progress.0 != arrived {
-                        last_progress = (arrived, Instant::now());
-                    }
-                    assert!(
-                        last_progress.1.elapsed() < Duration::from_secs(10),
-                        "threaded MDBS wedged: {done}/{total} complete"
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("threaded MDBS wedged (sites gone): {done}/{total} complete")
-                }
-            }
-        }
-
-        // Shut down sites and collect histories.
-        for (tx, h) in site_txs.iter_mut().zip(&handles) {
-            tx.send(ToSite::Shutdown);
-            h.wake();
-        }
-        let mut send_dropped: u64 = site_txs.iter().map(|tx| tx.dropped).sum();
-        let mut block_timeouts = 0u64;
-        let mut histories: BTreeMap<SiteId, History> = BTreeMap::new();
-        let mut totals: BTreeMap<SiteId, i128> = BTreeMap::new();
-        let mut registry = Registry::default();
-        while histories.len() < self.protocols.len() {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "shutdown, after the last transaction completed: the pump is done"
-            )]
-            let reply = from_sites.recv_timeout(Duration::from_secs(10));
-            match reply {
-                Ok(FromSite::Final {
-                    site,
-                    history,
-                    data_total,
-                    stats,
-                    send_dropped: site_dropped,
-                    block_timeouts: site_timeouts,
-                }) => {
-                    send_dropped += site_dropped;
-                    block_timeouts += site_timeouts;
-                    totals.insert(site, data_total);
-                    histories.insert(site, history);
-                    stats.export_metrics(site, &mut registry);
-                }
-                Ok(_) => {} // stragglers from already-completed txns
-                Err(_) => panic!("site threads did not shut down"),
-            }
-        }
-        assert!(
-            pool.wait_idle(Duration::from_secs(10)),
-            "site tasks did not reach Done"
-        );
-        gtm.export_metrics(&mut registry);
-        pool.export_metrics(&mut registry);
-        registry.inc("threaded.send_dropped", send_dropped);
-        registry.inc("threaded.block_timeouts", block_timeouts);
-
         ThreadedRunReport {
-            commits,
-            aborts,
-            audit: check_global(histories.iter().map(|(&s, h)| (s, h))),
-            ser_s_ok: gtm.gtm2().ser_log().check().is_ok(),
-            storage_totals: totals.into_values().collect(),
-            registry,
-            events: sched_sink.map(|s| s.drain()).unwrap_or_default(),
+            commits: report.metrics.global_commits,
+            aborts: report.metrics.global_failures,
+            audit: report.audit,
+            ser_s_ok: report.ser_s_ok,
+            registry: report.registry,
+            events,
         }
     }
 }
@@ -519,6 +401,7 @@ mod tests {
     use super::*;
     use mdbs_workload::generator::Workload;
     use mdbs_workload::spec::WorkloadSpec;
+    use std::collections::BTreeMap;
 
     fn programs(sites: usize, n: usize, seed: u64) -> Vec<GlobalTransaction> {
         let spec = WorkloadSpec {
@@ -546,40 +429,74 @@ mod tests {
         );
     }
 
-    /// A command blocked past a zero timeout is aborted and counted once,
-    /// and its failure reaches the coordinator.
+    /// A command that blocks past the block timeout is expired by the
+    /// driver once, on either transport: G1 holds `x` at site 0 while its
+    /// next command waits out site 1's outage, G2's write of `x` blocks
+    /// behind it, times out and fails (no retries).
     #[test]
-    fn expired_block_is_counted() {
-        use mdbs_common::ids::DataItemId;
-        let (to_site, rx) = bounded::<ToSite>(8);
-        let (tx, from_site) = bounded::<FromSite>(8);
-        let mut to_site = CountedSender::new(to_site);
-        let protocol = LocalProtocolKind::TwoPhaseLocking;
-        let mut worker = SiteWorker::new(SiteId(0), protocol, rx, tx, Duration::ZERO);
-        let (holder, waiter, x) = (GlobalTxnId(1), GlobalTxnId(2), DataItemId(7));
-        for (txn, cmd) in [
-            (holder, ServerCommand::Begin),
-            (holder, ServerCommand::Write(x, 1)),
-            (waiter, ServerCommand::Begin),
-            (waiter, ServerCommand::Write(x, 2)),
-        ] {
-            to_site.send(ToSite::Command { txn, cmd });
+    fn threaded_expired_block_is_counted_once() {
+        use mdbs_common::ids::{DataItemId, GlobalTxnId};
+        let (s0, s1, x, y) = (SiteId(0), SiteId(1), DataItemId(1), DataItemId(2));
+        let holder = GlobalTransaction::builder(GlobalTxnId(1))
+            .write(s0, x, 1)
+            .write(s1, y, 1)
+            .build()
+            .unwrap();
+        let waiter = GlobalTransaction::builder(GlobalTxnId(2))
+            .write(s0, x, 2)
+            .build()
+            .unwrap();
+        let latency = LatencyConfig {
+            net: 0,
+            proc: 0,
+            arrival_gap: 20_000,
+            block_timeout: 50_000,
+            ..LatencyConfig::default()
+        };
+        let cfg = SystemConfig::builder()
+            .sites(2, LocalProtocolKind::TwoPhaseLocking)
+            .scheme(SchemeKind::Scheme0)
+            .latency(latency)
+            .mpl(2)
+            .max_retries(0)
+            .crash(0, s1, 300_000)
+            .build();
+        for live in [false, true] {
+            let mut workload = Workload::uniform_smoke(2, 2);
+            workload.globals = vec![holder.clone(), waiter.clone()];
+            let mut system = MdbsSystem::new(cfg.clone());
+            let report = if live {
+                system.run_live(workload)
+            } else {
+                system.run(workload)
+            };
+            let m = &report.metrics;
+            assert_eq!(m.timeouts, 1, "live={live}: {m:?}");
+            assert_eq!((m.global_commits, m.global_failures), (1, 1), "live={live}");
+            assert!(report.is_serializable(), "live={live}: {:?}", report.audit);
+            assert_eq!(report.registry.counter("threaded.send_dropped"), 0);
         }
-        // Each poll runs the mailbox, then expires what has blocked for
-        // longer than zero: the second write, once the clock has moved.
-        assert_eq!(worker.run(), Poll::Pending);
-        while !worker.blocked_since.is_empty() {
-            assert_eq!(worker.run(), Poll::Pending);
-        }
-        assert_eq!(worker.block_timeouts, 1);
-        let failed = std::iter::from_fn(|| from_site.try_recv().ok()).any(|msg| {
-            matches!(
-                msg,
-                FromSite::Gtm(Arrival::Gtm1(Gtm1Event::ServerFailed { txn, .. })) if txn == waiter
-            )
-        });
-        assert!(failed, "the timed-out write fails at the coordinator");
-        assert_eq!(to_site.dropped + worker.tx.dropped, 0);
+    }
+
+    /// A live trace is stamped with the wall clock: `at` never decreases
+    /// in record order and is not all 0, and every commit has its submit →
+    /// commit latency.
+    #[test]
+    fn threaded_trace_is_stamped_with_wall_time() {
+        let mut rt = ThreadedMdbs::new(
+            vec![LocalProtocolKind::TwoPhaseLocking; 3],
+            SchemeKind::Scheme1,
+            4,
+        );
+        rt.enable_trace();
+        let report = rt.run(programs(3, 12, 5));
+        let at: Vec<u64> = report.events.iter().map(|e| e.at).collect();
+        assert!(at.windows(2).all(|w| w[0] <= w[1]), "{at:?}");
+        assert!(at.iter().any(|&t| t > 0), "{at:?}");
+        let response = report.registry.histogram("sim.global_response_us");
+        assert_eq!(response.map_or(0, |h| h.count()), report.commits);
+        assert!(report.commits > 0);
+        assert_nothing_dropped(&report);
     }
 
     /// The coordinator counts as a core, and a pool is never empty.

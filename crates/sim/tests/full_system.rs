@@ -234,6 +234,33 @@ fn non_conservative_scheme_is_refused() {
     MdbsSystem::new(cfg);
 }
 
+/// A program naming a site the system was not configured with fails at
+/// admission, before GTM1, and every other program still finishes. (This
+/// used to wedge the simulator: GTM1 refused the submit and no completion
+/// ever came.)
+#[test]
+fn program_naming_an_unconfigured_site_fails_at_admission() {
+    let cfg = SystemConfig::builder()
+        .sites(2, LocalProtocolKind::TwoPhaseLocking)
+        .scheme(SchemeKind::Scheme0)
+        .mpl(4)
+        .build();
+    let workload = Workload::generate(&spec(3, 12, 0, 5));
+    let foreign = workload
+        .globals
+        .iter()
+        .filter(|gt| gt.sites().iter().any(|s| s.index() >= 2))
+        .count() as u64;
+    assert!(0 < foreign && foreign < 12, "{foreign} of 12 name site 2");
+    let r = MdbsSystem::new(cfg).run(workload);
+    assert_eq!(r.metrics.global_failures, foreign, "{:?}", r.metrics);
+    assert_eq!(r.metrics.global_commits, 12 - foreign, "{:?}", r.metrics);
+    assert_eq!(r.gtm1.submitted, 12 - foreign);
+    assert_eq!(r.registry.counter("gtm1.submitted"), 12 - foreign);
+    assert_eq!(r.gtm1.protocol_violations, 0);
+    assert!(r.is_serializable(), "{:?}", r.audit);
+}
+
 #[test]
 fn trace_records_run_lifecycle() {
     let cfg = SystemConfig::builder()
