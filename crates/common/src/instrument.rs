@@ -1,5 +1,5 @@
-//! Structured instrumentation: a zero-dependency metrics registry and a
-//! pluggable trace sink for scheduling events.
+//! Structured instrumentation: a zero-dependency metrics registry and
+//! the vocabulary of a run's trace.
 //!
 //! The paper's argument is cost accounting — Theorems 4–9 bound cond/act/
 //! wait-rescan steps — so the reproduction needs first-class runtime
@@ -11,22 +11,18 @@
 //!   (`export_metrics`-style methods) so one snapshot covers GTM1, GTM2,
 //!   the local engines and the simulator, and snapshots serialize to JSON
 //!   for bench artifacts.
-//! - [`TraceSink`] — a callback for typed scheduling events
-//!   ([`SchedEvent`]: enqueue, cond, act, wake, wait, abort, crash).
-//!   Producers hold an `Option<Box<dyn TraceSink>>`; the disabled path is
-//!   a single branch on `None` — no formatting, no allocation — so sinks
-//!   can stay compiled into release binaries at zero cost.
-//!
-//! [`MemorySink`] collects events in a `Vec` for tests and offline
-//! analysis; [`SharedSink`] is a cloneable handle over the same storage
-//! for producers that are moved away (the threaded runtime, the DES
-//! system).
+//! - [`SchedEvent`] — one typed occurrence of a run: enqueue, cond, act,
+//!   wake, wait and abort from the GTM; submit, completion, timeout and
+//!   crash from the driver. A producer records into its own
+//!   `Option<Vec<SchedEvent>>`: with tracing off that is `None`, and each
+//!   recording site is a single branch, so it costs nothing in release
+//!   binaries. Whoever owns the clock stamps the events as
+//!   [`TracedEvent`]s.
 
 use crate::ids::{GlobalTxnId, SiteId};
 use crate::ops::{QueueOp, QueueOpKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `k ≥ 1`
 /// holds values in `[2^(k-1), 2^k)`, so bucket 64 holds `[2^63, u64::MAX]`.
@@ -278,12 +274,13 @@ impl Registry {
     }
 }
 
-/// One structured scheduling occurrence.
+/// One structured occurrence of a run.
 ///
-/// The variants mirror the vocabulary of the Basic_Scheme loop (Figure 3):
-/// operations are enqueued, their `cond` is evaluated, they are acted or
-/// added to WAIT, waiting operations are woken, and — outside the
-/// conservative schemes — transactions abort and sites crash.
+/// The GTM's variants mirror the vocabulary of the Basic_Scheme loop
+/// (Figure 3): operations are enqueued, their `cond` is evaluated, they
+/// are acted or added to WAIT, waiting operations are woken, and global
+/// transactions abort. The driver adds what it decides around the GTM:
+/// submissions, completions, block timeouts and site crashes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedEvent {
     /// An operation was inserted into QUEUE.
@@ -338,11 +335,32 @@ pub enum SchedEvent {
         /// Victim.
         txn: GlobalTxnId,
     },
+    /// A global transaction (attempt) was submitted to GTM1.
+    Submitted {
+        /// Transaction id of this attempt.
+        txn: GlobalTxnId,
+        /// Logical program index.
+        program: usize,
+        /// Attempt number (1 = first try).
+        attempt: u32,
+    },
+    /// A global transaction finished.
+    Completed {
+        /// Transaction.
+        txn: GlobalTxnId,
+        /// Whether it committed.
+        committed: bool,
+    },
+    /// A blocked operation timed out and was aborted.
+    Timeout {
+        /// Site where the operation was stuck.
+        site: SiteId,
+    },
     /// A site crashed.
     Crash {
         /// Failed site.
         site: SiteId,
-        /// Time (producer's clock) it comes back.
+        /// Time (the run's clock) it comes back.
         until: u64,
     },
 }
@@ -395,106 +413,15 @@ impl SchedEvent {
     }
 }
 
-/// A timestamped [`SchedEvent`] as stored by the collecting sinks.
+/// A [`SchedEvent`] stamped with the run's clock: one entry of a trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TracedEvent {
-    /// Producer clock at the time of the event (simulated microseconds in
+    /// The run's clock at the time of the event (simulated microseconds in
     /// the DES, wall microseconds since the run started on the live
-    /// transport; 0 where the producer has no clock).
+    /// transport).
     pub at: u64,
     /// The occurrence.
     pub event: SchedEvent,
-}
-
-/// Receiver of structured scheduling events.
-///
-/// Producers hold `Option<Box<dyn TraceSink + Send>>` and emit with
-///
-/// ```ignore
-/// if let Some(sink) = &mut self.sink {
-///     sink.record(self.clock, SchedEvent::act(&op));
-/// }
-/// ```
-///
-/// so a disabled sink costs one pointer test — the [`SchedEvent`] is
-/// `Copy` and is only constructed inside the `Some` arm.
-pub trait TraceSink {
-    /// Handle one event at producer time `at`.
-    fn record(&mut self, at: u64, event: SchedEvent);
-}
-
-/// Sink collecting events into an owned `Vec` (tests, offline analysis).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemorySink {
-    /// The recorded events, in order.
-    pub events: Vec<TracedEvent>,
-}
-
-impl MemorySink {
-    /// Empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, at: u64, event: SchedEvent) {
-        self.events.push(TracedEvent { at, event });
-    }
-}
-
-/// A cloneable handle over shared event storage.
-///
-/// Producers that are constructed and moved away (the DES system's GTM2,
-/// the threaded coordinator) get one clone; the owner keeps another and
-/// drains the events afterwards.
-#[derive(Clone, Debug, Default)]
-pub struct SharedSink {
-    events: Arc<Mutex<Vec<TracedEvent>>>,
-}
-
-impl SharedSink {
-    /// Fresh shared storage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events currently stored.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "read by the owner after the run; the producer holds the lock for one push only"
-    )]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("sink lock").len()
-    }
-
-    /// True iff no events are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Take all stored events, leaving the storage empty.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "drained by the owner after the run; the producer holds the lock for one push only"
-    )]
-    pub fn drain(&self) -> Vec<TracedEvent> {
-        std::mem::take(&mut *self.events.lock().expect("sink lock"))
-    }
-}
-
-impl TraceSink for SharedSink {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the pump records here: an uncontended trace-buffer mutex, held only for one \
-                  push, with no other lock or channel operation live across it"
-    )]
-    fn record(&mut self, at: u64, event: SchedEvent) {
-        self.events
-            .lock()
-            .expect("sink lock")
-            .push(TracedEvent { at, event });
-    }
 }
 
 #[cfg(test)]
@@ -553,32 +480,5 @@ mod tests {
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.gauge("g"), 5);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn sinks_collect() {
-        let mut m = MemorySink::new();
-        m.record(
-            3,
-            SchedEvent::Abort {
-                txn: GlobalTxnId(1),
-            },
-        );
-        assert_eq!(m.events.len(), 1);
-        assert_eq!(m.events[0].at, 3);
-
-        let shared = SharedSink::new();
-        let mut handle = shared.clone();
-        handle.record(
-            9,
-            SchedEvent::Crash {
-                site: SiteId(0),
-                until: 50,
-            },
-        );
-        assert_eq!(shared.len(), 1);
-        let drained = shared.drain();
-        assert_eq!(drained[0].at, 9);
-        assert!(shared.is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //!   `fin_i`).
 //! - [`instrument`] — structured instrumentation: the metrics [`Registry`]
 //!   (counters, gauges, log₂-bucket histograms) every component exports
-//!   into, and the pluggable [`TraceSink`] for typed scheduling events.
+//!   into, and [`SchedEvent`], the vocabulary of a run's trace.
 //! - [`step`] — abstract step counting. The paper analyses scheme complexity
 //!   in abstract "steps"; instrumenting the schemes with an explicit counter
 //!   lets the experiment harness measure exactly the quantity Theorems 4, 6
@@ -43,6 +43,6 @@ pub mod step;
 pub use dense::{DenseBitSet, DenseInterner};
 pub use error::{MdbsError, Result};
 pub use ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId, TxnId};
-pub use instrument::{Histogram, Registry, SchedEvent, TraceSink};
+pub use instrument::{Histogram, Registry, SchedEvent};
 pub use ops::{DataOp, DataOpKind, QueueOp, QueueOpKind};
 pub use step::StepCounter;

@@ -20,7 +20,7 @@ use crate::gtm2::Gtm2;
 use crate::scheme::SchemeEffect;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SharedSink};
+use mdbs_common::instrument::{Registry, TracedEvent};
 use mdbs_common::ops::QueueOp;
 use std::collections::VecDeque;
 
@@ -68,6 +68,9 @@ pub struct Coordinator {
     gtm2: Gtm2,
     /// GTM1 events that GTM2's effects produced; empty between calls.
     pending: VecDeque<Gtm1Event>,
+    /// Both GTMs' events in the order they happened, each stamped with
+    /// the time of the `handle` call that made it; `None` = tracing off.
+    trace: Option<Vec<TracedEvent>>,
 }
 
 impl Coordinator {
@@ -77,6 +80,7 @@ impl Coordinator {
             gtm1,
             gtm2,
             pending: VecDeque::new(),
+            trace: None,
         }
     }
 
@@ -92,9 +96,9 @@ impl Coordinator {
     /// admitted ack is acted and forwarded within this call, and a second
     /// copy finds GTM1 no longer waiting. GTM2's effects that route nothing
     /// (scheme aborts and violations, which GTM2 counts) are dropped here.
+    ///
+    /// Every event either GTM traces during the call is stamped `at`.
     pub fn handle(&mut self, at: u64, arrival: Arrival, out: &mut Vec<Outbound>) {
-        self.gtm1.set_now(at);
-        self.gtm2.set_now(at);
         match arrival {
             Arrival::Gtm1(event) => {
                 if self.gtm1.admits_external(&event) {
@@ -103,15 +107,17 @@ impl Coordinator {
             }
             Arrival::Ack { txn, site } => {
                 if self.gtm1.admits_ack(txn, site) {
-                    self.gtm2.enqueue(QueueOp::Ack { txn, site });
+                    self.enqueue(at, QueueOp::Ack { txn, site });
                 }
             }
         }
         loop {
             while let Some(event) = self.pending.pop_front() {
-                for fx in self.gtm1.handle(event) {
+                let effects = self.gtm1.handle(event);
+                self.collect(at);
+                for fx in effects {
                     match fx {
-                        Gtm1Effect::EnqueueGtm2(op) => self.gtm2.enqueue(op),
+                        Gtm1Effect::EnqueueGtm2(op) => self.enqueue(at, op),
                         Gtm1Effect::Server { txn, site, cmd } => {
                             out.push(Outbound::Server { txn, site, cmd });
                         }
@@ -121,7 +127,9 @@ impl Coordinator {
                     }
                 }
             }
-            for fx in self.gtm2.pump() {
+            let effects = self.gtm2.pump();
+            self.collect(at);
+            for fx in effects {
                 let event = match fx {
                     SchemeEffect::SubmitSer { txn, site } => Gtm1Event::Gtm2SubmitSer { txn, site },
                     SchemeEffect::ForwardAck { txn, site } => Gtm1Event::Gtm2Ack { txn, site },
@@ -137,12 +145,32 @@ impl Coordinator {
         }
     }
 
-    /// Attach (or with `None`, detach) one sink to both GTMs, so their
-    /// scheduling events land in one record.
-    pub fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.gtm1
-            .set_sink(sink.clone().map(|s| Box::new(s) as Box<_>));
-        self.gtm2.set_sink(sink.map(|s| Box::new(s) as Box<_>));
+    fn enqueue(&mut self, at: u64, op: QueueOp) {
+        self.gtm2.enqueue(op);
+        self.collect(at);
+    }
+
+    /// Move what the last call into GTM1 or GTM2 recorded into the trace,
+    /// stamped `at`. Only the GTM just called has recorded anything, so
+    /// the trace keeps the order the events happened in.
+    fn collect(&mut self, at: u64) {
+        if let Some(trace) = &mut self.trace {
+            let events = self.gtm1.drain_events().chain(self.gtm2.drain_events());
+            trace.extend(events.map(|event| TracedEvent { at, event }));
+        }
+    }
+
+    /// Start (or stop) tracing both GTMs into one record; stopping drops
+    /// any events not yet drained.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.gtm1.set_tracing(on);
+        self.gtm2.set_tracing(on);
+        self.trace = on.then(Vec::new);
+    }
+
+    /// The events traced since the last drain, in the order they happened.
+    pub fn drain_trace(&mut self) -> impl Iterator<Item = TracedEvent> + '_ {
+        self.trace.iter_mut().flat_map(|trace| trace.drain(..))
     }
 
     /// Export both GTMs' counters (`gtm1.*`, `gtm2.*`) into `registry`.

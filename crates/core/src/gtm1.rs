@@ -36,7 +36,7 @@ use crate::txn::{GlobalTransaction, Step, StepKind};
 use mdbs_common::dense::IdHasher;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SchedEvent, TraceSink};
+use mdbs_common::instrument::{Registry, SchedEvent};
 use mdbs_common::ops::QueueOp;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
@@ -216,11 +216,9 @@ pub struct Gtm1 {
     /// any subtransaction commits, making global commitment atomic — the
     /// fault-tolerance direction the paper leaves as future work.
     two_pc: bool,
-    /// Structured event sink (global aborts); `None` = disabled.
-    sink: Option<Box<dyn TraceSink + Send>>,
-    /// Timestamp stamped onto sink events (simulated time when driven by
-    /// the DES; 0 elsewhere).
-    clock: u64,
+    /// Structured events (global aborts) not yet drained; `None` =
+    /// tracing off.
+    trace: Option<Vec<SchedEvent>>,
 }
 
 impl std::fmt::Debug for Gtm1 {
@@ -252,20 +250,19 @@ impl Gtm1 {
             admitted: HashSet::default(),
             stats: Gtm1Stats::default(),
             two_pc,
-            sink: None,
-            clock: 0,
+            trace: None,
         }
     }
 
-    /// Attach (or with `None`, detach) a structured event sink. GTM1
-    /// reports global aborts through it.
-    pub fn set_sink(&mut self, sink: Option<Box<dyn TraceSink + Send>>) {
-        self.sink = sink;
+    /// Start (or stop) recording structured events: GTM1 records global
+    /// aborts.
+    pub(crate) fn set_tracing(&mut self, on: bool) {
+        self.trace = on.then(Vec::new);
     }
 
-    /// Set the timestamp stamped onto subsequent sink events.
-    pub fn set_now(&mut self, at: u64) {
-        self.clock = at;
+    /// The events recorded since the last drain, in order, unstamped.
+    pub(crate) fn drain_events(&mut self) -> impl Iterator<Item = SchedEvent> + '_ {
+        self.trace.iter_mut().flat_map(|trace| trace.drain(..))
     }
 
     /// Export GTM1's counters into `registry` under the `gtm1.` prefix.
@@ -494,8 +491,8 @@ impl Gtm1 {
             return;
         }
         ctl.zombie = Some(reason);
-        if let Some(sink) = &mut self.sink {
-            sink.record(self.clock, SchedEvent::Abort { txn });
+        if let Some(trace) = &mut self.trace {
+            trace.push(SchedEvent::Abort { txn });
         }
         for site in std::mem::take(&mut ctl.live_sites) {
             effects.push(Gtm1Effect::Server {

@@ -46,7 +46,7 @@
 use crate::scheme::{Gtm2Scheme, Pending, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
 use crate::ser_s::SerSLog;
 use mdbs_common::ids::GlobalTxnId;
-use mdbs_common::instrument::{Histogram, Registry, SchedEvent, TraceSink};
+use mdbs_common::instrument::{Histogram, Registry, SchedEvent};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
 use serde::{Deserialize, Serialize};
@@ -108,8 +108,8 @@ pub struct Gtm2 {
 }
 
 impl Gtm2 {
-    /// Create an engine around a scheme, with no trace sink; use
-    /// [`Gtm2::set_sink`] to collect structured events.
+    /// Create an engine around a scheme, with tracing off; use
+    /// [`Gtm2::set_tracing`] to record structured events.
     pub fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
         Gtm2 {
             slot: ShardCore::new(),
@@ -122,15 +122,17 @@ impl Gtm2 {
         self.core.validate = on;
     }
 
-    /// Attach (or with `None`, detach) a structured event sink. Can be
-    /// toggled mid-run; scheduling behavior is unaffected either way.
-    pub fn set_sink(&mut self, sink: Option<Box<dyn TraceSink + Send>>) {
-        self.core.sink = sink;
+    /// Start (or stop) recording structured events; stopping drops any not
+    /// yet drained. Can be toggled mid-run; scheduling behavior is
+    /// unaffected either way.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.core.trace = on.then(Vec::new);
     }
 
-    /// Set the clock value stamped onto subsequent sink events.
-    pub fn set_now(&mut self, at: u64) {
-        self.core.clock = at;
+    /// The events recorded since the last drain, in order. Unstamped: the
+    /// engine has no clock, so whoever drives it stamps them.
+    pub fn drain_events(&mut self) -> impl Iterator<Item = SchedEvent> + '_ {
+        self.core.trace.iter_mut().flat_map(|trace| trace.drain(..))
     }
 
     /// Wake candidates examined per act.
@@ -301,16 +303,13 @@ pub(crate) struct GlobalCore {
     wake_elided: u64,
     /// Validate scheme invariants after every act (used by tests).
     pub(crate) validate: bool,
-    /// Structured event sink; `None` = tracing disabled (one branch, no
-    /// formatting or allocation on the hot path).
-    pub(crate) sink: Option<Box<dyn TraceSink + Send>>,
-    /// Producer clock stamped onto sink events (set by the embedding
-    /// runtime; stays 0 where there is no clock).
-    clock: u64,
+    /// Structured events not yet drained; `None` = tracing off (one
+    /// branch, no formatting or allocation on the hot path).
+    trace: Option<Vec<SchedEvent>>,
 }
 
 impl GlobalCore {
-    /// A fresh core around `scheme`, with no trace sink.
+    /// A fresh core around `scheme`, with tracing off.
     pub(crate) fn new(scheme: Box<dyn Gtm2Scheme + Send>) -> Self {
         GlobalCore {
             scheme,
@@ -322,8 +321,7 @@ impl GlobalCore {
             wait_live: 0,
             wake_elided: 0,
             validate: cfg!(debug_assertions),
-            sink: None,
-            clock: 0,
+            trace: None,
         }
     }
 
@@ -383,8 +381,8 @@ impl SlotCtx {
 /// Record and count an arriving operation, stamping it with its arrival
 /// number (the count of operations enqueued before it, engine-wide).
 pub(crate) fn enqueue_into(core: &mut ShardCore, global: &mut GlobalCore, op: QueueOp) {
-    if let Some(sink) = &mut global.sink {
-        sink.record(global.clock, SchedEvent::enqueue(&op));
+    if let Some(trace) = &mut global.trace {
+        trace.push(SchedEvent::enqueue(&op));
     }
     core.inbox.push_back((global.stats.enqueued, op));
     global.stats.enqueued += 1;
@@ -429,8 +427,8 @@ fn process_op(
     }
     let cond_before = global.steps.cond;
     let eligible = global.scheme.cond(&op, &mut global.steps);
-    if let Some(sink) = &mut global.sink {
-        sink.record(global.clock, SchedEvent::cond(&op, eligible));
+    if let Some(trace) = &mut global.trace {
+        trace.push(SchedEvent::cond(&op, eligible));
     }
     if eligible {
         let mut candidates = std::mem::take(&mut core.wake_buf);
@@ -443,8 +441,8 @@ fn process_op(
     let wait_event = SchedEvent::wait(&op);
     let inserted = core.wait.insert(op, global.steps.cond - cond_before);
     debug_assert!(inserted, "an operation was enqueued twice");
-    if let Some(sink) = &mut global.sink {
-        sink.record(global.clock, wait_event);
+    if let Some(trace) = &mut global.trace {
+        trace.push(wait_event);
     }
     global.stats.waited += 1;
     match kind {
@@ -492,13 +490,13 @@ fn act_one(
     out: &mut PumpOut,
     candidates: &mut VecDeque<Pending>,
 ) {
-    if let Some(sink) = &mut global.sink {
+    if let Some(trace) = &mut global.trace {
         let ev = if woken {
             SchedEvent::wake(acted)
         } else {
             SchedEvent::act(acted)
         };
-        sink.record(global.clock, ev);
+        trace.push(ev);
     }
     note_processed(acted, global);
     let fx = global.scheme.act(acted, &mut global.steps);
@@ -510,8 +508,8 @@ fn act_one(
             SchemeEffect::SubmitSer { txn, site } => global.ser_log.record(*txn, *site),
             SchemeEffect::AbortGlobal { txn } => {
                 global.stats.scheme_aborts += 1;
-                if let Some(sink) = &mut global.sink {
-                    sink.record(global.clock, SchedEvent::Abort { txn: *txn });
+                if let Some(trace) = &mut global.trace {
+                    trace.push(SchedEvent::Abort { txn: *txn });
                 }
             }
             SchemeEffect::ForwardAck { .. } => {}
@@ -609,8 +607,8 @@ fn retest(
     // makes stale/duplicate handoff hints harmless.
     let woken = core.wait.take_if(key, |waiting| {
         let eligible = global.scheme.cond(waiting, &mut global.steps);
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::cond(waiting, eligible));
+        if let Some(trace) = &mut global.trace {
+            trace.push(SchedEvent::cond(waiting, eligible));
         }
         eligible
     });
@@ -689,8 +687,8 @@ fn fin_pass(
             let woken = core.wait.take_if(&(QueueOpKind::Fin, txn, None), |fin| {
                 retested += 1;
                 let eligible = global.scheme.cond(fin, &mut StepCounter::new());
-                if let Some(sink) = &mut global.sink {
-                    sink.record(global.clock, SchedEvent::cond(fin, eligible));
+                if let Some(trace) = &mut global.trace {
+                    trace.push(SchedEvent::cond(fin, eligible));
                 }
                 eligible
             });

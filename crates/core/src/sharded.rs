@@ -1,7 +1,7 @@
 //! `ShardedGtm2` — the Basic_Scheme loop with a site-partitioned WAIT set,
 //! as a deterministic single-owner **replay model**.
 //!
-//! The loop itself (`cond` → `act` → cascading WAIT re-test, stats, sink
+//! The loop itself (`cond` → `act` → cascading WAIT re-test, stats, trace
 //! events, metric export) is [`crate::gtm2`]'s slot logic, shared with the
 //! single engine. This module holds only what partitioning adds to it:
 //! routing, handoff delivery between shards, and the per-shard observers.

@@ -22,7 +22,7 @@
 //!   non-empty is charged every pass and never re-tested.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SchedEvent, SharedSink};
+use mdbs_common::instrument::{Registry, SchedEvent};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
@@ -254,14 +254,12 @@ fn fin_pass_wakes_a_later_front_now_and_an_earlier_one_next_pass() {
             round.iter().for_each(|op| engine.enqueue(op.clone()));
             engine.pump();
         }
-        let sink = SharedSink::new();
-        engine.set_sink(Some(Box::new(sink.clone())));
+        engine.set_tracing(true);
         engine.enqueue(fin(1));
         engine.pump();
-        let woken: Vec<u64> = sink
-            .drain()
-            .into_iter()
-            .filter_map(|traced| match traced.event {
+        let woken: Vec<u64> = engine
+            .drain_events()
+            .filter_map(|event| match event {
                 SchedEvent::Wake { txn, .. } => Some(txn.0),
                 _ => None,
             })
@@ -395,14 +393,13 @@ fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
             round.iter().for_each(|op| engine.enqueue(op.clone()));
             engine.pump();
         }
-        let sink = SharedSink::new();
-        engine.set_sink(Some(Box::new(sink.clone())));
+        engine.set_tracing(true);
         engine.enqueue(fin(1));
         engine.pump();
-        let events = sink.drain();
+        let events: Vec<SchedEvent> = engine.drain_events().collect();
         let woken: Vec<u64> = events
             .iter()
-            .filter_map(|traced| match traced.event {
+            .filter_map(|event| match *event {
                 SchedEvent::Wake { txn, .. } => Some(txn.0),
                 _ => None,
             })
@@ -410,9 +407,7 @@ fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
         assert_eq!(woken, [5, 8, 2], "{kernel}: wake order");
         let retests = events
             .iter()
-            .filter(|traced| {
-                matches!(traced.event, SchedEvent::Cond { txn, .. } if txn == GlobalTxnId(9))
-            })
+            .filter(|event| matches!(event, SchedEvent::Cond { txn, .. } if *txn == GlobalTxnId(9)))
             .count();
         assert_eq!(retests, fin_9_retests, "{kernel}: re-tests of fin_9");
     }

@@ -11,7 +11,10 @@
 //! EXP-AMRT and EXP-E2E (see `EXPERIMENTS.md` at the workspace root).
 //!
 //! [`MdbsSystem`] is the one driver; it runs over the seeded event queue
-//! or, with [`MdbsSystem::run_live`], live threads ([`threaded`]).
+//! or, with [`MdbsSystem::run_live`], live threads ([`threaded`]). On
+//! either transport, [`MdbsSystem::enable_trace`] records the run as one
+//! list of stamped [`SchedEvent`](mdbs_common::instrument::SchedEvent)s:
+//! the driver's and both GTMs', in the order they happened.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,10 +25,8 @@ pub mod metrics;
 mod server;
 pub mod system;
 pub mod threaded;
-pub mod trace;
 
 pub use audit::audit_sites;
 pub use metrics::{Metrics, ResponseStats};
 pub use system::{LatencyConfig, MdbsSystem, RunReport, SystemConfig, SystemConfigBuilder};
 pub use threaded::{ThreadedMdbs, ThreadedRunReport};
-pub use trace::{Trace, TraceEntry, TraceRecord};

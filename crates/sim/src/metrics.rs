@@ -75,7 +75,9 @@ pub struct Metrics {
     /// Response time from first submission to final commit, per logical
     /// global transaction (includes retries).
     pub global_response: ResponseStats,
-    /// Simulated completion time of the whole run.
+    /// When the last global program or local driver finished (simulated,
+    /// or wall µs on the live transport); timers still queued after it do
+    /// not count.
     pub makespan: SimTime,
     /// Count of simulation events processed (cost/diagnostic).
     pub events: u64,

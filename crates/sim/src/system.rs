@@ -24,11 +24,10 @@ use crate::event::{EventQueue, SimTime};
 use crate::metrics::Metrics;
 use crate::server::{LocalStep, Reply, Server, SiteMsg};
 use crate::threaded::Live;
-use crate::trace::{Trace, TraceRecord};
 use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
-use mdbs_common::instrument::{Registry, SharedSink};
+use mdbs_common::instrument::{Registry, SchedEvent, TracedEvent};
 use mdbs_common::rng::{derive_rng, DetRng};
 use mdbs_common::step::StepCounter;
 use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
@@ -352,11 +351,9 @@ pub struct MdbsSystem {
     rng: DetRng,
     /// Sites currently down, with the time they come back.
     down_until: BTreeMap<SiteId, SimTime>,
-    trace: Option<Trace>,
-    /// Our handle on the sink attached to the GTM while tracing: GTM1 and
-    /// GTM2 record structured scheduling events into it and we drain them
-    /// into `trace` after each GTM round.
-    sched_sink: Option<SharedSink>,
+    /// The run's trace: the driver's events and, after each GTM round,
+    /// the coordinator's; `None` = tracing off.
+    trace: Option<Vec<TracedEvent>>,
 }
 
 /// Panics on a non-conservative scheme: the baselines abort global
@@ -424,7 +421,6 @@ impl MdbsSystem {
             rng,
             down_until: BTreeMap::new(),
             trace: None,
-            sched_sink: None,
             cfg,
         }
     }
@@ -435,7 +431,6 @@ impl MdbsSystem {
         while let Some((_, event)) = self.queue.pop() {
             self.step(event);
         }
-        self.metrics.makespan = self.queue.now();
         self.report()
     }
 
@@ -506,7 +501,6 @@ impl MdbsSystem {
             }
         }
         if let Some(live) = self.live.take() {
-            self.metrics.makespan = live.now();
             self.servers = live.finish(&mut self.transport_metrics);
         }
         self.report()
@@ -589,39 +583,27 @@ impl MdbsSystem {
         registry
     }
 
-    /// Enable structured tracing for the next run. Besides the simulator's
-    /// own records, this attaches a shared [`TraceSink`] to GTM1 and GTM2
-    /// so their scheduling events (enqueue, cond, act, wake, wait, abort)
-    /// converge into the same [`Trace`].
-    ///
-    /// [`TraceSink`]: mdbs_common::instrument::TraceSink
+    /// Trace the next run: the driver's own events (submit, completion,
+    /// timeout, crash) and GTM1's and GTM2's (enqueue, cond, act, wake,
+    /// wait, abort) land in one record, in the order they happened,
+    /// stamped with the run's clock.
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::new());
-        let sink = SharedSink::new();
-        self.gtm.set_sink(Some(sink.clone()));
-        self.sched_sink = Some(sink);
+        self.trace = Some(Vec::new());
+        self.gtm.set_tracing(true);
     }
 
     /// Take the trace recorded by the last run (if tracing was enabled).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.drain_sched_events();
-        self.sched_sink = None;
-        self.gtm.set_sink(None);
+    pub fn take_trace(&mut self) -> Option<Vec<TracedEvent>> {
+        self.gtm.set_tracing(false);
         self.trace.take()
     }
 
-    /// Move scheduling events recorded by the GTM sinks into the trace.
-    fn drain_sched_events(&mut self) {
-        if let (Some(sink), Some(trace)) = (&self.sched_sink, &mut self.trace) {
-            for ev in sink.drain() {
-                trace.push(ev.at, TraceRecord::Sched { event: ev.event });
-            }
-        }
-    }
-
-    fn record(&mut self, record: TraceRecord) {
+    fn record(&mut self, event: SchedEvent) {
         if let Some(trace) = &mut self.trace {
-            trace.push(self.queue.now(), record);
+            trace.push(TracedEvent {
+                at: self.queue.now(),
+                event,
+            });
         }
     }
 
@@ -642,7 +624,7 @@ impl MdbsSystem {
     fn crash_site(&mut self, site: SiteId, down_for: SimTime) {
         self.metrics.crashes += 1;
         let until = self.queue.now() + down_for;
-        self.record(TraceRecord::Crash { site, until });
+        self.record(SchedEvent::Crash { site, until });
         self.down_until.insert(site, until);
         self.send(site, SiteMsg::Crash);
     }
@@ -699,7 +681,7 @@ impl MdbsSystem {
         state.first_submit.get_or_insert(self.queue.now());
         self.id2prog.insert(id, idx);
         let attempt = self.prog_state[idx].attempts;
-        self.record(TraceRecord::Submitted {
+        self.record(SchedEvent::Submitted {
             txn: id,
             program: idx,
             attempt,
@@ -741,7 +723,7 @@ impl MdbsSystem {
     /// Program `idx` committed or gave up: admit the next one.
     fn finish_program(&mut self, idx: usize) {
         self.prog_state[idx].done = true;
-        self.open -= 1;
+        self.close_one();
         if self.next_program < self.programs.len() && self.id2prog.len() < self.cfg.mpl {
             let idx = self.next_program;
             self.next_program += 1;
@@ -765,7 +747,7 @@ impl MdbsSystem {
                     SimEvent::DeliverServerCmd { txn, site, cmd },
                 ),
                 Outbound::Completed { txn, aborted } => {
-                    self.record(TraceRecord::Completed {
+                    self.record(SchedEvent::Completed {
                         txn,
                         committed: aborted.is_none(),
                     });
@@ -774,7 +756,9 @@ impl MdbsSystem {
             }
         }
         self.outbound = out;
-        self.drain_sched_events();
+        if let Some(trace) = &mut self.trace {
+            trace.extend(self.gtm.drain_trace());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -830,7 +814,7 @@ impl MdbsSystem {
         }
         self.blocked_epoch.remove(&(site, txn));
         self.metrics.timeouts += 1;
-        self.record(TraceRecord::Timeout { site });
+        self.record(SchedEvent::Timeout { site });
         // Abort the stalled transaction; the resulting completion routes
         // the failure to its owner (server task or local driver).
         self.send(site, SiteMsg::Expire(txn));
@@ -909,7 +893,17 @@ impl MdbsSystem {
 
     fn finish_local(&mut self, idx: usize) {
         self.drivers[idx].done = true;
+        self.close_one();
+    }
+
+    /// A program or local driver is done. The run's work ends with the
+    /// last one, so that is its makespan on either transport: the timers
+    /// still queued behind it (stale block timeouts) do nothing.
+    fn close_one(&mut self) {
         self.open -= 1;
+        if self.open == 0 {
+            self.metrics.makespan = self.queue.now();
+        }
     }
 }
 

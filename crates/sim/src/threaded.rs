@@ -31,10 +31,9 @@
 use crate::event::SimTime;
 use crate::server::{Reply, Server, SiteMsg};
 use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig};
-use crate::trace::TraceRecord;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mdbs_common::ids::SiteId;
-use mdbs_common::instrument::{Registry, TracedEvent};
+use mdbs_common::instrument::Registry;
 use mdbs_common::pool::{Poll, Pool, TaskHandle};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
@@ -295,11 +294,6 @@ pub struct ThreadedRunReport {
     pub ser_s_ok: bool,
     /// Metrics snapshot: the run's [`MdbsSystem::export_metrics`].
     pub registry: Registry,
-    /// Structured scheduling events recorded by the GTM sinks while
-    /// tracing was enabled (empty otherwise), in the order the coordinator
-    /// recorded them, stamped with wall microseconds since the run
-    /// started.
-    pub events: Vec<TracedEvent>,
 }
 
 impl ThreadedRunReport {
@@ -332,7 +326,6 @@ impl ThreadedRunReport {
 /// ```
 pub struct ThreadedMdbs {
     cfg: SystemConfig,
-    trace: bool,
 }
 
 impl ThreadedMdbs {
@@ -356,42 +349,20 @@ impl ThreadedMdbs {
             .into_iter()
             .fold(builder, |b, p| b.site(p))
             .build();
-        ThreadedMdbs { cfg, trace: false }
-    }
-
-    /// Record structured GTM scheduling events during runs; they come back
-    /// in [`ThreadedRunReport::events`].
-    pub fn enable_trace(&mut self) {
-        self.trace = true;
+        ThreadedMdbs { cfg }
     }
 
     /// Run the programs to completion on live threads and audit.
     pub fn run(&self, programs: Vec<GlobalTransaction>) -> ThreadedRunReport {
         let mut system = MdbsSystem::new(self.cfg.clone());
-        if self.trace {
-            system.enable_trace();
-        }
         system.load(programs, Vec::new());
         let report = system.run_loaded_live();
-        let trace = system.take_trace().unwrap_or_default();
-        let events = trace
-            .entries()
-            .iter()
-            .filter_map(|entry| match entry.record {
-                TraceRecord::Sched { event } => Some(TracedEvent {
-                    at: entry.at,
-                    event,
-                }),
-                _ => None,
-            })
-            .collect();
         ThreadedRunReport {
             commits: report.metrics.global_commits,
             aborts: report.metrics.global_failures,
             audit: report.audit,
             ser_s_ok: report.ser_s_ok,
             registry: report.registry,
-            events,
         }
     }
 }
@@ -399,11 +370,17 @@ impl ThreadedMdbs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::RunReport;
+    use mdbs_common::instrument::TracedEvent;
     use mdbs_workload::generator::Workload;
     use mdbs_workload::spec::WorkloadSpec;
     use std::collections::BTreeMap;
 
     fn programs(sites: usize, n: usize, seed: u64) -> Vec<GlobalTransaction> {
+        workload(sites, n, seed).globals
+    }
+
+    fn workload(sites: usize, n: usize, seed: u64) -> Workload {
         let spec = WorkloadSpec {
             sites,
             global_txns: n,
@@ -416,7 +393,24 @@ mod tests {
             ops_per_local_txn: 0,
             seed,
         };
-        Workload::generate(&spec).globals
+        Workload::generate(&spec)
+    }
+
+    /// Twelve programs on three 2PL sites in [`ThreadedMdbs`]'s
+    /// configuration, traced, on the live transport or the event queue.
+    fn traced_run(scheme: SchemeKind, live: bool) -> (RunReport, Vec<TracedEvent>) {
+        let sites = vec![LocalProtocolKind::TwoPhaseLocking; 3];
+        let mut system = MdbsSystem::new(ThreadedMdbs::new(sites, scheme, 4).cfg);
+        system.enable_trace();
+        let workload = workload(3, 12, 5);
+        let report = if live {
+            system.run_live(workload)
+        } else {
+            system.run(workload)
+        };
+        let trace = system.take_trace().expect("tracing enabled");
+        assert_eq!(report.registry.counter("threaded.send_dropped"), 0);
+        (report, trace)
     }
 
     /// On a clean run every message reaches its peer: both channels are
@@ -483,20 +477,14 @@ mod tests {
     /// commit latency.
     #[test]
     fn threaded_trace_is_stamped_with_wall_time() {
-        let mut rt = ThreadedMdbs::new(
-            vec![LocalProtocolKind::TwoPhaseLocking; 3],
-            SchemeKind::Scheme1,
-            4,
-        );
-        rt.enable_trace();
-        let report = rt.run(programs(3, 12, 5));
-        let at: Vec<u64> = report.events.iter().map(|e| e.at).collect();
+        let (report, trace) = traced_run(SchemeKind::Scheme1, true);
+        let at: Vec<u64> = trace.iter().map(|e| e.at).collect();
         assert!(at.windows(2).all(|w| w[0] <= w[1]), "{at:?}");
         assert!(at.iter().any(|&t| t > 0), "{at:?}");
+        let commits = report.metrics.global_commits;
         let response = report.registry.histogram("sim.global_response_us");
-        assert_eq!(response.map_or(0, |h| h.count()), report.commits);
-        assert!(report.commits > 0);
-        assert_nothing_dropped(&report);
+        assert_eq!(response.map_or(0, |h| h.count()), commits);
+        assert!(commits > 0);
     }
 
     /// The coordinator counts as a core, and a pool is never empty.
@@ -542,28 +530,25 @@ mod tests {
         assert_nothing_dropped(&report);
     }
 
-    /// `enable_trace` hands back GTM2's events in the order the coordinator
-    /// recorded them: complete, and causally ordered per transaction.
+    /// A trace holds GTM2's events in the order the coordinator handled
+    /// them: complete, and causally ordered per transaction, on the live
+    /// transport and on the event queue.
     #[test]
     fn trace_is_complete_and_causally_ordered() {
         use mdbs_common::instrument::SchedEvent;
         use mdbs_common::ops::QueueOpKind::{Ack, Fin, Init, Ser};
-        for scheme in [
-            SchemeKind::Scheme0,
-            SchemeKind::Scheme1,
-            SchemeKind::Scheme2,
-            SchemeKind::Scheme3,
-        ] {
-            let mut rt = ThreadedMdbs::new(vec![LocalProtocolKind::TwoPhaseLocking; 3], scheme, 4);
-            rt.enable_trace();
-            let report = rt.run(programs(3, 12, 5));
-            assert_nothing_dropped(&report);
-            assert!(!report.events.is_empty(), "{scheme}");
+        for (scheme, live) in SchemeKind::CONSERVATIVE
+            .into_iter()
+            .flat_map(|scheme| [(scheme, true), (scheme, false)])
+        {
+            let (report, trace) = traced_run(scheme, live);
+            let scheme = format!("{scheme} live={live}");
+            assert!(!trace.is_empty(), "{scheme}");
             // Where each operation entered QUEUE and where it was acted
             // (from QUEUE or woken from WAIT), by position in the record.
             let mut enqueued = BTreeMap::new();
             let mut acted = BTreeMap::new();
-            for (at, traced) in report.events.iter().enumerate() {
+            for (at, traced) in trace.iter().enumerate() {
                 let (seen, kind, txn, site) = match traced.event {
                     SchedEvent::Enqueue { kind, txn, site } => (&mut enqueued, kind, txn, site),
                     SchedEvent::Act { kind, txn, site } | SchedEvent::Wake { kind, txn, site } => {

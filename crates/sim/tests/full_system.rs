@@ -277,32 +277,143 @@ fn trace_records_run_lifecycle() {
     let trace = system.take_trace().expect("tracing enabled");
     use mdbs_common::instrument::SchedEvent;
     use mdbs_common::ops::QueueOpKind::Ser;
-    use mdbs_sim::trace::TraceRecord;
-    let submitted = trace
-        .filter(|r| matches!(r, TraceRecord::Submitted { .. }))
-        .count();
-    let completed = trace
-        .filter(|r| matches!(r, TraceRecord::Completed { .. }))
-        .count();
+    let count = |pred: fn(&SchedEvent) -> bool| trace.iter().filter(|e| pred(&e.event)).count();
+    let submitted = count(|e| matches!(e, SchedEvent::Submitted { .. }));
+    let completed = count(|e| matches!(e, SchedEvent::Completed { .. }));
     // GTM2 acts each ser once, from QUEUE or woken from WAIT.
-    let scheduled = trace
-        .filter(|r| {
-            matches!(
-                r,
-                TraceRecord::Sched {
-                    event: SchedEvent::Act { kind: Ser, .. } | SchedEvent::Wake { kind: Ser, .. }
-                }
-            )
-        })
-        .count();
+    let scheduled = count(|e| {
+        matches!(
+            e,
+            SchedEvent::Act { kind: Ser, .. } | SchedEvent::Wake { kind: Ser, .. }
+        )
+    });
     assert!(submitted >= 8, "every program submitted at least once");
     assert_eq!(submitted, completed, "every attempt completes");
     assert!(scheduled >= submitted, "one ser event per site per attempt");
     // Timestamps are monotone.
-    let times: Vec<_> = trace.entries().iter().map(|e| e.at).collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    // Serializes to JSON lines.
-    assert!(trace.to_json_lines().lines().count() == trace.len());
+    assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
+}
+
+/// The trace of one seeded DES run, pinned: heterogeneous sites, local
+/// load, a crash and short block timeouts, so every event variant shows
+/// up under every scheme. Each entry is rendered as `at` and the event's
+/// `Debug` form (variant name, then its fields in order), and the
+/// renderings are hashed in order, so the digest moves if any event is
+/// lost, gained, restamped or reordered. A change meant to keep the trace
+/// must leave these constants alone.
+#[test]
+fn trace_pin_every_variant_all_schemes() {
+    use mdbs_common::ids::SiteId;
+    use mdbs_sim::system::LatencyConfig;
+    use std::collections::BTreeMap;
+    const NAMES: [&str; 10] = [
+        "Abort",
+        "Act",
+        "Completed",
+        "Cond",
+        "Crash",
+        "Enqueue",
+        "Submitted",
+        "Timeout",
+        "Wait",
+        "Wake",
+    ];
+    const COUNTS: [[usize; 10]; 4] = [
+        [28, 347, 68, 469, 1, 408, 68, 13, 61, 61],
+        [26, 327, 66, 480, 1, 396, 66, 9, 69, 69],
+        [21, 304, 61, 479, 1, 366, 61, 8, 62, 62],
+        [16, 286, 56, 386, 1, 336, 56, 5, 50, 50],
+    ];
+    const DIGESTS: [u64; 4] = [
+        855_117_197_699_427_492,
+        11_493_654_845_480_015_789,
+        12_164_882_621_118_058_227,
+        10_226_920_038_860_355_507,
+    ];
+    let spec = WorkloadSpec {
+        sites: 4,
+        global_txns: 40,
+        avg_sites_per_txn: 2.0,
+        ops_per_subtxn: 2,
+        read_ratio: 0.5,
+        items_per_site: 32,
+        distribution: AccessDistribution::Hotspot {
+            hot_frac: 0.1,
+            hot_prob: 0.8,
+        },
+        local_txns_per_site: 6,
+        ops_per_local_txn: 3,
+        seed: 5,
+    };
+    let latency = LatencyConfig {
+        block_timeout: 4_000,
+        ..LatencyConfig::default()
+    };
+    for (i, scheme) in SchemeKind::CONSERVATIVE.into_iter().enumerate() {
+        let mut builder = SystemConfig::builder()
+            .scheme(scheme)
+            .seed(5)
+            .mpl(8)
+            .latency(latency)
+            .crash(20_000, SiteId(1), 10_000);
+        for p in [
+            LocalProtocolKind::TwoPhaseLocking,
+            LocalProtocolKind::TimestampOrdering,
+            LocalProtocolKind::SerializationGraphTesting,
+            LocalProtocolKind::Optimistic,
+        ] {
+            builder = builder.site(p);
+        }
+        let mut system = MdbsSystem::new(builder.build());
+        system.enable_trace();
+        system.run(Workload::generate(&spec));
+        let trace = system.take_trace().expect("tracing enabled");
+        let mut counts = BTreeMap::new();
+        let mut digest = FNV_OFFSET_BASIS;
+        for traced in &trace {
+            let row = format!("{} {:?}", traced.at, traced.event);
+            let name = row.split(' ').nth(1).expect("a variant name");
+            *counts.entry(name.to_string()).or_insert(0) += 1;
+            digest = fnv1a(fnv1a(digest, row.as_bytes()), b"\n");
+        }
+        let expected = NAMES.iter().map(|n| n.to_string()).zip(COUNTS[i]);
+        assert_eq!(counts, expected.collect(), "{scheme}: events per variant");
+        assert_eq!(digest, DIGESTS[i], "{scheme}: trace digest");
+    }
+}
+
+/// The makespan ends with the last finished program, not with the timers
+/// still queued behind it: a block that resolved leaves its timeout in
+/// the queue, and that no-op must not stretch the run by the timeout.
+/// Here seven blocks resolve and none times out, so the run is the same
+/// at either timeout.
+#[test]
+fn makespan_ignores_stale_block_timeouts() {
+    use mdbs_sim::system::LatencyConfig;
+    let spec = WorkloadSpec {
+        items_per_site: 24,
+        ..spec(3, 40, 0, 1)
+    };
+    let run = |block_timeout| {
+        let cfg = SystemConfig::builder()
+            .sites(3, LocalProtocolKind::TwoPhaseLocking)
+            .scheme(SchemeKind::Scheme1)
+            .seed(1)
+            .mpl(4)
+            .latency(LatencyConfig {
+                block_timeout,
+                ..LatencyConfig::default()
+            })
+            .build();
+        MdbsSystem::new(cfg).run(Workload::generate(&spec))
+    };
+    let (short, long) = (run(60_000), run(600_000));
+    let blocked = |r: &mdbs_sim::RunReport| r.site_stats.iter().map(|s| s.2.blocked).sum::<u64>();
+    assert_eq!((blocked(&short), short.metrics.timeouts), (7, 0));
+    assert_eq!((blocked(&long), long.metrics.timeouts), (7, 0));
+    assert_eq!(short.metrics.global_commits, 40);
+    assert_eq!(short.metrics.makespan, long.metrics.makespan);
+    assert!(short.metrics.makespan < 60_000, "{:?}", short.metrics);
 }
 
 #[test]
@@ -473,29 +584,39 @@ fn golden_decision_digest_hot_heterogeneous_sites() {
         ops_per_local_txn: 3,
         seed: 7,
     };
-    let mut digests = [0u64; 4];
-    // Deadlock victims at the 2PL site and at the SGT site.
-    let mut victims = [0u64; 2];
-    for (digest, scheme) in digests.iter_mut().zip(SchemeKind::CONSERVATIVE) {
-        let mut builder = SystemConfig::builder().scheme(scheme).seed(7).mpl(16);
-        for p in mix {
-            builder = builder.site(p);
+    // Tracing only records: the traced runs must decide the same.
+    for traced in [false, true] {
+        let mut digests = [0u64; 4];
+        // Deadlock victims at the 2PL site and at the SGT site.
+        let mut victims = [0u64; 2];
+        for (digest, scheme) in digests.iter_mut().zip(SchemeKind::CONSERVATIVE) {
+            let mut builder = SystemConfig::builder().scheme(scheme).seed(7).mpl(16);
+            for p in mix {
+                builder = builder.site(p);
+            }
+            let mut system = MdbsSystem::new(builder.build());
+            if traced {
+                system.enable_trace();
+            }
+            let r = system.run(Workload::generate(&spec));
+            assert!(r.is_serializable(), "{scheme}: {:?}", r.audit);
+            assert_eq!(system.take_trace().is_some(), traced);
+            *digest = FNV_OFFSET_BASIS;
+            for (site, _, _) in &r.site_stats {
+                digest_of(digest, system.site(*site).history());
+            }
+            victims[0] += r.site_stats[0].2.deadlock_victims;
+            victims[1] += r.site_stats[2].2.deadlock_victims;
+            digest_of(digest, &r.metrics.events);
+            digest_of(digest, &r.site_stats);
         }
-        let mut system = MdbsSystem::new(builder.build());
-        let r = system.run(Workload::generate(&spec));
-        assert!(r.is_serializable(), "{scheme}: {:?}", r.audit);
-        *digest = FNV_OFFSET_BASIS;
-        for (site, _, _) in &r.site_stats {
-            digest_of(digest, system.site(*site).history());
-        }
-        victims[0] += r.site_stats[0].2.deadlock_victims;
-        victims[1] += r.site_stats[2].2.deadlock_victims;
-        digest_of(digest, &r.metrics.events);
-        digest_of(digest, &r.site_stats);
+        assert!(
+            victims.iter().all(|&v| v > 0),
+            "the workload must reach both deadlock detectors: {victims:?}"
+        );
+        assert_eq!(
+            digests, GOLDEN,
+            "traced={traced}: local protocol decisions changed"
+        );
     }
-    assert!(
-        victims.iter().all(|&v| v > 0),
-        "the workload must reach both deadlock detectors: {victims:?}"
-    );
-    assert_eq!(digests, GOLDEN, "local protocol decisions changed");
 }
