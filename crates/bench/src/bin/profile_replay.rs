@@ -22,11 +22,12 @@
 //!
 //! Defaults: `Scheme2 dense large 1`. SCHEME is `Scheme0..Scheme3`,
 //! KERNEL is a [`KernelKind`] name (`btree`, `dense`),
-//! SIZE is `small` or `medium` (`step_gate`'s scripts) or `large` (the
-//! shape of the benchmark's `sched_burst` script — 1000 transactions, 10
-//! sites, d_av 2.5 — but always seed 42, where the benchmark draws a fresh
-//! script per round from its own seed; `regression_scripts.rs` pins this
-//! cell's decisions). REPS is a positive integer.
+//! SIZE is `small` or `medium` (the scripts `step_cells_golden` pins) or
+//! `large` (the shape of the benchmark's `sched_burst` script — 1000
+//! transactions, 10 sites, d_av 2.5 — but always seed 42, where the
+//! benchmark draws a fresh script per round from its own seed;
+//! `regression_scripts.rs` pins this cell's decisions). REPS is a positive
+//! integer.
 
 use mdbs_common::instrument::Registry;
 use mdbs_core::gtm2::Gtm2;
@@ -34,7 +35,8 @@ use mdbs_core::replay::{replay_with, Script};
 use mdbs_core::scheme::{KernelKind, SchemeKind};
 use std::time::Instant;
 
-/// Mirror of `step_gate`'s sizes, plus `large` (label, txns, sites, avg sites).
+/// The two cells `step_cells_golden` pins, plus `large` (label, txns,
+/// sites, avg sites).
 const SIZES: [(&str, usize, usize, f64); 3] = [
     ("small", 50, 4, 2.0),
     ("medium", 150, 6, 2.5),

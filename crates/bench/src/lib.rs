@@ -8,9 +8,10 @@
 //! here makes one of those claims measurable; `EXPERIMENTS.md` records the
 //! expected shape next to the measured numbers.
 //!
-//! `step_gate` pins the deterministic `cond`/`act` step counts — the
-//! paper's actual cost model — against `STEP_GOLDEN.json`. Nothing here
-//! judges wall-clock: the standalone `benchmark/` package is the one
+//! The deterministic `cond`/`act` step counts — the paper's actual cost
+//! model — are pinned by the `step_cells_golden` soak test in
+//! `crates/core/tests/regression_scripts.rs`. Nothing here judges
+//! wall-clock: the standalone `benchmark/` package is the one
 //! harness whose wall times are recorded and compared.
 
 #![warn(missing_docs)]

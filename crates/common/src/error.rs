@@ -54,6 +54,10 @@ pub enum AbortReason {
     UserRequested,
     /// The site's DBMS crashed and lost its volatile state.
     SiteFailure,
+    /// The GTM refused the program at admission: it fails
+    /// `GlobalTransaction::validate` or names a site the GTM was not
+    /// configured with. Nothing ran; a retry would be refused again.
+    Refused,
 }
 
 impl fmt::Display for AbortReason {
@@ -66,6 +70,7 @@ impl fmt::Display for AbortReason {
             AbortReason::GlobalSchedulerDecision => "global scheduler abort",
             AbortReason::UserRequested => "user requested",
             AbortReason::SiteFailure => "site failure",
+            AbortReason::Refused => "refused at admission",
         };
         f.write_str(s)
     }

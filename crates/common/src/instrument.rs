@@ -190,15 +190,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Set the named gauge.
-    pub fn set_gauge(&mut self, name: &str, v: i64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = v;
-        } else {
-            self.gauges.insert(name.to_string(), v);
-        }
-    }
-
     /// Raise the named gauge to `v` if `v` is larger (high-water mark).
     pub fn max_gauge(&mut self, name: &str, v: i64) {
         if let Some(g) = self.gauges.get_mut(name) {
@@ -460,7 +451,6 @@ mod tests {
         r.inc("a", 3);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
-        r.set_gauge("g", -4);
         r.max_gauge("g", 7);
         r.max_gauge("g", 2);
         assert_eq!(r.gauge("g"), 7);

@@ -67,6 +67,10 @@ const DIRTY: u8 = 3;
 const DONE: u8 = 4;
 
 /// How many times an idle worker re-polls the deques before it parks.
+/// The live runtime's coordinator re-polls its empty reply channel this
+/// many times too before it blocks, so one sweep moves both. Neither
+/// spins on a single-core machine.
+///
 /// The classical rule: spin about as long as a park/unpark pair costs —
 /// shorter gives the saving away, longer burns a core somebody else may
 /// need. On the 2-vCPU reference VM a park plus its wake cost ≈ 10 µs and
@@ -75,7 +79,7 @@ const DONE: u8 = 4;
 /// 1.45× / 1.5× the no-spin throughput, 200 to 20 000 all give 1.8–2.0×;
 /// with a CPU hog competing for the two cores 200 still matches no-spin
 /// while 500 / 2 000 / 20 000 fall to 0.65× / 0.33× / 0.15× of it.
-const SPIN_POLLS: u32 = 200;
+pub const SPIN_POLLS: u32 = 200;
 
 type TaskBody = Box<dyn FnMut() -> Poll + Send>;
 

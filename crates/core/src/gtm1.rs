@@ -17,11 +17,13 @@
 //!
 //! GTM1 is also the GTM's one door for malformed input, so GTM2 only ever
 //! sees Figure 2's order (see [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue)).
-//! It refuses, counts as a protocol violation and otherwise ignores:
+//! It refuses and counts as a protocol violation:
 //!
-//! - a `Submit` of an id it admitted before, of a program that fails
-//!   [`GlobalTransaction::validate`], or naming a site it was not
-//!   configured with;
+//! - a `Submit` of a program that fails [`GlobalTransaction::validate`]
+//!   or names a site it was not configured with, answered with a
+//!   `Completed` aborted as [`AbortReason::Refused`] unless its id was
+//!   admitted before (that id belongs to another transaction);
+//! - a `Submit` of an id it admitted before, unanswered;
 //! - a reply the transaction is not waiting for, including a site's `ack`
 //!   for a `ser` GTM2 has not submitted or whose ack already came;
 //! - GTM2's own events arriving from outside the GTM.
@@ -142,7 +144,7 @@ pub enum Gtm1Effect {
         /// Transaction.
         txn: GlobalTxnId,
         /// `None` = committed everywhere; `Some(reason)` = globally
-        /// aborted.
+        /// aborted, or [`AbortReason::Refused`] at admission.
         aborted: Option<AbortReason>,
     },
 }
@@ -337,13 +339,11 @@ impl Gtm1 {
         Some(plan)
     }
 
-    /// The plan of a program GTM1 may admit: its id was never admitted
-    /// before, its shape passes [`GlobalTransaction::validate`], and every
-    /// site it names is configured. Records the id as admitted.
-    fn admit(&mut self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
+    /// The plan of a program whose shape passes
+    /// [`GlobalTransaction::validate`] and whose every site is configured.
+    fn plan(&self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
         gt.validate().ok()?;
-        let plan = self.compile(gt)?;
-        self.admitted.insert(gt.id).then_some(plan)
+        self.compile(gt)
     }
 
     /// Whether an event from outside the GTM (a driver or a site server)
@@ -377,10 +377,19 @@ impl Gtm1 {
         match event {
             Gtm1Event::Submit(gt) => {
                 let txn = gt.id;
-                let Some(plan) = self.admit(&gt) else {
+                if self.admitted.contains(&txn) {
                     self.stats.protocol_violations += 1;
                     return effects;
+                }
+                let Some(plan) = self.plan(&gt) else {
+                    self.stats.protocol_violations += 1;
+                    effects.push(Gtm1Effect::Completed {
+                        txn,
+                        aborted: Some(AbortReason::Refused),
+                    });
+                    return effects;
                 };
+                self.admitted.insert(txn);
                 let sites = gt.sites();
                 self.stats.submitted += 1;
                 effects.push(Gtm1Effect::EnqueueGtm2(QueueOp::Init { txn, sites }));

@@ -15,7 +15,8 @@
 //! the reference, with the same operand values on every input. That is a
 //! hard invariant — the abstract complexity measurements (Theorems 4, 6, 9)
 //! must not depend on which kernel ran — and is enforced by the
-//! `kernel_equivalence` property suite and the `step_gate` CI gate. The
+//! `kernel_equivalence` suite and the `step_cells_golden` soak test
+//! (`crates/core/tests/regression_scripts.rs`). The
 //! kernels are equivalent to the reference on every stream GTM2 can
 //! receive: every caller keeps Figure 2's order (see
 //! [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue)), and GTM1 refuses
@@ -1104,8 +1105,6 @@ impl Gtm2Scheme for Scheme3Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtm2::Gtm2;
-    use crate::scheme::{KernelKind, SchemeKind};
     use crate::tsgd::Dep;
 
     fn g(i: u64) -> GlobalTxnId {
@@ -1137,33 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme1_dense_marks_and_orders_shared_pair() {
-        let mut e = Gtm2::new(Box::new(Scheme1Dense::new()));
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(2, 0));
-        e.enqueue(ser(2, 1));
-        let fx = e.pump();
-        assert!(fx.is_empty(), "marked non-front ops must wait: {fx:?}");
-        assert_eq!(e.stats().waited, 2);
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(1, 1));
-        assert_eq!(e.pump().len(), 2);
-        e.enqueue(ack(1, 0));
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(0)
-        }));
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(1)
-        }));
-        assert!(e.ser_log().check().is_ok());
-    }
-
-    #[test]
     fn scheme1_dense_marked_count_tracks_cycle_edges() {
         let mut scheme = Scheme1Dense::new();
         let mut steps = StepCounter::new();
@@ -1171,71 +1143,6 @@ mod tests {
         assert_eq!(scheme.marked_count(), 0, "no cycle with one txn");
         scheme.act(&init(2, &[0, 1]), &mut steps);
         assert_eq!(scheme.marked_count(), 2, "only G2's edges are marked");
-    }
-
-    #[test]
-    fn scheme2_dense_overlapping_txns_safe_order() {
-        let mut e = Gtm2::new(Box::new(Scheme2Dense::new()));
-        e.set_validate(true);
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(2, 1));
-        let fx = e.pump();
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(1),
-                site: s(0)
-            }]
-        );
-        assert_eq!(e.stats().waited, 1);
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        assert!(
-            fx.contains(&SchemeEffect::SubmitSer {
-                txn: g(2),
-                site: s(1)
-            }),
-            "{fx:?}"
-        );
-        e.enqueue(ack(2, 1));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.pump();
-        assert!(e.ser_log().check().is_ok());
-        assert_eq!(e.ser_log().site_order(s(0)), &[g(1), g(2)]);
-        assert_eq!(e.ser_log().site_order(s(1)), &[g(1), g(2)]);
-    }
-
-    #[test]
-    fn scheme2_dense_fin_respects_dependency_order() {
-        let mut e = Gtm2::new(Box::new(Scheme2Dense::new()));
-        e.set_validate(true);
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ack(1, 1));
-        e.enqueue(ser(2, 0));
-        e.enqueue(ser(2, 1));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.enqueue(ack(2, 1));
-        e.enqueue(fin(2));
-        e.pump();
-        assert_eq!(e.wait_len(), 1);
-        e.enqueue(fin(1));
-        e.pump();
-        assert_eq!(e.wait_len(), 0);
-        assert_eq!(e.stats().fins, 2);
-        assert!(e.ser_log().check().is_ok());
     }
 
     #[test]
@@ -1260,30 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme3_dense_blocks_exactly_the_nonserializable_order() {
-        let mut e = Gtm2::new(Box::new(Scheme3Dense::new()));
-        e.set_validate(true);
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.pump();
-        e.enqueue(ser(2, 1));
-        e.pump();
-        assert_eq!(e.stats().waited, 1, "unsafe ser must wait");
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(1)
-        }));
-        assert!(e.ser_log().check().is_ok());
-    }
-
-    #[test]
     fn scheme3_dense_ser_bef_accessor_and_recycling() {
         let mut scheme = Scheme3Dense::new();
         let mut steps = StepCounter::new();
@@ -1304,68 +1187,5 @@ mod tests {
         );
         assert!(!scheme.ser_bef(g(3)).contains(&g(1)), "G1 is gone");
         scheme.debug_validate();
-    }
-
-    /// The load-bearing invariant, in miniature: a fixed mixed workload
-    /// produces byte-identical steps, stats, and effects on both kernels
-    /// of every conservative scheme. (The full randomized version lives in
-    /// `tests/kernel_equivalence.rs`.)
-    #[test]
-    fn fixed_script_matches_reference_kernels() {
-        let script: Vec<QueueOp> = vec![
-            init(1, &[0, 1]),
-            init(2, &[0, 1]),
-            init(3, &[1, 2]),
-            ser(1, 0),
-            ser(2, 1),
-            ack(1, 0),
-            ser(1, 1),
-            ack(1, 1),
-            ser(2, 0),
-            ack(2, 1),
-            ack(2, 0),
-            ser(3, 1),
-            ser(3, 2),
-            ack(3, 1),
-            ack(3, 2),
-            fin(1),
-            fin(2),
-            fin(3),
-            // Recycled ids after fin.
-            init(4, &[0, 2]),
-            ser(4, 0),
-            ack(4, 0),
-            ser(4, 2),
-            ack(4, 2),
-            fin(4),
-        ];
-        for kind in SchemeKind::CONSERVATIVE {
-            let mut reference = Gtm2::new(kind.build_kernel(KernelKind::BTree));
-            let mut dense = Gtm2::new(kind.build_kernel(KernelKind::Dense));
-            reference.set_validate(true);
-            dense.set_validate(true);
-            for op in &script {
-                reference.enqueue(op.clone());
-                dense.enqueue(op.clone());
-                let fx_ref = reference.pump();
-                let fx_dense = dense.pump();
-                assert_eq!(fx_ref, fx_dense, "{kind}: effects diverged on {op:?}");
-            }
-            assert_eq!(
-                reference.steps(),
-                dense.steps(),
-                "{kind}: step counters diverged"
-            );
-            assert_eq!(
-                reference.stats(),
-                dense.stats(),
-                "{kind}: engine stats diverged"
-            );
-            assert_eq!(
-                reference.ser_log().events(),
-                dense.ser_log().events(),
-                "{kind}: serialization order diverged"
-            );
-        }
     }
 }

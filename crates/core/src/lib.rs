@@ -81,4 +81,4 @@ pub use scheme::SchemeEffect;
 pub use scheme::{Gtm2Scheme, KernelKind, SchemeKind, WakeCandidates, WakeScope};
 pub use ser_s::SerSLog;
 pub use sharded::ShardedGtm2;
-pub use txn::{GlobalTransaction, SerializationFnKind, Step, StepKind};
+pub use txn::{GlobalTransaction, Step, StepKind};

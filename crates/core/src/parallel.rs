@@ -92,7 +92,7 @@ pub fn replay_parallel(kind: SchemeKind, workers: usize, script: &Script) -> Rep
 
 /// [`replay_parallel`] with an explicit kernel choice. The parallel
 /// Scheme 0/1 engines implement the schemes' charge model directly (both
-/// kernels charge identically by construction, which the step gate
+/// kernels charge identically by construction, which `step_cells_golden`
 /// pins), so the kernel only selects the funnel path's implementation.
 pub fn replay_parallel_kernel(
     kind: SchemeKind,

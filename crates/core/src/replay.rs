@@ -272,8 +272,8 @@ pub fn replay(kind: SchemeKind, script: &Script) -> ReplayOutcome {
 }
 
 /// [`replay`] with an explicit kernel choice — used by the bench harness
-/// and the `step_gate` tool to compare the reference BTree kernels against
-/// the dense slot/bitset ones on identical inputs.
+/// and the `step_cells_golden` soak test to compare the reference BTree
+/// kernels against the dense slot/bitset ones on identical inputs.
 pub fn replay_kernel(kind: SchemeKind, kernel: KernelKind, script: &Script) -> ReplayOutcome {
     replay_with(&mut Gtm2::new(kind.build_kernel(kernel)), script)
 }

@@ -261,6 +261,7 @@ impl Gtm2Scheme for Scheme1 {
 mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
+    use crate::scheme::{KernelKind, SchemeKind};
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)
@@ -304,35 +305,37 @@ mod tests {
     }
 
     /// Two transactions sharing two sites form a TSG cycle: all four edges
-    /// marked, forcing insert-queue order.
+    /// marked, forcing insert-queue order. On both kernels.
     #[test]
     fn shared_pair_of_sites_marks_and_orders() {
-        let mut e = Gtm2::new(Box::new(Scheme1::new()));
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        // G2's ops arrive first but G1 heads both insert queues.
-        e.enqueue(ser(2, 0));
-        e.enqueue(ser(2, 1));
-        let fx = e.pump();
-        assert!(fx.is_empty(), "marked non-front ops must wait: {fx:?}");
-        assert_eq!(e.stats().waited, 2);
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(1, 1));
-        let fx = e.pump();
-        assert_eq!(fx.len(), 2); // G1 submits at both sites
-        e.enqueue(ack(1, 0));
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        // G1's acks free the queue fronts; G2's waiting sers run.
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(0)
-        }));
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(1)
-        }));
-        assert!(e.ser_log().check().is_ok());
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1]));
+            // G2's ops arrive first but G1 heads both insert queues.
+            e.enqueue(ser(2, 0));
+            e.enqueue(ser(2, 1));
+            let fx = e.pump();
+            assert!(fx.is_empty(), "marked non-front ops must wait: {fx:?}");
+            assert_eq!(e.stats().waited, 2);
+            e.enqueue(ser(1, 0));
+            e.enqueue(ser(1, 1));
+            let fx = e.pump();
+            assert_eq!(fx.len(), 2); // G1 submits at both sites
+            e.enqueue(ack(1, 0));
+            e.enqueue(ack(1, 1));
+            let fx = e.pump();
+            // G1's acks free the queue fronts; G2's waiting sers run.
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(2),
+                site: s(0)
+            }));
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(2),
+                site: s(1)
+            }));
+            assert!(e.ser_log().check().is_ok());
+        }
     }
 
     /// Scheme 1 beats Scheme 0: a single shared site does not create a TSG

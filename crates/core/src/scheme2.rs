@@ -235,6 +235,7 @@ impl Gtm2Scheme for Scheme2 {
 mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
+    use crate::scheme::{KernelKind, SchemeKind};
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)
@@ -264,60 +265,63 @@ mod tests {
         QueueOp::Fin { txn: g(i) }
     }
 
-    fn engine() -> Gtm2 {
-        let mut e = Gtm2::new(Box::new(Scheme2::new()));
+    fn engine(kernel: KernelKind) -> Gtm2 {
+        let mut e = Gtm2::new(SchemeKind::Scheme2.build_kernel(kernel));
         e.set_validate(true);
         e
     }
 
-    /// The dependency mechanism orders overlapping transactions safely.
+    /// The dependency mechanism orders overlapping transactions safely, on
+    /// both kernels.
     #[test]
     fn overlapping_txns_safe_order() {
-        let mut e = engine();
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(2, 1));
-        let fx = e.pump();
-        // Eliminate_Cycles at init(2) pinned G1 before G2 (Δ dependencies
-        // always point into the initializing transaction), so G1's event
-        // runs and G2's waits for G1's ack at its site.
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(1),
-                site: s(0)
-            }]
-        );
-        assert_eq!(e.stats().waited, 1);
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        // G1's ack at site 1 wakes G2's waiting event there.
-        assert!(
-            fx.contains(&SchemeEffect::SubmitSer {
-                txn: g(2),
-                site: s(1)
-            }),
-            "{fx:?}"
-        );
-        e.enqueue(ack(2, 1));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.pump();
-        assert!(e.ser_log().check().is_ok());
-        assert_eq!(e.ser_log().site_order(s(0)), &[g(1), g(2)]);
-        assert_eq!(e.ser_log().site_order(s(1)), &[g(1), g(2)]);
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = engine(kernel);
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1]));
+            e.enqueue(ser(1, 0));
+            e.enqueue(ser(2, 1));
+            let fx = e.pump();
+            // Eliminate_Cycles at init(2) pinned G1 before G2 (Δ dependencies
+            // always point into the initializing transaction), so G1's event
+            // runs and G2's waits for G1's ack at its site.
+            assert_eq!(
+                fx,
+                vec![SchemeEffect::SubmitSer {
+                    txn: g(1),
+                    site: s(0)
+                }]
+            );
+            assert_eq!(e.stats().waited, 1);
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(1, 1));
+            e.pump();
+            e.enqueue(ack(1, 1));
+            let fx = e.pump();
+            // G1's ack at site 1 wakes G2's waiting event there.
+            assert!(
+                fx.contains(&SchemeEffect::SubmitSer {
+                    txn: g(2),
+                    site: s(1)
+                }),
+                "{fx:?}"
+            );
+            e.enqueue(ack(2, 1));
+            e.enqueue(ser(2, 0));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            e.pump();
+            assert!(e.ser_log().check().is_ok());
+            assert_eq!(e.ser_log().site_order(s(0)), &[g(1), g(2)]);
+            assert_eq!(e.ser_log().site_order(s(1)), &[g(1), g(2)]);
+        }
     }
 
     /// Scheme 2 exploits processing order: if G1's events all execute and
     /// ack before G2's init, G2 is simply ordered after G1 — no waits.
     #[test]
     fn sequential_txns_never_wait() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         for i in 1..=3u64 {
             e.enqueue(init(i, &[0, 1]));
             e.enqueue(ser(i, 0));
@@ -336,7 +340,7 @@ mod tests {
     /// executed in the other order at a single shared site.
     #[test]
     fn single_site_out_of_init_order_ok() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0, 1]));
         e.enqueue(init(2, &[0, 2]));
         // G2's event at the shared site first — Scheme 0 would queue it
@@ -361,31 +365,34 @@ mod tests {
         assert!(e.ser_log().check().is_ok());
     }
 
-    /// fin waits until incoming dependencies disappear (predecessors fin).
+    /// fin waits until incoming dependencies disappear (predecessors fin),
+    /// on both kernels.
     #[test]
     fn fin_respects_dependency_order() {
-        let mut e = engine();
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ack(1, 1));
-        e.enqueue(ser(2, 0));
-        e.enqueue(ser(2, 1));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.enqueue(ack(2, 1));
-        // G2 was ordered after G1 by Eliminate_Cycles: its fin must wait
-        // for G1's fin.
-        e.enqueue(fin(2));
-        e.pump();
-        assert_eq!(e.wait_len(), 1);
-        e.enqueue(fin(1));
-        e.pump();
-        assert_eq!(e.wait_len(), 0);
-        assert_eq!(e.stats().fins, 2);
-        assert!(e.ser_log().check().is_ok());
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = engine(kernel);
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1]));
+            e.enqueue(ser(1, 0));
+            e.enqueue(ser(1, 1));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.enqueue(ack(1, 1));
+            e.enqueue(ser(2, 0));
+            e.enqueue(ser(2, 1));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            e.enqueue(ack(2, 1));
+            // G2 was ordered after G1 by Eliminate_Cycles: its fin must wait
+            // for G1's fin.
+            e.enqueue(fin(2));
+            e.pump();
+            assert_eq!(e.wait_len(), 1);
+            e.enqueue(fin(1));
+            e.pump();
+            assert_eq!(e.wait_len(), 0);
+            assert_eq!(e.stats().fins, 2);
+            assert!(e.ser_log().check().is_ok());
+        }
     }
 }

@@ -250,6 +250,7 @@ impl Gtm2Scheme for Scheme3 {
 mod tests {
     use super::*;
     use crate::gtm2::Gtm2;
+    use crate::scheme::{KernelKind, SchemeKind};
 
     fn g(i: u64) -> GlobalTxnId {
         GlobalTxnId(i)
@@ -279,38 +280,40 @@ mod tests {
         QueueOp::Fin { txn: g(i) }
     }
 
-    fn engine() -> Gtm2 {
-        let mut e = Gtm2::new(Box::new(Scheme3::new()));
+    fn engine(kernel: KernelKind) -> Gtm2 {
+        let mut e = Gtm2::new(SchemeKind::Scheme3.build_kernel(kernel));
         e.set_validate(true);
         e
     }
 
     /// The classic unsafe interleaving is blocked: after G1 executes first
     /// at s0, G2 (now ordered after G1) may not execute at s1 while G1 is
-    /// still pending there.
+    /// still pending there. On both kernels.
     #[test]
     fn blocks_exactly_the_nonserializable_order() {
-        let mut e = engine();
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.pump();
-        // G2 at s1 would serialize G2 before G1 at s1 but after at s0.
-        e.enqueue(ser(2, 1));
-        e.pump();
-        assert_eq!(e.stats().waited, 1, "unsafe ser must wait");
-        // G1's event at s1 proceeds, then its ack frees G2.
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 1));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(1)
-        }));
-        assert!(e.ser_log().check().is_ok());
+        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+            let mut e = engine(kernel);
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1]));
+            e.enqueue(ser(1, 0));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.pump();
+            // G2 at s1 would serialize G2 before G1 at s1 but after at s0.
+            e.enqueue(ser(2, 1));
+            e.pump();
+            assert_eq!(e.stats().waited, 1, "unsafe ser must wait");
+            // G1's event at s1 proceeds, then its ack frees G2.
+            e.enqueue(ser(1, 1));
+            e.pump();
+            e.enqueue(ack(1, 1));
+            let fx = e.pump();
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(2),
+                site: s(1)
+            }));
+            assert!(e.ser_log().check().is_ok());
+        }
     }
 
     /// Scheme 3 admits orders every BT-scheme forbids: transactions
@@ -318,7 +321,7 @@ mod tests {
     /// init order.
     #[test]
     fn admits_anti_init_order() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0, 1]));
         e.enqueue(init(2, &[0, 1]));
         // G2 runs first at both sites — serializable (G2 before G1),
@@ -349,7 +352,7 @@ mod tests {
     /// fin waits for predecessors to fin (ser_bef must drain).
     #[test]
     fn fin_order_respects_serialization() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0]));
         e.enqueue(init(2, &[0]));
         e.enqueue(ser(1, 0));
@@ -371,7 +374,7 @@ mod tests {
     /// event's ack even when unrelated.
     #[test]
     fn site_events_serialized_by_ack() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0]));
         e.enqueue(init(2, &[0]));
         e.enqueue(ser(1, 0));
@@ -394,7 +397,7 @@ mod tests {
 
     #[test]
     fn ser_bef_accessor_reflects_order() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0]));
         e.enqueue(init(2, &[0]));
         e.enqueue(ser(1, 0));
@@ -418,7 +421,7 @@ mod tests {
     /// there.
     #[test]
     fn transitive_ser_bef_blocks() {
-        let mut e = engine();
+        let mut e = engine(KernelKind::BTree);
         e.enqueue(init(1, &[0, 2]));
         e.enqueue(init(2, &[0, 1]));
         e.enqueue(init(3, &[1, 2]));

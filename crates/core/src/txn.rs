@@ -1,7 +1,6 @@
 //! Global transactions and their per-site programs.
 
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
-use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
 use serde::{Deserialize, Serialize};
 
@@ -183,11 +182,6 @@ impl GlobalTxnBuilder {
         GlobalTransaction::new(self.id, self.steps)
     }
 }
-
-/// Which operation of a subtransaction serves as its serialization event —
-/// re-exported shape used in system configuration. This mirrors
-/// [`SerializationEvent`] but is the name applications see.
-pub type SerializationFnKind = SerializationEvent;
 
 #[cfg(test)]
 mod tests {

@@ -4,11 +4,14 @@
 //! cleanly, once per conservative scheme and kernel. Then it runs again
 //! with one malformed arrival injected before each arrival of the clean
 //! run where that kind of input applies. Each malformed arrival must be
-//! refused where it arrives: it sends nothing out, counts once in
-//! `gtm1.protocol_violations`, never reaches GTM2 (whose
-//! `protocol_violations` stays 0), and leaves the outbound messages, GTM2's
-//! counters and steps and `ser(S)` exactly as in the clean run.
+//! refused where it arrives: it counts once in `gtm1.protocol_violations`,
+//! never reaches GTM2 (whose `protocol_violations` stays 0), and leaves the
+//! outbound messages, GTM2's counters and steps and `ser(S)` exactly as in
+//! the clean run. It sends nothing out, except that a refused program with
+//! a fresh id is answered with one `Completed` aborted as `Refused`, so
+//! whoever submitted it is not left waiting.
 
+use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_common::step::StepCounter;
 use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
@@ -79,21 +82,24 @@ struct Journey {
     ser_s: Vec<(GlobalTxnId, SiteId)>,
 }
 
+/// A malformed arrival, and what it must send out.
+type Bad = (Arrival, Vec<Outbound>);
+
 /// Drive both transactions to completion, arrivals first in first out.
-/// With `inject = Some((p, bad))`, `bad` is handled just before the
-/// `p`-th arrival (or after the last, for `p` = their count) and must send
-/// nothing out.
-fn journey(scheme: SchemeKind, kernel: KernelKind, inject: Option<(usize, &Arrival)>) -> Journey {
+/// With `inject = Some((p, (bad, reply)))`, `bad` is handled just before
+/// the `p`-th arrival (or after the last, for `p` = their count) and must
+/// send out exactly `reply`.
+fn journey(scheme: SchemeKind, kernel: KernelKind, inject: Option<(usize, &Bad)>) -> Journey {
     let mut c = coordinator(scheme, kernel);
     let mut fifo: VecDeque<Arrival> = [G1, G2]
         .map(|txn| Arrival::Gtm1(Gtm1Event::Submit(program(txn))))
         .into();
     let (mut arrivals, mut outs) = (Vec::new(), Vec::new());
     for i in 0.. {
-        if let Some((_, bad)) = inject.filter(|&(p, _)| p == i) {
+        if let Some((_, (bad, reply))) = inject.filter(|&(p, _)| p == i) {
             let mut out = Vec::new();
             c.handle(0, bad.clone(), &mut out);
-            assert!(out.is_empty(), "{scheme} {kernel}: {bad:?} sent {out:?}");
+            assert_eq!(&out, reply, "{scheme} {kernel}: {bad:?}");
         }
         let Some(arrival) = fifo.pop_front() else {
             break;
@@ -127,16 +133,28 @@ fn first_out(clean: &Journey, pred: impl Fn(&Outbound) -> bool) -> usize {
         .expect("the clean journey emits it")
 }
 
-/// Every malformed arrival with the positions (indices into the clean
-/// run's arrivals) before which it is injected, labelled.
-fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
+/// GTM1's answer to a refused program with a fresh id.
+fn refused(txn: GlobalTxnId) -> Vec<Outbound> {
+    vec![Outbound::Completed {
+        txn,
+        aborted: Some(AbortReason::Refused),
+    }]
+}
+
+/// Every malformed arrival with its reply and the positions (indices into
+/// the clean run's arrivals) before which it is injected, labelled.
+fn malformed(clean: &Journey) -> Vec<(&'static str, Bad, Vec<usize>)> {
     let len = clean.arrivals.len();
     let everywhere: Vec<usize> = (0..=len).collect();
     let submit = |txn| Arrival::Gtm1(Gtm1Event::Submit(program(txn)));
     let mut cases = Vec::new();
     for (i, arrival) in clean.arrivals.iter().enumerate() {
         if let Arrival::Ack { .. } = arrival {
-            cases.push(("duplicated ack", arrival.clone(), (i + 1..=len).collect()));
+            cases.push((
+                "duplicated ack",
+                (arrival.clone(), vec![]),
+                (i + 1..=len).collect(),
+            ));
         }
     }
     for txn in [G1, G2] {
@@ -148,7 +166,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
             let ack = Arrival::Ack { txn, site };
             cases.push((
                 "ack before its ser was submitted",
-                ack,
+                (ack, vec![]),
                 (0..=submitted).collect(),
             ));
             let internal = [
@@ -158,7 +176,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
             for event in internal {
                 cases.push((
                     "GTM2 event from outside",
-                    Arrival::Gtm1(event),
+                    (Arrival::Gtm1(event), vec![]),
                     everywhere.clone(),
                 ));
             }
@@ -166,7 +184,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
         let unannounced = Arrival::Ack { txn, site: S2 };
         cases.push((
             "ack at an unannounced site",
-            unannounced,
+            (unannounced, vec![]),
             everywhere.clone(),
         ));
         let admitted = clean
@@ -180,12 +198,12 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
         );
         cases.push((
             "submit of a live id",
-            submit(txn),
+            (submit(txn), vec![]),
             (admitted + 1..=completed).collect(),
         ));
         cases.push((
             "submit of a completed id",
-            submit(txn),
+            (submit(txn), vec![]),
             (completed + 1..=len).collect(),
         ));
     }
@@ -195,7 +213,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
     };
     cases.push((
         "ack for an id never submitted",
-        stranger,
+        (stranger, vec![]),
         everywhere.clone(),
     ));
     let two_begins = GlobalTransaction {
@@ -207,7 +225,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
     let two_begins = Arrival::Gtm1(Gtm1Event::Submit(two_begins));
     cases.push((
         "submit with two begins at one site",
-        two_begins,
+        (two_begins, refused(GlobalTxnId(3))),
         everywhere.clone(),
     ));
     let unconfigured = GlobalTransaction::builder(GlobalTxnId(4))
@@ -217,7 +235,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Arrival, Vec<usize>)> {
     let unconfigured = Arrival::Gtm1(Gtm1Event::Submit(unconfigured));
     cases.push((
         "submit naming an unconfigured site",
-        unconfigured,
+        (unconfigured, refused(GlobalTxnId(4))),
         everywhere,
     ));
     cases
@@ -235,7 +253,7 @@ fn every_malformed_arrival_is_refused_once_and_changes_nothing() {
             assert_eq!(clean.gtm1.protocol_violations, 0, "{scheme} {kernel}");
             assert_eq!(clean.gtm2.protocol_violations, 0, "{scheme} {kernel}");
             assert!(clean.gtm2.waited > 0, "{scheme} {kernel}: a ser waits");
-            let refused = Gtm1Stats {
+            let counted = Gtm1Stats {
                 protocol_violations: 1,
                 ..clean.gtm1
             };
@@ -244,7 +262,7 @@ fn every_malformed_arrival_is_refused_once_and_changes_nothing() {
                 for p in positions {
                     let seen = journey(scheme, kernel, Some((p, &bad)));
                     let at = format!("{scheme} {kernel}, {case} {bad:?} before arrival {p}");
-                    assert_eq!(seen.gtm1, refused, "{at}");
+                    assert_eq!(seen.gtm1, counted, "{at}");
                     assert_eq!(seen.arrivals, clean.arrivals, "{at}");
                     assert_eq!(seen.out, clean.out, "{at}");
                     assert_eq!(seen.gtm2, clean.gtm2, "{at}");

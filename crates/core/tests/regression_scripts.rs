@@ -11,7 +11,7 @@ use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
+use mdbs_core::replay::{replay, replay_kernel, replay_with, Script, ScriptEvent};
 use mdbs_core::scheme::{FullRescan, KernelKind, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
@@ -150,8 +150,8 @@ fn overlap_chain_3txn_wake_hints_complete() {
 /// pinned for the dense kernels: step charges, waits, wake-scan work, a
 /// digest of `ser(S)`, the states Scheme 2's `Eliminate_Cycles` entered
 /// and the column scans it elided, and the wake re-tests Schemes 1 and 3
-/// charged in closed form. `step_gate` stops at 150 transactions and the
-/// benchmark reads wall-clock only, so nothing else holds this cell's
+/// charged in closed form. `step_cells_golden` stops at 150 transactions
+/// and the benchmark reads wall-clock only, so nothing else holds this cell's
 /// decisions still. Ignored by default: a debug build validates every act
 /// and takes minutes; the release soak step runs it in well under a second.
 #[test]
@@ -250,5 +250,46 @@ fn burst_cell_dense_decisions_golden() {
         );
         assert_eq!(out.completed, 1000, "{kind}: incomplete");
         assert_eq!(out.protocol_violations, 0, "{kind}");
+    }
+}
+
+/// The paper's complexity results (Theorems 4, 6 and 9) are step counts,
+/// and the dense kernels change machine cost without moving one counted
+/// step. Two fixed replay cells, `small` (50 transactions, 4 sites, d_av
+/// 2.0) and `medium` (150, 6, 2.5), both seed 42, pin every conservative
+/// scheme's `cond` / `act` charges on both kernels: a kernel that forgot a
+/// charge, or a wake path that re-tests a different set, moves a cell.
+/// Ignored by default: a debug build validates every act and takes over a
+/// minute; the release soak step runs it in about a second.
+#[test]
+#[ignore = "soak: run with --release -- --ignored"]
+fn step_cells_golden() {
+    // (scheme, [(cond, act) on small, (cond, act) on medium])
+    const GOLDEN: [(SchemeKind, [(u64, u64); 2]); 4] = [
+        (SchemeKind::Scheme0, [(370, 350), (1_372, 1_266)]),
+        (SchemeKind::Scheme1, [(2_886, 3_832), (45_521, 41_275)]),
+        (
+            SchemeKind::Scheme2,
+            [(119_087, 57_479), (12_595_552, 3_073_329)],
+        ),
+        (SchemeKind::Scheme3, [(3_394, 11_215), (111_964, 516_988)]),
+    ];
+    let cells = [
+        ("small", Script::random(50, 4, 2.0, 42)),
+        ("medium", Script::random(150, 6, 2.5, 42)),
+    ];
+    for (kind, expected) in GOLDEN {
+        for ((size, script), steps) in cells.iter().zip(expected) {
+            for kernel in [KernelKind::BTree, KernelKind::Dense] {
+                let out = replay_kernel(kind, kernel, script);
+                let cell = format!("{kind} {size} {kernel}");
+                assert_eq!(out.completed, script.txn_count(), "{cell}: incomplete");
+                assert_eq!(
+                    (out.steps.cond, out.steps.act),
+                    steps,
+                    "{cell}: paper step counts (cond, act) moved"
+                );
+            }
+        }
     }
 }

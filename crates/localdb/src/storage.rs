@@ -29,13 +29,6 @@ impl Storage {
         }
     }
 
-    /// Pre-populate items `0..count` with `init` each.
-    pub fn with_items(count: u64, init: Value) -> Self {
-        Storage {
-            items: (0..count).map(|i| (DataItemId(i), init)).collect(),
-        }
-    }
-
     /// Read an item (0 if never written).
     pub fn read(&self, item: DataItemId) -> Value {
         self.items.get(&item).copied().unwrap_or(0)
@@ -91,16 +84,6 @@ mod tests {
         assert_eq!(s.write(DataItemId(1), 20), 10);
         assert_eq!(s.read(DataItemId(1)), 20);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn with_items_prepopulates() {
-        let s = Storage::with_items(3, 100);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.read(DataItemId(2)), 100);
-        assert_eq!(s.read(DataItemId(3)), 0);
-        // Item 0 is the ticket: its 100 is not data.
-        assert_eq!(s.data_total(), 200);
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl History {
         txns
     }
 
-    /// Transactions that aborted in this history.
-    pub fn aborted_txns(&self) -> Vec<TxnId> {
-        let set: BTreeSet<TxnId> = self
-            .ops
-            .iter()
-            .filter(|o| o.kind == DataOpKind::Abort)
-            .map(|o| o.txn)
-            .collect();
-        set.into_iter().collect()
-    }
-
     /// The *committed projection*: operations of committed transactions
     /// only. Serializability of a history is defined over this projection
     /// (aborted transactions' effects are undone by the local DBMS).
@@ -234,7 +223,6 @@ mod tests {
         let h = sample();
         assert_eq!(h.txns(), vec![t(1), t(2)]);
         assert_eq!(h.committed_txns(), vec![t(1)]);
-        assert_eq!(h.aborted_txns(), vec![t(2)]);
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct Metrics {
     pub global_commits: u64,
     /// Global transaction attempts that aborted (each retry counts).
     pub global_aborts: u64,
-    /// Global transactions abandoned after exhausting retries.
+    /// Global programs given up: retries exhausted, or refused at
+    /// admission.
     pub global_failures: u64,
     /// Local transactions committed.
     pub local_commits: u64,

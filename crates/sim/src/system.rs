@@ -663,17 +663,6 @@ impl MdbsSystem {
     // ------------------------------------------------------------------
 
     fn submit_global(&mut self, idx: usize) {
-        // A program naming a site this system was not configured with
-        // fails here, without reaching GTM1.
-        let sites = self.cfg.protocols.len();
-        if self.programs[idx]
-            .steps
-            .iter()
-            .any(|s| s.site.index() >= sites)
-        {
-            self.metrics.global_failures += 1;
-            return self.finish_program(idx);
-        }
         let id = GlobalTxnId(self.next_txn_id);
         self.next_txn_id += 1;
         let state = &mut self.prog_state[idx];
@@ -702,6 +691,12 @@ impl MdbsSystem {
                 self.metrics
                     .global_response
                     .record(self.queue.now() - first);
+                self.finish_program(idx);
+            }
+            Some(AbortReason::Refused) => {
+                // GTM1 refused the program at admission: nothing ran, and
+                // a retry would be refused again.
+                self.metrics.global_failures += 1;
                 self.finish_program(idx);
             }
             Some(_) => {

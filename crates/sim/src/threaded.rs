@@ -17,10 +17,12 @@
 //!
 //! Neither side sleeps between messages. A transaction's journey is a
 //! dozen coordinator ↔ site hops microseconds apart, so a coordinator that
-//! finds its channel empty polls it for `SPIN_POLLS` rounds before it
-//! blocks in `recv_timeout` until the next timer is due, as an idle pool
-//! worker polls its deques before it parks (`mdbs_common::pool`, "Spin
-//! before park").
+//! finds its channel empty polls it for the pool's [`SPIN_POLLS`] rounds
+//! before it blocks in `recv_timeout` until the next timer is due, as an
+//! idle pool worker polls its deques before it parks (`mdbs_common::pool`,
+//! "Spin before park"). A `try_recv` of an empty channel is ≈ 30 ns, so
+//! the spin lasts about as long as the futex wait it saves here plus the
+//! futex wake in whichever site task sends next.
 //!
 //! GTM2 is the paper's single sequential process (Figures 2–3): only the
 //! coordinator thread runs the GTM, and servers send their `ack`s on the
@@ -34,22 +36,12 @@ use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mdbs_common::ids::SiteId;
 use mdbs_common::instrument::Registry;
-use mdbs_common::pool::{Poll, Pool, TaskHandle};
+use mdbs_common::pool::{Poll, Pool, TaskHandle, SPIN_POLLS};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_schedule::global::GlobalSerializability;
 use std::time::{Duration, Instant};
-
-/// How many times the coordinator re-polls an empty reply channel before
-/// it blocks in `recv_timeout`. The pool's rule and the pool's number
-/// (`mdbs_common::pool`, "Spin before park"; the sweep in DESIGN §10 moved
-/// both together): spin about as long as a park/unpark pair costs, ≈ 10 µs
-/// on the reference VM — a `try_recv` of an empty channel is ≈ 30 ns —
-/// against a futex wait here plus a futex wake in whichever site task
-/// sends next. Not used on a single-core machine, where the spin would
-/// only delay the site task the reply has to come from.
-const SPIN_POLLS: u32 = 200;
 
 /// How long the coordinator waits for a site reply when no timer is
 /// pending before it gives the run up as wedged.

@@ -235,9 +235,9 @@ fn non_conservative_scheme_is_refused() {
 }
 
 /// A program naming a site the system was not configured with fails at
-/// admission, before GTM1, and every other program still finishes. (This
-/// used to wedge the simulator: GTM1 refused the submit and no completion
-/// ever came.)
+/// admission: GTM1 refuses it, counts a protocol violation and answers
+/// with a `Refused` completion, which the driver does not retry. Every
+/// other program still finishes.
 #[test]
 fn program_naming_an_unconfigured_site_fails_at_admission() {
     let cfg = SystemConfig::builder()
@@ -257,7 +257,7 @@ fn program_naming_an_unconfigured_site_fails_at_admission() {
     assert_eq!(r.metrics.global_commits, 12 - foreign, "{:?}", r.metrics);
     assert_eq!(r.gtm1.submitted, 12 - foreign);
     assert_eq!(r.registry.counter("gtm1.submitted"), 12 - foreign);
-    assert_eq!(r.gtm1.protocol_violations, 0);
+    assert_eq!(r.gtm1.protocol_violations, foreign);
     assert!(r.is_serializable(), "{:?}", r.audit);
 }
 

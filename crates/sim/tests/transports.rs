@@ -2,7 +2,9 @@
 //! federation with background local load and retries — runs on the seeded
 //! event queue and on live threads, and both runs are audited.
 
+use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_core::scheme::SchemeKind;
+use mdbs_core::txn::{GlobalTransaction, Step, StepKind};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_sim::system::{LatencyConfig, MdbsSystem, RunReport, SystemConfig};
 use mdbs_workload::distributions::AccessDistribution;
@@ -66,5 +68,38 @@ fn threaded_and_simulated_transports_run_one_configuration() {
         let r = &live.registry;
         assert_eq!(r.counter("threaded.send_dropped"), 0, "{label}");
         assert_eq!(r.counter("sim.local_commits"), m.local_commits, "{label}");
+    }
+}
+
+/// A program that fails `GlobalTransaction::validate` (a read with no
+/// begin) is refused at admission and answered, so the run ends on either
+/// transport with that program failed and every other one committed.
+#[test]
+fn threaded_and_simulated_transports_answer_a_refused_program() {
+    let mut workload = Workload::uniform_smoke(2, 4);
+    workload.globals.push(GlobalTransaction {
+        id: GlobalTxnId(0),
+        steps: vec![Step::new(SiteId(0), StepKind::Read(DataItemId(1)))],
+    });
+    let cfg = SystemConfig::builder()
+        .sites(2, LocalProtocolKind::TwoPhaseLocking)
+        .scheme(SchemeKind::Scheme1)
+        .build();
+    for live in [false, true] {
+        let mut system = MdbsSystem::new(cfg.clone());
+        let report = if live {
+            system.run_live(workload.clone())
+        } else {
+            system.run(workload.clone())
+        };
+        let label = format!("live={live}");
+        let m = &report.metrics;
+        assert_eq!(
+            (m.global_commits, m.global_failures),
+            (4, 1),
+            "{label}: {m:?}"
+        );
+        assert_eq!(report.gtm1.protocol_violations, 1, "{label}");
+        assert_audited(&report, &label);
     }
 }

@@ -48,8 +48,8 @@ pub mod prelude {
     pub use mdbs_common::{
         DataItemId, DataOp, GlobalTxnId, LocalTxnId, MdbsError, QueueOp, SiteId, StepCounter, TxnId,
     };
-    pub use mdbs_core::{SchemeKind, SerializationFnKind};
-    pub use mdbs_localdb::LocalProtocolKind;
+    pub use mdbs_core::SchemeKind;
+    pub use mdbs_localdb::{LocalProtocolKind, SerializationEvent};
     pub use mdbs_schedule::{GlobalSerializability, History};
     pub use mdbs_sim::{MdbsSystem, RunReport, SystemConfig};
     pub use mdbs_workload::Workload;
