@@ -1,12 +1,12 @@
-//! A hand-rolled work-stealing task pool for the parallel schedulers.
+//! A hand-rolled work-stealing task pool for the live runtime's site tasks.
 //!
 //! The pool runs a fixed set of *tasks* — resumable state machines, not
 //! one-shot jobs — on a small set of OS worker threads. A task's body is
 //! a closure returning [`Poll`]: `Pending` parks the task until somebody
 //! [`wake`](TaskHandle::wake)s it (typically after pushing a message into
 //! its [`Mailbox`]), `Done` retires it. This is the executor the threaded
-//! runtime's site servers and the parallel replay engines' site and
-//! domain tasks run on.
+//! runtime's site servers run on; `mdbs_core::parallel::replay_parallel`
+//! runs one replay on it as a single task.
 //!
 //! ## Wake protocol (the lost wakeup race, solved by state machine)
 //!
@@ -478,36 +478,61 @@ mod tests {
 
     /// The deterministic regression for the lost wakeup race: a wake
     /// delivered while the task's worker is mid-park (or mid-transition
-    /// to parked) must still run the task.
+    /// to parked) must still run the task, whether it comes from the
+    /// task's handle or from a [`Mailbox::send`] to it, and the task must
+    /// then drain what was sent.
     #[test]
     fn wake_delivered_to_parked_worker_is_not_lost() {
-        let pool = Pool::new(1);
-        let runs = Arc::new(Counter::new(0));
-        let runs2 = Arc::clone(&runs);
-        let mut first = true;
-        let h = pool.spawn(move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-            if first {
-                first = false;
-                Poll::Pending
-            } else {
-                Poll::Done
+        for via_mailbox in [false, true] {
+            let pool = Pool::new(1);
+            let mailbox: Arc<Mailbox<u64>> = Arc::new(Mailbox::new());
+            let runs = Arc::new(Counter::new(0));
+            let consumed = Arc::new(Counter::new(0));
+            let (inbox, runs2, seen) = (
+                Arc::clone(&mailbox),
+                Arc::clone(&runs),
+                Arc::clone(&consumed),
+            );
+            let mut first = true;
+            let h = pool.spawn(move || {
+                runs2.fetch_add(1, Ordering::SeqCst);
+                while let Some(v) = inbox.pop() {
+                    seen.fetch_add(v, Ordering::SeqCst);
+                }
+                if first {
+                    first = false;
+                    Poll::Pending
+                } else {
+                    Poll::Done
+                }
+            });
+            mailbox.bind(h.clone());
+            h.wake();
+            // Wait until the first episode ran and the worker has actually
+            // parked, so the wake below targets a parked worker.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while runs.load(Ordering::SeqCst) < 1 || pool.counters().1 == 0 {
+                assert!(Instant::now() < deadline, "worker never parked");
+                std::thread::yield_now();
             }
-        });
-        h.wake();
-        // Wait until the first episode ran and the worker has actually
-        // parked, so the wake below targets a parked worker.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while runs.load(Ordering::SeqCst) < 1 || pool.counters().1 == 0 {
-            assert!(Instant::now() < deadline, "worker never parked");
-            std::thread::yield_now();
+            if via_mailbox {
+                mailbox.send(7);
+            } else {
+                h.wake();
+            }
+            assert!(
+                pool.wait_idle(Duration::from_secs(10)),
+                "wake was lost (via_mailbox={via_mailbox})"
+            );
+            assert_eq!(runs.load(Ordering::SeqCst), 2);
+            assert_eq!(
+                consumed.load(Ordering::SeqCst),
+                if via_mailbox { 7 } else { 0 }
+            );
+            let (_, parks, wakes) = pool.counters();
+            assert!(parks >= 1);
+            assert_eq!(wakes, 2);
         }
-        h.wake();
-        assert!(pool.wait_idle(Duration::from_secs(10)), "wake was lost");
-        assert_eq!(runs.load(Ordering::SeqCst), 2);
-        let (_, parks, wakes) = pool.counters();
-        assert!(parks >= 1);
-        assert_eq!(wakes, 2);
     }
 
     /// A wake racing the body's `Pending` return (the `Running → Dirty`

@@ -76,7 +76,7 @@ pub mod txn;
 pub use coordinator::{Arrival, Coordinator, Outbound};
 pub use gtm1::{Gtm1, Gtm1Effect, Gtm1Event};
 pub use gtm2::{Gtm2, Gtm2Stats};
-pub use parallel::{replay_parallel, replay_parallel_kernel};
+pub use parallel::replay_parallel;
 pub use scheme::SchemeEffect;
 pub use scheme::{Gtm2Scheme, KernelKind, SchemeKind, WakeCandidates, WakeScope};
 pub use ser_s::SerSLog;

@@ -93,15 +93,6 @@ impl Metrics {
         self.global_commits as f64 / (self.makespan as f64 / 1_000_000.0)
     }
 
-    /// Fraction of global attempts that aborted.
-    pub fn global_abort_rate(&self) -> f64 {
-        let attempts = self.global_commits + self.global_aborts + self.global_failures;
-        if attempts == 0 {
-            return 0.0;
-        }
-        self.global_aborts as f64 / attempts as f64
-    }
-
     /// Export the run counters and the response-time distribution into a
     /// metrics [`Registry`] under the `sim.` prefix.
     pub fn export_metrics(&self, registry: &mut Registry) {
@@ -148,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn throughput_and_abort_rate() {
+    fn throughput_per_simulated_second() {
         let m = Metrics {
             global_commits: 10,
             global_aborts: 5,
@@ -156,8 +147,6 @@ mod tests {
             ..Metrics::default()
         };
         assert_eq!(m.throughput_per_sec(), 5.0);
-        assert!((m.global_abort_rate() - 5.0 / 15.0).abs() < 1e-9);
         assert_eq!(Metrics::default().throughput_per_sec(), 0.0);
-        assert_eq!(Metrics::default().global_abort_rate(), 0.0);
     }
 }

@@ -581,18 +581,23 @@ mod tests {
         }
     }
 
+    /// 3 and 4 site tasks multiplexed onto the pool's
+    /// [`site_pool_workers`] threads: every program finishes, the audit
+    /// and `ser(S)` hold, and no protocol message is dropped.
     #[test]
     fn threaded_run_serializable_2pl() {
-        let rt = ThreadedMdbs::new(
-            vec![LocalProtocolKind::TwoPhaseLocking; 3],
-            SchemeKind::Scheme3,
-            4,
-        );
-        let report = rt.run(programs(3, 12, 5));
-        assert_eq!(report.commits + report.aborts, 12);
-        assert!(report.is_serializable(), "{:?}", report.audit);
-        assert!(report.ser_s_ok);
-        assert_nothing_dropped(&report);
+        for sites in [3, 4] {
+            let rt = ThreadedMdbs::new(
+                vec![LocalProtocolKind::TwoPhaseLocking; sites],
+                SchemeKind::Scheme3,
+                4,
+            );
+            let report = rt.run(programs(sites, 12, 5));
+            assert_eq!(report.commits + report.aborts, 12, "sites={sites}");
+            assert!(report.is_serializable(), "{:?}", report.audit);
+            assert!(report.ser_s_ok, "sites={sites}");
+            assert_nothing_dropped(&report);
+        }
     }
 
     #[test]
