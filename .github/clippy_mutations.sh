@@ -68,8 +68,8 @@ done
 # An unwrap in the GTM2 pump.
 mutate mdbs-core unwrap_used crates/core/src/gtm2.rs \
     $'    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n' \
-    $'        out.effects\n' \
-    $'        Some(out.effects).unwrap()\n'
+    $'        out\n' \
+    $'        Some(out).unwrap()\n'
 
 # A wildcard arm in Scheme 2's `cond`.
 mutate mdbs-core wildcard_enum_match_arm crates/core/src/kernel_dense.rs \

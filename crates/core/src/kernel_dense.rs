@@ -69,9 +69,7 @@
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
 
-use crate::scheme::{
-    Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
-};
+use crate::scheme::{Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates};
 use crate::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
@@ -423,14 +421,6 @@ impl Gtm2Scheme for Scheme1Dense {
             .slot_of(&site)
             .filter(|&ss| self.outstanding[ss as usize].is_some())
             .map(|_| 1)
-    }
-
-    fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {
-        match kind {
-            QueueOpKind::Ack => WakeScope::ACTED_SITE_AND_SITELESS,
-            QueueOpKind::Fin => WakeScope::SITELESS,
-            QueueOpKind::Init | QueueOpKind::Ser => WakeScope::NOTHING,
-        }
     }
 
     fn debug_validate(&self) {

@@ -68,7 +68,6 @@ pub mod scheme2;
 pub mod scheme3;
 pub mod scheme_sg;
 pub mod ser_s;
-pub mod sharded;
 pub mod tsgd;
 pub mod tsgd_dense;
 pub mod txn;
@@ -78,7 +77,6 @@ pub use gtm1::{Gtm1, Gtm1Effect, Gtm1Event};
 pub use gtm2::{Gtm2, Gtm2Stats};
 pub use parallel::replay_parallel;
 pub use scheme::SchemeEffect;
-pub use scheme::{Gtm2Scheme, KernelKind, SchemeKind, WakeCandidates, WakeScope};
+pub use scheme::{Gtm2Scheme, KernelKind, SchemeKind, WakeCandidates};
 pub use ser_s::SerSLog;
-pub use sharded::ShardedGtm2;
 pub use txn::{GlobalTransaction, Step, StepKind};

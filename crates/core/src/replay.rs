@@ -18,8 +18,6 @@
 
 use crate::gtm2::{Gtm2, Gtm2Stats};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
-use crate::ser_s::SerSLog;
-use crate::sharded::ShardedGtm2;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::rng::derive_rng;
@@ -58,19 +56,23 @@ pub struct Script {
 }
 
 impl Script {
-    /// Validate: every `Ser` is preceded by its `Init` and listed in its
-    /// site set; no duplicates; every announced site gets exactly one
-    /// `Ser`.
+    /// Validate: every `Init` announces a non-empty set of distinct sites;
+    /// every `Ser` is preceded by its `Init` and listed in its site set; no
+    /// duplicates; every announced site gets exactly one `Ser`.
     pub fn validate(&self) -> Result<(), String> {
         let mut announced: BTreeMap<GlobalTxnId, BTreeSet<SiteId>> = BTreeMap::new();
         let mut seen: BTreeSet<(GlobalTxnId, SiteId)> = BTreeSet::new();
         for ev in &self.events {
             match ev {
                 ScriptEvent::Init(txn, sites) => {
-                    if announced
-                        .insert(*txn, sites.iter().copied().collect())
-                        .is_some()
-                    {
+                    let set: BTreeSet<SiteId> = sites.iter().copied().collect();
+                    if set.is_empty() {
+                        return Err(format!("{txn} announces no site"));
+                    }
+                    if set.len() != sites.len() {
+                        return Err(format!("{txn} announces a site twice"));
+                    }
+                    if announced.insert(*txn, set).is_some() {
                         return Err(format!("duplicate init for {txn}"));
                     }
                 }
@@ -284,98 +286,27 @@ pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     run_script(engine, script)
 }
 
-/// Replay through the sharded engine's deterministic pump. `nshards = 1`
-/// reproduces the single engine exactly; larger counts exercise the
-/// per-site routing and cross-shard handoff paths (for the partitioned
-/// schemes — the others funnel through shard 0 regardless).
-pub fn replay_sharded(kind: SchemeKind, nshards: usize, script: &Script) -> ReplayOutcome {
-    replay_sharded_with(ShardedGtm2::new(kind, nshards), script)
-}
-
-/// [`replay_sharded`] with an explicit kernel choice.
+/// Kept for the benchmark's engine-ratio probe, which imports this
+/// signature: `nshards` is unused, and the outcome is
+/// [`replay_kernel`]'s. ROADMAP item 2 retires the function.
 pub fn replay_sharded_kernel(
     kind: SchemeKind,
     kernel: KernelKind,
     nshards: usize,
     script: &Script,
 ) -> ReplayOutcome {
-    replay_sharded_with(ShardedGtm2::new_with_kernel(kind, kernel, nshards), script)
+    let _ = nshards;
+    replay_kernel(kind, kernel, script)
 }
 
-/// [`replay_with`] for the sharded engine: replay through a pre-built
-/// engine (lets callers toggle validation).
-pub fn replay_sharded_with(mut engine: ShardedGtm2, script: &Script) -> ReplayOutcome {
-    run_script(&mut engine, script)
-}
-
-/// What differs between the engines the replay loop can drive.
-trait ReplayEngine {
-    fn enqueue_op(&mut self, op: QueueOp);
-    fn pump_ops(&mut self) -> Vec<SchemeEffect>;
-    /// End-of-run snapshot of the engine's observers.
-    fn end_state(&self) -> Observed;
-}
-
-struct Observed {
-    name: &'static str,
-    stats: Gtm2Stats,
-    steps: StepCounter,
-    waiting: usize,
-    queued: usize,
-    ser_log: SerSLog,
-    /// Wake-scan histogram `(count, sum)`.
-    wake_scan: (u64, u64),
-}
-
-impl ReplayEngine for Gtm2 {
-    fn enqueue_op(&mut self, op: QueueOp) {
-        self.enqueue(op);
-    }
-    fn pump_ops(&mut self) -> Vec<SchemeEffect> {
-        self.pump()
-    }
-    fn end_state(&self) -> Observed {
-        let h = self.wake_scan_histogram();
-        Observed {
-            name: self.scheme_name(),
-            stats: self.stats(),
-            steps: self.steps(),
-            waiting: self.wait_len(),
-            queued: self.queue_len(),
-            ser_log: self.ser_log().clone(),
-            wake_scan: (h.count(), h.sum()),
-        }
-    }
-}
-
-impl ReplayEngine for ShardedGtm2 {
-    fn enqueue_op(&mut self, op: QueueOp) {
-        self.enqueue(op);
-    }
-    fn pump_ops(&mut self) -> Vec<SchemeEffect> {
-        self.pump_all()
-    }
-    fn end_state(&self) -> Observed {
-        Observed {
-            name: self.scheme_name(),
-            stats: self.stats(),
-            steps: self.steps(),
-            waiting: self.wait_len(),
-            queued: self.queue_len(),
-            ser_log: self.ser_log_snapshot(),
-            wake_scan: self.wake_scan_totals(),
-        }
-    }
-}
-
-/// The shared replay loop body.
-fn run_script<E: ReplayEngine>(engine: &mut E, script: &Script) -> ReplayOutcome {
+/// The replay loop body.
+fn run_script(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     let mut ctl = DrainCtl::default();
     for ev in &script.events {
         match ev {
             ScriptEvent::Init(txn, sites) => {
                 ctl.acks_needed.insert(*txn, sites.len());
-                engine.enqueue_op(QueueOp::Init {
+                engine.enqueue(QueueOp::Init {
                     txn: *txn,
                     sites: sites.clone(),
                 });
@@ -384,7 +315,7 @@ fn run_script<E: ReplayEngine>(engine: &mut E, script: &Script) -> ReplayOutcome
                 if ctl.aborted.contains(txn) {
                     continue; // GTM1 stops submitting for victims
                 }
-                engine.enqueue_op(QueueOp::Ser {
+                engine.enqueue(QueueOp::Ser {
                     txn: *txn,
                     site: *site,
                 });
@@ -392,22 +323,25 @@ fn run_script<E: ReplayEngine>(engine: &mut E, script: &Script) -> ReplayOutcome
         }
         drain(engine, &mut ctl);
     }
-    let seen = engine.end_state();
-    assert_eq!(seen.waiting, 0, "{}: script left waiters", seen.name);
-    assert_eq!(seen.queued, 0, "{}: queue not drained", seen.name);
+    let name = engine.scheme_name();
+    assert_eq!(engine.wait_len(), 0, "{name}: script left waiters");
+    assert_eq!(engine.queue_len(), 0, "{name}: queue not drained");
+    let stats = engine.stats();
+    let ser_log = engine.ser_log();
+    let wake_scan = engine.wake_scan_histogram();
     let aborted: Vec<GlobalTxnId> = ctl.aborted.into_iter().collect();
     ReplayOutcome {
-        stats: seen.stats,
-        steps: seen.steps,
-        completed: seen.stats.fins as usize - aborted.len(),
+        stats,
+        steps: engine.steps(),
+        completed: stats.fins as usize - aborted.len(),
         // Serializability is judged on the committed projection: baselines
         // execute events of transactions they later abort.
-        ser_serializable: seen.ser_log.check_excluding(&aborted).is_ok(),
-        ser_events: seen.ser_log.events().to_vec(),
+        ser_serializable: ser_log.check_excluding(&aborted).is_ok(),
+        ser_events: ser_log.events().to_vec(),
         aborted,
-        protocol_violations: seen.stats.protocol_violations,
-        wake_scan_count: seen.wake_scan.0,
-        wake_scan_sum: seen.wake_scan.1,
+        protocol_violations: stats.protocol_violations,
+        wake_scan_count: wake_scan.count(),
+        wake_scan_sum: wake_scan.sum(),
     }
 }
 
@@ -420,9 +354,9 @@ struct DrainCtl {
 }
 
 /// Pump and respond to effects (acks, fins) until quiescent.
-fn drain<E: ReplayEngine>(engine: &mut E, ctl: &mut DrainCtl) {
+fn drain(engine: &mut Gtm2, ctl: &mut DrainCtl) {
     loop {
-        let effects = engine.pump_ops();
+        let effects = engine.pump();
         if effects.is_empty() {
             return;
         }
@@ -430,7 +364,7 @@ fn drain<E: ReplayEngine>(engine: &mut E, ctl: &mut DrainCtl) {
             match fx {
                 SchemeEffect::SubmitSer { txn, site } => {
                     // Zero-latency local DBMS: ack immediately.
-                    engine.enqueue_op(QueueOp::Ack { txn, site });
+                    engine.enqueue(QueueOp::Ack { txn, site });
                 }
                 SchemeEffect::ForwardAck { txn, .. } => {
                     // Acks can still arrive for a just-aborted victim.
@@ -439,7 +373,7 @@ fn drain<E: ReplayEngine>(engine: &mut E, ctl: &mut DrainCtl) {
                     };
                     *left -= 1;
                     if *left == 0 && ctl.fin_sent.insert(txn) {
-                        engine.enqueue_op(QueueOp::Fin { txn });
+                        engine.enqueue(QueueOp::Fin { txn });
                     }
                 }
                 SchemeEffect::AbortGlobal { txn } => {
@@ -450,7 +384,7 @@ fn drain<E: ReplayEngine>(engine: &mut E, ctl: &mut DrainCtl) {
                     // was decided while processing that very fin
                     // (optimistic validation).
                     if ctl.fin_sent.insert(txn) {
-                        engine.enqueue_op(QueueOp::Fin { txn });
+                        engine.enqueue(QueueOp::Fin { txn });
                     }
                 }
                 // Counted by the engine, surfaced via ReplayOutcome.
@@ -595,6 +529,19 @@ mod tests {
                 ScriptEvent::Init(GlobalTxnId(1), vec![SiteId(0)]),
                 ScriptEvent::Ser(GlobalTxnId(1), SiteId(1)),
             ],
+        };
+        assert!(s.validate().is_err());
+        // An init that repeats a site, or announces none, could never
+        // finish: the replay would report no transaction completed.
+        let s = Script {
+            events: vec![
+                ScriptEvent::Init(GlobalTxnId(1), vec![SiteId(0), SiteId(0)]),
+                ScriptEvent::Ser(GlobalTxnId(1), SiteId(0)),
+            ],
+        };
+        assert!(s.validate().is_err());
+        let s = Script {
+            events: vec![ScriptEvent::Init(GlobalTxnId(1), vec![])],
         };
         assert!(s.validate().is_err());
     }

@@ -327,60 +327,6 @@ pub enum Pending {
     FinPass,
 }
 
-/// Conservative bound on *where* the keys returned by
-/// [`Gtm2Scheme::wake_candidates`] can live, as a function of the acted
-/// operation's kind.
-///
-/// The sharded engine ([`crate::sharded::ShardedGtm2`]) partitions the
-/// WAIT set by site; after an `act` it consults this bound to decide which
-/// other partitions need a cross-shard handoff. A scheme that over-claims
-/// (says a partition cannot hold candidates when it can) loses wakeups —
-/// the differential-equivalence suite exists to catch exactly that — while
-/// [`WakeScope::ANYWHERE`] is always safe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WakeScope {
-    /// Candidates may include `ser`/`ack` keys at the acted operation's
-    /// own site.
-    pub acted_site: bool,
-    /// Candidates may include siteless keys (`init`/`fin` waiters).
-    pub siteless: bool,
-    /// Candidates may include keys at arbitrary other sites.
-    pub elsewhere: bool,
-}
-
-impl WakeScope {
-    /// No constraint — candidates can be anywhere (the safe default).
-    pub const ANYWHERE: WakeScope = WakeScope {
-        acted_site: true,
-        siteless: true,
-        elsewhere: true,
-    };
-    /// The act never wakes anything.
-    pub const NOTHING: WakeScope = WakeScope {
-        acted_site: false,
-        siteless: false,
-        elsewhere: false,
-    };
-    /// Only waiters keyed to the acted operation's own site.
-    pub const ACTED_SITE: WakeScope = WakeScope {
-        acted_site: true,
-        siteless: false,
-        elsewhere: false,
-    };
-    /// Only siteless waiters (`init`/`fin` keys).
-    pub const SITELESS: WakeScope = WakeScope {
-        acted_site: false,
-        siteless: true,
-        elsewhere: false,
-    };
-    /// Acted-site and siteless waiters, but nothing at other sites.
-    pub const ACTED_SITE_AND_SITELESS: WakeScope = WakeScope {
-        acted_site: true,
-        siteless: true,
-        elsewhere: false,
-    };
-}
-
 /// How a scheme's internal invariant broke. Malformed input never gets
 /// this far: GTM1 refuses it at the door, and every caller of
 /// [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue) keeps Figure 2's order.
@@ -483,15 +429,6 @@ pub trait Gtm2Scheme {
     fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
         let _ = site;
         None
-    }
-
-    /// Bound on where [`wake_candidates`](Self::wake_candidates) keys can
-    /// live after acting an operation of kind `kind` — consulted by the
-    /// sharded engine to suppress cross-shard handoffs that provably
-    /// cannot wake anyone. The default gives no guarantee.
-    fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {
-        let _ = kind;
-        WakeScope::ANYWHERE
     }
 
     /// Internal consistency check, called by the engine after every act in

@@ -16,10 +16,10 @@
 //! and after `act(ack(ser_k(G_i)))` only the *new front* of `s_k`'s queue
 //! can have become eligible — a single wake candidate.
 
-use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates, WakeScope};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
 use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::ops::{QueueOp, QueueOpKind};
+use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
 use std::collections::VecDeque;
 
@@ -114,15 +114,6 @@ impl Gtm2Scheme for Scheme0 {
             QueueOp::Init { .. } | QueueOp::Ser { .. } | QueueOp::Fin { .. } => {
                 WakeCandidates::None
             }
-        }
-    }
-
-    fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {
-        // Mirrors `wake_candidates`: an ack can wake only the new front
-        // `ser` at its own site; nothing else wakes anyone.
-        match kind {
-            QueueOpKind::Ack => WakeScope::ACTED_SITE,
-            QueueOpKind::Init | QueueOpKind::Ser | QueueOpKind::Fin => WakeScope::NOTHING,
         }
     }
 

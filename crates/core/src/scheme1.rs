@@ -15,9 +15,9 @@
 //! cycle iff it is not a bridge — which is what gives Theorem 4's
 //! `O(m + n + n·d_av)` bound (one DFS per `init`, not one per edge).
 
-use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates, WakeScope};
+use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::ops::{QueueOp, QueueOpKind};
+use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
 use mdbs_schedule::UnGraph;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -222,16 +222,6 @@ impl Gtm2Scheme for Scheme1 {
                 WakeCandidates::Fins
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
-        }
-    }
-
-    fn wake_scope(&self, kind: QueueOpKind) -> WakeScope {
-        // Mirrors `wake_candidates`: an ack wakes ser waiters at its own
-        // site plus (siteless) fin waiters; a fin wakes other fins.
-        match kind {
-            QueueOpKind::Ack => WakeScope::ACTED_SITE_AND_SITELESS,
-            QueueOpKind::Fin => WakeScope::SITELESS,
-            QueueOpKind::Init | QueueOpKind::Ser => WakeScope::NOTHING,
         }
     }
 

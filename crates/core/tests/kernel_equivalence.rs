@@ -11,6 +11,8 @@
 //! assertions fail, a counted step moved.
 //!
 //! Also covered:
+//! - every valid script over two or three transactions at two sites
+//!   (the latter up to renaming), enumerated rather than sampled;
 //! - slot recycling: replaying a script *twice through one engine* reuses
 //!   every transaction id after its `fin`, so freed slots are re-interned
 //!   and must carry no stale state;
@@ -28,12 +30,9 @@ use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::kernel_dense::Scheme3Dense;
-use mdbs_core::replay::{
-    replay_kernel, replay_sharded_kernel, replay_sharded_with, replay_with, Script, ScriptEvent,
-};
+use mdbs_core::replay::{replay_kernel, replay_with, ReplayOutcome, Script, ScriptEvent};
 use mdbs_core::scheme::{Gtm2Scheme, KernelKind, SchemeEffect, SchemeKind};
 use mdbs_core::scheme3::Scheme3;
-use mdbs_core::sharded::ShardedGtm2;
 use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
 use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
 use mdbs_schedule::DiGraph;
@@ -167,52 +166,39 @@ fn dep_digraph(reference: &Tsgd) -> DiGraph<GlobalTxnId> {
 /// of fins waiting per ack), where the dense Scheme 1 kernel's closed-form
 /// fin charge and the engine's in-place re-tests do nearly all their work.
 /// The proptests below stop at a dozen transactions. Full outcome equality
-/// against the BTree oracle, on the single engine and at 10 shards.
+/// against the BTree oracle.
 fn burst_scale_outcomes_match(n: usize) {
     let script = Script::random(n, 10, 2.5, 11);
     // Per-act invariant validation (on by default in debug builds) is cubic
     // in the live transactions; the proptests cover it at small sizes.
-    let single = |kind: SchemeKind, kernel| {
+    let run = |kind: SchemeKind, kernel| {
         let mut engine = Gtm2::new(kind.build_kernel(kernel));
         engine.set_validate(false);
         replay_with(&mut engine, &script)
     };
-    let sharded = |kind, kernel| {
-        let mut engine = ShardedGtm2::new_with_kernel(kind, kernel, 10);
-        engine.set_validate(false);
-        replay_sharded_with(engine, &script)
-    };
     for kind in [SchemeKind::Scheme1, SchemeKind::Scheme3] {
-        let runs = [
-            (
-                "single",
-                single(kind, KernelKind::BTree),
-                single(kind, KernelKind::Dense),
-            ),
-            (
-                "10 shards",
-                sharded(kind, KernelKind::BTree),
-                sharded(kind, KernelKind::Dense),
-            ),
-        ];
-        for (engine, reference, dense) in runs {
-            assert_eq!(reference.steps, dense.steps, "{kind} {engine}: steps");
-            assert_eq!(reference.stats, dense.stats, "{kind} {engine}: stats");
-            assert_eq!(
-                reference.ser_events, dense.ser_events,
-                "{kind} {engine}: ser(S)"
-            );
-            assert_eq!(
-                (reference.wake_scan_count, reference.wake_scan_sum),
-                (dense.wake_scan_count, dense.wake_scan_sum),
-                "{kind} {engine}: wake-scan histogram"
-            );
-            assert_eq!(reference.aborted, dense.aborted, "{kind} {engine}");
-            assert_eq!(dense.completed, n, "{kind} {engine}");
-            assert_eq!(dense.protocol_violations, 0, "{kind} {engine}");
-            assert!(dense.ser_serializable, "{kind} {engine}");
-        }
+        let reference = run(kind, KernelKind::BTree);
+        let dense = run(kind, KernelKind::Dense);
+        assert_identical(&reference, &dense, &kind.to_string());
+        assert_eq!(reference.aborted, dense.aborted, "{kind}");
+        assert_eq!(dense.completed, n, "{kind}");
+        assert_eq!(dense.protocol_violations, 0, "{kind}");
+        assert!(dense.ser_serializable, "{kind}");
     }
+}
+
+/// The two kernels' outcomes are identical: same total order of `ser(S)`,
+/// same stats, same step counts, same wake-scan work.
+fn assert_identical(reference: &ReplayOutcome, dense: &ReplayOutcome, label: &str) {
+    assert_eq!(reference.ser_events, dense.ser_events, "{label}: ser(S)");
+    assert_eq!(reference.stats, dense.stats, "{label}: stats");
+    assert_eq!(reference.steps, dense.steps, "{label}: steps");
+    assert_eq!(reference.completed, dense.completed, "{label}: completed");
+    assert_eq!(
+        (reference.wake_scan_count, reference.wake_scan_sum),
+        (dense.wake_scan_count, dense.wake_scan_sum),
+        "{label}: wake-scan work"
+    );
 }
 
 /// 300 transactions still keep ~10² fins waiting per ack, and an
@@ -527,6 +513,124 @@ fn eliminate_cycles_elides_a_column_the_node_emptied() {
     assert_eq!(elim(&btree), (0, 0), "btree");
 }
 
+/// Every valid script over `ntxns` transactions and two sites with at most
+/// `max_sers` `ser`s in total: each transaction takes any non-empty site
+/// set, and the events interleave in every order that puts a transaction's
+/// `init` before its `ser`s. With `ordered_inits` the `init`s appear in
+/// transaction-id order, which enumerates the scripts up to renaming of
+/// transactions. Returns the number of scripts visited.
+fn for_every_script(
+    ntxns: usize,
+    max_sers: usize,
+    ordered_inits: bool,
+    visit: &mut impl FnMut(&Script),
+) -> usize {
+    const SITE_SETS: [&[u32]; 3] = [&[0], &[1], &[0, 1]];
+    /// `state[t]` is `None` until transaction `t`'s `init` is emitted, then
+    /// the sites still owed a `ser`.
+    fn extend(
+        sets: &[&[u32]],
+        ordered_inits: bool,
+        state: &mut Vec<Option<Vec<u32>>>,
+        events: &mut Vec<ScriptEvent>,
+        visit: &mut impl FnMut(&Script),
+    ) -> usize {
+        let mut visited = 0;
+        let mut complete = true;
+        for t in 0..state.len() {
+            let txn = GlobalTxnId(t as u64 + 1);
+            match state[t].clone() {
+                None => {
+                    complete = false;
+                    if ordered_inits && state[..t].iter().any(Option::is_none) {
+                        continue;
+                    }
+                    state[t] = Some(sets[t].to_vec());
+                    let sites = sets[t].iter().map(|&k| SiteId(k)).collect();
+                    events.push(ScriptEvent::Init(txn, sites));
+                    visited += extend(sets, ordered_inits, state, events, visit);
+                    events.pop();
+                    state[t] = None;
+                }
+                Some(owed) => {
+                    for (i, &site) in owed.iter().enumerate() {
+                        complete = false;
+                        let mut rest = owed.clone();
+                        rest.remove(i);
+                        state[t] = Some(rest);
+                        events.push(ScriptEvent::Ser(txn, SiteId(site)));
+                        visited += extend(sets, ordered_inits, state, events, visit);
+                        events.pop();
+                    }
+                    state[t] = Some(owed);
+                }
+            }
+        }
+        if complete {
+            visit(&Script {
+                events: events.clone(),
+            });
+            visited += 1;
+        }
+        visited
+    }
+    let mut visited = 0;
+    // Every assignment of a site set to each transaction (base-3 counter).
+    for code in 0..SITE_SETS.len().pow(ntxns as u32) {
+        let sets: Vec<&[u32]> = (0..ntxns)
+            .map(|t| SITE_SETS[code / SITE_SETS.len().pow(t as u32) % SITE_SETS.len()])
+            .collect();
+        if sets.iter().map(|set| set.len()).sum::<usize>() <= max_sers {
+            let mut state = vec![None; ntxns];
+            visited += extend(&sets, ordered_inits, &mut state, &mut Vec::new(), visit);
+        }
+    }
+    visited
+}
+
+/// Kernel equivalence *proved* at small scope rather than sampled, for one
+/// scheme: every valid script over 2 transactions × 2 sites, and over
+/// 3 transactions × 2 sites up to transaction renaming, through `Gtm2` on
+/// the BTree and the dense kernel, which must be identical. The scope
+/// leaves out one site-set assignment — all three transactions spanning
+/// both sites, 2240 of the 5440 three-transaction scripts — which alone
+/// would double the run time.
+fn check_every_small_script(kind: SchemeKind) {
+    let mut check = |script: &Script| {
+        assert_eq!(script.validate(), Ok(()), "{script:?}");
+        let label = format!("{kind} {script:?}");
+        let btree = replay_kernel(kind, KernelKind::BTree, script);
+        let dense = replay_kernel(kind, KernelKind::Dense, script);
+        assert_identical(&btree, &dense, &label);
+        assert_eq!(dense.protocol_violations, 0, "{label}");
+        assert!(dense.aborted.is_empty(), "{label}");
+        assert!(dense.ser_serializable, "{label}");
+    };
+    // A changed count means the enumerator, not an engine, changed.
+    assert_eq!(for_every_script(2, 4, false, &mut check), 184);
+    assert_eq!(for_every_script(3, 5, true, &mut check), 3200);
+}
+
+#[test]
+fn every_small_script_scheme0() {
+    check_every_small_script(SchemeKind::Scheme0);
+}
+
+#[test]
+fn every_small_script_scheme1() {
+    check_every_small_script(SchemeKind::Scheme1);
+}
+
+#[test]
+fn every_small_script_scheme2() {
+    check_every_small_script(SchemeKind::Scheme2);
+}
+
+#[test]
+fn every_small_script_scheme3() {
+    check_every_small_script(SchemeKind::Scheme3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -557,31 +661,6 @@ proptest! {
             );
             prop_assert_eq!(dense.protocol_violations, 0, "{}", kind);
             prop_assert!(dense.ser_serializable, "{}", kind);
-        }
-    }
-
-    /// Same invariant through the sharded engine's deterministic pump
-    /// (partitioned routing + cross-shard handoffs on top of the kernels).
-    #[test]
-    fn dense_kernel_matches_reference_sharded(
-        script in arb_script(),
-        nshards in 1usize..4,
-    ) {
-        for kind in SchemeKind::CONSERVATIVE {
-            let reference = replay_sharded_kernel(kind, KernelKind::BTree, nshards, &script);
-            let dense = replay_sharded_kernel(kind, KernelKind::Dense, nshards, &script);
-            prop_assert_eq!(
-                reference.steps, dense.steps,
-                "{} @ {} shards: steps diverged", kind, nshards
-            );
-            prop_assert_eq!(
-                reference.stats, dense.stats,
-                "{} @ {} shards: stats diverged", kind, nshards
-            );
-            prop_assert_eq!(
-                &reference.ser_events, &dense.ser_events,
-                "{} @ {} shards: ser(S) diverged", kind, nshards
-            );
         }
     }
 
@@ -641,16 +720,11 @@ proptest! {
     }
 
     /// Adversarial kernel matrix: cycle-heavy, fin-deletion-heavy scripts
-    /// must leave the dense and BTree Scheme 2 kernels byte-identical,
-    /// through both the single engine and the sharded pump.
+    /// must leave the dense and BTree Scheme 2 kernels byte-identical.
     #[test]
-    fn adversarial_scripts_keep_kernel_matrix_equal(
-        script in arb_adversarial_script(),
-        nshards in 1usize..4,
-    ) {
+    fn adversarial_scripts_keep_kernel_matrix_equal(script in arb_adversarial_script()) {
         let kind = SchemeKind::Scheme2;
         let reference = replay_kernel(kind, KernelKind::BTree, &script);
-        let sharded_ref = replay_sharded_kernel(kind, KernelKind::BTree, nshards, &script);
         let kernel = KernelKind::Dense;
         let dense = replay_kernel(kind, kernel, &script);
         prop_assert_eq!(
@@ -667,15 +741,6 @@ proptest! {
         );
         prop_assert_eq!(dense.protocol_violations, 0, "{}", kernel.name());
         prop_assert!(dense.ser_serializable, "{}", kernel.name());
-        let sharded = replay_sharded_kernel(kind, kernel, nshards, &script);
-        prop_assert_eq!(
-            sharded_ref.steps, sharded.steps,
-            "{} @ {} shards: steps diverged", kernel.name(), nshards
-        );
-        prop_assert_eq!(
-            &sharded_ref.ser_events, &sharded.ser_events,
-            "{} @ {} shards: ser(S) diverged", kernel.name(), nshards
-        );
     }
 
     /// Adversarial add/remove-dep interleaving straight against the TSGD

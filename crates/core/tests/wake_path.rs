@@ -1,4 +1,4 @@
-//! The wake path's edge cases, on both engines.
+//! The wake path's edge cases.
 //!
 //! Figure 3's inner loop re-tests waiters in place, and the dense kernels
 //! of Schemes 1 and 3 have re-tests that must fail charged in closed form:
@@ -27,7 +27,6 @@ use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
 use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
-use mdbs_core::sharded::ShardedGtm2;
 
 fn init(txn: u64, sites: &[u32]) -> QueueOp {
     QueueOp::Init {
@@ -53,12 +52,6 @@ fn fin(txn: u64) -> QueueOp {
     }
 }
 
-/// Either engine, behind the calls these tests make.
-enum Engine {
-    Single(Box<Gtm2>),
-    Sharded(Box<ShardedGtm2>),
-}
-
 /// Everything two runs of one operation sequence are compared on.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -68,60 +61,32 @@ struct Observed {
     waiting: usize,
 }
 
-impl Engine {
-    /// The single engine at `shards == 1`, else the sharded one.
-    fn new(kind: SchemeKind, kernel: KernelKind, shards: usize) -> Engine {
-        if shards == 1 {
-            Engine::Single(Box::new(Gtm2::new(kind.build_kernel(kernel))))
-        } else {
-            Engine::Sharded(Box::new(ShardedGtm2::new_with_kernel(kind, kernel, shards)))
-        }
-    }
+/// Enqueue `ops` and pump the engine dry.
+fn feed(e: &mut Gtm2, ops: &[QueueOp]) -> Vec<SchemeEffect> {
+    ops.iter().for_each(|op| e.enqueue(op.clone()));
+    e.pump()
+}
 
-    /// Enqueue `ops` and pump the engine dry.
-    fn feed(&mut self, ops: &[QueueOp]) -> Vec<SchemeEffect> {
-        match self {
-            Engine::Single(e) => {
-                ops.iter().for_each(|op| e.enqueue(op.clone()));
-                e.pump()
-            }
-            Engine::Sharded(e) => {
-                for op in ops {
-                    e.enqueue(op.clone());
-                }
-                e.pump_all()
-            }
-        }
-    }
-
-    fn observed(&self, effects: Vec<SchemeEffect>) -> Observed {
-        let (stats, steps, waiting) = match self {
-            Engine::Single(e) => (e.stats(), e.steps(), e.wait_len()),
-            Engine::Sharded(e) => (e.stats(), e.steps(), e.wait_len()),
-        };
-        Observed {
-            effects,
-            stats,
-            steps,
-            waiting,
-        }
-    }
-
-    fn wake_elided(&self) -> u64 {
-        let mut registry = Registry::new();
-        match self {
-            Engine::Single(e) => e.export_metrics(&mut registry),
-            Engine::Sharded(e) => e.export_metrics(&mut registry),
-        }
-        registry.counter("gtm2.wake_elided")
+fn observed(e: &Gtm2, effects: Vec<SchemeEffect>) -> Observed {
+    Observed {
+        effects,
+        stats: e.stats(),
+        steps: e.steps(),
+        waiting: e.wait_len(),
     }
 }
 
+fn wake_elided(e: &Gtm2) -> u64 {
+    let mut registry = Registry::new();
+    e.export_metrics(&mut registry);
+    registry.counter("gtm2.wake_elided")
+}
+
 /// Feed `rounds` one after another, pumping dry after each.
-fn run(kind: SchemeKind, kernel: KernelKind, shards: usize, rounds: &[&[QueueOp]]) -> Engine {
-    let mut engine = Engine::new(kind, kernel, shards);
+fn run(kind: SchemeKind, kernel: KernelKind, rounds: &[&[QueueOp]]) -> Gtm2 {
+    let mut engine = Gtm2::new(kind.build_kernel(kernel));
     for round in rounds {
-        engine.feed(round);
+        feed(&mut engine, round);
     }
     engine
 }
@@ -139,24 +104,22 @@ fn fin_enqueued_before_its_last_ack_is_woken_by_that_ack() {
         &[fin(1)],            // early: s1 has no delete-queue entry yet
         &[ack(1, 1)],         // wakes fin_1, whose pops wake fin_2
     ];
-    for shards in [1, 2] {
-        let mut seen = Vec::new();
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds[..4]);
-            assert_eq!(
-                e.observed(Vec::new()).waiting,
-                2,
-                "{kernel} @ {shards}: both fins wait before the last ack"
-            );
-            let fx = e.feed(rounds[4]);
-            let after = e.observed(fx);
-            assert_eq!(after.waiting, 0, "{kernel} @ {shards}: ack woke the fins");
-            assert_eq!(after.stats.fins, 2, "{kernel} @ {shards}");
-            assert_eq!(after.stats.protocol_violations, 0, "{kernel} @ {shards}");
-            seen.push(after);
-        }
-        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+    let mut seen = Vec::new();
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut e = run(SchemeKind::Scheme1, kernel, &rounds[..4]);
+        assert_eq!(
+            e.wait_len(),
+            2,
+            "{kernel}: both fins wait before the last ack"
+        );
+        let fx = feed(&mut e, rounds[4]);
+        let after = observed(&e, fx);
+        assert_eq!(after.waiting, 0, "{kernel}: ack woke the fins");
+        assert_eq!(after.stats.fins, 2, "{kernel}");
+        assert_eq!(after.stats.protocol_violations, 0, "{kernel}");
+        seen.push(after);
     }
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
 }
 
 /// An ack of a transaction whose fin is *not* waiting, while another fin
@@ -171,28 +134,26 @@ fn unrelated_ack_charges_waiting_fins_like_the_literal_retest() {
         &[ack(2, 1), fin(2)], // waits: s0's delete front is G1
         &[ser(3, 1)],
     ];
-    for shards in [1, 2] {
-        let mut btree = run(SchemeKind::Scheme1, KernelKind::BTree, shards, &rounds);
-        let mut dense = run(SchemeKind::Scheme1, KernelKind::Dense, shards, &rounds);
-        let elided_before = dense.wake_elided();
-        // G3's ack appends to s1's delete queue behind G2: fin_2 still
-        // fails, and is charged 1 + |Ĝ_2| = 3 Cond steps either way.
-        let cond_before = dense.observed(Vec::new()).steps.cond;
-        let b = btree.feed(&[ack(3, 1)]);
-        let d = dense.feed(&[ack(3, 1)]);
-        let (b, d) = (btree.observed(b), dense.observed(d));
-        assert_eq!(b, d, "{shards} shards: BTree vs Dense");
-        assert_eq!(d.waiting, 1, "{shards} shards: fin_2 still waits");
-        assert_eq!(d.steps.cond - cond_before, 1 + 3, "{shards} shards");
-        assert_eq!(dense.wake_elided() - elided_before, 1, "{shards} shards");
-        assert_eq!(btree.wake_elided(), 0, "{shards} shards");
-        // And the run still finishes identically on both kernels.
-        let tail = [fin(1), fin(3)];
-        let (b, d) = (btree.feed(&tail), dense.feed(&tail));
-        let (b, d) = (btree.observed(b), dense.observed(d));
-        assert_eq!(b, d, "{shards} shards: BTree vs Dense at the end");
-        assert_eq!((d.waiting, d.stats.fins), (0, 3), "{shards} shards");
-    }
+    let mut btree = run(SchemeKind::Scheme1, KernelKind::BTree, &rounds);
+    let mut dense = run(SchemeKind::Scheme1, KernelKind::Dense, &rounds);
+    let elided_before = wake_elided(&dense);
+    // G3's ack appends to s1's delete queue behind G2: fin_2 still
+    // fails, and is charged 1 + |Ĝ_2| = 3 Cond steps either way.
+    let cond_before = observed(&dense, Vec::new()).steps.cond;
+    let b = feed(&mut btree, &[ack(3, 1)]);
+    let d = feed(&mut dense, &[ack(3, 1)]);
+    let (b, d) = (observed(&btree, b), observed(&dense, d));
+    assert_eq!(b, d, "BTree vs Dense");
+    assert_eq!(d.waiting, 1, "fin_2 still waits");
+    assert_eq!(d.steps.cond - cond_before, 1 + 3);
+    assert_eq!(wake_elided(&dense) - elided_before, 1);
+    assert_eq!(wake_elided(&btree), 0);
+    // And the run still finishes identically on both kernels.
+    let tail = [fin(1), fin(3)];
+    let (b, d) = (feed(&mut btree, &tail), feed(&mut dense, &tail));
+    let (b, d) = (observed(&btree, b), observed(&dense, d));
+    assert_eq!(b, d, "BTree vs Dense at the end");
+    assert_eq!((d.waiting, d.stats.fins), (0, 3));
 }
 
 /// Delete queues s0 = [G1, G5, G2] and s1 = [G5, G8], with `fin_5`
@@ -218,45 +179,34 @@ fn fin_pass_wakes_a_later_front_now_and_an_earlier_one_next_pass() {
         &[ack(2, 0), ack(8, 1)],
         &[fin(5), fin(2), fin(8)],
     ];
-    for shards in [1, 2] {
-        let mut seen = Vec::new();
-        let mut elided = Vec::new();
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds);
-            let before = e.observed(Vec::new());
-            assert_eq!(before.waiting, 3, "{kernel} @ {shards}: three fins wait");
-            let elided_before = e.wake_elided();
-            let fx = e.feed(&[fin(1)]);
-            let after = e.observed(fx);
-            assert_eq!(after.waiting, 0, "{kernel} @ {shards}: every fin woke");
-            assert_eq!(after.stats.fins, 4, "{kernel} @ {shards}");
-            // `fin_1` (1 + 1); first pass: fins 2, 5, 8 (2 + 3 + 2);
-            // second: fin 2 (2).
-            assert_eq!(
-                after.steps.cond - before.steps.cond,
-                2 + 2 + 3 + 2 + 2,
-                "{kernel} @ {shards}"
-            );
-            elided.push(e.wake_elided() - elided_before);
-            seen.push(after);
-        }
-        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
-        assert_eq!(
-            elided,
-            [0, 1],
-            "{shards} shards: wake_elided, BTree and Dense"
-        );
-    }
-    // The order of the wakes, on the single engine.
+    let mut seen = Vec::new();
+    let mut elided = Vec::new();
     for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut engine = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
-        for round in rounds {
-            round.iter().for_each(|op| engine.enqueue(op.clone()));
-            engine.pump();
-        }
+        let mut e = run(SchemeKind::Scheme1, kernel, &rounds);
+        let before = observed(&e, Vec::new());
+        assert_eq!(before.waiting, 3, "{kernel}: three fins wait");
+        let elided_before = wake_elided(&e);
+        let fx = feed(&mut e, &[fin(1)]);
+        let after = observed(&e, fx);
+        assert_eq!(after.waiting, 0, "{kernel}: every fin woke");
+        assert_eq!(after.stats.fins, 4, "{kernel}");
+        // `fin_1` (1 + 1); first pass: fins 2, 5, 8 (2 + 3 + 2);
+        // second: fin 2 (2).
+        assert_eq!(
+            after.steps.cond - before.steps.cond,
+            2 + 2 + 3 + 2 + 2,
+            "{kernel}"
+        );
+        elided.push(wake_elided(&e) - elided_before);
+        seen.push(after);
+    }
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
+    assert_eq!(elided, [0, 1], "wake_elided, BTree and Dense");
+    // The order of the wakes.
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut engine = run(SchemeKind::Scheme1, kernel, &rounds);
         engine.set_tracing(true);
-        engine.enqueue(fin(1));
-        engine.pump();
+        feed(&mut engine, &[fin(1)]);
         let woken: Vec<u64> = engine
             .drain_events()
             .filter_map(|event| match event {
@@ -288,47 +238,37 @@ fn woken_ser_cuts_off_only_the_sers_behind_it() {
         ],
         &[ser(2, 0), ser(4, 0), ser(5, 0), ser(6, 0)],
     ];
-    for shards in [1, 2] {
-        let mut seen = Vec::new();
-        let mut elided = Vec::new();
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = run(SchemeKind::Scheme1, kernel, shards, &rounds);
-            let before = e.observed(Vec::new());
-            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four sers wait");
-            let elided_before = e.wake_elided();
-            let fx = e.feed(&[ack(3, 0)]);
-            let after = e.observed(fx);
-            assert_eq!(
-                after.effects,
-                [
-                    SchemeEffect::ForwardAck {
-                        txn: GlobalTxnId(3),
-                        site: SiteId(0)
-                    },
-                    SchemeEffect::SubmitSer {
-                        txn: GlobalTxnId(4),
-                        site: SiteId(0)
-                    },
-                ],
-                "{kernel} @ {shards}"
-            );
-            assert_eq!(after.waiting, 3, "{kernel} @ {shards}: G2, G5, G6 wait");
-            // One step for the ack's `cond`, one for each ser re-test.
-            assert_eq!(
-                after.steps.cond - before.steps.cond,
-                1 + 4,
-                "{kernel} @ {shards}"
-            );
-            elided.push(e.wake_elided() - elided_before);
-            seen.push(after);
-        }
-        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+    let mut seen = Vec::new();
+    let mut elided = Vec::new();
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut e = run(SchemeKind::Scheme1, kernel, &rounds);
+        let before = observed(&e, Vec::new());
+        assert_eq!(before.waiting, 4, "{kernel}: four sers wait");
+        let elided_before = wake_elided(&e);
+        let fx = feed(&mut e, &[ack(3, 0)]);
+        let after = observed(&e, fx);
         assert_eq!(
-            elided,
-            [0, 2],
-            "{shards} shards: wake_elided, BTree and Dense"
+            after.effects,
+            [
+                SchemeEffect::ForwardAck {
+                    txn: GlobalTxnId(3),
+                    site: SiteId(0)
+                },
+                SchemeEffect::SubmitSer {
+                    txn: GlobalTxnId(4),
+                    site: SiteId(0)
+                },
+            ],
+            "{kernel}"
         );
+        assert_eq!(after.waiting, 3, "{kernel}: G2, G5, G6 wait");
+        // One step for the ack's `cond`, one for each ser re-test.
+        assert_eq!(after.steps.cond - before.steps.cond, 1 + 4, "{kernel}");
+        elided.push(wake_elided(&e) - elided_before);
+        seen.push(after);
     }
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
+    assert_eq!(elided, [0, 2], "wake_elided, BTree and Dense");
 }
 
 /// Scheme 3: `fin_5` (row {G1}), `fin_2` and `fin_8` (rows {G1, G5}) and
@@ -355,47 +295,35 @@ fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
         &[ack(2, 0), ack(8, 1)],
         &[fin(5), fin(2), fin(8), fin(9)],
     ];
-    for shards in [1, 2] {
-        let mut seen = Vec::new();
-        let mut elided = Vec::new();
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = run(SchemeKind::Scheme3, kernel, shards, &rounds);
-            let before = e.observed(Vec::new());
-            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four fins wait");
-            let elided_before = e.wake_elided();
-            let fx = e.feed(&[fin(1)]);
-            let after = e.observed(fx);
-            assert_eq!(after.waiting, 1, "{kernel} @ {shards}: fin_9 still waits");
-            assert_eq!(after.stats.fins, 4, "{kernel} @ {shards}");
-            // `fin_1`, then four passes: fins 2, 5, 8, 9; then 2, 9; then 9
-            // twice. One step each.
-            assert_eq!(
-                after.steps.cond - before.steps.cond,
-                1 + 4 + 2 + 1 + 1,
-                "{kernel} @ {shards}"
-            );
-            elided.push(e.wake_elided() - elided_before);
-            seen.push(after);
-        }
-        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
-        // The dense passes re-test 5, 8; 2; nothing; nothing.
+    let mut seen = Vec::new();
+    let mut elided = Vec::new();
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut e = run(SchemeKind::Scheme3, kernel, &rounds);
+        let before = observed(&e, Vec::new());
+        assert_eq!(before.waiting, 4, "{kernel}: four fins wait");
+        let elided_before = wake_elided(&e);
+        let fx = feed(&mut e, &[fin(1)]);
+        let after = observed(&e, fx);
+        assert_eq!(after.waiting, 1, "{kernel}: fin_9 still waits");
+        assert_eq!(after.stats.fins, 4, "{kernel}");
+        // `fin_1`, then four passes: fins 2, 5, 8, 9; then 2, 9; then 9
+        // twice. One step each.
         assert_eq!(
-            elided,
-            [0, 2 + 1 + 1 + 1],
-            "{shards} shards: wake_elided, BTree and Dense"
+            after.steps.cond - before.steps.cond,
+            1 + 4 + 2 + 1 + 1,
+            "{kernel}"
         );
+        elided.push(wake_elided(&e) - elided_before);
+        seen.push(after);
     }
-    // The order of the wakes, and which fins were re-tested, on the single
-    // engine.
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
+    // The dense passes re-test 5, 8; 2; nothing; nothing.
+    assert_eq!(elided, [0, 2 + 1 + 1 + 1], "wake_elided, BTree and Dense");
+    // The order of the wakes, and which fins were re-tested.
     for (kernel, fin_9_retests) in [(KernelKind::BTree, 4), (KernelKind::Dense, 0)] {
-        let mut engine = Gtm2::new(SchemeKind::Scheme3.build_kernel(kernel));
-        for round in rounds {
-            round.iter().for_each(|op| engine.enqueue(op.clone()));
-            engine.pump();
-        }
+        let mut engine = run(SchemeKind::Scheme3, kernel, &rounds);
         engine.set_tracing(true);
-        engine.enqueue(fin(1));
-        engine.pump();
+        feed(&mut engine, &[fin(1)]);
         let events: Vec<SchedEvent> = engine.drain_events().collect();
         let woken: Vec<u64> = events
             .iter()
@@ -434,46 +362,40 @@ fn scheme3_woken_ser_cuts_off_the_sers_behind_it() {
         ],
         &[ser(2, 0), ser(4, 0), ser(5, 0), ser(6, 0)],
     ];
-    for shards in [1, 2] {
-        let mut seen = Vec::new();
-        let mut elided = Vec::new();
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = run(SchemeKind::Scheme3, kernel, shards, &rounds);
-            let before = e.observed(Vec::new());
-            assert_eq!(before.waiting, 4, "{kernel} @ {shards}: four sers wait");
-            let elided_before = e.wake_elided();
-            let fx = e.feed(&[ack(3, 0)]);
-            let after = e.observed(fx);
-            assert_eq!(
-                after.effects,
-                [
-                    SchemeEffect::ForwardAck {
-                        txn: GlobalTxnId(3),
-                        site: SiteId(0)
-                    },
-                    SchemeEffect::SubmitSer {
-                        txn: GlobalTxnId(4),
-                        site: SiteId(0)
-                    },
-                ],
-                "{kernel} @ {shards}"
-            );
-            assert_eq!(after.waiting, 3, "{kernel} @ {shards}: G2, G5, G6 wait");
-            // The ack's `cond`; G2: 2 + min(|{G1, G3}|, |set_0|); G4:
-            // 2 + min(|{G3}|, |set_0|); G5 and G6: 2 each.
-            assert_eq!(
-                after.steps.cond - before.steps.cond,
-                1 + 4 + 3 + 2 + 2,
-                "{kernel} @ {shards}"
-            );
-            elided.push(e.wake_elided() - elided_before);
-            seen.push(after);
-        }
-        assert_eq!(seen[0], seen[1], "{shards} shards: BTree vs Dense");
+    let mut seen = Vec::new();
+    let mut elided = Vec::new();
+    for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        let mut e = run(SchemeKind::Scheme3, kernel, &rounds);
+        let before = observed(&e, Vec::new());
+        assert_eq!(before.waiting, 4, "{kernel}: four sers wait");
+        let elided_before = wake_elided(&e);
+        let fx = feed(&mut e, &[ack(3, 0)]);
+        let after = observed(&e, fx);
         assert_eq!(
-            elided,
-            [0, 2],
-            "{shards} shards: wake_elided, BTree and Dense"
+            after.effects,
+            [
+                SchemeEffect::ForwardAck {
+                    txn: GlobalTxnId(3),
+                    site: SiteId(0)
+                },
+                SchemeEffect::SubmitSer {
+                    txn: GlobalTxnId(4),
+                    site: SiteId(0)
+                },
+            ],
+            "{kernel}"
         );
+        assert_eq!(after.waiting, 3, "{kernel}: G2, G5, G6 wait");
+        // The ack's `cond`; G2: 2 + min(|{G1, G3}|, |set_0|); G4:
+        // 2 + min(|{G3}|, |set_0|); G5 and G6: 2 each.
+        assert_eq!(
+            after.steps.cond - before.steps.cond,
+            1 + 4 + 3 + 2 + 2,
+            "{kernel}"
+        );
+        elided.push(wake_elided(&e) - elided_before);
+        seen.push(after);
     }
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
+    assert_eq!(elided, [0, 2], "wake_elided, BTree and Dense");
 }

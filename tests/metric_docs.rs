@@ -3,18 +3,17 @@
 //! Every engine — the DES, the live threaded runtime and the dense replay,
 //! under each of the four schemes — exports its counters into an
 //! `instrument::Registry`, and every `export_metrics` writes all of its
-//! names, even at 0. This test merges those registries, folds per-site and
-//! per-shard names into the table's placeholders (`site.3.commits` and
-//! `site.total.commits` are `site.<id>.commits`, `gtm2.shard1.wake_scan` is
-//! `gtm2.shard<j>.wake_scan`), and compares the result with the table both
-//! ways: every registered name has a row of its one kind, and every row
-//! names a metric some run registers. Names built with `format!` are
-//! checked like literals. A name that only an unexercised path registers is
-//! not seen.
+//! names, even at 0. This test merges those registries, folds per-site
+//! names into the table's placeholder (`site.3.commits` and
+//! `site.total.commits` are `site.<id>.commits`), and compares the result
+//! with the table both ways: every registered name has a row of its one
+//! kind, and every row names a metric some run registers. Names built with
+//! `format!` are checked like literals. A name that only an unexercised
+//! path registers is not seen.
 
 use mdbs::common::instrument::Registry;
 use mdbs::core::replay::{replay_with, Script};
-use mdbs::core::{Gtm2, KernelKind, ShardedGtm2};
+use mdbs::core::{Gtm2, KernelKind};
 use mdbs::prelude::*;
 use mdbs::sim::ThreadedMdbs;
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,8 +51,6 @@ fn exported() -> Registry {
         replay_with(&mut engine, &Script::random(8, 3, 2.0, 7));
         engine.export_metrics(&mut all);
     }
-    // The sharded engine's per-shard names, for as long as it exists.
-    ShardedGtm2::new(SchemeKind::Scheme1, 2).export_metrics(&mut all);
     all
 }
 
@@ -63,14 +60,6 @@ fn normalise(name: &str) -> String {
     if let Some((id, metric)) = name.strip_prefix("site.").and_then(|r| r.split_once('.')) {
         if id == "total" || digits(id) {
             return format!("site.<id>.{metric}");
-        }
-    }
-    if let Some((j, metric)) = name
-        .strip_prefix("gtm2.shard")
-        .and_then(|r| r.split_once('.'))
-    {
-        if digits(j) {
-            return format!("gtm2.shard<j>.{metric}");
         }
     }
     name.to_string()
