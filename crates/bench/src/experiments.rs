@@ -5,9 +5,9 @@ use crate::tables::{f1, f2, Table};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
+use mdbs_core::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use mdbs_core::replay::{replay, Script};
 use mdbs_core::scheme::SchemeKind;
-use mdbs_core::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_schedule::DiGraph;
 use mdbs_sim::system::{MdbsSystem, SystemConfig};

@@ -1,17 +1,19 @@
-//! Dense-id kernels for Schemes 1–3.
+//! Dense-id kernels for Schemes 1–3: the kernels that run.
 //!
-//! These are drop-in re-implementations of Schemes 1, 2 and 3
-//! on top of [`mdbs_common::DenseInterner`] + [`mdbs_common::DenseBitSet`]
-//! (and, for Scheme 2, [`crate::tsgd_dense::DenseTsgd`]): live transaction
-//! and site ids are interned into compact `u32` slots (recycled at `fin`),
-//! and every set the paper's pseudocode manipulates becomes a bitset over
-//! slots — intersection tests are word-wise ANDs, and the per-op hot path
-//! performs no allocation. Scheme 0 has no dense kernel: its per-site FIFO
-//! queues have no set algebra to speed up, so [`crate::scheme0::Scheme0`]
-//! runs under both kernel kinds.
+//! [`SchemeKind::build`](crate::scheme::SchemeKind::build) returns these
+//! for Schemes 1, 2 and 3. They refine the paper-text kernels of
+//! [`crate::reference`] on top of [`mdbs_common::DenseInterner`] +
+//! [`mdbs_common::DenseBitSet`] (and, for Scheme 2,
+//! [`crate::tsgd_dense::DenseTsgd`]): live transaction and site ids are
+//! interned into compact `u32` slots (recycled at `fin`), and every set the
+//! paper's pseudocode manipulates becomes a bitset over slots —
+//! intersection tests are word-wise ANDs, and the per-op hot path performs
+//! no allocation. Scheme 0 has no dense kernel: its per-site FIFO queues
+//! have no set algebra to speed up, so [`crate::scheme0::Scheme0`] is its
+//! one kernel.
 //!
 //! **The paper-step accounting is bit-for-bit identical to the reference
-//! kernels** (`scheme1`–`scheme3`): every `tick`/`bump` here mirrors one in
+//! kernels** ([`crate::reference`]): every `tick`/`bump` here mirrors one in
 //! the reference, with the same operand values on every input. That is a
 //! hard invariant — the abstract complexity measurements (Theorems 4, 6, 9)
 //! must not depend on which kernel ran — and is enforced by the
@@ -1095,35 +1097,7 @@ impl Gtm2Scheme for Scheme3Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsgd::Dep;
-
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn init(i: u64, sites: &[u32]) -> QueueOp {
-        QueueOp::Init {
-            txn: g(i),
-            sites: sites.iter().map(|&k| s(k)).collect(),
-        }
-    }
-    fn ser(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ser {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn ack(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ack {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn fin(i: u64) -> QueueOp {
-        QueueOp::Fin { txn: g(i) }
-    }
+    use crate::reference::scenario::{ack, dep, fin, g, init, s, ser};
 
     #[test]
     fn scheme1_dense_marked_count_tracks_cycle_edges() {
@@ -1146,13 +1120,8 @@ mod tests {
         }
         scheme.tsgd.insert_txn(g(1), &[s(0), s(1)]);
         scheme.tsgd.insert_txn(g(2), &[s(0), s(1)]);
-        for (site, before, after) in [(0, 1, 2), (1, 2, 1)] {
-            scheme.tsgd.add_dep(Dep {
-                site: s(site),
-                before: g(before),
-                after: g(after),
-            });
-        }
+        scheme.tsgd.add_dep(dep(0, 1, 2));
+        scheme.tsgd.add_dep(dep(1, 2, 1));
         scheme.debug_validate();
     }
 

@@ -250,56 +250,28 @@ impl Gtm2Scheme for Scheme1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtm2::Gtm2;
-    use crate::scheme::{KernelKind, SchemeKind};
-
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn init(i: u64, sites: &[u32]) -> QueueOp {
-        QueueOp::Init {
-            txn: g(i),
-            sites: sites.iter().map(|&k| s(k)).collect(),
-        }
-    }
-    fn ser(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ser {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn ack(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ack {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn fin(i: u64) -> QueueOp {
-        QueueOp::Fin { txn: g(i) }
-    }
+    use crate::reference::scenario::{ack, engines, fin, g, init, s, ser};
+    use crate::scheme::SchemeKind;
 
     /// Transactions at disjoint sites are never marked and never wait.
     #[test]
     fn disjoint_txns_unconstrained() {
-        let mut e = Gtm2::new(Box::new(Scheme1::new()));
-        e.enqueue(init(1, &[0]));
-        e.enqueue(init(2, &[1]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(2, 1));
-        let fx = e.pump();
-        assert_eq!(fx.len(), 2);
-        assert_eq!(e.stats().waited, 0);
+        for mut e in engines(SchemeKind::Scheme1) {
+            e.enqueue(init(1, &[0]));
+            e.enqueue(init(2, &[1]));
+            e.enqueue(ser(1, 0));
+            e.enqueue(ser(2, 1));
+            let fx = e.pump();
+            assert_eq!(fx.len(), 2);
+            assert_eq!(e.stats().waited, 0);
+        }
     }
 
     /// Two transactions sharing two sites form a TSG cycle: all four edges
-    /// marked, forcing insert-queue order. On both kernels.
+    /// marked, forcing insert-queue order.
     #[test]
     fn shared_pair_of_sites_marks_and_orders() {
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+        for mut e in engines(SchemeKind::Scheme1) {
             e.enqueue(init(1, &[0, 1]));
             e.enqueue(init(2, &[0, 1]));
             // G2's ops arrive first but G1 heads both insert queues.
@@ -333,54 +305,56 @@ mod tests {
     /// earlier one's ack — Scheme 0 would have queued it.
     #[test]
     fn single_shared_site_no_marks() {
-        let mut e = Gtm2::new(Box::new(Scheme1::new()));
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 2]));
-        e.enqueue(ser(1, 0));
-        let fx = e.pump();
-        assert_eq!(fx.len(), 1);
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(2, 0));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(0)
-        }));
-        assert_eq!(e.stats().waited, 0);
+        for mut e in engines(SchemeKind::Scheme1) {
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 2]));
+            e.enqueue(ser(1, 0));
+            let fx = e.pump();
+            assert_eq!(fx.len(), 1);
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(2, 0));
+            let fx = e.pump();
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(2),
+                site: s(0)
+            }));
+            assert_eq!(e.stats().waited, 0);
+        }
     }
 
     /// fins respect per-site ack order via the delete queues.
     #[test]
     fn fin_waits_for_delete_queue_front() {
-        let mut e = Gtm2::new(Box::new(Scheme1::new()));
-        e.enqueue(init(1, &[0]));
-        e.enqueue(init(2, &[0]));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.pump();
-        // G2's fin must wait until G1's fin pops the delete queue.
-        e.enqueue(fin(2));
-        e.pump();
-        assert_eq!(e.wait_len(), 1);
-        e.enqueue(fin(1));
-        e.pump();
-        assert_eq!(e.wait_len(), 0);
-        assert_eq!(e.stats().fins, 2);
+        for mut e in engines(SchemeKind::Scheme1) {
+            e.enqueue(init(1, &[0]));
+            e.enqueue(init(2, &[0]));
+            e.enqueue(ser(1, 0));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(2, 0));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            e.pump();
+            // G2's fin must wait until G1's fin pops the delete queue.
+            e.enqueue(fin(2));
+            e.pump();
+            assert_eq!(e.wait_len(), 1);
+            e.enqueue(fin(1));
+            e.pump();
+            assert_eq!(e.wait_len(), 0);
+            assert_eq!(e.stats().fins, 2);
+        }
     }
 
     #[test]
     fn marked_count_tracks_cycle_edges() {
         let mut scheme = Scheme1::new();
-        let mut steps = mdbs_common::step::StepCounter::new();
+        let mut steps = StepCounter::new();
         scheme.act(&init(1, &[0, 1]), &mut steps);
         assert_eq!(scheme.marked_count(), 0, "no cycle with one txn");
         scheme.act(&init(2, &[0, 1]), &mut steps);
-        // The TSG cycle marks all four edges of G1 and G2? Only G2's edges
-        // are marked (marking happens at each txn's own init).
+        // Only G2's edges are marked (marking happens at each txn's own
+        // init).
         assert_eq!(scheme.marked_count(), 2);
     }
 
@@ -388,20 +362,21 @@ mod tests {
     /// site (the paper: only marked ops are queue-constrained).
     #[test]
     fn unmarked_overtakes_marked() {
-        let mut e = Gtm2::new(Box::new(Scheme1::new()));
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1])); // cycle with G1: G2 marked behind G1
-        e.enqueue(init(3, &[0, 2])); // no cycle: unmarked at site 0
-        e.enqueue(ser(2, 0)); // marked, not front -> waits
-        e.enqueue(ser(3, 0)); // unmarked -> proceeds
-        let fx = e.pump();
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(3),
-                site: s(0)
-            }]
-        );
-        assert_eq!(e.stats().waited, 1);
+        for mut e in engines(SchemeKind::Scheme1) {
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1])); // cycle with G1: G2 marked behind G1
+            e.enqueue(init(3, &[0, 2])); // no cycle: unmarked at site 0
+            e.enqueue(ser(2, 0)); // marked, not front -> waits
+            e.enqueue(ser(3, 0)); // unmarked -> proceeds
+            let fx = e.pump();
+            assert_eq!(
+                fx,
+                vec![SchemeEffect::SubmitSer {
+                    txn: g(3),
+                    site: s(0)
+                }]
+            );
+            assert_eq!(e.stats().waited, 1);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! at `init` time with queue marks, it records **dependencies** — the
 //! relative processing order of serialization events at each site — and
 //! only restricts operations as far as needed to keep the TSGD acyclic
-//! (see [`crate::tsgd`] for the cycle semantics and the `Eliminate_Cycles`
+//! (see [`super::tsgd`] for the cycle semantics and the `Eliminate_Cycles`
 //! procedure of Figure 4).
 //!
 //! | op | `cond` | `act` |
@@ -28,8 +28,9 @@
 //! [`crate::tsgd_dense::DenseTsgd`] stores instead of searching for them,
 //! and hands Δ and the `act` dependency fans over in slot space.
 
+use crate::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};
-use crate::tsgd::{eliminate_cycles, Dep, Tsgd};
+use crate::tsgd_dense::Dep;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
@@ -63,11 +64,6 @@ impl Scheme2 {
             minimal: true,
             ..Self::default()
         }
-    }
-
-    /// Read access to the TSGD (experiments, diagnostics).
-    pub fn tsgd(&self) -> &Tsgd {
-        &self.tsgd
     }
 
     /// True iff `txn` has any incoming dependency.
@@ -146,7 +142,7 @@ impl Gtm2Scheme for Scheme2 {
                         // set, so on a well-formed TSGD it always finds a
                         // delta; fall back to the greedy eliminator rather
                         // than panic the pump if that ever breaks.
-                        crate::tsgd::minimal_delta_exact(&self.tsgd, *txn)
+                        minimal_delta_exact(&self.tsgd, *txn)
                             .unwrap_or_else(|| eliminate_cycles(&self.tsgd, *txn, steps))
                     } else {
                         eliminate_cycles(&self.tsgd, *txn, steps)
@@ -234,49 +230,13 @@ impl Gtm2Scheme for Scheme2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtm2::Gtm2;
-    use crate::scheme::{KernelKind, SchemeKind};
+    use crate::reference::scenario::{ack, engines, fin, g, init, s, ser};
+    use crate::scheme::SchemeKind;
 
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn init(i: u64, sites: &[u32]) -> QueueOp {
-        QueueOp::Init {
-            txn: g(i),
-            sites: sites.iter().map(|&k| s(k)).collect(),
-        }
-    }
-    fn ser(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ser {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn ack(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ack {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn fin(i: u64) -> QueueOp {
-        QueueOp::Fin { txn: g(i) }
-    }
-
-    fn engine(kernel: KernelKind) -> Gtm2 {
-        let mut e = Gtm2::new(SchemeKind::Scheme2.build_kernel(kernel));
-        e.set_validate(true);
-        e
-    }
-
-    /// The dependency mechanism orders overlapping transactions safely, on
-    /// both kernels.
+    /// The dependency mechanism orders overlapping transactions safely.
     #[test]
     fn overlapping_txns_safe_order() {
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = engine(kernel);
+        for mut e in engines(SchemeKind::Scheme2) {
             e.enqueue(init(1, &[0, 1]));
             e.enqueue(init(2, &[0, 1]));
             e.enqueue(ser(1, 0));
@@ -321,56 +281,56 @@ mod tests {
     /// ack before G2's init, G2 is simply ordered after G1 — no waits.
     #[test]
     fn sequential_txns_never_wait() {
-        let mut e = engine(KernelKind::BTree);
-        for i in 1..=3u64 {
-            e.enqueue(init(i, &[0, 1]));
-            e.enqueue(ser(i, 0));
-            e.enqueue(ser(i, 1));
-            e.pump();
-            e.enqueue(ack(i, 0));
-            e.enqueue(ack(i, 1));
-            e.enqueue(fin(i));
-            e.pump();
+        for mut e in engines(SchemeKind::Scheme2) {
+            for i in 1..=3u64 {
+                e.enqueue(init(i, &[0, 1]));
+                e.enqueue(ser(i, 0));
+                e.enqueue(ser(i, 1));
+                e.pump();
+                e.enqueue(ack(i, 0));
+                e.enqueue(ack(i, 1));
+                e.enqueue(fin(i));
+                e.pump();
+            }
+            assert_eq!(e.stats().waited, 0);
+            assert!(e.ser_log().check().is_ok());
         }
-        assert_eq!(e.stats().waited, 0);
-        assert!(e.ser_log().check().is_ok());
     }
 
     /// Scheme 2 permits what Scheme 0 forbids: inits in one order, events
     /// executed in the other order at a single shared site.
     #[test]
     fn single_site_out_of_init_order_ok() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 2]));
-        // G2's event at the shared site first — Scheme 0 would queue it
-        // behind G1; Scheme 2 has no cycle, hence no dependency forcing.
-        e.enqueue(ser(2, 0));
-        let fx = e.pump();
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(2),
+        for mut e in engines(SchemeKind::Scheme2) {
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 2]));
+            // G2's event at the shared site first — Scheme 0 would queue it
+            // behind G1; Scheme 2 has no cycle, hence no dependency forcing.
+            e.enqueue(ser(2, 0));
+            let fx = e.pump();
+            assert_eq!(
+                fx,
+                vec![SchemeEffect::SubmitSer {
+                    txn: g(2),
+                    site: s(0)
+                }]
+            );
+            e.enqueue(ack(2, 0));
+            e.enqueue(ser(1, 0));
+            let fx = e.pump();
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(1),
                 site: s(0)
-            }]
-        );
-        e.enqueue(ack(2, 0));
-        e.enqueue(ser(1, 0));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(1),
-            site: s(0)
-        }));
-        assert_eq!(e.stats().waited, 0);
-        assert!(e.ser_log().check().is_ok());
+            }));
+            assert_eq!(e.stats().waited, 0);
+            assert!(e.ser_log().check().is_ok());
+        }
     }
 
-    /// fin waits until incoming dependencies disappear (predecessors fin),
-    /// on both kernels.
+    /// fin waits until incoming dependencies disappear (predecessors fin).
     #[test]
     fn fin_respects_dependency_order() {
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = engine(kernel);
+        for mut e in engines(SchemeKind::Scheme2) {
             e.enqueue(init(1, &[0, 1]));
             e.enqueue(init(2, &[0, 1]));
             e.enqueue(ser(1, 0));

@@ -249,50 +249,15 @@ impl Gtm2Scheme for Scheme3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtm2::Gtm2;
-    use crate::scheme::{KernelKind, SchemeKind};
-
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn init(i: u64, sites: &[u32]) -> QueueOp {
-        QueueOp::Init {
-            txn: g(i),
-            sites: sites.iter().map(|&k| s(k)).collect(),
-        }
-    }
-    fn ser(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ser {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn ack(i: u64, k: u32) -> QueueOp {
-        QueueOp::Ack {
-            txn: g(i),
-            site: s(k),
-        }
-    }
-    fn fin(i: u64) -> QueueOp {
-        QueueOp::Fin { txn: g(i) }
-    }
-
-    fn engine(kernel: KernelKind) -> Gtm2 {
-        let mut e = Gtm2::new(SchemeKind::Scheme3.build_kernel(kernel));
-        e.set_validate(true);
-        e
-    }
+    use crate::reference::scenario::{ack, engines, fin, g, init, s, ser};
+    use crate::scheme::SchemeKind;
 
     /// The classic unsafe interleaving is blocked: after G1 executes first
     /// at s0, G2 (now ordered after G1) may not execute at s1 while G1 is
-    /// still pending there. On both kernels.
+    /// still pending there.
     #[test]
     fn blocks_exactly_the_nonserializable_order() {
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
-            let mut e = engine(kernel);
+        for mut e in engines(SchemeKind::Scheme3) {
             e.enqueue(init(1, &[0, 1]));
             e.enqueue(init(2, &[0, 1]));
             e.enqueue(ser(1, 0));
@@ -321,94 +286,87 @@ mod tests {
     /// init order.
     #[test]
     fn admits_anti_init_order() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0, 1]));
-        e.enqueue(init(2, &[0, 1]));
-        // G2 runs first at both sites — serializable (G2 before G1),
-        // though inits said otherwise. Scheme 0 would queue G2 behind G1.
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.enqueue(ser(2, 1));
-        e.pump();
-        e.enqueue(ack(2, 1));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(1, 1));
-        e.pump();
-        e.enqueue(ack(1, 1));
-        e.pump();
-        assert_eq!(
-            e.stats().waited,
-            0,
-            "a serializable order must run waitless"
-        );
-        let order = e.ser_log().check().unwrap();
-        let pos = |t| order.iter().position(|&x| x == t).unwrap();
-        assert!(pos(g(2)) < pos(g(1)));
+        for mut e in engines(SchemeKind::Scheme3) {
+            e.enqueue(init(1, &[0, 1]));
+            e.enqueue(init(2, &[0, 1]));
+            // G2 runs first at both sites — serializable (G2 before G1),
+            // though inits said otherwise. Scheme 0 would queue G2 behind G1.
+            e.enqueue(ser(2, 0));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            e.enqueue(ser(2, 1));
+            e.pump();
+            e.enqueue(ack(2, 1));
+            e.enqueue(ser(1, 0));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(1, 1));
+            e.pump();
+            e.enqueue(ack(1, 1));
+            e.pump();
+            assert_eq!(
+                e.stats().waited,
+                0,
+                "a serializable order must run waitless"
+            );
+            let order = e.ser_log().check().unwrap();
+            let pos = |t| order.iter().position(|&x| x == t).unwrap();
+            assert!(pos(g(2)) < pos(g(1)));
+        }
     }
 
     /// fin waits for predecessors to fin (ser_bef must drain).
     #[test]
     fn fin_order_respects_serialization() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0]));
-        e.enqueue(init(2, &[0]));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        e.enqueue(fin(2));
-        e.pump();
-        assert_eq!(e.wait_len(), 1, "G2's fin waits for G1");
-        e.enqueue(fin(1));
-        e.pump();
-        assert_eq!(e.wait_len(), 0);
-        assert_eq!(e.stats().fins, 2);
+        for mut e in engines(SchemeKind::Scheme3) {
+            e.enqueue(init(1, &[0]));
+            e.enqueue(init(2, &[0]));
+            e.enqueue(ser(1, 0));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(2, 0));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            e.enqueue(fin(2));
+            e.pump();
+            assert_eq!(e.wait_len(), 1, "G2's fin waits for G1");
+            e.enqueue(fin(1));
+            e.pump();
+            assert_eq!(e.wait_len(), 0);
+            assert_eq!(e.stats().fins, 2);
+        }
     }
 
     /// Per-site serial execution: the next event waits for the previous
     /// event's ack even when unrelated.
     #[test]
     fn site_events_serialized_by_ack() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0]));
-        e.enqueue(init(2, &[0]));
-        e.enqueue(ser(1, 0));
-        e.enqueue(ser(2, 0));
-        let fx = e.pump();
-        assert_eq!(
-            fx,
-            vec![SchemeEffect::SubmitSer {
-                txn: g(1),
+        for mut e in engines(SchemeKind::Scheme3) {
+            e.enqueue(init(1, &[0]));
+            e.enqueue(init(2, &[0]));
+            e.enqueue(ser(1, 0));
+            e.enqueue(ser(2, 0));
+            let fx = e.pump();
+            assert_eq!(
+                fx,
+                vec![SchemeEffect::SubmitSer {
+                    txn: g(1),
+                    site: s(0)
+                }]
+            );
+            e.enqueue(ack(1, 0));
+            let fx = e.pump();
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(2),
                 site: s(0)
-            }]
-        );
-        e.enqueue(ack(1, 0));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(2),
-            site: s(0)
-        }));
+            }));
+        }
     }
 
     #[test]
     fn ser_bef_accessor_reflects_order() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0]));
-        e.enqueue(init(2, &[0]));
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        // Introspection goes through a fresh scheme to exercise the
-        // accessor directly.
         let mut scheme = Scheme3::new();
-        let mut steps = mdbs_common::step::StepCounter::new();
+        let mut steps = StepCounter::new();
         scheme.act(&init(1, &[0]), &mut steps);
         scheme.act(&init(2, &[0]), &mut steps);
         scheme.act(&ser(1, 0), &mut steps);
@@ -421,36 +379,37 @@ mod tests {
     /// there.
     #[test]
     fn transitive_ser_bef_blocks() {
-        let mut e = engine(KernelKind::BTree);
-        e.enqueue(init(1, &[0, 2]));
-        e.enqueue(init(2, &[0, 1]));
-        e.enqueue(init(3, &[1, 2]));
-        // G1 then G2 at s0.
-        e.enqueue(ser(1, 0));
-        e.pump();
-        e.enqueue(ack(1, 0));
-        e.enqueue(ser(2, 0));
-        e.pump();
-        e.enqueue(ack(2, 0));
-        // G2 then G3 at s1.
-        e.enqueue(ser(2, 1));
-        e.pump();
-        e.enqueue(ack(2, 1));
-        e.enqueue(ser(3, 1));
-        e.pump();
-        e.enqueue(ack(3, 1));
-        // Now G1 < G2 < G3; G3 at s2 while G1 pending at s2 must wait.
-        e.enqueue(ser(3, 2));
-        e.pump();
-        assert_eq!(e.stats().waited, 1);
-        e.enqueue(ser(1, 2));
-        e.pump();
-        e.enqueue(ack(1, 2));
-        let fx = e.pump();
-        assert!(fx.contains(&SchemeEffect::SubmitSer {
-            txn: g(3),
-            site: s(2)
-        }));
-        assert!(e.ser_log().check().is_ok());
+        for mut e in engines(SchemeKind::Scheme3) {
+            e.enqueue(init(1, &[0, 2]));
+            e.enqueue(init(2, &[0, 1]));
+            e.enqueue(init(3, &[1, 2]));
+            // G1 then G2 at s0.
+            e.enqueue(ser(1, 0));
+            e.pump();
+            e.enqueue(ack(1, 0));
+            e.enqueue(ser(2, 0));
+            e.pump();
+            e.enqueue(ack(2, 0));
+            // G2 then G3 at s1.
+            e.enqueue(ser(2, 1));
+            e.pump();
+            e.enqueue(ack(2, 1));
+            e.enqueue(ser(3, 1));
+            e.pump();
+            e.enqueue(ack(3, 1));
+            // Now G1 < G2 < G3; G3 at s2 while G1 pending at s2 must wait.
+            e.enqueue(ser(3, 2));
+            e.pump();
+            assert_eq!(e.stats().waited, 1);
+            e.enqueue(ser(1, 2));
+            e.pump();
+            e.enqueue(ack(1, 2));
+            let fx = e.pump();
+            assert!(fx.contains(&SchemeEffect::SubmitSer {
+                txn: g(3),
+                site: s(2)
+            }));
+            assert!(e.ser_log().check().is_ok());
+        }
     }
 }

@@ -31,26 +31,15 @@
 //!   by experiment EXP-NP to exhibit the blow-up and the gap between
 //!   `Eliminate_Cycles` and the optimum.
 
+use crate::tsgd_dense::Dep;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A dependency `(txn_before, site) → (site, txn_after)`: `ser_site(before)`
-/// is processed before `ser_site(after)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Dep {
-    /// Common site node.
-    pub site: SiteId,
-    /// Transaction whose event comes first.
-    pub before: GlobalTxnId,
-    /// Transaction whose event comes second.
-    pub after: GlobalTxnId,
-}
-
 /// The TSGD.
 ///
 /// ```
-/// use mdbs_core::tsgd::{eliminate_cycles, Tsgd};
+/// use mdbs_core::reference::tsgd::{eliminate_cycles, Tsgd};
 /// use mdbs_common::ids::{GlobalTxnId, SiteId};
 /// use mdbs_common::step::StepCounter;
 /// use std::collections::BTreeSet;
@@ -358,20 +347,7 @@ pub fn minimal_delta_exact(tsgd: &Tsgd, gi: GlobalTxnId) -> Option<BTreeSet<Dep>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn dep(k: u32, a: u64, b: u64) -> Dep {
-        Dep {
-            site: s(k),
-            before: g(a),
-            after: g(b),
-        }
-    }
+    use crate::reference::scenario::{dep, g, s};
 
     /// Two txns sharing two sites, no deps: the classic undetermined cycle.
     fn two_txn_cycle() -> Tsgd {

@@ -273,17 +273,13 @@ pub fn replay(kind: SchemeKind, script: &Script) -> ReplayOutcome {
     replay_with(&mut Gtm2::new(kind.build()), script)
 }
 
-/// [`replay`] with an explicit kernel choice — used by the bench harness
-/// and the `step_cells_golden` soak test to compare the reference BTree
-/// kernels against the dense slot/bitset ones on identical inputs.
+/// [`replay`], under the signature the standalone benchmark
+/// (`benchmark/src/{measure,probes,replay_trace}.rs`) imports; ROADMAP
+/// item 2 retires it along with [`replay_sharded_kernel`] and the kernel
+/// kind.
 pub fn replay_kernel(kind: SchemeKind, kernel: KernelKind, script: &Script) -> ReplayOutcome {
-    replay_with(&mut Gtm2::new(kind.build_kernel(kernel)), script)
-}
-
-/// Replay through a caller-built engine (lets callers toggle validation,
-/// and read the engine's metrics afterwards).
-pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
-    run_script(engine, script)
+    let _ = kernel;
+    replay(kind, script)
 }
 
 /// Kept for the benchmark's engine-ratio probe, which imports this
@@ -299,8 +295,9 @@ pub fn replay_sharded_kernel(
     replay_kernel(kind, kernel, script)
 }
 
-/// The replay loop body.
-fn run_script(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
+/// Replay through a caller-built engine (lets callers toggle validation,
+/// and read the engine's metrics afterwards).
+pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     let mut ctl = DrainCtl::default();
     for ev in &script.events {
         match ev {

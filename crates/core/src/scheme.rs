@@ -477,42 +477,19 @@ impl Gtm2Scheme for FullRescan {
     }
 }
 
-/// Which data-structure realization of a scheme to instantiate.
+/// The one kernel kind [`SchemeKind::build_kernel`] accepts.
 ///
-/// Schemes 1–3 have two kernels each. Both implement the *same* scheme —
-/// identical `cond`/`act` decisions and bit-for-bit identical paper-step
-/// accounting (property tested in `tests/kernel_equivalence.rs`). They
-/// differ only in machine cost: the `BTree` kernels realize the paper's
-/// sets as id-keyed `BTreeMap`/`BTreeSet`; the `Dense` kernels intern live
-/// ids into compact slots ([`mdbs_common::DenseInterner`]) and run the set
-/// algebra on bitsets ([`mdbs_common::DenseBitSet`]), making the per-op hot
-/// path allocation-free. Scheme 0 has one kernel, which both kinds build
-/// (see [`crate::kernel_dense`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// It exists only because the standalone benchmark
+/// (`benchmark/src/{inline,measure,probes,replay_trace}.rs`) imports it;
+/// ROADMAP item 2 retires it together with [`SchemeKind::build_kernel`],
+/// [`crate::replay::replay_kernel`] and
+/// [`crate::replay::replay_sharded_kernel`]. The paper-text kernels are
+/// not a runtime choice: tests reach them through
+/// [`crate::reference::build`].
+#[derive(Clone, Copy, Debug)]
 pub enum KernelKind {
-    /// Reference kernels: id-keyed ordered maps/sets. Kept as the oracle.
-    BTree,
-    /// Interned-slot + bitset kernels (the default). Scheme 2 keeps one
-    /// record per TSG edge (column position, both halves of its
-    /// dependencies, `ran` / `acked` flags) and runs `Eliminate_Cycles`
-    /// with its scan cursors in the DFS frames.
+    /// The kernels [`SchemeKind::build`] returns.
     Dense,
-}
-
-impl KernelKind {
-    /// Display name ("btree" / "dense").
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::BTree => "btree",
-            KernelKind::Dense => "dense",
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Enumeration of the provided GTM2 schemes.
@@ -563,44 +540,29 @@ impl SchemeKind {
         }
     }
 
-    /// Instantiate the scheme with the default ([`KernelKind::Dense`])
-    /// kernel where one exists.
+    /// Instantiate the scheme. Schemes 1–3 run on the dense kernels
+    /// ([`crate::kernel_dense`]); their paper-text oracles live in
+    /// [`crate::reference`], which also holds Scheme 2-MIN's exact search.
     pub fn build(self) -> Box<dyn Gtm2Scheme + Send> {
-        self.build_kernel(KernelKind::Dense)
-    }
-
-    /// Instantiate the scheme on a specific kernel. Only Schemes 1–3 have
-    /// dense kernels; every other kind (and every kind under
-    /// [`KernelKind::BTree`]) gets the reference realization.
-    pub fn build_kernel(self, kernel: KernelKind) -> Box<dyn Gtm2Scheme + Send> {
-        if kernel == KernelKind::Dense {
-            match self {
-                SchemeKind::Scheme1 => {
-                    return Box::new(crate::kernel_dense::Scheme1Dense::new());
-                }
-                SchemeKind::Scheme2 => {
-                    return Box::new(crate::kernel_dense::Scheme2Dense::new());
-                }
-                SchemeKind::Scheme3 => {
-                    return Box::new(crate::kernel_dense::Scheme3Dense::new());
-                }
-                SchemeKind::Scheme0
-                | SchemeKind::Scheme2Minimal
-                | SchemeKind::SiteGraph
-                | SchemeKind::AbortingTo
-                | SchemeKind::OptimisticTicket => {}
-            }
-        }
         match self {
             SchemeKind::Scheme0 => Box::new(crate::scheme0::Scheme0::new()),
-            SchemeKind::Scheme1 => Box::new(crate::scheme1::Scheme1::new()),
-            SchemeKind::Scheme2 => Box::new(crate::scheme2::Scheme2::new()),
-            SchemeKind::Scheme2Minimal => Box::new(crate::scheme2::Scheme2::new_minimal()),
+            SchemeKind::Scheme1 => Box::new(crate::kernel_dense::Scheme1Dense::new()),
+            SchemeKind::Scheme2 => Box::new(crate::kernel_dense::Scheme2Dense::new()),
+            SchemeKind::Scheme2Minimal => {
+                Box::new(crate::reference::scheme2::Scheme2::new_minimal())
+            }
             SchemeKind::SiteGraph => Box::new(crate::scheme_sg::SiteGraphScheme::new()),
-            SchemeKind::Scheme3 => Box::new(crate::scheme3::Scheme3::new()),
+            SchemeKind::Scheme3 => Box::new(crate::kernel_dense::Scheme3Dense::new()),
             SchemeKind::AbortingTo => Box::new(crate::baselines::AbortingTo::new()),
             SchemeKind::OptimisticTicket => Box::new(crate::baselines::OptimisticTicket::new()),
         }
+    }
+
+    /// [`SchemeKind::build`], under the signature the standalone benchmark
+    /// imports; ROADMAP item 2 retires it.
+    pub fn build_kernel(self, kernel: KernelKind) -> Box<dyn Gtm2Scheme + Send> {
+        let _ = kernel;
+        self.build()
     }
 
     /// True for the paper's conservative schemes (never abort).

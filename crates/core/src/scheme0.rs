@@ -23,8 +23,9 @@ use mdbs_common::ops::QueueOp;
 use mdbs_common::step::{StepCounter, StepKind};
 use std::collections::VecDeque;
 
-/// Scheme 0 state: one FIFO queue per site. Both
-/// [`KernelKind`](crate::scheme::KernelKind)s build it.
+/// Scheme 0 state: one FIFO queue per site. Scheme 0's one kernel: it has
+/// no paper-text twin in [`crate::reference`], since its queues have no
+/// set algebra for a dense realization to speed up.
 #[derive(Clone, Debug, Default)]
 pub struct Scheme0 {
     /// Site → its queue. Only `debug_validate` iterates it, and that check

@@ -1,8 +1,8 @@
 //! Slot-indexed TSGD for the dense Scheme 2 kernel.
 //!
-//! [`DenseTsgd`] is semantically the same structure as [`crate::tsgd::Tsgd`]
-//! — transaction/site nodes, undirected edges, dependencies between edges at
-//! a common site — but stored over compact `u32` slots handed out by
+//! [`DenseTsgd`] is semantically the same structure as the paper-text
+//! [`crate::reference::tsgd::Tsgd`] — transaction/site nodes, undirected
+//! edges, dependencies ([`Dep`]) between edges at a common site — but stored over compact `u32` slots handed out by
 //! [`DenseInterner`]s, so the per-operation hot path touches vectors and
 //! bitsets instead of `BTreeMap`s and allocates nothing:
 //!
@@ -46,23 +46,34 @@
 //!
 //! Nothing here answers a scheduling question that the reference does not:
 //! `cond` reads an edge's unacked count / `incoming_deps` / `dep_count`,
-//! `act` calls `insert_txn` / `add_dep_slots` / `mark_acked` / `remove_txn` and [`eliminate_cycles_dense_with`],
-//! which charges `steps` tick-for-tick like [`crate::tsgd::eliminate_cycles`]
-//! (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
+//! `act` calls `insert_txn` / `add_dep_slots` / `mark_acked` / `remove_txn`
+//! and [`eliminate_cycles_dense_with`], which charges `steps` tick-for-tick
+//! like [`crate::reference::tsgd::eliminate_cycles`] (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
 //! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
-//! [`crate::tsgd::Tsgd::has_cycle_involving`], exponential) and
+//! [`crate::reference::tsgd::Tsgd::has_cycle_involving`], exponential) and
 //! [`DenseTsgd::deps_acyclic`] (a topological sort of the dependencies) are
 //! validation grade and run only from `debug_validate` and tests, as does
 //! [`DenseTsgd::edges_consistent`], which checks that every edge record
 //! agrees with its column and every dependency sits on both its edges.
 
-use crate::tsgd::Dep;
 use mdbs_common::dense::{DenseBitSet, DenseInterner};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
 use mdbs_schedule::lex_topo_order;
 use std::cell::Cell;
 use std::collections::BTreeSet;
+
+/// A dependency `(txn_before, site) → (site, txn_after)`: `ser_site(before)`
+/// is processed before `ser_site(after)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Dep {
+    /// Common site node.
+    pub site: SiteId,
+    /// Transaction whose event comes first.
+    pub before: GlobalTxnId,
+    /// Transaction whose event comes second.
+    pub after: GlobalTxnId,
+}
 
 /// One TSG edge `(Ĝ_i, s_k)`, kept in `Ĝ_i`'s row: where it sits in
 /// `s_k`'s column, both halves of every dependency at `s_k` it is part of,
@@ -573,8 +584,9 @@ impl DenseTsgd {
     }
 
     /// Exponential DFS oracle — a direct port of
-    /// [`crate::tsgd::Tsgd::has_cycle_involving`] onto the dense storage,
-    /// visiting neighbours in the same id order. Test/validation grade.
+    /// [`crate::reference::tsgd::Tsgd::has_cycle_involving`] onto the dense
+    /// storage, visiting neighbours in the same id order. Test/validation
+    /// grade.
     pub fn has_cycle_involving_oracle(&self, start: GlobalTxnId, extra: &BTreeSet<Dep>) -> bool {
         let Some(start_slot) = self.txns.slot_of(&start) else {
             return false;
@@ -948,11 +960,11 @@ fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bo
 
 /// Figure 4 (`Eliminate_Cycles`) over the dense storage: the same Δ, in the
 /// same order, and **identical step charges** as the reference
-/// [`crate::tsgd::eliminate_cycles`] — adjacency vectors are id-sorted, so
-/// the traversal examines candidates in the reference order — at a machine
-/// cost of about one column scan per state. Δ is left in `scratch` in slot
-/// space: [`DenseTsgd::add_delta`] folds it in, [`DenseTsgd::delta_set`]
-/// resolves it to [`Dep`]s.
+/// [`crate::reference::tsgd::eliminate_cycles`] — adjacency vectors are
+/// id-sorted, so the traversal examines candidates in the reference order —
+/// at a machine cost of about one column scan per state. Δ is left in
+/// `scratch` in slot space: [`DenseTsgd::add_delta`] folds it in,
+/// [`DenseTsgd::delta_set`] resolves it to [`Dep`]s.
 ///
 /// Within one call whether node `v` skips the candidate at a column
 /// position never depends on the state `v` was entered through, and once
@@ -1025,21 +1037,8 @@ pub fn eliminate_cycles_dense_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsgd::{eliminate_cycles, Tsgd};
-
-    fn g(i: u64) -> GlobalTxnId {
-        GlobalTxnId(i)
-    }
-    fn s(i: u32) -> SiteId {
-        SiteId(i)
-    }
-    fn dep(k: u32, a: u64, b: u64) -> Dep {
-        Dep {
-            site: s(k),
-            before: g(a),
-            after: g(b),
-        }
-    }
+    use crate::reference::scenario::{dep, g, s};
+    use crate::reference::tsgd::{eliminate_cycles, Tsgd};
 
     fn two_txn_cycle() -> DenseTsgd {
         let mut t = DenseTsgd::new();

@@ -1,7 +1,8 @@
 //! GTM1 is the GTM's one door for malformed input.
 //!
 //! A two-transaction, two-site journey runs through a [`Coordinator`]
-//! cleanly, once per conservative scheme and kernel. Then it runs again
+//! cleanly, once per conservative scheme and kernel (the dense kernel that
+//! runs, and for Schemes 1–3 the paper-text oracle). Then it runs again
 //! with one malformed arrival injected before each arrival of the clean
 //! run where that kind of input applies. Each malformed arrival must be
 //! refused where it arrives: it counts once in `gtm1.protocol_violations`,
@@ -17,7 +18,8 @@ use mdbs_common::step::StepCounter;
 use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
 use mdbs_core::gtm1::{Gtm1, Gtm1Event, Gtm1Stats, ServerCommand};
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
-use mdbs_core::scheme::{KernelKind, SchemeKind};
+use mdbs_core::reference;
+use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::{GlobalTransaction, Step, StepKind};
 use mdbs_localdb::serfn::SerializationEvent;
 use std::collections::VecDeque;
@@ -33,13 +35,17 @@ const S2: SiteId = SiteId(2);
 /// Not configured.
 const S9: SiteId = SiteId(9);
 
-fn coordinator(scheme: SchemeKind, kernel: KernelKind) -> Coordinator {
+/// A coordinator over `scheme`'s realization named `kernel`.
+fn coordinator(scheme: SchemeKind, kernel: &str) -> Coordinator {
     let events = [
         (S0, SerializationEvent::Commit),
         (S1, SerializationEvent::Begin),
         (S2, SerializationEvent::Commit),
     ];
-    let gtm2 = Gtm2::new(scheme.build_kernel(kernel));
+    let (_, realization) = reference::realizations(scheme)
+        .find(|&(name, _)| name == kernel)
+        .expect("the scheme has this kernel");
+    let gtm2 = Gtm2::new(realization);
     Coordinator::new(Gtm1::new(events.into_iter().collect()), gtm2)
 }
 
@@ -89,7 +95,7 @@ type Bad = (Arrival, Vec<Outbound>);
 /// With `inject = Some((p, (bad, reply)))`, `bad` is handled just before
 /// the `p`-th arrival (or after the last, for `p` = their count) and must
 /// send out exactly `reply`.
-fn journey(scheme: SchemeKind, kernel: KernelKind, inject: Option<(usize, &Bad)>) -> Journey {
+fn journey(scheme: SchemeKind, kernel: &str, inject: Option<(usize, &Bad)>) -> Journey {
     let mut c = coordinator(scheme, kernel);
     let mut fifo: VecDeque<Arrival> = [G1, G2]
         .map(|txn| Arrival::Gtm1(Gtm1Event::Submit(program(txn))))
@@ -244,7 +250,7 @@ fn malformed(clean: &Journey) -> Vec<(&'static str, Bad, Vec<usize>)> {
 #[test]
 fn every_malformed_arrival_is_refused_once_and_changes_nothing() {
     for scheme in SchemeKind::CONSERVATIVE {
-        for kernel in [KernelKind::BTree, KernelKind::Dense] {
+        for (kernel, _) in reference::realizations(scheme) {
             let clean = journey(scheme, kernel, None);
             let completed = clean.out.iter().flatten();
             let completed =

@@ -30,11 +30,12 @@ use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::kernel_dense::Scheme3Dense;
-use mdbs_core::replay::{replay_kernel, replay_with, ReplayOutcome, Script, ScriptEvent};
-use mdbs_core::scheme::{Gtm2Scheme, KernelKind, SchemeEffect, SchemeKind};
-use mdbs_core::scheme3::Scheme3;
-use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
-use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
+use mdbs_core::reference::realizations;
+use mdbs_core::reference::scheme3::Scheme3;
+use mdbs_core::reference::tsgd::{eliminate_cycles, Tsgd};
+use mdbs_core::replay::{replay_with, ReplayOutcome, Script, ScriptEvent};
+use mdbs_core::scheme::{Gtm2Scheme, SchemeEffect, SchemeKind};
+use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, Dep, EliminateScratch};
 use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -53,6 +54,25 @@ fn arb_script() -> impl Strategy<Value = Script> {
 fn arb_adversarial_script() -> impl Strategy<Value = Script> {
     (8usize..20, 2usize..4, 25u64..40, any::<u64>())
         .prop_map(|(n, m, dav10, seed)| Script::random(n, m, dav10 as f64 / 10.0, seed))
+}
+
+/// An engine on every realization of `kind`, reference first, each
+/// validating the scheme's invariants after every act.
+fn engines(kind: SchemeKind) -> Vec<Gtm2> {
+    realizations(kind)
+        .map(|(_, scheme)| {
+            let mut engine = Gtm2::new(scheme);
+            engine.set_validate(true);
+            engine
+        })
+        .collect()
+}
+
+/// `script` replayed on every realization of `kind`, reference first.
+fn replays(kind: SchemeKind, script: &Script) -> Vec<ReplayOutcome> {
+    realizations(kind)
+        .map(|(_, scheme)| replay_with(&mut Gtm2::new(scheme), script))
+        .collect()
 }
 
 /// Drive `script` through an existing engine with zero-latency acks and
@@ -171,15 +191,17 @@ fn burst_scale_outcomes_match(n: usize) {
     let script = Script::random(n, 10, 2.5, 11);
     // Per-act invariant validation (on by default in debug builds) is cubic
     // in the live transactions; the proptests cover it at small sizes.
-    let run = |kind: SchemeKind, kernel| {
-        let mut engine = Gtm2::new(kind.build_kernel(kernel));
+    let run = |scheme| {
+        let mut engine = Gtm2::new(scheme);
         engine.set_validate(false);
         replay_with(&mut engine, &script)
     };
     for kind in [SchemeKind::Scheme1, SchemeKind::Scheme3] {
-        let reference = run(kind, KernelKind::BTree);
-        let dense = run(kind, KernelKind::Dense);
-        assert_identical(&reference, &dense, &kind.to_string());
+        let outcomes: Vec<_> = realizations(kind).map(|(_, scheme)| run(scheme)).collect();
+        let [reference, dense] = &outcomes[..] else {
+            panic!("{kind} has a btree and a dense kernel");
+        };
+        assert_identical(reference, dense, &kind.to_string());
         assert_eq!(reference.aborted, dense.aborted, "{kind}");
         assert_eq!(dense.completed, n, "{kind}");
         assert_eq!(dense.protocol_violations, 0, "{kind}");
@@ -218,9 +240,10 @@ fn burst_scale_1000_outcomes_match_reference() {
 }
 
 /// A fixed mixed stream with explicit acks and fins, whose last
-/// transaction reuses a slot a fin freed, produces the same effects after every op, and the same
-/// steps, stats and `ser(S)`, on both kernels of every conservative
-/// scheme.
+/// transaction reuses a slot a fin freed, produces the same effects after
+/// every op, and the same steps, stats and `ser(S)`, on both kernels of
+/// Schemes 1–3; Scheme 0, which has one kernel, runs it once and must
+/// finish it serializably.
 #[test]
 fn fixed_script_matches_reference_kernels() {
     let sites = |ks: &[u32]| ks.iter().map(|&k| SiteId(k)).collect();
@@ -267,23 +290,33 @@ fn fixed_script_matches_reference_kernels() {
         fin(4),
     ];
     for kind in SchemeKind::CONSERVATIVE {
-        let [mut reference, mut dense] = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
-            let mut engine = Gtm2::new(kind.build_kernel(kernel));
-            engine.set_validate(true);
-            engine
-        });
+        let mut engines = engines(kind);
         for op in &script {
-            reference.enqueue(op.clone());
-            dense.enqueue(op.clone());
-            assert_eq!(reference.pump(), dense.pump(), "{kind}: effects of {op:?}");
+            let effects: Vec<_> = engines
+                .iter_mut()
+                .map(|engine| {
+                    engine.enqueue(op.clone());
+                    engine.pump()
+                })
+                .collect();
+            for pair in effects.windows(2) {
+                assert_eq!(pair[0], pair[1], "{kind}: effects of {op:?}");
+            }
         }
-        assert_eq!(reference.steps(), dense.steps(), "{kind}: steps");
-        assert_eq!(reference.stats(), dense.stats(), "{kind}: stats");
-        assert_eq!(
-            reference.ser_log().events(),
-            dense.ser_log().events(),
-            "{kind}: ser(S)"
-        );
+        for engine in &engines {
+            assert_eq!(engine.wait_len(), 0, "{kind}: ops left waiting");
+            assert!(engine.ser_log().check().is_ok(), "{kind}: ser(S)");
+        }
+        for pair in engines.windows(2) {
+            let [reference, dense] = [&pair[0], &pair[1]];
+            assert_eq!(reference.steps(), dense.steps(), "{kind}: steps");
+            assert_eq!(reference.stats(), dense.stats(), "{kind}: stats");
+            assert_eq!(
+                reference.ser_log().events(),
+                dense.ser_log().events(),
+                "{kind}: ser(S)"
+            );
+        }
     }
 }
 
@@ -491,18 +524,17 @@ fn eliminate_cycles_elides_a_column_the_node_emptied() {
             metrics.counter("gtm2.elim_scans_elided"),
         )
     };
-    let [mut btree, mut dense] = [KernelKind::BTree, KernelKind::Dense].map(|kernel| {
-        let mut engine = Gtm2::new(SchemeKind::Scheme2.build_kernel(kernel));
-        engine.set_validate(true);
-        engine
-    });
+    let mut engines = engines(SchemeKind::Scheme2);
+    let [btree, dense] = &mut engines[..] else {
+        panic!("Scheme 2 has a btree and a dense kernel");
+    };
     let mut before = (0, 0);
     for (i, op) in ops.iter().enumerate() {
         btree.enqueue(op.clone());
         dense.enqueue(op.clone());
         assert_eq!(btree.pump(), dense.pump(), "op {i}");
         assert_eq!(btree.steps(), dense.steps(), "op {i}");
-        let now = elim(&dense);
+        let now = elim(dense);
         // Only the last init walks through G1 twice.
         let elided = now.1 - before.1;
         assert_eq!(elided > 0, i == 2, "op {i}: {elided} elided scans");
@@ -510,7 +542,7 @@ fn eliminate_cycles_elides_a_column_the_node_emptied() {
     }
     // G2's init enters (s2, G1); G9's enters (s0, G1), (s2, G2), (s1, G1).
     assert_eq!(before, (4, 1), "dense: states entered, scans elided");
-    assert_eq!(elim(&btree), (0, 0), "btree");
+    assert_eq!(elim(btree), (0, 0), "btree");
 }
 
 /// Every valid script over `ntxns` transactions and two sites with at most
@@ -591,7 +623,8 @@ fn for_every_script(
 /// Kernel equivalence *proved* at small scope rather than sampled, for one
 /// scheme: every valid script over 2 transactions × 2 sites, and over
 /// 3 transactions × 2 sites up to transaction renaming, through `Gtm2` on
-/// the BTree and the dense kernel, which must be identical. The scope
+/// the BTree and the dense kernel, which must be identical (Scheme 0, which
+/// has one kernel, replays each once). The scope
 /// leaves out one site-set assignment — all three transactions spanning
 /// both sites, 2240 of the 5440 three-transaction scripts — which alone
 /// would double the run time.
@@ -599,12 +632,15 @@ fn check_every_small_script(kind: SchemeKind) {
     let mut check = |script: &Script| {
         assert_eq!(script.validate(), Ok(()), "{script:?}");
         let label = format!("{kind} {script:?}");
-        let btree = replay_kernel(kind, KernelKind::BTree, script);
-        let dense = replay_kernel(kind, KernelKind::Dense, script);
-        assert_identical(&btree, &dense, &label);
-        assert_eq!(dense.protocol_violations, 0, "{label}");
-        assert!(dense.aborted.is_empty(), "{label}");
-        assert!(dense.ser_serializable, "{label}");
+        let outcomes = replays(kind, script);
+        for pair in outcomes.windows(2) {
+            assert_identical(&pair[0], &pair[1], &label);
+        }
+        for outcome in &outcomes {
+            assert_eq!(outcome.protocol_violations, 0, "{label}");
+            assert!(outcome.aborted.is_empty(), "{label}");
+            assert!(outcome.ser_serializable, "{label}");
+        }
     };
     // A changed count means the enumerator, not an engine, changed.
     assert_eq!(for_every_script(2, 4, false, &mut check), 184);
@@ -634,49 +670,39 @@ fn every_small_script_scheme3() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tentpole invariant: for every conservative scheme, the dense
-    /// kernel replays any valid script with byte-identical steps, stats,
-    /// and per-site serialization orders.
+    /// The tentpole invariant: for Schemes 1–3, the dense kernel replays
+    /// any valid script with byte-identical steps, stats, and per-site
+    /// serialization orders to the BTree oracle's. Every conservative
+    /// scheme, Scheme 0 included, finishes it serializably.
     #[test]
     fn dense_kernel_matches_reference_on_any_order(script in arb_script()) {
         for kind in SchemeKind::CONSERVATIVE {
-            let reference = replay_kernel(kind, KernelKind::BTree, &script);
-            let dense = replay_kernel(kind, KernelKind::Dense, &script);
-            prop_assert_eq!(
-                reference.steps, dense.steps,
-                "{}: step counters diverged", kind
-            );
-            prop_assert_eq!(
-                reference.stats, dense.stats,
-                "{}: engine stats diverged", kind
-            );
-            prop_assert_eq!(
-                &reference.ser_events, &dense.ser_events,
-                "{}: ser(S) diverged", kind
-            );
-            prop_assert_eq!(
-                (reference.wake_scan_count, reference.wake_scan_sum),
-                (dense.wake_scan_count, dense.wake_scan_sum),
-                "{}: wake-scan histogram diverged", kind
-            );
-            prop_assert_eq!(dense.protocol_violations, 0, "{}", kind);
-            prop_assert!(dense.ser_serializable, "{}", kind);
+            let outcomes = replays(kind, &script);
+            for outcome in &outcomes {
+                prop_assert_eq!(outcome.protocol_violations, 0, "{}", kind);
+                prop_assert!(outcome.ser_serializable, "{}", kind);
+            }
+            for pair in outcomes.windows(2) {
+                assert_identical(&pair[0], &pair[1], &kind.to_string());
+            }
         }
     }
 
     /// Id recycling: the same script replayed twice through one engine
     /// re-interns every transaction id after its slot was freed at `fin`.
     /// Stale bits in any recycled slot would change effects or steps.
+    /// Every conservative scheme runs it, each engine validating its
+    /// invariants after every act and draining WAIT; Schemes 1–3, the ones
+    /// with a reference kernel, also compare the two after each round.
     #[test]
     fn recycled_ids_carry_no_stale_state(script in arb_script()) {
         for kind in SchemeKind::CONSERVATIVE {
-            let mut reference = Gtm2::new(kind.build_kernel(KernelKind::BTree));
-            let mut dense = Gtm2::new(kind.build_kernel(KernelKind::Dense));
-            reference.set_validate(true);
-            dense.set_validate(true);
+            let mut engines = engines(kind);
             for _round in 0..2 {
-                drive(&mut reference, &script);
-                drive(&mut dense, &script);
+                for engine in &mut engines {
+                    drive(engine, &script);
+                }
+                let [reference, dense] = &engines[..] else { continue };
                 prop_assert_eq!(
                     reference.steps(), dense.steps(),
                     "{}: steps diverged across recycling rounds", kind
@@ -690,8 +716,9 @@ proptest! {
                     "{}: ser(S) diverged across recycling rounds", kind
                 );
             }
-            prop_assert_eq!(reference.wait_len(), 0, "{}", kind);
-            prop_assert_eq!(dense.wait_len(), 0, "{}", kind);
+            for engine in &engines {
+                prop_assert_eq!(engine.wait_len(), 0, "{}", kind);
+            }
         }
     }
 
@@ -723,24 +750,13 @@ proptest! {
     /// must leave the dense and BTree Scheme 2 kernels byte-identical.
     #[test]
     fn adversarial_scripts_keep_kernel_matrix_equal(script in arb_adversarial_script()) {
-        let kind = SchemeKind::Scheme2;
-        let reference = replay_kernel(kind, KernelKind::BTree, &script);
-        let kernel = KernelKind::Dense;
-        let dense = replay_kernel(kind, kernel, &script);
-        prop_assert_eq!(
-            reference.steps, dense.steps,
-            "{}: step counters diverged", kernel.name()
-        );
-        prop_assert_eq!(
-            reference.stats, dense.stats,
-            "{}: engine stats diverged", kernel.name()
-        );
-        prop_assert_eq!(
-            &reference.ser_events, &dense.ser_events,
-            "{}: ser(S) diverged", kernel.name()
-        );
-        prop_assert_eq!(dense.protocol_violations, 0, "{}", kernel.name());
-        prop_assert!(dense.ser_serializable, "{}", kernel.name());
+        let outcomes = replays(SchemeKind::Scheme2, &script);
+        let [reference, dense] = &outcomes[..] else {
+            panic!("Scheme 2 has a btree and a dense kernel");
+        };
+        assert_identical(reference, dense, "Scheme 2");
+        prop_assert_eq!(dense.protocol_violations, 0);
+        prop_assert!(dense.ser_serializable);
     }
 
     /// Adversarial add/remove-dep interleaving straight against the TSGD

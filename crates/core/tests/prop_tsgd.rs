@@ -8,7 +8,8 @@
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::StepCounter;
-use mdbs_core::tsgd::{eliminate_cycles, minimal_delta_exact, Dep, Tsgd};
+use mdbs_core::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
+use mdbs_core::tsgd_dense::Dep;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

@@ -11,8 +11,9 @@ use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::gtm2::Gtm2;
-use mdbs_core::replay::{replay, replay_kernel, replay_with, Script, ScriptEvent};
-use mdbs_core::scheme::{FullRescan, KernelKind, SchemeKind};
+use mdbs_core::reference;
+use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
+use mdbs_core::scheme::{FullRescan, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
     ScriptEvent::Init(GlobalTxnId(txn), sites.iter().map(|&s| SiteId(s)).collect())
@@ -211,7 +212,7 @@ fn burst_cell_dense_decisions_golden() {
     for ((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided) in
         GOLDEN.into_iter().zip(WAKE_ELIDED)
     {
-        let mut engine = Gtm2::new(kind.build_kernel(KernelKind::Dense));
+        let mut engine = Gtm2::new(kind.build());
         let out = replay_with(&mut engine, &script);
         let mut metrics = Registry::new();
         engine.export_metrics(&mut metrics);
@@ -257,7 +258,8 @@ fn burst_cell_dense_decisions_golden() {
 /// and the dense kernels change machine cost without moving one counted
 /// step. Two fixed replay cells, `small` (50 transactions, 4 sites, d_av
 /// 2.0) and `medium` (150, 6, 2.5), both seed 42, pin every conservative
-/// scheme's `cond` / `act` charges on both kernels: a kernel that forgot a
+/// scheme's `cond` / `act` charges on the dense kernel and, for Schemes 1–3,
+/// on the BTree oracle (Scheme 0 has one kernel): a kernel that forgot a
 /// charge, or a wake path that re-tests a different set, moves a cell.
 /// Ignored by default: a debug build validates every act and takes over a
 /// minute; the release soak step runs it in about a second.
@@ -280,8 +282,8 @@ fn step_cells_golden() {
     ];
     for (kind, expected) in GOLDEN {
         for ((size, script), steps) in cells.iter().zip(expected) {
-            for kernel in [KernelKind::BTree, KernelKind::Dense] {
-                let out = replay_kernel(kind, kernel, script);
+            for (kernel, scheme) in reference::realizations(kind) {
+                let out = replay_with(&mut Gtm2::new(scheme), script);
                 let cell = format!("{kind} {size} {kernel}");
                 assert_eq!(out.completed, script.txn_count(), "{cell}: incomplete");
                 assert_eq!(

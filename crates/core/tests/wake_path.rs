@@ -26,7 +26,8 @@ use mdbs_common::instrument::{Registry, SchedEvent};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
-use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_core::reference::realizations;
+use mdbs_core::scheme::{Gtm2Scheme, SchemeEffect, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> QueueOp {
     QueueOp::Init {
@@ -83,8 +84,8 @@ fn wake_elided(e: &Gtm2) -> u64 {
 }
 
 /// Feed `rounds` one after another, pumping dry after each.
-fn run(kind: SchemeKind, kernel: KernelKind, rounds: &[&[QueueOp]]) -> Gtm2 {
-    let mut engine = Gtm2::new(kind.build_kernel(kernel));
+fn run(scheme: Box<dyn Gtm2Scheme + Send>, rounds: &[&[QueueOp]]) -> Gtm2 {
+    let mut engine = Gtm2::new(scheme);
     for round in rounds {
         feed(&mut engine, round);
     }
@@ -105,8 +106,8 @@ fn fin_enqueued_before_its_last_ack_is_woken_by_that_ack() {
         &[ack(1, 1)],         // wakes fin_1, whose pops wake fin_2
     ];
     let mut seen = Vec::new();
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut e = run(SchemeKind::Scheme1, kernel, &rounds[..4]);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme1) {
+        let mut e = run(scheme, &rounds[..4]);
         assert_eq!(
             e.wait_len(),
             2,
@@ -134,24 +135,28 @@ fn unrelated_ack_charges_waiting_fins_like_the_literal_retest() {
         &[ack(2, 1), fin(2)], // waits: s0's delete front is G1
         &[ser(3, 1)],
     ];
-    let mut btree = run(SchemeKind::Scheme1, KernelKind::BTree, &rounds);
-    let mut dense = run(SchemeKind::Scheme1, KernelKind::Dense, &rounds);
-    let elided_before = wake_elided(&dense);
+    let mut engines: Vec<Gtm2> = realizations(SchemeKind::Scheme1)
+        .map(|(_, scheme)| run(scheme, &rounds))
+        .collect();
+    let [btree, dense] = &mut engines[..] else {
+        panic!("Scheme 1 has a btree and a dense kernel");
+    };
+    let elided_before = wake_elided(dense);
     // G3's ack appends to s1's delete queue behind G2: fin_2 still
     // fails, and is charged 1 + |Ĝ_2| = 3 Cond steps either way.
-    let cond_before = observed(&dense, Vec::new()).steps.cond;
-    let b = feed(&mut btree, &[ack(3, 1)]);
-    let d = feed(&mut dense, &[ack(3, 1)]);
-    let (b, d) = (observed(&btree, b), observed(&dense, d));
+    let cond_before = observed(dense, Vec::new()).steps.cond;
+    let b = feed(btree, &[ack(3, 1)]);
+    let d = feed(dense, &[ack(3, 1)]);
+    let (b, d) = (observed(btree, b), observed(dense, d));
     assert_eq!(b, d, "BTree vs Dense");
     assert_eq!(d.waiting, 1, "fin_2 still waits");
     assert_eq!(d.steps.cond - cond_before, 1 + 3);
-    assert_eq!(wake_elided(&dense) - elided_before, 1);
-    assert_eq!(wake_elided(&btree), 0);
+    assert_eq!(wake_elided(dense) - elided_before, 1);
+    assert_eq!(wake_elided(btree), 0);
     // And the run still finishes identically on both kernels.
     let tail = [fin(1), fin(3)];
-    let (b, d) = (feed(&mut btree, &tail), feed(&mut dense, &tail));
-    let (b, d) = (observed(&btree, b), observed(&dense, d));
+    let (b, d) = (feed(btree, &tail), feed(dense, &tail));
+    let (b, d) = (observed(btree, b), observed(dense, d));
     assert_eq!(b, d, "BTree vs Dense at the end");
     assert_eq!((d.waiting, d.stats.fins), (0, 3));
 }
@@ -181,8 +186,8 @@ fn fin_pass_wakes_a_later_front_now_and_an_earlier_one_next_pass() {
     ];
     let mut seen = Vec::new();
     let mut elided = Vec::new();
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut e = run(SchemeKind::Scheme1, kernel, &rounds);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme1) {
+        let mut e = run(scheme, &rounds);
         let before = observed(&e, Vec::new());
         assert_eq!(before.waiting, 3, "{kernel}: three fins wait");
         let elided_before = wake_elided(&e);
@@ -203,8 +208,8 @@ fn fin_pass_wakes_a_later_front_now_and_an_earlier_one_next_pass() {
     assert_eq!(seen[0], seen[1], "BTree vs Dense");
     assert_eq!(elided, [0, 1], "wake_elided, BTree and Dense");
     // The order of the wakes.
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut engine = run(SchemeKind::Scheme1, kernel, &rounds);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme1) {
+        let mut engine = run(scheme, &rounds);
         engine.set_tracing(true);
         feed(&mut engine, &[fin(1)]);
         let woken: Vec<u64> = engine
@@ -240,8 +245,8 @@ fn woken_ser_cuts_off_only_the_sers_behind_it() {
     ];
     let mut seen = Vec::new();
     let mut elided = Vec::new();
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut e = run(SchemeKind::Scheme1, kernel, &rounds);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme1) {
+        let mut e = run(scheme, &rounds);
         let before = observed(&e, Vec::new());
         assert_eq!(before.waiting, 4, "{kernel}: four sers wait");
         let elided_before = wake_elided(&e);
@@ -297,8 +302,8 @@ fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
     ];
     let mut seen = Vec::new();
     let mut elided = Vec::new();
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut e = run(SchemeKind::Scheme3, kernel, &rounds);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme3) {
+        let mut e = run(scheme, &rounds);
         let before = observed(&e, Vec::new());
         assert_eq!(before.waiting, 4, "{kernel}: four fins wait");
         let elided_before = wake_elided(&e);
@@ -320,8 +325,8 @@ fn scheme3_fin_pass_wakes_only_rows_a_fin_emptied() {
     // The dense passes re-test 5, 8; 2; nothing; nothing.
     assert_eq!(elided, [0, 2 + 1 + 1 + 1], "wake_elided, BTree and Dense");
     // The order of the wakes, and which fins were re-tested.
-    for (kernel, fin_9_retests) in [(KernelKind::BTree, 4), (KernelKind::Dense, 0)] {
-        let mut engine = run(SchemeKind::Scheme3, kernel, &rounds);
+    for ((kernel, scheme), fin_9_retests) in realizations(SchemeKind::Scheme3).zip([4, 0]) {
+        let mut engine = run(scheme, &rounds);
         engine.set_tracing(true);
         feed(&mut engine, &[fin(1)]);
         let events: Vec<SchedEvent> = engine.drain_events().collect();
@@ -364,8 +369,8 @@ fn scheme3_woken_ser_cuts_off_the_sers_behind_it() {
     ];
     let mut seen = Vec::new();
     let mut elided = Vec::new();
-    for kernel in [KernelKind::BTree, KernelKind::Dense] {
-        let mut e = run(SchemeKind::Scheme3, kernel, &rounds);
+    for (kernel, scheme) in realizations(SchemeKind::Scheme3) {
+        let mut e = run(scheme, &rounds);
         let before = observed(&e, Vec::new());
         assert_eq!(before.waiting, 4, "{kernel}: four sers wait");
         let elided_before = wake_elided(&e);

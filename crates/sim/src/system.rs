@@ -365,12 +365,33 @@ pub(crate) fn assert_conservative(scheme: SchemeKind) {
     );
 }
 
+/// Panics on a serialization-event override or a crash naming a site the
+/// config has no protocol for: GTM1 would admit programs there and command
+/// a server that does not exist.
+fn assert_sites_configured(cfg: &SystemConfig) {
+    let n = cfg.protocols.len();
+    for &(site, _) in &cfg.event_overrides {
+        assert!(
+            site.index() < n,
+            "serialization-event override names site {site}, but only {n} sites are configured"
+        );
+    }
+    for &(_, site, _) in &cfg.crashes {
+        assert!(
+            site.index() < n,
+            "crash names site {site}, but only {n} sites are configured"
+        );
+    }
+}
+
 impl MdbsSystem {
     /// Build a system from a configuration. Panics on a non-conservative
-    /// scheme: the baselines abort global transactions, which the MDBS
-    /// does not model.
+    /// scheme (the baselines abort global transactions, which the MDBS
+    /// does not model) and on a serialization-event override or a crash
+    /// naming a site that has no protocol.
     pub fn new(cfg: SystemConfig) -> Self {
         assert_conservative(cfg.scheme);
+        assert_sites_configured(&cfg);
         let sites: Vec<LocalDbms> = cfg
             .protocols
             .iter()

@@ -3,9 +3,11 @@
 //! serializable execution (EXP-GS), with local background load creating
 //! the paper's indirect conflicts.
 
+use mdbs_common::ids::SiteId;
 use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_localdb::protocol::LocalProtocolKind;
+use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_sim::system::{MdbsSystem, SystemConfig};
 use mdbs_workload::distributions::AccessDistribution;
 use mdbs_workload::generator::Workload;
@@ -234,6 +236,30 @@ fn non_conservative_scheme_is_refused() {
     MdbsSystem::new(cfg);
 }
 
+/// An override naming a site the config has no protocol for is refused up
+/// front: GTM1 would admit programs there and command a missing server.
+#[test]
+#[should_panic(expected = "serialization-event override names site s2, but only 2 sites")]
+fn override_for_an_unconfigured_site_is_refused() {
+    let cfg = SystemConfig::builder()
+        .sites(2, LocalProtocolKind::TwoPhaseLocking)
+        .override_serialization_event(SiteId(2), SerializationEvent::Commit)
+        .build();
+    MdbsSystem::new(cfg);
+}
+
+/// A crash scheduled at a site the config has no protocol for is refused
+/// up front, not when it fires.
+#[test]
+#[should_panic(expected = "crash names site s5, but only 2 sites")]
+fn crash_at_an_unconfigured_site_is_refused() {
+    let cfg = SystemConfig::builder()
+        .sites(2, LocalProtocolKind::TwoPhaseLocking)
+        .crash(0, SiteId(5), 1000)
+        .build();
+    MdbsSystem::new(cfg);
+}
+
 /// A program naming a site the system was not configured with fails at
 /// admission: GTM1 refuses it, counts a protocol violation and answers
 /// with a `Refused` completion, which the driver does not retry. Every
@@ -303,7 +329,6 @@ fn trace_records_run_lifecycle() {
 /// must leave these constants alone.
 #[test]
 fn trace_pin_every_variant_all_schemes() {
-    use mdbs_common::ids::SiteId;
     use mdbs_sim::system::LatencyConfig;
     use std::collections::BTreeMap;
     const NAMES: [&str; 10] = [
@@ -472,8 +497,6 @@ fn mpl_one_serial_execution_baseline() {
 /// sites (the paper's footnote 3: several functions can be valid).
 #[test]
 fn serialization_event_overrides() {
-    use mdbs_common::ids::SiteId;
-    use mdbs_localdb::serfn::SerializationEvent;
     use mdbs_schedule::{all_pairs_serialization_graph, GlobalSerializability};
     // Valid override: tickets at TO sites.
     let cfg = SystemConfig::builder()

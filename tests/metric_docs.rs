@@ -13,7 +13,7 @@
 
 use mdbs::common::instrument::Registry;
 use mdbs::core::replay::{replay_with, Script};
-use mdbs::core::{Gtm2, KernelKind};
+use mdbs::core::Gtm2;
 use mdbs::prelude::*;
 use mdbs::sim::ThreadedMdbs;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,7 +47,7 @@ fn exported() -> Registry {
         );
         all.merge(&live.registry);
 
-        let mut engine = Gtm2::new(scheme.build_kernel(KernelKind::Dense));
+        let mut engine = Gtm2::new(scheme.build());
         replay_with(&mut engine, &Script::random(8, 3, 2.0, 7));
         engine.export_metrics(&mut all);
     }

@@ -1,9 +1,9 @@
 //! Theorem-by-theorem empirical verification (the paper has no measured
 //! evaluation, so its theorems are our "figures" — see EXPERIMENTS.md).
 
+use mdbs::core::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use mdbs::core::replay::{replay, Script};
 use mdbs::core::scheme::SchemeKind;
-use mdbs::core::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use mdbs_common::step::StepCounter;
 
 /// Theorems 3, 5, 8: every conservative scheme keeps ser(S) serializable
