@@ -92,20 +92,20 @@ mutate mdbs-localdb unwrap_used crates/localdb/src/to.rs \
 # A sleep as the GTM2 pump's first statement.
 mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
     'impl Gtm2 {' \
-    $'    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n' \
-    $'    pub fn pump(&mut self) -> Vec<SchemeEffect> {\n        std::thread::sleep(std::time::Duration::from_millis(1));\n'
+    $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n' \
+    $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n        std::thread::sleep(std::time::Duration::from_millis(1));\n'
 
-# A blocking receive in the site task's poll (the vendored crossbeam path
-# resolves in mdbs-sim).
+# A blocking receive in the site worker's sweep (the vendored crossbeam
+# path resolves in mdbs-sim).
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
-    $'    fn run(&mut self) -> Poll {\n' \
-    'match self.rx.try_recv() {' \
-    'match self.rx.recv().map_err(|_| TryRecvError::Disconnected) {'
+    $'    fn sweep(&mut self) -> Sweep {\n' \
+    'match site.inbox.try_recv() {' \
+    'match site.inbox.recv().map_err(|_| TryRecvError::Disconnected) {'
 
 # The shutdown send, past CountedSender: its failure would go uncounted.
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
-    $'        // Shut down sites and collect their servers.\n' \
-    $'            tx.send(ToSite::Shutdown);\n' \
-    $'            tx.inner.send(ToSite::Shutdown).ok();\n'
+    $'    pub(crate) fn finish(mut self, registry: &mut Registry) -> Vec<Server> {\n' \
+    $'            inbox.send(ToSite::Shutdown);\n' \
+    $'            inbox.inner.send(ToSite::Shutdown).ok();\n'
 
 echo "clippy mutation check: 7 of 7 seeded edits caught"

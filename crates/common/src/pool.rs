@@ -1,12 +1,14 @@
-//! A hand-rolled work-stealing task pool for the live runtime's site tasks.
+//! A hand-rolled work-stealing task pool.
 //!
 //! The pool runs a fixed set of *tasks* — resumable state machines, not
 //! one-shot jobs — on a small set of OS worker threads. A task's body is
 //! a closure returning [`Poll`]: `Pending` parks the task until somebody
 //! [`wake`](TaskHandle::wake)s it (typically after pushing a message into
-//! its [`Mailbox`]), `Done` retires it. This is the executor the threaded
-//! runtime's site servers run on; `mdbs_core::parallel::replay_parallel`
-//! runs one replay on it as a single task.
+//! its [`Mailbox`]), `Done` retires it. `mdbs_core::parallel::replay_parallel`
+//! runs one replay on it as a single task. The threaded runtime's site
+//! servers do not run on it: they have worker threads of their own that
+//! poll the sites' inboxes (`mdbs_sim::threaded`), so a send there costs no
+//! task-state CAS, deque lock or shared counter.
 //!
 //! ## Wake protocol (the lost wakeup race, solved by state machine)
 //!
@@ -67,9 +69,9 @@ const DIRTY: u8 = 3;
 const DONE: u8 = 4;
 
 /// How many times an idle worker re-polls the deques before it parks.
-/// The live runtime's coordinator re-polls its empty reply channel this
-/// many times too before it blocks, so one sweep moves both. Neither
-/// spins on a single-core machine.
+/// The live runtime's coordinator re-polls its empty reply channel, and
+/// each of its site workers its empty inboxes, this many times too before
+/// they sleep. None of them spins on a single-core machine.
 ///
 /// The classical rule: spin about as long as a park/unpark pair costs —
 /// shorter gives the saving away, longer burns a core somebody else may

@@ -57,17 +57,16 @@ impl Gtm2Scheme for AbortingTo {
         true
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         steps.tick(StepKind::Act);
         match op {
             QueueOp::Init { txn, .. } => {
                 self.ts.insert(*txn, self.next_ts);
                 self.next_ts += 1;
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 if self.aborted.contains(txn) {
-                    return Vec::new(); // remaining events of a victim are vacuous
+                    return; // remaining events of a victim are vacuous
                 }
                 // `init_i` came first (see `Gtm2::enqueue`) and gave a live
                 // transaction its timestamp.
@@ -79,27 +78,26 @@ impl Gtm2Scheme for AbortingTo {
                         // Event arrives too late: abort the transaction.
                         self.aborted.insert(*txn);
                         self.ts.remove(txn);
-                        vec![SchemeEffect::AbortGlobal { txn: *txn }]
+                        out.push(SchemeEffect::AbortGlobal { txn: *txn });
                     }
                     _ => {
                         self.max_ts.insert(*site, ts);
-                        vec![SchemeEffect::SubmitSer {
+                        out.push(SchemeEffect::SubmitSer {
                             txn: *txn,
                             site: *site,
-                        }]
+                        });
                     }
                 }
             }
             QueueOp::Ack { txn, site } => {
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 self.ts.remove(txn);
                 self.aborted.remove(txn);
-                Vec::new()
             }
         }
     }
@@ -193,17 +191,16 @@ impl Gtm2Scheme for OptimisticTicket {
         true
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         steps.tick(StepKind::Act);
         match op {
             QueueOp::Init { txn, .. } => {
                 self.active.insert(*txn);
                 self.graph.add_node(*txn);
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 if self.aborted.contains(txn) {
-                    return Vec::new();
+                    return;
                 }
                 // Take the ticket: ordered after everything already
                 // executed at this site.
@@ -215,21 +212,21 @@ impl Gtm2Scheme for OptimisticTicket {
                     }
                 }
                 order.push(*txn);
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 self.active.remove(txn);
                 if self.aborted.remove(txn) {
-                    return Vec::new();
+                    return;
                 }
                 // Validate: a cycle through txn means its ticket orders
                 // disagree across sites.
@@ -241,12 +238,12 @@ impl Gtm2Scheme for OptimisticTicket {
                 if cyclic {
                     self.purge(*txn);
                     self.collect_garbage();
-                    return vec![SchemeEffect::AbortGlobal { txn: *txn }];
+                    out.push(SchemeEffect::AbortGlobal { txn: *txn });
+                    return;
                 }
                 // Commit: retain until unreachable from live transactions.
                 self.committed.insert(*txn);
                 self.collect_garbage();
-                Vec::new()
             }
         }
     }

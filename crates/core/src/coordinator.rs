@@ -68,6 +68,10 @@ pub struct Coordinator {
     gtm2: Gtm2,
     /// GTM1 events that GTM2's effects produced; empty between calls.
     pending: VecDeque<Gtm1Event>,
+    /// GTM1's and GTM2's effect buffers, empty between calls: a round
+    /// allocates nothing for them once they have grown.
+    gtm1_effects: Vec<Gtm1Effect>,
+    gtm2_effects: Vec<SchemeEffect>,
     /// Both GTMs' events in the order they happened, each stamped with
     /// the time of the `handle` call that made it; `None` = tracing off.
     trace: Option<Vec<TracedEvent>>,
@@ -80,6 +84,8 @@ impl Coordinator {
             gtm1,
             gtm2,
             pending: VecDeque::new(),
+            gtm1_effects: Vec::new(),
+            gtm2_effects: Vec::new(),
             trace: None,
         }
     }
@@ -111,11 +117,13 @@ impl Coordinator {
                 }
             }
         }
+        let mut gtm1_effects = std::mem::take(&mut self.gtm1_effects);
+        let mut gtm2_effects = std::mem::take(&mut self.gtm2_effects);
         loop {
             while let Some(event) = self.pending.pop_front() {
-                let effects = self.gtm1.handle(event);
+                self.gtm1.handle_into(event, &mut gtm1_effects);
                 self.collect(at);
-                for fx in effects {
+                for fx in gtm1_effects.drain(..) {
                     match fx {
                         Gtm1Effect::EnqueueGtm2(op) => self.enqueue(at, op),
                         Gtm1Effect::Server { txn, site, cmd } => {
@@ -127,9 +135,9 @@ impl Coordinator {
                     }
                 }
             }
-            let effects = self.gtm2.pump();
+            self.gtm2.pump_into(&mut gtm2_effects);
             self.collect(at);
-            for fx in effects {
+            for fx in gtm2_effects.drain(..) {
                 let event = match fx {
                     SchemeEffect::SubmitSer { txn, site } => Gtm1Event::Gtm2SubmitSer { txn, site },
                     SchemeEffect::ForwardAck { txn, site } => Gtm1Event::Gtm2Ack { txn, site },
@@ -140,9 +148,11 @@ impl Coordinator {
                 self.pending.push_back(event);
             }
             if self.pending.is_empty() {
-                return;
+                break;
             }
         }
+        self.gtm1_effects = gtm1_effects;
+        self.gtm2_effects = gtm2_effects;
     }
 
     fn enqueue(&mut self, at: u64, op: QueueOp) {

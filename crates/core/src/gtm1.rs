@@ -43,7 +43,7 @@ use mdbs_common::ops::QueueOp;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::hash::BuildHasherDefault;
 
 /// Commands GTM1 issues to a site's server.
@@ -202,8 +202,25 @@ struct TxnCtl {
     cursor: usize,
     awaiting: Awaiting,
     zombie: Option<AbortReason>,
-    /// Sites whose subtransaction has begun and not terminated.
-    live_sites: BTreeSet<SiteId>,
+    /// Sites whose subtransaction has begun and not terminated, ascending
+    /// (a global abort aborts them in that order).
+    live_sites: Vec<SiteId>,
+}
+
+impl TxnCtl {
+    /// The subtransaction at `site` has begun.
+    fn begun(&mut self, site: SiteId) {
+        if let Err(at) = self.live_sites.binary_search(&site) {
+            self.live_sites.insert(at, site);
+        }
+    }
+
+    /// The subtransaction at `site` has terminated.
+    fn ended(&mut self, site: SiteId) {
+        if let Ok(at) = self.live_sites.binary_search(&site) {
+            self.live_sites.remove(at);
+        }
+    }
 }
 
 /// The GTM1 state machine.
@@ -306,8 +323,9 @@ impl Gtm1 {
     ///
     /// `None` if the program names a site GTM1 was not configured with:
     /// that site would be announced to GTM2 and never get its `ser`.
-    fn compile(&self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
-        let mut plan = Vec::with_capacity(gt.steps.len() + 2 * gt.degree());
+    /// `sites` is [`GlobalTransaction::sites`].
+    fn compile(&self, gt: &GlobalTransaction, sites: &[SiteId]) -> Option<Vec<PlanStep>> {
+        let mut plan = Vec::with_capacity(gt.steps.len() + 2 * sites.len());
         for step in &gt.steps {
             let event = *self.site_events.get(&step.site)?;
             match (step.kind, event) {
@@ -332,7 +350,7 @@ impl Gtm1 {
         }
         if self.two_pc {
             // Phase 2: unconditional commits after every vote succeeded.
-            for site in gt.sites() {
+            for &site in sites {
                 plan.push(PlanStep::FinalCommit(site));
             }
         }
@@ -340,10 +358,11 @@ impl Gtm1 {
     }
 
     /// The plan of a program whose shape passes
-    /// [`GlobalTransaction::validate`] and whose every site is configured.
-    fn plan(&self, gt: &GlobalTransaction) -> Option<Vec<PlanStep>> {
+    /// [`GlobalTransaction::validate`] and whose every site is configured;
+    /// `sites` is [`GlobalTransaction::sites`].
+    fn plan(&self, gt: &GlobalTransaction, sites: &[SiteId]) -> Option<Vec<PlanStep>> {
         gt.validate().ok()?;
-        self.compile(gt)
+        self.compile(gt, sites)
     }
 
     /// Whether an event from outside the GTM (a driver or a site server)
@@ -374,23 +393,30 @@ impl Gtm1 {
     /// Handle an event, producing effects.
     pub fn handle(&mut self, event: Gtm1Event) -> Vec<Gtm1Effect> {
         let mut effects = Vec::new();
+        self.handle_into(event, &mut effects);
+        effects
+    }
+
+    /// [`Gtm1::handle`], appending the effects to `effects`: a caller that
+    /// keeps the buffer between events handles them without allocating it.
+    pub fn handle_into(&mut self, event: Gtm1Event, effects: &mut Vec<Gtm1Effect>) {
         match event {
             Gtm1Event::Submit(gt) => {
                 let txn = gt.id;
                 if self.admitted.contains(&txn) {
                     self.stats.protocol_violations += 1;
-                    return effects;
+                    return;
                 }
-                let Some(plan) = self.plan(&gt) else {
+                let sites = gt.sites();
+                let Some(plan) = self.plan(&gt, &sites) else {
                     self.stats.protocol_violations += 1;
                     effects.push(Gtm1Effect::Completed {
                         txn,
                         aborted: Some(AbortReason::Refused),
                     });
-                    return effects;
+                    return;
                 };
                 self.admitted.insert(txn);
-                let sites = gt.sites();
                 self.stats.submitted += 1;
                 effects.push(Gtm1Effect::EnqueueGtm2(QueueOp::Init { txn, sites }));
                 self.txns.insert(
@@ -400,40 +426,40 @@ impl Gtm1 {
                         cursor: 0,
                         awaiting: Awaiting::Nothing,
                         zombie: None,
-                        live_sites: BTreeSet::new(),
+                        live_sites: Vec::new(),
                     },
                 );
-                self.issue_next(txn, &mut effects);
+                self.issue_next(txn, effects);
             }
             Gtm1Event::ServerDone { txn, site } => {
                 let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Server(site)) else {
-                    return effects;
+                    return;
                 };
                 ctl.awaiting = Awaiting::Nothing;
                 ctl.cursor += 1;
-                self.issue_next(txn, &mut effects);
+                self.issue_next(txn, effects);
             }
             Gtm1Event::ServerFailed { txn, site, reason } => {
                 let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Server(site)) else {
-                    return effects;
+                    return;
                 };
                 ctl.awaiting = Awaiting::Nothing;
                 ctl.cursor += 1;
-                self.mark_zombie(txn, site, reason, &mut effects);
-                self.issue_next(txn, &mut effects);
+                self.mark_zombie(txn, site, reason, effects);
+                self.issue_next(txn, effects);
             }
             Gtm1Event::Gtm2SubmitSer { txn, site } => {
                 let Some(event) = self.effective_event(site) else {
                     self.stats.protocol_violations += 1;
-                    return effects;
+                    return;
                 };
                 let Some(ctl) = self.awaiting_ctl(txn, Awaiting::Gtm2(site)) else {
-                    return effects;
+                    return;
                 };
                 ctl.awaiting = Awaiting::SiteAck(site);
                 let vacuous = ctl.zombie.is_some();
                 if !vacuous && event == SerializationEvent::Begin {
-                    ctl.live_sites.insert(site);
+                    ctl.begun(site);
                 }
                 effects.push(Gtm1Effect::Server {
                     txn,
@@ -444,27 +470,26 @@ impl Gtm1 {
             Gtm1Event::SerEventFailed { txn, site, reason } => {
                 // Still awaiting the Gtm2Ack (the server acks regardless);
                 // just mark the global abort.
-                self.mark_zombie(txn, site, reason, &mut effects);
+                self.mark_zombie(txn, site, reason, effects);
             }
             Gtm1Event::Gtm2Ack { txn, site } => {
                 let Some(event) = self.effective_event(site) else {
                     self.stats.protocol_violations += 1;
-                    return effects;
+                    return;
                 };
                 let Some(ctl) = self.awaiting_ctl(txn, Awaiting::SiteAck(site)) else {
-                    return effects;
+                    return;
                 };
                 // A successful commit-event terminates the subtransaction
                 // (a prepare event does not — the second phase commits).
                 if ctl.zombie.is_none() && event == SerializationEvent::Commit {
-                    ctl.live_sites.remove(&site);
+                    ctl.ended(site);
                 }
                 ctl.awaiting = Awaiting::Nothing;
                 ctl.cursor += 1;
-                self.issue_next(txn, &mut effects);
+                self.issue_next(txn, effects);
             }
         }
-        effects
     }
 
     /// The transaction's control block, if it is waiting for exactly this
@@ -495,7 +520,7 @@ impl Gtm1 {
             self.stats.protocol_violations += 1;
             return;
         };
-        ctl.live_sites.remove(&failed_site); // already dead there
+        ctl.ended(failed_site); // already dead there
         if ctl.zombie.is_some() {
             return;
         }
@@ -503,7 +528,7 @@ impl Gtm1 {
         if let Some(trace) = &mut self.trace {
             trace.push(SchedEvent::Abort { txn });
         }
-        for site in std::mem::take(&mut ctl.live_sites) {
+        for site in ctl.live_sites.drain(..) {
             effects.push(Gtm1Effect::Server {
                 txn,
                 site,
@@ -541,14 +566,14 @@ impl Gtm1 {
                     }
                     let cmd = match step.kind {
                         StepKind::Begin => {
-                            ctl.live_sites.insert(step.site);
+                            ctl.begun(step.site);
                             ServerCommand::Begin
                         }
                         StepKind::Read(item) => ServerCommand::Read(item),
                         StepKind::Write(item, v) => ServerCommand::Write(item, v),
                         StepKind::Add(item, d) => ServerCommand::Add(item, d),
                         StepKind::Commit => {
-                            ctl.live_sites.remove(&step.site);
+                            ctl.ended(step.site);
                             ServerCommand::Commit
                         }
                     };
@@ -586,7 +611,7 @@ impl Gtm1 {
                         ctl.cursor += 1;
                         continue;
                     }
-                    ctl.live_sites.remove(&site);
+                    ctl.ended(site);
                     ctl.awaiting = Awaiting::Server(site);
                     self.stats.direct_ops += 1;
                     effects.push(Gtm1Effect::Server {

@@ -256,10 +256,16 @@ impl Gtm2 {
     /// produced, in order.
     pub fn pump(&mut self) -> Vec<SchemeEffect> {
         let mut out = Vec::new();
-        while let Some(op) = self.queue.pop_front() {
-            self.process_op(op, &mut out);
-        }
+        self.pump_into(&mut out);
         out
+    }
+
+    /// [`Gtm2::pump`], appending the effects to `out`: a caller that keeps
+    /// `out` between rounds pumps without allocating.
+    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {
+        while let Some(op) = self.queue.pop_front() {
+            self.process_op(op, out);
+        }
     }
 
     /// `if cond(o_j) then act(o_j); re-examine WAIT else WAIT := WAIT ∪ {o_j}`.
@@ -311,11 +317,12 @@ impl Gtm2 {
             trace.push(ev);
         }
         self.note_processed(acted);
-        let fx = self.scheme.act(acted, &mut self.steps);
+        let start = out.len();
+        self.scheme.act(acted, &mut self.steps, out);
         if self.validate {
             self.scheme.debug_validate();
         }
-        for effect in &fx {
+        for effect in out.iter().skip(start) {
             match effect {
                 SchemeEffect::SubmitSer { txn, site } => self.ser_log.record(*txn, *site),
                 SchemeEffect::AbortGlobal { txn } => {
@@ -330,7 +337,6 @@ impl Gtm2 {
                 }
             }
         }
-        out.extend(fx.iter().copied());
         self.push_wake_candidates(acted, candidates);
     }
 

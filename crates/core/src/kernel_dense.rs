@@ -234,7 +234,7 @@ impl Gtm2Scheme for Scheme1Dense {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 let ts = self.txns.intern(*txn);
@@ -298,17 +298,16 @@ impl Gtm2Scheme for Scheme1Dense {
                     let (ss, _) = self.scratch_roots[i];
                     self.dsu.union(first, ss);
                 }
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ss = self.sites.intern(*site);
                 self.ensure_site_rows(ss);
                 self.outstanding[ss as usize] = Some(*txn);
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 // The ack follows its `ser`'s submission (see
@@ -332,16 +331,16 @@ impl Gtm2Scheme for Scheme1Dense {
                     self.marked[ts as usize].remove(ss);
                 }
                 self.delete_queues[ss as usize].push_back(*txn);
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 // `cond(fin)` held: `txn` heads the delete queue of every
                 // site `init` announced, and every such site has a slot.
                 let Some(ts) = self.txns.slot_of(txn) else {
-                    return Vec::new();
+                    return;
                 };
                 let mut removed_any = false;
                 for site in self.sites_map[ts as usize].take().unwrap_or_default() {
@@ -365,7 +364,6 @@ impl Gtm2Scheme for Scheme1Dense {
                     self.dsu_dirty = true;
                 }
                 self.txns.release(txn);
-                Vec::new()
             }
         }
     }
@@ -509,7 +507,7 @@ impl Gtm2Scheme for Scheme2Dense {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 let ts = self.tsgd.insert_txn(*txn, sites);
@@ -534,7 +532,6 @@ impl Gtm2Scheme for Scheme2Dense {
                 }
                 eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
                 self.tsgd.add_delta(&self.elim);
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -561,20 +558,20 @@ impl Gtm2Scheme for Scheme2Dense {
                 } else {
                     steps.bump(StepKind::Act, 1);
                 }
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ts = self.tsgd.txn_slot(*txn);
                 let acked = ts.is_some_and(|ts| self.tsgd.mark_acked(ts, *site));
                 debug_assert!(acked, "ack of {txn} at {site} has no TSG edge");
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 let announced = self
@@ -586,13 +583,12 @@ impl Gtm2Scheme for Scheme2Dense {
                 // A checked decrement failed inside remove_txn: surface it
                 // as a counted violation instead of a scheduler panic.
                 if self.tsgd.take_desync() > 0 {
-                    return vec![SchemeEffect::ProtocolViolation {
+                    out.push(SchemeEffect::ProtocolViolation {
                         txn: *txn,
                         site: None,
                         kind: ProtocolViolationKind::DesyncedDependency,
-                    }];
+                    });
                 }
-                Vec::new()
             }
         }
     }
@@ -873,7 +869,7 @@ impl Gtm2Scheme for Scheme3Dense {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 let ts = self.txns.intern(*txn);
@@ -900,7 +896,6 @@ impl Gtm2Scheme for Scheme3Dense {
                 self.ser_bef_len += 1;
                 self.ser_bef.row_mut(ts).copy_from_slice(&self.scratch_row);
                 self.sites_map[ts as usize] = Some(sites.clone());
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -944,10 +939,10 @@ impl Gtm2Scheme for Scheme3Dense {
                         debug_assert!(!row_contains(bef_j, j), "slot {j} serialized before itself");
                     }
                 }
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -955,10 +950,10 @@ impl Gtm2Scheme for Scheme3Dense {
                 if let (Some(ts), Some(ss)) = (self.txns.slot_of(txn), self.sites.slot_of(site)) {
                     self.acked[ts as usize].insert(ss);
                 }
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 // Ĝ_i leaves: drop it from every ser_bef row (one counted
@@ -966,7 +961,7 @@ impl Gtm2Scheme for Scheme3Dense {
                 // noting each row that leaves empty.
                 steps.bump(StepKind::Act, self.ser_bef_len as u64);
                 let Some(ts) = self.txns.slot_of(txn) else {
-                    return Vec::new();
+                    return;
                 };
                 let (word, bit) = (ts as usize / 64, 1u64 << (ts % 64));
                 for (j, row) in self
@@ -1009,7 +1004,6 @@ impl Gtm2Scheme for Scheme3Dense {
                     "{txn} acked at an unannounced site"
                 );
                 self.txns.release(txn);
-                Vec::new()
             }
         }
     }
@@ -1103,9 +1097,10 @@ mod tests {
     fn scheme1_dense_marked_count_tracks_cycle_edges() {
         let mut scheme = Scheme1Dense::new();
         let mut steps = StepCounter::new();
-        scheme.act(&init(1, &[0, 1]), &mut steps);
+        let mut fx = Vec::new();
+        scheme.act(&init(1, &[0, 1]), &mut steps, &mut fx);
         assert_eq!(scheme.marked_count(), 0, "no cycle with one txn");
-        scheme.act(&init(2, &[0, 1]), &mut steps);
+        scheme.act(&init(2, &[0, 1]), &mut steps, &mut fx);
         assert_eq!(scheme.marked_count(), 2, "only G2's edges are marked");
     }
 
@@ -1129,17 +1124,18 @@ mod tests {
     fn scheme3_dense_ser_bef_accessor_and_recycling() {
         let mut scheme = Scheme3Dense::new();
         let mut steps = StepCounter::new();
-        scheme.act(&init(1, &[0]), &mut steps);
-        scheme.act(&init(2, &[0]), &mut steps);
-        scheme.act(&ser(1, 0), &mut steps);
+        let mut fx = Vec::new();
+        scheme.act(&init(1, &[0]), &mut steps, &mut fx);
+        scheme.act(&init(2, &[0]), &mut steps, &mut fx);
+        scheme.act(&ser(1, 0), &mut steps, &mut fx);
         assert!(scheme.ser_bef(g(2)).contains(&g(1)));
         assert!(scheme.ser_bef(g(1)).is_empty());
         // Recycle G1's slot: a fresh transaction must inherit nothing.
-        scheme.act(&ser(2, 0), &mut steps);
-        scheme.act(&ack(1, 0), &mut steps);
-        scheme.act(&ack(2, 0), &mut steps);
-        scheme.act(&fin(1), &mut steps);
-        scheme.act(&init(3, &[0]), &mut steps);
+        scheme.act(&ser(2, 0), &mut steps, &mut fx);
+        scheme.act(&ack(1, 0), &mut steps, &mut fx);
+        scheme.act(&ack(2, 0), &mut steps, &mut fx);
+        scheme.act(&fin(1), &mut steps, &mut fx);
+        scheme.act(&init(3, &[0]), &mut steps, &mut fx);
         assert!(
             scheme.ser_bef(g(3)).contains(&g(2)),
             "G2 is site 0's last event"

@@ -112,7 +112,7 @@ impl Gtm2Scheme for Scheme1 {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 // Insert Ĝ_i and its edges.
@@ -137,15 +137,14 @@ impl Gtm2Scheme for Scheme1 {
                         self.marked.insert((*txn, site));
                     }
                 }
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
                 self.outstanding.insert(*site, *txn);
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 // Delete from the insert queue (note: not necessarily the
@@ -166,10 +165,10 @@ impl Gtm2Scheme for Scheme1 {
                 self.outstanding.remove(site);
                 self.marked.remove(&(*txn, *site));
                 self.delete_queues.entry(*site).or_default().push_back(*txn);
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 // `cond(fin)` held: `txn` heads the delete queue of every
@@ -185,7 +184,6 @@ impl Gtm2Scheme for Scheme1 {
                         .remove_edge(TsgNode::Txn(*txn), TsgNode::Site(site));
                 }
                 self.tsg.remove_node(TsgNode::Txn(*txn));
-                Vec::new()
             }
         }
     }
@@ -350,9 +348,10 @@ mod tests {
     fn marked_count_tracks_cycle_edges() {
         let mut scheme = Scheme1::new();
         let mut steps = StepCounter::new();
-        scheme.act(&init(1, &[0, 1]), &mut steps);
+        let mut fx = Vec::new();
+        scheme.act(&init(1, &[0, 1]), &mut steps, &mut fx);
         assert_eq!(scheme.marked_count(), 0, "no cycle with one txn");
-        scheme.act(&init(2, &[0, 1]), &mut steps);
+        scheme.act(&init(2, &[0, 1]), &mut steps, &mut fx);
         // Only G2's edges are marked (marking happens at each txn's own
         // init).
         assert_eq!(scheme.marked_count(), 2);

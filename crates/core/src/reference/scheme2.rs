@@ -107,7 +107,7 @@ impl Gtm2Scheme for Scheme2 {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 self.tsgd.insert_txn(*txn, sites);
@@ -153,7 +153,6 @@ impl Gtm2Scheme for Scheme2 {
                 for d in delta {
                     self.tsgd.add_dep(d);
                 }
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -172,25 +171,24 @@ impl Gtm2Scheme for Scheme2 {
                         after: j,
                     });
                 }
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
                 self.acked.insert((*txn, *site));
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 steps.bump(StepKind::Act, self.tsgd.sites_of(*txn).count() as u64 + 1);
                 self.tsgd.remove_txn(*txn);
                 self.executed.retain(|(t, _)| t != txn);
                 self.acked.retain(|(t, _)| t != txn);
-                Vec::new()
             }
         }
     }

@@ -96,7 +96,7 @@ impl Gtm2Scheme for Scheme3 {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 let mut bef = BTreeSet::new();
@@ -115,7 +115,6 @@ impl Gtm2Scheme for Scheme3 {
                 }
                 self.ser_bef.insert(*txn, bef);
                 self.sites.insert(*txn, sites.clone());
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -166,18 +165,18 @@ impl Gtm2Scheme for Scheme3 {
                 if let Some(row) = own_row {
                     self.ser_bef.insert(*txn, row);
                 }
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
                 self.acked.insert((*txn, *site));
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 // Ĝ_i leaves: drop it from every ser_bef and clear last_k.
@@ -194,7 +193,6 @@ impl Gtm2Scheme for Scheme3 {
                     }
                     self.acked.remove(&(*txn, site));
                 }
-                Vec::new()
             }
         }
     }
@@ -367,9 +365,10 @@ mod tests {
     fn ser_bef_accessor_reflects_order() {
         let mut scheme = Scheme3::new();
         let mut steps = StepCounter::new();
-        scheme.act(&init(1, &[0]), &mut steps);
-        scheme.act(&init(2, &[0]), &mut steps);
-        scheme.act(&ser(1, 0), &mut steps);
+        let mut fx = Vec::new();
+        scheme.act(&init(1, &[0]), &mut steps, &mut fx);
+        scheme.act(&init(2, &[0]), &mut steps, &mut fx);
+        scheme.act(&ser(1, 0), &mut steps, &mut fx);
         assert!(scheme.ser_bef(g(2)).contains(&g(1)));
         assert!(scheme.ser_bef(g(1)).is_empty());
     }

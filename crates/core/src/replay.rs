@@ -299,6 +299,7 @@ pub fn replay_sharded_kernel(
 /// and read the engine's metrics afterwards).
 pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     let mut ctl = DrainCtl::default();
+    let mut effects = Vec::new();
     for ev in &script.events {
         match ev {
             ScriptEvent::Init(txn, sites) => {
@@ -318,7 +319,7 @@ pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
                 });
             }
         }
-        drain(engine, &mut ctl);
+        drain(engine, &mut ctl, &mut effects);
     }
     let name = engine.scheme_name();
     assert_eq!(engine.wait_len(), 0, "{name}: script left waiters");
@@ -350,14 +351,15 @@ struct DrainCtl {
     fin_sent: BTreeSet<GlobalTxnId>,
 }
 
-/// Pump and respond to effects (acks, fins) until quiescent.
-fn drain(engine: &mut Gtm2, ctl: &mut DrainCtl) {
+/// Pump and respond to effects (acks, fins) until quiescent. `effects`
+/// is the pump's buffer, empty on entry and on return.
+fn drain(engine: &mut Gtm2, ctl: &mut DrainCtl, effects: &mut Vec<SchemeEffect>) {
     loop {
-        let effects = engine.pump();
+        engine.pump_into(effects);
         if effects.is_empty() {
             return;
         }
-        for fx in effects {
+        for fx in effects.drain(..) {
             match fx {
                 SchemeEffect::SubmitSer { txn, site } => {
                     // Zero-latency local DBMS: ack immediately.

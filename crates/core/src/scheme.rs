@@ -394,9 +394,10 @@ pub trait Gtm2Scheme {
     /// of side effects on scheduling state; charges its work to `steps`.
     fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool;
 
-    /// Execute `act(op)`, mutating the data structures and returning
-    /// effects. Only called when `cond(op)` holds.
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect>;
+    /// Execute `act(op)`, mutating the data structures and appending its
+    /// effects to `out`, which may already hold earlier ones. Only called
+    /// when `cond(op)` holds.
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>);
 
     /// After `act(acted)`, which waiting operations might now satisfy their
     /// `cond`? Charged to `steps` as wait-scan work.
@@ -457,8 +458,8 @@ impl Gtm2Scheme for FullRescan {
     fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
         self.0.cond(op, steps)
     }
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
-        self.0.act(op, steps)
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
+        self.0.act(op, steps, out);
     }
     fn wake_candidates(
         &self,

@@ -57,21 +57,20 @@ impl Gtm2Scheme for Scheme0 {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         match op {
             QueueOp::Init { txn, sites } => {
                 for &site in sites {
                     steps.tick(StepKind::Act);
                     self.queues.entry(site).or_default().push_back(*txn);
                 }
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -83,14 +82,13 @@ impl Gtm2Scheme for Scheme0 {
                     Some(*txn),
                     "ack of {txn} at {site} is not the front's"
                 );
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { .. } => {
                 steps.tick(StepKind::Act);
-                Vec::new()
             }
         }
     }

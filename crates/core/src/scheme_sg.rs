@@ -105,31 +105,29 @@ impl Gtm2Scheme for SiteGraphScheme {
         }
     }
 
-    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter) -> Vec<SchemeEffect> {
+    fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         steps.tick(StepKind::Act);
         match op {
             QueueOp::Init { txn, sites } => {
                 self.active.insert(*txn, sites.clone());
-                Vec::new()
             }
             QueueOp::Ser { txn, site } => {
                 self.outstanding.insert(*site, *txn);
-                vec![SchemeEffect::SubmitSer {
+                out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Ack { txn, site } => {
                 debug_assert_eq!(self.outstanding.get(site), Some(txn));
                 self.outstanding.remove(site);
-                vec![SchemeEffect::ForwardAck {
+                out.push(SchemeEffect::ForwardAck {
                     txn: *txn,
                     site: *site,
-                }]
+                });
             }
             QueueOp::Fin { txn } => {
                 self.active.remove(txn);
-                Vec::new()
             }
         }
     }

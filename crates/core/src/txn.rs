@@ -64,49 +64,49 @@ impl GlobalTransaction {
     /// literal skips [`GlobalTransaction::new`]; GTM1 checks again at
     /// admission.
     pub fn validate(&self) -> Result<(), String> {
-        use std::collections::BTreeMap;
-        #[derive(PartialEq)]
-        enum Phase {
-            Fresh,
-            Active,
-            Done,
-        }
         let id = self.id;
-        let mut phases: BTreeMap<SiteId, Phase> = BTreeMap::new();
         if self.steps.is_empty() {
             return Err(format!("{id}: empty program"));
         }
-        for step in &self.steps {
-            let p = phases.entry(step.site).or_insert(Phase::Fresh);
+        for (i, step) in self.steps.iter().enumerate() {
+            // The site's phase is its previous step's: none yet (fresh), a
+            // begin or an access (active), a commit (done). Programs are a
+            // handful of steps, so the backward scan costs less than a map.
+            let site = step.site;
+            let before = self.steps.iter().take(i).rev().find(|s| s.site == site);
+            let active = before.is_some_and(|s| s.kind != StepKind::Commit);
             match step.kind {
-                StepKind::Begin => {
-                    if *p != Phase::Fresh {
-                        return Err(format!("{id}: duplicate begin at {}", step.site));
-                    }
-                    *p = Phase::Active;
+                StepKind::Begin if before.is_some() => {
+                    return Err(format!("{id}: duplicate begin at {site}"));
                 }
-                StepKind::Read(_) | StepKind::Write(..) | StepKind::Add(..) => {
-                    if *p != Phase::Active {
-                        return Err(format!(
-                            "{id}: access outside begin/commit at {}",
-                            step.site
-                        ));
-                    }
+                StepKind::Read(_) | StepKind::Write(..) | StepKind::Add(..) if !active => {
+                    return Err(format!("{id}: access outside begin/commit at {site}"));
                 }
-                StepKind::Commit => {
-                    if *p != Phase::Active {
-                        return Err(format!("{id}: commit without begin at {}", step.site));
-                    }
-                    *p = Phase::Done;
+                StepKind::Commit if !active => {
+                    return Err(format!("{id}: commit without begin at {site}"));
                 }
+                StepKind::Begin
+                | StepKind::Read(_)
+                | StepKind::Write(..)
+                | StepKind::Add(..)
+                | StepKind::Commit => {}
             }
         }
-        for (site, p) in &phases {
-            if *p != Phase::Done {
-                return Err(format!("{id}: subtransaction at {site} never commits"));
-            }
+        // The lowest site whose last step is not its commit.
+        let open = self
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| {
+                s.kind != StepKind::Commit
+                    && !self.steps.iter().skip(i + 1).any(|t| t.site == s.site)
+            })
+            .map(|(_, s)| s.site)
+            .min();
+        match open {
+            Some(site) => Err(format!("{id}: subtransaction at {site} never commits")),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Builder: start a program.

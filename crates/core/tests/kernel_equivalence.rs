@@ -376,8 +376,10 @@ impl Scheme3Pair {
     }
 
     fn act(&mut self, op: &QueueOp) {
-        let fx = self.reference.act(op, &mut self.steps_ref);
-        assert_eq!(fx, self.dense.act(op, &mut self.steps_dense), "act({op:?})");
+        let (mut fx_ref, mut fx_dense) = (Vec::new(), Vec::new());
+        self.reference.act(op, &mut self.steps_ref, &mut fx_ref);
+        self.dense.act(op, &mut self.steps_dense, &mut fx_dense);
+        assert_eq!(fx_ref, fx_dense, "act({op:?})");
         assert_eq!(self.steps_ref, self.steps_dense, "act({op:?}) charge");
         match op {
             QueueOp::Init { txn, sites } => {
@@ -389,7 +391,7 @@ impl Scheme3Pair {
             }
             QueueOp::Ser { .. } | QueueOp::Ack { .. } => {}
         }
-        for effect in fx {
+        for effect in fx_ref {
             match effect {
                 SchemeEffect::SubmitSer { txn, site } => {
                     self.pending.push(QueueOp::Ack { txn, site });

@@ -8,7 +8,7 @@
 //! outcome is pushed, in order, into a caller-supplied buffer of
 //! [`Reply`]s, and the driver handles each one with the same code on
 //! either transport — run in place by the DES, or carried over a channel
-//! from a site task by the live runtime. A reply for the GTM is an
+//! from a site worker by the live runtime. A reply for the GTM is an
 //! [`Arrival`] from the server onward: it is handed as-is to
 //! [`Coordinator::handle`].
 //!

@@ -23,7 +23,7 @@ use crate::audit::audit_sites;
 use crate::event::{EventQueue, SimTime};
 use crate::metrics::Metrics;
 use crate::server::{LocalStep, Reply, Server, SiteMsg};
-use crate::threaded::Live;
+use crate::threaded::{spin_budget, Live};
 use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
@@ -326,7 +326,7 @@ pub struct MdbsSystem {
     gtm: Coordinator,
     /// The coordinator's output buffer, empty between GTM rounds.
     outbound: Vec<Outbound>,
-    /// The site servers. During a live run they are in the site tasks.
+    /// The site servers. During a live run they are on the site workers.
     servers: Vec<Server>,
     /// The servers' reply buffer, empty between deliveries.
     replies: Vec<Reply>,
@@ -342,7 +342,7 @@ pub struct MdbsSystem {
     local_seq: Vec<u64>,
     programs: Vec<GlobalTransaction>,
     prog_state: Vec<ProgState>,
-    id2prog: BTreeMap<GlobalTxnId, usize>,
+    id2prog: IdHashMap<GlobalTxnId, usize>,
     next_txn_id: u64,
     next_program: usize,
     /// Programs and local drivers not yet done.
@@ -433,7 +433,7 @@ impl MdbsSystem {
             local_seq: vec![0; cfg.protocols.len()],
             programs: Vec::new(),
             prog_state: Vec::new(),
-            id2prog: BTreeMap::new(),
+            id2prog: IdHashMap::default(),
             next_txn_id: 1,
             next_program: 0,
             open: 0,
@@ -456,10 +456,10 @@ impl MdbsSystem {
     }
 
     /// Run a workload to completion on live threads and report. Each
-    /// site's server runs in a pool task; time is wall microseconds since
-    /// the run started, and the [`LatencyConfig`] delays are added to the
-    /// physical hops. The run ends when every program and local driver is
-    /// done.
+    /// site's server runs on a site worker thread; time is wall
+    /// microseconds since the run started, and the [`LatencyConfig`]
+    /// delays are added to the physical hops. The run ends when every
+    /// program and local driver is done.
     pub fn run_live(&mut self, workload: Workload) -> RunReport {
         self.load(workload.globals, workload.locals);
         self.run_loaded_live()
@@ -505,7 +505,14 @@ impl MdbsSystem {
     /// The run ends when nothing is open — or when the sites fall quiet
     /// with no timer pending, which the wedge check in the report names.
     pub(crate) fn run_loaded_live(&mut self) -> RunReport {
-        self.live = Some(Live::start(std::mem::take(&mut self.servers)));
+        self.run_loaded_live_spinning(spin_budget())
+    }
+
+    /// [`MdbsSystem::run_loaded_live`] with the coordinator and the site
+    /// workers polling `spin_polls` times before they sleep.
+    pub(crate) fn run_loaded_live_spinning(&mut self, spin_polls: u32) -> RunReport {
+        let servers = std::mem::take(&mut self.servers);
+        self.live = Some(Live::start(servers, spin_polls));
         let mut arrived = Vec::new();
         while let Some(now) = self.live.as_ref().map(Live::now) {
             self.run_due(now);
@@ -592,7 +599,7 @@ impl MdbsSystem {
 
     /// Snapshot every component's counters into one metrics [`Registry`]:
     /// `gtm1.*`, `gtm2.*`, `site.*` and `sim.*`, and after a live run
-    /// `pool.*` and `threaded.*`.
+    /// `threaded.*`.
     pub fn export_metrics(&self) -> Registry {
         let mut registry = Registry::default();
         self.gtm.export_metrics(&mut registry);

@@ -1,6 +1,6 @@
 //! The live transport: [`MdbsSystem::run_live`] runs the one driver on
-//! the calling thread and each site's `Server` in one **work-stealing
-//! pool task** (not one OS thread), talking over crossbeam channels.
+//! the calling thread and the sites' `Server`s on a few **site worker
+//! threads**, talking over crossbeam channels.
 //!
 //! Where the seeded event queue gives determinism (experiments), the live
 //! transport gives *real concurrency*: messages genuinely race, blocked
@@ -8,21 +8,27 @@
 //! (admissions, retries, local think time, block timeouts, crashes) fire
 //! on the wall clock. Every run is still audited at the end.
 //!
-//! The transport only carries messages: the coordinator sends a site's
-//! task one `SiteMsg` and wakes it; the task runs it and forwards every
-//! `Reply`, which the driver handles with the code the DES runs. Site
-//! tasks are non-blocking state machines on [`mdbs_common::pool`]. The
-//! coordinator is a busy thread and counts as a core: the pool gets
-//! `min(sites, cores − 1)` workers (at least one, `site_pool_workers`).
+//! The transport only carries messages: the coordinator pushes a site's
+//! `SiteMsg` into the site's bounded inbox; the site's worker runs it and
+//! forwards every `Reply` at once, which the driver handles with the code
+//! the DES runs. The coordinator is a busy thread and counts as a core:
+//! there are `min(sites, cores − 1)` workers (at least one,
+//! `site_workers`), and worker `w` owns the sites `i` with `i % n == w`.
 //!
 //! Neither side sleeps between messages. A transaction's journey is a
-//! dozen coordinator ↔ site hops microseconds apart, so a coordinator that
-//! finds its channel empty polls it for the pool's [`SPIN_POLLS`] rounds
-//! before it blocks in `recv_timeout` until the next timer is due, as an
-//! idle pool worker polls its deques before it parks (`mdbs_common::pool`,
-//! "Spin before park"). A `try_recv` of an empty channel is ≈ 30 ns, so
-//! the spin lasts about as long as the futex wait it saves here plus the
-//! futex wake in whichever site task sends next.
+//! dozen coordinator ↔ site hops microseconds apart, so a side that finds
+//! nothing to do polls again for [`SPIN_POLLS`] rounds before it sleeps:
+//! the coordinator then blocks in `recv_timeout` until the next timer is
+//! due, and a worker parks (`thread::park_timeout`). A send to a spinning
+//! worker is a channel push and a fence, nothing else: no task state, no
+//! run queue, no shared counter. The park handshake is one flag per worker
+//! on its own cache line. The worker raises it, fences and sweeps its
+//! inboxes once more before it parks; the coordinator pushes, fences and
+//! unparks the worker only if it reads the flag raised. Of two such
+//! store–fence–load sequences at least one sees the other's store, so a
+//! message pushed while its worker goes to sleep is either found by that
+//! last sweep or followed by an unpark. The park's timeout is a liveness
+//! bound, not the wake path.
 //!
 //! GTM2 is the paper's single sequential process (Figures 2–3): only the
 //! coordinator thread runs the GTM, and servers send their `ack`s on the
@@ -36,37 +42,58 @@ use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mdbs_common::ids::SiteId;
 use mdbs_common::instrument::Registry;
-use mdbs_common::pool::{Poll, Pool, TaskHandle, SPIN_POLLS};
+use mdbs_common::pool::SPIN_POLLS;
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_schedule::global::GlobalSerializability;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long the coordinator waits for a site reply when no timer is
 /// pending before it gives the run up as wedged.
 const QUIET_LIMIT: Duration = Duration::from_secs(10);
 
-/// Pool workers for `sites` site tasks on a machine with `cores` cores:
-/// one per site, but leave a core to the coordinator thread, and never
-/// fewer than one.
-fn site_pool_workers(sites: usize, cores: usize) -> usize {
+/// The longest a site worker stays parked without an unpark: a liveness
+/// bound, as in `mdbs_common::pool`. Every message is followed by an
+/// unpark if its worker may be asleep, so a park that runs this long means
+/// its sites were idle (or a wake was lost).
+const PARK_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Site workers for `sites` sites on a machine with `cores` cores: one per
+/// site, but leave a core to the coordinator thread, and never fewer than
+/// one.
+fn site_workers(sites: usize, cores: usize) -> usize {
     sites.min(cores.saturating_sub(1)).max(1)
 }
 
-/// Message from the coordinator to a site task.
+/// How many empty polls the coordinator and each site worker make before
+/// they sleep: [`SPIN_POLLS`], or 0 on one core, where spinning can only
+/// delay the thread that would produce the work.
+pub(crate) fn spin_budget() -> u32 {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores > 1 {
+        SPIN_POLLS
+    } else {
+        0
+    }
+}
+
+/// Message from the coordinator to a site.
 enum ToSite {
     Run(SiteMsg),
     Shutdown,
 }
 
-/// Message from a site task back to the coordinator.
+/// Message from a site back to the coordinator.
 enum FromSite {
     /// One of the server's replies, in the order it pushed them.
     Reply(SiteId, Reply),
     /// At shutdown: the server (boxed, as a channel slot is as large as
-    /// its largest message) and the sends this task dropped.
-    Final(Box<Server>, u64),
+    /// its largest message).
+    Final(Box<Server>),
 }
 
 /// A channel sender that cannot lose a message silently: a send whose
@@ -97,85 +124,209 @@ impl<T> CountedSender<T> {
     }
 }
 
-struct SiteWorker {
-    /// Taken at shutdown, to travel back in [`FromSite::Final`].
+/// A site worker's park flag, alone on its cache line so that the
+/// coordinator's reads of it share the line with nothing the worker
+/// writes while it runs. Its loads and stores are `Relaxed`: it publishes
+/// no data (messages travel through the channels), and the `SeqCst` fence
+/// each side issues between its own store and its load of the other's is
+/// what orders the handshake.
+#[repr(align(128))]
+#[derive(Default)]
+struct Sleeping(AtomicBool);
+
+/// One site on its worker: the server and its inbox.
+struct Site {
+    /// `None` once the site has shut down and its server travelled back
+    /// in [`FromSite::Final`].
     server: Option<Server>,
-    /// The server's reply buffer, empty between messages.
+    inbox: Receiver<ToSite>,
+}
+
+/// What one sweep over a worker's inboxes found.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// At least one message ran.
+    Ran,
+    /// Every open inbox was empty.
+    Empty,
+    /// Every site has shut down.
+    Closed,
+}
+
+/// What a site worker counted, handed back when its thread ends.
+#[derive(Default)]
+struct WorkerCounts {
+    /// Times the worker parked.
+    parks: u64,
+    /// Parks that lasted the whole [`PARK_TIMEOUT`] without an unpark
+    /// while a message waited: wakes the handshake lost.
+    lost_wakes: u64,
+    /// Sends to the coordinator that found it gone.
+    send_dropped: u64,
+}
+
+/// The sites one worker thread owns, and its sender to the coordinator.
+struct SiteWorker {
+    sites: Vec<Site>,
+    /// The servers' reply buffer, empty between messages.
     replies: Vec<Reply>,
-    rx: Receiver<ToSite>,
-    /// To the coordinator. Its drop count travels back in
-    /// [`FromSite::Final`].
-    tx: CountedSender<FromSite>,
+    to_coord: CountedSender<FromSite>,
 }
 
 impl SiteWorker {
-    /// One poll of the site task: run the mailbox and suspend. Never
-    /// blocks — the coordinator wakes this task after every send.
-    fn run(&mut self) -> Poll {
-        let Some(server) = &mut self.server else {
-            return Poll::Done;
-        };
-        loop {
-            match self.rx.try_recv() {
-                Ok(ToSite::Run(msg)) => {
-                    server.run(msg, &mut self.replies);
-                    for reply in self.replies.drain(..) {
-                        self.tx.send(FromSite::Reply(server.db.site(), reply));
+    /// Drain every open inbox once: run each message and forward each of
+    /// its replies at once; a site told to shut down (or whose coordinator
+    /// is gone) sends its server back.
+    fn sweep(&mut self) -> Sweep {
+        let mut ran = false;
+        let mut open = false;
+        for site in &mut self.sites {
+            while let Some(server) = &mut site.server {
+                match site.inbox.try_recv() {
+                    Ok(ToSite::Run(msg)) => {
+                        ran = true;
+                        server.run(msg, &mut self.replies);
+                        let id = server.db.site();
+                        for reply in self.replies.drain(..) {
+                            self.to_coord.send(FromSite::Reply(id, reply));
+                        }
+                    }
+                    Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
+                        ran = true;
+                        if let Some(server) = site.server.take() {
+                            self.to_coord.send(FromSite::Final(Box::new(server)));
+                        }
+                    }
+                    Err(TryRecvError::Empty) => {
+                        open = true;
+                        break;
                     }
                 }
-                Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    if let Some(server) = self.server.take() {
-                        let dropped = self.tx.dropped;
-                        self.tx.send(FromSite::Final(Box::new(server), dropped));
-                    }
-                    return Poll::Done;
-                }
-                Err(TryRecvError::Empty) => return Poll::Pending,
             }
         }
+        match (ran, open) {
+            (true, _) => Sweep::Ran,
+            (false, true) => Sweep::Empty,
+            (false, false) => Sweep::Closed,
+        }
+    }
+
+    /// The worker thread: sweep until every site has shut down. After
+    /// `spin_polls` empty sweeps in a row it parks, through the handshake
+    /// in the module doc: raise `sleeping`, fence, sweep once more, and
+    /// park only if that sweep found nothing either.
+    fn work(mut self, sleeping: &Sleeping, spin_polls: u32) -> WorkerCounts {
+        let mut counts = WorkerCounts::default();
+        let mut idle = 0;
+        loop {
+            match self.sweep() {
+                Sweep::Ran => {
+                    idle = 0;
+                    continue;
+                }
+                Sweep::Closed => break,
+                Sweep::Empty if idle < spin_polls => {
+                    idle += 1;
+                    std::hint::spin_loop();
+                    continue;
+                }
+                Sweep::Empty => {}
+            }
+            sleeping.0.store(true, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+            match self.sweep() {
+                Sweep::Ran => {}
+                Sweep::Closed => break,
+                Sweep::Empty => {
+                    let parked = Instant::now();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "an idle site worker, after its spin and the last sweep of the \
+                                  park handshake: the next send unparks it"
+                    )]
+                    std::thread::park_timeout(PARK_TIMEOUT);
+                    counts.parks += 1;
+                    // The coordinator lowers the flag before it unparks, so
+                    // a raised flag after the full timeout means nobody woke
+                    // this park. With its sites idle that is fine; with a
+                    // message waiting, the wake was lost.
+                    let woken = !sleeping.0.load(Ordering::Relaxed);
+                    if !woken && parked.elapsed() >= PARK_TIMEOUT && self.sweep() == Sweep::Ran {
+                        counts.lost_wakes += 1;
+                    }
+                }
+            }
+            sleeping.0.store(false, Ordering::Relaxed);
+            idle = 0;
+        }
+        counts.send_dropped = self.to_coord.dropped;
+        counts
     }
 }
 
-/// The live transport of one run: the site tasks, their channels and the
+/// The coordinator's end of one site worker thread.
+struct WorkerHandle {
+    sleeping: Arc<Sleeping>,
+    thread: JoinHandle<WorkerCounts>,
+}
+
+/// The live transport of one run: the site workers, the channels and the
 /// wall clock.
 pub(crate) struct Live {
     start: Instant,
-    pool: Pool,
+    /// Empty polls of the reply channel before the coordinator blocks.
     spin_polls: u32,
-    /// Each site's mailbox and task.
-    sites: Vec<(CountedSender<ToSite>, TaskHandle)>,
+    /// Each site's inbox, in site order.
+    inboxes: Vec<CountedSender<ToSite>>,
+    workers: Vec<WorkerHandle>,
     from_sites: Receiver<FromSite>,
+    /// Workers unparked by a send.
+    unparks: u64,
 }
 
 impl Live {
-    /// Move each server into a pool task of its own and start them; the
-    /// clock starts now.
-    pub(crate) fn start(servers: Vec<Server>) -> Live {
+    /// Hand the servers to [`site_workers`] threads, site `i` to worker
+    /// `i % n`, and start them; the clock starts now. Both the workers and
+    /// the coordinator's `recv` poll `spin_polls` times before they sleep.
+    pub(crate) fn start(servers: Vec<Server>, spin_polls: u32) -> Live {
         let (to_coord, from_sites) = bounded::<FromSite>(1024);
-        // Task-per-site on a bounded worker pool: many sites multiplex
-        // onto the cores the coordinator leaves free.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let pool = Pool::new(site_pool_workers(servers.len(), cores));
-        let mut sites = Vec::new();
-        for server in servers {
-            let (tx, rx) = bounded::<ToSite>(1024);
-            let mut worker = SiteWorker {
+        let n = site_workers(servers.len(), cores);
+        let mut owned: Vec<Vec<Site>> = (0..n).map(|_| Vec::new()).collect();
+        let mut inboxes = Vec::with_capacity(servers.len());
+        for (i, server) in servers.into_iter().enumerate() {
+            let (tx, inbox) = bounded::<ToSite>(1024);
+            owned[i % n].push(Site {
                 server: Some(server),
-                replies: Vec::new(),
-                rx,
-                tx: CountedSender::new(to_coord.clone()),
-            };
-            let task = pool.spawn(move || worker.run());
-            // Spawn does not schedule; the first wake does.
-            task.wake();
-            sites.push((CountedSender::new(tx), task));
+                inbox,
+            });
+            inboxes.push(CountedSender::new(tx));
         }
+        let workers = owned
+            .into_iter()
+            .enumerate()
+            .map(|(w, sites)| {
+                let worker = SiteWorker {
+                    sites,
+                    replies: Vec::new(),
+                    to_coord: CountedSender::new(to_coord.clone()),
+                };
+                let sleeping = Arc::new(Sleeping::default());
+                let flag = Arc::clone(&sleeping);
+                let thread = std::thread::Builder::new()
+                    .name(format!("mdbs-site-{w}"))
+                    .spawn(move || worker.work(&flag, spin_polls))
+                    .expect("spawn site worker");
+                WorkerHandle { sleeping, thread }
+            })
+            .collect();
         Live {
             start: Instant::now(),
-            pool,
-            spin_polls: if cores > 1 { SPIN_POLLS } else { 0 },
-            sites,
+            spin_polls,
+            inboxes,
+            workers,
             from_sites,
+            unparks: 0,
         }
     }
 
@@ -186,11 +337,23 @@ impl Live {
 
     /// Carry one message to `site`'s server.
     pub(crate) fn send(&mut self, site: SiteId, msg: SiteMsg) {
-        // A dead site task is never silent (the send is counted); waking
-        // its finished task is a no-op.
-        let (tx, task) = &mut self.sites[site.index()];
-        tx.send(ToSite::Run(msg));
-        task.wake();
+        // A send to a site whose worker is gone is never silent: it is
+        // counted.
+        let i = site.index();
+        self.inboxes[i].send(ToSite::Run(msg));
+        self.wake(i % self.workers.len());
+    }
+
+    /// The sender's half of the park handshake: after a push, unpark
+    /// worker `w` if it has raised its flag.
+    fn wake(&mut self, w: usize) {
+        let worker = &self.workers[w];
+        fence(Ordering::SeqCst);
+        if worker.sleeping.0.load(Ordering::Relaxed) {
+            worker.sleeping.0.store(false, Ordering::Relaxed);
+            worker.thread.thread().unpark();
+            self.unparks += 1;
+        }
     }
 
     /// Wait for site replies until wall time `deadline` — with none, for
@@ -230,44 +393,57 @@ impl Live {
                 Err(TryRecvError::Disconnected) => None,
             };
             let Some(FromSite::Reply(site, reply)) = msg else {
-                panic!("threaded MDBS wedged: site tasks gone before shutdown")
+                panic!("threaded MDBS wedged: site workers gone before shutdown")
             };
             arrived.push((site, reply));
         }
     }
 
-    /// End the run: shut the site tasks down and take their servers back,
-    /// in site order; the pool's counters and `threaded.send_dropped` go
-    /// into `registry`.
+    /// End the run: shut the sites down, take their servers back in site
+    /// order and join the workers; `threaded.parks`, `threaded.unparks`,
+    /// `threaded.lost_wakes` and `threaded.send_dropped` go into
+    /// `registry`.
     pub(crate) fn finish(mut self, registry: &mut Registry) -> Vec<Server> {
-        // Shut down sites and collect their servers.
-        for (tx, task) in &mut self.sites {
-            tx.send(ToSite::Shutdown);
-            task.wake();
+        for inbox in &mut self.inboxes {
+            inbox.send(ToSite::Shutdown);
         }
-        let mut send_dropped: u64 = self.sites.iter().map(|(tx, _)| tx.dropped).sum();
-        let mut servers = Vec::with_capacity(self.sites.len());
-        while servers.len() < self.sites.len() {
+        for worker in &self.workers {
+            worker.thread.thread().unpark();
+        }
+        let mut servers = Vec::with_capacity(self.inboxes.len());
+        while servers.len() < self.inboxes.len() {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "shutdown, after the last transaction completed: the pump is done"
             )]
             let msg = self.from_sites.recv_timeout(QUIET_LIMIT);
             match msg {
-                Ok(FromSite::Final(server, dropped)) => {
-                    send_dropped += dropped;
-                    servers.push(*server);
-                }
+                Ok(FromSite::Final(server)) => servers.push(*server),
                 Ok(FromSite::Reply(..)) => {} // stragglers from finished work
-                Err(_) => panic!("site threads did not shut down"),
+                Err(_) => panic!("site workers did not shut down"),
             }
         }
-        assert!(
-            self.pool.wait_idle(QUIET_LIMIT),
-            "site tasks did not reach Done"
-        );
-        self.pool.export_metrics(registry);
-        registry.inc("threaded.send_dropped", send_dropped);
+        let mut counts = WorkerCounts {
+            send_dropped: self.inboxes.iter().map(|tx| tx.dropped).sum(),
+            ..WorkerCounts::default()
+        };
+        for worker in self.workers {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown: every worker has sent its last server and is returning"
+            )]
+            let ended = worker.thread.join();
+            let Ok(worker) = ended else {
+                panic!("a site worker panicked")
+            };
+            counts.parks += worker.parks;
+            counts.lost_wakes += worker.lost_wakes;
+            counts.send_dropped += worker.send_dropped;
+        }
+        registry.inc("threaded.parks", counts.parks);
+        registry.inc("threaded.unparks", self.unparks);
+        registry.inc("threaded.lost_wakes", counts.lost_wakes);
+        registry.inc("threaded.send_dropped", counts.send_dropped);
         servers.sort_by_key(|server| server.db.site());
         servers
     }
@@ -373,7 +549,11 @@ mod tests {
     }
 
     fn workload(sites: usize, n: usize, seed: u64) -> Workload {
-        let spec = WorkloadSpec {
+        Workload::generate(&workload_spec(sites, n, seed))
+    }
+
+    fn workload_spec(sites: usize, n: usize, seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
             sites,
             global_txns: n,
             avg_sites_per_txn: 2.0_f64.min(sites as f64),
@@ -384,8 +564,7 @@ mod tests {
             local_txns_per_site: 0,
             ops_per_local_txn: 0,
             seed,
-        };
-        Workload::generate(&spec)
+        }
     }
 
     /// Twelve programs on three 2PL sites in [`ThreadedMdbs`]'s
@@ -479,14 +658,75 @@ mod tests {
         assert!(commits > 0);
     }
 
-    /// The coordinator counts as a core, and a pool is never empty.
+    /// The coordinator counts as a core, and there is always a worker.
     #[test]
-    fn pool_leaves_a_core_to_the_coordinator() {
-        assert_eq!(site_pool_workers(4, 2), 1);
-        assert_eq!(site_pool_workers(4, 1), 1);
-        assert_eq!(site_pool_workers(4, 8), 4);
-        assert_eq!(site_pool_workers(1, 8), 1);
-        assert_eq!(site_pool_workers(0, 2), 1);
+    fn site_workers_leave_a_core_to_the_coordinator() {
+        assert_eq!(site_workers(4, 2), 1);
+        assert_eq!(site_workers(4, 1), 1);
+        assert_eq!(site_workers(4, 8), 4);
+        assert_eq!(site_workers(1, 8), 1);
+        assert_eq!(site_workers(0, 2), 1);
+    }
+
+    /// The park handshake never loses a wake. 10 000 coordinator ↔ site
+    /// round trips with no spinning on either side, so a worker that finds
+    /// its inbox empty parks at once: no park may run out its timeout
+    /// while the next message waits in the inbox. (A park that runs out
+    /// with the inbox empty is a coordinator that stalled, as one can under
+    /// ThreadSanitizer's pauses; that loses nothing.)
+    #[test]
+    fn threaded_park_never_loses_its_wake() {
+        use mdbs_common::ids::GlobalTxnId;
+        use mdbs_core::gtm1::ServerCommand;
+        use mdbs_localdb::engine::LocalDbms;
+        const TRIPS: u64 = 10_000;
+        let site = SiteId(0);
+        let db = LocalDbms::new(site, LocalProtocolKind::TwoPhaseLocking);
+        let mut live = Live::start(vec![Server::new(db)], 0);
+        let mut arrived = Vec::new();
+        for trip in 0..TRIPS {
+            let txn = GlobalTxnId(trip / 2 + 1);
+            let cmd = match trip % 2 {
+                0 => ServerCommand::Begin,
+                _ => ServerCommand::Commit,
+            };
+            live.send(site, SiteMsg::Command(txn, cmd));
+            assert!(live.recv(None, &mut arrived), "trip {trip}: no reply");
+            assert_eq!(arrived.len(), 1, "trip {trip}: {arrived:?}");
+            arrived.clear();
+        }
+        let mut registry = Registry::default();
+        live.finish(&mut registry);
+        let parks = registry.counter("threaded.parks");
+        let unparks = registry.counter("threaded.unparks");
+        assert_eq!(registry.counter("threaded.lost_wakes"), 0, "{parks} parks");
+        // Nearly every gap parks (≈ 99 % on two cores, ≈ 70 % on one).
+        assert!(parks >= TRIPS / 10, "{parks} parks");
+        assert!(unparks > 0, "{unparks} unparks");
+        assert_eq!(registry.counter("threaded.send_dropped"), 0);
+    }
+
+    /// A `live_spread`-shaped run (four 2PL sites, 32 clients, few
+    /// conflicts) with no spinning: the workers park between messages and
+    /// the coordinator's sends unpark them, and every program finishes.
+    #[test]
+    fn threaded_run_without_spinning_unparks_its_workers() {
+        let spec = WorkloadSpec {
+            sites: 4,
+            global_txns: 300,
+            items_per_site: 4096,
+            ..workload_spec(4, 0, 11)
+        };
+        let sites = vec![LocalProtocolKind::TwoPhaseLocking; 4];
+        let mut system = MdbsSystem::new(ThreadedMdbs::new(sites, SchemeKind::Scheme2, 32).cfg);
+        system.load(Workload::generate(&spec).globals, Vec::new());
+        let report = system.run_loaded_live_spinning(0);
+        let m = &report.metrics;
+        assert_eq!(m.global_commits + m.global_failures, 300, "{m:?}");
+        assert!(report.is_serializable(), "{:?}", report.audit);
+        assert!(report.ser_s_ok);
+        assert!(report.registry.counter("threaded.unparks") > 0);
+        assert_eq!(report.registry.counter("threaded.send_dropped"), 0);
     }
 
     /// A baseline scheme would abort global transactions mid-run; it is
@@ -581,8 +821,7 @@ mod tests {
         }
     }
 
-    /// 3 and 4 site tasks multiplexed onto the pool's
-    /// [`site_pool_workers`] threads: every program finishes, the audit
+    /// 3 and 4 sites multiplexed onto [`site_workers`] threads: every program finishes, the audit
     /// and `ser(S)` hold, and no protocol message is dropped.
     #[test]
     fn threaded_run_serializable_2pl() {

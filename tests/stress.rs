@@ -193,8 +193,8 @@ fn retry_exhaustion_reports_failures() {
     );
 }
 
-/// Live threaded runs: the coordinator scheduling for four pool-task site
-/// workers must stay serializable and lose no messages. Kept small enough
+/// Live threaded runs: the coordinator scheduling for four sites on their
+/// site workers must stay serializable and lose no messages. Kept small enough
 /// to run in the default (non-ignored) suite; the soak variants above
 /// cover scale.
 #[test]
