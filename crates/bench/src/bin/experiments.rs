@@ -26,16 +26,14 @@ fn main() {
     let selected: Vec<_> = if args.is_empty() {
         all
     } else {
+        let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
         let chosen: Vec<_> = all
             .into_iter()
             .filter(|(id, _)| args.iter().any(|a| a == id))
             .collect();
         if chosen.is_empty() {
             eprintln!("unknown experiment id(s): {args:?}");
-            eprintln!(
-                "available: exp-gs exp-ind exp-c0 exp-c1 exp-c2 exp-c3 exp-np exp-doc exp-all \
-                 exp-opt exp-ab exp-amrt exp-e2e exp-2pc exp-crash exp-wait exp-sg exp-tkt"
-            );
+            eprintln!("available: {}", ids.join(" "));
             std::process::exit(2);
         }
         chosen
@@ -54,7 +52,8 @@ fn main() {
         all_tables.push((id.to_string(), tables));
     }
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&all_tables).expect("tables serialize");
+        let json = serde_json::to_string_pretty(&mdbs_bench::tables::provenance(&all_tables))
+            .expect("tables print");
         std::fs::write(&path, json).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

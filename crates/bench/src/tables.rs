@@ -1,10 +1,11 @@
-//! Minimal ASCII table rendering for experiment output.
+//! Minimal ASCII table rendering for experiment output, and the JSON
+//! provenance document `experiments --json` writes.
 
-use serde::{Deserialize, Serialize};
+use serde::Value;
 use std::fmt::Write as _;
 
 /// A titled table with aligned columns.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -72,6 +73,37 @@ impl Table {
     pub fn print(&self) {
         println!("{}", self.render());
     }
+
+    /// The table as a JSON object `{title, headers, rows}`.
+    pub fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("title".into(), Value::Str(self.title.clone())),
+            ("headers".into(), strings(&self.headers)),
+            (
+                "rows".into(),
+                Value::Arr(self.rows.iter().map(|row| strings(row)).collect()),
+            ),
+        ])
+    }
+}
+
+fn strings(cells: &[String]) -> Value {
+    Value::Arr(cells.iter().cloned().map(Value::Str).collect())
+}
+
+/// The provenance document of a run: `[[id, [table, …]], …]`, one entry
+/// per experiment family in the order they ran.
+pub fn provenance(runs: &[(String, Vec<Table>)]) -> Value {
+    Value::Arr(
+        runs.iter()
+            .map(|(id, tables)| {
+                Value::Arr(vec![
+                    Value::Str(id.clone()),
+                    Value::Arr(tables.iter().map(Table::to_value).collect()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Format a float with 1 decimal.
@@ -104,5 +136,55 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn provenance_json_is_pinned() {
+        let mut demo = Table::new("demo", &["a", "b"]);
+        demo.row(vec!["1".into(), "x \"y\"".into()]);
+        demo.row(vec!["2".into(), "z".into()]);
+        let empty = Table::new("empty", &["only"]);
+        let doc = provenance(&[("exp-a".into(), vec![demo]), ("exp-b".into(), vec![empty])]);
+        assert_eq!(
+            serde_json::to_string(&doc).expect("print"),
+            r#"[["exp-a",[{"title":"demo","headers":["a","b"],"rows":[["1","x \"y\""],["2","z"]]}]],["exp-b",[{"title":"empty","headers":["only"],"rows":[]}]]]"#
+        );
+        let pretty = r#"[
+  [
+    "exp-a",
+    [
+      {
+        "title": "demo",
+        "headers": [
+          "a",
+          "b"
+        ],
+        "rows": [
+          [
+            "1",
+            "x \"y\""
+          ],
+          [
+            "2",
+            "z"
+          ]
+        ]
+      }
+    ]
+  ],
+  [
+    "exp-b",
+    [
+      {
+        "title": "empty",
+        "headers": [
+          "only"
+        ],
+        "rows": []
+      }
+    ]
+  ]
+]"#;
+        assert_eq!(serde_json::to_string_pretty(&doc).expect("print"), pretty);
     }
 }

@@ -8,11 +8,10 @@
 //! local DBMSs *cannot* distinguish global subtransactions from local
 //! transactions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a local DBMS site (`s_k` in the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 impl SiteId {
@@ -36,7 +35,7 @@ impl fmt::Display for SiteId {
 }
 
 /// Identifier of a global transaction (`G_i` in the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalTxnId(pub u64);
 
 impl fmt::Debug for GlobalTxnId {
@@ -52,7 +51,7 @@ impl fmt::Display for GlobalTxnId {
 }
 
 /// Identifier of a purely local transaction, unique within its site.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalTxnId {
     /// Site the transaction runs at.
     pub site: SiteId,
@@ -79,7 +78,7 @@ impl fmt::Display for LocalTxnId {
 /// distinction only matters to the serializability *auditor*, which must
 /// collapse all subtransactions of one global transaction into a single node
 /// of the global serialization graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TxnId {
     /// Subtransaction of global transaction `G_i` (site is implied by the
     /// local DBMS holding the id).
@@ -149,7 +148,7 @@ impl fmt::Display for TxnId {
 /// Data items are site-local in an MDBS: the same `DataItemId` at two
 /// different sites names two unrelated items. Item 0 at every site is
 /// reserved by convention for the *ticket* (Section 2.2 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataItemId(pub u64);
 
 impl DataItemId {

@@ -9,8 +9,7 @@
 //! - [`Registry`] — named counters, gauges and log₂-bucket [`Histogram`]s.
 //!   Components export their counters into a registry on demand
 //!   (`export_metrics`-style methods) so one snapshot covers GTM1, GTM2,
-//!   the local engines and the simulator, and snapshots serialize to JSON
-//!   for bench artifacts.
+//!   the local engines and the simulator.
 //! - [`SchedEvent`] — one typed occurrence of a run: enqueue, cond, act,
 //!   wake, wait and abort from the GTM; submit, completion, timeout and
 //!   crash from the driver. A producer records into its own
@@ -21,7 +20,6 @@
 
 use crate::ids::{GlobalTxnId, SiteId};
 use crate::ops::{QueueOp, QueueOpKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `k ≥ 1`
@@ -33,7 +31,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// Recording is two array writes and a comparison — no allocation — which
 /// makes it safe to keep in scheduler hot loops. Quantiles are estimated
 /// from bucket boundaries (exact for counts, upper-bound for values).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -163,7 +161,7 @@ impl Histogram {
 /// The registry is plain data (no interior mutability, no globals): each
 /// component owns its own counters and *exports* them into a registry when
 /// a snapshot is wanted, so hot paths never pay a name lookup.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
@@ -272,7 +270,7 @@ impl Registry {
 /// are acted or added to WAIT, waiting operations are woken, and global
 /// transactions abort. The driver adds what it decides around the GTM:
 /// submissions, completions, block timeouts and site crashes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedEvent {
     /// An operation was inserted into QUEUE.
     Enqueue {
@@ -405,7 +403,7 @@ impl SchedEvent {
 }
 
 /// A [`SchedEvent`] stamped with the run's clock: one entry of a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TracedEvent {
     /// The run's clock at the time of the event (simulated microseconds in
     /// the DES, wall microseconds since the run started on the live

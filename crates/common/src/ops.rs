@@ -11,11 +11,10 @@
 //!    these.
 
 use crate::ids::{DataItemId, GlobalTxnId, SiteId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a data operation, without its operands.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DataOpKind {
     /// Transaction begin (`b_i`). At TO sites this is the serialization
     /// event: the timestamp is assigned here.
@@ -43,7 +42,7 @@ impl DataOpKind {
 }
 
 /// A data operation as submitted to (and recorded by) a local DBMS.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataOp {
     /// Issuing transaction (global subtransaction or local transaction).
     pub txn: TxnId,
@@ -137,7 +136,7 @@ impl fmt::Display for DataOp {
 }
 
 /// The kind of a GTM2 queue operation (Section 4 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum QueueOpKind {
     /// `init_i` — announces transaction `Ĝ_i` (its set of sites) to GTM2
     /// before any of its serialization events is requested.
@@ -156,7 +155,7 @@ pub enum QueueOpKind {
 ///
 /// `Init`/`Fin` carry the transaction and its site set; `Ser`/`Ack` carry
 /// the transaction and the site of the serialization event.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum QueueOp {
     /// `init_i`, carrying the sites at which `G_i` executes (the contents of
     /// `Ĝ_i`). The paper: "operation `init_i` contains information relating

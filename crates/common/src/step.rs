@@ -15,11 +15,10 @@
 //! and per transaction, which is exactly the quantity Theorems 4, 6 and 9
 //! bound.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Category of abstract work, following the paper's cost accounting.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StepKind {
     /// Work inside a `cond(o_j)` evaluation.
     Cond,
@@ -34,7 +33,7 @@ pub enum StepKind {
 /// The counter is deliberately plain data (no interior mutability): schemes
 /// receive `&mut StepCounter` wherever they may do work, which keeps the
 /// accounting visible in signatures and free of synchronization cost.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct StepCounter {
     /// Steps spent evaluating `cond`.
     pub cond: u64,

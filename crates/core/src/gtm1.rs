@@ -42,7 +42,6 @@ use mdbs_common::instrument::{Registry, SchedEvent};
 use mdbs_common::ops::QueueOp;
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::hash::BuildHasherDefault;
 
@@ -150,7 +149,7 @@ pub enum Gtm1Effect {
 }
 
 /// GTM1 counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gtm1Stats {
     /// Transactions submitted.
     pub submitted: u64,

@@ -46,11 +46,10 @@ use mdbs_common::ids::GlobalTxnId;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Counters for experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gtm2Stats {
     /// Operations inserted into QUEUE.
     pub enqueued: u64,

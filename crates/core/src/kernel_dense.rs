@@ -619,16 +619,13 @@ impl Gtm2Scheme for Scheme2Dense {
     }
 
     fn debug_validate(&self) {
-        // Theorem 5's induction, via the exponential oracle (guarded by
-        // size, like the reference).
+        // Theorem 5's induction, via the reference's exponential oracle
+        // (guarded by size, like the reference).
         if self.tsgd.live_txn_count() <= 10 {
-            let none = BTreeSet::new();
-            for t in self.tsgd.txns() {
-                assert!(
-                    !self.tsgd.has_cycle_involving_oracle(t, &none),
-                    "TSGD must remain acyclic (cycle through {t})"
-                );
-            }
+            assert!(
+                !self.tsgd.to_reference().has_any_cycle(),
+                "TSGD must remain acyclic"
+            );
         }
         // At any size: a dependency cycle would imply a TSGD cycle that
         // Eliminate_Cycles missed.

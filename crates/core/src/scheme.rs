@@ -19,7 +19,6 @@ use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -330,7 +329,7 @@ pub enum Pending {
 /// How a scheme's internal invariant broke. Malformed input never gets
 /// this far: GTM1 refuses it at the door, and every caller of
 /// [`Gtm2::enqueue`](crate::gtm2::Gtm2::enqueue) keeps Figure 2's order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolViolationKind {
     /// Internal dependency accounting desynced: a checked decrement in the
     /// dense TSGD's `remove_txn` found its counter already at zero. Never
@@ -494,7 +493,7 @@ pub enum KernelKind {
 }
 
 /// Enumeration of the provided GTM2 schemes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Scheme 0 — per-site FIFO queues (conservative-TO-like).
     Scheme0,

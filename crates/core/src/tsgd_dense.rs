@@ -49,13 +49,14 @@
 //! `act` calls `insert_txn` / `add_dep_slots` / `mark_acked` / `remove_txn`
 //! and [`eliminate_cycles_dense_with`], which charges `steps` tick-for-tick
 //! like [`crate::reference::tsgd::eliminate_cycles`] (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
-//! [`DenseTsgd::has_cycle_involving_oracle`] (a direct port of
-//! [`crate::reference::tsgd::Tsgd::has_cycle_involving`], exponential) and
-//! [`DenseTsgd::deps_acyclic`] (a topological sort of the dependencies) are
-//! validation grade and run only from `debug_validate` and tests, as does
+//! `DenseTsgd::to_reference` (a copy for the reference's exponential
+//! cycle oracle) and [`DenseTsgd::deps_acyclic`] (a topological sort of
+//! the dependencies) are validation grade and run only from
+//! `debug_validate` and tests, as does
 //! [`DenseTsgd::edges_consistent`], which checks that every edge record
 //! agrees with its column and every dependency sits on both its edges.
 
+use crate::reference::tsgd::Tsgd;
 use mdbs_common::dense::{DenseBitSet, DenseInterner};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
@@ -570,89 +571,19 @@ impl DenseTsgd {
         lex_topo_order(slots, arcs).is_some()
     }
 
-    fn extra_slots(&self, extra: &BTreeSet<Dep>) -> BTreeSet<(u32, u32, u32)> {
-        extra
-            .iter()
-            .filter_map(|d| {
-                Some((
-                    self.sites.slot_of(&d.site)?,
-                    self.txns.slot_of(&d.before)?,
-                    self.txns.slot_of(&d.after)?,
-                ))
-            })
-            .collect()
-    }
-
-    /// Exponential DFS oracle — a direct port of
-    /// [`crate::reference::tsgd::Tsgd::has_cycle_involving`] onto the dense
-    /// storage, visiting neighbours in the same id order. Test/validation
-    /// grade.
-    pub fn has_cycle_involving_oracle(&self, start: GlobalTxnId, extra: &BTreeSet<Dep>) -> bool {
-        let Some(start_slot) = self.txns.slot_of(&start) else {
-            return false;
-        };
-        let extra = self.extra_slots(extra);
-        let mut seen_txns = BTreeSet::from([start_slot]);
-        let mut seen_sites = BTreeSet::new();
-        self.oracle_dfs(
-            start_slot,
-            start_slot,
-            &extra,
-            &mut seen_txns,
-            &mut seen_sites,
-            0,
-        )
-    }
-
-    fn oracle_dfs(
-        &self,
-        start: u32,
-        at: u32,
-        extra: &BTreeSet<(u32, u32, u32)>,
-        seen_txns: &mut BTreeSet<u32>,
-        seen_sites: &mut BTreeSet<u32>,
-        depth: usize,
-    ) -> bool {
-        for e in self.row(at) {
-            let site = e.ss;
-            if seen_sites.contains(&site) {
-                continue;
-            }
-            for (p, &(_, next)) in self.txns_col(site).iter().enumerate() {
-                if next == at {
-                    continue;
-                }
-                if e.after.contains(p as u32) || extra.contains(&(site, at, next)) {
-                    continue;
-                }
-                if next == start {
-                    if depth >= 1 {
-                        return true;
-                    }
-                    continue;
-                }
-                if seen_txns.contains(&next) {
-                    continue;
-                }
-                seen_txns.insert(next);
-                seen_sites.insert(site);
-                if self.oracle_dfs(start, next, extra, seen_txns, seen_sites, depth + 1) {
-                    return true;
-                }
-                seen_sites.remove(&site);
-                seen_txns.remove(&next);
-            }
+    /// The same graph as a [`Tsgd`], whose exponential
+    /// [`Tsgd::has_cycle_involving`] is the one cycle oracle: the kernel's
+    /// `debug_validate` asks it. Test/validation grade.
+    pub(crate) fn to_reference(&self) -> Tsgd {
+        let mut out = Tsgd::new();
+        for (txn, ts) in self.txns.iter_sorted() {
+            let sites: Vec<SiteId> = self.row(ts).iter().map(|e| e.site).collect();
+            out.insert_txn(txn, &sites);
         }
-        false
-    }
-
-    /// True iff any cycle exists, by the exponential oracle.
-    pub fn has_any_cycle_oracle(&self) -> bool {
-        let none = BTreeSet::new();
-        self.txns()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .any(|t| self.has_cycle_involving_oracle(t, &none))
+        for dep in self.deps_set() {
+            out.add_dep(dep);
+        }
+        out
     }
 }
 
@@ -1038,29 +969,48 @@ pub fn eliminate_cycles_dense_with(
 mod tests {
     use super::*;
     use crate::reference::scenario::{dep, g, s};
-    use crate::reference::tsgd::{eliminate_cycles, Tsgd};
+    use crate::reference::tsgd::eliminate_cycles;
 
-    fn two_txn_cycle() -> DenseTsgd {
-        let mut t = DenseTsgd::new();
-        t.insert_txn(g(1), &[s(0), s(1)]);
-        t.insert_txn(g(2), &[s(0), s(1)]);
-        t
+    /// G1 and G2 over the same two sites, in both implementations.
+    fn two_txn_cycle() -> (DenseTsgd, Tsgd) {
+        let mut dense = DenseTsgd::new();
+        let mut reference = Tsgd::new();
+        for t in [1, 2] {
+            dense.insert_txn(g(t), &[s(0), s(1)]);
+            reference.insert_txn(g(t), &[s(0), s(1)]);
+        }
+        (dense, reference)
+    }
+
+    /// The dense graph holds exactly the reference's transactions, edges
+    /// and dependencies, so the reference's cycle facts are its facts.
+    fn assert_mirrors(dense: &DenseTsgd, reference: &Tsgd) {
+        let copy = dense.to_reference();
+        assert!(copy.txns().eq(reference.txns()));
+        for t in reference.txns() {
+            assert!(copy.sites_of(t).eq(reference.sites_of(t)), "edges of {t}");
+        }
+        assert!(copy.deps().eq(reference.deps()));
     }
 
     #[test]
     fn undetermined_orders_cycle() {
-        let t = two_txn_cycle();
-        assert!(t.has_cycle_involving_oracle(g(1), &BTreeSet::new()));
-        assert!(t.has_cycle_involving_oracle(g(2), &BTreeSet::new()));
-        assert!(t.has_any_cycle_oracle());
+        let (dense, reference) = two_txn_cycle();
+        assert_mirrors(&dense, &reference);
+        assert!(reference.has_cycle_involving(g(1), &BTreeSet::new()));
+        assert!(reference.has_cycle_involving(g(2), &BTreeSet::new()));
+        assert!(reference.has_any_cycle());
     }
 
     #[test]
     fn consistent_dependencies_break_cycle() {
-        let mut t = two_txn_cycle();
-        t.add_dep(dep(0, 1, 2));
-        t.add_dep(dep(1, 1, 2));
-        assert!(!t.has_any_cycle_oracle());
+        let (mut t, mut reference) = two_txn_cycle();
+        for d in [dep(0, 1, 2), dep(1, 1, 2)] {
+            t.add_dep(d);
+            reference.add_dep(d);
+        }
+        assert_mirrors(&t, &reference);
+        assert!(!reference.has_any_cycle());
         assert!(t.deps_acyclic());
         assert_eq!(t.dep_count(), 2);
         assert_eq!(t.incoming_deps(g(2)), 2);
@@ -1069,13 +1019,19 @@ mod tests {
 
     #[test]
     fn opposite_dependencies_are_a_real_cycle() {
-        let mut t = two_txn_cycle();
-        t.add_dep(dep(0, 1, 2));
-        t.add_dep(dep(1, 2, 1));
-        assert!(t.has_any_cycle_oracle());
+        let (mut t, mut reference) = two_txn_cycle();
+        for d in [dep(0, 1, 2), dep(1, 2, 1)] {
+            t.add_dep(d);
+            reference.add_dep(d);
+        }
+        assert_mirrors(&t, &reference);
+        assert!(reference.has_any_cycle());
         assert!(!t.deps_acyclic());
         // Removing a member removes its dependencies: acyclic again.
         t.remove_txn(g(2));
+        reference.remove_txn(g(2));
+        assert_mirrors(&t, &reference);
+        assert!(!reference.has_any_cycle());
         assert!(t.deps_acyclic());
     }
 
@@ -1109,8 +1065,8 @@ mod tests {
         let delta_dense = dense.delta_set(&scratch);
         assert_eq!(delta_ref, delta_dense);
         assert_eq!(steps_ref, steps_dense);
+        assert_mirrors(&dense, &reference);
         assert!(!reference.has_cycle_involving(g(5), &delta_ref));
-        assert!(!dense.has_cycle_involving_oracle(g(5), &delta_dense));
     }
 
     #[test]
@@ -1125,21 +1081,26 @@ mod tests {
 
     #[test]
     fn remove_txn_drops_deps_and_recycles_slots() {
-        let mut t = two_txn_cycle();
+        let (mut t, mut reference) = two_txn_cycle();
         t.add_dep(dep(0, 1, 2));
+        reference.add_dep(dep(0, 1, 2));
         let old_slot = t.txn_slot(g(1)).unwrap();
         t.remove_txn(g(1));
+        reference.remove_txn(g(1));
         assert_eq!(t.dep_count(), 0);
         assert_eq!(t.incoming_deps(g(2)), 0);
         assert!(t.txn_slot(g(1)).is_none());
-        assert!(!t.has_any_cycle_oracle());
+        assert_mirrors(&t, &reference);
+        assert!(!reference.has_any_cycle());
         // The freed slot is recycled and must carry no stale state.
         let new_slot = t.insert_txn(g(7), &[s(0), s(1)]);
+        reference.insert_txn(g(7), &[s(0), s(1)]);
         assert_eq!(new_slot, old_slot);
         assert_eq!(t.incoming_deps(g(7)), 0);
         assert!(t.preds_at(g(7), s(0)).is_some_and(DenseBitSet::is_empty));
         // G7 and G2 now share two undetermined sites: a fresh cycle.
-        assert!(t.has_cycle_involving_oracle(g(7), &BTreeSet::new()));
+        assert_mirrors(&t, &reference);
+        assert!(reference.has_cycle_involving(g(7), &BTreeSet::new()));
     }
 
     /// `(txn, site)`'s count of unacked dependency predecessors.
@@ -1176,7 +1137,7 @@ mod tests {
 
     #[test]
     fn removing_an_unacked_predecessor_releases_the_waiter() {
-        let mut t = two_txn_cycle();
+        let (mut t, _) = two_txn_cycle();
         t.add_dep(dep(0, 1, 2));
         t.add_dep(dep(1, 1, 2));
         assert_eq!((unacked(&t, 2, 0), unacked(&t, 2, 1)), (1, 1));

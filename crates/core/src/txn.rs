@@ -2,10 +2,9 @@
 
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_localdb::storage::Value;
-use serde::{Deserialize, Serialize};
 
 /// What a single step of a global transaction does at its target site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepKind {
     /// Begin the subtransaction at the site.
     Begin,
@@ -22,7 +21,7 @@ pub enum StepKind {
 }
 
 /// One sequential step of a global transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Step {
     /// Target site.
     pub site: SiteId,
@@ -41,7 +40,7 @@ impl Step {
 /// more sites. GTM1 executes the steps in order, one outstanding at a time
 /// (the paper's submission rule), inserting serialization events where the
 /// site's protocol requires them.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalTransaction {
     /// Identifier.
     pub id: GlobalTxnId,

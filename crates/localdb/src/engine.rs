@@ -33,7 +33,6 @@ use mdbs_common::ids::{DataItemId, SiteId, TxnId};
 use mdbs_common::instrument::Registry;
 use mdbs_common::ops::DataOp;
 use mdbs_schedule::History;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Result of an executed operation.
@@ -66,7 +65,7 @@ pub struct Completion {
 }
 
 /// Counters exposed for experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Transactions begun.
     pub begins: u64,

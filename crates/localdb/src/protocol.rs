@@ -10,7 +10,6 @@
 
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, TxnId};
-use serde::{Deserialize, Serialize};
 
 /// A protocol's answer to an access or commit request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +104,7 @@ pub trait CcProtocol {
 }
 
 /// Enumeration of the provided protocols, used in system configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LocalProtocolKind {
     /// Strict two-phase locking (waits-for deadlock detection).
     TwoPhaseLocking,

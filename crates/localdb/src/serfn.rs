@@ -13,11 +13,10 @@
 //! | SGT      | ticket write       | no natural event exists; conflicts are forced via the ticket (GRS91) |
 
 use crate::protocol::LocalProtocolKind;
-use serde::{Deserialize, Serialize};
 
 /// Which of a subtransaction's operations is its serialization event at a
 /// given site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SerializationEvent {
     /// The subtransaction's `begin` operation.
     Begin,

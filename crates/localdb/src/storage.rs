@@ -8,7 +8,6 @@
 //! commit.
 
 use mdbs_common::ids::DataItemId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The value type stored under every data item.
@@ -16,7 +15,7 @@ pub type Value = i64;
 
 /// A site's database: a map from data item to value. Missing items read as
 /// the default value `0`, so workloads need no explicit schema loading.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Storage {
     items: BTreeMap<DataItemId, Value>,
 }

@@ -8,7 +8,6 @@
 
 use mdbs_common::ids::{DataItemId, TxnId};
 use mdbs_common::ops::{DataOp, DataOpKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -33,7 +32,7 @@ use std::fmt;
 /// assert!(h.is_well_formed());
 /// assert!(!is_conflict_serializable(&h));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct History {
     ops: Vec<DataOp>,
 }

@@ -2,10 +2,9 @@
 
 use crate::event::SimTime;
 use mdbs_common::instrument::{Histogram, Registry};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated response-time statistics (microseconds of simulated time).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResponseStats {
     samples: Vec<SimTime>,
 }
@@ -56,7 +55,7 @@ impl ResponseStats {
 }
 
 /// Counters and timings collected over one simulation run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Global transactions committed (first-attempt or retried).
     pub global_commits: u64,

@@ -43,12 +43,11 @@ use mdbs_schedule::global::GlobalSerializability;
 use mdbs_workload::generator::Workload;
 use mdbs_workload::spec::LocalTxnProgram;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Message and processing delays, in microseconds: simulated in the DES,
 /// and added to the physical hops on the live transport.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// One-way GTM ↔ site message delay.
     pub net: SimTime,

@@ -4,10 +4,9 @@
 
 use mdbs_common::ids::DataItemId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How accesses spread over a site's items.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AccessDistribution {
     /// Every item equally likely.
     Uniform,

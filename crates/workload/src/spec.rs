@@ -3,10 +3,9 @@
 use crate::distributions::AccessDistribution;
 use mdbs_common::ids::{DataItemId, SiteId};
 use mdbs_localdb::storage::Value;
-use serde::{Deserialize, Serialize};
 
 /// One operation of a purely local transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LocalOp {
     /// Read an item.
     Read(DataItemId),
@@ -17,7 +16,7 @@ pub enum LocalOp {
 /// A purely local transaction's program. Local transactions are invisible
 /// to the GTM (they enter through the local DBMS interface), which is
 /// exactly how indirect conflicts arise.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalTxnProgram {
     /// Home site.
     pub site: SiteId,
@@ -26,7 +25,7 @@ pub struct LocalTxnProgram {
 }
 
 /// Declarative description of a randomized workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of sites (`m`).
     pub sites: usize,
