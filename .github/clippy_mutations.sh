@@ -2,8 +2,8 @@
 # The clippy lints the workspace relies on must each catch a seeded
 # one-line regression of code that exists: the panic and wildcard-arm
 # lints that mdbs-core and mdbs-localdb deny (see their lib.rs), and the
-# root clippy.toml's disallowed-methods ban on blocking calls and on an
-# uncounted channel send.
+# root clippy.toml's disallowed-methods ban on blocking calls, on an
+# uncounted channel send and on a walk in a hashed table's own order.
 #
 # Usage: .github/clippy_mutations.sh TREE
 #
@@ -108,4 +108,10 @@ mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
     $'            inbox.send(ToSite::Shutdown);\n' \
     $'            inbox.inner.send(ToSite::Shutdown).ok();\n'
 
-echo "clippy mutation check: 7 of 7 seeded edits caught"
+# The lock table's waits-for edges listed in hash order, past the sort.
+mutate mdbs-localdb disallowed_methods crates/localdb/src/locks.rs \
+    $'    pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {\n' \
+    'for (_, lock) in waited {' \
+    'for lock in self.items.values() {'
+
+echo "clippy mutation check: 8 of 8 seeded edits caught"

@@ -192,6 +192,7 @@ impl<K: Ord + Copy + Hash> DenseInterner<K> {
     /// only (`DenseTsgd::{txns, deps_set, edges_consistent, deps_acyclic}`),
     /// never a `cond`/`act`.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+        #[expect(clippy::disallowed_methods, reason = "collected, then sorted by key.")]
         let mut live: Vec<(K, u32)> = self.index.iter().map(|(k, s)| (*k, *s)).collect();
         live.sort_unstable_by_key(|&(k, _)| k);
         live.into_iter()

@@ -180,6 +180,10 @@ impl WaitSet {
     /// Number of waiting `Ser` operations of `txn` (O(|WAIT|): only the
     /// naive site-graph baseline asks).
     pub fn ser_count_of(&self, txn: GlobalTxnId) -> usize {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a count does not depend on the order it is taken in."
+        )]
         self.ops.keys().filter(|k| is_ser_of(k, txn)).count()
     }
 
@@ -217,6 +221,10 @@ impl WaitSet {
     /// for the candidate sets no benchmarked scheme asks for.
     fn extend_sorted(&self, out: &mut VecDeque<Pending>, pred: impl Fn(&WaitKey) -> bool) {
         let start = out.len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the appended range is sorted below."
+        )]
         out.extend(
             self.ops
                 .keys()
@@ -587,6 +595,7 @@ mod tests {
     /// key order, that satisfy `pred` — a filtered walk of all of WAIT,
     /// sorted here so that it does not depend on the map's own order.
     fn keys_where(w: &WaitSet, pred: impl Fn(&WaitKey) -> bool) -> Vec<WaitKey> {
+        #[expect(clippy::disallowed_methods, reason = "collected, then sorted.")]
         let mut keys: Vec<WaitKey> = w.ops.keys().copied().filter(|k| pred(k)).collect();
         keys.sort_unstable();
         keys

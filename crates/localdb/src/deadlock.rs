@@ -30,19 +30,19 @@
 use crate::protocol::DeadlockOutcome;
 use mdbs_common::ids::TxnId;
 use mdbs_schedule::DiGraph;
-use std::collections::BTreeMap;
 
 /// Detect deadlocks in a waits-for edge list and select victims until the
-/// graph is acyclic. `age` maps transactions to their begin sequence number
-/// (larger = younger). Returns victims in selection order.
-pub fn select_victims(edges: &[(TxnId, TxnId)], age: &BTreeMap<TxnId, u64>) -> Vec<TxnId> {
+/// graph is acyclic. `age` looks up a transaction's begin sequence number
+/// (larger = younger; `None` counts as oldest). Returns victims in
+/// selection order.
+pub fn select_victims(edges: &[(TxnId, TxnId)], age: impl Fn(TxnId) -> Option<u64>) -> Vec<TxnId> {
     let mut g: DiGraph<TxnId> = DiGraph::new();
     for &(a, b) in edges {
         g.add_edge(a, b);
     }
     let mut victims = Vec::new();
     while let Some(cycle) = g.find_cycle() {
-        let victim = pick_victim(&cycle, age);
+        let victim = pick_victim(&cycle, &age);
         g.remove_node(victim);
         victims.push(victim);
     }
@@ -52,7 +52,10 @@ pub fn select_victims(edges: &[(TxnId, TxnId)], age: &BTreeMap<TxnId, u64>) -> V
 /// Step 2 of a check: the first victim [`select_victims`] names over the
 /// site's whole waits-for edge list (the engine aborts it and checks
 /// again).
-pub fn first_victim(edges: &[(TxnId, TxnId)], age: &BTreeMap<TxnId, u64>) -> DeadlockOutcome {
+pub fn first_victim(
+    edges: &[(TxnId, TxnId)],
+    age: impl Fn(TxnId) -> Option<u64>,
+) -> DeadlockOutcome {
     match select_victims(edges, age).first() {
         Some(&victim) => DeadlockOutcome::Victim(victim),
         None => DeadlockOutcome::None,
@@ -65,12 +68,12 @@ pub fn first_victim(edges: &[(TxnId, TxnId)], age: &BTreeMap<TxnId, u64>) -> Dea
     clippy::expect_used,
     reason = "`pool` is either the cycle (non-empty by construction) or its non-empty local subset."
 )]
-fn pick_victim(cycle: &[TxnId], age: &BTreeMap<TxnId, u64>) -> TxnId {
+fn pick_victim(cycle: &[TxnId], age: &impl Fn(TxnId) -> Option<u64>) -> TxnId {
     let locals: Vec<TxnId> = cycle.iter().copied().filter(|t| !t.is_global()).collect();
     let pool: &[TxnId] = if locals.is_empty() { cycle } else { &locals };
     *pool
         .iter()
-        .max_by_key(|t| age.get(t).copied().unwrap_or(0))
+        .max_by_key(|&&t| age(t).unwrap_or(0))
         .expect("cycle is non-empty")
 }
 
@@ -82,7 +85,7 @@ mod tests {
     use crate::twopl::TwoPhaseLocking;
     use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, SiteId};
     use mdbs_common::rng::splitmix64;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn g(i: u64) -> TxnId {
         TxnId::Global(GlobalTxnId(i))
@@ -93,14 +96,15 @@ mod tests {
             seq: i,
         })
     }
-    fn ages(pairs: &[(TxnId, u64)]) -> BTreeMap<TxnId, u64> {
-        pairs.iter().copied().collect()
+    fn ages(pairs: &[(TxnId, u64)]) -> impl Fn(TxnId) -> Option<u64> {
+        let age: BTreeMap<TxnId, u64> = pairs.iter().copied().collect();
+        move |t| age.get(&t).copied()
     }
 
     #[test]
     fn no_cycle_no_victim() {
         let edges = vec![(g(1), g(2)), (g(2), g(3))];
-        assert!(select_victims(&edges, &ages(&[])).is_empty());
+        assert!(select_victims(&edges, ages(&[])).is_empty());
     }
 
     #[test]

@@ -24,10 +24,21 @@
 //! victim between operations) is discovered on its next submission, which
 //! returns `Err(Aborted)` — mirroring how a real DBMS reports
 //! victimization on the next call.
+//!
+//! ## Tables and orders
+//!
+//! The live and finished transaction tables are
+//! [`IdHashMap`]s: every operation costs one hash probe, and their
+//! iteration order is never read. The one walk over the live table,
+//! [`LocalDbms::crash`], sorts its victims by (not blocked, id) before any
+//! of them dies, because that order reaches the history and the
+//! completions. Each transaction's deferred-write buffer stays a
+//! `BTreeMap`: a commit applies it, and records its writes, in item order.
 
 use crate::protocol::{CcProtocol, DeadlockOutcome, Decision, LocalProtocolKind, WriteStyle};
 use crate::serfn::SerializationEvent;
 use crate::storage::{Storage, Value};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::{AbortReason, MdbsError, Result};
 use mdbs_common::ids::{DataItemId, SiteId, TxnId};
 use mdbs_common::instrument::Registry;
@@ -151,9 +162,9 @@ pub struct LocalDbms {
     protocol: Box<dyn CcProtocol + Send>,
     storage: Storage,
     history: History,
-    txns: BTreeMap<TxnId, TxnState>,
+    txns: IdHashMap<TxnId, TxnState>,
     /// Finished transactions: `None` = committed, `Some(reason)` = aborted.
-    finished: BTreeMap<TxnId, Option<AbortReason>>,
+    finished: IdHashMap<TxnId, Option<AbortReason>>,
     next_seq: u64,
     completions: Vec<Completion>,
     stats: EngineStats,
@@ -191,8 +202,8 @@ impl LocalDbms {
             protocol,
             storage,
             history: History::new(),
-            txns: BTreeMap::new(),
-            finished: BTreeMap::new(),
+            txns: IdHashMap::default(),
+            finished: IdHashMap::default(),
             next_seq: 0,
             completions: Vec::new(),
             stats: EngineStats::default(),
@@ -365,16 +376,22 @@ impl LocalDbms {
     pub fn crash(&mut self) -> usize {
         // Kill blocked victims first: aborting a lock holder first would
         // briefly wake (grant) a waiter that the same crash is about to
-        // kill — a real crash is instantaneous.
-        let mut victims: Vec<TxnId> = self
+        // kill — a real crash is instantaneous. Within each class, in
+        // ascending id order: the order reaches the history and the
+        // completions.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected, then sorted by (not blocked, id) before any victim dies."
+        )]
+        let mut victims: Vec<(bool, TxnId)> = self
             .txns
             .iter()
             .filter(|(_, st)| !st.prepared)
-            .map(|(&t, _)| t)
+            .map(|(&t, st)| (!matches!(st.status, TxnStatus::Blocked(_)), t))
             .collect();
-        victims.sort_by_key(|&t| !self.is_blocked(t));
+        victims.sort_unstable();
         let n = victims.len();
-        for txn in victims {
+        for (_, txn) in victims {
             // A victim may already have been aborted by a cascade from an
             // earlier victim in this loop.
             if self.txns.contains_key(&txn) {
@@ -902,6 +919,59 @@ mod tests {
         d.crash();
         let comps = d.take_completions();
         assert!(comps.iter().any(|c| c.txn == t(2) && c.outcome.is_err()));
+    }
+
+    /// A crash kills its blocked victims first, then the active ones, each
+    /// class in ascending id order, whatever order they began in; a
+    /// prepared transaction survives.
+    #[test]
+    fn crash_order_is_pinned() {
+        let mut d = db(LocalProtocolKind::TwoPhaseLocking);
+        for txn in [t(7), t(3), l(4), t(9), t(1), t(5), t(6), t(2), t(8)] {
+            d.begin(txn).unwrap();
+        }
+        d.submit_write(t(7), x(1), 1).unwrap();
+        d.submit_write(t(3), x(2), 2).unwrap();
+        d.submit_write(t(8), x(3), 3).unwrap();
+        d.submit_prepare(t(8)).unwrap();
+        for (txn, op) in [
+            (t(9), PendingOp::Read(x(1))),
+            (l(4), PendingOp::Write(x(2), 4)),
+            (t(1), PendingOp::Write(x(2), 5)),
+            (t(5), PendingOp::Read(x(1))),
+            (t(6), PendingOp::Read(x(2))),
+        ] {
+            assert_eq!(d.submit(txn, op).unwrap(), SubmitResult::Blocked);
+        }
+        assert_eq!(d.crash(), 8);
+        let killed = |txn| Completion {
+            txn,
+            outcome: Err(MdbsError::Aborted {
+                txn,
+                reason: AbortReason::SiteFailure,
+            }),
+        };
+        assert_eq!(
+            d.take_completions(),
+            vec![
+                killed(t(1)),
+                killed(t(5)),
+                killed(t(6)),
+                killed(t(9)),
+                killed(l(4))
+            ]
+        );
+        let aborts: Vec<TxnId> = d
+            .history()
+            .ops()
+            .iter()
+            .filter(|op| op.kind == mdbs_common::ops::DataOpKind::Abort)
+            .map(|op| op.txn)
+            .collect();
+        assert_eq!(aborts, vec![t(1), t(5), t(6), t(9), l(4), t(2), t(3), t(7)]);
+        assert_eq!(d.active_txns(), 1);
+        assert_eq!(d.storage().read(x(1)), 0);
+        assert_eq!(d.storage().read(x(2)), 0);
     }
 
     #[test]

@@ -10,9 +10,25 @@
 //! the table indexes it, so releasing a transaction and walking the
 //! waits-for relation from it cost its own holdings and waits, not a scan
 //! of the table.
+//!
+//! ## Tables and orders
+//!
+//! The per-item table, each transaction's holdings and the index of
+//! waiting requests are [`IdHashMap`]s keyed by item or transaction id:
+//! a lookup is one hash probe, and their iteration order is never read.
+//! Every order that decides something is fixed where it is used:
+//!
+//! - an item's holders are a `Vec` kept sorted by transaction id, so the
+//!   waits-for edges and [`LockManager::holders_of`] list them in id order;
+//! - [`LockManager::release_all`] sorts the released transaction's items
+//!   and releases them in ascending order, then the one item it was
+//!   waiting on, so its grants come back in that order;
+//! - [`LockManager::waits_for_edges`] visits the items in ascending order
+//!   (it runs only once a requester's own walk has found a cycle).
 
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{DataItemId, TxnId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Lock mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,17 +66,49 @@ struct WaitingRequest {
 
 #[derive(Clone, Debug, Default)]
 struct ItemLock {
-    holders: BTreeMap<TxnId, LockMode>,
+    /// Holders and their modes, sorted by transaction id.
+    holders: Vec<(TxnId, LockMode)>,
     queue: VecDeque<WaitingRequest>,
 }
 
 impl ItemLock {
+    fn holder(&self, txn: TxnId) -> Result<usize, usize> {
+        self.holders.binary_search_by_key(&txn, |&(h, _)| h)
+    }
+
+    fn mode_of(&self, txn: TxnId) -> Option<LockMode> {
+        let at = self.holder(txn).ok()?;
+        self.holders.get(at).map(|&(_, mode)| mode)
+    }
+
+    /// Record `txn` as holding `mode`; true iff it held nothing here before.
+    fn grant(&mut self, txn: TxnId, mode: LockMode) -> bool {
+        match self.holder(txn) {
+            Ok(at) => {
+                if let Some(held) = self.holders.get_mut(at) {
+                    held.1 = mode;
+                }
+                false
+            }
+            Err(at) => {
+                self.holders.insert(at, (txn, mode));
+                true
+            }
+        }
+    }
+
+    fn release(&mut self, txn: TxnId) {
+        if let Ok(at) = self.holder(txn) {
+            self.holders.remove(at);
+        }
+    }
+
     fn grantable(&self, req: &WaitingRequest) -> bool {
         if req.upgrade {
             // Upgrade: grantable iff the requester is the only holder.
-            self.holders.len() == 1 && self.holders.contains_key(&req.txn)
+            matches!(self.holders.as_slice(), [(h, _)] if *h == req.txn)
         } else {
-            self.holders.values().all(|&h| h.compatible(req.mode))
+            self.holders.iter().all(|&(_, h)| h.compatible(req.mode))
         }
     }
 
@@ -76,10 +124,10 @@ impl ItemLock {
             .iter()
             // An upgrade waits for all *other* holders; a fresh request
             // for the incompatible ones.
-            .filter(move |&(&holder, &hmode)| {
+            .filter(move |&&(holder, hmode)| {
                 holder != req.txn && (req.upgrade || !hmode.compatible(req.mode))
             })
-            .map(|(&holder, _)| holder);
+            .map(|&(holder, _)| holder);
         let ahead = self
             .queue
             .iter()
@@ -104,11 +152,12 @@ pub struct Granted {
 /// The lock table for one site.
 #[derive(Clone, Debug, Default)]
 pub struct LockManager {
-    items: BTreeMap<DataItemId, ItemLock>,
-    /// Items each transaction holds locks on (for O(holdings) release).
-    held: BTreeMap<TxnId, BTreeSet<DataItemId>>,
+    items: IdHashMap<DataItemId, ItemLock>,
+    /// Items each transaction holds locks on (for O(holdings) release),
+    /// each listed once, in the order they were granted.
+    held: IdHashMap<TxnId, Vec<DataItemId>>,
     /// The item each waiting transaction has its queued request on.
-    waiting: BTreeMap<TxnId, DataItemId>,
+    waiting: IdHashMap<TxnId, DataItemId>,
 }
 
 impl LockManager {
@@ -120,7 +169,7 @@ impl LockManager {
     /// Request `mode` on `item` for `txn`.
     pub fn acquire(&mut self, txn: TxnId, item: DataItemId, mode: LockMode) -> Acquire {
         let lock = self.items.entry(item).or_default();
-        match lock.holders.get(&txn).copied() {
+        match lock.mode_of(txn) {
             Some(LockMode::Exclusive) => return Acquire::Granted,
             Some(LockMode::Shared) if mode == LockMode::Shared => return Acquire::Granted,
             Some(LockMode::Shared) => {
@@ -131,7 +180,7 @@ impl LockManager {
                     upgrade: true,
                 };
                 if lock.grantable(&req) {
-                    lock.holders.insert(txn, LockMode::Exclusive);
+                    lock.grant(txn, LockMode::Exclusive);
                     return Acquire::Granted;
                 }
                 lock.queue.push_front(req);
@@ -148,8 +197,8 @@ impl LockManager {
         // FIFO fairness: a fresh request may only jump the queue if the
         // queue is empty and it is compatible with the holders.
         if lock.queue.is_empty() && lock.grantable(&req) {
-            lock.holders.insert(txn, mode);
-            self.held.entry(txn).or_default().insert(item);
+            lock.grant(txn, mode);
+            self.held.entry(txn).or_default().push(item);
             Acquire::Granted
         } else {
             lock.queue.push_back(req);
@@ -164,20 +213,22 @@ impl LockManager {
     }
 
     /// Release all locks of `txn` and drop any queued request it still has;
-    /// returns newly granted requests in grant order.
+    /// returns newly granted requests in grant order: its held items in
+    /// ascending order, then the item it was waiting on.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<Granted> {
         let mut granted = Vec::new();
-        let mut items: Vec<DataItemId> = self.held.remove(&txn).into_iter().flatten().collect();
+        let mut items = self.held.remove(&txn).unwrap_or_default();
+        items.sort_unstable();
         // Its queued request sits on a held item (an upgrade) or on one
         // more item, released last.
         if let Some(item) = self.waiting.remove(&txn) {
-            if !items.contains(&item) {
+            if items.binary_search(&item).is_err() {
                 items.push(item);
             }
         }
         for item in items {
             if let Some(lock) = self.items.get_mut(&item) {
-                lock.holders.remove(&txn);
+                lock.release(txn);
                 lock.queue.retain(|r| r.txn != txn);
             }
             self.drain_queue(item, &mut granted);
@@ -201,8 +252,10 @@ impl LockManager {
             }
             lock.queue.pop_front();
             self.waiting.remove(&front.txn);
-            lock.holders.insert(front.txn, front.mode);
-            self.held.entry(front.txn).or_default().insert(item);
+            // An upgrade's item is already among the holder's items.
+            if lock.grant(front.txn, front.mode) {
+                self.held.entry(front.txn).or_default().push(item);
+            }
             granted.push(Granted {
                 txn: front.txn,
                 item,
@@ -221,17 +274,14 @@ impl LockManager {
 
     /// Current mode `txn` holds on `item`, if any.
     pub fn held_mode(&self, txn: TxnId, item: DataItemId) -> Option<LockMode> {
-        self.items
-            .get(&item)
-            .and_then(|l| l.holders.get(&txn))
-            .copied()
+        self.items.get(&item).and_then(|l| l.mode_of(txn))
     }
 
-    /// Current holders of `item` with their modes.
+    /// Current holders of `item` with their modes, in transaction id order.
     pub fn holders_of(&self, item: DataItemId) -> Vec<(TxnId, LockMode)> {
         self.items
             .get(&item)
-            .map(|l| l.holders.iter().map(|(&t, &m)| (t, m)).collect())
+            .map(|l| l.holders.clone())
             .unwrap_or_default()
     }
 
@@ -249,10 +299,22 @@ impl LockManager {
 
     /// Waits-for edges implied by the current table: each queued request
     /// waits for every incompatible holder and every incompatible request
-    /// ahead of it.
+    /// ahead of it. Items are visited in ascending order, each queue front
+    /// to back.
     pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the waited-on items are collected, then sorted before any edge is listed."
+        )]
+        let mut waited: Vec<(DataItemId, &ItemLock)> = self
+            .items
+            .iter()
+            .filter(|(_, lock)| !lock.queue.is_empty())
+            .map(|(&item, lock)| (item, lock))
+            .collect();
+        waited.sort_unstable_by_key(|&(item, _)| item);
         let mut edges = Vec::new();
-        for lock in self.items.values() {
+        for (_, lock) in waited {
             for (qi, req) in lock.queue.iter().enumerate() {
                 edges.extend(lock.blockers(qi, req).map(|b| (req.txn, b)));
             }
@@ -424,6 +486,26 @@ mod tests {
         assert!(edges.contains(&(t(2), t(1))));
         assert!(edges.contains(&(t(3), t(1))));
         assert!(edges.contains(&(t(3), t(2))));
+    }
+
+    #[test]
+    fn release_all_grants_in_item_order() {
+        let mut lm = LockManager::new();
+        for item in [x(5), x(1), x(3)] {
+            assert_eq!(
+                lm.acquire(t(1), item, LockMode::Exclusive),
+                Acquire::Granted
+            );
+        }
+        for (waiter, item) in [(t(2), x(5)), (t(3), x(1)), (t(4), x(3))] {
+            assert_eq!(lm.acquire(waiter, item, LockMode::Shared), Acquire::Queued);
+        }
+        let granted: Vec<(TxnId, DataItemId)> = lm
+            .release_all(t(1))
+            .into_iter()
+            .map(|g| (g.txn, g.item))
+            .collect();
+        assert_eq!(granted, vec![(t(3), x(1)), (t(4), x(3)), (t(2), x(5))]);
     }
 
     #[test]

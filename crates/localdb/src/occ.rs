@@ -30,8 +30,14 @@
 //! deadlock-free; prepared transactions cannot be aborted unilaterally
 //! (see [`LocalDbms::request_abort`](crate::engine::LocalDbms)), which is
 //! exactly the classic 2PC participant contract.
+//!
+//! The per-transaction table is an [`IdHashMap`]; its walks only ask
+//! whether any entry matches or take a minimum, which no order changes.
+//! The committed log stays a `BTreeMap`, range-queried by commit number,
+//! and the blocked set a `BTreeSet`, woken in ascending id order.
 
 use crate::protocol::{CcProtocol, Decision, WriteStyle};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,7 +57,7 @@ struct TxnInfo {
 /// BOCC protocol state.
 #[derive(Debug, Default)]
 pub struct Optimistic {
-    txns: BTreeMap<TxnId, TxnInfo>,
+    txns: IdHashMap<TxnId, TxnInfo>,
     /// Committed write sets, keyed by commit number.
     committed: BTreeMap<u64, BTreeSet<DataItemId>>,
     /// Monotonic commit counter.
@@ -79,6 +85,10 @@ impl Optimistic {
     /// Drop committed write sets no active transaction can still conflict
     /// with (all active transactions began after them).
     fn collect_garbage(&mut self) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a minimum does not depend on the order it is taken in."
+        )]
         let min_start = self
             .txns
             .values()
@@ -111,6 +121,10 @@ impl CcProtocol for Optimistic {
     fn on_read(&mut self, txn: TxnId, item: DataItemId) -> Decision {
         // In-doubt rule (2PC): wait for a prepared transaction whose write
         // set covers the item — its value is decided but not yet applied.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "whether any entry matches does not depend on the order they are tested in."
+        )]
         let in_doubt = self.txns.iter().any(|(&u, info)| {
             u != txn && info.prepared_tn.is_some() && info.write_set.contains(&item)
         });
@@ -136,6 +150,10 @@ impl CcProtocol for Optimistic {
         if let Some(my_tn) = info.prepared_tn {
             // Already validated at prepare; keep the apply order equal to
             // the validation order for intersecting write sets.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "whether any entry matches does not depend on the order they are tested in."
+            )]
             let must_wait = self.txns.iter().any(|(&u, other)| {
                 u != txn
                     && other.prepared_tn.is_some_and(|t| t < my_tn)

@@ -15,13 +15,19 @@
 //! [`DataItemId::TICKET`](mdbs_common::ids::DataItemId) item, and its
 //! ticket write is the serialization event
 //! ([`SerializationEvent::TicketWrite`](crate::serfn::SerializationEvent)).
+//!
+//! The per-item, per-transaction and age tables are [`IdHashMap`]s. The
+//! orders that decide something are fixed where they are used: an ending
+//! writer's waiters wake in ascending id order, and the whole-site
+//! waits-for edge list is sorted before a victim is picked from it.
 
 use crate::deadlock::first_victim;
 use crate::protocol::{CcProtocol, DeadlockOutcome, Decision, WriteStyle};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, TxnId};
 use mdbs_schedule::DiGraph;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum AccessKind {
@@ -63,11 +69,11 @@ struct TxnAccesses {
 #[derive(Debug)]
 pub struct SerializationGraphTesting {
     graph: DiGraph<TxnId>,
-    items: BTreeMap<DataItemId, ItemAccesses>,
+    items: IdHashMap<DataItemId, ItemAccesses>,
     /// Active transactions and committed ones not yet forgotten.
-    txns: BTreeMap<TxnId, TxnAccesses>,
+    txns: IdHashMap<TxnId, TxnAccesses>,
     /// Begin sequence of each active transaction.
-    age: BTreeMap<TxnId, u64>,
+    age: IdHashMap<TxnId, u64>,
 }
 
 impl Default for SerializationGraphTesting {
@@ -81,9 +87,9 @@ impl SerializationGraphTesting {
     pub fn new() -> Self {
         SerializationGraphTesting {
             graph: DiGraph::new(),
-            items: BTreeMap::new(),
-            txns: BTreeMap::new(),
-            age: BTreeMap::new(),
+            items: IdHashMap::default(),
+            txns: IdHashMap::default(),
+            age: IdHashMap::default(),
         }
     }
 
@@ -197,12 +203,24 @@ impl SerializationGraphTesting {
     }
 
     /// The waits-for graph of the whole site: every blocked transaction
-    /// waits for the dirty writer of the item it is queued on.
+    /// waits for the dirty writer of the item it is queued on. Listed in
+    /// ascending order of the waiting transaction.
     fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        self.txns
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the edges are collected, then sorted before a victim is picked."
+        )]
+        let mut edges: Vec<(TxnId, TxnId)> = self
+            .txns
             .iter()
             .filter_map(|(&t, a)| Some((t, self.dirty_writer_awaited(a)?)))
-            .collect()
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    fn age_of(&self, txn: TxnId) -> Option<u64> {
+        self.age.get(&txn).copied()
     }
 
     fn dirty_writer_awaited(&self, accesses: &TxnAccesses) -> Option<TxnId> {
@@ -229,16 +247,23 @@ impl SerializationGraphTesting {
 
     /// The first victim over the site's waits-for graph, computed from the
     /// items' waiter sets alone — no per-transaction index — as the oracle
-    /// for the walk-first check.
+    /// for the walk-first check. Items are visited in ascending order.
     #[cfg(test)]
     pub(crate) fn table_scan_for_victim(&self) -> DeadlockOutcome {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the items are collected, then sorted before any edge is listed."
+        )]
+        let mut items: Vec<(DataItemId, &ItemAccesses)> =
+            self.items.iter().map(|(&item, acc)| (item, acc)).collect();
+        items.sort_unstable_by_key(|&(item, _)| item);
         let mut edges = Vec::new();
-        for acc in self.items.values() {
+        for (_, acc) in items {
             if let Some(d) = acc.dirty {
                 edges.extend(acc.waiters.iter().map(|&w| (w, d)));
             }
         }
-        first_victim(&edges, &self.age)
+        first_victim(&edges, |t| self.age_of(t))
     }
 }
 
@@ -313,7 +338,7 @@ impl CcProtocol for SerializationGraphTesting {
         if !self.waits_for_itself(requester) {
             return DeadlockOutcome::None;
         }
-        first_victim(&self.waits_for_edges(), &self.age)
+        first_victim(&self.waits_for_edges(), |t| self.age_of(t))
     }
 }
 

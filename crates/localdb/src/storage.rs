@@ -6,26 +6,30 @@
 //! write through and rely on per-transaction undo logs kept by the engine;
 //! the optimistic protocol defers writes into buffers the engine applies at
 //! commit.
+//!
+//! The items live in an [`IdHashMap`], so a read or a write is one hash
+//! probe. Its keys are the workload's item ids, not input an adversary
+//! chooses, which is the condition [`IdHasher`](mdbs_common::dense::IdHasher)
+//! sets. Its order is never read: [`Storage::iter`] and the `Debug` output
+//! sort by item, and [`Storage::data_total`] is a sum.
 
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::DataItemId;
-use std::collections::BTreeMap;
 
 /// The value type stored under every data item.
 pub type Value = i64;
 
 /// A site's database: a map from data item to value. Missing items read as
 /// the default value `0`, so workloads need no explicit schema loading.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Storage {
-    items: BTreeMap<DataItemId, Value>,
+    items: IdHashMap<DataItemId, Value>,
 }
 
 impl Storage {
     /// Empty storage (all items implicitly 0).
     pub fn new() -> Self {
-        Storage {
-            items: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// Read an item (0 if never written).
@@ -52,6 +56,10 @@ impl Storage {
     /// conservation of money across accounts. The ticket item is left
     /// out: its counter is concurrency-control plumbing, not data.
     pub fn data_total(&self) -> i128 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an integer sum does not depend on the order it is taken in."
+        )]
         self.items
             .iter()
             .filter(|(&item, _)| item != DataItemId::TICKET)
@@ -59,9 +67,20 @@ impl Storage {
             .sum()
     }
 
-    /// Iterate `(item, value)` pairs in item order.
+    /// Iterate `(item, value)` pairs in item order. Collects and sorts, so
+    /// it is for checks and reports, not for an operation's path.
     pub fn iter(&self) -> impl Iterator<Item = (DataItemId, Value)> + '_ {
-        self.items.iter().map(|(&k, &v)| (k, v))
+        #[expect(clippy::disallowed_methods, reason = "collected, then sorted by item.")]
+        let mut items: Vec<(DataItemId, Value)> =
+            self.items.iter().map(|(&k, &v)| (k, v)).collect();
+        items.sort_unstable_by_key(|&(k, _)| k);
+        items.into_iter()
+    }
+}
+
+impl std::fmt::Debug for Storage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

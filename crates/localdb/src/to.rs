@@ -11,11 +11,16 @@
 //! **Serialization function** (paper, Section 2.2): the local DBMS assigns
 //! timestamps at `begin`, so the begin operation is the serialization event
 //! ([`SerializationEvent::Begin`](crate::serfn::SerializationEvent)).
+//!
+//! The per-transaction and per-item tables are [`IdHashMap`]s, never
+//! iterated; an ending writer's waiters are woken oldest first, sorted by
+//! timestamp where they are collected.
 
 use crate::protocol::{CcProtocol, Decision, WriteStyle};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, TxnId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 #[derive(Clone, Debug, Default)]
 struct ItemState {
@@ -23,9 +28,11 @@ struct ItemState {
     rts: u64,
     /// Largest timestamp of any granted write.
     wts: u64,
-    /// Active transactions holding an uncommitted write on the item.
-    dirty: BTreeSet<TxnId>,
-    /// Transactions blocked on this item's dirty writers.
+    /// The active transaction holding an uncommitted write on the item: a
+    /// write is granted only while no other transaction holds one, so
+    /// there is at most one.
+    dirty: Option<TxnId>,
+    /// Transactions blocked on this item's dirty writer.
     waiters: BTreeSet<TxnId>,
 }
 
@@ -40,10 +47,11 @@ struct TxnState {
 /// Strict TO protocol state.
 #[derive(Debug, Default)]
 pub struct TimestampOrdering {
-    txns: BTreeMap<TxnId, TxnState>,
-    items: BTreeMap<DataItemId, ItemState>,
-    /// Items each active transaction has dirty writes on (for release).
-    writes: BTreeMap<TxnId, BTreeSet<DataItemId>>,
+    txns: IdHashMap<TxnId, TxnState>,
+    items: IdHashMap<DataItemId, ItemState>,
+    /// Items each active transaction has dirty writes on (for release),
+    /// each listed once.
+    writes: IdHashMap<TxnId, Vec<DataItemId>>,
 }
 
 impl TimestampOrdering {
@@ -86,7 +94,7 @@ impl TimestampOrdering {
     fn is_dirty_for(&self, item: DataItemId, txn: TxnId) -> bool {
         self.items
             .get(&item)
-            .is_some_and(|s| s.dirty.iter().any(|&d| d != txn))
+            .is_some_and(|s| s.dirty.is_some_and(|d| d != txn))
     }
 }
 
@@ -145,8 +153,9 @@ impl CcProtocol for TimestampOrdering {
         )]
         let state = self.items.get_mut(&item).expect("entry");
         state.wts = state.wts.max(ts);
-        state.dirty.insert(txn);
-        self.writes.entry(txn).or_default().insert(item);
+        if state.dirty.replace(txn).is_none() {
+            self.writes.entry(txn).or_default().push(item);
+        }
         Decision::Grant
     }
 
@@ -164,8 +173,7 @@ impl CcProtocol for TimestampOrdering {
                 reason = "every item in `writes` got an `items` entry when the write was granted."
             )]
             let state = self.items.get_mut(&item).expect("written item exists");
-            state.dirty.remove(&txn);
-            if state.dirty.is_empty() {
+            if state.dirty.take_if(|&mut d| d == txn).is_some() {
                 // Wake all waiters; they retry their decision. Oldest first
                 // so the retry order matches timestamp order.
                 for w in std::mem::take(&mut state.waiters) {

@@ -14,14 +14,14 @@
 use crate::deadlock::first_victim;
 use crate::locks::{Acquire, LockManager, LockMode};
 use crate::protocol::{CcProtocol, DeadlockOutcome, Decision, WriteStyle};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{DataItemId, TxnId};
-use std::collections::BTreeMap;
 
 /// Strict 2PL protocol state.
 #[derive(Debug, Default)]
 pub struct TwoPhaseLocking {
     locks: LockManager,
-    age: BTreeMap<TxnId, u64>,
+    age: IdHashMap<TxnId, u64>,
 }
 
 impl TwoPhaseLocking {
@@ -41,7 +41,7 @@ impl TwoPhaseLocking {
     /// (scanned item by item, without the per-transaction index the walk
     /// uses).
     pub(crate) fn scan_for_victim(&self) -> DeadlockOutcome {
-        first_victim(&self.locks.waits_for_edges(), &self.age)
+        first_victim(&self.locks.waits_for_edges(), |t| self.age.get(&t).copied())
     }
 }
 

@@ -17,9 +17,9 @@
 
 use crate::locks::{Acquire, LockManager, LockMode};
 use crate::protocol::{CcProtocol, DeadlockOutcome, Decision, WriteStyle};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::AbortReason;
 use mdbs_common::ids::{DataItemId, TxnId};
-use std::collections::BTreeMap;
 
 /// Which prevention policy a [`PreventionTwoPhaseLocking`] instance runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct PreventionTwoPhaseLocking {
     policy: PreventionPolicy,
     locks: LockManager,
     /// Begin sequence = age (smaller = older).
-    age: BTreeMap<TxnId, u64>,
+    age: IdHashMap<TxnId, u64>,
     /// Pending wound targets discovered at block time, oldest requester
     /// first; drained through `check_deadlock`.
     wounded: Vec<TxnId>,
@@ -48,7 +48,7 @@ impl PreventionTwoPhaseLocking {
         PreventionTwoPhaseLocking {
             policy,
             locks: LockManager::new(),
-            age: BTreeMap::new(),
+            age: IdHashMap::default(),
             wounded: Vec::new(),
         }
     }

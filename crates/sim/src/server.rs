@@ -14,6 +14,7 @@
 //!
 //! [`Coordinator::handle`]: mdbs_core::coordinator::Coordinator::handle
 
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::error::{AbortReason, MdbsError};
 use mdbs_common::ids::{DataItemId, GlobalTxnId, LocalTxnId, TxnId};
 use mdbs_core::coordinator::Arrival;
@@ -22,7 +23,6 @@ use mdbs_localdb::engine::{LocalDbms, OpOutcome, SubmitResult};
 use mdbs_localdb::serfn::SerializationEvent;
 use mdbs_localdb::storage::Value;
 use mdbs_workload::spec::LocalOp;
-use std::collections::BTreeMap;
 
 /// One message from the driver to a site's server.
 pub(crate) enum SiteMsg {
@@ -91,12 +91,12 @@ enum Continuation {
 pub(crate) struct Server {
     /// The engine; the driver reads it once a run is over.
     pub(crate) db: LocalDbms,
-    pending: BTreeMap<GlobalTxnId, Continuation>,
+    pending: IdHashMap<GlobalTxnId, Continuation>,
 }
 
 impl Server {
     pub(crate) fn new(db: LocalDbms) -> Self {
-        let pending = BTreeMap::new();
+        let pending = IdHashMap::default();
         Server { db, pending }
     }
 
