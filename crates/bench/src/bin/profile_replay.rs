@@ -2,30 +2,31 @@
 //! cell on the kernel [`SchemeKind::build`] returns, in a loop, so a
 //! profiler sees only the scheduler under test.
 //!
-//! On a 2-vCPU VM `gprofng collect app -p hi` records only about 20
-//! samples per second of run, too few to split a 200 ms cell. The Scheme 2
-//! time splits quoted in ROADMAP item 6 came instead from `Instant` timers
-//! around `cond`, `act` and `Eliminate_Cycles`, added to a throwaway copy
-//! of the tree and never committed; their overhead is in the numbers.
-//! Counts need no such copy: each rep line prints the step charges and the
-//! engine's `gtm2.elim_states` / `gtm2.elim_scans_elided` (Scheme 2's
-//! `Eliminate_Cycles` states entered and column scans elided; 0 for the
-//! other schemes), so a time split divides by them. It also prints
+//! Each rep line prints the wall time, the step charges and the engine's
+//! work counters: `gtm2.elim_states` / `gtm2.elim_scans_elided` /
+//! `gtm2.elim_delta` (Scheme 2's `Eliminate_Cycles` states entered,
+//! column scans elided and Δ dependencies added; 0 for the other
+//! schemes), also per `init`, so a time split taken with a profiler or
+//! with timers in a copy of the tree divides by them. It also prints
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
 //! (Schemes 1 and 3; 0 elsewhere), so `wake_scan_sum − wake_elided` bounds
-//! the re-tests that ran.
+//! the re-tests that ran. A sampling profiler at its default rate takes
+//! too few samples to split one 200 ms cell: raise REPS.
 //!
 //! ```text
 //! profile_replay [SCHEME] [SIZE] [REPS]
 //! ```
 //!
-//! Defaults: `Scheme2 large 1`. SCHEME is `Scheme0..Scheme3`, SIZE is
-//! `small` or `medium` (the scripts `step_cells_golden` pins) or `large`
-//! (the shape of the benchmark's `sched_burst` script — 1000 transactions,
-//! 10 sites, d_av 2.5 — but always seed 42, where the benchmark draws a
-//! fresh script per round from its own seed; `regression_scripts.rs` pins
-//! this cell's decisions). REPS is a positive integer.
+//! Defaults: `Scheme2 large 1`. SCHEME is `Scheme0..Scheme3`. SIZE is
+//! `small` or `medium` (the scripts `step_cells_golden` pins), `large`
+//! (the shape of the benchmark's `sched_burst` script — 1000
+//! transactions, 10 sites, d_av 2.5, nearly all open at once) or `stream`
+//! (the shape of its `sched_stream` script — 10 000 transactions, 10
+//! sites, d_av 2.5, at most 64 open, [`Script::windowed`]). Every size
+//! is seed 42, where the benchmark draws a fresh script per round from
+//! its own seed; `regression_scripts.rs` pins the decisions of `large`
+//! and `stream`. REPS is a positive integer.
 
 use mdbs_common::instrument::Registry;
 use mdbs_core::gtm2::Gtm2;
@@ -33,12 +34,15 @@ use mdbs_core::replay::{replay_with, Script};
 use mdbs_core::scheme::SchemeKind;
 use std::time::Instant;
 
-/// The two cells `step_cells_golden` pins, plus `large` (label, txns,
-/// sites, avg sites).
-const SIZES: [(&str, usize, usize, f64); 3] = [
-    ("small", 50, 4, 2.0),
-    ("medium", 150, 6, 2.5),
-    ("large", 1000, 10, 2.5),
+/// A SIZE's name and the seed-42 script it replays.
+type Size = (&'static str, fn() -> Script);
+
+/// Every SIZE.
+const SIZES: [Size; 4] = [
+    ("small", || Script::random(50, 4, 2.0, 42)),
+    ("medium", || Script::random(150, 6, 2.5, 42)),
+    ("large", || Script::random(1000, 10, 2.5, 42)),
+    ("stream", || Script::windowed(10_000, 10, 2.5, 64, 42)),
 ];
 
 fn main() -> std::process::ExitCode {
@@ -64,11 +68,16 @@ fn main() -> std::process::ExitCode {
         eprintln!("profile_replay: unknown scheme `{scheme_name}` (try Scheme0..Scheme3)");
         return std::process::ExitCode::from(2);
     };
-    let Some(&(_, n, m, dav)) = SIZES.iter().find(|(s, ..)| *s == size_name) else {
-        eprintln!("profile_replay: unknown size `{size_name}` (try small/medium/large)");
+    let Some(&(_, script)) = SIZES.iter().find(|(s, _)| *s == size_name) else {
+        let names: Vec<&str> = SIZES.iter().map(|(s, _)| *s).collect();
+        eprintln!(
+            "profile_replay: unknown size `{size_name}` (try {})",
+            names.join("/")
+        );
         return std::process::ExitCode::from(2);
     };
-    let script = Script::random(n, m, dav, 42);
+    let script = script();
+    let n = script.txn_count();
     for rep in 0..reps {
         let mut engine = Gtm2::new(scheme.build());
         let start = Instant::now();
@@ -77,15 +86,20 @@ fn main() -> std::process::ExitCode {
         assert_eq!(outcome.completed, n, "replay must complete every txn");
         let mut metrics = Registry::new();
         engine.export_metrics(&mut metrics);
+        let states = metrics.counter("gtm2.elim_states");
+        let delta = metrics.counter("gtm2.elim_delta");
+        let inits = outcome.stats.inits.max(1) as f64;
         eprintln!(
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
-             (cond={} act={} elim_states={} elim_scans_elided={} waited={} wake_scan_sum={} \
+             (cond={} act={} elim_states={states} elim_scans_elided={} elim_delta={delta} \
+             states_per_init={:.1} delta_per_init={:.1} waited={} wake_scan_sum={} \
              wake_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
-            metrics.counter("gtm2.elim_states"),
             metrics.counter("gtm2.elim_scans_elided"),
+            states as f64 / inits,
+            delta as f64 / inits,
             outcome.stats.waited,
             outcome.wake_scan_sum,
             metrics.counter("gtm2.wake_elided"),

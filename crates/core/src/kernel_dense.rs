@@ -616,6 +616,7 @@ impl Gtm2Scheme for Scheme2Dense {
     fn export_metrics(&self, registry: &mut Registry) {
         registry.inc("gtm2.elim_states", self.elim.states());
         registry.inc("gtm2.elim_scans_elided", self.elim.scans_elided());
+        registry.inc("gtm2.elim_delta", self.elim.deltas());
     }
 
     fn debug_validate(&self) {

@@ -11,6 +11,8 @@
 //!
 //! The harness also generates scripts:
 //! - [`Script::random`] — valid random insertion orders;
+//! - [`Script::windowed`] — a long history through a small sliding window
+//!   of open transactions;
 //! - [`Script::serializable_order`] — orders whose immediate processing is
 //!   serializable (per-site event sequences follow one global total
 //!   order), used to verify the Section 7 claim that Scheme 3 adds **no**
@@ -20,7 +22,7 @@ use crate::gtm2::{Gtm2, Gtm2Stats};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
-use mdbs_common::rng::derive_rng;
+use mdbs_common::rng::{derive_rng, splitmix64};
 use mdbs_common::step::StepCounter;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -145,6 +147,55 @@ impl Script {
         script
     }
 
+    /// A valid script of `n` transactions over `m` sites, mean degree
+    /// `dav`, emitted through a sliding window: at most `window`
+    /// transactions have been announced (`init`) without all their `ser`
+    /// events emitted. The live graph stays small while the history grows
+    /// long — the opposite shape to [`Script::random`], where nearly all
+    /// `n` are open at once. The benchmark's `sched_stream` workload draws
+    /// the same events for the same arguments.
+    pub fn windowed(n: usize, m: usize, dav: f64, window: usize, seed: u64) -> Script {
+        let mut rng = SplitMix(seed);
+        let mut open: Vec<(GlobalTxnId, Vec<SiteId>)> = Vec::with_capacity(window);
+        let mut events = Vec::new();
+        let mut admitted = 0usize;
+        loop {
+            while open.len() < window && admitted < n {
+                admitted += 1;
+                let txn = GlobalTxnId(admitted as u64);
+                let frac = dav - dav.floor();
+                let extra = (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+                let degree = (dav.floor() as usize + usize::from(extra < frac)).clamp(1, m);
+                // Partial Fisher–Yates: the first `degree` entries are a
+                // uniform sample of the sites.
+                let mut sites: Vec<SiteId> = (0..m as u32).map(SiteId).collect();
+                for i in 0..degree {
+                    let j = i + rng.below(m - i);
+                    sites.swap(i, j);
+                }
+                sites.truncate(degree);
+                sites.sort_unstable();
+                events.push(ScriptEvent::Init(txn, sites.clone()));
+                open.push((txn, sites));
+            }
+            if open.is_empty() {
+                break;
+            }
+            let idx = rng.below(open.len());
+            let Some((txn, sites)) = open.get_mut(idx) else {
+                break;
+            };
+            let site = sites.swap_remove(rng.below(sites.len()));
+            events.push(ScriptEvent::Ser(*txn, site));
+            if sites.is_empty() {
+                open.swap_remove(idx);
+            }
+        }
+        let script = Script { events };
+        debug_assert_eq!(script.validate(), Ok(()));
+        script
+    }
+
     /// A script whose immediate processing is serializable: transactions
     /// are totally ordered (by id) and each site's ser events appear in
     /// that order, with random interleaving *across* sites.
@@ -222,6 +273,23 @@ impl Script {
             .iter()
             .filter(|e| matches!(e, ScriptEvent::Ser(..)))
             .count()
+    }
+}
+
+/// A tiny deterministic generator (a splitmix64 stream) for
+/// [`Script::windowed`], so its events depend on nothing but the seed.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        splitmix64(self.0)
+    }
+
+    /// Uniform in `0..n` (`n > 0`); the modulo bias is below 2⁻⁵⁰ for the
+    /// sizes used here.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
     }
 }
 
@@ -404,6 +472,34 @@ mod tests {
             assert_eq!(s.validate(), Ok(()));
             assert_eq!(s.txn_count(), 8);
             assert!(s.ser_count() >= 8);
+        }
+    }
+
+    #[test]
+    fn windowed_scripts_validate_and_keep_the_window() {
+        for seed in 0..8 {
+            let s = Script::windowed(300, 10, 2.5, 16, seed);
+            assert_eq!(s.validate(), Ok(()));
+            assert_eq!(s.txn_count(), 300);
+            let mut left: BTreeMap<GlobalTxnId, usize> = BTreeMap::new();
+            let mut peak = 0;
+            for ev in &s.events {
+                match ev {
+                    ScriptEvent::Init(txn, sites) => {
+                        left.insert(*txn, sites.len());
+                    }
+                    ScriptEvent::Ser(txn, _) => {
+                        if let Some(n) = left.get_mut(txn) {
+                            *n -= 1;
+                            if *n == 0 {
+                                left.remove(txn);
+                            }
+                        }
+                    }
+                }
+                peak = peak.max(left.len());
+            }
+            assert_eq!(peak, 16, "seed {seed}: the window fills and holds");
         }
     }
 

@@ -19,18 +19,21 @@
 //!   dependencies out of it. Each dependency is stored on both its edges;
 //! - so Scheme 2's `cond(ser)` is a read of one edge's count of unacked
 //!   predecessors (kept by `add_dep_slots`, `mark_acked` and
-//!   `remove_txn`, so a failed WAIT re-test walks nothing), `cond(fin)`'s
-//!   "no incoming dependency" test is an O(1) counter read, and an
-//!   `Eliminate_Cycles` column scan reads its blocked set (the edge's after
-//!   set, in the column's own position space) and the position it must
-//!   skip off the edge it stands on — a word-parallel find-first over the
-//!   column's words of one flat per-call bitmap of states not yet entered,
-//!   with no search;
-//! - `Eliminate_Cycles` pays about one column scan per DFS state: the
-//!   state's cursor lives in its frame, a column another state of the same
-//!   node already scanned to the end is charged without a scan, Δ choices
-//!   and leaf children are settled without leaving the scanning frame, and
-//!   Δ is left in slot space with both edges' row indices, so
+//!   `remove_txn`, so a failed WAIT re-test walks nothing), and `cond(fin)`'s
+//!   "no incoming dependency" test is an O(1) counter read;
+//! - `Eliminate_Cycles` walks a **per-call edge table**: when a call
+//!   starts, each TSG edge gets one record holding its site slot, its
+//!   column's length, a skip mask (the edge's after set, in the column's
+//!   own position space, OR its own position) and an emptied flag. A
+//!   column scan ANDs the complement of that mask into one flat per-call
+//!   bitmap of states not yet entered and takes the first set bit — one
+//!   word and one `trailing_zeros` for a column of up to 64 members, a
+//!   loop over the words past that — with no search;
+//! - the walk pays about one column scan per DFS state: the state's cursor
+//!   lives in its frame; a Δ choice sets `G_i`'s bit in the edge's mask
+//!   and the scan goes on; a column another state of the same node already
+//!   scanned to the end has its record flagged and is charged without a
+//!   scan; and Δ is left in slot space with both edges' row indices, so
 //!   [`DenseTsgd::add_delta`] searches nothing.
 //!
 //! The frame can hold the cursor because of one invariant of Figure 4: it
@@ -39,10 +42,11 @@
 //! `(arrival site u, node w)` state is **entered at most once per call**,
 //! the node being scanned is always the newest state on the path, and
 //! `head(s_par(v))` is its arrival site — the reference's `s_par`/`t_par`
-//! maps are the path itself. The emptied-column charge rests on a second
-//! one: whether node `v` skips a column position does not depend on the
-//! state `v` was entered through, and once true stays true for the call
-//! (see [`eliminate_cycles_dense_with`]).
+//! maps are the path itself. The edge table rests on a second one:
+//! whether node `v` skips a column position does not depend on the state
+//! `v` was entered through, and once true stays true for the call (see
+//! [`eliminate_cycles_dense_with`]) — so the skip mask and the emptied
+//! flag belong to the edge, not to the state scanning it.
 //!
 //! Nothing here answers a scheduling question that the reference does not:
 //! `cond` reads an edge's unacked count / `incoming_deps` / `dep_count`,
@@ -94,7 +98,7 @@ pub(crate) struct Edge {
     before: DenseBitSet,
     /// Column positions of the *after* transactions of dependencies out of
     /// this edge — the order `Eliminate_Cycles` scans, so one column's
-    /// blocked set ORs word-wise into the scan's skip mask. A column
+    /// blocked set copies word-wise into the edge's skip mask. A column
     /// insertion or removal hole-shifts it (`repair_column`).
     after: DenseBitSet,
     /// Scheme 2: `act(ser)` has run on this edge.
@@ -587,34 +591,22 @@ impl DenseTsgd {
     }
 }
 
-/// "No column position" / "no arrival site" sentinel.
+/// The root's "no arrival site".
 const NONE: u32 = u32::MAX;
 
 /// One Figure 4 state on the traversal path: the node, the site it was
-/// reached through (`NONE` for `G_i`, the root), and its scan cursor — the
-/// row index and column position of the next candidate to examine, and the
-/// abstract ticks already charged for the (permanently skipped) prefix
-/// before it.
+/// reached through (`NONE` for `G_i`, the root), the end of its row in the
+/// call's edge table, and its scan cursor — the edge record and column
+/// position of the next candidate to examine, and the abstract ticks
+/// already charged for the (permanently skipped) prefix before it.
 #[derive(Clone, Copy, Debug)]
 struct Frame {
     v: u32,
     arrived: u32,
-    site_idx: u32,
+    at: u32,
+    end: u32,
     txn_idx: u32,
     charged: u64,
-}
-
-impl Frame {
-    /// State `(arrived, v)`, just entered: cursor at the start of `v`'s row.
-    fn entered(v: u32, arrived: u32) -> Self {
-        Frame {
-            v,
-            arrived,
-            site_idx: 0,
-            txn_idx: 0,
-            charged: 0,
-        }
-    }
 }
 
 /// A candidate `(u, w)` a scan chose: `u`'s site slot, `w`'s position in
@@ -638,14 +630,32 @@ struct DeltaDep {
     gi_idx: u32,
 }
 
-/// Reusable scratch for [`eliminate_cycles_dense_with`]: the states not yet
-/// entered, the Δ set and the per-node emptied-column marks of one call
-/// (laid out or epoch-stamped when the call starts), the traversal path,
-/// the Δ the last call found, and two lifetime counters. The hot loop
-/// allocates nothing after warm-up.
+/// One TSG edge `(v, s_u)` in a call's edge table: what node `v`'s scan of
+/// `s_u`'s column needs, and what the call has learned about it.
+#[derive(Clone, Copy, Debug)]
+struct EdgeRec {
+    /// The column positions `v` skips, for a column of at most 64
+    /// members: the edge's after set, its own position, and `G_i`'s
+    /// position once `v` took Δ here. Unused for a longer column.
+    mask: u64,
+    /// `s_u`'s slot.
+    ss: u32,
+    /// `s_u`'s column length.
+    len: u32,
+    /// For a column of more than 64 members: the first of its mask's
+    /// `len.div_ceil(64)` words in the scratch's `masks`.
+    spill: u32,
+    /// A state of `v` has scanned this column to its end in this call.
+    emptied: bool,
+}
+
+/// Reusable scratch for [`eliminate_cycles_dense_with`]: one call's states
+/// not yet entered, its edge table, the traversal path, the Δ the last
+/// call found, and three lifetime counters. Every table is laid out anew
+/// when a call starts, so no call reads another's; the hot loop allocates
+/// nothing after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct EliminateScratch {
-    epoch: u64,
     /// Site slot → the first word of its column in `open`.
     base: Vec<u32>,
     /// The states not yet entered (the complement of Figure 4's `used`),
@@ -656,33 +666,36 @@ pub struct EliminateScratch {
     /// end are clear. Position space is stable for the whole call: the TSGD
     /// is borrowed shared, so no column mutates underneath.
     open: Vec<u64>,
-    /// Site slot → `G_i`'s (column position, row index) there, `NONE` where
-    /// it has no edge: set from its row when a call starts, reset when it
-    /// ends.
-    gi_at: Vec<(u32, u32)>,
-    /// Site slot → `before` slots with a Δ-dependency into `G_i`.
-    delta_sites: Vec<(u64, DenseBitSet)>,
-    /// Txn slot → the row indices (below 64) of the columns one of the
-    /// node's states has scanned to the end in this call, stamped with the
-    /// call's epoch. A later state of the node charges such a column
-    /// without scanning it.
-    emptied: Vec<(u64, u64)>,
+    /// One record per TSG edge, each transaction's row in row order.
+    recs: Vec<EdgeRec>,
+    /// Txn slot → its row's first record in `recs`; the row ends where the
+    /// next slot's begins (one entry past the last slot).
+    rows: Vec<u32>,
+    /// The skip masks of the columns longer than 64 members, each
+    /// `len.div_ceil(64)` words from its record's `spill`.
+    masks: Vec<u64>,
+    /// Site slot → `G_i`'s row index there, set from its row when a call
+    /// starts. Only a Δ choice reads it, and Δ lies at one of `G_i`'s
+    /// sites, so the other entries may be left over from earlier calls.
+    gi_at: Vec<u32>,
     /// The ancestors of the state being scanned, root first.
     path: Vec<Frame>,
     /// `G_i`'s slot in the last call, and the Δ that call found, in the
-    /// reference's order — unique by construction, since `delta_sites`
-    /// blocks a repeat.
+    /// reference's order — unique by construction, since a Δ choice blocks
+    /// `G_i`'s position in the edge's mask.
     gslot: u32,
     delta: Vec<DeltaDep>,
     /// States entered below the root, over every call.
     states: u64,
     /// Column scans charged in closed form, over every call.
     scans_elided: u64,
+    /// Δ dependencies found, over every call.
+    deltas: u64,
 }
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "slots and site slots are below the capacities begin() sized the tables to, `open` holds every column's words from its `base`, and scans index a column below its length."
+    reason = "slots and site slots are below the capacities begin() sized the tables to, `open` and `masks` hold every column's words from its `base` and `spill`, records index a row below its end, and scans index a column below its length."
 )]
 impl EliminateScratch {
     /// Fresh scratch (grows lazily to the TSGD's slot capacities).
@@ -703,18 +716,18 @@ impl EliminateScratch {
         self.scans_elided
     }
 
-    /// Start a call for `G_i` in slot `gslot`: open every state, stamp a
-    /// new epoch and record `G_i`'s edges.
+    /// Δ dependencies found, over every call made with this scratch.
+    pub fn deltas(&self) -> u64 {
+        self.deltas
+    }
+
+    /// Start a call for `G_i` in slot `gslot`: open every state, lay out
+    /// one record per edge and record `G_i`'s edges.
     fn begin(&mut self, tsgd: &DenseTsgd, gslot: u32) {
-        self.epoch += 1;
         let site_cap = tsgd.sites.capacity();
         if self.gi_at.len() < site_cap {
             self.base.resize(site_cap, 0);
-            self.gi_at.resize(site_cap, (NONE, NONE));
-            self.delta_sites.resize_with(site_cap, Default::default);
-        }
-        if self.emptied.len() < tsgd.txns.capacity() {
-            self.emptied.resize(tsgd.txns.capacity(), (0, 0));
+            self.gi_at.resize(site_cap, 0);
         }
         self.open.clear();
         for (ss, base) in self.base.iter_mut().enumerate().take(site_cap) {
@@ -725,17 +738,49 @@ impl EliminateScratch {
                 self.open.push((1u64 << (len % 64)) - 1);
             }
         }
+        self.recs.clear();
+        self.rows.clear();
+        self.masks.clear();
+        for row in &tsgd.edges {
+            self.rows.push(self.recs.len() as u32);
+            for e in row {
+                let len = tsgd.txns_col(e.ss).len();
+                let after = e.after.as_words();
+                let own = 1u64 << (e.pos % 64);
+                let mut rec = EdgeRec {
+                    mask: 0,
+                    ss: e.ss,
+                    len: len as u32,
+                    spill: self.masks.len() as u32,
+                    emptied: false,
+                };
+                if len <= 64 {
+                    rec.mask = after.first().copied().unwrap_or(0) | own;
+                } else {
+                    let words = (0..len.div_ceil(64)).map(|w| after.get(w).copied().unwrap_or(0));
+                    self.masks.extend(words);
+                    self.masks[rec.spill as usize + e.pos as usize / 64] |= own;
+                }
+                self.recs.push(rec);
+            }
+        }
+        self.rows.push(self.recs.len() as u32);
         for (i, e) in tsgd.row(gslot).iter().enumerate() {
-            self.gi_at[e.ss as usize] = (e.pos, i as u32);
+            self.gi_at[e.ss as usize] = i as u32;
         }
         self.gslot = gslot;
         self.path.clear();
     }
 
-    /// End the call: forget `G_i`'s edges.
-    fn end(&mut self, tsgd: &DenseTsgd) {
-        for e in tsgd.row(self.gslot) {
-            self.gi_at[e.ss as usize] = (NONE, NONE);
+    /// State `(arrived, v)`, just entered: cursor at the start of `v`'s row.
+    fn frame(&self, v: u32, arrived: u32) -> Frame {
+        Frame {
+            v,
+            arrived,
+            at: self.rows[v as usize],
+            end: self.rows[v as usize + 1],
+            txn_idx: 0,
+            charged: 0,
         }
     }
 
@@ -753,45 +798,38 @@ impl EliminateScratch {
         *word &= !bit;
     }
 
-    /// The first position at or after `from` (< `col_len`) in the column of
-    /// `edge` — node `v`'s edge — that `v`'s scan would choose: an open
-    /// state, not in `edge`'s after set, not `v` itself, and not `G_i` once
-    /// `v` took it as Δ there. A word-parallel find-first over the column's
-    /// words from `from`'s.
-    #[inline]
-    fn first_candidate(&self, edge: &Edge, v: u32, from: usize, col_len: usize) -> Option<usize> {
-        let us = edge.ss as usize;
-        let open = &self.open[self.base[us] as usize..];
-        let after = edge.after.as_words();
-        let posv = edge.pos as usize;
-        // `v` itself is never a candidate; neither is `G_i` once `v` took
-        // it as Δ here (otherwise this repeats `posv`, a no-op).
-        let gpos = match self.gi_at[us].0 as usize {
-            g if g >= from
-                && g != NONE as usize
-                && stamped_bit(&self.delta_sites, edge.ss, v, self.epoch) =>
-            {
-                g
-            }
-            _ => posv,
-        };
-        let cand = |w: usize| {
-            let c = open[w] & !after.get(w).copied().unwrap_or(0);
-            c & !(u64::from(posv / 64 == w) << (posv % 64))
-                & !(u64::from(gpos / 64 == w) << (gpos % 64))
-        };
-        let (first, last) = (from / 64, (col_len - 1) / 64);
-        let head = cand(first) & (!0u64 << (from % 64));
-        if head != 0 {
-            return Some(first * 64 + head.trailing_zeros() as usize);
+    /// The first position at or after `from` (< the column's length) in
+    /// the column of edge record `rec` that its node's scan would choose:
+    /// an open state its skip mask does not hold.
+    #[inline(always)]
+    fn first_candidate(&self, rec: &EdgeRec, from: usize) -> Option<usize> {
+        let open = &self.open[self.base[rec.ss as usize] as usize..];
+        if rec.len <= 64 {
+            let c = open[0] & !rec.mask & (!0u64 << from);
+            return (c != 0).then_some(c.trailing_zeros() as usize);
         }
-        for w in first + 1..=last {
-            let c = cand(w);
+        let masks = &self.masks[rec.spill as usize..];
+        let mut keep = !0u64 << (from % 64);
+        for w in from / 64..(rec.len as usize).div_ceil(64) {
+            let c = open[w] & !masks[w] & keep;
             if c != 0 {
                 return Some(w * 64 + c.trailing_zeros() as usize);
             }
+            keep = !0;
         }
         None
+    }
+
+    /// `G_i`'s position `q` joins record `r`'s skip mask: its node took Δ
+    /// there.
+    fn block(&mut self, r: usize, q: usize) {
+        let rec = &mut self.recs[r];
+        let bit = 1u64 << (q % 64);
+        if rec.len <= 64 {
+            rec.mask |= bit;
+        } else {
+            self.masks[rec.spill as usize + q / 64] |= bit;
+        }
     }
 
     /// Run state `f` from its cursor until it chooses a candidate that
@@ -800,93 +838,65 @@ impl EliminateScratch {
     /// added to `ticks` and the scan goes on. A column that an earlier
     /// state of the same node scanned to the end is charged without a
     /// scan; a column this scan finishes is marked so. Inlined into the
-    /// one loop that calls it three times: the walk is all control flow.
+    /// walk's one loop: the walk is all control flow.
     #[inline(always)]
     fn scan(&mut self, tsgd: &DenseTsgd, f: &mut Frame, ticks: &mut u64) -> Option<Cand> {
-        let row = tsgd.row(f.v);
-        let marks = self.emptied[f.v as usize];
-        let mut emptied = if marks.0 == self.epoch { marks.1 } else { 0 };
-        let (mut si, mut ti, mut charged) = (f.site_idx as usize, f.txn_idx as usize, f.charged);
+        let (mut r, mut ti, mut charged) = (f.at as usize, f.txn_idx as usize, f.charged);
         let mut chosen = None;
-        'row: while let Some(edge) = row.get(si) {
+        'row: while r < f.end as usize {
+            let rec = self.recs[r];
+            let len = rec.len as usize;
             // `arrived` is the reference's `head(s_par(v))`: not scanned.
-            if edge.ss != f.arrived {
-                let col = tsgd.txns_col(edge.ss);
-                // Rows longer than 64 edges leave their tail unmarked.
-                let bit = 1u64.checked_shl(si as u32).unwrap_or(0);
-                if emptied & bit != 0 {
-                    if ti < col.len() {
+            if rec.ss != f.arrived {
+                if rec.emptied {
+                    if ti < len {
                         debug_assert!(
-                            self.first_candidate(edge, f.v, ti, col.len()).is_none(),
+                            self.first_candidate(&rec, ti).is_none(),
                             "elided scan of node {} at site slot {} has a candidate",
                             f.v,
-                            edge.ss
+                            rec.ss
                         );
                         self.scans_elided += 1;
-                        charged += (col.len() - ti) as u64;
+                        charged += (len - ti) as u64;
                     }
                 } else {
-                    while ti < col.len() {
-                        let Some(q) = self.first_candidate(edge, f.v, ti, col.len()) else {
-                            charged += (col.len() - ti) as u64;
+                    while ti < len {
+                        let Some(q) = self.first_candidate(&rec, ti) else {
+                            charged += (len - ti) as u64;
                             break;
                         };
                         charged += (q - ti) as u64 + 1;
                         ti = q + 1;
-                        let ws = col[q].1;
+                        let ws = tsgd.txns_col(rec.ss)[q].1;
                         if ws != self.gslot {
                             chosen = Some(Cand {
-                                us: edge.ss,
+                                us: rec.ss,
                                 q: q as u32,
                                 ws,
                             });
                             break 'row;
                         }
                         // Cycle found: pin `v` before `G_i` at the site.
-                        stamp_bitset(&mut self.delta_sites, edge.ss, self.epoch).insert(f.v);
+                        self.block(r, q);
+                        let si = r - self.rows[f.v as usize] as usize;
                         self.delta.push(DeltaDep {
-                            site: edge.site,
+                            site: tsgd.row(f.v)[si].site,
                             before: f.v,
                             before_idx: si as u32,
-                            gi_idx: self.gi_at[edge.ss as usize].1,
+                            gi_idx: self.gi_at[rec.ss as usize],
                         });
                         *ticks += 1 + charged;
                     }
-                    emptied |= bit;
+                    self.recs[r].emptied = true;
                 }
             }
-            si += 1;
+            r += 1;
             ti = 0;
         }
         *ticks += charged - f.charged;
-        (f.site_idx, f.txn_idx, f.charged) = (si as u32, ti as u32, charged);
-        self.emptied[f.v as usize] = (self.epoch, emptied);
+        (f.at, f.txn_idx, f.charged) = (r as u32, ti as u32, charged);
         chosen
     }
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "callers index with slots below the capacities EliminateScratch::begin sized the rows to."
-)]
-#[inline]
-fn stamp_bitset(vec: &mut [(u64, DenseBitSet)], idx: u32, epoch: u64) -> &mut DenseBitSet {
-    let e = &mut vec[idx as usize];
-    if e.0 != epoch {
-        e.0 = epoch;
-        e.1.clear();
-    }
-    &mut e.1
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "callers index with slots below the capacities EliminateScratch::begin sized the rows to."
-)]
-#[inline]
-fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bool {
-    let e = &vec[idx as usize];
-    e.0 == epoch && e.1.contains(bit)
 }
 
 /// Figure 4 (`Eliminate_Cycles`) over the dense storage: the same Δ, in the
@@ -897,13 +907,17 @@ fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bo
 /// `scratch` in slot space: [`DenseTsgd::add_delta`] folds it in,
 /// [`DenseTsgd::delta_set`] resolves it to [`Dep`]s.
 ///
-/// Within one call whether node `v` skips the candidate at a column
-/// position never depends on the state `v` was entered through, and once
-/// true stays true: `w == v` is fixed, `v`'s after set cannot change
-/// through the shared borrow, the set of not-yet-entered states only
-/// shrinks, and `G_i`'s position is blocked for `v` for good once `v` took
-/// it as Δ. A chosen candidate is skipped from then on (its state was
-/// entered, or it became Δ). Three consequences make the walk cheap:
+/// A call starts by laying out one record per TSG edge (site slot, column
+/// length, skip mask = the after set OR the edge's own column position,
+/// emptied flag), so a scan reads one record and ANDs one mask into the
+/// not-yet-entered states. Within one call whether node `v` skips the
+/// candidate at a column position never depends on the state `v` was
+/// entered through, and once true stays true: `w == v` is fixed, `v`'s
+/// after set cannot change through the shared borrow, the set of
+/// not-yet-entered states only shrinks, and `G_i`'s position joins `v`'s
+/// mask at a site for good once `v` took it as Δ there. A chosen candidate
+/// is skipped from then on (its state was entered, or it became Δ). Three
+/// consequences make the walk cheap:
 ///
 /// - **The cursor lives in the frame.** Coming back to a state, the
 ///   reference re-examines a prefix of skipped candidates, one tick each:
@@ -912,15 +926,13 @@ fn stamped_bit(vec: &[(u64, DenseBitSet)], idx: u32, bit: u32, epoch: u64) -> bo
 ///   the frame is its only cursor.
 /// - **A column the node emptied is charged, not scanned.** When any state
 ///   of `v` has scanned a column to its end, every position in it is
-///   skipped for `v` for the rest of the call, so a later state of `v`
-///   charges `col_len − ti` for it without a scan (counted by
-///   [`EliminateScratch::scans_elided`]; debug builds re-run the scan and
-///   assert that it finds nothing).
-/// - **Δ choices and leaf children are settled in the scanning frame.** A
-///   Δ choice ends the reference's trip and starts the next at the same
-///   cursor, so its `1 + charged` ticks are added and the scan goes on. A
-///   child whose first scan enters nothing is charged and dropped at once,
-///   with no push, pop or resume of the path.
+///   skipped for `v` for the rest of the call, so the edge's record is
+///   flagged and a later state of `v` charges `col_len − ti` for it
+///   without a scan (counted by [`EliminateScratch::scans_elided`]; debug
+///   builds re-run the scan and assert that it finds nothing).
+/// - **Δ choices are settled in the scanning frame.** A Δ choice ends the
+///   reference's trip and starts the next at the same cursor, so its
+///   `1 + charged` ticks are added and the scan goes on.
 pub fn eliminate_cycles_dense_with(
     tsgd: &DenseTsgd,
     gi: GlobalTxnId,
@@ -936,33 +948,26 @@ pub fn eliminate_cycles_dense_with(
     scratch.begin(tsgd, gslot);
     // Every trip of the reference loop costs one tick plus the candidates
     // it examines; they are summed here and charged in one `bump`.
-    let mut cur = Frame::entered(gslot, NONE);
+    let mut cur = scratch.frame(gslot, NONE);
     let mut ticks = 1;
-    let mut next = scratch.scan(tsgd, &mut cur, &mut ticks);
     loop {
-        if let Some(c) = next {
+        if let Some(c) = scratch.scan(tsgd, &mut cur, &mut ticks) {
+            // Descend: the child's first trip.
             scratch.enter(c);
-            // The child's first trip. A child that enters nothing is a
-            // leaf: it is popped right here, not pushed.
-            let mut child = Frame::entered(c.ws, c.us);
             ticks += 1;
-            next = scratch.scan(tsgd, &mut child, &mut ticks);
-            if next.is_some() {
-                scratch.path.push(std::mem::replace(&mut cur, child));
-                continue;
-            }
+            let child = scratch.frame(c.ws, c.us);
+            scratch.path.push(std::mem::replace(&mut cur, child));
         } else if let Some(parent) = scratch.path.pop() {
+            // Back at the parent: its next trip replays the prefix it
+            // already charged, then resumes at the cursor.
             cur = parent;
+            ticks += 1 + cur.charged;
         } else {
             break;
         }
-        // Back at `cur`: its next trip replays the prefix it already
-        // charged, then resumes at the cursor.
-        ticks += 1 + cur.charged;
-        next = scratch.scan(tsgd, &mut cur, &mut ticks);
     }
     steps.bump(StepKind::Act, ticks);
-    scratch.end(tsgd);
+    scratch.deltas += scratch.delta.len() as u64;
 }
 
 #[cfg(test)]
@@ -1190,8 +1195,8 @@ mod tests {
             dense.add_dep(d);
         }
         let mut scratch = EliminateScratch::new();
-        // Several rounds through one scratch: epoch stamping must isolate
-        // calls, and charges must equal the reference every time.
+        // Several rounds through one scratch: each call's tables must be
+        // laid out anew, and charges must equal the reference every time.
         for target in [5u64, 1, 4] {
             let mut steps_ref = StepCounter::new();
             let mut steps_cur = StepCounter::new();

@@ -547,6 +547,121 @@ fn eliminate_cycles_elides_a_column_the_node_emptied() {
     assert_eq!(elim(btree), (0, 0), "btree");
 }
 
+/// A script whose first transaction has an edge at each of 70 sites, so
+/// its row runs past 64 edges, and whose later transactions share a few
+/// of those sites with it, some past the 64th: an `init` walks through
+/// the first transaction more than once, with columns that state already
+/// emptied at both ends of its row.
+fn wide_row_script() -> Script {
+    let sites = |ks: &[u32]| ks.iter().map(|&k| SiteId(k)).collect::<Vec<_>>();
+    let txns: [(u64, Vec<SiteId>); 4] = [
+        (1, (0..70).map(SiteId).collect()),
+        (2, sites(&[0, 1, 65, 66, 67])),
+        (3, sites(&[0, 2, 66, 68])),
+        (4, sites(&[1, 65, 69])),
+    ];
+    let mut events: Vec<ScriptEvent> = txns
+        .iter()
+        .map(|(t, ss)| ScriptEvent::Init(GlobalTxnId(*t), ss.clone()))
+        .collect();
+    // The later transactions' sers first, in reverse, then the first
+    // transaction's: every site sees them in an order the inits left open.
+    for (t, ss) in txns.iter().rev() {
+        events.extend(ss.iter().map(|&k| ScriptEvent::Ser(GlobalTxnId(*t), k)));
+    }
+    let script = Script { events };
+    assert_eq!(script.validate(), Ok(()));
+    script
+}
+
+/// Grow a reference and a dense TSGD from `script` with no removals — each
+/// `init` inserts its transaction and folds in its Δ, each `ser` adds a
+/// dependency from every earlier `ser` at its site that does not oppose one
+/// already there — and require the dense `Eliminate_Cycles` to find the
+/// reference Δ, in slot form, with the reference step charges at every
+/// `init`. Returns the dense walk's (states, scans elided, Δ) counts.
+fn assert_delta_parity(script: &Script, label: &str) -> (u64, u64, u64) {
+    let (mut reference, mut dense) = (Tsgd::new(), DenseTsgd::new());
+    let mut scratch = EliminateScratch::new();
+    let mut deps = std::collections::BTreeSet::new();
+    let mut sered: BTreeMap<SiteId, Vec<GlobalTxnId>> = BTreeMap::new();
+    let mut add = |reference: &mut Tsgd, dense: &mut DenseTsgd, dep: Dep| {
+        let reverse = Dep {
+            before: dep.after,
+            after: dep.before,
+            ..dep
+        };
+        if !deps.contains(&reverse) && deps.insert(dep) {
+            reference.add_dep(dep);
+            dense.add_dep(dep);
+        }
+    };
+    for ev in &script.events {
+        match ev {
+            ScriptEvent::Init(txn, sites) => {
+                reference.insert_txn(*txn, sites);
+                dense.insert_txn(*txn, sites);
+                let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
+                let delta = eliminate_cycles(&reference, *txn, &mut steps_ref);
+                eliminate_cycles_dense_with(&dense, *txn, &mut steps_dense, &mut scratch);
+                assert_eq!(dense.delta_set(&scratch), delta, "{label}: Δ of {txn}");
+                assert_eq!(steps_dense, steps_ref, "{label}: steps of {txn}");
+                for dep in delta {
+                    add(&mut reference, &mut dense, dep);
+                }
+            }
+            ScriptEvent::Ser(txn, site) => {
+                let earlier = sered.entry(*site).or_default();
+                for &before in earlier.iter() {
+                    let dep = Dep {
+                        site: *site,
+                        before,
+                        after: *txn,
+                    };
+                    add(&mut reference, &mut dense, dep);
+                }
+                earlier.push(*txn);
+            }
+        }
+    }
+    assert!(dense.edges_consistent(), "{label}: edge records");
+    (scratch.states(), scratch.scans_elided(), scratch.deltas())
+}
+
+/// Scheme 2's dense walk against the oracle past one word: the proptests
+/// stop at a dozen transactions over four sites, so they never build a
+/// column of more than 64 members or a row of more than 64 edges. Two
+/// scripts do. In `Script::random(80, 2, 2.0, _)` every transaction is at
+/// both sites, so both columns reach 80 members; `wide_row_script` has a
+/// 70-edge row. Each must give identical `ser(S)`, stats and steps on both
+/// kernels, and the same Δ at every `init` of a TSGD grown from it. The
+/// dense walk's (states, scans elided, Δ) counts on that TSGD are pinned
+/// too: the wide row's elisions include columns past its 64th edge.
+#[test]
+fn eliminate_cycles_matches_reference_past_one_word() {
+    for (label, script, elim) in [
+        (
+            "two 80-member columns",
+            Script::random(80, 2, 2.0, 5),
+            (6_320, 0, 6_320),
+        ),
+        ("a 70-edge row", wide_row_script(), (22, 1_038, 16)),
+    ] {
+        let outcomes = replays(SchemeKind::Scheme2, &script);
+        let [reference, dense] = &outcomes[..] else {
+            panic!("Scheme 2 has a btree and a dense kernel");
+        };
+        assert_identical(reference, dense, label);
+        assert_eq!(dense.completed, script.txn_count(), "{label}");
+        assert_eq!(dense.protocol_violations, 0, "{label}");
+        assert_eq!(
+            assert_delta_parity(&script, label),
+            elim,
+            "{label}: walk work"
+        );
+    }
+}
+
 /// Every valid script over `ntxns` transactions and two sites with at most
 /// `max_sers` `ser`s in total: each transaction takes any non-empty site
 /// set, and the events interleave in every order that puts a transaction's

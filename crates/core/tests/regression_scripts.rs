@@ -146,20 +146,87 @@ fn overlap_chain_3txn_wake_hints_complete() {
     assert_hints_complete(&shrink_case_overlap_chain_3txn());
 }
 
+/// One dense-kernel replay cell's decisions and machine work, per scheme
+/// in `Scheme0..Scheme3` order: (scheme, cond, act, wait_scan, waited,
+/// wake_scan_sum, `ser(S)` digest).
+type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
+
+/// Replay `script` on every scheme's dense kernel and compare with
+/// `golden`, Scheme 2's `Eliminate_Cycles` work (states entered below the
+/// root, column scans charged without running them, Δ dependencies
+/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, and
+/// each scheme's `gtm2.wake_elided` with `wake_elided`.
+fn assert_dense_cell(
+    cell: &str,
+    script: &Script,
+    golden: CellGolden,
+    scheme2_elim: (u64, u64, u64),
+    wake_elided: [u64; 4],
+) {
+    let n = script.txn_count();
+    for ((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided) in
+        golden.into_iter().zip(wake_elided)
+    {
+        let mut engine = Gtm2::new(kind.build());
+        let out = replay_with(&mut engine, script);
+        let mut metrics = Registry::new();
+        engine.export_metrics(&mut metrics);
+        let elim = (
+            metrics.counter("gtm2.elim_states"),
+            metrics.counter("gtm2.elim_scans_elided"),
+            metrics.counter("gtm2.elim_delta"),
+        );
+        let digest = out
+            .ser_events
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |h, (txn, site)| {
+                fnv1a(fnv1a(h, &txn.0.to_le_bytes()), &site.0.to_le_bytes())
+            });
+        let expected = if kind == SchemeKind::Scheme2 {
+            scheme2_elim
+        } else {
+            (0, 0, 0)
+        };
+        assert_eq!(
+            elim, expected,
+            "{cell} {kind}: Eliminate_Cycles work changed"
+        );
+        assert_eq!(
+            metrics.counter("gtm2.wake_elided"),
+            elided,
+            "{cell} {kind}: closed-form wake re-tests changed"
+        );
+        assert_eq!(
+            (
+                out.steps.cond,
+                out.steps.act,
+                out.steps.wait_scan,
+                out.stats.waited,
+                out.wake_scan_sum,
+                digest
+            ),
+            (cond, act, wait_scan, waited, wake_scan_sum, ser_digest),
+            "{cell} {kind}: decisions changed"
+        );
+        assert_eq!(out.completed, n, "{cell} {kind}: incomplete");
+        assert_eq!(out.protocol_violations, 0, "{cell} {kind}");
+    }
+}
+
 /// The replay cell the benchmark's `sched_burst` workload is shaped like
 /// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
 /// pinned for the dense kernels: step charges, waits, wake-scan work, a
-/// digest of `ser(S)`, the states Scheme 2's `Eliminate_Cycles` entered
-/// and the column scans it elided, and the wake re-tests Schemes 1 and 3
-/// charged in closed form. `step_cells_golden` stops at 150 transactions
-/// and the benchmark reads wall-clock only, so nothing else holds this cell's
-/// decisions still. Ignored by default: a debug build validates every act
-/// and takes minutes; the release soak step runs it in well under a second.
+/// digest of `ser(S)`, Scheme 2's `Eliminate_Cycles` work, and the wake
+/// re-tests Schemes 1 and 3 charged in closed form. Its columns average
+/// about 168 members, so most of Scheme 2's scans run over several words.
+/// `step_cells_golden` stops at 150 transactions and the benchmark reads
+/// wall-clock only, so nothing else holds this cell's decisions still.
+/// Ignored by default: a debug build validates every act and takes
+/// minutes; the release soak step runs it in well under a second.
 #[test]
 #[ignore = "soak: run with --release -- --ignored"]
 fn burst_cell_dense_decisions_golden() {
-    // (scheme, cond, act, wait_scan, waited, wake_scan_sum, ser(S) digest)
-    const GOLDEN: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
+    const GOLDEN: CellGolden = [
         (
             SchemeKind::Scheme0,
             9_512,
@@ -198,10 +265,10 @@ fn burst_cell_dense_decisions_golden() {
         ),
     ];
     // Scheme 2's `Eliminate_Cycles` work on the cell: states entered below
-    // the root, and column scans charged without running them. Machine
-    // work, not decisions — but a walk that stops eliding, or enters a
-    // state twice, moves them.
-    const SCHEME2_ELIM: (u64, u64) = (1_247_446, 775_997);
+    // the root, column scans charged without running them, and Δ
+    // dependencies added. The first two are machine work, not decisions —
+    // but a walk that stops eliding, or enters a state twice, moves them.
+    const SCHEME2_ELIM: (u64, u64, u64) = (1_247_446, 775_997, 304_819);
     // The wake re-tests each scheme charged without running them, in
     // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
     // behind a woken `ser`, Scheme 3's fins after a `fin` and sers behind a
@@ -209,49 +276,61 @@ fn burst_cell_dense_decisions_golden() {
     // every step above and moves these.
     const WAKE_ELIDED: [u64; 4] = [0, 755_831, 0, 365_242];
     let script = Script::random(1000, 10, 2.5, 42);
-    for ((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided) in
-        GOLDEN.into_iter().zip(WAKE_ELIDED)
-    {
-        let mut engine = Gtm2::new(kind.build());
-        let out = replay_with(&mut engine, &script);
-        let mut metrics = Registry::new();
-        engine.export_metrics(&mut metrics);
-        let elim = (
-            metrics.counter("gtm2.elim_states"),
-            metrics.counter("gtm2.elim_scans_elided"),
-        );
-        let expected = if kind == SchemeKind::Scheme2 {
-            SCHEME2_ELIM
-        } else {
-            (0, 0)
-        };
-        assert_eq!(elim, expected, "{kind}: Eliminate_Cycles work changed");
-        assert_eq!(
-            metrics.counter("gtm2.wake_elided"),
-            elided,
-            "{kind}: closed-form wake re-tests changed"
-        );
-        let digest = out
-            .ser_events
-            .iter()
-            .fold(FNV_OFFSET_BASIS, |h, (txn, site)| {
-                fnv1a(fnv1a(h, &txn.0.to_le_bytes()), &site.0.to_le_bytes())
-            });
-        assert_eq!(
-            (
-                out.steps.cond,
-                out.steps.act,
-                out.steps.wait_scan,
-                out.stats.waited,
-                out.wake_scan_sum,
-                digest
-            ),
-            (cond, act, wait_scan, waited, wake_scan_sum, ser_digest),
-            "{kind}: burst-cell decisions changed"
-        );
-        assert_eq!(out.completed, 1000, "{kind}: incomplete");
-        assert_eq!(out.protocol_violations, 0, "{kind}");
-    }
+    assert_dense_cell("burst", &script, GOLDEN, SCHEME2_ELIM, WAKE_ELIDED);
+}
+
+/// The replay cell the benchmark's `sched_stream` workload is shaped like
+/// (10 000 transactions, 10 sites, d_av 2.5, at most 64 open at once;
+/// [`Script::windowed`] at seed 42), pinned like the burst cell above.
+/// Its columns average about 49 members, so most of Scheme 2's scans run
+/// in one word: between them the two cells cover both sides of that
+/// branch.
+/// Ignored by default for the same reason as the burst cell.
+#[test]
+#[ignore = "soak: run with --release -- --ignored"]
+fn stream_cell_dense_decisions_golden() {
+    const GOLDEN: CellGolden = [
+        (
+            SchemeKind::Scheme0,
+            92_291,
+            85_063,
+            70_042,
+            22_249,
+            22_249,
+            0x9f47_5b53_2110_e828,
+        ),
+        (
+            SchemeKind::Scheme1,
+            5_350_390,
+            6_603_678,
+            1_951_312,
+            29_592,
+            1_881_270,
+            0xdf95_6e34_3493_4388,
+        ),
+        (
+            SchemeKind::Scheme2,
+            5_685_705_007,
+            574_139_791,
+            943_612,
+            29_517,
+            873_570,
+            0x6cb5_27eb_d04d_1420,
+        ),
+        (
+            SchemeKind::Scheme3,
+            4_370_965,
+            113_106_283,
+            825_000,
+            20_479,
+            754_958,
+            0x4ab1_f211_6e47_a42c,
+        ),
+    ];
+    const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
+    const WAKE_ELIDED: [u64; 4] = [0, 1_762_483, 0, 621_164];
+    let script = Script::windowed(10_000, 10, 2.5, 64, 42);
+    assert_dense_cell("stream", &script, GOLDEN, SCHEME2_ELIM, WAKE_ELIDED);
 }
 
 /// The paper's complexity results (Theorems 4, 6 and 9) are step counts,
