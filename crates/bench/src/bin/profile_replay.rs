@@ -11,8 +11,12 @@
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
 //! (Schemes 1 and 3; 0 elsewhere), so `wake_scan_sum − wake_elided` bounds
-//! the re-tests that ran. A sampling profiler at its default rate takes
-//! too few samples to split one 200 ms cell: raise REPS.
+//! the re-tests that ran. `gtm2.ser_bef_targets` /
+//! `gtm2.ser_bef_ors_elided` are Scheme 3's `act(ser)` targets (Set2
+//! members charged `|Set1|`) and those of them already ordered after the
+//! serialized transaction, whose OR was skipped (0 for the other
+//! schemes). A sampling profiler at its default rate takes too few
+//! samples to split one 200 ms cell: raise REPS.
 //!
 //! ```text
 //! profile_replay [SCHEME] [SIZE] [REPS]
@@ -93,7 +97,7 @@ fn main() -> std::process::ExitCode {
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
              (cond={} act={} elim_states={states} elim_scans_elided={} elim_delta={delta} \
              states_per_init={:.1} delta_per_init={:.1} waited={} wake_scan_sum={} \
-             wake_elided={} protocol_violations={})",
+             wake_elided={} ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
@@ -103,6 +107,8 @@ fn main() -> std::process::ExitCode {
             outcome.stats.waited,
             outcome.wake_scan_sum,
             metrics.counter("gtm2.wake_elided"),
+            metrics.counter("gtm2.ser_bef_targets"),
+            metrics.counter("gtm2.ser_bef_ors_elided"),
             outcome.protocol_violations,
         );
     }

@@ -19,9 +19,9 @@
 //!   that gain and lose single members: `insert` / `remove` maintain the
 //!   cardinality, so `|S|` is O(1) and membership is a bit probe. Sets
 //!   that are OR'd wholesale (Scheme 3's `ser_bef`) are rows of a bit
-//!   matrix in the kernel instead, popcounted only where their size is
-//!   read. The workspace is zero-dependency, so this is written by hand
-//!   rather than pulled in.
+//!   matrix in the kernel instead, whose sizes the kernel keeps from the
+//!   bits each OR adds. The workspace is zero-dependency, so this is
+//!   written by hand rather than pulled in.
 //!
 //! None of these counts paper steps: abstract cost accounting stays in
 //! the schemes (`StepCounter` ticks are placed where the paper's cost model

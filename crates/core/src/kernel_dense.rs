@@ -53,11 +53,13 @@
 //!   dependency fans are added in slot space.
 //! - Scheme 3's `ser_bef` sets are the rows of one row-major bit matrix
 //!   over transaction slots, all of one stride, which doubles (re-laying
-//!   the rows) when a slot outgrows it. Propagation is a plain word-wise
-//!   OR: no row keeps a count, because the workspace builds for baseline
-//!   x86-64, which has no POPCNT, and a maintained count would pay a
-//!   software popcount per OR'd word. A row is popcounted only where a
-//!   step charge reads its size.
+//!   the rows) when a slot outgrows it, and a second matrix keeps its
+//!   transpose. `act(ser)` builds Set2 from the transposed rows of the
+//!   transactions pending at the site, skips every target already ordered
+//!   after `Ĝ_i` (transitivity makes that OR a no-op), and `act(fin)`
+//!   clears `Ĝ_i`'s column by walking its transposed row. Each row's size
+//!   is kept, counted from the bits an act adds or clears, so no step
+//!   charge popcounts a row (baseline x86-64 has no POPCNT).
 //! - Scheme 3 has the engine charge two of Scheme 1's closed forms, on
 //!   proofs of its own:
 //!   - after a `fin`, every waiting fin but those whose row an `act(fin)`
@@ -698,6 +700,18 @@ impl BitMatrix {
         let start = t as usize * self.stride;
         &mut self.words[start..start + self.stride]
     }
+
+    fn contains(&self, t: u32, bit: u32) -> bool {
+        row_contains(self.row(t), bit)
+    }
+
+    fn set(&mut self, t: u32, bit: u32) {
+        self.row_mut(t)[bit as usize / 64] |= 1 << (bit % 64);
+    }
+
+    fn clear(&mut self, t: u32, bit: u32) {
+        self.row_mut(t)[bit as usize / 64] &= !(1 << (bit % 64));
+    }
 }
 
 fn row_contains(row: &[u64], bit: u32) -> bool {
@@ -705,8 +719,41 @@ fn row_contains(row: &[u64], bit: u32) -> bool {
         .is_some_and(|w| w & (1 << (bit % 64)) != 0)
 }
 
+/// The set bits of `row`, ascending.
+fn row_bits(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                64 * w as u32 + bit
+            })
+        })
+    })
+}
+
+/// A row's size recounted from its words — for validation only: the
+/// kernel keeps every row's size.
 fn row_popcount(row: &[u64]) -> usize {
     row.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// `row |= add`, calling `new_bit` once for each bit `row` did not hold;
+/// returns how many there were.
+fn or_new_bits(row: &mut [u64], add: &[u64], mut new_bit: impl FnMut(u32)) -> u32 {
+    let mut added = 0;
+    for (w, (x, &a)) in row.iter_mut().zip(add).enumerate() {
+        let new = a & !*x;
+        if new != 0 {
+            *x |= new;
+            for bit in row_bits(&[new]) {
+                new_bit(64 * w as u32 + bit);
+                added += 1;
+            }
+        }
+    }
+    added
 }
 
 /// `a ∩ b ≠ ∅`, four words per test so the ANDs vectorize; a missing
@@ -728,19 +775,27 @@ fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
 /// Scheme 3 on dense slots: `set_k` is a bitset over transaction slots,
 /// and every `ser_bef` set is one row of a row-major bit matrix, so
 /// `cond(ser)`'s emptiness test is a word-wise AND and
-/// `act(ser)`'s transitive propagation is a plain word-wise OR of Set1
-/// into each target row.
+/// `act(ser)`'s transitive propagation is a word-wise OR of Set1 into each
+/// target row.
 ///
 /// Row `t` belongs to transaction slot `t`; all rows share one stride.
 /// When a slot at or past `64·stride` is interned, the stride doubles and
 /// the rows are re-laid. Slots recycle LIFO, so the row count stays near
 /// the peak number of live transactions. A row is `live` iff the
 /// reference map has the entry (the transaction was inited and has not
-/// finned); a row that is not live is all zero. No row keeps its size:
-/// the workspace builds for baseline x86-64, which has no POPCNT, so a
-/// maintained count would pay a software popcount on every OR'd word.
-/// A row is popcounted only where a step charge reads its size
-/// (`cond(ser)` and `act(init)`), and Set1 once per `act(ser)`.
+/// finned); a row that is not live is all zero.
+///
+/// A second matrix, `ser_aft`, is the exact transpose: row `b` holds every
+/// `j` with `b ∈ ser_bef(j)`. `act(ser_k(Ĝ_i))` builds Set2 as
+/// `set_k ∪ ⋃_{l ∈ set_k} ser_aft(l)`, one OR per pending transaction,
+/// instead of testing every row against `set_k`. A target that already
+/// holds `Ĝ_i` is charged but not OR'd: `ser_bef` is transitively closed,
+/// so it holds all of Set1 already. Every other OR reports the bits it
+/// added, and only those reach `ser_aft` and the row's kept size.
+/// `act(fin_i)` clears `Ĝ_i`'s column by walking `ser_aft(Ĝ_i)`. The kept
+/// sizes are what the step charges of `cond(ser)`, `act(init)` and Set1
+/// read: the workspace builds for baseline x86-64, which has no POPCNT, so
+/// a recount would pay a software popcount over the whole row.
 ///
 /// `cond(fin_i)` holds iff row `i` is all zero, so a `fin` that failed can
 /// pass only once its row empties, and only `act(fin)` takes bits out of a
@@ -755,6 +810,12 @@ pub struct Scheme3Dense {
     sites: DenseInterner<SiteId>,
     /// Txn slot → `ser_bef(Ĝ_i)` as a row of bits over txn slots.
     ser_bef: BitMatrix,
+    /// The transpose of `ser_bef`: row `b` holds every `j` with
+    /// `b ∈ ser_bef(j)`. Same stride as `ser_bef`.
+    ser_aft: BitMatrix,
+    /// Txn slot → `|ser_bef(Ĝ_i)|`, kept from the bits each act adds or
+    /// clears.
+    ser_bef_sizes: Vec<u32>,
     /// Txn slot → does the reference map have a `ser_bef` entry?
     live: Vec<bool>,
     /// Live txn slots whose row an `act(fin)` left all zero, and which no
@@ -774,6 +835,14 @@ pub struct Scheme3Dense {
     /// One matrix row of scratch: `act(init)`'s new row and `act(ser)`'s
     /// Set1 (reused across calls).
     scratch_row: Vec<u64>,
+    /// One matrix row of scratch: `act(ser)`'s Set2.
+    scratch_targets: Vec<u64>,
+    /// Set2 members `act(ser)` charged `|Set1|` (exported as
+    /// `gtm2.ser_bef_targets`).
+    ser_bef_targets: u64,
+    /// Set2 members that already held `Ĝ_i`, so no OR ran (exported as
+    /// `gtm2.ser_bef_ors_elided`).
+    ser_bef_ors_elided: u64,
 }
 
 #[expect(
@@ -792,9 +861,7 @@ impl Scheme3Dense {
         let Some(ts) = self.txns.slot_of(&txn) else {
             return BTreeSet::new();
         };
-        let bef = self.ser_bef.row(ts);
-        (0..self.live.len() as u32)
-            .filter(|&b| row_contains(bef, b))
+        row_bits(self.ser_bef.row(ts))
             .filter_map(|b| self.txns.key_of(b))
             .collect()
     }
@@ -803,11 +870,14 @@ impl Scheme3Dense {
         let n = ts as usize + 1;
         if self.live.len() < n {
             self.live.resize(n, false);
+            self.ser_bef_sizes.resize(n, 0);
             self.acked.resize_with(n, DenseBitSet::new);
             self.sites_map.resize_with(n, || None);
         }
         self.ser_bef.reserve(n, ts);
+        self.ser_aft.reserve(n, ts);
         self.scratch_row.resize(self.ser_bef.stride, 0);
+        self.scratch_targets.resize(self.ser_bef.stride, 0);
     }
 
     fn ensure_site_rows(&mut self, ss: u32) {
@@ -818,11 +888,11 @@ impl Scheme3Dense {
         }
     }
 
-    fn acked_pair(&self, l: GlobalTxnId, site: SiteId) -> bool {
-        match (self.txns.slot_of(&l), self.sites.slot_of(&site)) {
-            (Some(lt), Some(ss)) => self.acked[lt as usize].contains(ss),
-            _ => false,
-        }
+    /// Has `l` been acked at the site in slot `ss`?
+    fn acked_at(&self, l: GlobalTxnId, ss: u32) -> bool {
+        self.txns
+            .slot_of(&l)
+            .is_some_and(|lt| self.acked[lt as usize].contains(ss))
     }
 }
 
@@ -839,30 +909,28 @@ impl Gtm2Scheme for Scheme3Dense {
         steps.tick(StepKind::Cond);
         match op {
             QueueOp::Ser { txn, site } => {
-                if let Some(ss) = self.sites.slot_of(site) {
-                    if let Some(l) = self.last[ss as usize] {
-                        steps.tick(StepKind::Cond);
-                        if !self.acked_pair(l, *site) {
-                            return false;
-                        }
+                let Some(ss) = self.sites.slot_of(site) else {
+                    return true;
+                };
+                if let Some(l) = self.last[ss as usize] {
+                    steps.tick(StepKind::Cond);
+                    if !self.acked_at(l, ss) {
+                        return false;
                     }
                 }
-                let set = self.sites.slot_of(site).map(|ss| &self.sets[ss as usize]);
                 // A row that is not live is all zero: it charges nothing
                 // and meets nothing, as the reference's missing entry.
-                match (self.txns.slot_of(txn), set) {
-                    (Some(ts), Some(set)) => {
-                        let bef = self.ser_bef.row(ts);
-                        steps.bump(StepKind::Cond, row_popcount(bef).min(set.len()) as u64);
-                        !rows_intersect(bef, set.as_words())
-                    }
-                    _ => true,
-                }
+                self.txns.slot_of(txn).is_none_or(|ts| {
+                    let set = &self.sets[ss as usize];
+                    let size = self.ser_bef_sizes[ts as usize] as usize;
+                    steps.bump(StepKind::Cond, size.min(set.len()) as u64);
+                    size == 0 || !rows_intersect(self.ser_bef.row(ts), set.as_words())
+                })
             }
             QueueOp::Fin { txn } => self
                 .txns
                 .slot_of(txn)
-                .is_none_or(|ts| self.ser_bef.row(ts).iter().all(|&w| w == 0)),
+                .is_none_or(|ts| self.ser_bef_sizes[ts as usize] == 0),
             QueueOp::Init { .. } | QueueOp::Ack { .. } => true,
         }
     }
@@ -880,9 +948,8 @@ impl Gtm2Scheme for Scheme3Dense {
                     self.sets[ss as usize].insert(ts);
                     if let Some(l) = self.last[ss as usize] {
                         if let Some(lt) = self.txns.slot_of(&l) {
-                            let lb = self.ser_bef.row(lt);
-                            steps.bump(StepKind::Act, row_popcount(lb) as u64);
-                            for (w, &b) in self.scratch_row.iter_mut().zip(lb) {
+                            steps.bump(StepKind::Act, u64::from(self.ser_bef_sizes[lt as usize]));
+                            for (w, &b) in self.scratch_row.iter_mut().zip(self.ser_bef.row(lt)) {
                                 *w |= b;
                             }
                             self.scratch_row[lt as usize / 64] |= 1 << (lt % 64);
@@ -892,6 +959,13 @@ impl Gtm2Scheme for Scheme3Dense {
                 debug_assert!(!self.live[ts as usize], "{txn} inited twice");
                 self.live[ts as usize] = true;
                 self.ser_bef_len += 1;
+                // A row that is not live is all zero, so every bit is new.
+                let mut size = 0;
+                for b in row_bits(&self.scratch_row) {
+                    self.ser_aft.set(b, ts);
+                    size += 1;
+                }
+                self.ser_bef_sizes[ts as usize] = size;
                 self.ser_bef.row_mut(ts).copy_from_slice(&self.scratch_row);
                 self.sites_map[ts as usize] = Some(sites.clone());
             }
@@ -905,38 +979,59 @@ impl Gtm2Scheme for Scheme3Dense {
                 let pending = self.sets[ss as usize].remove(ts);
                 debug_assert!(pending, "ser of {txn} at {site} not announced by its init");
                 self.last[ss as usize] = Some(*txn);
-                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the scratch row.
+                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the scratch row;
+                // Ĝ_i ∉ ser_bef(Ĝ_i), so |Set1| = |row| + 1.
                 let set1 = &mut self.scratch_row;
                 set1.copy_from_slice(self.ser_bef.row(ts));
                 set1[ts as usize / 64] |= 1 << (ts % 64);
-                let set1_len = row_popcount(set1) as u64;
+                let set1_len = u64::from(self.ser_bef_sizes[ts as usize]) + 1;
                 steps.bump(StepKind::Act, self.ser_bef_len as u64);
                 // Targets: everything still pending at the site, plus every
                 // transaction already ordered after something pending here
-                // (Set2). A target's test reads only its own row, so each
-                // is OR'd as soon as it is found.
+                // (Set2), read off the pending transactions' `ser_aft` rows.
                 let set_k = &self.sets[ss as usize];
-                let stride = self.ser_bef.stride;
-                for (j, (bef_j, &live)) in self
-                    .ser_bef
-                    .words
-                    .chunks_exact_mut(stride)
-                    .zip(&self.live)
-                    .enumerate()
-                {
-                    let j = j as u32;
-                    if live
-                        && j != ts
-                        && (set_k.contains(j) || rows_intersect(bef_j, set_k.as_words()))
-                    {
-                        steps.bump(StepKind::Act, set1_len);
-                        for (w, &b) in bef_j.iter_mut().zip(set1.iter()) {
+                // A pending transaction already in the union is ordered
+                // after one OR'd before it, so its row adds nothing.
+                let set2 = &mut self.scratch_targets;
+                set2.fill(0);
+                for l in set_k.iter() {
+                    if !row_contains(set2, l) {
+                        for (w, &b) in set2.iter_mut().zip(self.ser_aft.row(l)) {
                             *w |= b;
                         }
-                        self.emptied.remove(j);
-                        debug_assert!(!row_contains(bef_j, j), "slot {j} serialized before itself");
                     }
                 }
+                for (w, &b) in set2.iter_mut().zip(set_k.as_words()) {
+                    *w |= b;
+                }
+                set2[ts as usize / 64] &= !(1 << (ts % 64));
+                // The targets that already hold Ĝ_i are Set2 ∩ ser_aft(Ĝ_i).
+                // ser_bef is transitively closed, so each holds ser_bef(Ĝ_i)
+                // too and its OR would add nothing: they are charged and
+                // counted here, and only the rest are visited.
+                let mut elided = 0;
+                for (w, &after) in set2.iter_mut().zip(self.ser_aft.row(ts)) {
+                    if *w & after != 0 {
+                        elided += u64::from((*w & after).count_ones());
+                        *w &= !after;
+                    }
+                }
+                let mut ored = 0;
+                for j in row_bits(set2) {
+                    debug_assert!(self.live[j as usize], "slot {j}: target not live");
+                    let ser_aft = &mut self.ser_aft;
+                    let added = or_new_bits(self.ser_bef.row_mut(j), set1, |b| ser_aft.set(b, j));
+                    self.ser_bef_sizes[j as usize] += added;
+                    self.emptied.remove(j);
+                    debug_assert!(
+                        !self.ser_bef.contains(j, j),
+                        "slot {j} serialized before itself"
+                    );
+                    ored += 1;
+                }
+                steps.bump(StepKind::Act, (elided + ored) * set1_len);
+                self.ser_bef_targets += elided + ored;
+                self.ser_bef_ors_elided += elided;
                 out.push(SchemeEffect::SubmitSer {
                     txn: *txn,
                     site: *site,
@@ -961,21 +1056,22 @@ impl Gtm2Scheme for Scheme3Dense {
                 let Some(ts) = self.txns.slot_of(txn) else {
                     return;
                 };
-                let (word, bit) = (ts as usize / 64, 1u64 << (ts % 64));
-                for (j, row) in self
-                    .ser_bef
-                    .words
-                    .chunks_exact_mut(self.ser_bef.stride)
-                    .enumerate()
-                {
-                    if row[word] & bit != 0 {
-                        row[word] &= !bit;
-                        if row.iter().all(|&w| w == 0) {
-                            self.emptied.insert(j as u32);
-                        }
+                // Ĝ_i's column is its `ser_aft` row; its own row names the
+                // `ser_aft` rows that hold it.
+                for j in row_bits(self.ser_aft.row(ts)) {
+                    self.ser_bef.clear(j, ts);
+                    let size = &mut self.ser_bef_sizes[j as usize];
+                    *size -= 1;
+                    if *size == 0 {
+                        self.emptied.insert(j);
                     }
                 }
+                for b in row_bits(self.ser_bef.row(ts)) {
+                    self.ser_aft.clear(b, ts);
+                }
+                self.ser_aft.row_mut(ts).fill(0);
                 self.ser_bef.row_mut(ts).fill(0);
+                self.ser_bef_sizes[ts as usize] = 0;
                 self.emptied.remove(ts);
                 if self.live[ts as usize] {
                     self.live[ts as usize] = false;
@@ -1039,7 +1135,12 @@ impl Gtm2Scheme for Scheme3Dense {
         // while `last_k`'s event is unacked, before any `ser_bef` work.
         let ss = self.sites.slot_of(&site)?;
         let l = self.last[ss as usize]?;
-        (!self.acked_pair(l, site)).then_some(2)
+        (!self.acked_at(l, ss)).then_some(2)
+    }
+
+    fn export_metrics(&self, registry: &mut Registry) {
+        registry.inc("gtm2.ser_bef_targets", self.ser_bef_targets);
+        registry.inc("gtm2.ser_bef_ors_elided", self.ser_bef_ors_elided);
     }
 
     fn debug_validate(&self) {
@@ -1048,6 +1149,35 @@ impl Gtm2Scheme for Scheme3Dense {
             self.ser_bef_len,
             "ser_bef_len is not the live row count"
         );
+        // ser_aft is ser_bef's transpose: every bit of ser_bef has its
+        // mirror, and neither matrix holds a bit more.
+        assert_eq!(
+            (self.ser_aft.stride, self.ser_aft.rows()),
+            (self.ser_bef.stride, self.ser_bef.rows()),
+            "ser_aft's layout is not ser_bef's"
+        );
+        let mut mirrored = 0;
+        for t in 0..self.ser_bef.rows() as u32 {
+            for b in row_bits(self.ser_bef.row(t)) {
+                assert!(
+                    self.ser_aft.contains(b, t),
+                    "slot {b} ∈ ser_bef({t}) but {t} ∉ ser_aft({b})"
+                );
+                mirrored += 1;
+            }
+        }
+        assert_eq!(
+            row_popcount(&self.ser_aft.words),
+            mirrored,
+            "ser_aft holds a bit ser_bef does not"
+        );
+        for (t, &size) in self.ser_bef_sizes.iter().enumerate() {
+            assert_eq!(
+                size as usize,
+                row_popcount(self.ser_bef.row(t as u32)),
+                "slot {t}: kept ser_bef size drifted"
+            );
+        }
         for t in self.emptied.iter() {
             assert!(
                 self.live.get(t as usize) == Some(&true),
@@ -1066,7 +1196,7 @@ impl Gtm2Scheme for Scheme3Dense {
                 continue;
             }
             assert!(!row_contains(bef, t), "slot {t} serialized before itself");
-            for b in (0..self.live.len() as u32).filter(|&b| row_contains(bef, b)) {
+            for b in row_bits(bef) {
                 assert!(
                     self.txns.key_of(b).is_some(),
                     "slot {t}: released slot {b} still in ser_bef"
@@ -1140,5 +1270,61 @@ mod tests {
         );
         assert!(!scheme.ser_bef(g(3)).contains(&g(1)), "G1 is gone");
         scheme.debug_validate();
+    }
+
+    /// `act(ser)` skips a target already ordered after `Ĝ_i` and ORs the
+    /// rest, at the oracle's charge; `act(fin)` clears `Ĝ_i`'s column from
+    /// both matrices, so the transaction that recycles its slot starts
+    /// with no bit in either.
+    #[test]
+    fn scheme3_dense_skips_ordered_targets_and_fin_clears_both_matrices() {
+        use crate::reference::scheme3::Scheme3;
+        let mut scheme = Scheme3Dense::new();
+        let mut oracle = Scheme3::new();
+        let (mut steps, mut oracle_steps) = (StepCounter::new(), StepCounter::new());
+        let mut fx = Vec::new();
+        let mut run = |scheme: &mut Scheme3Dense, op: QueueOp| {
+            scheme.act(&op, &mut steps, &mut fx);
+            oracle.act(&op, &mut oracle_steps, &mut fx);
+            scheme.debug_validate();
+            assert_eq!(steps, oracle_steps, "{op:?}");
+            steps.act
+        };
+        let work = |scheme: &Scheme3Dense| (scheme.ser_bef_targets, scheme.ser_bef_ors_elided);
+        run(&mut scheme, init(1, &[0, 1]));
+        run(&mut scheme, init(2, &[0, 1]));
+        run(&mut scheme, init(3, &[1]));
+        // s0's pending set is {G2}: G2 is ordered after G1.
+        run(&mut scheme, ser(1, 0));
+        assert_eq!(work(&scheme), (1, 0));
+        // s1's pending set is {G2, G3}. G2 already holds G1, so only G3's
+        // row is OR'd; both are charged |Set1| = 1.
+        let charged = run(&mut scheme, ser(1, 1));
+        assert_eq!(charged, 5 + 5 + 6, "inits 2 + 2 + 1; sers 1 + 3 + targets");
+        assert_eq!(work(&scheme), (3, 1));
+        assert!(scheme.ser_bef(g(1)).is_empty());
+        assert_eq!(scheme.ser_bef(g(2)), BTreeSet::from([g(1)]));
+        assert_eq!(scheme.ser_bef(g(3)), BTreeSet::from([g(1)]));
+        let g1 = scheme.txns.slot_of(&g(1)).expect("G1 is live");
+        assert_eq!(row_bits(scheme.ser_aft.row(g1)).count(), 2);
+        run(&mut scheme, ack(1, 0));
+        run(&mut scheme, ack(1, 1));
+        run(&mut scheme, fin(1));
+        assert!(scheme.ser_bef(g(2)).is_empty() && scheme.ser_bef(g(3)).is_empty());
+        assert_eq!(
+            scheme.emptied.iter().count(),
+            2,
+            "G2's and G3's rows emptied"
+        );
+        // G4 recycles G1's slot and must inherit no bit in either matrix.
+        run(&mut scheme, init(4, &[2]));
+        assert_eq!(scheme.txns.slot_of(&g(4)), Some(g1));
+        for t in 0..scheme.ser_bef.rows() as u32 {
+            assert!(!scheme.ser_bef.contains(t, g1), "slot {g1} in ser_bef({t})");
+            assert!(!scheme.ser_aft.contains(t, g1), "slot {g1} in ser_aft({t})");
+        }
+        assert_eq!(row_bits(scheme.ser_bef.row(g1)).count(), 0);
+        assert_eq!(row_bits(scheme.ser_aft.row(g1)).count(), 0);
+        assert_eq!(scheme.ser_bef_sizes[g1 as usize], 0);
     }
 }

@@ -375,12 +375,57 @@ impl Scheme3Pair {
         self.peak_waiting = self.peak_waiting.max(self.pending.len());
     }
 
+    /// Live transactions whose oracle `ser_bef` holds `txn`.
+    fn ordered_after(&self, txn: GlobalTxnId) -> u64 {
+        self.live
+            .keys()
+            .filter(|&&j| self.reference.ser_bef(j).contains(&txn))
+            .count() as u64
+    }
+
+    /// The dense kernel's `gtm2.ser_bef_targets` and
+    /// `gtm2.ser_bef_ors_elided`.
+    fn ser_bef_work(&self) -> (u64, u64) {
+        let mut metrics = Registry::new();
+        self.dense.export_metrics(&mut metrics);
+        (
+            metrics.counter("gtm2.ser_bef_targets"),
+            metrics.counter("gtm2.ser_bef_ors_elided"),
+        )
+    }
+
     fn act(&mut self, op: &QueueOp) {
+        // A `ser`'s targets as the oracle sees them: it charges one step,
+        // one per `ser_bef` entry and `|Set1|` per target, and every target
+        // holds `Ĝ_i` afterwards. Those that held it before are the ORs the
+        // dense kernel skips.
+        let ser = match op {
+            QueueOp::Ser { txn, .. } => Some((
+                *txn,
+                self.steps_ref.act + 1 + self.live.len() as u64,
+                self.reference.ser_bef(*txn).len() as u64 + 1,
+                self.ordered_after(*txn),
+                self.ser_bef_work(),
+            )),
+            QueueOp::Init { .. } | QueueOp::Ack { .. } | QueueOp::Fin { .. } => None,
+        };
         let (mut fx_ref, mut fx_dense) = (Vec::new(), Vec::new());
         self.reference.act(op, &mut self.steps_ref, &mut fx_ref);
         self.dense.act(op, &mut self.steps_dense, &mut fx_dense);
         assert_eq!(fx_ref, fx_dense, "act({op:?})");
         assert_eq!(self.steps_ref, self.steps_dense, "act({op:?}) charge");
+        if let Some((txn, fixed, set1_len, held, (targets0, elided0))) = ser {
+            let per_target = self.steps_ref.act - fixed;
+            assert_eq!(per_target % set1_len, 0, "act({op:?}) charge per target");
+            let targets = per_target / set1_len;
+            let elided = targets - (self.ordered_after(txn) - held);
+            let (targets1, elided1) = self.ser_bef_work();
+            assert_eq!(
+                (targets1 - targets0, elided1 - elided0),
+                (targets, elided),
+                "act({op:?}): targets and skipped ORs"
+            );
+        }
         match op {
             QueueOp::Init { txn, sites } => {
                 self.live.insert(*txn, (sites.clone(), sites.len()));
@@ -431,7 +476,10 @@ impl Scheme3Pair {
 /// through the same kernels re-interns every recycled slot. After every
 /// op, each live transaction's `ser_bef` is the oracle's, each `cond(ser)`
 /// and `cond(fin)` probe gives the oracle's verdict at the oracle's
-/// charge, and the dense kernel's `debug_validate` holds.
+/// charge, and the dense kernel's `debug_validate` holds: its `ser_aft`
+/// matrix is exactly `ser_bef`'s transpose and every kept row size is the
+/// row's popcount. After every `ser`, the targets the dense kernel counted
+/// and the ORs it skipped are those the oracle's charge and rows imply.
 #[test]
 fn scheme3_matrix_growth_matches_reference() {
     const N: u64 = 136;
@@ -491,6 +539,12 @@ fn scheme3_matrix_growth_matches_reference() {
         pair.peak_ser_bef >= 32,
         "largest ser_bef {}",
         pair.peak_ser_bef
+    );
+    // Both sides of the skip ran.
+    let (targets, elided) = pair.ser_bef_work();
+    assert!(
+        0 < elided && elided < targets,
+        "{elided} of {targets} ORs skipped"
     );
 }
 

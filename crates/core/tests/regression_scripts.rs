@@ -154,13 +154,16 @@ type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 /// Replay `script` on every scheme's dense kernel and compare with
 /// `golden`, Scheme 2's `Eliminate_Cycles` work (states entered below the
 /// root, column scans charged without running them, Δ dependencies
-/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, and
-/// each scheme's `gtm2.wake_elided` with `wake_elided`.
+/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, Scheme
+/// 3's `act(ser)` targets and the ORs it skipped (`(0, 0)` for the other
+/// schemes) with `scheme3_ser_bef`, and each scheme's `gtm2.wake_elided`
+/// with `wake_elided`.
 fn assert_dense_cell(
     cell: &str,
     script: &Script,
     golden: CellGolden,
     scheme2_elim: (u64, u64, u64),
+    scheme3_ser_bef: (u64, u64),
     wake_elided: [u64; 4],
 ) {
     let n = script.txn_count();
@@ -191,6 +194,19 @@ fn assert_dense_cell(
             elim, expected,
             "{cell} {kind}: Eliminate_Cycles work changed"
         );
+        let ser_bef = (
+            metrics.counter("gtm2.ser_bef_targets"),
+            metrics.counter("gtm2.ser_bef_ors_elided"),
+        );
+        let expected = if kind == SchemeKind::Scheme3 {
+            scheme3_ser_bef
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            ser_bef, expected,
+            "{cell} {kind}: act(ser) propagation work changed"
+        );
         assert_eq!(
             metrics.counter("gtm2.wake_elided"),
             elided,
@@ -216,8 +232,9 @@ fn assert_dense_cell(
 /// The replay cell the benchmark's `sched_burst` workload is shaped like
 /// (1000 transactions, 10 sites, d_av 2.5; nearly all active at once),
 /// pinned for the dense kernels: step charges, waits, wake-scan work, a
-/// digest of `ser(S)`, Scheme 2's `Eliminate_Cycles` work, and the wake
-/// re-tests Schemes 1 and 3 charged in closed form. Its columns average
+/// digest of `ser(S)`, Scheme 2's `Eliminate_Cycles` work, Scheme 3's
+/// `act(ser)` targets and skipped ORs, and the wake re-tests Schemes 1 and
+/// 3 charged in closed form. Its columns average
 /// about 168 members, so most of Scheme 2's scans run over several words.
 /// `step_cells_golden` stops at 150 transactions and the benchmark reads
 /// wall-clock only, so nothing else holds this cell's decisions still.
@@ -275,8 +292,21 @@ fn burst_cell_dense_decisions_golden() {
     // woken `ser`. Machine work too: an elision that silently stops keeps
     // every step above and moves these.
     const WAKE_ELIDED: [u64; 4] = [0, 755_831, 0, 365_242];
+    // Scheme 3's `act(ser)` targets (Set2 members charged `|Set1|`) and
+    // those already ordered after the serialized transaction, whose OR the
+    // kernel skips. Both are functions of the scheme's state; a kernel that
+    // stops skipping keeps every step above and moves neither, but one
+    // that builds a different Set2 moves the first.
+    const SCHEME3_SER_BEF: (u64, u64) = (970_142, 699_351);
     let script = Script::random(1000, 10, 2.5, 42);
-    assert_dense_cell("burst", &script, GOLDEN, SCHEME2_ELIM, WAKE_ELIDED);
+    assert_dense_cell(
+        "burst",
+        &script,
+        GOLDEN,
+        SCHEME2_ELIM,
+        SCHEME3_SER_BEF,
+        WAKE_ELIDED,
+    );
 }
 
 /// The replay cell the benchmark's `sched_stream` workload is shaped like
@@ -329,8 +359,16 @@ fn stream_cell_dense_decisions_golden() {
     ];
     const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
     const WAKE_ELIDED: [u64; 4] = [0, 1_762_483, 0, 621_164];
+    const SCHEME3_SER_BEF: (u64, u64) = (1_931_689, 1_478_834);
     let script = Script::windowed(10_000, 10, 2.5, 64, 42);
-    assert_dense_cell("stream", &script, GOLDEN, SCHEME2_ELIM, WAKE_ELIDED);
+    assert_dense_cell(
+        "stream",
+        &script,
+        GOLDEN,
+        SCHEME2_ELIM,
+        SCHEME3_SER_BEF,
+        WAKE_ELIDED,
+    );
 }
 
 /// The paper's complexity results (Theorems 4, 6 and 9) are step counts,
