@@ -1,6 +1,6 @@
 //! Workspace error type.
 
-use crate::ids::{GlobalTxnId, SiteId, TxnId};
+use crate::ids::TxnId;
 use std::fmt;
 
 /// Errors surfaced by MDBS components.
@@ -14,10 +14,6 @@ use std::fmt;
 pub enum MdbsError {
     /// A transaction id was used before `begin` / after `commit`/`abort`.
     UnknownTxn(TxnId),
-    /// A global transaction id was used before registration with the GTM.
-    UnknownGlobalTxn(GlobalTxnId),
-    /// A site id does not exist in the system.
-    UnknownSite(SiteId),
     /// The local protocol aborted the transaction (victim of deadlock
     /// resolution, timestamp-order violation, or failed optimistic
     /// validation).
@@ -48,8 +44,6 @@ pub enum AbortReason {
     SerializationCycle,
     /// Optimistic validation failed at commit.
     ValidationFailure,
-    /// The global (non-conservative) baseline scheduler decided to abort.
-    GlobalSchedulerDecision,
     /// Explicit user abort.
     UserRequested,
     /// The site's DBMS crashed and lost its volatile state.
@@ -67,7 +61,6 @@ impl fmt::Display for AbortReason {
             AbortReason::TimestampOrder => "timestamp-order violation",
             AbortReason::SerializationCycle => "would close serialization-graph cycle",
             AbortReason::ValidationFailure => "optimistic validation failed",
-            AbortReason::GlobalSchedulerDecision => "global scheduler abort",
             AbortReason::UserRequested => "user requested",
             AbortReason::SiteFailure => "site failure",
             AbortReason::Refused => "refused at admission",
@@ -80,8 +73,6 @@ impl fmt::Display for MdbsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MdbsError::UnknownTxn(t) => write!(f, "unknown transaction {t}"),
-            MdbsError::UnknownGlobalTxn(g) => write!(f, "unknown global transaction {g}"),
-            MdbsError::UnknownSite(s) => write!(f, "unknown site {s}"),
             MdbsError::Aborted { txn, reason } => write!(f, "transaction {txn} aborted: {reason}"),
             MdbsError::TxnFinished(t) => write!(f, "transaction {t} already finished"),
             MdbsError::DuplicateBegin(t) => write!(f, "duplicate begin for {t}"),
@@ -108,14 +99,14 @@ mod tests {
         };
         assert_eq!(e.to_string(), "transaction G3 aborted: deadlock victim");
         assert_eq!(
-            MdbsError::UnknownSite(SiteId(9)).to_string(),
-            "unknown site s9"
+            MdbsError::UnknownTxn(TxnId::Global(GlobalTxnId(9))).to_string(),
+            "unknown transaction G9"
         );
     }
 
     #[test]
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&MdbsError::UnknownGlobalTxn(GlobalTxnId(1)));
+        takes_err(&MdbsError::TxnFinished(TxnId::Global(GlobalTxnId(1))));
     }
 }

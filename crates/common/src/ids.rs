@@ -97,15 +97,6 @@ impl TxnId {
         }
     }
 
-    /// Returns the local transaction id if this is a purely local txn.
-    #[inline]
-    pub fn as_local(self) -> Option<LocalTxnId> {
-        match self {
-            TxnId::Global(_) => None,
-            TxnId::Local(l) => Some(l),
-        }
-    }
-
     /// True iff this is the subtransaction of a global transaction.
     #[inline]
     pub fn is_global(self) -> bool {
@@ -196,8 +187,6 @@ mod tests {
         let tg: TxnId = g.into();
         let tl: TxnId = l.into();
         assert_eq!(tg.as_global(), Some(g));
-        assert_eq!(tg.as_local(), None);
-        assert_eq!(tl.as_local(), Some(l));
         assert_eq!(tl.as_global(), None);
         assert!(tg.is_global());
         assert!(!tl.is_global());

@@ -1,4 +1,4 @@
-//! Replay on the work-stealing pool.
+//! Replay on the task pool.
 //!
 //! GTM2 is one sequential process (the paper's Figures 2–3), so there is
 //! one replay engine: [`replay_parallel`] runs [`replay`] for any scheme

@@ -75,55 +75,6 @@ fn replays(kind: SchemeKind, script: &Script) -> Vec<ReplayOutcome> {
         .collect()
 }
 
-/// Drive `script` through an existing engine with zero-latency acks and
-/// automatic fins (the replay harness's closed loop, reimplemented here so
-/// one engine can absorb several scripts back-to-back and recycle ids).
-fn drive(engine: &mut Gtm2, script: &Script) {
-    let mut acks_needed: BTreeMap<GlobalTxnId, usize> = BTreeMap::new();
-    for ev in &script.events {
-        match ev {
-            ScriptEvent::Init(txn, sites) => {
-                acks_needed.insert(*txn, sites.len());
-                engine.enqueue(QueueOp::Init {
-                    txn: *txn,
-                    sites: sites.clone(),
-                });
-            }
-            ScriptEvent::Ser(txn, site) => {
-                engine.enqueue(QueueOp::Ser {
-                    txn: *txn,
-                    site: *site,
-                });
-            }
-        }
-        loop {
-            let effects = engine.pump();
-            if effects.is_empty() {
-                break;
-            }
-            for fx in effects {
-                match fx {
-                    SchemeEffect::SubmitSer { txn, site } => {
-                        engine.enqueue(QueueOp::Ack { txn, site });
-                    }
-                    SchemeEffect::ForwardAck { txn, .. } => {
-                        if let Some(left) = acks_needed.get_mut(&txn) {
-                            *left -= 1;
-                            if *left == 0 {
-                                acks_needed.remove(&txn);
-                                engine.enqueue(QueueOp::Fin { txn });
-                            }
-                        }
-                    }
-                    SchemeEffect::AbortGlobal { .. } | SchemeEffect::ProtocolViolation { .. } => {
-                        panic!("conservative scheme produced {fx:?} on a valid script");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Build matching reference and dense TSGDs (same shape/dependencies) plus
 /// a fresh transaction, mirroring `prop_tsgd::build`.
 fn build_pair(shape: &[u8], dep_picks: &[bool], fresh_mask: u8) -> (Tsgd, DenseTsgd, GlobalTxnId) {
@@ -871,7 +822,9 @@ proptest! {
             let mut engines = engines(kind);
             for _round in 0..2 {
                 for engine in &mut engines {
-                    drive(engine, &script);
+                    let outcome = replay_with(engine, &script);
+                    prop_assert_eq!(outcome.protocol_violations, 0, "{}", kind);
+                    prop_assert!(outcome.aborted.is_empty(), "{}", kind);
                 }
                 let [reference, dense] = &engines[..] else { continue };
                 prop_assert_eq!(
@@ -886,9 +839,6 @@ proptest! {
                     reference.ser_log().events(), dense.ser_log().events(),
                     "{}: ser(S) diverged across recycling rounds", kind
                 );
-            }
-            for engine in &engines {
-                prop_assert_eq!(engine.wait_len(), 0, "{}", kind);
             }
         }
     }

@@ -45,16 +45,6 @@ impl SerializationEvent {
         }
     }
 
-    /// True when the event happens at the *start* of the subtransaction
-    /// (begin or ticket), meaning GTM2 must clear it before the
-    /// subtransaction's real work runs; `false` when it is the commit.
-    pub fn at_start(self) -> bool {
-        matches!(
-            self,
-            SerializationEvent::Begin | SerializationEvent::TicketWrite
-        )
-    }
-
     /// The event to use for this protocol when the GTM runs two-phase
     /// commit: commit-event sites serialize at the prepare instead (the
     /// commit itself becomes an unconditional second phase).
@@ -96,12 +86,5 @@ mod tests {
             SerializationEvent::for_protocol(LocalProtocolKind::SerializationGraphTesting),
             SerializationEvent::TicketWrite
         );
-    }
-
-    #[test]
-    fn start_vs_end_events() {
-        assert!(SerializationEvent::Begin.at_start());
-        assert!(SerializationEvent::TicketWrite.at_start());
-        assert!(!SerializationEvent::Commit.at_start());
     }
 }

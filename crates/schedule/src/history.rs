@@ -6,7 +6,7 @@
 //!
 //! Histories are *append-only*; analysis functions live in [`crate::csr`].
 
-use mdbs_common::ids::{DataItemId, TxnId};
+use mdbs_common::ids::TxnId;
 use mdbs_common::ops::{DataOp, DataOpKind};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -110,16 +110,6 @@ impl History {
         }
     }
 
-    /// Positions of each access (read/write) to `item`, in order.
-    pub fn accesses_of(&self, item: DataItemId) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.item == Some(item) && o.kind.is_access())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// True iff every transaction's operations appear in a legal per-
     /// transaction order: at most one `begin` (first), reads/writes only
     /// between `begin` and termination, at most one terminal
@@ -197,7 +187,7 @@ impl fmt::Debug for History {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdbs_common::ids::GlobalTxnId;
+    use mdbs_common::ids::{DataItemId, GlobalTxnId};
 
     fn t(i: u64) -> TxnId {
         TxnId::Global(GlobalTxnId(i))
@@ -239,13 +229,6 @@ mod tests {
         assert_eq!(r.ops()[0].kind, DataOpKind::Begin);
         assert_eq!(r.ops()[1].kind, DataOpKind::Write);
         assert_eq!(r.ops()[2].kind, DataOpKind::Abort);
-    }
-
-    #[test]
-    fn accesses_of_item() {
-        let h = sample();
-        assert_eq!(h.accesses_of(x(1)), vec![2, 3]);
-        assert_eq!(h.accesses_of(x(9)), Vec::<usize>::new());
     }
 
     #[test]

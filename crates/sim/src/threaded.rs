@@ -42,7 +42,6 @@ use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mdbs_common::ids::SiteId;
 use mdbs_common::instrument::Registry;
-use mdbs_common::pool::SPIN_POLLS;
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::protocol::LocalProtocolKind;
@@ -56,8 +55,22 @@ use std::time::{Duration, Instant};
 /// pending before it gives the run up as wedged.
 const QUIET_LIMIT: Duration = Duration::from_secs(10);
 
+/// How many times the coordinator re-polls its empty reply channel, and
+/// each site worker its empty inboxes, before it sleeps; `spin_budget`
+/// makes it 0 on a single-core machine.
+///
+/// The classical rule: spin about as long as a park/unpark pair costs —
+/// shorter gives the saving away, longer burns a core somebody else may
+/// need. On the 2-vCPU reference VM a park plus its wake cost ≈ 10 µs and
+/// one empty poll ≈ 30–45 ns, so this is ≈ 6–9 µs. Measured on
+/// `live_spread` (DESIGN §10, "Spin before park"): 20 / 50 polls give
+/// 1.45× / 1.5× the no-spin throughput, 200 to 20 000 all give 1.8–2.0×;
+/// with a CPU hog competing for the two cores 200 still matches no-spin
+/// while 500 / 2 000 / 20 000 fall to 0.65× / 0.33× / 0.15× of it.
+pub const SPIN_POLLS: u32 = 200;
+
 /// The longest a site worker stays parked without an unpark: a liveness
-/// bound, as in `mdbs_common::pool`. Every message is followed by an
+/// bound, not the wake path. Every message is followed by an
 /// unpark if its worker may be asleep, so a park that runs this long means
 /// its sites were idle (or a wake was lost).
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
