@@ -95,6 +95,13 @@ mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
     $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n' \
     $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n        std::thread::sleep(std::time::Duration::from_millis(1));\n'
 
+# A barrier wait at the top of the GTM2 pump, which carries no #[expect]:
+# a rendezvous blocks as a lock does.
+mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
+    'impl Gtm2 {' \
+    $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n' \
+    $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n        std::sync::Barrier::new(1).wait();\n'
+
 # A blocking receive in the site worker's sweep (the vendored crossbeam
 # path resolves in mdbs-sim).
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
@@ -114,4 +121,4 @@ mutate mdbs-localdb disallowed_methods crates/localdb/src/locks.rs \
     'for (_, lock) in waited {' \
     'for lock in self.items.values() {'
 
-echo "clippy mutation check: 8 of 8 seeded edits caught"
+echo "clippy mutation check: 9 of 9 seeded edits caught"

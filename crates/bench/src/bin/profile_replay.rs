@@ -4,10 +4,12 @@
 //!
 //! Each rep line prints the wall time, the step charges and the engine's
 //! work counters: `gtm2.elim_states` / `gtm2.elim_scans_elided` /
-//! `gtm2.elim_delta` (Scheme 2's `Eliminate_Cycles` states entered,
-//! column scans elided and Δ dependencies added; 0 for the other
-//! schemes), also per `init`, so a time split taken with a profiler or
-//! with timers in a copy of the tree divides by them. It also prints
+//! `gtm2.elim_delta` / `gtm2.elim_recs` (Scheme 2's `Eliminate_Cycles`
+//! states entered, column scans elided, Δ dependencies added and edge
+//! records its setup laid out; 0 for the other schemes), states, Δ and
+//! records also per `init`, so a time split taken with a profiler or with
+//! timers in a copy of the tree — the walk against the setup — divides by
+//! them. It also prints
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
 //! (Schemes 1 and 3; 0 elsewhere), so `wake_scan_sum − wake_elided` bounds
@@ -92,18 +94,21 @@ fn main() -> std::process::ExitCode {
         engine.export_metrics(&mut metrics);
         let states = metrics.counter("gtm2.elim_states");
         let delta = metrics.counter("gtm2.elim_delta");
+        let recs = metrics.counter("gtm2.elim_recs");
         let inits = outcome.stats.inits.max(1) as f64;
         eprintln!(
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
              (cond={} act={} elim_states={states} elim_scans_elided={} elim_delta={delta} \
-             states_per_init={:.1} delta_per_init={:.1} waited={} wake_scan_sum={} \
-             wake_elided={} ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
+             elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} recs_per_init={:.1} \
+             waited={} wake_scan_sum={} wake_elided={} ser_bef_targets={} \
+             ser_bef_ors_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
             metrics.counter("gtm2.elim_scans_elided"),
             states as f64 / inits,
             delta as f64 / inits,
+            recs as f64 / inits,
             outcome.stats.waited,
             outcome.wake_scan_sum,
             metrics.counter("gtm2.wake_elided"),

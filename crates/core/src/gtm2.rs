@@ -16,20 +16,23 @@
 //! surrounding system calls [`Gtm2::enqueue`] as GTM1 and the servers
 //! produce operations. The inner "while exists" search is driven by the
 //! scheme's [`wake_candidates`](crate::scheme::Gtm2Scheme::wake_candidates)
-//! hints so each scheme pays exactly its own rescan cost. A waiter is
-//! re-tested where it sits and leaves WAIT only when eligible. Re-tests a
-//! scheme proves must fail are charged their steps without being run
-//! (`gtm2.wake_elided` counts them); Scheme 1's dense kernel asks for three,
-//! Scheme 3's for the last two:
+//! hints so each scheme pays exactly its own rescan cost. The hints become
+//! a worklist of [`Pending`] entries: a site's waiting sers and the waiting
+//! fins are one entry each, walked in key order straight off WAIT's
+//! ordered indexes when the worklist reaches them, and anything else is one
+//! key. A waiter is re-tested where it sits and leaves WAIT only when
+//! eligible. Re-tests a scheme proves must fail are charged their steps
+//! without being run (`gtm2.wake_elided` counts them); Scheme 1's dense
+//! kernel asks for three, Scheme 3's for the last two:
 //!
 //! - after an `ack`, the waiting fins ([`WakeCandidates::SerAtFinsCharged`]);
 //! - after a `fin`, every waiting fin but the ones the scheme names ready
 //!   ([`WakeCandidates::FinPass`], run by `fin_pass`): Scheme 1's
 //!   delete-queue fronts, Scheme 3's transactions whose `ser_bef` row a
 //!   `fin` emptied;
-//! - after a woken `ser_k`, the worklist's leading sers at site `k`, which
-//!   now has an outstanding `ser` (Scheme 1) or an unacked `last_k`
-//!   (Scheme 3)
+//! - after a woken `ser_k`, the rest of its [`Pending::SerAt`] range in
+//!   one charge, because `k` now has an outstanding `ser` (Scheme 1) or an
+//!   unacked `last_k` (Scheme 3)
 //!   ([`ser_blocked_at`](crate::scheme::Gtm2Scheme::ser_blocked_at)).
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which
@@ -40,9 +43,11 @@
 //! holds the one QUEUE, the one WAIT and the scheme, as the paper's GTM2 is
 //! one process.
 
-use crate::scheme::{Gtm2Scheme, Pending, SchemeEffect, WaitKey, WaitSet, WakeCandidates};
+use crate::scheme::{
+    wait_key, Gtm2Scheme, Pending, SchemeEffect, WaitKey, WaitSet, WakeCandidates,
+};
 use crate::ser_s::SerSLog;
-use mdbs_common::ids::GlobalTxnId;
+use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
@@ -365,22 +370,24 @@ impl Gtm2 {
     }
 
     /// Figure 3's inner loop, `while ∃ o_l ∈ WAIT with cond(o_l): act(o_l)`.
-    /// Each candidate is re-tested **in place** ([`WaitSet::take_if`]) —
-    /// `cond` on the operation borrowed from WAIT — and leaves WAIT only if
-    /// it is eligible, so a failing re-test costs its `cond` and one lookup,
+    /// Each candidate is re-tested **in place** — `cond` on the operation
+    /// where it waits, or on one rebuilt from its key — and leaves WAIT
+    /// only if it is eligible, so a failing re-test costs its `cond` and
     /// nothing else. An eligible waiter is acted **immediately**, with
     /// `cond` evaluated against the *current* data structures, and its own
     /// candidates join the worklist: batching the eligibility checks would
     /// let two mutually exclusive operations (e.g. two ser ops at one site
     /// whose conds both looked true before either acted) slip through
     /// together. No operation joins WAIT during a cascade, so WAIT only
-    /// shrinks — the fact both closed forms below rest on. Takes ownership
-    /// of the seeded worklist (the reusable buffer) and parks it back when
-    /// drained.
+    /// shrinks — the fact the range entries and both closed forms below
+    /// rest on. Takes ownership of the seeded worklist (the reusable
+    /// buffer) and parks it back when drained.
     fn cascade(&mut self, mut worklist: VecDeque<Pending>, out: &mut Vec<SchemeEffect>) {
         while let Some(next) = worklist.pop_front() {
             match next {
                 Pending::Key(key) => self.retest(&key, out, &mut worklist),
+                Pending::SerAt(site) => self.retest_range(Some(site), out, &mut worklist),
+                Pending::Fins => self.retest_range(None, out, &mut worklist),
                 Pending::FinPass => self.fin_pass(out, &mut worklist),
             }
         }
@@ -388,10 +395,7 @@ impl Gtm2 {
     }
 
     /// Re-test the operation waiting under `key` and act it if it is
-    /// eligible. A woken `ser` at a site the scheme reports blocked
-    /// ([`Gtm2Scheme::ser_blocked_at`]) cuts off the worklist's leading sers
-    /// at that site: each would fail at the reported charge, so each is
-    /// charged that, counted as elided, and dropped.
+    /// eligible.
     fn retest(
         &mut self,
         key: &WaitKey,
@@ -407,31 +411,91 @@ impl Gtm2 {
             }
             eligible
         });
-        let Some(woken) = woken else {
+        if let Some(woken) = woken {
+            self.act_one(&woken, true, out, worklist);
+        }
+    }
+
+    /// Re-test a range entry: the `Ser`s waiting at `site`
+    /// ([`Pending::SerAt`]) or, for `None`, the waiting `Fin`s
+    /// ([`Pending::Fins`]), in key order straight off WAIT's ordered index.
+    /// `cond` runs on the operation rebuilt from the index, so a failing
+    /// re-test touches neither the map nor the index; a passing one leaves
+    /// WAIT, acts, and the walk resumes above it.
+    ///
+    /// A woken `ser` at a site the scheme reports blocked
+    /// ([`Gtm2Scheme::ser_blocked_at`]) ends the walk: every waiter above
+    /// it would fail at the reported charge `c`. Those are the site's
+    /// waiting sers less the ones that failed in this walk (each below the
+    /// woken one, none woken since), so the `n` of them are charged with one
+    /// `c·n`, counted as elided, and left in WAIT.
+    fn retest_range(
+        &mut self,
+        site: Option<SiteId>,
+        out: &mut Vec<SchemeEffect>,
+        worklist: &mut VecDeque<Pending>,
+    ) {
+        let mut cursor = None;
+        let mut failed = 0;
+        loop {
+            let scheme = self.scheme.as_ref();
+            let (steps, trace) = (&mut self.steps, &mut self.trace);
+            let woken = match site {
+                Some(site) => first_eligible(
+                    scheme,
+                    steps,
+                    trace,
+                    &mut failed,
+                    self.wait
+                        .sers_above(site, cursor)
+                        .map(|txn| QueueOp::Ser { txn, site }),
+                ),
+                None => first_eligible(
+                    scheme,
+                    steps,
+                    trace,
+                    &mut failed,
+                    self.wait.fins_above(cursor).map(|txn| QueueOp::Fin { txn }),
+                ),
+            };
+            let Some(woken) = woken else {
+                return;
+            };
+            cursor = Some(woken.txn());
+            let taken = self.wait.take_if(&wait_key(&woken), |_| true);
+            debug_assert!(taken.is_some(), "{woken:?} was re-tested off WAIT's index");
+            self.act_one(&woken, true, out, worklist);
+            let Some(site) = site else {
+                continue;
+            };
+            let Some(charge) = self.scheme.ser_blocked_at(site) else {
+                continue;
+            };
+            let rest = self.wait.ser_count_at(site) as u64 - failed;
+            self.charge_blocked(site, woken.txn(), rest, charge);
             return;
-        };
-        self.act_one(&woken, true, out, worklist);
-        let QueueOp::Ser { site, .. } = woken else {
-            return;
-        };
-        let Some(charge) = self.scheme.ser_blocked_at(site) else {
-            return;
-        };
-        while let Some(&Pending::Key(next)) = worklist.front() {
-            if next.0 != QueueOpKind::Ser || next.2 != Some(site) {
-                break;
-            }
-            worklist.pop_front();
-            if let Some(blocked) = self.wait.get(&next) {
+        }
+    }
+
+    /// Charge the `n` sers waiting at `site` above `after` `charge` `Cond`
+    /// steps each without re-testing them. Debug builds re-test each and
+    /// assert that it fails at that charge.
+    fn charge_blocked(&mut self, site: SiteId, after: GlobalTxnId, n: u64, charge: u64) {
+        if cfg!(debug_assertions) {
+            let mut seen = 0;
+            for txn in self.wait.sers_above(site, Some(after)) {
+                let blocked = QueueOp::Ser { txn, site };
                 debug_assert_eq!(
-                    retest_charge(self.scheme.as_ref(), blocked),
+                    retest_charge(self.scheme.as_ref(), &blocked),
                     (false, charge),
                     "{blocked:?}: a cut-off ser must fail at the blocked charge"
                 );
-                self.steps.bump(StepKind::Cond, charge);
-                self.wake_elided += 1;
+                seen += 1;
             }
+            debug_assert_eq!(seen, n, "site {site}: the cut-off's count is stale");
         }
+        self.steps.bump(StepKind::Cond, charge * n);
+        self.wake_elided += n;
     }
 
     /// One pass over the waiting fins in closed form
@@ -525,6 +589,28 @@ fn retest_charge(scheme: &dyn Gtm2Scheme, op: &QueueOp) -> (bool, u64) {
     let mut fresh = StepCounter::new();
     let eligible = scheme.cond(op, &mut fresh);
     (eligible, fresh.cond)
+}
+
+/// Re-test `ops` in order on the engine's counter and trace until one is
+/// eligible, and return it; each failing re-test adds one to `failed`.
+fn first_eligible(
+    scheme: &dyn Gtm2Scheme,
+    steps: &mut StepCounter,
+    trace: &mut Option<Vec<SchedEvent>>,
+    failed: &mut u64,
+    ops: impl Iterator<Item = QueueOp>,
+) -> Option<QueueOp> {
+    for op in ops {
+        let eligible = scheme.cond(&op, steps);
+        if let Some(trace) = trace {
+            trace.push(SchedEvent::cond(&op, eligible));
+        }
+        if eligible {
+            return Some(op);
+        }
+        *failed += 1;
+    }
+    None
 }
 
 /// Debug builds: the precondition of a closed-form fin charge. Every
@@ -672,6 +758,174 @@ mod tests {
             ]
         );
         assert_eq!(e.wait_len(), 0);
+    }
+
+    /// A scheme whose verdicts are scripted: a `ser` or `fin` of a
+    /// transaction in `pass` is eligible, anything else fails, at one
+    /// `Cond` step — unless `block` is `Some(c)` and a `ser` has acted at
+    /// the site, after which every `ser` there fails at `c`
+    /// (`ser_blocked_at`). Acts change nothing else and wake nobody.
+    struct Scripted {
+        pass: Vec<u64>,
+        block: Option<u64>,
+        blocked: Vec<SiteId>,
+    }
+
+    impl Gtm2Scheme for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
+            if let QueueOp::Ser { site, .. } = op {
+                if let Some(c) = self.ser_blocked_at(*site) {
+                    steps.bump(StepKind::Cond, c);
+                    return false;
+                }
+            }
+            steps.tick(StepKind::Cond);
+            self.pass.contains(&op.txn().0)
+        }
+        fn act(&mut self, op: &QueueOp, _steps: &mut StepCounter, _out: &mut Vec<SchemeEffect>) {
+            if let (Some(_), QueueOp::Ser { site, .. }) = (self.block, op) {
+                self.blocked.push(*site);
+            }
+        }
+        fn wake_candidates(
+            &self,
+            _acted: &QueueOp,
+            _wait: &WaitSet,
+            _steps: &mut StepCounter,
+        ) -> WakeCandidates {
+            WakeCandidates::None
+        }
+        fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+            self.block.filter(|_| self.blocked.contains(&site))
+        }
+    }
+
+    /// An engine over [`Scripted`], tracing, with `waiting` in WAIT.
+    fn scripted(pass: &[u64], block: Option<u64>, waiting: &[QueueOp]) -> Gtm2 {
+        let mut e = Gtm2::new(Box::new(Scripted {
+            pass: pass.to_vec(),
+            block,
+            blocked: Vec::new(),
+        }));
+        e.set_tracing(true);
+        // Every waiter's transaction counts as active, so a woken fin
+        // leaves the count at or above zero.
+        e.active = waiting.len() as u64;
+        for op in waiting {
+            assert!(e.wait.insert(op.clone(), 1));
+        }
+        e
+    }
+
+    fn ser(txn: u64, site: u32) -> QueueOp {
+        QueueOp::Ser {
+            txn: g(txn),
+            site: s(site),
+        }
+    }
+
+    fn fin(txn: u64) -> QueueOp {
+        QueueOp::Fin { txn: g(txn) }
+    }
+
+    /// Run `worklist` as one cascade; return the re-tests it ran, in order,
+    /// with their verdicts, and the operations it woke.
+    fn run(e: &mut Gtm2, worklist: &[Pending]) -> (Vec<SchedEvent>, Vec<SchedEvent>) {
+        e.cascade(worklist.iter().copied().collect(), &mut Vec::new());
+        e.drain_events()
+            .partition(|event| matches!(event, SchedEvent::Cond { .. }))
+    }
+
+    /// The trace of re-tests a cascade should run.
+    fn retested(ops: &[(QueueOp, bool)]) -> Vec<SchedEvent> {
+        ops.iter()
+            .map(|(op, ok)| SchedEvent::cond(op, *ok))
+            .collect()
+    }
+
+    /// The trace of wakes a cascade should make.
+    fn woke(ops: &[QueueOp]) -> Vec<SchedEvent> {
+        ops.iter().map(SchedEvent::wake).collect()
+    }
+
+    /// A ser woken after a failing prefix of its range cuts off the rest:
+    /// the `n` waiters above it are charged `n·c` in one sum, counted as
+    /// elided, never re-tested, and stay in WAIT; another site's sers are
+    /// outside the range.
+    #[test]
+    fn cut_off_after_failing_prefix_charges_n_times_c() {
+        let waiting = [
+            ser(2, 1),
+            ser(1, 0),
+            ser(2, 0),
+            ser(3, 0),
+            ser(4, 0),
+            ser(5, 0),
+            ser(6, 0),
+            ser(9, 1),
+        ];
+        let mut e = scripted(&[3, 9], Some(5), &waiting);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0))]);
+        assert_eq!(
+            retests,
+            retested(&[(ser(1, 0), false), (ser(2, 0), false), (ser(3, 0), true)])
+        );
+        assert_eq!(woken, woke(&[ser(3, 0)]));
+        assert_eq!(e.steps().cond, 3 + 3 * 5);
+        assert_eq!(e.wake_elided, 3);
+        assert_eq!(e.wait_len(), waiting.len() - 1);
+        assert_eq!(e.wait.ser_count_at(s(1)), 2);
+    }
+
+    /// With no cut-off, a range entry re-tests each waiter once, in key
+    /// order, resuming above each wake; a `Fins` entry does the same over
+    /// the waiting fins.
+    #[test]
+    fn range_without_cut_off_retests_each_waiter_once_in_key_order() {
+        let waiting = [
+            ser(6, 0),
+            ser(4, 0),
+            ser(5, 0),
+            ser(1, 0),
+            ser(3, 0),
+            ser(2, 0),
+            fin(8),
+            fin(3),
+            fin(1),
+        ];
+        let mut e = scripted(&[2, 4, 3], None, &waiting);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0)), Pending::Fins]);
+        assert_eq!(
+            retests,
+            retested(&[
+                (ser(1, 0), false),
+                (ser(2, 0), true),
+                (ser(3, 0), true),
+                (ser(4, 0), true),
+                (ser(5, 0), false),
+                (ser(6, 0), false),
+                (fin(1), false),
+                (fin(3), true),
+                (fin(8), false),
+            ])
+        );
+        assert_eq!(woken, woke(&[ser(2, 0), ser(3, 0), ser(4, 0), fin(3)]));
+        assert_eq!(e.steps().cond, 9);
+        assert_eq!(e.wake_elided, 0);
+        assert_eq!(e.wait_len(), 5);
+    }
+
+    /// A range entry over an empty range does nothing.
+    #[test]
+    fn empty_range_does_nothing() {
+        let mut e = scripted(&[1, 2], Some(5), &[ser(1, 1), ser(2, 1)]);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0)), Pending::Fins]);
+        assert_eq!((retests, woken), (vec![], vec![]));
+        assert_eq!((e.steps(), e.wake_elided), (StepCounter::new(), 0));
+        assert_eq!(e.wait_len(), 2);
     }
 
     #[test]

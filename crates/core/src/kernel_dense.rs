@@ -619,6 +619,7 @@ impl Gtm2Scheme for Scheme2Dense {
         registry.inc("gtm2.elim_states", self.elim.states());
         registry.inc("gtm2.elim_scans_elided", self.elim.scans_elided());
         registry.inc("gtm2.elim_delta", self.elim.deltas());
+        registry.inc("gtm2.elim_recs", self.elim.recs_laid());
     }
 
     fn debug_validate(&self) {

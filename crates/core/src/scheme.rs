@@ -21,6 +21,7 @@ use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, VecDeque};
+use std::ops::Bound;
 
 /// Unique identity of a queue operation (for the WAIT set). `site` is
 /// `None` for `Init`/`Fin`.
@@ -36,14 +37,14 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 /// in key order.
 ///
 /// Beside the map the set keeps what a wake pass needs without walking
-/// WAIT: the waiting `ser`s ordered by site (so [`WakeCandidates::SerAt`]
-/// resolves in O(candidates)) and counted per site, the waiting `fin`s in
-/// transaction order, the `init` count, and the `Cond` steps the waiting
-/// `fin`s were charged when they failed — the closed-form charge behind
-/// [`WakeCandidates::SerAtFinsCharged`] and [`WakeCandidates::FinPass`].
-/// Schemes read the counts to charge their wake-scan steps; the engine
-/// expands candidates into a reused worklist with
-/// [`WaitSet::resolve_into`].
+/// WAIT: the waiting `ser`s ordered by site and counted per site, the
+/// waiting `fin`s in transaction order, the `init` count, and the `Cond`
+/// steps the waiting `fin`s were charged when they failed — the
+/// closed-form charge behind [`WakeCandidates::SerAtFinsCharged`] and
+/// [`WakeCandidates::FinPass`]. Schemes read the counts to charge their
+/// wake-scan steps; the engine turns candidates into worklist entries with
+/// [`WaitSet::resolve_into`] and walks a [`Pending::SerAt`] or
+/// [`Pending::Fins`] entry straight off the ordered indexes.
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
     /// Every waiter, by key. Never iterated in map order.
@@ -108,11 +109,6 @@ impl WaitSet {
         self.ops.contains_key(key)
     }
 
-    /// The operation waiting under `key`, if any.
-    pub(crate) fn get(&self, key: &WaitKey) -> Option<&QueueOp> {
-        self.ops.get(key).map(|waiter| &waiter.op)
-    }
-
     /// Re-test the operation waiting under `key` in place: `eligible` is
     /// shown the operation where it sits, and only if it says yes does the
     /// operation leave WAIT (and get returned). A failing re-test costs one
@@ -165,11 +161,31 @@ impl WaitSet {
         self.contains(&key).then_some(key)
     }
 
-    /// The waiting `Ser`s at `site`, as transactions in ascending order.
-    fn sers_at(&self, site: SiteId) -> impl Iterator<Item = GlobalTxnId> + '_ {
+    /// The waiting `Ser`s at `site` above `after` (all of them for `None`),
+    /// as transactions in ascending order — a [`Pending::SerAt`] entry's
+    /// range.
+    pub(crate) fn sers_above(
+        &self,
+        site: SiteId,
+        after: Option<GlobalTxnId>,
+    ) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        let low = match after {
+            Some(txn) => Bound::Excluded((site, txn)),
+            None => Bound::Included((site, GlobalTxnId(0))),
+        };
         self.ser_by_site
-            .range((site, GlobalTxnId(0))..=(site, GlobalTxnId(u64::MAX)))
+            .range((low, Bound::Included((site, GlobalTxnId(u64::MAX)))))
             .map(|&(_, txn)| txn)
+    }
+
+    /// The waiting `Fin`s above `after` (all of them for `None`), as
+    /// transactions in ascending order — a [`Pending::Fins`] entry's range.
+    pub(crate) fn fins_above(
+        &self,
+        after: Option<GlobalTxnId>,
+    ) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        let low = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.fins.range((low, Bound::Unbounded)).copied()
     }
 
     /// Number of waiting `Ser` operations at `site` (O(1), maintained).
@@ -203,23 +219,20 @@ impl WaitSet {
         self.inits
     }
 
-    /// The waiting `Fin`s' keys, in key order.
-    fn fin_keys(&self) -> impl Iterator<Item = WaitKey> + '_ {
-        self.fins.iter().map(|&txn| (QueueOpKind::Fin, txn, None))
-    }
-
     /// The waiting `Fin`s in key order, each with the `Cond` steps its
     /// failing `cond` charged when it joined WAIT.
     pub(crate) fn fin_waiters(&self) -> impl Iterator<Item = (&QueueOp, u64)> + '_ {
-        self.fin_keys()
-            .filter_map(|key| self.ops.get(&key))
+        self.fins
+            .iter()
+            .filter_map(|&txn| self.ops.get(&(QueueOpKind::Fin, txn, None)))
             .map(|waiter| (&waiter.op, waiter.cond_cost))
     }
 
     /// Append the waiting keys that satisfy `pred` to `out`, then sort the
-    /// appended range in place — the map has no order of its own. O(|WAIT|),
-    /// for the candidate sets no benchmarked scheme asks for.
-    fn extend_sorted(&self, out: &mut VecDeque<Pending>, pred: impl Fn(&WaitKey) -> bool) {
+    /// appended range in place — the map has no order of its own — and
+    /// return how many there are. O(|WAIT|), for the candidate sets no
+    /// benchmarked scheme asks for.
+    fn extend_sorted(&self, out: &mut VecDeque<Pending>, pred: impl Fn(&WaitKey) -> bool) -> usize {
         let start = out.len();
         #[expect(
             clippy::disallowed_methods,
@@ -234,42 +247,45 @@ impl WaitSet {
         if let Some(appended) = out.make_contiguous().get_mut(start..) {
             appended.sort_unstable();
         }
+        out.len() - start
     }
 
-    /// Append what `cands` asks to have re-tested to the worklist `out`:
-    /// keys in key order within each symbolic part, and for
-    /// [`WakeCandidates::FinPass`] one [`Pending::FinPass`] entry, without
-    /// allocating. Returns the number of keys appended — which leaves out
-    /// the fins of [`WakeCandidates::SerAtFinsCharged`] and
+    /// Append what `cands` asks to have re-tested to the worklist `out`,
+    /// without allocating: one lazy entry per ordered range
+    /// ([`Pending::SerAt`], [`Pending::Fins`]), one [`Pending::FinPass`]
+    /// for a fin pass, and keys in key order for the rest. Returns the
+    /// number of waiters the entries name — the keys the literal worklist
+    /// would hold, which leaves out the fins of
+    /// [`WakeCandidates::SerAtFinsCharged`] and
     /// [`WakeCandidates::FinPass`], because those are charged in closed
     /// form.
     pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<Pending>) -> usize {
-        let before = out.len();
-        let ser_at = |site: SiteId| {
-            self.sers_at(site)
-                .map(move |txn| Pending::Key((QueueOpKind::Ser, txn, Some(site))))
-        };
-        let fins = || self.fin_keys().map(Pending::Key);
         match cands {
-            WakeCandidates::None => {}
-            WakeCandidates::All => self.extend_sorted(out, |_| true),
-            WakeCandidates::One(key) => out.push_back(Pending::Key(*key)),
-            WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
-                out.extend(ser_at(*site))
+            WakeCandidates::None => 0,
+            WakeCandidates::One(key) => {
+                out.push_back(Pending::Key(*key));
+                1
             }
-            WakeCandidates::Fins => out.extend(fins()),
+            WakeCandidates::SerAt(site) | WakeCandidates::SerAtFinsCharged(site) => {
+                out.push_back(Pending::SerAt(*site));
+                self.ser_count_at(*site)
+            }
+            WakeCandidates::Fins => {
+                out.push_back(Pending::Fins);
+                self.fin_count()
+            }
             WakeCandidates::FinPass => {
                 out.push_back(Pending::FinPass);
-                return 0;
+                0
             }
             WakeCandidates::SerAtThenFins(site) => {
-                out.extend(ser_at(*site));
-                out.extend(fins());
+                out.extend([Pending::SerAt(*site), Pending::Fins]);
+                self.ser_count_at(*site) + self.fin_count()
             }
+            WakeCandidates::All => self.extend_sorted(out, |_| true),
             WakeCandidates::Inits => self.extend_sorted(out, |k| k.0 == QueueOpKind::Init),
             WakeCandidates::SerOf(txn) => self.extend_sorted(out, |k| is_ser_of(k, *txn)),
         }
-        out.len() - before
     }
 }
 
@@ -325,10 +341,20 @@ pub enum WakeCandidates {
 }
 
 /// One entry of the engine's wake worklist (Figure 3's inner loop).
+///
+/// A range entry stands for the keys the literal worklist would hold: the
+/// waiters of its range when it was resolved, in key order. No operation
+/// joins WAIT during a cascade, so the range the engine walks when it
+/// reaches the entry is that snapshot minus the waiters woken since —
+/// exactly the keys whose literal re-test would still find a waiter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pending {
     /// Re-test the operation waiting under this key, if it still waits.
     Key(WaitKey),
+    /// Re-test every `Ser` waiting at the site, in key order.
+    SerAt(SiteId),
+    /// Re-test every waiting `Fin`, in key order.
+    Fins,
     /// Run one closed-form pass over the waiting fins
     /// ([`WakeCandidates::FinPass`]).
     FinPass,
@@ -430,10 +456,10 @@ pub trait Gtm2Scheme {
     }
 
     /// `Some(c)` if every waiting `ser` at `site` must fail its `cond` now,
-    /// each charging `c` `Cond` steps. After a woken `ser` at the site
-    /// acts, the engine charges the worklist's leading `ser`s at the site
-    /// `c` each instead of re-testing them. The default, `None`, keeps
-    /// every re-test literal.
+    /// each charging `c` `Cond` steps. After a `ser` woken from a
+    /// [`Pending::SerAt`] range acts, the engine charges the rest of that
+    /// range `c` each, in one sum, instead of re-testing it. The default,
+    /// `None`, keeps every re-test literal.
     fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
         let _ = site;
         None
@@ -614,21 +640,44 @@ mod tests {
         }
     }
 
-    /// The keys of a worklist, without its fin passes.
-    fn keys_of<'a>(worklist: impl IntoIterator<Item = &'a Pending>) -> Vec<WaitKey> {
-        worklist
-            .into_iter()
+    /// A worklist with each range entry expanded, through `w`, into the
+    /// keys the literal worklist holds in its place; keys and fin passes
+    /// are kept as they are.
+    fn expand<'a>(w: &WaitSet, worklist: impl IntoIterator<Item = &'a Pending>) -> Vec<Pending> {
+        let mut keys = Vec::new();
+        for entry in worklist {
+            match *entry {
+                Pending::Key(_) | Pending::FinPass => keys.push(*entry),
+                Pending::SerAt(site) => keys.extend(
+                    w.sers_above(site, None)
+                        .map(|txn| Pending::Key((QueueOpKind::Ser, txn, Some(site)))),
+                ),
+                Pending::Fins => keys.extend(
+                    w.fins_above(None)
+                        .map(|txn| Pending::Key((QueueOpKind::Fin, txn, None))),
+                ),
+            }
+        }
+        keys
+    }
+
+    /// The keys of an expanded worklist, without its fin passes.
+    fn keys_of(expanded: &[Pending]) -> Vec<WaitKey> {
+        expanded
+            .iter()
             .filter_map(|entry| match entry {
                 Pending::Key(key) => Some(*key),
-                Pending::FinPass => None,
+                Pending::SerAt(_) | Pending::Fins | Pending::FinPass => None,
             })
             .collect()
     }
 
+    /// The keys `cands` names on `w`, checked against the count
+    /// `resolve_into` returns.
     fn resolved(w: &WaitSet, cands: &WakeCandidates) -> Vec<WaitKey> {
         let mut buf = VecDeque::new();
         let n = w.resolve_into(cands, &mut buf);
-        let keys = keys_of(&buf);
+        let keys = keys_of(&expand(w, &buf));
         assert_eq!(n, keys.len());
         keys
     }
@@ -708,8 +757,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(wait_key(&fin(3)), 3), (wait_key(&fin(9)), 4)]
         );
-        assert_eq!(w.get(&wait_key(&fin(9))), Some(&fin(9)));
-        assert_eq!(w.get(&wait_key(&fin(8))), None);
         assert_eq!(
             resolved(&w, &WakeCandidates::SerOf(GlobalTxnId(2))),
             keys_where(&w, |k| k.0 == QueueOpKind::Ser && k.1 == GlobalTxnId(2))
@@ -750,12 +797,14 @@ mod tests {
     }
 
     /// Every candidate set the churn test resolves, with the model's
-    /// answer: its keys in key order (the fins' closed forms re-test none;
-    /// a fin pass is one entry).
+    /// answer: the entries `resolve_into` appends (one per ordered range,
+    /// keys for the rest), and the literal worklist they stand for — the
+    /// model's keys in key order (the fins' closed forms re-test none; a
+    /// fin pass is one entry).
     fn model_candidates(
         model: &BTreeMap<WaitKey, u64>,
         probe: WaitKey,
-    ) -> Vec<(WakeCandidates, Vec<Pending>)> {
+    ) -> Vec<(WakeCandidates, Vec<Pending>, Vec<Pending>)> {
         let keys = |pred: &dyn Fn(&WaitKey) -> bool| -> Vec<Pending> {
             model
                 .keys()
@@ -766,25 +815,41 @@ mod tests {
         };
         let ser_at = |s: u32| keys(&|k| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s)));
         let fins = keys(&|k| k.0 == QueueOpKind::Fin);
+        let literal = |cands: WakeCandidates, want: Vec<Pending>| (cands, want.clone(), want);
         let mut all = vec![
-            (WakeCandidates::None, vec![]),
-            (WakeCandidates::All, keys(&|_| true)),
-            (WakeCandidates::One(probe), vec![Pending::Key(probe)]),
-            (WakeCandidates::Fins, fins.clone()),
-            (WakeCandidates::FinPass, vec![Pending::FinPass]),
-            (WakeCandidates::Inits, keys(&|k| k.0 == QueueOpKind::Init)),
+            literal(WakeCandidates::None, vec![]),
+            literal(WakeCandidates::All, keys(&|_| true)),
+            literal(WakeCandidates::One(probe), vec![Pending::Key(probe)]),
+            (WakeCandidates::Fins, vec![Pending::Fins], fins.clone()),
+            literal(WakeCandidates::FinPass, vec![Pending::FinPass]),
+            literal(WakeCandidates::Inits, keys(&|k| k.0 == QueueOpKind::Init)),
         ];
         for s in 0..5 {
             let site = SiteId(s);
             let mut then_fins = ser_at(s);
             then_fins.extend(fins.iter().copied());
-            all.push((WakeCandidates::SerAt(site), ser_at(s)));
-            all.push((WakeCandidates::SerAtFinsCharged(site), ser_at(s)));
-            all.push((WakeCandidates::SerAtThenFins(site), then_fins));
+            all.push((
+                WakeCandidates::SerAt(site),
+                vec![Pending::SerAt(site)],
+                ser_at(s),
+            ));
+            all.push((
+                WakeCandidates::SerAtFinsCharged(site),
+                vec![Pending::SerAt(site)],
+                ser_at(s),
+            ));
+            all.push((
+                WakeCandidates::SerAtThenFins(site),
+                vec![Pending::SerAt(site), Pending::Fins],
+                then_fins,
+            ));
         }
         for t in 0..9 {
             let txn = GlobalTxnId(t);
-            all.push((WakeCandidates::SerOf(txn), keys(&|k| is_ser_of(k, txn))));
+            all.push(literal(
+                WakeCandidates::SerOf(txn),
+                keys(&|k| is_ser_of(k, txn)),
+            ));
         }
         all
     }
@@ -795,9 +860,11 @@ mod tests {
         /// Random insert / duplicate insert / `take_if(true|false)` churn
         /// over {init, ser, fin} × 8 txns × 4 sites, checked after every
         /// operation against a `BTreeMap` model: every candidate set
-        /// resolves to the model's keys in key order — appended behind a
-        /// wrapped, non-empty worklist that it must leave alone — and every
-        /// count equals the model's recount.
+        /// resolves to the model's entries — appended behind a wrapped,
+        /// non-empty worklist that it must leave alone — which, each range
+        /// expanded through the set, are the model's keys in key order, and
+        /// to the model's count; every range resumed above a cursor is the
+        /// model's tail, and every count equals the model's recount.
         #[test]
         fn wait_set_churn_matches_ordered_model(
             steps in prop::collection::vec((0u8..4, 0u8..3, 0u64..8, 0u32..4, 0u64..10), 0..120)
@@ -844,15 +911,28 @@ mod tests {
                 );
                 for s in 0..5 {
                     let at = |k: &&WaitKey| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s));
-                    prop_assert_eq!(w.ser_count_at(SiteId(s)), model.keys().filter(at).count());
-                    prop_assert_eq!(w.ser_count_at(SiteId(s)), w.sers_at(SiteId(s)).count());
+                    let txns: Vec<GlobalTxnId> = model.keys().filter(at).map(|k| k.1).collect();
+                    prop_assert_eq!(w.ser_count_at(SiteId(s)), txns.len());
+                    // A range resumed above any cursor is the model's tail.
+                    for cut in 0..=txns.len() {
+                        let after = cut.checked_sub(1).and_then(|i| txns.get(i)).copied();
+                        let above: Vec<GlobalTxnId> = w.sers_above(SiteId(s), after).collect();
+                        prop_assert_eq!(&above[..], &txns[cut..]);
+                    }
+                }
+                let fin_txns: Vec<GlobalTxnId> =
+                    model.keys().filter(|k| k.0 == QueueOpKind::Fin).map(|k| k.1).collect();
+                for cut in 0..=fin_txns.len() {
+                    let after = cut.checked_sub(1).and_then(|i| fin_txns.get(i)).copied();
+                    let above: Vec<GlobalTxnId> = w.fins_above(after).collect();
+                    prop_assert_eq!(&above[..], &fin_txns[cut..]);
                 }
                 for t in 0..9 {
                     let of = |k: &&WaitKey| is_ser_of(k, GlobalTxnId(t));
                     prop_assert_eq!(w.ser_count_of(GlobalTxnId(t)), model.keys().filter(of).count());
                 }
                 let prefix = [Pending::Key(wait_key(&fin(99))), Pending::Key(wait_key(&ser(98, 7)))];
-                for (cands, want) in model_candidates(&model, key) {
+                for (cands, entries, want) in model_candidates(&model, key) {
                     // A wrapped worklist: its head is not at index 0.
                     let mut out = VecDeque::with_capacity(4);
                     out.extend([prefix[0], prefix[0], prefix[0]]);
@@ -863,7 +943,8 @@ mod tests {
                     prop_assert_eq!(n, keys_of(&want).len(), "{:?}", cands);
                     let got: Vec<Pending> = out.iter().copied().collect();
                     prop_assert_eq!(&got[..2], &prefix[..], "{:?}", cands);
-                    prop_assert_eq!(&got[2..], &want[..], "{:?}", cands);
+                    prop_assert_eq!(&got[2..], &entries[..], "{:?}", cands);
+                    prop_assert_eq!(&expand(&w, &got[2..])[..], &want[..], "{:?}", cands);
                 }
             }
         }

@@ -651,7 +651,7 @@ struct EdgeRec {
 
 /// Reusable scratch for [`eliminate_cycles_dense_with`]: one call's states
 /// not yet entered, its edge table, the traversal path, the Δ the last
-/// call found, and three lifetime counters. Every table is laid out anew
+/// call found, and four lifetime counters. Every table is laid out anew
 /// when a call starts, so no call reads another's; the hot loop allocates
 /// nothing after warm-up.
 #[derive(Clone, Debug, Default)]
@@ -691,6 +691,8 @@ pub struct EliminateScratch {
     scans_elided: u64,
     /// Δ dependencies found, over every call.
     deltas: u64,
+    /// Edge records laid out, over every call.
+    recs_laid: u64,
 }
 
 #[expect(
@@ -719,6 +721,13 @@ impl EliminateScratch {
     /// Δ dependencies found, over every call made with this scratch.
     pub fn deltas(&self) -> u64 {
         self.deltas
+    }
+
+    /// Edge records a call's setup laid out (one per TSG edge), over every
+    /// call made with this scratch: the setup's share of a call's work, as
+    /// [`EliminateScratch::states`] is the walk's.
+    pub fn recs_laid(&self) -> u64 {
+        self.recs_laid
     }
 
     /// Start a call for `G_i` in slot `gslot`: open every state, lay out
@@ -765,6 +774,7 @@ impl EliminateScratch {
             }
         }
         self.rows.push(self.recs.len() as u32);
+        self.recs_laid += self.recs.len() as u64;
         for (i, e) in tsgd.row(gslot).iter().enumerate() {
             self.gi_at[e.ss as usize] = i as u32;
         }

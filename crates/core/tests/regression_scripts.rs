@@ -154,7 +154,9 @@ type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 /// Replay `script` on every scheme's dense kernel and compare with
 /// `golden`, Scheme 2's `Eliminate_Cycles` work (states entered below the
 /// root, column scans charged without running them, Δ dependencies
-/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, Scheme
+/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, the
+/// edge records its setup laid out (0 for the other schemes) with
+/// `scheme2_recs`, Scheme
 /// 3's `act(ser)` targets and the ORs it skipped (`(0, 0)` for the other
 /// schemes) with `scheme3_ser_bef`, and each scheme's `gtm2.wake_elided`
 /// with `wake_elided`.
@@ -163,6 +165,7 @@ fn assert_dense_cell(
     script: &Script,
     golden: CellGolden,
     scheme2_elim: (u64, u64, u64),
+    scheme2_recs: u64,
     scheme3_ser_bef: (u64, u64),
     wake_elided: [u64; 4],
 ) {
@@ -193,6 +196,16 @@ fn assert_dense_cell(
         assert_eq!(
             elim, expected,
             "{cell} {kind}: Eliminate_Cycles work changed"
+        );
+        let expected = if kind == SchemeKind::Scheme2 {
+            scheme2_recs
+        } else {
+            0
+        };
+        assert_eq!(
+            metrics.counter("gtm2.elim_recs"),
+            expected,
+            "{cell} {kind}: Eliminate_Cycles setup work changed"
         );
         let ser_bef = (
             metrics.counter("gtm2.ser_bef_targets"),
@@ -286,6 +299,10 @@ fn burst_cell_dense_decisions_golden() {
     // dependencies added. The first two are machine work, not decisions —
     // but a walk that stops eliding, or enters a state twice, moves them.
     const SCHEME2_ELIM: (u64, u64, u64) = (1_247_446, 775_997, 304_819);
+    // The edge records `Eliminate_Cycles`' setup laid out, one per TSG edge
+    // per call (about 1 257 per `init`): the setup's share of the work, as
+    // the states entered are the walk's.
+    const SCHEME2_ELIM_RECS: u64 = 1_257_162;
     // The wake re-tests each scheme charged without running them, in
     // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
     // behind a woken `ser`, Scheme 3's fins after a `fin` and sers behind a
@@ -304,6 +321,7 @@ fn burst_cell_dense_decisions_golden() {
         &script,
         GOLDEN,
         SCHEME2_ELIM,
+        SCHEME2_ELIM_RECS,
         SCHEME3_SER_BEF,
         WAKE_ELIDED,
     );
@@ -358,6 +376,7 @@ fn stream_cell_dense_decisions_golden() {
         ),
     ];
     const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
+    const SCHEME2_ELIM_RECS: u64 = 4_557_935;
     const WAKE_ELIDED: [u64; 4] = [0, 1_762_483, 0, 621_164];
     const SCHEME3_SER_BEF: (u64, u64) = (1_931_689, 1_478_834);
     let script = Script::windowed(10_000, 10, 2.5, 64, 42);
@@ -366,6 +385,7 @@ fn stream_cell_dense_decisions_golden() {
         &script,
         GOLDEN,
         SCHEME2_ELIM,
+        SCHEME2_ELIM_RECS,
         SCHEME3_SER_BEF,
         WAKE_ELIDED,
     );
