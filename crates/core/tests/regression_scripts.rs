@@ -13,7 +13,7 @@ use mdbs_common::rng::{fnv1a, FNV_OFFSET_BASIS};
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::reference;
 use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
-use mdbs_core::scheme::{FullRescan, SchemeKind};
+use mdbs_core::scheme::{FullRescan, Gtm2Scheme, SchemeKind};
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
     ScriptEvent::Init(GlobalTxnId(txn), sites.iter().map(|&s| SiteId(s)).collect())
@@ -395,23 +395,50 @@ fn stream_cell_dense_decisions_golden() {
 /// and the dense kernels change machine cost without moving one counted
 /// step. Two fixed replay cells, `small` (50 transactions, 4 sites, d_av
 /// 2.0) and `medium` (150, 6, 2.5), both seed 42, pin every conservative
-/// scheme's `cond` / `act` charges on the dense kernel and, for Schemes 1–3,
-/// on the BTree oracle (Scheme 0 has one kernel): a kernel that forgot a
-/// charge, or a wake path that re-tests a different set, moves a cell.
+/// scheme's `cond` / `act` / wait-scan charges on the dense kernel and,
+/// for Schemes 1–3, on the BTree oracle (Scheme 0 has one kernel): a kernel
+/// that forgot a charge, or a wake path that re-tests a different set,
+/// moves a cell. The `small` cell also pins the wake candidate sets no
+/// conservative kernel returns — a full WAIT rescan over each conservative
+/// scheme, the naive site graph's waiting inits and one transaction's
+/// sers, and the aborting baselines' empty set — with their waits and
+/// aborts.
 /// Ignored by default: a debug build validates every act and takes over a
 /// minute; the release soak step runs it in about a second.
 #[test]
 #[ignore = "soak: run with --release -- --ignored"]
 fn step_cells_golden() {
-    // (scheme, [(cond, act) on small, (cond, act) on medium])
-    const GOLDEN: [(SchemeKind, [(u64, u64); 2]); 4] = [
-        (SchemeKind::Scheme0, [(370, 350), (1_372, 1_266)]),
-        (SchemeKind::Scheme1, [(2_886, 3_832), (45_521, 41_275)]),
+    // (cond, act, wait_scan)
+    type Steps = (u64, u64, u64);
+    // (scheme, [steps on small, steps on medium])
+    const GOLDEN: [(SchemeKind, [Steps; 2]); 4] = [
+        (
+            SchemeKind::Scheme0,
+            [(370, 350, 300), (1_372, 1_266, 1_044)],
+        ),
+        (
+            SchemeKind::Scheme1,
+            [(2_886, 3_832, 1_511), (45_521, 41_275, 20_048)],
+        ),
         (
             SchemeKind::Scheme2,
-            [(119_087, 57_479), (12_595_552, 3_073_329)],
+            [(119_087, 57_479, 1_113), (12_595_552, 3_073_329, 13_010)],
         ),
-        (SchemeKind::Scheme3, [(3_394, 11_215), (111_964, 516_988)]),
+        (
+            SchemeKind::Scheme3,
+            [(3_394, 11_215, 936), (111_964, 516_988, 8_908)],
+        ),
+    ];
+    // On `small`: (engine, cond, act, wait_scan, waited, aborted), the
+    // engines in `wake_vocabulary`'s order.
+    const WAKE_VOCABULARY: [(&str, u64, u64, u64, u64, usize); 7] = [
+        ("FullRescan Scheme 0", 6_527, 350, 6_227, 70, 0),
+        ("FullRescan Scheme 1", 9_789, 3_832, 7_156, 89, 0),
+        ("FullRescan Scheme 2", 709_718, 57_479, 7_022, 89, 0),
+        ("FullRescan Scheme 3", 32_342, 11_215, 4_698, 64, 0),
+        ("Naive-SG (BS88)", 8_567, 300, 1_923, 122, 0),
+        ("Aborting-TO", 261, 261, 261, 0, 39),
+        ("Optimistic-Ticket", 300, 6_356, 300, 0, 30),
     ];
     let cells = [
         ("small", Script::random(50, 4, 2.0, 42)),
@@ -424,11 +451,52 @@ fn step_cells_golden() {
                 let cell = format!("{kind} {size} {kernel}");
                 assert_eq!(out.completed, script.txn_count(), "{cell}: incomplete");
                 assert_eq!(
-                    (out.steps.cond, out.steps.act),
+                    (out.steps.cond, out.steps.act, out.steps.wait_scan),
                     steps,
-                    "{cell}: paper step counts (cond, act) moved"
+                    "{cell}: paper step counts (cond, act, wait_scan) moved"
                 );
             }
         }
     }
+    let small = &cells[0].1;
+    for ((label, cond, act, wait_scan, waited, aborted), scheme) in
+        WAKE_VOCABULARY.into_iter().zip(wake_vocabulary())
+    {
+        let out = replay_with(&mut Gtm2::new(scheme), small);
+        assert_eq!(
+            out.completed + out.aborted.len(),
+            small.txn_count(),
+            "{label} small: incomplete"
+        );
+        assert_eq!(
+            (
+                out.steps.cond,
+                out.steps.act,
+                out.steps.wait_scan,
+                out.stats.waited,
+                out.aborted.len()
+            ),
+            (cond, act, wait_scan, waited, aborted),
+            "{label} small: steps (cond, act, wait_scan), waits or aborts moved"
+        );
+    }
+}
+
+/// The engines whose wake candidate sets no conservative kernel returns:
+/// [`FullRescan`] over each conservative scheme (`All`), the naive site
+/// graph (`Inits`, `SerOf`), and the two aborting baselines (`None`).
+fn wake_vocabulary() -> Vec<Box<dyn Gtm2Scheme + Send>> {
+    let mut engines: Vec<Box<dyn Gtm2Scheme + Send>> = SchemeKind::CONSERVATIVE
+        .into_iter()
+        .map(|kind| Box::new(FullRescan(kind.build())) as Box<dyn Gtm2Scheme + Send>)
+        .collect();
+    engines.extend(
+        [
+            SchemeKind::SiteGraph,
+            SchemeKind::AbortingTo,
+            SchemeKind::OptimisticTicket,
+        ]
+        .map(SchemeKind::build),
+    );
+    engines
 }
