@@ -102,13 +102,7 @@ impl Gtm2Scheme for AbortingTo {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        _acted: &QueueOp,
-        _wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, _acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         WakeCandidates::None // nothing ever waits
     }
 }
@@ -248,13 +242,7 @@ impl Gtm2Scheme for OptimisticTicket {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        _acted: &QueueOp,
-        _wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, _acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         WakeCandidates::None
     }
 

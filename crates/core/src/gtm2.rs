@@ -16,23 +16,25 @@
 //! surrounding system calls [`Gtm2::enqueue`] as GTM1 and the servers
 //! produce operations. The inner "while exists" search is driven by the
 //! scheme's [`wake_candidates`](crate::scheme::Gtm2Scheme::wake_candidates)
-//! hints so each scheme pays exactly its own rescan cost. The hints become
-//! a worklist of [`Pending`] entries: a site's waiting sers and the waiting
-//! fins are one entry each, walked in key order straight off WAIT's
-//! ordered indexes when the worklist reaches them, and anything else is one
-//! key. A waiter is re-tested where it sits and leaves WAIT only when
-//! eligible. Re-tests a scheme proves must fail are charged their steps
-//! without being run (`gtm2.wake_elided` counts them); Scheme 1's dense
-//! kernel asks for three, Scheme 3's for the last two:
+//! hints, and the engine charges each hint's `WaitScan` steps by the one
+//! rule [`WakeCandidates`] states, so each scheme pays exactly its own
+//! rescan cost. The hints become a worklist of `Pending` entries: a site's
+//! waiting sers and the waiting fins are one entry each, walked in key
+//! order straight off WAIT's ordered indexes when the worklist reaches
+//! them, and anything else is one key. A waiter is re-tested where it sits
+//! and leaves WAIT only when eligible. Re-tests a scheme proves must fail
+//! are charged their steps without being run (`gtm2.wake_elided` counts
+//! them); Scheme 1's dense kernel asks for three, Scheme 3's for the last
+//! two:
 //!
 //! - after an `ack`, the waiting fins ([`WakeCandidates::SerAtFinsCharged`]);
 //! - after a `fin`, every waiting fin but the ones the scheme names ready
 //!   ([`WakeCandidates::FinPass`], run by `fin_pass`): Scheme 1's
 //!   delete-queue fronts, Scheme 3's transactions whose `ser_bef` row a
 //!   `fin` emptied;
-//! - after a woken `ser_k`, the rest of its [`Pending::SerAt`] range in
-//!   one charge, because `k` now has an outstanding `ser` (Scheme 1) or an
-//!   unacked `last_k` (Scheme 3)
+//! - after a woken `ser_k`, the rest of its site's range
+//!   ([`WakeCandidates::SerAt`]) in one charge, because `k` now has an
+//!   outstanding `ser` (Scheme 1) or an unacked `last_k` (Scheme 3)
 //!   ([`ser_blocked_at`](crate::scheme::Gtm2Scheme::ser_blocked_at)).
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which
@@ -345,17 +347,17 @@ impl Gtm2 {
     }
 
     /// The wake candidates for an acted operation, appended to
-    /// `candidates` (resolved against WAIT without allocating). Every
-    /// waiting fin a closed form covers is counted into the wake-scan
-    /// histogram as scanned, as its literal re-test would be. Where the
-    /// scheme asks for the waiting fins to be charged outright
-    /// ([`WakeCandidates::SerAtFinsCharged`]), this is where they are: their
-    /// recorded `Cond` steps added, none of them put on the worklist. A
-    /// [`WakeCandidates::FinPass`] is charged when the worklist reaches it.
+    /// `candidates` (resolved against WAIT without allocating), and their
+    /// wait-scan charge. Every waiting fin a closed form covers is counted
+    /// as scanned, as its literal re-test would be: `scanned` goes into
+    /// the wake-scan histogram, and [`wait_scan_charge`] turns it into
+    /// `WaitScan` steps. Where the scheme asks for the waiting fins to be
+    /// charged outright ([`WakeCandidates::SerAtFinsCharged`]), this is
+    /// where they are: their recorded `Cond` steps added, none of them put
+    /// on the worklist. A [`WakeCandidates::FinPass`] is charged when the
+    /// worklist reaches it.
     fn push_wake_candidates(&mut self, acted: &QueueOp, candidates: &mut VecDeque<Pending>) {
-        let wake = self
-            .scheme
-            .wake_candidates(acted, &self.wait, &mut self.steps);
+        let wake = self.scheme.wake_candidates(acted, &self.wait);
         let mut scanned = self.wait.resolve_into(&wake, candidates) as u64;
         let fins = self.wait.fin_count() as u64;
         if let WakeCandidates::SerAtFinsCharged(_) = wake {
@@ -366,6 +368,8 @@ impl Gtm2 {
         } else if wake == WakeCandidates::FinPass {
             scanned += fins;
         }
+        self.steps
+            .bump(StepKind::WaitScan, wait_scan_charge(&wake, scanned));
         self.wake_scan.observe(scanned);
     }
 
@@ -583,6 +587,24 @@ impl std::fmt::Debug for Gtm2 {
     }
 }
 
+/// The `WaitScan` steps for naming `scanned` waiters with `wake`, the rule
+/// [`WakeCandidates`] states: naming nothing or one key is one step, a
+/// full rescan is one step per waiter, and a range or filter is one step
+/// to find it plus one per waiter it names.
+fn wait_scan_charge(wake: &WakeCandidates, scanned: u64) -> u64 {
+    match wake {
+        WakeCandidates::None | WakeCandidates::One(_) => 1,
+        WakeCandidates::All => scanned,
+        WakeCandidates::SerAt(_)
+        | WakeCandidates::Fins
+        | WakeCandidates::SerAtThenFins(_)
+        | WakeCandidates::SerAtFinsCharged(_)
+        | WakeCandidates::FinPass
+        | WakeCandidates::Inits
+        | WakeCandidates::SerOf(_) => 1 + scanned,
+    }
+}
+
 /// `cond(op)` on a scratch counter: the verdict and the `Cond` steps a
 /// re-test would charge.
 fn retest_charge(scheme: &dyn Gtm2Scheme, op: &QueueOp) -> (bool, u64) {
@@ -764,11 +786,13 @@ mod tests {
     /// transaction in `pass` is eligible, anything else fails, at one
     /// `Cond` step — unless `block` is `Some(c)` and a `ser` has acted at
     /// the site, after which every `ser` there fails at `c`
-    /// (`ser_blocked_at`). Acts change nothing else and wake nobody.
+    /// (`ser_blocked_at`). Acts change nothing else, and every act names
+    /// `wake` as its wake candidates.
     struct Scripted {
         pass: Vec<u64>,
         block: Option<u64>,
         blocked: Vec<SiteId>,
+        wake: WakeCandidates,
     }
 
     impl Gtm2Scheme for Scripted {
@@ -790,25 +814,32 @@ mod tests {
                 self.blocked.push(*site);
             }
         }
-        fn wake_candidates(
-            &self,
-            _acted: &QueueOp,
-            _wait: &WaitSet,
-            _steps: &mut StepCounter,
-        ) -> WakeCandidates {
-            WakeCandidates::None
+        fn wake_candidates(&self, _acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
+            self.wake.clone()
         }
         fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
             self.block.filter(|_| self.blocked.contains(&site))
         }
     }
 
-    /// An engine over [`Scripted`], tracing, with `waiting` in WAIT.
+    /// An engine over [`Scripted`] that wakes nobody, tracing, with
+    /// `waiting` in WAIT.
     fn scripted(pass: &[u64], block: Option<u64>, waiting: &[QueueOp]) -> Gtm2 {
+        scripted_waking(pass, block, WakeCandidates::None, waiting)
+    }
+
+    /// [`scripted`], naming `wake` after every act.
+    fn scripted_waking(
+        pass: &[u64],
+        block: Option<u64>,
+        wake: WakeCandidates,
+        waiting: &[QueueOp],
+    ) -> Gtm2 {
         let mut e = Gtm2::new(Box::new(Scripted {
             pass: pass.to_vec(),
             block,
             blocked: Vec::new(),
+            wake,
         }));
         e.set_tracing(true);
         // Every waiter's transaction counts as active, so a woken fin
@@ -926,6 +957,50 @@ mod tests {
         assert_eq!((retests, woken), (vec![], vec![]));
         assert_eq!((e.steps(), e.wake_elided), (StepCounter::new(), 0));
         assert_eq!(e.wait_len(), 2);
+    }
+
+    /// The wait-scan rule, variant by variant, against one WAIT of two sers
+    /// at site 0, one more ser of the same transaction at site 1, two fins
+    /// and two inits: `None` and `One` charge 1, `All` charges |WAIT|, and
+    /// every range or filter charges 1 plus what it names — a closed-form
+    /// fin half counting every waiting fin. The histogram observes the
+    /// named count once per act.
+    #[test]
+    fn wait_scan_rule_charges_each_variant_from_what_it_names() {
+        let init = |txn| QueueOp::Init {
+            txn: g(txn),
+            sites: vec![s(0)],
+        };
+        let waiting = [
+            ser(1, 0),
+            ser(3, 0),
+            ser(3, 1),
+            fin(4),
+            fin(5),
+            init(6),
+            init(7),
+        ];
+        // (candidates, waiters named, WaitScan steps)
+        let cases = [
+            (WakeCandidates::None, 0, 1),
+            (WakeCandidates::One(wait_key(&ser(1, 0))), 1, 1),
+            (WakeCandidates::All, 7, 7),
+            (WakeCandidates::SerAt(s(0)), 2, 3),
+            (WakeCandidates::Fins, 2, 3),
+            (WakeCandidates::SerAtThenFins(s(0)), 4, 5),
+            (WakeCandidates::SerAtFinsCharged(s(0)), 4, 5),
+            (WakeCandidates::FinPass, 2, 3),
+            (WakeCandidates::Inits, 2, 3),
+            (WakeCandidates::SerOf(g(3)), 2, 3),
+        ];
+        for (wake, scanned, charge) in cases {
+            let mut e = scripted_waking(&[], None, wake.clone(), &waiting);
+            let mut worklist = VecDeque::new();
+            e.push_wake_candidates(&ser(9, 2), &mut worklist);
+            assert_eq!(e.steps().wait_scan, charge, "{wake:?}: WaitScan charge");
+            let hist = e.wake_scan_histogram();
+            assert_eq!((hist.count(), hist.sum()), (1, scanned), "{wake:?}");
+        }
     }
 
     #[test]

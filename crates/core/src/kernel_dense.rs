@@ -70,8 +70,9 @@
 //!     (`ser_blocked_at`): `last_k` is now unacked, so each fails at its
 //!     second step.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
-//!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
-//!   without allocating.
+//!   (`SerAt`, `Fins`, …) and charge nothing: the engine resolves them
+//!   against the WAIT set without allocating and charges the wait scan
+//!   from what they name, by the rule [`WakeCandidates`] states.
 
 use crate::scheme::{Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates};
 use crate::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, EliminateScratch};
@@ -370,19 +371,9 @@ impl Gtm2Scheme for Scheme1Dense {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, wait: &WaitSet) -> WakeCandidates {
         match acted {
             QueueOp::Ack { txn, site } => {
-                steps.bump(
-                    StepKind::WaitScan,
-                    (wait.ser_count_at(*site) + wait.fin_count()) as u64,
-                );
                 // The ack appended `txn` to one delete queue. An append
                 // changes a queue's front only if the queue was empty, and
                 // then the front becomes `txn` — so a waiting fin of any
@@ -403,7 +394,6 @@ impl Gtm2Scheme for Scheme1Dense {
                 // each woken fin pops again. Only a front can pass, so the
                 // engine re-tests the fronts (`ready_fins`) and charges
                 // every other waiting fin the `1 + |Ĝ|` it charged before.
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
                 WakeCandidates::FinPass
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
@@ -595,22 +585,10 @@ impl Gtm2Scheme for Scheme2Dense {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
-            QueueOp::Ack { site, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_at(*site) as u64);
-                WakeCandidates::SerAt(*site)
-            }
-            QueueOp::Fin { .. } => {
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
-                WakeCandidates::Fins
-            }
+            QueueOp::Ack { site, .. } => WakeCandidates::SerAt(*site),
+            QueueOp::Fin { .. } => WakeCandidates::Fins,
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
         }
     }
@@ -1103,23 +1081,13 @@ impl Gtm2Scheme for Scheme3Dense {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
-            QueueOp::Ack { site, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_at(*site) as u64);
-                WakeCandidates::SerAt(*site)
-            }
+            QueueOp::Ack { site, .. } => WakeCandidates::SerAt(*site),
             QueueOp::Fin { .. } => {
                 // `cond(fin)` charges one step, pass or fail, so the engine
                 // re-tests the fins of the rows a fin emptied (`ready_fins`)
                 // and charges every other waiting fin that step.
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
                 WakeCandidates::FinPass
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,

@@ -188,13 +188,7 @@ impl Gtm2Scheme for Scheme1 {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
             QueueOp::Ack { site, .. } => {
                 // The site lost its outstanding op and its insert-queue
@@ -205,10 +199,6 @@ impl Gtm2Scheme for Scheme1 {
                 // kernel charges the other fins without re-testing them;
                 // this kernel re-tests them all, and so is the oracle the
                 // equivalence tests hold that charge against.
-                steps.bump(
-                    StepKind::WaitScan,
-                    (wait.ser_count_at(*site) + wait.fin_count()) as u64,
-                );
                 WakeCandidates::SerAtThenFins(*site)
             }
             QueueOp::Fin { .. } => {
@@ -216,7 +206,6 @@ impl Gtm2Scheme for Scheme1 {
                 // The dense kernel re-tests only the fronts and charges the
                 // rest; this kernel re-tests them all, and so is the oracle
                 // for that charge too.
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
                 WakeCandidates::Fins
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,

@@ -193,25 +193,13 @@ impl Gtm2Scheme for Scheme2 {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
             // An ack can satisfy waiting ser conds at its site.
-            QueueOp::Ack { site, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_at(*site) as u64);
-                WakeCandidates::SerAt(*site)
-            }
+            QueueOp::Ack { site, .. } => WakeCandidates::SerAt(*site),
             // A fin removes dependencies out of the finished transaction,
             // which can unblock other fins.
-            QueueOp::Fin { .. } => {
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
-                WakeCandidates::Fins
-            }
+            QueueOp::Fin { .. } => WakeCandidates::Fins,
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
         }
     }

@@ -197,29 +197,17 @@ impl Gtm2Scheme for Scheme3 {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
             // An ack satisfies the "previous event acked" clause at its
             // site.
-            QueueOp::Ack { site, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_at(*site) as u64);
-                WakeCandidates::SerAt(*site)
-            }
+            QueueOp::Ack { site, .. } => WakeCandidates::SerAt(*site),
             // A ser shrinks set_k, which can clear another event's
             // ser_bef ∩ set_k at this site — but the site's last event is
             // now unacked, so nothing here can run until the ack; no
             // candidates. A fin empties ser_bef sets: other fins are
             // candidates.
-            QueueOp::Fin { .. } => {
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
-                WakeCandidates::Fins
-            }
+            QueueOp::Fin { .. } => WakeCandidates::Fins,
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
         }
     }

@@ -9,10 +9,11 @@
 //! evaluations, (2) `act` executions, and (3) the work of determining which
 //! waiting operations became eligible after an `act`. Point (3) is exposed
 //! as [`Gtm2Scheme::wake_candidates`]: after `act(o)`, the scheme names the
-//! waiting operations whose `cond` could have turned true. Scheme 0 returns
-//! a single candidate (the new queue front) — that is how it achieves
-//! `O(1)` wait rescans; a naive scheme may return
-//! [`WakeCandidates::All`].
+//! waiting operations whose `cond` could have turned true, and the engine
+//! charges the naming by one rule over the set it resolves (see
+//! [`WakeCandidates`]). Scheme 0 returns a single candidate (the new queue
+//! front) — that is how it achieves `O(1)` wait rescans; a naive scheme
+//! may return [`WakeCandidates::All`].
 
 use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
@@ -38,13 +39,12 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 ///
 /// Beside the map the set keeps what a wake pass needs without walking
 /// WAIT: the waiting `ser`s ordered by site and counted per site, the
-/// waiting `fin`s in transaction order, the `init` count, and the `Cond`
-/// steps the waiting `fin`s were charged when they failed — the
-/// closed-form charge behind [`WakeCandidates::SerAtFinsCharged`] and
-/// [`WakeCandidates::FinPass`]. Schemes read the counts to charge their
-/// wake-scan steps; the engine turns candidates into worklist entries with
-/// [`WaitSet::resolve_into`] and walks a [`Pending::SerAt`] or
-/// [`Pending::Fins`] entry straight off the ordered indexes.
+/// waiting `fin`s in transaction order, and the `Cond` steps the waiting
+/// `fin`s were charged when they failed — the closed-form charge behind
+/// [`WakeCandidates::SerAtFinsCharged`] and [`WakeCandidates::FinPass`].
+/// The engine turns a scheme's candidates into worklist entries, counts
+/// what they name, and walks a site's sers or the fins straight off the
+/// ordered indexes.
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
     /// Every waiter, by key. Never iterated in map order.
@@ -62,8 +62,6 @@ pub struct WaitSet {
     fins: BTreeSet<GlobalTxnId>,
     /// Sum of [`Waiter::cond_cost`] over the waiting `Fin`s.
     fin_cond: u64,
-    /// Waiting `Init` count.
-    inits: usize,
 }
 
 /// One entry of the WAIT set.
@@ -98,7 +96,6 @@ impl WaitSet {
                 self.fins.insert(txn);
                 self.fin_cond += cond_cost;
             }
-            (QueueOpKind::Init, ..) => self.inits += 1,
             _ => {}
         }
         true
@@ -139,7 +136,6 @@ impl WaitSet {
                 self.fins.remove(&txn);
                 self.fin_cond -= taken.cond_cost;
             }
-            (QueueOpKind::Init, ..) => self.inits -= 1,
             _ => {}
         }
         Some(taken.op)
@@ -189,34 +185,19 @@ impl WaitSet {
     }
 
     /// Number of waiting `Ser` operations at `site` (O(1), maintained).
-    pub fn ser_count_at(&self, site: SiteId) -> usize {
+    pub(crate) fn ser_count_at(&self, site: SiteId) -> usize {
         self.ser_counts.get(&site).copied().unwrap_or(0)
     }
 
-    /// Number of waiting `Ser` operations of `txn` (O(|WAIT|): only the
-    /// naive site-graph baseline asks).
-    pub fn ser_count_of(&self, txn: GlobalTxnId) -> usize {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a count does not depend on the order it is taken in."
-        )]
-        self.ops.keys().filter(|k| is_ser_of(k, txn)).count()
-    }
-
     /// Number of waiting `Fin` operations (O(1), maintained).
-    pub fn fin_count(&self) -> usize {
+    pub(crate) fn fin_count(&self) -> usize {
         self.fins.len()
     }
 
     /// `Cond` steps the waiting `Fin`s were charged when each failed its
     /// `cond` and joined WAIT, summed (O(1), maintained).
-    pub fn fin_cond_cost(&self) -> u64 {
+    pub(crate) fn fin_cond_cost(&self) -> u64 {
         self.fin_cond
-    }
-
-    /// Number of waiting `Init` operations (O(1), maintained).
-    pub fn init_count(&self) -> usize {
-        self.inits
     }
 
     /// The waiting `Fin`s in key order, each with the `Cond` steps its
@@ -259,7 +240,11 @@ impl WaitSet {
     /// [`WakeCandidates::SerAtFinsCharged`] and
     /// [`WakeCandidates::FinPass`], because those are charged in closed
     /// form.
-    pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<Pending>) -> usize {
+    pub(crate) fn resolve_into(
+        &self,
+        cands: &WakeCandidates,
+        out: &mut VecDeque<Pending>,
+    ) -> usize {
         match cands {
             WakeCandidates::None => 0,
             WakeCandidates::One(key) => {
@@ -298,13 +283,22 @@ fn is_ser_of(key: &WaitKey, txn: GlobalTxnId) -> bool {
 ///
 /// The symbolic variants (`One`, `SerAt`, `Fins`, …) describe a candidate
 /// set *by predicate* instead of materializing it: the engine expands them
-/// against the WAIT set via [`WaitSet::resolve_into`] into a reused buffer,
-/// so a scheme's `wake_candidates` never allocates on the hot path.
+/// against the WAIT set into a reused buffer, so a scheme's
+/// `wake_candidates` never allocates on the hot path.
+///
+/// The engine charges the naming to `WaitScan` — Figure 3's search for an
+/// eligible waiter, the wait term of Theorems 4, 6 and 9 — by one rule
+/// over the waiters the set names when it is resolved (a closed-form fin
+/// half counts its waiting fins as named):
+///
+/// - `None` and `One` charge 1;
+/// - `All` charges |WAIT|;
+/// - every range or filter variant charges 1 plus the waiters it names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WakeCandidates {
     /// Nothing can have changed.
     None,
-    /// Re-evaluate every waiting operation (cost: the whole WAIT set).
+    /// Re-evaluate every waiting operation.
     All,
     /// Re-evaluate exactly this key.
     One(WaitKey),
@@ -318,7 +312,7 @@ pub enum WakeCandidates {
     /// [`SerAtThenFins`](Self::SerAtThenFins) with the fin half in closed
     /// form: every waiting `Ser` at the site is re-tested; every waiting
     /// `Fin` is counted as scanned and charged the `Cond` steps recorded
-    /// when it joined WAIT ([`WaitSet::fin_cond_cost`]), but not re-tested.
+    /// when it joined WAIT, but not re-tested.
     /// A scheme may return this only after an act for which it can prove
     /// that every waiting `fin` still fails its `cond`, and that a `fin`'s
     /// `cond` charges the same steps each time it is evaluated while the
@@ -327,8 +321,7 @@ pub enum WakeCandidates {
     SerAtFinsCharged(SiteId),
     /// [`Fins`](Self::Fins) in closed form: one pass over the waiting
     /// `Fin`s that charges every fin waiting when it starts the `Cond`
-    /// steps recorded when it joined WAIT ([`WaitSet::fin_cond_cost`]),
-    /// and re-tests only the ones [`Gtm2Scheme::ready_fins`] names, in key
+    /// steps recorded when it joined WAIT, and re-tests only the ones [`Gtm2Scheme::ready_fins`] names, in key
     /// order, re-reading them after each wake. The engine counts every
     /// waiting fin as scanned. A scheme may return this only if a `fin`'s
     /// `cond` charges the same steps each time it is evaluated while the
@@ -348,7 +341,7 @@ pub enum WakeCandidates {
 /// reaches the entry is that snapshot minus the waiters woken since —
 /// exactly the keys whose literal re-test would still find a waiter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Pending {
+pub(crate) enum Pending {
     /// Re-test the operation waiting under this key, if it still waits.
     Key(WaitKey),
     /// Re-test every `Ser` waiting at the site, in key order.
@@ -433,17 +426,9 @@ pub trait Gtm2Scheme {
     fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>);
 
     /// After `act(acted)`, which waiting operations might now satisfy their
-    /// `cond`? Charged to `steps` as wait-scan work.
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        let _ = acted;
-        steps.bump(mdbs_common::step::StepKind::WaitScan, wait.len() as u64);
-        WakeCandidates::All
-    }
+    /// `cond`? The scheme only names them; the engine charges the naming
+    /// as wait-scan work, by the rule [`WakeCandidates`] states.
+    fn wake_candidates(&self, acted: &QueueOp, wait: &WaitSet) -> WakeCandidates;
 
     /// The transactions whose waiting `fin` may pass its `cond` now, into
     /// `out` (cleared by the caller): a superset is fine, in any order,
@@ -457,8 +442,8 @@ pub trait Gtm2Scheme {
 
     /// `Some(c)` if every waiting `ser` at `site` must fail its `cond` now,
     /// each charging `c` `Cond` steps. After a `ser` woken from a
-    /// [`Pending::SerAt`] range acts, the engine charges the rest of that
-    /// range `c` each, in one sum, instead of re-testing it. The default,
+    /// [`WakeCandidates::SerAt`] range acts, the engine charges the rest of
+    /// that range `c` each, in one sum, instead of re-testing it. The default,
     /// `None`, keeps every re-test literal.
     fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
         let _ = site;
@@ -494,13 +479,7 @@ impl Gtm2Scheme for FullRescan {
     fn act(&mut self, op: &QueueOp, steps: &mut StepCounter, out: &mut Vec<SchemeEffect>) {
         self.0.act(op, steps, out);
     }
-    fn wake_candidates(
-        &self,
-        _acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.bump(mdbs_common::step::StepKind::WaitScan, wait.len() as u64);
+    fn wake_candidates(&self, _acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         WakeCandidates::All
     }
     fn debug_validate(&self) {
@@ -721,10 +700,8 @@ mod tests {
         }
         let fins = keys_where(&w, |k| k.0 == QueueOpKind::Fin);
         assert_eq!(w.ser_count_at(SiteId(0)), 3);
-        assert_eq!(w.ser_count_of(GlobalTxnId(2)), 2);
         assert_eq!(w.fin_count(), 2);
         assert_eq!(w.fin_cond_cost(), 7);
-        assert_eq!(w.init_count(), 1);
 
         assert_eq!(
             resolved(&w, &WakeCandidates::SerAt(SiteId(0))),
@@ -905,10 +882,6 @@ mod tests {
                 let fins = model.iter().filter(|(k, _)| k.0 == QueueOpKind::Fin);
                 prop_assert_eq!(w.fin_count(), fins.clone().count());
                 prop_assert_eq!(w.fin_cond_cost(), fins.map(|(_, c)| c).sum::<u64>());
-                prop_assert_eq!(
-                    w.init_count(),
-                    model.keys().filter(|k| k.0 == QueueOpKind::Init).count()
-                );
                 for s in 0..5 {
                     let at = |k: &&WaitKey| k.0 == QueueOpKind::Ser && k.2 == Some(SiteId(s));
                     let txns: Vec<GlobalTxnId> = model.keys().filter(at).map(|k| k.1).collect();
@@ -926,10 +899,6 @@ mod tests {
                     let after = cut.checked_sub(1).and_then(|i| fin_txns.get(i)).copied();
                     let above: Vec<GlobalTxnId> = w.fins_above(after).collect();
                     prop_assert_eq!(&above[..], &fin_txns[cut..]);
-                }
-                for t in 0..9 {
-                    let of = |k: &&WaitKey| is_ser_of(k, GlobalTxnId(t));
-                    prop_assert_eq!(w.ser_count_of(GlobalTxnId(t)), model.keys().filter(of).count());
                 }
                 let prefix = [Pending::Key(wait_key(&fin(99))), Pending::Key(wait_key(&ser(98, 7)))];
                 for (cands, entries, want) in model_candidates(&model, key) {

@@ -93,13 +93,7 @@ impl Gtm2Scheme for Scheme0 {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, wait: &WaitSet) -> WakeCandidates {
         match acted {
             // Only an ack changes a queue front; the only waiting ops are
             // ser ops, and only the new front can be eligible.

@@ -132,28 +132,13 @@ impl Gtm2Scheme for SiteGraphScheme {
         }
     }
 
-    fn wake_candidates(
-        &self,
-        acted: &QueueOp,
-        wait: &WaitSet,
-        steps: &mut StepCounter,
-    ) -> WakeCandidates {
-        steps.tick(StepKind::WaitScan);
+    fn wake_candidates(&self, acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
         match acted {
             // A fin frees site-graph edges: waiting inits are candidates.
-            QueueOp::Fin { .. } => {
-                steps.bump(StepKind::WaitScan, wait.init_count() as u64);
-                WakeCandidates::Inits
-            }
+            QueueOp::Fin { .. } => WakeCandidates::Inits,
             // An activated transaction's ser ops may already be waiting.
-            QueueOp::Init { txn, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_of(*txn) as u64);
-                WakeCandidates::SerOf(*txn)
-            }
-            QueueOp::Ack { site, .. } => {
-                steps.bump(StepKind::WaitScan, wait.ser_count_at(*site) as u64);
-                WakeCandidates::SerAt(*site)
-            }
+            QueueOp::Init { txn, .. } => WakeCandidates::SerOf(*txn),
+            QueueOp::Ack { site, .. } => WakeCandidates::SerAt(*site),
             QueueOp::Ser { .. } => WakeCandidates::None,
         }
     }
