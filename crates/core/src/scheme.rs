@@ -312,20 +312,19 @@ pub enum WakeCandidates {
     /// [`SerAtThenFins`](Self::SerAtThenFins) with the fin half in closed
     /// form: every waiting `Ser` at the site is re-tested; every waiting
     /// `Fin` is counted as scanned and charged the `Cond` steps recorded
-    /// when it joined WAIT, but not re-tested.
-    /// A scheme may return this only after an act for which it can prove
-    /// that every waiting `fin` still fails its `cond`, and that a `fin`'s
-    /// `cond` charges the same steps each time it is evaluated while the
-    /// `fin` waits — then the literal re-tests would charge exactly this
-    /// and wake nobody.
+    /// when it joined WAIT, but not re-tested. A scheme may return this
+    /// only after an act for which it can prove that every waiting `fin`
+    /// still fails its `cond`, and that a `fin`'s `cond` charges the same
+    /// steps each time it is evaluated while the `fin` waits — then the
+    /// literal re-tests would charge exactly this and wake nobody.
     SerAtFinsCharged(SiteId),
     /// [`Fins`](Self::Fins) in closed form: one pass over the waiting
     /// `Fin`s that charges every fin waiting when it starts the `Cond`
-    /// steps recorded when it joined WAIT, and re-tests only the ones [`Gtm2Scheme::ready_fins`] names, in key
-    /// order, re-reading them after each wake. The engine counts every
-    /// waiting fin as scanned. A scheme may return this only if a `fin`'s
-    /// `cond` charges the same steps each time it is evaluated while the
-    /// `fin` waits.
+    /// steps recorded when it joined WAIT, and re-tests only the ones
+    /// [`Gtm2Scheme::ready_fins`] names, in key order, re-reading them
+    /// after each wake. The engine counts every waiting fin as scanned. A
+    /// scheme may return this only if a `fin`'s `cond` charges the same
+    /// steps each time it is evaluated while the `fin` waits.
     FinPass,
     /// Every waiting `Init`.
     Inits,
