@@ -5,6 +5,9 @@
 //! cargo run -p mdbs-bench --bin experiments --release exp-np       # one family
 //! cargo run -p mdbs-bench --bin experiments --release -- --json out.json
 //! ```
+//!
+//! `--json results/experiments.json` rewrites the committed record that
+//! `crates/bench/tests/committed_results.rs` holds every family to.
 
 use mdbs_bench::experiments;
 
@@ -12,32 +15,25 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Optional provenance output: --json <path> writes every generated
     // table as JSON alongside the printed text.
-    let mut json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
+    let json_path = args.iter().position(|a| a == "--json").map(|pos| {
         args.remove(pos);
-        if pos < args.len() {
-            json_path = Some(args.remove(pos));
-        } else {
+        if pos == args.len() {
             eprintln!("--json requires a path");
             std::process::exit(2);
         }
-    }
+        args.remove(pos)
+    });
     let all = experiments::all();
-    let selected: Vec<_> = if args.is_empty() {
-        all
-    } else {
-        let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
-        let chosen: Vec<_> = all
-            .into_iter()
-            .filter(|(id, _)| args.iter().any(|a| a == id))
-            .collect();
-        if chosen.is_empty() {
-            eprintln!("unknown experiment id(s): {args:?}");
-            eprintln!("available: {}", ids.join(" "));
-            std::process::exit(2);
-        }
-        chosen
-    };
+    let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
+    let unknown: Vec<&String> = args.iter().filter(|a| !ids.contains(&a.as_str())).collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s): {unknown:?}");
+        eprintln!("available: {}", ids.join(" "));
+        std::process::exit(2);
+    }
+    let selected = all
+        .iter()
+        .filter(|(id, _)| args.is_empty() || args.iter().any(|a| a == id));
 
     println!("MDBS reproduction — experiment harness");
     println!("paper: Mehrotra et al., SIGMOD 1992 (multidatabase concurrency control)\n");
@@ -46,7 +42,7 @@ fn main() {
         let start = std::time::Instant::now();
         let tables = f();
         for t in &tables {
-            t.print();
+            println!("{}", t.render());
         }
         println!("[{id} completed in {:.2?}]\n", start.elapsed());
         all_tables.push((id.to_string(), tables));

@@ -63,14 +63,10 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::from(2);
         }
     };
-    let Some(scheme) = [
-        SchemeKind::Scheme0,
-        SchemeKind::Scheme1,
-        SchemeKind::Scheme2,
-        SchemeKind::Scheme3,
-    ]
-    .into_iter()
-    .find(|s| format!("{s:?}") == scheme_name) else {
+    let Some(scheme) = SchemeKind::CONSERVATIVE
+        .into_iter()
+        .find(|s| format!("{s:?}") == scheme_name)
+    else {
         eprintln!("profile_replay: unknown scheme `{scheme_name}` (try Scheme0..Scheme3)");
         return std::process::ExitCode::from(2);
     };

@@ -1,20 +1,28 @@
 //! The experiments. Each `exp_*` function regenerates one table family of
-//! `EXPERIMENTS.md`; `all()` enumerates them for the CLI.
+//! `EXPERIMENTS.md`; `all()` enumerates them for the CLI. A family that
+//! checks a claim of the paper ends with an `EXP-…: verdicts` table
+//! (`claim | result | witness`), judged from the numbers it prints.
 
 use crate::tables::{f1, f2, Table};
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::rng::derive_rng;
 use mdbs_common::step::StepCounter;
+use mdbs_core::gtm2::Gtm2;
 use mdbs_core::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
-use mdbs_core::replay::{replay, Script};
-use mdbs_core::scheme::SchemeKind;
-use mdbs_localdb::protocol::LocalProtocolKind;
+use mdbs_core::replay::{replay, replay_with, ReplayOutcome, Script};
+use mdbs_core::scheme::{FullRescan, SchemeKind};
+// Short names for the local protocols, as the tables' site mixes spell them.
+use mdbs_localdb::protocol::LocalProtocolKind::{
+    self, Optimistic as Occ, SerializationGraphTesting as Sgt, TimestampOrdering as To,
+    TwoPhaseLocking as Tpl, TwoPhaseLockingWaitDie as Wd, TwoPhaseLockingWoundWait as Ww,
+};
 use mdbs_schedule::DiGraph;
 use mdbs_sim::system::{MdbsSystem, SystemConfig};
 use mdbs_workload::distributions::AccessDistribution;
 use mdbs_workload::generator::Workload;
 use mdbs_workload::spec::WorkloadSpec;
 use rand::seq::SliceRandom;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// An experiment entry: id and the function regenerating its tables.
@@ -75,35 +83,45 @@ fn run_sim(
     MdbsSystem::new(b.build()).run(Workload::generate(spec))
 }
 
+/// A family's verdict table: one row per claim of the paper it checks,
+/// `HOLDS` or `VIOLATED`, and the numbers it was judged on.
+fn verdicts(family: &str, claims: Vec<(&str, bool, String)>) -> Table {
+    let mut table = Table::new(
+        format!("{family}: verdicts"),
+        &["claim", "result", "witness"],
+    );
+    for (claim, holds, witness) in claims {
+        let result = if holds { "HOLDS" } else { "VIOLATED" };
+        table.row(vec![claim.into(), result.into(), witness]);
+    }
+    table
+}
+
+/// A conservative replay that breaks Theorems 3, 5 and 8: it aborts, leaves
+/// a transaction unfinished or records a non-serializable `ser(S)`.
+fn broken(out: &ReplayOutcome, n: usize) -> bool {
+    !out.aborted.is_empty() || out.completed != n || !out.ser_serializable
+}
+
+/// "`bad` of `total` `what`", naming the first counter-example if any.
+fn tally(bad: u64, total: u64, what: &str, first: Option<String>) -> String {
+    let first = first.map(|first| format!(" (first: {first})"));
+    format!("{bad} of {total} {what}{}", first.unwrap_or_default())
+}
+
 // ---------------------------------------------------------------------
 // EXP-GS — Theorems 1/2/3/5/8: global serializability end to end
 // ---------------------------------------------------------------------
 
 /// Global serializability across protocol mixes, schemes and seeds.
 pub fn exp_gs() -> Vec<Table> {
-    use LocalProtocolKind::*;
-    let mixes: Vec<(&str, Vec<LocalProtocolKind>)> = vec![
-        ("2PL x3", vec![TwoPhaseLocking; 3]),
-        ("TO x3", vec![TimestampOrdering; 3]),
-        ("OCC x3", vec![Optimistic; 3]),
-        ("SGT x3 (tickets)", vec![SerializationGraphTesting; 3]),
-        (
-            "2PL/TO/OCC/SGT",
-            vec![
-                TwoPhaseLocking,
-                TimestampOrdering,
-                Optimistic,
-                SerializationGraphTesting,
-            ],
-        ),
-        (
-            "2PL/2PL-WD/2PL-WW",
-            vec![
-                TwoPhaseLocking,
-                TwoPhaseLockingWaitDie,
-                TwoPhaseLockingWoundWait,
-            ],
-        ),
+    let mixes = [
+        ("2PL x3", vec![Tpl; 3]),
+        ("TO x3", vec![To; 3]),
+        ("OCC x3", vec![Occ; 3]),
+        ("SGT x3 (tickets)", vec![Sgt; 3]),
+        ("2PL/TO/OCC/SGT", vec![Tpl, To, Occ, Sgt]),
+        ("2PL/2PL-WD/2PL-WW", vec![Tpl, Wd, Ww]),
     ];
     let seeds: Vec<u64> = (0..5).collect();
     let mut table = Table::new(
@@ -145,8 +163,7 @@ pub fn exp_ind() -> Vec<Table> {
         let mut rng = derive_rng(seed, "exp-ind");
         let script = Script::random(n, m, dav, seed);
         // Collect per-txn site sets from the script.
-        let mut site_txns: std::collections::BTreeMap<SiteId, Vec<GlobalTxnId>> =
-            std::collections::BTreeMap::new();
+        let mut site_txns = BTreeMap::<SiteId, Vec<GlobalTxnId>>::new();
         for ev in &script.events {
             if let mdbs_core::replay::ScriptEvent::Init(txn, sites) = ev {
                 for &s in sites {
@@ -167,34 +184,38 @@ pub fn exp_ind() -> Vec<Table> {
             naive_violations += 1;
         }
     }
-    let mut scheme_rows: Vec<(String, u64)> = Vec::new();
-    for scheme in SchemeKind::CONSERVATIVE {
-        let mut violations = 0;
-        for seed in 0..runs {
-            let script = Script::random(n, m, dav, seed);
-            if !replay(scheme, &script).ser_serializable {
-                violations += 1;
-            }
-        }
-        scheme_rows.push((scheme.name().to_string(), violations));
-    }
     let mut table = Table::new(
         format!("EXP-IND: non-serializable executions out of {runs} (n={n}, m={m}, d_av={dav})"),
         &["scheduler", "violations", "rate"],
     );
-    table.row(vec![
-        "naive (uncontrolled)".into(),
-        naive_violations.to_string(),
-        f1(100.0 * naive_violations as f64 / runs as f64) + "%",
-    ]);
-    for (name, v) in scheme_rows {
-        table.row(vec![
-            name,
-            v.to_string(),
-            f1(100.0 * v as f64 / runs as f64) + "%",
-        ]);
+    let mut row = |name: &str, violations: u64| {
+        let rate = f1(100.0 * violations as f64 / runs as f64) + "%";
+        table.row(vec![name.into(), violations.to_string(), rate]);
+    };
+    row("naive (uncontrolled)", naive_violations);
+    let (mut broken_runs, mut first_broken) = (0u64, None);
+    for scheme in SchemeKind::CONSERVATIVE {
+        let mut violations = 0u64;
+        for seed in 0..runs {
+            let out = replay(scheme, &Script::random(n, m, dav, seed));
+            violations += u64::from(!out.ser_serializable);
+            if broken(&out, n) {
+                broken_runs += 1;
+                first_broken.get_or_insert(format!("{scheme}, seed {seed}"));
+            }
+        }
+        row(scheme.name(), violations);
     }
-    vec![table]
+    let replays = SchemeKind::CONSERVATIVE.len() as u64 * runs;
+    let claims = verdicts(
+        "EXP-IND",
+        vec![(
+            "Schemes 0-3 complete every transaction, abort none, keep ser(S) serializable",
+            broken_runs == 0,
+            tally(broken_runs, replays, "runs", first_broken),
+        )],
+    );
+    vec![table, claims]
 }
 
 // ---------------------------------------------------------------------
@@ -202,8 +223,7 @@ pub fn exp_ind() -> Vec<Table> {
 // ---------------------------------------------------------------------
 
 fn steps_per_txn(kind: SchemeKind, n: usize, m: usize, dav: f64, seeds: u64) -> (f64, f64) {
-    let mut total = 0.0;
-    let mut peak = 0.0;
+    let (mut total, mut peak) = (0.0, 0.0);
     for seed in 0..seeds {
         let script = Script::random(n, m, dav, 7000 + seed);
         let out = replay(kind, &script);
@@ -213,36 +233,65 @@ fn steps_per_txn(kind: SchemeKind, n: usize, m: usize, dav: f64, seeds: u64) -> 
     (total / seeds as f64, peak / seeds as f64)
 }
 
-/// Scheme 0: steps per transaction vs d_av (Section 4: O(d_av)).
+/// Scheme 0: steps per transaction vs d_av and vs n (Section 4: O(d_av),
+/// independent of n).
 pub fn exp_c0() -> Vec<Table> {
-    let mut table = Table::new(
-        "EXP-C0: Scheme 0 steps/txn vs d_av (expect linear; n=48, m=8)",
+    let mut by_d = Table::new(
+        "EXP-C0a: Scheme 0 steps/txn vs d_av (expect linear; n=48, m=8)",
         &["d_av", "steps/txn", "steps/(txn*d_av)"],
     );
+    let mut spt_at = Vec::new();
     for dav10 in [10u64, 20, 30, 40, 60, 80] {
         let dav = dav10 as f64 / 10.0;
         let (spt, _) = steps_per_txn(SchemeKind::Scheme0, 48, 8, dav, 3);
-        table.row(vec![f1(dav), f1(spt), f2(spt / dav)]);
+        by_d.row(vec![f1(dav), f1(spt), f2(spt / dav)]);
+        spt_at.push((dav10, spt));
     }
-    vec![table]
+    let mut by_n = Table::new(
+        "EXP-C0b: Scheme 0 steps/txn vs n (expect flat; m=8, d_av=2)",
+        &["n", "steps/txn"],
+    );
+    let mut flat = Vec::new();
+    for n in [24usize, 48, 96, 192] {
+        let (spt, _) = steps_per_txn(SchemeKind::Scheme0, n, 8, 2.0, 3);
+        by_n.row(vec![n.to_string(), f1(spt)]);
+        flat.push(spt);
+    }
+    // Each d_av whose double was also measured: the factor doubling it costs.
+    let doublings: Vec<f64> = spt_at
+        .iter()
+        .filter_map(|&(d, spt)| {
+            let (_, doubled) = spt_at.iter().find(|&&(d2, _)| d2 == 2 * d)?;
+            Some(doubled / spt)
+        })
+        .collect();
+    let (first, last) = (flat[0], flat[flat.len() - 1]);
+    let claims = verdicts(
+        "EXP-C0",
+        vec![
+            (
+                "Scheme 0 is linear in d_av: doubling d_av costs x1.3 to x2 steps/txn",
+                doublings.iter().all(|&x| (1.3..=2.0).contains(&x)),
+                format!("factors {doublings:.2?}"),
+            ),
+            (
+                "Scheme 0 is flat in n: 8x the transactions cost under 2x steps/txn",
+                last < 2.0 * first,
+                format!("{} -> {}", f1(first), f1(last)),
+            ),
+        ],
+    );
+    vec![by_d, by_n, claims]
 }
 
 /// Scheme 1: steps per transaction vs n, m and d_av (Theorem 4:
 /// O(m + n + n·d_av)).
 pub fn exp_c1() -> Vec<Table> {
-    let mut by_n = Table::new(
-        "EXP-C1a: Scheme 1 steps/txn vs n (expect ~linear; m=8, d_av=2.5)",
-        &["n", "peak active", "steps/txn", "steps/(txn*n_active)"],
+    let (by_n, _) = steps_vs_n(
+        SchemeKind::Scheme1,
+        8,
+        "EXP-C1a: Scheme 1 steps/txn vs n (expect ~linear; m=8, d_av=2.5)".into(),
     );
-    for n in [8usize, 16, 32, 64, 128] {
-        let (spt, peak) = steps_per_txn(SchemeKind::Scheme1, n, 8, 2.5, 3);
-        by_n.row(vec![
-            n.to_string(),
-            f1(peak),
-            f1(spt),
-            f2(spt / peak.max(1.0)),
-        ]);
-    }
     let mut by_m = Table::new(
         "EXP-C1b: Scheme 1 steps/txn vs m (expect + linear term; n=32, d_av=2.5)",
         &["m", "steps/txn"],
@@ -262,40 +311,51 @@ pub fn exp_c1() -> Vec<Table> {
     vec![by_n, by_m, by_d]
 }
 
-/// Scheme 2: steps per transaction vs n (Theorem 6: O(n²·d_av)).
-pub fn exp_c2() -> Vec<Table> {
+/// `kind`'s steps/txn and peak active transactions at n = 8…128 (m sites,
+/// d_av = 2.5), and the steps/txn column.
+fn steps_vs_n(kind: SchemeKind, m: usize, title: String) -> (Table, Vec<f64>) {
     let mut table = Table::new(
-        "EXP-C2: Scheme 2 steps/txn vs n (expect superlinear; m=6, d_av=2.5)",
+        title,
         &["n", "peak active", "steps/txn", "steps/(txn*n_active)"],
     );
-    for n in [8usize, 16, 32, 64] {
-        let (spt, peak) = steps_per_txn(SchemeKind::Scheme2, n, 6, 2.5, 3);
+    let mut spts = Vec::new();
+    for n in [8usize, 16, 32, 64, 128] {
+        let (spt, peak) = steps_per_txn(kind, n, m, 2.5, 3);
         table.row(vec![
             n.to_string(),
             f1(peak),
             f1(spt),
             f2(spt / peak.max(1.0)),
         ]);
+        spts.push(spt);
     }
-    vec![table]
+    (table, spts)
+}
+
+/// Scheme 2 or 3 vs n (Theorems 6 and 9: O(n²·d_av)), and the verdict
+/// that its steps/txn grow with n.
+fn superlinear_in_n(kind: SchemeKind, family: &str) -> Vec<Table> {
+    let title = format!("{family}: {kind} steps/txn vs n (expect superlinear; m=6, d_av=2.5)");
+    let (table, spts) = steps_vs_n(kind, 6, title);
+    let claims = verdicts(
+        family,
+        vec![(
+            &format!("{kind} grows with n: steps/txn rise at each n, over x1.5 from 8 to 128"),
+            spts.windows(2).all(|w| w[1] > w[0]) && spts[spts.len() - 1] > 1.5 * spts[0],
+            format!("steps/txn {spts:.1?}"),
+        )],
+    );
+    vec![table, claims]
+}
+
+/// Scheme 2: steps per transaction vs n (Theorem 6: O(n²·d_av)).
+pub fn exp_c2() -> Vec<Table> {
+    superlinear_in_n(SchemeKind::Scheme2, "EXP-C2")
 }
 
 /// Scheme 3: steps per transaction vs n (Theorem 9: O(n²·d_av)).
 pub fn exp_c3() -> Vec<Table> {
-    let mut table = Table::new(
-        "EXP-C3: Scheme 3 steps/txn vs n (expect superlinear; m=6, d_av=2.5)",
-        &["n", "peak active", "steps/txn", "steps/(txn*n_active)"],
-    );
-    for n in [8usize, 16, 32, 64, 128] {
-        let (spt, peak) = steps_per_txn(SchemeKind::Scheme3, n, 6, 2.5, 3);
-        table.row(vec![
-            n.to_string(),
-            f1(peak),
-            f1(spt),
-            f2(spt / peak.max(1.0)),
-        ]);
-    }
-    vec![table]
+    superlinear_in_n(SchemeKind::Scheme3, "EXP-C3")
 }
 
 // ---------------------------------------------------------------------
@@ -316,9 +376,11 @@ pub fn exp_np() -> Vec<Table> {
             "exact us",
         ],
     );
-    for k in [2usize, 3, 4, 5, 6, 7] {
-        // k transactions in a ring over k sites; fresh txn touches all
-        // sites -> candidate deps = 2k.
+    let (mut unsound, mut first_unsound) = (0u64, None);
+    let rings = [2usize, 3, 4, 5, 6, 7];
+    for k in rings {
+        // k transactions in a ring over k sites; the fresh txn touches all
+        // sites, so there are 2k candidate deps.
         let mut t = Tsgd::new();
         for i in 0..k {
             t.insert_txn(
@@ -329,28 +391,41 @@ pub fn exp_np() -> Vec<Table> {
         let fresh = GlobalTxnId(99);
         let all_sites: Vec<SiteId> = (0..k as u32).map(SiteId).collect();
         t.insert_txn(fresh, &all_sites);
-        let candidates = 2 * k;
 
         let mut steps = StepCounter::new();
         let t0 = Instant::now();
         let ec = eliminate_cycles(&t, fresh, &mut steps);
         let ec_us = t0.elapsed().as_micros();
-        assert!(!t.has_cycle_involving(fresh, &ec));
 
         let t1 = Instant::now();
         let min = minimal_delta_exact(&t, fresh).expect("solvable");
         let exact_us = t1.elapsed().as_micros();
+        if t.has_cycle_involving(fresh, &ec)
+            || t.has_cycle_involving(fresh, &min)
+            || min.len() > ec.len()
+        {
+            unsound += 1;
+            first_unsound.get_or_insert(format!("{k} ring txns"));
+        }
 
         table.row(vec![
             k.to_string(),
-            candidates.to_string(),
+            (2 * k).to_string(),
             ec.len().to_string(),
             ec_us.to_string(),
             min.len().to_string(),
             exact_us.to_string(),
         ]);
     }
-    vec![table]
+    let claims = verdicts(
+        "EXP-NP",
+        vec![(
+            "EC's and the exact search's Δ both break every cycle, and |Δ| min <= |Δ| EC",
+            unsound == 0,
+            tally(unsound, rings.len() as u64, "rings fail", first_unsound),
+        )],
+    );
+    vec![table, claims]
 }
 
 // ---------------------------------------------------------------------
@@ -364,18 +439,14 @@ pub fn exp_doc() -> Vec<Table> {
     // The four paper schemes plus the BS88 site-graph baseline the paper
     // improves on. For BS88 the relevant wait count includes *init* waits
     // (whole transactions queue), so report init+ser waits for everyone.
-    let lineup = [
-        SchemeKind::SiteGraph,
-        SchemeKind::Scheme0,
-        SchemeKind::Scheme1,
-        SchemeKind::Scheme2,
-        SchemeKind::Scheme3,
-    ];
+    let lineup: Vec<SchemeKind> = std::iter::once(SchemeKind::SiteGraph)
+        .chain(SchemeKind::CONSERVATIVE)
+        .collect();
     let mut totals = [0u64; 5];
-    let mut s3_dominated = true;
+    let (mut inversions, mut first_inversion) = (0u64, None);
     let (mut w12, mut w21) = (0u64, 0u64);
-    for seed in 0..seeds {
-        let script = Script::random(n, m, dav, 4000 + seed);
+    for seed in 4000..4000 + seeds {
+        let script = Script::random(n, m, dav, seed);
         let w: Vec<u64> = lineup
             .iter()
             .map(|&k| {
@@ -383,18 +454,13 @@ pub fn exp_doc() -> Vec<Table> {
                 stats.waited_kind[0] + stats.waited_kind[1]
             })
             .collect();
-        for i in 0..5 {
-            totals[i] += w[i];
-        }
+        totals.iter_mut().zip(&w).for_each(|(total, w)| *total += w);
         if w[4] > w[1] || w[4] > w[2] || w[4] > w[3] {
-            s3_dominated = false;
+            inversions += 1;
+            first_inversion.get_or_insert(format!("seed {seed}"));
         }
-        if w[2] < w[3] {
-            w12 += 1;
-        }
-        if w[3] < w[2] {
-            w21 += 1;
-        }
+        w12 += u64::from(w[2] < w[3]);
+        w21 += u64::from(w[3] < w[2]);
     }
     let mut table = Table::new(
         format!(
@@ -409,24 +475,36 @@ pub fn exp_doc() -> Vec<Table> {
             totals[i].to_string(),
         ]);
     }
-    let mut facts = Table::new("EXP-DOC: ordering facts", &["claim", "result"]);
-    facts.row(vec![
-        "Scheme 3 <= all others on every order".into(),
-        if s3_dominated {
-            "HOLDS".into()
-        } else {
-            "VIOLATED".into()
-        },
-    ]);
-    facts.row(vec![
-        "orders where Scheme 1 < Scheme 2".into(),
-        w12.to_string(),
-    ]);
-    facts.row(vec![
-        "orders where Scheme 2 < Scheme 1".into(),
-        w21.to_string(),
-    ]);
-    vec![table, facts]
+    let [_, s0, s1, s2, s3] = totals;
+    let claims = verdicts(
+        "EXP-DOC",
+        vec![
+            (
+                "Scheme 3 waits less in total than Schemes 0, 1 and 2",
+                s3 < s0 && s3 < s1 && s3 < s2,
+                format!("{s3} < {s0} / {s1} / {s2}"),
+            ),
+            (
+                "Schemes 1 and 2 each wait no more than Scheme 0 in total",
+                s1 <= s0 && s2 <= s0,
+                format!("{s1} / {s2} <= {s0}"),
+            ),
+            // The paper's dominance is per order under a fixed QUEUE
+            // order; here each scheme's own decisions place its acks and
+            // fins, so a few orders may invert.
+            (
+                "Scheme 3 waits more than another of Schemes 0-2 on at most 5% of orders",
+                inversions * 20 <= seeds,
+                tally(inversions, seeds, "orders", first_inversion),
+            ),
+            (
+                "Schemes 1 and 2 are incomparable: each waits less on some order",
+                w12 > 0 && w21 > 0,
+                format!("Scheme 1 less on {w12} orders, Scheme 2 less on {w21}"),
+            ),
+        ],
+    );
+    vec![table, claims]
 }
 
 // ---------------------------------------------------------------------
@@ -442,15 +520,17 @@ pub fn exp_all() -> Vec<Table> {
         format!("EXP-ALL: ser-waits on {seeds} *serializable* insertion orders"),
         &["scheme", "orders with zero waits", "total ser-waits"],
     );
+    let mut scheme3 = (0, None);
     for scheme in SchemeKind::CONSERVATIVE {
-        let mut zero = 0u64;
-        let mut total = 0u64;
-        for seed in 0..seeds {
-            let script = Script::serializable_order(n, m, dav, 5000 + seed);
+        let (mut zero, mut total, mut first_wait) = (0u64, 0u64, None);
+        for seed in 5000..5000 + seeds {
+            let script = Script::serializable_order(n, m, dav, seed);
             let w = replay(scheme, &script).stats.waited_kind[1];
             total += w;
             if w == 0 {
                 zero += 1;
+            } else {
+                first_wait.get_or_insert(format!("seed {seed}"));
             }
         }
         table.row(vec![
@@ -458,8 +538,20 @@ pub fn exp_all() -> Vec<Table> {
             format!("{zero}/{seeds}"),
             total.to_string(),
         ]);
+        if scheme == SchemeKind::Scheme3 {
+            scheme3 = (zero, first_wait);
+        }
     }
-    vec![table]
+    let (zero, first_wait) = scheme3;
+    let claims = verdicts(
+        "EXP-ALL",
+        vec![(
+            "Scheme 3 never ser-waits on a serializable order",
+            zero == seeds,
+            tally(seeds - zero, seeds, "orders wait", first_wait),
+        )],
+    );
+    vec![table, claims]
 }
 
 // ---------------------------------------------------------------------
@@ -481,10 +573,7 @@ pub fn exp_opt() -> Vec<Table> {
         ],
     );
     for n in [6usize, 8, 10] {
-        let mut w2 = 0u64;
-        let mut w2m = 0u64;
-        let mut st2 = 0.0;
-        let mut st2m = 0.0;
+        let (mut w2, mut w2m, mut st2, mut st2m) = (0u64, 0u64, 0.0, 0.0);
         for seed in 0..seeds {
             let script = Script::random(n, 3, 2.0, 8000 + seed);
             let a = replay(SchemeKind::Scheme2, &script);
@@ -517,29 +606,54 @@ pub fn exp_ab() -> Vec<Table> {
         "EXP-AB: aborted global txns (% of n) over 30 insertion orders (m=4, d_av=2.5)",
         &["n", "Aborting-TO", "Optimistic-Ticket", "Schemes 0-3"],
     );
-    for n in [4usize, 8, 16, 32] {
-        let mut rates = Vec::new();
+    let ns = [4usize, 8, 16, 32];
+    let mut baseline_cells = Vec::new(); // (aborts, which baseline at which n)
+    let (mut broken_runs, mut first_broken) = (0u64, None);
+    for n in ns {
+        let scripts: Vec<Script> = (0..seeds)
+            .map(|seed| Script::random(n, 4, 2.5, 6000 + seed))
+            .collect();
+        let rate = |aborted: usize, kinds: usize| {
+            f1(100.0 * aborted as f64 / ((n * kinds) as f64 * seeds as f64)) + "%"
+        };
+        let mut cells = vec![n.to_string()];
         for kind in [SchemeKind::AbortingTo, SchemeKind::OptimisticTicket] {
-            let mut aborted = 0usize;
-            for seed in 0..seeds {
-                let script = Script::random(n, 4, 2.5, 6000 + seed);
-                aborted += replay(kind, &script).aborted.len();
-            }
-            rates.push(f1(100.0 * aborted as f64 / (n as f64 * seeds as f64)) + "%");
+            let aborted = scripts.iter().map(|s| replay(kind, s).aborted.len()).sum();
+            baseline_cells.push((aborted, format!("{kind}, n={n}")));
+            cells.push(rate(aborted, 1));
         }
-        // Conservative schemes: assert zero while measuring.
+        let mut aborted = 0;
         for kind in SchemeKind::CONSERVATIVE {
-            let script = Script::random(n, 4, 2.5, 6000);
-            assert!(replay(kind, &script).aborted.is_empty());
+            for (seed, script) in (6000..).zip(&scripts) {
+                let out = replay(kind, script);
+                aborted += out.aborted.len();
+                if broken(&out, n) {
+                    broken_runs += 1;
+                    first_broken.get_or_insert(format!("{kind}, n={n}, seed {seed}"));
+                }
+            }
         }
-        table.row(vec![
-            n.to_string(),
-            rates[0].clone(),
-            rates[1].clone(),
-            "0.0%".into(),
-        ]);
+        cells.push(rate(aborted, SchemeKind::CONSERVATIVE.len()));
+        table.row(cells);
     }
-    vec![table]
+    let (fewest, at) = baseline_cells.iter().min_by_key(|c| c.0).expect("cells");
+    let replays = (SchemeKind::CONSERVATIVE.len() * ns.len()) as u64 * seeds;
+    let claims = verdicts(
+        "EXP-AB",
+        vec![
+            (
+                "Aborting-TO and Optimistic-Ticket abort at every n",
+                *fewest > 0,
+                format!("fewest: {fewest} aborts ({at})"),
+            ),
+            (
+                "Schemes 0-3 complete every transaction, abort none, keep ser(S) serializable",
+                broken_runs == 0,
+                tally(broken_runs, replays, "runs", first_broken),
+            ),
+        ],
+    );
+    vec![table, claims]
 }
 
 // ---------------------------------------------------------------------
@@ -558,12 +672,7 @@ pub fn exp_amrt() -> Vec<Table> {
         spec.ops_per_subtxn = ops;
         spec.items_per_site = 64; // low contention: isolate overhead
         spec.local_txns_per_site = 0;
-        let report = run_sim(
-            &[LocalProtocolKind::TwoPhaseLocking; 3],
-            SchemeKind::Scheme3,
-            &spec,
-            6,
-        );
+        let report = run_sim(&[Tpl; 3], SchemeKind::Scheme3, &spec, 6);
         let steps = report.gtm2_steps.total();
         let data_ops = report.gtm1.direct_ops;
         table.row(vec![
@@ -586,18 +695,10 @@ pub fn exp_amrt() -> Vec<Table> {
 pub fn exp_e2e() -> Vec<Table> {
     let mut tables = Vec::new();
     for (title, protocols) in [
-        (
-            "EXP-E2E(a): 4x strict-2PL sites",
-            vec![LocalProtocolKind::TwoPhaseLocking; 4],
-        ),
+        ("EXP-E2E(a): 4x strict-2PL sites", vec![Tpl; 4]),
         (
             "EXP-E2E(b): mixed 2PL/2PL/TO/OCC sites",
-            vec![
-                LocalProtocolKind::TwoPhaseLocking,
-                LocalProtocolKind::TwoPhaseLocking,
-                LocalProtocolKind::TimestampOrdering,
-                LocalProtocolKind::Optimistic,
-            ],
+            vec![Tpl, Tpl, To, Occ],
         ),
     ] {
         let mut table = Table::new(
@@ -652,14 +753,11 @@ pub fn exp_sg() -> Vec<Table> {
         &["scheme", "violations", "rate", "mean init+ser waits"],
     );
     for kind in [SchemeKind::SiteGraph, SchemeKind::Scheme1] {
-        let mut violations = 0u64;
-        let mut waits = 0u64;
+        let (mut violations, mut waits) = (0u64, 0u64);
         for seed in 0..runs {
             let script = Script::random(n, m, dav, 11_000 + seed);
             let out = replay(kind, &script);
-            if !out.ser_serializable {
-                violations += 1;
-            }
+            violations += u64::from(!out.ser_serializable);
             waits += out.stats.waited_kind[0] + out.stats.waited_kind[1];
         }
         table.row(vec![
@@ -684,27 +782,29 @@ pub fn exp_sg() -> Vec<Table> {
 /// 3. TO sites with a ticket override (footnote 3: several functions can
 ///    be valid) — still sound.
 pub fn exp_tkt() -> Vec<Table> {
-    use mdbs_common::ids::SiteId;
-    use mdbs_localdb::serfn::SerializationEvent;
+    use mdbs_localdb::serfn::SerializationEvent::{Begin, TicketWrite};
     let seeds: Vec<u64> = (0..20).collect();
     let mut table = Table::new(
         "EXP-TKT: serialization-function choices over 20 seeds (2 sites, 14 txns, local load)",
         &["configuration", "serializable runs", "violations"],
     );
-    let mut run_config = |name: &str,
-                          protocols: [LocalProtocolKind; 2],
-                          overrides: &[(SiteId, SerializationEvent)]| {
+    for (name, protocol, event) in [
+        ("SGT + ticket (paper)", Sgt, None),
+        ("SGT + begin-event (invalid)", Sgt, Some(Begin)),
+        ("TO + ticket override (alt valid fn)", To, Some(TicketWrite)),
+    ] {
         let mut ok = 0;
         for &seed in &seeds {
             let mut b = SystemConfig::builder()
                 .scheme(SchemeKind::Scheme3)
                 .seed(2000 + seed)
-                .mpl(6);
-            for p in protocols {
-                b = b.site(p);
-            }
-            for &(site, ev) in overrides {
-                b = b.override_serialization_event(site, ev);
+                .mpl(6)
+                .site(protocol)
+                .site(protocol);
+            if let Some(ev) = event {
+                b = b
+                    .override_serialization_event(SiteId(0), ev)
+                    .override_serialization_event(SiteId(1), ev);
             }
             let mut spec = base_spec(2, 14, 2000 + seed);
             spec.items_per_site = 10;
@@ -719,37 +819,7 @@ pub fn exp_tkt() -> Vec<Table> {
             format!("{ok}/{}", seeds.len()),
             (seeds.len() - ok).to_string(),
         ]);
-    };
-    run_config(
-        "SGT + ticket (paper)",
-        [
-            LocalProtocolKind::SerializationGraphTesting,
-            LocalProtocolKind::SerializationGraphTesting,
-        ],
-        &[],
-    );
-    run_config(
-        "SGT + begin-event (invalid)",
-        [
-            LocalProtocolKind::SerializationGraphTesting,
-            LocalProtocolKind::SerializationGraphTesting,
-        ],
-        &[
-            (SiteId(0), SerializationEvent::Begin),
-            (SiteId(1), SerializationEvent::Begin),
-        ],
-    );
-    run_config(
-        "TO + ticket override (alt valid fn)",
-        [
-            LocalProtocolKind::TimestampOrdering,
-            LocalProtocolKind::TimestampOrdering,
-        ],
-        &[
-            (SiteId(0), SerializationEvent::TicketWrite),
-            (SiteId(1), SerializationEvent::TicketWrite),
-        ],
-    );
+    }
     vec![table]
 }
 
@@ -797,9 +867,9 @@ pub fn exp_2pc() -> Vec<Table> {
                 spec,
             };
             let cfg = SystemConfig::builder()
-                .site(LocalProtocolKind::TwoPhaseLocking)
-                .site(LocalProtocolKind::Optimistic)
-                .site(LocalProtocolKind::Optimistic)
+                .site(Tpl)
+                .site(Occ)
+                .site(Occ)
                 .scheme(SchemeKind::Scheme3)
                 .seed(seed)
                 .mpl(6)
@@ -817,11 +887,7 @@ pub fn exp_2pc() -> Vec<Table> {
         }
         let n = seeds.len() as f64;
         table.row(vec![
-            if two_pc {
-                "2PC on".into()
-            } else {
-                "2PC off".to_string()
-            },
+            if two_pc { "2PC on" } else { "2PC off" }.into(),
             format!("{conserved}/{}", seeds.len()),
             f1(tput / n),
             f1(resp / n),
@@ -838,7 +904,6 @@ pub fn exp_2pc() -> Vec<Table> {
 /// Inject crashes at increasing frequency; the federation must stay
 /// globally serializable while throughput degrades gracefully.
 pub fn exp_crash() -> Vec<Table> {
-    use mdbs_common::ids::SiteId;
     let mut table = Table::new(
         "EXP-CRASH: Scheme 3 under site failures (3 sites, 30 txns, local load)",
         &[
@@ -852,9 +917,9 @@ pub fn exp_crash() -> Vec<Table> {
     );
     for n_crashes in [0usize, 1, 2, 4] {
         let mut b = SystemConfig::builder()
-            .site(LocalProtocolKind::TwoPhaseLocking)
-            .site(LocalProtocolKind::TimestampOrdering)
-            .site(LocalProtocolKind::Optimistic)
+            .site(Tpl)
+            .site(To)
+            .site(Occ)
             .scheme(SchemeKind::Scheme3)
             .seed(66)
             .mpl(6);
@@ -885,9 +950,6 @@ pub fn exp_crash() -> Vec<Table> {
 /// queue front; others: per-site/fin keys) vs naively re-examining all of
 /// WAIT: identical behavior, very different step bills.
 pub fn exp_wait() -> Vec<Table> {
-    use mdbs_core::gtm2::Gtm2;
-    use mdbs_core::replay::replay_with;
-    use mdbs_core::scheme::FullRescan;
     let (n, m, dav, seeds) = (24usize, 4usize, 2.5f64, 10u64);
     let mut table = Table::new(
         format!("EXP-WAIT: wait-scan steps/txn, targeted hints vs full rescans (n={n}, m={m})"),
@@ -920,24 +982,4 @@ pub fn exp_wait() -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Smoke: every experiment runs and produces non-empty tables. Kept
-    /// small because debug builds are slow; the binary runs the full size.
-    #[test]
-    fn experiments_produce_tables() {
-        // Just the quick ones in unit tests; sim-heavy ones are covered by
-        // integration tests and the binary itself.
-        for f in [exp_ind, exp_c0, exp_np, exp_all] {
-            let tables = f();
-            assert!(!tables.is_empty());
-            for t in tables {
-                assert!(!t.is_empty());
-            }
-        }
-    }
 }
