@@ -983,3 +983,25 @@ pub fn exp_wait() -> Vec<Table> {
     }
     vec![table]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Smoke: the quick families run and produce non-empty tables, each
+    /// judging family ending with its verdicts table. The cell-for-cell
+    /// comparison with the committed record is `tests/committed_results.rs`.
+    #[test]
+    fn experiments_produce_tables() {
+        for f in [exp_ind, exp_c0, exp_np, exp_all] {
+            let rendered: Vec<String> = f().iter().map(Table::render).collect();
+            assert!(!rendered.is_empty());
+            // Title, headers and rule, then at least one row.
+            for t in &rendered {
+                assert!(t.lines().count() > 3, "{t}");
+            }
+            let title = rendered.last().and_then(|t| t.lines().next()).unwrap();
+            assert!(title.ends_with(": verdicts"), "{title}");
+        }
+    }
+}
