@@ -222,15 +222,29 @@ pub fn exp_ind() -> Vec<Table> {
 // EXP-C0..C3 — complexity scaling in abstract steps
 // ---------------------------------------------------------------------
 
-fn steps_per_txn(kind: SchemeKind, n: usize, m: usize, dav: f64, seeds: u64) -> (f64, f64) {
-    let (mut total, mut peak) = (0.0, 0.0);
+/// `kind` over `seeds` scripts `Script::random(n, m, dav, 7000..)`: the
+/// mean steps per transaction, peak active transactions, and the steps per
+/// transaction split into `[cond, act, wait_scan]`.
+fn steps_per_txn(
+    kind: SchemeKind,
+    n: usize,
+    m: usize,
+    dav: f64,
+    seeds: u64,
+) -> (f64, f64, [f64; 3]) {
+    let (mut total, mut peak, mut split) = (0.0, 0.0, [0.0; 3]);
     for seed in 0..seeds {
         let script = Script::random(n, m, dav, 7000 + seed);
         let out = replay(kind, &script);
         total += out.steps.total() as f64 / n as f64;
         peak += out.stats.peak_active as f64;
+        let steps = [out.steps.cond, out.steps.act, out.steps.wait_scan];
+        for (sum, part) in split.iter_mut().zip(steps) {
+            *sum += part as f64 / n as f64;
+        }
     }
-    (total / seeds as f64, peak / seeds as f64)
+    let mean = |sum: f64| sum / seeds as f64;
+    (mean(total), mean(peak), split.map(mean))
 }
 
 /// Scheme 0: steps per transaction vs d_av and vs n (Section 4: O(d_av),
@@ -243,7 +257,7 @@ pub fn exp_c0() -> Vec<Table> {
     let mut spt_at = Vec::new();
     for dav10 in [10u64, 20, 30, 40, 60, 80] {
         let dav = dav10 as f64 / 10.0;
-        let (spt, _) = steps_per_txn(SchemeKind::Scheme0, 48, 8, dav, 3);
+        let (spt, _, _) = steps_per_txn(SchemeKind::Scheme0, 48, 8, dav, 3);
         by_d.row(vec![f1(dav), f1(spt), f2(spt / dav)]);
         spt_at.push((dav10, spt));
     }
@@ -253,7 +267,7 @@ pub fn exp_c0() -> Vec<Table> {
     );
     let mut flat = Vec::new();
     for n in [24usize, 48, 96, 192] {
-        let (spt, _) = steps_per_txn(SchemeKind::Scheme0, n, 8, 2.0, 3);
+        let (spt, _, _) = steps_per_txn(SchemeKind::Scheme0, n, 8, 2.0, 3);
         by_n.row(vec![n.to_string(), f1(spt)]);
         flat.push(spt);
     }
@@ -291,13 +305,14 @@ pub fn exp_c1() -> Vec<Table> {
         SchemeKind::Scheme1,
         8,
         "EXP-C1a: Scheme 1 steps/txn vs n (expect ~linear; m=8, d_av=2.5)".into(),
+        false,
     );
     let mut by_m = Table::new(
         "EXP-C1b: Scheme 1 steps/txn vs m (expect + linear term; n=32, d_av=2.5)",
         &["m", "steps/txn"],
     );
     for m in [4usize, 8, 16, 32, 64] {
-        let (spt, _) = steps_per_txn(SchemeKind::Scheme1, 32, m, 2.5, 3);
+        let (spt, _, _) = steps_per_txn(SchemeKind::Scheme1, 32, m, 2.5, 3);
         by_m.row(vec![m.to_string(), f1(spt)]);
     }
     let mut by_d = Table::new(
@@ -305,28 +320,38 @@ pub fn exp_c1() -> Vec<Table> {
         &["d_av", "steps/txn"],
     );
     for dav10 in [10u64, 20, 30, 40, 60] {
-        let (spt, _) = steps_per_txn(SchemeKind::Scheme1, 32, 8, dav10 as f64 / 10.0, 3);
+        let (spt, _, _) = steps_per_txn(SchemeKind::Scheme1, 32, 8, dav10 as f64 / 10.0, 3);
         by_d.row(vec![f1(dav10 as f64 / 10.0), f1(spt)]);
     }
     vec![by_n, by_m, by_d]
 }
 
 /// `kind`'s steps/txn and peak active transactions at n = 8…128 (m sites,
-/// d_av = 2.5), and the steps/txn column.
-fn steps_vs_n(kind: SchemeKind, m: usize, title: String) -> (Table, Vec<f64>) {
-    let mut table = Table::new(
-        title,
-        &["n", "peak active", "steps/txn", "steps/(txn*n_active)"],
-    );
+/// d_av = 2.5), and the steps/txn column. With `split`, the table also
+/// splits steps/txn into `cond`, `act` and `wait_scan`, and scales it by
+/// Theorems 6 and 9's n²·d_av with n the peak active transactions.
+fn steps_vs_n(kind: SchemeKind, m: usize, title: String, split: bool) -> (Table, Vec<f64>) {
+    const DAV: f64 = 2.5;
+    let mut columns = vec!["n", "peak active", "steps/txn", "steps/(txn*n_active)"];
+    if split {
+        columns.extend([
+            "cond/txn",
+            "act/txn",
+            "wait_scan/txn",
+            "steps/(txn*n_active^2*d_av)",
+        ]);
+    }
+    let mut table = Table::new(title, &columns);
     let mut spts = Vec::new();
     for n in [8usize, 16, 32, 64, 128] {
-        let (spt, peak) = steps_per_txn(kind, n, m, 2.5, 3);
-        table.row(vec![
-            n.to_string(),
-            f1(peak),
-            f1(spt),
-            f2(spt / peak.max(1.0)),
-        ]);
+        let (spt, peak, [cond, act, wait_scan]) = steps_per_txn(kind, n, m, DAV, 3);
+        let active = peak.max(1.0);
+        let mut row = vec![n.to_string(), f1(peak), f1(spt), f2(spt / active)];
+        if split {
+            let per_bound = spt / (active * active * DAV);
+            row.extend([f1(cond), f1(act), f1(wait_scan), f2(per_bound)]);
+        }
+        table.row(row);
         spts.push(spt);
     }
     (table, spts)
@@ -336,7 +361,7 @@ fn steps_vs_n(kind: SchemeKind, m: usize, title: String) -> (Table, Vec<f64>) {
 /// that its steps/txn grow with n.
 fn superlinear_in_n(kind: SchemeKind, family: &str) -> Vec<Table> {
     let title = format!("{family}: {kind} steps/txn vs n (expect superlinear; m=6, d_av=2.5)");
-    let (table, spts) = steps_vs_n(kind, 6, title);
+    let (table, spts) = steps_vs_n(kind, 6, title, true);
     let claims = verdicts(
         family,
         vec![(

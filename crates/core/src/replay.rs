@@ -17,6 +17,9 @@
 //!   serializable (per-site event sequences follow one global total
 //!   order), used to verify the Section 7 claim that Scheme 3 adds **no**
 //!   `ser` operation to WAIT on such orders.
+//!
+//! [`for_every_script`] enumerates every valid script of a small scope
+//! instead of sampling, for checks that are exact at that scope.
 
 use crate::gtm2::{Gtm2, Gtm2Stats};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
@@ -274,6 +277,104 @@ impl Script {
             .filter(|e| matches!(e, ScriptEvent::Ser(..)))
             .count()
     }
+}
+
+/// Visits every valid script over `ntxns` transactions and `sites` sites
+/// with at most `max_sers` `ser`s in total, and returns how many it
+/// visited. Each transaction takes any non-empty subset of the sites, in
+/// bitmask order (for two sites `[0]`, `[1]`, `[0, 1]`), and the events
+/// interleave in every order that puts a transaction's `init` before its
+/// `ser`s. With `ordered_inits` the `init`s appear in transaction-id order,
+/// which enumerates the scripts up to renaming of transactions. The visit
+/// order is fixed, so the first script a check reports is reproducible.
+///
+/// ```
+/// use mdbs_core::replay::for_every_script;
+///
+/// // Two one-site transactions: {0}{0}, {0}{1}, {1}{0}, {1}{1}, and three
+/// // placements of the second `init` in each.
+/// assert_eq!(for_every_script(2, 2, 2, true, &mut |_| {}), 4 * 3);
+/// ```
+pub fn for_every_script(
+    ntxns: usize,
+    sites: usize,
+    max_sers: usize,
+    ordered_inits: bool,
+    visit: &mut impl FnMut(&Script),
+) -> usize {
+    /// `owed[t]` is `None` until transaction `t`'s `init` is emitted, then
+    /// the sites still owed a `ser`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "t ranges over 0..owed.len(), and sets has one entry per transaction."
+    )]
+    fn extend(
+        sets: &[&[SiteId]],
+        ordered_inits: bool,
+        owed: &mut Vec<Option<Vec<SiteId>>>,
+        events: &mut Vec<ScriptEvent>,
+        visit: &mut impl FnMut(&Script),
+    ) -> usize {
+        let mut visited = 0;
+        let mut complete = true;
+        for t in 0..owed.len() {
+            let txn = GlobalTxnId(t as u64 + 1);
+            match owed[t].clone() {
+                None => {
+                    complete = false;
+                    if ordered_inits && owed[..t].iter().any(Option::is_none) {
+                        continue;
+                    }
+                    owed[t] = Some(sets[t].to_vec());
+                    events.push(ScriptEvent::Init(txn, sets[t].to_vec()));
+                    visited += extend(sets, ordered_inits, owed, events, visit);
+                    events.pop();
+                    owed[t] = None;
+                }
+                Some(left) => {
+                    for (i, &site) in left.iter().enumerate() {
+                        complete = false;
+                        let mut rest = left.clone();
+                        rest.remove(i);
+                        owed[t] = Some(rest);
+                        events.push(ScriptEvent::Ser(txn, site));
+                        visited += extend(sets, ordered_inits, owed, events, visit);
+                        events.pop();
+                    }
+                    owed[t] = Some(left);
+                }
+            }
+        }
+        if complete {
+            visit(&Script {
+                events: events.clone(),
+            });
+            visited += 1;
+        }
+        visited
+    }
+    let site_sets: Vec<Vec<SiteId>> = (1..1usize << sites)
+        .map(|mask| {
+            (0..sites as u32)
+                .filter(|k| mask >> k & 1 == 1)
+                .map(SiteId)
+                .collect()
+        })
+        .collect();
+    let mut visited = 0;
+    // Every assignment of a site set to each transaction: a counter in
+    // base `site_sets.len()` whose digit `t` is transaction `t`'s set.
+    for code in 0..site_sets.len().pow(ntxns as u32) {
+        let sets: Vec<&[SiteId]> = (0..ntxns as u32)
+            .filter_map(|t| site_sets.get(code / site_sets.len().pow(t) % site_sets.len()))
+            .map(Vec::as_slice)
+            .collect();
+        if sets.iter().map(|set| set.len()).sum::<usize>() <= max_sers {
+            let mut owed = vec![None; ntxns];
+            visited += extend(&sets, ordered_inits, &mut owed, &mut Vec::new(), visit);
+        }
+    }
+    visited
 }
 
 /// A tiny deterministic generator (a splitmix64 stream) for
@@ -548,32 +649,6 @@ mod tests {
                     "{kind} seed {seed}: scheme reported protocol violations"
                 );
             }
-        }
-    }
-
-    /// The paper's Section 7 claim: Scheme 3 adds no ser op to WAIT when
-    /// the insertion order is serializable.
-    #[test]
-    fn scheme3_waitless_on_serializable_orders() {
-        for seed in 0..20 {
-            let script = Script::serializable_order(10, 4, 2.5, seed);
-            let out = replay(SchemeKind::Scheme3, &script);
-            assert_eq!(
-                out.stats.waited_kind[1], 0,
-                "Scheme 3 ser-waited on serializable order, seed {seed}"
-            );
-        }
-    }
-
-    /// Degree-of-concurrency dominance: Scheme 3 never waits more than
-    /// Scheme 0 on the same insertion order (ser ops).
-    #[test]
-    fn scheme3_dominates_scheme0() {
-        for seed in 0..20 {
-            let script = Script::random(12, 4, 2.5, seed);
-            let w0 = replay(SchemeKind::Scheme0, &script).stats.waited_kind[1];
-            let w3 = replay(SchemeKind::Scheme3, &script).stats.waited_kind[1];
-            assert!(w3 <= w0, "seed {seed}: scheme3 {w3} > scheme0 {w0}");
         }
     }
 

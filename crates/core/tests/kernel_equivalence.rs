@@ -12,7 +12,8 @@
 //!
 //! Also covered:
 //! - every valid script over two or three transactions at two sites
-//!   (the latter up to renaming), enumerated rather than sampled;
+//!   (the latter up to renaming), enumerated by
+//!   `replay::for_every_script` rather than sampled;
 //! - slot recycling: replaying a script *twice through one engine* reuses
 //!   every transaction id after its `fin`, so freed slots are re-interned
 //!   and must carry no stale state;
@@ -33,7 +34,7 @@ use mdbs_core::kernel_dense::Scheme3Dense;
 use mdbs_core::reference::realizations;
 use mdbs_core::reference::scheme3::Scheme3;
 use mdbs_core::reference::tsgd::{eliminate_cycles, Tsgd};
-use mdbs_core::replay::{replay_with, ReplayOutcome, Script, ScriptEvent};
+use mdbs_core::replay::{for_every_script, replay_with, ReplayOutcome, Script, ScriptEvent};
 use mdbs_core::scheme::{Gtm2Scheme, SchemeEffect, SchemeKind};
 use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, Dep, EliminateScratch};
 use mdbs_schedule::DiGraph;
@@ -667,89 +668,15 @@ fn eliminate_cycles_matches_reference_past_one_word() {
     }
 }
 
-/// Every valid script over `ntxns` transactions and two sites with at most
-/// `max_sers` `ser`s in total: each transaction takes any non-empty site
-/// set, and the events interleave in every order that puts a transaction's
-/// `init` before its `ser`s. With `ordered_inits` the `init`s appear in
-/// transaction-id order, which enumerates the scripts up to renaming of
-/// transactions. Returns the number of scripts visited.
-fn for_every_script(
-    ntxns: usize,
-    max_sers: usize,
-    ordered_inits: bool,
-    visit: &mut impl FnMut(&Script),
-) -> usize {
-    const SITE_SETS: [&[u32]; 3] = [&[0], &[1], &[0, 1]];
-    /// `state[t]` is `None` until transaction `t`'s `init` is emitted, then
-    /// the sites still owed a `ser`.
-    fn extend(
-        sets: &[&[u32]],
-        ordered_inits: bool,
-        state: &mut Vec<Option<Vec<u32>>>,
-        events: &mut Vec<ScriptEvent>,
-        visit: &mut impl FnMut(&Script),
-    ) -> usize {
-        let mut visited = 0;
-        let mut complete = true;
-        for t in 0..state.len() {
-            let txn = GlobalTxnId(t as u64 + 1);
-            match state[t].clone() {
-                None => {
-                    complete = false;
-                    if ordered_inits && state[..t].iter().any(Option::is_none) {
-                        continue;
-                    }
-                    state[t] = Some(sets[t].to_vec());
-                    let sites = sets[t].iter().map(|&k| SiteId(k)).collect();
-                    events.push(ScriptEvent::Init(txn, sites));
-                    visited += extend(sets, ordered_inits, state, events, visit);
-                    events.pop();
-                    state[t] = None;
-                }
-                Some(owed) => {
-                    for (i, &site) in owed.iter().enumerate() {
-                        complete = false;
-                        let mut rest = owed.clone();
-                        rest.remove(i);
-                        state[t] = Some(rest);
-                        events.push(ScriptEvent::Ser(txn, SiteId(site)));
-                        visited += extend(sets, ordered_inits, state, events, visit);
-                        events.pop();
-                    }
-                    state[t] = Some(owed);
-                }
-            }
-        }
-        if complete {
-            visit(&Script {
-                events: events.clone(),
-            });
-            visited += 1;
-        }
-        visited
-    }
-    let mut visited = 0;
-    // Every assignment of a site set to each transaction (base-3 counter).
-    for code in 0..SITE_SETS.len().pow(ntxns as u32) {
-        let sets: Vec<&[u32]> = (0..ntxns)
-            .map(|t| SITE_SETS[code / SITE_SETS.len().pow(t as u32) % SITE_SETS.len()])
-            .collect();
-        if sets.iter().map(|set| set.len()).sum::<usize>() <= max_sers {
-            let mut state = vec![None; ntxns];
-            visited += extend(&sets, ordered_inits, &mut state, &mut Vec::new(), visit);
-        }
-    }
-    visited
-}
-
 /// Kernel equivalence *proved* at small scope rather than sampled, for one
 /// scheme: every valid script over 2 transactions × 2 sites, and over
-/// 3 transactions × 2 sites up to transaction renaming, through `Gtm2` on
-/// the BTree and the dense kernel, which must be identical (Scheme 0, which
-/// has one kernel, replays each once). The scope
-/// leaves out one site-set assignment — all three transactions spanning
-/// both sites, 2240 of the 5440 three-transaction scripts — which alone
-/// would double the run time.
+/// 3 transactions × 2 sites up to transaction renaming
+/// (`replay::for_every_script`), through `Gtm2` on the BTree and the dense
+/// kernel, which must be identical (Scheme 0, which has one kernel, replays
+/// each once) and complete every transaction. The scope leaves out one
+/// site-set assignment — all three transactions spanning both sites, 2 240
+/// of the 5 440 three-transaction scripts — which the release soak
+/// `tests/theorems.rs::wide_scope_census_and_kernel_equivalence` covers.
 fn check_every_small_script(kind: SchemeKind) {
     let mut check = |script: &Script| {
         assert_eq!(script.validate(), Ok(()), "{script:?}");
@@ -762,11 +689,12 @@ fn check_every_small_script(kind: SchemeKind) {
             assert_eq!(outcome.protocol_violations, 0, "{label}");
             assert!(outcome.aborted.is_empty(), "{label}");
             assert!(outcome.ser_serializable, "{label}");
+            assert_eq!(outcome.completed, script.txn_count(), "{label}");
         }
     };
     // A changed count means the enumerator, not an engine, changed.
-    assert_eq!(for_every_script(2, 4, false, &mut check), 184);
-    assert_eq!(for_every_script(3, 5, true, &mut check), 3200);
+    assert_eq!(for_every_script(2, 2, 4, false, &mut check), 184);
+    assert_eq!(for_every_script(3, 2, 5, true, &mut check), 3200);
 }
 
 #[test]

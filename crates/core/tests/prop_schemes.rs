@@ -3,10 +3,9 @@
 //! 1. **Safety**: on arbitrary valid insertion orders, every conservative
 //!    scheme completes all transactions with a serializable `ser(S)` and
 //!    no aborts.
-//! 2. **Dominance**: over the same orders Scheme 3 ser-waits less in
-//!    total than every other scheme, and more than another on at most 5 %
-//!    of orders (each scheme's own decisions place its acks and fins, so a
-//!    few orders invert); on serializable orders it never ser-waits at all.
+//! 2. **Section 7**: on serializable orders Scheme 3 never ser-waits.
+//!    Dominance over the other schemes is decided exactly, script by
+//!    script, by the root `tests/theorems.rs` census.
 //! 3. **Wake-hint completeness**: each scheme's `wake_candidates` hints
 //!    must be *complete* — running the same scheme with the hints replaced
 //!    by "re-examine everything" must produce exactly the same effect
@@ -20,43 +19,6 @@ use mdbs_core::gtm2::Gtm2;
 use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
 use mdbs_core::scheme::{FullRescan, SchemeKind};
 use proptest::prelude::*;
-
-/// Degree-of-concurrency dominance, stated carefully. The paper compares
-/// schemes on a *fixed* QUEUE insertion order; in a closed loop the ack
-/// and fin insertions depend on the scheme's own decisions, so execution
-/// paths diverge and strict per-order dominance is not implied (and indeed
-/// fails occasionally). The sound statements are:
-/// - aggregate dominance: Scheme 3 waits strictly less in total, and
-///   per-order violations are rare;
-/// - the feedback-free case (serializable orders, zero waits) is exact
-///   and is asserted separately below.
-#[test]
-fn scheme3_aggregate_dominance() {
-    let mut totals = [0u64; 4];
-    let mut violations = 0u32;
-    const RUNS: u64 = 300;
-    for seed in 0..RUNS {
-        let script = Script::random(10, 4, 2.5, 90_000 + seed);
-        let w: Vec<u64> = SchemeKind::CONSERVATIVE
-            .iter()
-            .map(|&k| replay(k, &script).stats.waited_kind[1])
-            .collect();
-        for i in 0..4 {
-            totals[i] += w[i];
-        }
-        if w[3] > w[0] || w[3] > w[1] || w[3] > w[2] {
-            violations += 1;
-        }
-    }
-    assert!(
-        totals[3] < totals[0] && totals[3] < totals[1] && totals[3] < totals[2],
-        "aggregate dominance: {totals:?}"
-    );
-    assert!(
-        violations <= RUNS as u32 / 20,
-        "per-order inversions should be rare under feedback: {violations}/{RUNS}"
-    );
-}
 
 /// Strategy: a valid random script described by (n, m, dav-seed).
 fn arb_script() -> impl Strategy<Value = Script> {
