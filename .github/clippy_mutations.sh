@@ -102,12 +102,12 @@ mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
     $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n' \
     $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n        std::sync::Barrier::new(1).wait();\n'
 
-# A blocking receive in the site worker's sweep (the vendored crossbeam
-# path resolves in mdbs-sim).
+# A blocking receive in place of the site worker's poll, ahead of its
+# spin (the vendored crossbeam path resolves in mdbs-sim).
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
-    $'    fn sweep(&mut self) -> Sweep {\n' \
-    'match site.inbox.try_recv() {' \
-    'match site.inbox.recv().map_err(|_| TryRecvError::Disconnected) {'
+    $'    fn work(mut self, spin_polls: u32) -> WorkerCounts {\n' \
+    'match self.inbox.try_recv() {' \
+    'match self.inbox.recv().map_err(|_| TryRecvError::Disconnected) {'
 
 # The shutdown send, past CountedSender: its failure would go uncounted.
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \

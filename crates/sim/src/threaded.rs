@@ -9,26 +9,23 @@
 //! on the wall clock. Every run is still audited at the end.
 //!
 //! The transport only carries messages: the coordinator pushes a site's
-//! `SiteMsg` into the site's bounded inbox; the site's worker runs it and
-//! forwards every `Reply` at once, which the driver handles with the code
-//! the DES runs. The coordinator is a busy thread and counts as a core:
-//! there are `min(sites, cores − 1)` workers (at least one,
-//! `site_workers`), and worker `w` owns the sites `i` with `i % n == w`.
+//! `SiteMsg` into its worker's bounded inbox; the worker runs it on the
+//! site's server and forwards every `Reply` at once, which the driver
+//! handles with the code the DES runs. The coordinator is a busy thread
+//! and counts as a core: there are `min(sites, cores − 1)` workers (at
+//! least one, `site_workers`), and worker `w` owns the sites `i` with
+//! `i % n == w`, site `i` at index `i / n` of its servers.
+//!
+//! Each worker has **one** inbox, whatever number of sites it owns, so it
+//! can wait in the channel's own receive and the channel's send wakes it.
+//! The coordinator is the inbox's only producer, so each site's messages
+//! run in the order they were sent.
 //!
 //! Neither side sleeps between messages. A transaction's journey is a
 //! dozen coordinator ↔ site hops microseconds apart, so a side that finds
-//! nothing to do polls again for [`SPIN_POLLS`] rounds before it sleeps:
-//! the coordinator then blocks in `recv_timeout` until the next timer is
-//! due, and a worker parks (`thread::park_timeout`). A send to a spinning
-//! worker is a channel push and a fence, nothing else: no task state, no
-//! run queue, no shared counter. The park handshake is one flag per worker
-//! on its own cache line. The worker raises it, fences and sweeps its
-//! inboxes once more before it parks; the coordinator pushes, fences and
-//! unparks the worker only if it reads the flag raised. Of two such
-//! store–fence–load sequences at least one sees the other's store, so a
-//! message pushed while its worker goes to sleep is either found by that
-//! last sweep or followed by an unpark. The park's timeout is a liveness
-//! bound, not the wake path.
+//! nothing to do polls again for [`SPIN_POLLS`] rounds before it blocks:
+//! the coordinator in `recv_timeout` until the next timer is due, a worker
+//! in `recv` until its next message.
 //!
 //! GTM2 is the paper's single sequential process (Figures 2–3): only the
 //! coordinator thread runs the GTM, and servers send their `ack`s on the
@@ -46,8 +43,6 @@ use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_schedule::global::GlobalSerializability;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,25 +50,25 @@ use std::time::{Duration, Instant};
 /// pending before it gives the run up as wedged.
 const QUIET_LIMIT: Duration = Duration::from_secs(10);
 
+/// Messages a site's share of its worker's inbox holds before a send
+/// blocks: a worker's inbox holds this many times the sites it owns.
+const INBOX_PER_SITE: usize = 1024;
+
 /// How many times the coordinator re-polls its empty reply channel, and
-/// each site worker its empty inboxes, before it sleeps; `spin_budget`
+/// each site worker its empty inbox, before it blocks; `spin_budget`
 /// makes it 0 on a single-core machine.
 ///
-/// The classical rule: spin about as long as a park/unpark pair costs —
+/// The classical rule: spin about as long as a block and its wake cost —
 /// shorter gives the saving away, longer burns a core somebody else may
 /// need. On the 2-vCPU reference VM a park plus its wake cost ≈ 10 µs and
-/// one empty poll ≈ 30–45 ns, so this is ≈ 6–9 µs. Measured on
+/// one empty `try_recv` ≈ 30 ns. A worker's poll is one `try_recv` of its
+/// one inbox, so its spin is ≈ 6 µs (≈ 24 µs when one worker swept four
+/// per-site inboxes per poll). Measured on
 /// `live_spread` (DESIGN §10, "Spin before park"): 20 / 50 polls give
 /// 1.45× / 1.5× the no-spin throughput, 200 to 20 000 all give 1.8–2.0×;
 /// with a CPU hog competing for the two cores 200 still matches no-spin
 /// while 500 / 2 000 / 20 000 fall to 0.65× / 0.33× / 0.15× of it.
 pub const SPIN_POLLS: u32 = 200;
-
-/// The longest a site worker stays parked without an unpark: a liveness
-/// bound, not the wake path. Every message is followed by an
-/// unpark if its worker may be asleep, so a park that runs this long means
-/// its sites were idle (or a wake was lost).
-const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Site workers for `sites` sites on a machine with `cores` cores: one per
 /// site, but leave a core to the coordinator thread, and never fewer than
@@ -83,7 +78,7 @@ fn site_workers(sites: usize, cores: usize) -> usize {
 }
 
 /// How many empty polls the coordinator and each site worker make before
-/// they sleep: [`SPIN_POLLS`], or 0 on one core, where spinning can only
+/// they block: [`SPIN_POLLS`], or 0 on one core, where spinning can only
 /// delay the thread that would produce the work.
 pub(crate) fn spin_budget() -> u32 {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -94,9 +89,11 @@ pub(crate) fn spin_budget() -> u32 {
     }
 }
 
-/// Message from the coordinator to a site.
+/// Message from the coordinator to a site worker.
 enum ToSite {
-    Run(SiteMsg),
+    /// Run a message on the worker's server at this index.
+    Run(usize, SiteMsg),
+    /// Send every server back and end the thread.
     Shutdown,
 }
 
@@ -137,150 +134,72 @@ impl<T> CountedSender<T> {
     }
 }
 
-/// A site worker's park flag, alone on its cache line so that the
-/// coordinator's reads of it share the line with nothing the worker
-/// writes while it runs. Its loads and stores are `Relaxed`: it publishes
-/// no data (messages travel through the channels), and the `SeqCst` fence
-/// each side issues between its own store and its load of the other's is
-/// what orders the handshake.
-#[repr(align(128))]
-#[derive(Default)]
-struct Sleeping(AtomicBool);
-
-/// One site on its worker: the server and its inbox.
-struct Site {
-    /// `None` once the site has shut down and its server travelled back
-    /// in [`FromSite::Final`].
-    server: Option<Server>,
-    inbox: Receiver<ToSite>,
-}
-
-/// What one sweep over a worker's inboxes found.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Sweep {
-    /// At least one message ran.
-    Ran,
-    /// Every open inbox was empty.
-    Empty,
-    /// Every site has shut down.
-    Closed,
-}
-
 /// What a site worker counted, handed back when its thread ends.
 #[derive(Default)]
 struct WorkerCounts {
-    /// Times the worker parked.
+    /// Times the worker spun out its budget and blocked in `recv`.
     parks: u64,
-    /// Parks that lasted the whole [`PARK_TIMEOUT`] without an unpark
-    /// while a message waited: wakes the handshake lost.
-    lost_wakes: u64,
     /// Sends to the coordinator that found it gone.
     send_dropped: u64,
 }
 
-/// The sites one worker thread owns, and its sender to the coordinator.
+/// The sites one worker thread owns, its inbox and its sender to the
+/// coordinator.
 struct SiteWorker {
-    sites: Vec<Site>,
+    /// Site `i` at index `i / n`, for `n` workers.
+    servers: Vec<Server>,
+    inbox: Receiver<ToSite>,
     /// The servers' reply buffer, empty between messages.
     replies: Vec<Reply>,
     to_coord: CountedSender<FromSite>,
 }
 
 impl SiteWorker {
-    /// Drain every open inbox once: run each message and forward each of
-    /// its replies at once; a site told to shut down (or whose coordinator
-    /// is gone) sends its server back.
-    fn sweep(&mut self) -> Sweep {
-        let mut ran = false;
-        let mut open = false;
-        for site in &mut self.sites {
-            while let Some(server) = &mut site.server {
-                match site.inbox.try_recv() {
-                    Ok(ToSite::Run(msg)) => {
-                        ran = true;
-                        server.run(msg, &mut self.replies);
-                        let id = server.db.site();
-                        for reply in self.replies.drain(..) {
-                            self.to_coord.send(FromSite::Reply(id, reply));
-                        }
-                    }
-                    Ok(ToSite::Shutdown) | Err(TryRecvError::Disconnected) => {
-                        ran = true;
-                        if let Some(server) = site.server.take() {
-                            self.to_coord.send(FromSite::Final(Box::new(server)));
-                        }
-                    }
-                    Err(TryRecvError::Empty) => {
-                        open = true;
-                        break;
-                    }
-                }
-            }
-        }
-        match (ran, open) {
-            (true, _) => Sweep::Ran,
-            (false, true) => Sweep::Empty,
-            (false, false) => Sweep::Closed,
-        }
-    }
-
-    /// The worker thread: sweep until every site has shut down. After
-    /// `spin_polls` empty sweeps in a row it parks, through the handshake
-    /// in the module doc: raise `sleeping`, fence, sweep once more, and
-    /// park only if that sweep found nothing either.
-    fn work(mut self, sleeping: &Sleeping, spin_polls: u32) -> WorkerCounts {
-        let mut counts = WorkerCounts::default();
+    /// The worker thread: run each message and forward each of its replies
+    /// at once, until told to shut down (or until the coordinator is
+    /// gone); then send every server back. After `spin_polls` empty polls
+    /// in a row it blocks in the inbox's `recv`.
+    fn work(mut self, spin_polls: u32) -> WorkerCounts {
+        let mut parks = 0;
         let mut idle = 0;
         loop {
-            match self.sweep() {
-                Sweep::Ran => {
-                    idle = 0;
-                    continue;
-                }
-                Sweep::Closed => break,
-                Sweep::Empty if idle < spin_polls => {
+            let msg = match self.inbox.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(TryRecvError::Empty) if idle < spin_polls => {
                     idle += 1;
                     std::hint::spin_loop();
                     continue;
                 }
-                Sweep::Empty => {}
-            }
-            sleeping.0.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            match self.sweep() {
-                Sweep::Ran => {}
-                Sweep::Closed => break,
-                Sweep::Empty => {
-                    let parked = Instant::now();
+                Err(TryRecvError::Empty) => {
+                    parks += 1;
                     #[expect(
                         clippy::disallowed_methods,
-                        reason = "an idle site worker, after its spin and the last sweep of the \
-                                  park handshake: the next send unparks it"
+                        reason = "an idle site worker, after its spin: the next send wakes it"
                     )]
-                    std::thread::park_timeout(PARK_TIMEOUT);
-                    counts.parks += 1;
-                    // The coordinator lowers the flag before it unparks, so
-                    // a raised flag after the full timeout means nobody woke
-                    // this park. With its sites idle that is fine; with a
-                    // message waiting, the wake was lost.
-                    let woken = !sleeping.0.load(Ordering::Relaxed);
-                    if !woken && parked.elapsed() >= PARK_TIMEOUT && self.sweep() == Sweep::Ran {
-                        counts.lost_wakes += 1;
-                    }
+                    let msg = self.inbox.recv();
+                    msg.ok()
                 }
-            }
-            sleeping.0.store(false, Ordering::Relaxed);
+                Err(TryRecvError::Disconnected) => None,
+            };
+            let Some(ToSite::Run(at, msg)) = msg else {
+                break;
+            };
             idle = 0;
+            let server = &mut self.servers[at];
+            server.run(msg, &mut self.replies);
+            let id = server.db.site();
+            for reply in self.replies.drain(..) {
+                self.to_coord.send(FromSite::Reply(id, reply));
+            }
         }
-        counts.send_dropped = self.to_coord.dropped;
-        counts
+        for server in self.servers.drain(..) {
+            self.to_coord.send(FromSite::Final(Box::new(server)));
+        }
+        WorkerCounts {
+            parks,
+            send_dropped: self.to_coord.dropped,
+        }
     }
-}
-
-/// The coordinator's end of one site worker thread.
-struct WorkerHandle {
-    sleeping: Arc<Sleeping>,
-    thread: JoinHandle<WorkerCounts>,
 }
 
 /// The live transport of one run: the site workers, the channels and the
@@ -289,57 +208,52 @@ pub(crate) struct Live {
     start: Instant,
     /// Empty polls of the reply channel before the coordinator blocks.
     spin_polls: u32,
-    /// Each site's inbox, in site order.
+    /// How many sites the workers run.
+    sites: usize,
+    /// Each worker's inbox, in worker order.
     inboxes: Vec<CountedSender<ToSite>>,
-    workers: Vec<WorkerHandle>,
+    workers: Vec<JoinHandle<WorkerCounts>>,
     from_sites: Receiver<FromSite>,
-    /// Workers unparked by a send.
-    unparks: u64,
 }
 
 impl Live {
     /// Hand the servers to [`site_workers`] threads, site `i` to worker
     /// `i % n`, and start them; the clock starts now. Both the workers and
-    /// the coordinator's `recv` poll `spin_polls` times before they sleep.
+    /// the coordinator's `recv` poll `spin_polls` times before they block.
     pub(crate) fn start(servers: Vec<Server>, spin_polls: u32) -> Live {
+        let sites = servers.len();
         let (to_coord, from_sites) = bounded::<FromSite>(1024);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let n = site_workers(servers.len(), cores);
-        let mut owned: Vec<Vec<Site>> = (0..n).map(|_| Vec::new()).collect();
-        let mut inboxes = Vec::with_capacity(servers.len());
+        let n = site_workers(sites, cores);
+        let mut owned: Vec<Vec<Server>> = (0..n).map(|_| Vec::new()).collect();
         for (i, server) in servers.into_iter().enumerate() {
-            let (tx, inbox) = bounded::<ToSite>(1024);
-            owned[i % n].push(Site {
-                server: Some(server),
-                inbox,
-            });
-            inboxes.push(CountedSender::new(tx));
+            owned[i % n].push(server);
         }
-        let workers = owned
+        let (inboxes, workers) = owned
             .into_iter()
             .enumerate()
-            .map(|(w, sites)| {
+            .map(|(w, servers)| {
+                let (tx, inbox) = bounded::<ToSite>(INBOX_PER_SITE * servers.len());
                 let worker = SiteWorker {
-                    sites,
+                    servers,
+                    inbox,
                     replies: Vec::new(),
                     to_coord: CountedSender::new(to_coord.clone()),
                 };
-                let sleeping = Arc::new(Sleeping::default());
-                let flag = Arc::clone(&sleeping);
                 let thread = std::thread::Builder::new()
                     .name(format!("mdbs-site-{w}"))
-                    .spawn(move || worker.work(&flag, spin_polls))
+                    .spawn(move || worker.work(spin_polls))
                     .expect("spawn site worker");
-                WorkerHandle { sleeping, thread }
+                (CountedSender::new(tx), thread)
             })
-            .collect();
+            .unzip();
         Live {
             start: Instant::now(),
             spin_polls,
+            sites,
             inboxes,
             workers,
             from_sites,
-            unparks: 0,
         }
     }
 
@@ -348,25 +262,13 @@ impl Live {
         self.start.elapsed().as_micros() as SimTime
     }
 
-    /// Carry one message to `site`'s server.
+    /// Carry one message to `site`'s server. A send to a site whose worker
+    /// is gone is never silent: it is counted.
     pub(crate) fn send(&mut self, site: SiteId, msg: SiteMsg) {
-        // A send to a site whose worker is gone is never silent: it is
-        // counted.
         let i = site.index();
-        self.inboxes[i].send(ToSite::Run(msg));
-        self.wake(i % self.workers.len());
-    }
-
-    /// The sender's half of the park handshake: after a push, unpark
-    /// worker `w` if it has raised its flag.
-    fn wake(&mut self, w: usize) {
-        let worker = &self.workers[w];
-        fence(Ordering::SeqCst);
-        if worker.sleeping.0.load(Ordering::Relaxed) {
-            worker.sleeping.0.store(false, Ordering::Relaxed);
-            worker.thread.thread().unpark();
-            self.unparks += 1;
-        }
+        assert!(i < self.sites, "{site:?} has no server");
+        let n = self.inboxes.len();
+        self.inboxes[i % n].send(ToSite::Run(i / n, msg));
     }
 
     /// Wait for site replies until wall time `deadline` — with none, for
@@ -412,19 +314,15 @@ impl Live {
         }
     }
 
-    /// End the run: shut the sites down, take their servers back in site
-    /// order and join the workers; `threaded.parks`, `threaded.unparks`,
-    /// `threaded.lost_wakes` and `threaded.send_dropped` go into
-    /// `registry`.
+    /// End the run: shut the workers down, take their servers back in
+    /// site order and join the workers; `threaded.parks` and
+    /// `threaded.send_dropped` go into `registry`.
     pub(crate) fn finish(mut self, registry: &mut Registry) -> Vec<Server> {
         for inbox in &mut self.inboxes {
             inbox.send(ToSite::Shutdown);
         }
-        for worker in &self.workers {
-            worker.thread.thread().unpark();
-        }
-        let mut servers = Vec::with_capacity(self.inboxes.len());
-        while servers.len() < self.inboxes.len() {
+        let mut servers = Vec::with_capacity(self.sites);
+        while servers.len() < self.sites {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "shutdown, after the last transaction completed: the pump is done"
@@ -445,17 +343,14 @@ impl Live {
                 clippy::disallowed_methods,
                 reason = "shutdown: every worker has sent its last server and is returning"
             )]
-            let ended = worker.thread.join();
+            let ended = worker.join();
             let Ok(worker) = ended else {
                 panic!("a site worker panicked")
             };
             counts.parks += worker.parks;
-            counts.lost_wakes += worker.lost_wakes;
             counts.send_dropped += worker.send_dropped;
         }
         registry.inc("threaded.parks", counts.parks);
-        registry.inc("threaded.unparks", self.unparks);
-        registry.inc("threaded.lost_wakes", counts.lost_wakes);
         registry.inc("threaded.send_dropped", counts.send_dropped);
         servers.sort_by_key(|server| server.db.site());
         servers
@@ -681,12 +576,10 @@ mod tests {
         assert_eq!(site_workers(0, 2), 1);
     }
 
-    /// The park handshake never loses a wake. 10 000 coordinator ↔ site
-    /// round trips with no spinning on either side, so a worker that finds
-    /// its inbox empty parks at once: no park may run out its timeout
-    /// while the next message waits in the inbox. (A park that runs out
-    /// with the inbox empty is a coordinator that stalled, as one can under
-    /// ThreadSanitizer's pauses; that loses nothing.)
+    /// No wake is lost. 10 000 coordinator ↔ site round trips with no
+    /// spinning on either side, so a worker that finds its inbox empty
+    /// blocks at once: a send that failed to wake it would leave its trip's
+    /// `recv` to run out.
     #[test]
     fn threaded_park_never_loses_its_wake() {
         use mdbs_common::ids::GlobalTxnId;
@@ -711,17 +604,64 @@ mod tests {
         let mut registry = Registry::default();
         live.finish(&mut registry);
         let parks = registry.counter("threaded.parks");
-        let unparks = registry.counter("threaded.unparks");
-        assert_eq!(registry.counter("threaded.lost_wakes"), 0, "{parks} parks");
-        // Nearly every gap parks (≈ 99 % on two cores, ≈ 70 % on one).
+        // Nearly every gap blocks (≈ 99 % on two cores, ≈ 70 % on one).
         assert!(parks >= TRIPS / 10, "{parks} parks");
-        assert!(unparks > 0, "{unparks} unparks");
+        assert_eq!(registry.counter("threaded.send_dropped"), 0);
+    }
+
+    /// More sites than workers on any machine, so that sites share a
+    /// worker's inbox: every reply comes from the site its command was
+    /// sent to, and each site's replies arrive in send order.
+    #[test]
+    fn threaded_shared_inbox_routes_each_site_in_order() {
+        use mdbs_common::ids::GlobalTxnId;
+        use mdbs_core::coordinator::Arrival;
+        use mdbs_core::gtm1::{Gtm1Event, ServerCommand};
+        use mdbs_localdb::engine::LocalDbms;
+        const TXNS: u64 = 4;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let sites = 2 * cores + 1;
+        let servers = (0..sites)
+            .map(|i| {
+                let db = LocalDbms::new(SiteId(i as u32), LocalProtocolKind::TwoPhaseLocking);
+                Server::new(db)
+            })
+            .collect();
+        let mut live = Live::start(servers, spin_budget());
+        for cmd in [ServerCommand::Begin, ServerCommand::Commit] {
+            for txn in (1..=TXNS).map(GlobalTxnId) {
+                for i in 0..sites {
+                    live.send(SiteId(i as u32), SiteMsg::Command(txn, cmd));
+                }
+            }
+            let mut done: Vec<Vec<GlobalTxnId>> = vec![Vec::new(); sites];
+            let mut arrived = Vec::new();
+            while done.iter().map(Vec::len).sum::<usize>() < sites * TXNS as usize {
+                assert!(live.recv(None, &mut arrived), "{cmd:?}: replies stopped");
+                for (from, reply) in arrived.drain(..) {
+                    let Reply::Gtm(Arrival::Gtm1(Gtm1Event::ServerDone { txn, site })) = reply
+                    else {
+                        panic!("{cmd:?} at {from:?}: {reply:?}")
+                    };
+                    assert_eq!(site, from, "{cmd:?} {txn}");
+                    done[site.index()].push(txn);
+                }
+            }
+            let sent: Vec<GlobalTxnId> = (1..=TXNS).map(GlobalTxnId).collect();
+            for (i, txns) in done.iter().enumerate() {
+                assert_eq!(txns, &sent, "{cmd:?} at site {i}");
+            }
+        }
+        let mut registry = Registry::default();
+        let back = live.finish(&mut registry);
+        let ids: Vec<SiteId> = back.iter().map(|server| server.db.site()).collect();
+        assert_eq!(ids, (0..sites as u32).map(SiteId).collect::<Vec<_>>());
         assert_eq!(registry.counter("threaded.send_dropped"), 0);
     }
 
     /// A `live_spread`-shaped run (four 2PL sites, 32 clients, few
-    /// conflicts) with no spinning: the workers park between messages and
-    /// the coordinator's sends unpark them, and every program finishes.
+    /// conflicts) with no spinning: the workers block between messages and
+    /// the coordinator's sends wake them, and every program finishes.
     #[test]
     fn threaded_run_without_spinning_unparks_its_workers() {
         let spec = WorkloadSpec {
@@ -738,7 +678,7 @@ mod tests {
         assert_eq!(m.global_commits + m.global_failures, 300, "{m:?}");
         assert!(report.is_serializable(), "{:?}", report.audit);
         assert!(report.ser_s_ok);
-        assert!(report.registry.counter("threaded.unparks") > 0);
+        assert!(report.registry.counter("threaded.parks") > 0);
         assert_eq!(report.registry.counter("threaded.send_dropped"), 0);
     }
 
