@@ -663,7 +663,7 @@ mod tests {
     /// conflicts) with no spinning: the workers block between messages and
     /// the coordinator's sends wake them, and every program finishes.
     #[test]
-    fn threaded_run_without_spinning_unparks_its_workers() {
+    fn threaded_run_without_spinning_wakes_its_workers() {
         let spec = WorkloadSpec {
             sites: 4,
             global_txns: 300,
