@@ -103,7 +103,7 @@ mutate mdbs-core disallowed_methods crates/core/src/gtm2.rs \
     $'    pub fn pump_into(&mut self, out: &mut Vec<SchemeEffect>) {\n        std::sync::Barrier::new(1).wait();\n'
 
 # A blocking receive in place of the site worker's poll, ahead of its
-# spin (the vendored crossbeam path resolves in mdbs-sim).
+# spin (std's `mpsc::Receiver::recv`).
 mutate mdbs-sim disallowed_methods crates/sim/src/threaded.rs \
     $'    fn work(mut self, spin_polls: u32) -> WorkerCounts {\n' \
     'match self.inbox.try_recv() {' \

@@ -12,8 +12,9 @@
 //! them. It also prints
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
-//! (Schemes 1 and 3; 0 elsewhere), so `wake_scan_sum − wake_elided` bounds
-//! the re-tests that ran. `gtm2.ser_bef_targets` /
+//! (Schemes 1 and 3; 0 elsewhere), and `gtm2.retests_ser` /
+//! `gtm2.retests_fin`, the `cond` re-tests the wake loop ran on waiting
+//! `ser`s and `fin`s, in all and per transaction. `gtm2.ser_bef_targets` /
 //! `gtm2.ser_bef_ors_elided` are Scheme 3's `act(ser)` targets (Set2
 //! members charged `|Set1|`) and those of them already ordered after the
 //! serialized transaction, whose OR was skipped (0 for the other
@@ -92,12 +93,15 @@ fn main() -> std::process::ExitCode {
         let delta = metrics.counter("gtm2.elim_delta");
         let recs = metrics.counter("gtm2.elim_recs");
         let inits = outcome.stats.inits.max(1) as f64;
+        let retests_ser = metrics.counter("gtm2.retests_ser");
+        let retests_fin = metrics.counter("gtm2.retests_fin");
         eprintln!(
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
              (cond={} act={} elim_states={states} elim_scans_elided={} elim_delta={delta} \
              elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} recs_per_init={:.1} \
-             waited={} wake_scan_sum={} wake_elided={} ser_bef_targets={} \
-             ser_bef_ors_elided={} protocol_violations={})",
+             waited={} wake_scan_sum={} wake_elided={} retests_ser={retests_ser} \
+             retests_fin={retests_fin} retests_ser_per_txn={:.1} retests_fin_per_txn={:.1} \
+             ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
@@ -108,6 +112,8 @@ fn main() -> std::process::ExitCode {
             outcome.stats.waited,
             outcome.wake_scan_sum,
             metrics.counter("gtm2.wake_elided"),
+            retests_ser as f64 / n as f64,
+            retests_fin as f64 / n as f64,
             metrics.counter("gtm2.ser_bef_targets"),
             metrics.counter("gtm2.ser_bef_ors_elided"),
             outcome.protocol_violations,

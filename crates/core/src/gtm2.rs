@@ -24,7 +24,8 @@
 //! them, and anything else is one key. A waiter is re-tested where it sits
 //! and leaves WAIT only when eligible. Re-tests a scheme proves must fail
 //! are charged their steps without being run (`gtm2.wake_elided` counts
-//! them); Scheme 1's dense kernel asks for three, Scheme 3's for the last
+//! them; `gtm2.retests_ser` and `gtm2.retests_fin` count the re-tests that
+//! run); Scheme 1's dense kernel asks for three, Scheme 3's for the last
 //! two:
 //!
 //! - after an `ack`, the waiting fins ([`WakeCandidates::SerAtFinsCharged`]);
@@ -32,10 +33,12 @@
 //!   ([`WakeCandidates::FinPass`], run by `fin_pass`): Scheme 1's
 //!   delete-queue fronts, Scheme 3's transactions whose `ser_bef` row a
 //!   `fin` emptied;
-//! - after a woken `ser_k`, the rest of its site's range
-//!   ([`WakeCandidates::SerAt`]) in one charge, because `k` now has an
-//!   outstanding `ser` (Scheme 1) or an unacked `last_k` (Scheme 3)
-//!   ([`ser_blocked_at`](crate::scheme::Gtm2Scheme::ser_blocked_at)).
+//! - in a site's [`WakeCandidates::SerAt`] range, every `ser` but the one
+//!   the scheme names ready, in one charge
+//!   ([`ser_ready_at`](crate::scheme::Gtm2Scheme::ser_ready_at)): none
+//!   once `k` has an outstanding `ser` (Scheme 1) or an unacked `last_k`
+//!   (Scheme 3), and, for Scheme 1, the insert-queue front once no
+//!   insert-queue member at `k` is unmarked there.
 //!
 //! The engine also maintains the [`SerSLog`] — the order in which
 //! `ser_k(G_i)` operations were acted — from which the serializability of
@@ -117,9 +120,13 @@ pub struct Gtm2 {
     active: u64,
     /// Re-tests charged in closed form instead of being run: the waiting
     /// fins of [`WakeCandidates::SerAtFinsCharged`], the fins a
-    /// [`WakeCandidates::FinPass`] does not re-test, and the sers cut off
-    /// by [`Gtm2Scheme::ser_blocked_at`].
+    /// [`WakeCandidates::FinPass`] does not re-test, and the sers of a
+    /// range [`Gtm2Scheme::ser_ready_at`] charges.
     wake_elided: u64,
+    /// `cond` evaluations the wake loop ran on waiting `ser`s.
+    retests_ser: u64,
+    /// `cond` evaluations the wake loop ran on waiting `fin`s.
+    retests_fin: u64,
     /// Wake candidates examined per act (log₂ histogram).
     wake_scan: Histogram,
     /// Reusable buffer for the cascading wake worklist (no per-act
@@ -147,6 +154,8 @@ impl Gtm2 {
             ser_log: SerSLog::new(),
             active: 0,
             wake_elided: 0,
+            retests_ser: 0,
+            retests_fin: 0,
             wake_scan: Histogram::new(),
             wake_buf: VecDeque::new(),
             ready_buf: Vec::new(),
@@ -200,6 +209,8 @@ impl Gtm2 {
         registry.max_gauge("gtm2.peak_active", s.peak_active as i64);
         registry.merge_histogram("gtm2.wake_scan", &self.wake_scan);
         registry.inc("gtm2.wake_elided", self.wake_elided);
+        registry.inc("gtm2.retests_ser", self.retests_ser);
+        registry.inc("gtm2.retests_fin", self.retests_fin);
         self.scheme.export_metrics(registry);
     }
 
@@ -409,6 +420,11 @@ impl Gtm2 {
         // `None`: still not eligible, or woken already by an earlier
         // candidate of the same cascade.
         let woken = self.wait.take_if(key, |waiting| {
+            match waiting.kind() {
+                QueueOpKind::Ser => self.retests_ser += 1,
+                QueueOpKind::Fin => self.retests_fin += 1,
+                QueueOpKind::Init | QueueOpKind::Ack => {}
+            }
             let eligible = self.scheme.cond(waiting, &mut self.steps);
             if let Some(trace) = &mut self.trace {
                 trace.push(SchedEvent::cond(waiting, eligible));
@@ -427,12 +443,11 @@ impl Gtm2 {
     /// re-test touches neither the map nor the index; a passing one leaves
     /// WAIT, acts, and the walk resumes above it.
     ///
-    /// A woken `ser` at a site the scheme reports blocked
-    /// ([`Gtm2Scheme::ser_blocked_at`]) ends the walk: every waiter above
-    /// it would fail at the reported charge `c`. Those are the site's
-    /// waiting sers less the ones that failed in this walk (each below the
-    /// woken one, none woken since), so the `n` of them are charged with one
-    /// `c·n`, counted as elided, and left in WAIT.
+    /// A `ser` range asks the scheme ([`Gtm2Scheme::ser_ready_at`]) when
+    /// it starts and after each wake; an answer ends the walk, which
+    /// `retest_ready` finishes. The sers waiting above the cursor are the
+    /// site's waiting sers less the ones that failed in this walk (each
+    /// below the cursor, none woken since).
     fn retest_range(
         &mut self,
         site: Option<SiteId>,
@@ -442,6 +457,13 @@ impl Gtm2 {
         let mut cursor = None;
         let mut failed = 0;
         loop {
+            if let Some(site) = site {
+                if let Some((ready, charge)) = self.scheme.ser_ready_at(site) {
+                    let rest = self.wait.ser_count_at(site) as u64 - failed;
+                    self.retest_ready(site, cursor, rest, (ready, charge), out, worklist);
+                    return;
+                }
+            }
             let scheme = self.scheme.as_ref();
             let (steps, trace) = (&mut self.steps, &mut self.trace);
             let woken = match site {
@@ -449,7 +471,7 @@ impl Gtm2 {
                     scheme,
                     steps,
                     trace,
-                    &mut failed,
+                    (&mut failed, &mut self.retests_ser),
                     self.wait
                         .sers_above(site, cursor)
                         .map(|txn| QueueOp::Ser { txn, site }),
@@ -458,7 +480,7 @@ impl Gtm2 {
                     scheme,
                     steps,
                     trace,
-                    &mut failed,
+                    (&mut failed, &mut self.retests_fin),
                     self.wait.fins_above(cursor).map(|txn| QueueOp::Fin { txn }),
                 ),
             };
@@ -469,37 +491,49 @@ impl Gtm2 {
             let taken = self.wait.take_if(&wait_key(&woken), |_| true);
             debug_assert!(taken.is_some(), "{woken:?} was re-tested off WAIT's index");
             self.act_one(&woken, true, out, worklist);
-            let Some(site) = site else {
-                continue;
-            };
-            let Some(charge) = self.scheme.ser_blocked_at(site) else {
-                continue;
-            };
-            let rest = self.wait.ser_count_at(site) as u64 - failed;
-            self.charge_blocked(site, woken.txn(), rest, charge);
-            return;
         }
     }
 
-    /// Charge the `n` sers waiting at `site` above `after` `charge` `Cond`
-    /// steps each without re-testing them. Debug builds re-test each and
-    /// assert that it fails at that charge.
-    fn charge_blocked(&mut self, site: SiteId, after: GlobalTxnId, n: u64, charge: u64) {
-        if cfg!(debug_assertions) {
-            let mut seen = 0;
-            for txn in self.wait.sers_above(site, Some(after)) {
-                let blocked = QueueOp::Ser { txn, site };
-                debug_assert_eq!(
-                    retest_charge(self.scheme.as_ref(), &blocked),
-                    (false, charge),
-                    "{blocked:?}: a cut-off ser must fail at the blocked charge"
-                );
-                seen += 1;
-            }
-            debug_assert_eq!(seen, n, "site {site}: the cut-off's count is stale");
+    /// Finish a `ser` range at `site` on the scheme's answer `(ready, c)`:
+    /// of the `rest` sers waiting above `cursor`, re-test only `ready`'s
+    /// (if it is one of them) and act it if it passes, and charge every
+    /// other one `c` `Cond` steps in one sum, counted as elided and left in
+    /// WAIT. The literal walk would re-test the ones below `ready` before it
+    /// acts and the ones above after; the answer says each fails at `c`
+    /// either way. Debug builds re-test every charged ser on both sides of
+    /// the act and assert that it fails at `c`.
+    fn retest_ready(
+        &mut self,
+        site: SiteId,
+        cursor: Option<GlobalTxnId>,
+        rest: u64,
+        (ready, charge): (Option<GlobalTxnId>, u64),
+        out: &mut Vec<SchemeEffect>,
+        worklist: &mut VecDeque<Pending>,
+    ) {
+        let ready = ready.filter(|&txn| {
+            Some(txn) > cursor && self.wait.contains(&(QueueOpKind::Ser, txn, Some(site)))
+        });
+        let charged = rest - u64::from(ready.is_some());
+        debug_check_ser_charges(
+            &self.wait,
+            self.scheme.as_ref(),
+            site,
+            (cursor, charged),
+            ready,
+            charge,
+        );
+        self.steps.bump(StepKind::Cond, charge * charged);
+        self.wake_elided += charged;
+        let Some(txn) = ready else {
+            return;
+        };
+        let key = (QueueOpKind::Ser, txn, Some(site));
+        self.retest(&key, out, worklist);
+        if !self.wait.contains(&key) {
+            let scheme = self.scheme.as_ref();
+            debug_check_ser_charges(&self.wait, scheme, site, (cursor, charged), None, charge);
         }
-        self.steps.bump(StepKind::Cond, charge * n);
-        self.wake_elided += n;
     }
 
     /// One pass over the waiting fins in closed form
@@ -556,6 +590,7 @@ impl Gtm2 {
             break;
         }
         self.wake_elided += waiting - retested;
+        self.retests_fin += retested;
         self.ready_buf = ready;
     }
 
@@ -614,15 +649,17 @@ fn retest_charge(scheme: &dyn Gtm2Scheme, op: &QueueOp) -> (bool, u64) {
 }
 
 /// Re-test `ops` in order on the engine's counter and trace until one is
-/// eligible, and return it; each failing re-test adds one to `failed`.
+/// eligible, and return it; each re-test adds one to `ran`, and each failing
+/// one one to `failed`.
 fn first_eligible(
     scheme: &dyn Gtm2Scheme,
     steps: &mut StepCounter,
     trace: &mut Option<Vec<SchedEvent>>,
-    failed: &mut u64,
+    (failed, ran): (&mut u64, &mut u64),
     ops: impl Iterator<Item = QueueOp>,
 ) -> Option<QueueOp> {
     for op in ops {
+        *ran += 1;
         let eligible = scheme.cond(&op, steps);
         if let Some(trace) = trace {
             trace.push(SchedEvent::cond(&op, eligible));
@@ -633,6 +670,37 @@ fn first_eligible(
         *failed += 1;
     }
     None
+}
+
+/// Debug builds: the promise of a [`Gtm2Scheme::ser_ready_at`] answer.
+/// Every `ser` waiting at `site` but `ready`'s fails its `cond`, evaluated
+/// now, at `charge` `Cond` steps, and `n` of them wait above `cursor`.
+/// Release builds skip the walk.
+fn debug_check_ser_charges(
+    wait: &WaitSet,
+    scheme: &dyn Gtm2Scheme,
+    site: SiteId,
+    (cursor, n): (Option<GlobalTxnId>, u64),
+    ready: Option<GlobalTxnId>,
+    charge: u64,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let mut above = 0;
+    for txn in wait
+        .sers_above(site, None)
+        .filter(|&txn| Some(txn) != ready)
+    {
+        let blocked = QueueOp::Ser { txn, site };
+        debug_assert_eq!(
+            retest_charge(scheme, &blocked),
+            (false, charge),
+            "{blocked:?}: a charged ser must fail at the stated charge"
+        );
+        above += u64::from(Some(txn) > cursor);
+    }
+    debug_assert_eq!(above, n, "site {site}: the range's count is stale");
 }
 
 /// Debug builds: the precondition of a closed-form fin charge. Every
@@ -784,13 +852,16 @@ mod tests {
 
     /// A scheme whose verdicts are scripted: a `ser` or `fin` of a
     /// transaction in `pass` is eligible, anything else fails, at one
-    /// `Cond` step — unless `block` is `Some(c)` and a `ser` has acted at
-    /// the site, after which every `ser` there fails at `c`
-    /// (`ser_blocked_at`). Acts change nothing else, and every act names
-    /// `wake` as its wake candidates.
+    /// `Cond` step — with two exceptions at a site, each also
+    /// `ser_ready_at`'s answer there. Once a `ser` has acted at the site
+    /// and `block` is `Some(c)`, every `ser` there fails at `c`:
+    /// `(None, c)`. Before that, if `ready` is `Some((r, c))`, every `ser`
+    /// there but `r`'s fails at `c`: `(r, c)`. Acts change nothing else,
+    /// and every act names `wake` as its wake candidates.
     struct Scripted {
         pass: Vec<u64>,
         block: Option<u64>,
+        ready: Option<(Option<u64>, u64)>,
         blocked: Vec<SiteId>,
         wake: WakeCandidates,
     }
@@ -800,10 +871,12 @@ mod tests {
             "scripted"
         }
         fn cond(&self, op: &QueueOp, steps: &mut StepCounter) -> bool {
-            if let QueueOp::Ser { site, .. } = op {
-                if let Some(c) = self.ser_blocked_at(*site) {
-                    steps.bump(StepKind::Cond, c);
-                    return false;
+            if let QueueOp::Ser { txn, site } = op {
+                if let Some((ready, c)) = self.ser_ready_at(*site) {
+                    if ready != Some(*txn) {
+                        steps.bump(StepKind::Cond, c);
+                        return false;
+                    }
                 }
             }
             steps.tick(StepKind::Cond);
@@ -817,38 +890,44 @@ mod tests {
         fn wake_candidates(&self, _acted: &QueueOp, _wait: &WaitSet) -> WakeCandidates {
             self.wake.clone()
         }
-        fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
-            self.block.filter(|_| self.blocked.contains(&site))
+        fn ser_ready_at(&self, site: SiteId) -> Option<(Option<GlobalTxnId>, u64)> {
+            if self.blocked.contains(&site) {
+                return self.block.map(|c| (None, c));
+            }
+            self.ready.map(|(ready, c)| (ready.map(g), c))
         }
     }
 
-    /// An engine over [`Scripted`] that wakes nobody, tracing, with
-    /// `waiting` in WAIT.
+    impl Scripted {
+        /// Passes `pass`, blocks a site at `block` once a `ser` acts
+        /// there, names no ready `ser` and wakes nobody.
+        fn new(pass: &[u64], block: Option<u64>) -> Self {
+            Scripted {
+                pass: pass.to_vec(),
+                block,
+                ready: None,
+                blocked: Vec::new(),
+                wake: WakeCandidates::None,
+            }
+        }
+
+        /// An engine over this scheme, tracing, with `waiting` in WAIT.
+        fn engine(self, waiting: &[QueueOp]) -> Gtm2 {
+            let mut e = Gtm2::new(Box::new(self));
+            e.set_tracing(true);
+            // Every waiter's transaction counts as active, so a woken fin
+            // leaves the count at or above zero.
+            e.active = waiting.len() as u64;
+            for op in waiting {
+                assert!(e.wait.insert(op.clone(), 1));
+            }
+            e
+        }
+    }
+
+    /// An engine over [`Scripted::new`], tracing, with `waiting` in WAIT.
     fn scripted(pass: &[u64], block: Option<u64>, waiting: &[QueueOp]) -> Gtm2 {
-        scripted_waking(pass, block, WakeCandidates::None, waiting)
-    }
-
-    /// [`scripted`], naming `wake` after every act.
-    fn scripted_waking(
-        pass: &[u64],
-        block: Option<u64>,
-        wake: WakeCandidates,
-        waiting: &[QueueOp],
-    ) -> Gtm2 {
-        let mut e = Gtm2::new(Box::new(Scripted {
-            pass: pass.to_vec(),
-            block,
-            blocked: Vec::new(),
-            wake,
-        }));
-        e.set_tracing(true);
-        // Every waiter's transaction counts as active, so a woken fin
-        // leaves the count at or above zero.
-        e.active = waiting.len() as u64;
-        for op in waiting {
-            assert!(e.wait.insert(op.clone(), 1));
-        }
-        e
+        Scripted::new(pass, block).engine(waiting)
     }
 
     fn ser(txn: u64, site: u32) -> QueueOp {
@@ -882,8 +961,9 @@ mod tests {
         ops.iter().map(SchedEvent::wake).collect()
     }
 
-    /// A ser woken after a failing prefix of its range cuts off the rest:
-    /// the `n` waiters above it are charged `n·c` in one sum, counted as
+    /// A ser woken after a failing prefix of its range cuts off the rest
+    /// (`ser_ready_at` answers `(None, c)` once it acts): the `n` waiters
+    /// above it are charged `n·c` in one sum, counted as
     /// elided, never re-tested, and stay in WAIT; another site's sers are
     /// outside the range.
     #[test]
@@ -906,14 +986,74 @@ mod tests {
         );
         assert_eq!(woken, woke(&[ser(3, 0)]));
         assert_eq!(e.steps().cond, 3 + 3 * 5);
-        assert_eq!(e.wake_elided, 3);
+        assert_eq!((e.wake_elided, e.retests_ser), (3, 3));
         assert_eq!(e.wait_len(), waiting.len() - 1);
         assert_eq!(e.wait.ser_count_at(s(1)), 2);
     }
 
-    /// With no cut-off, a range entry re-tests each waiter once, in key
-    /// order, resuming above each wake; a `Fins` entry does the same over
-    /// the waiting fins.
+    /// A ready `ser` in mid-range is the range's only re-test: the waiters
+    /// below it (which the literal walk re-tests before it acts) and above
+    /// it (after) are charged `c` each in one sum and counted as elided;
+    /// another site's sers are outside the range.
+    #[test]
+    fn ready_in_mid_range_is_the_only_retest() {
+        let waiting = [
+            ser(2, 1),
+            ser(1, 0),
+            ser(2, 0),
+            ser(3, 0),
+            ser(4, 0),
+            ser(5, 0),
+            ser(6, 0),
+            ser(9, 1),
+        ];
+        let mut e = Scripted {
+            ready: Some((Some(4), 3)),
+            ..Scripted::new(&[4], Some(3))
+        }
+        .engine(&waiting);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0))]);
+        assert_eq!(retests, retested(&[(ser(4, 0), true)]));
+        assert_eq!(woken, woke(&[ser(4, 0)]));
+        assert_eq!(e.steps().cond, 1 + 5 * 3);
+        assert_eq!((e.wake_elided, e.retests_ser), (5, 1));
+        assert_eq!(e.wait_len(), waiting.len() - 1);
+        assert_eq!(e.wait.ser_count_at(s(1)), 2);
+    }
+
+    /// A ready `ser` that is not waiting in the range — here it waits at
+    /// another site — leaves all `n` waiters charged `c`, none re-tested or
+    /// woken; one that waits but fails its re-test adds its own charge.
+    #[test]
+    fn ready_not_waiting_charges_every_waiter() {
+        let waiting = [ser(1, 0), ser(2, 0), ser(3, 0), ser(9, 1)];
+        let mut e = Scripted {
+            ready: Some((Some(9), 3)),
+            ..Scripted::new(&[9], Some(3))
+        }
+        .engine(&waiting);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0))]);
+        assert_eq!((retests, woken), (vec![], vec![]));
+        assert_eq!(e.steps().cond, 3 * 3);
+        assert_eq!((e.wake_elided, e.retests_ser), (3, 0));
+        assert_eq!(e.wait_len(), waiting.len());
+
+        let mut e = Scripted {
+            ready: Some((Some(2), 3)),
+            ..Scripted::new(&[], Some(3))
+        }
+        .engine(&waiting);
+        let (retests, woken) = run(&mut e, &[Pending::SerAt(s(0))]);
+        assert_eq!((retests, woken), (retested(&[(ser(2, 0), false)]), vec![]));
+        assert_eq!(e.steps().cond, 2 * 3 + 1);
+        assert_eq!((e.wake_elided, e.retests_ser), (2, 1));
+        assert_eq!(e.wait_len(), waiting.len());
+    }
+
+    /// With no cut-off (`ser_ready_at` answers `None`), a range entry
+    /// re-tests each waiter once, in key order, resuming above each wake —
+    /// the literal walk; a `Fins` entry does the same over the waiting
+    /// fins.
     #[test]
     fn range_without_cut_off_retests_each_waiter_once_in_key_order() {
         let waiting = [
@@ -945,7 +1085,7 @@ mod tests {
         );
         assert_eq!(woken, woke(&[ser(2, 0), ser(3, 0), ser(4, 0), fin(3)]));
         assert_eq!(e.steps().cond, 9);
-        assert_eq!(e.wake_elided, 0);
+        assert_eq!((e.wake_elided, e.retests_ser, e.retests_fin), (0, 6, 3));
         assert_eq!(e.wait_len(), 5);
     }
 
@@ -994,7 +1134,11 @@ mod tests {
             (WakeCandidates::SerOf(g(3)), 2, 3),
         ];
         for (wake, scanned, charge) in cases {
-            let mut e = scripted_waking(&[], None, wake.clone(), &waiting);
+            let mut e = Scripted {
+                wake: wake.clone(),
+                ..Scripted::new(&[], None)
+            }
+            .engine(&waiting);
             let mut worklist = VecDeque::new();
             e.push_wake_candidates(&ser(9, 2), &mut worklist);
             assert_eq!(e.steps().wait_scan, charge, "{wake:?}: WaitScan charge");

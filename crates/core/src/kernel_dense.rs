@@ -41,8 +41,14 @@
 //!   - after a `fin`, every waiting fin but the delete-queue fronts
 //!     ([`WakeCandidates::FinPass`] with `ready_fins`): a fin passes only
 //!     if its transaction heads every delete queue at its sites;
-//!   - after a woken `ser_k`, the other sers at `s_k` still on the
-//!     worklist (`ser_blocked_at`): `s_k` now has an outstanding `ser`.
+//!   - in a `SerAt(k)` range (`ser_ready_at`), every waiting `ser` at
+//!     `s_k` while `s_k` has an outstanding `ser`, as after a woken one;
+//!   - in a `SerAt(k)` range with nothing outstanding at `s_k`, every
+//!     waiting `ser` there but the insert-queue front's, once no member of
+//!     that queue is unmarked at `s_k` (a per-site count kept at `init` and
+//!     `ack`): a marked `ser` passes only at the front, and the front's
+//!     act makes it outstanding. `cond(ser)` charges one step pass or
+//!     fail, so one charge covers them all.
 //!
 //!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits (`init_i` comes
 //!   once), which is what lets the engine sum the charges WAIT recorded.
@@ -67,8 +73,8 @@
 //!     charges one step and holds iff `ser_bef(Ĝ_i)` is empty, and only
 //!     `act(fin)`'s column clear takes bits out of a row;
 //!   - after a woken `ser_k`, the other sers at `s_k` still on the worklist
-//!     (`ser_blocked_at`): `last_k` is now unacked, so each fails at its
-//!     second step.
+//!     (`ser_ready_at`, naming none ready): `last_k` is now unacked, so
+//!     each fails at its second step.
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) and charge nothing: the engine resolves them
 //!   against the WAIT set without allocating and charges the wait scan
@@ -118,6 +124,8 @@ pub struct Scheme1Dense {
     marked: Vec<DenseBitSet>,
     /// Site slot → submitted-but-unacked transaction.
     outstanding: Vec<Option<GlobalTxnId>>,
+    /// Site slot → insert-queue members not marked at the site.
+    unmarked: Vec<u32>,
     /// Txn slot → announced site list (contents of `Ĝ_i`).
     sites_map: Vec<Option<Vec<SiteId>>>,
     /// Site connectivity of the current TSG (valid when `!dsu_dirty`).
@@ -162,6 +170,7 @@ impl Scheme1Dense {
             self.delete_queues.resize_with(n, VecDeque::new);
             self.iq_exists.resize(n, false);
             self.outstanding.resize(n, None);
+            self.unmarked.resize(n, 0);
         }
     }
 
@@ -301,6 +310,11 @@ impl Gtm2Scheme for Scheme1Dense {
                     let (ss, _) = self.scratch_roots[i];
                     self.dsu.union(first, ss);
                 }
+                for &(ss, _) in &self.scratch_roots {
+                    if !self.marked[ts as usize].contains(ss) {
+                        self.unmarked[ss as usize] += 1;
+                    }
+                }
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -330,8 +344,12 @@ impl Gtm2Scheme for Scheme1Dense {
                 }
                 steps.bump(StepKind::Act, pos.unwrap_or_default() as u64 + 1);
                 self.outstanding[ss as usize] = None;
-                if let Some(ts) = self.txns.slot_of(txn) {
-                    self.marked[ts as usize].remove(ss);
+                let was_marked = self
+                    .txns
+                    .slot_of(txn)
+                    .is_some_and(|ts| self.marked[ts as usize].remove(ss));
+                if pos.is_some() && !was_marked {
+                    self.unmarked[ss as usize] -= 1;
                 }
                 self.delete_queues[ss as usize].push_back(*txn);
                 out.push(SchemeEffect::ForwardAck {
@@ -406,13 +424,20 @@ impl Gtm2Scheme for Scheme1Dense {
         out.extend(self.delete_queues.iter().filter_map(|q| q.front().copied()));
     }
 
-    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
-        // `cond(ser)` ticks once and fails while the site has an
-        // outstanding `ser`.
-        self.sites
-            .slot_of(&site)
-            .filter(|&ss| self.outstanding[ss as usize].is_some())
-            .map(|_| 1)
+    fn ser_ready_at(&self, site: SiteId) -> Option<(Option<GlobalTxnId>, u64)> {
+        // `cond(ser)` ticks once, pass or fail. It fails while the site has
+        // an outstanding `ser`. With none, a waiting `ser` (its
+        // transaction is in the insert queue until the ack) passes if it
+        // is unmarked at the site or heads the queue; with no member
+        // unmarked, only the front can, and its act makes it outstanding.
+        let ss = self.sites.slot_of(&site)?;
+        if self.outstanding[ss as usize].is_some() {
+            Some((None, 1))
+        } else if self.unmarked[ss as usize] == 0 {
+            Some((self.insert_front(ss), 1))
+        } else {
+            None
+        }
     }
 
     fn debug_validate(&self) {
@@ -429,6 +454,18 @@ impl Gtm2Scheme for Scheme1Dense {
             for t in iq {
                 assert!(!dq.contains(t), "{t} in both queues at site slot {ss}");
             }
+            let unmarked = iq
+                .iter()
+                .filter(|t| {
+                    self.txns
+                        .slot_of(t)
+                        .is_none_or(|ts| !self.marked[ts as usize].contains(ss as u32))
+                })
+                .count();
+            assert_eq!(
+                unmarked, self.unmarked[ss] as usize,
+                "unmarked count of site slot {ss}"
+            );
         }
     }
 
@@ -1099,12 +1136,12 @@ impl Gtm2Scheme for Scheme3Dense {
         out.extend(self.emptied.iter().filter_map(|t| self.txns.key_of(t)));
     }
 
-    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+    fn ser_ready_at(&self, site: SiteId) -> Option<(Option<GlobalTxnId>, u64)> {
         // `cond(ser)` ticks once, ticks again to read `last_k`, and fails
         // while `last_k`'s event is unacked, before any `ser_bef` work.
         let ss = self.sites.slot_of(&site)?;
         let l = self.last[ss as usize]?;
-        (!self.acked_at(l, ss)).then_some(2)
+        (!self.acked_at(l, ss)).then_some((None, 2))
     }
 
     fn export_metrics(&self, registry: &mut Registry) {

@@ -439,12 +439,15 @@ pub trait Gtm2Scheme {
         let _ = out;
     }
 
-    /// `Some(c)` if every waiting `ser` at `site` must fail its `cond` now,
-    /// each charging `c` `Cond` steps. After a `ser` woken from a
-    /// [`WakeCandidates::SerAt`] range acts, the engine charges the rest of
-    /// that range `c` each, in one sum, instead of re-testing it. The default,
-    /// `None`, keeps every re-test literal.
-    fn ser_blocked_at(&self, site: SiteId) -> Option<u64> {
+    /// `Some((ready, c))` promises that every waiting `ser` at `site` other
+    /// than `ready`'s fails its `cond` now, charging `c` `Cond` steps, and
+    /// still does after `ready`'s `ser` acts. Asked when a
+    /// [`WakeCandidates::SerAt`] range starts and after each `ser` it wakes:
+    /// the engine then re-tests only `ready`'s `ser` (if it waits in the
+    /// rest of the range) and charges every other waiter there `c`, in one
+    /// sum, instead of re-testing it. The default, `None`, keeps every
+    /// re-test literal.
+    fn ser_ready_at(&self, site: SiteId) -> Option<(Option<GlobalTxnId>, u64)> {
         let _ = site;
         None
     }

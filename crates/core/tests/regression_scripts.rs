@@ -159,7 +159,7 @@ type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 /// `scheme2_recs`, Scheme
 /// 3's `act(ser)` targets and the ORs it skipped (`(0, 0)` for the other
 /// schemes) with `scheme3_ser_bef`, and each scheme's `gtm2.wake_elided`
-/// with `wake_elided`.
+/// and (`gtm2.retests_ser`, `gtm2.retests_fin`) with `wake`.
 fn assert_dense_cell(
     cell: &str,
     script: &Script,
@@ -167,11 +167,12 @@ fn assert_dense_cell(
     scheme2_elim: (u64, u64, u64),
     scheme2_recs: u64,
     scheme3_ser_bef: (u64, u64),
-    wake_elided: [u64; 4],
+    wake: ([u64; 4], [(u64, u64); 4]),
 ) {
     let n = script.txn_count();
-    for ((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided) in
-        golden.into_iter().zip(wake_elided)
+    let (wake_elided, retests) = wake;
+    for (((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided), retests) in
+        golden.into_iter().zip(wake_elided).zip(retests)
     {
         let mut engine = Gtm2::new(kind.build());
         let out = replay_with(&mut engine, script);
@@ -224,6 +225,14 @@ fn assert_dense_cell(
             metrics.counter("gtm2.wake_elided"),
             elided,
             "{cell} {kind}: closed-form wake re-tests changed"
+        );
+        assert_eq!(
+            (
+                metrics.counter("gtm2.retests_ser"),
+                metrics.counter("gtm2.retests_fin")
+            ),
+            retests,
+            "{cell} {kind}: wake re-tests run changed"
         );
         assert_eq!(
             (
@@ -305,10 +314,18 @@ fn burst_cell_dense_decisions_golden() {
     const SCHEME2_ELIM_RECS: u64 = 1_257_162;
     // The wake re-tests each scheme charged without running them, in
     // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
-    // behind a woken `ser`, Scheme 3's fins after a `fin` and sers behind a
-    // woken `ser`. Machine work too: an elision that silently stops keeps
-    // every step above and moves these.
-    const WAKE_ELIDED: [u64; 4] = [0, 755_831, 0, 365_242];
+    // behind a woken `ser` or not the insert-queue front, Scheme 3's fins
+    // after a `fin` and sers behind a woken `ser`. Machine work too: an
+    // elision that silently stops keeps every step above and moves these.
+    const WAKE_ELIDED: [u64; 4] = [0, 896_183, 0, 365_242];
+    // The wake re-tests each scheme ran, on waiting (`ser`s, `fin`s): what
+    // the elisions above leave.
+    const RETESTS: [(u64, u64); 4] = [
+        (2_452, 0),
+        (2_450, 4_748),
+        (282_168, 200_012),
+        (104_816, 744),
+    ];
     // Scheme 3's `act(ser)` targets (Set2 members charged `|Set1|`) and
     // those already ordered after the serialized transaction, whose OR the
     // kernel skips. Both are functions of the scheme's state; a kernel that
@@ -323,7 +340,7 @@ fn burst_cell_dense_decisions_golden() {
         SCHEME2_ELIM,
         SCHEME2_ELIM_RECS,
         SCHEME3_SER_BEF,
-        WAKE_ELIDED,
+        (WAKE_ELIDED, RETESTS),
     );
 }
 
@@ -377,7 +394,13 @@ fn stream_cell_dense_decisions_golden() {
     ];
     const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
     const SCHEME2_ELIM_RECS: u64 = 4_557_935;
-    const WAKE_ELIDED: [u64; 4] = [0, 1_762_483, 0, 621_164];
+    const WAKE_ELIDED: [u64; 4] = [0, 1_790_983, 0, 621_164];
+    const RETESTS: [(u64, u64); 4] = [
+        (22_249, 0),
+        (22_259, 47_287),
+        (450_857, 402_176),
+        (112_514, 7_420),
+    ];
     const SCHEME3_SER_BEF: (u64, u64) = (1_931_689, 1_478_834);
     let script = Script::windowed(10_000, 10, 2.5, 64, 42);
     assert_dense_cell(
@@ -387,7 +410,7 @@ fn stream_cell_dense_decisions_golden() {
         SCHEME2_ELIM,
         SCHEME2_ELIM_RECS,
         SCHEME3_SER_BEF,
-        WAKE_ELIDED,
+        (WAKE_ELIDED, RETESTS),
     );
 }
 

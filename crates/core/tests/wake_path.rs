@@ -3,7 +3,8 @@
 //! Figure 3's inner loop re-tests waiters in place, and the dense kernels
 //! of Schemes 1 and 3 have re-tests that must fail charged in closed form:
 //! Scheme 1's `fin`s after an `ack`, all but the delete-queue fronts after
-//! a `fin`, and the `ser`s behind a woken `ser` at its site; Scheme 3's
+//! a `fin`, the `ser`s behind a woken `ser` at its site, and all but the
+//! insert-queue front's once no member of that queue is unmarked; Scheme 3's
 //! `fin`s after a `fin` but those whose `ser_bef` row a `fin` emptied, and
 //! the `ser`s behind a woken `ser` at its site. The BTree kernels run them
 //! all, and so are the oracle for the charge. These tests pin what random
@@ -18,6 +19,8 @@
 //!   same pass, and one below it in the next;
 //! - a woken `ser` cuts off only the sers behind it at its site, after the
 //!   ones before it were re-tested;
+//! - an unmarked waiter passes ahead of a marked insert-queue front, and
+//!   once none is left the front is the one `ser` re-tested;
 //! - the same two passes for Scheme 3, where a fin whose row stays
 //!   non-empty is charged every pass and never re-tested.
 
@@ -77,10 +80,14 @@ fn observed(e: &Gtm2, effects: Vec<SchemeEffect>) -> Observed {
     }
 }
 
-fn wake_elided(e: &Gtm2) -> u64 {
+fn counter(e: &Gtm2, name: &str) -> u64 {
     let mut registry = Registry::new();
     e.export_metrics(&mut registry);
-    registry.counter("gtm2.wake_elided")
+    registry.counter(name)
+}
+
+fn wake_elided(e: &Gtm2) -> u64 {
+    counter(e, "gtm2.wake_elided")
 }
 
 /// Feed `rounds` one after another, pumping dry after each.
@@ -274,6 +281,62 @@ fn woken_ser_cuts_off_only_the_sers_behind_it() {
     }
     assert_eq!(seen[0], seen[1], "BTree vs Dense");
     assert_eq!(elided, [0, 2], "wake_elided, BTree and Dense");
+}
+
+/// At s0, G1's `ser` is outstanding while G3's and G2's wait: G1 and G3
+/// share s0 and s1, so G3 is marked at s0, and G2 (s0 only) is unmarked.
+/// `ack_1` makes G3 the front of s0's insert queue, but G2 is unmarked, so
+/// the range is walked literally: G2 wakes ahead of the front, and its
+/// outstanding `ser` fails G3 — charged by the dense kernel. `ack_2` leaves
+/// no member unmarked at s0, so the dense kernel re-tests only the front,
+/// G3, which wakes. The BTree kernel re-tests every waiter both times.
+#[test]
+fn unmarked_waiter_passes_ahead_of_a_marked_front() {
+    let rounds: [&[QueueOp]; 2] = [
+        &[init(1, &[0, 1]), init(3, &[0, 1]), init(2, &[0]), ser(1, 0)],
+        &[ser(3, 0), ser(2, 0)],
+    ];
+    let submitted = |txn| SchemeEffect::SubmitSer {
+        txn: GlobalTxnId(txn),
+        site: SiteId(0),
+    };
+    let forwarded = |txn| SchemeEffect::ForwardAck {
+        txn: GlobalTxnId(txn),
+        site: SiteId(0),
+    };
+    let mut seen = Vec::new();
+    let mut work = Vec::new();
+    for (kernel, scheme) in realizations(SchemeKind::Scheme1) {
+        let mut e = run(scheme, &rounds);
+        let before = observed(&e, Vec::new());
+        assert_eq!(before.waiting, 2, "{kernel}: G3's and G2's sers wait");
+        let fx = feed(&mut e, &[ack(1, 0)]);
+        let after_first = observed(&e, fx);
+        assert_eq!(
+            after_first.effects,
+            [forwarded(1), submitted(2)],
+            "{kernel}"
+        );
+        // One step for the ack's `cond`, one for each ser's.
+        assert_eq!(
+            after_first.steps.cond - before.steps.cond,
+            1 + 2,
+            "{kernel}"
+        );
+        let fx = feed(&mut e, &[ack(2, 0)]);
+        let after = observed(&e, fx);
+        assert_eq!(after.effects, [forwarded(2), submitted(3)], "{kernel}");
+        assert_eq!(after.waiting, 0, "{kernel}");
+        assert_eq!(after.steps.cond - after_first.steps.cond, 1 + 1, "{kernel}");
+        work.push((wake_elided(&e), counter(&e, "gtm2.retests_ser")));
+        seen.push((after_first, after));
+    }
+    assert_eq!(seen[0], seen[1], "BTree vs Dense");
+    assert_eq!(
+        work,
+        [(0, 3), (1, 2)],
+        "(wake_elided, retests_ser), BTree and Dense"
+    );
 }
 
 /// Scheme 3: `fin_5` (row {G1}), `fin_2` and `fin_8` (rows {G1, G5}) and

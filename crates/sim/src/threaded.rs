@@ -1,6 +1,6 @@
 //! The live transport: [`MdbsSystem::run_live`] runs the one driver on
 //! the calling thread and the sites' `Server`s on a few **site worker
-//! threads**, talking over crossbeam channels.
+//! threads**, talking over bounded `std::sync::mpsc` channels.
 //!
 //! Where the seeded event queue gives determinism (experiments), the live
 //! transport gives *real concurrency*: messages genuinely race, blocked
@@ -36,13 +36,13 @@
 use crate::event::SimTime;
 use crate::server::{Reply, Server, SiteMsg};
 use crate::system::{assert_conservative, LatencyConfig, MdbsSystem, SystemConfig};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mdbs_common::ids::SiteId;
 use mdbs_common::instrument::Registry;
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::protocol::LocalProtocolKind;
 use mdbs_schedule::global::GlobalSerializability;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,13 +111,13 @@ enum FromSite {
 /// `threaded.send_dropped` counter. The runtime's only caller of the
 /// channel's `send` — the root `clippy.toml` bans it everywhere else.
 struct CountedSender<T> {
-    inner: Sender<T>,
+    inner: SyncSender<T>,
     /// Sends that failed because the receiver was gone.
     dropped: u64,
 }
 
 impl<T> CountedSender<T> {
-    fn new(inner: Sender<T>) -> Self {
+    fn new(inner: SyncSender<T>) -> Self {
         CountedSender { inner, dropped: 0 }
     }
 
@@ -222,7 +222,7 @@ impl Live {
     /// the coordinator's `recv` poll `spin_polls` times before they block.
     pub(crate) fn start(servers: Vec<Server>, spin_polls: u32) -> Live {
         let sites = servers.len();
-        let (to_coord, from_sites) = bounded::<FromSite>(1024);
+        let (to_coord, from_sites) = sync_channel::<FromSite>(1024);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let n = site_workers(sites, cores);
         let mut owned: Vec<Vec<Server>> = (0..n).map(|_| Vec::new()).collect();
@@ -233,7 +233,7 @@ impl Live {
             .into_iter()
             .enumerate()
             .map(|(w, servers)| {
-                let (tx, inbox) = bounded::<ToSite>(INBOX_PER_SITE * servers.len());
+                let (tx, inbox) = sync_channel::<ToSite>(INBOX_PER_SITE * servers.len());
                 let worker = SiteWorker {
                     servers,
                     inbox,
