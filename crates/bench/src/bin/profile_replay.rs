@@ -3,13 +3,16 @@
 //! profiler sees only the scheduler under test.
 //!
 //! Each rep line prints the wall time, the step charges and the engine's
-//! work counters: `gtm2.elim_states` / `gtm2.elim_scans_elided` /
-//! `gtm2.elim_delta` / `gtm2.elim_recs` (Scheme 2's `Eliminate_Cycles`
-//! states entered, column scans elided, Δ dependencies added and edge
-//! records its setup laid out; 0 for the other schemes), states, Δ and
-//! records also per `init`, so a time split taken with a profiler or with
-//! timers in a copy of the tree — the walk against the setup — divides by
-//! them. It also prints
+//! work counters: `gtm2.elim_calls` / `gtm2.elim_states` /
+//! `gtm2.elim_scans_elided` / `gtm2.elim_delta` / `gtm2.elim_recs`
+//! (Scheme 2's `Eliminate_Cycles` calls, states entered, column scans
+//! elided, Δ dependencies added, and edge-table records laid out at insert
+//! or re-laid on growth; 0 for the other schemes), states, Δ and records
+//! also per `init`, so a time split taken with a profiler or with timers
+//! in a copy of the tree divides by them, and `gtm2.edge_searches`
+//! (Scheme 2's searches of a transaction's edge row, one per `cond(ser)`,
+//! `act(ser)` and `act(ack)`; 0 for the other schemes), in all and per
+//! transaction. It also prints
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
 //! (Schemes 1 and 3; 0 elsewhere), and `gtm2.retests_ser` /
@@ -89,16 +92,19 @@ fn main() -> std::process::ExitCode {
         assert_eq!(outcome.completed, n, "replay must complete every txn");
         let mut metrics = Registry::new();
         engine.export_metrics(&mut metrics);
+        let calls = metrics.counter("gtm2.elim_calls");
         let states = metrics.counter("gtm2.elim_states");
         let delta = metrics.counter("gtm2.elim_delta");
         let recs = metrics.counter("gtm2.elim_recs");
         let inits = outcome.stats.inits.max(1) as f64;
         let retests_ser = metrics.counter("gtm2.retests_ser");
         let retests_fin = metrics.counter("gtm2.retests_fin");
+        let searches = metrics.counter("gtm2.edge_searches");
         eprintln!(
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
-             (cond={} act={} elim_states={states} elim_scans_elided={} elim_delta={delta} \
-             elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} recs_per_init={:.1} \
+             (cond={} act={} elim_calls={calls} elim_states={states} elim_scans_elided={} \
+             elim_delta={delta} elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} \
+             recs_per_init={:.1} edge_searches={searches} edge_searches_per_txn={:.1} \
              waited={} wake_scan_sum={} wake_elided={} retests_ser={retests_ser} \
              retests_fin={retests_fin} retests_ser_per_txn={:.1} retests_fin_per_txn={:.1} \
              ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
@@ -109,6 +115,7 @@ fn main() -> std::process::ExitCode {
             states as f64 / inits,
             delta as f64 / inits,
             recs as f64 / inits,
+            searches as f64 / n as f64,
             outcome.stats.waited,
             outcome.wake_scan_sum,
             metrics.counter("gtm2.wake_elided"),

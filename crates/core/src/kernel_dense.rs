@@ -53,10 +53,13 @@
 //!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits (`init_i` comes
 //!   once), which is what lets the engine sum the charges WAIT recorded.
 //! - Scheme 2 keeps one record per TSG edge ([`DenseTsgd`]): its column
-//!   position, both halves of its dependencies, and whether it has run and
-//!   been acked. `Eliminate_Cycles` reads a column's blocked set and the
-//!   position to skip off the edge it stands on, and Δ and the `act`
-//!   dependency fans are added in slot space.
+//!   position, the dependencies out of it, counts of those into it, and
+//!   whether it has run and been acked; each column entry names its
+//!   edge's row index, so the
+//!   `act` dependency fans, an ack's releases and a fin's removal reach
+//!   every edge without a search. `Eliminate_Cycles` reads a compact edge
+//!   table the TSGD keeps beside its rows, and Δ and the fans are added in
+//!   slot space.
 //! - Scheme 3's `ser_bef` sets are the rows of one row-major bit matrix
 //!   over transaction slots, all of one stride, which doubles (re-laying
 //!   the rows) when a slot outgrows it, and a second matrix keeps its
@@ -487,9 +490,10 @@ impl Gtm2Scheme for Scheme1Dense {
 #[derive(Clone, Debug, Default)]
 pub struct Scheme2Dense {
     tsgd: DenseTsgd,
-    /// Scratch for two-phase collect-then-mutate loops: the txn slots of
-    /// the column members a dependency fan picked.
-    scratch: Vec<u32>,
+    /// Scratch for two-phase collect-then-mutate loops: the edges
+    /// `(txn slot, row index)` of the column members a dependency fan
+    /// picked.
+    scratch: Vec<(u32, u32)>,
     /// Reusable traversal state (and the Δ) of `Eliminate_Cycles`.
     elim: EliminateScratch,
 }
@@ -498,11 +502,6 @@ impl Scheme2Dense {
     /// Fresh state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Has `act(ser)` run for the column member in slot `js` at `site`?
-    fn ran_at(&self, js: u32, site: SiteId) -> bool {
-        self.tsgd.edge(js, site).is_some_and(|e| e.ran)
     }
 }
 
@@ -547,41 +546,46 @@ impl Gtm2Scheme for Scheme2Dense {
                         continue;
                     };
                     // Everyone already executed at `site` precedes `txn`
-                    // there.
+                    // there; `txn`'s own column entry names its edge.
                     self.scratch.clear();
-                    for &(j, js) in self.tsgd.txns_col(ss) {
-                        if j != *txn && self.ran_at(js, site) {
-                            self.scratch.push(js);
+                    let mut own = None;
+                    for &(_, js, ji) in self.tsgd.txns_col(ss) {
+                        if js == ts {
+                            own = Some((ts, ji));
+                        } else if self.tsgd.edge_at(js, ji).ran {
+                            self.scratch.push((js, ji));
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
-                    for &js in &self.scratch {
-                        self.tsgd.add_dep_slots(site, js, ts);
+                    if let Some(after) = own {
+                        for &before in &self.scratch {
+                            self.tsgd.add_dep_at(site, before, after);
+                        }
                     }
                 }
-                eliminate_cycles_dense_with(&self.tsgd, *txn, steps, &mut self.elim);
+                eliminate_cycles_dense_with(&mut self.tsgd, *txn, steps, &mut self.elim);
                 self.tsgd.add_delta(&self.elim);
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
                 let ts = self.tsgd.txn_slot(*txn);
-                let edge = ts.and_then(|ts| self.tsgd.edge_mut(ts, *site));
-                debug_assert!(edge.is_some(), "ser of {txn} at {site} has no TSG edge");
-                if let Some(edge) = edge {
-                    edge.ran = true;
+                let own = ts.and_then(|ts| Some((ts, self.tsgd.edge_index(ts, *site)? as u32)));
+                debug_assert!(own.is_some(), "ser of {txn} at {site} has no TSG edge");
+                if let Some((ts, ti)) = own {
+                    self.tsgd.edge_at_mut(ts, ti).ran = true;
                 }
                 if let Some(ss) = self.tsgd.site_slot(*site) {
                     // `txn` precedes everyone not yet executed at `site`.
                     self.scratch.clear();
-                    for &(j, js) in self.tsgd.txns_col(ss) {
-                        if j != *txn && !self.ran_at(js, *site) {
-                            self.scratch.push(js);
+                    for &(_, js, ji) in self.tsgd.txns_col(ss) {
+                        if Some(js) != ts && !self.tsgd.edge_at(js, ji).ran {
+                            self.scratch.push((js, ji));
                         }
                     }
                     steps.bump(StepKind::Act, self.scratch.len() as u64 + 1);
-                    if let Some(ts) = ts {
-                        for &js in &self.scratch {
-                            self.tsgd.add_dep_slots(*site, ts, js);
+                    if let Some(before) = own {
+                        for &after in &self.scratch {
+                            self.tsgd.add_dep_at(*site, before, after);
                         }
                     }
                 } else {
@@ -631,10 +635,12 @@ impl Gtm2Scheme for Scheme2Dense {
     }
 
     fn export_metrics(&self, registry: &mut Registry) {
+        registry.inc("gtm2.elim_calls", self.elim.calls());
         registry.inc("gtm2.elim_states", self.elim.states());
         registry.inc("gtm2.elim_scans_elided", self.elim.scans_elided());
         registry.inc("gtm2.elim_delta", self.elim.deltas());
-        registry.inc("gtm2.elim_recs", self.elim.recs_laid());
+        registry.inc("gtm2.elim_recs", self.tsgd.records_laid());
+        registry.inc("gtm2.edge_searches", self.tsgd.edge_searches());
     }
 
     fn debug_validate(&self) {
@@ -655,7 +661,7 @@ impl Gtm2Scheme for Scheme2Dense {
         assert_eq!(self.tsgd.desync_count(), 0, "checked decrement failed");
         assert!(
             self.tsgd.edges_consistent(),
-            "an edge record went stale or lost a dependency's other half"
+            "an edge record, a dependency count or the edge table went stale"
         );
     }
 }

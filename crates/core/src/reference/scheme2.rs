@@ -24,9 +24,10 @@
 //! [`crate::tsgd_dense::eliminate_cycles_dense_with`] keeps each node's scan
 //! cursor in its DFS frame (a `(arrival site, node)` state is entered at
 //! most once per call), charges a column the node already emptied without
-//! rescanning it, reads column positions that
+//! rescanning it, reads column positions and row indices that
 //! [`crate::tsgd_dense::DenseTsgd`] stores instead of searching for them,
-//! and hands Δ and the `act` dependency fans over in slot space.
+//! walks an edge table kept beside the rows instead of laying one out per
+//! call, and hands Δ and the `act` dependency fans over in slot space.
 
 use crate::reference::tsgd::{eliminate_cycles, minimal_delta_exact, Tsgd};
 use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitSet, WakeCandidates};

@@ -40,6 +40,7 @@ use mdbs_core::tsgd_dense::{eliminate_cycles_dense_with, DenseTsgd, Dep, Elimina
 use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Strategy: a valid random script described by (n, m, dav, seed).
@@ -609,7 +610,7 @@ fn assert_delta_parity(script: &Script, label: &str) -> (u64, u64, u64) {
                 dense.insert_txn(*txn, sites);
                 let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
                 let delta = eliminate_cycles(&reference, *txn, &mut steps_ref);
-                eliminate_cycles_dense_with(&dense, *txn, &mut steps_dense, &mut scratch);
+                eliminate_cycles_dense_with(&mut dense, *txn, &mut steps_dense, &mut scratch);
                 assert_eq!(dense.delta_set(&scratch), delta, "{label}: Δ of {txn}");
                 assert_eq!(steps_dense, steps_ref, "{label}: steps of {txn}");
                 for dep in delta {
@@ -717,6 +718,138 @@ fn every_small_script_scheme3() {
     check_every_small_script(SchemeKind::Scheme3);
 }
 
+/// One operation of [`drive_tsgd_pair`]: `(kind, a, b, c)`.
+type TsgdOp = (u8, u16, u16, u8);
+
+/// A site list over `sites` sites from `(a, b, c)`: one to three sites
+/// starting at `a`, `b` apart, so it is often out of id order, and with
+/// its first site repeated when `c` is odd.
+fn site_list(sites: u32, a: u16, b: u16, c: u8) -> Vec<SiteId> {
+    let (first, step) = (u32::from(a) % sites, 1 + u32::from(b) % (sites - 1).max(1));
+    let mut list: Vec<SiteId> = (0..1 + u32::from(a) % 3)
+        .map(|k| SiteId((first + k * step) % sites))
+        .collect();
+    if c & 1 == 1 {
+        list.push(list[0]);
+    }
+    list
+}
+
+/// Drive a reference and a dense TSGD through the same operations, with
+/// transaction ids drawn from a shuffled pool of `pool` ids over `sites`
+/// site ids:
+/// - kind 0 inserts a fresh id, so it lands mid-column, with an unsorted
+///   site list that may repeat a site (mid-row inserts and idempotent
+///   merges), then runs `Eliminate_Cycles` for it on both and folds Δ in,
+///   as `act(init)` does: Δ and the step charge must be the reference's;
+/// - kind 1 merges more sites into a live transaction, mid-row when the
+///   row already has dependencies;
+/// - kind 2 adds a dependency between two live transactions at a shared
+///   site, oriented by `c`;
+/// - kind 3 removes a live transaction from anywhere in the live list,
+///   so columns lose members below live ones; a site left without edges
+///   frees its slot, which a later site id re-interns.
+///
+/// Every `check_every` ops and at the end, the dense TSGD must pass
+/// `edges_consistent` (rows and columns agree, column entries name their
+/// edges, each dependency count matches the after sets, and each
+/// edge-table record and mask matches its edge) and hold the reference's
+/// dependencies. Returns the number of Δ dependencies folded in.
+fn drive_tsgd_pair(ops: &[TsgdOp], sites: u32, pool: u64, seed: u64, check_every: usize) -> u64 {
+    let (mut reference, mut dense) = (Tsgd::new(), DenseTsgd::new());
+    let mut scratch = EliminateScratch::new();
+    let mut live: Vec<GlobalTxnId> = Vec::new();
+    let mut ids: Vec<u64> = (1..=pool).collect();
+    ids.shuffle(&mut derive_rng(seed, "tsgd-table-ids"));
+    for (i, &(kind, a, b, c)) in ops.iter().enumerate() {
+        match kind % 4 {
+            0 => {
+                let Some(id) = ids.pop() else {
+                    continue;
+                };
+                let txn = GlobalTxnId(id);
+                let list = site_list(sites, a, b, c);
+                reference.insert_txn(txn, &list);
+                dense.insert_txn(txn, &list);
+                live.push(txn);
+                let (mut steps_ref, mut steps_dense) = (StepCounter::new(), StepCounter::new());
+                let delta = eliminate_cycles(&reference, txn, &mut steps_ref);
+                eliminate_cycles_dense_with(&mut dense, txn, &mut steps_dense, &mut scratch);
+                assert_eq!(dense.delta_set(&scratch), delta, "op {i}: Δ of {txn}");
+                assert_eq!(steps_dense, steps_ref, "op {i}: steps of {txn}");
+                for dep in delta {
+                    reference.add_dep(dep);
+                }
+                dense.add_delta(&scratch);
+            }
+            1 if !live.is_empty() => {
+                let txn = live[usize::from(b) % live.len()];
+                let list = site_list(sites, a, b.rotate_left(3), c);
+                reference.insert_txn(txn, &list);
+                dense.insert_txn(txn, &list);
+            }
+            2 if live.len() > 1 => {
+                let x = live[usize::from(a) % live.len()];
+                let y = live[usize::from(b) % live.len()];
+                let shared = reference.sites_of(x).find(|&s| reference.has_edge(y, s));
+                if let Some(site) = shared.filter(|_| x != y) {
+                    let (before, after) = if c & 1 == 0 { (x, y) } else { (y, x) };
+                    let dep = Dep {
+                        site,
+                        before,
+                        after,
+                    };
+                    reference.add_dep(dep);
+                    dense.add_dep(dep);
+                }
+            }
+            3 if !live.is_empty() => {
+                let txn = live.remove(usize::from(a) % live.len());
+                reference.remove_txn(txn);
+                dense.remove_txn(txn);
+            }
+            _ => continue,
+        }
+        if (i + 1) % check_every == 0 || i + 1 == ops.len() {
+            assert!(
+                dense.edges_consistent(),
+                "op {i}: an edge record or the edge table went stale"
+            );
+            let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
+            assert_eq!(
+                ref_deps,
+                dense.deps_set(),
+                "op {i}: dependency sets diverged"
+            );
+            assert_eq!(dense.desync_count(), 0, "op {i}");
+        }
+    }
+    scratch.deltas()
+}
+
+/// [`drive_tsgd_pair`] at the size of the benchmark's burst cell: 1 000
+/// transactions over 10 sites, about four in five of them still live at the
+/// end, so columns run to well past 64 members and the edge table re-lays
+/// wider as they grow.
+#[test]
+#[ignore = "soak: 1 000-transaction oracle walk; run in release with --ignored"]
+fn edge_table_matches_reference_at_burst_size() {
+    let mut rng = derive_rng(11, "tsgd-table-soak");
+    let ops: Vec<TsgdOp> = (0..1_400)
+        .map(|_| {
+            let kind = match rng.gen_range(0..20) {
+                0..=13 => 0,
+                14 => 1,
+                15..=17 => 2,
+                _ => 3,
+            };
+            (kind, rng.gen(), rng.gen(), rng.gen())
+        })
+        .collect();
+    let deltas = drive_tsgd_pair(&ops, 10, 1_000, 11, 50);
+    assert!(deltas > 0, "the walk must find cycles to break");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -779,7 +912,7 @@ proptest! {
         dep_picks in prop::collection::vec(any::<bool>(), 0..24),
         fresh_mask in 0u8..16,
     ) {
-        let (reference, dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
+        let (reference, mut dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
         let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
         prop_assert_eq!(ref_deps, dense.deps_set(), "construction mismatch");
         let mut steps_ref = StepCounter::new();
@@ -788,7 +921,7 @@ proptest! {
         let mut scratch = EliminateScratch::new();
         for _round in 0..2 {
             let mut steps_cursor = StepCounter::new();
-            eliminate_cycles_dense_with(&dense, fresh, &mut steps_cursor, &mut scratch);
+            eliminate_cycles_dense_with(&mut dense, fresh, &mut steps_cursor, &mut scratch);
             let delta_cursor = dense.delta_set(&scratch);
             prop_assert_eq!(&delta_ref, &delta_cursor, "cursor Δ diverged");
             prop_assert_eq!(steps_ref, steps_cursor, "cursor EC step charges diverged");
@@ -890,7 +1023,7 @@ proptest! {
                     let mut steps_ref = StepCounter::new();
                     let mut steps_cursor = StepCounter::new();
                     let delta_ref = eliminate_cycles(&reference, target, &mut steps_ref);
-                    eliminate_cycles_dense_with(&dense, target, &mut steps_cursor, &mut scratch);
+                    eliminate_cycles_dense_with(&mut dense, target, &mut steps_cursor, &mut scratch);
                     let delta_cursor = dense.delta_set(&scratch);
                     prop_assert_eq!(&delta_ref, &delta_cursor, "Δ diverged at {}", target);
                     prop_assert_eq!(steps_ref, steps_cursor, "EC steps diverged at {}", target);
@@ -901,7 +1034,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(dense.desync_count(), 0);
-            prop_assert!(dense.edges_consistent(), "an edge record went stale or lost a dependency's other half");
+            prop_assert!(dense.edges_consistent(), "an edge record, a dependency count or the edge table went stale");
             let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
             prop_assert_eq!(ref_deps, dense.deps_set(), "dependency sets diverged");
         }
@@ -909,5 +1042,16 @@ proptest! {
             dense.deps_acyclic(), dep_digraph(&reference).find_cycle().is_none(),
             "final acyclicity verdict diverged"
         );
+    }
+
+    /// The edge table and the row indices in the columns against the
+    /// reference TSGD, checked after every operation
+    /// ([`drive_tsgd_pair`]): few site ids, so slots recycle often.
+    #[test]
+    fn edge_table_matches_reference(
+        ops in prop::collection::vec((0u8..4, any::<u16>(), any::<u16>(), any::<u8>()), 1..60),
+        seed in any::<u64>(),
+    ) {
+        drive_tsgd_pair(&ops, 6, 40, seed, 1);
     }
 }

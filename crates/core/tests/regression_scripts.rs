@@ -154,9 +154,9 @@ type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 /// Replay `script` on every scheme's dense kernel and compare with
 /// `golden`, Scheme 2's `Eliminate_Cycles` work (states entered below the
 /// root, column scans charged without running them, Δ dependencies
-/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, the
-/// edge records its setup laid out (0 for the other schemes) with
-/// `scheme2_recs`, Scheme
+/// added; `(0, 0, 0)` for the other schemes) with `scheme2_elim`, its
+/// calls, the edge-table records laid out and the searches of an edge row
+/// (`(0, 0, 0)` for the other schemes) with `scheme2_table`, Scheme
 /// 3's `act(ser)` targets and the ORs it skipped (`(0, 0)` for the other
 /// schemes) with `scheme3_ser_bef`, and each scheme's `gtm2.wake_elided`
 /// and (`gtm2.retests_ser`, `gtm2.retests_fin`) with `wake`.
@@ -165,7 +165,7 @@ fn assert_dense_cell(
     script: &Script,
     golden: CellGolden,
     scheme2_elim: (u64, u64, u64),
-    scheme2_recs: u64,
+    scheme2_table: (u64, u64, u64),
     scheme3_ser_bef: (u64, u64),
     wake: ([u64; 4], [(u64, u64); 4]),
 ) {
@@ -198,15 +198,19 @@ fn assert_dense_cell(
             elim, expected,
             "{cell} {kind}: Eliminate_Cycles work changed"
         );
+        let table = (
+            metrics.counter("gtm2.elim_calls"),
+            metrics.counter("gtm2.elim_recs"),
+            metrics.counter("gtm2.edge_searches"),
+        );
         let expected = if kind == SchemeKind::Scheme2 {
-            scheme2_recs
+            scheme2_table
         } else {
-            0
+            (0, 0, 0)
         };
         assert_eq!(
-            metrics.counter("gtm2.elim_recs"),
-            expected,
-            "{cell} {kind}: Eliminate_Cycles setup work changed"
+            table, expected,
+            "{cell} {kind}: edge-table or edge-search work changed"
         );
         let ser_bef = (
             metrics.counter("gtm2.ser_bef_targets"),
@@ -308,10 +312,13 @@ fn burst_cell_dense_decisions_golden() {
     // dependencies added. The first two are machine work, not decisions —
     // but a walk that stops eliding, or enters a state twice, moves them.
     const SCHEME2_ELIM: (u64, u64, u64) = (1_247_446, 775_997, 304_819);
-    // The edge records `Eliminate_Cycles`' setup laid out, one per TSG edge
-    // per call (about 1 257 per `init`): the setup's share of the work, as
-    // the states entered are the walk's.
-    const SCHEME2_ELIM_RECS: u64 = 1_257_162;
+    // Scheme 2's `Eliminate_Cycles` calls (one per `init`), the edge-table
+    // records laid out (one per edge at insert, plus every record again
+    // each time a row or column outgrew the table), and the searches of an
+    // edge row (one per `cond(ser)`, `act(ser)` and `act(ack)`): a path
+    // that goes back to searching, or a table that re-lays per call,
+    // moves them.
+    const SCHEME2_TABLE: (u64, u64, u64) = (1_000, 8_284, 289_758);
     // The wake re-tests each scheme charged without running them, in
     // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
     // behind a woken `ser` or not the insert-queue front, Scheme 3's fins
@@ -338,7 +345,7 @@ fn burst_cell_dense_decisions_golden() {
         &script,
         GOLDEN,
         SCHEME2_ELIM,
-        SCHEME2_ELIM_RECS,
+        SCHEME2_TABLE,
         SCHEME3_SER_BEF,
         (WAKE_ELIDED, RETESTS),
     );
@@ -393,7 +400,7 @@ fn stream_cell_dense_decisions_golden() {
         ),
     ];
     const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
-    const SCHEME2_ELIM_RECS: u64 = 4_557_935;
+    const SCHEME2_TABLE: (u64, u64, u64) = (10_000, 25_496, 525_920);
     const WAKE_ELIDED: [u64; 4] = [0, 1_790_983, 0, 621_164];
     const RETESTS: [(u64, u64); 4] = [
         (22_249, 0),
@@ -408,7 +415,7 @@ fn stream_cell_dense_decisions_golden() {
         &script,
         GOLDEN,
         SCHEME2_ELIM,
-        SCHEME2_ELIM_RECS,
+        SCHEME2_TABLE,
         SCHEME3_SER_BEF,
         (WAKE_ELIDED, RETESTS),
     );
