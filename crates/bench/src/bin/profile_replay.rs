@@ -2,10 +2,13 @@
 //! cell on the kernel [`SchemeKind::build`] returns, in a loop, so a
 //! profiler sees only the scheduler under test.
 //!
-//! Each rep line prints the wall time, the step charges and the engine's
-//! work counters: `gtm2.elim_calls` / `gtm2.elim_states` /
-//! `gtm2.elim_scans_elided` / `gtm2.elim_delta` / `gtm2.elim_recs`
-//! (Scheme 2's `Eliminate_Cycles` calls, states entered, column scans
+//! Each rep line prints the wall time, then `audit_ms`: the time of one
+//! `ser(S)` audit (`engine.ser_log().check()`) run again on the finished
+//! engine. The replay's wall time includes one such audit, so the Figure 3
+//! loop took about the wall time less `audit_ms`. Then come the step
+//! charges and the engine's work counters: `gtm2.elim_calls` /
+//! `gtm2.elim_states` / `gtm2.elim_scans_elided` / `gtm2.elim_delta` /
+//! `gtm2.elim_recs` (Scheme 2's `Eliminate_Cycles` calls, states entered, column scans
 //! elided, Δ dependencies added, and edge-table records laid out at insert
 //! or re-laid on growth; 0 for the other schemes), states, Δ and records
 //! also per `init`, so a time split taken with a profiler or with timers
@@ -90,6 +93,13 @@ fn main() -> std::process::ExitCode {
         let outcome = replay_with(&mut engine, &script);
         let wall = start.elapsed();
         assert_eq!(outcome.completed, n, "replay must complete every txn");
+        let audit_start = Instant::now();
+        let verdict = engine.ser_log().check();
+        let audit = audit_start.elapsed();
+        assert!(
+            verdict.is_ok(),
+            "a conservative scheme's ser(S) is serializable"
+        );
         let mut metrics = Registry::new();
         engine.export_metrics(&mut metrics);
         let calls = metrics.counter("gtm2.elim_calls");
@@ -101,7 +111,7 @@ fn main() -> std::process::ExitCode {
         let retests_fin = metrics.counter("gtm2.retests_fin");
         let searches = metrics.counter("gtm2.edge_searches");
         eprintln!(
-            "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms \
+            "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms audit_ms={:.2} \
              (cond={} act={} elim_calls={calls} elim_states={states} elim_scans_elided={} \
              elim_delta={delta} elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} \
              recs_per_init={:.1} edge_searches={searches} edge_searches_per_txn={:.1} \
@@ -109,6 +119,7 @@ fn main() -> std::process::ExitCode {
              retests_fin={retests_fin} retests_ser_per_txn={:.1} retests_fin_per_txn={:.1} \
              ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
             wall.as_secs_f64() * 1e3,
+            audit.as_secs_f64() * 1e3,
             outcome.steps.cond,
             outcome.steps.act,
             metrics.counter("gtm2.elim_scans_elided"),

@@ -23,12 +23,14 @@
 
 use crate::gtm2::{Gtm2, Gtm2Stats};
 use crate::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_common::dense::IdHashMap;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::ops::QueueOp;
 use mdbs_common::rng::{derive_rng, splitmix64};
 use mdbs_common::step::StepCounter;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A scripted insertion event.
@@ -472,7 +474,7 @@ pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     for ev in &script.events {
         match ev {
             ScriptEvent::Init(txn, sites) => {
-                ctl.acks_needed.insert(*txn, sites.len());
+                ctl.acks_owed.insert(*txn, sites.len());
                 engine.enqueue(QueueOp::Init {
                     txn: *txn,
                     sites: sites.clone(),
@@ -512,12 +514,20 @@ pub fn replay_with(engine: &mut Gtm2, script: &Script) -> ReplayOutcome {
     }
 }
 
-/// GTM1-side bookkeeping for the replay loop.
+/// GTM1-side bookkeeping for the replay loop, sized by the live
+/// transactions rather than the history.
+///
+/// `acks_owed` holds one entry per transaction whose `fin` GTM1 still
+/// owes: the acks it waits for before it sends that `fin`. The entry
+/// leaves when the `fin` is enqueued — after the last ack, or at once for
+/// an aborted victim — so "a `fin` is still owed" is "the entry is still
+/// there": a victim aborted while its own `fin` was processed, one
+/// aborted twice, and a late ack for a victim all find no entry and send
+/// nothing. `aborted` is the outcome's list, so it stays ordered.
 #[derive(Default)]
 struct DrainCtl {
-    acks_needed: BTreeMap<GlobalTxnId, usize>,
+    acks_owed: IdHashMap<GlobalTxnId, usize>,
     aborted: BTreeSet<GlobalTxnId>,
-    fin_sent: BTreeSet<GlobalTxnId>,
 }
 
 /// Pump and respond to effects (acks, fins) until quiescent. `effects`
@@ -536,22 +546,22 @@ fn drain(engine: &mut Gtm2, ctl: &mut DrainCtl, effects: &mut Vec<SchemeEffect>)
                 }
                 SchemeEffect::ForwardAck { txn, .. } => {
                     // Acks can still arrive for a just-aborted victim.
-                    let Some(left) = ctl.acks_needed.get_mut(&txn) else {
+                    let Entry::Occupied(mut owed) = ctl.acks_owed.entry(txn) else {
                         continue;
                     };
-                    *left -= 1;
-                    if *left == 0 && ctl.fin_sent.insert(txn) {
+                    *owed.get_mut() -= 1;
+                    if *owed.get() == 0 {
+                        owed.remove();
                         engine.enqueue(QueueOp::Fin { txn });
                     }
                 }
                 SchemeEffect::AbortGlobal { txn } => {
                     ctl.aborted.insert(txn);
-                    ctl.acks_needed.remove(&txn);
                     // GTM1 completes the victim vacuously with a fin so the
                     // scheme releases its bookkeeping — unless the abort
                     // was decided while processing that very fin
                     // (optimistic validation).
-                    if ctl.fin_sent.insert(txn) {
+                    if ctl.acks_owed.remove(&txn).is_some() {
                         engine.enqueue(QueueOp::Fin { txn });
                     }
                 }

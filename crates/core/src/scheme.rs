@@ -38,25 +38,23 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 /// in key order.
 ///
 /// Beside the map the set keeps what a wake pass needs without walking
-/// WAIT: the waiting `ser`s ordered by site and counted per site, the
-/// waiting `fin`s in transaction order, and the `Cond` steps the waiting
-/// `fin`s were charged when they failed — the closed-form charge behind
+/// WAIT: each site's waiting `ser`s in transaction order, the waiting
+/// `fin`s in transaction order, and the `Cond` steps the waiting `fin`s
+/// were charged when they failed — the closed-form charge behind
 /// [`WakeCandidates::SerAtFinsCharged`] and [`WakeCandidates::FinPass`].
 /// The engine turns a scheme's candidates into worklist entries, counts
 /// what they name, and walks a site's sers or the fins straight off the
-/// ordered indexes.
+/// ordered indexes. Every index is sized by what waits, never by the
+/// history.
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
     /// Every waiter, by key. Never iterated in map order.
     ops: IdHashMap<WaitKey, Waiter>,
-    /// Waiting `Ser`s as `(site, txn)`: one flat ordered set, so a site's
-    /// waiters are a contiguous range in transaction order — their key
-    /// order — and no per-site container is created or dropped as sites
-    /// fill and empty.
-    ser_by_site: BTreeSet<(SiteId, GlobalTxnId)>,
-    /// Site → number of its waiting `Ser`s (the size of its range in
-    /// `ser_by_site`). A site keeps its entry at 0.
-    ser_counts: IdHashMap<SiteId, usize>,
+    /// Site → its waiting `Ser`s' transactions, sorted ascending (their
+    /// key order); the length is the site's count. A site keeps its vector,
+    /// and its capacity, when it empties, so no container is created or
+    /// dropped as sites fill and empty.
+    sers: IdHashMap<SiteId, Vec<GlobalTxnId>>,
     /// Waiting `Fin`s, in key order. Touched when a fin starts or stops
     /// waiting, never by a re-test.
     fins: BTreeSet<GlobalTxnId>,
@@ -89,8 +87,10 @@ impl WaitSet {
         slot.insert(Waiter { op, cond_cost });
         match key {
             (QueueOpKind::Ser, txn, Some(site)) => {
-                self.ser_by_site.insert((site, txn));
-                *self.ser_counts.entry(site).or_default() += 1;
+                let at = self.sers.entry(site).or_default();
+                // The key was new, so `txn` is not waiting at `site` yet.
+                let slot = at.partition_point(|&t| t < txn);
+                at.insert(slot, txn);
             }
             (QueueOpKind::Fin, txn, _) => {
                 self.fins.insert(txn);
@@ -127,9 +127,10 @@ impl WaitSet {
         let taken = self.ops.remove(key)?;
         match *key {
             (QueueOpKind::Ser, txn, Some(site)) => {
-                self.ser_by_site.remove(&(site, txn));
-                if let Some(count) = self.ser_counts.get_mut(&site) {
-                    *count -= 1;
+                if let Some(at) = self.sers.get_mut(&site) {
+                    if let Ok(slot) = at.binary_search(&txn) {
+                        at.remove(slot);
+                    }
                 }
             }
             (QueueOpKind::Fin, txn, _) => {
@@ -165,13 +166,9 @@ impl WaitSet {
         site: SiteId,
         after: Option<GlobalTxnId>,
     ) -> impl Iterator<Item = GlobalTxnId> + '_ {
-        let low = match after {
-            Some(txn) => Bound::Excluded((site, txn)),
-            None => Bound::Included((site, GlobalTxnId(0))),
-        };
-        self.ser_by_site
-            .range((low, Bound::Included((site, GlobalTxnId(u64::MAX)))))
-            .map(|&(_, txn)| txn)
+        let at = self.sers.get(&site).map_or(&[][..], Vec::as_slice);
+        let start = after.map_or(0, |cursor| at.partition_point(|&t| t <= cursor));
+        at.get(start..).unwrap_or_default().iter().copied()
     }
 
     /// The waiting `Fin`s above `after` (all of them for `None`), as
@@ -184,9 +181,10 @@ impl WaitSet {
         self.fins.range((low, Bound::Unbounded)).copied()
     }
 
-    /// Number of waiting `Ser` operations at `site` (O(1), maintained).
+    /// Number of waiting `Ser` operations at `site` (O(1): its vector's
+    /// length).
     pub(crate) fn ser_count_at(&self, site: SiteId) -> usize {
-        self.ser_counts.get(&site).copied().unwrap_or(0)
+        self.sers.get(&site).map_or(0, Vec::len)
     }
 
     /// Number of waiting `Fin` operations (O(1), maintained).
@@ -760,6 +758,115 @@ mod tests {
         );
         w.take_if(&wait_key(&fin(3)), |_| true);
         assert_eq!((w.fin_count(), w.fin_cond_cost()), (1, 4));
+    }
+
+    /// The model's waiting transactions from `above` up: every entry for
+    /// `None`, else those past the cursor, which need not be waiting.
+    fn tail(
+        model: impl Iterator<Item = GlobalTxnId>,
+        above: Option<GlobalTxnId>,
+    ) -> Vec<GlobalTxnId> {
+        model.filter(|&t| above.is_none_or(|c| t > c)).collect()
+    }
+
+    /// A seeded walk of WAIT against `BTreeSet` / `BTreeMap` models: sers
+    /// at six sites and fins under sparse ids drawn out of order, repeated
+    /// inserts, and `take_if`s that pass and that fail, aimed anywhere in
+    /// a site's waiters (the middle as often as the ends) or at a key that
+    /// is not waiting. After every step, each site's `sers_above` from no
+    /// cursor, from each waiter and from between waiters, `fins_above`
+    /// likewise, `ser_count_at`, `fin_count` and `fin_cond_cost` equal the
+    /// models'.
+    #[test]
+    fn wait_set_seeded_walk_matches_btreeset_model() {
+        const SITES: u32 = 6;
+        let mut state = 0x3a17_5e7du64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            mdbs_common::rng::splitmix64(state) % bound.max(1)
+        };
+        let mut w = WaitSet::new();
+        let mut sers: BTreeSet<(SiteId, GlobalTxnId)> = BTreeSet::new();
+        let mut fins: BTreeMap<GlobalTxnId, u64> = BTreeMap::new();
+        let (mut passed, mut failed) = (0, 0);
+        fn at_site(sers: &BTreeSet<(SiteId, GlobalTxnId)>, site: SiteId) -> Vec<GlobalTxnId> {
+            let whole = (site, GlobalTxnId(0))..=(site, GlobalTxnId(u64::MAX));
+            sers.range(whole).map(|&(_, t)| t).collect()
+        }
+        for step in 0..2_000 {
+            let site = SiteId(next(u64::from(SITES)) as u32);
+            let txn = GlobalTxnId(1 + 7 * next(40));
+            let pass = next(2) == 0;
+            match next(6) {
+                0 | 1 => {
+                    let new = sers.insert((site, txn));
+                    assert_eq!(w.insert(ser(txn.0, site.0), next(5)), new, "step {step}");
+                }
+                2 => {
+                    let cost = next(9);
+                    let new = !fins.contains_key(&txn);
+                    if new {
+                        fins.insert(txn, cost);
+                    }
+                    assert_eq!(w.insert(fin(txn.0), cost), new, "step {step}");
+                }
+                3 | 4 => {
+                    let waiting = at_site(&sers, site);
+                    // One draw in eight names an id that never waits.
+                    let victim = match waiting.get(next(waiting.len() as u64 * 8 / 7) as usize) {
+                        Some(&t) => t,
+                        None => GlobalTxnId(txn.0 + 1),
+                    };
+                    let key = (QueueOpKind::Ser, victim, Some(site));
+                    let was = sers.contains(&(site, victim));
+                    let taken = w.take_if(&key, |op| {
+                        assert_eq!(wait_key(op), key, "step {step}");
+                        pass
+                    });
+                    let gone = was && pass;
+                    assert_eq!(taken, gone.then(|| ser(victim.0, site.0)), "step {step}");
+                    if gone {
+                        sers.remove(&(site, victim));
+                        passed += 1;
+                    } else if was {
+                        failed += 1;
+                    }
+                }
+                _ => {
+                    let victim = fins.keys().nth(next(fins.len() as u64) as usize).copied();
+                    let victim = victim.unwrap_or(txn);
+                    let key = (QueueOpKind::Fin, victim, None);
+                    let was = fins.contains_key(&victim);
+                    let taken = w.take_if(&key, |_| pass);
+                    assert_eq!(taken, (was && pass).then(|| fin(victim.0)), "step {step}");
+                    if was && pass {
+                        fins.remove(&victim);
+                    }
+                }
+            }
+            assert_eq!(w.len(), sers.len() + fins.len(), "step {step}");
+            for s in 0..SITES {
+                let site = SiteId(s);
+                let waiting = at_site(&sers, site);
+                assert_eq!(w.ser_count_at(site), waiting.len(), "step {step}");
+                let cursors = waiting.iter().flat_map(|&t| [t, GlobalTxnId(t.0 + 1)]);
+                for after in std::iter::once(None).chain(cursors.map(Some)) {
+                    let above: Vec<GlobalTxnId> = w.sers_above(site, after).collect();
+                    assert_eq!(above, tail(waiting.iter().copied(), after), "step {step}");
+                }
+            }
+            let cursors = fins.keys().flat_map(|&t| [t, GlobalTxnId(t.0 + 1)]);
+            for after in std::iter::once(None).chain(cursors.map(Some)) {
+                let above: Vec<GlobalTxnId> = w.fins_above(after).collect();
+                assert_eq!(above, tail(fins.keys().copied(), after), "step {step}");
+            }
+            assert_eq!(w.fin_count(), fins.len(), "step {step}");
+            assert_eq!(w.fin_cond_cost(), fins.values().sum::<u64>(), "step {step}");
+        }
+        assert!(
+            passed > 100 && failed > 100,
+            "{passed} wakes, {failed} failed re-tests"
+        );
     }
 
     /// The `init` / `ser` / `fin` a WAIT key names (an `init` announces

@@ -10,11 +10,16 @@
 //! count starts. The first 50 transactions warm the buffers up; the
 //! steady-state count is the allocations between the 50th and the 200th
 //! completion, per transaction.
+//!
+//! The replay harness (`replay_with`) is pinned the same way: its GTM1
+//! stand-in, WAIT's indexes and the `ser(S)` log must not allocate per
+//! transaction beyond what a transaction brings with it.
 
 use mdbs_common::ids::{DataItemId, GlobalTxnId, SiteId};
 use mdbs_core::coordinator::{Arrival, Coordinator, Outbound};
 use mdbs_core::gtm1::{Gtm1, Gtm1Event, ServerCommand};
 use mdbs_core::gtm2::Gtm2;
+use mdbs_core::replay::{replay_with, Script};
 use mdbs_core::scheme::SchemeKind;
 use mdbs_core::txn::GlobalTransaction;
 use mdbs_localdb::serfn::SerializationEvent;
@@ -154,4 +159,39 @@ fn gtm_round_allocations_per_txn_are_pinned() {
             "{scheme}: {per_txn:.2} allocations per transaction, pinned at {ceiling}"
         );
     }
+}
+
+/// Allocations of one Scheme 0 `replay_with` over the seed-42 windowed
+/// script of `n` transactions (10 sites, d_av 2.5, at most 64 open), the
+/// shape of the benchmark's `sched_stream`, audit included.
+fn replay_allocs(n: usize) -> u64 {
+    let script = Script::windowed(n, 10, 2.5, 64, 42);
+    let mut engine = Gtm2::new(SchemeKind::Scheme0.build());
+    engine.set_validate(false);
+    let before = allocs();
+    let out = replay_with(&mut engine, &script);
+    let made = allocs() - before;
+    assert_eq!(out.completed, n);
+    assert!(out.ser_serializable);
+    made
+}
+
+/// The replay's ceiling. The one allocation a transaction brings is its
+/// `init`'s site list, cloned out of the script; the rest is the doubling
+/// of the vectors that hold `ser(S)`, about 0.02 a transaction here (the
+/// test reads 1.02). A structure that grows with the history fails it:
+/// while the GTM1 stand-in kept two B-trees of every transaction and
+/// WAIT's `ser` index was a B-tree, this test read 1.59.
+const REPLAY_PINNED: f64 = 1.1;
+
+#[test]
+fn replay_allocations_per_txn_are_pinned() {
+    // The 500-transaction replay is the warm-up: what the longer one
+    // makes beyond it is the steady state.
+    let (warm, full) = (500, 2_000);
+    let per_txn = (replay_allocs(full) - replay_allocs(warm)) as f64 / (full - warm) as f64;
+    assert!(
+        per_txn <= REPLAY_PINNED,
+        "replay: {per_txn:.3} allocations per transaction, pinned at {REPLAY_PINNED}"
+    );
 }

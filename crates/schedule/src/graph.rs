@@ -12,9 +12,12 @@
 //! matters for reproducible experiments — and `O(log v)` updates. The one
 //! whole-graph pass that end-of-run audits repeat over tens of thousands
 //! of transactions, the topological sort, does not walk those maps:
-//! [`lex_topo_order`] is the repository's only Kahn, over dense ranks, and
-//! [`DiGraph::topo_sort`], the conflict auditors and the `ser(S)` check all
-//! call it.
+//! [`lex_topo_ranks`] is the repository's only Kahn, over dense ranks.
+//! [`lex_topo_order`] ranks a node list (a sort and one binary search per
+//! edge endpoint) and calls it; [`DiGraph::topo_sort`] and the conflict
+//! auditors go through [`lex_topo_order`], while the `ser(S)` check ranks
+//! its transactions itself, with one radix sort of its events, and calls
+//! [`lex_topo_ranks`] directly.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -31,56 +34,81 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 /// conflict sweep and the all-pairs conflict relation yield the same
 /// witness.
 ///
-/// Kahn's algorithm over dense ranks: nodes are ranked by position in the
-/// sorted `nodes`, edges bucketed by source into compressed sparse rows,
-/// and the ready set is a min-heap: `O((v + e) log v)`, no per-node or
-/// per-edge allocation.
+/// Ranks the nodes — their positions in the sorted, deduplicated
+/// `nodes`, one binary search per edge endpoint — and hands the ranked
+/// edges to [`lex_topo_ranks`]: `O((v + e) log v)`. A caller that already
+/// holds its nodes' ranks calls [`lex_topo_ranks`] itself.
 ///
 /// # Panics
 ///
-/// If an edge endpoint is not in `nodes` — a bug in the caller.
+/// If an edge endpoint is not in `nodes` — a bug in the caller — or if
+/// there are 2³² nodes or more.
 pub fn lex_topo_order<N: Ord + Copy>(
     mut nodes: Vec<N>,
     edges: impl IntoIterator<Item = (N, N)>,
 ) -> Option<Vec<N>> {
     nodes.sort_unstable();
     nodes.dedup();
-    let n = nodes.len();
     let rank = |node: &N| {
-        nodes
+        let rank = nodes
             .binary_search(node)
-            .expect("every edge endpoint is listed in `nodes`")
+            .expect("every edge endpoint is listed in `nodes`");
+        u32::try_from(rank).expect("fewer than 2^32 nodes")
     };
-    let ranked: Vec<(usize, usize)> = edges
+    let ranked: Vec<(u32, u32)> = edges
         .into_iter()
         .map(|(a, b)| (rank(&a), rank(&b)))
         .collect();
+    let order = lex_topo_ranks(nodes.len(), &ranked)?;
+    Some(order.into_iter().map(|r| nodes[r as usize]).collect())
+}
 
+/// The smallest topological order of the digraph over the ranks `0..n`
+/// with edge list `edges`, as ranks, or `None` iff it has a cycle (a
+/// self-loop is one). The repository's one Kahn: [`lex_topo_order`] ranks
+/// a node list and calls it, and the `ser(S)` audit, which ranks its
+/// transactions once with a radix sort, calls it directly.
+///
+/// Edges are bucketed by source into compressed sparse rows and the
+/// ready set is a min-heap, so the smallest ready rank is always taken
+/// next: `O((n + e) log n)`, no per-node or per-edge allocation. Parallel
+/// edges and their order change nothing.
+///
+/// # Panics
+///
+/// If an edge endpoint is not below `n` — a bug in the caller — or if
+/// `n` or the number of edges is 2³² or more.
+pub fn lex_topo_ranks(n: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
+    let ranks = u32::try_from(n).expect("fewer than 2^32 ranks");
+    // An in-degree counts edges, so it fits in 32 bits too.
+    assert!(u32::try_from(edges.len()).is_ok(), "fewer than 2^32 edges");
     // Rows: `succ[row[a]..row[a + 1]]` are the successors of rank `a`.
     let mut row = vec![0usize; n + 1];
-    let mut indegree = vec![0usize; n];
-    for &(a, b) in &ranked {
-        row[a + 1] += 1;
-        indegree[b] += 1;
+    let mut indegree = vec![0u32; n];
+    for &(a, b) in edges {
+        row[a as usize + 1] += 1;
+        indegree[b as usize] += 1;
     }
     for a in 0..n {
         row[a + 1] += row[a];
     }
     let mut fill = row.clone();
-    let mut succ = vec![0usize; ranked.len()];
-    for &(a, b) in &ranked {
-        succ[fill[a]] = b;
-        fill[a] += 1;
+    let mut succ = vec![0u32; edges.len()];
+    for &(a, b) in edges {
+        succ[fill[a as usize]] = b;
+        fill[a as usize] += 1;
     }
 
-    let mut ready: BinaryHeap<Reverse<usize>> =
-        (0..n).filter(|&a| indegree[a] == 0).map(Reverse).collect();
+    let mut ready: BinaryHeap<Reverse<u32>> = (0..ranks)
+        .filter(|&a| indegree[a as usize] == 0)
+        .map(Reverse)
+        .collect();
     let mut order = Vec::with_capacity(n);
     while let Some(Reverse(a)) = ready.pop() {
-        order.push(nodes[a]);
-        for &b in &succ[row[a]..row[a + 1]] {
-            indegree[b] -= 1;
-            if indegree[b] == 0 {
+        order.push(a);
+        for &b in &succ[row[a as usize]..row[a as usize + 1]] {
+            indegree[b as usize] -= 1;
+            if indegree[b as usize] == 0 {
                 ready.push(Reverse(b));
             }
         }

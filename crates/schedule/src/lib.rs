@@ -25,7 +25,8 @@
 //!   the readers since it), `O(ops)` edges. The pair-by-pair relation is
 //!   [`oracle::all_pairs_serialization_graph`], kept as the ground truth
 //!   for tests, and every topological order in the workspace comes from
-//!   one routine, [`graph::lex_topo_order`].
+//!   one Kahn, [`graph::lex_topo_ranks`], which [`graph::lex_topo_order`]
+//!   wraps for callers that hold node ids rather than ranks.
 //! - The **global schedule** is the union of local schedules; the paper's
 //!   Theorem 1 concern is the *quotient* graph where all subtransactions of
 //!   one global transaction collapse into a single node
@@ -45,7 +46,7 @@ pub mod ugraph;
 pub use csr::{is_conflict_serializable, serialization_graph, CsrReport};
 pub use dsu::UnionFind;
 pub use global::{GlobalSerializability, GlobalSerializationGraph};
-pub use graph::{lex_topo_order, DiGraph};
+pub use graph::{lex_topo_order, lex_topo_ranks, DiGraph};
 pub use history::History;
 pub use oracle::{all_pairs_serialization_graph, is_serializable_by_enumeration};
 pub use ugraph::UnGraph;
