@@ -21,10 +21,11 @@
 //! (Schemes 1 and 3; 0 elsewhere), and `gtm2.retests_ser` /
 //! `gtm2.retests_fin`, the `cond` re-tests the wake loop ran on waiting
 //! `ser`s and `fin`s, in all and per transaction. `gtm2.ser_bef_targets` /
-//! `gtm2.ser_bef_ors_elided` are Scheme 3's `act(ser)` targets (Set2
-//! members charged `|Set1|`) and those of them already ordered after the
-//! serialized transaction, whose OR was skipped (0 for the other
-//! schemes). A sampling profiler at its default rate takes too few
+//! `gtm2.ser_bef_ors_elided` / `gtm2.ser_bef_ors_widened` are Scheme 3's
+//! `act(ser)` targets (Set2 members charged `|Set1|`), those of them
+//! already ordered after the serialized transaction, whose OR was skipped,
+//! and those whose row gained a bit besides the serialized transaction's
+//! own, the only targets whose OR ran (0 for the other schemes). A sampling profiler at its default rate takes too few
 //! samples to split one 200 ms cell: raise REPS.
 //!
 //! ```text
@@ -117,7 +118,8 @@ fn main() -> std::process::ExitCode {
              recs_per_init={:.1} edge_searches={searches} edge_searches_per_txn={:.1} \
              waited={} wake_scan_sum={} wake_elided={} retests_ser={retests_ser} \
              retests_fin={retests_fin} retests_ser_per_txn={:.1} retests_fin_per_txn={:.1} \
-             ser_bef_targets={} ser_bef_ors_elided={} protocol_violations={})",
+             ser_bef_targets={} ser_bef_ors_elided={} ser_bef_ors_widened={} \
+             protocol_violations={})",
             wall.as_secs_f64() * 1e3,
             audit.as_secs_f64() * 1e3,
             outcome.steps.cond,
@@ -134,6 +136,7 @@ fn main() -> std::process::ExitCode {
             retests_fin as f64 / n as f64,
             metrics.counter("gtm2.ser_bef_targets"),
             metrics.counter("gtm2.ser_bef_ors_elided"),
+            metrics.counter("gtm2.ser_bef_ors_widened"),
             outcome.protocol_violations,
         );
     }

@@ -65,10 +65,12 @@
 //!   the rows) when a slot outgrows it, and a second matrix keeps its
 //!   transpose. `act(ser)` builds Set2 from the transposed rows of the
 //!   transactions pending at the site, skips every target already ordered
-//!   after `Ĝ_i` (transitivity makes that OR a no-op), and `act(fin)`
-//!   clears `Ĝ_i`'s column by walking its transposed row. Each row's size
-//!   is kept, counted from the bits an act adds or clears, so no step
-//!   charge popcounts a row (baseline x86-64 has no POPCNT).
+//!   after `Ĝ_i` (transitivity makes that OR a no-op), sets `Ĝ_i`'s bit in
+//!   each other target and ORs in `ser_bef(Ĝ_i)` only where a read-only
+//!   subset test says a bit is missing, and `act(fin)` clears `Ĝ_i`'s
+//!   column by walking its transposed row. Each row's size is kept,
+//!   counted from the bits an act adds or clears, so no step charge
+//!   popcounts a row (baseline x86-64 has no POPCNT).
 //! - Scheme 3 has the engine charge two of Scheme 1's closed forms, on
 //!   proofs of its own:
 //!   - after a `fin`, every waiting fin but those whose row an `act(fin)`
@@ -794,11 +796,23 @@ fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
         || a_rest.iter().zip(b_rest).any(|(x, y)| x & y != 0)
 }
 
+/// `add ⊄ row`: does `add` hold a bit `row` does not? Read-only, four
+/// words per test like [`rows_intersect`]. Both cover the same words.
+fn row_lacks_any(row: &[u64], add: &[u64]) -> bool {
+    debug_assert_eq!(row.len(), add.len(), "the same words of two rows");
+    let (r4, r_rest) = row.as_chunks::<4>();
+    let (a4, a_rest) = add.as_chunks::<4>();
+    r4.iter()
+        .zip(a4)
+        .any(|(x, y)| (y[0] & !x[0]) | (y[1] & !x[1]) | (y[2] & !x[2]) | (y[3] & !x[3]) != 0)
+        || r_rest.iter().zip(a_rest).any(|(x, y)| y & !x != 0)
+}
+
 /// Scheme 3 on dense slots: `set_k` is a bitset over transaction slots,
 /// and every `ser_bef` set is one row of a row-major bit matrix, so
 /// `cond(ser)`'s emptiness test is a word-wise AND and
-/// `act(ser)`'s transitive propagation is a word-wise OR of Set1 into each
-/// target row.
+/// `act(ser)`'s transitive propagation sets `Ĝ_i`'s bit in each target
+/// row and ORs in `ser_bef(Ĝ_i)` where the row lacks some of it.
 ///
 /// Row `t` belongs to transaction slot `t`; all rows share one stride.
 /// When a slot at or past `64·stride` is interned, the stride doubles and
@@ -811,13 +825,20 @@ fn rows_intersect(a: &[u64], b: &[u64]) -> bool {
 /// `j` with `b ∈ ser_bef(j)`. `act(ser_k(Ĝ_i))` builds Set2 as
 /// `set_k ∪ ⋃_{l ∈ set_k} ser_aft(l)`, one OR per pending transaction,
 /// instead of testing every row against `set_k`. A target that already
-/// holds `Ĝ_i` is charged but not OR'd: `ser_bef` is transitively closed,
-/// so it holds all of Set1 already. Every other OR reports the bits it
-/// added, and only those reach `ser_aft` and the row's kept size.
-/// `act(fin_i)` clears `Ĝ_i`'s column by walking `ser_aft(Ĝ_i)`. The kept
-/// sizes are what the step charges of `cond(ser)`, `act(init)` and Set1
-/// read: the workspace builds for baseline x86-64, which has no POPCNT, so
-/// a recount would pay a software popcount over the whole row.
+/// holds `Ĝ_i` is charged but not touched: `ser_bef` is transitively
+/// closed, so it holds all of Set1 already. Every other target gains
+/// `Ĝ_i`, new there by construction, and nearly all of them hold the rest
+/// of Set1 already (on the benchmark's burst cell all but 0.8 %): a
+/// read-only, word-parallel test of `ser_bef(Ĝ_i) ⊄ ser_bef(j)` decides
+/// whether the OR runs, and that OR reports the bits it adds, so only
+/// those reach `ser_aft` bit by bit. `Ĝ_i`'s own `ser_aft` row takes every
+/// such target in one row OR. The row's kept size grows by `1` plus the
+/// bits the OR added. `last_k` is kept as a transaction slot, so
+/// `cond(ser)` reads `acked` directly. `act(fin_i)` clears `Ĝ_i`'s column
+/// by walking `ser_aft(Ĝ_i)`. The kept sizes are what the step charges of
+/// `cond(ser)`, `act(init)` and Set1 read: the workspace builds for
+/// baseline x86-64, which has no POPCNT, so a recount would pay a software
+/// popcount over the whole row.
 ///
 /// `cond(fin_i)` holds iff row `i` is all zero, so a `fin` that failed can
 /// pass only once its row empties, and only `act(fin)` takes bits out of a
@@ -845,9 +866,9 @@ pub struct Scheme3Dense {
     emptied: DenseBitSet,
     /// Number of live rows — the reference's `ser_bef.len()`.
     ser_bef_len: usize,
-    /// Site slot → `last_k` (stored by id, like the reference; `act(fin)`
-    /// clears it before the transaction's slot recycles).
-    last: Vec<Option<GlobalTxnId>>,
+    /// Site slot → `last_k`'s txn slot (`act(fin)` clears it before the
+    /// slot recycles, so it never names a later transaction).
+    last: Vec<Option<u32>>,
     /// Site slot → `set_k` as a bitset over txn slots.
     sets: Vec<DenseBitSet>,
     /// Txn slot → acked site slots.
@@ -855,7 +876,7 @@ pub struct Scheme3Dense {
     /// Txn slot → announced site list.
     sites_map: Vec<Option<Vec<SiteId>>>,
     /// One matrix row of scratch: `act(init)`'s new row and `act(ser)`'s
-    /// Set1 (reused across calls).
+    /// `ser_bef(Ĝ_i)`, Set1 without `Ĝ_i` (reused across calls).
     scratch_row: Vec<u64>,
     /// One matrix row of scratch: `act(ser)`'s Set2.
     scratch_targets: Vec<u64>,
@@ -865,12 +886,11 @@ pub struct Scheme3Dense {
     /// Set2 members that already held `Ĝ_i`, so no OR ran (exported as
     /// `gtm2.ser_bef_ors_elided`).
     ser_bef_ors_elided: u64,
+    /// Set2 members whose row gained a bit besides `Ĝ_i`, so the OR of
+    /// `ser_bef(Ĝ_i)` ran (exported as `gtm2.ser_bef_ors_widened`).
+    ser_bef_ors_widened: u64,
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts."
-)]
 impl Scheme3Dense {
     /// Fresh state.
     pub fn new() -> Self {
@@ -909,13 +929,6 @@ impl Scheme3Dense {
             self.sets.resize_with(n, DenseBitSet::new);
         }
     }
-
-    /// Has `l` been acked at the site in slot `ss`?
-    fn acked_at(&self, l: GlobalTxnId, ss: u32) -> bool {
-        self.txns
-            .slot_of(&l)
-            .is_some_and(|lt| self.acked[lt as usize].contains(ss))
-    }
 }
 
 #[expect(
@@ -934,9 +947,9 @@ impl Gtm2Scheme for Scheme3Dense {
                 let Some(ss) = self.sites.slot_of(site) else {
                     return true;
                 };
-                if let Some(l) = self.last[ss as usize] {
+                if let Some(lt) = self.last[ss as usize] {
                     steps.tick(StepKind::Cond);
-                    if !self.acked_at(l, ss) {
+                    if !self.acked[lt as usize].contains(ss) {
                         return false;
                     }
                 }
@@ -968,14 +981,12 @@ impl Gtm2Scheme for Scheme3Dense {
                     let ss = self.sites.intern(site);
                     self.ensure_site_rows(ss);
                     self.sets[ss as usize].insert(ts);
-                    if let Some(l) = self.last[ss as usize] {
-                        if let Some(lt) = self.txns.slot_of(&l) {
-                            steps.bump(StepKind::Act, u64::from(self.ser_bef_sizes[lt as usize]));
-                            for (w, &b) in self.scratch_row.iter_mut().zip(self.ser_bef.row(lt)) {
-                                *w |= b;
-                            }
-                            self.scratch_row[lt as usize / 64] |= 1 << (lt % 64);
+                    if let Some(lt) = self.last[ss as usize] {
+                        steps.bump(StepKind::Act, u64::from(self.ser_bef_sizes[lt as usize]));
+                        for (w, &b) in self.scratch_row.iter_mut().zip(self.ser_bef.row(lt)) {
+                            *w |= b;
                         }
+                        self.scratch_row[lt as usize / 64] |= 1 << (lt % 64);
                     }
                 }
                 debug_assert!(!self.live[ts as usize], "{txn} inited twice");
@@ -1000,12 +1011,12 @@ impl Gtm2Scheme for Scheme3Dense {
                 // `init_i` announced the site (see `Gtm2::enqueue`).
                 let pending = self.sets[ss as usize].remove(ts);
                 debug_assert!(pending, "ser of {txn} at {site} not announced by its init");
-                self.last[ss as usize] = Some(*txn);
-                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}, built in the scratch row;
-                // Ĝ_i ∉ ser_bef(Ĝ_i), so |Set1| = |row| + 1.
-                let set1 = &mut self.scratch_row;
-                set1.copy_from_slice(self.ser_bef.row(ts));
-                set1[ts as usize / 64] |= 1 << (ts % 64);
+                self.last[ss as usize] = Some(ts);
+                // Set1 = ser_bef(Ĝ_i) ∪ {Ĝ_i}; Ĝ_i ∉ ser_bef(Ĝ_i), so
+                // |Set1| = |row| + 1. Only ser_bef(Ĝ_i) is copied to the
+                // scratch row: each target gets Ĝ_i's bit directly.
+                let bef = &mut self.scratch_row;
+                bef.copy_from_slice(self.ser_bef.row(ts));
                 let set1_len = u64::from(self.ser_bef_sizes[ts as usize]) + 1;
                 steps.bump(StepKind::Act, self.ser_bef_len as u64);
                 // Targets: everything still pending at the site, plus every
@@ -1038,11 +1049,25 @@ impl Gtm2Scheme for Scheme3Dense {
                         *w &= !after;
                     }
                 }
+                // Every target left gains Ĝ_i, which is new there. Most
+                // already hold the rest of Set1, so a read-only test over
+                // the words where ser_bef(Ĝ_i) has bits decides whether it
+                // is OR'd in at all, and only the bits that OR adds are
+                // written to `ser_aft` one by one.
+                let (ts_word, ts_bit) = (ts as usize / 64, 1u64 << (ts % 64));
+                let lo = bef.iter().position(|&w| w != 0).unwrap_or(0);
+                let hi = bef.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
                 let mut ored = 0;
                 for j in row_bits(set2) {
                     debug_assert!(self.live[j as usize], "slot {j}: target not live");
-                    let ser_aft = &mut self.ser_aft;
-                    let added = or_new_bits(self.ser_bef.row_mut(j), set1, |b| ser_aft.set(b, j));
+                    let row = self.ser_bef.row_mut(j);
+                    row[ts_word] |= ts_bit;
+                    let mut added = 1;
+                    if lo < hi && row_lacks_any(&row[lo..hi], &bef[lo..hi]) {
+                        let ser_aft = &mut self.ser_aft;
+                        added += or_new_bits(row, bef, |b| ser_aft.set(b, j));
+                        self.ser_bef_ors_widened += 1;
+                    }
                     self.ser_bef_sizes[j as usize] += added;
                     self.emptied.remove(j);
                     debug_assert!(
@@ -1050,6 +1075,10 @@ impl Gtm2Scheme for Scheme3Dense {
                         "slot {j} serialized before itself"
                     );
                     ored += 1;
+                }
+                // Ĝ_i's `ser_aft` row gains every target it was just set in.
+                for (w, &b) in self.ser_aft.row_mut(ts).iter_mut().zip(set2.iter()) {
+                    *w |= b;
                 }
                 steps.bump(StepKind::Act, (elided + ored) * set1_len);
                 self.ser_bef_targets += elided + ored;
@@ -1080,8 +1109,10 @@ impl Gtm2Scheme for Scheme3Dense {
                 };
                 // Ĝ_i's column is its `ser_aft` row; its own row names the
                 // `ser_aft` rows that hold it.
+                let (stride, ts_word) = (self.ser_bef.stride, ts as usize / 64);
+                let keep = !(1u64 << (ts % 64));
                 for j in row_bits(self.ser_aft.row(ts)) {
-                    self.ser_bef.clear(j, ts);
+                    self.ser_bef.words[j as usize * stride + ts_word] &= keep;
                     let size = &mut self.ser_bef_sizes[j as usize];
                     *size -= 1;
                     if *size == 0 {
@@ -1103,7 +1134,7 @@ impl Gtm2Scheme for Scheme3Dense {
                 for site in announced {
                     steps.tick(StepKind::Act);
                     if let Some(ss) = self.sites.slot_of(&site) {
-                        if self.last[ss as usize] == Some(*txn) {
+                        if self.last[ss as usize] == Some(ts) {
                             self.last[ss as usize] = None;
                         }
                         self.acked[ts as usize].remove(ss);
@@ -1146,13 +1177,14 @@ impl Gtm2Scheme for Scheme3Dense {
         // `cond(ser)` ticks once, ticks again to read `last_k`, and fails
         // while `last_k`'s event is unacked, before any `ser_bef` work.
         let ss = self.sites.slot_of(&site)?;
-        let l = self.last[ss as usize]?;
-        (!self.acked_at(l, ss)).then_some((None, 2))
+        let lt = self.last[ss as usize]?;
+        (!self.acked[lt as usize].contains(ss)).then_some((None, 2))
     }
 
     fn export_metrics(&self, registry: &mut Registry) {
         registry.inc("gtm2.ser_bef_targets", self.ser_bef_targets);
         registry.inc("gtm2.ser_bef_ors_elided", self.ser_bef_ors_elided);
+        registry.inc("gtm2.ser_bef_ors_widened", self.ser_bef_ors_widened);
     }
 
     fn debug_validate(&self) {
@@ -1338,5 +1370,74 @@ mod tests {
         assert_eq!(row_bits(scheme.ser_bef.row(g1)).count(), 0);
         assert_eq!(row_bits(scheme.ser_aft.row(g1)).count(), 0);
         assert_eq!(scheme.ser_bef_sizes[g1 as usize], 0);
+    }
+
+    /// One `act(ser)` with a target of each kind: `G3` already holds `G2`
+    /// (skipped), `G4` holds `ser_bef(G2)` = `{G1}` and gains only `G2`, and
+    /// `G5`, whose row a fin emptied, gains `G2` and `G1` through the OR.
+    /// Rows, kept sizes, both transposed rows, `emptied` and the three
+    /// counters come out as the oracle's rows imply, at the oracle's charge,
+    /// and a transaction that recycles a finned `last_k`'s slot inherits
+    /// nothing.
+    #[test]
+    fn scheme3_dense_ser_sets_g_i_and_ors_only_where_a_bit_is_missing() {
+        use crate::reference::scheme3::Scheme3;
+        let mut scheme = Scheme3Dense::new();
+        let mut oracle = Scheme3::new();
+        let (mut steps, mut oracle_steps) = (StepCounter::new(), StepCounter::new());
+        let mut fx = Vec::new();
+        let mut run = |scheme: &mut Scheme3Dense, op: QueueOp| {
+            scheme.act(&op, &mut steps, &mut fx);
+            oracle.act(&op, &mut oracle_steps, &mut fx);
+            scheme.debug_validate();
+            assert_eq!(steps, oracle_steps, "{op:?}");
+        };
+        let work = |scheme: &Scheme3Dense| {
+            (
+                scheme.ser_bef_targets,
+                scheme.ser_bef_ors_elided,
+                scheme.ser_bef_ors_widened,
+            )
+        };
+        for op in [
+            init(1, &[0]),
+            init(2, &[0, 1, 2]),
+            init(4, &[0, 1]),
+            init(3, &[2, 1]),
+            init(6, &[3]),
+            init(5, &[1, 3]),
+            // G5 gains G6, then loses it at G6's fin: its row is emptied.
+            ser(6, 3),
+            ack(6, 3),
+            fin(6),
+            // G2 and G4 gain G1; G3 gains G2 and, through the OR, G1.
+            ser(1, 0),
+            ser(2, 2),
+        ] {
+            run(&mut scheme, op);
+        }
+        let slot = |scheme: &Scheme3Dense, i| scheme.txns.slot_of(&g(i)).expect("live");
+        let g5 = slot(&scheme, 5);
+        assert_eq!(scheme.emptied.iter().collect::<Vec<_>>(), [g5]);
+        assert_eq!(work(&scheme), (4, 0, 1));
+        // Site 1's pending set is {G3, G4, G5}.
+        run(&mut scheme, ser(2, 1));
+        assert_eq!(work(&scheme), (4 + 3, 1, 1 + 1), "G3 skipped, G5 widened");
+        for j in [3, 4, 5] {
+            assert_eq!(scheme.ser_bef(g(j)), BTreeSet::from([g(1), g(2)]), "G{j}");
+            assert_eq!(scheme.ser_bef_sizes[slot(&scheme, j) as usize], 2, "G{j}");
+        }
+        let after = |scheme: &Scheme3Dense, i| {
+            row_bits(scheme.ser_aft.row(slot(scheme, i)))
+                .filter_map(|b| scheme.txns.key_of(b))
+                .collect::<BTreeSet<_>>()
+        };
+        assert_eq!(after(&scheme, 2), BTreeSet::from([g(3), g(4), g(5)]));
+        assert_eq!(after(&scheme, 1), BTreeSet::from([g(2), g(3), g(4), g(5)]));
+        assert!(scheme.emptied.is_empty(), "G5's row is no longer empty");
+        // G7 takes G6's recycled slot at site 3, whose `last_k` G6's fin
+        // cleared: G7 starts with nothing before it.
+        run(&mut scheme, init(7, &[3]));
+        assert!(scheme.ser_bef(g(7)).is_empty());
     }
 }

@@ -336,14 +336,31 @@ impl Scheme3Pair {
             .count() as u64
     }
 
-    /// The dense kernel's `gtm2.ser_bef_targets` and
-    /// `gtm2.ser_bef_ors_elided`.
-    fn ser_bef_work(&self) -> (u64, u64) {
+    /// Live transactions other than `txn` whose oracle `ser_bef` lacks
+    /// `txn` and some member of `ser_bef(txn)`: those that become targets
+    /// of `txn`'s `ser` gain a bit besides `Ĝ_i`.
+    fn lacking_set1(&self, txn: GlobalTxnId) -> Vec<GlobalTxnId> {
+        let bef = self.reference.ser_bef(txn);
+        self.live
+            .keys()
+            .filter(|&&j| j != txn)
+            .filter(|&&j| {
+                let row = self.reference.ser_bef(j);
+                !row.contains(&txn) && !bef.is_subset(&row)
+            })
+            .copied()
+            .collect()
+    }
+
+    /// The dense kernel's `gtm2.ser_bef_targets`,
+    /// `gtm2.ser_bef_ors_elided` and `gtm2.ser_bef_ors_widened`.
+    fn ser_bef_work(&self) -> (u64, u64, u64) {
         let mut metrics = Registry::new();
         self.dense.export_metrics(&mut metrics);
         (
             metrics.counter("gtm2.ser_bef_targets"),
             metrics.counter("gtm2.ser_bef_ors_elided"),
+            metrics.counter("gtm2.ser_bef_ors_widened"),
         )
     }
 
@@ -358,6 +375,7 @@ impl Scheme3Pair {
                 self.steps_ref.act + 1 + self.live.len() as u64,
                 self.reference.ser_bef(*txn).len() as u64 + 1,
                 self.ordered_after(*txn),
+                self.lacking_set1(*txn),
                 self.ser_bef_work(),
             )),
             QueueOp::Init { .. } | QueueOp::Ack { .. } | QueueOp::Fin { .. } => None,
@@ -367,16 +385,20 @@ impl Scheme3Pair {
         self.dense.act(op, &mut self.steps_dense, &mut fx_dense);
         assert_eq!(fx_ref, fx_dense, "act({op:?})");
         assert_eq!(self.steps_ref, self.steps_dense, "act({op:?}) charge");
-        if let Some((txn, fixed, set1_len, held, (targets0, elided0))) = ser {
+        if let Some((txn, fixed, set1_len, held, lacking, (targets0, elided0, widened0))) = ser {
             let per_target = self.steps_ref.act - fixed;
             assert_eq!(per_target % set1_len, 0, "act({op:?}) charge per target");
             let targets = per_target / set1_len;
             let elided = targets - (self.ordered_after(txn) - held);
-            let (targets1, elided1) = self.ser_bef_work();
+            let widened = lacking
+                .iter()
+                .filter(|&&j| self.reference.ser_bef(j).contains(&txn))
+                .count() as u64;
+            let (targets1, elided1, widened1) = self.ser_bef_work();
             assert_eq!(
-                (targets1 - targets0, elided1 - elided0),
-                (targets, elided),
-                "act({op:?}): targets and skipped ORs"
+                (targets1 - targets0, elided1 - elided0, widened1 - widened0),
+                (targets, elided, widened),
+                "act({op:?}): targets, skipped ORs and widening ORs"
             );
         }
         match op {
@@ -493,11 +515,16 @@ fn scheme3_matrix_growth_matches_reference() {
         "largest ser_bef {}",
         pair.peak_ser_bef
     );
-    // Both sides of the skip ran.
-    let (targets, elided) = pair.ser_bef_work();
+    // Both sides of the skip ran, and both sides of the OR test.
+    let (targets, elided, widened) = pair.ser_bef_work();
     assert!(
         0 < elided && elided < targets,
         "{elided} of {targets} ORs skipped"
+    );
+    assert!(
+        0 < widened && widened < targets - elided,
+        "{widened} of {} ORs widened a row",
+        targets - elided
     );
 }
 
