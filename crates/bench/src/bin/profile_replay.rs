@@ -15,7 +15,9 @@
 //! in a copy of the tree divides by them, and `gtm2.edge_searches`
 //! (Scheme 2's searches of a transaction's edge row, one per `cond(ser)`,
 //! `act(ser)` and `act(ack)`; 0 for the other schemes), in all and per
-//! transaction. It also prints
+//! transaction, and `gtm2.col_repair_words` (the edge-table mask words
+//! Scheme 2's column repair rewrote at mid-column inserts and removals;
+//! 0 for the other schemes). It also prints
 //! `gtm2.wake_elided` next to `wake_scan_sum`: of the WAIT entries the wake
 //! passes scanned, those charged in closed form instead of re-tested
 //! (Schemes 1 and 3; 0 elsewhere), and `gtm2.retests_ser` /
@@ -111,12 +113,13 @@ fn main() -> std::process::ExitCode {
         let retests_ser = metrics.counter("gtm2.retests_ser");
         let retests_fin = metrics.counter("gtm2.retests_fin");
         let searches = metrics.counter("gtm2.edge_searches");
+        let repair_words = metrics.counter("gtm2.col_repair_words");
         eprintln!(
             "rep {rep}: {scheme_name}/{size_name} {n} txns in {:.2} ms audit_ms={:.2} \
              (cond={} act={} elim_calls={calls} elim_states={states} elim_scans_elided={} \
              elim_delta={delta} elim_recs={recs} states_per_init={:.1} delta_per_init={:.1} \
              recs_per_init={:.1} edge_searches={searches} edge_searches_per_txn={:.1} \
-             waited={} wake_scan_sum={} wake_elided={} retests_ser={retests_ser} \
+             col_repair_words={repair_words} waited={} wake_scan_sum={} wake_elided={} retests_ser={retests_ser} \
              retests_fin={retests_fin} retests_ser_per_txn={:.1} retests_fin_per_txn={:.1} \
              ser_bef_targets={} ser_bef_ors_elided={} ser_bef_ors_widened={} \
              protocol_violations={})",

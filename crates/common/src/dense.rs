@@ -317,63 +317,6 @@ impl DenseBitSet {
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Open a hole at `pos` in the index space: every element `>= pos`
-    /// becomes `element + 1`. Cardinality is unchanged. Used to keep
-    /// position-keyed sets valid when the underlying ordered column gains
-    /// an entry at `pos`.
-    pub fn shift_up_from(&mut self, pos: u32) {
-        let (pw, pb) = (pos as usize / 64, pos as usize % 64);
-        if pw >= self.words.len() {
-            return;
-        }
-        if self.words[self.words.len() - 1] >> 63 != 0 {
-            self.words.push(0);
-        }
-        let low_mask = (1u64 << pb) - 1;
-        let w = self.words[pw];
-        let moved = w & !low_mask;
-        self.words[pw] = (w & low_mask) | (moved << 1);
-        let mut carry = moved >> 63;
-        for word in self.words.iter_mut().skip(pw + 1) {
-            let next_carry = *word >> 63;
-            *word = (*word << 1) | carry;
-            carry = next_carry;
-        }
-        debug_assert_eq!(carry, 0, "shift_up_from lost a bit");
-    }
-
-    /// Close the hole at `pos` in the index space: every element `> pos`
-    /// becomes `element - 1`. The bit at `pos` must already be clear
-    /// (debug-asserted); cardinality is unchanged. Mirror of
-    /// [`DenseBitSet::shift_up_from`] for a column losing the entry at
-    /// `pos`.
-    pub fn shift_down_from(&mut self, pos: u32) {
-        let (pw, pb) = (pos as usize / 64, pos as usize % 64);
-        if pw >= self.words.len() {
-            return;
-        }
-        let mask = 1u64 << pb;
-        debug_assert_eq!(self.words[pw] & mask, 0, "shift_down_from drops a set bit");
-        let low_mask = mask - 1;
-        let cur = self.words[pw];
-        let mut i = pw;
-        let mut new_w = (cur & low_mask) | ((cur & !low_mask & !mask) >> 1);
-        loop {
-            let next = self.words.get(i + 1).copied();
-            if let Some(n) = next {
-                new_w |= (n & 1) << 63;
-            }
-            self.words[i] = new_w;
-            match next {
-                None => break,
-                Some(n) => {
-                    i += 1;
-                    new_w = n >> 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -468,19 +411,6 @@ mod tests {
         long.remove(130);
         assert_eq!(short, long);
         assert_eq!(long, short);
-
-        // A shift up that carries into a new top word, then back down,
-        // leaves a trailing zero word behind.
-        let mut shifted = DenseBitSet::new();
-        shifted.insert(63);
-        shifted.shift_up_from(0);
-        shifted.shift_down_from(0);
-        assert_eq!(shifted.as_words().len(), 2);
-        let mut plain = DenseBitSet::new();
-        plain.insert(63);
-        assert_eq!(shifted, plain);
-        plain.insert(1);
-        assert_ne!(shifted, plain);
     }
 
     #[test]
@@ -498,33 +428,5 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![70]);
         s.clear();
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn bitset_shifts_open_and_close_holes() {
-        let mut s = DenseBitSet::new();
-        for bit in [0, 5, 63, 64, 130] {
-            s.insert(bit);
-        }
-        s.shift_up_from(5);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 6, 64, 65, 131]);
-        assert_eq!(s.len(), 5);
-        s.shift_down_from(5);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 63, 64, 130]);
-        assert_eq!(s.len(), 5);
-        // Hole at a word boundary, and above the top word (no-op).
-        s.shift_up_from(64);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 63, 65, 131]);
-        s.shift_down_from(64);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 63, 64, 130]);
-        s.shift_up_from(100_000);
-        assert_eq!(s.len(), 5);
-        // Carry across the top word grows storage instead of losing bits.
-        let mut top = DenseBitSet::new();
-        top.insert(63);
-        top.shift_up_from(0);
-        assert_eq!(top.iter().collect::<Vec<_>>(), vec![64]);
-        top.shift_down_from(10);
-        assert_eq!(top.iter().collect::<Vec<_>>(), vec![63]);
     }
 }

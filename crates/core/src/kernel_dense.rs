@@ -53,13 +53,13 @@
 //!   A fin's charge is `1 + |Ĝ_i|`, fixed while it waits (`init_i` comes
 //!   once), which is what lets the engine sum the charges WAIT recorded.
 //! - Scheme 2 keeps one record per TSG edge ([`DenseTsgd`]): its column
-//!   position, the dependencies out of it, counts of those into it, and
+//!   position, counts of the dependencies out of it and into it, and
 //!   whether it has run and been acked; each column entry names its
 //!   edge's row index, so the
 //!   `act` dependency fans, an ack's releases and a fin's removal reach
-//!   every edge without a search. `Eliminate_Cycles` reads a compact edge
-//!   table the TSGD keeps beside its rows, and Δ and the fans are added in
-//!   slot space.
+//!   every edge without a search. The dependencies out of an edge are
+//!   bits of its record in the edge table `Eliminate_Cycles` walks, which
+//!   adds Δ there as it finds it; the fans are added in slot space.
 //! - Scheme 3's `ser_bef` sets are the rows of one row-major bit matrix
 //!   over transaction slots, all of one stride, which doubles (re-laying
 //!   the rows) when a slot outgrows it, and a second matrix keeps its
@@ -551,7 +551,7 @@ impl Gtm2Scheme for Scheme2Dense {
                     // there; `txn`'s own column entry names its edge.
                     self.scratch.clear();
                     let mut own = None;
-                    for &(_, js, ji) in self.tsgd.txns_col(ss) {
+                    for &(js, ji) in self.tsgd.txns_col(ss) {
                         if js == ts {
                             own = Some((ts, ji));
                         } else if self.tsgd.edge_at(js, ji).ran {
@@ -565,8 +565,8 @@ impl Gtm2Scheme for Scheme2Dense {
                         }
                     }
                 }
+                // Adds Δ as it finds it.
                 eliminate_cycles_dense_with(&mut self.tsgd, *txn, steps, &mut self.elim);
-                self.tsgd.add_delta(&self.elim);
             }
             QueueOp::Ser { txn, site } => {
                 steps.tick(StepKind::Act);
@@ -579,7 +579,7 @@ impl Gtm2Scheme for Scheme2Dense {
                 if let Some(ss) = self.tsgd.site_slot(*site) {
                     // `txn` precedes everyone not yet executed at `site`.
                     self.scratch.clear();
-                    for &(_, js, ji) in self.tsgd.txns_col(ss) {
+                    for &(js, ji) in self.tsgd.txns_col(ss) {
                         if Some(js) != ts && !self.tsgd.edge_at(js, ji).ran {
                             self.scratch.push((js, ji));
                         }
@@ -643,6 +643,7 @@ impl Gtm2Scheme for Scheme2Dense {
         registry.inc("gtm2.elim_delta", self.elim.deltas());
         registry.inc("gtm2.elim_recs", self.tsgd.records_laid());
         registry.inc("gtm2.edge_searches", self.tsgd.edge_searches());
+        registry.inc("gtm2.col_repair_words", self.tsgd.repair_words());
     }
 
     fn debug_validate(&self) {

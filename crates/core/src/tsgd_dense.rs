@@ -4,23 +4,30 @@
 //! [`crate::reference::tsgd::Tsgd`] — transaction/site nodes, undirected
 //! edges, dependencies ([`Dep`]) between edges at a common site — but stored over compact `u32` slots handed out by
 //! [`DenseInterner`]s, so the per-operation hot path touches vectors and
-//! bitsets instead of `BTreeMap`s and allocates nothing:
+//! bit words instead of `BTreeMap`s and allocates nothing:
 //!
-//! - adjacency is kept as **id-sorted** vectors — a transaction's row of
+//! - adjacency is kept as **id-sorted** sequences — a transaction's row of
 //!   edges by site id, a site's column of `(txn id, slot, row index)` by
 //!   txn id — so every traversal visits neighbours in exactly the order the
 //!   reference `BTreeMap` kernels do, and step counts that depend on
 //!   traversal order (notably [`eliminate_cycles_dense_with`]) stay
-//!   byte-identical;
+//!   byte-identical. The columns share one flat table, each site's at a
+//!   fixed offset `site slot · 64 · words`, so a column position is one
+//!   load away from its entry;
 //! - Section 6 defines a dependency as a relation between two *edges* at a
 //!   common site, so each TSG edge `(Ĝ_i, s_k)` is **one record** in
-//!   `Ĝ_i`'s row: its position in `s_k`'s column, the column positions of
-//!   the *after* edges of the dependencies out of it, and counts of the
-//!   dependencies into it (all of them, and those whose before-edge is not
-//!   yet acked). Each dependency is stored once, on its before-edge;
+//!   `Ĝ_i`'s row: its position in `s_k`'s column, how many dependencies
+//!   leave it, and counts of the dependencies into it (all of them, and
+//!   those whose before-edge is not yet acked);
+//! - **each dependency is stored once**, as one bit in its before-edge's
+//!   **edge-table record**: the record's mask words hold the column
+//!   positions of the edge's after set, OR the edge's own position. The
+//!   table is that set's only copy. A column insert or removal at `p`
+//!   shifts each member's words in place from word `p / 64` up, and leaves
+//!   a member with nothing at or above `p` alone;
 //! - **edges are reached by index, not by search**: a column entry carries
 //!   its edge's index in the transaction's row, kept right at insert, at
-//!   remove, by `repair_column` and on a mid-row insert, so a column
+//!   remove, by the column repair and on a mid-row insert, so a column
 //!   position — and so a dependency — names its edge. A
 //!   row is searched ([`DenseTsgd::edge_searches`]) only where an
 //!   operation names `(txn, site)`: Scheme 2's `cond(ser)`, `act(ser)` and
@@ -29,26 +36,23 @@
 //!   predecessors (kept by `add_dep_at`, `mark_acked` and `remove_txn`, so
 //!   a failed WAIT re-test walks nothing), and `cond(fin)`'s "no incoming
 //!   dependency" test is an O(1) counter read;
-//! - `Eliminate_Cycles` walks a **persistent edge table** kept beside the
-//!   rows: each TSG edge has one 16-byte record holding its site slot,
-//!   word 0 of a skip mask (the edge's after set, in the column's own
-//!   position space, OR its own position; the other words sit in a side
-//!   array, read only for a column past 64 members) and an emptied stamp.
-//!   A record is laid out when `insert_txn` adds its edge, and its mask
-//!   follows the bit operations `add_dep_at` and `repair_column` apply to
-//!   the after set; a row or column that outgrows the table re-lays it
-//!   wider ([`DenseTsgd::records_laid`]). A call only re-opens its bitmap
-//!   of states not yet entered and takes a fresh stamp. A column scan ANDs
+//! - `Eliminate_Cycles` walks the edge table: a record is one contiguous
+//!   run of `1 + words` `u64`s — its site slot and emptied stamp, then its
+//!   mask words — and rows sit `stride` records apart. A record is laid
+//!   out when `insert_txn` adds its edge; a row or column that outgrows
+//!   the table re-lays it wider by copying words
+//!   ([`DenseTsgd::records_laid`]). A call only re-opens its bitmap of
+//!   states not yet entered and takes a fresh stamp. A column scan ANDs
 //!   the complement of the mask into that bitmap and takes the first set
 //!   bit — one word and one `trailing_zeros` for a column of up to 64
-//!   members, a loop over the words past that — with no search;
+//!   members, a loop over the record's next words past that — with no
+//!   search;
 //! - the walk pays about one column scan per DFS state: the state's cursor
-//!   lives in its frame; a Δ choice sets `G_i`'s bit in the edge's mask
-//!   (cleared when the call ends) and the scan goes on; a column another
-//!   state of the same node already scanned to the end has its record
-//!   stamped and is charged without a scan; and Δ is left in slot space
-//!   with both edges' row indices, so [`DenseTsgd::add_delta`] searches
-//!   nothing.
+//!   lives in its frame; a Δ choice sets `G_i`'s bit in the edge's mask,
+//!   which *is* the new dependency, counts it on both edges and goes on
+//!   scanning; and a column another state of the same node already
+//!   scanned to the end has its record stamped and is charged without a
+//!   scan.
 //!
 //! The frame can hold the cursor because of one invariant of Figure 4: it
 //! descends to a node `w ≠ G_i` only by choosing a candidate `(u, w)`, and
@@ -66,18 +70,19 @@
 //! `cond` reads an edge's unacked count / `incoming_deps` / `dep_count`,
 //! `act` calls `insert_txn` / `add_dep_at` / `mark_acked` / `remove_txn`
 //! and [`eliminate_cycles_dense_with`], which charges `steps` tick-for-tick
-//! like [`crate::reference::tsgd::eliminate_cycles`] (Figure 4). The Theorem 5 invariants are *checked*, not maintained:
+//! like [`crate::reference::tsgd::eliminate_cycles`] (Figure 4) and adds
+//! its Δ. The Theorem 5 invariants are *checked*, not maintained:
 //! `DenseTsgd::to_reference` (a copy for the reference's exponential
 //! cycle oracle) and [`DenseTsgd::deps_acyclic`] (a topological sort of
 //! the dependencies) are validation grade and run only from
 //! `debug_validate` and tests, as does
 //! [`DenseTsgd::edges_consistent`], which checks that every edge record
 //! agrees with its column, every column entry names its edge, every
-//! dependency count matches the after sets, and every edge-table record
-//! and mask matches its edge.
+//! dependency count matches the mask words, and every edge-table record
+//! holds its site, its own position and nothing past its column.
 
 use crate::reference::tsgd::Tsgd;
-use mdbs_common::dense::{DenseBitSet, DenseInterner};
+use mdbs_common::dense::DenseInterner;
 use mdbs_common::ids::{GlobalTxnId, SiteId};
 use mdbs_common::step::{StepCounter, StepKind};
 use mdbs_schedule::lex_topo_order;
@@ -97,8 +102,9 @@ pub struct Dep {
 }
 
 /// One TSG edge `(Ĝ_i, s_k)`, kept in `Ĝ_i`'s row: where it sits in
-/// `s_k`'s column, the dependencies at `s_k` out of it, counts of those
-/// into it, and Scheme 2's progress on it. Only `ran` is writable outside this
+/// `s_k`'s column, how many dependencies at `s_k` leave it and enter it,
+/// and Scheme 2's progress on it. The dependencies out of it are bits of
+/// its edge-table record. Only `ran` is writable outside this
 /// module (`acked` through [`DenseTsgd::mark_acked`]): the rest must agree
 /// with the columns and with the other edge of each dependency
 /// ([`DenseTsgd::edges_consistent`]).
@@ -107,17 +113,14 @@ pub(crate) struct Edge {
     site: SiteId,
     /// `site`'s slot.
     ss: u32,
-    /// The transaction's index in the site's `site_txns` column, kept right
-    /// by `repair_column`.
+    /// The transaction's index in the site's column, kept right by the
+    /// column repair.
     pos: u32,
-    /// Column positions of the *after* transactions of dependencies out of
-    /// this edge — the order `Eliminate_Cycles` scans, so one column's
-    /// blocked set copies word-wise into the edge's skip mask. A column
-    /// insertion or removal hole-shifts it (`repair_column`). Each
-    /// dependency is stored here only, on its before-edge.
-    after: DenseBitSet,
+    /// Number of dependencies out of this edge: the bits of its record's
+    /// mask words besides its own position.
+    deps: u32,
     /// Number of dependencies into this edge: the column members whose
-    /// after set holds this edge's position.
+    /// mask words hold this edge's position.
     preds: u32,
     /// Scheme 2: `act(ser)` has run on this edge.
     pub(crate) ran: bool,
@@ -150,27 +153,58 @@ pub struct DenseTsgd {
     sites: DenseInterner<SiteId>,
     /// Txn slot → its edges, sorted by site id.
     edges: Vec<Vec<Edge>>,
-    /// Site slot → edges as `(txn id, txn slot, index in the txn's row)`,
-    /// sorted by txn id: a column position or a dependency reaches its
-    /// edge without a search.
-    site_txns: Vec<Vec<(GlobalTxnId, u32, u32)>>,
+    /// Every site's column as `(txn slot, index in the txn's row)`, sorted
+    /// by txn id: site slot `ss`'s members are `cols[ss · 64 · words ..]`,
+    /// `col_lens[ss]` of them, so a column position or a dependency
+    /// reaches its edge without a search.
+    cols: Vec<(u32, u32)>,
+    /// The members' txn ids, laid out like `cols`: what `insert_txn`
+    /// searches.
+    col_ids: Vec<GlobalTxnId>,
+    /// Site slot → its column's length (0 for a released slot).
+    col_lens: Vec<u32>,
     /// After-txn slot → number of incoming dependencies (O(1) `cond(fin)`).
     incoming: Vec<u32>,
     dep_count: usize,
     /// Checked-decrement failures in [`DenseTsgd::remove_txn`] — a desynced
-    /// dependency bitset is counted here (and surfaced by the kernel as a
+    /// dependency count is counted here (and surfaced by the kernel as a
     /// protocol violation) instead of panicking in the scheduler.
     desync: Cell<u64>,
     /// Searches of a transaction's row for the edge at a site, over the
     /// TSGD's life (`DenseTsgd::edge_index`).
     searches: Cell<u64>,
-    /// The records [`eliminate_cycles_dense_with`] walks, one per edge.
+    /// The records [`eliminate_cycles_dense_with`] walks, one per edge,
+    /// each holding its edge's after set.
     table: EdgeTable,
+    /// Mask words the column repair rewrote, over the TSGD's life.
+    repair_words: u64,
+}
+
+/// Count a failed checked decrement (in [`DenseTsgd::remove_txn`],
+/// [`DenseTsgd::mark_acked`] or the column repair) at txn slot `ts` in
+/// `desync`; the debug assert pins the invariant in tests.
+fn desynced(desync: &Cell<u64>, ts: u32) {
+    debug_assert!(false, "dependency accounting desynced at txn slot {ts}");
+    desync.set(desync.get() + 1);
+}
+
+/// The set bits of `words`, in ascending order.
+fn bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                64 * w as u32 + bit
+            })
+        })
+    })
 }
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "slot indices come from the interner, adjacency rows are grown at insert_txn, and a column entry's row index is kept right at every row insert; prop_tsgd + kernel_equivalence pin the invariant against the reference Tsgd."
+    reason = "slot indices come from the interner, adjacency rows are grown at insert_txn, a column entry's row index is kept right at every row insert, and the table and the columns are sized for every slot by `fit`; prop_tsgd + kernel_equivalence pin the invariant against the reference Tsgd."
 )]
 impl DenseTsgd {
     /// Empty TSGD.
@@ -189,67 +223,120 @@ impl DenseTsgd {
         }
         for &site in sites {
             let ss = self.sites.intern(site);
-            if self.site_txns.len() <= ss as usize {
-                self.site_txns.resize_with(ss as usize + 1, Vec::new);
+            if self.col_lens.len() <= ss as usize {
+                self.col_lens.resize(ss as usize + 1, 0);
             }
-            let row = &mut self.edges[ts as usize];
-            if let Err(i) = row.binary_search_by_key(&site, |e| e.site) {
-                let col = &mut self.site_txns[ss as usize];
-                let pos = col.partition_point(|e| e.0 < txn);
-                col.insert(pos, (txn, ts, i as u32));
-                let len = col.len();
-                row.insert(
-                    i,
-                    Edge {
-                        site,
-                        ss,
-                        pos: pos as u32,
-                        after: DenseBitSet::new(),
-                        preds: 0,
-                        ran: false,
-                        acked: false,
-                        unacked_before: 0,
-                    },
-                );
-                // Mid-row insert: the edges above moved up one in the row.
-                for (k, e) in row.iter().enumerate().skip(i + 1) {
-                    self.site_txns[e.ss as usize][e.pos as usize].2 = k as u32;
-                }
-                self.lay_record(ts, i, len);
-                // Mid-column insert: the members above moved up one. The
-                // new member has no dependencies at this site yet.
-                if pos + 1 < len {
-                    self.repair_column(ss, pos, true);
-                }
+            if let Err(i) = self.edges[ts as usize].binary_search_by_key(&site, |e| e.site) {
+                self.insert_edge(txn, ts, (site, ss), i);
             }
         }
         ts
     }
 
-    /// The column of site slot `ss` just gained (`opened`) or lost an entry
-    /// at position `at`: re-record every member's position on its edge,
-    /// open/close the hole in the edge's position-space after set — closing
-    /// it drops the dependencies into the lost entry — and lay its record's
-    /// mask out again.
+    /// Add edge `(txn, site)` at index `i` of the row of `ts`: into the
+    /// column by id, into the row, and into the edge table, then shift the
+    /// column's other members' words over the new position.
+    fn insert_edge(&mut self, txn: GlobalTxnId, ts: u32, (site, ss): (SiteId, u32), i: usize) {
+        let len = self.col_lens[ss as usize] as usize + 1;
+        self.fit(self.edges[ts as usize].len() + 1, len);
+        let base = self.col_base(ss);
+        let pos = self.col_ids[base..base + len - 1].partition_point(|&id| id < txn);
+        self.cols
+            .copy_within(base + pos..base + len - 1, base + pos + 1);
+        self.col_ids
+            .copy_within(base + pos..base + len - 1, base + pos + 1);
+        (self.cols[base + pos], self.col_ids[base + pos]) = ((ts, i as u32), txn);
+        self.col_lens[ss as usize] = len as u32;
+        let per_col = self.col_stride();
+        let row = &mut self.edges[ts as usize];
+        row.insert(
+            i,
+            Edge {
+                site,
+                ss,
+                pos: pos as u32,
+                deps: 0,
+                preds: 0,
+                ran: false,
+                acked: false,
+                unacked_before: 0,
+            },
+        );
+        // Mid-row insert: the edges above moved up one in the row.
+        for (k, e) in row.iter().enumerate().skip(i + 1) {
+            self.cols[e.ss as usize * per_col + e.pos as usize].1 = k as u32;
+        }
+        let row_len = row.len();
+        self.lay_record(ts, i, row_len);
+        // Mid-column insert: the members above moved up one. The new
+        // member has no dependencies at this site yet.
+        if pos + 1 < len {
+            self.repair_column(ss, pos, true);
+        }
+    }
+
+    /// The column of site slot `ss` just gained (`opened`) or lost its
+    /// member at `at`: every other member's words open or close a hole at
+    /// `at`, from word `at / 64` to the column's last (its own position
+    /// moves with them), and the members above `at` record their new
+    /// positions. Closing it first drops the member's dependency into the
+    /// lost one, if any. A member with nothing at or above `at` is left
+    /// alone.
     fn repair_column(&mut self, ss: u32, at: usize, opened: bool) {
         let Self {
             edges,
-            site_txns,
+            cols,
+            col_lens,
             table,
+            desync,
             ..
         } = self;
-        let stride = table.stride as usize;
-        for (p, &(_, js, ji)) in site_txns[ss as usize].iter().enumerate() {
-            let e = &mut edges[js as usize][ji as usize];
-            e.pos = p as u32;
-            if opened {
-                e.after.shift_up_from(at as u32);
-            } else {
-                e.after.remove(at as u32);
-                e.after.shift_down_from(at as u32);
+        let len = col_lens[ss as usize] as usize;
+        let (span, stride) = (table.span(), table.stride as usize);
+        let base = ss as usize * table.col_stride();
+        // The column's last word while it holds the member at `at`.
+        let last = if opened { len - 1 } else { len } / 64;
+        let (from, to) = (1 + at / 64, 1 + last);
+        let bit = 1u64 << (at % 64);
+        let low = bit - 1;
+        let mut rewritten = 0;
+        for (p, &(js, ji)) in cols[base..base + len].iter().enumerate() {
+            // The new member is laid out fresh.
+            if opened && p == at {
+                continue;
             }
-            table.write(js as usize * stride + ji as usize, e);
+            let e = &mut edges[js as usize][ji as usize];
+            if p >= at {
+                e.pos = p as u32;
+            }
+            let r = (js as usize * stride + ji as usize) * span;
+            let m = &mut table.recs[r + from..=r + to];
+            if m[0] & !low == 0 && m[1..].iter().all(|&w| w == 0) {
+                continue;
+            }
+            if opened {
+                let mut carry = m[0] >> 63;
+                m[0] = (m[0] & low) | ((m[0] & !low) << 1);
+                for w in &mut m[1..] {
+                    (*w, carry) = ((*w << 1) | carry, *w >> 63);
+                }
+                debug_assert_eq!(carry, 0, "a shift past the column's end");
+            } else {
+                if m[0] & bit != 0 {
+                    match e.deps.checked_sub(1) {
+                        Some(left) => e.deps = left,
+                        None => desynced(desync, js),
+                    }
+                }
+                m[0] = (m[0] & low) | ((m[0] >> 1) & !low);
+                for k in 1..m.len() {
+                    m[k - 1] |= m[k] << 63;
+                    m[k] >>= 1;
+                }
+            }
+            rewritten += m.len() as u64;
         }
+        self.repair_words += rewritten;
     }
 
     /// Index of the edge `(transaction in slot ts, site)` in the
@@ -291,6 +378,22 @@ impl DenseTsgd {
         self.searches.get()
     }
 
+    /// Mask words the column repair rewrote, over the TSGD's life: at each
+    /// column insert or removal at `p`, the words from `p / 64` to the
+    /// column's last of every member that held a position at or above `p`.
+    #[inline]
+    pub fn repair_words(&self) -> u64 {
+        self.repair_words
+    }
+
+    /// The column positions of the after set of edge `i` of the row of
+    /// `ts`: its record's bits besides its own position.
+    fn after_of(&self, ts: u32, i: usize) -> impl Iterator<Item = u32> + '_ {
+        let own = self.row(ts).get(i).map_or(u32::MAX, |e| e.pos);
+        let r = self.rec_index(ts, i as u32);
+        bits(self.table.mask(r)).filter(move |&p| p != own)
+    }
+
     /// Record the ack of edge `(transaction in slot ts, site)`: the first
     /// time, every dependency out of the edge loses one unacked
     /// predecessor (a checked decrement). Returns `false` if no such edge
@@ -303,25 +406,17 @@ impl DenseTsgd {
         if std::mem::replace(&mut e.acked, true) {
             return true;
         }
-        let after = std::mem::take(&mut e.after);
-        let ss = e.ss as usize;
-        for apos in after.iter() {
-            let a = self.site_txns[ss].get(apos as usize).copied();
-            match a.and_then(|(_, a, ai)| self.edges[a as usize].get_mut(ai as usize)) {
+        let (ss, own) = (e.ss, e.pos);
+        let r = self.rec_index(ts, i as u32);
+        let col = &self.cols[self.col_base(ss)..][..self.col_lens[ss as usize] as usize];
+        for apos in bits(self.table.mask(r)).filter(|&p| p != own) {
+            let a = col.get(apos as usize).copied();
+            match a.and_then(|(a, ai)| self.edges[a as usize].get_mut(ai as usize)) {
                 Some(ae) if ae.unacked_before > 0 => ae.unacked_before -= 1,
-                _ => self.desynced(ts),
+                _ => desynced(&self.desync, ts),
             }
         }
-        self.edges[ts as usize][i].after = after;
         true
-    }
-
-    /// Count a failed checked decrement in [`DenseTsgd::remove_txn`] or
-    /// [`DenseTsgd::mark_acked`]; the debug assert pins the invariant in
-    /// tests.
-    fn desynced(&self, ts: u32) {
-        debug_assert!(false, "dependency accounting desynced at txn slot {ts}");
-        self.desync.set(self.desync.get() + 1);
     }
 
     /// Remove a transaction, its edges, and all dependencies touching it;
@@ -337,14 +432,16 @@ impl DenseTsgd {
         // The dependencies into the transaction's edges are dropped by the
         // column repair below, which visits every member anyway.
         let mut row = std::mem::take(&mut self.edges[ts as usize]);
-        for e in &row {
-            for apos in e.after.iter() {
-                let Some(&(_, a, ai)) = self.site_txns[e.ss as usize].get(apos as usize) else {
-                    self.desynced(ts);
+        for (i, e) in row.iter().enumerate() {
+            let r = self.rec_index(ts, i as u32);
+            let col = &self.cols[self.col_base(e.ss)..][..self.col_lens[e.ss as usize] as usize];
+            for apos in bits(self.table.mask(r)).filter(|&p| p != e.pos) {
+                let Some(&(a, ai)) = col.get(apos as usize) else {
+                    desynced(&self.desync, ts);
                     continue;
                 };
                 let Some(ae) = self.edges[a as usize].get_mut(ai as usize) else {
-                    self.desynced(ts);
+                    desynced(&self.desync, ts);
                     continue;
                 };
                 let released = e.acked || ae.unacked_before > 0;
@@ -357,13 +454,13 @@ impl DenseTsgd {
                     self.incoming[a as usize] -= 1;
                 }
                 if !(released && counted) {
-                    self.desynced(ts);
+                    desynced(&self.desync, ts);
                 }
             }
-            let deps = e.after.len() + e.preds as usize;
+            let deps = (e.deps + e.preds) as usize;
             match self.dep_count.checked_sub(deps) {
                 Some(left) => self.dep_count = left,
-                None => self.desynced(ts),
+                None => desynced(&self.desync, ts),
             }
         }
         self.incoming[ts as usize] = 0;
@@ -371,14 +468,17 @@ impl DenseTsgd {
         // Edges; release site slots that end up edge-free (the reference
         // drops empty site nodes from `site_txns` the same way).
         for e in &row {
-            let col = &mut self.site_txns[e.ss as usize];
+            let (base, len) = (self.col_base(e.ss), self.col_lens[e.ss as usize] as usize);
+            let at = base + e.pos as usize;
             debug_assert_eq!(
-                col.get(e.pos as usize).map(|m| (m.0, m.1)),
-                Some((txn, ts)),
+                (self.col_ids[at], self.cols[at].0),
+                (txn, ts),
                 "stale position"
             );
-            col.remove(e.pos as usize);
-            if col.is_empty() {
+            self.cols.copy_within(at + 1..base + len, at);
+            self.col_ids.copy_within(at + 1..base + len, at);
+            self.col_lens[e.ss as usize] = len as u32 - 1;
+            if len == 1 {
                 self.sites.release(&e.site);
             } else {
                 self.repair_column(e.ss, e.pos as usize, false);
@@ -406,56 +506,45 @@ impl DenseTsgd {
 
     /// The dependency `before → after` at `site`, with both edges already
     /// found — each is `(txn slot, index in its row)`: `after`'s position
-    /// joins the before-edge's after set, and the after-edge counts it (an
+    /// joins the before-edge's mask words, and both edges count it (an
     /// unacked `before` edge holds `after`'s up).
-    pub(crate) fn add_dep_at(
-        &mut self,
-        site: SiteId,
-        (before, bi): (u32, u32),
-        (after, ai): (u32, u32),
-    ) {
+    pub(crate) fn add_dep_at(&mut self, site: SiteId, before: (u32, u32), after: (u32, u32)) {
+        let at_site = |(ts, i): (u32, u32)| {
+            let e = self.row(ts).get(i as usize)?;
+            (e.site == site).then_some(e.pos)
+        };
+        match (at_site(before), at_site(after)) {
+            (Some(_), Some(apos)) => self.link(before, after, apos),
+            _ => debug_assert!(false, "dep on missing edge"),
+        }
+    }
+
+    /// Set bit `apos` — the position of edge `after` — in the record of
+    /// edge `before` at the same site, and, if it was clear, count the new
+    /// dependency on both edges and in the totals.
+    #[inline]
+    fn link(&mut self, (before, bi): (u32, u32), (after, ai): (u32, u32), apos: u32) {
         let r = self.rec_index(before, bi);
-        let Some(apos) = self
-            .row(after)
-            .get(ai as usize)
-            .filter(|a| a.site == site)
-            .map(|a| a.pos)
-        else {
-            debug_assert!(false, "dep on missing edge");
+        if !self.table.set(r, apos) {
             return;
-        };
-        let Some(b) = self.edges[before as usize]
-            .get_mut(bi as usize)
-            .filter(|b| b.site == site)
-        else {
-            debug_assert!(false, "dep on missing edge");
-            return;
-        };
-        if b.after.insert(apos) {
-            let unacked = u32::from(!b.acked);
-            let a = &mut self.edges[after as usize][ai as usize];
-            a.preds += 1;
-            a.unacked_before += unacked;
-            self.incoming[after as usize] += 1;
-            self.dep_count += 1;
-            self.table.set(r, apos);
         }
+        let b = &mut self.edges[before as usize][bi as usize];
+        b.deps += 1;
+        let unacked = u32::from(!b.acked);
+        let a = &mut self.edges[after as usize][ai as usize];
+        a.preds += 1;
+        a.unacked_before += unacked;
+        self.incoming[after as usize] += 1;
+        self.dep_count += 1;
     }
 
-    /// Fold in the Δ the last [`eliminate_cycles_dense_with`] call left in
-    /// `scratch` (the TSGD must not have changed since that call): each
-    /// entry carries both edges' row indices, so nothing is searched.
-    pub fn add_delta(&mut self, scratch: &EliminateScratch) {
-        for d in &scratch.delta {
-            self.add_dep_at(d.site, (d.before, d.before_idx), (scratch.gslot, d.gi_idx));
-        }
-    }
-
-    /// That Δ as paper-level [`Dep`]s (test/inspection only).
+    /// The Δ the last [`eliminate_cycles_dense_with`] call added, as
+    /// paper-level [`Dep`]s (test/inspection only; the TSGD must not have
+    /// lost a transaction or a site since that call).
     pub fn delta_set(&self, scratch: &EliminateScratch) -> BTreeSet<Dep> {
         let resolve = |d: &DeltaDep| {
             Some(Dep {
-                site: d.site,
+                site: self.sites.key_of(d.ss)?,
                 before: self.txns.key_of(d.before)?,
                 after: self.txns.key_of(scratch.gslot)?,
             })
@@ -483,13 +572,32 @@ impl DenseTsgd {
             .map_or(&[][..], |v| v.as_slice())
     }
 
-    /// Edges at the site in `slot` as `(txn id, txn slot, index in the
-    /// txn's row)`, sorted by transaction id.
+    /// Column entries per site in the column table.
     #[inline]
-    pub fn txns_col(&self, slot: u32) -> &[(GlobalTxnId, u32, u32)] {
-        self.site_txns
-            .get(slot as usize)
-            .map_or(&[][..], |v| v.as_slice())
+    fn col_stride(&self) -> usize {
+        self.table.col_stride()
+    }
+
+    /// Where site slot `ss`'s column starts in the column table.
+    #[inline]
+    fn col_base(&self, ss: u32) -> usize {
+        ss as usize * self.col_stride()
+    }
+
+    /// Edges at the site in `slot` as `(txn slot, index in the txn's
+    /// row)`, sorted by transaction id.
+    #[inline]
+    pub fn txns_col(&self, slot: u32) -> &[(u32, u32)] {
+        let len = self.col_lens.get(slot as usize).map_or(0, |&n| n as usize);
+        let base = self.col_base(slot);
+        self.cols.get(base..base + len).unwrap_or(&[])
+    }
+
+    /// The txn ids of [`DenseTsgd::txns_col`].
+    fn col_ids(&self, slot: u32) -> &[GlobalTxnId] {
+        let len = self.col_lens.get(slot as usize).map_or(0, |&n| n as usize);
+        let base = self.col_base(slot);
+        self.col_ids.get(base..base + len).unwrap_or(&[])
     }
 
     /// All live transactions in id order.
@@ -529,9 +637,9 @@ impl DenseTsgd {
     pub fn deps_set(&self) -> BTreeSet<Dep> {
         let mut out = BTreeSet::new();
         for (before, ts) in self.txns.iter_sorted() {
-            for e in self.row(ts) {
-                let col = self.txns_col(e.ss);
-                for &(after, _, _) in e.after.iter().filter_map(|p| col.get(p as usize)) {
+            for (i, e) in self.row(ts).iter().enumerate() {
+                let ids = self.col_ids(e.ss);
+                for &after in self.after_of(ts, i).filter_map(|p| ids.get(p as usize)) {
                     out.insert(Dep {
                         site: e.site,
                         before,
@@ -546,13 +654,17 @@ impl DenseTsgd {
     /// True iff every edge record is right: each edge `(site, ss, pos)` of a
     /// live transaction finds that transaction at `pos` in column `ss`, and
     /// that column entry's row index names the edge; rows and columns hold
-    /// the same edges; every `after` position names another member of the
-    /// column; each edge's `preds` counts the members whose after set holds
-    /// its position, and `unacked_before` those of them whose edge is not
-    /// acked; `incoming[t]` sums `preds` over `t`'s edges; `dep_count` is
-    /// the sum of `incoming`; and the edge table matches the edges.
+    /// the same edges; each edge's `preds` counts the other members whose
+    /// mask words hold its position, and `unacked_before` those of them
+    /// whose edge is not acked; `incoming[t]` sums `preds` over `t`'s
+    /// edges; `dep_count` is the sum of `incoming`; and every edge-table
+    /// record holds its site slot, its own position, no position past its
+    /// column and, besides its own, one bit per dependency out of its edge.
     /// Test/validation grade.
     pub fn edges_consistent(&self) -> bool {
+        if !self.table_consistent() {
+            return false;
+        }
         let mut edges = 0;
         for (txn, ts) in self.txns.iter_sorted() {
             let mut preds = 0;
@@ -561,22 +673,20 @@ impl DenseTsgd {
                 preds += e.preds;
                 let col = self.txns_col(e.ss);
                 let placed = self.sites.key_of(e.ss) == Some(e.site)
-                    && col.get(e.pos as usize) == Some(&(txn, ts, i as u32));
-                let afters_valid = e
-                    .after
-                    .iter()
-                    .all(|p| p != e.pos && (p as usize) < col.len());
+                    && col.get(e.pos as usize) == Some(&(ts, i as u32))
+                    && self.col_ids(e.ss).get(e.pos as usize) == Some(&txn);
                 let (mut into, mut unacked) = (0, 0);
-                for &(_, js, ji) in col {
+                for &(js, ji) in col {
                     let Some(o) = self.row(js).get(ji as usize).filter(|o| o.ss == e.ss) else {
                         return false;
                     };
-                    if o.after.contains(e.pos) {
+                    if (js, ji) != (ts, i as u32) && self.table.holds(self.rec_index(js, ji), e.pos)
+                    {
                         into += 1;
                         unacked += u32::from(!o.acked);
                     }
                 }
-                if !(placed && afters_valid && e.preds == into && e.unacked_before == unacked) {
+                if !(placed && e.preds == into && e.unacked_before == unacked) {
                     return false;
                 }
             }
@@ -588,7 +698,6 @@ impl DenseTsgd {
         let incoming: usize = self.incoming.iter().map(|&n| n as usize).sum();
         edges == self.sites.iter_sorted().map(in_columns).sum::<usize>()
             && self.dep_count == incoming
-            && self.table_consistent()
     }
 
     /// Checked-decrement failures observed so far (see
@@ -615,10 +724,10 @@ impl DenseTsgd {
         let slots: Vec<u32> = self.txns.iter_sorted().map(|(_, slot)| slot).collect();
         let mut arcs = Vec::new();
         for &before in &slots {
-            for e in self.row(before) {
+            for (i, e) in self.row(before).iter().enumerate() {
                 let col = self.txns_col(e.ss);
-                let afters = e.after.iter().filter_map(|p| col.get(p as usize));
-                arcs.extend(afters.map(|&(_, after, _)| (before, after)));
+                let afters = self.after_of(before, i).filter_map(|p| col.get(p as usize));
+                arcs.extend(afters.map(|&(after, _)| (before, after)));
             }
         }
         lex_topo_order(slots, arcs).is_some()
@@ -643,113 +752,83 @@ impl DenseTsgd {
 /// The root's "no arrival site".
 const NONE: u32 = u32::MAX;
 
-/// Edge `(v, s_u)`'s record in the walk's edge table: what node `v`'s scan
-/// of `s_u`'s column needs, in 16 bytes.
-#[derive(Clone, Copy, Debug, Default)]
-struct EdgeRec {
-    /// Word 0 of the column positions `v` skips: the edge's after set OR
-    /// its own position — and, during a call, `G_i`'s position once `v`
-    /// took Δ there. Words 1 and up are in the table's `masks`.
-    mask: u64,
-    /// `s_u`'s slot.
-    ss: u32,
-    /// The stamp of the last call in which a state of `v` scanned `s_u`'s
-    /// column to its end.
-    emptied: u32,
-}
-
-/// The walk's compact edge table, kept beside the rows: one [`EdgeRec`]
-/// per TSG edge, each row `stride` records from the last, so a record's
-/// index is `slot · stride + row index`. A record is laid out when
-/// `insert_txn` adds its edge; its mask follows the bit operations that
-/// `add_dep_at` and `repair_column` apply to the edge's after set. A row
-/// longer than `stride`, or a column longer than `64 · (spill + 1)`
-/// members, re-lays the whole table wider.
+/// The walk's edge table, kept beside the rows and the only copy of every
+/// edge's after set. Edge `(v, s_u)` has one record: `span` = `1 + words`
+/// words from `span · r`, where `r` = `v`'s slot · `stride` + the edge's
+/// row index. Word 0 is the head — `s_u`'s slot in the low half, in the
+/// high half the stamp of the last call in which a state of `v` scanned
+/// `s_u`'s column to its end — and words 1 to `words` are the mask: the
+/// column positions of the edge's after set OR its own position. A record
+/// is laid out when `insert_txn` adds its edge; `add_dep_at` and the walk's
+/// Δ set its bits, the column repair shifts them. A row longer than
+/// `stride`, or a column longer than `64 · words` members, re-lays the
+/// whole table wider, and the column table with it.
 #[derive(Clone, Debug, Default)]
 struct EdgeTable {
-    recs: Vec<EdgeRec>,
+    recs: Vec<u64>,
     /// Txn slot → its row's length.
     lens: Vec<u32>,
     /// Records per row: the longest row so far.
     stride: u32,
-    /// Words 1 to `spill` of each record's skip mask, `spill` words from
-    /// `index · spill` — read only for a column of more than 64 members.
-    masks: Vec<u64>,
-    /// Mask words per record past the first: the most a column has needed.
-    spill: u32,
+    /// Mask words per record: the most a column has needed.
+    words: u32,
     /// Records laid out (at insert, or re-laid on growth) over the table's
     /// life.
     laid: u64,
     /// The last call's stamp (0 before the first call, which no record's
-    /// `emptied` matches).
+    /// head matches).
     stamp: u32,
 }
 
 impl EdgeTable {
-    /// Word `w` of edge `e`'s skip mask: its after set OR its own position.
-    fn mask_word(e: &Edge, w: usize) -> u64 {
-        let own = u64::from(e.pos as usize / 64 == w) << (e.pos % 64);
-        e.after.as_words().get(w).copied().unwrap_or(0) | own
+    /// Words per record: the head, then the mask.
+    #[inline]
+    fn span(&self) -> usize {
+        self.words as usize + 1
     }
 
-    /// Record `r` from its edge.
-    fn write(&mut self, r: usize, e: &Edge) {
-        let spill = self.spill as usize;
-        if let Some(rec) = self.recs.get_mut(r) {
-            *rec = EdgeRec {
-                mask: Self::mask_word(e, 0),
-                ss: e.ss,
-                emptied: 0,
-            };
-        }
-        let masks = self.masks.iter_mut().skip(r * spill).take(spill);
-        for (w, m) in masks.enumerate() {
-            *m = Self::mask_word(e, w + 1);
-        }
+    /// Column entries per site in the column table.
+    #[inline]
+    fn col_stride(&self) -> usize {
+        64 * self.words as usize
     }
 
-    /// Mask word `p / 64` of record `r`.
-    fn word_mut(&mut self, r: usize, p: u32) -> Option<&mut u64> {
-        match p as usize / 64 {
-            0 => self.recs.get_mut(r).map(|rec| &mut rec.mask),
-            w => self.masks.get_mut(r * self.spill as usize + w - 1),
-        }
+    /// The mask words of record `r`.
+    fn mask(&self, r: usize) -> &[u64] {
+        let span = self.span();
+        self.recs.get(r * span + 1..(r + 1) * span).unwrap_or(&[])
     }
 
-    /// Position `p` joins record `r`'s skip mask.
-    fn set(&mut self, r: usize, p: u32) {
-        if let Some(m) = self.word_mut(r, p) {
-            *m |= 1 << (p % 64);
-        }
+    /// True iff position `p` is in record `r`'s mask.
+    fn holds(&self, r: usize, p: u32) -> bool {
+        self.mask(r)
+            .get(p as usize / 64)
+            .is_some_and(|w| w & (1 << (p % 64)) != 0)
     }
 
-    /// Position `p` leaves record `r`'s skip mask.
-    fn clear(&mut self, r: usize, p: u32) {
-        if let Some(m) = self.word_mut(r, p) {
-            *m &= !(1 << (p % 64));
+    /// Position `p` joins record `r`'s mask; true iff it was not there.
+    #[inline]
+    fn set(&mut self, r: usize, p: u32) -> bool {
+        let i = r * self.span() + 1 + p as usize / 64;
+        let bit = 1 << (p % 64);
+        match self.recs.get_mut(i) {
+            Some(w) if *w & bit == 0 => {
+                *w |= bit;
+                true
+            }
+            Some(_) | None => false,
         }
-    }
-
-    /// True iff record `r`'s site and mask are what [`EdgeTable::write`]
-    /// lays out for `e`.
-    fn agrees(&self, r: usize, e: &Edge) -> bool {
-        let spill = self.spill as usize;
-        let masks = self.masks.get(r * spill..(r + 1) * spill);
-        self.recs
-            .get(r)
-            .is_some_and(|rec| (rec.ss, rec.mask) == (e.ss, Self::mask_word(e, 0)))
-            && masks.is_some_and(|m| {
-                m.iter()
-                    .enumerate()
-                    .all(|(w, &m)| m == Self::mask_word(e, w + 1))
-            })
     }
 
     /// A fresh stamp for a call starting now; on wrap-around every record
     /// is un-marked first.
     fn next_stamp(&mut self) -> u32 {
         self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
-            self.recs.iter_mut().for_each(|rec| rec.emptied = 0);
+            let span = self.span();
+            self.recs
+                .iter_mut()
+                .step_by(span)
+                .for_each(|head| *head &= u64::from(u32::MAX));
             1
         });
         self.stamp
@@ -758,54 +837,83 @@ impl EdgeTable {
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "the table holds `stride` records (and `stride · spill` mask words) for every slot of `edges`, and `lens` one entry per slot, from insert_txn on; a row index is below its row's length."
+    reason = "the table holds `stride` records of `span` words for every slot of `edges`, the column table `64 · words` entries for every site slot, and `lens` one entry per slot, from insert_txn on; a row index is below its row's length."
 )]
 impl DenseTsgd {
-    /// Lay out the record of edge `i` of the row of `ts`, just inserted
-    /// into a column that now has `col_len` members; re-lay the table if
-    /// the row or the column outgrew it.
-    fn lay_record(&mut self, ts: u32, i: usize, col_len: usize) {
-        let row = &self.edges[ts as usize];
+    /// Make room for a row of `row_len` edges and a column of `col_len`
+    /// members: re-lay the edge table and the column table wider if either
+    /// outgrew them, and give every slot its rows and every site its
+    /// column.
+    fn fit(&mut self, row_len: usize, col_len: usize) {
+        let t = &self.table;
+        let words = col_len.div_ceil(64) as u32;
+        if row_len > t.stride as usize || words > t.words {
+            self.relay(t.stride.max(row_len as u32), t.words.max(words));
+        }
         let t = &mut self.table;
-        let spill = col_len.div_ceil(64).saturating_sub(1) as u32;
-        if row.len() > t.stride as usize || spill > t.spill {
-            t.stride = t.stride.max(row.len() as u32);
-            t.spill = t.spill.max(spill);
-            return self.relay();
+        let recs = self.edges.len() * t.stride as usize * t.span();
+        if t.recs.len() < recs {
+            t.recs.resize(recs, 0);
         }
-        let (stride, spill) = (t.stride as usize, t.spill as usize);
-        let slots = self.edges.len();
-        if t.recs.len() < slots * stride {
-            t.recs.resize(slots * stride, EdgeRec::default());
-            t.masks.resize(slots * stride * spill, 0);
+        let cols = self.col_lens.len() * t.col_stride();
+        if self.cols.len() < cols {
+            self.cols.resize(cols, (0, 0));
+            self.col_ids.resize(cols, GlobalTxnId(0));
         }
-        // Mid-row insert: the records above move up one, like the edges.
-        let (r, end) = (ts as usize * stride + i, ts as usize * stride + row.len());
-        t.recs.copy_within(r..end - 1, r + 1);
-        t.masks
-            .copy_within(r * spill..(end - 1) * spill, (r + 1) * spill);
-        t.write(r, &row[i]);
-        t.lens[ts as usize] = row.len() as u32;
-        t.laid += 1;
     }
 
-    /// Lay out every record again at the table's current `stride` and
-    /// `spill`.
-    fn relay(&mut self) {
+    /// Copy every record into a table of `stride` records per row and
+    /// `words` mask words per record (the new words zero), and every
+    /// column into a column table of `64 · words` entries per site.
+    fn relay(&mut self, stride: u32, words: u32) {
         let t = &mut self.table;
-        let (stride, spill) = (t.stride as usize, t.spill as usize);
-        let slots = self.edges.len();
-        t.recs.clear();
-        t.recs.resize(slots * stride, EdgeRec::default());
-        t.masks.clear();
-        t.masks.resize(slots * stride * spill, 0);
-        for (ts, row) in self.edges.iter().enumerate() {
-            for (i, e) in row.iter().enumerate() {
-                t.write(ts * stride + i, e);
+        let (old_stride, old_span) = (t.stride as usize, t.span());
+        let (old_cols, old_words) = (t.col_stride(), t.words);
+        (t.stride, t.words) = (stride, words);
+        let span = t.span();
+        let mut recs = vec![0; self.edges.len() * stride as usize * span];
+        for (ts, &len) in t.lens.iter().enumerate() {
+            for i in 0..len as usize {
+                let (from, to) = (
+                    (ts * old_stride + i) * old_span,
+                    (ts * stride as usize + i) * span,
+                );
+                recs[to..to + old_span].copy_from_slice(&t.recs[from..from + old_span]);
             }
-            t.lens[ts] = row.len() as u32;
-            t.laid += row.len() as u64;
+            t.laid += u64::from(len);
         }
+        t.recs = recs;
+        if words != old_words {
+            let per_col = t.col_stride();
+            let mut cols = vec![(0, 0); self.col_lens.len() * per_col];
+            let mut ids = vec![GlobalTxnId(0); cols.len()];
+            for (ss, &len) in self.col_lens.iter().enumerate() {
+                let (from, to, len) = (ss * old_cols, ss * per_col, len as usize);
+                cols[to..to + len].copy_from_slice(&self.cols[from..from + len]);
+                ids[to..to + len].copy_from_slice(&self.col_ids[from..from + len]);
+            }
+            (self.cols, self.col_ids) = (cols, ids);
+        }
+    }
+
+    /// Lay out the record of edge `i` of the row of `ts`, just inserted;
+    /// the row now has `row_len` edges, and the records above `i` move up
+    /// one, like the edges.
+    fn lay_record(&mut self, ts: u32, i: usize, row_len: usize) {
+        let e = &self.edges[ts as usize][i];
+        let (ss, pos) = (e.ss, e.pos as usize);
+        let t = &mut self.table;
+        let span = t.span();
+        let row = ts as usize * t.stride as usize;
+        let (r, end) = (row + i, row + row_len);
+        t.recs
+            .copy_within(r * span..(end - 1) * span, (r + 1) * span);
+        let rec = &mut t.recs[r * span..(r + 1) * span];
+        rec.fill(0);
+        rec[0] = u64::from(ss);
+        rec[1 + pos / 64] = 1 << (pos % 64);
+        t.lens[ts as usize] = row_len as u32;
+        t.laid += 1;
     }
 
     /// Index of edge `i` of the row of `ts` in the table.
@@ -820,25 +928,34 @@ impl DenseTsgd {
         self.table.laid
     }
 
-    /// True iff the table covers every slot and column, and each live
-    /// edge's record is the one [`EdgeTable::write`] lays out for it.
+    /// True iff the edge table and the column table cover every slot and
+    /// column, and each live edge's record holds its site slot, its own
+    /// position, no position past its column's end and, besides its own,
+    /// as many positions as the edge counts dependencies out of it.
     /// Test/validation grade.
     fn table_consistent(&self) -> bool {
         let t = &self.table;
         let stride = t.stride as usize;
-        let wide = |(_, ss)| self.txns_col(ss).len().div_ceil(64) <= t.spill as usize + 1;
+        let wide = |(_, ss)| self.txns_col(ss).len() <= t.col_stride();
         t.lens.len() >= self.edges.len()
-            && t.recs.len() >= self.edges.len() * stride
-            && t.masks.len() >= t.recs.len() * t.spill as usize
+            && t.recs.len() >= self.edges.len() * stride * t.span()
+            && self.col_lens.len() >= self.sites.capacity()
+            && self.cols.len() >= self.col_lens.len() * t.col_stride()
+            && self.col_ids.len() == self.cols.len()
             && self.sites.iter_sorted().all(wide)
             && self.txns.iter_sorted().all(|(_, ts)| {
                 let row = self.row(ts);
                 t.lens[ts as usize] as usize == row.len()
                     && row.len() <= stride
-                    && row
-                        .iter()
-                        .enumerate()
-                        .all(|(i, e)| t.agrees(self.rec_index(ts, i as u32), e))
+                    && row.iter().enumerate().all(|(i, e)| {
+                        let r = self.rec_index(ts, i as u32);
+                        let len = self.txns_col(e.ss).len() as u32;
+                        let mask = t.mask(r);
+                        t.recs[r * t.span()] & u64::from(u32::MAX) == u64::from(e.ss)
+                            && t.holds(r, e.pos)
+                            && bits(mask).all(|p| p < len)
+                            && bits(mask).count() == e.deps as usize + 1
+                    })
             })
     }
 }
@@ -867,50 +984,36 @@ struct Cand {
     ws: u32,
 }
 
-/// One Δ dependency `(before, site) → (site, G_i)`, with both edges'
-/// indices in their rows — the call stood on the before-edge and read
-/// `G_i`'s from its column entry, so [`DenseTsgd::add_delta`] searches
-/// nothing — and `G_i`'s position in the site's column.
+/// One Δ dependency `(before, site) → (site, G_i)` of the last call:
+/// `before`'s slot and the site's slot.
 #[derive(Clone, Copy, Debug)]
 struct DeltaDep {
-    site: SiteId,
     before: u32,
-    before_idx: u32,
-    gi_idx: u32,
-    gi_pos: u32,
-}
-
-/// A column in one call: where its words start in `open`, and its length.
-#[derive(Clone, Copy, Debug, Default)]
-struct Col {
-    base: u32,
-    len: u32,
+    ss: u32,
 }
 
 /// Reusable scratch for [`eliminate_cycles_dense_with`]: one call's states
-/// not yet entered, its columns and stamp, the traversal path, the Δ the
-/// last call found, and five lifetime counters. Each call re-opens `open`
-/// and takes a fresh stamp, so no call reads another's marks on the edge
-/// table; the hot loop allocates nothing after warm-up.
+/// not yet entered and stamp, the traversal path, the Δ the last call
+/// added, and four lifetime counters. Each call re-opens `open` and takes
+/// a fresh stamp, so no call reads another's marks on the edge table; the
+/// hot loop allocates nothing after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct EliminateScratch {
-    /// Site slot → its column in this call.
-    cols: Vec<Col>,
     /// The states not yet entered (the complement of Figure 4's `used`),
-    /// one bit per column position, the columns laid end to end from
-    /// their `base`: bit `p` of site `u`'s words is set until state
-    /// `(u, column[p])` is entered. `G_i`'s bits are never cleared — the
-    /// reference never consults `used` for `G_i` — and bits past a column's
-    /// end are clear. Position space is stable for the whole call: the
-    /// walk writes only the edge table's marks and masks, so no column
-    /// mutates underneath.
+    /// one bit per column position, site slot `u`'s words from `u · words`
+    /// (the edge table's mask words per record): bit `p` of `u`'s words is
+    /// set until state `(u, column[p])` is entered. `G_i`'s bits are never
+    /// cleared — the reference never consults `used` for `G_i` — and bits
+    /// past a column's end are clear. Position space is stable for the
+    /// whole call: the walk writes only the edge table's stamps and mask
+    /// bits and the dependency counts, so no column mutates underneath.
     open: Vec<u64>,
-    /// This call's stamp on the edge table's `emptied` marks.
+    /// This call's stamp on the edge table's heads.
     stamp: u32,
     /// The ancestors of the state being scanned, root first.
     path: Vec<Frame>,
-    /// `G_i`'s slot in the last call, and the Δ that call found, in the
-    /// reference's order — unique by construction, since a Δ choice blocks
+    /// `G_i`'s slot in the last call, and the Δ that call added, in the
+    /// reference's order — unique by construction, since a Δ choice sets
     /// `G_i`'s position in the edge's mask.
     gslot: u32,
     delta: Vec<DeltaDep>,
@@ -920,13 +1023,38 @@ pub struct EliminateScratch {
     states: u64,
     /// Column scans charged in closed form, over every call.
     scans_elided: u64,
-    /// Δ dependencies found, over every call.
+    /// Δ dependencies added, over every call.
     deltas: u64,
+}
+
+/// The first position at or after `from` (< `len`) in a column of `len`
+/// members that a scan with skip mask `mask` would choose: an open state
+/// (`open`, the column's words) the mask does not hold.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`open` and `mask` each hold at least the column's `len.div_ceil(64)` words: both are laid out at the table's words per column, which fit keeps at or above every column's."
+)]
+#[inline(always)]
+fn first_candidate(open: &[u64], mask: &[u64], len: usize, from: usize) -> Option<usize> {
+    if len <= 64 {
+        let c = open[0] & !mask[0] & (!0u64 << from);
+        return (c != 0).then_some(c.trailing_zeros() as usize);
+    }
+    let (first, end) = (from / 64, len.div_ceil(64));
+    let mut keep = !0u64 << (from % 64);
+    for (w, (&o, &m)) in open[first..end].iter().zip(&mask[first..end]).enumerate() {
+        let c = o & !m & keep;
+        if c != 0 {
+            return Some((first + w) * 64 + c.trailing_zeros() as usize);
+        }
+        keep = !0;
+    }
+    None
 }
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "site slots are below the capacity begin() sized `cols` to, `open` holds every column's words from its `base`, records index a row below its length, and scans index a column below its length."
+    reason = "site slots are below the column table's sites, `open` holds `words` words for each of them, records index a row below its length, and scans index a column below its length."
 )]
 impl EliminateScratch {
     /// Fresh scratch (grows lazily to the TSGD's slot capacities).
@@ -952,7 +1080,7 @@ impl EliminateScratch {
         self.scans_elided
     }
 
-    /// Δ dependencies found, over every call made with this scratch.
+    /// Δ dependencies added, over every call made with this scratch.
     pub fn deltas(&self) -> u64 {
         self.deltas
     }
@@ -960,21 +1088,16 @@ impl EliminateScratch {
     /// Start a call for `G_i` in slot `gslot`: open every state and take a
     /// fresh stamp.
     fn begin(&mut self, tsgd: &mut DenseTsgd, gslot: u32) {
-        let site_cap = tsgd.sites.capacity();
-        if self.cols.len() < site_cap {
-            self.cols.resize(site_cap, Col::default());
-        }
+        let words = tsgd.table.words as usize;
         self.open.clear();
-        for (ss, col) in self.cols.iter_mut().enumerate().take(site_cap) {
-            let len = tsgd.txns_col(ss as u32).len();
-            *col = Col {
-                base: self.open.len() as u32,
-                len: len as u32,
-            };
+        for &len in &tsgd.col_lens {
+            let len = len as usize;
             self.open.extend(std::iter::repeat_n(!0u64, len / 64));
             if !len.is_multiple_of(64) {
                 self.open.push((1u64 << (len % 64)) - 1);
             }
+            let laid = len.div_ceil(64);
+            self.open.extend(std::iter::repeat_n(0, words - laid));
         }
         self.stamp = tsgd.table.next_stamp();
         self.gslot = gslot;
@@ -995,9 +1118,9 @@ impl EliminateScratch {
     }
 
     /// Enter state `(u, w)` of a chosen candidate.
-    fn enter(&mut self, c: Cand) {
+    fn enter(&mut self, c: Cand, words: usize) {
         self.states += 1;
-        let word = &mut self.open[self.cols[c.us as usize].base as usize + c.q as usize / 64];
+        let word = &mut self.open[c.us as usize * words + c.q as usize / 64];
         let bit = 1u64 << (c.q % 64);
         debug_assert!(
             *word & bit != 0,
@@ -1008,107 +1131,71 @@ impl EliminateScratch {
         *word &= !bit;
     }
 
-    /// The first position at or after `from` (< the column's length) in
-    /// column `col` that the scan of edge record `r` would choose: an open
-    /// state its skip mask (word 0 of which is `mask`) does not hold.
-    #[inline(always)]
-    fn first_candidate(
-        &self,
-        table: &EdgeTable,
-        (r, mask): (usize, u64),
-        col: Col,
-        from: usize,
-    ) -> Option<usize> {
-        let open = &self.open[col.base as usize..];
-        if col.len <= 64 {
-            let c = open[0] & !mask & (!0u64 << from);
-            return (c != 0).then_some(c.trailing_zeros() as usize);
-        }
-        let spill = table.spill as usize;
-        let masks = &table.masks[r * spill..];
-        let mut keep = !0u64 << (from % 64);
-        for w in from / 64..(col.len as usize).div_ceil(64) {
-            let skip = if w == 0 { mask } else { masks[w - 1] };
-            let c = open[w] & !skip & keep;
-            if c != 0 {
-                return Some(w * 64 + c.trailing_zeros() as usize);
-            }
-            keep = !0;
-        }
-        None
-    }
-
-    /// Cycle found: pin node `v` (standing on edge record `r`) before
-    /// `G_i` — at column position `q`, edge `gi_idx` of its row — at the
-    /// site, and block `q` in the record's mask for the rest of the call.
-    #[cold]
-    #[inline(never)]
-    fn take_delta(&mut self, tsgd: &mut DenseTsgd, (v, r): (u32, usize), q: u32, gi_idx: u32) {
-        tsgd.table.set(r, q);
-        let si = r - tsgd.rec_index(v, 0);
-        self.delta.push(DeltaDep {
-            site: tsgd.row(v)[si].site,
-            before: v,
-            before_idx: si as u32,
-            gi_idx,
-            gi_pos: q,
-        });
-    }
-
     /// Run state `f` from its cursor until it chooses a candidate that
     /// enters a state, or runs out (`None`). A Δ choice is settled here:
-    /// `G_i`'s position joins the edge's mask for the rest of the call,
-    /// the reference's next trip (one tick plus the replayed prefix) is
-    /// added to `ticks` and the scan goes on. A column that an earlier
-    /// state of the same node scanned to the end is charged without a
-    /// scan; a column this scan finishes is marked so. Inlined into the
-    /// walk's one loop: the walk is all control flow.
+    /// `G_i`'s position joins the edge's mask — the new dependency, counted
+    /// on both edges — the reference's next trip (one tick plus the
+    /// replayed prefix) is added to `ticks` and the scan goes on. A column
+    /// that an earlier state of the same node scanned to the end is
+    /// charged without a scan; a column this scan finishes is marked so.
+    /// Inlined into the walk's one loop: the walk is all control flow.
     #[inline(always)]
     fn scan(&mut self, tsgd: &mut DenseTsgd, f: &mut Frame, ticks: &mut u64) -> Option<Cand> {
+        let (span, words) = (tsgd.table.span(), tsgd.table.words as usize);
+        let (per_col, stamp, gslot) = (64 * words, self.stamp, self.gslot);
         let (mut r, mut ti, mut charged) = (f.at as usize, f.txn_idx as usize, f.charged);
         let mut chosen = None;
         'row: while r < f.end as usize {
-            let rec = tsgd.table.recs[r];
+            let rec = r * span;
+            let head = tsgd.table.recs[rec];
+            let ss = head as u32;
             // `arrived` is the reference's `head(s_par(v))`: not scanned.
-            if rec.ss != f.arrived {
-                let col = self.cols[rec.ss as usize];
-                let len = col.len as usize;
-                if rec.emptied == self.stamp {
+            if ss != f.arrived {
+                let len = tsgd.col_lens[ss as usize] as usize;
+                let open = ss as usize * words;
+                if (head >> 32) as u32 == stamp {
                     if ti < len {
                         debug_assert!(
-                            self.first_candidate(&tsgd.table, (r, rec.mask), col, ti)
-                                .is_none(),
-                            "elided scan of node {} at site slot {} has a candidate",
-                            f.v,
-                            rec.ss
+                            first_candidate(
+                                &self.open[open..],
+                                &tsgd.table.recs[rec + 1..],
+                                len,
+                                ti
+                            )
+                            .is_none(),
+                            "elided scan of node {} at site slot {ss} has a candidate",
+                            f.v
                         );
                         self.scans_elided += 1;
                         charged += (len - ti) as u64;
                     }
                 } else {
-                    // A Δ choice at `q` blocks `q` in the table's mask, but
-                    // this scan has passed it, so `rec.mask` stays good.
+                    // A Δ choice at `q` sets `q` in the mask this scan
+                    // reads, but the scan has passed it.
                     while ti < len {
-                        let Some(q) = self.first_candidate(&tsgd.table, (r, rec.mask), col, ti)
-                        else {
+                        let mask = &tsgd.table.recs[rec + 1..rec + span];
+                        let Some(q) = first_candidate(&self.open[open..], mask, len, ti) else {
                             charged += (len - ti) as u64;
                             break;
                         };
                         charged += (q - ti) as u64 + 1;
                         ti = q + 1;
-                        let (_, ws, wi) = tsgd.txns_col(rec.ss)[q];
-                        if ws != self.gslot {
+                        let (ws, wi) = tsgd.cols[ss as usize * per_col + q];
+                        if ws != gslot {
                             chosen = Some(Cand {
-                                us: rec.ss,
+                                us: ss,
                                 q: q as u32,
                                 ws,
                             });
                             break 'row;
                         }
-                        self.take_delta(tsgd, (f.v, r), q as u32, wi);
+                        // Cycle found: pin `v` before `G_i` at the site.
+                        let vi = r - tsgd.rec_index(f.v, 0);
+                        tsgd.link((f.v, vi as u32), (ws, wi), q as u32);
+                        self.delta.push(DeltaDep { before: f.v, ss });
                         *ticks += 1 + charged;
                     }
-                    tsgd.table.recs[r].emptied = self.stamp;
+                    tsgd.table.recs[rec] = u64::from(ss) | u64::from(stamp) << 32;
                 }
             }
             r += 1;
@@ -1122,24 +1209,25 @@ impl EliminateScratch {
 
 /// Figure 4 (`Eliminate_Cycles`) over the dense storage: the same Δ, in the
 /// same order, and **identical step charges** as the reference
-/// [`crate::reference::tsgd::eliminate_cycles`] — adjacency vectors are
-/// id-sorted, so the traversal examines candidates in the reference order —
-/// at a machine cost of about one column scan per state. Δ is left in
-/// `scratch` in slot space: [`DenseTsgd::add_delta`] folds it in,
-/// [`DenseTsgd::delta_set`] resolves it to [`Dep`]s. The TSGD is borrowed
-/// mutably only for its edge table's per-call marks: it leaves the call
-/// with the same transactions, edges, dependencies and masks.
+/// [`crate::reference::tsgd::eliminate_cycles`] — adjacency is id-sorted,
+/// so the traversal examines candidates in the reference order — at a
+/// machine cost of about one column scan per state. Unlike the reference,
+/// it **adds** Δ to the TSGD: each Δ choice sets `G_i`'s bit in the
+/// before-edge's mask, where it is the dependency, and counts it on both
+/// edges, in `incoming` and in `dep_count` — exactly what folding the
+/// reference's Δ in with `add_dep` does. [`DenseTsgd::delta_set`] resolves
+/// the last call's Δ to [`Dep`]s. Besides Δ and the per-call stamps the
+/// TSGD leaves the call as it came.
 ///
 /// The walk reads the TSGD's edge table: one record per TSG edge (site
 /// slot, skip mask = the after set OR the edge's own column position),
 /// laid out when the edge was inserted, so a scan reads one record and
-/// ANDs one mask into the not-yet-entered states. Within one call whether
+/// ANDs its mask into the not-yet-entered states. Within one call whether
 /// node `v` skips the candidate at a column position never depends on the
 /// state `v` was entered through, and once true stays true: `w == v` is
-/// fixed, no after set changes during the call, the set of not-yet-entered
-/// states only shrinks, and `G_i`'s position joins `v`'s mask at a site
-/// for the rest of the call once `v` took it as Δ there (the call clears
-/// those bits when it ends). A chosen candidate is skipped from then on
+/// fixed, after sets only gain the call's Δ, the set of not-yet-entered
+/// states only shrinks, and `G_i`'s position is in `v`'s mask at a site
+/// once `v` took it as Δ there. A chosen candidate is skipped from then on
 /// (its state was entered, or it became Δ). Three consequences make the
 /// walk cheap:
 ///
@@ -1157,6 +1245,12 @@ impl EliminateScratch {
 /// - **Δ choices are settled in the scanning frame.** A Δ choice ends the
 ///   reference's trip and starts the next at the same cursor, so its
 ///   `1 + charged` ticks are added and the scan goes on.
+///
+/// Δ and the states entered do not depend on the order of the walk: a
+/// state `(u, w)` is entered iff it is reachable from `G_i` over
+/// candidates — a closure — and Δ holds `(s, v) → (s, G_i)` for each
+/// reachable `v` with a candidate `G_i` at a site `s` it did not arrive
+/// through. Only the step charge needs the depth-first order.
 pub fn eliminate_cycles_dense_with(
     tsgd: &mut DenseTsgd,
     gi: GlobalTxnId,
@@ -1171,6 +1265,7 @@ pub fn eliminate_cycles_dense_with(
         return;
     };
     scratch.begin(tsgd, gslot);
+    let words = tsgd.table.words as usize;
     // Every trip of the reference loop costs one tick plus the candidates
     // it examines; they are summed here and charged in one `bump`.
     let mut cur = EliminateScratch::frame(tsgd, gslot, NONE);
@@ -1178,7 +1273,7 @@ pub fn eliminate_cycles_dense_with(
     loop {
         if let Some(c) = scratch.scan(tsgd, &mut cur, &mut ticks) {
             // Descend: the child's first trip.
-            scratch.enter(c);
+            scratch.enter(c, words);
             ticks += 1;
             let child = EliminateScratch::frame(tsgd, c.ws, c.us);
             scratch.path.push(std::mem::replace(&mut cur, child));
@@ -1190,11 +1285,6 @@ pub fn eliminate_cycles_dense_with(
         } else {
             break;
         }
-    }
-    // Each Δ choice set a mask bit its after set does not hold: clear it.
-    for d in &scratch.delta {
-        let r = tsgd.rec_index(d.before, d.before_idx);
-        tsgd.table.clear(r, d.gi_pos);
     }
     steps.bump(StepKind::Act, ticks);
     scratch.deltas += scratch.delta.len() as u64;
@@ -1300,8 +1390,14 @@ mod tests {
         let delta_dense = dense.delta_set(&scratch);
         assert_eq!(delta_ref, delta_dense);
         assert_eq!(steps_ref, steps_dense);
-        assert_mirrors(&dense, &reference);
         assert!(!reference.has_cycle_involving(g(5), &delta_ref));
+        // The dense call added its Δ: the graphs agree once the reference
+        // adds it too.
+        for d in delta_ref {
+            reference.add_dep(d);
+        }
+        assert_mirrors(&dense, &reference);
+        assert!(dense.edges_consistent());
     }
 
     #[test]
@@ -1426,8 +1522,9 @@ mod tests {
         }
         let mut scratch = EliminateScratch::new();
         // Several rounds through one scratch, the stamp wrapping around
-        // between them: no call may read another's marks or Δ blocks, and
-        // charges must equal the reference every time.
+        // between them: no call may read another's marks, and Δ and the
+        // charges must equal the reference's every time, each call's Δ
+        // added to both graphs before the next.
         dense.table.stamp = u32::MAX - 1;
         for target in [5u64, 1, 4, 5] {
             let mut steps_ref = StepCounter::new();
@@ -1437,7 +1534,11 @@ mod tests {
             let delta_cur = dense.delta_set(&scratch);
             assert_eq!(delta_ref, delta_cur, "Δ diverged for G{target}");
             assert_eq!(steps_ref, steps_cur, "steps diverged for G{target}");
-            assert!(dense.edges_consistent(), "a Δ block outlived its call");
+            for d in delta_ref {
+                reference.add_dep(d);
+            }
+            assert_mirrors(&dense, &reference);
+            assert!(dense.edges_consistent(), "an edge record went stale");
         }
         assert_eq!(dense.table.stamp, 3, "the stamp wrapped at the second call");
         // Absent-txn path: one outer tick, like the reference, and the

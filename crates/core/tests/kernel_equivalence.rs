@@ -41,7 +41,7 @@ use mdbs_schedule::DiGraph;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Strategy: a valid random script described by (n, m, dav, seed).
 fn arb_script() -> impl Strategy<Value = Script> {
@@ -608,6 +608,38 @@ fn wide_row_script() -> Script {
     script
 }
 
+/// Figure 4's Δ and its states as a reachability closure, walked breadth
+/// first: from state `(arrived, v)` (the root `G_i` arrives through no
+/// site) a candidate is `(u, w)` at a site `u ≠ arrived` of `v`, with
+/// `w ≠ v` and no dependency `(v, u) → (u, w)`. A candidate `w ≠ G_i` is
+/// state `(u, w)`, and one `w = G_i` is the Δ dependency `(v, u) → (u,
+/// G_i)`. Returns Δ and the number of states below the root.
+fn closure_oracle(tsgd: &Tsgd, gi: GlobalTxnId) -> (BTreeSet<Dep>, u64) {
+    let deps: BTreeSet<Dep> = tsgd.deps().collect();
+    let (mut states, mut delta) = (BTreeSet::new(), BTreeSet::new());
+    let mut queue = VecDeque::from([(None, gi)]);
+    while let Some((arrived, v)) = queue.pop_front() {
+        for u in tsgd.sites_of(v).filter(|&u| Some(u) != arrived) {
+            for w in tsgd.txns_at(u).filter(|&w| w != v) {
+                let dep = Dep {
+                    site: u,
+                    before: v,
+                    after: w,
+                };
+                if deps.contains(&dep) {
+                    continue;
+                }
+                if w == gi {
+                    delta.insert(dep);
+                } else if states.insert((u, w)) {
+                    queue.push_back((Some(u), w));
+                }
+            }
+        }
+    }
+    (delta, states.len() as u64)
+}
+
 /// Grow a reference and a dense TSGD from `script` with no removals — each
 /// `init` inserts its transaction and folds in its Δ, each `ser` adds a
 /// dependency from every earlier `ser` at its site that does not oppose one
@@ -619,16 +651,14 @@ fn assert_delta_parity(script: &Script, label: &str) -> (u64, u64, u64) {
     let mut scratch = EliminateScratch::new();
     let mut deps = std::collections::BTreeSet::new();
     let mut sered: BTreeMap<SiteId, Vec<GlobalTxnId>> = BTreeMap::new();
-    let mut add = |reference: &mut Tsgd, dense: &mut DenseTsgd, dep: Dep| {
+    // True iff `dep` is new and opposes none already there.
+    let admit = |deps: &mut std::collections::BTreeSet<Dep>, dep: Dep| {
         let reverse = Dep {
             before: dep.after,
             after: dep.before,
             ..dep
         };
-        if !deps.contains(&reverse) && deps.insert(dep) {
-            reference.add_dep(dep);
-            dense.add_dep(dep);
-        }
+        !deps.contains(&reverse) && deps.insert(dep)
     };
     for ev in &script.events {
         match ev {
@@ -640,8 +670,11 @@ fn assert_delta_parity(script: &Script, label: &str) -> (u64, u64, u64) {
                 eliminate_cycles_dense_with(&mut dense, *txn, &mut steps_dense, &mut scratch);
                 assert_eq!(dense.delta_set(&scratch), delta, "{label}: Δ of {txn}");
                 assert_eq!(steps_dense, steps_ref, "{label}: steps of {txn}");
+                // The dense walk added Δ itself; the new transaction has no
+                // dependency yet, so no Δ opposes one already there.
                 for dep in delta {
-                    add(&mut reference, &mut dense, dep);
+                    assert!(admit(&mut deps, dep), "{label}: Δ {dep:?} was there");
+                    reference.add_dep(dep);
                 }
             }
             ScriptEvent::Ser(txn, site) => {
@@ -652,7 +685,10 @@ fn assert_delta_parity(script: &Script, label: &str) -> (u64, u64, u64) {
                         before,
                         after: *txn,
                     };
-                    add(&mut reference, &mut dense, dep);
+                    if admit(&mut deps, dep) {
+                        reference.add_dep(dep);
+                        dense.add_dep(dep);
+                    }
                 }
                 earlier.push(*txn);
             }
@@ -767,8 +803,11 @@ fn site_list(sites: u32, a: u16, b: u16, c: u8) -> Vec<SiteId> {
 /// site ids:
 /// - kind 0 inserts a fresh id, so it lands mid-column, with an unsorted
 ///   site list that may repeat a site (mid-row inserts and idempotent
-///   merges), then runs `Eliminate_Cycles` for it on both and folds Δ in,
-///   as `act(init)` does: Δ and the step charge must be the reference's;
+///   merges), then runs `Eliminate_Cycles` for it on both, which the dense
+///   walk adds Δ with, and folds Δ into the reference, as `act(init)`
+///   does: Δ and the step charge must be the reference's; kind 4 inserts
+///   the same way but runs no walk (the reference walk is slow on long
+///   columns);
 /// - kind 1 merges more sites into a live transaction, mid-row when the
 ///   row already has dependencies;
 /// - kind 2 adds a dependency between two live transactions at a shared
@@ -780,16 +819,33 @@ fn site_list(sites: u32, a: u16, b: u16, c: u8) -> Vec<SiteId> {
 /// Every `check_every` ops and at the end, the dense TSGD must pass
 /// `edges_consistent` (rows and columns agree, column entries name their
 /// edges, each dependency count matches the after sets, and each
-/// edge-table record and mask matches its edge) and hold the reference's
-/// dependencies. Returns the number of Δ dependencies folded in.
-fn drive_tsgd_pair(ops: &[TsgdOp], sites: u32, pool: u64, seed: u64, check_every: usize) -> u64 {
+/// edge-table record holds its site, its own position and nothing past
+/// its column) and hold the reference's dependencies. Returns the number
+/// of Δ dependencies added and the longest column a check saw.
+fn drive_tsgd_pair(
+    ops: &[TsgdOp],
+    sites: u32,
+    pool: u64,
+    seed: u64,
+    check_every: usize,
+) -> (u64, usize) {
+    let mut widest = 0;
     let (mut reference, mut dense) = (Tsgd::new(), DenseTsgd::new());
     let mut scratch = EliminateScratch::new();
     let mut live: Vec<GlobalTxnId> = Vec::new();
     let mut ids: Vec<u64> = (1..=pool).collect();
     ids.shuffle(&mut derive_rng(seed, "tsgd-table-ids"));
     for (i, &(kind, a, b, c)) in ops.iter().enumerate() {
-        match kind % 4 {
+        match kind % 5 {
+            4 => {
+                let Some(id) = ids.pop() else {
+                    continue;
+                };
+                let list = site_list(sites, a, b, c);
+                reference.insert_txn(GlobalTxnId(id), &list);
+                dense.insert_txn(GlobalTxnId(id), &list);
+                live.push(GlobalTxnId(id));
+            }
             0 => {
                 let Some(id) = ids.pop() else {
                     continue;
@@ -804,10 +860,10 @@ fn drive_tsgd_pair(ops: &[TsgdOp], sites: u32, pool: u64, seed: u64, check_every
                 eliminate_cycles_dense_with(&mut dense, txn, &mut steps_dense, &mut scratch);
                 assert_eq!(dense.delta_set(&scratch), delta, "op {i}: Δ of {txn}");
                 assert_eq!(steps_dense, steps_ref, "op {i}: steps of {txn}");
+                // The dense walk added Δ itself.
                 for dep in delta {
                     reference.add_dep(dep);
                 }
-                dense.add_delta(&scratch);
             }
             1 if !live.is_empty() => {
                 let txn = live[usize::from(b) % live.len()];
@@ -849,9 +905,11 @@ fn drive_tsgd_pair(ops: &[TsgdOp], sites: u32, pool: u64, seed: u64, check_every
                 "op {i}: dependency sets diverged"
             );
             assert_eq!(dense.desync_count(), 0, "op {i}");
+            let columns = (0..sites).map(|k| reference.txns_at(SiteId(k)).count());
+            widest = widest.max(columns.max().unwrap_or(0));
         }
     }
-    scratch.deltas()
+    (scratch.deltas(), widest)
 }
 
 /// [`drive_tsgd_pair`] at the size of the benchmark's burst cell: 1 000
@@ -873,8 +931,34 @@ fn edge_table_matches_reference_at_burst_size() {
             (kind, rng.gen(), rng.gen(), rng.gen())
         })
         .collect();
-    let deltas = drive_tsgd_pair(&ops, 10, 1_000, 11, 50);
+    let (deltas, _) = drive_tsgd_pair(&ops, 10, 1_000, 11, 50);
     assert!(deltas > 0, "the walk must find cycles to break");
+}
+
+/// [`drive_tsgd_pair`] past two mask words: 240 shuffled ids over three
+/// sites, most transactions at two or three of them, so columns pass 128
+/// members and the column repair carries bits across a record's second
+/// and third words. Inserts land mid-column, removals come from the
+/// middle of the live list, dependencies are added between live members,
+/// and one insert in seven also runs both walks. The dense TSGD is
+/// checked every eight ops.
+#[test]
+fn edge_table_matches_reference_past_two_words() {
+    let mut rng = derive_rng(5, "tsgd-table-three-words");
+    let ops: Vec<TsgdOp> = (0..420)
+        .map(|_| {
+            let kind = match rng.gen_range(0..24) {
+                0..=1 => 0,
+                2..=13 => 4,
+                14..=19 => 2,
+                _ => 3,
+            };
+            (kind, rng.gen(), rng.gen(), rng.gen())
+        })
+        .collect();
+    let (deltas, widest) = drive_tsgd_pair(&ops, 3, 240, 5, 8);
+    assert!(deltas > 0, "the walks must find cycles to break");
+    assert!(widest > 128, "the longest column had {widest} members");
 }
 
 proptest! {
@@ -939,20 +1023,70 @@ proptest! {
         dep_picks in prop::collection::vec(any::<bool>(), 0..24),
         fresh_mask in 0u8..16,
     ) {
-        let (reference, mut dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
+        let (reference, dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
         let ref_deps: std::collections::BTreeSet<Dep> = reference.deps().collect();
         prop_assert_eq!(ref_deps, dense.deps_set(), "construction mismatch");
         let mut steps_ref = StepCounter::new();
         let delta_ref = eliminate_cycles(&reference, fresh, &mut steps_ref);
-        // Both on a fresh scratch and on one that already served a call.
+        // Both on a fresh scratch and on one that already served a call,
+        // each time on a copy of the same graph: the walk adds its Δ.
         let mut scratch = EliminateScratch::new();
         for _round in 0..2 {
+            let mut copy = dense.clone();
             let mut steps_cursor = StepCounter::new();
-            eliminate_cycles_dense_with(&mut dense, fresh, &mut steps_cursor, &mut scratch);
-            let delta_cursor = dense.delta_set(&scratch);
+            eliminate_cycles_dense_with(&mut copy, fresh, &mut steps_cursor, &mut scratch);
+            let delta_cursor = copy.delta_set(&scratch);
             prop_assert_eq!(&delta_ref, &delta_cursor, "cursor Δ diverged");
             prop_assert_eq!(steps_ref, steps_cursor, "cursor EC step charges diverged");
+            let with_delta: std::collections::BTreeSet<Dep> =
+                reference.deps().chain(delta_ref.iter().copied()).collect();
+            prop_assert_eq!(with_delta, copy.deps_set(), "Δ not added");
+            prop_assert!(copy.edges_consistent(), "Δ left a count stale");
         }
+    }
+
+    /// Figure 4's Δ and the states its walk enters are a closure, so they do
+    /// not depend on the walk's order: the breadth-first
+    /// [`closure_oracle`] gives the reference's Δ, the dense walk's Δ and
+    /// the dense walk's count of states entered, on random TSGDs whose
+    /// dependencies include some into and out of `G_i`. Only the step
+    /// charge needs Figure 4's depth-first order.
+    #[test]
+    fn delta_and_states_are_a_closure(
+        shape in prop::collection::vec(0u8..16, 1..7),
+        dep_picks in prop::collection::vec(any::<bool>(), 0..24),
+        fresh_mask in 0u8..16,
+        gi_picks in prop::collection::vec((0u8..3, any::<u8>()), 0..6),
+    ) {
+        let (mut reference, mut dense, fresh) = build_pair(&shape, &dep_picks, fresh_mask);
+        let shared: Vec<(SiteId, GlobalTxnId)> = reference
+            .sites_of(fresh)
+            .flat_map(|site| reference.txns_at(site).map(move |t| (site, t)))
+            .filter(|&(_, t)| t != fresh)
+            .collect();
+        for (direction, k) in gi_picks {
+            let Some(&(site, other)) = shared.get(usize::from(k) % shared.len().max(1)) else {
+                break;
+            };
+            let (before, after) = match direction {
+                0 => continue,
+                1 => (other, fresh),
+                _ => (fresh, other),
+            };
+            let dep = Dep { site, before, after };
+            let reverse = Dep { site, before: after, after: before };
+            if !reference.deps().any(|d| d == reverse || d == dep) {
+                reference.add_dep(dep);
+                dense.add_dep(dep);
+            }
+        }
+        let (delta, states) = closure_oracle(&reference, fresh);
+        let mut steps = StepCounter::new();
+        prop_assert_eq!(&eliminate_cycles(&reference, fresh, &mut steps), &delta, "reference Δ");
+        let mut scratch = EliminateScratch::new();
+        eliminate_cycles_dense_with(&mut dense, fresh, &mut StepCounter::new(), &mut scratch);
+        prop_assert_eq!(&dense.delta_set(&scratch), &delta, "dense Δ");
+        prop_assert_eq!(scratch.states(), states, "states entered");
     }
 
     /// Adversarial kernel matrix: cycle-heavy, fin-deletion-heavy scripts
@@ -1054,10 +1188,10 @@ proptest! {
                     let delta_cursor = dense.delta_set(&scratch);
                     prop_assert_eq!(&delta_ref, &delta_cursor, "Δ diverged at {}", target);
                     prop_assert_eq!(steps_ref, steps_cursor, "EC steps diverged at {}", target);
+                    // The dense walk added Δ itself.
                     for dep in delta_ref {
                         reference.add_dep(dep);
                     }
-                    dense.add_delta(&scratch);
                 }
             }
             prop_assert_eq!(dense.desync_count(), 0);

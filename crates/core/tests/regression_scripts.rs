@@ -14,6 +14,8 @@ use mdbs_core::gtm2::Gtm2;
 use mdbs_core::reference;
 use mdbs_core::replay::{replay, replay_with, Script, ScriptEvent};
 use mdbs_core::scheme::{FullRescan, Gtm2Scheme, SchemeKind};
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::Duration;
 
 fn init(txn: u64, sites: &[u32]) -> ScriptEvent {
     ScriptEvent::Init(GlobalTxnId(txn), sites.iter().map(|&s| SiteId(s)).collect())
@@ -151,6 +153,34 @@ fn overlap_chain_3txn_wake_hints_complete() {
 /// wake_scan_sum, `ser(S)` digest).
 type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 
+/// Run `replay` on a thread of its own and wait for its result at most
+/// `limit` — about ten times the replay's time in a release build, a
+/// hundred times that in a debug build, which validates every act — so a
+/// kernel that loops fails the test, naming `what`, instead of hanging
+/// it. A timed-out thread is left running: the test process ends it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test waits, with a deadline, for the replay it runs on its own thread"
+)]
+fn within<T: Send + 'static>(
+    what: &str,
+    limit: Duration,
+    replay: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let limit = if cfg!(debug_assertions) {
+        100 * limit
+    } else {
+        limit
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(replay()));
+    match rx.recv_timeout(limit) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no result within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: the replay panicked"),
+    }
+}
+
 /// Replay `script` on every scheme's dense kernel and compare with
 /// `golden`, Scheme 2's `Eliminate_Cycles` work (states entered below the
 /// root, column scans charged without running them, Δ dependencies
@@ -160,13 +190,20 @@ type CellGolden = [(SchemeKind, u64, u64, u64, u64, u64, u64); 4];
 /// 3's `act(ser)` targets, the ORs it skipped and the ORs that widened a
 /// row past `Ĝ_i` (`(0, 0, 0)` for the other schemes) with
 /// `scheme3_ser_bef`, and each scheme's `gtm2.wake_elided`
-/// and (`gtm2.retests_ser`, `gtm2.retests_fin`) with `wake`.
+/// and (`gtm2.retests_ser`, `gtm2.retests_fin`) with `wake`. Scheme 2's
+/// `gtm2.col_repair_words` (0 for the other schemes) is compared with
+/// `scheme2_repair`. Each replay runs [`within`] `limit`.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one golden per argument, each named at its call site"
+)]
 fn assert_dense_cell(
-    cell: &str,
+    cell: &'static str,
     script: &Script,
+    limit: Duration,
     golden: CellGolden,
     scheme2_elim: (u64, u64, u64),
-    scheme2_table: (u64, u64, u64),
+    (scheme2_table, scheme2_repair): ((u64, u64, u64), u64),
     scheme3_ser_bef: (u64, u64, u64),
     wake: ([u64; 4], [(u64, u64); 4]),
 ) {
@@ -175,10 +212,14 @@ fn assert_dense_cell(
     for (((kind, cond, act, wait_scan, waited, wake_scan_sum, ser_digest), elided), retests) in
         golden.into_iter().zip(wake_elided).zip(retests)
     {
-        let mut engine = Gtm2::new(kind.build());
-        let out = replay_with(&mut engine, script);
-        let mut metrics = Registry::new();
-        engine.export_metrics(&mut metrics);
+        let script = script.clone();
+        let (out, metrics) = within(&format!("{cell} {kind}"), limit, move || {
+            let mut engine = Gtm2::new(kind.build());
+            let out = replay_with(&mut engine, &script);
+            let mut metrics = Registry::new();
+            engine.export_metrics(&mut metrics);
+            (out, metrics)
+        });
         let elim = (
             metrics.counter("gtm2.elim_states"),
             metrics.counter("gtm2.elim_scans_elided"),
@@ -212,6 +253,16 @@ fn assert_dense_cell(
         assert_eq!(
             table, expected,
             "{cell} {kind}: edge-table or edge-search work changed"
+        );
+        let expected = if kind == SchemeKind::Scheme2 {
+            scheme2_repair
+        } else {
+            0
+        };
+        assert_eq!(
+            metrics.counter("gtm2.col_repair_words"),
+            expected,
+            "{cell} {kind}: column repair work changed"
         );
         let ser_bef = (
             metrics.counter("gtm2.ser_bef_targets"),
@@ -321,6 +372,10 @@ fn burst_cell_dense_decisions_golden() {
     // that goes back to searching, or a table that re-lays per call,
     // moves them.
     const SCHEME2_TABLE: (u64, u64, u64) = (1_000, 8_284, 289_758);
+    // The edge-table mask words Scheme 2's column repair rewrote: a
+    // repair that goes back to re-laying whole columns, or stops leaving
+    // alone the members with nothing above the hole, moves it.
+    const SCHEME2_REPAIR: u64 = 1_417_626;
     // The wake re-tests each scheme charged without running them, in
     // `GOLDEN`'s order: Scheme 1's fins after an `ack` or a `fin` and sers
     // behind a woken `ser` or not the insert-queue front, Scheme 3's fins
@@ -343,12 +398,14 @@ fn burst_cell_dense_decisions_golden() {
     // that builds a different Set2 moves the first.
     const SCHEME3_SER_BEF: (u64, u64, u64) = (970_142, 699_351, 2_112);
     let script = Script::random(1000, 10, 2.5, 42);
+    // The slowest replay, Scheme 2's, takes about 0.1 s in release.
     assert_dense_cell(
         "burst",
         &script,
+        Duration::from_secs(1),
         GOLDEN,
         SCHEME2_ELIM,
-        SCHEME2_TABLE,
+        (SCHEME2_TABLE, SCHEME2_REPAIR),
         SCHEME3_SER_BEF,
         (WAKE_ELIDED, RETESTS),
     );
@@ -404,6 +461,7 @@ fn stream_cell_dense_decisions_golden() {
     ];
     const SCHEME2_ELIM: (u64, u64, u64) = (4_465_963, 2_665_203, 703_284);
     const SCHEME2_TABLE: (u64, u64, u64) = (10_000, 25_496, 525_920);
+    const SCHEME2_REPAIR: u64 = 1_275_068;
     const WAKE_ELIDED: [u64; 4] = [0, 1_790_983, 0, 621_164];
     const RETESTS: [(u64, u64); 4] = [
         (22_249, 0),
@@ -413,12 +471,14 @@ fn stream_cell_dense_decisions_golden() {
     ];
     const SCHEME3_SER_BEF: (u64, u64, u64) = (1_931_689, 1_478_834, 35_538);
     let script = Script::windowed(10_000, 10, 2.5, 64, 42);
+    // The slowest replay, Scheme 2's, takes about 0.3 s in release.
     assert_dense_cell(
         "stream",
         &script,
+        Duration::from_secs(4),
         GOLDEN,
         SCHEME2_ELIM,
-        SCHEME2_TABLE,
+        (SCHEME2_TABLE, SCHEME2_REPAIR),
         SCHEME3_SER_BEF,
         (WAKE_ELIDED, RETESTS),
     );
@@ -434,10 +494,17 @@ fn stream_cell_dense_decisions_golden() {
 #[ignore = "soak: run with --release -- --ignored"]
 fn stream_cell_scheme3_validated() {
     let script = Script::windowed(10_000, 10, 2.5, 64, 42);
-    let mut engine = Gtm2::new(SchemeKind::Scheme3.build());
-    engine.set_validate(true);
-    let out = replay_with(&mut engine, &script);
-    assert_eq!(out.completed, script.txn_count(), "incomplete");
+    let n = script.txn_count();
+    let out = within(
+        "stream Scheme 3 validated",
+        Duration::from_secs(120),
+        move || {
+            let mut engine = Gtm2::new(SchemeKind::Scheme3.build());
+            engine.set_validate(true);
+            replay_with(&mut engine, &script)
+        },
+    );
+    assert_eq!(out.completed, n, "incomplete");
     assert_eq!(out.protocol_violations, 0);
 }
 
